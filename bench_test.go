@@ -5,6 +5,7 @@
 package rdfindexes
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -302,7 +303,11 @@ func BenchmarkSPARQLExecute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		if _, err := sparql.Execute(q, x, nil); err != nil {
+		c, err := sparql.Compile(q, sparql.Plan(q))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sparql.Run(context.Background(), c, x, sparql.Options{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -301,14 +301,18 @@ func sparqlCmd(args []string, out io.Writer) error {
 	if *stats {
 		order = sparql.PlanWithStats(q, st.Index)
 	}
-	// Solutions stream through the reused-bindings executor and the
-	// pooled renderer: no per-row maps, no per-term strings.
+	plan, err := sparql.Compile(q, order)
+	if err != nil {
+		return err
+	}
+	// Solutions stream as slot rows through the pooled renderer: no
+	// per-row maps, no per-term strings.
 	rend := store.AcquireRenderer(st)
 	defer rend.Release()
 	var line []byte
 	var writeErr error
 	printed := 0
-	execStats, err := sparql.StreamWithOrder(nil, q, st.Index, order, func(b sparql.Bindings) {
+	execStats, err := sparql.Run(context.Background(), plan, st.Index, sparql.Options{}, func(row []core.ID) {
 		if writeErr != nil || (*limit >= 0 && printed >= *limit) {
 			return
 		}
@@ -321,7 +325,7 @@ func sparqlCmd(args []string, out io.Writer) error {
 			line = append(line, '?')
 			line = append(line, v...)
 			line = append(line, '=')
-			line = rend.AppendTerm(line, b[v])
+			line = rend.Append(line, plan.Roles[i], row[i])
 		}
 		line = append(line, '\n')
 		if _, werr := out.Write(line); werr != nil {

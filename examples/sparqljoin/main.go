@@ -7,10 +7,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"rdfindexes"
+	"rdfindexes/internal/core"
 	"rdfindexes/internal/gen"
 	"rdfindexes/internal/sparql"
 )
@@ -47,13 +49,16 @@ func main() {
 		if err != nil {
 			log.Fatalf("parse %q: %v", qs, err)
 		}
-		order := sparql.Plan(q)
+		plan, err := sparql.Compile(q, sparql.Plan(q))
+		if err != nil {
+			log.Fatalf("compile %q: %v", qs, err)
+		}
 		fmt.Printf("query: %s\n", q)
-		fmt.Printf("  plan order: %v\n", order)
+		fmt.Printf("  plan order: %v\n", plan.Order)
 		shown := 0
-		stats, err := sparql.Execute(q, x, func(b sparql.Bindings) {
+		stats, err := sparql.Run(context.Background(), plan, x, sparql.Options{}, func(row []core.ID) {
 			if shown < 3 {
-				fmt.Printf("  solution: %v\n", b)
+				fmt.Printf("  solution: %v = %v\n", q.Vars, row)
 				shown++
 			}
 		})

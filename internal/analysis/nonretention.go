@@ -6,14 +6,14 @@ import (
 )
 
 // NonRetention enforces the //rdf:nonretaining contract from both
-// sides. At call sites, a func literal passed to an annotated API (the
-// sparql streaming executors hand the same Bindings map to every emit;
-// ExtractAppend reuses the caller's buffer) must not let its
+// sides. At call sites, a func literal passed to an annotated API
+// (sparql.Run hands the same row slice to every emit; ExtractAppend
+// reuses the caller's buffer) must not let its
 // reference-typed parameters escape the callback: no assignment into
 // enclosing or global state, no channel send, no goroutine capture. On
 // the declaration side, an annotated function must honor its own
 // promise: its reference-typed parameters must not be stored into
-// fields, globals, or channels. Copies of elements (b["x"] is a plain
+// fields, globals, or channels. Copies of elements (row[0] is a plain
 // core.ID) and calls that receive the value (the callee is checked in
 // its own right) are fine — only aliases of the reused storage are
 // retention.

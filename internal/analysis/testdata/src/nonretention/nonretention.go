@@ -5,58 +5,59 @@ package nonretention
 // ID mirrors core.ID: a plain value type, so element reads are copies.
 type ID uint64
 
-// Bindings mirrors sparql.Bindings: a reused map.
-type Bindings map[string]ID
+// Row mirrors the solution row sparql.Run hands to emit: one slice,
+// reused for every solution.
+type Row []ID
 
 var (
-	keep  Bindings
-	saved []Bindings
-	cb    func(Bindings)
+	keep  Row
+	saved []Row
+	cb    func(Row)
 	arena struct{ b []byte }
 )
 
-func handle(Bindings) {}
+func handle(Row) {}
 
-// stream reuses one map across emit calls.
+// stream reuses one row across emit calls, as sparql.Run does.
 //
 //rdf:nonretaining
-func stream(n int, emit func(Bindings)) {
-	b := Bindings{}
+func stream(n int, emit func(Row)) {
+	b := make(Row, 1)
 	for i := 0; i < n; i++ {
-		b["x"] = ID(i)
+		b[0] = ID(i)
 		emit(b)
 	}
 }
 
-func callers(ch chan Bindings) {
-	var last Bindings
-	stream(3, func(b Bindings) {
+func callers(ch chan Row) {
+	var last Row
+	stream(3, func(b Row) {
 		last = b // want "assigned outside the callback"
 		_ = last
 	})
-	stream(3, func(b Bindings) {
-		v := b["x"] // element copy: no diagnostic
+	stream(3, func(b Row) {
+		v := b[0] // element copy: no diagnostic
 		_ = v
 	})
-	stream(3, func(b Bindings) {
+	stream(3, func(b Row) {
 		local := b // local alias dies with the callback: no diagnostic
 		_ = local
 	})
-	stream(3, func(b Bindings) {
+	stream(3, func(b Row) {
 		keep = b // want "assigned outside the callback"
 	})
-	stream(3, func(b Bindings) {
+	stream(3, func(b Row) {
 		saved = append(saved, b) // want "assigned outside the callback"
 	})
-	stream(3, func(b Bindings) {
+	stream(3, func(b Row) {
 		ch <- b // want "sent on a channel"
 	})
-	stream(3, func(b Bindings) {
+	stream(3, func(b Row) {
 		go handle(b) // want "captured by a goroutine"
 	})
-	var lastAllowed Bindings
-	stream(3, func(b Bindings) {
-		lastAllowed = b //rdf:allow(this consumer checks map identity, not contents)
+	var lastAllowed Row
+	stream(3, func(b Row) {
+		lastAllowed = b //rdf:allow(this consumer checks row identity, not contents)
 		_ = lastAllowed
 	})
 }
@@ -65,7 +66,7 @@ func callers(ch chan Bindings) {
 // the call.
 //
 //rdf:nonretaining
-func badRetainer(emit func(Bindings)) {
+func badRetainer(emit func(Row)) {
 	cb = emit // want "assigned outside the callback"
 	emit(nil)
 }

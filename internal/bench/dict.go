@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -86,20 +87,18 @@ func densestPredicate(d *core.Dataset) (core.ID, int) {
 	return core.ID(best), bestN
 }
 
-// legacyMaterialize replays the pre-writer /sparql row loop exactly: a
-// fresh bindings map per solution from the executor, a fresh
+// legacyMaterialize replays the pre-writer /sparql row loop: a fresh
 // map[string]string per row, one-shot Store.Render per term, and
 // reflection-based json.Encoder lines. It is the baseline the pooled
 // NDJSON path is measured against.
-func legacyMaterialize(st *store.Store, q sparql.Query, order []int, w io.Writer) (int, error) {
+func legacyMaterialize(st *store.Store, plan *sparql.Compiled, w io.Writer) (int, error) {
 	enc := json.NewEncoder(w)
+	vars := plan.Vars
 	rows := 0
-	_, err := sparql.ExecuteWithOrder(q, st.Index, order, func(b sparql.Bindings) {
-		out := make(map[string]string, len(q.Vars))
-		for _, v := range q.Vars {
-			if id, ok := b[v]; ok {
-				out[v] = st.Render(id)
-			}
+	_, err := sparql.Run(context.Background(), plan, st.Index, sparql.Options{}, func(row []core.ID) {
+		out := make(map[string]string, len(vars))
+		for i, v := range vars {
+			out[v] = st.Render(row[i])
 		}
 		enc.Encode(out)
 		rows++
@@ -108,14 +107,14 @@ func legacyMaterialize(st *store.Store, q sparql.Query, order []int, w io.Writer
 }
 
 // pooledMaterialize runs the same query through the live serving path:
-// reused-bindings streaming execution into the pooled NDJSON writer.
-func pooledMaterialize(st *store.Store, q sparql.Query, order []int, w io.Writer) (int, error) {
+// slot rows from the executor into the pooled NDJSON writer.
+func pooledMaterialize(st *store.Store, plan *sparql.Compiled, w io.Writer) (int, error) {
 	nw := store.AcquireNDJSON(st, w)
 	defer nw.Release()
-	nw.SetVars(q.Vars)
+	nw.SetVars(plan.Vars, plan.Roles)
 	rows := 0
-	_, err := sparql.StreamWithOrder(nil, q, st.Index, order, func(b sparql.Bindings) {
-		nw.WriteSolution(b)
+	_, err := sparql.Run(context.Background(), plan, st.Index, sparql.Options{}, func(row []core.ID) {
+		nw.WriteRow(row)
 		rows++
 	})
 	if err != nil {
@@ -127,13 +126,13 @@ func pooledMaterialize(st *store.Store, q sparql.Query, order []int, w io.Writer
 // protocolMaterialize runs the same query through one of the protocol
 // endpoint's standard serializers (SPARQL JSON/XML/CSV/TSV), mirroring
 // the live /sparql serving path.
-func protocolMaterialize(st *store.Store, q sparql.Query, order []int, f results.Format, w io.Writer) (int, error) {
+func protocolMaterialize(st *store.Store, plan *sparql.Compiled, f results.Format, w io.Writer) (int, error) {
 	wr := results.Acquire(f, st, w)
 	defer wr.Release()
-	wr.Begin(q.Vars)
+	wr.Begin(plan.Vars, plan.Roles...)
 	rows := 0
-	_, err := sparql.StreamWithOrder(nil, q, st.Index, order, func(b sparql.Bindings) {
-		wr.WriteSolution(b)
+	_, err := sparql.Run(context.Background(), plan, st.Index, sparql.Options{}, func(row []core.ID) {
+		wr.WriteRow(row)
 		rows++
 	})
 	if err != nil {
@@ -145,22 +144,27 @@ func protocolMaterialize(st *store.Store, q sparql.Query, order []int, f results
 
 // materializeFixture builds the dictionary-backed store and densest-
 // predicate scan the materialization measurements share.
-func materializeFixture(d *core.Dataset) (*store.Store, sparql.Query, []int, error) {
+func materializeFixture(d *core.Dataset) (*store.Store, *sparql.Compiled, error) {
 	dicts, err := SynthDicts(d)
 	if err != nil {
-		return nil, sparql.Query{}, nil, err
+		return nil, nil, err
 	}
 	x, err := core.Build2Tp(d)
 	if err != nil {
-		return nil, sparql.Query{}, nil, err
+		return nil, nil, err
 	}
-	st := &store.Store{Index: x, Dicts: dicts}
+	plan, err := densestScan(d)
+	return &store.Store{Index: x, Dicts: dicts}, plan, err
+}
+
+// densestScan compiles the ?s/?o scan of d's densest predicate.
+func densestScan(d *core.Dataset) (*sparql.Compiled, error) {
 	p, _ := densestPredicate(d)
 	q, err := sparql.Parse(fmt.Sprintf("SELECT ?s ?o WHERE { ?s <%d> ?o . }", p))
 	if err != nil {
-		return nil, sparql.Query{}, nil, err
+		return nil, err
 	}
-	return st, q, sparql.Plan(q), nil
+	return sparql.Compile(q, sparql.Plan(q))
 }
 
 // MaterializeRowsPerSec measures the pooled /sparql row path on a
@@ -169,14 +173,14 @@ func materializeFixture(d *core.Dataset) (*store.Store, sparql.Query, []int, err
 // discarding writer, and the best of runs is reported as rows/sec. This
 // is the number the BENCH_<preset>.json gate tracks.
 func MaterializeRowsPerSec(d *core.Dataset, runs int) (float64, int, error) {
-	st, q, order, err := materializeFixture(d)
+	st, plan, err := materializeFixture(d)
 	if err != nil {
 		return 0, 0, err
 	}
 	rows := 0
 	el := bestOfRuns(runs, func() {
 		var rerr error
-		rows, rerr = pooledMaterialize(st, q, order, io.Discard)
+		rows, rerr = pooledMaterialize(st, plan, io.Discard)
 		if rerr != nil {
 			err = rerr
 		}
@@ -192,7 +196,7 @@ func MaterializeRowsPerSec(d *core.Dataset, runs int) (float64, int, error) {
 // is identical across formats (same seeded query), so the per-format
 // numbers gate against a baseline exactly like the NDJSON one.
 func MaterializeFormatRowsPerSec(d *core.Dataset, runs int) (map[string]float64, int, error) {
-	st, q, order, err := materializeFixture(d)
+	st, plan, err := materializeFixture(d)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -201,7 +205,7 @@ func MaterializeFormatRowsPerSec(d *core.Dataset, runs int) (map[string]float64,
 	for _, f := range results.Formats() {
 		el := bestOfRuns(runs, func() {
 			var rerr error
-			rows, rerr = protocolMaterialize(st, q, order, f, io.Discard)
+			rows, rerr = protocolMaterialize(st, plan, f, io.Discard)
 			if rerr != nil {
 				err = rerr
 			}
@@ -328,18 +332,17 @@ func DictMaterialization(cfg Config) ([]*Table, error) {
 		return nil, err
 	}
 	st := &store.Store{Index: x, Dicts: dicts}
-	p, pn := densestPredicate(d)
-	q, err := sparql.Parse(fmt.Sprintf("SELECT ?s ?o WHERE { ?s <%d> ?o . }", p))
+	_, pn := densestPredicate(d)
+	plan, err := densestScan(d)
 	if err != nil {
 		return nil, err
 	}
-	order := sparql.Plan(q)
 	rows := 0
 	legacy := bestOfRuns(cfg.Runs, func() {
-		rows, _ = legacyMaterialize(st, q, order, io.Discard)
+		rows, _ = legacyMaterialize(st, plan, io.Discard)
 	})
 	pooled := bestOfRuns(cfg.Runs, func() {
-		rows, _ = pooledMaterialize(st, q, order, io.Discard)
+		rows, _ = pooledMaterialize(st, plan, io.Discard)
 	})
 	mat := &Table{
 		Title: "Materialized /sparql rows/sec: legacy row loop vs pooled NDJSON writer",
@@ -360,7 +363,7 @@ func DictMaterialization(cfg Config) ([]*Table, error) {
 	}
 	for _, f := range results.Formats() {
 		el := bestOfRuns(cfg.Runs, func() {
-			rows, _ = protocolMaterialize(st, q, order, f, io.Discard)
+			rows, _ = protocolMaterialize(st, plan, f, io.Discard)
 		})
 		fr := perSec(rows, el)
 		proto.Add(f.String()+" ("+f.ContentType()+")", N(int(fr)), fmt.Sprintf("%.2fx", fr/pr))

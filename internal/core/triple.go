@@ -18,6 +18,18 @@ const Wildcard = ID(^uint32(0))
 // MaxID is the largest usable ID (Wildcard is reserved).
 const MaxID = Wildcard - 1
 
+// Role is the ID space a query variable ranges over. Subject and object
+// positions join with each other (the store's dictionaries number them
+// together); predicates are always numbered on their own, so the same ID
+// names different terms in the two roles.
+type Role uint8
+
+// The two roles.
+const (
+	RoleSO Role = iota // subject or object
+	RoleP              // predicate
+)
+
 // Triple is an RDF statement with components mapped to IDs.
 type Triple struct {
 	S, P, O ID

@@ -1,15 +1,18 @@
 package gen
 
 import (
+	"context"
+
 	"rdfindexes/internal/core"
 	"rdfindexes/internal/sparql"
 )
 
 // execCount runs a query and returns the number of solutions.
 func execCount(q sparql.Query, x core.Index) (int, error) {
-	stats, err := sparql.Execute(q, x, nil)
+	c, err := sparql.Compile(q, sparql.Plan(q))
 	if err != nil {
 		return 0, err
 	}
-	return stats.Results, nil
+	stats, err := sparql.Run(context.Background(), c, x, sparql.Options{}, nil)
+	return stats.Results, err
 }

@@ -238,6 +238,40 @@ func monoFind(m monotone, begin, end int, x uint64) int {
 	return pos
 }
 
+// shortRange is the longest sibling range Find resolves by scanning
+// forward from the range start. A trie's second level under a subject
+// holds a handful of predicates (paper Table 2); for such a range one
+// cursor positioned at begin-1 (which decodes the prefix-sum base on the
+// way) and a few sequential decodes cost less than a random Access for
+// the base plus a search of the whole sequence.
+const shortRange = 16
+
+// isShort reports whether [begin, end) takes the scanning Find. The
+// first range of a sequence has no predecessor to position a cursor on
+// and keeps the search path.
+func isShort(begin, end int) bool { return begin > 0 && end-begin <= shortRange }
+
+// scanFind reads stored values of positions begin, begin+1, … from next
+// and returns the position of target within [begin, end), or -1. The
+// scan starts inside the range, so a first value repeating its base
+// (original value zero) is found at begin like any other. Each kind's
+// Find makes its own concrete cursor and passes its Next as a method
+// value: behind an interface the cursor would move to the heap.
+//
+//rdf:hotpath
+func scanFind(next func() (uint64, bool), begin, end int, target uint64) int {
+	for pos := begin; pos < end; pos++ {
+		v, _ := next()
+		if v >= target {
+			if v == target {
+				return pos
+			}
+			return -1
+		}
+	}
+	return -1
+}
+
 // storedIter is the cursor over stored (prefix-summed) values that each
 // monotone encoder provides: ef.Iterator, ef.PartIterator, ef.OptIterator
 // and vbyte.Iterator all satisfy it.
@@ -564,6 +598,10 @@ func (e *efSeq) At2(begin, i int) (uint64, uint64) {
 	return v1, v2
 }
 func (e *efSeq) Find(begin, end int, x uint64) int {
+	if isShort(begin, end) {
+		it, base := e.s.MakeIteratorBase(begin)
+		return scanFind(it.Next, begin, end, base+x)
+	}
 	return monoFind(e.s, begin, end, x)
 }
 func (e *efSeq) FindGEQ(begin, end int, x uint64) (int, uint64, bool) {
@@ -592,6 +630,10 @@ func (p *pefSeq) At2(begin, i int) (uint64, uint64) {
 	return monoAt(p.s, begin, i), monoAt(p.s, begin, i+1)
 }
 func (p *pefSeq) Find(begin, end int, x uint64) int {
+	if isShort(begin, end) {
+		it, base := p.s.MakeIteratorBase(begin)
+		return scanFind(it.Next, begin, end, base+x)
+	}
 	return monoFind(p.s, begin, end, x)
 }
 func (p *pefSeq) FindGEQ(begin, end int, x uint64) (int, uint64, bool) {
@@ -620,6 +662,10 @@ func (v *vbyteSeq) At2(begin, i int) (uint64, uint64) {
 	return monoAt(v.s, begin, i), monoAt(v.s, begin, i+1)
 }
 func (v *vbyteSeq) Find(begin, end int, x uint64) int {
+	if isShort(begin, end) {
+		it, base := v.s.MakeIteratorBase(begin)
+		return scanFind(it.Next, begin, end, base+x)
+	}
 	return monoFind(v.s, begin, end, x)
 }
 func (v *vbyteSeq) FindGEQ(begin, end int, x uint64) (int, uint64, bool) {
@@ -648,6 +694,10 @@ func (p *pefOptSeq) At2(begin, i int) (uint64, uint64) {
 	return monoAt(p.s, begin, i), monoAt(p.s, begin, i+1)
 }
 func (p *pefOptSeq) Find(begin, end int, x uint64) int {
+	if isShort(begin, end) {
+		it, base := p.s.MakeIteratorBase(begin)
+		return scanFind(it.Next, begin, end, base+x)
+	}
 	return monoFind(p.s, begin, end, x)
 }
 func (p *pefOptSeq) FindGEQ(begin, end int, x uint64) (int, uint64, bool) {

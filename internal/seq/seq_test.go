@@ -270,3 +270,70 @@ func TestPEFSmallerThanCompactOnSkewedRanges(t *testing.T) {
 			pef.SizeBits(), compact.SizeBits())
 	}
 }
+
+// sliceFind is the Find oracle: a linear search of the original values.
+func sliceFind(values []uint64, begin, end int, x uint64) int {
+	for i := begin; i < end; i++ {
+		if values[i] == x {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestFindShortRangesExhaustive covers both sides of the shortRange
+// switch in Find: every range length 1..32, with the range first in the
+// sequence, after a neighbour, and starting with 0 (its stored value
+// then repeats the base), probed with every value of the range (hit),
+// every gap between two values (miss), one below the first and one above
+// the last, for all kinds against the slice oracle.
+func TestFindShortRangesExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	var d rangedData
+	d.ranges = []int{0}
+	add := func(n int, first uint64) {
+		v := first
+		for i := 0; i < n; i++ {
+			d.values = append(d.values, v)
+			v += 1 + uint64(rng.Intn(4)) // gaps of 0..3 missing values
+		}
+		d.ranges = append(d.ranges, len(d.values))
+	}
+	for n := 1; n <= 2*shortRange; n++ {
+		add(n, uint64(rng.Intn(3)))
+		add(n, 0)
+		add(n, 1+uint64(rng.Intn(1000)))
+	}
+	for _, kind := range allKinds {
+		s := Build(kind, d.values, d.ranges)
+		for k := 0; k+1 < len(d.ranges); k++ {
+			begin, end := d.ranges[k], d.ranges[k+1]
+			last := d.values[end-1]
+			for x := uint64(0); x <= last+2; x++ {
+				if got, want := s.Find(begin, end, x), sliceFind(d.values, begin, end, x); got != want {
+					t.Fatalf("%v: Find(%d, %d, %d) = %d, want %d (range %v)",
+						kind, begin, end, x, got, want, d.values[begin:end])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFindShortRange times Find over sibling ranges shaped like an
+// SPO trie's second level: a few predicates per subject out of ~100.
+func BenchmarkFindShortRange(b *testing.B) {
+	rng := rand.New(rand.NewSource(53))
+	d := randomRanged(rng, 20000, 8, 100)
+	for _, kind := range allKinds {
+		s := Build(kind, d.values, d.ranges)
+		b.Run(kind.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k := (i * 7919) % (len(d.ranges) - 1)
+				begin, end := d.ranges[k], d.ranges[k+1]
+				findSink += s.Find(begin, end, d.values[begin+i%(end-begin)])
+			}
+		})
+	}
+}
+
+var findSink int

@@ -67,22 +67,11 @@ type explainDoc struct {
 // explain request wants fresh measurements, and its volatile timings
 // must not shadow a cacheable result body.
 func (s *Server) serveExplain(ctx context.Context, w http.ResponseWriter, st *store.Store, gen uint64,
-	qs string, q sparql.Query, order []int, planCached bool, limit int, qc *core.QueryCtx, tr *obs.Trace, t0 time.Time) {
+	qs string, q sparql.Query, plan *sparql.Compiled, planCached bool, limit int, tr *obs.Trace, t0 time.Time) {
+	order := plan.Order
 	tr.EnableSteps(len(order))
-	execCtx, stop := context.WithCancel(ctx)
-	defer stop()
 	et := time.Now()
-	rows, truncated := 0, false
-	stats, err := sparql.StreamTraced(execCtx, q, ctxStore{x: st.Index, qc: qc}, order, tr, func(sparql.Bindings) {
-		if limit >= 0 && rows >= limit {
-			if !truncated {
-				truncated = true
-				stop()
-			}
-			return
-		}
-		rows++
-	})
+	stats, rows, truncated, err := execute(ctx, plan, st, tr, limit, func([]core.ID) {})
 	tr.AddStage(obs.StageExec, time.Since(et))
 
 	doc := explainDoc{
@@ -96,7 +85,7 @@ func (s *Server) serveExplain(ctx context.Context, w http.ResponseWriter, st *st
 		Rows:           rows,
 		Truncated:      truncated,
 	}
-	if err != nil && !truncated {
+	if err != nil {
 		s.failed.Add(1)
 		doc.Error = err.Error()
 	}

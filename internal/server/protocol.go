@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"rdfindexes/internal/core"
 	"rdfindexes/internal/obs"
 	"rdfindexes/internal/server/results"
 	"rdfindexes/internal/sparql"
@@ -94,12 +94,12 @@ func etagMatch(header, etag string) bool {
 }
 
 // protocolQuery extracts the query text from whichever of the three
-// protocol request forms was used, or describes the failure as an HTTP
-// status.
-func protocolQuery(r *http.Request) (string, int, error) {
+// protocol request forms was used (params is the parsed URL query), or
+// describes the failure as an HTTP status.
+func protocolQuery(r *http.Request, params url.Values) (string, int, error) {
 	switch r.Method {
 	case http.MethodGet, http.MethodHead:
-		if qs := r.URL.Query().Get("query"); qs != "" {
+		if qs := params.Get("query"); qs != "" {
 			return qs, 0, nil
 		}
 		return "", http.StatusBadRequest, errors.New("missing query parameter")
@@ -194,35 +194,34 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	s.protocols.Add(1)
 	tr := obs.AcquireTrace()
 	defer tr.Release()
-	qs, status, err := protocolQuery(r)
+	// One parse of the URL query serves all four parameters read below.
+	params := r.URL.Query()
+	qs, status, err := protocolQuery(r, params)
 	if err != nil {
 		if status == http.StatusMethodNotAllowed {
 			w.Header().Set("Allow", "GET, HEAD, POST")
 		}
-		s.failed.Add(1)
-		httpError(w, status, err)
+		s.fail(w, status, err)
 		return
 	}
 	f, ok := results.Negotiate(r.Header.Get("Accept"))
 	if !ok {
-		s.failed.Add(1)
-		httpError(w, http.StatusNotAcceptable,
+		s.fail(w, http.StatusNotAcceptable,
 			fmt.Errorf("no acceptable result format; supported: %s", results.SupportedTypes()))
 		return
 	}
-	limit, err := parseLimitValue(r.URL.Query().Get("limit"))
+	limit, err := parseLimitValue(params.Get("limit"))
 	if err != nil {
-		s.failed.Add(1)
-		httpError(w, http.StatusBadRequest, err)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	explain := r.URL.Query().Get("explain") == "1"
+	explain := params.Get("explain") == "1"
 
 	st, gen := s.view()
 	// The min-gen consistency token gates the whole request — including
 	// revalidation: a 304 against a stale view would be just as stale as
 	// a 200 from it.
-	if !s.checkMinGen(w, r.URL.Query().Get("min-gen"), gen) {
+	if !s.checkMinGen(w, params.Get("min-gen"), gen) {
 		return
 	}
 	w.Header().Set(generationHeader, strconv.FormatUint(s.generationToken(gen), 10))
@@ -254,14 +253,12 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	pt := time.Now()
 	translated, err := st.TranslateQuery(qs)
 	if err != nil {
-		s.failed.Add(1)
-		httpError(w, http.StatusBadRequest, err)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	q, err := sparql.Parse(translated)
 	if err != nil {
-		s.failed.Add(1)
-		httpError(w, http.StatusBadRequest, err)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	tr.AddStage(obs.StageParse, time.Since(pt))
@@ -275,7 +272,7 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// norm matches the NDJSON dialect's plan-cache key on purpose: both
-	// endpoints evaluate the same BGP, so they share cached orders. The
+	// endpoints evaluate the same BGP, so they share cached plans. The
 	// result-cache key adds the format — the cached bytes are the
 	// serialized (uncompressed) response body.
 	norm := fmt.Sprintf("g%d|%s", gen, q.String())
@@ -301,18 +298,15 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	tr.AddStage(obs.StageQueue, time.Since(qt))
 
 	plt := time.Now()
-	order, planCached := s.plans.Get(norm)
-	if !planCached {
-		order = sparql.Plan(q)
-		s.plans.Put(norm, order)
+	plan, planCached, err := s.plan(norm, q)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
 	}
 	tr.AddStage(obs.StagePlan, time.Since(plt))
 
-	qc := core.AcquireQueryCtx()
-	defer qc.Release()
-
 	if explain {
-		s.serveExplain(ctx, w, st, gen, qs, q, order, planCached, limit, qc, tr, t0)
+		s.serveExplain(ctx, w, st, gen, qs, q, plan, planCached, limit, tr, t0)
 		return
 	}
 
@@ -321,7 +315,6 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	// cache entry serves later clients with or without gzip), and
 	// everything downstream of the tee — gzip compression and client
 	// I/O — is what the timer prices as the render stage.
-	cw := &capture{w: w, max: s.cfg.CacheMaxBytes}
 	h.Set("Content-Type", f.ContentType())
 	h.Set("X-Cache", "miss")
 	h.Set("Server-Timing", serverTiming(tr, "miss"))
@@ -334,34 +327,22 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 		out = zw
 	}
 	tw := &timedWriter{w: out}
-	cw.w = tw
+	cw := newCapture(tw, s.cfg.CacheMaxBytes)
+	defer cw.release()
 
 	wr := results.Acquire(f, st, cw)
 	defer wr.Release()
-	wr.Begin(q.Vars)
+	wr.Begin(plan.Vars, plan.Roles...)
 
-	execCtx, stop := context.WithCancel(ctx)
-	defer stop()
 	et := time.Now()
-	rows, truncated := 0, false
-	_, err = sparql.StreamTraced(execCtx, q, ctxStore{x: st.Index, qc: qc}, order, tr, func(b sparql.Bindings) {
-		if limit >= 0 && rows >= limit {
-			if !truncated {
-				truncated = true
-				stop()
-			}
-			return
-		}
-		wr.WriteSolution(b)
-		rows++
-	})
+	_, rows, truncated, err := execute(ctx, plan, st, tr, limit, wr.WriteRow)
 	// Execution and serialization interleave on the streaming path; the
 	// writer-side timer separates them: exec is the stream wall time
 	// minus whatever of it was spent pushing bytes downstream.
 	streamWall := time.Since(et)
 	renderDuringStream := tw.d
 	errMsg := ""
-	if err != nil && !truncated {
+	if err != nil {
 		// The status line and head are already on the wire, so a
 		// mid-stream failure cannot become an error response; ending the
 		// stream early leaves a syntactically truncated body the client
@@ -381,10 +362,7 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 		zw.Close()
 		gzipPool.Put(zw)
 	}
-	exec := streamWall - renderDuringStream
-	if exec < 0 {
-		exec = 0
-	}
+	exec := max(streamWall-renderDuringStream, 0)
 	tr.AddStage(obs.StageExec, exec)
 	tr.AddStage(obs.StageRender, tw.d)
 	if body, ok := cw.cacheable(); ok {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rdfindexes/internal/server/results"
+	"rdfindexes/internal/store"
 )
 
 const knowsQuery = "SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y . }"
@@ -483,5 +484,77 @@ func TestOptionsValidate(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", bad)
 		}
+	}
+}
+
+// TestPredicateVariable asks for the predicates and objects of one
+// subject — the query every format used to answer with subject/object
+// terms in the ?p column — through the four protocol formats and the
+// NDJSON dialect on a dictionary store, and for the <id> fallback on a
+// store without dictionaries.
+func TestPredicateVariable(t *testing.T) {
+	ts := httptest.NewServer(New(testStore(t, 10, 2), Options{}))
+	defer ts.Close()
+	const query = "SELECT ?p ?o WHERE { <http://ex/p3> ?p ?o . }"
+	// p3 knows p4 and likes item3 and item4.
+	wantCSV := "p,o\r\nhttp://ex/knows,http://ex/p4\r\nhttp://ex/likes,http://ex/item3\r\nhttp://ex/likes,http://ex/item4\r\n"
+	if _, body := protocolGet(t, ts, query, "text/csv"); string(body) != wantCSV {
+		t.Errorf("csv body %q, want %q", body, wantCSV)
+	}
+	wantTSV := "?p\t?o\n<http://ex/knows>\t<http://ex/p4>\n<http://ex/likes>\t<http://ex/item3>\n<http://ex/likes>\t<http://ex/item4>\n"
+	if _, body := protocolGet(t, ts, query, "text/tab-separated-values"); string(body) != wantTSV {
+		t.Errorf("tsv body %q, want %q", body, wantTSV)
+	}
+	_, body := protocolGet(t, ts, query, "application/sparql-results+json")
+	_, rows := jsonBindings(t, body)
+	if len(rows) != 3 || rows[0]["p"]["value"] != "http://ex/knows" || rows[0]["p"]["type"] != "uri" ||
+		rows[2]["p"]["value"] != "http://ex/likes" || rows[2]["o"]["value"] != "http://ex/item4" {
+		t.Errorf("json rows %v", rows)
+	}
+	_, body = protocolGet(t, ts, query, "application/sparql-results+xml")
+	if got := strings.Count(string(body), `<binding name="p"><uri>http://ex/likes</uri></binding>`); got != 2 {
+		t.Errorf("xml body has %d likes predicates, want 2: %s", got, body)
+	}
+	_, nd := get(t, ts, "/v1/sparql?q="+url.QueryEscape(query))
+	lines := ndjsonLines(t, nd)
+	if len(lines) != 4 || lines[0]["p"] != "<http://ex/knows>" || lines[1]["p"] != "<http://ex/likes>" || lines[1]["o"] != "<http://ex/item3>" {
+		t.Errorf("ndjson lines %v", lines)
+	}
+
+	ints := httptest.NewServer(New(&store.Store{Index: testStore(t, 10, 2).Index}, Options{}))
+	defer ints.Close()
+	_, body = protocolGet(t, ints, "SELECT ?p ?o WHERE { <0> ?p ?o . }", "text/tab-separated-values")
+	for i, line := range strings.Split(strings.TrimSuffix(string(body), "\n"), "\n") {
+		if i > 0 && !(strings.HasPrefix(line, "<0>\t<") || strings.HasPrefix(line, "<1>\t<")) {
+			t.Errorf("ints store row %q, want <predicate id>\\t<object id>", line)
+		}
+	}
+}
+
+// TestMixedRoleVariable: a variable joining a predicate position with a
+// subject/object one compares IDs of two unrelated spaces; every route
+// that plans the query refuses it with the unified 400 body.
+func TestMixedRoleVariable(t *testing.T) {
+	srv := New(testStore(t, 10, 2), Options{})
+	ts := httptest.NewServer(srv)
+	const query = "SELECT ?x WHERE { <http://ex/p3> ?x ?o . ?x <http://ex/knows> ?y . }"
+	for _, path := range []string{
+		"/sparql?query=" + url.QueryEscape(query),
+		"/sparql?explain=1&query=" + url.QueryEscape(query),
+		"/v1/sparql?q=" + url.QueryEscape(query),
+	} {
+		resp, body := get(t, ts, path)
+		var doc errorDoc
+		if err := json.Unmarshal([]byte(body), &doc); err != nil {
+			t.Fatalf("%s: body %q: %v", path, body, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || doc.Error.Code != http.StatusBadRequest ||
+			!strings.Contains(doc.Error.Message, "?x") {
+			t.Errorf("%s: status %d, error %+v", path, resp.StatusCode, doc.Error)
+		}
+	}
+	ts.Close() // waits for the handlers' deferred releases
+	if got := srv.Snapshot().InFlight; got != 0 {
+		t.Errorf("rejected plans left %d workers claimed", got)
 	}
 }

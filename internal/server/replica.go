@@ -47,8 +47,7 @@ func (s *Server) checkMinGen(w http.ResponseWriter, raw string, gen uint64) bool
 	}
 	min, err := strconv.ParseUint(raw, 10, 64)
 	if err != nil {
-		s.failed.Add(1)
-		httpError(w, http.StatusBadRequest, fmt.Errorf("min-gen %q is not a generation number", raw))
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("min-gen %q is not a generation number", raw))
 		return false
 	}
 	have := s.generationToken(gen)

@@ -7,6 +7,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -66,8 +67,13 @@ func TestNegotiate(t *testing.T) {
 	}
 }
 
+// testPredicates is the predicate dictionary of termStore, sorted. Its
+// IDs overlap the subject/object IDs, so a column rendered through the
+// wrong dictionary shows.
+var testPredicates = []string{"<http://ex/p/knows>", "<http://ex/p/likes>", "<http://ex/p?x=1&y=2>"}
+
 // termStore builds a dictionary store over the given already-serialized
-// N-Triples terms (sorted internally) and one predicate.
+// N-Triples terms (sorted internally) and testPredicates.
 func termStore(t testing.TB, terms []string) (*store.Store, []string) {
 	t.Helper()
 	sorted := append([]string(nil), terms...)
@@ -76,7 +82,7 @@ func termStore(t testing.TB, terms []string) (*store.Store, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := dict.New([]string{"<http://ex/p>"}, 4)
+	p, err := dict.New(testPredicates, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +130,7 @@ func writeAll(t *testing.T, f Format, st *store.Store, n int) []byte {
 	defer wr.Release()
 	wr.Begin([]string{"x"})
 	for id := 0; id < n; id++ {
-		wr.WriteSolution(map[string]core.ID{"x": core.ID(id)})
+		wr.WriteRow([]core.ID{core.ID(id)})
 	}
 	wr.End()
 	if err := wr.Flush(); err != nil {
@@ -276,23 +282,27 @@ func TestWriterTSV(t *testing.T) {
 	}
 }
 
-// TestWriterUnboundAndRepeats pins the unbound-variable behavior (JSON
-// and XML omit the binding, CSV and TSV leave an empty field) and that
-// cache-served repeats render identically to first encodings.
+// TestWriterUnboundAndRepeats pins the unbound-column behavior — a
+// core.Wildcard in the row: JSON and XML omit the binding, CSV and TSV
+// leave an empty field — and that cache-served repeats render identically
+// to first encodings, each through its format's standard-library decoder.
 func TestWriterUnboundAndRepeats(t *testing.T) {
 	st, _ := termStore(t, testTerms)
 	for _, f := range Formats() {
 		var out bytes.Buffer
 		wr := Acquire(f, st, &out)
 		wr.Begin([]string{"a", "b"})
-		wr.WriteSolution(map[string]core.ID{"a": 0, "b": 1})
-		wr.WriteSolution(map[string]core.ID{"a": 0}) // b unbound; a repeats
+		wr.WriteRow([]core.ID{0, 1})
+		wr.WriteRow([]core.ID{0, core.Wildcard}) // b unbound; a repeats
+		wr.WriteRow([]core.ID{core.Wildcard, 1}) // a unbound; b repeats
 		wr.End()
 		if err := wr.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		wr.Release()
 		body := out.String()
+		// cells[r][c] is the decoded text of row r column c, "" if absent.
+		var cells [][2]string
 		switch f {
 		case JSON:
 			var doc struct {
@@ -303,32 +313,145 @@ func TestWriterUnboundAndRepeats(t *testing.T) {
 			if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
 				t.Fatalf("%v: %v", f, err)
 			}
-			rows := doc.Results.Bindings
-			if len(rows) != 2 || len(rows[0]) != 2 || len(rows[1]) != 1 {
-				t.Fatalf("json rows = %v", rows)
-			}
-			if fmt.Sprint(rows[0]["a"]) != fmt.Sprint(rows[1]["a"]) {
-				t.Fatalf("cached repeat differs: %v vs %v", rows[0]["a"], rows[1]["a"])
-			}
-			if _, ok := rows[1]["b"]; ok {
-				t.Fatalf("unbound b emitted: %v", rows[1])
+			for _, row := range doc.Results.Bindings {
+				var c [2]string
+				for k, name := range []string{"a", "b"} {
+					if v, ok := row[name]; ok {
+						c[k] = fmt.Sprint(v)
+					}
+				}
+				if len(row) != countSet(c) {
+					t.Fatalf("json row %v has bindings beyond a, b", row)
+				}
+				cells = append(cells, c)
 			}
 		case XML:
-			if got := strings.Count(body, "<binding"); got != 3 {
-				t.Fatalf("xml bindings = %d, want 3: %s", got, body)
+			var doc struct {
+				Results []struct {
+					Bindings []struct {
+						Name  string `xml:"name,attr"`
+						Inner string `xml:",innerxml"`
+					} `xml:"binding"`
+				} `xml:"results>result"`
+			}
+			if err := xml.Unmarshal(out.Bytes(), &doc); err != nil {
+				t.Fatalf("%v: %v", f, err)
+			}
+			for _, r := range doc.Results {
+				var c [2]string
+				for _, bd := range r.Bindings {
+					c[strings.Index("ab", bd.Name)] = bd.Inner
+				}
+				if len(r.Bindings) != countSet(c) {
+					t.Fatalf("xml result has %d bindings for cells %q", len(r.Bindings), c)
+				}
+				cells = append(cells, c)
 			}
 		case CSV:
-			lines := strings.Split(strings.TrimSpace(body), "\r\n")
-			if len(lines) != 3 || !strings.HasSuffix(lines[2], ",") {
-				t.Fatalf("csv lines = %q", lines)
+			rows, err := csv.NewReader(strings.NewReader(body)).ReadAll()
+			if err != nil {
+				t.Fatalf("%v: %v", f, err)
+			}
+			for _, r := range rows[1:] {
+				cells = append(cells, [2]string{r[0], r[1]})
 			}
 		case TSV:
-			lines := strings.Split(strings.TrimSuffix(body, "\n"), "\n")
-			if len(lines) != 3 || !strings.HasSuffix(lines[2], "\t") {
-				t.Fatalf("tsv lines = %q", lines)
+			for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n")[1:] {
+				fields := strings.Split(line, "\t")
+				if len(fields) != 2 {
+					t.Fatalf("tsv line %q has %d fields", line, len(fields))
+				}
+				cells = append(cells, [2]string{fields[0], fields[1]})
 			}
 		}
+		if len(cells) != 3 {
+			t.Fatalf("%v: %d rows, want 3: %s", f, len(cells), body)
+		}
+		a, b := cells[0][0], cells[0][1]
+		if a == "" || b == "" || a == b {
+			t.Fatalf("%v: first row %q", f, cells[0])
+		}
+		if want := [][2]string{{a, b}, {a, ""}, {"", b}}; !reflect.DeepEqual(cells, want) {
+			t.Fatalf("%v: cells %q, want %q", f, cells, want)
+		}
 	}
+}
+
+func countSet(c [2]string) int {
+	n := 0
+	for _, v := range c {
+		if v != "" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestWriterPredicateColumns renders the same IDs through a
+// subject/object column and a predicate column. In every format the
+// predicate column must equal, byte for byte, what a subject/object
+// column renders over a store whose subject/object dictionary *is* the
+// predicate dictionary (the oracle-checked path of the tests above), the
+// per-request term cache must keep the two roles of one ID apart, and a
+// store without dictionaries renders both through the <id> fallback.
+func TestWriterPredicateColumns(t *testing.T) {
+	st, _ := termStore(t, testTerms)
+	swapped := &store.Store{Dicts: &rdf.Dicts{SO: st.Dicts.P, P: st.Dicts.P}}
+	render := func(f Format, st *store.Store, role core.Role) string {
+		var out bytes.Buffer
+		wr := Acquire(f, st, &out)
+		defer wr.Release()
+		wr.Begin([]string{"v"}, role)
+		for _, id := range []core.ID{0, 1, 2, 1} { // the last one from the cache
+			wr.WriteRow([]core.ID{id})
+		}
+		wr.End()
+		if err := wr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	for _, f := range Formats() {
+		got, want := render(f, st, core.RoleP), render(f, swapped, core.RoleSO)
+		if got != want {
+			t.Errorf("%v: predicate column\n%s\nwant\n%s", f, got, want)
+		}
+		if so := render(f, st, core.RoleSO); so == got {
+			t.Errorf("%v: predicate column rendered through the subject/object dictionary:\n%s", f, got)
+		}
+	}
+
+	// One ID in both roles, twice: the second row comes from the cache.
+	for _, tc := range []struct {
+		st   *store.Store
+		x, p string
+	}{
+		{st, sortedTerm(t, st, 0), testPredicates[0]},
+		{&store.Store{}, "<0>", "<0>"},
+	} {
+		var out bytes.Buffer
+		wr := Acquire(TSV, tc.st, &out)
+		wr.Begin([]string{"x", "p"}, core.RoleSO, core.RoleP)
+		wr.WriteRow([]core.ID{0, 0})
+		wr.WriteRow([]core.ID{0, 0})
+		if err := wr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		wr.Release()
+		line := tc.x + "\t" + tc.p + "\n"
+		if want := "?x\t?p\n" + line + line; out.String() != want {
+			t.Errorf("body %q, want %q", out.String(), want)
+		}
+	}
+}
+
+func sortedTerm(t *testing.T, st *store.Store, id int) string {
+	t.Helper()
+	term, ok := st.Dicts.SO.Extract(id)
+	if !ok {
+		t.Fatalf("no term %d", id)
+	}
+	return term
 }
 
 // TestWriterIntsFallback: a store without dictionaries renders the <id>
@@ -338,7 +461,7 @@ func TestWriterIntsFallback(t *testing.T) {
 	var out bytes.Buffer
 	wr := Acquire(JSON, st, &out)
 	wr.Begin([]string{"x"})
-	wr.WriteSolution(map[string]core.ID{"x": 42})
+	wr.WriteRow([]core.ID{42})
 	wr.End()
 	if err := wr.Flush(); err != nil {
 		t.Fatal(err)
@@ -376,21 +499,21 @@ func TestWriterAllocs(t *testing.T) {
 		t.Run(f.String(), func(t *testing.T) {
 			wr := Acquire(f, st, io.Discard)
 			defer wr.Release()
-			wr.Begin([]string{"x", "y"})
-			sol := map[string]core.ID{}
+			wr.Begin([]string{"x", "p", "y"}, core.RoleSO, core.RoleP)
+			row := make([]core.ID, 3)
 			// Warm: fill the term cache and grow every scratch buffer.
 			for i := 0; i < n; i++ {
-				sol["x"], sol["y"] = core.ID(i), core.ID((i+7)%n)
-				wr.WriteSolution(sol)
+				row[0], row[1], row[2] = core.ID(i), core.ID(i%len(testPredicates)), core.ID((i+7)%n)
+				wr.WriteRow(row)
 			}
 			wr.Flush()
 			i := 0
 			if a := testing.AllocsPerRun(500, func() {
-				sol["x"], sol["y"] = core.ID(i%n), core.ID((i+13)%n)
-				wr.WriteSolution(sol)
+				row[0], row[1], row[2] = core.ID(i%n), core.ID(i%len(testPredicates)), core.ID((i+13)%n)
+				wr.WriteRow(row)
 				i++
 			}); a != 0 {
-				t.Errorf("%v WriteSolution allocs/row = %v, want 0", f, a)
+				t.Errorf("%v WriteRow allocs/row = %v, want 0", f, a)
 			}
 			wr.End()
 			wr.Flush()
@@ -408,15 +531,15 @@ func BenchmarkSerializerRows(b *testing.B) {
 			wr := Acquire(f, st, io.Discard)
 			defer wr.Release()
 			wr.Begin([]string{"x", "y"})
-			sol := map[string]core.ID{}
+			row := make([]core.ID, 2)
 			for i := 0; i < n; i++ {
-				sol["x"], sol["y"] = core.ID(i), core.ID((i+7)%n)
-				wr.WriteSolution(sol)
+				row[0], row[1] = core.ID(i), core.ID((i+7)%n)
+				wr.WriteRow(row)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sol["x"], sol["y"] = core.ID(i%n), core.ID((i+13)%n)
-				wr.WriteSolution(sol)
+				row[0], row[1] = core.ID(i%n), core.ID((i+13)%n)
+				wr.WriteRow(row)
 			}
 			wr.End()
 			wr.Flush()

@@ -19,10 +19,6 @@ const flushAt = 8 << 10
 // wider than this render the overflow terms directly without caching.
 const maxCachedTerms = 1 << 14
 
-// trimCap is the largest buffer capacity a pooled writer retains across
-// requests; pathological growth beyond it is released to the GC.
-const trimCap = 1 << 20
-
 // Writer streams one SPARQL result set in one of the four standard
 // formats. It is built exactly like store.NDJSONWriter: rows are
 // hand-assembled into a batched output buffer, terms resolve through the
@@ -30,27 +26,30 @@ const trimCap = 1 << 20
 // format-encoded once per request and replayed from an arena cache after
 // that — the steady-state row path performs no allocations in any
 // format. A Writer serves one request on one goroutine; the sequence is
-// Begin, any number of WriteSolution, End, Flush, Release.
+// Begin, any number of WriteRow, End, Flush, Release.
 type Writer struct {
 	f    Format
 	w    io.Writer
 	rend *store.Renderer
 	err  error
 
-	buf   []byte // pending output
-	raw   []byte // raw N-Triples term scratch
-	val   []byte // unescaped literal value scratch
-	arena []byte // encoded-term cache backing
-	cache map[core.ID]span
+	buf   []byte          // pending output
+	raw   []byte          // raw N-Triples term scratch
+	val   []byte          // unescaped literal value scratch
+	arena []byte          // encoded-term cache backing
+	cache map[uint64]span // by role<<32 | ID: the two ID spaces overlap
 
-	vars   []string
-	keybuf []byte // per-variable key fragments back to back
+	roles  []core.Role // per column
+	keybuf []byte      // per-column key fragments back to back
 	keyoff []span
 	nrows  int
+
+	vars []string  // column names, for WriteSolution only
+	row  []core.ID // WriteSolution's scratch row
 }
 
 var writerPool = sync.Pool{New: func() any {
-	return &Writer{cache: map[core.ID]span{}}
+	return &Writer{cache: map[uint64]span{}}
 }}
 
 // Acquire takes a pooled writer streaming format f to w, with terms
@@ -76,31 +75,19 @@ func (wr *Writer) Release() {
 	wr.rend.Release()
 	wr.rend, wr.w = nil, nil
 	clear(wr.cache)
-	wr.buf = trim(wr.buf)
-	wr.raw = trim(wr.raw)
-	wr.val = trim(wr.val)
-	wr.arena = trim(wr.arena)
-	wr.keybuf = trim(wr.keybuf)
+	wr.buf = store.TrimBuffer(wr.buf)
+	wr.raw = store.TrimBuffer(wr.raw)
+	wr.val = store.TrimBuffer(wr.val)
+	wr.arena = store.TrimBuffer(wr.arena)
+	wr.keybuf = store.TrimBuffer(wr.keybuf)
 	wr.vars = wr.vars[:0]
+	wr.roles = wr.roles[:0]
 	wr.keyoff = wr.keyoff[:0]
 	writerPool.Put(wr)
 }
 
-func trim(b []byte) []byte {
-	if cap(b) > trimCap {
-		return nil
-	}
-	return b[:0]
-}
-
-// Format returns the format the writer was acquired for.
-func (wr *Writer) Format() Format { return wr.f }
-
 // Rows returns the number of solutions written so far.
 func (wr *Writer) Rows() int { return wr.nrows }
-
-// Err returns the sticky stream error.
-func (wr *Writer) Err() error { return wr.err }
 
 // Flush writes any pending bytes to the underlying writer and reports
 // the first write error seen on this stream.
@@ -118,11 +105,16 @@ func (wr *Writer) maybeFlush() {
 	}
 }
 
-// Begin writes the result set header and fixes the variable set and
-// order of the subsequent WriteSolution rows, pre-encoding every
-// per-variable key fragment once.
-func (wr *Writer) Begin(vars []string) {
+// Begin writes the result set header and fixes the columns of the
+// subsequent WriteRow rows, pre-encoding every per-column key fragment
+// once. roles[i] is the ID space of column i (a compiled plan's Roles);
+// columns past len(roles) are subjects/objects.
+func (wr *Writer) Begin(vars []string, roles ...core.Role) {
 	wr.vars = append(wr.vars[:0], vars...)
+	wr.roles = append(wr.roles[:0], roles...)
+	for len(wr.roles) < len(vars) {
+		wr.roles = append(wr.roles, core.RoleSO)
+	}
 	wr.keybuf = wr.keybuf[:0]
 	wr.keyoff = wr.keyoff[:0]
 	switch wr.f {
@@ -133,9 +125,9 @@ func (wr *Writer) Begin(vars []string) {
 				wr.buf = append(wr.buf, ',')
 			}
 			wr.raw = append(wr.raw[:0], v...)
-			wr.buf = appendJSONString(wr.buf, wr.raw)
+			wr.buf = store.AppendJSONString(wr.buf, wr.raw)
 			start := len(wr.keybuf)
-			wr.keybuf = appendJSONString(wr.keybuf, wr.raw)
+			wr.keybuf = store.AppendJSONString(wr.keybuf, wr.raw)
 			wr.keybuf = append(wr.keybuf, ':')
 			wr.keyoff = append(wr.keyoff, span{start, len(wr.keybuf)})
 		}
@@ -154,24 +146,20 @@ func (wr *Writer) Begin(vars []string) {
 			wr.keyoff = append(wr.keyoff, span{start, len(wr.keybuf)})
 		}
 		wr.buf = append(wr.buf, `</head><results>`...)
-	case CSV:
+	default: // CSV names the columns, TSV writes them as variables
+		l := &layouts[wr.f]
 		for i, v := range vars {
 			if i > 0 {
-				wr.buf = append(wr.buf, ',')
+				wr.buf = append(wr.buf, l.sep...)
 			}
-			wr.raw = append(wr.raw[:0], v...)
-			wr.buf = appendCSVField(wr.buf, wr.raw)
-		}
-		wr.buf = append(wr.buf, '\r', '\n')
-	case TSV:
-		for i, v := range vars {
-			if i > 0 {
-				wr.buf = append(wr.buf, '\t')
+			if wr.f == TSV {
+				wr.buf = append(append(wr.buf, '?'), v...)
+			} else {
+				wr.raw = append(wr.raw[:0], v...)
+				wr.buf = appendCSVField(wr.buf, wr.raw)
 			}
-			wr.buf = append(wr.buf, '?')
-			wr.buf = append(wr.buf, v...)
 		}
-		wr.buf = append(wr.buf, '\n')
+		wr.buf = append(wr.buf, l.close...)
 	}
 	wr.maybeFlush()
 }
@@ -179,69 +167,68 @@ func (wr *Writer) Begin(vars []string) {
 const xmlHeader = `<?xml version="1.0"?>` + "\n" +
 	`<sparql xmlns="http://www.w3.org/2005/sparql-results#"><head>`
 
-// WriteSolution emits one solution row over the Begin variables.
-// Variables absent from b are omitted (JSON/XML) or left as empty fields
-// (CSV/TSV), per each format's specification.
+// layout is the fixed text around the cells of one row in one format.
+type layout struct {
+	open, sep, cellClose, close string
+	// keyed rows name their cells (the Begin key fragments) and omit
+	// unbound ones; the others are positional and leave them empty, per
+	// each format's specification.
+	keyed bool
+}
+
+var layouts = [numFormats]layout{
+	JSON: {open: "{", sep: ",", close: "}", keyed: true},
+	XML:  {open: "<result>", cellClose: "</binding>", close: "</result>", keyed: true},
+	CSV:  {sep: ",", close: "\r\n"},
+	TSV:  {sep: "\t", close: "\n"},
+}
+
+// WriteRow emits one solution row: row[i] is the value of Begin's column
+// i, core.Wildcard when the column is unbound.
 //
 //rdf:hotpath
-func (wr *Writer) WriteSolution(b map[string]core.ID) {
-	switch wr.f {
-	case JSON:
-		if wr.nrows > 0 {
-			wr.buf = append(wr.buf, ',')
-		}
-		wr.buf = append(wr.buf, '{')
-		first := true
-		for i, v := range wr.vars {
-			id, ok := b[v]
-			if !ok {
-				continue
-			}
-			if !first {
-				wr.buf = append(wr.buf, ',')
-			}
-			first = false
-			sp := wr.keyoff[i]
-			wr.buf = append(wr.buf, wr.keybuf[sp.start:sp.end]...)
-			wr.appendTerm(id)
-		}
-		wr.buf = append(wr.buf, '}')
-	case XML:
-		wr.buf = append(wr.buf, `<result>`...)
-		for i, v := range wr.vars {
-			id, ok := b[v]
-			if !ok {
-				continue
-			}
-			sp := wr.keyoff[i]
-			wr.buf = append(wr.buf, wr.keybuf[sp.start:sp.end]...)
-			wr.appendTerm(id)
-			wr.buf = append(wr.buf, `</binding>`...)
-		}
-		wr.buf = append(wr.buf, `</result>`...)
-	case CSV:
-		for i, v := range wr.vars {
-			if i > 0 {
-				wr.buf = append(wr.buf, ',')
-			}
-			if id, ok := b[v]; ok {
-				wr.appendTerm(id)
-			}
-		}
-		wr.buf = append(wr.buf, '\r', '\n')
-	case TSV:
-		for i, v := range wr.vars {
-			if i > 0 {
-				wr.buf = append(wr.buf, '\t')
-			}
-			if id, ok := b[v]; ok {
-				wr.appendTerm(id)
-			}
-		}
-		wr.buf = append(wr.buf, '\n')
+func (wr *Writer) WriteRow(row []core.ID) {
+	l := &layouts[wr.f]
+	if wr.f == JSON && wr.nrows > 0 {
+		wr.buf = append(wr.buf, ',')
 	}
+	wr.buf = append(wr.buf, l.open...)
+	first := true
+	for i, id := range row {
+		if l.keyed && id == core.Wildcard {
+			continue
+		}
+		if !first {
+			wr.buf = append(wr.buf, l.sep...)
+		}
+		first = false
+		if l.keyed {
+			sp := wr.keyoff[i]
+			wr.buf = append(wr.buf, wr.keybuf[sp.start:sp.end]...)
+		}
+		if id != core.Wildcard {
+			wr.appendTerm(wr.roles[i], id)
+		}
+		wr.buf = append(wr.buf, l.cellClose...)
+	}
+	wr.buf = append(wr.buf, l.close...)
 	wr.nrows++
 	wr.maybeFlush()
+}
+
+// WriteSolution adapts WriteRow to the map rows of package sparql's
+// Bindings, for benchmark/ladder/layers.go only; it goes when that type
+// does.
+func (wr *Writer) WriteSolution(b map[string]core.ID) {
+	wr.row = wr.row[:0]
+	for _, v := range wr.vars {
+		id, ok := b[v]
+		if !ok {
+			id = core.Wildcard
+		}
+		wr.row = append(wr.row, id)
+	}
+	wr.WriteRow(wr.row)
 }
 
 // End writes the result set trailer. The buffered tail still needs a
@@ -257,21 +244,21 @@ func (wr *Writer) End() {
 	}
 }
 
-// appendTerm appends the format-encoded term for id, serving repeats
-// from the arena cache. Solution IDs resolve through the subject/object
-// dictionary, matching the NDJSON dialect's behavior.
+// appendTerm appends the format-encoded term id names in the given role,
+// serving repeats from the arena cache.
 //
 //rdf:hotpath
-func (wr *Writer) appendTerm(id core.ID) {
-	if sp, ok := wr.cache[id]; ok {
+func (wr *Writer) appendTerm(role core.Role, id core.ID) {
+	key := uint64(role)<<32 | uint64(id)
+	if sp, ok := wr.cache[key]; ok {
 		wr.buf = append(wr.buf, wr.arena[sp.start:sp.end]...)
 		return
 	}
-	wr.raw = wr.rend.AppendTerm(wr.raw[:0], id)
+	wr.raw = wr.rend.Append(wr.raw[:0], role, id)
 	if len(wr.cache) < maxCachedTerms {
 		start := len(wr.arena)
 		wr.arena = wr.encodeTerm(wr.arena, wr.raw)
-		wr.cache[id] = span{start, len(wr.arena)}
+		wr.cache[key] = span{start, len(wr.arena)}
 		wr.buf = append(wr.buf, wr.arena[start:]...)
 		return
 	}
@@ -288,20 +275,20 @@ func (wr *Writer) encodeTerm(dst, raw []byte) []byte {
 		switch kind {
 		case termIRI:
 			dst = append(dst, `{"type":"uri","value":`...)
-			dst = appendJSONString(dst, body)
+			dst = store.AppendJSONString(dst, body)
 		case termBlank:
 			dst = append(dst, `{"type":"bnode","value":`...)
-			dst = appendJSONString(dst, body)
+			dst = store.AppendJSONString(dst, body)
 		default:
 			wr.val = appendNTUnescape(wr.val[:0], body)
 			dst = append(dst, `{"type":"literal","value":`...)
-			dst = appendJSONString(dst, wr.val)
+			dst = store.AppendJSONString(dst, wr.val)
 			if len(lang) > 0 {
 				dst = append(dst, `,"xml:lang":`...)
-				dst = appendJSONString(dst, lang)
+				dst = store.AppendJSONString(dst, lang)
 			} else if len(dtype) > 0 {
 				dst = append(dst, `,"datatype":`...)
-				dst = appendJSONString(dst, dtype)
+				dst = store.AppendJSONString(dst, dtype)
 			}
 		}
 		return append(dst, '}')
@@ -436,40 +423,6 @@ func appendNTUnescape(dst, s []byte) []byte {
 		}
 	}
 	return dst
-}
-
-// appendJSONString appends s as a JSON string literal, escaping quotes,
-// backslashes and control bytes; valid UTF-8 passes through verbatim.
-//
-//rdf:hotpath
-func appendJSONString(dst, s []byte) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c != '"' && c != '\\' && c >= 0x20 {
-			continue
-		}
-		dst = append(dst, s[start:i]...)
-		switch c {
-		case '"':
-			dst = append(dst, '\\', '"')
-		case '\\':
-			dst = append(dst, '\\', '\\')
-		case '\n':
-			dst = append(dst, '\\', 'n')
-		case '\r':
-			dst = append(dst, '\\', 'r')
-		case '\t':
-			dst = append(dst, '\\', 't')
-		default:
-			const hex = "0123456789abcdef"
-			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		}
-		start = i + 1
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
 }
 
 // appendXMLText appends s as XML character data, escaping the markup

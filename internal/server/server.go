@@ -34,8 +34,8 @@
 // execute at once, later arrivals queue on their request context and are
 // rejected with 503 when it expires before a slot frees. Repeated
 // queries are answered from an LRU result cache keyed on the normalized
-// (dictionary-resolved) query text without touching the index; BGP
-// evaluation orders are cached in a separate plan cache. Both keys carry
+// (dictionary-resolved) query text without touching the index; compiled
+// BGP plans are cached in a separate plan cache. Both keys carry
 // the store's write generation, and every changing write flushes both
 // caches, so a write is never answered with pre-write results.
 package server
@@ -51,6 +51,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"sync"
 	"time"
 
 	"rdfindexes/internal/core"
@@ -205,7 +206,7 @@ type Server struct {
 
 	sem     chan struct{} // bounded worker pool
 	results *lruCache[[]byte]
-	plans   *lruCache[[]int]
+	plans   *lruCache[*sparql.Compiled]
 
 	limiter *rateLimiter // nil when Config.RateLimit is 0
 	brk     *breaker     // nil when the breaker is disabled
@@ -261,7 +262,7 @@ func newServer(cfg Options) *Server {
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.Workers),
 		results: newLRU[[]byte](cfg.CacheEntries),
-		plans:   newLRU[[]int](cfg.PlanEntries),
+		plans:   newLRU[*sparql.Compiled](cfg.PlanEntries),
 		now:     time.Now,
 		start:   time.Now(),
 	}
@@ -332,8 +333,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.panics.Add(1)
-			s.failed.Add(1)
-			httpError(w, http.StatusInternalServerError, fmt.Errorf("internal error: %v", p))
+			s.fail(w, http.StatusInternalServerError, fmt.Errorf("internal error: %v", p))
 		}
 	}()
 	s.mux.ServeHTTP(w, r)
@@ -402,16 +402,16 @@ func httpError(w http.ResponseWriter, status int, err error) {
 	json.NewEncoder(w).Encode(doc)
 }
 
-// parseLimit reads the limit form value; absent means unlimited (-1).
-// Explicit negative limits are rejected — only absence spells
-// "unlimited" — and limit=0 is valid: zero result rows, summary only.
-func parseLimit(r *http.Request) (int, error) {
-	return parseLimitValue(r.FormValue("limit"))
+// fail counts a failed request and answers it with the unified error
+// body.
+func (s *Server) fail(w http.ResponseWriter, status int, err error) {
+	s.failed.Add(1)
+	httpError(w, status, err)
 }
 
-// parseLimitValue is the form-independent core of parseLimit, shared
-// with the protocol endpoint (which must not trigger form parsing after
-// reading an application/sparql-query body).
+// parseLimitValue reads a limit parameter; absent means unlimited (-1).
+// Explicit negative limits are rejected — only absence spells
+// "unlimited" — and limit=0 is valid: zero result rows, summary only.
 func parseLimitValue(v string) (int, error) {
 	if v == "" {
 		return -1, nil
@@ -426,33 +426,102 @@ func parseLimitValue(v string) (int, error) {
 	return n, nil
 }
 
-// capture tees the streamed response into a bounded buffer so complete,
-// small responses can enter the result cache after the stream ends.
+// capturePool recycles the capture tee's scratch buffers, so a streamed
+// response grows no fresh buffer of its own.
+var capturePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// captureKeep is the largest scratch capacity the pool retains, the order
+// of the default CacheMaxBytes; a buffer a larger limit grew beyond it is
+// left to the garbage collector, as store.TrimBuffer does for the row
+// writers.
+const captureKeep = 1 << 20
+
+// capture tees the streamed response into a bounded pooled buffer so
+// complete, small responses can enter the result cache after the stream
+// ends. Every newCapture needs a release.
 type capture struct {
 	w        io.Writer // the client side: http.ResponseWriter, possibly behind gzip
-	buf      []byte
+	buf      *[]byte
 	max      int
 	overflow bool
 	poisoned bool // incomplete stream (error or cancellation): never cache
 }
 
+func newCapture(w io.Writer, max int) *capture {
+	buf := capturePool.Get().(*[]byte)
+	//rdf:allow(ownership transfers to the capture; release returns it to the pool)
+	return &capture{w: w, buf: buf, max: max}
+}
+
 func (c *capture) Write(p []byte) (int, error) {
 	if !c.overflow && !c.poisoned {
-		if len(c.buf)+len(p) <= c.max {
-			c.buf = append(c.buf, p...)
+		if len(*c.buf)+len(p) <= c.max {
+			*c.buf = append(*c.buf, p...)
 		} else {
 			c.overflow = true
-			c.buf = nil
 		}
 	}
 	return c.w.Write(p)
 }
 
+// cacheable returns an exact-size copy of the captured body, the only
+// bytes that outlive the request.
 func (c *capture) cacheable() ([]byte, bool) {
-	if c.overflow || c.poisoned || c.buf == nil {
+	if c.overflow || c.poisoned || len(*c.buf) == 0 {
 		return nil, false
 	}
-	return c.buf, true
+	body := make([]byte, len(*c.buf))
+	copy(body, *c.buf)
+	return body, true
+}
+
+func (c *capture) release() {
+	if cap(*c.buf) <= captureKeep {
+		*c.buf = (*c.buf)[:0]
+		capturePool.Put(c.buf)
+	}
+	c.buf = nil
+}
+
+// execute runs plan over the view's index through a pooled query
+// context, passing solutions to write up to the request's row cap (limit;
+// negative for none). Reaching the cap cancels the run, so the executor
+// stops within one cancellation stride instead of computing solutions
+// nobody will see; that cancellation is reported as truncated, not as an
+// error.
+func execute(ctx context.Context, plan *sparql.Compiled, st *store.Store, tr *obs.Trace,
+	limit int, write func(row []core.ID)) (stats sparql.ExecStats, rows int, truncated bool, err error) {
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
+	qc := core.AcquireQueryCtx()
+	defer qc.Release()
+	stats, err = sparql.Run(ctx, plan, ctxStore{x: st.Index, qc: qc}, sparql.Options{Trace: tr}, func(row []core.ID) {
+		switch {
+		case limit < 0 || rows < limit:
+			write(row)
+			rows++
+		case !truncated:
+			truncated = true
+			stop()
+		}
+	})
+	if truncated {
+		err = nil
+	}
+	return stats, rows, truncated, err
+}
+
+// plan returns the compiled plan for q from the plan cache, compiling it
+// on a miss. norm is the cache key: the write generation plus q's
+// canonical text.
+func (s *Server) plan(norm string, q sparql.Query) (c *sparql.Compiled, cached bool, err error) {
+	if c, cached = s.plans.Get(norm); cached {
+		return c, true, nil
+	}
+	if c, err = sparql.Compile(q, sparql.Plan(q)); err == nil {
+		s.plans.Put(norm, c)
+	}
+	return c, false, err
 }
 
 // serveCached writes a previously captured response.
@@ -474,14 +543,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(generationHeader, strconv.FormatUint(s.generationToken(gen), 10))
 	pat, err := st.ParsePattern(r.FormValue("s"), r.FormValue("p"), r.FormValue("o"))
 	if err != nil {
-		s.failed.Add(1)
-		httpError(w, http.StatusBadRequest, err)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	limit, err := parseLimit(r)
+	limit, err := parseLimitValue(r.FormValue("limit"))
 	if err != nil {
-		s.failed.Add(1)
-		httpError(w, http.StatusBadRequest, err)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	// The cache key is the normalized pattern: dictionary terms are
@@ -506,7 +573,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	qc := core.AcquireQueryCtx()
 	defer qc.Release()
 
-	cw := &capture{w: w, max: s.cfg.CacheMaxBytes}
+	cw := newCapture(w, s.cfg.CacheMaxBytes)
+	defer cw.release()
 	w.Header().Set("Content-Type", ndjsonType)
 	w.Header().Set("X-Cache", "miss")
 	// The pooled NDJSON writer replaces the old per-row struct +
@@ -574,26 +642,22 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(generationHeader, strconv.FormatUint(s.generationToken(gen), 10))
 	qs := r.FormValue("q")
 	if qs == "" {
-		s.failed.Add(1)
-		httpError(w, http.StatusBadRequest, errors.New("missing q parameter"))
+		s.fail(w, http.StatusBadRequest, errors.New("missing q parameter"))
 		return
 	}
-	limit, err := parseLimit(r)
+	limit, err := parseLimitValue(r.FormValue("limit"))
 	if err != nil {
-		s.failed.Add(1)
-		httpError(w, http.StatusBadRequest, err)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	translated, err := st.TranslateQuery(qs)
 	if err != nil {
-		s.failed.Add(1)
-		httpError(w, http.StatusBadRequest, err)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	q, err := sparql.Parse(translated)
 	if err != nil {
-		s.failed.Add(1)
-		httpError(w, http.StatusBadRequest, err)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	// q.String() renders the dictionary-resolved BGP canonically, so it
@@ -615,41 +679,22 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
-	order, planCached := s.plans.Get(norm)
-	if !planCached {
-		order = sparql.Plan(q)
-		s.plans.Put(norm, order)
+	plan, planCached, err := s.plan(norm, q)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
 	}
 
-	qc := core.AcquireQueryCtx()
-	defer qc.Release()
-
-	cw := &capture{w: w, max: s.cfg.CacheMaxBytes}
+	cw := newCapture(w, s.cfg.CacheMaxBytes)
+	defer cw.release()
 	w.Header().Set("Content-Type", ndjsonType)
 	w.Header().Set("X-Cache", "miss")
 	nw := store.AcquireNDJSON(st, cw)
 	defer nw.Release()
-	nw.SetVars(q.Vars)
+	nw.SetVars(plan.Vars, plan.Roles)
 
-	// Reaching the row limit cancels the execution context: the executor
-	// aborts within one cancellation stride instead of computing
-	// solutions nobody will see. StreamWithOrder reuses one bindings map
-	// across solutions, so the emit path allocates nothing per row.
-	execCtx, stop := context.WithCancel(ctx)
-	defer stop()
-	rows, truncated := 0, false
-	stats, err := sparql.StreamWithOrder(execCtx, q, ctxStore{x: st.Index, qc: qc}, order, func(b sparql.Bindings) {
-		if limit >= 0 && rows >= limit {
-			if !truncated {
-				truncated = true
-				stop()
-			}
-			return
-		}
-		nw.WriteSolution(b)
-		rows++
-	})
-	if err != nil && !truncated {
+	stats, rows, truncated, err := execute(ctx, plan, st, nil, limit, nw.WriteRow)
+	if err != nil {
 		cw.poisoned = true
 		s.failed.Add(1)
 		nw.WriteError(err.Error())
@@ -698,14 +743,12 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, insert bool
 		return
 	}
 	if s.mut == nil {
-		s.failed.Add(1)
-		httpError(w, http.StatusForbidden, errors.New("store is read-only (serve a mutable store to enable writes)"))
+		s.fail(w, http.StatusForbidden, errors.New("store is read-only (serve a mutable store to enable writes)"))
 		return
 	}
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		s.failed.Add(1)
-		httpError(w, http.StatusMethodNotAllowed, errors.New("writes require POST"))
+		s.fail(w, http.StatusMethodNotAllowed, errors.New("writes require POST"))
 		return
 	}
 	// The circuit breaker gates admission: while the write path is known

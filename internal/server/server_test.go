@@ -666,7 +666,6 @@ func TestWorkerPoolBounds(t *testing.T) {
 	st := testStore(t, 50, 3)
 	srv := New(st, Options{Workers: 1, CacheEntries: -1})
 	ts := httptest.NewServer(srv)
-	defer ts.Close()
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -680,6 +679,9 @@ func TestWorkerPoolBounds(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// A client sees its response end before the handler's deferred
+	// release runs; Close waits for every handler to return.
+	ts.Close()
 	if got := srv.Snapshot().InFlight; got != 0 {
 		t.Fatalf("in-flight count %d after drain, want 0", got)
 	}
@@ -712,4 +714,52 @@ func TestLRU(t *testing.T) {
 	if _, ok := zero.Get("x"); ok {
 		t.Fatal("disabled cache stored a value")
 	}
+}
+
+// TestCapture pins the tee's contract: a complete body under the limit is
+// cacheable as an exact-size copy that does not alias the pooled scratch,
+// an overflowing or poisoned stream is not, and the client side sees
+// every byte either way.
+func TestCapture(t *testing.T) {
+	var client strings.Builder
+	c := newCapture(&client, 10)
+	c.Write([]byte("hello"))
+	c.Write([]byte("world"))
+	body, ok := c.cacheable()
+	if !ok || string(body) != "helloworld" || cap(body) != len(body) {
+		t.Fatalf("cacheable = %q (cap %d), %v", body, cap(body), ok)
+	}
+	c.release()
+	// The next capture may draw the same scratch; the cached body must
+	// survive its reuse.
+	c = newCapture(&client, 10)
+	c.Write([]byte("XXXXXXXXXX"))
+	if string(body) != "helloworld" {
+		t.Fatalf("cached body aliases the pooled scratch: %q", body)
+	}
+	c.Write([]byte("!"))
+	if _, ok := c.cacheable(); ok || !c.overflow {
+		t.Fatal("overflowing stream is cacheable")
+	}
+	c.release()
+	if client.String() != "helloworldXXXXXXXXXX!" {
+		t.Fatalf("client saw %q", client.String())
+	}
+
+	c = newCapture(&client, 10)
+	c.Write([]byte("part"))
+	c.poisoned = true
+	if _, ok := c.cacheable(); ok {
+		t.Fatal("poisoned stream is cacheable")
+	}
+	c.release()
+
+	// A scratch grown past captureKeep is dropped, not pooled.
+	big := make([]byte, 0, captureKeep+1)
+	c = &capture{w: &client, buf: &big, max: 1}
+	c.release()
+	if c = newCapture(&client, 1); cap(*c.buf) > captureKeep {
+		t.Fatalf("pool retained a %d-byte scratch", cap(*c.buf))
+	}
+	c.release()
 }

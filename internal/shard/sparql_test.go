@@ -2,12 +2,14 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 
 	"rdfindexes/internal/core"
+	"rdfindexes/internal/obs"
 	"rdfindexes/internal/sparql"
 )
 
@@ -16,15 +18,14 @@ import (
 // sharding contract; the set must match).
 func execAll(t *testing.T, q sparql.Query, st sparql.Store) []string {
 	t.Helper()
-	var rows []string
-	_, err := sparql.ExecuteContext(context.Background(), q, st, func(b sparql.Bindings) {
-		var row []string
-		for _, v := range q.Vars {
-			row = append(row, fmt.Sprintf("%s=%d", v, b[v]))
-		}
-		rows = append(rows, fmt.Sprint(row))
-	})
+	c, err := sparql.Compile(q, sparql.Plan(q))
 	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	if _, err := sparql.Run(context.Background(), c, st, sparql.Options{}, func(row []core.ID) {
+		rows = append(rows, fmt.Sprint(row))
+	}); err != nil {
 		t.Fatal(err)
 	}
 	sort.Strings(rows)
@@ -81,19 +82,29 @@ func TestSparqlShardedCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := sparql.Compile(q, sparql.Plan(q))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sparql.ExecuteContext(ctx, q, sh, nil); err == nil {
-		t.Fatal("cancelled execution returned no error")
+	if _, err := sparql.Run(ctx, c, sh, sparql.Options{}, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled execution returned %v, want context.Canceled", err)
 	}
 }
 
-// TestSparqlStreamOverShardedStore pins that the reused-bindings
-// streaming executor produces the same solution set as the allocating
-// one over a scatter-gather store — the path the server's NDJSON row
-// writer rides on.
-func TestSparqlStreamOverShardedStore(t *testing.T) {
+// TestSparqlTracedOverShardedStore pins that a traced run of a
+// nested-loop plan over a scatter-gather store reports the same ExecStats
+// and per-step cardinalities as over the single index: the shards change
+// where the triples come from, not what the plan examines. (A sharded
+// store serves no sorted streams, so star joins run nested there and
+// their counts differ from a galloping single index by design.)
+func TestSparqlTracedOverShardedStore(t *testing.T) {
 	d := randDataset(t, 900, 23)
+	single, err := core.Build(d, core.Layout2Tp)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sh, err := BuildSharded(d, core.Layout2Tp, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -101,31 +112,30 @@ func TestSparqlStreamOverShardedStore(t *testing.T) {
 	for _, qs := range []string{
 		"SELECT ?x ?y WHERE { ?x <1> ?y . }",
 		"SELECT ?x ?y ?z WHERE { ?x <1> ?y . ?y <2> ?z . }",
+		"SELECT ?x ?y WHERE { ?x ?p <5> . ?x <2> ?y . }",
 	} {
 		q, err := sparql.Parse(qs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := execAll(t, q, sh)
-		var got []string
-		var prev sparql.Bindings
-		_, err = sparql.StreamWithOrder(context.Background(), q, sh, sparql.Plan(q), func(b sparql.Bindings) {
-			if prev != nil && reflect.ValueOf(b).Pointer() != reflect.ValueOf(prev).Pointer() {
-				t.Fatal("StreamWithOrder allocated a fresh bindings map")
-			}
-			prev = b //rdf:allow(test asserts the executor reuses one map; retaining it is the point)
-			var row []string
-			for _, v := range q.Vars {
-				row = append(row, fmt.Sprintf("%s=%d", v, b[v]))
-			}
-			got = append(got, fmt.Sprint(row))
-		})
+		c, err := sparql.Compile(q, sparql.Plan(q))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sort.Strings(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: stream solutions diverge\n got %v\nwant %v", qs, got, want)
+		traced := func(st sparql.Store) (sparql.ExecStats, []obs.PatternStat) {
+			tr := obs.AcquireTrace()
+			defer tr.Release()
+			tr.EnableSteps(len(c.Order))
+			stats, err := sparql.Run(context.Background(), c, st, sparql.Options{Trace: tr}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return stats, append([]obs.PatternStat(nil), tr.Steps()...)
+		}
+		wantStats, wantSteps := traced(single)
+		gotStats, gotSteps := traced(sh)
+		if gotStats != wantStats || !reflect.DeepEqual(gotSteps, wantSteps) {
+			t.Fatalf("%s: sharded run %+v %+v, single index %+v %+v", qs, gotStats, gotSteps, wantStats, wantSteps)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package sparql
 
 import (
 	"context"
+	"fmt"
+	"math"
 
 	"rdfindexes/internal/core"
 	"rdfindexes/internal/obs"
@@ -14,9 +16,6 @@ type Store interface {
 	NumTriples() int
 }
 
-// Bindings maps variable names to IDs.
-type Bindings map[string]core.ID
-
 // ExecStats reports the work done by an execution: the serial
 // decomposition length (number of atomic triple selection patterns
 // issued) and the number of triples they matched. Table 6 of the paper
@@ -28,6 +27,70 @@ type ExecStats struct {
 	PatternsIssued int
 	TriplesMatched int
 	Results        int
+}
+
+// action is what a candidate triple's component does to its register.
+type action uint8
+
+const (
+	actNone  action = iota // constant, or bound by an earlier step
+	actBind                // first occurrence of a variable free here: store
+	actCheck               // repeat of it in the same pattern (?x p ?x): compare
+)
+
+// operand is one pattern component with its variable resolved: the
+// register it loads from (unbound registers hold core.Wildcard) or, with
+// slot negative, the constant id. act is set by Compile only.
+type operand struct {
+	slot int
+	id   core.ID
+	act  action
+}
+
+// slotOf returns the register of variable v, len(names) if it has none.
+func slotOf(names []string, v string) int {
+	slot := 0
+	for slot < len(names) && names[slot] != v {
+		slot++
+	}
+	return slot
+}
+
+// resolve numbers the query's variables in first-occurrence order and
+// rewrites every pattern over those slots.
+func resolve(q Query) (names []string, pats [][3]operand) {
+	pats = make([][3]operand, len(q.Patterns))
+	for i, tp := range q.Patterns {
+		for k, t := range [3]Term{tp.S, tp.P, tp.O} {
+			if !t.IsVar() {
+				pats[i][k] = operand{slot: -1, id: t.ID}
+				continue
+			}
+			slot := slotOf(names, t.Var)
+			if slot == len(names) {
+				names = append(names, t.Var)
+			}
+			pats[i][k].slot = slot
+		}
+	}
+	return names, pats
+}
+
+// free reports whether the component is still a wildcard once the bound
+// slots hold values.
+func (o operand) free(bound []bool) bool { return o.slot >= 0 && !bound[o.slot] }
+
+// singleFree returns the slot of the one variable of p still unbound,
+// provided it occupies exactly one component and no other is free.
+func singleFree(p [3]operand, bound []bool) (int, bool) {
+	slot, n := -1, 0
+	for _, o := range p {
+		if o.free(bound) {
+			slot = o.slot
+			n++
+		}
+	}
+	return slot, n == 1
 }
 
 // shapeCost ranks pattern shapes by expected selectivity; used to order
@@ -54,84 +117,81 @@ func shapeCost(s core.Shape) int {
 	}
 }
 
-// substitute resolves a triple pattern against bindings, producing the
-// concrete selection pattern and the still-free variable slots.
-func substitute(tp TriplePattern, b Bindings) core.Pattern {
-	conv := func(t Term) core.ID {
-		if !t.IsVar() {
-			return t.ID
-		}
-		if id, ok := b[t.Var]; ok {
-			return id
-		}
-		return core.Wildcard
-	}
-	return core.Pattern{S: conv(tp.S), P: conv(tp.P), O: conv(tp.O)}
-}
-
-// PlanWithStats orders the BGP's patterns like Plan but replaces the
-// static shape costs with measured cardinalities from the store: the cost
-// of a pattern is its actual match count under the currently bound
-// prefix, probed once per planning step. This is the direction the paper
-// lists as future work ("devising a novel query planning algorithm");
-// the executor accepts either order.
-func PlanWithStats(q Query, st Store) []int {
-	n := len(q.Patterns)
-	used := make([]bool, n)
-	boundVars := map[string]bool{}
-	order := make([]int, 0, n)
-	for len(order) < n {
-		best, bestCost := -1, int(^uint(0)>>1)
-		for i, tp := range q.Patterns {
+// greedy orders the BGP's patterns: at each step it picks the unused
+// pattern that cost ranks cheapest under the slots bound so far, with
+// patterns sharing no bound variable made apart times dearer (they would
+// start a Cartesian product). It returns the evaluation order as indexes
+// into q.Patterns.
+func greedy(q Query, apart int, cost func(p [3]operand, bound []bool) int) []int {
+	names, pats := resolve(q)
+	bound := make([]bool, len(names))
+	used := make([]bool, len(pats))
+	order := make([]int, 0, len(pats))
+	for len(order) < len(pats) {
+		best, bestCost := -1, math.MaxInt
+		for i, p := range pats {
 			if used[i] {
 				continue
 			}
-			fake := Bindings{}
-			for v := range boundVars {
-				fake[v] = 0
-			}
-			shape := substitute(tp, fake).Shape()
-			// Probe the real cardinality for the unbound version of the
-			// pattern (constants only); bound variables are treated as
-			// fixed by halving per bound position, a cheap refinement.
-			probe := substitute(tp, Bindings{})
-			cost := countUpTo(st, probe, 1<<16)
-			if cost == 0 {
-				cost = 1
-			}
-			divisor := 1
-			for _, term := range []Term{tp.S, tp.P, tp.O} {
-				if term.IsVar() && boundVars[term.Var] {
-					divisor *= 64
-				}
-			}
-			cost /= divisor
-			if cost < 1 {
-				cost = 1
-			}
-			_ = shape
+			c := cost(p, bound)
 			shares := false
-			for _, t := range []Term{tp.S, tp.P, tp.O} {
-				if t.IsVar() && boundVars[t.Var] {
-					shares = true
-				}
+			for _, r := range p {
+				shares = shares || r.slot >= 0 && bound[r.slot]
 			}
 			if len(order) > 0 && !shares {
-				cost *= 1 << 16
+				c *= apart
 			}
-			if cost < bestCost {
-				best, bestCost = i, cost
+			if c < bestCost {
+				best, bestCost = i, c
 			}
 		}
 		order = append(order, best)
 		used[best] = true
-		for _, t := range []Term{q.Patterns[best].S, q.Patterns[best].P, q.Patterns[best].O} {
-			if t.IsVar() {
-				boundVars[t.Var] = true
+		for _, r := range pats[best] {
+			if r.slot >= 0 {
+				bound[r.slot] = true
 			}
 		}
 	}
 	return order
+}
+
+// Plan orders the BGP's patterns by the static cost of the shape each
+// has once the variables bound so far count as constants.
+func Plan(q Query) []int {
+	return greedy(q, 1<<10, func(p [3]operand, bound []bool) int {
+		var c [3]core.ID
+		for k, r := range p {
+			if r.free(bound) {
+				c[k] = core.Wildcard
+			}
+		}
+		return shapeCost(core.Pattern{S: c[0], P: c[1], O: c[2]}.Shape())
+	})
+}
+
+// PlanWithStats orders the BGP's patterns like Plan but replaces the
+// static shape costs with measured cardinalities from the store: the cost
+// of a pattern is the match count of its constants-only version, probed
+// once per planning step, divided by 64 per already-bound variable
+// position as a cheap stand-in for the bound prefix. This is the
+// direction the paper lists as future work ("devising a novel query
+// planning algorithm"); the executor accepts either order.
+func PlanWithStats(q Query, st Store) []int {
+	return greedy(q, 1<<16, func(p [3]operand, bound []bool) int {
+		var c [3]core.ID
+		divisor := 1
+		for k, r := range p {
+			c[k] = r.id
+			if r.slot >= 0 {
+				c[k] = core.Wildcard
+				if bound[r.slot] {
+					divisor *= 64
+				}
+			}
+		}
+		return max(max(countUpTo(st, core.Pattern{S: c[0], P: c[1], O: c[2]}, 1<<16), 1)/divisor, 1)
+	})
 }
 
 // countUpTo counts matches of p, stopping at limit.
@@ -147,316 +207,302 @@ func countUpTo(st Store, p core.Pattern, limit int) int {
 	return n
 }
 
-// ExecuteWithOrder runs the query with an explicit evaluation order.
-func ExecuteWithOrder(q Query, st Store, order []int, emit func(Bindings)) (ExecStats, error) {
-	return executeOrdered(nil, q, st, order, nil, emit, false)
+//rdf:hotpath
+func (o operand) load(regs []core.ID) core.ID {
+	if o.slot < 0 {
+		return o.id
+	}
+	return regs[o.slot]
 }
 
-// ExecuteContext runs the query like Execute but aborts with ctx.Err()
-// when the context is cancelled or its deadline passes. Cancellation is
-// checked once per iteration batch (every cancelStride candidate
-// triples), not per triple, so the hot loops stay branch-cheap; a runaway
-// query therefore overshoots its deadline by at most one stride.
-func ExecuteContext(ctx context.Context, q Query, st Store, emit func(Bindings)) (ExecStats, error) {
-	return executeOrdered(ctx, q, st, Plan(q), nil, emit, false)
+//rdf:hotpath
+func (o operand) accept(regs []core.ID, id core.ID) bool {
+	switch o.act {
+	case actBind:
+		regs[o.slot] = id
+	case actCheck:
+		return regs[o.slot] == id
+	}
+	return true
 }
 
-// ExecuteWithOrderContext is ExecuteWithOrder with cancellation.
-func ExecuteWithOrderContext(ctx context.Context, q Query, st Store, order []int, emit func(Bindings)) (ExecStats, error) {
-	return executeOrdered(ctx, q, st, order, nil, emit, false)
+// step is one position of the evaluation order.
+type step struct {
+	pattern int // index into the query's patterns
+	ops     [3]operand
+	// gallop is the number of consecutive steps from this one whose only
+	// free variable, under the registers bound before this step, is the
+	// same single-component one (gslot); 0 when fewer than two.
+	gallop, gslot int
 }
 
-// StreamWithOrder is ExecuteWithOrderContext for streaming consumers:
-// one Bindings map is reused across emit calls, so a solution-heavy
-// query allocates nothing per row in the executor. The map passed to
-// emit is valid only for the duration of the callback and must not be
-// retained or mutated; consumers that keep solutions use the Execute
-// family instead. A nil ctx disables cancellation.
-//
-//rdf:nonretaining
-func StreamWithOrder(ctx context.Context, q Query, st Store, order []int, emit func(Bindings)) (ExecStats, error) {
-	return executeOrdered(ctx, q, st, order, nil, emit, true)
+//rdf:hotpath
+func (sp *step) substitute(regs []core.ID) core.Pattern {
+	return core.Pattern{S: sp.ops[0].load(regs), P: sp.ops[1].load(regs), O: sp.ops[2].load(regs)}
 }
 
-// StreamTraced is StreamWithOrder with per-pattern cardinality
-// recording: execution step i (plan position) of the order records into
-// tr's step i — its pattern index, candidates scanned and candidates
-// matched, with Gallop set for steps resolved inside a
-// merge-intersection. The recorders are nil-safe no-ops unless the
-// caller armed tr with EnableSteps, so the untraced cost is one
-// predictable branch per candidate. The emit contract is
-// StreamWithOrder's.
-//
-//rdf:nonretaining
-func StreamTraced(ctx context.Context, q Query, st Store, order []int, tr *obs.Trace, emit func(Bindings)) (ExecStats, error) {
-	return executeOrdered(ctx, q, st, order, tr, emit, true)
+// Compiled is a BGP with its evaluation order compiled into an immutable
+// plan, shareable between concurrent Runs: every variable is a dense
+// register slot and — because the order fixes which slots are bound at
+// each step — what each candidate binds or checks, which runs of steps
+// merge-intersect and where each projected column comes from are all
+// decided here, once.
+type Compiled struct {
+	// Vars names the columns of a solution row (the query's projection)
+	// and Roles gives the ID space each column's values are in; a
+	// serializer needs that to pick the dictionary.
+	Vars  []string
+	Roles []core.Role
+	Order []int
+
+	steps  []step
+	proj   []int // register of each projected column
+	nslots int
+}
+
+// Compile builds the plan that evaluates q's patterns in the given order
+// (a permutation of their indexes, e.g. from Plan; the plan keeps the
+// slice). It rejects a variable used both as a predicate and as a subject
+// or object: the two are separate ID spaces, so such a join compares
+// unrelated numbers.
+func Compile(q Query, order []int) (*Compiled, error) {
+	names, pats := resolve(q)
+	seen := make([]bool, len(pats))
+	valid := len(order) == len(pats)
+	for _, i := range order {
+		if valid = valid && i >= 0 && i < len(pats) && !seen[i]; valid {
+			seen[i] = true
+		}
+	}
+	if !valid {
+		return nil, fmt.Errorf("sparql: order %v is not a permutation of %d patterns", order, len(pats))
+	}
+	// roles[slot] is 1 + the variable's Role once a pattern has used it.
+	roles := make([]core.Role, len(names))
+	for _, p := range pats {
+		for k, o := range p {
+			role := 1 + core.RoleSO
+			if k == 1 {
+				role = 1 + core.RoleP
+			}
+			if o.slot >= 0 && roles[o.slot] != 0 && roles[o.slot] != role {
+				return nil, fmt.Errorf("sparql: variable ?%s is used as a predicate and as a subject or object; the two are separate ID spaces and cannot join", names[o.slot])
+			} else if o.slot >= 0 {
+				roles[o.slot] = role
+			}
+		}
+	}
+
+	c := &Compiled{Vars: q.Vars, Order: order, steps: make([]step, len(order)), nslots: len(names)}
+	bound := make([]bool, len(names))
+	for i, pi := range order {
+		sp := &c.steps[i]
+		sp.pattern, sp.ops = pi, pats[pi]
+		if v, ok := singleFree(sp.ops, bound); ok {
+			g := i + 1
+			for g < len(order) {
+				if v2, ok2 := singleFree(pats[order[g]], bound); !ok2 || v2 != v {
+					break
+				}
+				g++
+			}
+			if g-i >= 2 {
+				sp.gallop, sp.gslot = g-i, v
+			}
+		}
+		for k := range sp.ops {
+			if o := &sp.ops[k]; o.free(bound) {
+				o.act = actBind
+				bound[o.slot] = true
+			} else if k == 2 && sp.ops[0].act == actBind && sp.ops[0].slot == o.slot {
+				// ?x p ?x; the role check leaves no other repeat possible.
+				o.act = actCheck
+			}
+		}
+	}
+	for _, v := range q.Vars {
+		slot := slotOf(names, v)
+		if slot == len(names) {
+			return nil, fmt.Errorf("sparql: projected variable ?%s not used in the BGP", v)
+		}
+		c.proj = append(c.proj, slot)
+		c.Roles = append(c.Roles, roles[slot]-1)
+	}
+	return c, nil
+}
+
+// Options are the optional inputs of one Run.
+type Options struct {
+	// Trace receives per-step cardinalities: execution step i (plan
+	// position) records its pattern index, candidates scanned and
+	// candidates matched, with Gallop set for steps resolved inside a
+	// merge-intersection. The recorders are nil-safe and no-ops unless
+	// the trace was armed with EnableSteps, so the untraced cost is one
+	// predictable branch per candidate.
+	Trace *obs.Trace
 }
 
 // cancelStride is the number of candidate triples examined between two
 // context checks.
 const cancelStride = 1024
 
-// canceller polls a context every cancelStride ticks; a nil canceller or
-// a nil context never fires.
-type canceller struct {
-	ctx context.Context
-	n   uint32
+// run is the mutable state of one execution of a Compiled plan.
+type run struct {
+	c     *Compiled
+	st    Store
+	vs    core.VarSelecter // nil when st cannot serve sorted streams
+	ctx   context.Context
+	tr    *obs.Trace
+	emit  func([]core.ID)
+	stats ExecStats
+	ticks uint32
+
+	regs []core.ID // the register file; core.Wildcard marks unbound
+	row  []core.ID // the projected row handed to emit
+	// Merge-intersection scratch, indexed by step: a group's streams
+	// occupy the positions of its steps, so nested groups never overlap.
+	its  []*core.VarIter
+	cand []core.ID
 }
 
-func (c *canceller) check() error {
-	if c == nil || c.ctx == nil {
+// Run evaluates the plan against st and calls emit (when non-nil) once
+// per solution with the projected row: one core.ID per column of c.Vars,
+// core.Wildcard for an unbound one. The row is reused between calls: it
+// is valid only during the callback and must not be retained or modified.
+// Evaluation is nested-loop over the plan's order, except that maximal
+// runs of consecutive patterns sharing their single free variable are
+// resolved with a leapfrog merge-intersection of the sorted binding
+// streams the index serves natively (core.VarSelecter), skipping
+// non-joining candidates with NextGEQ instead of enumerating them.
+//
+// Run aborts with ctx.Err() once ctx is done. That is checked every
+// cancelStride candidate triples, not per triple, so the hot loops stay
+// branch-cheap and a runaway query overshoots by at most one stride.
+//
+//rdf:nonretaining
+func Run(ctx context.Context, c *Compiled, st Store, opt Options, emit func(row []core.ID)) (ExecStats, error) {
+	r := &run{c: c, st: st, ctx: ctx, tr: opt.Trace, emit: emit}
+	r.vs, _ = st.(core.VarSelecter)
+	ids := make([]core.ID, c.nslots+len(c.proj)+len(c.steps))
+	r.regs, ids = ids[:c.nslots], ids[c.nslots:]
+	r.row, r.cand = ids[:len(c.proj)], ids[len(c.proj):]
+	for i := range r.regs {
+		r.regs[i] = core.Wildcard
+	}
+	r.its = make([]*core.VarIter, len(c.steps))
+	err := r.step(0)
+	return r.stats, err
+}
+
+// check polls the context every cancelStride calls.
+//
+//rdf:hotpath
+func (r *run) check() error {
+	r.ticks++
+	if r.ticks%cancelStride != 0 {
 		return nil
 	}
-	c.n++
-	if c.n%cancelStride != 0 {
+	return r.ctx.Err()
+}
+
+// step evaluates plan position i under the registers bound so far.
+//
+//rdf:hotpath
+func (r *run) step(i int) error {
+	if i == len(r.c.steps) {
+		r.stats.Results++
+		if r.emit != nil {
+			for k, slot := range r.c.proj {
+				r.row[k] = r.regs[slot]
+			}
+			r.emit(r.row)
+		}
 		return nil
 	}
-	return c.ctx.Err()
-}
-
-// Plan orders the BGP's patterns greedily: at each step, pick the pattern
-// whose shape (under the bindings accumulated so far) is cheapest. It
-// returns the evaluation order as indexes into q.Patterns.
-func Plan(q Query) []int {
-	n := len(q.Patterns)
-	used := make([]bool, n)
-	boundVars := map[string]bool{}
-	order := make([]int, 0, n)
-	for len(order) < n {
-		best, bestCost := -1, 1<<62
-		for i, tp := range q.Patterns {
-			if used[i] {
-				continue
-			}
-			// Shape assuming bound variables are constants.
-			fake := Bindings{}
-			for v := range boundVars {
-				fake[v] = 0
-			}
-			cost := shapeCost(substitute(tp, fake).Shape())
-			// Prefer patterns sharing a variable with what is bound
-			// (avoids Cartesian products).
-			shares := false
-			for _, t := range []Term{tp.S, tp.P, tp.O} {
-				if t.IsVar() && boundVars[t.Var] {
-					shares = true
-				}
-			}
-			if len(order) > 0 && !shares {
-				cost *= 1 << 10
-			}
-			if cost < bestCost {
-				best, bestCost = i, cost
-			}
-		}
-		order = append(order, best)
-		used[best] = true
-		for _, t := range []Term{q.Patterns[best].S, q.Patterns[best].P, q.Patterns[best].O} {
-			if t.IsVar() {
-				boundVars[t.Var] = true
-			}
+	sp := &r.c.steps[i]
+	if sp.gallop > 0 && r.vs != nil {
+		if done, err := r.gallop(i, sp); done {
+			r.regs[sp.gslot] = core.Wildcard
+			return err
 		}
 	}
-	return order
-}
-
-// Execute runs the query against the store with nested-loop joins over
-// the planned order and invokes emit for every solution. It returns the
-// execution statistics.
-func Execute(q Query, st Store, emit func(Bindings)) (ExecStats, error) {
-	return executeOrdered(nil, q, st, Plan(q), nil, emit, false)
-}
-
-// singleFreeVar reports the variable of tp that is still unbound under
-// b, provided it occupies exactly one component slot and no other slot
-// is free.
-func singleFreeVar(tp TriplePattern, b Bindings) (string, bool) {
-	name := ""
-	slots := 0
-	for _, t := range []Term{tp.S, tp.P, tp.O} {
-		if !t.IsVar() {
-			continue
+	r.stats.PatternsIssued++
+	r.tr.StepIssued(i, sp.pattern, false)
+	it := r.st.Select(sp.substitute(r.regs))
+	for {
+		t, ok := it.Next()
+		if !ok {
+			break
 		}
-		if _, bound := b[t.Var]; bound {
-			continue
+		r.stats.TriplesMatched++
+		r.tr.StepScanned(i)
+		if err := r.check(); err != nil {
+			return err
 		}
-		slots++
-		if name == "" {
-			name = t.Var
-		} else if name != t.Var {
-			return "", false
-		}
-	}
-	return name, slots == 1
-}
-
-// bindTerm binds one pattern term against one result component:
-// variables already bound must agree (consistent duplicates in the same
-// pattern, e.g. ?x <p> ?x), fresh variables are recorded in nv so the
-// caller can unbind them. A top-level function instead of a closure so
-// the per-candidate hot loop allocates nothing.
-func bindTerm(b Bindings, term Term, id core.ID, nv *[3]string, nvn *int) bool {
-	if !term.IsVar() {
-		return true
-	}
-	if prev, bound := b[term.Var]; bound {
-		return prev == id
-	}
-	b[term.Var] = id
-	nv[*nvn] = term.Var
-	*nvn++
-	return true
-}
-
-// executeOrdered evaluates the BGP over an explicit pattern order:
-// nested-loop joins, except that maximal runs of consecutive patterns
-// sharing their single free variable are resolved with a leapfrog
-// merge-intersection of the sorted binding streams the index serves
-// natively (core.VarSelecter), skipping over non-joining candidates with
-// NextGEQ instead of enumerating them. With reuseEmit, one output map is
-// cleared and refilled per solution instead of allocated fresh.
-func executeOrdered(ctx context.Context, q Query, st Store, order []int, tr *obs.Trace, emit func(Bindings), reuseEmit bool) (ExecStats, error) {
-	var stats ExecStats
-	bindings := Bindings{}
-	out := Bindings{}
-	vs, hasVS := st.(core.VarSelecter)
-	var cancel *canceller
-	if ctx != nil {
-		cancel = &canceller{ctx: ctx}
-	}
-	// Per-step scratch for the variables each recursion level binds;
-	// hoisted out of the candidate loop so the hot path stays
-	// allocation-free.
-	newVars := make([][3]string, len(order))
-	var rec func(step int) error
-	rec = func(step int) error {
-		if step == len(order) {
-			stats.Results++
-			if emit != nil {
-				if reuseEmit {
-					clear(out)
-				} else {
-					out = Bindings{}
-				}
-				for _, v := range q.Vars {
-					if id, ok := bindings[v]; ok {
-						out[v] = id
-					}
-				}
-				emit(out)
-			}
-			return nil
-		}
-		tp := q.Patterns[order[step]]
-		pat := substitute(tp, bindings)
-		// A gallop group needs at least two patterns, so the innermost
-		// step (the hot path of the recursion) skips detection entirely.
-		if hasVS && step+1 < len(order) {
-			if v, ok := singleFreeVar(tp, bindings); ok {
-				group := []core.Pattern{pat}
-				for g := step + 1; g < len(order); g++ {
-					tp2 := q.Patterns[order[g]]
-					if v2, ok2 := singleFreeVar(tp2, bindings); !ok2 || v2 != v {
-						break
-					}
-					group = append(group, substitute(tp2, bindings))
-				}
-				if len(group) >= 2 {
-					if done, err := execGallop(vs, group, v, bindings, &stats, cancel, tr, step, order, func() error {
-						return rec(step + len(group))
-					}); done {
-						return err
-					}
-				}
-			}
-		}
-		stats.PatternsIssued++
-		tr.StepIssued(step, order[step], false)
-		it := st.Select(pat)
-		nv := &newVars[step]
-		for {
-			t, ok := it.Next()
-			if !ok {
-				return nil
-			}
-			stats.TriplesMatched++
-			tr.StepScanned(step)
-			if err := cancel.check(); err != nil {
+		if sp.ops[0].accept(r.regs, t.S) && sp.ops[1].accept(r.regs, t.P) && sp.ops[2].accept(r.regs, t.O) {
+			r.tr.StepMatched(i)
+			if err := r.step(i + 1); err != nil {
 				return err
 			}
-			nvn := 0
-			okBind := bindTerm(bindings, tp.S, t.S, nv, &nvn) &&
-				bindTerm(bindings, tp.P, t.P, nv, &nvn) &&
-				bindTerm(bindings, tp.O, t.O, nv, &nvn)
-			if okBind {
-				tr.StepMatched(step)
-				if err := rec(step + 1); err != nil {
-					return err
-				}
-			}
-			for i := 0; i < nvn; i++ {
-				delete(bindings, nv[i])
-			}
 		}
 	}
-	if err := rec(0); err != nil {
-		return stats, err
+	for _, o := range sp.ops {
+		if o.act == actBind {
+			r.regs[o.slot] = core.Wildcard
+		}
 	}
-	return stats, nil
+	return nil
 }
 
-// execGallop intersects the sorted binding streams of a group of
-// patterns that share their single free variable v, invoking found for
-// every common value with v bound. done is false when the store cannot
+// gallop intersects the sorted binding streams of the group of steps
+// starting at i, continuing below the group for every common value with
+// the group's register bound to it. done is false when the store cannot
 // serve one of the streams (the caller falls back to nested iteration).
-func execGallop(vs core.VarSelecter, group []core.Pattern, v string,
-	bindings Bindings, stats *ExecStats, cancel *canceller, tr *obs.Trace, step int, order []int, found func() error) (done bool, err error) {
-	its := make([]*core.VarIter, len(group))
-	for i, p := range group {
-		it, ok := vs.SelectVarSorted(p)
+//
+//rdf:hotpath
+func (r *run) gallop(i int, sp *step) (done bool, err error) {
+	g := sp.gallop
+	its, cand := r.its[i:i+g], r.cand[i:i+g]
+	for k := range its {
+		it, ok := r.vs.SelectVarSorted(r.c.steps[i+k].substitute(r.regs))
 		if !ok {
 			return false, nil
 		}
-		its[i] = it
+		its[k] = it
 	}
-	stats.PatternsIssued += len(group)
-	if tr != nil {
-		for i := range group {
-			tr.StepIssued(step+i, order[step+i], true)
-		}
+	r.stats.PatternsIssued += g
+	for k := range its {
+		r.tr.StepIssued(i+k, r.c.steps[i+k].pattern, true)
 	}
 	// Leapfrog: keep one candidate per stream; advance every stream below
 	// the maximum with a NextGEQ skip, and report when all candidates
 	// agree. Values are distinct within a stream, so each agreement is
 	// exactly one solution.
-	cand := make([]core.ID, len(its))
-	for i, it := range its {
+	for k, it := range its {
 		c, ok := it.Next()
-		tr.StepScanned(step + i)
+		r.tr.StepScanned(i + k)
 		if !ok {
 			return true, nil
 		}
-		cand[i] = c
+		cand[k] = c
 	}
 	for {
-		if err := cancel.check(); err != nil {
+		if err := r.check(); err != nil {
 			return true, err
 		}
 		maxv := cand[0]
 		for _, c := range cand[1:] {
-			if c > maxv {
-				maxv = c
-			}
+			maxv = max(maxv, c)
 		}
 		agree := true
-		for i, it := range its {
-			if cand[i] < maxv {
+		for k, it := range its {
+			if cand[k] < maxv {
 				c, ok := it.NextGEQ(maxv)
-				tr.StepScanned(step + i)
+				r.tr.StepScanned(i + k)
 				if !ok {
 					return true, nil
 				}
-				cand[i] = c
+				cand[k] = c
 				if c != maxv {
 					agree = false
 				}
@@ -465,20 +511,16 @@ func execGallop(vs core.VarSelecter, group []core.Pattern, v string,
 		if !agree {
 			continue
 		}
-		stats.TriplesMatched += len(group)
-		if tr != nil {
-			for i := range its {
-				tr.StepMatched(step + i)
-			}
+		r.stats.TriplesMatched += g
+		for k := range its {
+			r.tr.StepMatched(i + k)
 		}
-		bindings[v] = maxv
-		err := found()
-		delete(bindings, v)
-		if err != nil {
+		r.regs[sp.gslot] = maxv
+		if err := r.step(i + g); err != nil {
 			return true, err
 		}
 		c, ok := its[0].Next()
-		tr.StepScanned(step)
+		r.tr.StepScanned(i)
 		if !ok {
 			return true, nil
 		}
@@ -486,56 +528,32 @@ func execGallop(vs core.VarSelecter, group []core.Pattern, v string,
 	}
 }
 
-// Decompose runs the query and returns the sequence of atomic selection
-// patterns it issued, in execution order. This is the paper's Table 6
-// methodology: the same decomposition is replayed against each index so
-// that all systems execute identical pattern sequences.
+// recorder is a Store that logs every selection pattern issued on it.
+// Embedding the interface hides the index's VarSelecter, so a plan run
+// over a recorder evaluates with nested loops only.
+type recorder struct {
+	Store
+	issued []core.Pattern
+}
+
+func (r *recorder) Select(p core.Pattern) *core.Iterator {
+	r.issued = append(r.issued, p)
+	return r.Store.Select(p)
+}
+
+// Decompose runs the query under its Plan order with nested loops and
+// returns the sequence of atomic selection patterns it issued, in
+// execution order. This is the paper's Table 6 methodology: the same
+// decomposition is replayed against each index so that all systems
+// execute identical pattern sequences.
 func Decompose(q Query, st Store) ([]core.Pattern, error) {
-	order := Plan(q)
-	var issued []core.Pattern
-	bindings := Bindings{}
-	var rec func(step int)
-	rec = func(step int) {
-		if step == len(order) {
-			return
-		}
-		tp := q.Patterns[order[step]]
-		pat := substitute(tp, bindings)
-		issued = append(issued, pat)
-		it := st.Select(pat)
-		for {
-			t, ok := it.Next()
-			if !ok {
-				return
-			}
-			newVars := make([]string, 0, 3)
-			okBind := true
-			tryBind := func(term Term, id core.ID) {
-				if !okBind || !term.IsVar() {
-					return
-				}
-				if prev, bound := bindings[term.Var]; bound {
-					if prev != id {
-						okBind = false
-					}
-					return
-				}
-				bindings[term.Var] = id
-				newVars = append(newVars, term.Var)
-			}
-			tryBind(tp.S, t.S)
-			tryBind(tp.P, t.P)
-			tryBind(tp.O, t.O)
-			if okBind {
-				rec(step + 1)
-			}
-			for _, v := range newVars {
-				delete(bindings, v)
-			}
-		}
+	c, err := Compile(q, Plan(q))
+	if err != nil {
+		return nil, err
 	}
-	rec(0)
-	return issued, nil
+	rec := &recorder{Store: st}
+	_, err = Run(context.Background(), c, rec, Options{}, nil)
+	return rec.issued, err
 }
 
 // Replay executes a pre-computed pattern decomposition against a store,
@@ -544,13 +562,31 @@ func Decompose(q Query, st Store) ([]core.Pattern, error) {
 func Replay(patterns []core.Pattern, st Store) int {
 	total := 0
 	for _, p := range patterns {
-		it := st.Select(p)
-		for {
-			if _, ok := it.Next(); !ok {
-				break
-			}
-			total++
-		}
+		total += countUpTo(st, p, math.MaxInt)
 	}
 	return total
+}
+
+// Bindings, StreamWithOrder and results.Writer's map-taking row method
+// are the row API from before Compile. benchmark/ladder/layers.go compiles
+// against them and benchmark/ may not change in a PR that claims a gain;
+// nothing else calls them. Delete all three once layers.go uses Run.
+type Bindings map[string]core.ID
+
+// StreamWithOrder adapts Run to the Bindings callback; see Bindings.
+func StreamWithOrder(ctx context.Context, q Query, st Store, order []int, emit func(Bindings)) (ExecStats, error) {
+	c, err := Compile(q, order)
+	if err != nil {
+		return ExecStats{}, err
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	b := Bindings{}
+	return Run(ctx, c, st, Options{}, func(row []core.ID) {
+		for k, v := range q.Vars {
+			b[v] = row[k]
+		}
+		emit(b)
+	})
 }

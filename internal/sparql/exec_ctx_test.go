@@ -4,50 +4,36 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"rdfindexes/internal/core"
 )
 
-// TestExecuteContextCompletes checks the context path returns the same
-// results as the plain path when nothing cancels.
-func TestExecuteContextCompletes(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	ts := randomTriples(rng, 600)
-	st := sliceStore(ts)
-	q, err := Parse("SELECT ?x ?y WHERE { ?x <1> ?y . ?y <1> ?z . }")
+// compile is Compile under Plan's order.
+func compile(t testing.TB, qs string) *Compiled {
+	t.Helper()
+	q, err := Parse(qs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Execute(q, st, nil)
+	c, err := Compile(q, Plan(q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := ExecuteContext(context.Background(), q, st, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Results != withCtx.Results || plain.TriplesMatched != withCtx.TriplesMatched {
-		t.Fatalf("context path diverged: %+v vs %+v", plain, withCtx)
-	}
+	return c
 }
 
-// TestExecuteContextCancellation runs a cross-product-heavy query under
-// an already-cancelled context and expects a prompt abort with the
+// TestRunCancellation runs a cross-product-heavy query under an
+// already-cancelled context and expects a prompt abort with the
 // context's error, with at most one cancellation stride of extra work.
-func TestExecuteContextCancellation(t *testing.T) {
+func TestRunCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	ts := randomTriples(rng, 1200)
-	st := sliceStore(ts)
+	st := sliceStore(randomTriples(rng, 1200))
 	// Two unrelated pattern pairs force a large intermediate product.
-	q, err := Parse("SELECT ?a ?b WHERE { ?a <1> ?x . ?b <2> ?y . }")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := compile(t, "SELECT ?a ?b WHERE { ?a <1> ?x . ?b <2> ?y . }")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	stats, err := ExecuteContext(ctx, q, st, nil)
+	stats, err := Run(ctx, c, st, Options{}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled execution returned %v, want context.Canceled", err)
 	}
@@ -57,82 +43,113 @@ func TestExecuteContextCancellation(t *testing.T) {
 	if stats.TriplesMatched > 2*cancelStride {
 		t.Fatalf("cancelled execution still matched %d triples (> 2 strides)", stats.TriplesMatched)
 	}
+	full, err := Run(context.Background(), c, st, Options{}, nil)
+	if err != nil || full.TriplesMatched <= 2*cancelStride {
+		t.Fatalf("uncancelled run: %+v, %v; the query is too small to show an early abort", full, err)
+	}
 }
 
-// TestExecuteContextDeadlineGallop cancels inside the merge-intersection
-// path: patterns sharing their single free variable gallop, and the
-// canceller must fire there too.
-func TestExecuteContextDeadlineGallop(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	ts := randomTriples(rng, 1200)
-	d := core.NewDataset(append([]core.Triple(nil), ts...))
-	x, err := core.Build3T(d)
+// TestRunCancellationGallop cancels inside the merge-intersection path:
+// patterns sharing their single free variable gallop, and the stride
+// check must fire there too.
+func TestRunCancellationGallop(t *testing.T) {
+	// Two predicates over the same 3000 subjects and one object: the
+	// intersection agrees 3000 times, well past one stride.
+	var ts []core.Triple
+	for s := 0; s < 3000; s++ {
+		ts = append(ts, core.Triple{S: core.ID(s), P: 0, O: 0}, core.Triple{S: core.ID(s), P: 1, O: 0})
+	}
+	x, err := core.Build3T(core.NewDataset(ts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := Parse("SELECT ?x WHERE { ?x <1> <2> . ?x <2> <3> . }")
-	if err != nil {
-		t.Fatal(err)
+	c := compile(t, "SELECT ?x WHERE { ?x <0> <0> . ?x <1> <0> . }")
+	if c.steps[0].gallop != 2 {
+		t.Fatalf("star query compiled without a gallop group: %+v", c.steps)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExecuteContext(ctx, q, x, nil); err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("unexpected error %v", err)
+	stats, err := Run(ctx, c, x, Options{}, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled gallop returned %v, want context.Canceled", err)
 	}
-	// A nil-emit complete run on the same store for comparison.
-	if _, err := ExecuteContext(context.Background(), q, x, nil); err != nil {
-		t.Fatalf("uncancelled run failed: %v", err)
+	if stats.Results > cancelStride {
+		t.Fatalf("cancelled gallop still produced %d results (> 1 stride)", stats.Results)
+	}
+	if full, err := Run(context.Background(), c, x, Options{}, nil); err != nil || full.Results != 3000 {
+		t.Fatalf("uncancelled gallop: %+v, %v", full, err)
 	}
 }
 
-// TestStreamWithOrderReusesBindings pins the streaming contract: the
-// same solutions as ExecuteWithOrder, delivered through one reused map,
-// while the Execute family keeps handing out fresh maps (callers retain
-// those).
-func TestStreamWithOrderReusesBindings(t *testing.T) {
+// TestRunReusesRow pins the emit contract: one row buffer for the whole
+// run, holding exactly the projected columns in Query.Vars order.
+func TestRunReusesRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	ts := randomTriples(rng, 600)
 	st := sliceStore(ts)
-	q, err := Parse("SELECT ?x ?y ?z WHERE { ?x <1> ?y . ?y <1> ?z . }")
+	c := compile(t, "SELECT ?z ?x WHERE { ?x <1> ?y . ?y <1> ?z . }")
+	var first *core.ID
+	rows := 0
+	stats, err := Run(context.Background(), c, st, Options{}, func(row []core.ID) {
+		if len(row) != 2 {
+			t.Fatalf("row %v, want 2 columns", row)
+		}
+		if first == nil {
+			first = &row[0] //rdf:allow(test asserts the executor reuses one row; keeping its address is the point)
+		} else if first != &row[0] {
+			t.Fatal("Run allocated a fresh row")
+		}
+		// ?x <1> ?y . ?y <1> ?z must hold for the projected (z, x).
+		ok := false
+		for _, a := range ts {
+			for _, b := range ts {
+				ok = ok || a.P == 1 && b.P == 1 && a.S == row[1] && a.O == b.S && b.O == row[0]
+			}
+		}
+		if !ok {
+			t.Fatalf("row (z=%d, x=%d) is not a solution", row[0], row[1])
+		}
+		rows++
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := Plan(q)
-	type row struct{ x, y, z core.ID }
-	var want []row
-	if _, err := ExecuteWithOrder(q, st, order, func(b Bindings) {
-		want = append(want, row{b["x"], b["y"], b["z"]})
-	}); err != nil {
-		t.Fatal(err)
+	if rows == 0 || rows != stats.Results {
+		t.Fatalf("emitted %d rows, stats say %d", rows, stats.Results)
 	}
-	var fresh []Bindings
-	if _, err := ExecuteWithOrder(q, st, order, func(b Bindings) {
-		fresh = append(fresh, b)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range fresh {
-		if b["x"] != want[i].x || b["y"] != want[i].y || b["z"] != want[i].z {
-			t.Fatalf("Execute retained map %d mutated: %v, want %v", i, b, want[i])
+}
+
+// TestCompileRejects covers the two compile-time errors: a variable in
+// both a predicate and a subject/object position, and an order that is
+// not a permutation.
+func TestCompileRejects(t *testing.T) {
+	for _, qs := range []string{
+		"SELECT ?x WHERE { ?x ?x <1> . }",
+		"SELECT ?x WHERE { <1> ?x ?y . ?y <2> ?x . }",
+		"SELECT ?p WHERE { ?s ?p <1> . ?p <2> ?o . }",
+	} {
+		q, err := Parse(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Compile(q, Plan(q)); err == nil {
+			t.Errorf("Compile accepted mixed-role %q", qs)
 		}
 	}
-	var got []row
-	var prev Bindings
-	if _, err := StreamWithOrder(context.Background(), q, st, order, func(b Bindings) {
-		if prev != nil && reflect.ValueOf(b).Pointer() != reflect.ValueOf(prev).Pointer() {
-			t.Fatal("StreamWithOrder allocated a fresh bindings map")
-		}
-		prev = b //rdf:allow(test asserts the executor reuses one map; retaining it is the point)
-		got = append(got, row{b["x"], b["y"], b["z"]})
-	}); err != nil {
+	q, err := Parse("SELECT ?x ?p WHERE { ?x ?p <1> . ?x <2> ?y . }")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("stream emitted %d rows, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("stream row %d = %v, want %v", i, got[i], want[i])
+	for _, order := range [][]int{{0}, {0, 0}, {0, 2}, {0, 1, 1}, {-1, 0}} {
+		if _, err := Compile(q, order); err == nil {
+			t.Errorf("Compile accepted order %v", order)
 		}
+	}
+	c, err := Compile(q, []int{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Roles) != 2 || c.Roles[0] != core.RoleSO || c.Roles[1] != core.RoleP {
+		t.Fatalf("Roles = %v, want [SO P]", c.Roles)
 	}
 }

@@ -25,10 +25,7 @@ func TestPlanWithStatsMatchesExecuteResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defaultStats, err := Execute(q, x, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		defaultStats := execute(t, q, x, nil, nil)
 		order := PlanWithStats(q, x)
 		if len(order) != len(q.Patterns) {
 			t.Fatalf("%q: stats plan has %d steps, want %d", qs, len(order), len(q.Patterns))
@@ -40,10 +37,7 @@ func TestPlanWithStatsMatchesExecuteResults(t *testing.T) {
 			}
 			seen[i] = true
 		}
-		statsStats, err := ExecuteWithOrder(q, x, order, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		statsStats := execute(t, q, x, order, nil)
 		if statsStats.Results != defaultStats.Results {
 			t.Fatalf("%q: stats-planned execution found %d results, default %d",
 				qs, statsStats.Results, defaultStats.Results)

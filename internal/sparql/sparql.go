@@ -222,16 +222,9 @@ func (p *parser) parseQuery() (Query, error) {
 		return q, fmt.Errorf("sparql: empty BGP")
 	}
 	// Projection variables must occur in the BGP.
-	bound := map[string]bool{}
-	for _, tp := range q.Patterns {
-		for _, t := range []Term{tp.S, tp.P, tp.O} {
-			if t.IsVar() {
-				bound[t.Var] = true
-			}
-		}
-	}
+	names, _ := resolve(q)
 	for _, v := range q.Vars {
-		if !bound[v] {
+		if slotOf(names, v) == len(names) {
 			return q, fmt.Errorf("sparql: projected variable ?%s not used in the BGP", v)
 		}
 	}

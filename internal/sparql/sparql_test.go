@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -62,6 +63,23 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// execute compiles q under order (Plan's when nil) and runs it to completion.
+func execute(t testing.TB, q Query, st Store, order []int, emit func(row []core.ID)) ExecStats {
+	t.Helper()
+	if order == nil {
+		order = Plan(q)
+	}
+	c, err := Compile(q, order)
+	if err != nil {
+		t.Fatalf("%v: %v", q, err)
+	}
+	stats, err := Run(context.Background(), c, st, Options{}, emit)
+	if err != nil {
+		t.Fatalf("%v: %v", q, err)
+	}
+	return stats
+}
+
 // sliceStore is a brute-force Store for oracle checks.
 type sliceStore []core.Triple
 
@@ -84,15 +102,15 @@ func (s sliceStore) Select(p core.Pattern) *core.Iterator {
 // assignments implied by the triples.
 func refExecute(q Query, ts []core.Triple) int {
 	var count int
-	var rec func(step int, b Bindings)
-	rec = func(step int, b Bindings) {
+	var rec func(step int, b map[string]core.ID)
+	rec = func(step int, b map[string]core.ID) {
 		if step == len(q.Patterns) {
 			count++
 			return
 		}
 		tp := q.Patterns[step]
 		for _, t := range ts {
-			nb := Bindings{}
+			nb := map[string]core.ID{}
 			for k, v := range b {
 				nb[k] = v
 			}
@@ -123,7 +141,7 @@ func refExecute(q Query, ts []core.Triple) int {
 			}
 		}
 	}
-	rec(0, Bindings{})
+	rec(0, map[string]core.ID{})
 	return count
 }
 
@@ -162,10 +180,7 @@ func TestExecuteAgainstBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", qs, err)
 		}
-		stats, err := Execute(q, store, nil)
-		if err != nil {
-			t.Fatalf("%q: %v", qs, err)
-		}
+		stats := execute(t, q, store, nil, nil)
 		want := refExecute(q, ts)
 		if stats.Results != want {
 			t.Fatalf("%q: got %d results, want %d", qs, stats.Results, want)
@@ -186,16 +201,10 @@ func TestExecuteAgainstRealIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bruteStats, err := Execute(q, store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var solutions []Bindings
-	idxStats, err := Execute(q, x, func(b Bindings) { solutions = append(solutions, b) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idxStats.Results != bruteStats.Results || len(solutions) != idxStats.Results {
+	bruteStats := execute(t, q, store, nil, nil)
+	solutions := 0
+	idxStats := execute(t, q, x, nil, func([]core.ID) { solutions++ })
+	if idxStats.Results != bruteStats.Results || solutions != idxStats.Results {
 		t.Fatalf("index execution: %d results, brute force: %d", idxStats.Results, bruteStats.Results)
 	}
 }
@@ -253,10 +262,7 @@ func TestDecomposeReplayMatchesExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Execute(q, x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := execute(t, q, x, nil, nil)
 	if len(patterns) != stats.PatternsIssued {
 		t.Fatalf("decomposition has %d patterns, execution issued %d",
 			len(patterns), stats.PatternsIssued)

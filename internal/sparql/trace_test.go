@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,10 +10,10 @@ import (
 	"rdfindexes/internal/obs"
 )
 
-// TestStreamTraced checks the per-step cardinality recording against
+// TestRunTraced checks the per-step cardinality recording against
 // the executor's own aggregate stats on both the nested-loop and the
 // merge-intersection paths.
-func TestStreamTraced(t *testing.T) {
+func TestRunTraced(t *testing.T) {
 	rng := rand.New(rand.NewSource(307))
 	d := core.NewDataset(randomTriples(rng, 600))
 	x, err := core.Build2Tp(d)
@@ -36,17 +37,18 @@ func TestStreamTraced(t *testing.T) {
 			t.Fatalf("%q: %v", qs, err)
 		}
 		order := Plan(q)
+		c, err := Compile(q, order)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tr := obs.AcquireTrace()
 		tr.EnableSteps(len(order))
-		stats, err := StreamTraced(nil, q, x, order, tr, nil)
+		stats, err := Run(context.Background(), c, x, Options{Trace: tr}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Untraced execution is bit-identical.
-		plain, err := StreamWithOrder(nil, q, x, order, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plain := execute(t, q, x, order, nil)
 		if plain != stats {
 			t.Errorf("%q: traced stats %+v != untraced %+v", qs, stats, plain)
 		}
@@ -83,10 +85,10 @@ func TestStreamTraced(t *testing.T) {
 	}
 }
 
-// TestStreamTracedGallopFlag checks that a star join resolved by
+// TestRunTracedGallopFlag checks that a star join resolved by
 // merge-intersection marks its steps Gallop with the scanned/matched
 // gap visible, while a chain join does not.
-func TestStreamTracedGallopFlag(t *testing.T) {
+func TestRunTracedGallopFlag(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
 	d := core.NewDataset(randomTriples(rng, 600))
 	x, err := core.Build2Tp(d)
@@ -108,11 +110,17 @@ func TestStreamTracedGallopFlag(t *testing.T) {
 	}
 	tr := obs.AcquireTrace()
 	defer tr.Release()
-	order := Plan(star)
-	tr.EnableSteps(len(order))
-	if _, err := StreamTraced(nil, star, x, order, tr, nil); err != nil {
-		t.Fatal(err)
+	traced := func(q Query, tr *obs.Trace) {
+		c, err := Compile(q, Plan(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.EnableSteps(len(c.Order))
+		if _, err := Run(context.Background(), c, x, Options{Trace: tr}, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
+	traced(star, tr)
 	for i, st := range tr.Steps() {
 		if !st.Gallop {
 			t.Errorf("star step %d not marked gallop: %+v", i, st)
@@ -126,11 +134,7 @@ func TestStreamTracedGallopFlag(t *testing.T) {
 	}
 	tr2 := obs.AcquireTrace()
 	defer tr2.Release()
-	order2 := Plan(chain)
-	tr2.EnableSteps(len(order2))
-	if _, err := StreamTraced(nil, chain, x, order2, tr2, nil); err != nil {
-		t.Fatal(err)
-	}
+	traced(chain, tr2)
 	for i, st := range tr2.Steps() {
 		if st.Gallop {
 			t.Errorf("chain step %d marked gallop: %+v", i, st)

@@ -1,7 +1,7 @@
 // Result materialization: the pooled, allocation-free path from result
 // IDs back to rendered terms. Renderer holds the per-request dictionary
 // cursors (mirroring core.QueryCtx for the ID-level scratch), and
-// NDJSONWriter streams /query and /sparql result rows as NDJSON with an
+// NDJSONWriter streams /query and /v1/sparql result rows as NDJSON with an
 // escaped-term cache keyed by ID — the dominant cost of result streaming
 // after the ID-level pipeline went zero-alloc (PR 1) was exactly this
 // layer re-decoding front-coded buckets and allocating a row object per
@@ -88,6 +88,17 @@ func (r *Renderer) AppendPredicate(buf []byte, id core.ID) []byte {
 	return appendIDTerm(buf, id)
 }
 
+// Append appends the term id names in the given role: the one place that
+// maps a role to its dictionary.
+//
+//rdf:hotpath
+func (r *Renderer) Append(buf []byte, role core.Role, id core.ID) []byte {
+	if role == core.RoleP {
+		return r.AppendPredicate(buf, id)
+	}
+	return r.AppendTerm(buf, id)
+}
+
 //rdf:hotpath
 func appendIDTerm(buf []byte, id core.ID) []byte {
 	buf = append(buf, '<')
@@ -107,10 +118,10 @@ const ndjsonFlushAt = 8 << 10
 // without caching, keeping the arena bounded.
 const maxCachedTerms = 1 << 14
 
-// ndjsonTrimCap is the largest buffer capacity a pooled writer retains;
+// trimCap is the largest buffer capacity a pooled row writer retains;
 // anything a pathological request grew beyond it is handed back to the
 // garbage collector on Release.
-const ndjsonTrimCap = 1 << 20
+const trimCap = 1 << 20
 
 // NDJSONWriter streams result rows as NDJSON through pooled scratch:
 // rendered terms are JSON-escaped once per distinct ID per request and
@@ -131,8 +142,8 @@ type NDJSONWriter struct {
 	so    map[core.ID]termSpan
 	pd    map[core.ID]termSpan
 
-	vars   []string // solution row keys, in emission order
-	keybuf []byte   // escaped `"var":` fragments back to back
+	roles  []core.Role // solution row columns' ID spaces
+	keybuf []byte      // escaped `"var":` fragments back to back
 	keyoff []termSpan
 }
 
@@ -162,17 +173,19 @@ func (n *NDJSONWriter) Release() {
 	n.rend, n.w = nil, nil
 	clear(n.so)
 	clear(n.pd)
-	n.buf = trimCap(n.buf)
-	n.raw = trimCap(n.raw)
-	n.arena = trimCap(n.arena)
-	n.keybuf = trimCap(n.keybuf)
-	n.vars = n.vars[:0]
+	n.buf = TrimBuffer(n.buf)
+	n.raw = TrimBuffer(n.raw)
+	n.arena = TrimBuffer(n.arena)
+	n.keybuf = TrimBuffer(n.keybuf)
+	n.roles = n.roles[:0]
 	n.keyoff = n.keyoff[:0]
 	ndjsonPool.Put(n)
 }
 
-func trimCap(b []byte) []byte {
-	if cap(b) > ndjsonTrimCap {
+// TrimBuffer empties a pooled writer's scratch buffer for reuse, or drops
+// it when its capacity outgrew trimCap.
+func TrimBuffer(b []byte) []byte {
+	if cap(b) > trimCap {
 		return nil
 	}
 	return b[:0]
@@ -194,9 +207,6 @@ func (n *NDJSONWriter) maybeFlush() {
 	}
 }
 
-// Err returns the sticky stream error.
-func (n *NDJSONWriter) Err() error { return n.err }
-
 // AppendRaw appends pre-encoded bytes (a hand-built summary line) to the
 // pending output verbatim.
 //
@@ -210,7 +220,7 @@ func (n *NDJSONWriter) AppendRaw(p []byte) {
 func (n *NDJSONWriter) WriteError(msg string) {
 	n.buf = append(n.buf, `{"error":`...)
 	n.raw = append(n.raw[:0], msg...)
-	n.buf = appendJSONString(n.buf, n.raw)
+	n.buf = AppendJSONString(n.buf, n.raw)
 	n.buf = append(n.buf, '}', '\n')
 	n.maybeFlush()
 }
@@ -222,79 +232,75 @@ func (n *NDJSONWriter) WriteError(msg string) {
 //rdf:hotpath
 func (n *NDJSONWriter) WriteTriple(t core.Triple) {
 	n.buf = append(n.buf, `{"s":`...)
-	n.appendID(t.S, false)
+	n.appendID(t.S, core.RoleSO)
 	n.buf = append(n.buf, `,"p":`...)
-	n.appendID(t.P, true)
+	n.appendID(t.P, core.RoleP)
 	n.buf = append(n.buf, `,"o":`...)
-	n.appendID(t.O, false)
+	n.appendID(t.O, core.RoleSO)
 	n.buf = append(n.buf, '}', '\n')
 	n.maybeFlush()
 }
 
 //rdf:hotpath
-func (n *NDJSONWriter) appendID(id core.ID, predicate bool) {
+func (n *NDJSONWriter) appendID(id core.ID, role core.Role) {
 	if n.ints {
 		n.buf = strconv.AppendUint(n.buf, uint64(id), 10)
 		return
 	}
-	n.appendTerm(id, predicate)
+	n.appendTerm(id, role)
 }
 
 // appendTerm appends the escaped term for id, serving repeats from the
 // arena cache.
 //
 //rdf:hotpath
-func (n *NDJSONWriter) appendTerm(id core.ID, predicate bool) {
+func (n *NDJSONWriter) appendTerm(id core.ID, role core.Role) {
 	cache := n.so
-	if predicate {
+	if role == core.RoleP {
 		cache = n.pd
 	}
 	if sp, ok := cache[id]; ok {
 		n.buf = append(n.buf, n.arena[sp.start:sp.end]...)
 		return
 	}
-	if predicate {
-		n.raw = n.rend.AppendPredicate(n.raw[:0], id)
-	} else {
-		n.raw = n.rend.AppendTerm(n.raw[:0], id)
-	}
+	n.raw = n.rend.Append(n.raw[:0], role, id)
 	if len(cache) < maxCachedTerms {
 		start := len(n.arena)
-		n.arena = appendJSONString(n.arena, n.raw)
+		n.arena = AppendJSONString(n.arena, n.raw)
 		cache[id] = termSpan{start, len(n.arena)}
 		n.buf = append(n.buf, n.arena[start:]...)
 		return
 	}
-	n.buf = appendJSONString(n.buf, n.raw)
+	n.buf = AppendJSONString(n.buf, n.raw)
 }
 
-// SetVars fixes the key set and order of subsequent WriteSolution rows,
-// pre-escaping every variable name once.
-func (n *NDJSONWriter) SetVars(vars []string) {
-	n.vars = append(n.vars[:0], vars...)
+// SetVars fixes the columns of subsequent WriteRow rows — vars[i] is the
+// key of column i and roles[i] its ID space (a compiled plan's Vars and
+// Roles) — pre-escaping every variable name once.
+func (n *NDJSONWriter) SetVars(vars []string, roles []core.Role) {
+	n.roles = append(n.roles[:0], roles...)
 	n.keybuf = n.keybuf[:0]
 	n.keyoff = n.keyoff[:0]
 	for _, v := range vars {
 		start := len(n.keybuf)
 		n.raw = append(n.raw[:0], v...)
-		n.keybuf = appendJSONString(n.keybuf, n.raw)
+		n.keybuf = AppendJSONString(n.keybuf, n.raw)
 		n.keybuf = append(n.keybuf, ':')
 		n.keyoff = append(n.keyoff, termSpan{start, len(n.keybuf)})
 	}
 }
 
-// WriteSolution emits one BGP solution row over the SetVars keys;
-// variables absent from b are omitted. Solution terms always render as
-// strings (the <id> fallback covers integer-only stores), matching the
-// pre-writer server behavior.
+// WriteRow emits one BGP solution row over the SetVars columns; a column
+// holding core.Wildcard is unbound and omitted. Solution terms always
+// render as strings (the <id> fallback covers integer-only stores),
+// matching the pre-writer server behavior.
 //
 //rdf:hotpath
-func (n *NDJSONWriter) WriteSolution(b map[string]core.ID) {
+func (n *NDJSONWriter) WriteRow(row []core.ID) {
 	n.buf = append(n.buf, '{')
 	first := true
-	for i, v := range n.vars {
-		id, ok := b[v]
-		if !ok {
+	for i, id := range row {
+		if id == core.Wildcard {
 			continue
 		}
 		if !first {
@@ -303,17 +309,17 @@ func (n *NDJSONWriter) WriteSolution(b map[string]core.ID) {
 		first = false
 		sp := n.keyoff[i]
 		n.buf = append(n.buf, n.keybuf[sp.start:sp.end]...)
-		n.appendTerm(id, false)
+		n.appendTerm(id, n.roles[i])
 	}
 	n.buf = append(n.buf, '}', '\n')
 	n.maybeFlush()
 }
 
-// appendJSONString appends s as a JSON string literal, escaping quotes,
+// AppendJSONString appends s as a JSON string literal, escaping quotes,
 // backslashes and control bytes; valid UTF-8 passes through verbatim.
 //
 //rdf:hotpath
-func appendJSONString(dst, s []byte) []byte {
+func AppendJSONString(dst, s []byte) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); i++ {

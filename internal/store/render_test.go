@@ -113,8 +113,8 @@ func TestNDJSONWriterIntsAndSolutions(t *testing.T) {
 	var out bytes.Buffer
 	nw := AcquireNDJSON(ints, &out)
 	nw.WriteTriple(core.Triple{S: 1, P: 2, O: 3})
-	nw.SetVars([]string{"x", "y", "z"})
-	nw.WriteSolution(map[string]core.ID{"x": 1, "z": 2})
+	nw.SetVars([]string{"x", "y", "z", "p"}, []core.Role{core.RoleSO, core.RoleSO, core.RoleSO, core.RoleP})
+	nw.WriteRow([]core.ID{1, core.Wildcard, 2, 7})
 	nw.WriteError(`boom "quoted\"`)
 	nw.AppendRaw([]byte("{\"matches\":1}\n"))
 	if err := nw.Flush(); err != nil {
@@ -128,7 +128,7 @@ func TestNDJSONWriterIntsAndSolutions(t *testing.T) {
 	if lines[0]["s"] != float64(1) || lines[0]["o"] != float64(3) {
 		t.Fatalf("ints row = %v, want numeric IDs", lines[0])
 	}
-	if lines[1]["x"] != "<1>" || lines[1]["z"] != "<2>" {
+	if lines[1]["x"] != "<1>" || lines[1]["z"] != "<2>" || lines[1]["p"] != "<7>" {
 		t.Fatalf("solution row = %v", lines[1])
 	}
 	if _, hasY := lines[1]["y"]; hasY {
@@ -173,9 +173,10 @@ func TestNDJSONEscaping(t *testing.T) {
 	st := &Store{Index: x, Dicts: &rdf.Dicts{SO: so, P: p}}
 	var out bytes.Buffer
 	nw := AcquireNDJSON(st, &out)
-	nw.SetVars([]string{"v"})
+	// Column p reads the same IDs through the predicate dictionary.
+	nw.SetVars([]string{"v", "p"}, []core.Role{core.RoleSO, core.RoleP})
 	for id := range terms {
-		nw.WriteSolution(map[string]core.ID{"v": core.ID(id)})
+		nw.WriteRow([]core.ID{core.ID(id), core.ID(id % p.Len())})
 	}
 	if err := nw.Flush(); err != nil {
 		t.Fatal(err)
@@ -185,6 +186,9 @@ func TestNDJSONEscaping(t *testing.T) {
 	for i, want := range terms {
 		if lines[i]["v"] != want {
 			t.Fatalf("term %d round-tripped to %q, want %q", i, lines[i]["v"], want)
+		}
+		if wantP, _ := p.Extract(i % p.Len()); lines[i]["p"] != wantP {
+			t.Fatalf("row %d: predicate column %q, want %q", i, lines[i]["p"], wantP)
 		}
 	}
 }
@@ -210,11 +214,11 @@ func TestNDJSONWriterAllocs(t *testing.T) {
 			}
 			nw := AcquireNDJSON(st, io.Discard)
 			defer nw.Release()
-			nw.SetVars([]string{"x", "y"})
+			nw.SetVars([]string{"x", "p", "y"}, []core.Role{core.RoleSO, core.RoleP, core.RoleSO})
 			// Warm: first pass fills the term cache and grows the buffers.
 			for _, tr := range triples {
 				nw.WriteTriple(tr)
-				nw.WriteSolution(map[string]core.ID{"x": tr.S, "y": tr.O})
+				nw.WriteRow([]core.ID{tr.S, tr.P, tr.O})
 			}
 			nw.Flush()
 			i := 0
@@ -225,14 +229,14 @@ func TestNDJSONWriterAllocs(t *testing.T) {
 			}); a != 0 {
 				t.Errorf("WriteTriple allocs/row = %v, want 0", a)
 			}
-			sol := map[string]core.ID{"x": 0, "y": 0}
+			row := make([]core.ID, 3)
 			if a := testing.AllocsPerRun(500, func() {
 				tr := triples[i%len(triples)]
-				sol["x"], sol["y"] = tr.S, tr.O
-				nw.WriteSolution(sol)
+				row[0], row[1], row[2] = tr.S, tr.P, tr.O
+				nw.WriteRow(row)
 				i++
 			}); a != 0 {
-				t.Errorf("WriteSolution allocs/row = %v, want 0", a)
+				t.Errorf("WriteRow allocs/row = %v, want 0", a)
 			}
 			nw.Flush()
 		})

@@ -6,6 +6,7 @@
 package rdfindexes
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -96,12 +97,18 @@ func BenchmarkJoin(b *testing.B) {
 		if len(tc.queries) == 0 {
 			b.Fatalf("%s: no queries generated", tc.name)
 		}
+		plans := make([]*sparql.Compiled, len(tc.queries))
+		for i, q := range tc.queries {
+			var err error
+			if plans[i], err = sparql.Compile(q, sparql.Plan(q)); err != nil {
+				b.Fatal(err)
+			}
+		}
 		b.Run(tc.name, func(b *testing.B) {
 			results := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				q := tc.queries[i%len(tc.queries)]
-				stats, err := sparql.Execute(q, tc.store, nil)
+				stats, err := sparql.Run(context.Background(), plans[i%len(plans)], tc.store, sparql.Options{}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
