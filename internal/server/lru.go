@@ -6,14 +6,16 @@ import (
 )
 
 // lruCache is a mutex-guarded LRU map used for both the result cache
-// (normalized query text -> serialized NDJSON response) and the plan
+// (normalized query text -> serialized response body) and the plan
 // cache (normalized BGP text -> evaluation order). Entries are evicted
 // least-recently-used once cap is exceeded; a zero or negative cap
 // disables the cache entirely (every Get misses, every Put is dropped).
 type lruCache[V any] struct {
 	mu           sync.Mutex
 	cap          int
-	ll           *list.List // front = most recently used
+	size         func(V) int // bytes one value holds; nil: not tracked
+	bytes        int         // sum of size over the cached values
+	ll           *list.List  // front = most recently used
 	m            map[string]*list.Element
 	hits, misses uint64
 	flushes      uint64 // Clear calls: one per changing write (generation bump)
@@ -24,8 +26,16 @@ type lruEntry[V any] struct {
 	val V
 }
 
-func newLRU[V any](capacity int) *lruCache[V] {
-	return &lruCache[V]{cap: capacity, ll: list.New(), m: map[string]*list.Element{}}
+func newLRU[V any](capacity int, size func(V) int) *lruCache[V] {
+	return &lruCache[V]{cap: capacity, size: size, ll: list.New(), m: map[string]*list.Element{}}
+}
+
+// held is the byte size of one value (0 when sizes are not tracked).
+func (c *lruCache[V]) held(v V) int {
+	if c.size == nil {
+		return 0
+	}
+	return c.size(v)
 }
 
 // Get returns the cached value and marks it most recently used.
@@ -53,16 +63,19 @@ func (c *lruCache[V]) Put(key string, val V) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.bytes += c.held(val)
 	if el, ok := c.m[key]; ok {
-		el.Value.(*lruEntry[V]).val = val
+		e := el.Value.(*lruEntry[V])
+		c.bytes -= c.held(e.val)
+		e.val = val
 		c.ll.MoveToFront(el)
 		return
 	}
 	c.m[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val})
 	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.m, back.Value.(*lruEntry[V]).key)
+		e := c.ll.Remove(c.ll.Back()).(*lruEntry[V])
+		c.bytes -= c.held(e.val)
+		delete(c.m, e.key)
 	}
 }
 
@@ -76,6 +89,7 @@ func (c *lruCache[V]) Clear() {
 	defer c.mu.Unlock()
 	c.ll.Init()
 	clear(c.m)
+	c.bytes = 0
 	c.flushes++
 }
 
@@ -87,6 +101,17 @@ func (c *lruCache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// Bytes returns the bytes the cached values hold, by the cache's size
+// function.
+func (c *lruCache[V]) Bytes() int {
+	if c == nil || c.cap <= 0 {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
 }
 
 // Counters returns the hit/miss totals.

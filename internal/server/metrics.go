@@ -38,6 +38,13 @@ func (s *Server) initMetrics() {
 	s.panics = r.Counter("rdf_panics_total", "", "Handler panics converted to 500s")
 	s.failed = r.Counter("rdf_failed_total", "", "Requests ending in an error")
 
+	const respName = "rdf_responses_total"
+	const respHelp = "Query responses by path: a miss sent in one piece, a miss streamed chunked, a cache hit"
+	s.onePiece = r.Counter(respName, `path="one_piece"`, respHelp)
+	s.streamed = r.Counter(respName, `path="streamed"`, respHelp)
+	r.CounterFunc(respName, `path="hit"`, respHelp,
+		func() uint64 { h, _ := s.results.Counters(); return h })
+
 	s.reqHist = r.Histogram("rdf_request_duration_seconds", "",
 		"End-to-end latency of protocol endpoint requests")
 	for st := 0; st < obs.NumStages; st++ {
@@ -72,6 +79,8 @@ func (s *Server) initMetrics() {
 			runtime.ReadMemStats(&ms)
 			return float64(ms.HeapInuse)
 		})
+	r.GaugeFunc("rdf_result_cache_bytes", "", "Bytes of response bodies held by the result cache",
+		func() float64 { return float64(s.results.Bytes()) })
 	r.GaugeFunc("rdf_in_flight_requests", "", "Requests currently holding a worker slot",
 		func() float64 { return float64(len(s.sem)) })
 	r.GaugeFunc("rdf_store_generation", "", "Write generation of the serving view",

@@ -92,7 +92,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := metricValue(samples, "rdf_cache_events_total", map[string]string{"cache": "plan", "event": "miss"}); !ok || v != 1 {
 		t.Errorf("plan cache misses = %v, want 1", v)
 	}
-	for _, g := range []string{"rdf_goroutines", "rdf_heap_inuse_bytes", "rdf_store_triples"} {
+	// The miss was below store.StreamAt: sent in one piece and cached.
+	for path, want := range map[string]float64{"one_piece": 1, "streamed": 0, "hit": 1} {
+		if v, ok := metricValue(samples, "rdf_responses_total", map[string]string{"path": path}); !ok || v != want {
+			t.Errorf("responses{path=%q} = %v (found %v), want %v", path, v, ok, want)
+		}
+	}
+	for _, g := range []string{"rdf_goroutines", "rdf_heap_inuse_bytes", "rdf_store_triples", "rdf_result_cache_bytes"} {
 		if v, ok := metricValue(samples, g, nil); !ok || v <= 0 {
 			t.Errorf("%s = %v (found %v), want > 0", g, v, ok)
 		}
@@ -114,6 +120,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if stats.RequestP50Ms <= 0 || stats.RequestP99Ms < stats.RequestP50Ms {
 		t.Errorf("percentiles p50=%v p99=%v", stats.RequestP50Ms, stats.RequestP99Ms)
+	}
+	if v, _ := metricValue(samples, "rdf_result_cache_bytes", nil); stats.CacheBytes <= 0 || float64(stats.CacheBytes) != v {
+		t.Errorf("stats cache_bytes %d, /metrics rdf_result_cache_bytes %v; want equal and positive", stats.CacheBytes, v)
 	}
 	if stats.PlanMisses != 1 || stats.CacheHits != 1 {
 		t.Errorf("stats plan misses %d / cache hits %d, want 1 / 1", stats.PlanMisses, stats.CacheHits)
@@ -267,9 +276,10 @@ func TestProtocolHeadAndLastModified(t *testing.T) {
 }
 
 // TestServerTiming checks the pre-stream Server-Timing header and the
-// post-stream trailer on a response large enough to stream chunked.
+// post-stream trailer on a response large enough to stream chunked: past
+// store.StreamAt (TestResponsePaths covers the one-piece header).
 func TestServerTiming(t *testing.T) {
-	st := testStore(t, 200, 6)
+	st := testStore(t, 1000, 0)
 	ts := httptest.NewServer(New(st, Options{Workers: 2}))
 	defer ts.Close()
 
@@ -314,6 +324,8 @@ func TestServerTiming(t *testing.T) {
 	}
 
 	// Cache hits say so.
+	req.URL.RawQuery += "&limit=10"
+	do(t, req)
 	resp, _ = do(t, req)
 	if got := resp.Header.Get("Server-Timing"); !strings.Contains(got, `cache;desc="hit"`) {
 		t.Errorf("hit Server-Timing = %q", got)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"compress/gzip"
 	"context"
 	"errors"
@@ -136,33 +137,162 @@ func protocolQuery(r *http.Request, params url.Values) (string, int, error) {
 	}
 }
 
-// timedWriter accumulates the wall time spent in downstream Write
-// calls. Placed between the capture tee and the compression/client
-// side, it prices the render stage — buffered flushes, gzip and client
-// I/O — at two clock reads per flushed batch (the serializers flush in
-// multi-KiB chunks), never per row.
-type timedWriter struct {
-	w io.Writer
-	d time.Duration
+// response carries a cache miss from a row writer to the client. The row
+// writer's buffer is the only buffer between a solution row and the
+// socket: nothing reaches w — no status, no header — before the row
+// writer's first flush, which comes only once its pending bytes reach
+// store.StreamAt (DESIGN.md, "Response path").
+type response struct {
+	w     http.ResponseWriter
+	ctype string
+	zw    *gzip.Writer // reset onto w when the client accepts gzip, else nil
+	tr    *obs.Trace   // nil on the NDJSON dialect, which sends no Server-Timing
+	t0    time.Time    // request start
+
+	out io.Writer // w, or zw over it; nil until the headers are committed
 }
 
-func (t *timedWriter) Write(p []byte) (int, error) {
+// open commits the headers of a 200 miss. A complete (one-piece) body
+// lets Server-Timing carry every stage; a streamed response announces the
+// pre-stream stages here and the rest in a trailer.
+func (o *response) open(complete bool) {
+	h := o.w.Header()
+	h.Set("Content-Type", o.ctype)
+	h.Set("X-Cache", "miss")
+	if o.tr != nil {
+		timing := serverTiming(o.tr, "miss")
+		if complete {
+			timing += ", " + postTiming(o.tr, time.Since(o.t0))
+		}
+		h.Set("Server-Timing", timing)
+	}
+	o.out = o.w
+	if o.zw != nil {
+		h.Set("Content-Encoding", "gzip")
+		o.out = o.zw
+	}
+}
+
+// Write is the row writer's flush; the first one makes the response
+// streamed. The wall time spent downstream — gzip and client I/O — is the
+// render stage, priced at two clock reads per write, and a row writer
+// writes at most once per store.StreamAt bytes.
+func (o *response) Write(p []byte) (int, error) {
+	if o.out == nil {
+		o.open(false)
+	}
 	start := time.Now()
-	n, err := t.w.Write(p)
-	t.d += time.Since(start)
+	n, err := o.out.Write(p)
+	o.tr.AddStage(obs.StageRender, time.Since(start))
 	return n, err
 }
 
-// serverTiming renders the pre-stream Server-Timing header: the stages
-// that completed before the first body byte, plus the result-cache
-// verdict. The exec/render/total entries arrive in an HTTP trailer
-// (chunked responses only) because they are unknowable up front.
+// rowWriter is what finish needs of results.Writer and store.NDJSONWriter.
+type rowWriter interface {
+	Pending() []byte
+	Flush() error
+}
+
+// finish ends a miss whose rows went through rw into o. err is what cut
+// the run short (nil: the body is complete).
+//
+// One-piece (rw never flushed): rw.Pending() is the whole body and nothing
+// is on the wire, so a failure still answers with its status. A complete
+// body is offered to the result cache as an exact-size copy — the only
+// bytes that outlive the request — and sent with its Content-Length in a
+// single write (gzip leaves the length unknown and the response chunked).
+//
+// Streamed (the head left with the first flush): a failure can only end
+// the body early, and the body, of which rw holds just the tail, is never
+// cached.
+func (s *Server) finish(o *response, rw rowWriter, key string, err error) {
+	streamed := o.out != nil
+	if !streamed {
+		if err != nil {
+			s.fail(o.w, failStatus(err), err)
+			return
+		}
+		rt := time.Now()
+		body := rw.Pending()
+		if s.cfg.CacheEntries > 0 {
+			s.results.Put(key, bytes.Clone(body))
+		}
+		s.onePiece.Add(1)
+		o.tr.AddStage(obs.StageRender, time.Since(rt))
+		o.open(true)
+		if o.zw == nil {
+			o.w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		}
+	} else {
+		s.streamed.Add(1)
+		if err != nil {
+			s.failed.Add(1)
+		}
+	}
+	// A write error means the client is gone; there is nobody to tell.
+	_ = rw.Flush()
+	if o.zw != nil {
+		o.zw.Close()
+	}
+	if streamed && o.tr != nil {
+		// Best effort: the trailer reaches clients that read trailers and
+		// costs nothing otherwise.
+		o.w.Header().Set(http.TrailerPrefix+"Server-Timing", postTiming(o.tr, time.Since(o.t0)))
+	}
+}
+
+// failStatus maps what stopped a query before its first byte to a status:
+// the server's deadline is a gateway timeout, a client that went away gets
+// the answer nobody reads, anything else is the executor's fault.
+func failStatus(err error) int {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
+}
+
+// serveHit answers from a cached uncompressed body, compressing per this
+// client's Accept-Encoding. The explicit Content-Length keeps a hit larger
+// than net/http's sniff buffer from going out chunked.
+func serveHit(w http.ResponseWriter, ctype string, body []byte, gz bool) {
+	h := w.Header()
+	h.Set("Content-Type", ctype)
+	h.Set("X-Cache", "hit")
+	if !gz {
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
+		return
+	}
+	h.Set("Content-Encoding", "gzip")
+	zw := gzipPool.Get().(*gzip.Writer)
+	zw.Reset(w)
+	zw.Write(body)
+	zw.Close()
+	gzipPool.Put(zw)
+}
+
+// serverTiming renders the Server-Timing entries known before the first
+// body byte: the result-cache verdict and the stages that precede
+// execution.
 func serverTiming(tr *obs.Trace, cache string) string {
 	return fmt.Sprintf("cache;desc=%q, queue;dur=%.3f, parse;dur=%.3f, plan;dur=%.3f",
 		cache,
 		float64(tr.Stages[obs.StageQueue])/1e6,
 		float64(tr.Stages[obs.StageParse])/1e6,
 		float64(tr.Stages[obs.StagePlan])/1e6)
+}
+
+// postTiming renders the entries known once the body is rendered: in the
+// header of a one-piece response (taken just before its single write), in
+// the trailer of a streamed one.
+func postTiming(tr *obs.Trace, total time.Duration) string {
+	return fmt.Sprintf("exec;dur=%.3f, render;dur=%.3f, total;dur=%.3f",
+		float64(tr.Stages[obs.StageExec])/1e6,
+		float64(tr.Stages[obs.StageRender])/1e6,
+		float64(total)/1e6)
 }
 
 // notModified reports whether the request's conditional headers prove
@@ -187,8 +317,9 @@ func notModified(r *http.Request, etag string, modified time.Time) bool {
 // ?limit= (row cap) and ?explain=1 (the plan and per-operator
 // cardinalities as JSON instead of results; see explain.go). Every
 // request carries a stage trace whose timings feed the latency
-// histograms, a Server-Timing header/trailer pair and — past the
-// configured threshold — the slow-query log.
+// histograms, Server-Timing (all of it in the header of a one-piece
+// response, split across header and trailer of a streamed one) and — past
+// the configured threshold — the slow-query log.
 func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	s.protocols.Add(1)
@@ -281,7 +412,7 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	if !explain {
 		if body, ok := s.results.Get(key); ok {
 			h.Set("Server-Timing", serverTiming(tr, "hit"))
-			serveProtocolCached(w, f, body, gz)
+			serveHit(w, f.ContentType(), body, gz)
 			s.observeRequest(tr, time.Since(t0))
 			return
 		}
@@ -310,89 +441,33 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The write path is serializer -> capture -> timer -> gzip ->
-	// client: the capture tees the uncompressed serialization (so a
-	// cache entry serves later clients with or without gzip), and
-	// everything downstream of the tee — gzip compression and client
-	// I/O — is what the timer prices as the render stage.
-	h.Set("Content-Type", f.ContentType())
-	h.Set("X-Cache", "miss")
-	h.Set("Server-Timing", serverTiming(tr, "miss"))
-	var zw *gzip.Writer
-	out := io.Writer(w)
+	o := &response{w: w, ctype: f.ContentType(), tr: tr, t0: t0}
 	if gz {
-		h.Set("Content-Encoding", "gzip")
-		zw = gzipPool.Get().(*gzip.Writer)
+		// Reset reopens a closed (or untouched) writer, so pooled reuse is
+		// safe whichever way the response ends.
+		zw := gzipPool.Get().(*gzip.Writer)
+		defer gzipPool.Put(zw)
 		zw.Reset(w)
-		out = zw
+		o.zw = zw
 	}
-	tw := &timedWriter{w: out}
-	cw := newCapture(tw, s.cfg.CacheMaxBytes)
-	defer cw.release()
-
-	wr := results.Acquire(f, st, cw)
+	wr := results.Acquire(f, st, o)
 	defer wr.Release()
 	wr.Begin(plan.Vars, plan.Roles...)
 
 	et := time.Now()
 	_, rows, truncated, err := execute(ctx, plan, st, tr, limit, wr.WriteRow)
-	// Execution and serialization interleave on the streaming path; the
-	// writer-side timer separates them: exec is the stream wall time
-	// minus whatever of it was spent pushing bytes downstream.
-	streamWall := time.Since(et)
-	renderDuringStream := tw.d
 	errMsg := ""
 	if err != nil {
-		// The status line and head are already on the wire, so a
-		// mid-stream failure cannot become an error response; ending the
-		// stream early leaves a syntactically truncated body the client
-		// detects, and poisoning the capture keeps it out of the cache.
-		cw.poisoned = true
-		s.failed.Add(1)
 		errMsg = err.Error()
 	} else {
 		wr.End()
 	}
-	if err := wr.Flush(); err != nil {
-		cw.poisoned = true
-	}
-	if zw != nil {
-		// Close flushes the gzip trailer but Reset reopens the writer,
-		// so pooled reuse is safe.
-		zw.Close()
-		gzipPool.Put(zw)
-	}
-	exec := max(streamWall-renderDuringStream, 0)
-	tr.AddStage(obs.StageExec, exec)
-	tr.AddStage(obs.StageRender, tw.d)
-	if body, ok := cw.cacheable(); ok {
-		s.results.Put(key, body)
-	}
+	// Execution and serialization interleave once the response streams;
+	// the response's timer separates them: exec is the wall time of the
+	// run minus whatever of it was spent pushing bytes downstream.
+	tr.AddStage(obs.StageExec, max(time.Since(et)-tr.Stages[obs.StageRender], 0))
+	s.finish(o, wr, key, err)
 	total := time.Since(t0)
-	// The post-stream stages travel as a trailer — best effort: they
-	// reach clients on chunked responses that read trailers, and cost
-	// nothing otherwise.
-	h.Set(http.TrailerPrefix+"Server-Timing", fmt.Sprintf(
-		"exec;dur=%.3f, render;dur=%.3f, total;dur=%.3f",
-		float64(exec)/1e6, float64(tw.d)/1e6, float64(total)/1e6))
 	s.observeRequest(tr, total)
 	s.slow.Record("sparql", qs, gen, rows, truncated, errMsg, total, tr)
-}
-
-// serveProtocolCached answers from a cached uncompressed serialization,
-// compressing per this client's Accept-Encoding.
-func serveProtocolCached(w http.ResponseWriter, f results.Format, body []byte, gz bool) {
-	h := w.Header()
-	h.Set("Content-Type", f.ContentType())
-	h.Set("X-Cache", "hit")
-	if !gz {
-		w.Write(body)
-		return
-	}
-	h.Set("Content-Encoding", "gzip")
-	zw := gzipPool.Get().(*gzip.Writer)
-	zw.Reset(w)
-	zw.Write(body)
-	zw.Close()
-	gzipPool.Put(zw)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"encoding/xml"
@@ -265,71 +266,81 @@ func TestProtocolNegotiationHTTP(t *testing.T) {
 	}
 }
 
-// TestProtocolGzip checks the gzip × chunked-streaming interaction: a
-// compressed response still streams (no Content-Length), decompresses
-// to exactly the identity body, and the result cache — which stores the
-// uncompressed serialization — serves both encodings correctly.
+// TestProtocolGzip checks content negotiation on Accept-Encoding: a
+// gzip-accepting client gets a compressed body that decompresses to
+// exactly the identity body, and the one-piece/streamed decision is taken
+// on the uncompressed size — so a body below store.StreamAt is cached (as
+// its uncompressed serialization, serving both encodings) and a larger one
+// is not, whichever encoding the first client asked for.
 func TestProtocolGzip(t *testing.T) {
-	// Enough rows that the serialized response overflows both the
-	// serializer's 8 KiB flush batches and net/http's small-response
-	// buffer, forcing a real chunked stream even after compression.
 	st := testStore(t, 3000, 0)
 	ts := httptest.NewServer(New(st, Options{Workers: 2}))
 	defer ts.Close()
 
-	gzGet := func() (*http.Response, []byte) {
-		req, err := http.NewRequest(http.MethodGet, ts.URL+"/sparql?query="+url.QueryEscape(knowsQuery), nil)
+	// fetch returns the response and its body, decompressed when gz.
+	fetch := func(params string, gz bool) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/sparql?query="+url.QueryEscape(knowsQuery)+params, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		req.Header.Set("Accept", "application/sparql-results+json")
+		if !gz {
+			resp, body := do(t, req)
+			if enc := resp.Header.Get("Content-Encoding"); enc != "" {
+				t.Fatalf("identity response has Content-Encoding %q", enc)
+			}
+			return resp, body
+		}
 		// An explicit Accept-Encoding disables the transport's
 		// transparent decompression, exposing the raw wire bytes.
 		req.Header.Set("Accept-Encoding", "gzip")
-		return do(t, req)
+		resp, wire := do(t, req)
+		if resp.StatusCode != 200 || resp.Header.Get("Content-Encoding") != "gzip" {
+			t.Fatalf("status %d encoding %q", resp.StatusCode, resp.Header.Get("Content-Encoding"))
+		}
+		if resp.ContentLength >= 0 {
+			t.Fatalf("compressed response has Content-Length %d; its length is unknown up front", resp.ContentLength)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(wire))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(zr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
 	}
 
-	resp, wire := gzGet()
-	if resp.StatusCode != 200 || resp.Header.Get("Content-Encoding") != "gzip" {
-		t.Fatalf("status %d encoding %q", resp.StatusCode, resp.Header.Get("Content-Encoding"))
-	}
-	if resp.ContentLength >= 0 {
-		t.Fatalf("compressed stream has Content-Length %d; want chunked", resp.ContentLength)
-	}
-	zr, err := gzip.NewReader(strings.NewReader(string(wire)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainFromGz, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Identity request: decompressed body and plain body are identical,
-	// and the plain client is served from the cache entry the gzip
-	// request populated.
-	respPlain, plain := protocolGet(t, ts, knowsQuery, "application/sparql-results+json")
-	if respPlain.Header.Get("Content-Encoding") != "" {
-		t.Fatalf("identity response has Content-Encoding %q", respPlain.Header.Get("Content-Encoding"))
-	}
-	if respPlain.Header.Get("X-Cache") != "hit" {
-		t.Fatalf("plain request after gzip: X-Cache %q, want hit", respPlain.Header.Get("X-Cache"))
-	}
-	if string(plain) != string(plainFromGz) {
-		t.Fatalf("gzip and identity bodies differ:\n%s\nvs\n%s", plainFromGz, plain)
-	}
-
-	// A second gzip request hits the cache and re-compresses.
-	resp2, wire2 := gzGet()
-	if resp2.Header.Get("X-Cache") != "hit" || resp2.Header.Get("Content-Encoding") != "gzip" {
-		t.Fatalf("cached gzip: X-Cache %q encoding %q", resp2.Header.Get("X-Cache"), resp2.Header.Get("Content-Encoding"))
-	}
-	zr2, err := gzip.NewReader(strings.NewReader(string(wire2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b, _ := io.ReadAll(zr2); string(b) != string(plain) {
-		t.Fatalf("cached gzip body differs")
+	// 500 rows render below store.StreamAt, all 3000 well above it; each
+	// size is asked for gzip-first and identity-first (distinct limits
+	// make distinct cache keys).
+	for _, c := range []struct {
+		params  string
+		gzFirst bool
+		cached  bool
+	}{
+		{"&limit=500", true, true}, {"&limit=501", false, true},
+		{"", true, false}, {"&limit=2999", false, false},
+	} {
+		first, want := fetch(c.params, c.gzFirst)
+		if first.Header.Get("X-Cache") != "miss" {
+			t.Fatalf("%q: first request X-Cache %q", c.params, first.Header.Get("X-Cache"))
+		}
+		if small := len(want) < store.StreamAt; small != c.cached {
+			t.Fatalf("%q: body of %d bytes, want below StreamAt: %v", c.params, len(want), c.cached)
+		}
+		for _, gz := range []bool{!c.gzFirst, c.gzFirst} {
+			resp, body := fetch(c.params, gz)
+			if hit := resp.Header.Get("X-Cache") == "hit"; hit != c.cached {
+				t.Errorf("%q (gzip %v after gzip %v): X-Cache %q, want hit: %v",
+					c.params, gz, c.gzFirst, resp.Header.Get("X-Cache"), c.cached)
+			}
+			if !bytes.Equal(body, want) {
+				t.Errorf("%q: gzip and identity bodies differ", c.params)
+			}
+		}
 	}
 }
 
@@ -475,7 +486,6 @@ func TestOptionsValidate(t *testing.T) {
 	for _, bad := range []Options{
 		{Workers: -1},
 		{Timeout: -time.Second},
-		{CacheMaxBytes: -1},
 		{PlanEntries: -1},
 		{RateLimit: -0.5},
 		{RateBurst: -2},

@@ -521,6 +521,35 @@ func TestWriterAllocs(t *testing.T) {
 	}
 }
 
+// TestPooledWriterKeepsBuffer renders a ~60 KiB answer — the whole of
+// which a one-piece response holds in the writer's buffer — through
+// acquire/release cycles: store.TrimBuffer must let the pool keep a buffer
+// that size, or every request would regrow it from nothing.
+func TestPooledWriterKeepsBuffer(t *testing.T) {
+	st, sorted := termStore(t, manyTerms(512))
+	n := len(sorted)
+	row := make([]core.ID, 3)
+	size := 0
+	answer := func() {
+		wr := Acquire(JSON, st, io.Discard)
+		wr.Begin([]string{"x", "p", "y"}, core.RoleSO, core.RoleP)
+		for i := 0; len(wr.Pending()) < 60<<10; i++ {
+			row[0], row[1], row[2] = core.ID(i%n), core.ID(i%len(testPredicates)), core.ID((i+7)%n)
+			wr.WriteRow(row)
+		}
+		wr.End()
+		size = len(wr.Pending())
+		wr.Release()
+	}
+	answer() // warm: grows the pooled buffers once
+	if a := testing.AllocsPerRun(50, answer); a >= 1 {
+		t.Errorf("%v allocs per pooled %d-byte answer, want 0: the buffer is regrown", a, size)
+	}
+	if size < 60<<10 || size >= store.StreamAt {
+		t.Fatalf("answer of %d bytes: want one held whole, between 60 KiB and store.StreamAt", size)
+	}
+}
+
 // BenchmarkSerializerRows measures rows/sec per format over a warm term
 // cache — the steady state the protocol endpoint serves from.
 func BenchmarkSerializerRows(b *testing.B) {

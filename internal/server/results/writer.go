@@ -11,10 +11,6 @@ import (
 // span is one cached encoded term inside the writer's arena.
 type span struct{ start, end int }
 
-// flushAt is the pending-output size that triggers a flush to the
-// underlying writer, batching syscalls exactly like the NDJSON path.
-const flushAt = 8 << 10
-
 // maxCachedTerms bounds the per-request encoded-term cache; streams
 // wider than this render the overflow terms directly without caching.
 const maxCachedTerms = 1 << 14
@@ -99,11 +95,18 @@ func (wr *Writer) Flush() error {
 	return wr.err
 }
 
+// maybeFlush flushes once the pending bytes reach store.StreamAt, the
+// threshold shared with the NDJSON path.
 func (wr *Writer) maybeFlush() {
-	if len(wr.buf) >= flushAt {
+	if len(wr.buf) >= store.StreamAt {
 		wr.Flush()
 	}
 }
+
+// Pending returns the bytes not yet flushed: the whole result set while
+// it is below store.StreamAt. The slice is the writer's buffer, valid
+// until the next write, Flush or Release.
+func (wr *Writer) Pending() []byte { return wr.buf }
 
 // Begin writes the result set header and fixes the columns of the
 // subsequent WriteRow rows, pre-encoding every per-column key fragment
@@ -242,6 +245,7 @@ func (wr *Writer) End() {
 		wr.buf = append(wr.buf, `</results></sparql>`...)
 		wr.buf = append(wr.buf, '\n')
 	}
+	wr.maybeFlush()
 }
 
 // appendTerm appends the format-encoded term id names in the given role,

@@ -51,7 +51,6 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"rdfindexes/internal/core"
@@ -80,11 +79,9 @@ type Options struct {
 	// batch-refill granularity, never per triple.
 	Timeout time.Duration
 	// CacheEntries is the result cache capacity in entries (default 256;
-	// negative disables caching).
+	// negative disables caching). Only bodies below store.StreamAt are
+	// cached, so the cache holds at most CacheEntries × 64 KiB.
 	CacheEntries int
-	// CacheMaxBytes is the largest serialized response the result cache
-	// stores (default 1 MiB); larger responses stream uncached.
-	CacheMaxBytes int
 	// PlanEntries is the BGP plan cache capacity (default 1024).
 	PlanEntries int
 	// Pprof exposes the runtime profiling endpoints under
@@ -150,8 +147,6 @@ func (c Options) Validate() error {
 		return fmt.Errorf("options: Workers %d is negative", c.Workers)
 	case c.Timeout < 0:
 		return fmt.Errorf("options: Timeout %v is negative", c.Timeout)
-	case c.CacheMaxBytes < 0:
-		return fmt.Errorf("options: CacheMaxBytes %d is negative", c.CacheMaxBytes)
 	case c.PlanEntries < 0:
 		return fmt.Errorf("options: PlanEntries %d is negative", c.PlanEntries)
 	case c.RateLimit < 0:
@@ -175,9 +170,6 @@ func (c Options) withDefaults() Options {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 256
-	}
-	if c.CacheMaxBytes <= 0 {
-		c.CacheMaxBytes = 1 << 20
 	}
 	if c.PlanEntries == 0 {
 		c.PlanEntries = 1024
@@ -230,6 +222,8 @@ type Server struct {
 	rejectedStale *obs.Counter // 503s: replica behind the min-gen token
 	panics        *obs.Counter // handler panics converted to 500s
 	failed        *obs.Counter // requests ending in an error
+	onePiece      *obs.Counter // misses sent whole with a Content-Length
+	streamed      *obs.Counter // misses that crossed store.StreamAt and went out chunked
 
 	// reqHist observes end-to-end protocol request latency; stageHist
 	// breaks the same requests down by pipeline stage. slow is the
@@ -261,8 +255,8 @@ func newServer(cfg Options) *Server {
 	s := &Server{
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.Workers),
-		results: newLRU[[]byte](cfg.CacheEntries),
-		plans:   newLRU[*sparql.Compiled](cfg.PlanEntries),
+		results: newLRU(cfg.CacheEntries, func(body []byte) int { return len(body) }),
+		plans:   newLRU[*sparql.Compiled](cfg.PlanEntries, nil),
 		now:     time.Now,
 		start:   time.Now(),
 	}
@@ -426,63 +420,6 @@ func parseLimitValue(v string) (int, error) {
 	return n, nil
 }
 
-// capturePool recycles the capture tee's scratch buffers, so a streamed
-// response grows no fresh buffer of its own.
-var capturePool = sync.Pool{New: func() any { return new([]byte) }}
-
-// captureKeep is the largest scratch capacity the pool retains, the order
-// of the default CacheMaxBytes; a buffer a larger limit grew beyond it is
-// left to the garbage collector, as store.TrimBuffer does for the row
-// writers.
-const captureKeep = 1 << 20
-
-// capture tees the streamed response into a bounded pooled buffer so
-// complete, small responses can enter the result cache after the stream
-// ends. Every newCapture needs a release.
-type capture struct {
-	w        io.Writer // the client side: http.ResponseWriter, possibly behind gzip
-	buf      *[]byte
-	max      int
-	overflow bool
-	poisoned bool // incomplete stream (error or cancellation): never cache
-}
-
-func newCapture(w io.Writer, max int) *capture {
-	buf := capturePool.Get().(*[]byte)
-	//rdf:allow(ownership transfers to the capture; release returns it to the pool)
-	return &capture{w: w, buf: buf, max: max}
-}
-
-func (c *capture) Write(p []byte) (int, error) {
-	if !c.overflow && !c.poisoned {
-		if len(*c.buf)+len(p) <= c.max {
-			*c.buf = append(*c.buf, p...)
-		} else {
-			c.overflow = true
-		}
-	}
-	return c.w.Write(p)
-}
-
-// cacheable returns an exact-size copy of the captured body, the only
-// bytes that outlive the request.
-func (c *capture) cacheable() ([]byte, bool) {
-	if c.overflow || c.poisoned || len(*c.buf) == 0 {
-		return nil, false
-	}
-	body := make([]byte, len(*c.buf))
-	copy(body, *c.buf)
-	return body, true
-}
-
-func (c *capture) release() {
-	if cap(*c.buf) <= captureKeep {
-		*c.buf = (*c.buf)[:0]
-		capturePool.Put(c.buf)
-	}
-	c.buf = nil
-}
-
 // execute runs plan over the view's index through a pooled query
 // context, passing solutions to write up to the request's row cap (limit;
 // negative for none). Reaching the cap cancels the run, so the executor
@@ -524,13 +461,6 @@ func (s *Server) plan(norm string, q sparql.Query) (c *sparql.Compiled, cached b
 	return c, false, err
 }
 
-// serveCached writes a previously captured response.
-func serveCached(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", ndjsonType)
-	w.Header().Set("X-Cache", "hit")
-	w.Write(body)
-}
-
 // handleQuery resolves one triple selection pattern and streams matches
 // as NDJSON, one {"s":…,"p":…,"o":…} object per line, terminated by a
 // {"matches":n} summary line.
@@ -558,7 +488,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// if they race the explicit cache flush.
 	key := fmt.Sprintf("g%d|q|%d,%d,%d|%d", gen, pat.S, pat.P, pat.O, limit)
 	if body, ok := s.results.Get(key); ok {
-		serveCached(w, body)
+		serveHit(w, ndjsonType, body, false)
 		return
 	}
 
@@ -573,15 +503,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	qc := core.AcquireQueryCtx()
 	defer qc.Release()
 
-	cw := newCapture(w, s.cfg.CacheMaxBytes)
-	defer cw.release()
-	w.Header().Set("Content-Type", ndjsonType)
-	w.Header().Set("X-Cache", "miss")
-	// The pooled NDJSON writer replaces the old per-row struct +
-	// json.Encoder pipeline: rows are hand-built into a batched buffer
-	// with escaped terms cached by ID, so the steady-state row path does
-	// not allocate.
-	nw := store.AcquireNDJSON(st, cw)
+	// Rows are hand-built into the pooled NDJSON writer's buffer with
+	// escaped terms cached by ID, so the steady-state row path does not
+	// allocate.
+	o := &response{w: w, ctype: ndjsonType}
+	nw := store.AcquireNDJSON(st, o)
 	defer nw.Release()
 
 	it := core.SelectWithCtx(st.Index, pat, qc)
@@ -589,13 +515,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	matches, truncated := 0, false
 	for limit < 0 || matches < limit {
 		// Cancellation is observed here, once per batch refill. An
-		// expired deadline ends the stream with an error line in place
-		// of the summary.
-		if ctx.Err() != nil {
-			cw.poisoned = true
-			s.failed.Add(1)
-			nw.WriteError("deadline exceeded")
-			nw.Flush()
+		// expired deadline ends a stream already under way with an error
+		// line in place of the summary; before the first flush, finish
+		// answers with a status and drops the line.
+		if err := ctx.Err(); err != nil {
+			nw.WriteError(err.Error())
+			s.finish(o, nw, key, err)
 			return
 		}
 		want := buf
@@ -624,10 +549,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		line = append(line, `,"truncated":true`...)
 	}
 	nw.AppendRaw(append(line, '}', '\n'))
-	nw.Flush()
-	if body, ok := cw.cacheable(); ok {
-		s.results.Put(key, body)
-	}
+	s.finish(o, nw, key, nil)
 }
 
 // handleSparql executes a BGP query and streams solutions as NDJSON, one
@@ -667,7 +589,7 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	norm := fmt.Sprintf("g%d|%s", gen, q.String())
 	key := "s|" + norm + "|" + strconv.Itoa(limit)
 	if body, ok := s.results.Get(key); ok {
-		serveCached(w, body)
+		serveHit(w, ndjsonType, body, false)
 		return
 	}
 
@@ -685,20 +607,15 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	cw := newCapture(w, s.cfg.CacheMaxBytes)
-	defer cw.release()
-	w.Header().Set("Content-Type", ndjsonType)
-	w.Header().Set("X-Cache", "miss")
-	nw := store.AcquireNDJSON(st, cw)
+	o := &response{w: w, ctype: ndjsonType}
+	nw := store.AcquireNDJSON(st, o)
 	defer nw.Release()
 	nw.SetVars(plan.Vars, plan.Roles)
 
 	stats, rows, truncated, err := execute(ctx, plan, st, nil, limit, nw.WriteRow)
 	if err != nil {
-		cw.poisoned = true
-		s.failed.Add(1)
 		nw.WriteError(err.Error())
-		nw.Flush()
+		s.finish(o, nw, key, err)
 		return
 	}
 	var sum [128]byte
@@ -711,10 +628,7 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	line = append(line, `,"plan_cached":`...)
 	line = strconv.AppendBool(line, planCached)
 	nw.AppendRaw(append(line, '}', '\n'))
-	nw.Flush()
-	if body, ok := cw.cacheable(); ok {
-		s.results.Put(key, body)
-	}
+	s.finish(o, nw, key, nil)
 }
 
 // handleInsert accepts POST /insert?s=&p=&o= with bound N-Triples terms
@@ -875,8 +789,10 @@ type Stats struct {
 	Failed        uint64 `json:"failed"`
 	BreakerOpen   bool   `json:"breaker_open"`
 	CacheEntries  int    `json:"cache_entries"`
-	CacheHits     uint64 `json:"cache_hits"`
-	CacheMisses   uint64 `json:"cache_misses"`
+	// CacheBytes is the total size of the cached response bodies.
+	CacheBytes  int    `json:"cache_bytes"`
+	CacheHits   uint64 `json:"cache_hits"`
+	CacheMisses uint64 `json:"cache_misses"`
 	// CacheFlushes counts whole-cache invalidations — one per changing
 	// write (generation bump) — for the result cache; PlanFlushes for
 	// the plan cache.
@@ -940,6 +856,7 @@ func (s *Server) Snapshot() Stats {
 		Panics:              s.panics.Load(),
 		Failed:              s.failed.Load(),
 		CacheEntries:        s.results.Len(),
+		CacheBytes:          s.results.Bytes(),
 		CacheHits:           hits,
 		CacheMisses:         misses,
 		CacheFlushes:        s.results.Flushes(),

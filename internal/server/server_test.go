@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"rdfindexes/internal/core"
 	"rdfindexes/internal/rdf"
@@ -637,29 +636,6 @@ func TestServerWriterReaderStress(t *testing.T) {
 	}
 }
 
-// TestServerDeadline forces a tiny timeout on an expensive full-scan
-// query and expects the stream to stop with an error line instead of
-// running away.
-func TestServerDeadline(t *testing.T) {
-	st := testStore(t, 300, 30)
-	srv := New(st, Options{Workers: 2, Timeout: 1 * time.Nanosecond, CacheEntries: -1})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	resp, body := get(t, ts, "/query")
-	// The deadline may fire while queued (503) or mid-stream (error
-	// line); both are acceptable, a complete result is not.
-	if resp.StatusCode == 200 {
-		lines := ndjsonLines(t, body)
-		last := lines[len(lines)-1]
-		if _, ok := last["error"]; !ok {
-			t.Fatalf("nanosecond deadline produced a complete stream: %v", last)
-		}
-	} else if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("unexpected status %d", resp.StatusCode)
-	}
-}
-
 // TestWorkerPoolBounds floods a single-worker server and checks that the
 // pool never runs more than one query at once.
 func TestWorkerPoolBounds(t *testing.T) {
@@ -688,7 +664,7 @@ func TestWorkerPoolBounds(t *testing.T) {
 }
 
 func TestLRU(t *testing.T) {
-	c := newLRU[int](2)
+	c := newLRU(2, func(v int) int { return v })
 	c.Put("a", 1)
 	c.Put("b", 2)
 	if v, ok := c.Get("a"); !ok || v != 1 {
@@ -704,62 +680,27 @@ func TestLRU(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len %d, want 2", c.Len())
 	}
+	// Sizes (here the values themselves) follow inserts, refreshes,
+	// evictions and flushes.
+	if c.Bytes() != 1+3 {
+		t.Fatalf("bytes %d after evicting b, want 4", c.Bytes())
+	}
+	c.Put("a", 10)
+	if c.Bytes() != 10+3 {
+		t.Fatalf("bytes %d after refreshing a, want 13", c.Bytes())
+	}
+	c.Clear()
+	if c.Bytes() != 0 || c.Len() != 0 {
+		t.Fatalf("bytes %d, len %d after Clear", c.Bytes(), c.Len())
+	}
 	var disabled *lruCache[int]
 	if _, ok := disabled.Get("x"); ok {
 		t.Fatal("nil cache returned a value")
 	}
 	disabled.Put("x", 1) // must not panic
-	zero := newLRU[int](-1)
+	zero := newLRU[int](-1, nil)
 	zero.Put("x", 1)
 	if _, ok := zero.Get("x"); ok {
 		t.Fatal("disabled cache stored a value")
 	}
-}
-
-// TestCapture pins the tee's contract: a complete body under the limit is
-// cacheable as an exact-size copy that does not alias the pooled scratch,
-// an overflowing or poisoned stream is not, and the client side sees
-// every byte either way.
-func TestCapture(t *testing.T) {
-	var client strings.Builder
-	c := newCapture(&client, 10)
-	c.Write([]byte("hello"))
-	c.Write([]byte("world"))
-	body, ok := c.cacheable()
-	if !ok || string(body) != "helloworld" || cap(body) != len(body) {
-		t.Fatalf("cacheable = %q (cap %d), %v", body, cap(body), ok)
-	}
-	c.release()
-	// The next capture may draw the same scratch; the cached body must
-	// survive its reuse.
-	c = newCapture(&client, 10)
-	c.Write([]byte("XXXXXXXXXX"))
-	if string(body) != "helloworld" {
-		t.Fatalf("cached body aliases the pooled scratch: %q", body)
-	}
-	c.Write([]byte("!"))
-	if _, ok := c.cacheable(); ok || !c.overflow {
-		t.Fatal("overflowing stream is cacheable")
-	}
-	c.release()
-	if client.String() != "helloworldXXXXXXXXXX!" {
-		t.Fatalf("client saw %q", client.String())
-	}
-
-	c = newCapture(&client, 10)
-	c.Write([]byte("part"))
-	c.poisoned = true
-	if _, ok := c.cacheable(); ok {
-		t.Fatal("poisoned stream is cacheable")
-	}
-	c.release()
-
-	// A scratch grown past captureKeep is dropped, not pooled.
-	big := make([]byte, 0, captureKeep+1)
-	c = &capture{w: &client, buf: &big, max: 1}
-	c.release()
-	if c = newCapture(&client, 1); cap(*c.buf) > captureKeep {
-		t.Fatalf("pool retained a %d-byte scratch", cap(*c.buf))
-	}
-	c.release()
 }

@@ -109,9 +109,13 @@ func appendIDTerm(buf []byte, id core.ID) []byte {
 // termSpan is one cached escaped term inside an NDJSONWriter arena.
 type termSpan struct{ start, end int }
 
-// ndjsonFlushAt is the pending-output size that triggers a flush to the
-// underlying writer.
-const ndjsonFlushAt = 8 << 10
+// StreamAt is the one threshold of the response path, shared by
+// NDJSONWriter and results.Writer: a row writer holds its output until the
+// pending bytes reach StreamAt and flushes in StreamAt-sized writes from
+// then on. An answer that ends below it is never flushed by the writer;
+// the server sends it in one piece and may cache it (DESIGN.md, "Response
+// path").
+const StreamAt = 64 << 10
 
 // maxCachedTerms bounds each per-request escaped-term cache; result
 // streams wider than this (rare) render the overflow terms directly
@@ -120,7 +124,8 @@ const maxCachedTerms = 1 << 14
 
 // trimCap is the largest buffer capacity a pooled row writer retains;
 // anything a pathological request grew beyond it is handed back to the
-// garbage collector on Release.
+// garbage collector on Release. It must stay above StreamAt plus a row,
+// or every pooled output buffer would be regrown per request.
 const trimCap = 1 << 20
 
 // NDJSONWriter streams result rows as NDJSON through pooled scratch:
@@ -202,10 +207,15 @@ func (n *NDJSONWriter) Flush() error {
 }
 
 func (n *NDJSONWriter) maybeFlush() {
-	if len(n.buf) >= ndjsonFlushAt {
+	if len(n.buf) >= StreamAt {
 		n.Flush()
 	}
 }
+
+// Pending returns the bytes not yet flushed: the whole answer while it
+// is below StreamAt. The slice is the writer's buffer, valid until the
+// next write, Flush or Release.
+func (n *NDJSONWriter) Pending() []byte { return n.buf }
 
 // AppendRaw appends pre-encoded bytes (a hand-built summary line) to the
 // pending output verbatim.
