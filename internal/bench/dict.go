@@ -221,8 +221,8 @@ func MaterializeFormatRowsPerSec(d *core.Dataset, runs int) (map[string]float64,
 // DictMaterialization measures the dictionary access path end to end:
 // term extraction throughput of the one-shot Extract loop against the
 // stateful cursor and the bucket-grouped batch API (sequential and
-// random ID orders), Locate throughput of the header binary search
-// against the packed fingerprint hash, and materialized /sparql rows/sec
+// random ID orders), Locate throughput on present and absent terms, and
+// materialized /sparql rows/sec
 // of the legacy row loop against the pooled NDJSON writer path.
 func DictMaterialization(cfg Config) ([]*Table, error) {
 	cfg = cfg.normalize()
@@ -290,41 +290,32 @@ func DictMaterialization(cfg Config) ([]*Table, error) {
 
 	// --- locate ---
 	probeEvery := n/20000 + 1
-	var probes []string
+	var present, absent []string
 	for i := 0; i < n; i += probeEvery {
 		s, _ := so.Extract(i)
-		probes = append(probes, s)
+		present = append(present, s)
+		absent = append(absent, s[:len(s)-1]+"x>") // sorts inside the same bucket
 	}
-	hashed, err := SynthDicts(d) // second copy: hash index on, binary search off
-	if err != nil {
-		return nil, err
-	}
-	hso := hashed.SO.(*dict.Dict)
-	hso.BuildLocateHash()
 	locate := &Table{
-		Title:  "Dictionary locate: lookups/sec, header binary search vs packed fingerprint hash",
-		Note:   fmt.Sprintf("%d sampled present terms, best of %d runs", len(probes), cfg.Runs),
-		Header: []string{"mode", "locates/s", "speedup"},
+		Title:  "Dictionary locate: lookups/sec, LCP-bounded header binary search + bucket scan",
+		Note:   fmt.Sprintf("%d sampled terms, present and with a one-byte extension (absent), best of %d runs", len(present), cfg.Runs),
+		Header: []string{"probes", "locates/s", "ns/locate"},
 	}
 	var found int
-	binSearch := bestOfRuns(cfg.Runs, func() {
-		for _, s := range probes {
-			if _, ok := so.Locate(s); ok {
-				found++
+	for _, row := range []struct {
+		name   string
+		probes []string
+	}{{"present", present}, {"absent", absent}} {
+		el := bestOfRuns(cfg.Runs, func() {
+			for _, s := range row.probes {
+				if _, ok := so.Locate(s); ok {
+					found++
+				}
 			}
-		}
-	})
-	hash := bestOfRuns(cfg.Runs, func() {
-		for _, s := range probes {
-			if _, ok := hso.Locate(s); ok {
-				found++
-			}
-		}
-	})
+		})
+		locate.Add(row.name, N(int(perSec(len(row.probes), el))), fmt.Sprintf("%.0f", float64(el.Nanoseconds())/float64(len(row.probes))))
+	}
 	_ = found
-	bl, hl := perSec(len(probes), binSearch), perSec(len(probes), hash)
-	locate.Add("binary search", N(int(bl)), "1.0x")
-	locate.Add("hash", N(int(hl)), fmt.Sprintf("%.1fx", hl/bl))
 
 	// --- end-to-end materialization ---
 	x, err := core.Build2Tp(d)

@@ -147,6 +147,7 @@ type Reader struct {
 	sum   bool  // tee consumed bytes into crc
 	limit int64 // alloc bound: total input size, or -1 for unbounded
 	err   error
+	chunk []byte // bulk word-read scratch, at most wordChunk bytes
 }
 
 // NewReader returns a Reader consuming from r. If r is already a
@@ -277,6 +278,26 @@ func (r *Reader) sliceLen(elemSize uint64) int {
 	return int(n)
 }
 
+// wordChunk bounds the scratch buffer word arrays are read through:
+// one read per chunk instead of one per word, without a second copy of
+// the whole array.
+const wordChunk = 8 << 10
+
+// words reads the next min(n, wordChunk/size) words of size bytes into
+// the scratch buffer and returns them, or nil once the reader has failed.
+func (r *Reader) words(n, size int) []byte {
+	k := min(n*size, wordChunk)
+	if cap(r.chunk) < k {
+		r.chunk = make([]byte, k)
+	}
+	b := r.chunk[:k]
+	r.read(b)
+	if r.err != nil {
+		return nil
+	}
+	return b
+}
+
 // Uint64s reads a length-prefixed slice of raw little-endian words.
 func (r *Reader) Uint64s() []uint64 {
 	n := r.sliceLen(8)
@@ -284,13 +305,15 @@ func (r *Reader) Uint64s() []uint64 {
 		return nil
 	}
 	s := make([]uint64, n)
-	var b [8]byte
-	for i := range s {
-		r.read(b[:])
-		if r.err != nil {
+	for i := 0; i < n; {
+		b := r.words(n-i, 8)
+		if b == nil {
 			return nil
 		}
-		s[i] = binary.LittleEndian.Uint64(b[:])
+		for ; len(b) > 0; b = b[8:] {
+			s[i] = binary.LittleEndian.Uint64(b)
+			i++
+		}
 	}
 	return s
 }
@@ -302,13 +325,15 @@ func (r *Reader) Uint32s() []uint32 {
 		return nil
 	}
 	s := make([]uint32, n)
-	var b [4]byte
-	for i := range s {
-		r.read(b[:])
-		if r.err != nil {
+	for i := 0; i < n; {
+		b := r.words(n-i, 4)
+		if b == nil {
 			return nil
 		}
-		s[i] = binary.LittleEndian.Uint32(b[:])
+		for ; len(b) > 0; b = b[4:] {
+			s[i] = binary.LittleEndian.Uint32(b)
+			i++
+		}
 	}
 	return s
 }

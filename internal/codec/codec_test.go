@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -118,5 +119,81 @@ func TestWriterWritten(t *testing.T) {
 	}
 	if w.Written() != 9 {
 		t.Fatalf("Written = %d, want 9", w.Written())
+	}
+}
+
+// TestWordArraysChunked checks the chunked Uint64s/Uint32s decoders
+// against a per-word reference at sizes around the chunk boundary
+// (1024 words of 8 bytes fill one chunk): values, the Read() count and
+// the CRC32C between StartChecksum and StopChecksum must all agree, and
+// a payload truncated at any byte must fail with ErrCorrupt and a nil
+// slice.
+func TestWordArraysChunked(t *testing.T) {
+	for _, n := range []int{0, 1, 1023, 1024, 1025, 3000} {
+		w64 := make([]uint64, n)
+		w32 := make([]uint32, n)
+		for i := range w64 {
+			w64[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+			w32[i] = uint32(w64[i] >> 17)
+		}
+		for _, c := range []struct {
+			name  string
+			write func(*Writer)
+			bulk  func(*Reader) (any, bool)
+			ref   func(*Reader) any
+		}{
+			{"Uint64s", func(w *Writer) { w.Uint64s(w64) },
+				func(r *Reader) (any, bool) { s := r.Uint64s(); return s, s == nil },
+				func(r *Reader) any {
+					s := make([]uint64, r.Uvarint())
+					for i := range s {
+						s[i] = r.Uint64()
+					}
+					return s
+				}},
+			{"Uint32s", func(w *Writer) { w.Uint32s(w32) },
+				func(r *Reader) (any, bool) { s := r.Uint32s(); return s, s == nil },
+				func(r *Reader) any {
+					s := make([]uint32, r.Uvarint())
+					for i := range s {
+						s[i] = r.Uint32()
+					}
+					return s
+				}},
+		} {
+			var buf bytes.Buffer
+			w := NewWriter(&buf)
+			w.Byte(0xaa) // a leading byte so the checksummed span starts mid-stream
+			c.write(w)
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			data := buf.Bytes()
+			decode := func(words func(*Reader) any) (any, int64, uint32, error) {
+				r := NewReader(bytes.NewReader(data))
+				r.Byte()
+				r.StartChecksum()
+				got := words(r)
+				return got, r.Read(), r.StopChecksum(), r.Err()
+			}
+			got, n1, crc1, err := decode(func(r *Reader) any { s, _ := c.bulk(r); return s })
+			want, n2, crc2, err2 := decode(c.ref)
+			if err != nil || err2 != nil {
+				t.Fatalf("%s n=%d: errors %v / %v", c.name, n, err, err2)
+			}
+			if n > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s n=%d: bulk decode differs from per-word decode", c.name, n)
+			}
+			if n1 != n2 || n1 != int64(len(data)) || crc1 != crc2 {
+				t.Fatalf("%s n=%d: Read() %d vs %d (len %d), crc %08x vs %08x", c.name, n, n1, n2, len(data), crc1, crc2)
+			}
+			for cut := 1; cut < len(data); cut++ {
+				r := NewReader(bytes.NewReader(data[:cut]))
+				r.Byte()
+				if _, isNil := c.bulk(r); !isNil || !errors.Is(r.Err(), ErrCorrupt) {
+					t.Fatalf("%s n=%d cut at %d: nil=%v err=%v, want nil slice and ErrCorrupt", c.name, n, cut, isNil, r.Err())
+				}
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@
 package dict
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -47,35 +48,63 @@ type Dict struct {
 	n          int
 	bucketSize int
 	data       []byte
-	offsets    *ef.Sequence // byte offset of each bucket in data
-	hash       *locateHash  // optional O(1) Locate index (BuildLocateHash)
+	// offsets holds the byte offset of each bucket in data, then
+	// len(data). On disk it is Elias-Fano coded; Decode expands it once
+	// so every lookup indexes a plain slice.
+	offsets []uint64
 }
 
 // New builds a dictionary over strs, which must be sorted and distinct.
 func New(strs []string, bucketSize int) (*Dict, error) {
+	b := newBuilder(bucketSize)
+	for _, s := range strs {
+		if err := add(b, s); err != nil {
+			return nil, err
+		}
+	}
+	return b.finish(), nil
+}
+
+// builder appends sorted, distinct strings to a front-coded layout one
+// at a time; New and Overlay.Fold share it.
+type builder struct {
+	d    *Dict
+	last []byte // the previous string: LCP source and order check
+}
+
+func newBuilder(bucketSize int) *builder {
 	if bucketSize <= 0 {
 		bucketSize = DefaultBucketSize
 	}
-	d := &Dict{n: len(strs), bucketSize: bucketSize}
-	var offsets []uint64
-	for i, s := range strs {
-		if i > 0 && strs[i-1] >= s {
-			return nil, fmt.Errorf("dict: input not sorted/distinct at %d (%q >= %q)", i, strs[i-1], s)
-		}
-		if i%bucketSize == 0 {
-			offsets = append(offsets, uint64(len(d.data)))
-			d.data = appendUvarint(d.data, uint64(len(s)))
-			d.data = append(d.data, s...)
-		} else {
-			lcp := commonPrefix(strs[i-1], s)
-			d.data = appendUvarint(d.data, uint64(lcp))
-			d.data = appendUvarint(d.data, uint64(len(s)-lcp))
-			d.data = append(d.data, s[lcp:]...)
-		}
+	return &builder{d: &Dict{bucketSize: bucketSize}}
+}
+
+// add appends s, which must sort strictly after the previous string.
+func add[T string | []byte](b *builder, s T) error {
+	d := b.d
+	lcp := commonPrefix(b.last, s)
+	if d.n > 0 && (lcp == len(s) || lcp < len(b.last) && b.last[lcp] > s[lcp]) {
+		return fmt.Errorf("dict: input not sorted/distinct at %d (%q >= %q)", d.n, b.last, s)
 	}
-	offsets = append(offsets, uint64(len(d.data)))
-	d.offsets = ef.New(offsets)
-	return d, nil
+	if d.n%d.bucketSize == 0 {
+		d.offsets = append(d.offsets, uint64(len(d.data)))
+		d.data = appendUvarint(d.data, uint64(len(s)))
+		d.data = append(d.data, s...)
+	} else {
+		d.data = appendUvarint(d.data, uint64(lcp))
+		d.data = appendUvarint(d.data, uint64(len(s)-lcp))
+		d.data = append(d.data, s[lcp:]...)
+	}
+	b.last = append(b.last[:lcp], s[lcp:]...)
+	d.n++
+	return nil
+}
+
+// finish closes the offsets with the end of the data and returns the
+// dictionary; the builder must not be used afterwards.
+func (b *builder) finish() *Dict {
+	b.d.offsets = append(b.d.offsets, uint64(len(b.d.data)))
+	return b.d
 }
 
 // FromUnsorted sorts and deduplicates strs, builds the dictionary, and
@@ -93,11 +122,8 @@ func FromUnsorted(strs []string, bucketSize int) (*Dict, error) {
 	return New(sorted[:w], bucketSize)
 }
 
-func commonPrefix(a, b string) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+func commonPrefix[A, B string | []byte](a A, b B) int {
+	n := min(len(a), len(b))
 	i := 0
 	for i < n && a[i] == b[i] {
 		i++
@@ -131,14 +157,6 @@ func readUvarint(data []byte, pos int) (uint64, int) {
 // Len returns the number of strings.
 func (d *Dict) Len() int { return d.n }
 
-// headerBytes returns the verbatim first string of bucket k as a
-// subslice of the encoded data (no copy).
-func (d *Dict) headerBytes(k int) []byte {
-	pos := int(d.offsets.Access(k))
-	l, pos := readUvarint(d.data, pos)
-	return d.data[pos : pos+int(l)]
-}
-
 // Extract returns the string with the given ID.
 func (d *Dict) Extract(id int) (string, bool) {
 	b, ok := d.ExtractAppend(nil, id)
@@ -163,7 +181,7 @@ func (d *Dict) ExtractAppend(buf []byte, id int) ([]byte, bool) {
 	}
 	base := len(buf)
 	k := id / d.bucketSize
-	pos := int(d.offsets.Access(k))
+	pos := int(d.offsets[k])
 	l, pos := readUvarint(d.data, pos)
 	buf = append(buf, d.data[pos:pos+int(l)]...)
 	pos += int(l)
@@ -176,57 +194,60 @@ func (d *Dict) ExtractAppend(buf []byte, id int) ([]byte, bool) {
 	return buf, true
 }
 
-// cmpBytesStr is bytes.Compare over a []byte and a string, avoiding the
-// conversion allocation.
+// cmpHeader compares the verbatim header of bucket k with s, starting
+// at byte from, which both are known to share, a word at a time. It
+// returns the ordering (-1, 0, +1 for header <, =, > s) and the full
+// common prefix length.
 //
 //rdf:hotpath
-func cmpBytesStr(b []byte, s string) int {
-	n := len(b)
-	if len(s) < n {
-		n = len(s)
+func (d *Dict) cmpHeader(k int, s string, from int) (int, int) {
+	l, pos := readUvarint(d.data, int(d.offsets[k]))
+	h := d.data[pos : pos+int(l)]
+	i, n := from, min(len(h), len(s))
+	for i+8 <= n && binary.LittleEndian.Uint64(h[i:]) == le64(s[i:]) {
+		i += 8
 	}
-	for i := 0; i < n; i++ {
-		if b[i] != s[i] {
-			if b[i] < s[i] {
-				return -1
-			}
-			return 1
-		}
+	for i < n && h[i] == s[i] {
+		i++
 	}
 	switch {
-	case len(b) < len(s):
-		return -1
-	case len(b) > len(s):
-		return 1
+	case i < n:
+		if h[i] < s[i] {
+			return -1, i
+		}
+		return 1, i
+	case len(h) < len(s):
+		return -1, i
+	case len(h) > len(s):
+		return 1, i
 	}
-	return 0
+	return 0, i
 }
 
-// searchBucket finds s within bucket k without materializing any entry:
-// it tracks match, the longest common prefix of s and the last decoded
-// entry, and compares each entry through its stored LCP value. An entry
-// whose LCP disagrees with match is ordered against s immediately — LCP
-// below match means the entry already sorts past s (early exit), LCP
-// above match means it still sorts before s (skipped without touching
-// its suffix) — and only entries whose LCP equals match compare suffix
-// bytes.
+// le64 is binary.LittleEndian.Uint64 over a string, so cmpHeader
+// compares a word per step without converting s.
 //
 //rdf:hotpath
-func (d *Dict) searchBucket(k int, s string) (int, bool) {
-	pos := int(d.offsets.Access(k))
-	l, pos := readUvarint(d.data, pos)
-	hdr := d.data[pos : pos+int(l)]
+func le64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// searchBucket finds s within bucket k, whose header sorts before s
+// and shares its first match bytes with it, without materializing any
+// entry: it tracks match, the longest common prefix of s and the last
+// decoded entry, and compares each entry through its stored LCP value.
+// An entry whose LCP disagrees with match is ordered against s
+// immediately — LCP below match means the entry already sorts past s
+// (early exit), LCP above match means it still sorts before s (skipped
+// without touching its suffix) — and only entries whose LCP equals match
+// compare suffix bytes.
+//
+//rdf:hotpath
+func (d *Dict) searchBucket(k int, s string, match int) (int, bool) {
+	l, pos := readUvarint(d.data, int(d.offsets[k]))
 	pos += int(l)
-	match := 0
-	for match < len(hdr) && match < len(s) && hdr[match] == s[match] {
-		match++
-	}
-	if match == len(hdr) && match == len(s) {
-		return k * d.bucketSize, true
-	}
-	if match == len(s) || (match < len(hdr) && hdr[match] > s[match]) {
-		return 0, false // header > s, and entries only grow
-	}
 	limit := d.bucketSize
 	if rem := d.n - k*d.bucketSize; rem < limit {
 		limit = rem
@@ -266,45 +287,42 @@ func (d *Dict) searchBucket(k int, s string) (int, bool) {
 	return 0, false
 }
 
-// Locate returns the ID of s, or ok=false if absent. With a hash index
-// built (BuildLocateHash), the bucket is found with one expected probe;
-// otherwise a binary search over the verbatim bucket headers narrows to
-// one bucket, and either way the in-bucket scan compares through the
-// stored LCP values with early exit instead of materializing entries.
+// Locate returns the ID of s, or ok=false if absent. A binary search
+// over the verbatim bucket headers finds the last header <= s, and the
+// in-bucket scan compares through the stored LCP values with early exit
+// instead of materializing entries. The header search is LCP-bounded:
+// every header sorting between the two bracketing probes shares with s
+// at least the shorter of their common prefixes with s, so each probe
+// resumes the comparison there instead of at byte 0.
 //
 //rdf:hotpath
 func (d *Dict) Locate(s string) (int, bool) {
-	if d.n == 0 {
-		return 0, false
-	}
-	if d.hash != nil {
-		return d.hash.locate(d, s)
-	}
-	if cmpBytesStr(d.headerBytes(0), s) > 0 {
-		return 0, false
-	}
-	// Last bucket whose header is <= s.
-	numBuckets := (d.n + d.bucketSize - 1) / d.bucketSize
-	lo, hi := 0, numBuckets-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if cmpBytesStr(d.headerBytes(mid), s) <= 0 {
-			lo = mid
-		} else {
-			hi = mid - 1
+	// Invariant: header(lo) < s < header(hi), where lo = -1 and hi =
+	// numBuckets stand for -inf and +inf; llo and lhi are the common
+	// prefix lengths of s with header(lo) and header(hi).
+	lo, hi := -1, len(d.offsets)-1
+	llo, lhi := 0, 0
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		c, l := d.cmpHeader(mid, s, min(llo, lhi))
+		switch {
+		case c < 0:
+			lo, llo = mid, l
+		case c > 0:
+			hi, lhi = mid, l
+		default:
+			return mid * d.bucketSize, true
 		}
 	}
-	return d.searchBucket(lo, s)
+	if lo < 0 {
+		return 0, false
+	}
+	return d.searchBucket(lo, s, llo)
 }
 
-// SizeBits returns the storage footprint in bits, including the hash
-// index when one has been built.
+// SizeBits returns the in-memory footprint in bits.
 func (d *Dict) SizeBits() uint64 {
-	bits := uint64(len(d.data))*8 + d.offsets.SizeBits() + 2*64
-	if d.hash != nil {
-		bits += uint64(len(d.hash.slots)) * 64
-	}
-	return bits
+	return uint64(len(d.data))*8 + uint64(len(d.offsets))*64 + 2*64
 }
 
 // Encode writes the dictionary to w.
@@ -312,7 +330,7 @@ func (d *Dict) Encode(w *codec.Writer) {
 	w.Uvarint(uint64(d.n))
 	w.Uvarint(uint64(d.bucketSize))
 	w.Bytes(d.data)
-	d.offsets.Encode(w)
+	ef.New(d.offsets).Encode(w)
 }
 
 // Decode reads a dictionary written by Encode.
@@ -321,12 +339,18 @@ func Decode(r *codec.Reader) (*Dict, error) {
 	d.n = int(r.Uvarint())
 	d.bucketSize = int(r.Uvarint())
 	d.data = r.BytesBuf()
-	var err error
-	if d.offsets, err = ef.Decode(r); err != nil {
+	offsets, err := ef.Decode(r)
+	if err != nil {
 		return nil, err
 	}
-	if d.bucketSize <= 0 {
+	if d.bucketSize <= 0 || d.n < 0 || offsets.Len() != (d.n+d.bucketSize-1)/d.bucketSize+1 {
 		return nil, r.Fail(fmt.Errorf("%w: dict bucket size", codec.ErrCorrupt))
+	}
+	d.offsets = make([]uint64, offsets.Len())
+	it := offsets.MakeIterator(0)
+	it.NextBatch(d.offsets)
+	if d.offsets[len(d.offsets)-1] != uint64(len(d.data)) {
+		return nil, r.Fail(fmt.Errorf("%w: dict offsets", codec.ErrCorrupt))
 	}
 	return d, nil
 }

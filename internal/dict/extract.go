@@ -2,114 +2,12 @@ package dict
 
 import "sort"
 
-// This file is the zero-allocation dictionary access path: a packed
-// fingerprint hash that answers Locate with one expected bucket probe, a
-// stateful Extractor cursor that decodes each bucket entry at most once
-// across a run of nearby IDs, and a batch extraction API that groups a
-// slice of IDs by bucket. The serving layers (internal/store's pooled
-// renderer, the HTTP NDJSON writer, the CLI output paths) are built on
-// these primitives.
-
-// locateHash is a packed open-addressing fingerprint table over every
-// string of a Dict: each occupied slot packs a 32-bit hash fingerprint
-// with the 32-bit ID (stored +1 so a zero slot always means empty). A
-// probe walks the string's linear-probe sequence comparing fingerprints
-// only; a fingerprint hit is verified with one LCP-based bucket search,
-// so lookups cost O(1) expected probes plus one bucket scan instead of a
-// binary search over bucket headers.
-type locateHash struct {
-	mask  uint64
-	slots []uint64
-}
-
-// FNV-1a, finalized with a murmur-style mix so the table index (low
-// bits) and the fingerprint (high bits) are decorrelated.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-//rdf:hotpath
-func hashMix(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
-}
-
-//rdf:hotpath
-func hashString(s string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return hashMix(h)
-}
-
-//rdf:hotpath
-func hashBytes(b []byte) uint64 {
-	h := uint64(fnvOffset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return hashMix(h)
-}
-
-// BuildLocateHash builds the packed hash index that makes Locate O(1).
-// It enumerates every string once (through a cursor, so the build is
-// linear in the encoded size) and costs 8 bytes per slot at load factor
-// <= 1/2. The index is not serialized; loaders rebuild it after decode.
-// It mutates the Dict, so it must be called before the dictionary is
-// shared between goroutines — the store load, build and fold paths all
-// call it before publication.
-func (d *Dict) BuildLocateHash() {
-	if d.hash != nil || d.n == 0 || d.n >= 1<<31 {
-		return
-	}
-	size := 1
-	for size < d.n*2 {
-		size <<= 1
-	}
-	lh := &locateHash{mask: uint64(size - 1), slots: make([]uint64, size)}
-	var e Extractor
-	e.Bind(d)
-	for id := 0; id < d.n; id++ {
-		t, _ := e.Extract(id)
-		h := hashBytes(t)
-		fp := h >> 32
-		for i := h & lh.mask; ; i = (i + 1) & lh.mask {
-			if lh.slots[i] == 0 {
-				lh.slots[i] = fp<<32 | uint64(id+1)
-				break
-			}
-		}
-	}
-	d.hash = lh
-}
-
-// locate answers Locate through the fingerprint table. Fingerprint
-// collisions are harmless: verification searches the candidate's bucket
-// for s and accepts only when the found rank is the candidate itself.
-//
-//rdf:hotpath
-func (lh *locateHash) locate(d *Dict, s string) (int, bool) {
-	h := hashString(s)
-	fp := h >> 32
-	for i := h & lh.mask; ; i = (i + 1) & lh.mask {
-		slot := lh.slots[i]
-		if slot == 0 {
-			return 0, false
-		}
-		if slot>>32 == fp {
-			id := int(uint32(slot)) - 1
-			if r, ok := d.searchBucket(id/d.bucketSize, s); ok && r == id {
-				return id, true
-			}
-		}
-	}
-}
+// This file is the zero-allocation dictionary access path: a stateful
+// Extractor cursor that decodes each bucket entry at most once across a
+// run of nearby IDs, and a batch extraction API that groups a slice of
+// IDs by bucket. The serving layers (internal/store's pooled renderer,
+// the HTTP NDJSON writer, the CLI output paths) are built on these
+// primitives.
 
 // Extractor is a stateful extraction cursor over a Dict or an Overlay.
 // It remembers the bucket it last decoded and the buffer holding the
@@ -189,7 +87,7 @@ func (e *Extractor) Extract(id int) ([]byte, bool) {
 	}
 	k, j := id/d.bucketSize, id%d.bucketSize
 	if k != e.bucket || j < e.idx {
-		pos := int(d.offsets.Access(k))
+		pos := int(d.offsets[k])
 		l, p := readUvarint(d.data, pos)
 		e.cur = append(e.cur[:0], d.data[p:p+int(l)]...)
 		e.bucket, e.idx, e.pos = k, 0, p+int(l)

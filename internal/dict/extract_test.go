@@ -131,51 +131,49 @@ func TestExtractBatch(t *testing.T) {
 	}
 }
 
-func TestLocateHashMatchesBinarySearch(t *testing.T) {
+// TestLocateOracle checks Locate against sort.SearchStrings over the
+// source strings, for every stored string and for near misses around
+// them: prefixes, extensions, single-byte flips, the extremes of the
+// byte order, and probes before the first and after the last header.
+func TestLocateOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, bucket := range []int{1, 2, 16} {
-		strs := uriLike(600)
-		plain := buildSorted(t, strs, bucket)
-		hashed := buildSorted(t, strs, bucket)
-		hashed.BuildLocateHash()
-		probes := append([]string(nil), strs...)
-		// Near-miss probes: prefixes, extensions, and mutations.
-		for i := 0; i < 300; i++ {
-			s := strs[rng.Intn(len(strs))]
-			switch rng.Intn(3) {
-			case 0:
-				probes = append(probes, s[:rng.Intn(len(s)+1)])
-			case 1:
-				probes = append(probes, s+"x")
-			default:
-				b := []byte(s)
-				b[rng.Intn(len(b))] ^= 1
-				probes = append(probes, string(b))
+	sets := map[string][]string{
+		"empty": nil,
+		"one":   {"http://example.org/only"},
+		"uri":   uriLike(600),
+		// Long shared prefixes and strings that are prefixes of others.
+		"nested": {"a", "aa", "aaa", "aaaa", "aaaab", "aab", "ab", "abc", "abcd", "b", "ba", "bab", "babc", "c"},
+	}
+	for name, strs := range sets {
+		for _, bucket := range []int{1, 2, 3, 16, 64} {
+			d := buildSorted(t, strs, bucket)
+			probes := append([]string{"", "\x00", "\xff\xff", "!", "~~~~"}, strs...)
+			for i := 0; i < 300 && len(strs) > 0; i++ {
+				s := strs[rng.Intn(len(strs))]
+				switch rng.Intn(3) {
+				case 0:
+					probes = append(probes, s[:rng.Intn(len(s)+1)])
+				case 1:
+					probes = append(probes, s+string(rune('\x00'+rng.Intn(3)*0x3f)))
+				default:
+					b := []byte(s)
+					b[rng.Intn(len(b))] ^= byte(1 << rng.Intn(8))
+					probes = append(probes, string(b))
+				}
+			}
+			if len(strs) > 0 {
+				first, last := strs[0], strs[len(strs)-1]
+				probes = append(probes, first[:len(first)-1], first+"\x00", last+"\x00", last+"\xff")
+			}
+			for _, p := range probes {
+				i := sort.SearchStrings(strs, p)
+				wantOK := i < len(strs) && strs[i] == p
+				id, ok := d.Locate(p)
+				if ok != wantOK || (ok && id != i) {
+					t.Fatalf("%s bucket %d: Locate(%q) = (%d, %v), want (%d, %v)", name, bucket, p, id, ok, i, wantOK)
+				}
 			}
 		}
-		probes = append(probes, "", "\x00", "\xff\xff")
-		for _, p := range probes {
-			id1, ok1 := plain.Locate(p)
-			id2, ok2 := hashed.Locate(p)
-			if ok1 != ok2 || (ok1 && id1 != id2) {
-				t.Fatalf("bucket %d: Locate(%q) binary=(%d,%v) hash=(%d,%v)", bucket, p, id1, ok1, id2, ok2)
-			}
-		}
-	}
-}
-
-func TestBuildLocateHashIdempotentAndEmpty(t *testing.T) {
-	d := buildSorted(t, nil, 4)
-	d.BuildLocateHash()
-	if d.hash != nil {
-		t.Fatal("empty dict built a hash")
-	}
-	d2 := buildSorted(t, []string{"a", "b"}, 4)
-	d2.BuildLocateHash()
-	h := d2.hash
-	d2.BuildLocateHash()
-	if d2.hash != h {
-		t.Fatal("BuildLocateHash rebuilt an existing index")
 	}
 }
 
@@ -236,7 +234,6 @@ func FuzzExtractorOracle(f *testing.F) {
 		if err != nil {
 			t.Fatalf("New rejected sorted distinct input: %v", err)
 		}
-		d.BuildLocateHash()
 		ov := NewOverlay(d)
 		for i := 0; i < len(strs)/2+1; i++ {
 			ov.Add(fmt.Sprintf("\xffov%d", i))
@@ -266,7 +263,7 @@ func FuzzExtractorOracle(f *testing.F) {
 				if wantOK != (terms[i] != nil) || (wantOK && string(terms[i]) != want) {
 					t.Fatalf("%s: batch term[%d] (id %d) = %q, want (%q, %v)", name, i, id, terms[i], want, wantOK)
 				}
-				// Locate inverts Extract (base IDs exercise the hash).
+				// Locate inverts Extract.
 				if wantOK {
 					if lid, lok := r.Locate(want); !lok || lid != id {
 						t.Fatalf("%s: Locate(%q) = (%d, %v), want %d", name, want, lid, lok, id)
@@ -280,7 +277,6 @@ func FuzzExtractorOracle(f *testing.F) {
 func TestExtractorAllocs(t *testing.T) {
 	strs := uriLike(512)
 	d := buildSorted(t, strs, 16)
-	d.BuildLocateHash()
 	ov := NewOverlay(d)
 	for i := 0; i < 64; i++ {
 		ov.Add(fmt.Sprintf("zzz://overlay/%03d", i))
@@ -330,11 +326,17 @@ func TestExtractorAllocs(t *testing.T) {
 		}
 	})
 	t.Run("Locate", func(t *testing.T) {
-		for name, dd := range map[string]*Dict{"hash": d, "binary": buildSorted(t, strs, 16)} {
+		// Present base terms, present overlay terms (Overlay only), and
+		// absent probes on both.
+		probes := append([]string{"", "zzz://overlay/999", strs[0] + "x"}, strs...)
+		for i := 0; i < 64; i++ {
+			probes = append(probes, fmt.Sprintf("zzz://overlay/%03d", i))
+		}
+		for name, r := range map[string]Reader{"dict": d, "overlay": view} {
 			i := 0
 			if a := testing.AllocsPerRun(500, func() {
-				dd.Locate(strs[i])
-				i = (i + 1) % len(strs)
+				r.Locate(probes[i])
+				i = (i + 1) % len(probes)
 			}); a != 0 {
 				t.Errorf("%s Locate allocs = %v, want 0", name, a)
 			}

@@ -126,32 +126,32 @@ func (o *Overlay) SizeBits() uint64 {
 // mapping (indexed by old ID, length Len()). The caller remaps every
 // triple that references the old ID space and starts a fresh overlay
 // over the returned dictionary.
+//
+// Both inputs are already sorted — the base by construction, the overlay
+// through byStr — so the fold is one linear merge: base terms stream
+// through a cursor without becoming strings, every term is appended to
+// the builder New uses, and its old ID maps to the builder's next rank.
 func (o *Overlay) Fold(bucketSize int) (*Dict, []int, error) {
-	all := make([]string, 0, o.Len())
+	b := newBuilder(bucketSize)
+	mapping := make([]int, o.Len())
 	e := NewExtractor(o.base)
-	for i := 0; i < o.base.Len(); i++ {
-		s, ok := e.Extract(i)
-		if !ok {
-			panic("dict: base dictionary ID out of range during fold")
+	nb := o.base.Len()
+	id, j := 0, 0 // next base ID, next overlay rank
+	for id < nb || j < len(o.byStr) {
+		t, _ := e.Extract(id) // a repeated ID is free on the cursor
+		var err error
+		if id < nb && (j == len(o.byStr) || string(t) < o.str(o.byStr[j])) {
+			mapping[id] = b.d.n
+			err = add(b, t)
+			id++
+		} else {
+			mapping[nb+int(o.byStr[j])] = b.d.n
+			err = add(b, o.str(o.byStr[j]))
+			j++
 		}
-		all = append(all, string(s))
-	}
-	all = append(all, o.added...)
-	d, err := FromUnsorted(all, bucketSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The mapping loop below locates every string once, and the folded
-	// dictionary replaces the base on the serving path; both want the
-	// O(1) hash index, built here while the dict is still private.
-	d.BuildLocateHash()
-	mapping := make([]int, len(all))
-	for oldID, s := range all {
-		newID, ok := d.Locate(s)
-		if !ok {
-			panic("dict: folded dictionary lost a string")
+		if err != nil {
+			return nil, nil, err
 		}
-		mapping[oldID] = newID
 	}
-	return d, mapping, nil
+	return b.finish(), mapping, nil
 }

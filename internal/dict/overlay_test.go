@@ -1,10 +1,13 @@
 package dict
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
+
+	"rdfindexes/internal/codec"
 )
 
 func mustDict(t testing.TB, strs []string) *Dict {
@@ -114,13 +117,26 @@ func TestOverlayFold(t *testing.T) {
 
 // FuzzOverlayRoundTrip checks Locate∘Extract = id and Extract∘Locate =
 // string over a dictionary split arbitrarily into a front-coded base and
-// an overlay, driven by fuzzed string content.
+// an overlay, driven by fuzzed string content, and that the linear Fold
+// encodes byte for byte like FromUnsorted over the union and maps every
+// old ID to the rebuilt dictionary's Locate of its string. Bit i%64 of
+// mask sends the i-th smallest string to the overlay, so overlay terms
+// land before, between, inside and after the base's buckets.
 func FuzzOverlayRoundTrip(f *testing.F) {
-	f.Add("alpha beta gamma delta", 2)
-	f.Add("<http://ex/a> <http://ex/ab> \"lit with space\" _:b1", 1)
-	f.Add("a aa aaa aaaa ab b", 3)
-	f.Add("", 0)
-	f.Fuzz(func(t *testing.T, words string, split int) {
+	f.Add("alpha beta gamma delta", uint64(2))
+	f.Add("<http://ex/a> <http://ex/ab> \"lit with space\" _:b1", uint64(1))
+	f.Add("a aa aaa aaaa ab b", uint64(3))
+	f.Add("", uint64(0))
+	// Overlay before the first and after the last base term.
+	f.Add("a b c d e f g h", uint64(0b10000001))
+	// Overlay inside one base bucket (bucket size 3: b c d | e f g).
+	f.Add("b c cc d e f g", uint64(0b100))
+	// Long shared prefixes with their neighbours.
+	f.Add("http://example.org/resource/Entity_1 http://example.org/resource/Entity_10 "+
+		"http://example.org/resource/Entity_100 http://example.org/resource/Entity_1000 "+
+		"http://example.org/resource/Entity_1001 http://example.org/resource/Entity_101 "+
+		"http://example.org/resource/Entity_11 http://example.org/resource/Entity_2", uint64(0b01011010))
+	f.Fuzz(func(t *testing.T, words string, mask uint64) {
 		fields := strings.Fields(words)
 		sort.Strings(fields)
 		uniq := fields[:0]
@@ -129,22 +145,24 @@ func FuzzOverlayRoundTrip(f *testing.F) {
 				uniq = append(uniq, s)
 			}
 		}
-		if split < 0 {
-			split = -split
-		}
 		if len(uniq) == 0 {
 			return
 		}
-		split %= len(uniq) + 1
-		// Base takes the first `split` strings (sorted, as the build path
-		// produces); the rest arrive through the overlay in scrambled
-		// order.
-		base, err := New(append([]string(nil), uniq[:split]...), 3)
+		// The base keeps its strings sorted, as the build path produces;
+		// the rest arrive through the overlay in scrambled order.
+		var baseStrs, rest []string
+		for i, s := range uniq {
+			if mask>>(i%64)&1 == 1 {
+				rest = append(rest, s)
+			} else {
+				baseStrs = append(baseStrs, s)
+			}
+		}
+		base, err := New(baseStrs, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		o := NewOverlay(base)
-		rest := append([]string(nil), uniq[split:]...)
 		for i, j := 0, len(rest)-1; i < j; i, j = i+1, j-1 {
 			rest[i], rest[j] = rest[j], rest[i]
 		}
@@ -178,22 +196,40 @@ func FuzzOverlayRoundTrip(f *testing.F) {
 				t.Fatalf("%q: ID moved from %d to %d", s, want, id)
 			}
 		}
-		// Folding preserves the string set under remapped IDs.
+		// Folding preserves the string set under remapped IDs, and builds
+		// exactly the dictionary a sort of the union would.
 		d, mapping, err := o.Fold(3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Len() != o.Len() {
-			t.Fatalf("fold changed cardinality: %d != %d", d.Len(), o.Len())
+		ref, err := FromUnsorted(uniq, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := encoded(t, d), encoded(t, ref); !bytes.Equal(got, want) {
+			t.Fatalf("Fold encodes %x, FromUnsorted %x", got, want)
+		}
+		if len(mapping) != o.Len() {
+			t.Fatalf("mapping len = %d, want %d", len(mapping), o.Len())
 		}
 		for oldID, newID := range mapping {
 			s, _ := o.Extract(oldID)
-			got, ok := d.Extract(newID)
-			if !ok || got != s {
-				t.Fatalf("fold mapping broken at %d -> %d: %q vs %q", oldID, newID, s, got)
+			if want, ok := ref.Locate(s); !ok || newID != want {
+				t.Fatalf("fold maps %d (%q) to %d, want %d (%v)", oldID, s, newID, want, ok)
 			}
 		}
 	})
+}
+
+func encoded(t *testing.T, d *Dict) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := codec.NewWriter(&buf)
+	d.Encode(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // FuzzDictRoundTrip fuzzes the plain front-coded dictionary the same

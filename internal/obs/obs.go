@@ -145,8 +145,14 @@ func (r *Registry) GaugeFunc(name, labels, help string, fn func() float64) {
 // Histogram registers and returns a latency histogram series.
 func (r *Registry) Histogram(name, labels, help string) *Histogram {
 	h := &Histogram{}
-	r.register(name, help, kindHistogram, &series{labels: labels, hist: h})
+	r.AddHistogram(name, labels, help, h)
 	return h
+}
+
+// AddHistogram registers a histogram recorded elsewhere — by a
+// component that outlives or predates the registry — as a series.
+func (r *Registry) AddHistogram(name, labels, help string, h *Histogram) {
+	r.register(name, help, kindHistogram, &series{labels: labels, hist: h})
 }
 
 // PromContentType is the Content-Type of the text exposition format.

@@ -272,45 +272,32 @@ type Dicts struct {
 // Encode dictionary-encodes statements into an integer dataset plus its
 // dictionaries.
 func Encode(statements []Statement) (*core.Dataset, *Dicts, error) {
-	soSet := map[string]bool{}
-	pSet := map[string]bool{}
+	soSet := map[string]int{}
+	pSet := map[string]int{}
 	for _, st := range statements {
-		soSet[st.S.Key()] = true
-		soSet[st.O.Key()] = true
-		pSet[st.P.Key()] = true
+		soSet[st.S.Key()] = 0
+		soSet[st.O.Key()] = 0
+		pSet[st.P.Key()] = 0
 	}
-	soStrs := make([]string, 0, len(soSet))
-	for s := range soSet {
-		soStrs = append(soStrs, s)
-	}
-	sort.Strings(soStrs)
-	pStrs := make([]string, 0, len(pSet))
-	for s := range pSet {
-		pStrs = append(pStrs, s)
-	}
-	sort.Strings(pStrs)
-
-	so, err := dict.New(soStrs, dict.DefaultBucketSize)
+	// Each set's sorted order is its dictionary's rank order, so the
+	// sets double as the term-to-ID map for the encode loop below.
+	so, err := rankedDict(soSet)
 	if err != nil {
 		return nil, nil, err
 	}
-	pd, err := dict.New(pStrs, dict.DefaultBucketSize)
+	pd, err := rankedDict(pSet)
 	if err != nil {
 		return nil, nil, err
 	}
-	// The encode loop below locates every term of every statement; the
-	// O(1) hash index pays for itself immediately and then serves the
-	// query path.
-	so.BuildLocateHash()
-	pd.BuildLocateHash()
 	ds := &Dicts{SO: so, P: pd}
 
 	ts := make([]core.Triple, 0, len(statements))
 	for _, st := range statements {
-		s, _ := so.Locate(st.S.Key())
-		p, _ := pd.Locate(st.P.Key())
-		o, _ := so.Locate(st.O.Key())
-		ts = append(ts, core.Triple{S: core.ID(s), P: core.ID(p), O: core.ID(o)})
+		ts = append(ts, core.Triple{
+			S: core.ID(soSet[st.S.Key()]),
+			P: core.ID(pSet[st.P.Key()]),
+			O: core.ID(soSet[st.O.Key()]),
+		})
 	}
 	d := core.NewDataset(ts)
 	// Shared subject/object space.
@@ -321,6 +308,20 @@ func Encode(statements []Statement) (*core.Dataset, *Dicts, error) {
 		d.NO = ds.SO.Len()
 	}
 	return d, ds, nil
+}
+
+// rankedDict builds the front-coded dictionary over set's keys and
+// stores each key's rank (its dictionary ID) as its value.
+func rankedDict(set map[string]int) (*dict.Dict, error) {
+	strs := make([]string, 0, len(set))
+	for s := range set {
+		strs = append(strs, s)
+	}
+	sort.Strings(strs)
+	for i, s := range strs {
+		set[s] = i
+	}
+	return dict.New(strs, dict.DefaultBucketSize)
 }
 
 // DecodeTriple maps an integer triple back to N-Triples syntax.

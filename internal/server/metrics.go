@@ -96,6 +96,13 @@ func (s *Server) initMetrics() {
 			}
 			return float64(s.mut.WALBytes())
 		})
+	r.GaugeFunc("rdf_store_open_seconds", "", "Seconds the store open took at start: decode, checksum pass and WAL replay",
+		func() float64 { st, _ := s.view(); return st.OpenDuration.Seconds() })
+	merges := &obs.Histogram{} // read-only stores never merge
+	if s.mut != nil {
+		merges = s.mut.MergeSeconds()
+	}
+	r.AddHistogram("rdf_merge_seconds", "", "Duration of merges folding the update log into a rebuilt, persisted store", merges)
 	r.GaugeFunc("rdf_breaker_open", "", "1 while the write-path circuit breaker is open",
 		func() float64 {
 			if s.brk != nil && s.brk.open(s.now()) {

@@ -127,6 +127,43 @@ func TestMetricsEndpoint(t *testing.T) {
 	if stats.PlanMisses != 1 || stats.CacheHits != 1 {
 		t.Errorf("stats plan misses %d / cache hits %d, want 1 / 1", stats.PlanMisses, stats.CacheHits)
 	}
+	// A store built in memory was never opened, and a read-only server
+	// never merges; both series exist anyway.
+	if v, ok := metricValue(samples, "rdf_store_open_seconds", nil); !ok || v != 0 || stats.OpenSeconds != 0 {
+		t.Errorf("in-memory store open seconds = %v (found %v), stats %v; want 0", v, ok, stats.OpenSeconds)
+	}
+	if v, ok := metricValue(samples, "rdf_merge_seconds_count", nil); !ok || v != 0 {
+		t.Errorf("read-only merge count = %v (found %v), want 0", v, ok)
+	}
+
+	// An opened mutable store reports its open time, and every merge
+	// lands in the merge histogram.
+	m := mutableStore(t, t.TempDir(), 20, 2, 0)
+	mts := httptest.NewServer(NewMutable(m, Options{Workers: 2}))
+	defer mts.Close()
+	if _, err := m.Insert("<http://ex/new>", "<http://ex/knows>", "<http://ex/p0>"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	_, body = get(t, mts, "/metrics")
+	if samples, err = obs.ParseProm(strings.NewReader(body)); err != nil {
+		t.Fatal(err)
+	}
+	_, sbody = get(t, mts, "/stats")
+	if err := json.Unmarshal([]byte(sbody), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := metricValue(samples, "rdf_store_open_seconds", nil); !ok || v <= 0 || v != stats.OpenSeconds {
+		t.Errorf("open seconds = %v (found %v), stats open_seconds %v; want equal and positive", v, ok, stats.OpenSeconds)
+	}
+	if v, ok := metricValue(samples, "rdf_merge_seconds_count", nil); !ok || v != 1 {
+		t.Errorf("merge count = %v (found %v), want 1", v, ok)
+	}
+	if v, ok := metricValue(samples, "rdf_merge_seconds_sum", nil); !ok || v <= 0 {
+		t.Errorf("merge seconds sum = %v (found %v), want > 0", v, ok)
+	}
 }
 
 // TestExplainEndpoint runs ?explain=1 against the plain, sharded and

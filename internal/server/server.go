@@ -235,25 +235,19 @@ type Server struct {
 }
 
 // New builds a read-only server over a loaded store.
-func New(st *store.Store, cfg Options) *Server {
-	s := newServer(cfg)
-	s.st = st
-	return s
-}
+func New(st *store.Store, cfg Options) *Server { return newServer(cfg, st, nil) }
 
 // NewMutable builds a server over an updatable store: reads resolve
 // against the store's current snapshot view, and the /insert and
 // /delete endpoints accept writes.
-func NewMutable(m *store.Mutable, cfg Options) *Server {
-	s := newServer(cfg)
-	s.mut = m
-	return s
-}
+func NewMutable(m *store.Mutable, cfg Options) *Server { return newServer(cfg, nil, m) }
 
-func newServer(cfg Options) *Server {
+func newServer(cfg Options, st *store.Store, m *store.Mutable) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
+		st:      st,
+		mut:     m,
 		sem:     make(chan struct{}, cfg.Workers),
 		results: newLRU(cfg.CacheEntries, func(body []byte) int { return len(body) }),
 		plans:   newLRU[*sparql.Compiled](cfg.PlanEntries, nil),
@@ -770,6 +764,8 @@ type Stats struct {
 	Workers       int     `json:"workers"`
 	InFlight      int     `json:"in_flight"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
+	// OpenSeconds is how long the store open took at start.
+	OpenSeconds   float64 `json:"open_seconds"`
 	Queries       uint64  `json:"queries"`
 	SparqlQueries uint64  `json:"sparql_queries"`
 	// ProtocolQueries counts requests on the standards /sparql endpoint;
@@ -844,6 +840,7 @@ func (s *Server) Snapshot() Stats {
 		Workers:             s.cfg.Workers,
 		InFlight:            len(s.sem),
 		UptimeSeconds:       time.Since(s.start).Seconds(),
+		OpenSeconds:         st.OpenDuration.Seconds(),
 		Queries:             s.queries.Load(),
 		SparqlQueries:       s.sparqls.Load(),
 		ProtocolQueries:     s.protocols.Load(),

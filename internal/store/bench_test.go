@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -9,12 +10,15 @@ import (
 
 	"rdfindexes/internal/codec"
 	"rdfindexes/internal/core"
+	"rdfindexes/internal/dict"
+	"rdfindexes/internal/rdf"
 )
 
 // benchFile lazily builds one moderately sized container on disk and
 // reuses it across the container benchmarks. The dataset shape (many
 // subjects, few predicates, skewed objects) loosely follows the RDF
-// benchmark presets.
+// benchmark presets, and it carries dictionaries with IRI-shaped terms,
+// so a read prices decoding them as serving does.
 var benchFile struct {
 	once sync.Once
 	path string
@@ -37,13 +41,28 @@ func benchContainer(b *testing.B) (string, *Store, int64) {
 			benchFile.err = err
 			return
 		}
+		terms := func(n int, format string) *dict.Dict {
+			strs := make([]string, n)
+			for i := range strs {
+				strs[i] = fmt.Sprintf(format, i)
+			}
+			d, err := dict.New(strs, dict.DefaultBucketSize)
+			if err != nil {
+				panic(err)
+			}
+			return d
+		}
+		dicts := &rdf.Dicts{
+			SO: terms(20_011, "<http://example.org/resource/Entity_%08d>"),
+			P:  terms(19, "<http://example.org/ontology/property_%02d>"),
+		}
 		dir, err := os.MkdirTemp("", "storebench")
 		if err != nil {
 			benchFile.err = err
 			return
 		}
 		benchFile.path = filepath.Join(dir, "bench.idx")
-		benchFile.st = &Store{Index: x}
+		benchFile.st = &Store{Index: x, Dicts: dicts}
 		if err := Write(benchFile.path, benchFile.st); err != nil {
 			benchFile.err = err
 			return

@@ -18,6 +18,7 @@ import (
 	"rdfindexes/internal/core"
 	"rdfindexes/internal/dict"
 	"rdfindexes/internal/faultfs"
+	"rdfindexes/internal/obs"
 	"rdfindexes/internal/rdf"
 )
 
@@ -73,6 +74,9 @@ type Mutable struct {
 	view   atomic.Pointer[Store]
 	gen    atomic.Uint64
 	merges atomic.Uint64
+
+	openDuration time.Duration // how long openMutable took; stamped on every view
+	mergeSeconds obs.Histogram // duration of every completed merge
 
 	// walBytes mirrors the WAL file's size so metric scrapes read it
 	// with one atomic load instead of a Stat (or worse, taking mu while
@@ -148,6 +152,7 @@ func OpenMutable(path string, threshold int) (*Mutable, error) {
 }
 
 func openMutable(path string, threshold int, lock bool) (*Mutable, error) {
+	start := time.Now()
 	if threshold == 0 {
 		threshold = core.DefaultMergeThreshold
 	}
@@ -211,6 +216,7 @@ func openMutable(path string, threshold int, lock bool) (*Mutable, error) {
 			return nil, err
 		}
 	}
+	m.openDuration = time.Since(start)
 	m.publishLocked()
 	return m, nil
 }
@@ -323,6 +329,10 @@ func (m *Mutable) Generation() uint64 { return m.view.Load().Gen }
 // Merges returns the number of merges performed since open.
 func (m *Mutable) Merges() uint64 { return m.merges.Load() }
 
+// MergeSeconds returns the histogram of completed merge durations, for
+// a metrics registry to expose; the Mutable is its only writer.
+func (m *Mutable) MergeSeconds() *obs.Histogram { return &m.mergeSeconds }
+
 // Threshold returns the merge threshold.
 func (m *Mutable) Threshold() int { return m.threshold }
 
@@ -337,7 +347,7 @@ func (m *Mutable) WALBytes() int64 { return m.walBytes.Load() }
 // with one pointer load, so a cache key built from the generation can
 // never describe IDs resolved against a different view's dictionaries.
 func (m *Mutable) publishLocked() {
-	st := &Store{Index: m.dyn.Snapshot(), Gen: m.gen.Add(1), Integrity: m.integrity, Modified: time.Now()}
+	st := &Store{Index: m.dyn.Snapshot(), Gen: m.gen.Add(1), Integrity: m.integrity, Modified: time.Now(), OpenDuration: m.openDuration}
 	if m.so != nil {
 		st.Dicts = &rdf.Dicts{SO: m.so.View(), P: m.p.View()}
 	}
@@ -830,6 +840,7 @@ func overlaysFor(st *Store) (so, p *dict.Overlay, err error) {
 // rebuilt static store, persists it atomically (temp file + rename), and
 // truncates the WAL. Callers hold m.mu.
 func (m *Mutable) mergeLocked() error {
+	start := time.Now()
 	live := m.dyn.LiveTriples()
 	var dicts *rdf.Dicts
 	var soDict, pDict *dict.Dict
@@ -898,6 +909,7 @@ func (m *Mutable) mergeLocked() error {
 	// published from here on no longer inherit a legacy "unverified"
 	// badge from the file this Mutable was originally opened from.
 	m.integrity = Integrity{Version: CurrentVersion, Verified: true}
+	m.mergeSeconds.Observe(time.Since(start))
 	m.merges.Add(1)
 	return nil
 }

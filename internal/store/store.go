@@ -98,6 +98,10 @@ type Store struct {
 	// published by Mutable. It backs the HTTP Last-Modified header, so
 	// it is per-view immutable like Gen.
 	Modified time.Time
+	// OpenDuration is how long the open that produced this view took:
+	// Read's decode and checksum pass, plus WAL replay for a Mutable,
+	// whose views all carry the duration of its open.
+	OpenDuration time.Duration
 }
 
 // fsys is the filesystem the write paths go through; the crash-torture
@@ -257,9 +261,13 @@ func readStore(path string, degraded bool) (st *Store, err error) {
 	// corrupted file that assumption can surface as a slice-bounds panic
 	// before a checksum is reached. This boundary converts any such
 	// panic into a corruption error: Read never takes the process down.
+	start := time.Now()
 	defer func() {
 		if p := recover(); p != nil {
 			st, err = nil, fmt.Errorf("store: %s: %w: decoder panic: %v", path, codec.ErrCorrupt, p)
+		}
+		if st != nil {
+			st.OpenDuration = time.Since(start)
 		}
 	}()
 	f, err := os.Open(path)
@@ -303,10 +311,6 @@ func readStore(path string, degraded bool) (st *Store, err error) {
 		if err != nil {
 			return nil, err
 		}
-		// The O(1) Locate index is not serialized; rebuild it while the
-		// dictionaries are still private to this load.
-		so.BuildLocateHash()
-		p.BuildLocateHash()
 		st.Dicts = &rdf.Dicts{SO: so, P: p}
 	}
 	n := 1

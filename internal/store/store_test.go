@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -167,5 +168,84 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Read(path); err == nil {
 		t.Fatal("garbage file accepted")
+	}
+}
+
+// pinnedNT is a fixed N-Triples fixture with IRIs, blank nodes and
+// plain, language-tagged and typed literals, large enough to span many
+// dictionary buckets.
+func pinnedNT() string {
+	var sb strings.Builder
+	for i := 0; i < 240; i++ {
+		s := fmt.Sprintf("<http://example.org/resource/Entity_%d>", i%97)
+		o := fmt.Sprintf("<http://example.org/resource/Entity_%d>", (i*31+7)%97)
+		switch i % 5 {
+		case 1:
+			o = fmt.Sprintf(`"label %d"@en`, i)
+		case 2:
+			o = fmt.Sprintf(`"%d"^^<http://www.w3.org/2001/XMLSchema#integer>`, i*13)
+		case 3:
+			o = fmt.Sprintf("_:b%d", i%11)
+		}
+		fmt.Fprintf(&sb, "%s <http://example.org/ontology/p%d> %s .\n", s, i%7, o)
+	}
+	return sb.String()
+}
+
+// TestFormatPinned pins the content fingerprint (FileFingerprint,
+// CRC64-ECMA — the epoch identity replication compares) of the store
+// file written for a fixed fixture, straight from rdf.Encode and again
+// after a merge folds new terms into the dictionaries: a change to how
+// dictionaries, indexes or containers serialize fails here instead of
+// passing as "no format change". A file-wide CRC32C would not do: every
+// section is followed by its own CRC32C, and a CRC over a message and
+// its own CRC is a constant, so it sees only the section lengths.
+func TestFormatPinned(t *testing.T) {
+	statements, err := rdf.ParseAll(strings.NewReader(pinnedNT()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, dicts, err := rdf.Encode(statements)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := core.Build(d, core.Layout2Tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "pinned.idx")
+	if err := Write(path, &Store{Index: x, Dicts: dicts}); err != nil {
+		t.Fatal(err)
+	}
+	fingerprint := func() uint64 {
+		t.Helper()
+		fp, err := FileFingerprint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+	if got, want := fingerprint(), uint64(0x46a97ab6c900e136); got != want {
+		t.Errorf("encoded store fingerprint = %#016x, want %#016x", got, want)
+	}
+	m, err := OpenMutable(path, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for _, tr := range [][3]string{
+		{"<http://example.org/resource/A>", "<http://example.org/ontology/p0>", "<http://example.org/resource/Entity_5>"},
+		{"<http://example.org/resource/Entity_50x>", "<http://example.org/ontology/p10>", `"new"@de`},
+		{"<http://zzz.example/last>", "<http://example.org/ontology/p3>", "_:b0"},
+	} {
+		if _, err := m.Insert(tr[0], tr[1], tr[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fingerprint(), uint64(0xcf7255306628cc71); got != want {
+		t.Errorf("merged store fingerprint = %#016x, want %#016x", got, want)
 	}
 }
