@@ -160,14 +160,29 @@ func (r *RankSelect) Select1(k int) int {
 	}
 	b := lo
 	rem := uint64(k) - r.super[b]
-	// Find the word within the block using the packed counters.
-	word := 0
-	for word < 7 && r.subCount(b, word+1) <= rem {
-		word++
-	}
+	// The word holding the target is the number of packed counters that
+	// are <= rem: the counters are non-decreasing, so they form a prefix.
+	word := bits.OnesCount64(leqStep9(r.sub[b], rem*onesStep9))
 	rem -= r.subCount(b, word)
 	idx := b*8 + word
 	return idx*64 + selectInWord(r.v.words[idx], int(rem))
+}
+
+// onesStep9 has the low bit of each of the seven 9-bit fields of a packed
+// sub-block counter word set; msbsStep9 has their high bits.
+const (
+	onesStep9 = 1<<0 | 1<<9 | 1<<18 | 1<<27 | 1<<36 | 1<<45 | 1<<54
+	msbsStep9 = 0x100 * onesStep9
+)
+
+// leqStep9 compares the seven 9-bit fields of x and y as unsigned
+// integers in parallel (rank9/select9, Vigna 2008) and returns a word
+// with the low bit of each field set where x's field <= y's. The
+// subtraction runs on the low eight bits under a guard bit, so no borrow
+// crosses a field; the two xor terms settle the fields whose high bits
+// differ.
+func leqStep9(x, y uint64) uint64 {
+	return ((((y | msbsStep9) - (x &^ msbsStep9)) | (x ^ y)) ^ (x &^ y)) & msbsStep9 >> 8
 }
 
 // Select0 returns the position of the k-th (0-based) unset bit. k must be

@@ -65,6 +65,11 @@ func TestRankSelectAgainstOracle(t *testing.T) {
 		{1, 1}, {1, 0}, {63, 0.5}, {64, 0.5}, {65, 0.5},
 		{511, 0.3}, {512, 0.3}, {513, 0.3},
 		{5000, 0.01}, {5000, 0.99}, {5000, 0.5}, {4096, 0.5},
+		// Full blocks (512 ones: the packed counters reach 448) and
+		// partial tail blocks of every word count, for the broadword
+		// word pick in Select1.
+		{2048, 1}, {1024 + 64, 1}, {1024 + 200, 1}, {512 + 448, 1},
+		{1536 + 100, 0.97}, {512 + 1, 1}, {3 * 512, 0.999},
 	} {
 		v, ref := buildRandom(tc.n, tc.density, int64(tc.n)*7+int64(tc.density*100))
 		rs := NewRankSelect(v)

@@ -101,6 +101,18 @@ func (x *Index2To) SelectVarSorted(p Pattern) (*VarIter, bool) {
 	return nil, false
 }
 
+// SelectVarSorted on a snapshot serves the base index's streams while the
+// update log is empty. With pending updates a base stream would miss the
+// inserts and keep the deletes, so it declines and the executor falls
+// back to nested iteration over the merged Select.
+func (x *DynamicSnapshot) SelectVarSorted(p Pattern) (*VarIter, bool) {
+	vs, ok := x.base.(VarSelecter)
+	if !ok || x.LogSize() > 0 {
+		return nil, false
+	}
+	return vs.SelectVarSorted(p)
+}
+
 // SelectVarSorted on CC: only levels that store real IDs qualify; mapped
 // third levels hold positions, whose order is not the ID order.
 func (x *IndexCC) SelectVarSorted(p Pattern) (*VarIter, bool) {

@@ -180,8 +180,8 @@ func TestPartitionedKindsExercised(t *testing.T) {
 	vals := clusteredMonotone(rng, 20000)
 	p := NewPartitioned(vals)
 	var have [3]bool
-	for _, k := range p.kinds {
-		have[k] = true
+	for _, pt := range p.parts {
+		have[pt.kind] = true
 	}
 	for k, ok := range have {
 		if !ok {
@@ -274,6 +274,7 @@ func TestPartitionedRoundTrip(t *testing.T) {
 }
 
 func TestDecodeCorrupt(t *testing.T) {
+	t.Run("pef-directory", testDecodeCorruptDirectory)
 	var buf bytes.Buffer
 	w := codec.NewWriter(&buf)
 	w.Uvarint(10)  // n

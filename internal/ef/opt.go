@@ -2,7 +2,6 @@ package ef
 
 import (
 	"fmt"
-	"math/bits"
 
 	xbits "rdfindexes/internal/bits"
 	"rdfindexes/internal/codec"
@@ -15,14 +14,11 @@ import (
 // positions, which approximates the optimum within a small constant).
 // Random access pays one extra search to locate the partition of a
 // position; the space is at most that of the uniform partitioning.
+//
+// It reads through the same decoded directory and iterator as
+// Partitioned; only the partitioning and the encoded form differ.
 type OptPartitioned struct {
-	n        int
-	universe uint64
-	ends     *Sequence // exclusive end position of each partition
-	upper    *Sequence // upper bound of each partition
-	kinds    []byte
-	offsets  *xbits.CompactVector
-	payload  *xbits.Vector
+	Partitioned
 }
 
 // optGrain is the boundary granularity of the partitioning DP.
@@ -51,16 +47,8 @@ func estimateCost(sz int, span uint64) uint64 {
 // NewOptPartitioned encodes values (non-decreasing) with cost-optimized
 // partition boundaries.
 func NewOptPartitioned(values []uint64) *OptPartitioned {
-	n := len(values)
-	p := &OptPartitioned{n: n}
-	if n > 0 {
-		p.universe = values[n-1]
-	}
-	for i := 1; i < n; i++ {
-		if values[i] < values[i-1] {
-			panic(fmt.Sprintf("ef: sequence not monotone at %d", i))
-		}
-	}
+	p := &OptPartitioned{*newPartitioned(values, 0)}
+	n := p.n
 
 	// Candidate boundaries at multiples of optGrain plus n itself.
 	numCands := (n + optGrain - 1) / optGrain
@@ -101,341 +89,35 @@ func NewOptPartitioned(values []uint64) *OptPartitioned {
 	for c := numCands; c > 0; c = int(from[c]) {
 		cuts = append(cuts, boundary(c))
 	}
-	for i, j := 0, len(cuts)-1; i < j; i, j = i+1, j-1 {
-		cuts[i], cuts[j] = cuts[j], cuts[i]
-	}
-
-	p.payload = xbits.WithCapacity(n)
-	var ends, uppers, offsets []uint64
 	start := 0
-	var base uint64
-	for _, end := range cuts {
-		part := values[start:end]
-		ub := part[len(part)-1]
-		ends = append(ends, uint64(end))
-		uppers = append(uppers, ub)
-		offsets = append(offsets, uint64(p.payload.Len()))
-		p.kinds = append(p.kinds, encodePartitionInto(p.payload, part, base, ub))
-		base = ub
-		start = end
+	for i := len(cuts) - 1; i >= 0; i-- {
+		p.appendPartition(values, start, cuts[i])
+		start = cuts[i]
 	}
-	if len(offsets) == 0 {
-		offsets = []uint64{0}
-	}
-	p.ends = New(ends)
-	p.upper = New(uppers)
-	p.offsets = xbits.NewCompact(offsets)
+	ends, uppers, offsets, kinds := p.encodedColumns()
+	p.sizeBits = p.payload.SizeBits() + ends.SizeBits() + uppers.SizeBits() +
+		uint64(len(kinds))*8 + offsets.SizeBits() + 2*64
 	return p
 }
 
-// Len returns the number of elements.
-func (p *OptPartitioned) Len() int { return p.n }
-
-// Universe returns the largest value.
-func (p *OptPartitioned) Universe() uint64 { return p.universe }
-
-// NumPartitions returns the number of partitions chosen by the DP.
-func (p *OptPartitioned) NumPartitions() int { return len(p.kinds) }
-
-// partBounds returns the global position range of partition k.
-func (p *OptPartitioned) partBounds(k int) (int, int) {
-	var start uint64
-	var end uint64
-	if k > 0 {
-		start, end = p.ends.AccessPair(k - 1)
-	} else {
-		end = p.ends.Access(0)
+// encodedColumns returns the directory columns as Encode writes them.
+func (p *OptPartitioned) encodedColumns() (ends, uppers *Sequence, offsets *xbits.CompactVector, kinds []byte) {
+	u, e, offs, kinds := p.columns()
+	if len(offs) == 0 {
+		offs = []uint64{0}
 	}
-	return int(start), int(end)
-}
-
-func (p *OptPartitioned) part(k int) partView {
-	var base, ub uint64
-	if k > 0 {
-		base, ub = p.upper.AccessPair(k - 1)
-	} else {
-		ub = p.upper.Access(0)
-	}
-	start, end := p.partBounds(k)
-	return partView{
-		payload: p.payload,
-		kind:    p.kinds[k],
-		base:    base,
-		span:    ub - base,
-		off:     int(p.offsets.At(k)),
-		sz:      end - start,
-	}
-}
-
-// partOf locates the partition containing global position i.
-func (p *OptPartitioned) partOf(i int) int {
-	k, _, ok := p.ends.NextGEQ(uint64(i) + 1)
-	if !ok {
-		panic("ef: position beyond last partition")
-	}
-	return k
-}
-
-// Access returns the i-th value.
-func (p *OptPartitioned) Access(i int) uint64 {
-	k := p.partOf(i)
-	start, _ := p.partBounds(k)
-	return p.part(k).access(i - start)
-}
-
-// AccessPair returns values i and i+1.
-func (p *OptPartitioned) AccessPair(i int) (uint64, uint64) {
-	return p.Access(i), p.Access(i + 1)
-}
-
-// NextGEQ returns the position and value of the first element >= x.
-func (p *OptPartitioned) NextGEQ(x uint64) (int, uint64, bool) {
-	if p.n == 0 || x > p.universe {
-		return p.n, 0, false
-	}
-	k, _, ok := p.upper.NextGEQ(x)
-	if !ok {
-		return p.n, 0, false
-	}
-	pv := p.part(k)
-	j, v, ok := pv.nextGEQ(x)
-	if !ok {
-		return p.n, 0, false
-	}
-	start, _ := p.partBounds(k)
-	return start + j, v, true
-}
-
-// OptIterator iterates an OptPartitioned sequence with the same streaming
-// cursor as PartIterator.
-type OptIterator struct {
-	p       *OptPartitioned
-	i       int
-	k       int
-	partEnd int
-	pv      partView
-	l       uint
-	lowOff  int
-	regOff  int
-	regLen  int
-	chBase  int
-	chunk   uint64
-	inPart  int
-}
-
-// Iterator returns an iterator positioned at index from.
-func (p *OptPartitioned) Iterator(from int) *OptIterator {
-	return &OptIterator{p: p, i: from, k: -1}
-}
-
-// MakeIterator returns an iterator value positioned at index from, for
-// callers that embed it without a separate allocation.
-func (p *OptPartitioned) MakeIterator(from int) OptIterator {
-	return OptIterator{p: p, i: from, k: -1}
-}
-
-// MakeIteratorBase returns an iterator positioned at index from together
-// with the value at from-1, decoding the predecessor on the way instead
-// of paying a separate random access. from must be in [1, Len()].
-func (p *OptPartitioned) MakeIteratorBase(from int) (OptIterator, uint64) {
-	it := OptIterator{p: p, i: from - 1, k: -1}
-	base, _ := it.Next()
-	return it, base
-}
-
-// Reset repositions the iterator at index from. The partition cursor is
-// re-established lazily on the next read.
-func (it *OptIterator) Reset(from int) {
-	it.i = from
-	it.k = -1
-	it.partEnd = 0
-}
-
-func (it *OptIterator) enter(k, j int) {
-	it.k = k
-	_, it.partEnd = it.p.partBounds(k)
-	it.pv = it.p.part(k)
-	it.inPart = j
-	switch it.pv.kind {
-	case kindAllOnes:
-		return
-	case kindBitmap:
-		it.regOff = it.pv.off
-		it.regLen = int(it.pv.span)
-	default:
-		it.l = uint(it.pv.payload.Get(it.pv.off, 6))
-		it.lowOff = it.pv.off + 6
-		it.regOff = it.lowOff + it.pv.sz*int(it.l)
-		it.regLen = it.pv.sz + int(it.pv.span>>it.l) + 1
-	}
-	pos := selectInRange(it.pv.payload, it.regOff, it.regLen, j)
-	it.chBase = pos &^ 63
-	w := it.regLen - it.chBase
-	if w > 64 {
-		w = 64
-	}
-	it.chunk = it.pv.payload.Get(it.regOff+it.chBase, uint(w))
-	it.chunk &^= 1<<uint(pos-it.chBase) - 1
-}
-
-func (it *OptIterator) nextBit() int {
-	for it.chunk == 0 {
-		it.chBase += 64
-		w := it.regLen - it.chBase
-		if w > 64 {
-			w = 64
-		}
-		it.chunk = it.pv.payload.Get(it.regOff+it.chBase, uint(w))
-	}
-	t := bits.TrailingZeros64(it.chunk)
-	it.chunk &= it.chunk - 1
-	return it.chBase + t
-}
-
-// Next returns the next value, or ok=false at the end.
-func (it *OptIterator) Next() (uint64, bool) {
-	if it.i >= it.p.n {
-		return 0, false
-	}
-	if it.k < 0 || it.i >= it.partEnd {
-		k := it.k + 1
-		if it.k < 0 {
-			k = it.p.partOf(it.i)
-		}
-		start, _ := it.p.partBounds(k)
-		it.enter(k, it.i-start)
-	}
-	var v uint64
-	switch it.pv.kind {
-	case kindAllOnes:
-		v = it.pv.base + uint64(it.inPart) + 1
-	case kindBitmap:
-		v = it.pv.base + 1 + uint64(it.nextBit())
-	default:
-		pos := it.nextBit()
-		hi := uint64(pos - it.inPart)
-		v = it.pv.base + (hi<<it.l | it.pv.payload.Get(it.lowOff+it.inPart*int(it.l), it.l))
-	}
-	it.inPart++
-	it.i++
-	return v, true
-}
-
-// NextBatch decodes up to len(buf) consecutive values into buf and
-// returns how many were written (0 iff the sequence is exhausted),
-// dispatching on the encoding kind once per partition.
-func (it *OptIterator) NextBatch(buf []uint64) int {
-	p := it.p
-	n := 0
-	for n < len(buf) && it.i < p.n {
-		if it.k < 0 || it.i >= it.partEnd {
-			k := it.k + 1
-			if it.k < 0 {
-				k = p.partOf(it.i)
-			}
-			start, _ := p.partBounds(k)
-			it.enter(k, it.i-start)
-		}
-		m := it.partEnd - it.i
-		if m > len(buf)-n {
-			m = len(buf) - n
-		}
-		out := buf[n : n+m]
-		switch it.pv.kind {
-		case kindAllOnes:
-			v := it.pv.base + uint64(it.inPart)
-			for j := range out {
-				v++
-				out[j] = v
-			}
-		case kindBitmap:
-			base := it.pv.base + 1
-			for j := range out {
-				out[j] = base + uint64(it.nextBit())
-			}
-		default:
-			l := it.l
-			inPart := it.inPart
-			lowPos := it.lowOff + inPart*int(l)
-			payload := it.pv.payload
-			base := it.pv.base
-			for j := range out {
-				pos := it.nextBit()
-				hi := uint64(pos - inPart - j)
-				out[j] = base + (hi<<l | payload.Get(lowPos, l))
-				lowPos += int(l)
-			}
-		}
-		it.inPart += m
-		it.i += m
-		n += m
-	}
-	return n
-}
-
-// SkipTo advances the iterator to the first element at or after the
-// current position whose value is >= x, consumes it, and returns its
-// index and value. Partitions whose upper bound is below x are skipped
-// through the upper-bound directory.
-func (it *OptIterator) SkipTo(x uint64) (int, uint64, bool) {
-	p := it.p
-	if it.i >= p.n {
-		return p.n, 0, false
-	}
-	if x > p.universe {
-		it.i = p.n
-		return p.n, 0, false
-	}
-	// Locate the target with partition metadata only; the bit cursor is
-	// positioned once, at the end, when the target is known.
-	inCursor := it.k >= 0 && it.i < it.partEnd
-	k := it.k
-	pv := it.pv
-	if !inCursor {
-		k = p.partOf(it.i)
-		pv = p.part(k)
-	}
-	if x > pv.base+pv.span {
-		kk, _, ok := p.upper.NextGEQ(x)
-		if !ok {
-			it.i = p.n
-			return p.n, 0, false
-		}
-		k = kk
-		pv = p.part(k)
-		inCursor = false
-	}
-	j, _, ok := pv.nextGEQ(x)
-	if !ok {
-		it.i = p.n
-		return p.n, 0, false
-	}
-	if !inCursor || j > it.inPart {
-		start, _ := p.partBounds(k)
-		it.enter(k, j)
-		it.i = start + j
-	}
-	v, ok := it.Next()
-	if !ok {
-		return p.n, 0, false
-	}
-	return it.i - 1, v, true
-}
-
-// SizeBits returns the storage footprint in bits.
-func (p *OptPartitioned) SizeBits() uint64 {
-	return p.payload.SizeBits() + p.ends.SizeBits() + p.upper.SizeBits() +
-		uint64(len(p.kinds))*8 + p.offsets.SizeBits() + 2*64
+	return New(e), New(u), xbits.NewCompact(offs), kinds
 }
 
 // Encode writes the sequence to w.
 func (p *OptPartitioned) Encode(w *codec.Writer) {
+	ends, uppers, offsets, kinds := p.encodedColumns()
 	w.Uvarint(uint64(p.n))
 	w.Uvarint(p.universe)
-	p.ends.Encode(w)
-	p.upper.Encode(w)
-	w.Bytes(p.kinds)
-	p.offsets.Encode(w)
+	ends.Encode(w)
+	uppers.Encode(w)
+	w.Bytes(kinds)
+	offsets.Encode(w)
 	p.payload.Encode(w)
 }
 
@@ -444,22 +126,33 @@ func DecodeOptPartitioned(r *codec.Reader) (*OptPartitioned, error) {
 	p := &OptPartitioned{}
 	p.n = int(r.Uvarint())
 	p.universe = r.Uvarint()
-	var err error
-	if p.ends, err = Decode(r); err != nil {
+	if p.n < 0 {
+		return nil, r.Fail(fmt.Errorf("%w: opt-pef header", codec.ErrCorrupt))
+	}
+	ends, err := Decode(r)
+	if err != nil {
 		return nil, err
 	}
-	if p.upper, err = Decode(r); err != nil {
+	upper, err := Decode(r)
+	if err != nil {
 		return nil, err
 	}
-	p.kinds = r.BytesBuf()
-	if p.offsets, err = xbits.DecodeCompact(r); err != nil {
+	kinds := r.BytesBuf()
+	offsets, err := xbits.DecodeCompact(r)
+	if err != nil {
 		return nil, err
 	}
 	if p.payload, err = xbits.DecodeVector(r); err != nil {
 		return nil, err
 	}
-	if len(p.kinds) != p.ends.Len() || p.upper.Len() != p.ends.Len() {
+	numParts := ends.Len()
+	if len(kinds) != numParts || upper.Len() != numParts || offsets.Len() != max(numParts, 1) {
 		return nil, r.Fail(fmt.Errorf("%w: opt-pef partition count", codec.ErrCorrupt))
 	}
+	if err := p.decodeDirectory(upper, kinds, offsets, ends); err != nil {
+		return nil, r.Fail(err)
+	}
+	p.sizeBits = p.payload.SizeBits() + ends.SizeBits() + upper.SizeBits() +
+		uint64(len(kinds))*8 + offsets.SizeBits() + 2*64
 	return p, nil
 }

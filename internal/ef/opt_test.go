@@ -63,9 +63,8 @@ func TestOptPartitionedVariableBoundaries(t *testing.T) {
 		t.Skip("degenerate partitioning")
 	}
 	sizes := map[int]bool{}
-	for k := 0; k < p.NumPartitions(); k++ {
-		start, end := p.partBounds(k)
-		sizes[end-start] = true
+	for _, pt := range p.parts {
+		sizes[pt.end-pt.start] = true
 	}
 	if len(sizes) < 2 {
 		t.Errorf("DP produced uniform partitions only: %v", sizes)

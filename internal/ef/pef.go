@@ -1,6 +1,7 @@
 package ef
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -8,9 +9,9 @@ import (
 	"rdfindexes/internal/codec"
 )
 
-// Partition encodings. Each partition of 2^partLog consecutive values is
-// stored relative to the exclusive lower bound given by the previous
-// partition's upper bound, using whichever representation is smallest.
+// Partition encodings. Each partition of consecutive values is stored
+// relative to the exclusive lower bound given by the previous partition's
+// upper bound, using whichever representation is smallest.
 const (
 	kindAllOnes = iota // consecutive run: nothing stored
 	kindBitmap         // characteristic bitmap of the spanned interval
@@ -24,14 +25,33 @@ const DefaultPartLog = 8
 // Partitioned is a partitioned Elias-Fano (PEF) encoded non-decreasing
 // sequence. Compared to plain Elias-Fano it is smaller on clustered data
 // and faster for bounded searches, at the price of slower random access.
+//
+// In memory the partition directory is decoded once into one entry per
+// partition, so that locating and entering a partition is a slice load
+// and a search over upper bounds is a binary search of the entries. The
+// encoded form keeps the compact columns (Elias-Fano upper bounds, kind
+// bytes, packed offsets); Encode re-derives them from the entries.
 type Partitioned struct {
 	n        int
 	universe uint64
+	// partLog is the log2 of the uniform partition size, or 0 when the
+	// boundaries vary (OptPartitioned) and a position's partition is
+	// found by binary search.
 	partLog  uint
-	upper    *Sequence            // upper bound of each partition
-	kinds    []byte               // encoding kind of each partition
-	offsets  *xbits.CompactVector // bit offset of each partition in payload
+	parts    []partition
 	payload  *xbits.Vector
+	sizeBits uint64 // footprint of the encoded form, see SizeBits
+}
+
+// partition is one decoded directory entry: everything a read needs to
+// decode the partition.
+type partition struct {
+	base       uint64 // exclusive lower bound: the previous partition's upper bound
+	upper      uint64 // largest value
+	off        int    // bit offset of the partition in the payload
+	start, end int    // positions of the first element and past the last
+	kind       byte
+	l          uint8 // low-bit width of an Elias-Fano partition
 }
 
 // NewPartitioned encodes values (non-decreasing) with the default
@@ -45,61 +65,49 @@ func NewPartitionedLog(values []uint64, partLog uint) *Partitioned {
 	if partLog < 2 || partLog > 20 {
 		panic(fmt.Sprintf("ef: invalid partition log %d", partLog))
 	}
+	p := newPartitioned(values, partLog)
+	for lo := 0; lo < p.n; lo += 1 << partLog {
+		p.appendPartition(values, lo, min(lo+1<<partLog, p.n))
+	}
+	uppers, offsets, kinds := p.encodedColumns()
+	p.sizeBits = p.payload.SizeBits() + uppers.SizeBits() + uint64(len(kinds))*8 + offsets.SizeBits() + 3*64
+	return p
+}
+
+// newPartitioned checks that values are non-decreasing and returns an
+// empty sequence over them, ready for appendPartition.
+func newPartitioned(values []uint64, partLog uint) *Partitioned {
 	n := len(values)
-	p := &Partitioned{n: n, partLog: partLog}
+	p := &Partitioned{n: n, partLog: partLog, payload: xbits.WithCapacity(n)}
 	if n > 0 {
 		p.universe = values[n-1]
 	}
-	partSize := 1 << partLog
-	numParts := (n + partSize - 1) / partSize
-
-	uppers := make([]uint64, 0, numParts)
-	offsets := make([]uint64, 0, numParts+1)
-	p.kinds = make([]byte, 0, numParts)
-	p.payload = xbits.WithCapacity(n) // grows as needed
-
-	var prev uint64
-	for i, v := range values {
-		if v < prev {
-			panic(fmt.Sprintf("ef: sequence not monotone at %d: %d < %d", i, v, prev))
+	for i := 1; i < n; i++ {
+		if values[i] < values[i-1] {
+			panic(fmt.Sprintf("ef: sequence not monotone at %d: %d < %d", i, values[i], values[i-1]))
 		}
-		prev = v
-	}
-
-	var base uint64
-	for k := 0; k < numParts; k++ {
-		lo := k * partSize
-		hi := lo + partSize
-		if hi > n {
-			hi = n
-		}
-		part := values[lo:hi]
-		ub := part[len(part)-1]
-		uppers = append(uppers, ub)
-		offsets = append(offsets, uint64(p.payload.Len()))
-		p.kinds = append(p.kinds, p.encodePartition(part, base, ub))
-		base = ub
-	}
-	offsets = append(offsets, uint64(p.payload.Len()))
-
-	p.upper = New(uppers)
-	if len(offsets) > 0 {
-		p.offsets = xbits.NewCompact(offsets)
-	} else {
-		p.offsets = xbits.NewCompact([]uint64{0})
 	}
 	return p
 }
 
-// encodePartition appends the cheapest encoding of part (relative to the
-// exclusive lower bound base, spanning up to ub) and returns its kind.
-func (p *Partitioned) encodePartition(part []uint64, base, ub uint64) byte {
-	return encodePartitionInto(p.payload, part, base, ub)
+// appendPartition encodes values[start:end] as the next partition and
+// records its directory entry.
+func (p *Partitioned) appendPartition(values []uint64, start, end int) {
+	var base uint64
+	if k := len(p.parts); k > 0 {
+		base = p.parts[k-1].upper
+	}
+	part := values[start:end]
+	ub := part[len(part)-1]
+	off := p.payload.Len()
+	kind, l := encodePartitionInto(p.payload, part, base, ub)
+	p.parts = append(p.parts, partition{base: base, upper: ub, off: off, start: start, end: end, kind: kind, l: uint8(l)})
 }
 
-// encodePartitionInto is the shared partition encoder used by both the
-// uniform and the cost-optimized partitionings.
-func encodePartitionInto(payload *xbits.Vector, part []uint64, base, ub uint64) byte {
+// encodePartitionInto appends the cheapest encoding of part (relative to
+// the exclusive lower bound base, spanning up to ub) and returns its kind
+// and, for Elias-Fano, its low-bit width.
+func encodePartitionInto(payload *xbits.Vector, part []uint64, base, ub uint64) (byte, uint) {
 	sz := len(part)
 	span := ub - base
 
@@ -112,7 +120,7 @@ func encodePartitionInto(payload *xbits.Vector, part []uint64, base, ub uint64) 
 	}
 
 	if strict && span == uint64(sz) {
-		return kindAllOnes // part[j] == base + j + 1, nothing to store
+		return kindAllOnes, 0 // part[j] == base + j + 1, nothing to store
 	}
 
 	l := lowBitsFor(sz, span)
@@ -126,7 +134,7 @@ func encodePartitionInto(payload *xbits.Vector, part []uint64, base, ub uint64) 
 		for _, v := range part {
 			payload.SetBit(start + int(v-base-1))
 		}
-		return kindBitmap
+		return kindBitmap, 0
 	}
 
 	// Inline Elias-Fano of the relative values.
@@ -142,7 +150,119 @@ func encodePartitionInto(payload *xbits.Vector, part []uint64, base, ub uint64) 
 	for i, v := range part {
 		payload.SetBit(start + int((v-base)>>l) + i)
 	}
-	return kindEF
+	return kindEF, l
+}
+
+// columns returns the directory as the encoding stores it: upper bounds,
+// end positions, payload offsets and kind bytes.
+func (p *Partitioned) columns() (uppers, ends, offs []uint64, kinds []byte) {
+	uppers = make([]uint64, len(p.parts))
+	ends = make([]uint64, len(p.parts))
+	offs = make([]uint64, len(p.parts), len(p.parts)+1)
+	kinds = make([]byte, len(p.parts))
+	for k, pt := range p.parts {
+		uppers[k], ends[k], offs[k], kinds[k] = pt.upper, uint64(pt.end), uint64(pt.off), pt.kind
+	}
+	return uppers, ends, offs, kinds
+}
+
+// decodeDirectory rebuilds the directory from its encoded columns in one
+// sequential pass, and checks it against the payload so that no read of
+// the decoded sequence can leave the payload or its partition. ends is
+// nil for uniform partitions. offsets holds at least one offset per
+// partition.
+func (p *Partitioned) decodeDirectory(upper *Sequence, kinds []byte, offsets *xbits.CompactVector, ends *Sequence) error {
+	uppers := upper.MakeIterator(0)
+	var endAt Iterator
+	if ends != nil {
+		endAt = ends.MakeIterator(0)
+	}
+	payloadLen := uint64(p.payload.Len())
+	p.parts = make([]partition, len(kinds))
+	var base uint64
+	start := 0
+	for k, kind := range kinds {
+		end := min(start+1<<p.partLog, p.n)
+		if ends != nil {
+			e, _ := endAt.Next()
+			if e <= uint64(start) || e > uint64(p.n) {
+				return fmt.Errorf("%w: pef partition %d ends at %d", codec.ErrCorrupt, k, e)
+			}
+			end = int(e)
+		}
+		limit := payloadLen
+		if k+1 < len(kinds) {
+			limit = offsets.At(k + 1)
+		}
+		off := offsets.At(k)
+		ub, _ := uppers.Next()
+		if off > limit || limit > payloadLen {
+			return fmt.Errorf("%w: pef partition %d offset %d outside [%d, %d]", codec.ErrCorrupt, k, off, limit, payloadLen)
+		}
+		if ub < base {
+			return fmt.Errorf("%w: pef partition %d upper bound %d below %d", codec.ErrCorrupt, k, ub, base)
+		}
+		pt := &p.parts[k]
+		*pt = partition{base: base, upper: ub, off: int(off), start: start, end: end, kind: kind}
+		if err := pt.check(p.payload, limit-off); err != nil {
+			return fmt.Errorf("%w: pef partition %d: %v", codec.ErrCorrupt, k, err)
+		}
+		base, start = ub, end
+	}
+	if start != p.n || (len(kinds) > 0 && base != p.universe) {
+		return fmt.Errorf("%w: pef directory ends at %d/%d, want %d/%d", codec.ErrCorrupt, start, base, p.n, p.universe)
+	}
+	return nil
+}
+
+// check validates a decoded entry whose encoding may use room payload
+// bits from its offset, and sets its low-bit width. It guarantees what
+// the reads rely on: the region lies inside those bits, holds one set
+// bit per element, and its last element has the upper bound as value.
+func (pt *partition) check(payload *xbits.Vector, room uint64) error {
+	sz, span := uint64(pt.end-pt.start), pt.upper-pt.base
+	switch pt.kind {
+	case kindAllOnes:
+		if span != sz {
+			return fmt.Errorf("run spans %d for %d values", span, sz)
+		}
+		return nil
+	case kindBitmap:
+		if span > room {
+			return errors.New("bitmap overruns the payload")
+		}
+	case kindEF:
+		if room < 6 {
+			return errors.New("overruns the payload")
+		}
+		pt.l = uint8(payload.Get(pt.off, 6)) // 6 bits: l <= 63
+		// sz and span>>l are below room, a bit count of the payload, so
+		// the sum cannot wrap.
+		if sz >= room || span>>pt.l >= room || 6+sz*uint64(pt.l)+sz+span>>pt.l+1 > room {
+			return errors.New("overruns the payload")
+		}
+	default:
+		return fmt.Errorf("kind %d", pt.kind)
+	}
+	off, length := pt.region()
+	if onesInRange(payload, off, length) != int(sz) {
+		return errors.New("wrong number of values")
+	}
+	// The last set bit ends the bitmap; in Elias-Fano it is followed by
+	// one zero and carries the upper bound's high part, and the last low
+	// bits are the upper bound's.
+	last := off + length - 1
+	if pt.kind == kindEF {
+		l := uint(pt.l)
+		last--
+		if payload.Bit(last+1) || payload.Get(pt.off+6+int(sz-1)*int(l), l) != span&(1<<l-1) {
+			return errors.New("last value is not the upper bound")
+		}
+	}
+	if !payload.Bit(last) {
+		return errors.New("last value is not the upper bound")
+	}
+	return nil
 }
 
 // Len returns the number of elements.
@@ -151,105 +271,140 @@ func (p *Partitioned) Len() int { return p.n }
 // Universe returns the largest value.
 func (p *Partitioned) Universe() uint64 { return p.universe }
 
-// partView captures the decoding context of one partition.
-type partView struct {
-	payload *xbits.Vector
-	kind    byte
-	base    uint64
-	span    uint64
-	off     int
-	sz      int
-}
+// NumPartitions returns the number of partitions.
+func (p *Partitioned) NumPartitions() int { return len(p.parts) }
 
-func (p *Partitioned) part(k int) partView {
-	var base, ub uint64
-	if k > 0 {
-		base, ub = p.upper.AccessPair(k - 1)
-	} else {
-		ub = p.upper.Access(0)
+// partOf returns the partition holding position i.
+func (p *Partitioned) partOf(i int) int {
+	if p.partLog > 0 {
+		return i >> p.partLog
 	}
-	sz := 1 << p.partLog
-	if lo := k << p.partLog; lo+sz > p.n {
-		sz = p.n - lo
-	}
-	return partView{
-		payload: p.payload,
-		kind:    p.kinds[k],
-		base:    base,
-		span:    ub - base,
-		off:     int(p.offsets.At(k)),
-		sz:      sz,
-	}
-}
-
-// selectInRange returns the position (relative to off) of the k-th set bit
-// in payload[off, off+length).
-func selectInRange(payload *xbits.Vector, off, length, k int) int {
-	pos := 0
-	for pos < length {
-		w := length - pos
-		if w > 64 {
-			w = 64
+	lo, hi := 0, len(p.parts)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.parts[mid].end > i {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
-		chunk := payload.Get(off+pos, uint(w))
-		c := bits.OnesCount64(chunk)
-		if k < c {
-			return pos + xbits.SelectInWord(chunk, k)
-		}
-		k -= c
-		pos += w
 	}
-	panic("ef: selectInRange out of range")
+	return lo
 }
 
-func (pv partView) access(j int) uint64 {
-	switch pv.kind {
-	case kindAllOnes:
-		return pv.base + uint64(j) + 1
+// partGEQ returns the first partition at or after from whose upper bound
+// is >= x. x must not exceed the universe.
+func (p *Partitioned) partGEQ(from int, x uint64) int {
+	lo, hi := from, len(p.parts)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.parts[mid].upper >= x {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// region returns the payload bits a cursor scans for the partition's set
+// bits: the bitmap itself, or the high bits of an Elias-Fano partition.
+func (pt *partition) region() (off, length int) {
+	switch pt.kind {
 	case kindBitmap:
-		pos := selectInRange(pv.payload, pv.off, int(pv.span), j)
-		return pv.base + 1 + uint64(pos)
+		return pt.off, int(pt.upper - pt.base)
+	case kindEF:
+		sz := pt.end - pt.start
+		return pt.off + 6 + sz*int(pt.l), sz + int((pt.upper-pt.base)>>pt.l) + 1
+	}
+	return pt.off, 0
+}
+
+// onesInRange counts the set bits of payload[off, off+length).
+func onesInRange(payload *xbits.Vector, off, length int) int {
+	if length == 0 {
+		return 0
+	}
+	words := payload.Words()
+	first, last := off>>6, (off+length-1)>>6
+	head := words[first] &^ (1<<(uint(off)&63) - 1)
+	tailMask := ^uint64(0) >> (63 - uint(off+length-1)&63)
+	if first == last {
+		return bits.OnesCount64(head & tailMask)
+	}
+	c := bits.OnesCount64(head) + bits.OnesCount64(words[last]&tailMask)
+	for _, w := range words[first+1 : last] {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// selectFrom returns the position (relative to off) of the k-th set bit
+// of the payload at or after bit off. It scans aligned words without a
+// bound: the directory check at decode guarantees that a partition's
+// region holds one set bit per element, so the bit of an element is
+// found before the region ends.
+//
+//rdf:hotpath
+func selectFrom(payload *xbits.Vector, off, k int) int {
+	words := payload.Words()
+	w := off >> 6
+	cur := words[w] &^ (1<<(uint(off)&63) - 1)
+	for {
+		if c := bits.OnesCount64(cur); k >= c {
+			k -= c
+			w++
+			cur = words[w]
+			continue
+		}
+		return w<<6 + xbits.SelectInWord(cur, k) - off
+	}
+}
+
+// access returns the value of element j of the partition.
+func (pt *partition) access(payload *xbits.Vector, j int) uint64 {
+	switch pt.kind {
+	case kindAllOnes:
+		return pt.base + uint64(j) + 1
+	case kindBitmap:
+		return pt.base + 1 + uint64(selectFrom(payload, pt.off, j))
 	default:
-		l := uint(pv.payload.Get(pv.off, 6))
-		lowOff := pv.off + 6
-		highOff := lowOff + pv.sz*int(l)
-		highLen := pv.sz + int(pv.span>>l) + 1
-		pos := selectInRange(pv.payload, highOff, highLen, j)
-		hi := uint64(pos - j)
-		return pv.base + (hi<<l | pv.payload.Get(lowOff+j*int(l), l))
+		off, _ := pt.region()
+		pos := selectFrom(payload, off, j)
+		l := uint(pt.l)
+		return pt.base + (uint64(pos-j)<<l | payload.Get(pt.off+6+j*int(l), l))
 	}
 }
 
 // nextGEQ returns the index within the partition of the first value >= x
-// (absolute), with its value. ok is false when all values are smaller.
-func (pv partView) nextGEQ(x uint64) (int, uint64, bool) {
-	if x <= pv.base {
-		x = pv.base // relative target becomes 0
+// (absolute), with its value and the region position of its set bit (0
+// for a run). ok is false when all values are smaller.
+//
+//rdf:hotpath
+func (pt *partition) nextGEQ(payload *xbits.Vector, x uint64) (j int, v uint64, bit int, ok bool) {
+	if x <= pt.base {
+		x = pt.base // relative target becomes 0
 	}
-	if x > pv.base+pv.span {
-		return pv.sz, 0, false
+	if x > pt.upper {
+		return pt.end - pt.start, 0, 0, false
 	}
-	switch pv.kind {
+	off, length := pt.region()
+	switch pt.kind {
 	case kindAllOnes:
-		if x <= pv.base+1 {
-			return 0, pv.base + 1, true
+		if x <= pt.base+1 {
+			return 0, pt.base + 1, 0, true
 		}
-		j := int(x - pv.base - 1)
-		return j, x, true
+		return int(x - pt.base - 1), x, 0, true
 	case kindBitmap:
 		rel := 0
-		if x > pv.base+1 {
-			rel = int(x - pv.base - 1)
+		if x > pt.base+1 {
+			rel = int(x - pt.base - 1)
 		}
-		j := 0
+		// Count the values below rel a word at a time, then take the
+		// first set bit at or after it.
 		pos := 0
-		span := int(pv.span)
-		for pos < span {
-			w := span - pos
-			if w > 64 {
-				w = 64
-			}
-			chunk := pv.payload.Get(pv.off+pos, uint(w))
+		for pos < length {
+			w := min(64, length-pos)
+			chunk := payload.Get(off+pos, uint(w))
 			if pos+w <= rel {
 				j += bits.OnesCount64(chunk)
 				pos += w
@@ -262,50 +417,60 @@ func (pv partView) nextGEQ(x uint64) (int, uint64, bool) {
 			}
 			if chunk != 0 {
 				t := bits.TrailingZeros64(chunk)
-				return j, pv.base + 1 + uint64(pos+t), true
+				return j, pt.base + 1 + uint64(pos+t), pos + t, true
 			}
 			pos += w
 		}
-		return pv.sz, 0, false
+		return pt.end - pt.start, 0, 0, false
 	default:
-		l := uint(pv.payload.Get(pv.off, 6))
-		lowOff := pv.off + 6
-		highOff := lowOff + pv.sz*int(l)
-		highLen := pv.sz + int(pv.span>>l) + 1
-		rel := x - pv.base
-		hx := rel >> l
-		i := 0 // elements seen
+		l := uint(pt.l)
+		lowOff := pt.off + 6
+		rel := x - pt.base
+		hx := int(rel >> l)
+		// Elements with high part < hx all precede the hx-th zero of the
+		// high bits: skip whole words by their zero counts until the word
+		// holding it, and select it there. The elements before it number
+		// its position minus hx.
 		pos := 0
-		for pos < highLen {
-			w := highLen - pos
-			if w > 64 {
-				w = 64
+		if hx > 0 {
+			zeros := 0
+			for {
+				w := min(64, length-pos)
+				chunk := payload.Get(off+pos, uint(w))
+				if z := w - bits.OnesCount64(chunk); zeros+z < hx {
+					zeros += z
+					pos += w
+					continue
+				}
+				pos += xbits.SelectInWord(^chunk, hx-zeros-1) + 1
+				break
 			}
-			chunk := pv.payload.Get(highOff+pos, uint(w))
+		}
+		i := pos - hx
+		// Scan the set bits from there: at most the bucket of hx precedes
+		// the first value >= x.
+		for pos < length {
+			w := min(64, length-pos)
+			chunk := payload.Get(off+pos, uint(w))
 			for chunk != 0 {
 				t := bits.TrailingZeros64(chunk)
 				chunk &= chunk - 1
-				bitPos := pos + t
-				hi := uint64(bitPos - i)
-				if hi >= hx {
-					v := pv.base + (hi<<l | pv.payload.Get(lowOff+i*int(l), l))
-					if v >= x {
-						return i, v, true
-					}
+				v := pt.base + (uint64(pos+t-i)<<l | payload.Get(lowOff+i*int(l), l))
+				if v >= x {
+					return i, v, pos + t, true
 				}
 				i++
 			}
 			pos += w
 		}
-		return pv.sz, 0, false
+		return pt.end - pt.start, 0, 0, false
 	}
 }
 
 // Access returns the i-th value.
 func (p *Partitioned) Access(i int) uint64 {
-	k := i >> p.partLog
-	j := i - k<<p.partLog
-	return p.part(k).access(j)
+	pt := &p.parts[p.partOf(i)]
+	return pt.access(p.payload, i-pt.start)
 }
 
 // NextGEQ returns the position and value of the first element >= x. ok is
@@ -314,17 +479,13 @@ func (p *Partitioned) NextGEQ(x uint64) (pos int, val uint64, ok bool) {
 	if p.n == 0 || x > p.universe {
 		return p.n, 0, false
 	}
-	k, _, ok := p.upper.NextGEQ(x)
+	pt := &p.parts[p.partGEQ(0, x)]
+	j, v, _, ok := pt.nextGEQ(p.payload, x)
 	if !ok {
+		// Only a directory whose upper bound is not its last value.
 		return p.n, 0, false
 	}
-	pv := p.part(k)
-	j, v, ok := pv.nextGEQ(x)
-	if !ok {
-		// Cannot happen: the partition's upper bound is >= x.
-		return p.n, 0, false
-	}
-	return k<<p.partLog + j, v, ok
+	return pt.start + j, v, true
 }
 
 // PartIterator iterates a Partitioned sequence. Entering a partition
@@ -332,23 +493,27 @@ func (p *Partitioned) NextGEQ(x uint64) (pos int, val uint64, ok bool) {
 // by trailing-zero scanning, so short iterations over long partitions do
 // not pay for decoding the whole partition.
 type PartIterator struct {
-	p  *Partitioned
-	i  int // global index of the next element
-	k  int // current partition, -1 before the first Next
-	pv partView
-	// streaming state for the bitmap and EF kinds
+	p *Partitioned
+	i int // global index of the next element
+	k int // current partition, -1 when none is entered
+	// end is partition k's end position, 0 when none is entered, so that
+	// i >= end means the next read enters a partition.
+	end int
+	// state of partition k
+	base      uint64
+	kind      byte
 	l         uint
 	lowOff    int
-	regionOff int // payload offset of the bit region being scanned
-	regionLen int
-	chunkBase int    // region-relative offset of the loaded chunk
-	chunk     uint64 // loaded chunk with consumed bits cleared
+	regionOff int    // payload offset of the bit region being scanned
+	word      int    // payload word index of the loaded chunk
+	chunk     uint64 // loaded payload word with consumed bits cleared
 	inPart    int    // partition-relative index of the next element
 }
 
 // Iterator returns an iterator positioned at index from.
 func (p *Partitioned) Iterator(from int) *PartIterator {
-	return &PartIterator{p: p, i: from, k: -1}
+	it := p.MakeIterator(from)
+	return &it
 }
 
 // MakeIterator returns an iterator value positioned at index from, for
@@ -371,49 +536,51 @@ func (p *Partitioned) MakeIteratorBase(from int) (PartIterator, uint64) {
 func (it *PartIterator) Reset(from int) {
 	it.i = from
 	it.k = -1
+	it.end = 0
 }
 
-// enterPartition initializes the cursor at element j of partition k.
-func (it *PartIterator) enterPartition(k, j int) {
-	it.k = k
-	it.pv = it.p.part(k)
+// enterNext enters the partition holding the next element: the one
+// after the current partition when the cursor ran off its end, else the
+// one the directory gives for the position.
+func (it *PartIterator) enterNext() {
+	k := it.k + 1
+	if it.k < 0 || it.i != it.end {
+		k = it.p.partOf(it.i)
+	}
+	it.enter(k, it.i-it.p.parts[k].start, -1)
+}
+
+// enter initializes the cursor at element j of partition k, whose set bit
+// sits at region position bit, or is found by a select when bit < 0.
+func (it *PartIterator) enter(k, j, bit int) {
+	pt := &it.p.parts[k]
+	it.k, it.end = k, pt.end
+	it.base, it.kind, it.l = pt.base, pt.kind, uint(pt.l)
 	it.inPart = j
-	switch it.pv.kind {
-	case kindAllOnes:
+	if pt.kind == kindAllOnes {
 		return
-	case kindBitmap:
-		it.regionOff = it.pv.off
-		it.regionLen = int(it.pv.span)
-	default:
-		it.l = uint(it.pv.payload.Get(it.pv.off, 6))
-		it.lowOff = it.pv.off + 6
-		it.regionOff = it.lowOff + it.pv.sz*int(it.l)
-		it.regionLen = it.pv.sz + int(it.pv.span>>it.l) + 1
 	}
-	// Position the chunk cursor at the j-th set bit of the region.
-	pos := selectInRange(it.pv.payload, it.regionOff, it.regionLen, j)
-	it.chunkBase = pos &^ 63
-	w := it.regionLen - it.chunkBase
-	if w > 64 {
-		w = 64
+	it.lowOff = pt.off + 6
+	it.regionOff, _ = pt.region()
+	if bit < 0 {
+		bit = selectFrom(it.p.payload, it.regionOff, j)
 	}
-	it.chunk = it.pv.payload.Get(it.regionOff+it.chunkBase, uint(w))
-	it.chunk &^= 1<<uint(pos-it.chunkBase) - 1 // clear bits before pos
+	abs := it.regionOff + bit
+	it.word = abs >> 6
+	it.chunk = it.p.payload.Words()[it.word] &^ (1<<(uint(abs)&63) - 1) // clear bits before bit
 }
 
-// nextBit returns the position of the next set bit of the region.
+// nextBit returns the region position of the next set bit. Like
+// selectFrom it reads aligned payload words without a bound: it is only
+// called for an element of the partition, whose bit the region holds.
 func (it *PartIterator) nextBit() int {
 	for it.chunk == 0 {
-		it.chunkBase += 64
-		w := it.regionLen - it.chunkBase
-		if w > 64 {
-			w = 64
-		}
-		it.chunk = it.pv.payload.Get(it.regionOff+it.chunkBase, uint(w))
+		it.word++
+		it.chunk = it.p.payload.Words()[it.word]
 	}
 	t := bits.TrailingZeros64(it.chunk)
 	it.chunk &= it.chunk - 1
-	return it.chunkBase + t
+	return it.word<<6 + t - it.regionOff
 }
 
 // Next returns the next value, or ok=false at the end.
@@ -421,20 +588,19 @@ func (it *PartIterator) Next() (uint64, bool) {
 	if it.i >= it.p.n {
 		return 0, false
 	}
-	k := it.i >> it.p.partLog
-	if k != it.k {
-		it.enterPartition(k, it.i-k<<it.p.partLog)
+	if it.i >= it.end {
+		it.enterNext()
 	}
 	var v uint64
-	switch it.pv.kind {
+	switch it.kind {
 	case kindAllOnes:
-		v = it.pv.base + uint64(it.inPart) + 1
+		v = it.base + uint64(it.inPart) + 1
 	case kindBitmap:
-		v = it.pv.base + 1 + uint64(it.nextBit())
+		v = it.base + 1 + uint64(it.nextBit())
 	default:
 		pos := it.nextBit()
 		hi := uint64(pos - it.inPart)
-		v = it.pv.base + (hi<<it.l | it.pv.payload.Get(it.lowOff+it.inPart*int(it.l), it.l))
+		v = it.base + (hi<<it.l | it.p.payload.Get(it.lowOff+it.inPart*int(it.l), it.l))
 	}
 	it.inPart++
 	it.i++
@@ -450,28 +616,20 @@ func (it *PartIterator) NextBatch(buf []uint64) int {
 	p := it.p
 	n := 0
 	for n < len(buf) && it.i < p.n {
-		k := it.i >> p.partLog
-		if k != it.k {
-			it.enterPartition(k, it.i-k<<p.partLog)
+		if it.i >= it.end {
+			it.enterNext()
 		}
-		partEnd := (k + 1) << p.partLog
-		if partEnd > p.n {
-			partEnd = p.n
-		}
-		m := partEnd - it.i
-		if m > len(buf)-n {
-			m = len(buf) - n
-		}
+		m := min(it.end-it.i, len(buf)-n)
 		out := buf[n : n+m]
-		switch it.pv.kind {
+		switch it.kind {
 		case kindAllOnes:
-			v := it.pv.base + uint64(it.inPart)
+			v := it.base + uint64(it.inPart)
 			for j := range out {
 				v++
 				out[j] = v
 			}
 		case kindBitmap:
-			base := it.pv.base + 1
+			base := it.base + 1
 			for j := range out {
 				out[j] = base + uint64(it.nextBit())
 			}
@@ -479,8 +637,8 @@ func (it *PartIterator) NextBatch(buf []uint64) int {
 			l := it.l
 			inPart := it.inPart
 			lowPos := it.lowOff + inPart*int(l)
-			payload := it.pv.payload
-			base := it.pv.base
+			payload := p.payload
+			base := it.base
 			for j := range out {
 				pos := it.nextBit()
 				hi := uint64(pos - inPart - j)
@@ -498,7 +656,7 @@ func (it *PartIterator) NextBatch(buf []uint64) int {
 // SkipTo advances the iterator to the first element at or after the
 // current position whose value is >= x, consumes it, and returns its
 // index and value. Partitions whose upper bound is below x are skipped
-// through the upper-bound directory without touching their payload.
+// by a binary search of the directory without touching their payload.
 func (it *PartIterator) SkipTo(x uint64) (int, uint64, bool) {
 	p := it.p
 	if it.i >= p.n {
@@ -508,32 +666,25 @@ func (it *PartIterator) SkipTo(x uint64) (int, uint64, bool) {
 		it.i = p.n
 		return p.n, 0, false
 	}
-	// Locate the target with partition metadata only; the bit cursor is
-	// positioned once, at the end, when the target is known.
-	k := it.i >> p.partLog
-	pv := it.pv
-	if k != it.k {
-		pv = p.part(k)
+	// Locate the target with the directory and the partition's bits; the
+	// cursor is positioned once, at the end, when the target is known.
+	inCursor := it.i < it.end
+	k := it.k
+	if !inCursor {
+		k = p.partOf(it.i)
 	}
-	if x > pv.base+pv.span {
-		// Beyond this partition: jump to the first partition whose upper
-		// bound reaches x.
-		kk, _, ok := p.upper.NextGEQ(x)
-		if !ok {
-			it.i = p.n
-			return p.n, 0, false
-		}
-		k = kk
-		pv = p.part(k)
+	if x > p.parts[k].upper {
+		k = p.partGEQ(k+1, x)
+		inCursor = false
 	}
-	j, _, ok := pv.nextGEQ(x)
+	j, _, bit, ok := p.parts[k].nextGEQ(p.payload, x)
 	if !ok {
 		it.i = p.n
 		return p.n, 0, false
 	}
-	if k != it.k || j > it.inPart {
-		it.enterPartition(k, j)
-		it.i = k<<p.partLog + j
+	if !inCursor || j > it.inPart {
+		it.enter(k, j, bit)
+		it.i = p.parts[k].start + j
 	}
 	// The element at the cursor now satisfies >= x (by monotonicity when
 	// it was already at or past position j); consume it.
@@ -544,20 +695,29 @@ func (it *PartIterator) SkipTo(x uint64) (int, uint64, bool) {
 	return it.i - 1, v, true
 }
 
-// SizeBits returns the storage footprint in bits.
-func (p *Partitioned) SizeBits() uint64 {
-	return p.payload.SizeBits() + p.upper.SizeBits() +
-		uint64(len(p.kinds))*8 + p.offsets.SizeBits() + 3*64
+// SizeBits returns the storage footprint in bits: that of the encoded
+// form (payload, Elias-Fano upper bounds with their rank/select
+// directory, kind bytes, packed offsets), which is what the paper's
+// bits/triple counts. The decoded directory that replaces the encoded
+// columns in memory is not included.
+func (p *Partitioned) SizeBits() uint64 { return p.sizeBits }
+
+// encodedColumns returns the directory columns as Encode writes them;
+// the offsets end with the payload length.
+func (p *Partitioned) encodedColumns() (uppers *Sequence, offsets *xbits.CompactVector, kinds []byte) {
+	u, _, offs, kinds := p.columns()
+	return New(u), xbits.NewCompact(append(offs, uint64(p.payload.Len()))), kinds
 }
 
 // Encode writes the sequence to w.
 func (p *Partitioned) Encode(w *codec.Writer) {
+	uppers, offsets, kinds := p.encodedColumns()
 	w.Uvarint(uint64(p.n))
 	w.Uvarint(p.universe)
 	w.Byte(byte(p.partLog))
-	p.upper.Encode(w)
-	w.Bytes(p.kinds)
-	p.offsets.Encode(w)
+	uppers.Encode(w)
+	w.Bytes(kinds)
+	offsets.Encode(w)
 	p.payload.Encode(w)
 }
 
@@ -567,23 +727,31 @@ func DecodePartitioned(r *codec.Reader) (*Partitioned, error) {
 	p.n = int(r.Uvarint())
 	p.universe = r.Uvarint()
 	p.partLog = uint(r.Byte())
-	if p.partLog < 2 || p.partLog > 20 {
-		return nil, r.Fail(fmt.Errorf("%w: pef partition log", codec.ErrCorrupt))
+	if p.partLog < 2 || p.partLog > 20 || p.n < 0 {
+		return nil, r.Fail(fmt.Errorf("%w: pef header", codec.ErrCorrupt))
 	}
-	var err error
-	if p.upper, err = Decode(r); err != nil {
+	upper, err := Decode(r)
+	if err != nil {
 		return nil, err
 	}
-	p.kinds = r.BytesBuf()
-	if p.offsets, err = xbits.DecodeCompact(r); err != nil {
+	kinds := r.BytesBuf()
+	offsets, err := xbits.DecodeCompact(r)
+	if err != nil {
 		return nil, err
 	}
 	if p.payload, err = xbits.DecodeVector(r); err != nil {
 		return nil, err
 	}
 	numParts := (p.n + 1<<p.partLog - 1) >> p.partLog
-	if len(p.kinds) != numParts || p.upper.Len() != numParts {
+	if len(kinds) != numParts || upper.Len() != numParts || offsets.Len() != numParts+1 {
 		return nil, r.Fail(fmt.Errorf("%w: pef partition count", codec.ErrCorrupt))
 	}
+	if offsets.At(numParts) != uint64(p.payload.Len()) {
+		return nil, r.Fail(fmt.Errorf("%w: pef payload length", codec.ErrCorrupt))
+	}
+	if err := p.decodeDirectory(upper, kinds, offsets, nil); err != nil {
+		return nil, r.Fail(err)
+	}
+	p.sizeBits = p.payload.SizeBits() + upper.SizeBits() + uint64(len(kinds))*8 + offsets.SizeBits() + 3*64
 	return p, nil
 }

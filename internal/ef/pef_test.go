@@ -1,0 +1,263 @@
+package ef
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"testing"
+
+	xbits "rdfindexes/internal/bits"
+	"rdfindexes/internal/codec"
+)
+
+// pefColumns is a partitioned sequence in its encoded form, as Encode
+// writes it and the decoders read it.
+type pefColumns struct {
+	n        int
+	universe uint64
+	partLog  uint     // uniform partitions; 0 for the cost-optimized encoding
+	ends     []uint64 // cost-optimized only
+	uppers   []uint64
+	kinds    []byte
+	offs     []uint64 // uniform: one more than partitions, ending at the payload length
+	payload  *xbits.Vector
+}
+
+func columnsOf(p *Partitioned) pefColumns {
+	uppers, ends, offs, kinds := p.columns()
+	c := pefColumns{n: p.n, universe: p.universe, partLog: p.partLog, uppers: uppers, kinds: kinds, offs: offs, payload: p.payload}
+	if p.partLog == 0 {
+		c.ends = ends
+		if len(offs) == 0 {
+			c.offs = []uint64{0}
+		}
+	} else {
+		c.offs = append(offs, uint64(p.payload.Len()))
+	}
+	return c
+}
+
+// encode writes the columns as Encode does. With raw, the end positions
+// and upper bounds are written with all bits low (l = 63), a layout that
+// decodes any sequence, so a test can encode decreasing ones.
+func (c pefColumns) encode(t *testing.T, raw bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := codec.NewWriter(&buf)
+	writeEF := func(vals []uint64) {
+		if !raw {
+			New(vals).Encode(w)
+			return
+		}
+		low, high := &xbits.Vector{}, xbits.NewVector(len(vals)+1)
+		for i, v := range vals {
+			low.AppendBits(v, 63)
+			high.SetBit(i)
+		}
+		w.Uvarint(uint64(len(vals)))
+		w.Uvarint(1 << 62)
+		w.Byte(63)
+		low.Encode(w)
+		high.Encode(w)
+	}
+	w.Uvarint(uint64(c.n))
+	w.Uvarint(c.universe)
+	if c.partLog > 0 {
+		w.Byte(byte(c.partLog))
+	} else {
+		writeEF(c.ends)
+	}
+	writeEF(c.uppers)
+	w.Bytes(c.kinds)
+	xbits.NewCompact(c.offs).Encode(w)
+	c.payload.Encode(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func (c pefColumns) decode(data []byte) (*Partitioned, error) {
+	if c.partLog > 0 {
+		return DecodePartitioned(codec.NewReader(bytes.NewReader(data)))
+	}
+	o, err := DecodeOptPartitioned(codec.NewReader(bytes.NewReader(data)))
+	if err != nil {
+		return nil, err
+	}
+	return &o.Partitioned, nil
+}
+
+// refPart is the select-based partition lookup that the decoded directory
+// replaced, kept as the reference: base and upper bound by a select on
+// the Elias-Fano upper bounds, the packed offset, and for cost-optimized
+// partitions the position range by a select on their end positions.
+func refPart(upper, ends *Sequence, offsets *xbits.CompactVector, kinds []byte, payload *xbits.Vector, partLog uint, n, k int) partition {
+	var base, ub uint64
+	if k > 0 {
+		base, ub = upper.AccessPair(k - 1)
+	} else {
+		ub = upper.Access(0)
+	}
+	var start, end int
+	switch {
+	case ends == nil:
+		start = k << partLog
+		end = min(start+1<<partLog, n)
+	case k > 0:
+		s, e := ends.AccessPair(k - 1)
+		start, end = int(s), int(e)
+	default:
+		end = int(ends.Access(0))
+	}
+	pt := partition{base: base, upper: ub, off: int(offsets.At(k)), start: start, end: end, kind: kinds[k]}
+	if pt.kind == kindEF {
+		pt.l = uint8(payload.Get(pt.off, 6))
+	}
+	return pt
+}
+
+// TestDirectoryMatchesSelectReference compares every directory entry, as
+// built and as decoded, with the select-based lookup over the encoded
+// columns, for uniform and cost-optimized partitions; and checks that the
+// re-derived encoding is byte-identical.
+func TestDirectoryMatchesSelectReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	inputs := map[string]monotone{
+		"clustered":  clusteredMonotone(rng, 20000),
+		"dense":      randomMonotone(rng, 5000, 2),
+		"sparse":     randomMonotone(rng, 3000, 1<<22),
+		"duplicates": randomMonotone(rng, 3000, 1),
+		"single":     {42},
+	}
+	for name, vals := range inputs {
+		var built []*Partitioned
+		for _, partLog := range []uint{2, 5, DefaultPartLog} {
+			built = append(built, NewPartitionedLog(vals, partLog))
+		}
+		built = append(built, &NewOptPartitioned(vals).Partitioned)
+		for _, p := range built {
+			c := columnsOf(p)
+			data := c.encode(t, false)
+			got, err := c.decode(data)
+			if err != nil {
+				t.Fatalf("%s/%d: decode: %v", name, p.partLog, err)
+			}
+			// Parse the encoded columns the way the select-based lookup used
+			// them.
+			r := codec.NewReader(bytes.NewReader(data))
+			r.Uvarint()
+			r.Uvarint()
+			var ends *Sequence
+			if p.partLog > 0 {
+				r.Byte()
+			} else if ends, err = Decode(r); err != nil {
+				t.Fatal(err)
+			}
+			upper, err := Decode(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kinds := r.BytesBuf()
+			offsets, err := xbits.DecodeCompact(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(p.parts) != len(kinds) || len(got.parts) != len(kinds) {
+				t.Fatalf("%s/%d: %d built and %d decoded partitions, %d encoded", name, p.partLog, len(p.parts), len(got.parts), len(kinds))
+			}
+			for k := range kinds {
+				want := refPart(upper, ends, offsets, kinds, p.payload, p.partLog, p.n, k)
+				if p.parts[k] != want || got.parts[k] != want {
+					t.Fatalf("%s/%d: partition %d built %+v decoded %+v, reference %+v", name, p.partLog, k, p.parts[k], got.parts[k], want)
+				}
+			}
+			if got.SizeBits() != p.SizeBits() {
+				t.Errorf("%s/%d: decoded SizeBits %d, built %d", name, p.partLog, got.SizeBits(), p.SizeBits())
+			}
+			var re bytes.Buffer
+			w := codec.NewWriter(&re)
+			if p.partLog > 0 {
+				got.Encode(w)
+			} else {
+				(&OptPartitioned{*got}).Encode(w)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(re.Bytes(), data) {
+				t.Errorf("%s/%d: re-encoding differs from the original", name, p.partLog)
+			}
+		}
+	}
+}
+
+// testDecodeCorruptDirectory feeds crafted directories to both decoders:
+// each must be refused as codec.ErrCorrupt at decode, never accepted to
+// panic or answer wrongly on a later read.
+func testDecodeCorruptDirectory(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	vals := clusteredMonotone(rng, 6000)
+	uniform := NewPartitioned(vals)
+	opt := NewOptPartitioned(vals)
+	firstOf := func(p *Partitioned, kind byte) int {
+		for k, pt := range p.parts {
+			if pt.kind == kind {
+				return k
+			}
+		}
+		t.Fatalf("no partition of kind %d", kind)
+		return -1
+	}
+	// flipRegionBit returns a payload copy with the first bit of partition
+	// k's region inverted.
+	flipRegionBit := func(p *Partitioned, k int) *xbits.Vector {
+		v := &xbits.Vector{}
+		for i := 0; i < p.payload.Len(); i++ {
+			v.AppendBit(p.payload.Bit(i))
+		}
+		off, _ := p.parts[k].region()
+		w := v.Words()
+		w[off>>6] ^= 1 << (uint(off) & 63)
+		return v
+	}
+	for _, p := range []*Partitioned{uniform, &opt.Partitioned} {
+		ef, bm := firstOf(p, kindEF), firstOf(p, kindBitmap)
+		last := len(p.parts) - 1
+		for name, mutate := range map[string]func(c *pefColumns){
+			"offset past payload": func(c *pefColumns) { c.offs[1] = uint64(p.payload.Len()) + 64 },
+			"kind 7":              func(c *pefColumns) { c.kinds[2] = 7 },
+			"offsets decrease":    func(c *pefColumns) { c.offs[ef], c.offs[ef+1] = c.offs[ef+1], c.offs[ef] },
+			"uppers decrease":     func(c *pefColumns) { c.uppers[last] = c.uppers[last-1] - 1; c.universe = c.uppers[last] },
+			"upper past universe": func(c *pefColumns) { c.universe-- },
+			"run kind on EF":      func(c *pefColumns) { c.kinds[ef] = kindAllOnes },
+			"bitmap kind on EF":   func(c *pefColumns) { c.kinds[ef] = kindBitmap },
+			"EF kind on bitmap":   func(c *pefColumns) { c.kinds[bm] = kindEF },
+			"EF missing a value":  func(c *pefColumns) { c.payload = flipRegionBit(p, ef) },
+			"bitmap extra value":  func(c *pefColumns) { c.payload = flipRegionBit(p, bm) },
+			"EF upper off by one": func(c *pefColumns) { c.uppers[ef]-- },
+		} {
+			c := columnsOf(p)
+			c.uppers = append([]uint64(nil), c.uppers...)
+			c.kinds = append([]byte(nil), c.kinds...)
+			c.offs = append([]uint64(nil), c.offs...)
+			c.ends = append([]uint64(nil), c.ends...)
+			mutate(&c)
+			if _, err := c.decode(c.encode(t, true)); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("partLog %d: %s: decode error %v, want ErrCorrupt", p.partLog, name, err)
+			}
+		}
+	}
+	for name, mutate := range map[string]func(c *pefColumns){
+		"ends repeat":     func(c *pefColumns) { c.ends[1] = c.ends[0] },
+		"ends past n":     func(c *pefColumns) { c.ends[len(c.ends)-1] = uint64(c.n) + 1 },
+		"ends short of n": func(c *pefColumns) { c.n++ },
+	} {
+		c := columnsOf(&opt.Partitioned)
+		c.ends = append([]uint64(nil), c.ends...)
+		mutate(&c)
+		if _, err := c.decode(c.encode(t, true)); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("opt: %s: decode error %v, want ErrCorrupt", name, err)
+		}
+	}
+}

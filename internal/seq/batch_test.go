@@ -147,6 +147,11 @@ func TestNextGEQMatchesFindGEQ(t *testing.T) {
 // TestResetReuseMatchesFresh drives one reused iterator through every
 // range (the pattern of the core selection algorithms, including the
 // contiguous-range base carry-over) and compares with fresh iterators.
+// After the in-order walk it resets to every range start in reverse and
+// in strides of two, where no reset is contiguous and each positions the
+// cursor on the range's base (in reverse through an empty range at the
+// same start first, as a trie level has under a childless root, so the
+// next reset carries that base over), then to random mid-range positions.
 func TestResetReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, kind := range allKinds {
@@ -156,23 +161,30 @@ func TestResetReuseMatchesFresh(t *testing.T) {
 			s := Build(kind, values, ranges)
 			var reused Iterator
 			buf := make([]uint64, 7)
-			// Walk ranges in order (contiguous resets), then revisit a few
-			// random ranges (non-contiguous resets).
-			visit := make([]int, 0, len(ranges)+5)
-			for k := 0; k+1 < len(ranges); k++ {
-				visit = append(visit, k)
+			type visit struct{ lo, from, hi int }
+			numRanges := len(ranges) - 1
+			var visits []visit
+			for k := 0; k < numRanges; k++ {
+				visits = append(visits, visit{ranges[k], ranges[k], ranges[k+1]})
 			}
-			for i := 0; i < 5 && len(ranges) > 1; i++ {
-				visit = append(visit, rng.Intn(len(ranges)-1))
+			for k := numRanges - 1; k >= 0; k-- {
+				visits = append(visits, visit{ranges[k], ranges[k], ranges[k]}, visit{ranges[k], ranges[k], ranges[k+1]})
 			}
-			for _, k := range visit {
-				lo, hi := ranges[k], ranges[k+1]
+			for k := 0; k < numRanges; k += 2 {
+				visits = append(visits, visit{ranges[k], ranges[k], ranges[k+1]})
+			}
+			for i := 0; i < 5; i++ {
+				k := rng.Intn(numRanges)
+				visits = append(visits, visit{ranges[k], ranges[k] + rng.Intn(ranges[k+1]-ranges[k]), ranges[k+1]})
+			}
+			for _, v := range visits {
+				lo, hi := v.lo, v.hi
 				if reused == nil {
-					reused = s.Iter(lo, hi)
+					reused = s.IterFrom(lo, v.from, hi)
 				} else {
-					reused.Reset(lo, lo, hi)
+					reused.Reset(lo, v.from, hi)
 				}
-				fresh := s.Iter(lo, hi)
+				fresh := s.IterFrom(lo, v.from, hi)
 				for {
 					m := reused.NextBatch(buf)
 					want := make([]uint64, len(buf))
@@ -186,16 +198,16 @@ func TestResetReuseMatchesFresh(t *testing.T) {
 						wm++
 					}
 					if wm != m {
-						t.Fatalf("%v: range %d reused yielded %d, fresh %d", kind, k, m, wm)
+						t.Fatalf("%v: %+v reused yielded %d, fresh %d", kind, v, m, wm)
 					}
 					for i := 0; i < m; i++ {
 						if buf[i] != want[i] {
-							t.Fatalf("%v: range %d: reused %d, fresh %d", kind, k, buf[i], want[i])
+							t.Fatalf("%v: %+v: reused %d, fresh %d", kind, v, buf[i], want[i])
 						}
 					}
 					if m == 0 {
 						if _, ok := fresh.Next(); ok {
-							t.Fatalf("%v: range %d reused exhausted early", kind, k)
+							t.Fatalf("%v: %+v reused exhausted early", kind, v)
 						}
 						break
 					}

@@ -87,7 +87,8 @@ type Iterator interface {
 	// range starts exactly where the previous one ended (the common case
 	// when scanning consecutive sibling ranges), the prefix-sum base is
 	// carried over from the last decoded value instead of being fetched
-	// with a random access.
+	// with a random access; any other reset to a range start positions the
+	// cursor once, on the base, and reads it on the way.
 	Reset(rangeBegin, from, end int)
 }
 
@@ -144,7 +145,7 @@ func Build(kind Kind, values []uint64, ranges []int) Sequence {
 	case KindVByte:
 		return &vbyteSeq{s: vbyte.NewBlocked(prefixSum(values, ranges))}
 	case KindPEFOpt:
-		return &pefOptSeq{s: ef.NewOptPartitioned(prefixSum(values, ranges))}
+		return newPEFOptSeq(ef.NewOptPartitioned(prefixSum(values, ranges)))
 	}
 	panic(fmt.Sprintf("seq: unknown kind %d", kind))
 }
@@ -273,8 +274,8 @@ func scanFind(next func() (uint64, bool), begin, end int, target uint64) int {
 }
 
 // storedIter is the cursor over stored (prefix-summed) values that each
-// monotone encoder provides: ef.Iterator, ef.PartIterator, ef.OptIterator
-// and vbyte.Iterator all satisfy it.
+// monotone encoder provides: ef.Iterator, ef.PartIterator and
+// vbyte.Iterator all satisfy it.
 type storedIter interface {
 	Next() (uint64, bool)
 	NextBatch(buf []uint64) int
@@ -364,27 +365,36 @@ func (it *monoIter) NextGEQ(x uint64) (uint64, bool) {
 
 func (it *monoIter) Reset(rangeBegin, from, end int) {
 	it.end = end
-	if from != it.pos {
-		it.inner.Reset(from)
-		it.pos = from
-		it.haveLast = false
-	} else if from == rangeBegin && from > 0 && it.haveLast {
+	switch {
+	case from == rangeBegin && from > 0 && from == it.pos && it.haveLast:
 		// Contiguous advance: the base of the new range is the stored
 		// value just before it, which is the last one decoded.
 		it.base = it.last
-		return
-	}
-	if rangeBegin > 0 {
-		it.base = it.m.Access(rangeBegin - 1)
-	} else {
+	case from == rangeBegin && from > 0 && from <= it.m.Len():
+		// Position the cursor once, on the base: reading it leaves the
+		// cursor at the range start and doubles as the last stored value.
+		it.inner.Reset(from - 1)
+		it.base, _ = it.inner.Next()
+		it.last, it.haveLast = it.base, true
+		it.pos = from
+	default:
+		if from != it.pos {
+			it.inner.Reset(from)
+			it.pos = from
+			it.haveLast = false
+		}
 		it.base = 0
+		if rangeBegin > 0 {
+			it.base = it.m.Access(rangeBegin - 1)
+		}
 	}
 }
 
 // The per-kind iterator wrappers embed their concrete stored-value
 // cursor so that one allocation covers the whole iterator; the embedded
 // monoIter reaches the cursor through its interface field, which points
-// back into the same object.
+// back into the same object. A fresh iterator is a Reset from an unknown
+// position.
 
 type efIter struct {
 	monoIter
@@ -392,15 +402,9 @@ type efIter struct {
 }
 
 func newEFIter(s *ef.Sequence, rangeBegin, from, end int) Iterator {
-	it := &efIter{}
-	if rangeBegin == from && from > 0 && from <= s.Len() {
-		var base uint64
-		it.cur, base = s.MakeIteratorBase(from)
-		it.initMonoBase(s, &it.cur, base, from, end)
-		return it
-	}
-	it.cur = s.MakeIterator(from)
-	it.initMono(s, &it.cur, rangeBegin, from, end)
+	it := &efIter{cur: s.MakeIterator(s.Len())}
+	it.monoIter = monoIter{m: s, inner: &it.cur, pos: -1}
+	it.Reset(rangeBegin, from, end)
 	return it
 }
 
@@ -410,33 +414,9 @@ type pefIter struct {
 }
 
 func newPEFIter(s *ef.Partitioned, rangeBegin, from, end int) Iterator {
-	it := &pefIter{}
-	if rangeBegin == from && from > 0 && from <= s.Len() {
-		var base uint64
-		it.cur, base = s.MakeIteratorBase(from)
-		it.initMonoBase(s, &it.cur, base, from, end)
-		return it
-	}
-	it.cur = s.MakeIterator(from)
-	it.initMono(s, &it.cur, rangeBegin, from, end)
-	return it
-}
-
-type pefOptIter struct {
-	monoIter
-	cur ef.OptIterator
-}
-
-func newPEFOptIter(s *ef.OptPartitioned, rangeBegin, from, end int) Iterator {
-	it := &pefOptIter{}
-	if rangeBegin == from && from > 0 && from <= s.Len() {
-		var base uint64
-		it.cur, base = s.MakeIteratorBase(from)
-		it.initMonoBase(s, &it.cur, base, from, end)
-		return it
-	}
-	it.cur = s.MakeIterator(from)
-	it.initMono(s, &it.cur, rangeBegin, from, end)
+	it := &pefIter{cur: s.MakeIterator(s.Len())}
+	it.monoIter = monoIter{m: s, inner: &it.cur, pos: -1}
+	it.Reset(rangeBegin, from, end)
 	return it
 }
 
@@ -446,39 +426,10 @@ type vbyteIter struct {
 }
 
 func newVByteIter(s *vbyte.Blocked, rangeBegin, from, end int) Iterator {
-	it := &vbyteIter{}
-	if rangeBegin == from && from > 0 && from <= s.Len() {
-		var base uint64
-		it.cur, base = s.MakeIteratorBase(from)
-		it.initMonoBase(s, &it.cur, base, from, end)
-		return it
-	}
-	it.cur = s.MakeIterator(from)
-	it.initMono(s, &it.cur, rangeBegin, from, end)
+	it := &vbyteIter{cur: s.MakeIterator(s.Len())}
+	it.monoIter = monoIter{m: s, inner: &it.cur, pos: -1}
+	it.Reset(rangeBegin, from, end)
 	return it
-}
-
-func (it *monoIter) initMono(m monotone, inner storedIter, rangeBegin, from, end int) {
-	it.m = m
-	it.inner = inner
-	it.pos = from
-	it.end = end
-	if rangeBegin > 0 {
-		it.base = m.Access(rangeBegin - 1)
-	}
-}
-
-// initMonoBase initializes with a base already decoded by the inner
-// cursor's fused positioning; the base doubles as the last stored value,
-// so a later contiguous Reset needs no random access either.
-func (it *monoIter) initMonoBase(m monotone, inner storedIter, base uint64, from, end int) {
-	it.m = m
-	it.inner = inner
-	it.pos = from
-	it.end = end
-	it.base = base
-	it.last = base
-	it.haveLast = true
 }
 
 // compactSeq is the fixed-width representation; values are stored as-is.
@@ -679,37 +630,19 @@ func (v *vbyteSeq) IterFrom(rangeBegin, from, end int) Iterator {
 }
 func (v *vbyteSeq) encode(w *codec.Writer) { v.s.Encode(w) }
 
-// pefOptSeq wraps a cost-optimized partitioned Elias-Fano sequence.
+// pefOptSeq wraps a cost-optimized partitioned Elias-Fano sequence. It
+// reads like a uniform one and differs only in its encoded form.
 type pefOptSeq struct {
-	s *ef.OptPartitioned
+	pefSeq
+	o *ef.OptPartitioned
 }
 
-func (p *pefOptSeq) Len() int         { return p.s.Len() }
-func (p *pefOptSeq) Kind() Kind       { return KindPEFOpt }
-func (p *pefOptSeq) SizeBits() uint64 { return p.s.SizeBits() }
-func (p *pefOptSeq) At(begin, i int) uint64 {
-	return monoAt(p.s, begin, i)
+func newPEFOptSeq(o *ef.OptPartitioned) *pefOptSeq {
+	return &pefOptSeq{pefSeq{&o.Partitioned}, o}
 }
-func (p *pefOptSeq) At2(begin, i int) (uint64, uint64) {
-	return monoAt(p.s, begin, i), monoAt(p.s, begin, i+1)
-}
-func (p *pefOptSeq) Find(begin, end int, x uint64) int {
-	if isShort(begin, end) {
-		it, base := p.s.MakeIteratorBase(begin)
-		return scanFind(it.Next, begin, end, base+x)
-	}
-	return monoFind(p.s, begin, end, x)
-}
-func (p *pefOptSeq) FindGEQ(begin, end int, x uint64) (int, uint64, bool) {
-	return monoFindGEQ(p.s, begin, end, x)
-}
-func (p *pefOptSeq) Iter(begin, end int) Iterator {
-	return newPEFOptIter(p.s, begin, begin, end)
-}
-func (p *pefOptSeq) IterFrom(rangeBegin, from, end int) Iterator {
-	return newPEFOptIter(p.s, rangeBegin, from, end)
-}
-func (p *pefOptSeq) encode(w *codec.Writer) { p.s.Encode(w) }
+
+func (p *pefOptSeq) Kind() Kind             { return KindPEFOpt }
+func (p *pefOptSeq) encode(w *codec.Writer) { p.o.Encode(w) }
 
 // Write serializes s with a leading kind tag.
 func Write(w *codec.Writer, s Sequence) {
@@ -753,7 +686,7 @@ func Read(r *codec.Reader) (Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &pefOptSeq{s: s}, nil
+		return newPEFOptSeq(s), nil
 	}
 	return nil, r.Fail(fmt.Errorf("%w: unknown sequence kind %d", codec.ErrCorrupt, kind))
 }

@@ -3,6 +3,7 @@ package seq
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"rdfindexes/internal/codec"
@@ -281,40 +282,109 @@ func sliceFind(values []uint64, begin, end int, x uint64) int {
 	return -1
 }
 
-// TestFindShortRangesExhaustive covers both sides of the shortRange
-// switch in Find: every range length 1..32, with the range first in the
-// sequence, after a neighbour, and starting with 0 (its stored value
-// then repeats the base), probed with every value of the range (hit),
-// every gap between two values (miss), one below the first and one above
-// the last, for all kinds against the slice oracle.
+// TestFindShortRangesExhaustive checks every seek of a sorted range
+// against the slice oracle, for all kinds: Find (both sides of its
+// shortRange switch), FindGEQ, NextGEQ on fresh iterators and on one
+// walking iterator, and IterFrom. Range lengths run over 1..32 and on to
+// 600, past two PEF partitions, so ranges start, end and cross inside
+// partitions; values are consecutive, dense or sparse, so PEF partitions
+// of all three kinds occur. Each length comes first in the sequence (no
+// predecessor), after a neighbour, and starting with 0 (its stored value
+// then repeats the base). Probes are every value of the range (hit), the
+// values around it (miss), 0 and past the last.
 func TestFindShortRangesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	var d rangedData
-	d.ranges = []int{0}
-	add := func(n int, first uint64) {
-		v := first
-		for i := 0; i < n; i++ {
-			d.values = append(d.values, v)
-			v += 1 + uint64(rng.Intn(4)) // gaps of 0..3 missing values
-		}
-		d.ranges = append(d.ranges, len(d.values))
-	}
+	maxGaps := []int{1, 2, 4, 2000}
+	lengths := []int{}
 	for n := 1; n <= 2*shortRange; n++ {
-		add(n, uint64(rng.Intn(3)))
-		add(n, 0)
-		add(n, 1+uint64(rng.Intn(1000)))
+		lengths = append(lengths, n)
 	}
-	for _, kind := range allKinds {
-		s := Build(kind, d.values, d.ranges)
-		for k := 0; k+1 < len(d.ranges); k++ {
-			begin, end := d.ranges[k], d.ranges[k+1]
-			last := d.values[end-1]
-			for x := uint64(0); x <= last+2; x++ {
-				if got, want := s.Find(begin, end, x), sliceFind(d.values, begin, end, x); got != want {
-					t.Fatalf("%v: Find(%d, %d, %d) = %d, want %d (range %v)",
-						kind, begin, end, x, got, want, d.values[begin:end])
-				}
+	lengths = append(lengths, 63, 64, 65, 100, 255, 256, 257, 300, 511, 513, 600)
+	build := func(firstLen int) rangedData {
+		d := rangedData{ranges: []int{0}}
+		add := func(n int, first uint64, maxGap int) {
+			v := first
+			for i := 0; i < n; i++ {
+				d.values = append(d.values, v)
+				v += 1 + uint64(rng.Intn(maxGap))
 			}
+			d.ranges = append(d.ranges, len(d.values))
+		}
+		add(firstLen, uint64(rng.Intn(3)), 4)
+		for i, n := range lengths {
+			add(n, uint64(rng.Intn(3)), maxGaps[i%len(maxGaps)])
+			add(n, 0, maxGaps[(i+1)%len(maxGaps)])
+			add(n, 1+uint64(rng.Intn(1000)), maxGaps[(i+2)%len(maxGaps)])
+			add(n, 1, 1) // consecutive runs chain into all-ones partitions
+		}
+		return d
+	}
+	for _, d := range []rangedData{build(5), build(600)} {
+		for _, kind := range allKinds {
+			s := Build(kind, d.values, d.ranges)
+			for k := 0; k+1 < len(d.ranges); k++ {
+				checkRangeSeeks(t, rng, kind, s, d.values, d.ranges[k], d.ranges[k+1])
+			}
+		}
+	}
+}
+
+// checkRangeSeeks checks the seeks of the range [begin, end) of s against
+// values.
+func checkRangeSeeks(t *testing.T, rng *rand.Rand, kind Kind, s Sequence, values []uint64, begin, end int) {
+	t.Helper()
+	r := values[begin:end]
+	// geq is the oracle: the position of the first value >= x, or end.
+	geq := func(x uint64) int {
+		return begin + sort.Search(len(r), func(i int) bool { return r[i] >= x })
+	}
+	probes := []uint64{0, r[len(r)-1] + 1, r[len(r)-1] + 2}
+	for _, v := range r {
+		probes = append(probes, v, v+1)
+		if v > 0 {
+			probes = append(probes, v-1)
+		}
+	}
+	for _, x := range probes {
+		want := geq(x)
+		if got, wantFind := s.Find(begin, end, x), sliceFind(values, begin, end, x); got != wantFind {
+			t.Fatalf("%v: Find(%d, %d, %d) = %d, want %d", kind, begin, end, x, got, wantFind)
+		}
+		pos, val, ok := s.FindGEQ(begin, end, x)
+		if ok != (want < end) || ok && (pos != want || val != values[want]) {
+			t.Fatalf("%v: FindGEQ(%d, %d, %d) = (%d, %d, %v), want position %d", kind, begin, end, x, pos, val, ok, want)
+		}
+		v, ok := s.Iter(begin, end).NextGEQ(x)
+		if ok != (want < end) || ok && v != values[want] {
+			t.Fatalf("%v: Iter(%d, %d).NextGEQ(%d) = (%d, %v), want position %d", kind, begin, end, x, v, ok, want)
+		}
+	}
+	// One iterator skipping forward, as a merge-intersection drives it.
+	it := s.Iter(begin, end)
+	for x, at := r[0], begin; ; {
+		want := max(geq(x), at)
+		v, ok := it.NextGEQ(x)
+		if ok != (want < end) || ok && v != values[want] {
+			t.Fatalf("%v: walking NextGEQ(%d) on [%d, %d) = (%d, %v), want position %d", kind, x, begin, end, v, ok, want)
+		}
+		if !ok {
+			break
+		}
+		at = want + 1
+		x = v + uint64(rng.Intn(3*int(r[len(r)-1]-r[0])/len(r)+2))
+	}
+	for _, from := range []int{begin, begin + 1, (begin + end) / 2, end - 1} {
+		if from >= end {
+			continue
+		}
+		it := s.IterFrom(begin, from, end)
+		for i := from; i < end; i++ {
+			if v, ok := it.Next(); !ok || v != values[i] {
+				t.Fatalf("%v: IterFrom(%d, %d, %d) at %d = (%d, %v), want %d", kind, begin, from, end, i, v, ok, values[i])
+			}
+		}
+		if v, ok := it.Next(); ok {
+			t.Fatalf("%v: IterFrom(%d, %d, %d) yielded %d past the end", kind, begin, from, end, v)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -254,6 +255,74 @@ func TestExplainEndpoint(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMutableGallop checks that a mutable server runs a star of two
+// bound-object patterns as a leapfrog merge-intersection while its update
+// log is empty, falls back to nested iteration over the merged view once
+// a write is pending, and answers the star correctly either way.
+func TestMutableGallop(t *testing.T) {
+	const people, likesPer = 24, 3
+	m := mutableStore(t, t.TempDir(), people, likesPer, 0)
+	ts := httptest.NewServer(NewMutable(m, Options{Workers: 2}))
+	defer ts.Close()
+	query := "SELECT ?x WHERE { ?x <http://ex/likes> <http://ex/item3> . ?x <http://ex/likes> <http://ex/item4> . }"
+	// testStore's person i likes items (i+j) mod (people/2+1), j < likesPer.
+	want := map[string]bool{}
+	for i := 0; i < people; i++ {
+		likes := map[int]bool{}
+		for j := 0; j < likesPer; j++ {
+			likes[(i+j)%(people/2+1)] = true
+		}
+		if likes[3] && likes[4] {
+			want[fmt.Sprintf("http://ex/p%d", i)] = true
+		}
+	}
+	check := func(stage string, wantGallop bool) {
+		t.Helper()
+		resp, body := protocolGet(t, ts, query, "application/sparql-results+json")
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: query: %d %s", stage, resp.StatusCode, body)
+		}
+		_, rows := jsonBindings(t, body)
+		got := map[string]bool{}
+		for _, r := range rows {
+			got[r["x"]["value"]] = true
+		}
+		if len(rows) != len(want) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: rows %v, want %v", stage, got, want)
+		}
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/sparql?explain=1&query="+url.QueryEscape(query), nil)
+		resp, body = do(t, req)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: explain: %d %s", stage, resp.StatusCode, body)
+		}
+		var doc struct {
+			Steps []struct {
+				Gallop bool `json:"gallop"`
+			} `json:"steps"`
+		}
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatal(err)
+		}
+		gallops := 0
+		for _, s := range doc.Steps {
+			if s.Gallop {
+				gallops++
+			}
+		}
+		if (gallops > 0) != wantGallop || len(doc.Steps) != 2 {
+			t.Errorf("%s: %d of %d steps gallop, want gallop=%v\n%s", stage, gallops, len(doc.Steps), wantGallop, body)
+		}
+	}
+	check("empty log", true)
+	// Person 4 likes items 4..6; the pending insert adds it to the answer,
+	// which a stream over the base index alone would miss.
+	if _, err := m.Insert("<http://ex/p4>", "<http://ex/likes>", "<http://ex/item3>"); err != nil {
+		t.Fatal(err)
+	}
+	want["http://ex/p4"] = true
+	check("pending insert", false)
 }
 
 // TestProtocolHeadAndLastModified covers the HEAD form and the

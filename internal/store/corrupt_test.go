@@ -1,11 +1,18 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"math/bits"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"rdfindexes/internal/codec"
 	"rdfindexes/internal/core"
 	"rdfindexes/internal/shard"
 )
@@ -49,6 +56,54 @@ func TestReadFlippedByteEveryOffset(t *testing.T) {
 				t.Fatalf("shards=%d: flipped byte at offset %d/%d accepted", shards, off, len(data))
 			}
 		}
+	}
+}
+
+// TestReadCraftedPEF opens a store whose index section carries a correct
+// checksum over a crafted partitioned Elias-Fano sequence: the last
+// partition of the POS trie's third level lost the set bit of its last
+// value. Read must refuse it as corrupt at open, not serve a sequence
+// whose reads run past the partition.
+func TestReadCraftedPEF(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var ts []core.Triple
+	for i := 0; i < 2000; i++ {
+		ts = append(ts, core.Triple{S: core.ID(rng.Intn(500)), P: core.ID(rng.Intn(4)), O: core.ID(rng.Intn(500))})
+	}
+	x, err := core.Build(core.NewDataset(ts), core.Layout2Tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var section bytes.Buffer
+	if err := core.WriteIndex(&section, x); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "store.idx")
+	if err := Write(path, &Store{Index: x}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := len(data) - 4 // the section's checksum trails it
+	start := end - section.Len()
+	if start < 0 || !bytes.Equal(data[start:end], section.Bytes()) {
+		t.Fatal("the index section is not the end of the file")
+	}
+	// The section ends with that sequence's payload words, whose last set
+	// bit is the last partition's last value.
+	i := end - 1
+	for data[i] == 0 {
+		i--
+	}
+	data[i] &^= 1 << (bits.Len8(data[i]) - 1)
+	binary.LittleEndian.PutUint32(data[end:], crc32.Checksum(data[start:end], codec.Castagnoli))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(path); !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), "pef partition") {
+		t.Fatalf("Read of a crafted partition: %v, want a pef partition ErrCorrupt", err)
 	}
 }
 
