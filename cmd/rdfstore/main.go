@@ -21,8 +21,9 @@
 // verify checks every container section (header, dictionaries, shard
 // sections) against its stored CRC32C checksum and scans the WAL,
 // reporting per-section results; it exits non-zero if anything is
-// corrupt. Legacy (version 1) stores predate checksums and can only be
-// decode-checked, which verify and stats report as "unverified".
+// corrupt. Stores are opened by mapping the file: the index is served
+// from the mapped bytes, not decoded into memory. Files written by
+// earlier format versions are rebuilt with build.
 //
 // insert and delete append to a write-ahead log (store.idx.wal) and keep
 // the static index untouched until the pending log reaches the merge
@@ -423,13 +424,16 @@ func statsCmd(args []string, out io.Writer) error {
 			st.Dicts.SO.Len(), st.Dicts.P.Len(),
 			float64(st.Dicts.SO.SizeBits()+st.Dicts.P.SizeBits())/8/1024/1024)
 	}
-	switch {
-	case st.Integrity.Verified:
-		fmt.Fprintf(out, "format:       v%d (checksums verified)\n", st.Integrity.Version)
-	case st.Integrity.Version == 1:
-		fmt.Fprintf(out, "format:       v1 (legacy, UNVERIFIED: no checksums; rebuild to upgrade)\n")
-	}
+	fmt.Fprintf(out, "format:       %s\n", formatLine(st.Integrity.Version, st.Integrity.Mapped))
 	return nil
+}
+
+// formatLine describes a container version for stats and verify.
+func formatLine(version int, mapped bool) string {
+	if mapped {
+		return fmt.Sprintf("v%d (checksums verified, mapped)", version)
+	}
+	return fmt.Sprintf("v%d (checksums verified)", version)
 }
 
 // verifyCmd checks the store section by section against its stored
@@ -446,10 +450,8 @@ func verifyCmd(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if rep.Verified {
-		fmt.Fprintf(out, "%s: format v%d (checksummed)\n", rep.Path, rep.Version)
-	} else {
-		fmt.Fprintf(out, "%s: format v%d (legacy, no checksums: decode check only)\n", rep.Path, rep.Version)
+	if rep.Version > 0 {
+		fmt.Fprintf(out, "%s: format %s\n", rep.Path, formatLine(rep.Version, rep.Mapped))
 	}
 	for _, sec := range rep.Sections {
 		status := "ok"

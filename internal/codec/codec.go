@@ -4,7 +4,10 @@
 // Writers and readers are error-sticky: after the first failure every
 // subsequent call is a no-op, so call sites can chain field writes and check
 // the error once at the end. All integers are little-endian; slices are
-// length-prefixed with an unsigned varint.
+// length-prefixed with an unsigned varint. Word arrays are 8-byte aligned:
+// Writer.Uint64s pads with zero bytes after the length prefix so the
+// payload starts at a multiple of 8 from the writer's start, which lets a
+// Reader over aligned memory return them as views instead of copies.
 package codec
 
 import (
@@ -14,6 +17,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"unsafe"
 )
 
 // ErrCorrupt reports a malformed or truncated stream.
@@ -22,6 +26,11 @@ var ErrCorrupt = errors.New("codec: corrupt stream")
 // Castagnoli is the CRC32C polynomial table shared by every checksummed
 // format in this repository (hardware-accelerated on amd64/arm64).
 var Castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// HostLittleEndian reports whether this host stores words little-endian,
+// the byte order of the format: only then can a word array be read in
+// place.
+var HostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // Writer serializes primitive values to an underlying io.Writer.
 type Writer struct {
@@ -82,6 +91,17 @@ func (w *Writer) StopChecksum() uint32 {
 	return w.crc
 }
 
+// PadLen returns the number of zero bytes that follow offset off to reach
+// the next multiple of 8.
+func PadLen(off int64) int { return int(-off & 7) }
+
+// Pad writes zero bytes up to the next multiple of 8 from the writer's
+// start.
+func (w *Writer) Pad() {
+	var zero [7]byte
+	w.write(zero[:PadLen(w.n)])
+}
+
 // Uint64 writes v as 8 little-endian bytes.
 func (w *Writer) Uint64(v uint64) {
 	var b [8]byte
@@ -107,22 +127,14 @@ func (w *Writer) Uvarint(v uint64) {
 	w.write(w.buf[:n])
 }
 
-// Uint64s writes a length-prefixed slice of raw little-endian words.
+// Uint64s writes a length-prefixed slice of raw little-endian words,
+// padded so the words start at a multiple of 8 from the writer's start.
 func (w *Writer) Uint64s(s []uint64) {
 	w.Uvarint(uint64(len(s)))
+	w.Pad()
 	var b [8]byte
 	for _, v := range s {
 		binary.LittleEndian.PutUint64(b[:], v)
-		w.write(b[:])
-	}
-}
-
-// Uint32s writes a length-prefixed slice of raw little-endian 32-bit words.
-func (w *Writer) Uint32s(s []uint32) {
-	w.Uvarint(uint64(len(s)))
-	var b [4]byte
-	for _, v := range s {
-		binary.LittleEndian.PutUint32(b[:], v)
 		w.write(b[:])
 	}
 }
@@ -139,93 +151,102 @@ func (w *Writer) String(s string) {
 	w.write([]byte(s))
 }
 
-// Reader deserializes values written by Writer.
+// Reader decodes values written by Writer from one byte slice. Every
+// length prefix is checked against the bytes left, so a corrupt prefix
+// fails at once instead of demanding a huge allocation.
+//
+// Word arrays and byte slices are returned as views into the input, not
+// copies (a word array is copied only when its payload is not 8-byte
+// aligned in memory or the host is big-endian). The input must therefore
+// stay valid and unchanged for as long as anything decoded from it is
+// used.
 type Reader struct {
-	r     *bufio.Reader
-	n     int64
-	crc   uint32
-	sum   bool  // tee consumed bytes into crc
-	limit int64 // alloc bound: total input size, or -1 for unbounded
+	buf   []byte
+	off   int
+	owner any
 	err   error
-	chunk []byte // bulk word-read scratch, at most wordChunk bytes
 }
 
-// NewReader returns a Reader consuming from r. If r is already a
-// *bufio.Reader it is used directly, so several sequential decoders can
-// share one buffered stream without losing read-ahead bytes.
+// NewBytesReader returns a Reader over b. owner is whatever keeps b
+// valid, such as a file mapping; decoders that keep views into b store it
+// (see Owner) so that the memory outlives them. Pass nil when b is
+// ordinary garbage-collected memory, which the views keep alive by
+// themselves.
+func NewBytesReader(b []byte, owner any) *Reader {
+	return &Reader{buf: b, owner: owner}
+}
+
+// NewReader reads r to the end into an 8-byte-aligned buffer and returns
+// a Reader over it; a read error fails the Reader with ErrCorrupt.
 func NewReader(r io.Reader) *Reader {
-	if br, ok := r.(*bufio.Reader); ok {
-		return &Reader{r: br, limit: -1}
+	b, err := ReadAligned(r)
+	if err != nil {
+		return &Reader{err: fmt.Errorf("%w: %v", ErrCorrupt, err)}
 	}
-	return &Reader{r: bufio.NewReader(r), limit: -1}
+	return &Reader{buf: b}
 }
 
-// SetAllocLimit bounds decode-time slice allocations by the total input
-// size in bytes: a length-prefixed slice cannot hold more payload bytes
-// than the stream has left, so a corrupt length prefix fails immediately
-// instead of demanding gigabytes. Pass the file or section size; a
-// negative limit restores the default static bound.
-func (r *Reader) SetAllocLimit(size int64) { r.limit = size }
-
-// StartChecksum begins teeing every subsequently consumed byte into a
-// CRC32C accumulator; the mirror of Writer.StartChecksum.
-func (r *Reader) StartChecksum() {
-	r.crc = 0
-	r.sum = true
-}
-
-// StopChecksum ends the checksummed span and returns its CRC32C. The
-// stored checksum field is read after the call, outside the span.
-func (r *Reader) StopChecksum() uint32 {
-	r.sum = false
-	return r.crc
+// ReadAligned reads r to the end into a buffer whose first byte is 8-byte
+// aligned, so that word arrays serialized from offset 0 decode as views.
+func ReadAligned(r io.Reader) ([]byte, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	words := make([]uint64, (len(data)+7)/8)
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(data))
+	copy(b, data)
+	return b, nil
 }
 
 // Err returns the first error encountered, if any.
 func (r *Reader) Err() error { return r.err }
 
-// Read returns the number of bytes consumed so far.
-func (r *Reader) Read() int64 { return r.n }
+// Offset returns the number of bytes consumed so far.
+func (r *Reader) Offset() int { return r.off }
 
-func (r *Reader) read(p []byte) {
+// Owner returns the value that keeps the input alive, as passed to
+// NewBytesReader (nil for garbage-collected input).
+func (r *Reader) Owner() any { return r.owner }
+
+// take consumes the next n bytes and returns them capacity-clipped, so an
+// append to the result can never write into the input; nil once the
+// reader has failed.
+func (r *Reader) take(n int) []byte {
 	if r.err != nil {
-		return
+		return nil
 	}
-	n, err := io.ReadFull(r.r, p)
-	r.n += int64(n)
-	if r.sum {
-		r.crc = crc32.Update(r.crc, Castagnoli, p[:n])
+	if n < 0 || n > len(r.buf)-r.off {
+		r.err = fmt.Errorf("%w: %d bytes wanted at offset %d, %d left", ErrCorrupt, n, r.off, len(r.buf)-r.off)
+		return nil
 	}
-	if err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
+	p := r.buf[r.off : r.off+n : r.off+n]
+	r.off += n
+	return p
 }
 
 // Uint64 reads 8 little-endian bytes.
 func (r *Reader) Uint64() uint64 {
-	var b [8]byte
-	r.read(b[:])
-	if r.err != nil {
-		return 0
+	if p := r.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
 	}
-	return binary.LittleEndian.Uint64(b[:])
+	return 0
 }
 
 // Uint32 reads 4 little-endian bytes.
 func (r *Reader) Uint32() uint32 {
-	var b [4]byte
-	r.read(b[:])
-	if r.err != nil {
-		return 0
+	if p := r.take(4); p != nil {
+		return binary.LittleEndian.Uint32(p)
 	}
-	return binary.LittleEndian.Uint32(b[:])
+	return 0
 }
 
 // Byte reads a single byte.
 func (r *Reader) Byte() byte {
-	var b [1]byte
-	r.read(b[:])
-	return b[0]
+	if p := r.take(1); p != nil {
+		return p[0]
+	}
+	return 0
 }
 
 // Uvarint reads a variable-length unsigned integer.
@@ -233,120 +254,65 @@ func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(countingByteReader{r})
-	if err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+	v, n := binary.Uvarint(r.buf[r.off:])
+	if n <= 0 {
+		r.err = fmt.Errorf("%w: bad uvarint at offset %d", ErrCorrupt, r.off)
 		return 0
 	}
+	r.off += n
 	return v
 }
 
-type countingByteReader struct{ r *Reader }
-
-func (c countingByteReader) ReadByte() (byte, error) {
-	b, err := c.r.r.ReadByte()
-	if err == nil {
-		c.r.n++
-		if c.r.sum {
-			c.r.crc = crc32.Update(c.r.crc, Castagnoli, []byte{b})
+// Pad skips the zero bytes Writer.Pad wrote to reach the next multiple of
+// 8, failing on any non-zero one.
+func (r *Reader) Pad() {
+	for _, b := range r.take(PadLen(int64(r.off))) {
+		if b != 0 {
+			r.err = fmt.Errorf("%w: non-zero pad byte before offset %d", ErrCorrupt, r.off)
+			return
 		}
 	}
-	return b, err
 }
 
-// maxAlloc bounds a single slice allocation while decoding, protecting
-// against corrupt length prefixes.
-const maxAlloc = 1 << 33
-
-func (r *Reader) sliceLen(elemSize uint64) int {
+// sliceLen reads the length prefix of a slice of size-byte elements and
+// checks that the payload fits in the bytes left.
+func (r *Reader) sliceLen(size int) int {
 	n := r.Uvarint()
+	if left := uint64(len(r.buf) - r.off); r.err == nil && n > left/uint64(size) {
+		r.err = fmt.Errorf("%w: slice length %d exceeds the %d bytes left", ErrCorrupt, n, left)
+	}
 	if r.err != nil {
-		return 0
-	}
-	if n*elemSize > maxAlloc || n > maxAlloc {
-		r.err = fmt.Errorf("%w: slice length %d too large", ErrCorrupt, n)
-		return 0
-	}
-	// A slice's payload cannot exceed the bytes the input has left: with
-	// the input size known, a corrupt length prefix is rejected before
-	// the allocation instead of after an OOM-sized make.
-	if r.limit >= 0 && int64(n*elemSize) > r.limit-r.n {
-		r.err = fmt.Errorf("%w: slice length %d (%d bytes) exceeds remaining input (%d bytes)",
-			ErrCorrupt, n, n*elemSize, r.limit-r.n)
 		return 0
 	}
 	return int(n)
 }
 
-// wordChunk bounds the scratch buffer word arrays are read through:
-// one read per chunk instead of one per word, without a second copy of
-// the whole array.
-const wordChunk = 8 << 10
-
-// words reads the next min(n, wordChunk/size) words of size bytes into
-// the scratch buffer and returns them, or nil once the reader has failed.
-func (r *Reader) words(n, size int) []byte {
-	k := min(n*size, wordChunk)
-	if cap(r.chunk) < k {
-		r.chunk = make([]byte, k)
-	}
-	b := r.chunk[:k]
-	r.read(b)
-	if r.err != nil {
-		return nil
-	}
-	return b
-}
-
-// Uint64s reads a length-prefixed slice of raw little-endian words.
+// Uint64s reads a length-prefixed, padded slice of little-endian words:
+// a view into the input when the payload is 8-byte aligned in memory on a
+// little-endian host, otherwise a decoded copy.
 func (r *Reader) Uint64s() []uint64 {
 	n := r.sliceLen(8)
+	r.Pad()
+	p := r.take(8 * n)
 	if r.err != nil || n == 0 {
 		return nil
+	}
+	ptr := unsafe.Pointer(unsafe.SliceData(p))
+	if HostLittleEndian && uintptr(ptr)%8 == 0 {
+		return unsafe.Slice((*uint64)(ptr), n)
 	}
 	s := make([]uint64, n)
-	for i := 0; i < n; {
-		b := r.words(n-i, 8)
-		if b == nil {
-			return nil
-		}
-		for ; len(b) > 0; b = b[8:] {
-			s[i] = binary.LittleEndian.Uint64(b)
-			i++
-		}
+	for i := range s {
+		s[i] = binary.LittleEndian.Uint64(p[8*i:])
 	}
 	return s
 }
 
-// Uint32s reads a length-prefixed slice of raw little-endian 32-bit words.
-func (r *Reader) Uint32s() []uint32 {
-	n := r.sliceLen(4)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]uint32, n)
-	for i := 0; i < n; {
-		b := r.words(n-i, 4)
-		if b == nil {
-			return nil
-		}
-		for ; len(b) > 0; b = b[4:] {
-			s[i] = binary.LittleEndian.Uint32(b)
-			i++
-		}
-	}
-	return s
-}
-
-// BytesBuf reads a length-prefixed byte slice.
+// BytesBuf reads a length-prefixed byte slice, returned as a
+// capacity-clipped view into the input.
 func (r *Reader) BytesBuf() []byte {
-	n := r.sliceLen(1)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	p := make([]byte, n)
-	r.read(p)
-	if r.err != nil {
+	p := r.take(r.sliceLen(1))
+	if len(p) == 0 {
 		return nil
 	}
 	return p

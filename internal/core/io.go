@@ -30,47 +30,45 @@ func WriteIndex(w io.Writer, x Index) error {
 	return cw.Flush()
 }
 
-// ReadIndex deserializes an index written by WriteIndex, dispatching on
-// the stored layout.
-func ReadIndex(r io.Reader) (Index, error) { return ReadIndexLimited(r, -1) }
-
-// ReadIndexLimited is ReadIndex with the input size known: decode-time
-// allocations are bounded by it (a corrupt length prefix cannot demand
-// more bytes than the section holds), and a decoder panic on adversarial
-// input is converted into an ErrCorrupt error instead of taking down the
-// process — the store loader decodes shard sections in goroutines, so
-// this is the last line of defense for every section. size < 0 means
-// unknown (no extra bound).
-func ReadIndexLimited(r io.Reader, size int64) (x Index, err error) {
+// ReadIndex deserializes an index written by WriteIndex, reading r to
+// the end. A decoder panic on adversarial input is converted into an
+// ErrCorrupt error instead of taking down the process.
+func ReadIndex(r io.Reader) (x Index, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			x, err = nil, fmt.Errorf("%w: decoder panic: %v", codec.ErrCorrupt, p)
 		}
 	}()
-	cr := codec.NewReader(r)
-	cr.SetAllocLimit(size)
-	magic := cr.String()
-	if err := cr.Err(); err != nil {
+	return DecodeIndex(codec.NewReader(r))
+}
+
+// DecodeIndex decodes an index written by WriteIndex from r, dispatching
+// on the stored layout. The index's word arrays are views into r's input
+// wherever they are aligned (see codec.Reader).
+func DecodeIndex(r *codec.Reader) (Index, error) {
+	magic := r.String()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if magic != indexMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", codec.ErrCorrupt, magic)
 	}
-	layout := Layout(cr.Byte())
-	switch layout {
+	var x Index
+	var err error
+	switch layout := Layout(r.Byte()); layout {
 	case Layout3T:
-		x, err = decode3T(cr)
+		x, err = decode3T(r)
 	case LayoutCC:
-		x, err = decodeCC(cr)
+		x, err = decodeCC(r)
 	case Layout2Tp:
-		x, err = decode2Tp(cr)
+		x, err = decode2Tp(r)
 	case Layout2To:
-		x, err = decode2To(cr)
+		x, err = decode2To(r)
 	default:
 		return nil, fmt.Errorf("%w: unknown layout %d", codec.ErrCorrupt, layout)
 	}
 	if err != nil {
-		return nil, err
+		return nil, err // not x: a typed nil pointer would make a non-nil Index
 	}
 	return x, nil
 }

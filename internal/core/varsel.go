@@ -13,6 +13,7 @@ import (
 // lists, arXiv:1207.2615).
 type VarIter struct {
 	it    seq.Iterator
+	t     *trie.Trie // the trie it reads, kept reachable while it iterates
 	empty bool
 }
 
@@ -53,7 +54,7 @@ func varIterOnTrie(t *trie.Trie, a, b ID) *VarIter {
 		return emptyVarIter()
 	}
 	b2, e2 := t.ChildRange(j)
-	return &VarIter{it: t.Iter2(b2, e2)}
+	return &VarIter{it: t.Iter2(b2, e2), t: t}
 }
 
 // VarSelecter is implemented by indexes that can produce the sorted

@@ -52,6 +52,9 @@ type Dict struct {
 	// len(data). On disk it is Elias-Fano coded; Decode expands it once
 	// so every lookup indexes a plain slice.
 	offsets []uint64
+	// owner keeps the memory data views (a mapped store file) alive for
+	// as long as the dictionary is reachable; nil when built in memory.
+	owner any
 }
 
 // New builds a dictionary over strs, which must be sorted and distinct.
@@ -335,7 +338,7 @@ func (d *Dict) Encode(w *codec.Writer) {
 
 // Decode reads a dictionary written by Encode.
 func Decode(r *codec.Reader) (*Dict, error) {
-	d := &Dict{}
+	d := &Dict{owner: r.Owner()}
 	d.n = int(r.Uvarint())
 	d.bucketSize = int(r.Uvarint())
 	d.data = r.BytesBuf()

@@ -66,16 +66,10 @@ type Leader struct {
 	follower atomic.Int64
 }
 
-// NewLeader attaches a replication leader to mut. A WAL left by a
-// pre-CRC version is merged away first — legacy records cannot be
-// verified on the follower side — and the current WAL is loaded into
-// the event log so followers can resume from any live position.
+// NewLeader attaches a replication leader to mut. The current WAL is
+// loaded into the event log so followers can resume from any live
+// position.
 func NewLeader(mut *store.Mutable, opts LeaderOptions) (*Leader, error) {
-	if mut.LegacyWAL() {
-		if err := mut.Merge(); err != nil {
-			return nil, fmt.Errorf("repl: merging legacy WAL: %w", err)
-		}
-	}
 	fp, err := store.FileFingerprint(mut.Path())
 	if err != nil {
 		return nil, fmt.Errorf("repl: fingerprint base store: %w", err)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rdfindexes/internal/obs"
+	"rdfindexes/internal/store"
 )
 
 // initMetrics builds the server's metric registry: request/rejection
@@ -96,8 +97,10 @@ func (s *Server) initMetrics() {
 			}
 			return float64(s.mut.WALBytes())
 		})
-	r.GaugeFunc("rdf_store_open_seconds", "", "Seconds the store open took at start: decode, checksum pass and WAL replay",
+	r.GaugeFunc("rdf_store_open_seconds", "", "Seconds the store open took at start: mapping, checksum pass and WAL replay",
 		func() float64 { st, _ := s.view(); return st.OpenDuration.Seconds() })
+	r.GaugeFunc("rdf_store_mapped_bytes", "", "Bytes of store files mapped into memory, including mappings still held by retired views",
+		func() float64 { return float64(store.MappedBytes()) })
 	merges := &obs.Histogram{} // read-only stores never merge
 	if s.mut != nil {
 		merges = s.mut.MergeSeconds()

@@ -9,7 +9,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -104,7 +106,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("%s = %v (found %v), want > 0", g, v, ok)
 		}
 	}
-	for _, g := range []string{"rdf_store_generation", "rdf_wal_bytes", "rdf_quarantined_shards", "rdf_breaker_open", "rdf_in_flight_requests"} {
+	for _, g := range []string{"rdf_store_generation", "rdf_wal_bytes", "rdf_quarantined_shards", "rdf_breaker_open", "rdf_in_flight_requests", "rdf_store_mapped_bytes"} {
 		if _, ok := metricValue(samples, g, nil); !ok {
 			t.Errorf("%s missing from scrape", g)
 		}
@@ -144,6 +146,31 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer mts.Close()
 	if _, err := m.Insert("<http://ex/new>", "<http://ex/knows>", "<http://ex/p0>"); err != nil {
 		t.Fatal(err)
+	}
+	// Before the merge the view serves the mapped store file: the gauge
+	// and /stats count at least its bytes (mappings other tests' views
+	// still hold may add to that). Only Linux maps the file.
+	fi, err := os.Stat(m.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := float64(fi.Size())
+	if runtime.GOOS != "linux" {
+		want = 0
+	}
+	_, body = get(t, mts, "/metrics")
+	if samples, err = obs.ParseProm(strings.NewReader(body)); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := metricValue(samples, "rdf_store_mapped_bytes", nil); !ok || v < want {
+		t.Errorf("mapped bytes = %v (found %v), want >= the %v-byte store file", v, ok, want)
+	}
+	_, sbody = get(t, mts, "/stats")
+	if err := json.Unmarshal([]byte(sbody), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if float64(stats.MappedBytes) < want {
+		t.Errorf("stats mapped_bytes = %d, want >= %v", stats.MappedBytes, want)
 	}
 	if err := m.Merge(); err != nil {
 		t.Fatal(err)

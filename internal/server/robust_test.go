@@ -273,7 +273,7 @@ func TestBusyRetryAfter(t *testing.T) {
 // 200 and queries still answer.
 func TestDegradedSurfacing(t *testing.T) {
 	st := testStore(t, 4, 1)
-	st.Integrity = store.Integrity{Version: 2, Verified: true, Quarantined: []int{1}}
+	st.Integrity = store.Integrity{Version: store.CurrentVersion, Quarantined: []int{1}}
 	srv := New(st, Options{})
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
@@ -297,7 +297,7 @@ func TestDegradedSurfacing(t *testing.T) {
 	if !stats.Degraded || len(stats.QuarantinedShards) != 1 || stats.QuarantinedShards[0] != 1 {
 		t.Fatalf("degraded stats %+v", stats)
 	}
-	if stats.FormatVersion != 2 || !stats.Verified {
+	if stats.FormatVersion != store.CurrentVersion {
 		t.Fatalf("integrity stats %+v", stats)
 	}
 	rec = httptest.NewRecorder()

@@ -808,13 +808,14 @@ type Stats struct {
 	RequestP50Ms float64 `json:"request_p50_ms"`
 	RequestP95Ms float64 `json:"request_p95_ms"`
 	RequestP99Ms float64 `json:"request_p99_ms"`
-	// FormatVersion and Verified describe the container the serving view
-	// came from: version 2 carries per-section checksums verified at
-	// open; legacy version-1 files load unverified. QuarantinedShards
-	// lists shard sections excluded by a degraded open — non-empty means
-	// the store is serving partial data.
+	// FormatVersion is the version of the container the serving view
+	// came from, every section of which was checksum-verified at open.
+	// MappedBytes is the size of the store files this process holds
+	// mapped (see store.MappedBytes). QuarantinedShards lists shard
+	// sections excluded by a degraded open — non-empty means the store
+	// is serving partial data.
 	FormatVersion     int   `json:"format_version"`
-	Verified          bool  `json:"verified"`
+	MappedBytes       int64 `json:"mapped_bytes"`
 	QuarantinedShards []int `json:"quarantined_shards,omitempty"`
 	Degraded          bool  `json:"degraded"`
 	// Replication carries the follower-side lag/position counters when
@@ -867,7 +868,7 @@ func (s *Server) Snapshot() Stats {
 		RequestP95Ms:        float64(lat.Quantile(0.95)) / 1e6,
 		RequestP99Ms:        float64(lat.Quantile(0.99)) / 1e6,
 		FormatVersion:       st.Integrity.Version,
-		Verified:            st.Integrity.Verified,
+		MappedBytes:         store.MappedBytes(),
 		QuarantinedShards:   st.Integrity.Quarantined,
 		Degraded:            len(st.Integrity.Quarantined) > 0,
 	}

@@ -80,10 +80,10 @@ func benchContainer(b *testing.B) (string, *Store, int64) {
 	return benchFile.path, benchFile.st, benchFile.size
 }
 
-// BenchmarkWriteV2 measures writing the checksummed v2 container
-// (CRC32C is folded into the buffered writer, so this is the full
-// serialization cost including checksumming).
-func BenchmarkWriteV2(b *testing.B) {
+// BenchmarkWrite measures writing the container (CRC32C is folded into
+// the buffered writer, so this is the full serialization cost including
+// checksumming, the fsyncs and the rename).
+func BenchmarkWrite(b *testing.B) {
 	path, st, size := benchContainer(b)
 	out := filepath.Join(filepath.Dir(path), "write.idx")
 	b.SetBytes(size)
@@ -95,9 +95,9 @@ func BenchmarkWriteV2(b *testing.B) {
 	}
 }
 
-// BenchmarkReadV2 measures opening the v2 container with every section
-// checksum verified (the default read path).
-func BenchmarkReadV2(b *testing.B) {
+// BenchmarkRead measures opening the container: mapping it, verifying
+// every section checksum and decoding the sections in place.
+func BenchmarkRead(b *testing.B) {
 	path, _, size := benchContainer(b)
 	b.SetBytes(size)
 	b.ResetTimer()
@@ -109,7 +109,7 @@ func BenchmarkReadV2(b *testing.B) {
 }
 
 // BenchmarkVerify measures the standalone integrity scan (`rdfstore
-// verify`): decode-free section checksum passes.
+// verify`): the same walk as Read, reporting every section.
 func BenchmarkVerify(b *testing.B) {
 	path, _, size := benchContainer(b)
 	b.SetBytes(size)
@@ -127,7 +127,7 @@ func BenchmarkVerify(b *testing.B) {
 
 // BenchmarkChecksumPass isolates the marginal cost verification adds to
 // a read: one CRC32C pass over the container bytes. Compare against
-// BenchmarkReadV2 to see what fraction of open time checksumming is.
+// BenchmarkRead to see what fraction of open time checksumming is.
 func BenchmarkChecksumPass(b *testing.B) {
 	path, _, size := benchContainer(b)
 	data, err := os.ReadFile(path)

@@ -38,14 +38,23 @@ func writeSampleFile(t *testing.T, shards int) (string, []byte) {
 	return path, data
 }
 
-// TestReadFlippedByteEveryOffset flips one byte at every offset of a v2
+// TestReadFlippedByteEveryOffset flips one byte at every offset of a
 // store file and asserts Read detects each: the format checksums every
-// byte (magic aside, where the flip breaks the signature), so there is
-// no offset where silent acceptance is correct — and no input that may
-// panic instead of returning an error.
+// byte and requires every pad byte to be zero (magic aside, where the
+// flip breaks the signature), so there is no offset where silent
+// acceptance is correct — and no input that may panic instead of
+// returning an error.
 func TestReadFlippedByteEveryOffset(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		path, data := writeSampleFile(t, shards)
+		if shards > 1 {
+			// The sweep covers a pad between sections only if the sample
+			// has one: the pad behind section 0 fills its payload and CRC
+			// up to a multiple of 8.
+			if sec := walkContainer(data, nil).parts[2]; codec.PadLen(sec.bytes+4) == 0 {
+				t.Fatalf("%s is %d bytes: no pad behind it", sec.name, sec.bytes)
+			}
+		}
 		for off := range data {
 			mut := append([]byte(nil), data...)
 			mut[off] ^= 0xa5
@@ -107,10 +116,10 @@ func TestReadCraftedPEF(t *testing.T) {
 	}
 }
 
-// TestReadTruncatedEveryLength truncates a v2 store at every possible
+// TestReadTruncatedEveryLength truncates a store at every possible
 // length and asserts Read errors each time — short headers, half
-// tables, sections cut mid-payload, and a missing trailing checksum all
-// included.
+// tables, pads, sections cut mid-payload, and a missing trailing
+// checksum all included.
 func TestReadTruncatedEveryLength(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		path, data := writeSampleFile(t, shards)
@@ -134,7 +143,7 @@ func TestVerifyReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.OK || !rep.Verified || rep.Version != 2 || rep.Shards != 3 {
+	if !rep.OK || rep.Version != CurrentVersion || rep.Shards != 3 || rep.Mapped != mapsFiles {
 		t.Fatalf("clean store: %+v", rep)
 	}
 	// header + table + 3 shards
@@ -166,17 +175,17 @@ func TestVerifyReport(t *testing.T) {
 		t.Fatalf("corruption attributed to %v, want [shard 2]; report %+v", bad, rep.Sections)
 	}
 
-	// The legacy report path: verify falls back to a decode check.
-	legacy := filepath.Join(t.TempDir(), "old.idx")
-	if err := os.WriteFile(legacy, []byte("garbage"), 0o644); err != nil {
+	// A file that is not a store fails at its magic.
+	garbage := filepath.Join(t.TempDir(), "old.idx")
+	if err := os.WriteFile(garbage, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = Verify(legacy)
+	rep, err = Verify(garbage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.OK {
-		t.Fatal("garbage verified ok")
+	if rep.OK || rep.Version != 0 || len(rep.Sections) != 1 || rep.Sections[0].Name != "magic" {
+		t.Fatalf("garbage: %+v", rep)
 	}
 }
 
@@ -224,7 +233,7 @@ func TestDegradedShardedOracle(t *testing.T) {
 	if q := got.Integrity.Quarantined; len(q) != 1 || q[0] != quarantine {
 		t.Fatalf("quarantined %v, want [%d]", q, quarantine)
 	}
-	if got.Integrity.Version != 2 || !got.Integrity.Verified {
+	if got.Integrity.Version != CurrentVersion || got.Integrity.Mapped != mapsFiles {
 		t.Fatalf("integrity %+v", got.Integrity)
 	}
 
@@ -285,7 +294,8 @@ func TestDegradedShardedOracle(t *testing.T) {
 // TestWALCorruptMiddle damages a record in the middle of the WAL and
 // checks the recovery contract: the open succeeds, replay stops at the
 // last verifiable prefix (applying nothing after the damage), the loss
-// is reported, and the truncated WAL accepts new writes cleanly.
+// is reported, and the truncated WAL accepts new writes cleanly. A
+// record without CRC framing stops the replay the same way.
 func TestWALCorruptMiddle(t *testing.T) {
 	dir := t.TempDir()
 	path := buildTestStore(t, dir, core.Layout2Tp)
@@ -353,12 +363,34 @@ func TestWALCorruptMiddle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	if rec := m.Recovery(); rec.Corrupt || rec.Replayed != 2 {
 		t.Fatalf("post-repair recovery %+v", rec)
 	}
 	if got := countMatches(t, m.View(), "<http://ex/w4>", "?", "?"); got != 1 {
 		t.Fatalf("append after repair lost: %d", got)
+	}
+	m.Close()
+
+	// A record without the CRC framing cannot be verified: replay ends
+	// there, as at any other corrupt record.
+	f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("I <http://ex/w5> <http://ex/knows> <http://ex/alice> .\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	m, err = OpenMutable(path, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if rec := m.Recovery(); !rec.Corrupt || rec.Replayed != 2 || rec.DroppedRecords != 1 || !strings.Contains(rec.Error, "without CRC framing") {
+		t.Fatalf("CRC-less record: recovery %+v, want a corrupt stop after 2 records", rec)
+	}
+	if _, err := m.View().ParseTerm("<http://ex/w5>", false); err == nil {
+		t.Fatal("the CRC-less record was applied")
 	}
 }
 
@@ -404,13 +436,14 @@ func TestWALSequenceSplice(t *testing.T) {
 }
 
 // FuzzStoreRead feeds arbitrary bytes to the container reader: whatever
-// the input, Read and ReadDegraded must return (a store or an error)
-// without panicking or over-allocating.
+// the input, Read, ReadDegraded, IsSharded and Verify must return (a
+// store, an answer, a report or an error) without panicking or
+// over-allocating.
 func FuzzStoreRead(f *testing.F) {
 	dir := f.TempDir()
 	var seedStore *Store
 	{
-		// Seed with real containers (v2 single and sharded) so the fuzzer
+		// Seed with real containers (single and sharded) so the fuzzer
 		// starts from deep coverage, plus edge-case fragments.
 		st := &Store{}
 		statements := []core.Triple{{S: 0, P: 0, O: 1}, {S: 1, P: 0, O: 0}}
@@ -442,7 +475,7 @@ func FuzzStoreRead(f *testing.F) {
 	}
 	f.Add([]byte(Magic))
 	f.Add([]byte(MagicSharded))
-	f.Add([]byte(MagicV1))
+	f.Add(hugeMagicPrefix)
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -457,6 +490,13 @@ func FuzzStoreRead(f *testing.F) {
 		st, err = ReadDegraded(path)
 		if err == nil && st.Index == nil {
 			t.Fatal("ReadDegraded returned a store with no index")
+		}
+		sharded, err := IsSharded(path)
+		if err == nil && sharded != bytes.HasPrefix(data, append([]byte{byte(len(MagicSharded))}, MagicSharded...)) {
+			t.Fatalf("IsSharded = %v for magic %q", sharded, data[:min(len(data), 10)])
+		}
+		if rep, err := Verify(path); err != nil || rep == nil {
+			t.Fatalf("Verify: %v", err)
 		}
 	})
 }

@@ -65,11 +65,8 @@ type Mutable struct {
 	walRecords int
 
 	// walObs, when set, receives every durable WAL append and every
-	// merge for WAL-shipping replication (see repl.go); legacyWAL
-	// records whether the opening replay saw CRC-less records, which
-	// cannot be shipped verifiably.
-	walObs    WALObserver
-	legacyWAL bool
+	// merge for WAL-shipping replication (see repl.go).
+	walObs WALObserver
 
 	view   atomic.Pointer[Store]
 	gen    atomic.Uint64
@@ -617,8 +614,7 @@ func (m *Mutable) applyLocked(op byte, s, p, o string, logWAL bool) (WriteResult
 // record into a detected stop point for replay instead of applied
 // garbage; the sequence number additionally catches records that are
 // individually intact but out of place (a lost middle page splicing two
-// valid regions together). Records written by older versions ("OP
-// TERMS...") still replay, unverified.
+// valid regions together).
 //
 // Any failure rolls the file back to its pre-append length: a
 // half-written record must not linger for the next append to weld onto
@@ -673,11 +669,12 @@ func (m *Mutable) appendWALLine(line string) error {
 //
 //   - a final record without its terminating newline is a torn append
 //     from a crash mid-write and is skipped;
-//   - a complete record that fails its CRC, carries the wrong sequence
-//     number, or does not parse is corruption: replay stops at the last
-//     verifiable prefix and everything behind the damage is discarded
-//     (the writing opener truncates it away) — applying records past an
-//     undetected splice could resurrect deleted triples;
+//   - a complete record that lacks the CRC framing, fails its CRC,
+//     carries the wrong sequence number, or does not parse is
+//     corruption: replay stops at the last verifiable prefix and
+//     everything behind the damage is discarded (the writing opener
+//     truncates it away) — applying records past an undetected splice
+//     could resurrect deleted triples;
 //   - a record that verifies but whose terms cannot be re-applied is
 //     not a storage fault and still fails the open.
 func (m *Mutable) replayWAL() (validLen int64, err error) {
@@ -730,30 +727,27 @@ func (m *Mutable) replayWAL() (validLen int64, err error) {
 			validLen += recLen
 			continue
 		}
-		if crcField, rest, ok := splitWALCRC(line); ok {
-			// v2 record: verify the checksum before even looking inside,
-			// then the sequence number against this record's position.
-			if crc32.Checksum([]byte(rest), codec.Castagnoli) != crcField {
-				return corrupt("record checksum mismatch")
-			}
-			seqStr, body, ok := strings.Cut(rest, " ")
-			if !ok {
-				return corrupt("bad record %q", line)
-			}
-			seq, perr := strconv.ParseUint(seqStr, 10, 64)
-			if perr != nil {
-				return corrupt("bad sequence number %q", seqStr)
-			}
-			if seq != uint64(m.walRecords+1) {
-				return corrupt("sequence jump: record claims %d, expected %d", seq, m.walRecords+1)
-			}
-			line = body
-		} else {
-			// A pre-v2 record without CRC framing: replayable locally, but
-			// unverifiable on a follower — replication merges such WALs away.
-			m.legacyWAL = true
+		// Verify the checksum before even looking inside, then the
+		// sequence number against this record's position.
+		crcField, rest, ok := splitWALCRC(line)
+		if !ok {
+			return corrupt("record without CRC framing")
 		}
-		op, s, p, o, perr := parseWALStatement(line, m.so != nil)
+		if crc32.Checksum([]byte(rest), codec.Castagnoli) != crcField {
+			return corrupt("record checksum mismatch")
+		}
+		seqStr, body, ok := strings.Cut(rest, " ")
+		if !ok {
+			return corrupt("bad record %q", line)
+		}
+		seq, perr := strconv.ParseUint(seqStr, 10, 64)
+		if perr != nil {
+			return corrupt("bad sequence number %q", seqStr)
+		}
+		if seq != uint64(m.walRecords+1) {
+			return corrupt("sequence jump: record claims %d, expected %d", seq, m.walRecords+1)
+		}
+		op, s, p, o, perr := parseWALStatement(body, m.so != nil)
 		if perr != nil {
 			return corrupt("%v", perr)
 		}
@@ -790,9 +784,8 @@ func parseWALStatement(stmt string, hasDicts bool) (op byte, s, p, o string, err
 	return op, fields[0], fields[1], fields[2], nil
 }
 
-// splitWALCRC detects the v2 record framing: an 8-hex-digit CRC field
-// followed by a space. Legacy records start with "I " or "D ", which
-// cannot collide with eight hex digits.
+// splitWALCRC splits off a record's framing: an 8-hex-digit CRC field
+// followed by a space.
 func splitWALCRC(line string) (crc uint32, rest string, ok bool) {
 	if len(line) < 10 || line[8] != ' ' {
 		return 0, "", false
@@ -837,8 +830,8 @@ func overlaysFor(st *Store) (so, p *dict.Overlay, err error) {
 }
 
 // mergeLocked folds the pending log and overlay dictionaries into a
-// rebuilt static store, persists it atomically (temp file + rename), and
-// truncates the WAL. Callers hold m.mu.
+// rebuilt static store, persists it atomically (Write replaces the file
+// by rename), and truncates the WAL. Callers hold m.mu.
 func (m *Mutable) mergeLocked() error {
 	start := time.Now()
 	live := m.dyn.LiveTriples()
@@ -883,14 +876,9 @@ func (m *Mutable) mergeLocked() error {
 	if err != nil {
 		return fmt.Errorf("store: merge rebuild: %w", err)
 	}
-	tmp := m.path + ".tmp"
-	if err := Write(tmp, &Store{Index: x, Dicts: dicts}); err != nil {
+	if err := Write(m.path, &Store{Index: x, Dicts: dicts}); err != nil {
 		return err
 	}
-	if err := fsys.Rename(tmp, m.path); err != nil {
-		return err
-	}
-	syncDir(m.path)
 	// The merged state is durable; drop the WAL. Truncate keeps the
 	// append handle valid (O_APPEND repositions every write).
 	if m.wal != nil {
@@ -905,10 +893,10 @@ func (m *Mutable) mergeLocked() error {
 		m.p = dict.NewOverlay(pDict)
 	}
 	m.walRecords = 0
-	// The rewritten file is the current checksummed format; views
-	// published from here on no longer inherit a legacy "unverified"
-	// badge from the file this Mutable was originally opened from.
-	m.integrity = Integrity{Version: CurrentVersion, Verified: true}
+	// Views published from here on serve the heap-built index, not the
+	// mapping of the file this Mutable was opened from; that mapping is
+	// released with the last view that still holds it.
+	m.integrity = Integrity{Version: CurrentVersion}
 	m.mergeSeconds.Observe(time.Since(start))
 	m.merges.Add(1)
 	return nil

@@ -76,12 +76,6 @@ func (m *Mutable) WALSeq() uint64 {
 	return uint64(m.walRecords)
 }
 
-// LegacyWAL reports whether the opening replay encountered records
-// without CRC+sequence framing. A replication leader merges such a WAL
-// away before serving followers: legacy records cannot be verified on
-// the follower side.
-func (m *Mutable) LegacyWAL() bool { return m.legacyWAL }
-
 // Path returns the store file path this Mutable was opened from.
 func (m *Mutable) Path() string { return m.path }
 

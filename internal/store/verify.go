@@ -1,21 +1,17 @@
 package store
 
 import (
-	"bufio"
 	"fmt"
 	"os"
-	"sync"
+	"runtime/debug"
 
 	"rdfindexes/internal/codec"
-	"rdfindexes/internal/dict"
-	"rdfindexes/internal/shard"
 )
 
 // SectionStatus is one section's verification outcome.
 type SectionStatus struct {
 	// Name identifies the section: "magic", "header", "table", "index",
-	// "shard N", "wal", or "container" for legacy formats verified only
-	// by a full decode.
+	// "shard N", "wal", or "container" when the walk itself failed.
 	Name string `json:"name"`
 	// Bytes is the section's size where known (0 when the walk could not
 	// establish it).
@@ -30,13 +26,14 @@ type SectionStatus struct {
 // verify`.
 type VerifyReport struct {
 	Path string `json:"path"`
-	// Version is the container format version (2 carries checksums).
+	// Version is the container format version (0 when the magic did not
+	// match).
 	Version int  `json:"version"`
 	Sharded bool `json:"sharded"`
 	Shards  int  `json:"shards,omitempty"`
-	// Verified is true when the format carries checksums, so OK means
-	// "bytes proven intact" rather than merely "bytes still decode".
-	Verified bool `json:"verified"`
+	// Mapped is true when the walk read the file through a memory map,
+	// as Read serves it.
+	Mapped bool `json:"mapped"`
 	// OK is true when no section failed.
 	OK       bool            `json:"ok"`
 	Sections []SectionStatus `json:"sections"`
@@ -57,160 +54,36 @@ func (rep *VerifyReport) pass(name string, bytes int64) {
 
 // Verify checks the store at path section by section and reports every
 // failure instead of stopping at the first, so an operator sees the full
-// extent of the damage (one flipped sector vs. a truncated half). Unlike
-// Read it does not stop at the first bad section and does not need the
-// whole store to be loadable. The returned error covers only
-// environmental problems (the file cannot be opened or statted);
-// corruption is reported through the report itself.
+// extent of the damage (one flipped sector vs. a truncated half). It
+// walks the mapped file exactly as Read does — checksums, pads and full
+// decodes — but does not need the whole store to be loadable. The
+// returned error covers only environmental problems (the file cannot be
+// opened, statted or mapped); corruption is reported through the report
+// itself.
 func Verify(path string) (rep *VerifyReport, err error) {
-	rep = &VerifyReport{Path: path, OK: true}
+	m, _, err := openMapping(path)
+	if err != nil {
+		return nil, err
+	}
+	defer m.release() // nothing decoded from it outlives the walk
+	rep = &VerifyReport{Path: path, OK: true, Mapped: m.mapped}
 	defer func() {
 		if p := recover(); p != nil {
 			rep.fail("container", 0, fmt.Errorf("%w: decoder panic: %v", codec.ErrCorrupt, p))
 			err = nil
 		}
 	}()
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	c := walkContainer(m.data, m)
+	rep.Version, rep.Sharded = c.version, c.sharded
+	if c.sharded {
+		rep.Shards = c.shards
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	br := bufio.NewReader(f)
-	r := codec.NewReader(br)
-	r.SetAllocLimit(fi.Size())
-	magic := r.String()
-	if err := r.Err(); err != nil {
-		rep.fail("magic", r.Read(), err)
-		return rep, nil
-	}
-	var v2 bool
-	switch magic {
-	case MagicV1:
-		rep.Version = 1
-	case MagicShardedV1:
-		rep.Version, rep.Sharded = 1, true
-	case Magic:
-		rep.Version, v2 = 2, true
-	case MagicSharded:
-		rep.Version, rep.Sharded, v2 = 2, true, true
-	default:
-		rep.fail("magic", r.Read(), fmt.Errorf("not an rdfstore file (magic %q)", magic))
-		return rep, nil
-	}
-	rep.Verified = v2
-	if !v2 {
-		// Legacy formats carry no checksums; the only verification
-		// available is a full decode, which proves self-consistency but
-		// not byte-for-byte integrity.
-		if _, rerr := Read(path); rerr != nil {
-			rep.fail("container", fi.Size(), rerr)
+	for _, p := range c.parts {
+		if p.err != nil {
+			rep.fail(p.name, p.bytes, p.err)
 		} else {
-			rep.pass("container", fi.Size())
-		}
-		rep.verifyWAL(path)
-		return rep, nil
-	}
-
-	// Header: dictionary flag + dictionaries (+ shard count), then its CRC.
-	headerStart := r.Read()
-	r.StartChecksum()
-	hasDicts := r.Byte() == 1
-	if hasDicts {
-		if _, derr := dict.Decode(r); derr != nil {
-			rep.fail("header", r.Read()-headerStart, fmt.Errorf("SO dictionary: %w", derr))
-			return rep, nil
-		}
-		if _, derr := dict.Decode(r); derr != nil {
-			rep.fail("header", r.Read()-headerStart, fmt.Errorf("P dictionary: %w", derr))
-			return rep, nil
-		}
-	}
-	n := 1
-	if rep.Sharded {
-		n = int(r.Uvarint())
-		if n < 1 || n > shard.MaxShards {
-			rep.fail("header", r.Read()-headerStart, fmt.Errorf("%w: shard count %d out of range [1, %d]", codec.ErrCorrupt, n, shard.MaxShards))
-			return rep, nil
-		}
-		rep.Shards = n
-	}
-	sum := r.StopChecksum()
-	stored := r.Uint32()
-	if err := r.Err(); err != nil {
-		rep.fail("header", r.Read()-headerStart, err)
-		return rep, nil
-	}
-	if sum != stored {
-		// The dictionaries decoded, so the header's *shape* is plausible;
-		// section offsets below may still be sound. Keep going — reporting
-		// what else is damaged is this function's purpose.
-		rep.fail("header", r.Read()-headerStart, fmt.Errorf("%w: checksum mismatch (stored %08x, computed %08x)", codec.ErrCorrupt, stored, sum))
-	} else {
-		rep.pass("header", r.Read()-headerStart)
-	}
-
-	// Section-length table + its CRC.
-	tableStart := r.Read()
-	lengths := make([]int64, n)
-	var total int64
-	r.StartChecksum()
-	for i := range lengths {
-		v := r.Uint64()
-		if v > 1<<62 || int64(v) < 0 {
-			rep.fail("table", r.Read()-tableStart, fmt.Errorf("%w: section %d length %d", codec.ErrCorrupt, i, v))
-			return rep, nil
-		}
-		lengths[i] = int64(v)
-		total += lengths[i] + 4
-	}
-	tableSum := r.StopChecksum()
-	tableStored := r.Uint32()
-	if err := r.Err(); err != nil {
-		rep.fail("table", r.Read()-tableStart, err)
-		return rep, nil
-	}
-	if tableSum != tableStored {
-		rep.fail("table", r.Read()-tableStart, fmt.Errorf("%w: checksum mismatch (stored %08x, computed %08x)", codec.ErrCorrupt, tableStored, tableSum))
-		return rep, nil // offsets below would be untrustworthy
-	}
-	base := r.Read()
-	if base+total != fi.Size() {
-		rep.fail("table", r.Read()-tableStart, fmt.Errorf("%w: sections cover %d bytes, file has %d after the header",
-			codec.ErrCorrupt, total, fi.Size()-base))
-		return rep, nil
-	}
-	rep.pass("table", r.Read()-tableStart)
-
-	// Every index section, in parallel, each hashed and decoded
-	// independently — a failure in one does not stop the others.
-	type result struct {
-		name string
-		size int64
-		err  error
-	}
-	results := make([]result, n)
-	var wg sync.WaitGroup
-	off := base
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int, off, length int64) {
-			defer wg.Done()
-			name := sectionName(rep.Sharded, i)
-			_, serr := readSectionChecksummed(f, off, length, name)
-			results[i] = result{name: name, size: length, err: serr}
-		}(i, off, lengths[i])
-		off += lengths[i] + 4
-	}
-	wg.Wait()
-	for _, res := range results {
-		if res.err != nil {
-			rep.fail(res.name, res.size, res.err)
-		} else {
-			rep.pass(res.name, res.size)
+			rep.pass(p.name, p.bytes)
 		}
 	}
 	rep.verifyWAL(path)

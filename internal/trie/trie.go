@@ -42,6 +42,10 @@ type Trie struct {
 	nodes1   seq.Sequence
 	ptr1     seq.Sequence // len(nodes1)+1 positions into nodes2
 	nodes2   seq.Sequence
+	// owner keeps the memory the decoded sequences view (a mapped store
+	// file) alive for as long as the trie is reachable; nil when built
+	// in memory.
+	owner any
 }
 
 // ErrUnsorted reports build input that is not strictly increasing.
@@ -258,7 +262,7 @@ func (t *Trie) Encode(w *codec.Writer) {
 
 // Decode reads a trie written by Encode.
 func Decode(r *codec.Reader) (*Trie, error) {
-	t := &Trie{}
+	t := &Trie{owner: r.Owner()}
 	t.n = int(r.Uvarint())
 	t.numRoots = int(r.Uvarint())
 	var err error
