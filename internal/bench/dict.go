@@ -220,10 +220,9 @@ func MaterializeFormatRowsPerSec(d *core.Dataset, runs int) (map[string]float64,
 
 // DictMaterialization measures the dictionary access path end to end:
 // term extraction throughput of the one-shot Extract loop against the
-// stateful cursor and the bucket-grouped batch API (sequential and
-// random ID orders), Locate throughput on present and absent terms, and
-// materialized /sparql rows/sec
-// of the legacy row loop against the pooled NDJSON writer path.
+// stateful cursor (sequential and random ID orders), Locate throughput on
+// present and absent terms, and materialized /sparql rows/sec of the
+// legacy row loop against the pooled NDJSON writer path.
 func DictMaterialization(cfg Config) ([]*Table, error) {
 	cfg = cfg.normalize()
 	d, err := gen.GeneratePreset("dblp", cfg.Triples, cfg.Seed)
@@ -252,7 +251,7 @@ func DictMaterialization(cfg Config) ([]*Table, error) {
 		Title: "Dictionary extraction: terms/sec by access path",
 		Note: fmt.Sprintf("%s front-coded terms (bucket %d), best of %d runs; one-shot re-decodes its bucket per term (the pre-cursor serving path; the seed's Extract also concatenated a string per bucket entry, so it was strictly slower than this baseline)",
 			N(n), dict.DefaultBucketSize, cfg.Runs),
-		Header: []string{"order", "one-shot/s", "cursor/s", "batch/s", "cursor speedup", "batch speedup"},
+		Header: []string{"order", "one-shot/s", "cursor/s", "cursor speedup"},
 	}
 	var sink int
 	for _, row := range []struct {
@@ -272,19 +271,8 @@ func DictMaterialization(cfg Config) ([]*Table, error) {
 				sink += len(b)
 			}
 		})
-		const batchSize = 512
-		terms := make([][]byte, batchSize)
-		arena := make([]byte, 0, 1<<16)
-		batch := bestOfRuns(cfg.Runs, func() {
-			for off := 0; off < len(row.ids); off += batchSize {
-				chunk := row.ids[off:min(off+batchSize, len(row.ids))]
-				a, _ := e.ExtractBatch(chunk, terms[:len(chunk)], arena[:0])
-				sink += len(a)
-			}
-		})
-		os, cs, bs := perSec(n, oneshot), perSec(n, cursor), perSec(n, batch)
-		extract.Add(row.name, N(int(os)), N(int(cs)), N(int(bs)),
-			fmt.Sprintf("%.1fx", cs/os), fmt.Sprintf("%.1fx", bs/os))
+		os, cs := perSec(n, oneshot), perSec(n, cursor)
+		extract.Add(row.name, N(int(os)), N(int(cs)), fmt.Sprintf("%.1fx", cs/os))
 	}
 	_ = sink
 

@@ -2,6 +2,8 @@ package dict
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -57,6 +59,63 @@ func BenchmarkFold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := o.Fold(DefaultBucketSize); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// mixedTerms is a term set shaped like a served store's subject/object
+// dictionary: entity IRIs under four namespaces, and literals — plain,
+// language-tagged, typed — whose sorted neighbours share a long tail
+// after a varying middle.
+func mixedTerms(n int) []string {
+	ns := []string{"http://dbpedia.org/resource/", "http://www.wikidata.org/entity/",
+		"http://data.example.org/catalog/item/", "http://purl.org/dc/terms/subject/"}
+	rng := rand.New(rand.NewSource(1))
+	terms := make([]string, n)
+	for k := range terms {
+		switch h := rng.Intn(24); {
+		case k < n/2 || h >= 8:
+			terms[k] = fmt.Sprintf("<%sE%d>", ns[h%4], k)
+		case h < 3:
+			terms[k] = fmt.Sprintf(`"Label of catalogue item %d"`, k)
+		case h < 4:
+			terms[k] = fmt.Sprintf(`"Étiquette numéro %d"@fr`, k)
+		case h < 6:
+			terms[k] = fmt.Sprintf(`"%d"^^<http://www.w3.org/2001/XMLSchema#integer>`, k)
+		default:
+			terms[k] = fmt.Sprintf(`"%d.5"^^<http://www.w3.org/2001/XMLSchema#decimal>`, k)
+		}
+	}
+	sort.Strings(terms)
+	return terms
+}
+
+// BenchmarkExtract prices one cursor Extract on IRIs alone and on a
+// mixed term set: "scattered" visits the terms in a large odd stride, so
+// nearly every call decodes a fresh bucket up to a random entry, as a join
+// answer's distinct terms do; "sequential" walks the IDs in order, one
+// entry per call.
+func BenchmarkExtract(b *testing.B) {
+	for _, set := range []struct {
+		name string
+		strs []string
+	}{{"iri", benchTerms(b)}, {"mixed", mixedTerms(150_000)}} {
+		d, err := New(set.strs, DefaultBucketSize)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			name   string
+			stride int
+		}{{"scattered", 7919}, {"sequential", 1}} {
+			b.Run(set.name+"/"+c.name, func(b *testing.B) {
+				e := NewExtractor(d)
+				for i := 0; i < b.N; i++ {
+					if _, ok := e.Extract((i * c.stride) % len(set.strs)); !ok {
+						b.Fatal("Extract failed")
+					}
+				}
+			})
 		}
 	}
 }

@@ -191,11 +191,22 @@ func (d *Dict) ExtractAppend(buf []byte, id int) ([]byte, bool) {
 	for i := 0; i < id%d.bucketSize; i++ {
 		lcp, p := readUvarint(d.data, pos)
 		suf, p2 := readUvarint(d.data, p)
+		if lcp > uint64(len(buf)-base) {
+			panic(errEntry)
+		}
 		buf = append(buf[:base+int(lcp)], d.data[p2:p2+int(suf)]...)
 		pos = p2 + int(suf)
 	}
 	return buf, true
 }
+
+// errEntry is the panic value of a decode that meets a bucket entry
+// claiming a longer prefix than the term before it has. The lengths come
+// from the stored bytes, which a crafted section can set to anything
+// under a valid checksum; a suffix or header that runs past the data
+// fails its slice bounds, but an LCP inside the buffer's capacity would
+// splice stale bytes into the term, so both decoders check it.
+var errEntry = fmt.Errorf("%w: dict bucket entry", codec.ErrCorrupt)
 
 // cmpHeader compares the verbatim header of bucket k with s, starting
 // at byte from, which both are known to share, a word at a time. It

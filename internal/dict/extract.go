@@ -1,13 +1,9 @@
 package dict
 
-import "sort"
-
 // This file is the zero-allocation dictionary access path: a stateful
 // Extractor cursor that decodes each bucket entry at most once across a
-// run of nearby IDs, and a batch extraction API that groups a slice of
-// IDs by bucket. The serving layers (internal/store's pooled renderer,
-// the HTTP NDJSON writer, the CLI output paths) are built on these
-// primitives.
+// run of nearby IDs. The serving layers (internal/store's pooled renderer,
+// the HTTP NDJSON writer, the CLI output paths) are built on it.
 
 // Extractor is a stateful extraction cursor over a Dict or an Overlay.
 // It remembers the bucket it last decoded and the buffer holding the
@@ -28,9 +24,6 @@ type Extractor struct {
 	idx    int    // entry index of cur within bucket
 	pos    int    // byte offset in d.data of the entry after idx
 	cur    []byte // owned buffer holding the current term
-
-	ord []int32    // ExtractBatch rank scratch
-	bo  batchOrder // ExtractBatch sorter (kept here so sort.Sort gets a pointer)
 }
 
 // NewExtractor returns a cursor over r. Dict and Overlay (including
@@ -95,62 +88,12 @@ func (e *Extractor) Extract(id int) ([]byte, bool) {
 	for e.idx < j {
 		lcp, p := readUvarint(d.data, e.pos)
 		suf, p2 := readUvarint(d.data, p)
+		if lcp > uint64(len(e.cur)) {
+			panic(errEntry)
+		}
 		e.cur = append(e.cur[:lcp], d.data[p2:p2+int(suf)]...)
 		e.pos = p2 + int(suf)
 		e.idx++
 	}
 	return e.cur, true
-}
-
-// batchOrder sorts batch ranks by their target ID; it lives inside the
-// Extractor so sort.Sort receives an interface over a pre-existing
-// pointer and the sort stays allocation-free.
-type batchOrder struct {
-	ids []int
-	ord []int32
-}
-
-func (b *batchOrder) Len() int           { return len(b.ord) }
-func (b *batchOrder) Less(i, j int) bool { return b.ids[b.ord[i]] < b.ids[b.ord[j]] }
-func (b *batchOrder) Swap(i, j int)      { b.ord[i], b.ord[j] = b.ord[j], b.ord[i] }
-
-// ExtractBatch resolves ids[i] into terms[i] for every i, decoding each
-// touched bucket at most once: the IDs are visited in ascending order
-// through the cursor regardless of their order in ids, and duplicate IDs
-// share one decoded term. Term bytes are appended to arena, and the
-// grown arena is returned; terms[i] slices remain valid even when the
-// arena reallocates. Out-of-range IDs leave terms[i] nil and turn the
-// result false. len(terms) must equal len(ids).
-//
-//rdf:hotpath
-func (e *Extractor) ExtractBatch(ids []int, terms [][]byte, arena []byte) ([]byte, bool) {
-	e.ord = e.ord[:0]
-	for i := range ids {
-		e.ord = append(e.ord, int32(i))
-	}
-	e.bo.ids, e.bo.ord = ids, e.ord
-	sort.Sort(&e.bo)
-	e.bo.ids = nil // do not retain the caller's slice past the call
-	ok := true
-	prev, prevOK := -1, false
-	var prevSpan []byte
-	for _, r := range e.ord {
-		id := ids[r]
-		if prevOK && id == prev {
-			terms[r] = prevSpan
-			continue
-		}
-		prev = id
-		t, found := e.Extract(id)
-		if !found {
-			terms[r], prevSpan, prevOK = nil, nil, false
-			ok = false
-			continue
-		}
-		start := len(arena)
-		arena = append(arena, t...)
-		prevSpan, prevOK = arena[start:len(arena):len(arena)], true
-		terms[r] = prevSpan
-	}
-	return arena, ok
 }

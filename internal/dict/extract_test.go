@@ -13,120 +13,102 @@ var (
 	_ Reader = (*Overlay)(nil)
 )
 
+// prefixChain returns sorted strings whose bucket entries extend one
+// another for n steps — every LCP longer than the last, so a decode
+// grows the term at every entry — and then branch back down.
+func prefixChain(n int) []string {
+	var strs []string
+	for i := 1; i <= n; i++ {
+		strs = append(strs, strings.Repeat("ab", i), strings.Repeat("ab", i)+"z")
+	}
+	sort.Strings(strs)
+	return strs
+}
+
 func TestExtractAppend(t *testing.T) {
-	for _, bucket := range []int{1, 2, 7, 16, 64} {
-		strs := uriLike(400)
-		d := buildSorted(t, strs, bucket)
-		buf := []byte("prefix|")
-		for id, want := range strs {
-			got, ok := d.ExtractAppend(buf, id)
-			if !ok {
-				t.Fatalf("bucket %d: ExtractAppend(%d) failed", bucket, id)
-			}
-			if string(got) != "prefix|"+want {
-				t.Fatalf("bucket %d: ExtractAppend(%d) = %q, want prefix|%q", bucket, id, got, want)
-			}
-		}
-		if got, ok := d.ExtractAppend(buf, len(strs)); ok || string(got) != "prefix|" {
-			t.Fatalf("out-of-range ExtractAppend = (%q, %v), want untouched buf", got, ok)
-		}
-		if got, ok := d.ExtractAppend(nil, -1); ok || got != nil {
-			t.Fatalf("negative ExtractAppend = (%q, %v)", got, ok)
+	for _, tc := range []struct {
+		strs    []string
+		buckets []int
+	}{
+		{uriLike(400), []int{1, 2, 7, 16, 64}},
+		{prefixChain(90), []int{15, 16, 17, 33, 64, 200}},
+	} {
+		for _, bucket := range tc.buckets {
+			testExtractAppend(t, tc.strs, bucket)
 		}
 	}
 }
 
-// extractorAccessPatterns drives a cursor through sequential, reverse,
-// random, and repeated ID orders, checking every result against the
-// one-shot Extract.
+func testExtractAppend(t *testing.T, strs []string, bucket int) {
+	d := buildSorted(t, strs, bucket)
+	buf := []byte("prefix|")
+	for id, want := range strs {
+		got, ok := d.ExtractAppend(buf, id)
+		if !ok {
+			t.Fatalf("bucket %d: ExtractAppend(%d) failed", bucket, id)
+		}
+		if string(got) != "prefix|"+want {
+			t.Fatalf("bucket %d: ExtractAppend(%d) = %q, want prefix|%q", bucket, id, got, want)
+		}
+	}
+	if got, ok := d.ExtractAppend(buf, len(strs)); ok || string(got) != "prefix|" {
+		t.Fatalf("out-of-range ExtractAppend = (%q, %v), want untouched buf", got, ok)
+	}
+	if got, ok := d.ExtractAppend(nil, -1); ok || got != nil {
+		t.Fatalf("negative ExtractAppend = (%q, %v)", got, ok)
+	}
+}
+
+// TestExtractorAgainstExtract drives a cursor through sequential,
+// reverse, random, and repeated ID orders, checking every result against
+// the strings the dictionary was built from.
 func TestExtractorAgainstExtract(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	strs := uriLike(300)
-	for _, bucket := range []int{1, 3, 16} {
-		d := buildSorted(t, strs, bucket)
-		readers := map[string]Reader{"dict": d}
-		ov := NewOverlay(d)
-		for i := 0; i < 40; i++ {
-			ov.Add(fmt.Sprintf("zzz://overlay/%03d", i))
-		}
-		readers["overlay"] = ov.View()
-		for name, r := range readers {
-			n := r.Len()
-			e := NewExtractor(r)
-			var ids []int
-			for i := 0; i < n; i++ {
-				ids = append(ids, i) // sequential
+	for _, tc := range []struct {
+		strs    []string
+		buckets []int
+	}{
+		{uriLike(300), []int{1, 3, 16}},
+		{prefixChain(90), []int{16, 64}},
+	} {
+		for _, bucket := range tc.buckets {
+			d := buildSorted(t, tc.strs, bucket)
+			ov := NewOverlay(d)
+			all := append([]string(nil), tc.strs...)
+			for i := 0; i < 40; i++ {
+				s := fmt.Sprintf("zzz://overlay/%03d", i)
+				ov.Add(s)
+				all = append(all, s)
 			}
-			for i := 0; i < n; i += 7 {
-				ids = append(ids, i, i, i) // repeats
-			}
-			for i := n - 1; i >= 0; i -= 3 {
-				ids = append(ids, i) // reverse
-			}
-			for i := 0; i < 200; i++ {
-				ids = append(ids, rng.Intn(n)) // random
-			}
-			for _, id := range ids {
-				want, _ := r.Extract(id)
-				got, ok := e.Extract(id)
-				if !ok || string(got) != want {
-					t.Fatalf("%s bucket %d: cursor Extract(%d) = (%q, %v), want %q", name, bucket, id, got, ok, want)
+			for name, r := range map[string]Reader{"dict": d, "overlay": ov.View()} {
+				n := r.Len()
+				e := NewExtractor(r)
+				var ids []int
+				for i := 0; i < n; i++ {
+					ids = append(ids, i) // sequential
+				}
+				for i := 0; i < n; i += 7 {
+					ids = append(ids, i, i, i) // repeats
+				}
+				for i := n - 1; i >= 0; i -= 3 {
+					ids = append(ids, i) // reverse
+				}
+				for i := 0; i < 200; i++ {
+					ids = append(ids, rng.Intn(n)) // random
+				}
+				for _, id := range ids {
+					got, ok := e.Extract(id)
+					if !ok || string(got) != all[id] {
+						t.Fatalf("%s bucket %d: cursor Extract(%d) = (%q, %v), want %q", name, bucket, id, got, ok, all[id])
+					}
+				}
+				if _, ok := e.Extract(n); ok {
+					t.Fatalf("%s: cursor Extract(%d) succeeded past the end", name, n)
+				}
+				if _, ok := e.Extract(-1); ok {
+					t.Fatalf("%s: cursor Extract(-1) succeeded", name)
 				}
 			}
-			if _, ok := e.Extract(n); ok {
-				t.Fatalf("%s: cursor Extract(%d) succeeded past the end", name, n)
-			}
-			if _, ok := e.Extract(-1); ok {
-				t.Fatalf("%s: cursor Extract(-1) succeeded", name)
-			}
-		}
-	}
-}
-
-func TestExtractBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	strs := uriLike(250)
-	d := buildSorted(t, strs, 16)
-	ov := NewOverlay(d)
-	for i := 0; i < 30; i++ {
-		ov.Add(fmt.Sprintf("zzz://overlay/%03d", i))
-	}
-	for name, r := range map[string]Reader{"dict": d, "overlay": ov.View()} {
-		e := NewExtractor(r)
-		n := r.Len()
-		for trial := 0; trial < 20; trial++ {
-			k := rng.Intn(50) + 1
-			ids := make([]int, k)
-			for i := range ids {
-				ids[i] = rng.Intn(n)
-				if rng.Intn(8) == 0 && i > 0 {
-					ids[i] = ids[i-1] // duplicates
-				}
-			}
-			terms := make([][]byte, k)
-			arena, ok := e.ExtractBatch(ids, terms, nil)
-			if !ok {
-				t.Fatalf("%s: ExtractBatch failed on valid ids", name)
-			}
-			_ = arena
-			for i, id := range ids {
-				want, _ := r.Extract(id)
-				if string(terms[i]) != want {
-					t.Fatalf("%s: batch term[%d] (id %d) = %q, want %q", name, i, id, terms[i], want)
-				}
-			}
-		}
-		// Out-of-range IDs null their slot and fail the batch.
-		ids := []int{0, n + 5, 1, -1}
-		terms := make([][]byte, len(ids))
-		if _, ok := e.ExtractBatch(ids, terms, nil); ok {
-			t.Fatalf("%s: ExtractBatch accepted out-of-range ids", name)
-		}
-		if terms[1] != nil || terms[3] != nil {
-			t.Fatalf("%s: out-of-range slots not nil", name)
-		}
-		if want, _ := r.Extract(0); string(terms[0]) != want {
-			t.Fatalf("%s: valid slot lost in failed batch", name)
 		}
 	}
 }
@@ -208,7 +190,7 @@ func (w wrapReader) ExtractAppend(buf []byte, id int) ([]byte, bool) {
 }
 func (w wrapReader) SizeBits() uint64 { return w.r.SizeBits() }
 
-// FuzzExtractorOracle cross-checks every batched/cursor access path
+// FuzzExtractorOracle cross-checks the cursor and one-shot access paths
 // against the one-shot Extract on a dictionary derived from fuzz input:
 // the data bytes generate the term set, the bucket size, and the ID
 // access sequence.
@@ -245,11 +227,8 @@ func FuzzExtractorOracle(f *testing.F) {
 			for _, b := range seq {
 				ids = append(ids, int(b)%(n+2)-1) // includes -1 and n, out of range
 			}
-			terms := make([][]byte, len(ids))
-			arena, _ := e.ExtractBatch(ids, terms, nil)
-			_ = arena
 			var buf []byte
-			for i, id := range ids {
+			for _, id := range ids {
 				want, wantOK := r.Extract(id)
 				got, ok := e.Extract(id)
 				if ok != wantOK || (ok && string(got) != want) {
@@ -260,9 +239,6 @@ func FuzzExtractorOracle(f *testing.F) {
 				if aok != wantOK || (aok && string(buf) != want) {
 					t.Fatalf("%s: ExtractAppend(%d) = (%q, %v), want (%q, %v)", name, id, buf, aok, want, wantOK)
 				}
-				if wantOK != (terms[i] != nil) || (wantOK && string(terms[i]) != want) {
-					t.Fatalf("%s: batch term[%d] (id %d) = %q, want (%q, %v)", name, i, id, terms[i], want, wantOK)
-				}
 				// Locate inverts Extract.
 				if wantOK {
 					if lid, lok := r.Locate(want); !lok || lid != id {
@@ -272,6 +248,64 @@ func FuzzExtractorOracle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestExtractCorruptEntry feeds both access paths a bucket whose stored
+// lengths point outside the dictionary (the kind a crafted section with
+// a valid checksum can carry) and requires a panic — errEntry for an
+// LCP longer than the term before it, a bounds panic for a header or
+// suffix past the data — not an allocation sized by the bad length or a
+// term spliced from stale bytes.
+func TestExtractCorruptEntry(t *testing.T) {
+	// bucket builds one bucket: a header "abc" stored with length hl,
+	// then one entry (lcp, suffix length sl, suffix "xy").
+	bucket := func(hl, lcp, sl uint64) *Dict {
+		data := appendUvarint(nil, hl)
+		data = append(data, "abc"...)
+		data = appendUvarint(data, lcp)
+		data = appendUvarint(data, sl)
+		data = append(data, "xy"...)
+		return &Dict{n: 2, bucketSize: 4, data: data, offsets: []uint64{0, uint64(len(data))}}
+	}
+	for _, tc := range []struct {
+		name string
+		d    *Dict
+		id   int
+		want any // the panic value; nil accepts any
+	}{
+		{"header past data", bucket(1<<40, 1, 2), 0, nil},
+		{"header length wraps", bucket(1<<63, 1, 2), 0, nil},
+		{"suffix past data", bucket(3, 1, 1<<40), 1, nil},
+		{"suffix length wraps", bucket(3, 1, 1<<63), 1, nil},
+		{"lcp past previous term", bucket(3, 4, 2), 1, errEntry},
+		{"lcp wraps", bucket(3, 1<<63, 2), 1, errEntry},
+	} {
+		paths := map[string]func(){
+			"ExtractAppend": func() { tc.d.ExtractAppend(nil, tc.id) },
+			"Extractor":     func() { NewExtractor(tc.d).Extract(tc.id) },
+			"Extractor step": func() {
+				e := NewExtractor(tc.d)
+				e.Extract(0)
+				e.Extract(1)
+			},
+		}
+		for name, f := range paths {
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil || tc.want != nil && r != tc.want {
+						t.Errorf("%s: %s panicked with %v, want %v", tc.name, name, r, tc.want)
+					}
+				}()
+				f()
+			}()
+		}
+	}
+	// The well-formed bucket decodes.
+	d := bucket(3, 1, 2)
+	if got, ok := d.Extract(1); !ok || got != "axy" {
+		t.Fatalf("Extract(1) = (%q, %v), want axy", got, ok)
+	}
 }
 
 func TestExtractorAllocs(t *testing.T) {
@@ -308,21 +342,6 @@ func TestExtractorAllocs(t *testing.T) {
 			}); a != 0 {
 				t.Errorf("%s cursor allocs/term = %v, want 0", name, a)
 			}
-		}
-	})
-	t.Run("ExtractBatch", func(t *testing.T) {
-		e := NewExtractor(d)
-		ids := make([]int, 64)
-		for i := range ids {
-			ids[i] = (i * 37) % d.Len()
-		}
-		terms := make([][]byte, len(ids))
-		arena := make([]byte, 0, 1<<14)
-		e.ExtractBatch(ids, terms, arena[:0]) // warm ord scratch
-		if a := testing.AllocsPerRun(200, func() {
-			e.ExtractBatch(ids, terms, arena[:0])
-		}); a != 0 {
-			t.Errorf("ExtractBatch allocs/batch = %v, want 0", a)
 		}
 	})
 	t.Run("Locate", func(t *testing.T) {

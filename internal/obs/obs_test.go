@@ -275,6 +275,8 @@ func TestSlowLog(t *testing.T) {
 	tr := AcquireTrace()
 	defer tr.Release()
 	tr.AddStage(StageExec, 11*time.Millisecond)
+	tr.StepReplayed(1) // counted without armed steps
+	tr.StepReplayed(1)
 	if !l.Record("sparql", "q2", 3, 10, true, "", 12*time.Millisecond, tr) {
 		t.Error("over-threshold query not logged")
 	}
@@ -286,8 +288,8 @@ func TestSlowLog(t *testing.T) {
 		entry.Generation != 3 || !entry.Truncated || entry.DurationMs != 12 {
 		t.Errorf("entry = %+v", entry)
 	}
-	if entry.StagesUs["exec"] != 11000 {
-		t.Errorf("stages = %v", entry.StagesUs)
+	if entry.StagesUs["exec"] != 11000 || entry.Replayed != 2 {
+		t.Errorf("stages = %v, replayed = %d", entry.StagesUs, entry.Replayed)
 	}
 	if l.Logged() != 1 {
 		t.Errorf("logged = %d", l.Logged())

@@ -37,8 +37,9 @@ func NewSlowLog(w io.Writer, threshold, minGap time.Duration) *SlowLog {
 	return &SlowLog{w: w, threshold: threshold, minGap: minGap, now: time.Now}
 }
 
-// SlowQuery is one slow-query log entry. StagesUs is present when the
-// request carried a stage trace.
+// SlowQuery is one slow-query log entry. StagesUs and Replayed (the
+// selections the executor answered from its memo) are present when the
+// request carried a trace.
 type SlowQuery struct {
 	Time        string             `json:"ts"`
 	Kind        string             `json:"kind"` // always "slow_query"
@@ -47,6 +48,7 @@ type SlowQuery struct {
 	DurationMs  float64            `json:"duration_ms"`
 	ThresholdMs float64            `json:"threshold_ms"`
 	StagesUs    map[string]float64 `json:"stages_us,omitempty"`
+	Replayed    uint64             `json:"replayed,omitempty"`
 	Generation  uint64             `json:"generation"`
 	Rows        int                `json:"rows"`
 	Truncated   bool               `json:"truncated,omitempty"`
@@ -85,6 +87,7 @@ func (l *SlowLog) Record(endpoint, query string, gen uint64, rows int, truncated
 		for i := 0; i < NumStages; i++ {
 			entry.StagesUs[Stage(i).String()] = float64(tr.Stages[i]) / 1e3
 		}
+		entry.Replayed = tr.replayed
 	}
 	line, err := json.Marshal(entry)
 	if err != nil {

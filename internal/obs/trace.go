@@ -48,13 +48,16 @@ func (s Stage) String() string {
 // survived binding consistency (Matched). For a step resolved inside a
 // leapfrog merge-intersection, Gallop is set, Scanned counts the
 // stream advances (Next/NextGEQ) and Matched the agreed values — the
-// gap is exactly the work the join optimization skips.
+// gap is exactly the work the join optimization skips. The counts are
+// logical: Replayed says how many of the Calls the executor's memo
+// answered without the index.
 type PatternStat struct {
-	Pattern int    // index into the query's pattern list
-	Calls   uint64 // times this step (re-)issued its selection
-	Scanned uint64
-	Matched uint64
-	Gallop  bool
+	Pattern  int    // index into the query's pattern list
+	Calls    uint64 // times this step (re-)issued its selection
+	Replayed uint64 // of those, answered from the memo
+	Scanned  uint64
+	Matched  uint64
+	Gallop   bool
 }
 
 // Trace is a pooled per-request recording context. The stage recorders
@@ -63,8 +66,9 @@ type PatternStat struct {
 // a trace passes nil and pays one predictable branch.
 type Trace struct {
 	// Stages holds the accumulated wall time per stage.
-	Stages [NumStages]time.Duration
-	steps  []PatternStat
+	Stages   [NumStages]time.Duration
+	steps    []PatternStat
+	replayed uint64
 }
 
 var tracePool = sync.Pool{New: func() any { return &Trace{} }}
@@ -74,6 +78,7 @@ func AcquireTrace() *Trace {
 	tr := tracePool.Get().(*Trace)
 	tr.Stages = [NumStages]time.Duration{}
 	tr.steps = tr.steps[:0]
+	tr.replayed = 0
 	//rdf:allow(ownership transfers to the caller; Release returns it to the pool)
 	return tr
 }
@@ -144,6 +149,21 @@ func (t *Trace) StepIssued(step, pattern int, gallop bool) {
 	st.Pattern = pattern
 	st.Calls++
 	st.Gallop = gallop
+}
+
+// StepReplayed records that step's latest selection was answered from
+// the executor's memo. The request total counts whether or not steps are
+// armed.
+//
+//rdf:hotpath
+func (t *Trace) StepReplayed(step int) {
+	if t == nil {
+		return
+	}
+	t.replayed++
+	if step < len(t.steps) {
+		t.steps[step].Replayed++
+	}
 }
 
 // StepScanned counts one candidate examined at step.

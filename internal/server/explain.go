@@ -34,10 +34,13 @@ type explainStep struct {
 	Pattern  int    `json:"pattern"`
 	Text     string `json:"text"`
 	// Calls counts how many times the step (re-)issued its selection —
-	// once per binding row arriving from the steps above it.
-	Calls   uint64 `json:"calls"`
-	Scanned uint64 `json:"scanned"`
-	Matched uint64 `json:"matched"`
+	// once per binding row arriving from the steps above it — and
+	// Replayed how many of those the executor answered from its memo of
+	// the step's earlier selections instead of the index.
+	Calls    uint64 `json:"calls"`
+	Replayed uint64 `json:"replayed"`
+	Scanned  uint64 `json:"scanned"`
+	Matched  uint64 `json:"matched"`
 	// Gallop marks a step resolved inside a leapfrog merge-intersection;
 	// Scanned then counts stream advances, not enumerated candidates.
 	Gallop bool `json:"gallop,omitempty"`
@@ -51,10 +54,12 @@ type explainDoc struct {
 	PlanCached bool          `json:"plan_cached"`
 	Steps      []explainStep `json:"steps"`
 	// PatternsIssued/TriplesMatched are the executor's aggregate stats
-	// (the paper's Table 6 decomposition measure); Rows the solution
-	// count under the requested limit.
+	// (the paper's Table 6 decomposition measure), Replayed the issued
+	// selections its memo answered; Rows the solution count under the
+	// requested limit.
 	PatternsIssued int                `json:"patterns_issued"`
 	TriplesMatched int                `json:"triples_matched"`
+	Replayed       int                `json:"replayed"`
 	Rows           int                `json:"rows"`
 	Truncated      bool               `json:"truncated,omitempty"`
 	Error          string             `json:"error,omitempty"`
@@ -82,6 +87,7 @@ func (s *Server) serveExplain(ctx context.Context, w http.ResponseWriter, st *st
 		Steps:          make([]explainStep, 0, len(order)),
 		PatternsIssued: stats.PatternsIssued,
 		TriplesMatched: stats.TriplesMatched,
+		Replayed:       stats.Replayed,
 		Rows:           rows,
 		Truncated:      truncated,
 	}
@@ -94,6 +100,7 @@ func (s *Server) serveExplain(ctx context.Context, w http.ResponseWriter, st *st
 			Position: pos,
 			Pattern:  ps.Pattern,
 			Calls:    ps.Calls,
+			Replayed: ps.Replayed,
 			Scanned:  ps.Scanned,
 			Matched:  ps.Matched,
 			Gallop:   ps.Gallop,

@@ -1,0 +1,89 @@
+package server
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"rdfindexes/internal/core"
+	"rdfindexes/internal/obs"
+	"rdfindexes/internal/sparql"
+)
+
+// TestTimingAndKeyStrings pins the per-request strings built without fmt
+// — the Server-Timing header and trailer values and the cache keys — byte
+// for byte to the fmt formats they replaced, written out here as the
+// reference.
+func TestTimingAndKeyStrings(t *testing.T) {
+	for _, d := range [][obs.NumStages]time.Duration{
+		{},
+		{1, 499, 500, 501, 999},
+		{time.Microsecond, 1234567, 2 * time.Millisecond, 33333333, time.Hour},
+		{-1, 1500, 9999999, 10000000, 86400 * time.Second},
+	} {
+		tr := obs.AcquireTrace()
+		tr.Stages = d
+		total := d[obs.StageExec] + 7*time.Nanosecond
+		for _, cache := range []string{"hit", "miss", `a "quoted" \ value`} {
+			want := fmt.Sprintf("cache;desc=%q, queue;dur=%.3f, parse;dur=%.3f, plan;dur=%.3f",
+				cache, float64(d[obs.StageQueue])/1e6, float64(d[obs.StageParse])/1e6, float64(d[obs.StagePlan])/1e6)
+			if got := serverTiming(tr, cache); got != want {
+				t.Errorf("serverTiming(%v, %q) = %q, want %q", d, cache, got, want)
+			}
+		}
+		want := fmt.Sprintf("exec;dur=%.3f, render;dur=%.3f, total;dur=%.3f",
+			float64(d[obs.StageExec])/1e6, float64(d[obs.StageRender])/1e6, float64(total)/1e6)
+		if got := postTiming(tr, total); got != want {
+			t.Errorf("postTiming(%v, %v) = %q, want %q", d, total, got, want)
+		}
+		tr.Release()
+	}
+
+	for _, qs := range []string{
+		"SELECT ?x WHERE { ?x <3> <120> . }",
+		"SELECT ?x ?long_name_1 WHERE { ?x <0> ?long_name_1 . <4294967294> <1> ?x . ?long_name_1 <7> ?x . }",
+	} {
+		q, err := sparql.Parse(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, gen := range []uint64{0, 1, 18446744073709551615} {
+			if got, want := planKey(gen, q), fmt.Sprintf("g%d|%s", gen, fmtQuery(q)); got != want {
+				t.Errorf("planKey = %q, want %q", got, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		gen   uint64
+		pat   core.Pattern
+		limit int
+	}{
+		{0, core.Pattern{S: 1, P: 2, O: 3}, -1},
+		{42, core.Pattern{S: core.Wildcard, P: 0, O: core.Wildcard}, 0},
+		{18446744073709551615, core.Pattern{S: 7, P: core.Wildcard, O: 4294967294}, 1 << 40},
+	} {
+		want := fmt.Sprintf("g%d|q|%d,%d,%d|%d", c.gen, c.pat.S, c.pat.P, c.pat.O, c.limit)
+		if got := patternKey(c.gen, c.pat, c.limit); got != want {
+			t.Errorf("patternKey = %q, want %q", got, want)
+		}
+	}
+}
+
+// fmtQuery is Query.String as it was written with fmt.
+func fmtQuery(q sparql.Query) string {
+	term := func(t sparql.Term) string {
+		if t.IsVar() {
+			return "?" + t.Var
+		}
+		return fmt.Sprintf("<%d>", t.ID)
+	}
+	s := "SELECT"
+	for _, v := range q.Vars {
+		s += " ?" + v
+	}
+	s += " WHERE {"
+	for _, p := range q.Patterns {
+		s += " " + fmt.Sprintf("%v %v %v .", term(p.S), term(p.P), term(p.O))
+	}
+	return s + " }"
+}

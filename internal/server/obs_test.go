@@ -210,7 +210,9 @@ func TestExplainEndpoint(t *testing.T) {
 		"sharded": New(testShardedStore(t, 24, 3, 4), Options{Workers: 2}),
 		"overlay": NewMutable(m, Options{Workers: 2}),
 	}
-	query := "SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y . ?y <http://ex/likes> ?i . }"
+	// A star whose first arm (read object-major) meets each ?x once per
+	// item it likes, so the second arm's selection repeats.
+	query := "SELECT ?x ?i WHERE { ?x <http://ex/likes> ?i . ?x <http://ex/knows> ?y . }"
 	for name, srv := range servers {
 		t.Run(name, func(t *testing.T) {
 			ts := httptest.NewServer(srv)
@@ -241,9 +243,11 @@ func TestExplainEndpoint(t *testing.T) {
 					Pattern  int    `json:"pattern"`
 					Text     string `json:"text"`
 					Calls    uint64 `json:"calls"`
+					Replayed uint64 `json:"replayed"`
 					Scanned  uint64 `json:"scanned"`
 					Matched  uint64 `json:"matched"`
 				} `json:"steps"`
+				Replayed int                `json:"replayed"`
 				Rows     int                `json:"rows"`
 				StagesUs map[string]float64 `json:"stages_us"`
 				TotalUs  float64            `json:"total_us"`
@@ -260,18 +264,22 @@ func TestExplainEndpoint(t *testing.T) {
 			if len(doc.Order) != 2 || len(doc.Steps) != 2 {
 				t.Fatalf("plan order %v / %d steps, want 2 patterns", doc.Order, len(doc.Steps))
 			}
-			var scanned uint64
+			var scanned, replayed uint64
 			for _, step := range doc.Steps {
 				if step.Matched > step.Scanned {
 					t.Errorf("step %d: matched %d > scanned %d", step.Position, step.Matched, step.Scanned)
 				}
-				if step.Text == "" || step.Calls == 0 {
+				if step.Text == "" || step.Calls == 0 || step.Replayed >= step.Calls {
 					t.Errorf("step %d incomplete: %+v", step.Position, step)
 				}
 				scanned += step.Scanned
+				replayed += step.Replayed
 			}
 			if scanned == 0 {
 				t.Error("no candidates recorded")
+			}
+			if replayed == 0 || replayed != uint64(doc.Replayed) || doc.Steps[0].Replayed != 0 {
+				t.Errorf("replayed %d over the steps, %d in all: %+v", replayed, doc.Replayed, doc.Steps)
 			}
 			if doc.TotalUs <= 0 || doc.StagesUs["exec"] < 0 {
 				t.Errorf("timings total=%v stages=%v", doc.TotalUs, doc.StagesUs)

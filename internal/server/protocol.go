@@ -160,11 +160,12 @@ func (o *response) open(complete bool) {
 	h.Set("Content-Type", o.ctype)
 	h.Set("X-Cache", "miss")
 	if o.tr != nil {
-		timing := serverTiming(o.tr, "miss")
+		var b [224]byte
+		timing := appendServerTiming(b[:0], o.tr, "miss")
 		if complete {
-			timing += ", " + postTiming(o.tr, time.Since(o.t0))
+			timing = appendPostTiming(append(timing, ", "...), o.tr, time.Since(o.t0))
 		}
-		h.Set("Server-Timing", timing)
+		h.Set("Server-Timing", string(timing))
 	}
 	o.out = o.w
 	if o.zw != nil {
@@ -278,21 +279,46 @@ func serveHit(w http.ResponseWriter, ctype string, body []byte, gz bool) {
 // body byte: the result-cache verdict and the stages that precede
 // execution.
 func serverTiming(tr *obs.Trace, cache string) string {
-	return fmt.Sprintf("cache;desc=%q, queue;dur=%.3f, parse;dur=%.3f, plan;dur=%.3f",
-		cache,
-		float64(tr.Stages[obs.StageQueue])/1e6,
-		float64(tr.Stages[obs.StageParse])/1e6,
-		float64(tr.Stages[obs.StagePlan])/1e6)
+	var b [128]byte
+	return string(appendServerTiming(b[:0], tr, cache))
+}
+
+func appendServerTiming(b []byte, tr *obs.Trace, cache string) []byte {
+	b = strconv.AppendQuote(append(b, "cache;desc="...), cache)
+	b = appendDur(b, ", queue;dur=", tr.Stages[obs.StageQueue])
+	b = appendDur(b, ", parse;dur=", tr.Stages[obs.StageParse])
+	return appendDur(b, ", plan;dur=", tr.Stages[obs.StagePlan])
 }
 
 // postTiming renders the entries known once the body is rendered: in the
 // header of a one-piece response (taken just before its single write), in
 // the trailer of a streamed one.
 func postTiming(tr *obs.Trace, total time.Duration) string {
-	return fmt.Sprintf("exec;dur=%.3f, render;dur=%.3f, total;dur=%.3f",
-		float64(tr.Stages[obs.StageExec])/1e6,
-		float64(tr.Stages[obs.StageRender])/1e6,
-		float64(total)/1e6)
+	var b [96]byte
+	return string(appendPostTiming(b[:0], tr, total))
+}
+
+func appendPostTiming(b []byte, tr *obs.Trace, total time.Duration) []byte {
+	b = appendDur(b, "exec;dur=", tr.Stages[obs.StageExec])
+	b = appendDur(b, ", render;dur=", tr.Stages[obs.StageRender])
+	return appendDur(b, ", total;dur=", total)
+}
+
+// appendDur appends a Server-Timing dur parameter: milliseconds with
+// three decimals.
+func appendDur(b []byte, name string, d time.Duration) []byte {
+	return strconv.AppendFloat(append(b, name...), float64(d)/1e6, 'f', 3, 64)
+}
+
+// planKey is the plan-cache key of q at write generation gen, and the
+// stem of its result-cache keys: q.String() renders the
+// dictionary-resolved BGP canonically, so it normalizes whitespace and
+// spelling. The generation prefix is load-bearing beyond staleness: a
+// merge remaps dictionary IDs, so the same ID text means different terms
+// across generations.
+func planKey(gen uint64, q sparql.Query) string {
+	var b [256]byte
+	return string(q.AppendTo(append(strconv.AppendUint(append(b[:0], 'g'), gen, 10), '|')))
 }
 
 // notModified reports whether the request's conditional headers prove
@@ -406,7 +432,7 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	// endpoints evaluate the same BGP, so they share cached plans. The
 	// result-cache key adds the format — the cached bytes are the
 	// serialized (uncompressed) response body.
-	norm := fmt.Sprintf("g%d|%s", gen, q.String())
+	norm := planKey(gen, q)
 	key := "p|" + f.String() + "|" + norm + "|" + strconv.Itoa(limit)
 	gz := wantsGzip(r.Header.Get("Accept-Encoding"))
 	if !explain {

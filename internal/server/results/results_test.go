@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -574,4 +575,79 @@ func BenchmarkSerializerRows(b *testing.B) {
 			wr.Flush()
 		})
 	}
+}
+
+// TestWriterTermTable drives the writer's term table through growth and
+// SO/P collisions in one wide request, then through more than two
+// generation wraps of one pooled writer, alternating stores that render
+// the same IDs differently: every row must carry its own store's terms.
+func TestWriterTermTable(t *testing.T) {
+	var stores [2]*store.Store
+	for k, prefix := range []string{"a", "b"} {
+		so, p := make([]string, 3000), make([]string, 4)
+		for i := range so {
+			so[i] = fmt.Sprintf("<http://%s/e%06d>", prefix, i)
+		}
+		for i := range p {
+			p[i] = fmt.Sprintf("<http://%s/p%d>", prefix, i)
+		}
+		sod, err := dict.New(so, dict.DefaultBucketSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pd, err := dict.New(p, dict.DefaultBucketSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[k] = &store.Store{Dicts: &rdf.Dicts{SO: sod, P: pd}}
+	}
+	row := func(prefix string, id int) string {
+		return fmt.Sprintf("<http://%s/e%06d>\t<http://%s/p%d>\n", prefix, id, prefix, id%4)
+	}
+	var out bytes.Buffer
+	wr := Acquire(TSV, stores[0], &out)
+	wr.Begin([]string{"s", "p"}, core.RoleSO, core.RoleP)
+	want := "?s\t?p\n"
+	for pass := 0; pass < 2; pass++ {
+		for id := 0; id < 3000; id++ {
+			wr.WriteRow([]core.ID{core.ID(id), core.ID(id % 4)})
+			want += row("a", id)
+		}
+	}
+	wr.End()
+	if err := wr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	wr.Release()
+	if out.String() != want {
+		t.Fatal("wide request: rows differ from their terms")
+	}
+
+	// On one P the pool hands the same writer back every cycle, so its
+	// table crosses the wrap (the race detector drops pooled values at
+	// random, and then several writers share the cycles).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var last *Writer
+	changes := 0
+	for i := 0; i < 2*(1<<16)+10; i++ {
+		k := i % 2
+		out.Reset()
+		wr := Acquire(TSV, stores[k], &out)
+		if wr != last {
+			last, changes = wr, changes+1
+		}
+		wr.Begin([]string{"s", "p"}, core.RoleSO, core.RoleP)
+		id := i % 7
+		wr.WriteRow([]core.ID{core.ID(id), core.ID(id % 4)})
+		wr.WriteRow([]core.ID{core.ID(id), core.ID(id % 4)})
+		wr.End()
+		if err := wr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		wr.Release()
+		if r := row([]string{"a", "b"}[k], id); out.String() != "?s\t?p\n"+r+r {
+			t.Fatalf("cycle %d: %q, want two of %q", i, out.String(), r)
+		}
+	}
+	t.Logf("the pooled writer changed %d times", changes)
 }

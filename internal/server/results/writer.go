@@ -8,19 +8,15 @@ import (
 	"rdfindexes/internal/store"
 )
 
-// span is one cached encoded term inside the writer's arena.
+// span is one key fragment inside the writer's keybuf.
 type span struct{ start, end int }
-
-// maxCachedTerms bounds the per-request encoded-term cache; streams
-// wider than this render the overflow terms directly without caching.
-const maxCachedTerms = 1 << 14
 
 // Writer streams one SPARQL result set in one of the four standard
 // formats. It is built exactly like store.NDJSONWriter: rows are
 // hand-assembled into a batched output buffer, terms resolve through the
-// pooled dictionary cursors of a store.Renderer, and each distinct ID is
-// format-encoded once per request and replayed from an arena cache after
-// that — the steady-state row path performs no allocations in any
+// pooled dictionary cursors of a store.Renderer, and each distinct term
+// is format-encoded once per request and replayed from a store.TermTable
+// after that — the steady-state row path performs no allocations in any
 // format. A Writer serves one request on one goroutine; the sequence is
 // Begin, any number of WriteRow, End, Flush, Release.
 type Writer struct {
@@ -32,8 +28,7 @@ type Writer struct {
 	buf   []byte          // pending output
 	raw   []byte          // raw N-Triples term scratch
 	val   []byte          // unescaped literal value scratch
-	arena []byte          // encoded-term cache backing
-	cache map[uint64]span // by role<<32 | ID: the two ID spaces overlap
+	terms store.TermTable // encoded terms by (role, ID): the two ID spaces overlap
 
 	roles  []core.Role // per column
 	keybuf []byte      // per-column key fragments back to back
@@ -44,9 +39,7 @@ type Writer struct {
 	row  []core.ID // WriteSolution's scratch row
 }
 
-var writerPool = sync.Pool{New: func() any {
-	return &Writer{cache: map[uint64]span{}}
-}}
+var writerPool = sync.Pool{New: func() any { return &Writer{} }}
 
 // Acquire takes a pooled writer streaming format f to w, with terms
 // resolved against st's dictionaries (integer-only stores render the
@@ -70,11 +63,10 @@ func (wr *Writer) Release() {
 	}
 	wr.rend.Release()
 	wr.rend, wr.w = nil, nil
-	clear(wr.cache)
+	wr.terms.Reset()
 	wr.buf = store.TrimBuffer(wr.buf)
 	wr.raw = store.TrimBuffer(wr.raw)
 	wr.val = store.TrimBuffer(wr.val)
-	wr.arena = store.TrimBuffer(wr.arena)
 	wr.keybuf = store.TrimBuffer(wr.keybuf)
 	wr.vars = wr.vars[:0]
 	wr.roles = wr.roles[:0]
@@ -249,24 +241,18 @@ func (wr *Writer) End() {
 }
 
 // appendTerm appends the format-encoded term id names in the given role,
-// serving repeats from the arena cache.
+// serving repeats from the term table.
 //
 //rdf:hotpath
 func (wr *Writer) appendTerm(role core.Role, id core.ID) {
-	key := uint64(role)<<32 | uint64(id)
-	if sp, ok := wr.cache[key]; ok {
-		wr.buf = append(wr.buf, wr.arena[sp.start:sp.end]...)
+	if enc, ok := wr.terms.Get(role, id); ok {
+		wr.buf = append(wr.buf, enc...)
 		return
 	}
 	wr.raw = wr.rend.Append(wr.raw[:0], role, id)
-	if len(wr.cache) < maxCachedTerms {
-		start := len(wr.arena)
-		wr.arena = wr.encodeTerm(wr.arena, wr.raw)
-		wr.cache[key] = span{start, len(wr.arena)}
-		wr.buf = append(wr.buf, wr.arena[start:]...)
-		return
-	}
+	start := len(wr.buf)
 	wr.buf = wr.encodeTerm(wr.buf, wr.raw)
+	wr.terms.Add(role, id, wr.buf[start:])
 }
 
 // encodeTerm appends the format encoding of one raw N-Triples term.

@@ -480,7 +480,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// same pattern share an entry. The write generation prefixes the key,
 	// so entries cached before a write can never be served after it even
 	// if they race the explicit cache flush.
-	key := fmt.Sprintf("g%d|q|%d,%d,%d|%d", gen, pat.S, pat.P, pat.O, limit)
+	key := patternKey(gen, pat, limit)
 	if body, ok := s.results.Get(key); ok {
 		serveHit(w, ndjsonType, body, false)
 		return
@@ -546,6 +546,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.finish(o, nw, key, nil)
 }
 
+// patternKey is the result-cache key of a pattern query at write
+// generation gen under a row limit.
+func patternKey(gen uint64, pat core.Pattern, limit int) string {
+	var b [64]byte
+	k := strconv.AppendUint(append(b[:0], 'g'), gen, 10)
+	k = strconv.AppendUint(append(k, "|q|"...), uint64(pat.S), 10)
+	k = strconv.AppendUint(append(k, ','), uint64(pat.P), 10)
+	k = strconv.AppendUint(append(k, ','), uint64(pat.O), 10)
+	return string(strconv.AppendInt(append(k, '|'), int64(limit), 10))
+}
+
 // handleSparql executes a BGP query and streams solutions as NDJSON, one
 // {var: term, …} object per line, terminated by a summary line with the
 // executor statistics.
@@ -576,11 +587,7 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	// q.String() renders the dictionary-resolved BGP canonically, so it
-	// normalizes whitespace and spelling for both caches. The generation
-	// prefix is load-bearing beyond staleness: a merge remaps dictionary
-	// IDs, so the same ID text means different terms across generations.
-	norm := fmt.Sprintf("g%d|%s", gen, q.String())
+	norm := planKey(gen, q)
 	key := "s|" + norm + "|" + strconv.Itoa(limit)
 	if body, ok := s.results.Get(key); ok {
 		serveHit(w, ndjsonType, body, false)

@@ -23,10 +23,14 @@ type Store interface {
 // patterns is resolved by a merge-intersection instead of nested
 // iteration, TriplesMatched counts only the intersected matches — the
 // skipped candidates are exactly the work the join optimization saves.
+// Both counts are logical: a selection answered from Run's memo counts
+// as issued and its triples as matched, exactly as if the index had
+// answered it again; Replayed says how many of them the memo answered.
 type ExecStats struct {
 	PatternsIssued int
 	TriplesMatched int
 	Results        int
+	Replayed       int
 }
 
 // action is what a candidate triple's component does to its register.
@@ -234,6 +238,10 @@ type step struct {
 	// free variable, under the registers bound before this step, is the
 	// same single-component one (gslot); 0 when fewer than two.
 	gallop, gslot int
+	// memo marks an inner step outside any gallop group: Run keeps the
+	// matches of each pattern it substitutes there and replays them when
+	// the same pattern comes round again.
+	memo bool
 }
 
 //rdf:hotpath
@@ -310,6 +318,7 @@ func Compile(q Query, order []int) (*Compiled, error) {
 				sp.gallop, sp.gslot = g-i, v
 			}
 		}
+		sp.memo = i > 0 && sp.gallop == 0
 		for k := range sp.ops {
 			if o := &sp.ops[k]; o.free(bound) {
 				o.act = actBind
@@ -346,7 +355,36 @@ type Options struct {
 // context checks.
 const cancelStride = 1024
 
-// run is the mutable state of one execution of a Compiled plan.
+// The inner-selection memo. A nested loop substitutes each inner step's
+// pattern once per outer row, and outer rows repeat bindings: a star read
+// object-major from POS meets each subject once per object it has. So Run
+// keeps, per (step, substituted pattern), the matches of every inner
+// selection that fits in its first batch, and answers a repeat from that
+// record instead of the index. The slots are tagged with the run's
+// generation, so a reused run starts with an empty memo without touching
+// them; a pattern whose probe window is full, whose matches fill a whole
+// batch, or that would overflow the arena is simply not kept.
+const (
+	// stepBatch is the number of triples a step drains per NextBatch; a
+	// memo entry holds one batch that came back short.
+	stepBatch = 64
+	memoBits  = 11
+	memoSlots = 1 << memoBits
+	memoProbe = 8       // slots tried per pattern
+	memoArena = 1 << 13 // triples kept per run
+)
+
+// memoSlot is one memoized selection: the n triples at arena[off:] are
+// the matches of pat at step, valid while gen is the run's.
+type memoSlot struct {
+	gen, step uint32
+	pat       core.Pattern
+	off, n    uint32
+}
+
+// run is the mutable state of one execution of a Compiled plan. Runs are
+// reused: their buffers and memo outlive the execution, their references
+// to it do not.
 type run struct {
 	c     *Compiled
 	st    Store
@@ -356,6 +394,7 @@ type run struct {
 	emit  func([]core.ID)
 	stats ExecStats
 	ticks uint32
+	memo  bool // memoize inner selections (not when recording a decomposition)
 
 	regs []core.ID // the register file; core.Wildcard marks unbound
 	row  []core.ID // the projected row handed to emit
@@ -363,7 +402,25 @@ type run struct {
 	// occupy the positions of its steps, so nested groups never overlap.
 	its  []*core.VarIter
 	cand []core.ID
+	// batch holds stepBatch triples per step, the buffer the step drains
+	// its selection into.
+	batch []core.Triple
+
+	gen   uint32
+	slots []memoSlot // memoSlots long once a multi-step plan has run
+	arena []core.Triple
 }
+
+// idleRuns holds finished runs for the next execution. It is a bounded
+// free list rather than a sync.Pool because a pool may drop any value
+// it is handed (under the race detector it drops one Put in four), and a
+// dropped run takes its memo slots, arena and step buffers with it: how
+// much an execution allocated would then depend on the pool's luck. The
+// list never holds more runs than were ever in flight at once; a run
+// finished while it is full is left to the collector.
+var idleRuns = make(chan *run, maxIdleRuns)
+
+const maxIdleRuns = 64
 
 // Run evaluates the plan against st and calls emit (when non-nil) once
 // per solution with the projected row: one core.ID per column of c.Vars,
@@ -373,7 +430,8 @@ type run struct {
 // runs of consecutive patterns sharing their single free variable are
 // resolved with a leapfrog merge-intersection of the sorted binding
 // streams the index serves natively (core.VarSelecter), skipping
-// non-joining candidates with NextGEQ instead of enumerating them.
+// non-joining candidates with NextGEQ instead of enumerating them. An
+// inner selection that repeats is answered from the run's memo.
 //
 // Run aborts with ctx.Err() once ctx is done. That is checked every
 // cancelStride candidate triples, not per triple, so the hot loops stay
@@ -381,17 +439,66 @@ type run struct {
 //
 //rdf:nonretaining
 func Run(ctx context.Context, c *Compiled, st Store, opt Options, emit func(row []core.ID)) (ExecStats, error) {
-	r := &run{c: c, st: st, ctx: ctx, tr: opt.Trace, emit: emit}
+	return exec(ctx, c, st, opt, emit, true)
+}
+
+//rdf:nonretaining
+func exec(ctx context.Context, c *Compiled, st Store, opt Options, emit func(row []core.ID), memo bool) (ExecStats, error) {
+	var r *run
+	select {
+	case r = <-idleRuns:
+	default:
+		r = new(run)
+	}
+	r.start(ctx, c, st, opt.Trace, emit, memo)
+	err := r.step(0)
+	stats := r.stats
+	r.finish()
+	select {
+	case idleRuns <- r:
+	default:
+	}
+	return stats, err
+}
+
+// start readies a reused run for one execution.
+func (r *run) start(ctx context.Context, c *Compiled, st Store, tr *obs.Trace, emit func([]core.ID), memo bool) {
+	r.c, r.st, r.ctx, r.tr, r.emit = c, st, ctx, tr, emit
 	r.vs, _ = st.(core.VarSelecter)
-	ids := make([]core.ID, c.nslots+len(c.proj)+len(c.steps))
-	r.regs, ids = ids[:c.nslots], ids[c.nslots:]
-	r.row, r.cand = ids[:len(c.proj)], ids[len(c.proj):]
+	r.stats, r.ticks, r.memo = ExecStats{}, 0, memo
+	r.regs = resize(r.regs, c.nslots)
 	for i := range r.regs {
 		r.regs[i] = core.Wildcard
 	}
-	r.its = make([]*core.VarIter, len(c.steps))
-	err := r.step(0)
-	return r.stats, err
+	r.row = resize(r.row, len(c.proj))
+	r.cand = resize(r.cand, len(c.steps))
+	r.its = resize(r.its, len(c.steps))
+	r.batch = resize(r.batch, len(c.steps)*stepBatch)
+	if memo && len(c.steps) > 1 {
+		if r.slots == nil {
+			r.slots = make([]memoSlot, memoSlots)
+		}
+		if r.gen++; r.gen == 0 {
+			clear(r.slots)
+			r.gen = 1
+		}
+		r.arena = r.arena[:0]
+	}
+}
+
+// finish drops the run's references to the execution it served, so an
+// idle run pins no store, plan or callback.
+func (r *run) finish() {
+	r.c, r.st, r.vs, r.ctx, r.tr, r.emit = nil, nil, nil, nil, nil, nil
+	clear(r.its)
+}
+
+// resize returns s with length n, reusing its array when large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // check polls the context every cancelStride calls.
@@ -428,12 +535,65 @@ func (r *run) step(i int) error {
 	}
 	r.stats.PatternsIssued++
 	r.tr.StepIssued(i, sp.pattern, false)
-	it := r.st.Select(sp.substitute(r.regs))
-	for {
-		t, ok := it.Next()
-		if !ok {
+	p := sp.substitute(r.regs)
+	var slot *memoSlot
+	if r.memo && sp.memo {
+		var hit bool
+		if slot, hit = r.lookup(i, p); hit {
+			r.stats.Replayed++
+			r.tr.StepReplayed(i)
+			err := r.scan(i, sp, r.arena[slot.off:slot.off+slot.n])
+			sp.unbind(r.regs)
+			return err
+		}
+	}
+	it := r.st.Select(p)
+	buf := r.batch[i*stepBatch : (i+1)*stepBatch]
+	k := it.NextBatch(buf)
+	if slot != nil && k < len(buf) && len(r.arena)+k <= memoArena {
+		*slot = memoSlot{gen: r.gen, step: uint32(i), pat: p, off: uint32(len(r.arena)), n: uint32(k)}
+		r.arena = append(r.arena, buf[:k]...)
+	}
+	var err error
+	// A batch shorter than buf drained the iterator: asking again would
+	// cost a call and read a state a QueryCtx may already have recycled.
+	for k > 0 {
+		if err = r.scan(i, sp, buf[:k]); err != nil || k < len(buf) {
 			break
 		}
+		k = it.NextBatch(buf)
+	}
+	sp.unbind(r.regs)
+	return err
+}
+
+// lookup finds step i's memo entry for p. On a miss it returns the free
+// slot a complete result may be kept in, nil when the probe window is
+// full.
+//
+//rdf:hotpath
+func (r *run) lookup(i int, p core.Pattern) (*memoSlot, bool) {
+	h := (uint64(p.S)<<32 | uint64(p.O)) * 0x9e3779b97f4a7c15
+	h = (h ^ (uint64(p.P)<<32 | uint64(i))) * 0xbf58476d1ce4e5b9
+	for k := uint64(0); k < memoProbe; k++ {
+		s := &r.slots[(h>>(64-memoBits)+k)&(memoSlots-1)]
+		if s.gen != r.gen {
+			return s, false
+		}
+		if s.pat == p && s.step == uint32(i) {
+			return s, true
+		}
+	}
+	return nil, false
+}
+
+// scan runs one batch of step i's matches, fresh from the index or
+// replayed from the memo, through the step's bind and check actions and
+// continues below for every candidate that survives.
+//
+//rdf:hotpath
+func (r *run) scan(i int, sp *step, ts []core.Triple) error {
+	for _, t := range ts {
 		r.stats.TriplesMatched++
 		r.tr.StepScanned(i)
 		if err := r.check(); err != nil {
@@ -446,12 +606,19 @@ func (r *run) step(i int) error {
 			}
 		}
 	}
+	return nil
+}
+
+// unbind resets the registers the step binds, restoring the invariant
+// that a slot is unbound on entry to the step that binds it.
+//
+//rdf:hotpath
+func (sp *step) unbind(regs []core.ID) {
 	for _, o := range sp.ops {
 		if o.act == actBind {
-			r.regs[o.slot] = core.Wildcard
+			regs[o.slot] = core.Wildcard
 		}
 	}
-	return nil
 }
 
 // gallop intersects the sorted binding streams of the group of steps
@@ -545,14 +712,16 @@ func (r *recorder) Select(p core.Pattern) *core.Iterator {
 // returns the sequence of atomic selection patterns it issued, in
 // execution order. This is the paper's Table 6 methodology: the same
 // decomposition is replayed against each index so that all systems
-// execute identical pattern sequences.
+// execute identical pattern sequences. It is the logical decomposition:
+// the run keeps no memo, so a repeated inner pattern is recorded (and
+// replayed) every time, and its length is Run's PatternsIssued.
 func Decompose(q Query, st Store) ([]core.Pattern, error) {
 	c, err := Compile(q, Plan(q))
 	if err != nil {
 		return nil, err
 	}
 	rec := &recorder{Store: st}
-	_, err = Run(context.Background(), c, rec, Options{}, nil)
+	_, err = exec(context.Background(), c, rec, Options{}, nil, false)
 	return rec.issued, err
 }
 

@@ -32,11 +32,13 @@ type Term struct {
 func (t Term) IsVar() bool { return t.Var != "" }
 
 // String renders the term in query syntax.
-func (t Term) String() string {
+func (t Term) String() string { return string(t.appendTo(nil)) }
+
+func (t Term) appendTo(b []byte) []byte {
 	if t.IsVar() {
-		return "?" + t.Var
+		return append(append(b, '?'), t.Var...)
 	}
-	return fmt.Sprintf("<%d>", t.ID)
+	return append(strconv.AppendUint(append(b, '<'), uint64(t.ID), 10), '>')
 }
 
 // V returns a variable term.
@@ -51,8 +53,12 @@ type TriplePattern struct {
 }
 
 // String renders the pattern in query syntax.
-func (tp TriplePattern) String() string {
-	return fmt.Sprintf("%v %v %v .", tp.S, tp.P, tp.O)
+func (tp TriplePattern) String() string { return string(tp.appendTo(nil)) }
+
+func (tp TriplePattern) appendTo(b []byte) []byte {
+	b = append(tp.S.appendTo(b), ' ')
+	b = append(tp.P.appendTo(b), ' ')
+	return append(tp.O.appendTo(b), " ."...)
 }
 
 // Query is a basic graph pattern with a projection list.
@@ -62,20 +68,20 @@ type Query struct {
 }
 
 // String renders the query in the accepted syntax.
-func (q Query) String() string {
-	var sb strings.Builder
-	sb.WriteString("SELECT")
+func (q Query) String() string { return string(q.AppendTo(nil)) }
+
+// AppendTo appends the query's String form to b: the canonical text the
+// server keys its caches by, built without fmt.
+func (q Query) AppendTo(b []byte) []byte {
+	b = append(b, "SELECT"...)
 	for _, v := range q.Vars {
-		sb.WriteString(" ?")
-		sb.WriteString(v)
+		b = append(append(b, " ?"...), v...)
 	}
-	sb.WriteString(" WHERE {")
+	b = append(b, " WHERE {"...)
 	for _, p := range q.Patterns {
-		sb.WriteString(" ")
-		sb.WriteString(p.String())
+		b = p.appendTo(append(b, ' '))
 	}
-	sb.WriteString(" }")
-	return sb.String()
+	return append(b, " }"...)
 }
 
 // Parse parses a query in the accepted fragment.

@@ -2,8 +2,8 @@
 // IDs back to rendered terms. Renderer holds the per-request dictionary
 // cursors (mirroring core.QueryCtx for the ID-level scratch), and
 // NDJSONWriter streams /query and /v1/sparql result rows as NDJSON with an
-// escaped-term cache keyed by ID — the dominant cost of result streaming
-// after the ID-level pipeline went zero-alloc (PR 1) was exactly this
+// escaped-term cache keyed by (role, ID) — the dominant cost of result
+// streaming after the ID-level pipeline went zero-alloc was exactly this
 // layer re-decoding front-coded buckets and allocating a row object per
 // result.
 
@@ -117,11 +117,6 @@ type termSpan struct{ start, end int }
 // path").
 const StreamAt = 64 << 10
 
-// maxCachedTerms bounds each per-request escaped-term cache; result
-// streams wider than this (rare) render the overflow terms directly
-// without caching, keeping the arena bounded.
-const maxCachedTerms = 1 << 14
-
 // trimCap is the largest buffer capacity a pooled row writer retains;
 // anything a pathological request grew beyond it is handed back to the
 // garbage collector on Release. It must stay above StreamAt plus a row,
@@ -141,20 +136,16 @@ type NDJSONWriter struct {
 	ints bool // integer-only store: pattern rows carry raw IDs as numbers
 	err  error
 
-	buf   []byte // pending output
-	raw   []byte // unescaped term scratch
-	arena []byte // escaped-term cache backing
-	so    map[core.ID]termSpan
-	pd    map[core.ID]termSpan
+	buf   []byte    // pending output
+	raw   []byte    // unescaped term scratch
+	terms TermTable // escaped terms by (role, ID)
 
 	roles  []core.Role // solution row columns' ID spaces
 	keybuf []byte      // escaped `"var":` fragments back to back
 	keyoff []termSpan
 }
 
-var ndjsonPool = sync.Pool{New: func() any {
-	return &NDJSONWriter{so: map[core.ID]termSpan{}, pd: map[core.ID]termSpan{}}
-}}
+var ndjsonPool = sync.Pool{New: func() any { return &NDJSONWriter{} }}
 
 // AcquireNDJSON takes a pooled writer streaming to w with terms resolved
 // against st.
@@ -176,11 +167,9 @@ func (n *NDJSONWriter) Release() {
 	}
 	n.rend.Release()
 	n.rend, n.w = nil, nil
-	clear(n.so)
-	clear(n.pd)
+	n.terms.Reset()
 	n.buf = TrimBuffer(n.buf)
 	n.raw = TrimBuffer(n.raw)
-	n.arena = TrimBuffer(n.arena)
 	n.keybuf = TrimBuffer(n.keybuf)
 	n.roles = n.roles[:0]
 	n.keyoff = n.keyoff[:0]
@@ -261,27 +250,18 @@ func (n *NDJSONWriter) appendID(id core.ID, role core.Role) {
 }
 
 // appendTerm appends the escaped term for id, serving repeats from the
-// arena cache.
+// term table.
 //
 //rdf:hotpath
 func (n *NDJSONWriter) appendTerm(id core.ID, role core.Role) {
-	cache := n.so
-	if role == core.RoleP {
-		cache = n.pd
-	}
-	if sp, ok := cache[id]; ok {
-		n.buf = append(n.buf, n.arena[sp.start:sp.end]...)
+	if enc, ok := n.terms.Get(role, id); ok {
+		n.buf = append(n.buf, enc...)
 		return
 	}
 	n.raw = n.rend.Append(n.raw[:0], role, id)
-	if len(cache) < maxCachedTerms {
-		start := len(n.arena)
-		n.arena = AppendJSONString(n.arena, n.raw)
-		cache[id] = termSpan{start, len(n.arena)}
-		n.buf = append(n.buf, n.arena[start:]...)
-		return
-	}
+	start := len(n.buf)
 	n.buf = AppendJSONString(n.buf, n.raw)
+	n.terms.Add(role, id, n.buf[start:])
 }
 
 // SetVars fixes the columns of subsequent WriteRow rows — vars[i] is the
