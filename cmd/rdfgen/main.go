@@ -3,9 +3,9 @@
 // rdfstore and ReadDataset) or as N-Triples text with synthetic URIs.
 //
 // Generation is deterministic in -seed: the same preset, size and seed
-// always produce byte-identical output, so benchmark datasets (the
-// shard-scaling experiment in particular) are reproducible across
-// machines and commits; vary -seed to get independent instances.
+// always produce byte-identical output, so benchmark datasets are
+// reproducible across machines and commits; vary -seed to get
+// independent instances.
 //
 // Usage:
 //

@@ -17,8 +17,8 @@ func generate(t *testing.T, args ...string) []byte {
 	return out.Bytes()
 }
 
-// TestSeedReproducibility pins the -seed contract the shard benchmarks
-// rely on: identical seeds produce byte-identical datasets, different
+// TestSeedReproducibility pins the -seed contract the benchmarks rely
+// on: identical seeds produce byte-identical datasets, different
 // seeds produce different ones — for both statistical and structured
 // presets and both output formats.
 func TestSeedReproducibility(t *testing.T) {

@@ -6,7 +6,6 @@
 // Usage:
 //
 //	rdfstore build -in data.nt -layout 2Tp -out store.idx
-//	rdfstore build -in data.nt -layout 2Tp -shards 4 -out store.idx
 //	rdfstore query -store store.idx -s '<http://ex/alice>' -p '?' -o '?'
 //	rdfstore sparql -store store.idx -q 'SELECT ?x WHERE { ?x <http://ex/knows> ?y . }'
 //	rdfstore insert -store store.idx -s '<http://ex/alice>' -p '<http://ex/knows>' -o '<http://ex/carol>'
@@ -18,9 +17,9 @@
 //	rdfstore serve -store leader.idx -addr :8080 -replicate-addr :7878
 //	rdfstore serve -store replica.idx -addr :8081 -follow leaderhost:7878
 //
-// verify checks every container section (header, dictionaries, shard
-// sections) against its stored CRC32C checksum and scans the WAL,
-// reporting per-section results; it exits non-zero if anything is
+// verify checks every container section (header with the dictionaries,
+// section table, index) against its stored CRC32C checksum and scans the
+// WAL, reporting per-section results; it exits non-zero if anything is
 // corrupt. Stores are opened by mapping the file: the index is served
 // from the mapped bytes, not decoded into memory. Files written by
 // earlier format versions are rebuilt with build.
@@ -47,11 +46,6 @@
 // answer 403 with the leader's address, /readyz reports catch-up state,
 // and reads honor the min-gen consistency token (see internal/repl and
 // DESIGN.md "Replication").
-//
-// build -shards N partitions the index by subject hash into N shards
-// built in parallel; query, sparql, stats and serve auto-detect the
-// multi-shard format. Sharded stores are read-only: insert, delete and
-// merge refuse them, and serve falls back to read-only serving.
 package main
 
 import (
@@ -72,7 +66,6 @@ import (
 	"rdfindexes/internal/rdf"
 	"rdfindexes/internal/repl"
 	"rdfindexes/internal/server"
-	"rdfindexes/internal/shard"
 	"rdfindexes/internal/sparql"
 	"rdfindexes/internal/store"
 )
@@ -153,7 +146,6 @@ func buildCmd(args []string, out io.Writer) error {
 	in := fs.String("in", "", "input file (.nt N-Triples or .bin dataset)")
 	layout := fs.String("layout", "2Tp", "index layout: 3T|CC|2Tp|2To")
 	outPath := fs.String("out", "store.idx", "output store file")
-	shards := fs.Int("shards", 1, "partition the index into N subject-hashed shards (built in parallel; read-only)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -193,24 +185,14 @@ func buildCmd(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	if *shards > 1 {
-		st.Index, err = shard.BuildSharded(d, l, *shards)
-	} else {
-		st.Index, err = core.Build(d, l)
-	}
-	if err != nil {
+	if st.Index, err = core.Build(d, l); err != nil {
 		return err
 	}
 	if err := store.Write(*outPath, st); err != nil {
 		return err
 	}
-	if *shards > 1 {
-		fmt.Fprintf(out, "indexed %d triples as %v across %d shards: %.2f bits/triple -> %s\n",
-			st.Index.NumTriples(), l, *shards, core.BitsPerTriple(st.Index), *outPath)
-	} else {
-		fmt.Fprintf(out, "indexed %d triples as %v: %.2f bits/triple -> %s\n",
-			st.Index.NumTriples(), l, core.BitsPerTriple(st.Index), *outPath)
-	}
+	fmt.Fprintf(out, "indexed %d triples as %v: %.2f bits/triple -> %s\n",
+		st.Index.NumTriples(), l, core.BitsPerTriple(st.Index), *outPath)
 	return nil
 }
 
@@ -413,9 +395,6 @@ func statsCmd(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "layout:       %v\n", st.Index.Layout())
-	if n := st.Shards(); n > 1 {
-		fmt.Fprintf(out, "shards:       %d\n", n)
-	}
 	fmt.Fprintf(out, "triples:      %d\n", st.Index.NumTriples())
 	fmt.Fprintf(out, "index space:  %.2f bits/triple (%.2f MiB)\n",
 		core.BitsPerTriple(st.Index), float64(st.Index.SizeBits())/8/1024/1024)
@@ -551,61 +530,43 @@ func serveCmd(args []string, out io.Writer) error {
 	} else if *readonly {
 		// ReadView folds in any pending WAL without locking or touching
 		// it, so a read-only replica can serve next to a writing process.
-		// The degraded variant keeps a sharded store with checksum-failed
-		// sections serving from its healthy shards.
 		var err error
-		st, err = store.ReadViewDegraded(*path)
+		st, err = store.ReadView(*path)
 		if err != nil {
 			return err
 		}
 		srv = server.New(st, cfg)
 	} else {
 		m, err := store.OpenMutable(*path, *threshold)
-		switch {
-		case errors.Is(err, store.ErrSharded):
-			if *replAddr != "" {
-				return fmt.Errorf("-replicate-addr needs the write path; sharded stores are read-only")
-			}
-			// Sharded stores have no write path; serve them like
-			// -readonly instead of failing the default invocation.
-			fmt.Fprintln(out, "sharded store: serving read-only")
-			if st, err = store.ReadViewDegraded(*path); err != nil {
+		if err != nil {
+			return err
+		}
+		mut = m
+		st = m.View()
+		if *replAddr != "" {
+			// Leader role: attach the WAL-shipping hub before the server
+			// so its metrics register, and start accepting followers
+			// alongside the HTTP listener.
+			l, err := repl.NewLeader(m, repl.LeaderOptions{})
+			if err != nil {
+				m.Close()
 				return err
 			}
-			srv = server.New(st, cfg)
-		case err != nil:
-			return err
-		default:
-			mut = m
-			st = m.View()
-			if *replAddr != "" {
-				// Leader role: attach the WAL-shipping hub before the
-				// server so its metrics register, and start accepting
-				// followers alongside the HTTP listener.
-				l, err := repl.NewLeader(m, repl.LeaderOptions{})
-				if err != nil {
-					m.Close()
-					return err
-				}
-				rln, err := net.Listen("tcp", *replAddr)
-				if err != nil {
-					l.Close()
-					return err
-				}
-				leader = l
-				cfg.ReplLeader = l
-				go l.Serve(rln)
-				fmt.Fprintf(out, "replication leader listening on %s\n", rln.Addr())
+			rln, err := net.Listen("tcp", *replAddr)
+			if err != nil {
+				l.Close()
+				return err
 			}
-			srv = server.NewMutable(m, cfg)
-			if rec := m.Recovery(); rec.Corrupt {
-				fmt.Fprintf(out, "WAL recovery: %d records replayed, %d dropped after corruption (%s)\n",
-					rec.Replayed, rec.DroppedRecords, rec.Error)
-			}
+			leader = l
+			cfg.ReplLeader = l
+			go l.Serve(rln)
+			fmt.Fprintf(out, "replication leader listening on %s\n", rln.Addr())
 		}
-	}
-	if q := st.Integrity.Quarantined; len(q) > 0 {
-		fmt.Fprintf(out, "DEGRADED: shards %v failed verification and are quarantined; results are partial until the store is rebuilt\n", q)
+		srv = server.NewMutable(m, cfg)
+		if rec := m.Recovery(); rec.Corrupt {
+			fmt.Fprintf(out, "WAL recovery: %d records replayed, %d dropped after corruption (%s)\n",
+				rec.Replayed, rec.DroppedRecords, rec.Error)
+		}
 	}
 	// Bind before announcing, so ":0" invocations (tests, scripted
 	// topologies) can read the real port off the serving line.
@@ -613,13 +574,8 @@ func serveCmd(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if n := st.Shards(); n > 1 {
-		fmt.Fprintf(out, "serving %d triples (%v, %d shards, %.2f bits/triple) on %s\n",
-			st.Index.NumTriples(), st.Index.Layout(), n, core.BitsPerTriple(st.Index), hln.Addr())
-	} else {
-		fmt.Fprintf(out, "serving %d triples (%v, %.2f bits/triple) on %s\n",
-			st.Index.NumTriples(), st.Index.Layout(), core.BitsPerTriple(st.Index), hln.Addr())
-	}
+	fmt.Fprintf(out, "serving %d triples (%v, %.2f bits/triple) on %s\n",
+		st.Index.NumTriples(), st.Index.Layout(), core.BitsPerTriple(st.Index), hln.Addr())
 
 	hs := &http.Server{Handler: srv}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

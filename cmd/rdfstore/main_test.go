@@ -157,53 +157,6 @@ func TestCLIErrors(t *testing.T) {
 
 func io_discard() *strings.Builder { return &strings.Builder{} }
 
-// TestShardedCLI drives the sharded path end to end: build -shards,
-// stats reporting the partition, routed and fan-out queries, BGP
-// execution, and the write-path refusal.
-func TestShardedCLI(t *testing.T) {
-	dir := t.TempDir()
-	nt := filepath.Join(dir, "data.nt")
-	if err := os.WriteFile(nt, []byte(sampleNT), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	idx := filepath.Join(dir, "sharded.idx")
-	out := runOK(t, "build", "-in", nt, "-layout", "2Tp", "-shards", "3", "-out", idx)
-	if !strings.Contains(out, "across 3 shards") {
-		t.Fatalf("build output: %q", out)
-	}
-
-	out = runOK(t, "stats", "-store", idx)
-	if !strings.Contains(out, "shards:       3") || !strings.Contains(out, "triples:      6") {
-		t.Fatalf("stats output: %q", out)
-	}
-
-	// Routed: subject bound, answered by one shard.
-	out = runOK(t, "query", "-store", idx, "-s", "<http://ex/alice>")
-	if !strings.Contains(out, "-- 2 matches") {
-		t.Fatalf("routed query output: %q", out)
-	}
-	// Fan-out: subject unbound, scatter-gathered across shards.
-	out = runOK(t, "query", "-store", idx, "-p", "<http://ex/likes>")
-	if !strings.Contains(out, "-- 3 matches") {
-		t.Fatalf("fan-out query output: %q", out)
-	}
-
-	out = runOK(t, "sparql", "-store", idx,
-		"-q", "SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y . }")
-	if !strings.Contains(out, "-- 3 solutions") {
-		t.Fatalf("sparql output: %q", out)
-	}
-
-	// Sharded stores are read-only: writes must refuse, not corrupt.
-	if err := run([]string{"insert", "-store", idx,
-		"-s", "<http://ex/dave>", "-p", "<http://ex/likes>", "-o", "<http://ex/pizza>"}, io_discard()); err == nil {
-		t.Fatal("insert on sharded store accepted")
-	}
-	if err := run([]string{"merge", "-store", idx}, io_discard()); err == nil {
-		t.Fatal("merge on sharded store accepted")
-	}
-}
-
 // TestBuildOverWAL pins the rebuild-over-updatable-store rules: a WAL
 // holding pending writes refuses the rebuild (acknowledged writes must
 // not vanish silently), while an empty leftover WAL is cleaned up so it
@@ -219,23 +172,23 @@ func TestBuildOverWAL(t *testing.T) {
 	runOK(t, "insert", "-store", idx,
 		"-s", "<http://ex/dave>", "-p", "<http://ex/likes>", "-o", "<http://ex/pizza>")
 
-	// Pending WAL: both plain and sharded rebuilds must refuse.
+	// Pending WAL: the rebuild must refuse.
 	if err := run([]string{"build", "-in", nt, "-out", idx}, io_discard()); err == nil {
 		t.Fatal("rebuild over pending WAL accepted")
-	}
-	if err := run([]string{"build", "-in", nt, "-shards", "2", "-out", idx}, io_discard()); err == nil {
-		t.Fatal("sharded rebuild over pending WAL accepted")
 	}
 
 	// Folding the WAL (merge truncates it to empty) unblocks the
 	// rebuild, and the leftover empty WAL is removed.
 	runOK(t, "merge", "-store", idx)
-	runOK(t, "build", "-in", nt, "-shards", "2", "-out", idx)
+	runOK(t, "build", "-in", nt, "-layout", "3T", "-out", idx)
 	if _, err := os.Stat(idx + ".wal"); !os.IsNotExist(err) {
 		t.Fatalf("empty WAL not cleaned up: %v", err)
 	}
 	out := runOK(t, "query", "-store", idx, "-p", "<http://ex/likes>")
 	if !strings.Contains(out, "-- 3 matches") {
-		t.Fatalf("query after reshard: %q", out)
+		t.Fatalf("query after rebuild: %q", out)
+	}
+	if out := runOK(t, "stats", "-store", idx); !strings.Contains(out, "layout:       3T") {
+		t.Fatalf("stats after rebuild: %q", out)
 	}
 }

@@ -10,8 +10,8 @@ import (
 // TestServingPathPoolHygieneClean pins the audit result for the
 // serving stack's pooling code: the gzip-writer release in
 // internal/server/protocol.go (Get on one branch, Put behind a nil
-// guard) and the merge-state recycling in internal/shard verify clean
-// under the real vettool pipeline, with no suppressions beyond the
+// guard) and the store's pooled renderers verify clean under the real
+// vettool pipeline, with no suppressions beyond the
 // documented ownership-transfer //rdf:allow annotations. If a future
 // edit introduces a leaky early return, a retained pooled value, or a
 // use-after-Put in these packages, this test fails even when CI's lint
@@ -25,7 +25,7 @@ func TestServingPathPoolHygieneClean(t *testing.T) {
 		t.Fatalf("building rdflint: %v\n%s", err, out)
 	}
 	vet := exec.Command("go", "vet", "-vettool="+tool,
-		"./internal/server/...", "./internal/shard/...", "./internal/store/...")
+		"./internal/server/...", "./internal/store/...")
 	vet.Dir = modRoot
 	if out, err := vet.CombinedOutput(); err != nil {
 		t.Fatalf("serving-path packages are no longer rdflint-clean: %v\n%s", err, out)

@@ -220,14 +220,14 @@ func (x *DynamicIndex) Lookup(t Triple) bool {
 	return Lookup(x.base, t)
 }
 
-// EmitPerm returns the permutation order in which the layout's Select
+// emitPerm returns the permutation order in which the layout's Select
 // emits the triples of a pattern shape. It mirrors the SelectCtx dispatch
 // of each index: every selection algorithm walks one trie (or the PS
 // structure) in its lexicographic order, and the CC layout's
 // cross-compressed levels store sibling ranks, which are monotone in the
 // original IDs, so mapped tries emit in the same order as plain ones.
 // Fully-bound SPO lookups emit at most one triple; any perm works.
-func EmitPerm(l Layout, s Shape) Perm {
+func emitPerm(l Layout, s Shape) Perm {
 	switch l {
 	case Layout3T, LayoutCC:
 		switch s {
@@ -286,9 +286,9 @@ func matchingRange(ts []Triple, p Pattern) []Triple {
 	return ts[lo:hi]
 }
 
-// PermLess reports whether t precedes u in the permutation's
+// permLess reports whether t precedes u in the permutation's
 // lexicographic order.
-func PermLess(p Perm, t, u Triple) bool {
+func permLess(p Perm, t, u Triple) bool {
 	ta, tb, tc := p.Apply(t)
 	ua, ub, uc := p.Apply(u)
 	if ta != ua {
@@ -368,7 +368,7 @@ func selectMerged(layout Layout, base Index, added, deleted []Triple, p Pattern,
 	if len(added) == 0 && len(deleted) == 0 {
 		return SelectWithCtx(base, p, c)
 	}
-	perm := EmitPerm(layout, p.Shape())
+	perm := emitPerm(layout, p.Shape())
 	var add []Triple
 	for _, t := range matchingRange(added, p) {
 		if p.Matches(t) {
@@ -376,7 +376,7 @@ func selectMerged(layout Layout, base Index, added, deleted []Triple, p Pattern,
 		}
 	}
 	if len(add) > 1 {
-		sort.Slice(add, func(i, j int) bool { return PermLess(perm, add[i], add[j]) })
+		sort.Slice(add, func(i, j int) bool { return permLess(perm, add[i], add[j]) })
 	}
 	baseIt := SelectWithCtx(base, p, c)
 	var pend Triple
@@ -400,7 +400,7 @@ func selectMerged(layout Layout, base Index, added, deleted []Triple, p Pattern,
 		if havePend {
 			// The insertion log is disjoint from the base, so the merge
 			// never sees equal keys.
-			if addPos < len(add) && PermLess(perm, add[addPos], pend) {
+			if addPos < len(add) && permLess(perm, add[addPos], pend) {
 				t := add[addPos]
 				addPos++
 				return t, true

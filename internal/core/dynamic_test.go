@@ -22,7 +22,7 @@ func (r refDynamic) selectPattern(p Pattern) []Triple {
 // lexicographic order.
 func sortedByPerm(ts []Triple, p Perm) bool {
 	for i := 1; i < len(ts); i++ {
-		if PermLess(p, ts[i], ts[i-1]) {
+		if permLess(p, ts[i], ts[i-1]) {
 			return false
 		}
 	}
@@ -48,7 +48,7 @@ func checkDynamic(t *testing.T, layout Layout, sel func(Pattern) *Iterator, ref 
 			if !sameTripleSet(got, want) {
 				t.Fatalf("%v step %d: pattern %v: got %d, want %d", layout, step, pat, len(got), len(want))
 			}
-			if perm := EmitPerm(layout, s); !sortedByPerm(got, perm) {
+			if perm := emitPerm(layout, s); !sortedByPerm(got, perm) {
 				t.Fatalf("%v step %d: pattern %v (%v): stream not sorted in %v order",
 					layout, step, pat, s, perm)
 			}
@@ -150,7 +150,7 @@ func TestDynamicSelectMergesSortedStreams(t *testing.T) {
 		for _, p := range []ID{1, 2} {
 			pat := Pattern{Wildcard, p, Wildcard}
 			got := x.Select(pat).Collect(-1)
-			perm := EmitPerm(layout, ShapexPx)
+			perm := emitPerm(layout, ShapexPx)
 			if !sortedByPerm(got, perm) {
 				t.Fatalf("%v: ?%d? stream %v not sorted in %v order", layout, p, got, perm)
 			}
@@ -165,7 +165,7 @@ func TestDynamicSelectMergesSortedStreams(t *testing.T) {
 				t.Fatalf("%v: deleted triple still emitted", layout)
 			}
 		}
-		if !sortedByPerm(got, EmitPerm(layout, ShapexPx)) {
+		if !sortedByPerm(got, emitPerm(layout, ShapexPx)) {
 			t.Fatalf("%v: stream unsorted after tombstone skip", layout)
 		}
 	}

@@ -13,8 +13,7 @@ const indexMagic = "RDFIDX1"
 
 // WriteIndex serializes any static index layout to w with a versioned
 // header. Dynamic serving snapshots are views, not storage: merge the
-// log and serialize the base index instead. Sharded stores have their
-// own multi-shard container format in internal/store.
+// log and serialize the base index instead.
 func WriteIndex(w io.Writer, x Index) error {
 	if _, ok := x.(*DynamicSnapshot); ok {
 		return fmt.Errorf("core: a DynamicSnapshot is not serializable; merge and write the base index")

@@ -35,32 +35,6 @@ type blockSource interface {
 // baseline index implementations outside this package.
 func NewIterator(next func() (Triple, bool)) *Iterator { return &Iterator{scalar: next} }
 
-// BlockSource is the exported face of the block-producing iterator
-// protocol: Fill writes up to len(out) result triples and returns how
-// many were written, 0 iff the source is exhausted. External index
-// compositions (the sharded scatter-gather merge) implement it to plug
-// into the same zero-allocation NextBatch pipeline the in-package
-// selection algorithms use.
-type BlockSource interface {
-	Fill(out []Triple) int
-}
-
-// externalSrc adapts an exported BlockSource to the unexported protocol.
-// It is a value (not a pointer), so wiring costs no allocation beyond
-// the interface header.
-type externalSrc struct{ s BlockSource }
-
-func (e externalSrc) fill(out []Triple) int { return e.s.Fill(out) }
-
-// NewBlockIterator wraps a BlockSource into an Iterator, giving external
-// block producers the same batched drain path (Next, NextBatch, Count,
-// Collect) as the native selection algorithms.
-func NewBlockIterator(src BlockSource) *Iterator {
-	it := &Iterator{}
-	it.src = externalSrc{s: src}
-	return it
-}
-
 // EmptyIterator returns an iterator with no results.
 func EmptyIterator() *Iterator { return emptyIterator() }
 

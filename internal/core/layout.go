@@ -42,9 +42,8 @@ func ParseLayout(s string) (Layout, error) {
 }
 
 // Index is a static compressed triple index resolving the eight selection
-// patterns. Implementations outside this package (composed indexes like
-// the sharded store) are allowed: serializability is a separate,
-// optional capability checked by WriteIndex, not part of the interface.
+// patterns. Serializability is a separate, optional capability checked
+// by WriteIndex, not part of the interface.
 type Index interface {
 	// Layout identifies the index variant.
 	Layout() Layout
@@ -60,9 +59,8 @@ type Index interface {
 }
 
 // encoder is the serialization capability of the four in-package layouts;
-// WriteIndex requires it. Composed indexes (dynamic snapshots, sharded
-// stores) have their own storage formats and deliberately do not
-// implement it.
+// WriteIndex requires it. Dynamic snapshots are views over a base index
+// and a log, and deliberately do not implement it.
 type encoder interface {
 	encode(w *codec.Writer)
 }

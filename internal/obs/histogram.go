@@ -122,7 +122,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // Merge adds o's observations into s: same-geometry histograms from
-// different goroutines, shards or processes aggregate exactly.
+// different goroutines or processes aggregate exactly.
 func (s *HistogramSnapshot) Merge(o *HistogramSnapshot) {
 	for i := range s.Buckets {
 		s.Buckets[i] += o.Buckets[i]

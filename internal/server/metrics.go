@@ -88,8 +88,6 @@ func (s *Server) initMetrics() {
 		func() float64 { _, gen := s.view(); return float64(gen) })
 	r.GaugeFunc("rdf_store_triples", "", "Triples in the serving view",
 		func() float64 { st, _ := s.view(); return float64(st.Index.NumTriples()) })
-	r.GaugeFunc("rdf_quarantined_shards", "", "Shard sections excluded by a degraded open",
-		func() float64 { st, _ := s.view(); return float64(len(st.Integrity.Quarantined)) })
 	r.GaugeFunc("rdf_wal_bytes", "", "Size of the write-ahead log (0 on read-only stores)",
 		func() float64 {
 			if s.mut == nil {

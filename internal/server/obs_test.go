@@ -106,7 +106,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("%s = %v (found %v), want > 0", g, v, ok)
 		}
 	}
-	for _, g := range []string{"rdf_store_generation", "rdf_wal_bytes", "rdf_quarantined_shards", "rdf_breaker_open", "rdf_in_flight_requests", "rdf_store_mapped_bytes"} {
+	for _, g := range []string{"rdf_store_generation", "rdf_wal_bytes", "rdf_breaker_open", "rdf_in_flight_requests", "rdf_store_mapped_bytes"} {
 		if _, ok := metricValue(samples, g, nil); !ok {
 			t.Errorf("%s missing from scrape", g)
 		}
@@ -194,8 +194,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestExplainEndpoint runs ?explain=1 against the plain, sharded and
-// mutable (overlay view) store variants: the response is the execution
+// TestExplainEndpoint runs ?explain=1 against the plain and mutable
+// (overlay view) store variants: the response is the execution
 // profile, not serialized results, and its cardinalities are
 // self-consistent.
 func TestExplainEndpoint(t *testing.T) {
@@ -207,7 +207,6 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 	servers := map[string]*Server{
 		"plain":   New(testStore(t, 24, 3), Options{Workers: 2}),
-		"sharded": New(testShardedStore(t, 24, 3, 4), Options{Workers: 2}),
 		"overlay": NewMutable(m, Options{Workers: 2}),
 	}
 	// A star whose first arm (read object-major) meets each ?x once per

@@ -63,9 +63,8 @@ func (s *Server) checkMinGen(w http.ResponseWriter, raw string, gen uint64) bool
 
 // handleReadyz is the readiness probe, split from /healthz liveness so
 // load balancers drain a pod that is alive but must not take traffic: a
-// replica still catching up (or disconnected), or a store serving
-// degraded with quarantined shards. Liveness stays green in both cases
-// — restarting would not help.
+// replica still catching up (or disconnected). Liveness stays green —
+// restarting would not help.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain")
 	if f := s.cfg.Replica; f != nil && !f.Ready() {
@@ -74,13 +73,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintf(w, "not ready: replica catching up (connected=%v seq=%d lag=%.2fs leader=%s)\n",
 			st.Connected, st.LastSeq, st.LagSeconds, st.Leader)
-		return
-	}
-	st, _ := s.view()
-	if q := st.Integrity.Quarantined; len(q) > 0 {
-		setRetryAfter(w, 1)
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintf(w, "not ready: degraded, %d of %d shards quarantined %v\n", len(q), st.Shards(), q)
 		return
 	}
 	fmt.Fprintln(w, "ready")

@@ -523,15 +523,21 @@ func TestWriterAllocs(t *testing.T) {
 }
 
 // TestPooledWriterKeepsBuffer renders a ~60 KiB answer — the whole of
-// which a one-piece response holds in the writer's buffer — through
-// acquire/release cycles: store.TrimBuffer must let the pool keep a buffer
-// that size, or every request would regrow it from nothing.
+// which a one-piece response holds in the writer's buffer — and checks
+// that the pool can keep a buffer that size: store.TrimBuffer keeps a
+// store.StreamAt-capacity buffer, and Release hands the grown buffer back
+// with the writer, or every request would regrow it from nothing. Outside
+// race builds, where sync.Pool keeps what it is given, acquire/release
+// cycles then render the answer without allocating.
 func TestPooledWriterKeepsBuffer(t *testing.T) {
+	if b := store.TrimBuffer(make([]byte, 1, store.StreamAt)); b == nil || len(b) != 0 || cap(b) != store.StreamAt {
+		t.Fatalf("TrimBuffer of a StreamAt buffer: len %d cap %d, want it emptied and kept", len(b), cap(b))
+	}
 	st, sorted := termStore(t, manyTerms(512))
 	n := len(sorted)
 	row := make([]core.ID, 3)
 	size := 0
-	answer := func() {
+	render := func() *Writer {
 		wr := Acquire(JSON, st, io.Discard)
 		wr.Begin([]string{"x", "p", "y"}, core.RoleSO, core.RoleP)
 		for i := 0; len(wr.Pending()) < 60<<10; i++ {
@@ -540,14 +546,21 @@ func TestPooledWriterKeepsBuffer(t *testing.T) {
 		}
 		wr.End()
 		size = len(wr.Pending())
-		wr.Release()
+		return wr
 	}
-	answer() // warm: grows the pooled buffers once
-	if a := testing.AllocsPerRun(50, answer); a >= 1 {
-		t.Errorf("%v allocs per pooled %d-byte answer, want 0: the buffer is regrown", a, size)
+	wr := render()
+	wr.Release()
+	if cap(wr.buf) < size {
+		t.Fatalf("Release dropped the %d-byte answer's buffer (cap %d after release)", size, cap(wr.buf))
 	}
 	if size < 60<<10 || size >= store.StreamAt {
 		t.Fatalf("answer of %d bytes: want one held whole, between 60 KiB and store.StreamAt", size)
+	}
+	if raceEnabled {
+		return
+	}
+	if a := testing.AllocsPerRun(50, func() { render().Release() }); a >= 1 {
+		t.Errorf("%v allocs per pooled %d-byte answer, want 0: the buffer is regrown", a, size)
 	}
 }
 

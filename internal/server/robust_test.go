@@ -268,45 +268,6 @@ func TestBusyRetryAfter(t *testing.T) {
 	}
 }
 
-// TestDegradedSurfacing serves a store flagged as degraded and checks
-// /stats and /readyz both say so while /healthz stays a pure liveness
-// 200 and queries still answer.
-func TestDegradedSurfacing(t *testing.T) {
-	st := testStore(t, 4, 1)
-	st.Integrity = store.Integrity{Version: store.CurrentVersion, Quarantined: []int{1}}
-	srv := New(st, Options{})
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	if rec.Code != http.StatusOK || strings.Contains(rec.Body.String(), "degraded") {
-		t.Fatalf("healthz must stay pure liveness: %d %q", rec.Code, rec.Body)
-	}
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
-	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "degraded") {
-		t.Fatalf("readyz: %d %q", rec.Code, rec.Body)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("degraded readyz without Retry-After")
-	}
-	var stats Stats
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Degraded || len(stats.QuarantinedShards) != 1 || stats.QuarantinedShards[0] != 1 {
-		t.Fatalf("degraded stats %+v", stats)
-	}
-	if stats.FormatVersion != store.CurrentVersion {
-		t.Fatalf("integrity stats %+v", stats)
-	}
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?limit=1", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("degraded store not serving: %d", rec.Code)
-	}
-}
-
 // buildMutableStore writes a small dictionary store to disk for
 // mutable-serving tests.
 func buildMutableStore(t *testing.T, dir string) string {

@@ -22,7 +22,7 @@
 //	GET  /metrics                  Prometheus text-format metrics
 //	GET  /healthz                  liveness probe (always 200 while serving)
 //	GET  /readyz                   readiness probe (503 while a replica
-//	                               catches up or the store serves degraded)
+//	                               catches up)
 //	GET  /debug/pprof/*            runtime profiles (only with Options.Pprof)
 //
 // The /v1/ endpoints are the private NDJSON dialect that predates the
@@ -86,7 +86,7 @@ type Options struct {
 	PlanEntries int
 	// Pprof exposes the runtime profiling endpoints under
 	// /debug/pprof/* (CPU and heap profiles, goroutine dumps, execution
-	// traces) so shard scaling and pool behavior can be profiled in
+	// traces) so worker-pool and cache behavior can be profiled in
 	// situ. Off by default: profiles reveal operational internals, so
 	// enabling them is an explicit deployment decision.
 	Pprof bool
@@ -128,13 +128,6 @@ type Options struct {
 	// count and shipping counters through /stats and /metrics.
 	ReplLeader *repl.Leader
 }
-
-// Config is the former name of Options.
-//
-// Deprecated: use Options. The fields are identical (Config is an
-// alias), so existing callers compile unchanged; new code should name
-// Options directly.
-type Config = Options
 
 // Validate reports the first nonsensical field combination, before
 // withDefaults silently papers over it. The zero value is always valid.
@@ -762,7 +755,6 @@ type Stats struct {
 	Layout        string  `json:"layout"`
 	Triples       int     `json:"triples"`
 	BitsPerTriple float64 `json:"bits_per_triple"`
-	Shards        int     `json:"shards"`
 	Dictionary    bool    `json:"dictionary"`
 	Mutable       bool    `json:"mutable"`
 	Generation    uint64  `json:"generation"`
@@ -818,13 +810,9 @@ type Stats struct {
 	// FormatVersion is the version of the container the serving view
 	// came from, every section of which was checksum-verified at open.
 	// MappedBytes is the size of the store files this process holds
-	// mapped (see store.MappedBytes). QuarantinedShards lists shard
-	// sections excluded by a degraded open — non-empty means the store
-	// is serving partial data.
-	FormatVersion     int   `json:"format_version"`
-	MappedBytes       int64 `json:"mapped_bytes"`
-	QuarantinedShards []int `json:"quarantined_shards,omitempty"`
-	Degraded          bool  `json:"degraded"`
+	// mapped (see store.MappedBytes).
+	FormatVersion int   `json:"format_version"`
+	MappedBytes   int64 `json:"mapped_bytes"`
 	// Replication carries the follower-side lag/position counters when
 	// this server is a read replica; ReplicationLeader the leader-side
 	// shipping counters when it streams its WAL to followers.
@@ -842,7 +830,6 @@ func (s *Server) Snapshot() Stats {
 		Layout:              st.Index.Layout().String(),
 		Triples:             st.Index.NumTriples(),
 		BitsPerTriple:       core.BitsPerTriple(st.Index),
-		Shards:              st.Shards(),
 		Dictionary:          st.Dicts != nil,
 		Generation:          gen,
 		Workers:             s.cfg.Workers,
@@ -876,8 +863,6 @@ func (s *Server) Snapshot() Stats {
 		RequestP99Ms:        float64(lat.Quantile(0.99)) / 1e6,
 		FormatVersion:       st.Integrity.Version,
 		MappedBytes:         store.MappedBytes(),
-		QuarantinedShards:   st.Integrity.Quarantined,
-		Degraded:            len(st.Integrity.Quarantined) > 0,
 	}
 	stats.Rejected = stats.RejectedBusy + stats.RejectedRateLimited +
 		stats.RejectedBreakerOpen + stats.RejectedStale
@@ -912,7 +897,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // handleHealthz is the pure liveness probe: the process is up and
 // answering, nothing more. Conditions a restart would not fix — a
-// degraded store, a replica still catching up — belong to /readyz
+// replica still catching up — belong to /readyz
 // (replica.go), where a load balancer drains traffic instead of a
 // supervisor killing the process.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

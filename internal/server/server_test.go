@@ -82,6 +82,7 @@ func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, string
 
 func TestServerEndpoints(t *testing.T) {
 	st := testStore(t, 40, 3)
+	st.Integrity.Version = store.CurrentVersion // as if opened from a file
 	srv := New(st, Options{Workers: 4})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -221,7 +222,7 @@ func TestServerEndpoints(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &s); err != nil {
 			t.Fatal(err)
 		}
-		if s.Layout != "2Tp" || s.Triples != st.Index.NumTriples() || s.Workers != 4 {
+		if s.Layout != "2Tp" || s.Triples != st.Index.NumTriples() || s.Workers != 4 || s.FormatVersion != store.CurrentVersion {
 			t.Fatalf("stats document wrong: %+v", s)
 		}
 		if s.Queries == 0 || s.CacheHits == 0 {
@@ -702,5 +703,30 @@ func TestLRU(t *testing.T) {
 	zero.Put("x", 1)
 	if _, ok := zero.Get("x"); ok {
 		t.Fatal("disabled cache stored a value")
+	}
+}
+
+// TestPprofEndpoints pins the -pprof gate: profiling handlers exist
+// only when Options.Pprof is set.
+func TestPprofEndpoints(t *testing.T) {
+	st := testStore(t, 6, 1)
+
+	off := httptest.NewServer(New(st, Options{}))
+	defer off.Close()
+	if resp, _ := get(t, off, "/debug/pprof/"); resp.StatusCode != 404 {
+		t.Fatalf("pprof off: /debug/pprof/ status %d, want 404", resp.StatusCode)
+	}
+
+	on := httptest.NewServer(New(st, Options{Pprof: true}))
+	defer on.Close()
+	resp, body := get(t, on, "/debug/pprof/")
+	if resp.StatusCode != 200 {
+		t.Fatalf("pprof on: /debug/pprof/ status %d", resp.StatusCode)
+	}
+	if !strings.Contains(body, "goroutine") {
+		t.Fatalf("pprof index missing profiles: %s", body)
+	}
+	if resp, _ := get(t, on, "/debug/pprof/cmdline"); resp.StatusCode != 200 {
+		t.Fatalf("pprof cmdline status %d", resp.StatusCode)
 	}
 }

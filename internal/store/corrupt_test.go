@@ -14,21 +14,14 @@ import (
 
 	"rdfindexes/internal/codec"
 	"rdfindexes/internal/core"
-	"rdfindexes/internal/shard"
 )
 
-// writeSampleFile serializes the shared sample store (single-index or
-// sharded) and returns its path and bytes.
-func writeSampleFile(t *testing.T, shards int) (string, []byte) {
+// writeSampleFile serializes the shared sample store and returns its
+// path and bytes.
+func writeSampleFile(t *testing.T) (string, []byte) {
 	t.Helper()
-	var st *Store
-	if shards > 1 {
-		st = buildShardedSample(t, core.Layout2Tp, shards)
-	} else {
-		st = buildSample(t, core.Layout2Tp)
-	}
 	path := filepath.Join(t.TempDir(), "store.idx")
-	if err := Write(path, st); err != nil {
+	if err := Write(path, buildSample(t, core.Layout2Tp)); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -45,25 +38,15 @@ func writeSampleFile(t *testing.T, shards int) (string, []byte) {
 // acceptance is correct — and no input that may panic instead of
 // returning an error.
 func TestReadFlippedByteEveryOffset(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		path, data := writeSampleFile(t, shards)
-		if shards > 1 {
-			// The sweep covers a pad between sections only if the sample
-			// has one: the pad behind section 0 fills its payload and CRC
-			// up to a multiple of 8.
-			if sec := walkContainer(data, nil).parts[2]; codec.PadLen(sec.bytes+4) == 0 {
-				t.Fatalf("%s is %d bytes: no pad behind it", sec.name, sec.bytes)
-			}
+	path, data := writeSampleFile(t)
+	for off := range data {
+		mut := append([]byte(nil), data...)
+		mut[off] ^= 0xa5
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		for off := range data {
-			mut := append([]byte(nil), data...)
-			mut[off] ^= 0xa5
-			if err := os.WriteFile(path, mut, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Read(path); err == nil {
-				t.Fatalf("shards=%d: flipped byte at offset %d/%d accepted", shards, off, len(data))
-			}
+		if _, err := Read(path); err == nil {
+			t.Fatalf("flipped byte at offset %d/%d accepted", off, len(data))
 		}
 	}
 }
@@ -121,38 +104,39 @@ func TestReadCraftedPEF(t *testing.T) {
 // tables, pads, sections cut mid-payload, and a missing trailing
 // checksum all included.
 func TestReadTruncatedEveryLength(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		path, data := writeSampleFile(t, shards)
-		for n := 0; n < len(data); n++ {
-			if err := os.WriteFile(path, data[:n], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Read(path); err == nil {
-				t.Fatalf("shards=%d: truncation to %d/%d bytes accepted", shards, n, len(data))
-			}
+	path, data := writeSampleFile(t)
+	for n := 0; n < len(data); n++ {
+		if err := os.WriteFile(path, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(path); err == nil {
+			t.Fatalf("truncation to %d/%d bytes accepted", n, len(data))
 		}
 	}
 }
 
 // TestVerifyReport pins the verify walk: a clean store reports every
-// section ok; a flipped byte in the last shard section is attributed to
-// that section while the rest stay ok; a clean WAL is scanned.
+// section ok; a flipped byte in the index payload is attributed to the
+// index section while the rest stay ok.
 func TestVerifyReport(t *testing.T) {
-	path, data := writeSampleFile(t, 3)
+	path, data := writeSampleFile(t)
 	rep, err := Verify(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.OK || rep.Version != CurrentVersion || rep.Shards != 3 || rep.Mapped != mapsFiles {
+	if !rep.OK || rep.Version != CurrentVersion || rep.Mapped != mapsFiles {
 		t.Fatalf("clean store: %+v", rep)
 	}
-	// header + table + 3 shards
-	if len(rep.Sections) != 5 {
+	var names []string
+	for _, sec := range rep.Sections {
+		names = append(names, sec.Name)
+	}
+	if strings.Join(names, " ") != "header table index" {
 		t.Fatalf("sections: %+v", rep.Sections)
 	}
 
-	// Damage the final shard's payload (its trailing CRC is the last 4
-	// bytes of the file; the byte before that is payload).
+	// Damage the index payload (its trailing CRC is the last 4 bytes of
+	// the file; the byte before that is payload).
 	mut := append([]byte(nil), data...)
 	mut[len(mut)-5] ^= 0x01
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
@@ -163,7 +147,7 @@ func TestVerifyReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.OK {
-		t.Fatal("corrupt shard not reported")
+		t.Fatal("corrupt index not reported")
 	}
 	var bad []string
 	for _, sec := range rep.Sections {
@@ -171,8 +155,8 @@ func TestVerifyReport(t *testing.T) {
 			bad = append(bad, sec.Name)
 		}
 	}
-	if len(bad) != 1 || bad[0] != "shard 2" {
-		t.Fatalf("corruption attributed to %v, want [shard 2]; report %+v", bad, rep.Sections)
+	if len(bad) != 1 || bad[0] != "index" {
+		t.Fatalf("corruption attributed to %v, want [index]; report %+v", bad, rep.Sections)
 	}
 
 	// A file that is not a store fails at its magic.
@@ -186,108 +170,6 @@ func TestVerifyReport(t *testing.T) {
 	}
 	if rep.OK || rep.Version != 0 || len(rep.Sections) != 1 || rep.Sections[0].Name != "magic" {
 		t.Fatalf("garbage: %+v", rep)
-	}
-}
-
-// TestDegradedShardedOracle corrupts one shard section and checks the
-// degraded open against an oracle: a store built from the original
-// dataset minus exactly the quarantined shard's triples. Every query
-// must return identical result streams — the quarantined shard
-// disappears, nothing else shifts.
-func TestDegradedShardedOracle(t *testing.T) {
-	const n = 3
-	var ts []core.Triple
-	for i := 0; i < 900; i++ {
-		ts = append(ts, core.Triple{
-			S: core.ID(i % 97), P: core.ID(i % 7), O: core.ID((i * 13) % 83),
-		})
-	}
-	d := core.NewDataset(ts)
-	sh, err := shard.BuildSharded(d, core.Layout2Tp, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "store.idx")
-	if err := Write(path, &Store{Index: sh}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The file ends with shard n-1's payload + CRC: damage its payload.
-	quarantine := n - 1
-	data[len(data)-5] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Strict read refuses; degraded read quarantines exactly that shard.
-	if _, err := Read(path); err == nil {
-		t.Fatal("strict Read accepted the corrupt shard")
-	}
-	got, err := ReadDegraded(path)
-	if err != nil {
-		t.Fatalf("degraded open: %v", err)
-	}
-	if q := got.Integrity.Quarantined; len(q) != 1 || q[0] != quarantine {
-		t.Fatalf("quarantined %v, want [%d]", q, quarantine)
-	}
-	if got.Integrity.Version != CurrentVersion || got.Integrity.Mapped != mapsFiles {
-		t.Fatalf("integrity %+v", got.Integrity)
-	}
-
-	// Oracle: the same dataset minus the quarantined shard's triples,
-	// partitioned identically (same shard count over the same ID space).
-	var kept []core.Triple
-	for _, tr := range ts {
-		if shard.ShardOf(tr.S, n) != quarantine {
-			kept = append(kept, tr)
-		}
-	}
-	od := core.NewDataset(kept)
-	// Preserve the ID-space bounds of the full dataset so routing and
-	// bounds checks agree with the degraded store.
-	od.NS, od.NP, od.NO = d.NS, d.NP, d.NO
-	oracle, err := shard.BuildSharded(od, core.Layout2Tp, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// One subject routed into the quarantined shard, one routed elsewhere.
-	sIn, sOut := -1, -1
-	for s := 0; s < 97; s++ {
-		if shard.ShardOf(core.ID(s), n) == quarantine {
-			sIn = s
-		} else {
-			sOut = s
-		}
-	}
-	patterns := []core.Pattern{
-		core.NewPattern(-1, -1, -1),   // full scan
-		core.NewPattern(-1, 4, -1),    // fan-out
-		core.NewPattern(-1, -1, 13),   // fan-out by object
-		core.NewPattern(sIn, -1, -1),  // routed into the quarantined shard
-		core.NewPattern(sOut, -1, -1), // routed to a healthy shard
-		core.NewPattern(17, -1, -1),
-	}
-	for _, p := range patterns {
-		want := oracle.Select(p).Collect(-1)
-		have := got.Index.Select(p).Collect(-1)
-		if len(want) != len(have) {
-			t.Fatalf("pattern %v: %d results degraded, oracle %d", p, len(have), len(want))
-		}
-		for i := range want {
-			if want[i] != have[i] {
-				t.Fatalf("pattern %v: result %d = %v, oracle %v", p, i, have[i], want[i])
-			}
-		}
-	}
-
-	// A degraded store must refuse to serialize: writing it out would
-	// make the data loss permanent and silent.
-	if err := Write(filepath.Join(t.TempDir(), "out.idx"), got); err == nil {
-		t.Fatal("degraded store serialized")
 	}
 }
 
@@ -436,15 +318,14 @@ func TestWALSequenceSplice(t *testing.T) {
 }
 
 // FuzzStoreRead feeds arbitrary bytes to the container reader: whatever
-// the input, Read, ReadDegraded, IsSharded and Verify must return (a
-// store, an answer, a report or an error) without panicking or
-// over-allocating.
+// the input, Read and Verify must return (a store, a report or an error)
+// without panicking or over-allocating.
 func FuzzStoreRead(f *testing.F) {
 	dir := f.TempDir()
 	var seedStore *Store
 	{
-		// Seed with real containers (single and sharded) so the fuzzer
-		// starts from deep coverage, plus edge-case fragments.
+		// Seed with a real container so the fuzzer starts from deep
+		// coverage, plus edge-case fragments.
 		st := &Store{}
 		statements := []core.Triple{{S: 0, P: 0, O: 1}, {S: 1, P: 0, O: 0}}
 		x, err := core.Build(core.NewDataset(statements), core.Layout2Tp)
@@ -458,25 +339,21 @@ func FuzzStoreRead(f *testing.F) {
 	if err := Write(single, seedStore); err != nil {
 		f.Fatal(err)
 	}
-	if data, err := os.ReadFile(single); err == nil {
-		f.Add(data)
-		f.Add(data[:len(data)/2])
-	}
-	sh, err := shard.BuildSharded(core.NewDataset([]core.Triple{{S: 0, P: 0, O: 1}, {S: 1, P: 0, O: 0}}), core.Layout2Tp, 2)
+	data, err := os.ReadFile(single)
 	if err != nil {
 		f.Fatal(err)
 	}
-	sharded := filepath.Join(dir, "sharded.idx")
-	if err := Write(sharded, &Store{Index: sh}); err != nil {
-		f.Fatal(err)
-	}
-	if data, err := os.ReadFile(sharded); err == nil {
-		f.Add(data)
-	}
+	f.Add(data)
+	f.Add(data[:len(data)/2])
 	f.Add([]byte(Magic))
-	f.Add([]byte(MagicSharded))
 	f.Add(hugeMagicPrefix)
 	f.Add([]byte{})
+	// A sound container under another magic, and one without the index
+	// section's trailing checksum.
+	foreign := append([]byte(nil), data...)
+	copy(foreign[1:], "RDFSTORE2")
+	f.Add(foreign)
+	f.Add(data[:len(data)-4])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.idx")
@@ -486,14 +363,6 @@ func FuzzStoreRead(f *testing.F) {
 		st, err := Read(path)
 		if err == nil && st.Index == nil {
 			t.Fatal("Read returned a store with no index")
-		}
-		st, err = ReadDegraded(path)
-		if err == nil && st.Index == nil {
-			t.Fatal("ReadDegraded returned a store with no index")
-		}
-		sharded, err := IsSharded(path)
-		if err == nil && sharded != bytes.HasPrefix(data, append([]byte{byte(len(MagicSharded))}, MagicSharded...)) {
-			t.Fatalf("IsSharded = %v for magic %q", sharded, data[:min(len(data), 10)])
 		}
 		if rep, err := Verify(path); err != nil || rep == nil {
 			t.Fatalf("Verify: %v", err)

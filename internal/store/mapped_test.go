@@ -21,16 +21,16 @@ const mapsFiles = runtime.GOOS == "linux"
 // hugeMagicPrefix is a file whose magic length prefix claims about 8 GiB.
 var hugeMagicPrefix = []byte{0xff, 0xff, 0xff, 0xff, 0x1f, 'R', 'D', 'F'}
 
-// TestHugeMagicPrefix: sniffing the magic of a file whose length prefix
-// claims gigabytes must fail as corruption, not allocate the claim (which
-// ended the process with an unrecoverable out-of-memory error).
+// TestHugeMagicPrefix: opening a file whose magic length prefix claims
+// gigabytes must fail as corruption, not allocate the claim (which ended
+// the process with an unrecoverable out-of-memory error).
 func TestHugeMagicPrefix(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.idx")
 	if err := os.WriteFile(path, hugeMagicPrefix, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IsSharded(path); !errors.Is(err, codec.ErrCorrupt) {
-		t.Fatalf("IsSharded: %v, want ErrCorrupt", err)
+	if _, err := Read(path); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("Read: %v, want ErrCorrupt", err)
 	}
 	if _, err := OpenMutable(path, 0); !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("OpenMutable: %v, want ErrCorrupt", err)

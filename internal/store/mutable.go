@@ -153,15 +153,6 @@ func openMutable(path string, threshold int, lock bool) (*Mutable, error) {
 	if threshold == 0 {
 		threshold = core.DefaultMergeThreshold
 	}
-	// A merge would rebuild the log into a single index and silently
-	// de-shard the store, so refuse writes instead — detected by magic
-	// sniff, before the full (and, for callers that fall back to a
-	// read-only load, wasted) decode.
-	if sharded, err := IsSharded(path); err != nil {
-		return nil, err
-	} else if sharded {
-		return nil, fmt.Errorf("store: %s: %w", path, ErrSharded)
-	}
 	st, err := Read(path)
 	if err != nil {
 		return nil, err
@@ -243,16 +234,7 @@ func (m *Mutable) mergeDueLocked() bool {
 // the replay and retries, so the returned view is always a state the
 // serving process actually published. Without a WAL this is a plain
 // Read.
-func ReadView(path string) (*Store, error) { return readView(path, Read) }
-
-// ReadViewDegraded is ReadView for serving: a sharded store with
-// checksum-failed shard sections opens degraded (ReadDegraded) instead
-// of failing, so one bad sector quarantines one shard rather than the
-// whole store. Non-sharded stores are unaffected — a single corrupt
-// index section has nothing to degrade to.
-func ReadViewDegraded(path string) (*Store, error) { return readView(path, ReadDegraded) }
-
-func readView(path string, read func(string) (*Store, error)) (*Store, error) {
+func ReadView(path string) (*Store, error) {
 	const attempts = 5
 	var lastErr error
 	for try := 0; try < attempts; try++ {
@@ -262,18 +244,12 @@ func readView(path string, read func(string) (*Store, error)) (*Store, error) {
 		}
 		if _, err := os.Stat(path + WALSuffix); err != nil {
 			if os.IsNotExist(err) {
-				return read(path)
+				return Read(path)
 			}
 			return nil, err
 		}
 		m, err := openMutable(path, -1, false)
 		if err != nil {
-			// A WAL next to a sharded store is an orphan (an in-place
-			// rebuild replaced an updatable store); the sharded store
-			// itself is complete without it.
-			if errors.Is(err, ErrSharded) {
-				return read(path)
-			}
 			// A merge mid-read can also surface as a parse failure
 			// (store and WAL from different generations); retry those
 			// too when the file identity moved.
@@ -399,11 +375,6 @@ const (
 // like WAL I/O or merge errors; the HTTP layer maps the two classes to
 // 400 and 500.
 var ErrTerm = errors.New("invalid write term")
-
-// ErrSharded reports an attempt to open a sharded store for writing.
-// Sharded stores serve read-only: callers (the CLI, the server) catch
-// this to fall back to ReadView.
-var ErrSharded = errors.New("sharded store is read-only (rebuild with -shards to change the partition)")
 
 // PrepareRebuild clears the way for overwriting the store at path with
 // a freshly built one. It takes the WAL's non-blocking exclusive flock

@@ -510,3 +510,53 @@ func TestMutableIntegerStore(t *testing.T) {
 		t.Fatal("integer merge lost a triple")
 	}
 }
+
+// TestPrepareRebuild pins the rebuild guard: a WAL flocked by a live
+// writer refuses the rebuild, a WAL with pending records refuses, an
+// empty unlocked leftover is removed, a missing WAL is fine.
+func TestPrepareRebuild(t *testing.T) {
+	st := buildSample(t, core.Layout2Tp)
+	path := filepath.Join(t.TempDir(), "store.idx")
+	if err := Write(path, st); err != nil {
+		t.Fatal(err)
+	}
+	if err := PrepareRebuild(path); err != nil {
+		t.Fatalf("missing WAL: %v", err)
+	}
+
+	// Live writer: its flock must block the rebuild.
+	m, err := OpenMutable(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := PrepareRebuild(path); err == nil {
+		m.Close()
+		t.Fatal("rebuild allowed over a live flocked WAL")
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Closed writer, empty WAL: removed.
+	if err := PrepareRebuild(path); err != nil {
+		t.Fatalf("empty WAL: %v", err)
+	}
+	if _, err := os.Stat(path + WALSuffix); !os.IsNotExist(err) {
+		t.Fatalf("empty WAL not removed: %v", err)
+	}
+
+	// Pending records: refused.
+	m, err = OpenMutable(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Insert("<http://ex/x>", "<http://ex/y>", "<http://ex/z>"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := PrepareRebuild(path); err == nil {
+		t.Fatal("rebuild allowed over pending WAL records")
+	}
+}

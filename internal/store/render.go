@@ -128,8 +128,7 @@ const trimCap = 1 << 20
 // replayed from an arena cache after that, rows are hand-built into a
 // batched output buffer (no reflection, no per-row allocation), and the
 // dictionary work goes through a Renderer's cursors. The zero-alloc
-// steady state holds across plain, overlay-dictionary and sharded
-// stores. A writer serves one request on one goroutine.
+// steady state holds across plain and overlay-dictionary stores. A writer serves one request on one goroutine.
 type NDJSONWriter struct {
 	w    io.Writer
 	rend *Renderer

@@ -32,7 +32,6 @@ func TestRendererMatchesRender(t *testing.T) {
 	stores := map[string]*Store{
 		"dict":    buildSample(t, core.Layout2Tp),
 		"overlay": buildOverlaySample(t, core.Layout2Tp),
-		"sharded": buildShardedSample(t, core.Layout2Tp, 3),
 		"ints":    {Index: buildSample(t, core.Layout2Tp).Index},
 	}
 	for name, st := range stores {
@@ -75,7 +74,6 @@ func TestNDJSONWriterRows(t *testing.T) {
 	for name, st := range map[string]*Store{
 		"dict":    buildSample(t, core.Layout2Tp),
 		"overlay": buildOverlaySample(t, core.Layout2Tp),
-		"sharded": buildShardedSample(t, core.Layout2Tp, 3),
 	} {
 		var out bytes.Buffer
 		nw := AcquireNDJSON(st, &out)
@@ -194,12 +192,11 @@ func TestNDJSONEscaping(t *testing.T) {
 }
 
 // TestNDJSONWriterAllocs pins the zero-alloc steady state of the server
-// row path across plain-dictionary, overlay and sharded stores.
+// row path across plain-dictionary, overlay and integer-only stores.
 func TestNDJSONWriterAllocs(t *testing.T) {
 	for name, st := range map[string]*Store{
 		"dict":    buildSample(t, core.Layout2Tp),
 		"overlay": buildOverlaySample(t, core.Layout2Tp),
-		"sharded": buildShardedSample(t, core.Layout2Tp, 3),
 		"ints":    {Index: buildSample(t, core.Layout2Tp).Index},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -25,14 +25,13 @@ import (
 	"rdfindexes/internal/dict"
 	"rdfindexes/internal/faultfs"
 	"rdfindexes/internal/rdf"
-	"rdfindexes/internal/shard"
 )
 
-// Magic is the single-index store signature. The container carries
-// per-section CRC32C checksums, so a flipped byte anywhere in the file is
-// detected at open instead of decoding into silent garbage, and it is
-// 8-byte aligned throughout, so the open serves the index straight from
-// the mapped file:
+// Magic is the store signature; a store file holds one index. The
+// container carries per-section CRC32C checksums, so a flipped byte
+// anywhere in the file is detected at open instead of decoding into
+// silent garbage, and it is 8-byte aligned throughout, so the open serves
+// the index straight from the mapped file:
 //
 //	magic
 //	header  = dict flag, dictionaries            | CRC32C | pad
@@ -44,14 +43,9 @@ import (
 // of the file, and word arrays inside a section are padded the same way
 // relative to the section start (codec.Writer.Uint64s), so every word
 // array lies 8-byte aligned in the file. There is no pad after the last
-// checksum.
+// checksum. The table gives the section's length up front, so the
+// section's checksum is verified before any of it is decoded.
 const Magic = "RDFSTORE3"
-
-// MagicSharded is the multi-shard store signature: as Magic, but the
-// header additionally ends with the shard count, the table holds one
-// payload length per shard, and one checksummed section follows per
-// shard, each padded to 8 bytes before the next.
-const MagicSharded = "RDFSHARD3"
 
 // CurrentVersion is the container format version Write produces and
 // Read accepts. Files of older versions are rebuilt with rdfstore build.
@@ -68,9 +62,6 @@ type Integrity struct {
 	// from the memory-mapped store file; false once a merge rebuilt them
 	// on the heap, or where the platform reads the file into memory.
 	Mapped bool
-	// Quarantined lists shard sections that failed their checksum and
-	// were excluded by a degraded open (nil after a strict Read).
-	Quarantined []int
 }
 
 // Store is an index plus its dictionaries (nil Dicts for integer-only
@@ -85,8 +76,8 @@ type Store struct {
 	// response caches sound across merges (a merge remaps dictionary
 	// IDs, so the same ID text means different terms across generations).
 	Gen uint64
-	// Integrity records the container version, the mapping and the
-	// quarantine outcome of the load that produced this store.
+	// Integrity records the container version and the mapping of the
+	// load that produced this store.
 	Integrity Integrity
 	// Modified is when this view came to be: the container file's mtime
 	// for a store loaded from disk, the publication time for a view
@@ -104,10 +95,8 @@ type Store struct {
 var fsys faultfs.FS = faultfs.OS{}
 
 // Write serializes the store to path: magic, optional dictionaries, then
-// the index — the single-index format for plain indexes, the multi-shard
-// container for a *shard.Store. Only static state serializes; a serving
-// view (dynamic snapshot index, overlay dictionaries) must be folded
-// (merged) first.
+// the index. Only static state serializes; a serving view (dynamic
+// snapshot index, overlay dictionaries) must be folded (merged) first.
 //
 // The file is replaced atomically: Write writes a sibling temp file,
 // fsyncs it, renames it over path and fsyncs the directory. A process
@@ -127,14 +116,8 @@ func Write(path string, st *Store) error {
 			return fmt.Errorf("store: P dictionary is not serializable (fold the overlay first)")
 		}
 	}
-	sh, sharded := st.Index.(*shard.Store)
-	if sharded {
-		if q := sh.Quarantined(); len(q) > 0 {
-			return fmt.Errorf("store: refusing to serialize a degraded store (shards %v quarantined); rebuild from the source data", q)
-		}
-	}
 	tmp := path + ".tmp"
-	if err := writeFile(tmp, st.Index, so, p, sh); err != nil {
+	if err := writeFile(tmp, st.Index, so, p); err != nil {
 		fsys.Remove(tmp) // best effort: the error that matters is err
 		return err
 	}
@@ -145,9 +128,8 @@ func Write(path string, st *Store) error {
 	return nil
 }
 
-// writeFile writes the container to path and fsyncs it; sh is nil for a
-// single-index store.
-func writeFile(path string, x core.Index, so, p *dict.Dict, sh *shard.Store) error {
+// writeFile writes the container to path and fsyncs it.
+func writeFile(path string, x core.Index, so, p *dict.Dict) error {
 	f, err := fsys.Create(path)
 	if err != nil {
 		return err
@@ -160,13 +142,9 @@ func writeFile(path string, x core.Index, so, p *dict.Dict, sh *shard.Store) err
 		}
 	}()
 	w := codec.NewWriter(f)
-	if sh != nil {
-		w.String(MagicSharded)
-	} else {
-		w.String(Magic)
-	}
-	// The header section (dictionaries, shard count) streams through the
-	// writer's CRC32C tee; its checksum trails it.
+	w.String(Magic)
+	// The header section (the dictionaries) streams through the writer's
+	// CRC32C tee; its checksum trails it.
 	w.StartChecksum()
 	if so != nil {
 		w.Byte(1)
@@ -175,20 +153,12 @@ func writeFile(path string, x core.Index, so, p *dict.Dict, sh *shard.Store) err
 	} else {
 		w.Byte(0)
 	}
-	if sh != nil {
-		w.Uvarint(uint64(sh.NumShards()))
-	}
 	w.Uint32(w.StopChecksum())
 	w.Pad()
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	if sh != nil {
-		err = writeSections(f, w.Written(), sh.NumShards(), sh.Shard)
-	} else {
-		err = writeSections(f, w.Written(), 1, func(int) core.Index { return x })
-	}
-	if err != nil {
+	if err := writeSection(f, w.Written(), x); err != nil {
 		return err
 	}
 	// The merge path truncates the WAL once this file is renamed over
@@ -202,41 +172,37 @@ func writeFile(path string, x core.Index, so, p *dict.Dict, sh *shard.Store) err
 	return err
 }
 
-// writeSections streams the n index sections straight to the file, which
-// is positioned at the 8-aligned offset pos, and then patches the
-// section-length table in place: a placeholder table is written first,
-// each section streams through a counting/hashing writer (no section is
-// ever buffered whole, so writing costs O(1) extra memory regardless of
-// store size) with its CRC32C and the pad to the next section right
-// behind it, and a final seek pair fills in the measured lengths plus the
-// table's own checksum.
-func writeSections(f faultfs.File, pos int64, n int, section func(int) core.Index) error {
-	// n uint64 payload lengths, the table's CRC32C, the pad to section 0.
-	table := make([]byte, 8*n+4+codec.PadLen(int64(8*n+4)))
-	if _, err := f.Write(table); err != nil {
+// tableLen is the size of the section table: the index payload length
+// as a uint64, the table's CRC32C and the pad to the 8-aligned section.
+const tableLen = 8 + 4 + 4
+
+// writeSection streams the index section straight to the file, which is
+// positioned at the 8-aligned offset pos, and then patches the table in
+// place: a placeholder table is written first, the section streams
+// through a counting/hashing writer (it is never buffered whole, so
+// writing costs O(1) extra memory regardless of store size) with its
+// CRC32C right behind it, and a final seek pair fills in the measured
+// length plus the table's own checksum.
+func writeSection(f faultfs.File, pos int64, x core.Index) error {
+	var table [tableLen]byte
+	if _, err := f.Write(table[:]); err != nil {
 		return err
 	}
-	var trailer [4 + 7]byte // a section's CRC32C and the pad behind it
-	for i := 0; i < n; i++ {
-		cw := &countingWriter{w: f}
-		if err := core.WriteIndex(cw, section(i)); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(trailer[:], cw.crc)
-		k := 4
-		if i < n-1 {
-			k += codec.PadLen(int64(cw.n) + 4) // sections start 8-aligned
-		}
-		if _, err := f.Write(trailer[:k]); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint64(table[8*i:], cw.n)
+	cw := &countingWriter{w: f}
+	if err := core.WriteIndex(cw, x); err != nil {
+		return err
 	}
-	binary.LittleEndian.PutUint32(table[8*n:], crc32.Checksum(table[:8*n], codec.Castagnoli))
+	var trailer [4]byte
+	binary.LittleEndian.PutUint32(trailer[:], cw.crc)
+	if _, err := f.Write(trailer[:]); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint64(table[:], cw.n)
+	binary.LittleEndian.PutUint32(table[8:], crc32.Checksum(table[:8], codec.Castagnoli))
 	if _, err := f.Seek(pos, io.SeekStart); err != nil {
 		return err
 	}
-	if _, err := f.Write(table); err != nil {
+	if _, err := f.Write(table[:]); err != nil {
 		return err
 	}
 	_, err := f.Seek(0, io.SeekEnd)
@@ -329,19 +295,16 @@ func (m *mapping) release() {
 
 // part is one part of a store file as walkContainer found it.
 type part struct {
-	name    string // "magic", "header", "table", "index" or "shard N"
-	bytes   int64
-	section bool       // an index section (a shard of a sharded store)
-	index   core.Index // the decoded section; nil on error
-	err     error
+	name  string // "magic", "header", "table" or "index"
+	bytes int64
+	err   error
 }
 
 // container is what walkContainer found in a store file.
 type container struct {
 	version int // CurrentVersion once the magic matched, else 0
-	sharded bool
-	shards  int // section count, once the header gave a valid one
 	dicts   *rdf.Dicts
+	index   core.Index // the decoded index section; nil on error
 	parts   []part
 }
 
@@ -351,13 +314,13 @@ func (c *container) fail(name string, bytes int, err error) *container {
 }
 
 // walkContainer decodes a store file held in data: the magic, the
-// header, the section table and every index section. Every part is
-// checked against its trailing CRC32C over the bytes in data — an index
-// section before any of it is decoded — and every pad byte must be zero.
-// The walk records each part it reaches in c.parts with its outcome; it
+// header, the section table and the index section. Every part is checked
+// against its trailing CRC32C over the bytes in data — the index section
+// before any of it is decoded — and every pad byte must be zero. The
+// walk records each part it reaches in c.parts with its outcome; it
 // stops early only where the rest of the file cannot be located (a bad
 // magic, an undecodable header, a corrupt table), so a checksum failure
-// in one part does not hide the state of the others.
+// in the header does not hide the state of the index.
 func walkContainer(data []byte, owner any) *container {
 	c := &container{}
 	r := codec.NewBytesReader(data, owner)
@@ -365,17 +328,15 @@ func walkContainer(data []byte, owner any) *container {
 	switch {
 	case r.Err() != nil:
 		return c.fail("magic", r.Offset(), r.Err())
-	case magic == MagicSharded:
-		c.sharded = true
 	case magic != Magic:
 		return c.fail("magic", r.Offset(), fmt.Errorf("not an rdfstore file (magic %q)", magic))
 	}
 	c.version = CurrentVersion
 
-	// Header: dictionary flag + dictionaries (+ shard count), its CRC,
-	// the pad to the table. Its length is known only by decoding it, so
-	// the checksum is compared after the decode, which the bounded reader
-	// keeps safe on any bytes.
+	// Header: dictionary flag + dictionaries, its CRC, the pad to the
+	// table. Its length is known only by decoding it, so the checksum is
+	// compared after the decode, which the bounded reader keeps safe on
+	// any bytes.
 	start := r.Offset()
 	if r.Byte() == 1 {
 		so, err := dict.Decode(r)
@@ -388,15 +349,6 @@ func walkContainer(data []byte, owner any) *container {
 		}
 		c.dicts = &rdf.Dicts{SO: so, P: p}
 	}
-	if !c.sharded {
-		c.shards = 1
-	} else if n := r.Uvarint(); r.Err() == nil {
-		if n < 1 || n > shard.MaxShards {
-			r.Fail(fmt.Errorf("%w: shard count %d out of range [1, %d]", codec.ErrCorrupt, n, shard.MaxShards))
-		} else {
-			c.shards = int(n)
-		}
-	}
 	end := r.Offset()
 	stored := r.Uint32()
 	r.Pad()
@@ -405,22 +357,16 @@ func walkContainer(data []byte, owner any) *container {
 	}
 	if err := checksum("header", data[start:end], stored); err != nil {
 		// The dictionaries decoded, so the header's shape is plausible
-		// and the sections behind it may still be sound: keep walking.
+		// and the section behind it may still be sound: keep walking.
 		c.fail("header", r.Offset()-start, err)
 	} else {
 		c.parts = append(c.parts, part{name: "header", bytes: int64(r.Offset() - start)})
 	}
 
-	// Section-length table, its CRC, the pad to the first section.
+	// Section table: the index payload length, its CRC, the pad to the
+	// section. The section and its CRC end the file.
 	start = r.Offset()
-	lengths := make([]int, c.shards)
-	for i := range lengths {
-		v := r.Uint64()
-		if v > uint64(len(data)) {
-			return c.fail("table", r.Offset()-start, fmt.Errorf("%w: section %d length %d", codec.ErrCorrupt, i, v))
-		}
-		lengths[i] = int(v)
-	}
+	length := r.Uint64()
 	end = r.Offset()
 	stored = r.Uint32()
 	r.Pad()
@@ -428,28 +374,14 @@ func walkContainer(data []byte, owner any) *container {
 		return c.fail("table", r.Offset()-start, err)
 	}
 	if err := checksum("table", data[start:end], stored); err != nil {
-		return c.fail("table", r.Offset()-start, err) // the offsets are untrustworthy
+		return c.fail("table", r.Offset()-start, err) // the length is untrustworthy
 	}
-	// Each section is followed by its CRC and, unless it is the last,
-	// by the pad to the next one: bounds[i] is where section i ends.
-	offs, bounds := make([]int, len(lengths)), make([]int, len(lengths))
-	off := r.Offset()
-	for i, l := range lengths {
-		offs[i] = off
-		off += l + 4
-		if i < len(lengths)-1 {
-			off += codec.PadLen(int64(off))
-		}
-		bounds[i] = off
-	}
-	if off != len(data) {
-		return c.fail("table", r.Offset()-start, fmt.Errorf("%w: sections cover %d bytes, file has %d after the header",
-			codec.ErrCorrupt, off-r.Offset(), len(data)-r.Offset()))
+	if rest := uint64(len(data) - r.Offset()); rest < 4 || length != rest-4 {
+		return c.fail("table", r.Offset()-start, fmt.Errorf("%w: section of %d bytes plus its checksum, file has %d after the header",
+			codec.ErrCorrupt, length, rest))
 	}
 	c.parts = append(c.parts, part{name: "table", bytes: int64(r.Offset() - start)})
-	for i := range lengths {
-		c.parts = append(c.parts, decodeSection(data[offs[i]:bounds[i]], lengths[i], sectionName(c.sharded, i), owner))
-	}
+	c.parts = append(c.parts, c.decodeIndex(data[r.Offset():], int(length), owner))
 	return c
 }
 
@@ -461,40 +393,25 @@ func checksum(name string, b []byte, stored uint32) error {
 	return nil
 }
 
-// decodeSection verifies and decodes one index section: b holds its
-// payload of the given length, its CRC32C and the zero pad to the next
-// section. A section whose bytes verify but do not decode is a
-// writer/decoder mismatch rather than storage corruption, and is
-// reported as such; a decoder panic is converted into an error, so one
-// section's failure stays that section's.
-func decodeSection(b []byte, length int, name string, owner any) (p part) {
-	p = part{name: name, bytes: int64(length), section: true}
+// decodeIndex verifies and decodes the index section into c.index: b
+// holds its payload of the given length and its CRC32C. A section whose
+// bytes verify but do not decode is a writer/decoder mismatch rather
+// than storage corruption, and is reported as such; a decoder panic is
+// converted into an error.
+func (c *container) decodeIndex(b []byte, length int, owner any) (p part) {
+	p = part{name: "index", bytes: int64(length)}
 	defer func() {
 		if r := recover(); r != nil {
-			p.index, p.err = nil, fmt.Errorf("%w: section %s: decoder panic: %v", codec.ErrCorrupt, name, r)
+			c.index, p.err = nil, fmt.Errorf("%w: index section: decoder panic: %v", codec.ErrCorrupt, r)
 		}
 	}()
-	if p.err = checksum("section "+name, b[:length], binary.LittleEndian.Uint32(b[length:])); p.err != nil {
+	if p.err = checksum("index section", b[:length], binary.LittleEndian.Uint32(b[length:])); p.err != nil {
 		return p
 	}
-	for _, c := range b[length+4:] {
-		if c != 0 {
-			p.err = fmt.Errorf("%w: non-zero pad byte after section %s", codec.ErrCorrupt, name)
-			return p
-		}
-	}
-	if p.index, p.err = core.DecodeIndex(codec.NewBytesReader(b[:length], owner)); p.err != nil {
-		p.err = fmt.Errorf("store: section %s: %w", name, p.err)
+	if c.index, p.err = core.DecodeIndex(codec.NewBytesReader(b[:length], owner)); p.err != nil {
+		p.err = fmt.Errorf("store: index section: %w", p.err)
 	}
 	return p
-}
-
-// sectionName names an index section for error reports.
-func sectionName(sharded bool, i int) string {
-	if sharded {
-		return fmt.Sprintf("shard %d", i)
-	}
-	return "index"
 }
 
 // Read loads a store written by Write. It maps the file, checks every
@@ -503,18 +420,7 @@ func sectionName(sharded bool, i int) string {
 // into the mapping, which lives as long as anything decoded from it (see
 // mapping). Any checksum mismatch fails the open with the offending
 // section named.
-func Read(path string) (*Store, error) { return readStore(path, false) }
-
-// ReadDegraded loads a store like Read, but a shard section that fails
-// its checksum is quarantined instead of failing the open: the remaining
-// shards keep serving (routed queries to the quarantined shard return no
-// matches, fan-outs skip it) and the loss is recorded in
-// Integrity.Quarantined for /stats and /healthz to surface. Header,
-// dictionary or table corruption still fails — there is nothing to
-// degrade to — as does a store with no healthy shard left.
-func ReadDegraded(path string) (*Store, error) { return readStore(path, true) }
-
-func readStore(path string, degraded bool) (st *Store, err error) {
+func Read(path string) (st *Store, err error) {
 	start := time.Now()
 	m, modified, err := openMapping(path)
 	if err != nil {
@@ -540,79 +446,12 @@ func readStore(path string, degraded bool) (st *Store, err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 
 	c := walkContainer(m.data, m)
-	st = &Store{Dicts: c.dicts, Modified: modified, Integrity: Integrity{Version: c.version, Mapped: m.mapped}}
-	var shards []core.Index
-	var quarantined []int
 	for _, p := range c.parts {
-		switch {
-		case p.err == nil:
-			if p.section {
-				shards = append(shards, p.index)
-			}
-		case degraded && c.sharded && p.section:
-			quarantined = append(quarantined, len(shards))
-			shards = append(shards, nil)
-		default:
+		if p.err != nil {
 			return nil, fmt.Errorf("store: %s: %w", path, p.err)
 		}
 	}
-	if !c.sharded {
-		st.Index = shards[0]
-		return st, nil
-	}
-	if len(quarantined) == len(shards) {
-		return nil, fmt.Errorf("store: %s: all %d shard sections failed verification", path, len(shards))
-	}
-	if len(quarantined) > 0 {
-		st.Index, err = shard.NewDegraded(shards)
-	} else {
-		st.Index, err = shard.New(shards)
-	}
-	if err != nil {
-		return nil, err
-	}
-	st.Integrity.Quarantined = quarantined
-	return st, nil
-}
-
-// IsSharded reports whether the file at path is a multi-shard store,
-// by sniffing its magic — no index data is decoded, so callers that
-// must branch on shardedness before committing to a full load (the
-// mutable open path) stay O(1).
-func IsSharded(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	// The magic is one length byte and nine bytes of text; a longer
-	// length prefix fails against the bytes read.
-	var head [1 + len(Magic)]byte
-	n, err := io.ReadFull(f, head[:])
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return false, err
-	}
-	r := codec.NewBytesReader(head[:n], nil)
-	magic := r.String()
-	if err := r.Err(); err != nil {
-		return false, err
-	}
-	switch magic {
-	case Magic:
-		return false, nil
-	case MagicSharded:
-		return true, nil
-	}
-	return false, fmt.Errorf("not an rdfstore file (magic %q)", magic)
-}
-
-// Shards returns the shard count of the store's index: the partition
-// width for a sharded index, 1 for everything else.
-func (st *Store) Shards() int {
-	if sh, ok := st.Index.(*shard.Store); ok {
-		return sh.NumShards()
-	}
-	return 1
+	return &Store{Index: c.index, Dicts: c.dicts, Modified: modified, Integrity: Integrity{Version: c.version, Mapped: m.mapped}}, nil
 }
 
 // ParseTerm interprets a query term: "?" (or empty) is a wildcard, <...>

@@ -169,6 +169,16 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(path); err == nil {
 		t.Fatal("garbage file accepted")
 	}
+	// A sound container under another magic (an older version's) is
+	// refused by its magic, before any section is read.
+	_, data := writeSampleFile(t)
+	copy(data[1:], "RDFSTORE2")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(path); err == nil || !strings.Contains(err.Error(), "not an rdfstore file") {
+		t.Fatalf("foreign magic: %v, want \"not an rdfstore file\"", err)
+	}
 }
 
 // pinnedNT is a fixed N-Triples fixture with IRIs, blank nodes and

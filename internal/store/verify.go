@@ -11,7 +11,7 @@ import (
 // SectionStatus is one section's verification outcome.
 type SectionStatus struct {
 	// Name identifies the section: "magic", "header", "table", "index",
-	// "shard N", "wal", or "container" when the walk itself failed.
+	// "wal", or "container" when the walk itself failed.
 	Name string `json:"name"`
 	// Bytes is the section's size where known (0 when the walk could not
 	// establish it).
@@ -28,9 +28,7 @@ type VerifyReport struct {
 	Path string `json:"path"`
 	// Version is the container format version (0 when the magic did not
 	// match).
-	Version int  `json:"version"`
-	Sharded bool `json:"sharded"`
-	Shards  int  `json:"shards,omitempty"`
+	Version int `json:"version"`
 	// Mapped is true when the walk read the file through a memory map,
 	// as Read serves it.
 	Mapped bool `json:"mapped"`
@@ -75,10 +73,7 @@ func Verify(path string) (rep *VerifyReport, err error) {
 	}()
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	c := walkContainer(m.data, m)
-	rep.Version, rep.Sharded = c.version, c.sharded
-	if c.sharded {
-		rep.Shards = c.shards
-	}
+	rep.Version = c.version
 	for _, p := range c.parts {
 		if p.err != nil {
 			rep.fail(p.name, p.bytes, p.err)
@@ -93,15 +88,10 @@ func Verify(path string) (rep *VerifyReport, err error) {
 // verifyWAL scans the write-ahead log next to the store, when one
 // exists, by replaying it read-only through the identical recovery path
 // a serving open uses — so "verify says clean" and "the server opens it"
-// cannot disagree. A WAL next to a sharded store is an orphan (left by
-// an in-place rebuild) and is reported as harmless.
+// cannot disagree.
 func (rep *VerifyReport) verifyWAL(path string) {
 	if _, err := os.Stat(path + WALSuffix); err != nil {
 		return // no WAL (or it vanished); nothing to scan
-	}
-	if rep.Sharded {
-		rep.pass("wal", 0)
-		return
 	}
 	if !rep.OK {
 		// The store itself is damaged; the WAL replays against its terms,
