@@ -295,7 +295,7 @@ func sparqlCmd(args []string, out io.Writer) error {
 	var line []byte
 	var writeErr error
 	printed := 0
-	execStats, err := sparql.Run(context.Background(), plan, st.Index, sparql.Options{}, func(row []core.ID) {
+	execStats, err := sparql.Run(context.Background(), plan, st.Index, sparql.Options{}, sparql.EachRow(func(row []core.ID) {
 		if writeErr != nil || (*limit >= 0 && printed >= *limit) {
 			return
 		}
@@ -314,7 +314,7 @@ func sparqlCmd(args []string, out io.Writer) error {
 		if _, werr := out.Write(line); werr != nil {
 			writeErr = werr
 		}
-	})
+	}))
 	if err != nil {
 		return err
 	}
@@ -577,7 +577,7 @@ func serveCmd(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "serving %d triples (%v, %.2f bits/triple) on %s\n",
 		st.Index.NumTriples(), st.Index.Layout(), core.BitsPerTriple(st.Index), hln.Addr())
 
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -617,4 +617,18 @@ func serveCmd(args []string, out io.Writer) error {
 		}
 	}
 	return serveErr
+}
+
+// The connection bounds of serve. A client that sends half a request
+// line, or keeps a connection open between requests, would otherwise hold
+// a goroutine and a descriptor for as long as it likes. They are fixed
+// values rather than flags; tests shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in serve's HTTP server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

@@ -56,12 +56,12 @@ func main() {
 		fmt.Printf("query: %s\n", q)
 		fmt.Printf("  plan order: %v\n", plan.Order)
 		shown := 0
-		stats, err := sparql.Run(context.Background(), plan, x, sparql.Options{}, func(row []core.ID) {
+		stats, err := sparql.Run(context.Background(), plan, x, sparql.Options{}, sparql.EachRow(func(row []core.ID) {
 			if shown < 3 {
 				fmt.Printf("  solution: %v = %v\n", q.Vars, row)
 				shown++
 			}
-		})
+		}))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -95,27 +95,27 @@ func legacyMaterialize(st *store.Store, plan *sparql.Compiled, w io.Writer) (int
 	enc := json.NewEncoder(w)
 	vars := plan.Vars
 	rows := 0
-	_, err := sparql.Run(context.Background(), plan, st.Index, sparql.Options{}, func(row []core.ID) {
+	_, err := sparql.Run(context.Background(), plan, st.Index, sparql.Options{}, sparql.EachRow(func(row []core.ID) {
 		out := make(map[string]string, len(vars))
 		for i, v := range vars {
 			out[v] = st.Render(row[i])
 		}
 		enc.Encode(out)
 		rows++
-	})
+	}))
 	return rows, err
 }
 
 // pooledMaterialize runs the same query through the live serving path:
-// slot rows from the executor into the pooled NDJSON writer.
+// row blocks from the executor into the pooled NDJSON writer.
 func pooledMaterialize(st *store.Store, plan *sparql.Compiled, w io.Writer) (int, error) {
 	nw := store.AcquireNDJSON(st, w)
 	defer nw.Release()
 	nw.SetVars(plan.Vars, plan.Roles)
 	rows := 0
-	_, err := sparql.Run(context.Background(), plan, st.Index, sparql.Options{}, func(row []core.ID) {
-		nw.WriteRow(row)
-		rows++
+	_, err := sparql.Run(context.Background(), plan, st.Index, sparql.Options{}, func(b sparql.Block) {
+		nw.WriteBlock(b.IDs, b.Rows)
+		rows += b.Rows
 	})
 	if err != nil {
 		return rows, err
@@ -131,9 +131,9 @@ func protocolMaterialize(st *store.Store, plan *sparql.Compiled, f results.Forma
 	defer wr.Release()
 	wr.Begin(plan.Vars, plan.Roles...)
 	rows := 0
-	_, err := sparql.Run(context.Background(), plan, st.Index, sparql.Options{}, func(row []core.ID) {
-		wr.WriteRow(row)
-		rows++
+	_, err := sparql.Run(context.Background(), plan, st.Index, sparql.Options{}, func(b sparql.Block) {
+		wr.WriteBlock(b.IDs, b.Rows)
+		rows += b.Rows
 	})
 	if err != nil {
 		return rows, err

@@ -76,7 +76,7 @@ func (s *Server) serveExplain(ctx context.Context, w http.ResponseWriter, st *st
 	order := plan.Order
 	tr.EnableSteps(len(order))
 	et := time.Now()
-	stats, rows, truncated, err := execute(ctx, plan, st, tr, limit, func([]core.ID) {})
+	stats, rows, truncated, err := execute(ctx, plan, st, tr, limit, func([]core.ID, int) {})
 	tr.AddStage(obs.StageExec, time.Since(et))
 
 	doc := explainDoc{

@@ -20,6 +20,10 @@ func TestTimingAndKeyStrings(t *testing.T) {
 		{1, 499, 500, 501, 999},
 		{time.Microsecond, 1234567, 2 * time.Millisecond, 33333333, time.Hour},
 		{-1, 1500, 9999999, 10000000, 86400 * time.Second},
+		// Exact half-microsecond ties, which the float quotient rounds
+		// either way.
+		{4500, 5500, 2500, 3500, 1234500},
+		{999500, 1000500, 7500, 8500, 1<<53 + 500},
 	} {
 		tr := obs.AcquireTrace()
 		tr.Stages = d
@@ -86,4 +90,13 @@ func fmtQuery(q sparql.Query) string {
 		s += " " + fmt.Sprintf("%v %v %v .", term(p.S), term(p.P), term(p.O))
 	}
 	return s + " }"
+}
+
+// BenchmarkAppendDur prices one Server-Timing duration; a request
+// formats seven.
+func BenchmarkAppendDur(b *testing.B) {
+	buf := make([]byte, 0, 64)
+	for i := 0; i < b.N; i++ {
+		buf = appendDur(buf[:0], "exec;dur=", time.Duration(1234567+i%1000))
+	}
 }

@@ -62,14 +62,19 @@ var gzipPool = sync.Pool{
 }
 
 // wantsGzip reports whether the Accept-Encoding header admits gzip with
-// a nonzero quality.
+// a nonzero quality. Like etagMatch it scans the header in place and
+// allocates nothing.
 func wantsGzip(accept string) bool {
-	for _, elem := range strings.Split(accept, ",") {
-		parts := strings.Split(elem, ";")
-		if strings.ToLower(strings.TrimSpace(parts[0])) != "gzip" {
+	for rest := accept; rest != ""; {
+		var elem string
+		elem, rest, _ = strings.Cut(rest, ",")
+		coding, params, _ := strings.Cut(elem, ";")
+		if !strings.EqualFold(strings.TrimSpace(coding), "gzip") {
 			continue
 		}
-		for _, p := range parts[1:] {
+		for params != "" {
+			var p string
+			p, params, _ = strings.Cut(params, ";")
 			if k, v, ok := strings.Cut(p, "="); ok && strings.EqualFold(strings.TrimSpace(k), "q") {
 				if f, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil && f <= 0 {
 					return false
@@ -85,7 +90,9 @@ func wantsGzip(accept string) bool {
 // tag. Weak-validator prefixes compare equal: byte-identical bodies are
 // a stronger guarantee than the weak comparison needs.
 func etagMatch(header, etag string) bool {
-	for _, c := range strings.Split(header, ",") {
+	for rest := header; rest != ""; {
+		var c string
+		c, rest, _ = strings.Cut(rest, ",")
 		c = strings.TrimSpace(c)
 		if c == "*" || strings.TrimPrefix(c, "W/") == etag {
 			return true
@@ -305,9 +312,21 @@ func appendPostTiming(b []byte, tr *obs.Trace, total time.Duration) []byte {
 }
 
 // appendDur appends a Server-Timing dur parameter: milliseconds with
-// three decimals.
+// three decimals, as strconv.AppendFloat(float64(d)/1e6, 'f', 3) spells
+// them. That call always takes strconv's multi-precision path, so the
+// digits come from the integer microseconds instead; it is left only the
+// exact half-microsecond ties, which the float quotient rounds either
+// way (4500 ns to 0.004 but 5500 ns to 0.005), and durations that are
+// negative or too long for a float64 to hold exactly.
 func appendDur(b []byte, name string, d time.Duration) []byte {
-	return strconv.AppendFloat(append(b, name...), float64(d)/1e6, 'f', 3, 64)
+	b = append(b, name...)
+	if d < 0 || d >= 1<<53 || d%1000 == 500 {
+		return strconv.AppendFloat(b, float64(d)/1e6, 'f', 3, 64)
+	}
+	us := (d + 500) / 1000
+	b = strconv.AppendInt(b, int64(us/1000), 10)
+	frac := us % 1000
+	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
 // planKey is the plan-cache key of q at write generation gen, and the
@@ -481,7 +500,7 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	wr.Begin(plan.Vars, plan.Roles...)
 
 	et := time.Now()
-	_, rows, truncated, err := execute(ctx, plan, st, tr, limit, wr.WriteRow)
+	_, rows, truncated, err := execute(ctx, plan, st, tr, limit, wr.WriteBlock)
 	errMsg := ""
 	if err != nil {
 		errMsg = err.Error()

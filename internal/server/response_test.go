@@ -57,6 +57,16 @@ type dialect struct {
 	bare   func(t *testing.T, st *store.Store) []byte
 }
 
+// byRow is a block sink that hands the rows to write one at a time: the
+// single-row path the served block path must equal byte for byte.
+func byRow(width int, write func([]core.ID)) func([]core.ID, int) {
+	return func(ids []core.ID, rows int) {
+		for i := 0; i < rows; i++ {
+			write(ids[i*width : (i+1)*width])
+		}
+	}
+}
+
 func dialects() []dialect {
 	var out []dialect
 	for _, f := range results.Formats() {
@@ -78,7 +88,7 @@ func dialects() []dialect {
 				wr := results.Acquire(f, st, &buf)
 				defer wr.Release()
 				wr.Begin(plan.Vars, plan.Roles...)
-				if _, _, _, err := execute(context.Background(), plan, st, nil, -1, wr.WriteRow); err != nil {
+				if _, _, _, err := execute(context.Background(), plan, st, nil, -1, byRow(len(plan.Vars), wr.WriteRow)); err != nil {
 					t.Fatal(err)
 				}
 				wr.End()

@@ -67,7 +67,7 @@ type mediaType struct {
 	f        Format
 }
 
-var supported = []mediaType{
+var supported = [...]mediaType{
 	{"application", "sparql-results+json", JSON},
 	{"application", "json", JSON},
 	{"application", "sparql-results+xml", XML},
@@ -105,17 +105,18 @@ func Negotiate(accept string) (Format, bool) {
 		return JSON, true
 	}
 	// Per supported entry: specificity and quality of the best-matching
-	// range seen so far. -1 quality marks "no range matched".
-	spec := make([]int, len(supported))
-	qual := make([]float64, len(supported))
+	// range seen so far. -1 quality marks "no range matched". The header
+	// is scanned in place: negotiation runs on every request and
+	// allocates nothing.
+	var spec [len(supported)]int
+	var qual [len(supported)]float64
 	for i := range qual {
 		qual[i] = -1
 	}
-	for _, elem := range strings.Split(accept, ",") {
+	for rest := accept; rest != ""; {
+		var elem string
+		elem, rest, _ = strings.Cut(rest, ",")
 		rng, q := parseRange(elem)
-		if rng == "" {
-			continue
-		}
 		typ, sub, ok := strings.Cut(rng, "/")
 		if !ok {
 			continue
@@ -123,9 +124,9 @@ func Negotiate(accept string) (Format, bool) {
 		for i, m := range supported {
 			var sp int
 			switch {
-			case typ == m.typ && sub == m.sub:
+			case strings.EqualFold(typ, m.typ) && strings.EqualFold(sub, m.sub):
 				sp = specFull
-			case typ == m.typ && sub == "*":
+			case strings.EqualFold(typ, m.typ) && sub == "*":
 				sp = specType
 			case typ == "*" && sub == "*":
 				sp = specAny
@@ -156,15 +157,16 @@ func Negotiate(accept string) (Format, bool) {
 	return best, found
 }
 
-// parseRange splits one Accept list element into its lowercased media
-// range and quality value. A malformed or absent q parameter reads as
-// 1.0 (the header's default); q is clamped to [0, 1].
+// parseRange splits one Accept list element into its media range, with
+// the surrounding space trimmed, and its quality value. A malformed or
+// absent q parameter reads as 1.0 (the header's default); q is clamped
+// to [0, 1].
 func parseRange(elem string) (string, float64) {
-	parts := strings.Split(elem, ";")
-	rng := strings.ToLower(strings.TrimSpace(parts[0]))
+	rng, params, _ := strings.Cut(elem, ";")
 	q := 1.0
-	for _, p := range parts[1:] {
-		p = strings.TrimSpace(p)
+	for params != "" {
+		var p string
+		p, params, _ = strings.Cut(params, ";")
 		k, v, ok := strings.Cut(p, "=")
 		if !ok || !strings.EqualFold(strings.TrimSpace(k), "q") {
 			continue
@@ -173,5 +175,5 @@ func parseRange(elem string) (string, float64) {
 			q = min(max(f, 0), 1)
 		}
 	}
-	return rng, q
+	return strings.TrimSpace(rng), q
 }

@@ -69,9 +69,10 @@ func (s ctxStore) Select(p core.Pattern) *core.Iterator { return core.SelectWith
 func (s ctxStore) NumTriples() int                      { return s.x.NumTriples() }
 
 // TestRunToWriteRowAllocs pins the row path from the executor into every
-// serializer — the four protocol formats and the NDJSON dialect — at a
-// constant number of allocations per query: the same scan-and-join shape
-// at 100 and at 2000 rows costs the same, so a row costs none.
+// serializer — the four protocol formats and the NDJSON dialect, each fed
+// block by block as the server feeds them and row by row — at a constant
+// number of allocations per query: the same scan-and-join shape at 100
+// and at 2000 rows costs the same, so a row costs none.
 func TestRunToWriteRowAllocs(t *testing.T) {
 	st := joinStore(t, 100, 2000)
 	qc := core.AcquireQueryCtx()
@@ -84,26 +85,40 @@ func TestRunToWriteRowAllocs(t *testing.T) {
 	// what is counted is Run and WriteRow, not the pool's hit rate.
 	type sink struct {
 		name  string
-		row   func([]core.ID)
+		rows  sparql.Sink
 		flush func() error
 	}
+	blocks := func(write func([]core.ID, int)) sparql.Sink {
+		return func(b sparql.Block) { write(b.IDs, b.Rows) }
+	}
 	vars, roles := plans[0].Vars, plans[0].Roles
-	nw := store.AcquireNDJSON(st, io.Discard)
-	defer nw.Release()
-	nw.SetVars(vars, roles)
-	sinks := []sink{{"ndjson", nw.WriteRow, nw.Flush}}
-	for _, f := range Formats() {
-		wr := Acquire(f, st, io.Discard)
-		defer wr.Release()
-		wr.Begin(vars, roles...)
-		sinks = append(sinks, sink{f.String(), wr.WriteRow, wr.Flush})
+	var sinks []sink
+	for _, mode := range []string{"block", "row"} {
+		nw := store.AcquireNDJSON(st, io.Discard)
+		defer nw.Release()
+		nw.SetVars(vars, roles)
+		rows := blocks(nw.WriteBlock)
+		if mode == "row" {
+			rows = sparql.EachRow(nw.WriteRow)
+		}
+		sinks = append(sinks, sink{"ndjson/" + mode, rows, nw.Flush})
+		for _, f := range Formats() {
+			wr := Acquire(f, st, io.Discard)
+			defer wr.Release()
+			wr.Begin(vars, roles...)
+			rows := blocks(wr.WriteBlock)
+			if mode == "row" {
+				rows = sparql.EachRow(wr.WriteRow)
+			}
+			sinks = append(sinks, sink{f.String() + "/" + mode, rows, wr.Flush})
+		}
 	}
 	for _, sk := range sinks {
 		var allocs [2]float64
 		var rows [2]int
 		for k, c := range plans {
 			query := func() {
-				stats, err := sparql.Run(context.Background(), c, ctxStore{st.Index, qc}, sparql.Options{}, sk.row)
+				stats, err := sparql.Run(context.Background(), c, ctxStore{st.Index, qc}, sparql.Options{}, sk.rows)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,7 +160,7 @@ func TestAdaptersMatchSlotPath(t *testing.T) {
 			var slot, adapted bytes.Buffer
 			wr := Acquire(f, st, &slot)
 			wr.Begin(c.Vars, c.Roles...)
-			if _, err := sparql.Run(context.Background(), c, st.Index, sparql.Options{}, wr.WriteRow); err != nil {
+			if _, err := sparql.Run(context.Background(), c, st.Index, sparql.Options{}, sparql.EachRow(wr.WriteRow)); err != nil {
 				t.Fatal(err)
 			}
 			wr.End()

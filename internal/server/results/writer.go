@@ -8,32 +8,26 @@ import (
 	"rdfindexes/internal/store"
 )
 
-// span is one key fragment inside the writer's keybuf.
-type span struct{ start, end int }
-
 // Writer streams one SPARQL result set in one of the four standard
 // formats. It is built exactly like store.NDJSONWriter: rows are
-// hand-assembled into a batched output buffer, terms resolve through the
-// pooled dictionary cursors of a store.Renderer, and each distinct term
-// is format-encoded once per request and replayed from a store.TermTable
-// after that — the steady-state row path performs no allocations in any
-// format. A Writer serves one request on one goroutine; the sequence is
-// Begin, any number of WriteRow, End, Flush, Release.
+// hand-assembled into a batched output buffer a block at a time by a
+// store.Rows, terms resolve through the pooled dictionary cursors of a
+// store.Renderer, and each distinct term is format-encoded once per
+// request and replayed from a term table after that — the steady-state
+// row path performs no allocations in any format. A Writer serves one
+// request on one goroutine; the sequence is Begin, any number of
+// WriteRow or WriteBlock, End, Flush, Release.
 type Writer struct {
 	f    Format
 	w    io.Writer
 	rend *store.Renderer
 	err  error
 
-	buf   []byte          // pending output
-	raw   []byte          // raw N-Triples term scratch
-	val   []byte          // unescaped literal value scratch
-	terms store.TermTable // encoded terms by (role, ID): the two ID spaces overlap
-
-	roles  []core.Role // per column
-	keybuf []byte      // per-column key fragments back to back
-	keyoff []span
-	nrows  int
+	buf  []byte // pending output
+	raw  []byte // raw N-Triples term scratch
+	val  []byte // unescaped literal value scratch
+	key  []byte // column key fragment scratch
+	rows store.Rows
 
 	vars []string  // column names, for WriteSolution only
 	row  []core.ID // WriteSolution's scratch row
@@ -50,7 +44,7 @@ func Acquire(f Format, st *store.Store, w io.Writer) *Writer {
 	wr.w = w
 	wr.rend = store.AcquireRenderer(st)
 	wr.err = nil
-	wr.nrows = 0
+	wr.rows.Bind(&layouts[f], wr, wr.rend)
 	//rdf:allow(ownership transfers to the caller; Release returns it to the pool)
 	return wr
 }
@@ -63,19 +57,17 @@ func (wr *Writer) Release() {
 	}
 	wr.rend.Release()
 	wr.rend, wr.w = nil, nil
-	wr.terms.Reset()
+	wr.rows.Release()
 	wr.buf = store.TrimBuffer(wr.buf)
 	wr.raw = store.TrimBuffer(wr.raw)
 	wr.val = store.TrimBuffer(wr.val)
-	wr.keybuf = store.TrimBuffer(wr.keybuf)
+	wr.key = store.TrimBuffer(wr.key)
 	wr.vars = wr.vars[:0]
-	wr.roles = wr.roles[:0]
-	wr.keyoff = wr.keyoff[:0]
 	writerPool.Put(wr)
 }
 
 // Rows returns the number of solutions written so far.
-func (wr *Writer) Rows() int { return wr.nrows }
+func (wr *Writer) Rows() int { return wr.rows.Len() }
 
 // Flush writes any pending bytes to the underlying writer and reports
 // the first write error seen on this stream.
@@ -106,12 +98,7 @@ func (wr *Writer) Pending() []byte { return wr.buf }
 // columns past len(roles) are subjects/objects.
 func (wr *Writer) Begin(vars []string, roles ...core.Role) {
 	wr.vars = append(wr.vars[:0], vars...)
-	wr.roles = append(wr.roles[:0], roles...)
-	for len(wr.roles) < len(vars) {
-		wr.roles = append(wr.roles, core.RoleSO)
-	}
-	wr.keybuf = wr.keybuf[:0]
-	wr.keyoff = wr.keyoff[:0]
+	wr.rows.SetColumns(len(vars), roles)
 	switch wr.f {
 	case JSON:
 		wr.buf = append(wr.buf, `{"head":{"vars":[`...)
@@ -121,10 +108,8 @@ func (wr *Writer) Begin(vars []string, roles ...core.Role) {
 			}
 			wr.raw = append(wr.raw[:0], v...)
 			wr.buf = store.AppendJSONString(wr.buf, wr.raw)
-			start := len(wr.keybuf)
-			wr.keybuf = store.AppendJSONString(wr.keybuf, wr.raw)
-			wr.keybuf = append(wr.keybuf, ':')
-			wr.keyoff = append(wr.keyoff, span{start, len(wr.keybuf)})
+			wr.key = store.AppendJSONString(wr.key[:0], wr.raw)
+			wr.rows.AddKey(append(wr.key, ':'))
 		}
 		wr.buf = append(wr.buf, `]},"results":{"bindings":[`...)
 	case XML:
@@ -134,18 +119,16 @@ func (wr *Writer) Begin(vars []string, roles ...core.Role) {
 			wr.buf = append(wr.buf, `<variable name="`...)
 			wr.buf = appendXMLAttr(wr.buf, wr.raw)
 			wr.buf = append(wr.buf, `"/>`...)
-			start := len(wr.keybuf)
-			wr.keybuf = append(wr.keybuf, `<binding name="`...)
-			wr.keybuf = appendXMLAttr(wr.keybuf, wr.raw)
-			wr.keybuf = append(wr.keybuf, '"', '>')
-			wr.keyoff = append(wr.keyoff, span{start, len(wr.keybuf)})
+			wr.key = append(wr.key[:0], `<binding name="`...)
+			wr.key = appendXMLAttr(wr.key, wr.raw)
+			wr.rows.AddKey(append(wr.key, '"', '>'))
 		}
 		wr.buf = append(wr.buf, `</head><results>`...)
 	default: // CSV names the columns, TSV writes them as variables
 		l := &layouts[wr.f]
 		for i, v := range vars {
 			if i > 0 {
-				wr.buf = append(wr.buf, l.sep...)
+				wr.buf = append(wr.buf, l.Sep...)
 			}
 			if wr.f == TSV {
 				wr.buf = append(append(wr.buf, '?'), v...)
@@ -154,7 +137,7 @@ func (wr *Writer) Begin(vars []string, roles ...core.Role) {
 				wr.buf = appendCSVField(wr.buf, wr.raw)
 			}
 		}
-		wr.buf = append(wr.buf, l.close...)
+		wr.buf = append(wr.buf, l.Close...)
 	}
 	wr.maybeFlush()
 }
@@ -162,52 +145,28 @@ func (wr *Writer) Begin(vars []string, roles ...core.Role) {
 const xmlHeader = `<?xml version="1.0"?>` + "\n" +
 	`<sparql xmlns="http://www.w3.org/2005/sparql-results#"><head>`
 
-// layout is the fixed text around the cells of one row in one format.
-type layout struct {
-	open, sep, cellClose, close string
-	// keyed rows name their cells (the Begin key fragments) and omit
-	// unbound ones; the others are positional and leave them empty, per
-	// each format's specification.
-	keyed bool
-}
-
-var layouts = [numFormats]layout{
-	JSON: {open: "{", sep: ",", close: "}", keyed: true},
-	XML:  {open: "<result>", cellClose: "</binding>", close: "</result>", keyed: true},
-	CSV:  {sep: ",", close: "\r\n"},
-	TSV:  {sep: "\t", close: "\n"},
+// layouts are the rows of each format. Keyed formats name their cells
+// (the Begin key fragments) and omit unbound ones; the others are
+// positional and leave them empty, per each format's specification.
+var layouts = [numFormats]store.RowLayout{
+	JSON: {Open: "{", Sep: ",", Close: "}", Between: ",", Keyed: true},
+	XML:  {Open: "<result>", CellClose: "</binding>", Close: "</result>", Keyed: true},
+	CSV:  {Sep: ",", Close: "\r\n"},
+	TSV:  {Sep: "\t", Close: "\n"},
 }
 
 // WriteRow emits one solution row: row[i] is the value of Begin's column
 // i, core.Wildcard when the column is unbound.
 //
 //rdf:hotpath
-func (wr *Writer) WriteRow(row []core.ID) {
-	l := &layouts[wr.f]
-	if wr.f == JSON && wr.nrows > 0 {
-		wr.buf = append(wr.buf, ',')
-	}
-	wr.buf = append(wr.buf, l.open...)
-	first := true
-	for i, id := range row {
-		if l.keyed && id == core.Wildcard {
-			continue
-		}
-		if !first {
-			wr.buf = append(wr.buf, l.sep...)
-		}
-		first = false
-		if l.keyed {
-			sp := wr.keyoff[i]
-			wr.buf = append(wr.buf, wr.keybuf[sp.start:sp.end]...)
-		}
-		if id != core.Wildcard {
-			wr.appendTerm(wr.roles[i], id)
-		}
-		wr.buf = append(wr.buf, l.cellClose...)
-	}
-	wr.buf = append(wr.buf, l.close...)
-	wr.nrows++
+func (wr *Writer) WriteRow(row []core.ID) { wr.WriteBlock(row, 1) }
+
+// WriteBlock emits rows solution rows held back to back in ids (a
+// sparql.Block's IDs), exactly as that many WriteRow calls would.
+//
+//rdf:hotpath
+func (wr *Writer) WriteBlock(ids []core.ID, rows int) {
+	wr.buf = wr.rows.Write(wr.buf, ids, rows)
 	wr.maybeFlush()
 }
 
@@ -240,25 +199,11 @@ func (wr *Writer) End() {
 	wr.maybeFlush()
 }
 
-// appendTerm appends the format-encoded term id names in the given role,
-// serving repeats from the term table.
+// EncodeTerm appends the format encoding of one raw N-Triples term; it
+// makes the writer its store.Rows' store.TermEncoder.
 //
 //rdf:hotpath
-func (wr *Writer) appendTerm(role core.Role, id core.ID) {
-	if enc, ok := wr.terms.Get(role, id); ok {
-		wr.buf = append(wr.buf, enc...)
-		return
-	}
-	wr.raw = wr.rend.Append(wr.raw[:0], role, id)
-	start := len(wr.buf)
-	wr.buf = wr.encodeTerm(wr.buf, wr.raw)
-	wr.terms.Add(role, id, wr.buf[start:])
-}
-
-// encodeTerm appends the format encoding of one raw N-Triples term.
-//
-//rdf:hotpath
-func (wr *Writer) encodeTerm(dst, raw []byte) []byte {
+func (wr *Writer) EncodeTerm(dst, raw []byte) []byte {
 	kind, body, lang, dtype := splitTerm(raw)
 	switch wr.f {
 	case JSON:

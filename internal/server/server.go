@@ -408,30 +408,27 @@ func parseLimitValue(v string) (int, error) {
 }
 
 // execute runs plan over the view's index through a pooled query
-// context, passing solutions to write up to the request's row cap (limit;
-// negative for none). Reaching the cap cancels the run, so the executor
-// stops within one cancellation stride instead of computing solutions
-// nobody will see; that cancellation is reported as truncated, not as an
-// error.
+// context, passing solution blocks to write up to the request's row cap
+// (limit; negative for none). The run is asked for one row past the cap:
+// finding it ends the run at once and reports the answer truncated, not
+// failed.
 func execute(ctx context.Context, plan *sparql.Compiled, st *store.Store, tr *obs.Trace,
-	limit int, write func(row []core.ID)) (stats sparql.ExecStats, rows int, truncated bool, err error) {
-	ctx, stop := context.WithCancel(ctx)
-	defer stop()
+	limit int, write func(ids []core.ID, rows int)) (stats sparql.ExecStats, rows int, truncated bool, err error) {
 	qc := core.AcquireQueryCtx()
 	defer qc.Release()
-	stats, err = sparql.Run(ctx, plan, ctxStore{x: st.Index, qc: qc}, sparql.Options{Trace: tr}, func(row []core.ID) {
-		switch {
-		case limit < 0 || rows < limit:
-			write(row)
-			rows++
-		case !truncated:
-			truncated = true
-			stop()
+	opt := sparql.Options{Trace: tr}
+	if limit >= 0 {
+		opt.MaxRows = limit + 1
+	}
+	stats, err = sparql.Run(ctx, plan, ctxStore{x: st.Index, qc: qc}, opt, func(b sparql.Block) {
+		if limit >= 0 && rows+b.Rows > limit {
+			b.Rows, truncated = limit-rows, true
+		}
+		if b.Rows > 0 {
+			write(b.IDs, b.Rows)
+			rows += b.Rows
 		}
 	})
-	if truncated {
-		err = nil
-	}
 	return stats, rows, truncated, err
 }
 
@@ -606,7 +603,7 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	defer nw.Release()
 	nw.SetVars(plan.Vars, plan.Roles)
 
-	stats, rows, truncated, err := execute(ctx, plan, st, nil, limit, nw.WriteRow)
+	stats, rows, truncated, err := execute(ctx, plan, st, nil, limit, nw.WriteBlock)
 	if err != nil {
 		nw.WriteError(err.Error())
 		s.finish(o, nw, key, err)

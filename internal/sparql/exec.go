@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -349,11 +350,48 @@ type Options struct {
 	// the trace was armed with EnableSteps, so the untraced cost is one
 	// predictable branch per candidate.
 	Trace *obs.Trace
+	// MaxRows, when positive, stops the run once it has found that many
+	// solutions; all of them reach the sink. A caller serving a row limit
+	// asks for one more than it writes, so the extra row tells it the
+	// answer was truncated.
+	MaxRows int
 }
 
-// cancelStride is the number of candidate triples examined between two
-// context checks.
-const cancelStride = 1024
+// Block is a run of consecutive solution rows: row i is
+// IDs[i*Width:(i+1)*Width], one core.ID per column of the plan's Vars,
+// core.Wildcard for an unbound one.
+type Block struct {
+	IDs         []core.ID
+	Width, Rows int
+}
+
+// Row returns row i of the block.
+func (b Block) Row(i int) []core.ID { return b.IDs[i*b.Width : (i+1)*b.Width] }
+
+// Sink receives a run's solutions a block at a time, in emission order.
+// The block's IDs are the run's buffer: valid only during the call, and
+// not to be retained or modified.
+type Sink func(Block)
+
+// EachRow adapts a per-row callback to a Sink. Every row is handed over
+// in one buffer, reused from row to row.
+func EachRow(emit func(row []core.ID)) Sink {
+	var row []core.ID
+	return func(b Block) {
+		row = resize(row, b.Width)
+		for i := 0; i < b.Rows; i++ {
+			copy(row, b.Row(i))
+			emit(row)
+		}
+	}
+}
+
+// blockRows is the number of solutions a run collects before handing
+// them to its sink.
+const blockRows = 256
+
+// errLimit unwinds a run that has found Options.MaxRows solutions.
+var errLimit = errors.New("sparql: row limit reached")
 
 // The inner-selection memo. A nested loop substitutes each inner step's
 // pattern once per outer row, and outer rows repeat bindings: a star read
@@ -390,14 +428,19 @@ type run struct {
 	st    Store
 	vs    core.VarSelecter // nil when st cannot serve sorted streams
 	ctx   context.Context
+	done  <-chan struct{} // ctx.Done(), polled once per step batch
+	work  int             // candidates since the last look at done
 	tr    *obs.Trace
-	emit  func([]core.ID)
+	sink  Sink
+	max   int // Options.MaxRows
 	stats ExecStats
-	ticks uint32
 	memo  bool // memoize inner selections (not when recording a decomposition)
 
 	regs []core.ID // the register file; core.Wildcard marks unbound
-	row  []core.ID // the projected row handed to emit
+	// block holds the projected rows not yet handed to the sink, nrows of
+	// them.
+	block []core.ID
+	nrows int
 	// Merge-intersection scratch, indexed by step: a group's streams
 	// occupy the positions of its steps, so nested groups never overlap.
 	its  []*core.VarIter
@@ -422,10 +465,8 @@ var idleRuns = make(chan *run, maxIdleRuns)
 
 const maxIdleRuns = 64
 
-// Run evaluates the plan against st and calls emit (when non-nil) once
-// per solution with the projected row: one core.ID per column of c.Vars,
-// core.Wildcard for an unbound one. The row is reused between calls: it
-// is valid only during the callback and must not be retained or modified.
+// Run evaluates the plan against st and hands the solutions to sink (when
+// non-nil) in blocks of up to blockRows rows, in emission order.
 // Evaluation is nested-loop over the plan's order, except that maximal
 // runs of consecutive patterns sharing their single free variable are
 // resolved with a leapfrog merge-intersection of the sorted binding
@@ -433,25 +474,32 @@ const maxIdleRuns = 64
 // non-joining candidates with NextGEQ instead of enumerating them. An
 // inner selection that repeats is answered from the run's memo.
 //
-// Run aborts with ctx.Err() once ctx is done. That is checked every
-// cancelStride candidate triples, not per triple, so the hot loops stay
-// branch-cheap and a runaway query overshoots by at most one stride.
+// Run aborts with ctx.Err() once ctx is done. That is checked at step
+// batch boundaries — a selection's batch of up to stepBatch triples, a
+// memo replay, a round of a merge-intersection — once at least stepBatch
+// candidates have passed since the last check, so the hot loops stay
+// branch-cheap and a runaway query overshoots by at most about one batch
+// per step.
 //
 //rdf:nonretaining
-func Run(ctx context.Context, c *Compiled, st Store, opt Options, emit func(row []core.ID)) (ExecStats, error) {
-	return exec(ctx, c, st, opt, emit, true)
+func Run(ctx context.Context, c *Compiled, st Store, opt Options, sink Sink) (ExecStats, error) {
+	return exec(ctx, c, st, opt, sink, true)
 }
 
 //rdf:nonretaining
-func exec(ctx context.Context, c *Compiled, st Store, opt Options, emit func(row []core.ID), memo bool) (ExecStats, error) {
+func exec(ctx context.Context, c *Compiled, st Store, opt Options, sink Sink, memo bool) (ExecStats, error) {
 	var r *run
 	select {
 	case r = <-idleRuns:
 	default:
 		r = new(run)
 	}
-	r.start(ctx, c, st, opt.Trace, emit, memo)
+	r.start(ctx, c, st, opt, sink, memo)
 	err := r.step(0)
+	if err == errLimit {
+		err = nil
+	}
+	r.flush()
 	stats := r.stats
 	r.finish()
 	select {
@@ -462,15 +510,18 @@ func exec(ctx context.Context, c *Compiled, st Store, opt Options, emit func(row
 }
 
 // start readies a reused run for one execution.
-func (r *run) start(ctx context.Context, c *Compiled, st Store, tr *obs.Trace, emit func([]core.ID), memo bool) {
-	r.c, r.st, r.ctx, r.tr, r.emit = c, st, ctx, tr, emit
+func (r *run) start(ctx context.Context, c *Compiled, st Store, opt Options, sink Sink, memo bool) {
+	r.c, r.st, r.ctx, r.done, r.tr, r.sink, r.max = c, st, ctx, ctx.Done(), opt.Trace, sink, opt.MaxRows
 	r.vs, _ = st.(core.VarSelecter)
-	r.stats, r.ticks, r.memo = ExecStats{}, 0, memo
+	r.stats, r.memo, r.work = ExecStats{}, memo, stepBatch
 	r.regs = resize(r.regs, c.nslots)
 	for i := range r.regs {
 		r.regs[i] = core.Wildcard
 	}
-	r.row = resize(r.row, len(c.proj))
+	r.nrows = 0
+	if sink != nil {
+		r.block = resize(r.block, blockRows*len(c.proj))
+	}
 	r.cand = resize(r.cand, len(c.steps))
 	r.its = resize(r.its, len(c.steps))
 	r.batch = resize(r.batch, len(c.steps)*stepBatch)
@@ -489,7 +540,7 @@ func (r *run) start(ctx context.Context, c *Compiled, st Store, tr *obs.Trace, e
 // finish drops the run's references to the execution it served, so an
 // idle run pins no store, plan or callback.
 func (r *run) finish() {
-	r.c, r.st, r.vs, r.ctx, r.tr, r.emit = nil, nil, nil, nil, nil, nil
+	r.c, r.st, r.vs, r.ctx, r.done, r.tr, r.sink = nil, nil, nil, nil, nil, nil, nil
 	clear(r.its)
 }
 
@@ -501,15 +552,53 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// check polls the context every cancelStride calls.
+// poll is called before each step batch of n candidates: a batch a
+// selection returned, a memo replay, a round of a merge-intersection. It
+// reports the context's error once it is done, looking only once at
+// least stepBatch candidates have passed since it last looked: the
+// non-blocking receive costs more than a short replay it would guard.
 //
 //rdf:hotpath
-func (r *run) check() error {
-	r.ticks++
-	if r.ticks%cancelStride != 0 {
+func (r *run) poll(n int) error {
+	if r.work += n; r.work < stepBatch {
 		return nil
 	}
-	return r.ctx.Err()
+	r.work = 0
+	select {
+	case <-r.done:
+		return r.ctx.Err()
+	default:
+		return nil
+	}
+}
+
+// flush hands the collected rows to the sink.
+func (r *run) flush() {
+	if r.nrows > 0 {
+		r.sink(Block{IDs: r.block[:r.nrows*len(r.c.proj)], Width: len(r.c.proj), Rows: r.nrows})
+		r.nrows = 0
+	}
+}
+
+// solution records the row the registers now hold, handing a full block
+// to the sink; it unwinds the run with errLimit at Options.MaxRows.
+//
+//rdf:hotpath
+func (r *run) solution() error {
+	r.stats.Results++
+	if r.sink != nil {
+		row := r.block[r.nrows*len(r.c.proj):]
+		for k, slot := range r.c.proj {
+			row[k] = r.regs[slot]
+		}
+		if r.nrows++; r.nrows == blockRows {
+			r.flush()
+		}
+	}
+	if r.stats.Results == r.max {
+		return errLimit
+	}
+	return nil
 }
 
 // step evaluates plan position i under the registers bound so far.
@@ -517,14 +606,7 @@ func (r *run) check() error {
 //rdf:hotpath
 func (r *run) step(i int) error {
 	if i == len(r.c.steps) {
-		r.stats.Results++
-		if r.emit != nil {
-			for k, slot := range r.c.proj {
-				r.row[k] = r.regs[slot]
-			}
-			r.emit(r.row)
-		}
-		return nil
+		return r.solution()
 	}
 	sp := &r.c.steps[i]
 	if sp.gallop > 0 && r.vs != nil {
@@ -542,7 +624,10 @@ func (r *run) step(i int) error {
 		if slot, hit = r.lookup(i, p); hit {
 			r.stats.Replayed++
 			r.tr.StepReplayed(i)
-			err := r.scan(i, sp, r.arena[slot.off:slot.off+slot.n])
+			err := r.poll(int(slot.n))
+			if err == nil {
+				err = r.scan(i, sp, r.arena[slot.off:slot.off+slot.n])
+			}
 			sp.unbind(r.regs)
 			return err
 		}
@@ -558,6 +643,9 @@ func (r *run) step(i int) error {
 	// A batch shorter than buf drained the iterator: asking again would
 	// cost a call and read a state a QueryCtx may already have recycled.
 	for k > 0 {
+		if err = r.poll(k); err != nil {
+			break
+		}
 		if err = r.scan(i, sp, buf[:k]); err != nil || k < len(buf) {
 			break
 		}
@@ -596,9 +684,6 @@ func (r *run) scan(i int, sp *step, ts []core.Triple) error {
 	for _, t := range ts {
 		r.stats.TriplesMatched++
 		r.tr.StepScanned(i)
-		if err := r.check(); err != nil {
-			return err
-		}
 		if sp.ops[0].accept(r.regs, t.S) && sp.ops[1].accept(r.regs, t.P) && sp.ops[2].accept(r.regs, t.O) {
 			r.tr.StepMatched(i)
 			if err := r.step(i + 1); err != nil {
@@ -654,7 +739,7 @@ func (r *run) gallop(i int, sp *step) (done bool, err error) {
 		cand[k] = c
 	}
 	for {
-		if err := r.check(); err != nil {
+		if err := r.poll(1); err != nil {
 			return true, err
 		}
 		maxv := cand[0]
@@ -752,10 +837,10 @@ func StreamWithOrder(ctx context.Context, q Query, st Store, order []int, emit f
 		ctx = context.Background()
 	}
 	b := Bindings{}
-	return Run(ctx, c, st, Options{}, func(row []core.ID) {
+	return Run(ctx, c, st, Options{}, EachRow(func(row []core.ID) {
 		for k, v := range q.Vars {
 			b[v] = row[k]
 		}
 		emit(b)
-	})
+	}))
 }

@@ -25,7 +25,7 @@ func compile(t testing.TB, qs string) *Compiled {
 
 // TestRunCancellation runs a cross-product-heavy query under an
 // already-cancelled context and expects a prompt abort with the
-// context's error, with at most one cancellation stride of extra work.
+// context's error, with at most one step batch of extra work.
 func TestRunCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	st := sliceStore(randomTriples(rng, 1200))
@@ -37,24 +37,24 @@ func TestRunCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled execution returned %v, want context.Canceled", err)
 	}
-	// The check fires every cancelStride candidates; a run that examined
-	// many strides past cancellation would mean the check is not wired
+	// The context is polled once per step batch; a run that examined
+	// several batches past cancellation would mean the poll is not wired
 	// into the hot loop.
-	if stats.TriplesMatched > 2*cancelStride {
-		t.Fatalf("cancelled execution still matched %d triples (> 2 strides)", stats.TriplesMatched)
+	if stats.TriplesMatched > 2*stepBatch {
+		t.Fatalf("cancelled execution still matched %d triples (> 2 batches)", stats.TriplesMatched)
 	}
 	full, err := Run(context.Background(), c, st, Options{}, nil)
-	if err != nil || full.TriplesMatched <= 2*cancelStride {
+	if err != nil || full.TriplesMatched <= 2*stepBatch {
 		t.Fatalf("uncancelled run: %+v, %v; the query is too small to show an early abort", full, err)
 	}
 }
 
 // TestRunCancellationGallop cancels inside the merge-intersection path:
-// patterns sharing their single free variable gallop, and the stride
-// check must fire there too.
+// patterns sharing their single free variable gallop, and the poll must
+// fire there too.
 func TestRunCancellationGallop(t *testing.T) {
 	// Two predicates over the same 3000 subjects and one object: the
-	// intersection agrees 3000 times, well past one stride.
+	// intersection agrees 3000 times, well past one batch of rounds.
 	var ts []core.Triple
 	for s := 0; s < 3000; s++ {
 		ts = append(ts, core.Triple{S: core.ID(s), P: 0, O: 0}, core.Triple{S: core.ID(s), P: 1, O: 0})
@@ -73,8 +73,8 @@ func TestRunCancellationGallop(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled gallop returned %v, want context.Canceled", err)
 	}
-	if stats.Results > cancelStride {
-		t.Fatalf("cancelled gallop still produced %d results (> 1 stride)", stats.Results)
+	if stats.Results > stepBatch {
+		t.Fatalf("cancelled gallop still produced %d results (> 1 batch)", stats.Results)
 	}
 	if full, err := Run(context.Background(), c, x, Options{}, nil); err != nil || full.Results != 3000 {
 		t.Fatalf("uncancelled gallop: %+v, %v", full, err)
@@ -90,7 +90,7 @@ func TestRunReusesRow(t *testing.T) {
 	c := compile(t, "SELECT ?z ?x WHERE { ?x <1> ?y . ?y <1> ?z . }")
 	var first *core.ID
 	rows := 0
-	stats, err := Run(context.Background(), c, st, Options{}, func(row []core.ID) {
+	stats, err := Run(context.Background(), c, st, Options{}, EachRow(func(row []core.ID) {
 		if len(row) != 2 {
 			t.Fatalf("row %v, want 2 columns", row)
 		}
@@ -110,7 +110,7 @@ func TestRunReusesRow(t *testing.T) {
 			t.Fatalf("row (z=%d, x=%d) is not a solution", row[0], row[1])
 		}
 		rows++
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,8 +168,8 @@ func renderPredicates(n int) []string {
 
 // BenchmarkJoinRepeat prices join-stream-shaped queries, one query per
 // op in a fixed cycle, at three depths of the serving path: exec runs the
-// plan into a no-op row sink, exec+json renders every row through the
-// pooled SPARQL JSON writer, and extract decodes each answer's distinct
+// plan with no sink, exec+json renders the answer block by block through
+// the pooled SPARQL JSON writer, and extract decodes each answer's distinct
 // subject/object terms through a dictionary cursor in first-seen order
 // (what the writer's term table asks the dictionary for).
 func BenchmarkJoinRepeat(b *testing.B) {
@@ -197,7 +197,7 @@ func BenchmarkJoinRepeat(b *testing.B) {
 			c := f.plans[i%len(f.plans)]
 			wr := results.Acquire(results.JSON, f.st, io.Discard)
 			wr.Begin(c.Vars, c.Roles...)
-			if _, err := sparql.Run(ctx, c, src, sparql.Options{}, wr.WriteRow); err != nil {
+			if _, err := sparql.Run(ctx, c, src, sparql.Options{}, func(b sparql.Block) { wr.WriteBlock(b.IDs, b.Rows) }); err != nil {
 				b.Fatal(err)
 			}
 			wr.End()
@@ -212,14 +212,14 @@ func BenchmarkJoinRepeat(b *testing.B) {
 		terms := 0
 		for i, c := range f.plans {
 			seen := map[core.ID]bool{}
-			if _, err := sparql.Run(ctx, c, src, sparql.Options{}, func(row []core.ID) {
+			if _, err := sparql.Run(ctx, c, src, sparql.Options{}, sparql.EachRow(func(row []core.ID) {
 				for _, id := range row {
 					if !seen[id] {
 						seen[id] = true
 						ids[i] = append(ids[i], int(id))
 					}
 				}
-			}); err != nil {
+			})); err != nil {
 				b.Fatal(err)
 			}
 			terms += len(ids[i])

@@ -152,9 +152,9 @@ func TestMemoPressure(t *testing.T) {
 		qc := core.AcquireQueryCtx()
 		for name, st := range map[string]Store{"index": x, "ctx": memoCtxStore{x, qc}, "scalar": scalarStore{x}} {
 			var rows [][]core.ID
-			stats, err := Run(context.Background(), c, st, Options{}, func(row []core.ID) {
+			stats, err := Run(context.Background(), c, st, Options{}, EachRow(func(row []core.ID) {
 				rows = append(rows, slices.Clone(row))
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,9 +190,9 @@ func TestMemoPressure(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				k := (g + round) % len(plans)
 				var rows [][]core.ID
-				if _, err := Run(context.Background(), plans[k], memoCtxStore{x, qc}, Options{}, func(row []core.ID) {
+				if _, err := Run(context.Background(), plans[k], memoCtxStore{x, qc}, Options{}, EachRow(func(row []core.ID) {
 					rows = append(rows, slices.Clone(row))
-				}); err != nil {
+				})); err != nil {
 					t.Error(err)
 					return
 				}

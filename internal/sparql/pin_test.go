@@ -183,11 +183,11 @@ func TestExecStatsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := sparql.Run(context.Background(), c, tc.st, sparql.Options{}, func(row []core.ID) {
+			st, err := sparql.Run(context.Background(), c, tc.st, sparql.Options{}, sparql.EachRow(func(row []core.ID) {
 				for _, id := range row {
 					h.Write([]byte{byte(id), byte(id >> 8), byte(id >> 16), byte(id >> 24)})
 				}
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}

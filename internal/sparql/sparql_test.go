@@ -73,7 +73,11 @@ func execute(t testing.TB, q Query, st Store, order []int, emit func(row []core.
 	if err != nil {
 		t.Fatalf("%v: %v", q, err)
 	}
-	stats, err := Run(context.Background(), c, st, Options{}, emit)
+	var sink Sink
+	if emit != nil {
+		sink = EachRow(emit)
+	}
+	stats, err := Run(context.Background(), c, st, Options{}, sink)
 	if err != nil {
 		t.Fatalf("%v: %v", q, err)
 	}

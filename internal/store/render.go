@@ -1,7 +1,8 @@
 // Result materialization: the pooled, allocation-free path from result
 // IDs back to rendered terms. Renderer holds the per-request dictionary
-// cursors (mirroring core.QueryCtx for the ID-level scratch), and
-// NDJSONWriter streams /query and /v1/sparql result rows as NDJSON with an
+// cursors (mirroring core.QueryCtx for the ID-level scratch), Rows renders
+// solution rows a block at a time for both row writers, and NDJSONWriter
+// streams /query and /v1/sparql result rows as NDJSON with an
 // escaped-term cache keyed by (role, ID) — the dominant cost of result
 // streaming after the ID-level pipeline went zero-alloc was exactly this
 // layer re-decoding front-coded buckets and allocating a row object per
@@ -106,9 +107,6 @@ func appendIDTerm(buf []byte, id core.ID) []byte {
 	return append(buf, '>')
 }
 
-// termSpan is one cached escaped term inside an NDJSONWriter arena.
-type termSpan struct{ start, end int }
-
 // StreamAt is the one threshold of the response path, shared by
 // NDJSONWriter and results.Writer: a row writer holds its output until the
 // pending bytes reach StreamAt and flushes in StreamAt-sized writes from
@@ -125,24 +123,33 @@ const trimCap = 1 << 20
 
 // NDJSONWriter streams result rows as NDJSON through pooled scratch:
 // rendered terms are JSON-escaped once per distinct ID per request and
-// replayed from an arena cache after that, rows are hand-built into a
-// batched output buffer (no reflection, no per-row allocation), and the
-// dictionary work goes through a Renderer's cursors. The zero-alloc
-// steady state holds across plain and overlay-dictionary stores. A writer serves one request on one goroutine.
+// replayed from a term table after that, rows are hand-built into a
+// batched output buffer a block at a time (no reflection, no per-row
+// allocation; see Rows), and the dictionary work goes through a
+// Renderer's cursors. The zero-alloc steady state holds across plain and
+// overlay-dictionary stores. A writer serves one request on one
+// goroutine.
 type NDJSONWriter struct {
 	w    io.Writer
 	rend *Renderer
 	ints bool // integer-only store: pattern rows carry raw IDs as numbers
 	err  error
 
-	buf   []byte    // pending output
-	raw   []byte    // unescaped term scratch
-	terms TermTable // escaped terms by (role, ID)
-
-	roles  []core.Role // solution row columns' ID spaces
-	keybuf []byte      // escaped `"var":` fragments back to back
-	keyoff []termSpan
+	buf  []byte // pending output
+	raw  []byte // unescaped term scratch
+	key  []byte // column key fragment scratch
+	rows Rows
 }
+
+// ndjsonRows is the NDJSON layout of a solution row: one JSON object per
+// line, unbound variables omitted.
+var ndjsonRows = RowLayout{Open: "{", Sep: ",", Close: "}\n", Keyed: true}
+
+// jsonTerm encodes a raw term as a JSON string, NDJSON's cell value.
+type jsonTerm struct{}
+
+//rdf:hotpath
+func (jsonTerm) EncodeTerm(dst, raw []byte) []byte { return AppendJSONString(dst, raw) }
 
 var ndjsonPool = sync.Pool{New: func() any { return &NDJSONWriter{} }}
 
@@ -154,6 +161,7 @@ func AcquireNDJSON(st *Store, w io.Writer) *NDJSONWriter {
 	n.rend = AcquireRenderer(st)
 	n.ints = st.Dicts == nil
 	n.err = nil
+	n.rows.Bind(&ndjsonRows, jsonTerm{}, n.rend)
 	//rdf:allow(ownership transfers to the caller; Release returns it to the pool)
 	return n
 }
@@ -166,12 +174,10 @@ func (n *NDJSONWriter) Release() {
 	}
 	n.rend.Release()
 	n.rend, n.w = nil, nil
-	n.terms.Reset()
+	n.rows.Release()
 	n.buf = TrimBuffer(n.buf)
 	n.raw = TrimBuffer(n.raw)
-	n.keybuf = TrimBuffer(n.keybuf)
-	n.roles = n.roles[:0]
-	n.keyoff = n.keyoff[:0]
+	n.key = TrimBuffer(n.key)
 	ndjsonPool.Put(n)
 }
 
@@ -245,37 +251,18 @@ func (n *NDJSONWriter) appendID(id core.ID, role core.Role) {
 		n.buf = strconv.AppendUint(n.buf, uint64(id), 10)
 		return
 	}
-	n.appendTerm(id, role)
-}
-
-// appendTerm appends the escaped term for id, serving repeats from the
-// term table.
-//
-//rdf:hotpath
-func (n *NDJSONWriter) appendTerm(id core.ID, role core.Role) {
-	if enc, ok := n.terms.Get(role, id); ok {
-		n.buf = append(n.buf, enc...)
-		return
-	}
-	n.raw = n.rend.Append(n.raw[:0], role, id)
-	start := len(n.buf)
-	n.buf = AppendJSONString(n.buf, n.raw)
-	n.terms.Add(role, id, n.buf[start:])
+	n.buf = n.rows.AppendTerm(n.buf, role, id)
 }
 
 // SetVars fixes the columns of subsequent WriteRow rows — vars[i] is the
 // key of column i and roles[i] its ID space (a compiled plan's Vars and
 // Roles) — pre-escaping every variable name once.
 func (n *NDJSONWriter) SetVars(vars []string, roles []core.Role) {
-	n.roles = append(n.roles[:0], roles...)
-	n.keybuf = n.keybuf[:0]
-	n.keyoff = n.keyoff[:0]
+	n.rows.SetColumns(len(vars), roles)
 	for _, v := range vars {
-		start := len(n.keybuf)
 		n.raw = append(n.raw[:0], v...)
-		n.keybuf = AppendJSONString(n.keybuf, n.raw)
-		n.keybuf = append(n.keybuf, ':')
-		n.keyoff = append(n.keyoff, termSpan{start, len(n.keybuf)})
+		n.key = AppendJSONString(n.key[:0], n.raw)
+		n.rows.AddKey(append(n.key, ':'))
 	}
 }
 
@@ -285,22 +272,14 @@ func (n *NDJSONWriter) SetVars(vars []string, roles []core.Role) {
 // matching the pre-writer server behavior.
 //
 //rdf:hotpath
-func (n *NDJSONWriter) WriteRow(row []core.ID) {
-	n.buf = append(n.buf, '{')
-	first := true
-	for i, id := range row {
-		if id == core.Wildcard {
-			continue
-		}
-		if !first {
-			n.buf = append(n.buf, ',')
-		}
-		first = false
-		sp := n.keyoff[i]
-		n.buf = append(n.buf, n.keybuf[sp.start:sp.end]...)
-		n.appendTerm(id, n.roles[i])
-	}
-	n.buf = append(n.buf, '}', '\n')
+func (n *NDJSONWriter) WriteRow(row []core.ID) { n.WriteBlock(row, 1) }
+
+// WriteBlock emits rows solution rows held back to back in ids, exactly
+// as that many WriteRow calls would.
+//
+//rdf:hotpath
+func (n *NDJSONWriter) WriteBlock(ids []core.ID, rows int) {
+	n.buf = n.rows.Write(n.buf, ids, rows)
 	n.maybeFlush()
 }
 
