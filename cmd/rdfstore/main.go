@@ -272,11 +272,7 @@ func sparqlCmd(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	translated, err := st.TranslateQuery(*qs)
-	if err != nil {
-		return err
-	}
-	q, err := sparql.Parse(translated)
+	q, err := st.ParseQuery(*qs)
 	if err != nil {
 		return err
 	}

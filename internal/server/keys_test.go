@@ -31,8 +31,8 @@ func TestTimingAndKeyStrings(t *testing.T) {
 		for _, cache := range []string{"hit", "miss", `a "quoted" \ value`} {
 			want := fmt.Sprintf("cache;desc=%q, queue;dur=%.3f, parse;dur=%.3f, plan;dur=%.3f",
 				cache, float64(d[obs.StageQueue])/1e6, float64(d[obs.StageParse])/1e6, float64(d[obs.StagePlan])/1e6)
-			if got := serverTiming(tr, cache); got != want {
-				t.Errorf("serverTiming(%v, %q) = %q, want %q", d, cache, got, want)
+			if got := string(appendServerTiming(nil, tr, cache)); got != want {
+				t.Errorf("appendServerTiming(%v, %q) = %q, want %q", d, cache, got, want)
 			}
 		}
 		want := fmt.Sprintf("exec;dur=%.3f, render;dur=%.3f, total;dur=%.3f",

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"rdfindexes/internal/obs"
@@ -74,12 +75,14 @@ func (s *Server) initMetrics() {
 
 	r.GaugeFunc("rdf_goroutines", "", "Live goroutines",
 		func() float64 { return float64(runtime.NumGoroutine()) })
+	// The runtime series come from runtime/metrics, which unlike
+	// runtime.ReadMemStats does not stop the world on every scrape.
 	r.GaugeFunc("rdf_heap_inuse_bytes", "", "Bytes in in-use heap spans",
-		func() float64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return float64(ms.HeapInuse)
-		})
+		func() float64 { return float64(heapInuse()) })
+	r.CounterFunc("rdf_gc_cycles_total", "", "Completed garbage collection cycles",
+		func() uint64 { return runtimeCounter("/gc/cycles/total:gc-cycles") })
+	r.CounterFunc("rdf_heap_alloc_bytes_total", "", "Bytes allocated on the heap since the process started",
+		func() uint64 { return runtimeCounter("/gc/heap/allocs:bytes") })
 	r.GaugeFunc("rdf_result_cache_bytes", "", "Bytes of response bodies held by the result cache",
 		func() float64 { return float64(s.results.Bytes()) })
 	r.GaugeFunc("rdf_in_flight_requests", "", "Requests currently holding a worker slot",
@@ -145,6 +148,32 @@ func (s *Server) initMetrics() {
 		r.CounterFunc("rdf_repl_snapshots_sent_total", "",
 			"Full snapshots streamed to followers", func() uint64 { return l.Stats().SnapshotsSent })
 	}
+}
+
+// runtimeUint64s reads runtime/metrics samples that hold uint64s; a
+// sample this runtime does not provide reads 0.
+func runtimeUint64s(names ...string) []uint64 {
+	samples := make([]metrics.Sample, len(names))
+	for i, name := range names {
+		samples[i].Name = name
+	}
+	metrics.Read(samples)
+	out := make([]uint64, len(names))
+	for i, s := range samples {
+		if s.Value.Kind() == metrics.KindUint64 {
+			out[i] = s.Value.Uint64()
+		}
+	}
+	return out
+}
+
+func runtimeCounter(name string) uint64 { return runtimeUint64s(name)[0] }
+
+// heapInuse is runtime.MemStats.HeapInuse: the bytes of in-use heap
+// spans, those holding objects and those reserved for them.
+func heapInuse() uint64 {
+	v := runtimeUint64s("/memory/classes/heap/objects:bytes", "/memory/classes/heap/unused:bytes")
+	return v[0] + v[1]
 }
 
 // observeRequest records one finished protocol request into the

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"net/url"
 	"testing"
 
 	"rdfindexes/internal/server/results"
@@ -30,5 +31,33 @@ func TestNegotiationAllocs(t *testing.T) {
 	}
 	if !wantsGzip("gzip, deflate, br") || wantsGzip("deflate, GZIP;q=0") || !etagMatch(`W/"g7-csv", "g8-json"`, `"g8-json"`) {
 		t.Error("header scans disagree with their specification")
+	}
+}
+
+// TestQueryParam holds the in-place URL query scan to
+// url.ParseQuery(raw).Get(name), and pins it at no allocation for a
+// value without escapes.
+func TestQueryParam(t *testing.T) {
+	for _, raw := range []string{
+		"",
+		"query=SELECT+%3Fx&limit=3",
+		"limit=3&query=a&query=b",
+		"%71uery=escaped+key&query=plain",
+		"query=bad%zzescape&query=good",
+		"query;x=1&query=after+semicolon",
+		"a=1&&query=&query=second",
+		"query",
+		"min-gen=7&explain=1&limit=%31%30",
+		"q%zz=1&limit=5",
+	} {
+		want, _ := url.ParseQuery(raw)
+		for _, name := range []string{"query", "limit", "explain", "min-gen"} {
+			if got := queryParam(raw, name); got != want.Get(name) {
+				t.Errorf("queryParam(%q, %q) = %q, url.ParseQuery says %q", raw, name, got, want.Get(name))
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { queryParam("query=SELECT+%3Fx&limit=3&explain=1", "limit") }); n != 0 {
+		t.Errorf("queryParam: %v allocs per call, want 0", n)
 	}
 }

@@ -63,6 +63,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("missing query: %d", resp.StatusCode)
 	}
 
+	runtime.GC() // so rdf_gc_cycles_total has at least this cycle to count
 	resp, body := get(t, ts, "/metrics")
 	if resp.StatusCode != 200 {
 		t.Fatalf("/metrics: status %d", resp.StatusCode)
@@ -101,7 +102,8 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("responses{path=%q} = %v (found %v), want %v", path, v, ok, want)
 		}
 	}
-	for _, g := range []string{"rdf_goroutines", "rdf_heap_inuse_bytes", "rdf_store_triples", "rdf_result_cache_bytes"} {
+	for _, g := range []string{"rdf_goroutines", "rdf_heap_inuse_bytes", "rdf_store_triples", "rdf_result_cache_bytes",
+		"rdf_gc_cycles_total", "rdf_heap_alloc_bytes_total"} {
 		if v, ok := metricValue(samples, g, nil); !ok || v <= 0 {
 			t.Errorf("%s = %v (found %v), want > 0", g, v, ok)
 		}
@@ -191,6 +193,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if v, ok := metricValue(samples, "rdf_merge_seconds_sum", nil); !ok || v <= 0 {
 		t.Errorf("merge seconds sum = %v (found %v), want > 0", v, ok)
+	}
+}
+
+// TestHeapInuseMatchesMemStats: rdf_heap_inuse_bytes, read from
+// runtime/metrics, is the HeapInuse that runtime.ReadMemStats reports.
+func TestHeapInuseMatchesMemStats(t *testing.T) {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	got := heapInuse()
+	// The reads are moments apart; an allocation between them can claim
+	// a span or two.
+	if d := int64(got) - int64(ms.HeapInuse); d < -1<<20 || d > 1<<20 {
+		t.Errorf("heapInuse() = %d, MemStats.HeapInuse = %d", got, ms.HeapInuse)
 	}
 }
 

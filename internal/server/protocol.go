@@ -17,6 +17,7 @@ import (
 	"rdfindexes/internal/obs"
 	"rdfindexes/internal/server/results"
 	"rdfindexes/internal/sparql"
+	"rdfindexes/internal/store"
 )
 
 // The SPARQL 1.1 Protocol endpoint. Queries arrive as GET ?query=, as a
@@ -101,13 +102,40 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
+// queryParam returns the first value of the URL query parameter name in
+// raw, as url.ParseQuery(raw).Get(name) would, without building the map:
+// pairs holding a semicolon or a malformed escape are skipped, as
+// ParseQuery skips them.
+func queryParam(raw, name string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		if key != name {
+			if !strings.ContainsAny(key, "%+") {
+				continue
+			}
+			if k, err := url.QueryUnescape(key); err != nil || k != name {
+				continue
+			}
+		}
+		if v, err := url.QueryUnescape(value); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
 // protocolQuery extracts the query text from whichever of the three
-// protocol request forms was used (params is the parsed URL query), or
-// describes the failure as an HTTP status.
-func protocolQuery(r *http.Request, params url.Values) (string, int, error) {
+// protocol request forms was used, or describes the failure as an HTTP
+// status.
+func protocolQuery(r *http.Request) (string, int, error) {
 	switch r.Method {
 	case http.MethodGet, http.MethodHead:
-		if qs := params.Get("query"); qs != "" {
+		if qs := queryParam(r.URL.RawQuery, "query"); qs != "" {
 			return qs, 0, nil
 		}
 		return "", http.StatusBadRequest, errors.New("missing query parameter")
@@ -144,6 +172,50 @@ func protocolQuery(r *http.Request, params url.Values) (string, int, error) {
 	}
 }
 
+// Header values that never change are shared by every response, so
+// setting one allocates nothing; net/http only reads them. Header keys
+// set directly are spelled in canonical form ("Etag", not "ETag").
+var (
+	missValue     = []string{"miss"}
+	hitValue      = []string{"hit"}
+	gzipValue     = []string{"gzip"}
+	varyValue     = []string{"Accept, Accept-Encoding"}
+	ndjsonValue   = []string{ndjsonType}
+	ctypeValues   = formatValues(results.Format.ContentType)
+	generationKey = http.CanonicalHeaderKey(generationHeader)
+)
+
+// formatValues is one header value per result format, indexed by format.
+func formatValues(value func(results.Format) string) [][]string {
+	fs := results.Formats()
+	out := make([][]string, len(fs))
+	for _, f := range fs {
+		out[f] = []string{value(f)}
+	}
+	return out
+}
+
+// setComputed sets the header values a response computes for two
+// allocations in all, one string they share and one []string holding
+// them: Server-Timing is b[:split] (none when split is 0) and
+// Content-Length b[split:] (none when that is empty).
+func setComputed(h http.Header, b []byte, split int) {
+	if len(b) == 0 {
+		return
+	}
+	all := string(b)
+	vals := make([]string, 0, 2)
+	if split > 0 {
+		vals = append(vals, all[:split])
+		h["Server-Timing"] = vals[:1:1]
+	}
+	if split < len(all) {
+		n := len(vals)
+		vals = append(vals, all[split:])
+		h["Content-Length"] = vals[n : n+1 : n+1]
+	}
+}
+
 // response carries a cache miss from a row writer to the client. The row
 // writer's buffer is the only buffer between a solution row and the
 // socket: nothing reaches w — no status, no header — before the row
@@ -151,7 +223,7 @@ func protocolQuery(r *http.Request, params url.Values) (string, int, error) {
 // store.StreamAt (DESIGN.md, "Response path").
 type response struct {
 	w     http.ResponseWriter
-	ctype string
+	ctype []string     // the Content-Type header value
 	zw    *gzip.Writer // reset onto w when the client accepts gzip, else nil
 	tr    *obs.Trace   // nil on the NDJSON dialect, which sends no Server-Timing
 	t0    time.Time    // request start
@@ -160,25 +232,30 @@ type response struct {
 }
 
 // open commits the headers of a 200 miss. A complete (one-piece) body
-// lets Server-Timing carry every stage; a streamed response announces the
+// lets Server-Timing carry every stage and, uncompressed, announce its
+// length (negative: unknown); a streamed response announces the
 // pre-stream stages here and the rest in a trailer.
-func (o *response) open(complete bool) {
+func (o *response) open(complete bool, length int) {
 	h := o.w.Header()
-	h.Set("Content-Type", o.ctype)
-	h.Set("X-Cache", "miss")
+	h["Content-Type"] = o.ctype
+	h["X-Cache"] = missValue
+	var buf [256]byte
+	b := buf[:0]
 	if o.tr != nil {
-		var b [224]byte
-		timing := appendServerTiming(b[:0], o.tr, "miss")
+		b = appendServerTiming(b, o.tr, "miss")
 		if complete {
-			timing = appendPostTiming(append(timing, ", "...), o.tr, time.Since(o.t0))
+			b = appendPostTiming(append(b, ", "...), o.tr, time.Since(o.t0))
 		}
-		h.Set("Server-Timing", string(timing))
 	}
+	split := len(b)
 	o.out = o.w
 	if o.zw != nil {
-		h.Set("Content-Encoding", "gzip")
+		h["Content-Encoding"] = gzipValue
 		o.out = o.zw
+	} else if length >= 0 {
+		b = strconv.AppendInt(b, int64(length), 10)
 	}
+	setComputed(h, b, split)
 }
 
 // Write is the row writer's flush; the first one makes the response
@@ -187,7 +264,7 @@ func (o *response) open(complete bool) {
 // writes at most once per store.StreamAt bytes.
 func (o *response) Write(p []byte) (int, error) {
 	if o.out == nil {
-		o.open(false)
+		o.open(false, -1)
 	}
 	start := time.Now()
 	n, err := o.out.Write(p)
@@ -227,10 +304,7 @@ func (s *Server) finish(o *response, rw rowWriter, key string, err error) {
 		}
 		s.onePiece.Add(1)
 		o.tr.AddStage(obs.StageRender, time.Since(rt))
-		o.open(true)
-		if o.zw == nil {
-			o.w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-		}
+		o.open(true, len(body))
 	} else {
 		s.streamed.Add(1)
 		if err != nil {
@@ -264,17 +338,25 @@ func failStatus(err error) int {
 
 // serveHit answers from a cached uncompressed body, compressing per this
 // client's Accept-Encoding. The explicit Content-Length keeps a hit larger
-// than net/http's sniff buffer from going out chunked.
-func serveHit(w http.ResponseWriter, ctype string, body []byte, gz bool) {
+// than net/http's sniff buffer from going out chunked. tr, when not nil,
+// is the request's trace for Server-Timing.
+func serveHit(w http.ResponseWriter, ctype []string, tr *obs.Trace, body []byte, gz bool) {
 	h := w.Header()
-	h.Set("Content-Type", ctype)
-	h.Set("X-Cache", "hit")
+	h["Content-Type"] = ctype
+	h["X-Cache"] = hitValue
+	var buf [128]byte
+	b := buf[:0]
+	if tr != nil {
+		b = appendServerTiming(b, tr, "hit")
+	}
+	split := len(b)
 	if !gz {
-		h.Set("Content-Length", strconv.Itoa(len(body)))
+		setComputed(h, strconv.AppendInt(b, int64(len(body)), 10), split)
 		w.Write(body)
 		return
 	}
-	h.Set("Content-Encoding", "gzip")
+	setComputed(h, b, split)
+	h["Content-Encoding"] = gzipValue
 	zw := gzipPool.Get().(*gzip.Writer)
 	zw.Reset(w)
 	zw.Write(body)
@@ -282,14 +364,9 @@ func serveHit(w http.ResponseWriter, ctype string, body []byte, gz bool) {
 	gzipPool.Put(zw)
 }
 
-// serverTiming renders the Server-Timing entries known before the first
-// body byte: the result-cache verdict and the stages that precede
+// appendServerTiming renders the Server-Timing entries known before the
+// first body byte: the result-cache verdict and the stages that precede
 // execution.
-func serverTiming(tr *obs.Trace, cache string) string {
-	var b [128]byte
-	return string(appendServerTiming(b[:0], tr, cache))
-}
-
 func appendServerTiming(b []byte, tr *obs.Trace, cache string) []byte {
 	b = strconv.AppendQuote(append(b, "cache;desc="...), cache)
 	b = appendDur(b, ", queue;dur=", tr.Stages[obs.StageQueue])
@@ -337,7 +414,28 @@ func appendDur(b []byte, name string, d time.Duration) []byte {
 // across generations.
 func planKey(gen uint64, q sparql.Query) string {
 	var b [256]byte
-	return string(q.AppendTo(append(strconv.AppendUint(append(b[:0], 'g'), gen, 10), '|')))
+	return string(appendPlanKey(b[:0], gen, q))
+}
+
+func appendPlanKey(b []byte, gen uint64, q sparql.Query) []byte {
+	return q.AppendTo(append(strconv.AppendUint(append(b, 'g'), gen, 10), '|'))
+}
+
+// resultKey is the protocol endpoint's result-cache key of q in format f
+// under a row limit, and inside it, as a substring, q's plan key: one
+// string for both caches. The plan key matches the NDJSON dialect's on
+// purpose: both endpoints evaluate the same BGP, so they share cached
+// plans. The result key adds the format, since the cached bytes are the
+// serialized (uncompressed) response body.
+func resultKey(f results.Format, gen uint64, q sparql.Query, limit int) (key, plan string) {
+	var b [256]byte
+	k := append(append(b[:0], "p|"...), f.String()...)
+	k = append(k, '|')
+	from := len(k)
+	k = appendPlanKey(k, gen, q)
+	to := len(k)
+	key = string(strconv.AppendInt(append(k, '|'), int64(limit), 10))
+	return key, key[from:to]
 }
 
 // notModified reports whether the request's conditional headers prove
@@ -370,9 +468,7 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	s.protocols.Add(1)
 	tr := obs.AcquireTrace()
 	defer tr.Release()
-	// One parse of the URL query serves all four parameters read below.
-	params := r.URL.Query()
-	qs, status, err := protocolQuery(r, params)
+	qs, status, err := protocolQuery(r)
 	if err != nil {
 		if status == http.StatusMethodNotAllowed {
 			w.Header().Set("Allow", "GET, HEAD, POST")
@@ -386,21 +482,23 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("no acceptable result format; supported: %s", results.SupportedTypes()))
 		return
 	}
-	limit, err := parseLimitValue(params.Get("limit"))
+	limit, err := parseLimitValue(queryParam(r.URL.RawQuery, "limit"))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	explain := params.Get("explain") == "1"
+	explain := queryParam(r.URL.RawQuery, "explain") == "1"
 
 	st, gen := s.view()
 	// The min-gen consistency token gates the whole request — including
 	// revalidation: a 304 against a stale view would be just as stale as
 	// a 200 from it.
-	if !s.checkMinGen(w, params.Get("min-gen"), gen) {
+	if !s.checkMinGen(w, queryParam(r.URL.RawQuery, "min-gen"), gen) {
 		return
 	}
-	w.Header().Set(generationHeader, strconv.FormatUint(s.generationToken(gen), 10))
+	vals := s.validators(st, gen)
+	h := w.Header()
+	h[generationKey] = vals.generation
 	// The representation is fully determined by (write generation,
 	// format): the view is immutable and query evaluation is
 	// deterministic over it. That makes the pair a sound strong
@@ -412,60 +510,51 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	// speak If-Modified-Since. An explain response is volatile
 	// (timings), so it neither carries the validators nor honors the
 	// conditionals.
-	h := w.Header()
-	if !st.Modified.IsZero() {
-		h.Set("Last-Modified", st.Modified.UTC().Format(http.TimeFormat))
+	if vals.lastModified != nil {
+		h["Last-Modified"] = vals.lastModified
 	}
 	if !explain {
-		etag := `"g` + strconv.FormatUint(gen, 10) + `-` + f.String() + `"`
-		h.Set("ETag", etag)
-		h.Set("Vary", "Accept, Accept-Encoding")
-		if notModified(r, etag, st.Modified) {
+		etag := vals.etags[f]
+		h["Etag"] = etag
+		h["Vary"] = varyValue
+		if notModified(r, etag[0], st.Modified) {
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
 	}
 
 	pt := time.Now()
-	translated, err := st.TranslateQuery(qs)
-	if err != nil {
+	qp := queries.Get().(*sparql.Query)
+	defer queries.Put(qp)
+	if err := st.ParseQueryInto(qp, qs); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	q, err := sparql.Parse(translated)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
+	q := *qp
 	tr.AddStage(obs.StageParse, time.Since(pt))
 
 	if r.Method == http.MethodHead {
 		// The validators and negotiated type above are everything a HEAD
 		// asks for; execution is skipped (the body would be thrown away).
-		h.Set("Content-Type", f.ContentType())
+		h["Content-Type"] = ctypeValues[f]
 		w.WriteHeader(http.StatusOK)
 		return
 	}
 
-	// norm matches the NDJSON dialect's plan-cache key on purpose: both
-	// endpoints evaluate the same BGP, so they share cached plans. The
-	// result-cache key adds the format — the cached bytes are the
-	// serialized (uncompressed) response body.
-	norm := planKey(gen, q)
-	key := "p|" + f.String() + "|" + norm + "|" + strconv.Itoa(limit)
+	key, norm := resultKey(f, gen, q, limit)
 	gz := wantsGzip(r.Header.Get("Accept-Encoding"))
 	if !explain {
 		if body, ok := s.results.Get(key); ok {
-			h.Set("Server-Timing", serverTiming(tr, "hit"))
-			serveHit(w, f.ContentType(), body, gz)
+			serveHit(w, ctypeValues[f], tr, body, gz)
 			s.observeRequest(tr, time.Since(t0))
 			return
 		}
 	}
 
 	qt := time.Now()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
+	x := s.begin(r)
+	defer x.end()
+	ctx := &x.ctx
 	if err := s.acquire(ctx); err != nil {
 		s.rejectBusy(w)
 		return
@@ -486,7 +575,8 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	o := &response{w: w, ctype: f.ContentType(), tr: tr, t0: t0}
+	o := &x.resp
+	*o = response{w: w, ctype: ctypeValues[f], tr: tr, t0: t0}
 	if gz {
 		// Reset reopens a closed (or untouched) writer, so pooled reuse is
 		// safe whichever way the response ends.
@@ -515,4 +605,45 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	total := time.Since(t0)
 	s.observeRequest(tr, total)
 	s.slow.Record("sparql", qs, gen, rows, truncated, errMsg, total, tr)
+}
+
+// queries recycles the parsed queries of protocol requests: a request
+// keeps nothing of its Query past its end (a compiled plan copies the
+// names it keeps), so it parses into a recycled one without allocating.
+var queries = sync.Pool{New: func() any { return new(sparql.Query) }}
+
+// protocolValidators are the header values of protocol responses that
+// depend only on the view served, formatted once per view rather than
+// once per request. They identify the view by its generation, token and
+// publication time, not by pointer, so they never keep a retired view
+// alive.
+type protocolValidators struct {
+	gen, token   uint64
+	modified     time.Time
+	generation   []string   // X-RDF-Generation: the consistency token
+	lastModified []string   // nil when the view has no publication time
+	etags        [][]string // ETag per result format
+}
+
+// validators returns the header values for the view st at write
+// generation gen.
+func (s *Server) validators(st *store.Store, gen uint64) *protocolValidators {
+	token := s.generationToken(gen)
+	if v := s.valid.Load(); v != nil && v.gen == gen && v.token == token && v.modified.Equal(st.Modified) {
+		return v
+	}
+	v := &protocolValidators{
+		gen:        gen,
+		token:      token,
+		modified:   st.Modified,
+		generation: []string{strconv.FormatUint(token, 10)},
+		etags: formatValues(func(f results.Format) string {
+			return `"g` + strconv.FormatUint(gen, 10) + `-` + f.String() + `"`
+		}),
+	}
+	if !st.Modified.IsZero() {
+		v.lastModified = []string{st.Modified.UTC().Format(http.TimeFormat)}
+	}
+	s.valid.Store(v)
+	return v
 }

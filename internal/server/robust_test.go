@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -266,6 +268,58 @@ func TestBusyRetryAfter(t *testing.T) {
 	if stats.RejectedBusy != 1 {
 		t.Fatalf("busy rejection not counted: %+v", stats)
 	}
+}
+
+// TestRequestDeadline holds the request context to context.WithTimeout's
+// contract: Err reports the request's cancellation or the deadline by the
+// clock, Done closes at the deadline once asked for, and Err agrees with
+// it from then on.
+func TestRequestDeadline(t *testing.T) {
+	srv := New(testStore(t, 4, 1), Options{Timeout: 30 * time.Millisecond})
+	parent, cancel := context.WithCancel(context.Background())
+	r := httptest.NewRequest(http.MethodGet, "/sparql", nil).WithContext(parent)
+
+	x := srv.begin(r)
+	if d, ok := x.ctx.Deadline(); !ok || time.Until(d) > 30*time.Millisecond {
+		t.Fatalf("Deadline() = %v, %v", d, ok)
+	}
+	if err := x.ctx.Err(); err != nil {
+		t.Fatalf("fresh context: %v", err)
+	}
+	cancel()
+	if err := x.ctx.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("after the request was canceled: %v, want Canceled", err)
+	}
+	x.end()
+
+	// Past the deadline, with no Done asked for: the clock decides.
+	x = srv.begin(httptest.NewRequest(http.MethodGet, "/sparql", nil))
+	time.Sleep(40 * time.Millisecond)
+	if err := x.ctx.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("past the deadline: %v, want DeadlineExceeded", err)
+	}
+	select {
+	case <-x.ctx.Done():
+	case <-time.After(time.Second):
+		t.Fatal("Done asked for past the deadline did not close")
+	}
+	x.end()
+
+	// Done asked for before the deadline closes at it.
+	x = srv.begin(httptest.NewRequest(http.MethodGet, "/sparql", nil))
+	done := x.ctx.Done()
+	if err := x.ctx.Err(); err != nil {
+		t.Fatalf("Done armed before the deadline: Err %v", err)
+	}
+	select {
+	case <-done:
+		if err := x.ctx.Err(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("after Done closed: %v, want DeadlineExceeded", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Done did not close at the deadline")
+	}
+	x.end()
 }
 
 // buildMutableStore writes a small dictionary store to disk for

@@ -51,6 +51,8 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"rdfindexes/internal/core"
@@ -192,6 +194,7 @@ type Server struct {
 	sem     chan struct{} // bounded worker pool
 	results *lruCache[[]byte]
 	plans   *lruCache[*sparql.Compiled]
+	valid   atomic.Pointer[protocolValidators] // the serving view's, once a protocol request formatted them
 
 	limiter *rateLimiter // nil when Config.RateLimit is 0
 	brk     *breaker     // nil when the breaker is disabled
@@ -342,6 +345,87 @@ func (s *Server) rejectBusy(w http.ResponseWriter) {
 	httpError(w, http.StatusServiceUnavailable, errBusy)
 }
 
+// reqCtx is a request's context under the server's execution deadline
+// (Options.Timeout from the request's arrival here). context.WithTimeout
+// would arm a timer and register a child with the request's context on
+// every request: most of the garbage a point query leaves, for a deadline
+// that a query finishing in microseconds never nears. Err reads the clock
+// instead, and the timer-backed context is built only for a caller that
+// waits on Done, such as a request queueing for a worker slot.
+type reqCtx struct {
+	context.Context // the request's
+	deadline        time.Time
+
+	mu     sync.Mutex
+	timed  context.Context // context.WithDeadline(Context, deadline), once Done was asked for
+	cancel context.CancelFunc
+}
+
+func (c *reqCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+func (c *reqCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.timed == nil {
+		c.timed, c.cancel = context.WithDeadline(c.Context, c.deadline)
+	}
+	return c.timed.Done()
+}
+
+// Err is what Done's context would report. Until something asks for Done
+// no channel can disagree with it, so it is the request's error or the
+// clock's verdict.
+func (c *reqCtx) Err() error {
+	c.mu.Lock()
+	timed := c.timed
+	c.mu.Unlock()
+	if timed != nil {
+		return timed.Err()
+	}
+	if err := c.Context.Err(); err != nil {
+		return err
+	}
+	if !time.Now().Before(c.deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// exchange is the state of one request that takes a worker slot: its
+// deadline context and the response a row writer flushes into. Both
+// escape to the heap, the context into the executor and the response
+// into the row writer, so exchanges are pooled rather than allocated per
+// request.
+type exchange struct {
+	ctx  reqCtx
+	resp response
+}
+
+var exchanges = sync.Pool{New: func() any { return new(exchange) }}
+
+// begin starts r's deadline. The request ends its exchange, and uses
+// neither the context nor the response after that.
+func (s *Server) begin(r *http.Request) *exchange {
+	x := exchanges.Get().(*exchange)
+	parent := r.Context()
+	x.ctx.Context, x.ctx.deadline = parent, time.Now().Add(s.cfg.Timeout)
+	if pd, ok := parent.Deadline(); ok && pd.Before(x.ctx.deadline) {
+		x.ctx.deadline = pd
+	}
+	//rdf:allow(ownership transfers to the caller; end returns it to the pool)
+	return x
+}
+
+// end releases the timer the context's Done armed, if it did, and
+// recycles the exchange.
+func (x *exchange) end() {
+	if x.ctx.cancel != nil {
+		x.ctx.cancel()
+	}
+	*x = exchange{}
+	exchanges.Put(x)
+}
+
 // acquire claims a worker slot, waiting on ctx when the pool is full.
 func (s *Server) acquire(ctx context.Context) error {
 	select {
@@ -416,21 +500,51 @@ func execute(ctx context.Context, plan *sparql.Compiled, st *store.Store, tr *ob
 	limit int, write func(ids []core.ID, rows int)) (stats sparql.ExecStats, rows int, truncated bool, err error) {
 	qc := core.AcquireQueryCtx()
 	defer qc.Release()
+	e := execStates.Get().(*execState)
+	defer execStates.Put(e)
+	defer e.clear()
+	e.store = ctxStore{x: st.Index, qc: qc}
+	e.limit, e.write = limit, write
 	opt := sparql.Options{Trace: tr}
 	if limit >= 0 {
 		opt.MaxRows = limit + 1
 	}
-	stats, err = sparql.Run(ctx, plan, ctxStore{x: st.Index, qc: qc}, opt, func(b sparql.Block) {
-		if limit >= 0 && rows+b.Rows > limit {
-			b.Rows, truncated = limit-rows, true
-		}
-		if b.Rows > 0 {
-			write(b.IDs, b.Rows)
-			rows += b.Rows
-		}
-	})
+	stats, err = sparql.Run(ctx, plan, &e.store, opt, e.sink)
+	rows, truncated = e.rows, e.truncated
 	return stats, rows, truncated, err
 }
+
+// execState is what execute hands a run: the store adapter and the row
+// cap, whose sink is bound once per pooled state rather than once per
+// run, so execute itself allocates nothing.
+type execState struct {
+	store     ctxStore
+	limit     int
+	rows      int
+	truncated bool
+	write     func(ids []core.ID, rows int)
+	sink      sparql.Sink // e.block
+}
+
+var execStates = sync.Pool{New: func() any {
+	e := new(execState)
+	e.sink = e.block
+	return e
+}}
+
+// block passes a block on to write, cut at the row cap.
+func (e *execState) block(b sparql.Block) {
+	if e.limit >= 0 && e.rows+b.Rows > e.limit {
+		b.Rows, e.truncated = e.limit-e.rows, true
+	}
+	if b.Rows > 0 {
+		e.write(b.IDs, b.Rows)
+		e.rows += b.Rows
+	}
+}
+
+// clear readies the state for the pool, keeping the bound sink.
+func (e *execState) clear() { *e = execState{sink: e.sink} }
 
 // plan returns the compiled plan for q from the plan cache, compiling it
 // on a miss. norm is the cache key: the write generation plus q's
@@ -472,12 +586,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// if they race the explicit cache flush.
 	key := patternKey(gen, pat, limit)
 	if body, ok := s.results.Get(key); ok {
-		serveHit(w, ndjsonType, body, false)
+		serveHit(w, ndjsonValue, nil, body, false)
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
+	x := s.begin(r)
+	defer x.end()
+	ctx := &x.ctx
 	if err := s.acquire(ctx); err != nil {
 		s.rejectBusy(w)
 		return
@@ -490,7 +605,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Rows are hand-built into the pooled NDJSON writer's buffer with
 	// escaped terms cached by ID, so the steady-state row path does not
 	// allocate.
-	o := &response{w: w, ctype: ndjsonType}
+	o := &x.resp
+	*o = response{w: w, ctype: ndjsonValue}
 	nw := store.AcquireNDJSON(st, o)
 	defer nw.Release()
 
@@ -567,12 +683,7 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	translated, err := st.TranslateQuery(qs)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	q, err := sparql.Parse(translated)
+	q, err := st.ParseQuery(qs)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -580,12 +691,13 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	norm := planKey(gen, q)
 	key := "s|" + norm + "|" + strconv.Itoa(limit)
 	if body, ok := s.results.Get(key); ok {
-		serveHit(w, ndjsonType, body, false)
+		serveHit(w, ndjsonValue, nil, body, false)
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
+	x := s.begin(r)
+	defer x.end()
+	ctx := &x.ctx
 	if err := s.acquire(ctx); err != nil {
 		s.rejectBusy(w)
 		return
@@ -598,7 +710,8 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	o := &response{w: w, ctype: ndjsonType}
+	o := &x.resp
+	*o = response{w: w, ctype: ndjsonValue}
 	nw := store.AcquireNDJSON(st, o)
 	defer nw.Release()
 	nw.SetVars(plan.Vars, plan.Roles)
@@ -671,8 +784,9 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, insert bool
 	// Workers requests contend for the store's writer mutex, and later
 	// arrivals 503 when their deadline passes first — a threshold merge
 	// holding the mutex for a rebuild must not pile up goroutines.
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
+	x := s.begin(r)
+	defer x.end()
+	ctx := &x.ctx
 	if err := s.acquire(ctx); err != nil {
 		if s.brk != nil {
 			// No write happened; a granted half-open probe must not stay

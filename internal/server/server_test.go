@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -703,6 +704,64 @@ func TestLRU(t *testing.T) {
 	zero.Put("x", 1)
 	if _, ok := zero.Get("x"); ok {
 		t.Fatal("disabled cache stored a value")
+	}
+}
+
+// TestLRUModel drives the cache with random Gets, Puts and Clears and
+// compares every answer, length and byte total with a plain
+// recency-ordered slice.
+func TestLRUModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, capacity := range []int{1, 2, 3, 7} {
+		c := newLRU(capacity, func(v int) int { return v })
+		type entry struct {
+			key string
+			val int
+		}
+		var model []entry // most recently used first
+		find := func(key string) int {
+			for i, e := range model {
+				if e.key == key {
+					return i
+				}
+			}
+			return -1
+		}
+		for op := 0; op < 5000; op++ {
+			key := strconv.Itoa(rng.Intn(2*capacity + 1))
+			switch r := rng.Intn(20); {
+			case r == 0:
+				c.Clear()
+				model = model[:0]
+			case r < 10:
+				v, ok := c.Get(key)
+				i := find(key)
+				if ok != (i >= 0) || ok && v != model[i].val {
+					t.Fatalf("cap %d op %d: Get(%s) = %d, %v; model %v", capacity, op, key, v, ok, model)
+				}
+				if ok {
+					e := model[i]
+					model = append([]entry{e}, append(model[:i:i], model[i+1:]...)...)
+				}
+			default:
+				v := rng.Intn(100)
+				c.Put(key, v)
+				if i := find(key); i >= 0 {
+					model = append(model[:i:i], model[i+1:]...)
+				}
+				model = append([]entry{{key, v}}, model...)
+				if len(model) > capacity {
+					model = model[:capacity]
+				}
+			}
+			sum := 0
+			for _, e := range model {
+				sum += e.val
+			}
+			if c.Len() != len(model) || c.Bytes() != sum {
+				t.Fatalf("cap %d op %d: len %d bytes %d, model len %d bytes %d", capacity, op, c.Len(), c.Bytes(), len(model), sum)
+			}
+		}
 	}
 }
 

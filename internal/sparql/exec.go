@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"rdfindexes/internal/core"
 	"rdfindexes/internal/obs"
@@ -62,23 +63,42 @@ func slotOf(names []string, v string) int {
 }
 
 // resolve numbers the query's variables in first-occurrence order and
-// rewrites every pattern over those slots.
-func resolve(q Query) (names []string, pats [][3]operand) {
-	pats = make([][3]operand, len(q.Patterns))
-	for i, tp := range q.Patterns {
+// rewrites every pattern over those slots, appending the names by slot
+// and the patterns to the given buffers: Plan and Compile pass arrays on
+// their stacks, which hold queries of up to maxInline patterns.
+func resolve(q Query, names []string, pats [][3]operand) ([]string, [][3]operand) {
+	for _, tp := range q.Patterns {
+		var p [3]operand
 		for k, t := range [3]Term{tp.S, tp.P, tp.O} {
 			if !t.IsVar() {
-				pats[i][k] = operand{slot: -1, id: t.ID}
+				p[k] = operand{slot: -1, id: t.ID}
 				continue
 			}
 			slot := slotOf(names, t.Var)
 			if slot == len(names) {
 				names = append(names, t.Var)
 			}
-			pats[i][k].slot = slot
+			p[k].slot = slot
 		}
+		pats = append(pats, p)
 	}
 	return names, pats
+}
+
+// The stack buffers resolve and its callers work in.
+type (
+	nameBuf [3 * maxInline]string
+	patBuf  [maxInline][3]operand
+	flagBuf [3 * maxInline]bool
+)
+
+// zeroed returns n zero values, in buf when it is long enough.
+func zeroed[T any](buf []T, n int) []T {
+	if n > len(buf) {
+		return make([]T, n)
+	}
+	clear(buf[:n])
+	return buf[:n]
 }
 
 // free reports whether the component is still a wildcard once the bound
@@ -123,14 +143,22 @@ func shapeCost(s core.Shape) int {
 }
 
 // greedy orders the BGP's patterns: at each step it picks the unused
-// pattern that cost ranks cheapest under the slots bound so far, with
-// patterns sharing no bound variable made apart times dearer (they would
-// start a Cartesian product). It returns the evaluation order as indexes
-// into q.Patterns.
-func greedy(q Query, apart int, cost func(p [3]operand, bound []bool) int) []int {
-	names, pats := resolve(q)
-	bound := make([]bool, len(names))
-	used := make([]bool, len(pats))
+// pattern whose cost is lowest under the slots bound so far, with
+// patterns sharing no bound variable made dearer (they would start a
+// Cartesian product). The cost is the static shape cost, or with st the
+// measured one (see PlanWithStats). It returns the evaluation order as
+// indexes into q.Patterns.
+func greedy(q Query, st Store) []int {
+	var nb nameBuf
+	var pb patBuf
+	var bb, ub flagBuf
+	names, pats := resolve(q, nb[:0], pb[:0])
+	bound := zeroed(bb[:], len(names))
+	used := zeroed(ub[:], len(pats))
+	apart := 1 << 10
+	if st != nil {
+		apart = 1 << 16
+	}
 	order := make([]int, 0, len(pats))
 	for len(order) < len(pats) {
 		best, bestCost := -1, math.MaxInt
@@ -138,7 +166,12 @@ func greedy(q Query, apart int, cost func(p [3]operand, bound []bool) int) []int
 			if used[i] {
 				continue
 			}
-			c := cost(p, bound)
+			var c int
+			if st == nil {
+				c = staticCost(p, bound)
+			} else {
+				c = measuredCost(st, p, bound)
+			}
 			shares := false
 			for _, r := range p {
 				shares = shares || r.slot >= 0 && bound[r.slot]
@@ -163,16 +196,16 @@ func greedy(q Query, apart int, cost func(p [3]operand, bound []bool) int) []int
 
 // Plan orders the BGP's patterns by the static cost of the shape each
 // has once the variables bound so far count as constants.
-func Plan(q Query) []int {
-	return greedy(q, 1<<10, func(p [3]operand, bound []bool) int {
-		var c [3]core.ID
-		for k, r := range p {
-			if r.free(bound) {
-				c[k] = core.Wildcard
-			}
+func Plan(q Query) []int { return greedy(q, nil) }
+
+func staticCost(p [3]operand, bound []bool) int {
+	var c [3]core.ID
+	for k, r := range p {
+		if r.free(bound) {
+			c[k] = core.Wildcard
 		}
-		return shapeCost(core.Pattern{S: c[0], P: c[1], O: c[2]}.Shape())
-	})
+	}
+	return shapeCost(core.Pattern{S: c[0], P: c[1], O: c[2]}.Shape())
 }
 
 // PlanWithStats orders the BGP's patterns like Plan but replaces the
@@ -182,21 +215,21 @@ func Plan(q Query) []int {
 // position as a cheap stand-in for the bound prefix. This is the
 // direction the paper lists as future work ("devising a novel query
 // planning algorithm"); the executor accepts either order.
-func PlanWithStats(q Query, st Store) []int {
-	return greedy(q, 1<<16, func(p [3]operand, bound []bool) int {
-		var c [3]core.ID
-		divisor := 1
-		for k, r := range p {
-			c[k] = r.id
-			if r.slot >= 0 {
-				c[k] = core.Wildcard
-				if bound[r.slot] {
-					divisor *= 64
-				}
+func PlanWithStats(q Query, st Store) []int { return greedy(q, st) }
+
+func measuredCost(st Store, p [3]operand, bound []bool) int {
+	var c [3]core.ID
+	divisor := 1
+	for k, r := range p {
+		c[k] = r.id
+		if r.slot >= 0 {
+			c[k] = core.Wildcard
+			if bound[r.slot] {
+				divisor *= 64
 			}
 		}
-		return max(max(countUpTo(st, core.Pattern{S: c[0], P: c[1], O: c[2]}, 1<<16), 1)/divisor, 1)
-	})
+	}
+	return max(max(countUpTo(st, core.Pattern{S: c[0], P: c[1], O: c[2]}, 1<<16), 1)/divisor, 1)
 }
 
 // countUpTo counts matches of p, stopping at limit.
@@ -250,6 +283,27 @@ func (sp *step) substitute(regs []core.ID) core.Pattern {
 	return core.Pattern{S: sp.ops[0].load(regs), P: sp.ops[1].load(regs), O: sp.ops[2].load(regs)}
 }
 
+// cloneNames copies names into one string. A plan outlives its query in
+// the server's plan cache, and views into the query text would keep all
+// of the text alive.
+func cloneNames(names []string) []string {
+	n := 0
+	for _, s := range names {
+		n += len(s)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, s := range names {
+		b.WriteString(s)
+	}
+	all := b.String()
+	out := make([]string, len(names))
+	for i, s := range names {
+		out[i], all = all[:len(s)], all[len(s):]
+	}
+	return out
+}
+
 // Compiled is a BGP with its evaluation order compiled into an immutable
 // plan, shareable between concurrent Runs: every variable is a dense
 // register slot and — because the order fixes which slots are bound at
@@ -275,8 +329,11 @@ type Compiled struct {
 // or object: the two are separate ID spaces, so such a join compares
 // unrelated numbers.
 func Compile(q Query, order []int) (*Compiled, error) {
-	names, pats := resolve(q)
-	seen := make([]bool, len(pats))
+	var nb nameBuf
+	var pb patBuf
+	var sb, bb flagBuf
+	names, pats := resolve(q, nb[:0], pb[:0])
+	seen := zeroed(sb[:], len(pats))
 	valid := len(order) == len(pats)
 	for _, i := range order {
 		if valid = valid && i >= 0 && i < len(pats) && !seen[i]; valid {
@@ -287,7 +344,8 @@ func Compile(q Query, order []int) (*Compiled, error) {
 		return nil, fmt.Errorf("sparql: order %v is not a permutation of %d patterns", order, len(pats))
 	}
 	// roles[slot] is 1 + the variable's Role once a pattern has used it.
-	roles := make([]core.Role, len(names))
+	var roleBuf [3 * maxInline]core.Role
+	roles := zeroed(roleBuf[:], len(names))
 	for _, p := range pats {
 		for k, o := range p {
 			role := 1 + core.RoleSO
@@ -302,8 +360,9 @@ func Compile(q Query, order []int) (*Compiled, error) {
 		}
 	}
 
-	c := &Compiled{Vars: q.Vars, Order: order, steps: make([]step, len(order)), nslots: len(names)}
-	bound := make([]bool, len(names))
+	c := &Compiled{Vars: cloneNames(q.Vars), Order: order, steps: make([]step, len(order)), nslots: len(names),
+		proj: make([]int, 0, len(q.Vars)), Roles: make([]core.Role, 0, len(q.Vars))}
+	bound := zeroed(bb[:], len(names))
 	for i, pi := range order {
 		sp := &c.steps[i]
 		sp.pattern, sp.ops = pi, pats[pi]
@@ -428,8 +487,7 @@ type run struct {
 	st    Store
 	vs    core.VarSelecter // nil when st cannot serve sorted streams
 	ctx   context.Context
-	done  <-chan struct{} // ctx.Done(), polled once per step batch
-	work  int             // candidates since the last look at done
+	work  int // candidates since the last look at ctx
 	tr    *obs.Trace
 	sink  Sink
 	max   int // Options.MaxRows
@@ -511,7 +569,7 @@ func exec(ctx context.Context, c *Compiled, st Store, opt Options, sink Sink, me
 
 // start readies a reused run for one execution.
 func (r *run) start(ctx context.Context, c *Compiled, st Store, opt Options, sink Sink, memo bool) {
-	r.c, r.st, r.ctx, r.done, r.tr, r.sink, r.max = c, st, ctx, ctx.Done(), opt.Trace, sink, opt.MaxRows
+	r.c, r.st, r.ctx, r.tr, r.sink, r.max = c, st, ctx, opt.Trace, sink, opt.MaxRows
 	r.vs, _ = st.(core.VarSelecter)
 	r.stats, r.memo, r.work = ExecStats{}, memo, stepBatch
 	r.regs = resize(r.regs, c.nslots)
@@ -540,7 +598,7 @@ func (r *run) start(ctx context.Context, c *Compiled, st Store, opt Options, sin
 // finish drops the run's references to the execution it served, so an
 // idle run pins no store, plan or callback.
 func (r *run) finish() {
-	r.c, r.st, r.vs, r.ctx, r.done, r.tr, r.sink = nil, nil, nil, nil, nil, nil, nil
+	r.c, r.st, r.vs, r.ctx, r.tr, r.sink = nil, nil, nil, nil, nil, nil
 	clear(r.its)
 }
 
@@ -555,8 +613,9 @@ func resize[T any](s []T, n int) []T {
 // poll is called before each step batch of n candidates: a batch a
 // selection returned, a memo replay, a round of a merge-intersection. It
 // reports the context's error once it is done, looking only once at
-// least stepBatch candidates have passed since it last looked: the
-// non-blocking receive costs more than a short replay it would guard.
+// least stepBatch candidates have passed since it last looked: the look
+// costs more than a short replay it would guard. It asks Err rather than
+// receiving from Done, which many contexts build only when asked for.
 //
 //rdf:hotpath
 func (r *run) poll(n int) error {
@@ -564,12 +623,7 @@ func (r *run) poll(n int) error {
 		return nil
 	}
 	r.work = 0
-	select {
-	case <-r.done:
-		return r.ctx.Err()
-	default:
-		return nil
-	}
+	return r.ctx.Err()
 }
 
 // flush hands the collected rows to the sink.

@@ -10,6 +10,8 @@
 //	SELECT ?x ?y WHERE { ?x <3> ?y . ?y <5> <120> . }
 //
 // Variables are ?name tokens; constants are <id> with a decimal ID.
+// ParseWith also accepts constants spelled as RDF terms, which its
+// Resolver maps to IDs as the parser reaches them.
 package sparql
 
 import (
@@ -84,155 +86,292 @@ func (q Query) AppendTo(b []byte) []byte {
 	return append(b, " }"...)
 }
 
-// Parse parses a query in the accepted fragment.
-func Parse(input string) (Query, error) {
-	toks, err := tokenize(input)
-	if err != nil {
+// Parse parses a query in the accepted fragment, whose constants are all
+// <id>.
+func Parse(input string) (Query, error) { return ParseWith(input, nil) }
+
+// Resolver maps a constant of the BGP that is not an <id> — an <IRI>, a
+// "literal" with any @lang or ^^<datatype> suffix, a blank node — to its
+// dictionary ID. term is the constant as the query spells it; pred says
+// it stands in predicate position, whose IDs are a separate space.
+type Resolver func(term string, pred bool) (core.ID, error)
+
+// ParseWith parses a query whose BGP may also spell its constants as RDF
+// terms, which resolve maps to IDs (nil: only <id> constants). The query
+// is tokenized and resolved in one pass over the text, term-aware: dots
+// inside <IRI>s and "literal"s, near universal in real RDF, do not
+// separate patterns. Nothing after the BGP's closing brace is read.
+func ParseWith(input string, resolve Resolver) (Query, error) {
+	var q Query
+	if err := ParseInto(&q, input, resolve); err != nil {
 		return Query{}, err
 	}
-	p := &parser{toks: toks}
-	return p.parseQuery()
+	return q, nil
 }
 
+// ParseInto is ParseWith into q, reusing the capacity of q's slices: a
+// caller that recycles its Query, keeping nothing of it past its next
+// use, parses without allocating. On an error q is left empty.
+func ParseInto(q *Query, input string, resolve Resolver) error {
+	p := parser{in: input, terms: resolve != nil}
+	q.Vars, q.Patterns = q.Vars[:0], q.Patterns[:0]
+	return p.parseQuery(q, resolve)
+}
+
+// tokKind classifies a token.
+type tokKind uint8
+
+const (
+	tokEOF   tokKind = iota
+	tokKw            // a bare word before the BGP: SELECT, WHERE
+	tokVar           // ?name; text is the name
+	tokID            // <digits>; id is the value
+	tokTerm          // any other constant inside the BGP; text as written
+	tokPunct         // { } or .
+)
+
 type token struct {
-	kind string // "kw", "var", "id", "punct"
+	kind tokKind
 	text string
 	id   core.ID
 }
 
-func tokenize(input string) ([]token, error) {
-	var toks []token
-	i := 0
-	for i < len(input) {
-		c := input[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '{' || c == '}' || c == '.':
-			toks = append(toks, token{kind: "punct", text: string(c)})
-			i++
-		case c == '?':
-			j := i + 1
-			for j < len(input) && isNameChar(input[j]) {
-				j++
-			}
-			if j == i+1 {
-				return nil, fmt.Errorf("sparql: empty variable name at offset %d", i)
-			}
-			toks = append(toks, token{kind: "var", text: input[i+1 : j]})
-			i = j
-		case c == '<':
-			j := strings.IndexByte(input[i:], '>')
-			if j < 0 {
-				return nil, fmt.Errorf("sparql: unterminated <...> at offset %d", i)
-			}
-			body := input[i+1 : i+j]
+// parser lexes the query as it parses it, one token at a time, so the
+// only allocations are the slices of the Query it fills.
+type parser struct {
+	in    string
+	pos   int
+	inBGP bool // past the BGP's opening brace
+	terms bool // constants may be RDF terms, not only <id>
+}
+
+// next lexes the token at the read position.
+func (p *parser) next() (token, error) {
+	in := p.in
+	i := p.pos
+	for i < len(in) && isSpace(in[i]) {
+		i++
+	}
+	if i == len(in) {
+		p.pos = i
+		return token{}, nil
+	}
+	c, j := in[i], i+1
+	var t token
+	switch {
+	case c == '{' || c == '}' || c == '.':
+		t = token{kind: tokPunct, text: in[i:j]}
+	case c == '?':
+		for j < len(in) && isNameChar(in[j]) {
+			j++
+		}
+		if j == i+1 {
+			return t, fmt.Errorf("sparql: empty variable name at offset %d", i)
+		}
+		t = token{kind: tokVar, text: in[i+1 : j]}
+	case c == '<':
+		k := strings.IndexByte(in[i:], '>')
+		if k < 0 {
+			return t, fmt.Errorf("sparql: unterminated <...> at offset %d", i)
+		}
+		j = i + k + 1
+		body := in[i+1 : j-1]
+		if isDigits(body) || !p.terms {
 			id, err := strconv.ParseUint(body, 10, 32)
 			if err != nil {
-				return nil, fmt.Errorf("sparql: constant %q is not a numeric ID (dictionary-encode IRIs first)", body)
+				return t, fmt.Errorf("sparql: constant %q is not a numeric ID (dictionary-encode IRIs first)", body)
 			}
-			toks = append(toks, token{kind: "id", id: core.ID(id)})
-			i += j + 1
-		default:
-			j := i
-			for j < len(input) && isNameChar(input[j]) {
-				j++
-			}
-			if j == i {
-				return nil, fmt.Errorf("sparql: unexpected character %q at offset %d", c, i)
-			}
-			toks = append(toks, token{kind: "kw", text: strings.ToUpper(input[i:j])})
-			i = j
+			t = token{kind: tokID, id: core.ID(id)}
+		} else {
+			t = token{kind: tokTerm, text: in[i:j]}
 		}
+	case c == '"' && p.inBGP:
+		var err error
+		if j, err = literalEnd(in, i); err != nil {
+			return t, err
+		}
+		t = token{kind: tokTerm, text: in[i:j]}
+	case p.inBGP:
+		// A bare constant (a blank node, say): it runs to whitespace, a
+		// dot or a brace.
+		for j < len(in) && !isSpace(in[j]) && in[j] != '.' && in[j] != '{' && in[j] != '}' {
+			j++
+		}
+		t = token{kind: tokTerm, text: in[i:j]}
+	default:
+		j = i
+		for j < len(in) && isNameChar(in[j]) {
+			j++
+		}
+		if j == i {
+			return t, fmt.Errorf("sparql: unexpected character %q at offset %d", c, i)
+		}
+		t = token{kind: tokKw, text: in[i:j]}
 	}
-	return toks, nil
+	p.pos = j
+	return t, nil
 }
+
+// literalEnd returns the end of the "literal" starting at i, past any
+// attached @lang or ^^<datatype> suffix; a bare '.' after the closing
+// quote stays a pattern separator.
+func literalEnd(in string, i int) (int, error) {
+	j := i + 1
+	for j < len(in) && in[j] != '"' {
+		if in[j] == '\\' {
+			j++
+		}
+		j++
+	}
+	if j >= len(in) {
+		return 0, fmt.Errorf("sparql: unterminated string literal at offset %d", i)
+	}
+	j++ // closing quote
+	if j < len(in) && in[j] == '@' {
+		j++
+		for j < len(in) && (isNameChar(in[j]) || in[j] == '-') && in[j] != '_' {
+			j++
+		}
+	} else if strings.HasPrefix(in[j:], "^^<") {
+		k := strings.IndexByte(in[j:], '>')
+		if k < 0 {
+			return 0, fmt.Errorf("sparql: unterminated datatype IRI at offset %d", j)
+		}
+		j += k + 1
+	}
+	return j, nil
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 func isNameChar(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_'
 }
 
-type parser struct {
-	toks []token
-	pos  int
-}
-
-func (p *parser) next() (token, bool) {
-	if p.pos >= len(p.toks) {
-		return token{}, false
+func isDigits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
 	}
-	t := p.toks[p.pos]
-	p.pos++
-	return t, true
+	return s != ""
 }
 
-func (p *parser) expectKw(kw string) error {
-	t, ok := p.next()
-	if !ok || t.kind != "kw" || t.text != kw {
-		return fmt.Errorf("sparql: expected %s", kw)
+// expect consumes the next token and checks that it is the keyword or
+// punctuation want.
+func (p *parser) expect(kind tokKind, want string) error {
+	t, err := p.next()
+	if err != nil {
+		return err
+	}
+	if t.kind != kind || !strings.EqualFold(t.text, want) {
+		if kind == tokKw {
+			return fmt.Errorf("sparql: expected %s", want)
+		}
+		return fmt.Errorf("sparql: expected %q", want)
 	}
 	return nil
 }
 
-func (p *parser) expectPunct(s string) error {
-	t, ok := p.next()
-	if !ok || t.kind != "punct" || t.text != s {
-		return fmt.Errorf("sparql: expected %q", s)
-	}
-	return nil
-}
+// maxInline is how many projected variables and patterns a query may have
+// before parsing them spills from the stack: they are collected there and
+// copied out once, at their exact size.
+const maxInline = 8
 
-func (p *parser) parseQuery() (Query, error) {
-	var q Query
-	if err := p.expectKw("SELECT"); err != nil {
-		return q, err
+func (p *parser) parseQuery(q *Query, resolve Resolver) error {
+	if err := p.expect(tokKw, "SELECT"); err != nil {
+		return err
 	}
-	for p.pos < len(p.toks) && p.toks[p.pos].kind == "var" {
-		q.Vars = append(q.Vars, p.toks[p.pos].text)
-		p.pos++
+	var varBuf [maxInline]string
+	vars := varBuf[:0]
+	t, err := p.next()
+	for ; err == nil && t.kind == tokVar; t, err = p.next() {
+		vars = append(vars, t.text)
 	}
-	if len(q.Vars) == 0 {
-		return q, fmt.Errorf("sparql: SELECT needs at least one variable")
+	if err != nil {
+		return err
 	}
-	if err := p.expectKw("WHERE"); err != nil {
-		return q, err
+	if len(vars) == 0 {
+		return fmt.Errorf("sparql: SELECT needs at least one variable")
 	}
-	if err := p.expectPunct("{"); err != nil {
-		return q, err
+	if t.kind != tokKw || !strings.EqualFold(t.text, "WHERE") {
+		return fmt.Errorf("sparql: expected WHERE")
 	}
-	for p.pos < len(p.toks) && !(p.toks[p.pos].kind == "punct" && p.toks[p.pos].text == "}") {
+	if err := p.expect(tokPunct, "{"); err != nil {
+		return err
+	}
+	p.inBGP = true
+	var patBuf [maxInline]TriplePattern
+	pats := patBuf[:0]
+	for {
+		t, err := p.next()
+		if err != nil {
+			return err
+		}
+		if t.kind == tokPunct && t.text == "}" {
+			break
+		}
 		var terms [3]Term
-		for k := 0; k < 3; k++ {
-			t, ok := p.next()
-			if !ok {
-				return q, fmt.Errorf("sparql: truncated triple pattern")
+		for k := range terms {
+			if k > 0 {
+				if t, err = p.next(); err != nil {
+					return err
+				}
 			}
-			switch t.kind {
-			case "var":
-				terms[k] = V(t.text)
-			case "id":
-				terms[k] = C(t.id)
-			default:
-				return q, fmt.Errorf("sparql: unexpected token %q in triple pattern", t.text)
+			if terms[k], err = p.term(t, k == 1, resolve); err != nil {
+				return err
 			}
 		}
-		if err := p.expectPunct("."); err != nil {
-			return q, err
+		pats = append(pats, TriplePattern{terms[0], terms[1], terms[2]})
+		if t, err = p.next(); err != nil {
+			return err
 		}
-		q.Patterns = append(q.Patterns, TriplePattern{terms[0], terms[1], terms[2]})
+		if t.kind == tokPunct && t.text == "." {
+			continue
+		}
+		// The integer syntax ends every pattern with a dot; with RDF
+		// terms, as in SPARQL, the last pattern's dot is optional.
+		if !p.terms || t.kind != tokPunct || t.text != "}" {
+			return fmt.Errorf("sparql: expected %q after triple pattern", ".")
+		}
+		break
 	}
-	if err := p.expectPunct("}"); err != nil {
-		return q, err
-	}
-	if len(q.Patterns) == 0 {
-		return q, fmt.Errorf("sparql: empty BGP")
+	if len(pats) == 0 {
+		return fmt.Errorf("sparql: empty BGP")
 	}
 	// Projection variables must occur in the BGP.
-	names, _ := resolve(q)
-	for _, v := range q.Vars {
-		if slotOf(names, v) == len(names) {
-			return q, fmt.Errorf("sparql: projected variable ?%s not used in the BGP", v)
+	for _, v := range vars {
+		if !(Query{Patterns: pats}).uses(v) {
+			return fmt.Errorf("sparql: projected variable ?%s not used in the BGP", v)
 		}
 	}
-	return q, nil
+	q.Vars, q.Patterns = append(q.Vars, vars...), append(q.Patterns, pats...)
+	return nil
+}
+
+// term turns the token t at a pattern position into a Term, resolving an
+// RDF-term constant; pred marks the predicate position.
+func (p *parser) term(t token, pred bool, resolve Resolver) (Term, error) {
+	switch {
+	case t.kind == tokVar:
+		return V(t.text), nil
+	case t.kind == tokID:
+		return C(t.id), nil
+	case t.kind == tokTerm && resolve != nil:
+		id, err := resolve(t.text, pred)
+		return C(id), err
+	case t.kind == tokEOF:
+		return Term{}, fmt.Errorf("sparql: truncated triple pattern")
+	}
+	return Term{}, fmt.Errorf("sparql: unexpected token %q in triple pattern", t.text)
+}
+
+// uses reports whether variable v occurs in one of q's patterns.
+func (q Query) uses(v string) bool {
+	for _, tp := range q.Patterns {
+		if tp.S.Var == v || tp.P.Var == v || tp.O.Var == v {
+			return true
+		}
+	}
+	return false
 }

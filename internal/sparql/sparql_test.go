@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -60,6 +61,97 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse accepted %q", s)
 		}
+	}
+}
+
+// TestParseWith covers the RDF-term spellings a Resolver receives: IRIs
+// and literals whose dots are not separators, language and datatype
+// suffixes, escaped quotes, blank nodes, <id> constants passed through,
+// the predicate flag and the optional dot after the last pattern.
+func TestParseWith(t *testing.T) {
+	type call struct {
+		term string
+		pred bool
+	}
+	var calls []call
+	ids := map[string]core.ID{}
+	resolve := func(term string, pred bool) (core.ID, error) {
+		calls = append(calls, call{term, pred})
+		id, ok := ids[term]
+		if !ok {
+			id = core.ID(100 + len(ids))
+			ids[term] = id
+		}
+		return id, nil
+	}
+	for _, c := range []struct {
+		query string
+		want  string // the parsed query's String form
+		calls []call
+	}{
+		{"SELECT ?x WHERE { ?x <http://a.org/p.1> <http://a.org/o.2> . }",
+			"SELECT ?x WHERE { ?x <100> <101> . }",
+			[]call{{"<http://a.org/p.1>", true}, {"<http://a.org/o.2>", false}}},
+		{`select ?x where { ?x <7> "v1.0". ?x <http://a.org/p.1> "say \"hi\"."@en-GB }`,
+			"SELECT ?x WHERE { ?x <7> <102> . ?x <100> <103> . }",
+			[]call{{`"v1.0"`, false}, {"<http://a.org/p.1>", true}, {`"say \"hi\"."@en-GB`, false}}},
+		{`SELECT ?x WHERE { _:b1 <8> ?x . ?x <8> "2.5"^^<http://www.w3.org/2001/XMLSchema#decimal> . }`,
+			"SELECT ?x WHERE { <104> <8> ?x . ?x <8> <105> . }",
+			[]call{{"_:b1", false}, {`"2.5"^^<http://www.w3.org/2001/XMLSchema#decimal>`, false}}},
+		{"SELECT ?x WHERE {?x <1> <2>}",
+			"SELECT ?x WHERE { ?x <1> <2> . }", nil},
+	} {
+		calls = nil
+		q, err := ParseWith(c.query, resolve)
+		if err != nil {
+			t.Errorf("ParseWith(%q): %v", c.query, err)
+			continue
+		}
+		if got := q.String(); got != c.want {
+			t.Errorf("ParseWith(%q) = %q, want %q", c.query, got, c.want)
+		}
+		if !reflect.DeepEqual(calls, c.calls) {
+			t.Errorf("ParseWith(%q) resolved %v, want %v", c.query, calls, c.calls)
+		}
+	}
+
+	for _, bad := range []string{
+		"SELECT ?x WHERE { ?x <http://a.org/p> . }",        // two terms
+		"SELECT ?x WHERE { ?x <http://a.org/p> ?y ?z . }",  // four terms
+		"SELECT ?x WHERE { ?x <http://unterminated }",      // unterminated IRI
+		`SELECT ?x WHERE { ?x <http://a.org/p> "open . }`,  // unterminated literal
+		`SELECT ?x WHERE { ?x <1> "x"^^<http://open . }`,   // unterminated datatype
+		"SELECT ?x WHERE { ?x <99999999999> ?y . }",        // ID overflows
+		"SELECT ?x WHERE { ?x <1> ?y . ?x <2> ?z",          // no closing brace
+		"SELECT ?x <http://a.org/h> WHERE { ?x <1> ?y . }", // term outside the BGP
+		"no braces",
+	} {
+		if _, err := ParseWith(bad, resolve); err == nil {
+			t.Errorf("ParseWith accepted %q", bad)
+		}
+	}
+
+	// The resolver's error is the parse error, and the integer syntax
+	// keeps its required final dot.
+	missing := errors.New("term not in dictionary")
+	if _, err := ParseWith("SELECT ?x WHERE { ?x <http://a.org/p> ?y . }",
+		func(string, bool) (core.ID, error) { return 0, missing }); err != missing {
+		t.Errorf("resolver error came back as %v", err)
+	}
+	if _, err := Parse("SELECT ?x WHERE { ?x <1> ?y }"); err == nil {
+		t.Error("Parse accepted a pattern without its dot")
+	}
+}
+
+// TestParseAllocs pins the parse at its result: one allocation for the
+// projection and one for the patterns.
+func TestParseAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Parse("SELECT ?x ?y WHERE { ?x <3> ?y . ?y <5> <120> . }"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 2 {
+		t.Errorf("Parse: %v allocations, want 2", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +13,8 @@ import (
 
 	"rdfindexes/internal/codec"
 	"rdfindexes/internal/core"
+	"rdfindexes/internal/gen"
+	"rdfindexes/internal/rdf"
 )
 
 // mapsFiles is whether Read maps store files on this platform
@@ -178,4 +181,74 @@ func TestMappedStoreLifetime(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		drain(st.Index)
 	}
+}
+
+// TestMappedOpenHeap pins what a mapped open adds to the live heap: the
+// index and the dictionaries are served from the file, so the heap grows
+// only by the decoded directories, well under a tenth of the file. A
+// heap allocation the file's size, such as a copy of it, fails the test.
+func TestMappedOpenHeap(t *testing.T) {
+	if !mapsFiles {
+		t.Skip("store files are read into memory on this platform")
+	}
+	// The socket benchmark's shape of data: dbpedia-like triples over
+	// IRIs with long shared prefixes, a third of the objects literals.
+	g, err := gen.GeneratePreset("dbpedia", 100000, 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, tr := range g.Triples {
+		fmt.Fprintf(&sb, "<http://dbpedia.org/resource/E%d> <http://dbpedia.org/ontology/p%d> ", tr.S, tr.P)
+		if tr.O%3 == 0 {
+			fmt.Fprintf(&sb, "\"Label of catalogue item %d\"@en .\n", tr.O)
+		} else {
+			fmt.Fprintf(&sb, "<http://dbpedia.org/resource/E%d> .\n", tr.O)
+		}
+	}
+	statements, err := rdf.ParseAll(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, dicts, err := rdf.Encode(statements)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := core.Build(d, core.Layout2Tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "store.idx")
+	if err := Write(path, &Store{Index: x, Dicts: dicts}); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, statements, d, dicts, x = nil, nil, nil, nil, nil
+
+	live := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := live()
+	st, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	growth := live() - before
+	if !st.Integrity.Mapped {
+		t.Fatal("Read did not map the store file")
+	}
+	if n := countMatches(t, st, "?", "?", "?"); n == 0 {
+		t.Fatal("the mapped store answers nothing")
+	}
+	t.Logf("file %d bytes, heap growth across Read %d bytes (%.1f%%)", fi.Size(), growth, 100*float64(growth)/float64(fi.Size()))
+	if growth > fi.Size()/10 {
+		t.Errorf("Read grew the live heap by %d bytes, over a tenth of the %d-byte file", growth, fi.Size())
+	}
+	runtime.KeepAlive(st)
 }

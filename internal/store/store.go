@@ -25,6 +25,7 @@ import (
 	"rdfindexes/internal/dict"
 	"rdfindexes/internal/faultfs"
 	"rdfindexes/internal/rdf"
+	"rdfindexes/internal/sparql"
 )
 
 // Magic is the store signature; a store file holds one index. The
@@ -233,13 +234,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 type mapping struct {
 	data   []byte
 	mapped bool
-	// credit is allocated and never written. It keeps the garbage
-	// collector's heap goal counting the store, as it counted the heap
-	// copy the mapping replaced; without it the goal shrinks by the
-	// store's size and the collector runs several times as often. A
-	// fresh allocation this size comes from untouched pages, so it costs
-	// address space, not resident memory.
-	credit []byte
 }
 
 // mappedBytes totals the mappings currently held by this process.
@@ -272,7 +266,6 @@ func openMapping(path string) (*mapping, time.Time, error) {
 	}
 	m := &mapping{data: data, mapped: mapped}
 	if mapped {
-		m.credit = make([]byte, len(data))
 		mappedBytes.Add(int64(len(data)))
 		runtime.SetFinalizer(m, (*mapping).release)
 	}
@@ -290,7 +283,7 @@ func (m *mapping) release() {
 	m.mapped = false
 	mappedBytes.Add(-int64(len(m.data)))
 	_ = unmapFile(m.data) // a failed munmap leaves only address space behind
-	m.data, m.credit = nil, nil
+	m.data = nil
 }
 
 // part is one part of a store file as walkContainer found it.
@@ -519,156 +512,43 @@ func (st *Store) RenderPredicate(id core.ID) string {
 	return fmt.Sprintf("<%d>", id)
 }
 
-// TranslateQuery rewrites URI/literal constants of a BGP query into
-// dictionary IDs so the integer-level sparql parser can handle it.
-// Constants in predicate position use the predicate dictionary;
-// subject/object positions use the shared SO dictionary. The body is
-// tokenized term-aware — dots inside <IRI>s and "literal"s (near
-// universal in real RDF) are not pattern separators.
-func (st *Store) TranslateQuery(qs string) (string, error) {
-	open := strings.IndexByte(qs, '{')
-	close := strings.LastIndexByte(qs, '}')
-	if open < 0 || close < open {
-		return "", fmt.Errorf("query has no { ... } block")
+// ParseQuery parses a BGP query whose constants are RDF terms as the
+// store's dictionaries spell them (or <id> constants), resolving each to
+// its ID as the parser reaches it: predicate positions use the predicate
+// dictionary, subject/object positions the shared SO dictionary.
+func (st *Store) ParseQuery(qs string) (sparql.Query, error) {
+	return sparql.ParseWith(qs, st.locate)
+}
+
+// ParseQueryInto is ParseQuery into q, reusing the capacity of q's
+// slices (see sparql.ParseInto).
+func (st *Store) ParseQueryInto(q *sparql.Query, qs string) error {
+	return sparql.ParseInto(q, qs, st.locate)
+}
+
+// locate is ParseQuery's sparql.Resolver.
+func (st *Store) locate(term string, pred bool) (core.ID, error) {
+	if st.Dicts == nil {
+		return 0, fmt.Errorf("store has no dictionary; use <id> constants")
 	}
-	head := qs[:open+1]
-	toks, err := tokenizeBGPBody(qs[open+1 : close])
+	d := st.Dicts.SO
+	if pred {
+		d = st.Dicts.P
+	}
+	id, ok := d.Locate(term)
+	if !ok {
+		return 0, fmt.Errorf("term %s not in dictionary", term)
+	}
+	return core.ID(id), nil
+}
+
+// TranslateQuery rewrites a BGP query's RDF-term constants into
+// dictionary IDs: ParseQuery's result as text in the integer syntax that
+// sparql.Parse reads.
+func (st *Store) TranslateQuery(qs string) (string, error) {
+	q, err := st.ParseQuery(qs)
 	if err != nil {
 		return "", err
 	}
-	var out strings.Builder
-	out.WriteString(head)
-	for len(toks) > 0 {
-		if len(toks) < 3 {
-			return "", fmt.Errorf("triple pattern %q does not have 3 terms", strings.Join(toks, " "))
-		}
-		for pos, f := range toks[:3] {
-			if f == "." {
-				return "", fmt.Errorf("triple pattern ends after %d terms", pos)
-			}
-			out.WriteByte(' ')
-			if strings.HasPrefix(f, "?") || isNumericIRI(f) {
-				out.WriteString(f)
-				continue
-			}
-			if st.Dicts == nil {
-				return "", fmt.Errorf("store has no dictionary; use <id> constants")
-			}
-			d := st.Dicts.SO
-			if pos == 1 {
-				d = st.Dicts.P
-			}
-			id, ok := d.Locate(f)
-			if !ok {
-				return "", fmt.Errorf("term %s not in dictionary", f)
-			}
-			fmt.Fprintf(&out, "<%d>", id)
-		}
-		toks = toks[3:]
-		// The separating dot is mandatory between patterns, optional
-		// after the last one.
-		if len(toks) > 0 {
-			if toks[0] != "." {
-				return "", fmt.Errorf("expected '.' after triple pattern, got %q", toks[0])
-			}
-			toks = toks[1:]
-		}
-		out.WriteString(" .")
-	}
-	out.WriteString(" }")
-	return out.String(), nil
-}
-
-// tokenizeBGPBody splits a BGP body into terms and "." separators. A
-// dot is a separator only outside <...> and "..." spans; literals keep
-// any @lang or ^^<datatype> suffix attached.
-func tokenizeBGPBody(body string) ([]string, error) {
-	var toks []string
-	i := 0
-	for i < len(body) {
-		c := body[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '.':
-			toks = append(toks, ".")
-			i++
-		case c == '<':
-			j := strings.IndexByte(body[i:], '>')
-			if j < 0 {
-				return nil, fmt.Errorf("unterminated <...> in BGP")
-			}
-			toks = append(toks, body[i:i+j+1])
-			i += j + 1
-		case c == '"':
-			j := i + 1
-			for j < len(body) {
-				if body[j] == '\\' {
-					j += 2
-					continue
-				}
-				if body[j] == '"' {
-					break
-				}
-				j++
-			}
-			if j >= len(body) {
-				return nil, fmt.Errorf("unterminated string literal in BGP")
-			}
-			j++ // closing quote
-			// Attached @lang or ^^<datatype> suffix; a bare '.' after
-			// the quote stays a pattern separator.
-			if j < len(body) && body[j] == '@' {
-				j++
-				for j < len(body) && (isNameByte(body[j]) || body[j] == '-') {
-					j++
-				}
-			} else if j+1 < len(body) && body[j] == '^' && body[j+1] == '^' {
-				j += 2
-				if j < len(body) && body[j] == '<' {
-					k := strings.IndexByte(body[j:], '>')
-					if k < 0 {
-						return nil, fmt.Errorf("unterminated datatype IRI in BGP")
-					}
-					j += k + 1
-				}
-			}
-			toks = append(toks, body[i:j])
-			i = j
-		default:
-			// Bare token (?var, _:blank, keyword): runs to whitespace or
-			// a separating dot.
-			j := i
-			for j < len(body) && !isSpaceByte(body[j]) && body[j] != '.' {
-				j++
-			}
-			toks = append(toks, body[i:j])
-			i = j
-		}
-	}
-	return toks, nil
-}
-
-func isSpaceByte(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
-}
-
-func isNameByte(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
-}
-
-func isNumericIRI(s string) bool {
-	if !strings.HasPrefix(s, "<") || !strings.HasSuffix(s, ">") {
-		return false
-	}
-	body := s[1 : len(s)-1]
-	if body == "" {
-		return false
-	}
-	for _, c := range body {
-		if c < '0' || c > '9' {
-			return false
-		}
-	}
-	return true
+	return q.String(), nil
 }
