@@ -50,7 +50,7 @@ var experiments = []struct {
 	{"ablation", "encoder choices and cross-compression variants", bench.Ablation},
 	{"parallel", "concurrent query throughput on one shared index (1/4/16 goroutines)", bench.ServeParallel},
 	{"update", "amortized-update throughput and read interference by merge threshold", bench.UpdateThroughput},
-	{"dict", "dictionary materialization: cursor/batch extraction, locate, NDJSON rows/sec", bench.DictMaterialization},
+	{"dict", "dictionary materialization: cursor/batch extraction, locate, materialized rows/sec per result format", bench.DictMaterialization},
 	{"repl", "WAL-shipping replication: bootstrap, shipping lag and read fan-out at 1/2/4/8 followers", bench.ReplFanOut},
 }
 

@@ -28,13 +28,14 @@
 // the static index untouched until the pending log reaches the merge
 // threshold (or merge is run), at which point the store file is rewritten
 // atomically. serve recovers the pending log on startup and accepts
-// writes on /v1/insert and /v1/delete.
+// writes as SPARQL updates on /sparql: a POST of one
+// "INSERT DATA { s p o . }" or "DELETE DATA { s p o . }" as an
+// application/sparql-update body or an update= form field.
 //
 // serve answers standard SPARQL 1.1 Protocol queries on /sparql (GET,
 // HEAD or POST, ?query= with results as SPARQL JSON/XML/CSV/TSV by
 // Accept header, ?explain=1 for a JSON execution profile instead of
-// results) and the deprecated private NDJSON dialect under /v1/; see
-// internal/server for the endpoint table. Prometheus metrics are
+// results); see internal/server for the endpoint table. Prometheus metrics are
 // exposed on /metrics, a JSON summary with latency percentiles on
 // /stats, and -slow-query DURATION samples queries over the threshold
 // to stderr as JSON lines.
@@ -464,7 +465,7 @@ func serveCmd(args []string, out io.Writer) error {
 	workers := fs.Int("workers", 0, "max concurrent queries (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request execution deadline")
 	cache := fs.Int("cache", 256, "result cache entries (-1 disables)")
-	readonly := fs.Bool("readonly", false, "serve the store immutably (no /insert, /delete, WAL)")
+	readonly := fs.Bool("readonly", false, "serve the store immutably (no SPARQL updates, no WAL)")
 	threshold := fs.Int("threshold", 0, "pending-update merge threshold (0 = default)")
 	pprofOn := fs.Bool("pprof", false, "expose /debug/pprof/* runtime profiling endpoints")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown deadline for draining in-flight requests")

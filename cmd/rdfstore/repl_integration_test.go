@@ -142,13 +142,9 @@ func TestReplicationMultiProcess(t *testing.T) {
 		"-addr", "127.0.0.1:0", "-follow", leader.replAddr)
 
 	insert := func(httpAddr string, i int) (int, string) {
-		vals := url.Values{
-			"s": {fmt.Sprintf("<http://ex/new%d>", i)},
-			"p": {"<http://ex/knows>"},
-			"o": {"<http://ex/alice>"},
-		}
+		update := fmt.Sprintf("INSERT DATA { <http://ex/new%d> <http://ex/knows> <http://ex/alice> . }", i)
 		client := &http.Client{Timeout: 5 * time.Second}
-		resp, err := client.PostForm("http://"+httpAddr+"/v1/insert", vals)
+		resp, err := client.Post("http://"+httpAddr+"/sparql", "application/sparql-update", strings.NewReader(update))
 		if err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
@@ -167,7 +163,9 @@ func TestReplicationMultiProcess(t *testing.T) {
 	if code, body := insert(follower.httpAddr, 99); code != http.StatusForbidden {
 		t.Fatalf("replica accepted a write: %d %q", code, body)
 	}
-	probe := "http://" + follower.httpAddr + "/v1/query?s=" + url.QueryEscape("<http://ex/new7>")
+	// A query naming a term answers 400 until the term exists.
+	probe := "http://" + follower.httpAddr + "/sparql?query=" +
+		url.QueryEscape("SELECT ?p ?o WHERE { <http://ex/new7> ?p ?o . }")
 	waitStatus(t, probe, 200, "replicated triple on follower")
 
 	// Hard failover: SIGKILL, no drain, no WAL close.
@@ -190,7 +188,8 @@ func TestReplicationMultiProcess(t *testing.T) {
 		}
 	}
 	waitStatus(t, "http://"+follower.httpAddr+"/readyz", 200, "follower re-catching up")
-	probe = "http://" + follower.httpAddr + "/v1/query?s=" + url.QueryEscape("<http://ex/new11>")
+	probe = "http://" + follower.httpAddr + "/sparql?query=" +
+		url.QueryEscape("SELECT ?p ?o WHERE { <http://ex/new11> ?p ?o . }")
 	waitStatus(t, probe, 200, "post-failover triple on follower")
 
 	// Clean shutdown releases the flocks.

@@ -89,8 +89,8 @@ func densestPredicate(d *core.Dataset) (core.ID, int) {
 
 // legacyMaterialize replays the pre-writer /sparql row loop: a fresh
 // map[string]string per row, one-shot Store.Render per term, and
-// reflection-based json.Encoder lines. It is the baseline the pooled
-// NDJSON path is measured against.
+// reflection-based json.Encoder lines. It is the baseline the pooled row
+// writer is measured against.
 func legacyMaterialize(st *store.Store, plan *sparql.Compiled, w io.Writer) (int, error) {
 	enc := json.NewEncoder(w)
 	vars := plan.Vars
@@ -106,26 +106,9 @@ func legacyMaterialize(st *store.Store, plan *sparql.Compiled, w io.Writer) (int
 	return rows, err
 }
 
-// pooledMaterialize runs the same query through the live serving path:
-// row blocks from the executor into the pooled NDJSON writer.
-func pooledMaterialize(st *store.Store, plan *sparql.Compiled, w io.Writer) (int, error) {
-	nw := store.AcquireNDJSON(st, w)
-	defer nw.Release()
-	nw.SetVars(plan.Vars, plan.Roles)
-	rows := 0
-	_, err := sparql.Run(context.Background(), plan, st.Index, sparql.Options{}, func(b sparql.Block) {
-		nw.WriteBlock(b.IDs, b.Rows)
-		rows += b.Rows
-	})
-	if err != nil {
-		return rows, err
-	}
-	return rows, nw.Flush()
-}
-
-// protocolMaterialize runs the same query through one of the protocol
-// endpoint's standard serializers (SPARQL JSON/XML/CSV/TSV), mirroring
-// the live /sparql serving path.
+// protocolMaterialize runs the same query through the live /sparql
+// serving path: row blocks from the executor into the pooled row writer,
+// in one of the standard result formats (SPARQL JSON/XML/CSV/TSV).
 func protocolMaterialize(st *store.Store, plan *sparql.Compiled, f results.Format, w io.Writer) (int, error) {
 	wr := results.Acquire(f, st, w)
 	defer wr.Release()
@@ -169,9 +152,9 @@ func densestScan(d *core.Dataset) (*sparql.Compiled, error) {
 
 // MaterializeRowsPerSec measures the pooled /sparql row path on a
 // dictionary-backed store built from the preset dataset: the densest
-// predicate's ?s/?o scan is executed, rendered and NDJSON-encoded to a
-// discarding writer, and the best of runs is reported as rows/sec. This
-// is the number the BENCH_<preset>.json gate tracks.
+// predicate's ?s/?o scan is executed, rendered and encoded as SPARQL JSON
+// to a discarding writer, and the best of runs is reported as rows/sec.
+// This is the number the BENCH_<preset>.json gate tracks.
 func MaterializeRowsPerSec(d *core.Dataset, runs int) (float64, int, error) {
 	st, plan, err := materializeFixture(d)
 	if err != nil {
@@ -180,7 +163,7 @@ func MaterializeRowsPerSec(d *core.Dataset, runs int) (float64, int, error) {
 	rows := 0
 	el := bestOfRuns(runs, func() {
 		var rerr error
-		rows, rerr = pooledMaterialize(st, plan, io.Discard)
+		rows, rerr = protocolMaterialize(st, plan, results.JSON, io.Discard)
 		if rerr != nil {
 			err = rerr
 		}
@@ -194,7 +177,7 @@ func MaterializeRowsPerSec(d *core.Dataset, runs int) (float64, int, error) {
 // MaterializeFormatRowsPerSec measures the same scan through each of the
 // protocol endpoint's serializers, keyed by format name. The row count
 // is identical across formats (same seeded query), so the per-format
-// numbers gate against a baseline exactly like the NDJSON one.
+// numbers gate against a baseline exactly like the pooled-path one.
 func MaterializeFormatRowsPerSec(d *core.Dataset, runs int) (map[string]float64, int, error) {
 	st, plan, err := materializeFixture(d)
 	if err != nil {
@@ -222,7 +205,7 @@ func MaterializeFormatRowsPerSec(d *core.Dataset, runs int) (map[string]float64,
 // term extraction throughput of the one-shot Extract loop against the
 // stateful cursor (sequential and random ID orders), Locate throughput on
 // present and absent terms, and materialized /sparql rows/sec of the
-// legacy row loop against the pooled NDJSON writer path.
+// legacy row loop against the pooled row writer, then per result format.
 func DictMaterialization(cfg Config) ([]*Table, error) {
 	cfg = cfg.normalize()
 	d, err := gen.GeneratePreset("dblp", cfg.Triples, cfg.Seed)
@@ -321,24 +304,24 @@ func DictMaterialization(cfg Config) ([]*Table, error) {
 		rows, _ = legacyMaterialize(st, plan, io.Discard)
 	})
 	pooled := bestOfRuns(cfg.Runs, func() {
-		rows, _ = pooledMaterialize(st, plan, io.Discard)
+		rows, _ = protocolMaterialize(st, plan, results.JSON, io.Discard)
 	})
 	mat := &Table{
-		Title: "Materialized /sparql rows/sec: legacy row loop vs pooled NDJSON writer",
-		Note: fmt.Sprintf("SELECT ?s ?o over the densest predicate (%s rows), terms rendered and NDJSON-encoded to a discarding writer, best of %d runs",
+		Title: "Materialized /sparql rows/sec: legacy row loop vs pooled row writer",
+		Note: fmt.Sprintf("SELECT ?s ?o over the densest predicate (%s rows), terms rendered and JSON-encoded to a discarding writer, best of %d runs",
 			N(pn), cfg.Runs),
 		Header: []string{"path", "rows/s", "speedup"},
 	}
 	lr, pr := perSec(rows, legacy), perSec(rows, pooled)
 	mat.Add("legacy (map + Render + json.Encoder)", N(int(lr)), "1.0x")
-	mat.Add("pooled (stream + cursor + term cache)", N(int(pr)), fmt.Sprintf("%.1fx", pr/lr))
+	mat.Add("pooled (stream + cursor + term table, SPARQL JSON)", N(int(pr)), fmt.Sprintf("%.1fx", pr/lr))
 
 	// --- protocol serializers ---
 	proto := &Table{
 		Title: "Materialized protocol rows/sec by serializer (/sparql endpoint)",
-		Note: fmt.Sprintf("same densest-predicate scan through each standard result format, best of %d runs; all four share the pooled escaped-term arena, so none gives back the pooled-path win",
+		Note: fmt.Sprintf("same densest-predicate scan through each standard result format, best of %d runs; all four share the pooled term table",
 			cfg.Runs),
-		Header: []string{"format", "rows/s", "vs NDJSON"},
+		Header: []string{"format", "rows/s", "vs json"},
 	}
 	for _, f := range results.Formats() {
 		el := bestOfRuns(cfg.Runs, func() {

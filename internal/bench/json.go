@@ -31,10 +31,10 @@ type JSONReport struct {
 	BitsPerTriple map[string]float64 `json:"bits_per_triple"`
 	Patterns      []ShapeResult      `json:"patterns"`
 	// MaterializedRowsPerSec is the throughput of the pooled /sparql row
-	// path (streamed execution + dictionary cursors + NDJSON writer) on
-	// a synthetic-dictionary store; MaterializedRows is the seeded row
-	// count behind it (a mismatch means the measurements are not
-	// comparable). Zero in reports from before the field existed, which
+	// path (streamed execution + dictionary cursors + the row writer in
+	// SPARQL JSON) on a synthetic-dictionary store; MaterializedRows is
+	// the seeded row count behind it (a mismatch means the measurements
+	// are not comparable). Zero in reports from before the field existed, which
 	// Compare treats as "no baseline".
 	MaterializedRowsPerSec float64 `json:"materialized_rows_per_sec,omitempty"`
 	MaterializedRows       int     `json:"materialized_rows,omitempty"`
@@ -42,7 +42,7 @@ type JSONReport struct {
 	// protocol endpoint's serializers (SPARQL json/xml/csv/tsv), keyed by
 	// format name. The row count equals MaterializedRows (same seeded
 	// query), so the per-format throughputs gate downward against a
-	// baseline exactly like the NDJSON number. Absent in reports from
+	// baseline exactly like the pooled-path number. Absent in reports from
 	// before the protocol endpoint existed, which Compare skips.
 	MaterializedFormatRowsPerSec map[string]float64 `json:"materialized_format_rows_per_sec,omitempty"`
 	// ServeLatency is the concurrent serving-path latency distribution,

@@ -3,7 +3,7 @@ package dict
 // This file is the zero-allocation dictionary access path: a stateful
 // Extractor cursor that decodes each bucket entry at most once across a
 // run of nearby IDs. The serving layers (internal/store's pooled renderer,
-// the HTTP NDJSON writer, the CLI output paths) are built on it.
+// the HTTP result writer, the CLI output paths) are built on it.
 
 // Extractor is a stateful extraction cursor over a Dict or an Overlay.
 // It remembers the bucket it last decoded and the buffer holding the

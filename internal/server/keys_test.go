@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"rdfindexes/internal/core"
 	"rdfindexes/internal/obs"
+	"rdfindexes/internal/server/results"
 	"rdfindexes/internal/sparql"
 )
 
@@ -52,23 +52,13 @@ func TestTimingAndKeyStrings(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, gen := range []uint64{0, 1, 18446744073709551615} {
-			if got, want := planKey(gen, q), fmt.Sprintf("g%d|%s", gen, fmtQuery(q)); got != want {
-				t.Errorf("planKey = %q, want %q", got, want)
+			for _, limit := range []int{-1, 0, 1 << 40} {
+				plan := fmt.Sprintf("g%d|%s", gen, fmtQuery(q))
+				want := fmt.Sprintf("p|%v|%s|%d", results.XML, plan, limit)
+				if key, norm := resultKey(results.XML, gen, q, limit); key != want || norm != plan {
+					t.Errorf("resultKey = %q, %q, want %q, %q", key, norm, want, plan)
+				}
 			}
-		}
-	}
-	for _, c := range []struct {
-		gen   uint64
-		pat   core.Pattern
-		limit int
-	}{
-		{0, core.Pattern{S: 1, P: 2, O: 3}, -1},
-		{42, core.Pattern{S: core.Wildcard, P: 0, O: core.Wildcard}, 0},
-		{18446744073709551615, core.Pattern{S: 7, P: core.Wildcard, O: 4294967294}, 1 << 40},
-	} {
-		want := fmt.Sprintf("g%d|q|%d,%d,%d|%d", c.gen, c.pat.S, c.pat.P, c.pat.O, c.limit)
-		if got := patternKey(c.gen, c.pat, c.limit); got != want {
-			t.Errorf("patternKey = %q, want %q", got, want)
 		}
 	}
 }

@@ -25,8 +25,6 @@ func (s *Server) initMetrics() {
 	const reqName = "rdf_requests_total"
 	const reqHelp = "Requests accepted per endpoint"
 	s.protocols = r.Counter(reqName, `endpoint="sparql"`, reqHelp)
-	s.queries = r.Counter(reqName, `endpoint="query"`, reqHelp)
-	s.sparqls = r.Counter(reqName, `endpoint="ndjson"`, reqHelp)
 	s.inserts = r.Counter(reqName, `endpoint="insert"`, reqHelp)
 	s.deletes = r.Counter(reqName, `endpoint="delete"`, reqHelp)
 

@@ -177,6 +177,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := m.Merge(); err != nil {
 		t.Fatal(err)
 	}
+	// Updates count under the insert and delete series by verb, not as
+	// queries.
+	postUpdate(t, mts, dataUpdate("INSERT", "<http://ex/upd>", "<http://ex/knows>", "<http://ex/p1>"))
+	postUpdate(t, mts, dataUpdate("DELETE", "<http://ex/upd>", "<http://ex/knows>", "<http://ex/p1>"))
 	_, body = get(t, mts, "/metrics")
 	if samples, err = obs.ParseProm(strings.NewReader(body)); err != nil {
 		t.Fatal(err)
@@ -190,6 +194,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if v, ok := metricValue(samples, "rdf_merge_seconds_count", nil); !ok || v != 1 {
 		t.Errorf("merge count = %v (found %v), want 1", v, ok)
+	}
+	endpoints := map[string]float64{}
+	for _, smp := range samples {
+		if smp.Name == "rdf_requests_total" {
+			endpoints[smp.Labels["endpoint"]] = smp.Value
+		}
+	}
+	if want := map[string]float64{"sparql": 0, "insert": 1, "delete": 1}; !reflect.DeepEqual(endpoints, want) {
+		t.Errorf("rdf_requests_total by endpoint = %v, want %v", endpoints, want)
 	}
 	if v, ok := metricValue(samples, "rdf_merge_seconds_sum", nil); !ok || v <= 0 {
 		t.Errorf("merge seconds sum = %v (found %v), want > 0", v, ok)

@@ -26,35 +26,19 @@ import (
 // format (JSON, XML, CSV, TSV) the Accept header negotiates. Responses
 // carry an ETag derived from the store's write generation, so a client
 // or intermediary cache revalidates with one conditional request and a
-// 304 for as long as no write has been merged — and no longer.
+// 304 for as long as no write has been merged — and no longer. Updates
+// arrive as a POST body with Content-Type application/sparql-update or
+// as the update field of a POST form (update.go).
 
-// sparqlQueryType is the protocol's direct-POST media type.
-const sparqlQueryType = "application/sparql-query"
-
-// maxQueryBytes bounds a POSTed query body; a store query is text a
-// human or planner wrote, not bulk data.
-const maxQueryBytes = 1 << 20
-
-// Deprecation metadata for the /v1/ NDJSON dialect and its root
-// aliases: deprecated as of 2026-01-01 (RFC 9745 @unix-time form),
-// removal not before 2027-01-01, successor is the protocol endpoint.
+// The protocol's direct-POST media types.
 const (
-	deprecationDate = "@1767225600"
-	sunsetDate      = "Fri, 01 Jan 2027 00:00:00 GMT"
-	successorLink   = `</sparql>; rel="successor-version"`
+	sparqlQueryType  = "application/sparql-query"
+	sparqlUpdateType = "application/sparql-update"
 )
 
-// deprecated stamps the dialect-retirement headers on a legacy
-// endpoint's responses before the handler runs.
-func (s *Server) deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		hd := w.Header()
-		hd.Set("Deprecation", deprecationDate)
-		hd.Set("Sunset", sunsetDate)
-		hd.Set("Link", successorLink)
-		h(w, r)
-	}
-}
+// maxQueryBytes bounds every POST body, direct or form, query or update;
+// a store query is text a human or planner wrote, not bulk data.
+const maxQueryBytes = 1 << 20
 
 // gzipPool recycles gzip writers across responses; a gzip.Writer holds
 // ~1.4 MiB of window state, far too much to build per request.
@@ -129,16 +113,18 @@ func queryParam(raw, name string) string {
 	return ""
 }
 
-// protocolQuery extracts the query text from whichever of the three
-// protocol request forms was used, or describes the failure as an HTTP
-// status.
-func protocolQuery(r *http.Request) (string, int, error) {
+// protocolRequest extracts the operation from whichever protocol request
+// form was used: a query (GET ?query=, an application/sparql-query body,
+// a form's query field) or an update (an application/sparql-update body,
+// a form's update field). A failure is described as an HTTP status;
+// update reports what the request was, failed or not.
+func protocolRequest(r *http.Request) (text string, update bool, status int, err error) {
 	switch r.Method {
 	case http.MethodGet, http.MethodHead:
 		if qs := queryParam(r.URL.RawQuery, "query"); qs != "" {
-			return qs, 0, nil
+			return qs, false, 0, nil
 		}
-		return "", http.StatusBadRequest, errors.New("missing query parameter")
+		return "", false, http.StatusBadRequest, errors.New("missing query parameter")
 	case http.MethodPost:
 		ct := r.Header.Get("Content-Type")
 		if i := strings.IndexByte(ct, ';'); i >= 0 {
@@ -146,30 +132,58 @@ func protocolQuery(r *http.Request) (string, int, error) {
 		}
 		switch strings.ToLower(strings.TrimSpace(ct)) {
 		case sparqlQueryType:
-			body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBytes+1))
-			if err != nil {
-				return "", http.StatusBadRequest, fmt.Errorf("reading query body: %w", err)
-			}
-			if len(body) > maxQueryBytes {
-				return "", http.StatusRequestEntityTooLarge,
-					fmt.Errorf("query body exceeds %d bytes", maxQueryBytes)
-			}
-			if len(body) == 0 {
-				return "", http.StatusBadRequest, errors.New("empty query body")
-			}
-			return string(body), 0, nil
+			text, status, err = readBody(r, "query")
+			return text, false, status, err
+		case sparqlUpdateType:
+			text, status, err = readBody(r, "update")
+			return text, true, status, err
 		case "application/x-www-form-urlencoded", "":
-			if qs := r.PostFormValue("query"); qs != "" {
-				return qs, 0, nil
+			// Only an over-limit body fails the request here; a malformed
+			// pair is skipped, as url.ParseQuery skips it, and the missing
+			// field answers below.
+			if err := r.ParseForm(); tooLarge(err) {
+				return "", false, http.StatusRequestEntityTooLarge, errBodyTooLarge
 			}
-			return "", http.StatusBadRequest, errors.New("missing query form field")
+			qs, us := r.PostForm.Get("query"), r.PostForm.Get("update")
+			switch {
+			case qs != "" && us != "":
+				return "", false, http.StatusBadRequest, errors.New("a form carries a query or an update, not both")
+			case us != "":
+				return us, true, 0, nil
+			case qs != "":
+				return qs, false, 0, nil
+			}
+			return "", false, http.StatusBadRequest, errors.New("missing query or update form field")
 		default:
-			return "", http.StatusUnsupportedMediaType,
-				fmt.Errorf("unsupported request media type %q (use %s or a form)", ct, sparqlQueryType)
+			return "", false, http.StatusUnsupportedMediaType,
+				fmt.Errorf("unsupported request media type %q (use %s, %s or a form)", ct, sparqlQueryType, sparqlUpdateType)
 		}
 	default:
-		return "", http.StatusMethodNotAllowed, errors.New("protocol queries use GET, HEAD or POST")
+		return "", false, http.StatusMethodNotAllowed, errors.New("protocol requests use GET, HEAD or POST")
 	}
+}
+
+// errBodyTooLarge answers a POST body over maxQueryBytes.
+var errBodyTooLarge = fmt.Errorf("request body exceeds %d bytes", maxQueryBytes)
+
+// tooLarge reports whether err is the handler's body bound tripping.
+func tooLarge(err error) bool {
+	var mb *http.MaxBytesError
+	return errors.As(err, &mb)
+}
+
+// readBody reads a direct POST body of the named kind.
+func readBody(r *http.Request, kind string) (string, int, error) {
+	body, err := io.ReadAll(r.Body)
+	switch {
+	case tooLarge(err):
+		return "", http.StatusRequestEntityTooLarge, errBodyTooLarge
+	case err != nil:
+		return "", http.StatusBadRequest, fmt.Errorf("reading %s body: %w", kind, err)
+	case len(body) == 0:
+		return "", http.StatusBadRequest, fmt.Errorf("empty %s body", kind)
+	}
+	return string(body), 0, nil
 }
 
 // Header values that never change are shared by every response, so
@@ -180,7 +194,6 @@ var (
 	hitValue      = []string{"hit"}
 	gzipValue     = []string{"gzip"}
 	varyValue     = []string{"Accept, Accept-Encoding"}
-	ndjsonValue   = []string{ndjsonType}
 	ctypeValues   = formatValues(results.Format.ContentType)
 	generationKey = http.CanonicalHeaderKey(generationHeader)
 )
@@ -216,8 +229,8 @@ func setComputed(h http.Header, b []byte, split int) {
 	}
 }
 
-// response carries a cache miss from a row writer to the client. The row
-// writer's buffer is the only buffer between a solution row and the
+// response carries a cache miss from the row writer to the client. The
+// row writer's buffer is the only buffer between a solution row and the
 // socket: nothing reaches w — no status, no header — before the row
 // writer's first flush, which comes only once its pending bytes reach
 // store.StreamAt (DESIGN.md, "Response path").
@@ -225,7 +238,7 @@ type response struct {
 	w     http.ResponseWriter
 	ctype []string     // the Content-Type header value
 	zw    *gzip.Writer // reset onto w when the client accepts gzip, else nil
-	tr    *obs.Trace   // nil on the NDJSON dialect, which sends no Server-Timing
+	tr    *obs.Trace   // the request's stage trace, for Server-Timing
 	t0    time.Time    // request start
 
 	out io.Writer // w, or zw over it; nil until the headers are committed
@@ -240,12 +253,9 @@ func (o *response) open(complete bool, length int) {
 	h["Content-Type"] = o.ctype
 	h["X-Cache"] = missValue
 	var buf [256]byte
-	b := buf[:0]
-	if o.tr != nil {
-		b = appendServerTiming(b, o.tr, "miss")
-		if complete {
-			b = appendPostTiming(append(b, ", "...), o.tr, time.Since(o.t0))
-		}
+	b := appendServerTiming(buf[:0], o.tr, "miss")
+	if complete {
+		b = appendPostTiming(append(b, ", "...), o.tr, time.Since(o.t0))
 	}
 	split := len(b)
 	o.out = o.w
@@ -272,12 +282,6 @@ func (o *response) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// rowWriter is what finish needs of results.Writer and store.NDJSONWriter.
-type rowWriter interface {
-	Pending() []byte
-	Flush() error
-}
-
 // finish ends a miss whose rows went through rw into o. err is what cut
 // the run short (nil: the body is complete).
 //
@@ -290,7 +294,7 @@ type rowWriter interface {
 // Streamed (the head left with the first flush): a failure can only end
 // the body early, and the body, of which rw holds just the tail, is never
 // cached.
-func (s *Server) finish(o *response, rw rowWriter, key string, err error) {
+func (s *Server) finish(o *response, rw *results.Writer, key string, err error) {
 	streamed := o.out != nil
 	if !streamed {
 		if err != nil {
@@ -316,7 +320,7 @@ func (s *Server) finish(o *response, rw rowWriter, key string, err error) {
 	if o.zw != nil {
 		o.zw.Close()
 	}
-	if streamed && o.tr != nil {
+	if streamed {
 		// Best effort: the trailer reaches clients that read trailers and
 		// costs nothing otherwise.
 		o.w.Header().Set(http.TrailerPrefix+"Server-Timing", postTiming(o.tr, time.Since(o.t0)))
@@ -338,17 +342,14 @@ func failStatus(err error) int {
 
 // serveHit answers from a cached uncompressed body, compressing per this
 // client's Accept-Encoding. The explicit Content-Length keeps a hit larger
-// than net/http's sniff buffer from going out chunked. tr, when not nil,
-// is the request's trace for Server-Timing.
+// than net/http's sniff buffer from going out chunked. tr is the request's
+// trace for Server-Timing.
 func serveHit(w http.ResponseWriter, ctype []string, tr *obs.Trace, body []byte, gz bool) {
 	h := w.Header()
 	h["Content-Type"] = ctype
 	h["X-Cache"] = hitValue
 	var buf [128]byte
-	b := buf[:0]
-	if tr != nil {
-		b = appendServerTiming(b, tr, "hit")
-	}
+	b := appendServerTiming(buf[:0], tr, "hit")
 	split := len(b)
 	if !gz {
 		setComputed(h, strconv.AppendInt(b, int64(len(body)), 10), split)
@@ -406,26 +407,19 @@ func appendDur(b []byte, name string, d time.Duration) []byte {
 	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
-// planKey is the plan-cache key of q at write generation gen, and the
-// stem of its result-cache keys: q.String() renders the
-// dictionary-resolved BGP canonically, so it normalizes whitespace and
-// spelling. The generation prefix is load-bearing beyond staleness: a
-// merge remaps dictionary IDs, so the same ID text means different terms
-// across generations.
-func planKey(gen uint64, q sparql.Query) string {
-	var b [256]byte
-	return string(appendPlanKey(b[:0], gen, q))
-}
-
+// appendPlanKey appends the plan-cache key of q at write generation gen:
+// q.AppendTo renders the dictionary-resolved BGP canonically, so it
+// normalizes whitespace and spelling. The generation prefix is
+// load-bearing beyond staleness: a merge remaps dictionary IDs, so the
+// same ID text means different terms across generations.
 func appendPlanKey(b []byte, gen uint64, q sparql.Query) []byte {
 	return q.AppendTo(append(strconv.AppendUint(append(b, 'g'), gen, 10), '|'))
 }
 
-// resultKey is the protocol endpoint's result-cache key of q in format f
-// under a row limit, and inside it, as a substring, q's plan key: one
-// string for both caches. The plan key matches the NDJSON dialect's on
-// purpose: both endpoints evaluate the same BGP, so they share cached
-// plans. The result key adds the format, since the cached bytes are the
+// resultKey is the result-cache key of q in format f under a row limit,
+// and inside it, as a substring, q's plan key: one string for both
+// caches. The plan key leaves the format out, so every format shares one
+// cached plan; the result key adds it, since the cached bytes are the
 // serialized (uncompressed) response body.
 func resultKey(f results.Format, gen uint64, q sparql.Query, limit int) (key, plan string) {
 	var b [256]byte
@@ -454,21 +448,25 @@ func notModified(r *http.Request, etag string, modified time.Time) bool {
 	return false
 }
 
-// handleProtocol serves one SPARQL protocol query. Beyond the
-// protocol's three request forms it answers HEAD with validators only,
-// honors If-None-Match/If-Modified-Since, and accepts two extensions:
-// ?limit= (row cap) and ?explain=1 (the plan and per-operator
-// cardinalities as JSON instead of results; see explain.go). Every
-// request carries a stage trace whose timings feed the latency
-// histograms, Server-Timing (all of it in the header of a one-piece
-// response, split across header and trailer of a streamed one) and — past
-// the configured threshold — the slow-query log.
+// handleProtocol serves one SPARQL protocol request, handing parsed
+// updates to handleWrite. Beyond the protocol's three query forms it
+// answers HEAD with validators only, honors
+// If-None-Match/If-Modified-Since, and accepts two extensions: ?limit=
+// (row cap) and ?explain=1 (the plan and per-operator cardinalities as
+// JSON instead of results; see explain.go). Every query carries a stage
+// trace whose timings feed the latency histograms, Server-Timing (all of
+// it in the header of a one-piece response, split across header and
+// trailer of a streamed one) and — past the configured threshold — the
+// slow-query log.
 func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	s.protocols.Add(1)
-	tr := obs.AcquireTrace()
-	defer tr.Release()
-	qs, status, err := protocolQuery(r)
+	if r.Method == http.MethodPost {
+		r.Body = http.MaxBytesReader(w, r.Body, maxQueryBytes)
+	}
+	qs, update, status, err := protocolRequest(r)
+	if !update {
+		s.protocols.Add(1)
+	}
 	if err != nil {
 		if status == http.StatusMethodNotAllowed {
 			w.Header().Set("Allow", "GET, HEAD, POST")
@@ -476,6 +474,17 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, status, err)
 		return
 	}
+	if update {
+		u, err := parseUpdate(qs)
+		if err != nil {
+			s.fail(w, http.StatusBadRequest, err)
+			return
+		}
+		s.handleWrite(w, r, u)
+		return
+	}
+	tr := obs.AcquireTrace()
+	defer tr.Release()
 	f, ok := results.Negotiate(r.Header.Get("Accept"))
 	if !ok {
 		s.fail(w, http.StatusNotAcceptable,

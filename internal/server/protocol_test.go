@@ -143,9 +143,9 @@ func TestProtocolFormats(t *testing.T) {
 	}
 }
 
-// TestProtocolRequestForms covers the three request shapes the protocol
-// defines plus the rejections around them, all answered in the unified
-// error document.
+// TestProtocolRequestForms covers the three query shapes the protocol
+// defines plus the rejections around them, over-limit bodies of every
+// POST form among them, all answered in the unified error document.
 func TestProtocolRequestForms(t *testing.T) {
 	st := testStore(t, 10, 2)
 	ts := httptest.NewServer(New(st, Options{Workers: 2}))
@@ -193,6 +193,31 @@ func TestProtocolRequestForms(t *testing.T) {
 		resp, body := do(t, req)
 		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, HEAD, POST" {
 			t.Fatalf("status %d Allow %q", resp.StatusCode, resp.Header.Get("Allow"))
+		}
+		errorShape(t, resp, body)
+	})
+	t.Run("post form and direct over limit", func(t *testing.T) {
+		// A query padded past maxQueryBytes parses fine, so only the body
+		// bound can refuse it, whichever form carries it.
+		big := knowsQuery + strings.Repeat(" ", 2<<20)
+		for _, c := range []struct{ ct, body string }{
+			{"application/x-www-form-urlencoded", url.Values{"query": {big}}.Encode()},
+			{"application/sparql-query", big},
+			{"application/x-www-form-urlencoded", url.Values{"update": {big}}.Encode()},
+			{sparqlUpdateType, big},
+		} {
+			resp, body := post(c.ct, c.body)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s body of %d bytes: status %d, want 413", c.ct, len(c.body), resp.StatusCode)
+			}
+			errorShape(t, resp, body)
+		}
+	})
+	t.Run("post form query and update", func(t *testing.T) {
+		resp, body := post("application/x-www-form-urlencoded",
+			url.Values{"query": {knowsQuery}, "update": {"INSERT DATA { <a> <b> <c> . }"}}.Encode())
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400", resp.StatusCode)
 		}
 		errorShape(t, resp, body)
 	})
@@ -391,9 +416,7 @@ func TestProtocolETag(t *testing.T) {
 
 	// An insert bumps the generation: the old validator misses and the
 	// fresh response carries a new one.
-	if resp, body := postForm(t, ts, "/v1/insert", url.Values{
-		"s": {"<http://ex/p0>"}, "p": {"<http://ex/knows>"}, "o": {"<http://ex/p5>"},
-	}); resp.StatusCode != 200 {
+	if resp, body := postUpdate(t, ts, dataUpdate("INSERT", "<http://ex/p0>", "<http://ex/knows>", "<http://ex/p5>")); resp.StatusCode != 200 {
 		t.Fatalf("insert: status %d body %s", resp.StatusCode, body)
 	}
 	resp, _ = conditional(etag)
@@ -422,53 +445,69 @@ func TestProtocolETag(t *testing.T) {
 	}
 }
 
-// TestDeprecatedDialectHeaders pins the migration headers on the legacy
-// NDJSON dialect — under /v1/ and at the pre-versioning root aliases —
-// and their absence from the successor endpoint.
-func TestDeprecatedDialectHeaders(t *testing.T) {
+// TestRetiredDialectRoutes pins the removal of the NDJSON dialect: its
+// seven routes are gone, and /sparql carries no deprecation headers.
+func TestRetiredDialectRoutes(t *testing.T) {
 	st := testStore(t, 10, 2)
 	ts := httptest.NewServer(New(st, Options{Workers: 2}))
 	defer ts.Close()
 
-	for _, path := range []string{
-		"/v1/query?p=" + url.QueryEscape("<http://ex/knows>"),
-		"/v1/sparql?q=" + url.QueryEscape(knowsQuery),
-		"/query?p=" + url.QueryEscape("<http://ex/knows>"),
-	} {
-		resp, _ := get(t, ts, path)
-		if resp.StatusCode != 200 {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-		if d := resp.Header.Get("Deprecation"); d == "" {
-			t.Errorf("%s: no Deprecation header", path)
-		}
-		if s := resp.Header.Get("Sunset"); s == "" {
-			t.Errorf("%s: no Sunset header", path)
-		}
-		if l := resp.Header.Get("Link"); !strings.Contains(l, `rel="successor-version"`) {
-			t.Errorf("%s: Link %q lacks successor-version", path, l)
+	for _, path := range []string{"/v1/query", "/v1/sparql", "/v1/insert", "/v1/delete", "/query", "/insert", "/delete"} {
+		resp, _ := get(t, ts, path+"?p="+url.QueryEscape("<http://ex/knows>"))
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
-
 	resp, _ := protocolGet(t, ts, knowsQuery, "")
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/sparql carries a Deprecation header")
+	for _, h := range []string{"Deprecation", "Sunset", "Link"} {
+		if v := resp.Header.Get(h); v != "" {
+			t.Errorf("/sparql carries %s: %q", h, v)
+		}
 	}
 }
 
-// TestProtocolStats checks the protocol counter is split from the
-// legacy dialect counter.
+// TestProtocolStats checks queries and updates on /sparql count apart:
+// queries under protocol_queries, updates under inserts and deletes by
+// verb, and an update that fails to parse under neither.
 func TestProtocolStats(t *testing.T) {
-	st := testStore(t, 10, 2)
-	srv := New(st, Options{Workers: 2})
+	srv := NewMutable(mutableStore(t, t.TempDir(), 10, 2, 0), Options{Workers: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	protocolGet(t, ts, knowsQuery, "")
-	get(t, ts, "/v1/sparql?q="+url.QueryEscape(knowsQuery))
+	postUpdate(t, ts, dataUpdate("INSERT", "<http://ex/p0>", "<http://ex/knows>", "<http://ex/p7>"))
+	postUpdate(t, ts, dataUpdate("DELETE", "<http://ex/p0>", "<http://ex/knows>", "<http://ex/p7>"))
+	postUpdate(t, ts, "CLEAR ALL")
 	snap := srv.Snapshot()
-	if snap.ProtocolQueries != 1 || snap.SparqlQueries != 1 {
-		t.Fatalf("protocol %d sparql %d, want 1 and 1", snap.ProtocolQueries, snap.SparqlQueries)
+	if snap.ProtocolQueries != 1 || snap.Inserts != 1 || snap.Deletes != 1 || snap.Failed != 1 {
+		t.Fatalf("protocol %d inserts %d deletes %d failed %d, want 1, 1, 1 and 1",
+			snap.ProtocolQueries, snap.Inserts, snap.Deletes, snap.Failed)
+	}
+}
+
+// TestStatsDocumentKeys pins the /stats keys that readers outside this
+// package decode — the socket benchmark reads merges and workers — and
+// the absence of the retired dialect's counters.
+func TestStatsDocumentKeys(t *testing.T) {
+	srv := NewMutable(mutableStore(t, t.TempDir(), 10, 2, 0), Options{Workers: 3})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	_, body := get(t, ts, "/stats")
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if w, ok := doc["workers"].(float64); !ok || w != 3 {
+		t.Errorf("workers = %v, want 3", doc["workers"])
+	}
+	if _, ok := doc["merges"].(float64); !ok {
+		t.Errorf("merges missing or not a number: %v", doc["merges"])
+	}
+	for _, gone := range []string{"queries", "sparql_queries"} {
+		if v, ok := doc[gone]; ok {
+			t.Errorf("/stats still carries %s: %v", gone, v)
+		}
 	}
 }
 
@@ -499,9 +538,9 @@ func TestOptionsValidate(t *testing.T) {
 
 // TestPredicateVariable asks for the predicates and objects of one
 // subject — the query every format used to answer with subject/object
-// terms in the ?p column — through the four protocol formats and the
-// NDJSON dialect on a dictionary store, and for the <id> fallback on a
-// store without dictionaries.
+// terms in the ?p column — through the four protocol formats on a
+// dictionary store, and for the <id> fallback on a store without
+// dictionaries.
 func TestPredicateVariable(t *testing.T) {
 	ts := httptest.NewServer(New(testStore(t, 10, 2), Options{}))
 	defer ts.Close()
@@ -525,11 +564,6 @@ func TestPredicateVariable(t *testing.T) {
 	if got := strings.Count(string(body), `<binding name="p"><uri>http://ex/likes</uri></binding>`); got != 2 {
 		t.Errorf("xml body has %d likes predicates, want 2: %s", got, body)
 	}
-	_, nd := get(t, ts, "/v1/sparql?q="+url.QueryEscape(query))
-	lines := ndjsonLines(t, nd)
-	if len(lines) != 4 || lines[0]["p"] != "<http://ex/knows>" || lines[1]["p"] != "<http://ex/likes>" || lines[1]["o"] != "<http://ex/item3>" {
-		t.Errorf("ndjson lines %v", lines)
-	}
 
 	ints := httptest.NewServer(New(&store.Store{Index: testStore(t, 10, 2).Index}, Options{}))
 	defer ints.Close()
@@ -551,7 +585,6 @@ func TestMixedRoleVariable(t *testing.T) {
 	for _, path := range []string{
 		"/sparql?query=" + url.QueryEscape(query),
 		"/sparql?explain=1&query=" + url.QueryEscape(query),
-		"/v1/sparql?q=" + url.QueryEscape(query),
 	} {
 		resp, body := get(t, ts, path)
 		var doc errorDoc

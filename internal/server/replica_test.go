@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,9 +26,7 @@ func TestMinGenToken(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, body := postForm(t, ts, "/insert", url.Values{
-		"s": {"<http://ex/minGen>"}, "p": {"<http://ex/knows>"}, "o": {"<http://ex/p0>"},
-	})
+	resp, body := postUpdate(t, ts, dataUpdate("INSERT", "<http://ex/minGen>", "<http://ex/knows>", "<http://ex/p0>"))
 	if resp.StatusCode != 200 {
 		t.Fatalf("insert: %d %q", resp.StatusCode, body)
 	}
@@ -44,7 +41,7 @@ func TestMinGenToken(t *testing.T) {
 		t.Fatalf("write %s header %q, body generation %d", generationHeader, h, wr.Generation)
 	}
 
-	q := "/query?limit=1&min-gen="
+	q := limitOne + "&min-gen="
 	if resp, body = get(t, ts, q+strconv.FormatUint(wr.Generation, 10)); resp.StatusCode != 200 {
 		t.Fatalf("satisfied min-gen: %d %q", resp.StatusCode, body)
 	}
@@ -109,9 +106,7 @@ func TestReplicaServing(t *testing.T) {
 	defer ts.Close()
 
 	// Writes belong on the leader.
-	resp, body := postForm(t, ts, "/insert", url.Values{
-		"s": {"<http://ex/a>"}, "p": {"<http://ex/knows>"}, "o": {"<http://ex/p0>"},
-	})
+	resp, body := postUpdate(t, ts, dataUpdate("INSERT", "<http://ex/a>", "<http://ex/knows>", "<http://ex/p0>"))
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("replica insert: %d %q", resp.StatusCode, body)
 	}
@@ -137,7 +132,7 @@ func TestReplicaServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := "/query?limit=1&min-gen=" + strconv.FormatUint(res.Generation, 10)
+	q := limitOne + "&min-gen=" + strconv.FormatUint(res.Generation, 10)
 	for {
 		resp, body = get(t, ts, q)
 		if resp.StatusCode == 200 {
@@ -156,7 +151,7 @@ func TestReplicaServing(t *testing.T) {
 	}
 
 	// A token from far in the future stays refused, never served stale.
-	resp, body = get(t, ts, "/query?limit=1&min-gen="+strconv.FormatUint(res.Generation+1000, 10))
+	resp, body = get(t, ts, limitOne+"&min-gen="+strconv.FormatUint(res.Generation+1000, 10))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("future min-gen on replica: %d %q", resp.StatusCode, body)
 	}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -46,14 +45,13 @@ func padStore(t testing.TB, rows, pad int) *store.Store {
 	return &store.Store{Index: x, Dicts: dicts}
 }
 
-// dialect is one way of asking for the pad store's rows, with the body a
+// dialect is one result format of the pad store's rows, with the body a
 // bare row writer renders for them into a bytes.Buffer: the reference the
 // served bytes must equal whichever path they took.
 type dialect struct {
 	name   string
 	path   string
 	accept string
-	timing bool // Server-Timing is a protocol endpoint feature
 	bare   func(t *testing.T, st *store.Store) []byte
 }
 
@@ -74,7 +72,6 @@ func dialects() []dialect {
 			name:   f.String(),
 			path:   "/sparql?query=" + url.QueryEscape(padQuery),
 			accept: f.ContentType(),
-			timing: true,
 			bare: func(t *testing.T, st *store.Store) []byte {
 				q, err := sparql.Parse(mustTranslate(t, st, padQuery))
 				if err != nil {
@@ -99,32 +96,7 @@ func dialects() []dialect {
 			},
 		})
 	}
-	return append(out, dialect{
-		name: "ndjson",
-		path: "/v1/query?p=" + url.QueryEscape("<http://ex/p>"),
-		bare: func(t *testing.T, st *store.Store) []byte {
-			pat, err := st.ParsePattern("", "<http://ex/p>", "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			nw := store.AcquireNDJSON(st, &buf)
-			defer nw.Release()
-			n := 0
-			for it := st.Index.Select(pat); ; n++ {
-				tr, ok := it.Next()
-				if !ok {
-					break
-				}
-				nw.WriteTriple(tr)
-			}
-			nw.AppendRaw([]byte(`{"matches":` + strconv.Itoa(n) + "}\n"))
-			if err := nw.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		},
-	})
+	return out
 }
 
 func mustTranslate(t *testing.T, st *store.Store, qs string) string {
@@ -152,7 +124,7 @@ func (d dialect) get(t *testing.T, ts *httptest.Server) (*http.Response, []byte)
 }
 
 // TestResponsePaths lands bodies one byte below, on and one byte above
-// store.StreamAt in every format and dialect and pins the two response
+// store.StreamAt in every format and pins the two response
 // paths: below the threshold the miss is one piece — Content-Length, no
 // chunking, every Server-Timing entry in the header, cached as a copy
 // that survives the pooled buffer's reuse — and from the threshold on it
@@ -183,7 +155,7 @@ func TestResponsePaths(t *testing.T) {
 				}
 				// Another request between the two, so the pooled row writer's
 				// buffer is overwritten before the cached copy is served.
-				if r, _ := get(t, ts, "/v1/query?s="+url.QueryEscape("<http://ex/s1>")); r.StatusCode != 200 {
+				if r, _ := get(t, ts, sparqlPath("SELECT ?o WHERE { <http://ex/s1> <http://ex/p> ?o . }", "")); r.StatusCode != 200 {
 					t.Fatalf("interleaved request: status %d", r.StatusCode)
 				}
 				resp2, body2 := d.get(t, ts)
@@ -197,18 +169,16 @@ func TestResponsePaths(t *testing.T) {
 						t.Errorf("one-piece: Content-Length %d, Transfer-Encoding %v; want %d and none",
 							resp.ContentLength, resp.TransferEncoding, size)
 					}
-					if d.timing {
-						for _, e := range []string{`cache;desc="miss"`, "queue;dur=", "parse;dur=", "plan;dur=", "exec;dur=", "render;dur=", "total;dur="} {
-							if !strings.Contains(timing, e) {
-								t.Errorf("one-piece Server-Timing %q lacks %q", timing, e)
-							}
+					for _, e := range []string{`cache;desc="miss"`, "queue;dur=", "parse;dur=", "plan;dur=", "exec;dur=", "render;dur=", "total;dur="} {
+						if !strings.Contains(timing, e) {
+							t.Errorf("one-piece Server-Timing %q lacks %q", timing, e)
 						}
 					}
 					if resp2.Header.Get("X-Cache") != "hit" || resp2.ContentLength != int64(size) || len(resp2.TransferEncoding) != 0 {
 						t.Errorf("second request: X-Cache %q, Content-Length %d, Transfer-Encoding %v; want a hit of %d bytes, not chunked",
 							resp2.Header.Get("X-Cache"), resp2.ContentLength, resp2.TransferEncoding, size)
 					}
-					// The interleaved pattern query is cached too.
+					// The interleaved point query is cached too.
 					if got := srv.results.Bytes(); got <= size || got > size+200 {
 						t.Errorf("cache holds %d bytes, want the %d-byte body and one small answer", got, size)
 					}
@@ -220,7 +190,7 @@ func TestResponsePaths(t *testing.T) {
 				if resp.ContentLength >= 0 || len(resp.TransferEncoding) != 1 || resp.TransferEncoding[0] != "chunked" {
 					t.Errorf("streamed: Content-Length %d, Transfer-Encoding %v; want chunked", resp.ContentLength, resp.TransferEncoding)
 				}
-				if d.timing && (!strings.Contains(timing, "plan;dur=") || strings.Contains(timing, "exec;dur=")) {
+				if !strings.Contains(timing, "plan;dur=") || strings.Contains(timing, "exec;dur=") {
 					t.Errorf("streamed Server-Timing header %q: want the pre-stream stages only", timing)
 				}
 				if resp2.Header.Get("X-Cache") != "miss" {
@@ -245,9 +215,8 @@ func TestFailureBeforeFirstByte(t *testing.T) {
 	// every edge (several cancellation strides) and returns no row.
 	st := testStore(t, 3000, 0)
 	for _, path := range []string{
-		"/query",
-		"/v1/sparql?q=" + url.QueryEscape("SELECT ?a ?b WHERE { ?a <http://ex/knows> ?b . ?b <http://ex/knows> ?a . }"),
-		"/sparql?query=" + url.QueryEscape("SELECT ?a ?b WHERE { ?a <http://ex/knows> ?b . ?b <http://ex/knows> ?a . }"),
+		sparqlPath("SELECT ?s ?p ?o WHERE { ?s ?p ?o . }", ""),
+		sparqlPath("SELECT ?a ?b WHERE { ?a <http://ex/knows> ?b . ?b <http://ex/knows> ?a . }", ""),
 	} {
 		srv := New(st, Options{Workers: 2, Timeout: time.Nanosecond})
 		ts := httptest.NewServer(srv)
@@ -286,12 +255,11 @@ func (c *cancelOnWrite) Write(p []byte) (int, error) {
 }
 
 // TestFailureAfterFirstByte cancels a request at its first flush. The
-// status is already 200, so the body ends early — an error line on the
-// NDJSON dialect, a truncated document on the protocol endpoint — and the
-// response is counted failed and streamed, and not cached.
+// status is already 200, so the body ends early as a truncated document,
+// and the response is counted failed and streamed, and not cached.
 func TestFailureAfterFirstByte(t *testing.T) {
 	st := testStore(t, 3000, 3)
-	for _, path := range []string{"/query", "/sparql?query=" + url.QueryEscape(knowsQuery)} {
+	for _, path := range []string{sparqlPath("SELECT ?s ?p ?o WHERE { ?s ?p ?o . }", ""), sparqlPath(knowsQuery, "")} {
 		srv := New(st, Options{Workers: 2})
 		ctx, cancel := context.WithCancel(context.Background())
 		req := httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx)
@@ -305,12 +273,7 @@ func TestFailureAfterFirstByte(t *testing.T) {
 			t.Fatalf("%s: status %d, X-Cache %q, %d bytes; want a 200 miss with a flushed body",
 				path, w.Code, w.Header().Get("X-Cache"), len(body))
 		}
-		if strings.HasPrefix(path, "/query") {
-			lines := ndjsonLines(t, body)
-			if _, ok := lines[len(lines)-1]["error"]; !ok {
-				t.Errorf("%s: cancelled stream ends with %v, want an error line", path, lines[len(lines)-1])
-			}
-		} else if strings.HasSuffix(body, "]}}\n") {
+		if strings.HasSuffix(body, "]}}\n") {
 			t.Errorf("%s: cancelled stream is a complete document", path)
 		}
 		snap := srv.Snapshot()

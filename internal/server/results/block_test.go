@@ -37,7 +37,7 @@ func blockRows(rng *rand.Rand, n, terms int) []core.ID {
 
 // TestBlockMatchesRows requires a block-rendered body to be byte for byte
 // the body of the same rows written one at a time — buffered, and flushed
-// after every row — in the four formats and NDJSON: across unbound
+// after every row — in the four formats: across unbound
 // columns, bodies several times store.StreamAt and a request past the
 // term table's capacity.
 func TestBlockMatchesRows(t *testing.T) {
@@ -77,35 +77,6 @@ func TestBlockMatchesRows(t *testing.T) {
 		}
 		bodies[f.String()] = b
 	}
-	// An NDJSON row is a line of its own: the reference renders each
-	// through a fresh writer.
-	var b [3]bytes.Buffer
-	for mode := range b {
-		nw := store.AcquireNDJSON(st, &b[mode])
-		nw.SetVars(vars, roles)
-		for lo := 0; lo < rows; {
-			n := 1
-			switch mode {
-			case 0:
-				one := store.AcquireNDJSON(st, &b[mode])
-				one.SetVars(vars, roles)
-				one.WriteRow(ids[3*lo : 3*lo+3])
-				one.Flush()
-				one.Release()
-				lo++
-				continue
-			case 1:
-				nw.WriteRow(ids[3*lo : 3*lo+3])
-			case 2:
-				n = min(1+rng.Intn(300), rows-lo)
-				nw.WriteBlock(ids[3*lo:3*(lo+n)], n)
-			}
-			lo += n
-		}
-		nw.Flush()
-		nw.Release()
-	}
-	bodies["ndjson"] = b
 
 	for name, b := range bodies {
 		ref := b[0].Bytes()

@@ -1,11 +1,11 @@
 // Package results implements the SPARQL 1.1 Query Results formats the
 // protocol endpoint serves: streaming serializers for the JSON, XML, CSV
 // and TSV result sets plus the Accept-header content negotiation that
-// picks between them. Every serializer is built on the same substrate as
-// the PR-5 NDJSON writer — pooled per-request scratch, the store's
-// dictionary cursors, and an escaped-term arena cache keyed by ID — so
-// the zero-allocations-per-row property of the private dialect carries
-// over to all four standard formats.
+// picks between them. Every serializer is one Writer over the same
+// substrate — pooled per-request scratch, the store's dictionary cursors
+// (store.Renderer), and a term table of escaped terms keyed by ID
+// (store.Rows) — so the steady-state row path allocates nothing in any of
+// the four formats. Writer is the server's only row writer.
 package results
 
 import (

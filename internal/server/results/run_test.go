@@ -69,8 +69,7 @@ func (s ctxStore) Select(p core.Pattern) *core.Iterator { return core.SelectWith
 func (s ctxStore) NumTriples() int                      { return s.x.NumTriples() }
 
 // TestRunToWriteRowAllocs pins the row path from the executor into every
-// serializer — the four protocol formats and the NDJSON dialect, each fed
-// block by block as the server feeds them and row by row — at a constant
+// serializer — the four protocol formats, each fed block by block as the server feeds them and row by row — at a constant
 // number of allocations per query: the same scan-and-join shape at 100
 // and at 2000 rows costs the same, so a row costs none.
 func TestRunToWriteRowAllocs(t *testing.T) {
@@ -94,14 +93,6 @@ func TestRunToWriteRowAllocs(t *testing.T) {
 	vars, roles := plans[0].Vars, plans[0].Roles
 	var sinks []sink
 	for _, mode := range []string{"block", "row"} {
-		nw := store.AcquireNDJSON(st, io.Discard)
-		defer nw.Release()
-		nw.SetVars(vars, roles)
-		rows := blocks(nw.WriteBlock)
-		if mode == "row" {
-			rows = sparql.EachRow(nw.WriteRow)
-		}
-		sinks = append(sinks, sink{"ndjson/" + mode, rows, nw.Flush})
 		for _, f := range Formats() {
 			wr := Acquire(f, st, io.Discard)
 			defer wr.Release()

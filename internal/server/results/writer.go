@@ -9,12 +9,12 @@ import (
 )
 
 // Writer streams one SPARQL result set in one of the four standard
-// formats. It is built exactly like store.NDJSONWriter: rows are
-// hand-assembled into a batched output buffer a block at a time by a
-// store.Rows, terms resolve through the pooled dictionary cursors of a
-// store.Renderer, and each distinct term is format-encoded once per
-// request and replayed from a term table after that — the steady-state
-// row path performs no allocations in any format. A Writer serves one
+// formats. Rows are hand-assembled into a batched output buffer a block
+// at a time by a store.Rows, terms resolve through the pooled dictionary
+// cursors of a store.Renderer, and each distinct term is format-encoded
+// once per request and replayed from a term table after that — the
+// steady-state row path performs no allocations in any format. A Writer
+// serves one
 // request on one goroutine; the sequence is Begin, any number of
 // WriteRow or WriteBlock, End, Flush, Release.
 type Writer struct {
@@ -80,7 +80,7 @@ func (wr *Writer) Flush() error {
 }
 
 // maybeFlush flushes once the pending bytes reach store.StreamAt, the
-// threshold shared with the NDJSON path.
+// response path's one threshold.
 func (wr *Writer) maybeFlush() {
 	if len(wr.buf) >= store.StreamAt {
 		wr.Flush()

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,8 +14,11 @@ import (
 	"rdfindexes/internal/store"
 )
 
+// limitOne is a cheap query request: one row of the whole store.
+var limitOne = sparqlPath("SELECT ?s ?p ?o WHERE { ?s ?p ?o . }", "limit=1")
+
 func TestClientKey(t *testing.T) {
-	r := httptest.NewRequest(http.MethodGet, "/query", nil)
+	r := httptest.NewRequest(http.MethodGet, "/sparql", nil)
 	r.RemoteAddr = "203.0.113.9:4711"
 	if got := clientKey(r); got != "203.0.113.9" {
 		t.Fatalf("remote addr key = %q", got)
@@ -125,13 +127,13 @@ func TestRateLimitHTTP(t *testing.T) {
 	srv := New(st, Options{RateLimit: 1, RateBurst: 2})
 	for i := 0; i < 2; i++ {
 		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?limit=1", nil))
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, limitOne, nil))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("burst request %d: %d %s", i, rec.Code, rec.Body)
 		}
 	}
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?limit=1", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, limitOne, nil))
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("over-burst request: %d", rec.Code)
 	}
@@ -139,7 +141,7 @@ func TestRateLimitHTTP(t *testing.T) {
 		t.Fatal("429 without Retry-After")
 	}
 	// A different client is unaffected.
-	other := httptest.NewRequest(http.MethodGet, "/query?limit=1", nil)
+	other := httptest.NewRequest(http.MethodGet, limitOne, nil)
 	other.RemoteAddr = "203.0.113.77:999"
 	rec = httptest.NewRecorder()
 	srv.ServeHTTP(rec, other)
@@ -177,9 +179,9 @@ func TestBreakerHTTP(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		srv.brk.result(true, false, now)
 	}
-	form := url.Values{"s": {"<http://ex/new>"}, "p": {"<http://ex/knows>"}, "o": {"<http://ex/p1>"}}
-	req := httptest.NewRequest(http.MethodPost, "/insert", strings.NewReader(form.Encode()))
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	insert := dataUpdate("INSERT", "<http://ex/new>", "<http://ex/knows>", "<http://ex/p1>")
+	req := httptest.NewRequest(http.MethodPost, "/sparql", strings.NewReader(insert))
+	req.Header.Set("Content-Type", sparqlUpdateType)
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusServiceUnavailable {
@@ -190,7 +192,7 @@ func TestBreakerHTTP(t *testing.T) {
 	}
 	// Reads are not gated by the write breaker.
 	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?limit=1", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, limitOne, nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("read blocked by write breaker: %d", rec.Code)
 	}
@@ -207,8 +209,8 @@ func TestBreakerHTTP(t *testing.T) {
 	// the probe through after cooldown.
 	srv.now = func() time.Time { return now.Add(2 * time.Minute) }
 	rec = httptest.NewRecorder()
-	req = httptest.NewRequest(http.MethodPost, "/insert", strings.NewReader(form.Encode()))
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	req = httptest.NewRequest(http.MethodPost, "/sparql", strings.NewReader(insert))
+	req.Header.Set("Content-Type", sparqlUpdateType)
 	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("half-open probe write: %d %s", rec.Code, rec.Body)
@@ -238,7 +240,7 @@ func TestPanicRecovery(t *testing.T) {
 		t.Fatalf("panics counter = %d", srv.panics.Load())
 	}
 	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?limit=1", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, limitOne, nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("server dead after a recovered panic: %d", rec.Code)
 	}
@@ -251,7 +253,7 @@ func TestBusyRetryAfter(t *testing.T) {
 	srv := New(st, Options{Workers: 1, Timeout: 50 * time.Millisecond, CacheEntries: -1})
 	srv.sem <- struct{}{} // steal the only worker slot
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?limit=1", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, limitOne, nil))
 	<-srv.sem
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("saturated pool answered %d", rec.Code)

@@ -9,26 +9,19 @@
 //
 // Endpoints:
 //
-//	GET/POST /sparql              SPARQL 1.1 Protocol query endpoint:
-//	                              GET ?query= or POST (application/sparql-query
-//	                              body, or form with query=); results stream as
-//	                              SPARQL JSON, XML, CSV or TSV per the Accept
-//	                              header (see internal/server/results)
-//	GET  /v1/query?s=&p=&o=&limit= triple pattern -> NDJSON triples (deprecated)
-//	GET  /v1/sparql?q=&limit=      BGP query -> NDJSON solutions (deprecated)
-//	POST /v1/insert?s=&p=&o=       add one triple (mutable stores)
-//	POST /v1/delete?s=&p=&o=       remove one triple (mutable stores)
-//	GET  /stats                    store + server statistics as JSON
-//	GET  /metrics                  Prometheus text-format metrics
-//	GET  /healthz                  liveness probe (always 200 while serving)
-//	GET  /readyz                   readiness probe (503 while a replica
-//	                               catches up)
-//	GET  /debug/pprof/*            runtime profiles (only with Options.Pprof)
-//
-// The /v1/ endpoints are the private NDJSON dialect that predates the
-// protocol endpoint; they and their pre-versioning root aliases
-// (/query, /insert, /delete) answer with Deprecation, Sunset and
-// successor-version Link headers pointing clients at /sparql.
+//	GET/POST /sparql   SPARQL 1.1 Protocol endpoint. Queries arrive as
+//	                   GET ?query= or POST (application/sparql-query
+//	                   body, or form with query=); results stream as
+//	                   SPARQL JSON, XML, CSV or TSV per the Accept header
+//	                   (see internal/server/results). Updates arrive as
+//	                   POST (application/sparql-update body, or form with
+//	                   update=) and insert or delete one triple on a
+//	                   mutable store (see update.go)
+//	GET  /stats        store + server statistics as JSON
+//	GET  /metrics      Prometheus text-format metrics
+//	GET  /healthz      liveness probe (always 200 while serving)
+//	GET  /readyz       readiness probe (503 while a replica catches up)
+//	GET  /debug/pprof/* runtime profiles (only with Options.Pprof)
 //
 // Admission is a bounded worker pool: at most Options.Workers queries
 // execute at once, later arrivals queue on their request context and are
@@ -181,10 +174,9 @@ func (c Options) withDefaults() Options {
 	return c
 }
 
-// Server answers pattern and BGP queries over one shared store: either a
-// fixed immutable store, or a mutable store whose reads go through
-// RCU-published snapshot views and whose writes arrive on /insert and
-// /delete.
+// Server answers BGP queries over one shared store: either a fixed
+// immutable store, or a mutable store whose reads go through
+// RCU-published snapshot views and whose writes arrive as SPARQL updates.
 type Server struct {
 	st  *store.Store   // fixed read-only store (nil when mut is set)
 	mut *store.Mutable // updatable store (nil when read-only)
@@ -207,11 +199,9 @@ type Server struct {
 	// /metrics, /stats and the tests alike. The total rejection count is
 	// derived as the sum of its three causes at read time.
 	reg           *obs.Registry
-	queries       *obs.Counter // pattern queries accepted (NDJSON dialect)
-	sparqls       *obs.Counter // BGP queries accepted (NDJSON dialect)
 	protocols     *obs.Counter // SPARQL protocol queries accepted
-	inserts       *obs.Counter // /insert requests accepted
-	deletes       *obs.Counter // /delete requests accepted
+	inserts       *obs.Counter // INSERT DATA updates accepted
+	deletes       *obs.Counter // DELETE DATA updates accepted
 	rejectedBusy  *obs.Counter // 503s: pool saturated past deadline
 	rejectedRate  *obs.Counter // 429s: client over its rate limit
 	rejectedBrk   *obs.Counter // 503s: write-path circuit breaker open
@@ -234,8 +224,8 @@ type Server struct {
 func New(st *store.Store, cfg Options) *Server { return newServer(cfg, st, nil) }
 
 // NewMutable builds a server over an updatable store: reads resolve
-// against the store's current snapshot view, and the /insert and
-// /delete endpoints accept writes.
+// against the store's current snapshot view, and /sparql accepts
+// updates.
 func NewMutable(m *store.Mutable, cfg Options) *Server { return newServer(cfg, nil, m) }
 
 func newServer(cfg Options, st *store.Store, m *store.Mutable) *Server {
@@ -261,18 +251,9 @@ func newServer(cfg Options, st *store.Store, m *store.Mutable) *Server {
 	}
 	s.initMetrics()
 	s.mux = http.NewServeMux()
-	// The root /sparql is the standards-compliant SPARQL 1.1 Protocol
-	// endpoint. The private NDJSON dialect lives under /v1/ (and its
-	// pre-versioning root aliases), answered with deprecation headers
-	// steering clients to the protocol endpoint.
+	// /sparql is the one query and update endpoint: the SPARQL 1.1
+	// Protocol, rate-limited per client.
 	s.mux.HandleFunc("/sparql", s.limited(s.handleProtocol))
-	s.mux.HandleFunc("/v1/query", s.deprecated(s.limited(s.handleQuery)))
-	s.mux.HandleFunc("/v1/sparql", s.deprecated(s.limited(s.handleSparql)))
-	s.mux.HandleFunc("/v1/insert", s.deprecated(s.limited(s.handleInsert)))
-	s.mux.HandleFunc("/v1/delete", s.deprecated(s.limited(s.handleDelete)))
-	s.mux.HandleFunc("/query", s.deprecated(s.limited(s.handleQuery)))
-	s.mux.HandleFunc("/insert", s.deprecated(s.limited(s.handleInsert)))
-	s.mux.HandleFunc("/delete", s.deprecated(s.limited(s.handleDelete)))
 	// The probes (/stats, /metrics, /healthz) stay unlimited:
 	// rate-limiting them would blind the monitoring that explains the
 	// 429s.
@@ -322,8 +303,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}()
 	s.mux.ServeHTTP(w, r)
 }
-
-const ndjsonType = "application/x-ndjson"
 
 // errBusy is returned when the worker pool stays saturated past the
 // request's deadline.
@@ -443,8 +422,7 @@ func (s *Server) acquire(ctx context.Context) error {
 
 func (s *Server) release() { <-s.sem }
 
-// errorDoc is the unified error body every 4xx/5xx carries, across the
-// protocol endpoint and the legacy dialect alike:
+// errorDoc is the unified error body every 4xx/5xx carries:
 //
 //	{"error":{"code":404,"message":"…"}}
 //
@@ -559,197 +537,11 @@ func (s *Server) plan(norm string, q sparql.Query) (c *sparql.Compiled, cached b
 	return c, false, err
 }
 
-// handleQuery resolves one triple selection pattern and streams matches
-// as NDJSON, one {"s":…,"p":…,"o":…} object per line, terminated by a
-// {"matches":n} summary line.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	s.queries.Add(1)
-	st, gen := s.view()
-	if !s.checkMinGen(w, r.FormValue("min-gen"), gen) {
-		return
-	}
-	w.Header().Set(generationHeader, strconv.FormatUint(s.generationToken(gen), 10))
-	pat, err := st.ParsePattern(r.FormValue("s"), r.FormValue("p"), r.FormValue("o"))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	limit, err := parseLimitValue(r.FormValue("limit"))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	// The cache key is the normalized pattern: dictionary terms are
-	// already resolved to IDs, so lexically different spellings of the
-	// same pattern share an entry. The write generation prefixes the key,
-	// so entries cached before a write can never be served after it even
-	// if they race the explicit cache flush.
-	key := patternKey(gen, pat, limit)
-	if body, ok := s.results.Get(key); ok {
-		serveHit(w, ndjsonValue, nil, body, false)
-		return
-	}
-
-	x := s.begin(r)
-	defer x.end()
-	ctx := &x.ctx
-	if err := s.acquire(ctx); err != nil {
-		s.rejectBusy(w)
-		return
-	}
-	defer s.release()
-
-	qc := core.AcquireQueryCtx()
-	defer qc.Release()
-
-	// Rows are hand-built into the pooled NDJSON writer's buffer with
-	// escaped terms cached by ID, so the steady-state row path does not
-	// allocate.
-	o := &x.resp
-	*o = response{w: w, ctype: ndjsonValue}
-	nw := store.AcquireNDJSON(st, o)
-	defer nw.Release()
-
-	it := core.SelectWithCtx(st.Index, pat, qc)
-	buf := qc.Batch()
-	matches, truncated := 0, false
-	for limit < 0 || matches < limit {
-		// Cancellation is observed here, once per batch refill. An
-		// expired deadline ends a stream already under way with an error
-		// line in place of the summary; before the first flush, finish
-		// answers with a status and drops the line.
-		if err := ctx.Err(); err != nil {
-			nw.WriteError(err.Error())
-			s.finish(o, nw, key, err)
-			return
-		}
-		want := buf
-		if limit >= 0 && limit-matches < len(buf) {
-			want = buf[:limit-matches]
-		}
-		k := it.NextBatch(want)
-		if k == 0 {
-			break
-		}
-		for _, t := range want[:k] {
-			nw.WriteTriple(t)
-		}
-		matches += k
-	}
-	if limit >= 0 && matches >= limit {
-		// The stream stopped at the limit. Probe for one more match so
-		// an exactly-limit-sized result is not reported as truncated;
-		// anything beyond the probe stays unproduced and uncounted.
-		var probe [1]core.Triple
-		truncated = it.NextBatch(probe[:]) > 0
-	}
-	var sum [64]byte
-	line := strconv.AppendInt(append(sum[:0], `{"matches":`...), int64(matches), 10)
-	if truncated {
-		line = append(line, `,"truncated":true`...)
-	}
-	nw.AppendRaw(append(line, '}', '\n'))
-	s.finish(o, nw, key, nil)
-}
-
-// patternKey is the result-cache key of a pattern query at write
-// generation gen under a row limit.
-func patternKey(gen uint64, pat core.Pattern, limit int) string {
-	var b [64]byte
-	k := strconv.AppendUint(append(b[:0], 'g'), gen, 10)
-	k = strconv.AppendUint(append(k, "|q|"...), uint64(pat.S), 10)
-	k = strconv.AppendUint(append(k, ','), uint64(pat.P), 10)
-	k = strconv.AppendUint(append(k, ','), uint64(pat.O), 10)
-	return string(strconv.AppendInt(append(k, '|'), int64(limit), 10))
-}
-
-// handleSparql executes a BGP query and streams solutions as NDJSON, one
-// {var: term, …} object per line, terminated by a summary line with the
-// executor statistics.
-func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
-	s.sparqls.Add(1)
-	st, gen := s.view()
-	if !s.checkMinGen(w, r.FormValue("min-gen"), gen) {
-		return
-	}
-	w.Header().Set(generationHeader, strconv.FormatUint(s.generationToken(gen), 10))
-	qs := r.FormValue("q")
-	if qs == "" {
-		s.fail(w, http.StatusBadRequest, errors.New("missing q parameter"))
-		return
-	}
-	limit, err := parseLimitValue(r.FormValue("limit"))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	q, err := st.ParseQuery(qs)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	norm := planKey(gen, q)
-	key := "s|" + norm + "|" + strconv.Itoa(limit)
-	if body, ok := s.results.Get(key); ok {
-		serveHit(w, ndjsonValue, nil, body, false)
-		return
-	}
-
-	x := s.begin(r)
-	defer x.end()
-	ctx := &x.ctx
-	if err := s.acquire(ctx); err != nil {
-		s.rejectBusy(w)
-		return
-	}
-	defer s.release()
-
-	plan, planCached, err := s.plan(norm, q)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-
-	o := &x.resp
-	*o = response{w: w, ctype: ndjsonValue}
-	nw := store.AcquireNDJSON(st, o)
-	defer nw.Release()
-	nw.SetVars(plan.Vars, plan.Roles)
-
-	stats, rows, truncated, err := execute(ctx, plan, st, nil, limit, nw.WriteBlock)
-	if err != nil {
-		nw.WriteError(err.Error())
-		s.finish(o, nw, key, err)
-		return
-	}
-	var sum [128]byte
-	line := strconv.AppendInt(append(sum[:0], `{"results":`...), int64(rows), 10)
-	line = strconv.AppendInt(append(line, `,"patterns":`...), int64(stats.PatternsIssued), 10)
-	line = strconv.AppendInt(append(line, `,"matched":`...), int64(stats.TriplesMatched), 10)
-	if truncated {
-		line = append(line, `,"truncated":true`...)
-	}
-	line = append(line, `,"plan_cached":`...)
-	line = strconv.AppendBool(line, planCached)
-	nw.AppendRaw(append(line, '}', '\n'))
-	s.finish(o, nw, key, nil)
-}
-
-// handleInsert accepts POST /insert?s=&p=&o= with bound N-Triples terms
-// (or raw integer IDs on integer-only stores). Terms never seen before
-// are admitted via the overlay dictionaries. The response is the store's
-// WriteResult as JSON.
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	s.handleWrite(w, r, true)
-}
-
-// handleDelete accepts POST /delete?s=&p=&o=. Deleting an absent triple
-// (including one with unknown terms) reports changed=false.
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	s.handleWrite(w, r, false)
-}
-
-func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, insert bool) {
+// handleWrite applies one parsed update. Terms never seen before are
+// admitted via the overlay dictionaries; deleting an absent triple
+// (including one with unknown terms) reports changed=false. The response
+// is the store's WriteResult as JSON.
+func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, u update) {
 	if f := s.cfg.Replica; f != nil {
 		// A replica's store belongs to the replication stream; a local
 		// write would fork it from the leader's WAL. Point the client at
@@ -762,11 +554,6 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, insert bool
 	}
 	if s.mut == nil {
 		s.fail(w, http.StatusForbidden, errors.New("store is read-only (serve a mutable store to enable writes)"))
-		return
-	}
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.fail(w, http.StatusMethodNotAllowed, errors.New("writes require POST"))
 		return
 	}
 	// The circuit breaker gates admission: while the write path is known
@@ -799,12 +586,12 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, insert bool
 	defer s.release()
 	var res store.WriteResult
 	var err error
-	if insert {
+	if u.insert {
 		s.inserts.Add(1)
-		res, err = s.mut.Insert(r.FormValue("s"), r.FormValue("p"), r.FormValue("o"))
+		res, err = s.mut.Insert(u.s, u.p, u.o)
 	} else {
 		s.deletes.Add(1)
-		res, err = s.mut.Delete(r.FormValue("s"), r.FormValue("p"), r.FormValue("o"))
+		res, err = s.mut.Delete(u.s, u.p, u.o)
 	}
 	if s.brk != nil {
 		// Bad terms are the caller's fault and say nothing about the
@@ -875,11 +662,9 @@ type Stats struct {
 	InFlight      int     `json:"in_flight"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// OpenSeconds is how long the store open took at start.
-	OpenSeconds   float64 `json:"open_seconds"`
-	Queries       uint64  `json:"queries"`
-	SparqlQueries uint64  `json:"sparql_queries"`
-	// ProtocolQueries counts requests on the standards /sparql endpoint;
-	// SparqlQueries counts the deprecated NDJSON dialect.
+	OpenSeconds float64 `json:"open_seconds"`
+	// ProtocolQueries counts query requests on /sparql; Inserts and
+	// Deletes count its updates by verb.
 	ProtocolQueries uint64 `json:"protocol_queries"`
 	Inserts         uint64 `json:"inserts"`
 	Deletes         uint64 `json:"deletes"`
@@ -947,8 +732,6 @@ func (s *Server) Snapshot() Stats {
 		InFlight:            len(s.sem),
 		UptimeSeconds:       time.Since(s.start).Seconds(),
 		OpenSeconds:         st.OpenDuration.Seconds(),
-		Queries:             s.queries.Load(),
-		SparqlQueries:       s.sparqls.Load(),
 		ProtocolQueries:     s.protocols.Load(),
 		Inserts:             s.inserts.Load(),
 		Deletes:             s.deletes.Load(),

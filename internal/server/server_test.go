@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -46,22 +47,68 @@ func testStore(t testing.TB, people, likesPer int) *store.Store {
 	return &store.Store{Index: x, Dicts: dicts}
 }
 
-// ndjsonLines splits a response body into decoded JSON lines.
-func ndjsonLines(t *testing.T, body string) []map[string]any {
-	t.Helper()
-	var out []map[string]any
-	sc := bufio.NewScanner(strings.NewReader(body))
-	for sc.Scan() {
-		if strings.TrimSpace(sc.Text()) == "" {
-			continue
-		}
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		out = append(out, m)
+// sparqlPath is the /sparql GET path of query, with raw extra
+// parameters ("limit=2&min-gen=3") in front of it.
+func sparqlPath(query, params string) string {
+	if params != "" {
+		params += "&"
 	}
+	return "/sparql?" + params + "query=" + url.QueryEscape(query)
+}
+
+// rowSet renders a SPARQL JSON body's rows as sorted strings: the answer
+// as a set, independent of emission order.
+func rowSet(t *testing.T, body string) []string {
+	t.Helper()
+	_, rows := jsonBindings(t, []byte(body))
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = fmt.Sprint(r)
+	}
+	sort.Strings(out)
 	return out
+}
+
+// explainRows runs query with ?explain=1 and the extra parameters and
+// returns the document's row count, truncation flag and plan-cache
+// verdict.
+func explainRows(t *testing.T, ts *httptest.Server, query, params string) (rows int, truncated, planCached bool) {
+	t.Helper()
+	resp, body := get(t, ts, sparqlPath(query, "explain=1&"+params))
+	if resp.StatusCode != 200 {
+		t.Fatalf("explain %s: status %d body %s", query, resp.StatusCode, body)
+	}
+	var doc struct {
+		Rows       int  `json:"rows"`
+		Truncated  bool `json:"truncated"`
+		PlanCached bool `json:"plan_cached"`
+	}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.Rows, doc.Truncated, doc.PlanCached
+}
+
+// dataUpdate spells the single-triple update verb ("INSERT" or "DELETE")
+// DATA { s p o . }.
+func dataUpdate(verb, s, p, o string) string {
+	return verb + " DATA { " + s + " " + p + " " + o + " . }"
+}
+
+// postUpdate sends one update to /sparql as an application/sparql-update
+// body.
+func postUpdate(t *testing.T, ts *httptest.Server, update string) (*http.Response, string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/sparql", sparqlUpdateType, strings.NewReader(update))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, string(body)
 }
 
 func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, string) {
@@ -102,53 +149,47 @@ func TestServerEndpoints(t *testing.T) {
 		}
 	})
 
+	p0 := "SELECT ?p ?o WHERE { <http://ex/p0> ?p ?o . }"
 	t.Run("query", func(t *testing.T) {
-		resp, body := get(t, ts, "/query?s="+url.QueryEscape("<http://ex/p0>"))
+		resp, body := get(t, ts, sparqlPath(p0, ""))
 		if resp.StatusCode != 200 {
 			t.Fatalf("query: status %d body %q", resp.StatusCode, body)
 		}
-		lines := ndjsonLines(t, body)
-		last := lines[len(lines)-1]
-		matches := int(last["matches"].(float64))
-		if matches != len(lines)-1 {
-			t.Fatalf("summary says %d matches, stream has %d rows", matches, len(lines)-1)
-		}
+		vars, rows := jsonBindings(t, []byte(body))
 		// p0 knows p1 and likes 3 items.
-		if matches != 4 {
-			t.Fatalf("expected 4 matches for S??, got %d", matches)
+		if len(vars) != 2 || len(rows) != 4 {
+			t.Fatalf("expected 4 rows of ?p ?o for <p0>, got vars %v rows %v", vars, rows)
 		}
-		for _, row := range lines[:len(lines)-1] {
-			if row["s"] != "<http://ex/p0>" {
-				t.Fatalf("row subject %v, want <http://ex/p0>", row["s"])
+		for _, row := range rows {
+			if row["p"]["value"] == "http://ex/knows" && row["o"]["value"] != "http://ex/p1" {
+				t.Fatalf("p0 knows %v, want http://ex/p1", row["o"])
 			}
 		}
 	})
 
 	t.Run("query limit truncates", func(t *testing.T) {
-		_, body := get(t, ts, "/query?s="+url.QueryEscape("<http://ex/p0>")+"&limit=2")
-		lines := ndjsonLines(t, body)
-		last := lines[len(lines)-1]
-		if int(last["matches"].(float64)) != 2 || last["truncated"] != true {
-			t.Fatalf("limit summary wrong: %v", last)
+		_, body := get(t, ts, sparqlPath(p0, "limit=2"))
+		if _, rows := jsonBindings(t, []byte(body)); len(rows) != 2 {
+			t.Fatalf("limit=2 returned %d rows", len(rows))
+		}
+		if rows, truncated, _ := explainRows(t, ts, p0, "limit=2"); rows != 2 || !truncated {
+			t.Fatalf("limit=2 explain: %d rows, truncated %v", rows, truncated)
 		}
 	})
 
 	t.Run("query exact limit is not truncated", func(t *testing.T) {
 		// p0 has exactly 4 triples; limit=4 returns the complete result.
-		_, body := get(t, ts, "/query?s="+url.QueryEscape("<http://ex/p0>")+"&limit=4")
-		lines := ndjsonLines(t, body)
-		last := lines[len(lines)-1]
-		if int(last["matches"].(float64)) != 4 || last["truncated"] == true {
-			t.Fatalf("exact-limit summary wrong: %v", last)
+		if rows, truncated, _ := explainRows(t, ts, p0, "limit=4"); rows != 4 || truncated {
+			t.Fatalf("limit=4 explain: %d rows, truncated %v", rows, truncated)
 		}
 	})
 
 	t.Run("query cache", func(t *testing.T) {
-		path := "/query?p=" + url.QueryEscape("<http://ex/knows>")
+		path := sparqlPath("SELECT ?s ?o WHERE { ?s <http://ex/knows> ?o . }", "")
 		resp1, body1 := get(t, ts, path)
 		resp2, body2 := get(t, ts, path)
-		if resp1.Header.Get("X-Cache") != "miss" && resp1.Header.Get("X-Cache") != "hit" {
-			t.Fatalf("missing X-Cache header")
+		if resp1.Header.Get("X-Cache") != "miss" {
+			t.Fatalf("first query X-Cache=%q, want miss", resp1.Header.Get("X-Cache"))
 		}
 		if resp2.Header.Get("X-Cache") != "hit" {
 			t.Fatalf("second identical query not served from cache (X-Cache=%q)", resp2.Header.Get("X-Cache"))
@@ -159,56 +200,52 @@ func TestServerEndpoints(t *testing.T) {
 	})
 
 	t.Run("query bad term", func(t *testing.T) {
-		resp, _ := get(t, ts, "/query?s="+url.QueryEscape("<http://ex/nobody>"))
+		resp, _ := get(t, ts, sparqlPath("SELECT ?p ?o WHERE { <http://ex/nobody> ?p ?o . }", ""))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("unknown term: status %d, want 400", resp.StatusCode)
 		}
 	})
 
 	t.Run("sparql", func(t *testing.T) {
-		q := "SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y . }"
-		resp, body := get(t, ts, "/v1/sparql?q="+url.QueryEscape(q))
+		if _, _, cached := explainRows(t, ts, knowsQuery, ""); cached {
+			t.Fatalf("first execution should not have a cached plan")
+		}
+		resp, body := get(t, ts, sparqlPath(knowsQuery, ""))
 		if resp.StatusCode != 200 {
 			t.Fatalf("sparql: status %d body %q", resp.StatusCode, body)
 		}
-		lines := ndjsonLines(t, body)
-		last := lines[len(lines)-1]
-		if int(last["results"].(float64)) != 40 {
-			t.Fatalf("expected 40 knows-solutions, summary %v", last)
-		}
-		if last["plan_cached"] != false {
-			t.Fatalf("first execution should not have a cached plan")
+		if _, rows := jsonBindings(t, []byte(body)); len(rows) != 40 {
+			t.Fatalf("expected 40 knows-solutions, got %d", len(rows))
 		}
 		// Different spelling of the same BGP: plan cache hit, result
 		// cache keyed on normalized text serves it without execution.
 		q2 := "SELECT ?x ?y WHERE   {   ?x   <http://ex/knows>   ?y   . }"
-		resp2, body2 := get(t, ts, "/v1/sparql?q="+url.QueryEscape(q2))
+		resp2, body2 := get(t, ts, sparqlPath(q2, ""))
 		if resp2.Header.Get("X-Cache") != "hit" {
 			t.Fatalf("normalized respelling not served from result cache")
 		}
 		if body2 != body {
 			t.Fatalf("cached sparql body differs")
 		}
+		if _, _, cached := explainRows(t, ts, q2, ""); !cached {
+			t.Fatalf("respelling did not reuse the cached plan")
+		}
 	})
 
 	t.Run("sparql join", func(t *testing.T) {
 		q := "SELECT ?x WHERE { <http://ex/p0> <http://ex/knows> ?x . ?x <http://ex/likes> <http://ex/item1> . }"
-		resp, body := get(t, ts, "/v1/sparql?q="+url.QueryEscape(q))
+		resp, body := get(t, ts, sparqlPath(q, ""))
 		if resp.StatusCode != 200 {
 			t.Fatalf("sparql join: status %d", resp.StatusCode)
 		}
-		lines := ndjsonLines(t, body)
 		// p0 knows p1; p1 likes item1..item3, so one solution.
-		if n := int(lines[len(lines)-1]["results"].(float64)); n != 1 {
-			t.Fatalf("join solutions = %d, want 1: %s", n, body)
-		}
-		if lines[0]["x"] != "<http://ex/p1>" {
-			t.Fatalf("join solution %v, want <http://ex/p1>", lines[0]["x"])
+		if _, rows := jsonBindings(t, []byte(body)); len(rows) != 1 || rows[0]["x"]["value"] != "http://ex/p1" {
+			t.Fatalf("join solutions %v, want x = http://ex/p1", rows)
 		}
 	})
 
 	t.Run("sparql parse error", func(t *testing.T) {
-		resp, _ := get(t, ts, "/v1/sparql?q="+url.QueryEscape("SELECT WHERE"))
+		resp, _ := get(t, ts, sparqlPath("SELECT WHERE", ""))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("parse error: status %d, want 400", resp.StatusCode)
 		}
@@ -226,7 +263,7 @@ func TestServerEndpoints(t *testing.T) {
 		if s.Layout != "2Tp" || s.Triples != st.Index.NumTriples() || s.Workers != 4 || s.FormatVersion != store.CurrentVersion {
 			t.Fatalf("stats document wrong: %+v", s)
 		}
-		if s.Queries == 0 || s.CacheHits == 0 {
+		if s.ProtocolQueries == 0 || s.CacheHits == 0 {
 			t.Fatalf("counters not advancing: %+v", s)
 		}
 	})
@@ -243,14 +280,13 @@ func TestServerSharedStoreStress(t *testing.T) {
 	defer ts.Close()
 
 	queries := []string{
-		"/query?s=" + url.QueryEscape("<http://ex/p1>"),
-		"/query?p=" + url.QueryEscape("<http://ex/knows>"),
-		"/query?o=" + url.QueryEscape("<http://ex/item2>"),
-		"/query?s=" + url.QueryEscape("<http://ex/p3>") + "&o=" + url.QueryEscape("<http://ex/p4>"),
-		"/query",
-		"/v1/sparql?q=" + url.QueryEscape("SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y . }"),
-		"/v1/sparql?q=" + url.QueryEscape("SELECT ?x WHERE { ?x <http://ex/likes> <http://ex/item1> . ?x <http://ex/likes> <http://ex/item2> . }"),
-		"/v1/sparql?q=" + url.QueryEscape("SELECT ?x ?z WHERE { <http://ex/p0> <http://ex/knows> ?x . ?x <http://ex/likes> ?z . }"),
+		sparqlPath("SELECT ?p ?o WHERE { <http://ex/p1> ?p ?o . }", ""),
+		sparqlPath("SELECT ?s ?o WHERE { ?s <http://ex/knows> ?o . }", ""),
+		sparqlPath("SELECT ?s ?p WHERE { ?s ?p <http://ex/item2> . }", ""),
+		sparqlPath("SELECT ?p WHERE { <http://ex/p3> ?p <http://ex/p4> . }", ""),
+		sparqlPath("SELECT ?s ?p ?o WHERE { ?s ?p ?o . }", ""),
+		sparqlPath("SELECT ?x WHERE { ?x <http://ex/likes> <http://ex/item1> . ?x <http://ex/likes> <http://ex/item2> . }", ""),
+		sparqlPath("SELECT ?x ?z WHERE { <http://ex/p0> <http://ex/knows> ?x . ?x <http://ex/likes> ?z . }", ""),
 		"/stats",
 		"/healthz",
 	}
@@ -351,65 +387,53 @@ func postForm(t *testing.T, ts *httptest.Server, path string, vals url.Values) (
 
 // TestServerLimitValidation pins the limit parameter contract: negative
 // limits are a 400 (only absence means unlimited), and limit=0 yields
-// zero result rows plus the summary line.
+// zero result rows, reported as truncated.
 func TestServerLimitValidation(t *testing.T) {
 	st := testStore(t, 10, 2)
 	srv := New(st, Options{Workers: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	for _, path := range []string{
-		"/query?limit=-5",
-		"/query?limit=-1",
-		"/v1/sparql?limit=-1&q=" + url.QueryEscape("SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y . }"),
-	} {
-		resp, _ := get(t, ts, path)
+	for _, params := range []string{"limit=-5", "limit=-1"} {
+		resp, _ := get(t, ts, sparqlPath(knowsQuery, params))
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", path, resp.StatusCode)
+			t.Fatalf("%s: status %d, want 400", params, resp.StatusCode)
 		}
 	}
 
-	resp, body := get(t, ts, "/query?limit=0&s="+url.QueryEscape("<http://ex/p0>"))
+	resp, body := get(t, ts, sparqlPath(knowsQuery, "limit=0"))
 	if resp.StatusCode != 200 {
 		t.Fatalf("limit=0 status %d", resp.StatusCode)
 	}
-	lines := ndjsonLines(t, body)
-	if len(lines) != 1 {
-		t.Fatalf("limit=0 returned %d lines, want summary only", len(lines))
+	if vars, rows := jsonBindings(t, []byte(body)); len(vars) != 2 || len(rows) != 0 {
+		t.Fatalf("limit=0 returned vars %v and %d rows, want the head only", vars, len(rows))
 	}
-	if int(lines[0]["matches"].(float64)) != 0 || lines[0]["truncated"] != true {
-		t.Fatalf("limit=0 summary %v, want 0 matches and truncated", lines[0])
-	}
-
-	resp, body = get(t, ts, "/v1/sparql?limit=0&q="+url.QueryEscape("SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y . }"))
-	if resp.StatusCode != 200 {
-		t.Fatalf("sparql limit=0 status %d", resp.StatusCode)
-	}
-	lines = ndjsonLines(t, body)
-	if len(lines) != 1 || int(lines[0]["results"].(float64)) != 0 {
-		t.Fatalf("sparql limit=0 lines %v", lines)
+	if rows, truncated, _ := explainRows(t, ts, knowsQuery, "limit=0"); rows != 0 || !truncated {
+		t.Fatalf("limit=0 explain: %d rows, truncated %v", rows, truncated)
 	}
 }
 
 // TestServerReadOnlyRejectsWrites checks the fixed-store server keeps
-// its immutability contract on the write endpoints.
+// its immutability contract against updates.
 func TestServerReadOnlyRejectsWrites(t *testing.T) {
 	st := testStore(t, 10, 2)
 	srv := New(st, Options{Workers: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	resp, _ := postForm(t, ts, "/insert", url.Values{
-		"s": {"<http://ex/x>"}, "p": {"<http://ex/knows>"}, "o": {"<http://ex/y>"},
-	})
+	resp, body := postUpdate(t, ts, dataUpdate("INSERT", "<http://ex/x>", "<http://ex/knows>", "<http://ex/y>"))
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("read-only insert: status %d, want 403", resp.StatusCode)
+	}
+	errorShape(t, resp, []byte(body))
+	if got := srv.Snapshot().Triples; got != st.Index.NumTriples() {
+		t.Fatalf("read-only store changed to %d triples", got)
 	}
 }
 
 // TestServerWriteEndpoints is the end-to-end acceptance demo: serve a
-// built store, insert a triple with a brand-new IRI over HTTP, observe
-// it immediately on /query (cache invalidated), restart from the WAL
-// and still see it, then force a merge and check query results are
+// built store, insert a triple with a brand-new IRI as a SPARQL update,
+// observe it immediately on /sparql (cache invalidated), restart from the
+// WAL and still see it, then force a merge and check query results are
 // unchanged.
 func TestServerWriteEndpoints(t *testing.T) {
 	dir := t.TempDir()
@@ -418,8 +442,9 @@ func TestServerWriteEndpoints(t *testing.T) {
 	ts := httptest.NewServer(srv)
 
 	newbie := "<http://ex/newcomer>"
-	queryPath := "/query?s=" + url.QueryEscape(newbie)
-	knowsPath := "/query?p=" + url.QueryEscape("<http://ex/knows>")
+	newbieQuery := "SELECT ?p ?o WHERE { " + newbie + " ?p ?o . }"
+	queryPath := sparqlPath(newbieQuery, "")
+	knowsPath := sparqlPath("SELECT ?s ?o WHERE { ?s <http://ex/knows> ?o . }", "")
 
 	// Unknown term: 400 before the insert. Warm the predicate query into
 	// the result cache so the invalidation is observable.
@@ -431,12 +456,17 @@ func TestServerWriteEndpoints(t *testing.T) {
 		t.Fatal("warmup query not cached")
 	}
 
-	// GET on a write endpoint is rejected; POST inserts.
-	if resp, _ := get(t, ts, "/insert?s=x"); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET insert: status %d, want 405", resp.StatusCode)
+	// Updates travel only as POST: a GET carrying one is a query request
+	// without a query, and another method is a 405.
+	insert := dataUpdate("INSERT", newbie, "<http://ex/knows>", "<http://ex/p0>")
+	if resp, _ := get(t, ts, "/sparql?update="+url.QueryEscape(insert)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("GET update: status %d, want 400", resp.StatusCode)
 	}
-	vals := url.Values{"s": {newbie}, "p": {"<http://ex/knows>"}, "o": {"<http://ex/p0>"}}
-	resp, body := postForm(t, ts, "/insert", vals)
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/sparql", strings.NewReader(insert))
+	if resp, _ := do(t, req); resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") == "" {
+		t.Fatalf("PUT update: status %d Allow %q, want 405 with Allow", resp.StatusCode, resp.Header.Get("Allow"))
+	}
+	resp, body := postUpdate(t, ts, insert)
 	if resp.StatusCode != 200 {
 		t.Fatalf("insert: status %d body %s", resp.StatusCode, body)
 	}
@@ -447,26 +477,26 @@ func TestServerWriteEndpoints(t *testing.T) {
 	if !wr.Changed || wr.LogSize != 1 {
 		t.Fatalf("insert result %+v", wr)
 	}
+	if got := resp.Header.Get(generationHeader); got != strconv.FormatUint(wr.Generation, 10) {
+		t.Fatalf("generation header %q, result %d", got, wr.Generation)
+	}
 
-	// The new triple is visible immediately, through both endpoints.
+	// The new triple is visible immediately.
 	resp, body = get(t, ts, queryPath)
 	if resp.StatusCode != 200 {
 		t.Fatalf("post-insert query: status %d", resp.StatusCode)
 	}
-	lines := ndjsonLines(t, body)
-	if int(lines[len(lines)-1]["matches"].(float64)) != 1 {
-		t.Fatalf("post-insert matches %v", lines[len(lines)-1])
-	}
-	if lines[0]["s"] != newbie {
-		t.Fatalf("post-insert subject %v", lines[0]["s"])
+	_, rows := jsonBindings(t, []byte(body))
+	if len(rows) != 1 || rows[0]["o"]["value"] != "http://ex/p0" {
+		t.Fatalf("post-insert rows %v", rows)
 	}
 	// The cached predicate query was invalidated: fresh body, one more row.
 	resp, knowsAfter := get(t, ts, knowsPath)
 	if resp.Header.Get("X-Cache") == "hit" {
 		t.Fatal("stale cache entry served after insert")
 	}
-	if knowsAfter == knowsBefore {
-		t.Fatal("predicate query body unchanged after insert")
+	if len(rowSet(t, knowsAfter)) != len(rowSet(t, knowsBefore))+1 {
+		t.Fatal("predicate query did not gain the inserted row")
 	}
 	if n := srv.Snapshot(); !n.Mutable || n.Inserts != 1 || n.LogSize != 1 {
 		t.Fatalf("stats after insert: %+v", n)
@@ -490,17 +520,11 @@ func TestServerWriteEndpoints(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("post-restart query: status %d", resp.StatusCode)
 	}
-	lines = ndjsonLines(t, body)
-	if int(lines[len(lines)-1]["matches"].(float64)) != 1 {
-		t.Fatalf("WAL recovery lost the insert: %v", lines[len(lines)-1])
+	if _, rows := jsonBindings(t, []byte(body)); len(rows) != 1 {
+		t.Fatalf("WAL recovery lost the insert: %v", rows)
 	}
 	// A merge remaps dictionary IDs, which legitimately permutes the
 	// emission order; compare result sets, not byte streams.
-	sortedLines := func(body string) string {
-		ls := strings.Split(strings.TrimSpace(body), "\n")
-		sort.Strings(ls)
-		return strings.Join(ls, "\n")
-	}
 	_, fullBefore := get(t, ts, knowsPath)
 
 	// Forced merge folds the log into the static index; results hold.
@@ -514,23 +538,26 @@ func TestServerWriteEndpoints(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("post-merge query: status %d", resp.StatusCode)
 	}
-	lines = ndjsonLines(t, body)
-	if int(lines[len(lines)-1]["matches"].(float64)) != 1 {
-		t.Fatalf("merge lost the insert: %v", lines[len(lines)-1])
+	if _, rows := jsonBindings(t, []byte(body)); len(rows) != 1 {
+		t.Fatalf("merge lost the insert: %v", rows)
 	}
-	if _, fullAfter := get(t, ts, knowsPath); sortedLines(fullAfter) != sortedLines(fullBefore) {
+	if _, fullAfter := get(t, ts, knowsPath); fmt.Sprint(rowSet(t, fullAfter)) != fmt.Sprint(rowSet(t, fullBefore)) {
 		t.Fatalf("merge changed rendered query results:\n%s\nvs\n%s", fullBefore, fullAfter)
 	}
 
-	// Delete through the API; the triple disappears.
-	resp, _ = postForm(t, ts, "/delete", vals)
+	// Delete through the update form field; the triple disappears.
+	resp, _ = postForm(t, ts, "/sparql", url.Values{
+		"update": {dataUpdate("DELETE", newbie, "<http://ex/knows>", "<http://ex/p0>")},
+	})
 	if resp.StatusCode != 200 {
 		t.Fatalf("delete: status %d", resp.StatusCode)
 	}
 	_, body = get(t, ts, queryPath)
-	lines = ndjsonLines(t, body)
-	if int(lines[len(lines)-1]["matches"].(float64)) != 0 {
-		t.Fatalf("delete not visible: %v", lines[len(lines)-1])
+	if _, rows := jsonBindings(t, []byte(body)); len(rows) != 0 {
+		t.Fatalf("delete not visible: %v", rows)
+	}
+	if n := srv.Snapshot(); n.Deletes != 1 {
+		t.Fatalf("stats after delete: %+v", n)
 	}
 }
 
@@ -548,12 +575,11 @@ func TestServerWriterReaderStress(t *testing.T) {
 	defer ts.Close()
 
 	reads := []string{
-		"/query?s=" + url.QueryEscape("<http://ex/p1>"),
-		"/query?p=" + url.QueryEscape("<http://ex/knows>"),
-		"/query?o=" + url.QueryEscape("<http://ex/item2>"),
-		"/query",
-		"/v1/sparql?q=" + url.QueryEscape("SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y . }"),
-		"/v1/sparql?q=" + url.QueryEscape("SELECT ?x ?z WHERE { <http://ex/p0> <http://ex/knows> ?x . ?x <http://ex/likes> ?z . }"),
+		sparqlPath("SELECT ?p ?o WHERE { <http://ex/p1> ?p ?o . }", ""),
+		sparqlPath("SELECT ?s ?o WHERE { ?s <http://ex/knows> ?o . }", ""),
+		sparqlPath("SELECT ?s ?p WHERE { ?s ?p <http://ex/item2> . }", ""),
+		sparqlPath("SELECT ?s ?p ?o WHERE { ?s ?p ?o . }", ""),
+		sparqlPath("SELECT ?x ?z WHERE { <http://ex/p0> <http://ex/knows> ?x . ?x <http://ex/likes> ?z . }", ""),
 		"/stats",
 	}
 
@@ -566,23 +592,19 @@ func TestServerWriterReaderStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < writes; i++ {
-			vals := url.Values{
-				"s": {fmt.Sprintf("<http://ex/w%d>", i%17)},
-				"p": {"<http://ex/knows>"},
-				"o": {fmt.Sprintf("<http://ex/p%d>", i%40)},
-			}
-			path := "/insert"
+			verb := "INSERT"
 			if i%3 == 2 {
-				path = "/delete"
+				verb = "DELETE"
 			}
-			resp, err := http.PostForm(ts.URL+path, vals)
+			u := dataUpdate(verb, fmt.Sprintf("<http://ex/w%d>", i%17), "<http://ex/knows>", fmt.Sprintf("<http://ex/p%d>", i%40))
+			resp, err := http.Post(ts.URL+"/sparql", sparqlUpdateType, strings.NewReader(u))
 			if err != nil {
 				errs <- err.Error()
 				return
 			}
 			resp.Body.Close()
 			if resp.StatusCode != 200 {
-				errs <- fmt.Sprintf("%s: status %d", path, resp.StatusCode)
+				errs <- fmt.Sprintf("%s: status %d", u, resp.StatusCode)
 				return
 			}
 		}
@@ -612,16 +634,14 @@ func TestServerWriterReaderStress(t *testing.T) {
 					errs <- fmt.Sprintf("%s: status %d", qp, resp.StatusCode)
 					return
 				}
-				if strings.HasPrefix(qp, "/query") {
-					lines := ndjsonLines(t, sb.String())
-					last := lines[len(lines)-1]
-					n, ok := last["matches"]
-					if !ok {
-						errs <- fmt.Sprintf("%s: no summary line: %v", qp, last)
-						return
+				if strings.HasPrefix(qp, "/sparql") {
+					var doc struct {
+						Results struct {
+							Bindings []map[string]any `json:"bindings"`
+						} `json:"results"`
 					}
-					if int(n.(float64)) != len(lines)-1 {
-						errs <- fmt.Sprintf("%s: summary %v but %d rows", qp, n, len(lines)-1)
+					if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
+						errs <- fmt.Sprintf("%s: incomplete result document: %v", qp, err)
 						return
 					}
 				}
@@ -650,7 +670,7 @@ func TestWorkerPoolBounds(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Get(ts.URL + "/query?p=" + url.QueryEscape("<http://ex/likes>"))
+			resp, err := http.Get(ts.URL + sparqlPath("SELECT ?s ?o WHERE { ?s <http://ex/likes> ?o . }", ""))
 			if err == nil {
 				resp.Body.Close()
 			}

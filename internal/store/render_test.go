@@ -1,12 +1,8 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"sort"
 	"testing"
 
 	"rdfindexes/internal/core"
@@ -55,187 +51,84 @@ func TestRendererMatchesRender(t *testing.T) {
 	}
 }
 
-// decodeNDJSON parses every line the writer produced.
-func decodeNDJSON(t *testing.T, body []byte) []map[string]any {
-	t.Helper()
-	var out []map[string]any
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	for sc.Scan() {
-		m := map[string]any{}
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("invalid NDJSON line %q: %v", sc.Text(), err)
-		}
-		out = append(out, m)
+// jsonLines is a keyed layout for tests: one JSON object per row and
+// line, unbound cells omitted.
+var jsonLines = RowLayout{Open: "{", Sep: ",", Close: "}\n", Keyed: true}
+
+// jsonCell encodes a raw term as a JSON string.
+type jsonCell struct{}
+
+func (jsonCell) EncodeTerm(dst, raw []byte) []byte { return AppendJSONString(dst, raw) }
+
+// bindRows readies r to render jsonLines rows over st with the given
+// columns.
+func bindRows(r *Rows, st *Store, vars []string, roles []core.Role) *Renderer {
+	rend := AcquireRenderer(st)
+	r.Bind(&jsonLines, jsonCell{}, rend)
+	r.SetColumns(len(vars), roles)
+	for _, v := range vars {
+		r.AddKey(append(AppendJSONString(nil, []byte(v)), ':'))
 	}
-	return out
+	return rend
 }
 
-func TestNDJSONWriterRows(t *testing.T) {
-	for name, st := range map[string]*Store{
-		"dict":    buildSample(t, core.Layout2Tp),
-		"overlay": buildOverlaySample(t, core.Layout2Tp),
-	} {
-		var out bytes.Buffer
-		nw := AcquireNDJSON(st, &out)
-		it := st.Index.Select(core.NewPattern(-1, -1, -1))
-		var triples []core.Triple
-		for {
-			tr, ok := it.Next()
-			if !ok {
-				break
-			}
-			triples = append(triples, tr)
-			nw.WriteTriple(tr)
-			nw.WriteTriple(tr) // repeats exercise the term cache
-		}
-		if err := nw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		nw.Release()
-		lines := decodeNDJSON(t, out.Bytes())
-		if len(lines) != 2*len(triples) {
-			t.Fatalf("%s: %d lines, want %d", name, len(lines), 2*len(triples))
-		}
-		for i, tr := range triples {
-			for _, m := range []map[string]any{lines[2*i], lines[2*i+1]} {
-				if m["s"] != st.Render(tr.S) || m["p"] != st.RenderPredicate(tr.P) || m["o"] != st.Render(tr.O) {
-					t.Fatalf("%s: row %v, want triple %v", name, m, tr)
-				}
-			}
-		}
-	}
-}
-
-func TestNDJSONWriterIntsAndSolutions(t *testing.T) {
-	ints := &Store{Index: buildSample(t, core.Layout2Tp).Index}
-	var out bytes.Buffer
-	nw := AcquireNDJSON(ints, &out)
-	nw.WriteTriple(core.Triple{S: 1, P: 2, O: 3})
-	nw.SetVars([]string{"x", "y", "z", "p"}, []core.Role{core.RoleSO, core.RoleSO, core.RoleSO, core.RoleP})
-	nw.WriteRow([]core.ID{1, core.Wildcard, 2, 7})
-	nw.WriteError(`boom "quoted\"`)
-	nw.AppendRaw([]byte("{\"matches\":1}\n"))
-	if err := nw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	nw.Release()
-	lines := decodeNDJSON(t, out.Bytes())
-	if len(lines) != 4 {
-		t.Fatalf("%d lines, want 4", len(lines))
-	}
-	if lines[0]["s"] != float64(1) || lines[0]["o"] != float64(3) {
-		t.Fatalf("ints row = %v, want numeric IDs", lines[0])
-	}
-	if lines[1]["x"] != "<1>" || lines[1]["z"] != "<2>" || lines[1]["p"] != "<7>" {
-		t.Fatalf("solution row = %v", lines[1])
-	}
-	if _, hasY := lines[1]["y"]; hasY {
-		t.Fatalf("unbound var emitted: %v", lines[1])
-	}
-	if lines[2]["error"] != `boom "quoted\"` {
-		t.Fatalf("error line = %v", lines[2])
-	}
-	if lines[3]["matches"] != float64(1) {
-		t.Fatalf("raw line = %v", lines[3])
-	}
-}
-
-// TestNDJSONEscaping runs terms with every escape-worthy byte class
-// through a real dictionary and checks the writer emits decodable JSON
-// that round-trips the exact term.
-func TestNDJSONEscaping(t *testing.T) {
-	terms := []string{
+// TestAppendJSONString runs terms with every escape-worthy byte class
+// through AppendJSONString and checks each decodes back to the exact
+// bytes.
+func TestAppendJSONString(t *testing.T) {
+	for _, term := range []string{
 		"\"plain literal\"",
 		"\"tab\tand\nnewline\r\"",
 		"\"back\\\\slash\"",
-		"\"ctrl\x01byte\"",
+		"\"ctrl\x01byte\x1f\"",
 		"\"unicode é世\"",
 		"<http://ex/iri>",
-	}
-	sort.Strings(terms)
-	so, err := dict.New(terms, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := dict.New([]string{"<http://ex/p>"}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A store with no triples still renders: the writer only needs dicts.
-	d := core.NewDataset([]core.Triple{{S: 0, P: 0, O: 1}})
-	d.NS, d.NO = so.Len(), so.Len()
-	x, err := core.Build(d, core.Layout2Tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &Store{Index: x, Dicts: &rdf.Dicts{SO: so, P: p}}
-	var out bytes.Buffer
-	nw := AcquireNDJSON(st, &out)
-	// Column p reads the same IDs through the predicate dictionary.
-	nw.SetVars([]string{"v", "p"}, []core.Role{core.RoleSO, core.RoleP})
-	for id := range terms {
-		nw.WriteRow([]core.ID{core.ID(id), core.ID(id % p.Len())})
-	}
-	if err := nw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	nw.Release()
-	lines := decodeNDJSON(t, out.Bytes())
-	for i, want := range terms {
-		if lines[i]["v"] != want {
-			t.Fatalf("term %d round-tripped to %q, want %q", i, lines[i]["v"], want)
+		"",
+	} {
+		enc := AppendJSONString([]byte("x"), []byte(term))
+		var got string
+		if err := json.Unmarshal(enc[1:], &got); err != nil {
+			t.Fatalf("%q encoded to invalid JSON %s: %v", term, enc[1:], err)
 		}
-		if wantP, _ := p.Extract(i % p.Len()); lines[i]["p"] != wantP {
-			t.Fatalf("row %d: predicate column %q, want %q", i, lines[i]["p"], wantP)
+		if got != term {
+			t.Fatalf("%q round-tripped to %q", term, got)
 		}
 	}
 }
 
-// TestNDJSONWriterAllocs pins the zero-alloc steady state of the server
-// row path across plain-dictionary, overlay and integer-only stores.
-func TestNDJSONWriterAllocs(t *testing.T) {
+// TestRowsAllocs pins the zero-alloc steady state of the row renderer
+// across plain-dictionary, overlay and integer-only stores.
+func TestRowsAllocs(t *testing.T) {
 	for name, st := range map[string]*Store{
 		"dict":    buildSample(t, core.Layout2Tp),
 		"overlay": buildOverlaySample(t, core.Layout2Tp),
 		"ints":    {Index: buildSample(t, core.Layout2Tp).Index},
 	} {
 		t.Run(name, func(t *testing.T) {
-			var triples []core.Triple
+			var rows []core.ID
 			it := st.Index.Select(core.NewPattern(-1, -1, -1))
 			for {
 				tr, ok := it.Next()
 				if !ok {
 					break
 				}
-				triples = append(triples, tr)
+				rows = append(rows, tr.S, tr.P, tr.O)
 			}
-			nw := AcquireNDJSON(st, io.Discard)
-			defer nw.Release()
-			nw.SetVars([]string{"x", "p", "y"}, []core.Role{core.RoleSO, core.RoleP, core.RoleSO})
-			// Warm: first pass fills the term cache and grows the buffers.
-			for _, tr := range triples {
-				nw.WriteTriple(tr)
-				nw.WriteRow([]core.ID{tr.S, tr.P, tr.O})
-			}
-			nw.Flush()
+			var r Rows
+			rend := bindRows(&r, st, []string{"x", "p", "y"}, []core.Role{core.RoleSO, core.RoleP, core.RoleSO})
+			defer rend.Release()
+			defer r.Release()
+			// Warm: the first pass fills the term table and grows the
+			// buffer.
+			buf := r.Write(nil, rows, len(rows)/3)
+			n := len(rows) / 3
 			i := 0
 			if a := testing.AllocsPerRun(500, func() {
-				tr := triples[i%len(triples)]
-				nw.WriteTriple(tr)
+				buf = r.Write(buf[:0], rows[3*(i%n):], 1)
 				i++
 			}); a != 0 {
-				t.Errorf("WriteTriple allocs/row = %v, want 0", a)
+				t.Errorf("Write allocs/row = %v, want 0", a)
 			}
-			row := make([]core.ID, 3)
-			if a := testing.AllocsPerRun(500, func() {
-				tr := triples[i%len(triples)]
-				row[0], row[1], row[2] = tr.S, tr.P, tr.O
-				nw.WriteRow(row)
-				i++
-			}); a != 0 {
-				t.Errorf("WriteRow allocs/row = %v, want 0", a)
-			}
-			nw.Flush()
 		})
 	}
 }

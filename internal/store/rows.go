@@ -19,7 +19,7 @@ type TermEncoder interface {
 	EncodeTerm(dst, raw []byte) []byte
 }
 
-// Rows renders solution rows for both row writers. Each distinct
+// Rows renders solution rows for the row writer. Each distinct
 // (role, ID) is encoded once per request into a TermTable and copied from
 // there for every later cell that names it.
 //

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"rdfindexes/internal/core"
@@ -126,58 +125,41 @@ func twinStores(t *testing.T, n int) [2]*Store {
 	return out
 }
 
-// TestNDJSONWriterTermTable drives the NDJSON writer's term table through
-// growth and SO/P collisions in one wide request, then through more than
-// two generation wraps of one pooled writer, alternating stores that
-// render the same IDs differently: every row must carry its own store's
-// terms.
-func TestNDJSONWriterTermTable(t *testing.T) {
+// TestRowsTermTable drives the row renderer's term table through growth
+// and SO/P collisions in one wide request, then through more than two
+// generation wraps of one reused Rows, alternating stores that render the
+// same IDs differently: every row must carry its own store's terms.
+func TestRowsTermTable(t *testing.T) {
 	stores := twinStores(t, 3000)
 	row := func(prefix string, id int) string {
 		return fmt.Sprintf(`{"s":"<http://%s/e%06d>","p":"<http://%s/p%d>"}`+"\n", prefix, id, prefix, id%4)
 	}
-	var out bytes.Buffer
-	nw := AcquireNDJSON(stores[0], &out)
-	nw.SetVars([]string{"s", "p"}, []core.Role{core.RoleSO, core.RoleP})
+	vars, roles := []string{"s", "p"}, []core.Role{core.RoleSO, core.RoleP}
+	var r Rows
+	rend := bindRows(&r, stores[0], vars, roles)
+	var out []byte
 	var want bytes.Buffer
 	for pass := 0; pass < 2; pass++ {
 		for id := 0; id < 3000; id++ {
-			nw.WriteRow([]core.ID{core.ID(id), core.ID(id % 4)})
+			out = r.Write(out, []core.ID{core.ID(id), core.ID(id % 4)}, 1)
 			want.WriteString(row("a", id))
 		}
 	}
-	if err := nw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	nw.Release()
-	if !bytes.Equal(out.Bytes(), want.Bytes()) {
+	r.Release()
+	rend.Release()
+	if !bytes.Equal(out, want.Bytes()) {
 		t.Fatal("wide request: rows differ from their terms")
 	}
 
-	// On one P the pool hands the same writer back every cycle, so its
-	// table crosses the wrap (the race detector drops pooled values at
-	// random, and then several writers share the cycles).
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var last *NDJSONWriter
-	changes := 0
 	for i := 0; i < 2*maxGen+10; i++ {
 		k := i % 2
-		out.Reset()
-		nw := AcquireNDJSON(stores[k], &out)
-		if nw != last {
-			last, changes = nw, changes+1
-		}
-		nw.SetVars([]string{"s", "p"}, []core.Role{core.RoleSO, core.RoleP})
+		rend := bindRows(&r, stores[k], vars, roles)
 		id := i % 7
-		nw.WriteRow([]core.ID{core.ID(id), core.ID(id % 4)})
-		nw.WriteRow([]core.ID{core.ID(id), core.ID(id % 4)})
-		if err := nw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		nw.Release()
-		if r := row([]string{"a", "b"}[k], id); out.String() != r+r {
-			t.Fatalf("cycle %d: %q, want two of %q", i, out.String(), r)
+		out = r.Write(out[:0], []core.ID{core.ID(id), core.ID(id % 4), core.ID(id), core.ID(id % 4)}, 2)
+		r.Release()
+		rend.Release()
+		if w := row([]string{"a", "b"}[k], id); string(out) != w+w {
+			t.Fatalf("cycle %d: %q, want two of %q", i, out, w)
 		}
 	}
-	t.Logf("the pooled writer changed %d times", changes)
 }
