@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net"
 	"os"
@@ -126,7 +125,7 @@ func OpenFollower(path, addr string, opts FollowerOptions) (*Follower, error) {
 }
 
 // bootstrapSnapshot fetches a full snapshot into path with a one-shot
-// connection: temp file, full container verification, atomic rename.
+// connection, through the store's verified snapshot receive.
 func bootstrapSnapshot(path, addr string, opts FollowerOptions) error {
 	conn, err := opts.Dial(addr)
 	if err != nil {
@@ -149,27 +148,7 @@ func bootstrapSnapshot(path, addr string, opts FollowerOptions) error {
 	if err != nil {
 		return err
 	}
-	tmp := path + ".boot.tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, cerr := io.CopyN(f, conn, int64(size))
-	if cerr == nil {
-		cerr = f.Sync()
-	}
-	if err := f.Close(); cerr == nil {
-		cerr = err
-	}
-	if cerr != nil {
-		os.Remove(tmp)
-		return cerr
-	}
-	if _, err := store.Read(tmp); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("snapshot verify: %w", err)
-	}
-	return os.Rename(tmp, path)
+	return store.ReceiveSnapshot(path, conn, int64(size))
 }
 
 // Mutable returns the follower's store for serving. Callers must treat
@@ -326,7 +305,10 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 				return progressed, fmt.Errorf("repl: epoch end %016x@%d does not match local %016x@%d",
 					prevFp, prevFinal, curFp, f.mut.WALSeq())
 			}
-			if err := f.mut.MergeReplicated(); err != nil {
+			// The follower rebuilds the base the leader just merged to
+			// (the WAL records were identical) and starts its next epoch
+			// at sequence 0.
+			if err := f.mut.Merge(); err != nil {
 				return progressed, err
 			}
 			myFp, err := store.FileFingerprint(f.mut.Path())
@@ -371,6 +353,11 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 			}
 			conn.SetReadDeadline(time.Now().Add(f.opts.SnapshotTimeout))
 			if err := f.mut.InstallSnapshot(conn, int64(size)); err != nil {
+				// A failed install may have fallen back to the base the
+				// store file holds, older than what was applied so far;
+				// its first view is published after this store, so no
+				// generation is vouched for until the stream sets one.
+				f.appliedGen.Store(0)
 				return progressed, err
 			}
 			curFp = fp

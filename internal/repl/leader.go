@@ -3,7 +3,6 @@ package repl
 import (
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"net"
 	"os"
@@ -218,7 +217,7 @@ func (l *Leader) sendSnapshot(conn net.Conn) (pos uint64, err error) {
 		if err != nil {
 			return 0, err
 		}
-		fp, size, err := fingerprint(f)
+		fp, size, err := store.Fingerprint(f)
 		if err != nil {
 			f.Close()
 			return 0, err
@@ -291,17 +290,6 @@ func (l *Leader) streamEvents(conn net.Conn, sub *subscriber, pos uint64) {
 			return
 		}
 	}
-}
-
-// fingerprint hashes an open store file exactly as
-// store.FileFingerprint does, returning the size alongside.
-func fingerprint(f *os.File) (fp uint64, size int64, err error) {
-	h := crc64.New(crc64.MakeTable(crc64.ECMA))
-	n, err := io.Copy(h, f)
-	if err != nil {
-		return 0, 0, err
-	}
-	return h.Sum64() ^ uint64(n), n, nil
 }
 
 // event is one entry in the hub's log: a shipped WAL record or an epoch

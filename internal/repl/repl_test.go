@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -169,6 +170,72 @@ func TestReplicateBootstrapAndTail(t *testing.T) {
 	}
 	if ls := l.Stats(); ls.RecordsShipped < 10 {
 		t.Fatalf("leader shipped %d records, want >= 10", ls.RecordsShipped)
+	}
+}
+
+// TestBootstrapReceive feeds a follower bootstrapping onto a missing
+// store file a short stream, a stream with one flipped byte and a good
+// snapshot, each from a one-shot leader stand-in. A bad stream fails the
+// open and leaves neither the store file nor a temp file, so the next
+// open bootstraps cleanly.
+func TestBootstrapReceive(t *testing.T) {
+	dir := t.TempDir()
+	snap, err := os.ReadFile(buildSeedStore(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), snap...)
+	flipped[len(flipped)/2] ^= 0x10
+	path := filepath.Join(dir, "replica.idx")
+	for _, c := range []struct {
+		name string
+		body []byte
+		ok   bool
+	}{
+		{"short", snap[:len(snap)-7], false},
+		{"flipped", flipped, false},
+		{"good", snap, true},
+	} {
+		opts := testFollowerOptions()
+		served := make(chan struct{})
+		opts.Dial = func(string) (net.Conn, error) {
+			conn, peer := net.Pipe()
+			go func() {
+				defer close(served)
+				defer peer.Close()
+				if _, err := readFrame(peer); err != nil {
+					return
+				}
+				if writeFrame(peer, encodeSnapshotHeader(1, 1, uint64(len(snap)))) == nil {
+					peer.Write(c.body)
+				}
+			}()
+			return conn, nil
+		}
+		f, err := OpenFollower(path, "stand-in", opts)
+		<-served // the bootstrap closed its end, so the stand-in is done
+		if !c.ok {
+			if err == nil {
+				f.Close()
+				t.Fatalf("%s: the bootstrap succeeded", c.name)
+			}
+			for _, p := range []string{path, path + ".snap.tmp"} {
+				if _, serr := os.Stat(p); !os.IsNotExist(serr) {
+					t.Fatalf("%s: %s left behind (%v)", c.name, p, serr)
+				}
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		defer f.Close()
+		if n := f.Mutable().View().Index.NumTriples(); n != 2 {
+			t.Fatalf("bootstrapped store holds %d triples, want 2", n)
+		}
+		if got := f.Stats().SnapshotsInstalled; got != 1 {
+			t.Fatalf("SnapshotsInstalled = %d, want 1", got)
+		}
 	}
 }
 

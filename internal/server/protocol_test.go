@@ -601,3 +601,44 @@ func TestMixedRoleVariable(t *testing.T) {
 		t.Errorf("rejected plans left %d workers claimed", got)
 	}
 }
+
+// FuzzSPARQLQuery sends arbitrary query text through /sparql in all
+// three request forms — GET ?query=, a direct application/sparql-query
+// POST and a form POST — on a 12-triple store. Every answer is a 200,
+// 400, 413 or 415: never a panic or a 5xx. A row limit keeps a fuzzed
+// cartesian product from building a body the size of its cube.
+func FuzzSPARQLQuery(f *testing.F) {
+	for _, seed := range []string{
+		knowsQuery,
+		"SELECT * WHERE { ?a <http://ex/knows> ?b . ?c <http://ex/likes> ?d . }",
+		"SELECT ?p ?o WHERE { <http://ex/p0> ?p ?o . }",
+		"SELECT ?x WHERE { ?x <http://ex/knows> ?x . }",
+		"SELECT ?x WHERE { ?x <http://ex/nowhere> <http://ex/nobody> . }",
+		`SELECT ?x WHERE { ?x <http://ex/likes> "a \"quoted\" } \\ \né"@en . }`,
+		`SELECT ?x WHERE { ?x <http://ex/likes> "7"^^<http://www.w3.org/2001/XMLSchema#int> . }`,
+		"SELECT ?s ?p ?o WHERE { ?s ?p ?o . } LIMIT 3",
+		"INSERT DATA { <http://ex/a> <http://ex/knows> <http://ex/b> . }",
+		"",
+		strings.Repeat("x", maxQueryBytes+1),
+	} {
+		f.Add(seed)
+	}
+	srv := New(testStore(f, 4, 2), Options{Workers: 2})
+	f.Fuzz(func(t *testing.T, query string) {
+		const target = "/sparql?limit=4096"
+		get := httptest.NewRequest(http.MethodGet, target+"&query="+url.QueryEscape(query), nil)
+		direct := httptest.NewRequest(http.MethodPost, target, strings.NewReader(query))
+		direct.Header.Set("Content-Type", sparqlQueryType)
+		form := httptest.NewRequest(http.MethodPost, target, strings.NewReader(url.Values{"query": {query}}.Encode()))
+		form.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		for _, req := range []*http.Request{get, direct, form} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			switch rec.Code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnsupportedMediaType:
+			default:
+				t.Fatalf("%s %s: status %d for %q: %s", req.Method, req.Header.Get("Content-Type"), rec.Code, query, rec.Body)
+			}
+		}
+	})
+}

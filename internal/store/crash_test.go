@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"rdfindexes/internal/core"
@@ -197,4 +200,143 @@ func TestCrashTorture(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInstallSnapshotFaults fails the steps of snapshot catch-up that
+// change the disk — the WAL truncate, the WAL sync and the rename — and
+// checks that the store file, the WAL position and the in-memory state
+// stay at one epoch, before and after a reopen. The WAL's records belong
+// to the base the file holds; were the snapshot renamed in with them
+// still in the WAL, a reopen would replay them over the leader's state
+// and bring back triples the leader deleted. A merge whose WAL sync
+// fails after the truncate must likewise start its next epoch, or the
+// next acknowledged write is framed past the empty WAL and lost.
+func TestInstallSnapshotFaults(t *testing.T) {
+	snapPath := filepath.Join(t.TempDir(), "snap.idx")
+	if err := Write(snapPath, buildSample(t, core.Layout3T)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// open returns a store at its base plus two WAL records, with every
+	// file operation going through inj.
+	open := func(t *testing.T, inj *faultfs.Injector) (*Mutable, string, uint64) {
+		t.Helper()
+		path := buildTestStore(t, t.TempDir(), core.Layout2Tp)
+		fp, err := FileFingerprint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fsys = inj
+		t.Cleanup(func() { fsys = faultfs.OS{} })
+		m, err := OpenMutable(path, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		for _, s := range []string{"<http://ex/dave>", "<http://ex/erin>"} {
+			if _, err := m.Insert(s, "<http://ex/knows>", "<http://ex/alice>"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m, path, fp
+	}
+	failOn := func(kind faultfs.OpKind, path string) func(faultfs.Op) faultfs.Fault {
+		return func(op faultfs.Op) faultfs.Fault {
+			if op.Kind == kind && op.Path == path {
+				return faultfs.Error
+			}
+			return faultfs.None
+		}
+	}
+	// check asserts the file's fingerprint, the WAL position and how many
+	// of the two WAL-only triples the view serves, then how many a reopen
+	// serves. A failure past the truncate publishes nothing: the view on
+	// show keeps serving until the next write.
+	check := func(t *testing.T, m *Mutable, path string, fp, seq uint64, served, reopened int) {
+		t.Helper()
+		if got, err := FileFingerprint(path); err != nil || got != fp {
+			t.Errorf("store file fingerprint %016x (%v), want %016x", got, err, fp)
+		}
+		if got := m.WALSeq(); got != seq {
+			t.Errorf("WALSeq = %d, want %d", got, seq)
+		}
+		if _, err := os.Stat(path + ".snap.tmp"); !os.IsNotExist(err) {
+			t.Errorf("snapshot temp file left behind: %v", err)
+		}
+		if n := countMatches(t, m.View(), "?", "?", "<http://ex/alice>"); n != served {
+			t.Errorf("view serves %d of the WAL's triples, want %d", n, served)
+		}
+		m.Close()
+		fsys = faultfs.OS{}
+		r, err := OpenMutable(path, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if n := countMatches(t, r.View(), "?", "?", "<http://ex/alice>"); n != reopened {
+			t.Errorf("reopened store serves %d of the WAL's triples, want %d", n, reopened)
+		}
+	}
+
+	t.Run("truncate", func(t *testing.T) {
+		inj := faultfs.NewInjector(faultfs.OS{})
+		m, path, fp := open(t, inj)
+		inj.SetPlan(failOn(faultfs.OpTruncate, path+WALSuffix))
+		if err := m.InstallSnapshot(bytes.NewReader(snap), int64(len(snap))); err == nil {
+			t.Fatal("InstallSnapshot succeeded through a failed WAL truncate")
+		}
+		check(t, m, path, fp, 2, 2, 2) // nothing changed
+	})
+	for _, tc := range []struct {
+		name   string
+		kind   faultfs.OpKind
+		suffix string
+	}{
+		{"sync", faultfs.OpSync, WALSuffix},
+		{"rename", faultfs.OpRename, ".snap.tmp"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := faultfs.NewInjector(faultfs.OS{})
+			m, path, fp := open(t, inj)
+			inj.SetPlan(failOn(tc.kind, path+tc.suffix))
+			if err := m.InstallSnapshot(bytes.NewReader(snap), int64(len(snap))); err == nil {
+				t.Fatalf("InstallSnapshot succeeded through a failed %s", tc.kind)
+			}
+			check(t, m, path, fp, 0, 2, 0) // the old base at the top of its epoch
+		})
+	}
+	t.Run("merge-sync", func(t *testing.T) {
+		inj := faultfs.NewInjector(faultfs.OS{})
+		m, path, _ := open(t, inj)
+		inj.SetPlan(failOn(faultfs.OpSync, path+WALSuffix))
+		if err := m.Merge(); err == nil {
+			t.Fatal("Merge succeeded through a failed WAL sync")
+		}
+		inj.SetPlan(nil)
+		if _, err := m.Insert("<http://ex/frank>", "<http://ex/knows>", "<http://ex/alice>"); err != nil {
+			t.Fatal(err)
+		}
+		fp, err := FileFingerprint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, m, path, fp, 1, 3, 3) // the merged base and the write after it
+	})
+	t.Run("clean", func(t *testing.T) {
+		m, path, _ := open(t, faultfs.NewInjector(faultfs.OS{}))
+		if err := m.InstallSnapshot(bytes.NewReader(snap), int64(len(snap))); err != nil {
+			t.Fatal(err)
+		}
+		if st := m.View(); st.Integrity.Mapped != mapsFiles || st.Index.Layout() != core.Layout3T {
+			t.Errorf("installed view: mapped %v, layout %v", st.Integrity.Mapped, st.Index.Layout())
+		}
+		fp, err := FileFingerprint(snapPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, m, path, fp, 0, 1, 1) // the snapshot: carol knows alice
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,16 +40,19 @@ import (
 //   - When the log reaches the merge threshold, the overlay dictionaries
 //     are folded into rebuilt front-coded ones, every live triple is
 //     remapped into the new ID space, the static index is rebuilt, the
-//     store file is rewritten atomically (temp file + rename), and the
-//     WAL is truncated.
+//     store file is rewritten atomically (temp file + rename) and read
+//     back, and the WAL is truncated.
+//   - Every base a view serves — at open, after a merge, after a
+//     snapshot from a replication leader — is a store Read returned for
+//     the store file, installed by installLocked: the checksum-verified
+//     mapping of the file, never an index built in memory.
 type Mutable struct {
 	mu        sync.Mutex // serializes writers and merges
 	path      string
 	walPath   string
 	wal       faultfs.File
 	threshold int
-	layout    core.Layout
-	integrity Integrity   // of the store file this Mutable was opened from
+	base      *Store      // what Read returned for the store file; dyn and the overlays sit on it
 	recovery  WALRecovery // what replayWAL found at open
 
 	dyn *core.DynamicIndex
@@ -157,19 +159,8 @@ func openMutable(path string, threshold int, lock bool) (*Mutable, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Mutable{
-		path:      path,
-		walPath:   path + WALSuffix,
-		threshold: threshold,
-		integrity: st.Integrity,
-		layout:    st.Index.Layout(),
-		dyn:       newDynamicFor(st),
-	}
-	if st.Dicts != nil {
-		if m.so, m.p, err = overlaysFor(st); err != nil {
-			return nil, err
-		}
-	}
+	m := &Mutable{path: path, walPath: path + WALSuffix, threshold: threshold}
+	m.installLocked(st)
 	if lock {
 		// Only a writing open touches the WAL file: read views must work
 		// without write permission and must never create or recreate it.
@@ -320,7 +311,7 @@ func (m *Mutable) WALBytes() int64 { return m.walBytes.Load() }
 // with one pointer load, so a cache key built from the generation can
 // never describe IDs resolved against a different view's dictionaries.
 func (m *Mutable) publishLocked() {
-	st := &Store{Index: m.dyn.Snapshot(), Gen: m.gen.Add(1), Integrity: m.integrity, Modified: time.Now(), OpenDuration: m.openDuration}
+	st := &Store{Index: m.dyn.Snapshot(), Gen: m.gen.Add(1), Integrity: m.base.Integrity, Modified: time.Now(), OpenDuration: m.openDuration}
 	if m.so != nil {
 		st.Dicts = &rdf.Dicts{SO: m.so.View(), P: m.p.View()}
 	}
@@ -768,41 +759,51 @@ func splitWALCRC(line string) (crc uint32, rest string, ok bool) {
 	return uint32(v), line[9:], true
 }
 
-// syncDir best-effort-syncs the directory containing path so a rename
-// inside it is durable before dependent state changes (not all
-// filesystems support syncing a directory handle).
-func syncDir(path string) {
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
+// installLocked makes st, a store Read returned for the file at m.path,
+// the base every later view serves: the dynamic index and the overlay
+// dictionaries start empty over it, the layout and the integrity are
+// its own, and the WAL position restarts at the top of an epoch. Open,
+// merge and snapshot catch-up all reach the views through it. Callers
+// hold m.mu or own m exclusively, and have made the WAL agree with st.
+func (m *Mutable) installLocked(st *Store) {
+	m.base = st
+	m.dyn = core.NewDynamicFromIndex(st.Index, -1) // the Mutable drives merges
+	m.so, m.p = nil, nil
+	if st.Dicts != nil {
+		// Read decodes front-coded dictionaries and nothing else.
+		m.so = dict.NewOverlay(st.Dicts.SO.(*dict.Dict))
+		m.p = dict.NewOverlay(st.Dicts.P.(*dict.Dict))
 	}
+	m.walRecords = 0
+	m.walBytes.Store(0)
 }
 
-// newDynamicFor wraps a loaded store's static index in the write-side
-// dynamic log. The DynamicIndex never merges on its own (threshold -1):
-// the Mutable drives merges so dictionaries fold and files rewrite in
-// the same step.
-func newDynamicFor(st *Store) *core.DynamicIndex {
-	return core.NewDynamicFromIndex(st.Index, -1)
-}
-
-// overlaysFor builds fresh write overlays over a loaded store's
-// front-coded dictionaries. Callers have checked st.Dicts != nil.
-func overlaysFor(st *Store) (so, p *dict.Overlay, err error) {
-	soDict, ok := st.Dicts.SO.(*dict.Dict)
-	if !ok {
-		return nil, nil, fmt.Errorf("store: loaded SO dictionary has unexpected type %T", st.Dicts.SO)
+// truncateWALLocked empties the WAL and syncs it, ending its epoch; a
+// read-only open has no WAL to empty. It reports whether the truncate
+// took effect: once it has, the WAL no longer holds the epoch's records
+// whatever the sync returned, and the caller must end the epoch in
+// memory too. Truncate keeps the append handle valid (O_APPEND
+// repositions every write).
+func (m *Mutable) truncateWALLocked() (truncated bool, err error) {
+	if m.wal == nil {
+		return true, nil
 	}
-	pDict, ok := st.Dicts.P.(*dict.Dict)
-	if !ok {
-		return nil, nil, fmt.Errorf("store: loaded P dictionary has unexpected type %T", st.Dicts.P)
+	if err := m.wal.Truncate(0); err != nil {
+		return false, fmt.Errorf("store: WAL truncate: %w", err)
 	}
-	return dict.NewOverlay(soDict), dict.NewOverlay(pDict), nil
+	if err := m.wal.Sync(); err != nil {
+		return true, fmt.Errorf("store: WAL sync: %w", err)
+	}
+	return true, nil
 }
 
 // mergeLocked folds the pending log and overlay dictionaries into a
 // rebuilt static store, persists it atomically (Write replaces the file
-// by rename), and truncates the WAL. Callers hold m.mu.
+// by rename), reads the file back, truncates the WAL and installs what
+// it read; the index built in memory is garbage once it returns. Until
+// the truncate the pre-merge state keeps serving with its WAL intact: on
+// a reopen that WAL replays over the merged file to the same triples, as
+// every record it holds is already folded in. Callers hold m.mu.
 func (m *Mutable) mergeLocked() error {
 	start := time.Now()
 	live := m.dyn.LiveTriples()
@@ -843,32 +844,23 @@ func (m *Mutable) mergeLocked() error {
 			d.NP = pDict.Len()
 		}
 	}
-	x, err := core.Build(d, m.layout)
+	x, err := core.Build(d, m.base.Index.Layout())
 	if err != nil {
 		return fmt.Errorf("store: merge rebuild: %w", err)
 	}
 	if err := Write(m.path, &Store{Index: x, Dicts: dicts}); err != nil {
 		return err
 	}
-	// The merged state is durable; drop the WAL. Truncate keeps the
-	// append handle valid (O_APPEND repositions every write).
-	if m.wal != nil {
-		if err := m.wal.Truncate(0); err != nil {
-			return fmt.Errorf("store: WAL truncate: %w", err)
-		}
+	st, err := Read(m.path)
+	if err != nil {
+		return fmt.Errorf("store: merge read-back: %w", err)
 	}
-	m.walBytes.Store(0)
-	m.dyn = core.NewDynamicFromIndex(x, -1)
-	if soDict != nil {
-		m.so = dict.NewOverlay(soDict)
-		m.p = dict.NewOverlay(pDict)
+	truncated, err := m.truncateWALLocked()
+	if !truncated {
+		return err
 	}
-	m.walRecords = 0
-	// Views published from here on serve the heap-built index, not the
-	// mapping of the file this Mutable was opened from; that mapping is
-	// released with the last view that still holds it.
-	m.integrity = Integrity{Version: CurrentVersion}
+	m.installLocked(st) // even when the sync failed: the WAL is empty
 	m.mergeSeconds.Observe(time.Since(start))
 	m.merges.Add(1)
-	return nil
+	return err
 }

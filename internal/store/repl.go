@@ -196,83 +196,84 @@ func (m *Mutable) ApplyReplicated(line []byte) (dup bool, err error) {
 	return false, nil
 }
 
-// MergeReplicated folds the pending log in response to the leader's
-// epoch end, exactly like Merge: the follower rebuilds the same base
-// the leader just merged to (the WAL records were identical) and starts
-// its next epoch at sequence 0.
-func (m *Mutable) MergeReplicated() error { return m.Merge() }
-
 // InstallSnapshot replaces the entire store with a full snapshot
 // streamed from a leader: n bytes of a serialized store container read
-// from r. The bytes land in a temp file, are verified by a full
-// checksummed decode, and only then atomically renamed over the store
-// file; the WAL is truncated and the in-memory state rebuilt from the
-// verified store. Any failure — short stream, torn bytes, checksum
-// mismatch — leaves the previous state untouched and serving: a torn
-// snapshot can never become a view.
+// from r. The bytes land in a temp file and are verified by Read
+// (receiveSnapshot); only then is the WAL emptied, the file renamed over
+// the store file and the verified mapping installed and published. The
+// WAL's records belong to the base the store file holds, so they go
+// before the file does: every failure leaves the file, the WAL and the
+// in-memory state at one epoch. A failure up to the truncate changes
+// nothing. Once the truncate has taken effect, a failed WAL sync or
+// rename installs the old base at the top of its epoch and returns the
+// error without publishing: the view on show keeps serving until the
+// next write publishes the old base. A torn snapshot never becomes a
+// view.
 func (m *Mutable) InstallSnapshot(r io.Reader, n int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.wal == nil {
 		return errors.New("store: InstallSnapshot on a closed or read-only store")
 	}
-	tmp := m.path + ".snap.tmp"
-	f, err := fsys.Create(tmp)
+	tmp, st, err := receiveSnapshot(m.path, r, n)
 	if err != nil {
 		return err
 	}
-	_, cerr := io.CopyN(f, r, n)
-	if cerr == nil {
-		cerr = f.Sync()
-	}
-	if err := f.Close(); cerr == nil {
-		cerr = err
-	}
-	if cerr != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("store: snapshot receive: %w", cerr)
-	}
-	// Full verification before the new bytes can touch the live path.
-	st, err := Read(tmp)
+	truncated, err := m.truncateWALLocked()
 	if err != nil {
 		fsys.Remove(tmp)
-		return fmt.Errorf("store: snapshot verify: %w", err)
+	} else {
+		err = replace(tmp, m.path)
 	}
-	if err := m.adoptStoreLocked(tmp, st); err != nil {
-		fsys.Remove(tmp)
+	if err != nil {
+		if truncated {
+			m.installLocked(m.base) // still the store file's content, now without a log
+		}
 		return err
 	}
+	m.installLocked(st)
 	m.publishLocked()
 	return nil
 }
 
-// adoptStoreLocked renames a verified store file over the live path and
-// rebuilds the in-memory state (dynamic index, overlays, WAL position)
-// from it. Callers hold m.mu and have fully verified the file at tmp.
-func (m *Mutable) adoptStoreLocked(tmp string, st *Store) error {
-	// Layout follows the leader: the follower serves whatever the
-	// leader built, and its next local merge rebuilds in that layout.
-	m.layout = st.Index.Layout()
-	if err := fsys.Rename(tmp, m.path); err != nil {
+// ReceiveSnapshot stores a full snapshot — n bytes of a serialized store
+// container read from r — at path, where no store is open: a replica
+// bootstraps through it. It takes the receive path InstallSnapshot
+// takes, so a short or damaged stream leaves neither path nor a temp
+// file behind.
+func ReceiveSnapshot(path string, r io.Reader, n int64) error {
+	tmp, _, err := receiveSnapshot(path, r, n)
+	if err != nil {
 		return err
 	}
-	syncDir(m.path)
-	if err := m.wal.Truncate(0); err != nil {
-		return fmt.Errorf("store: WAL truncate after snapshot: %w", err)
+	return replace(tmp, path)
+}
+
+// receiveSnapshot copies n bytes from r into a temp file beside path,
+// syncs it and verifies it with Read, returning the temp file's name and
+// what Read made of it. On any failure the temp file is gone.
+func receiveSnapshot(path string, r io.Reader, n int64) (tmp string, st *Store, err error) {
+	tmp = path + ".snap.tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return "", nil, err
 	}
-	m.walBytes.Store(0)
-	m.walRecords = 0
-	m.dyn = newDynamicFor(st)
-	m.so, m.p = nil, nil
-	if st.Dicts != nil {
-		so, p, err := overlaysFor(st)
-		if err != nil {
-			return err
-		}
-		m.so, m.p = so, p
+	_, err = io.CopyN(f, r, n)
+	if err == nil {
+		err = f.Sync()
 	}
-	m.integrity = st.Integrity
-	return nil
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+		return "", nil, fmt.Errorf("store: snapshot receive: %w", err)
+	}
+	if st, err = Read(tmp); err != nil {
+		fsys.Remove(tmp)
+		return "", nil, fmt.Errorf("store: snapshot verify: %w", err)
+	}
+	return tmp, st, nil
 }
 
 // FileFingerprint identifies a store file's exact content: CRC64-ECMA
@@ -287,10 +288,16 @@ func FileFingerprint(path string) (uint64, error) {
 		return 0, err
 	}
 	defer f.Close()
+	fp, _, err := Fingerprint(f)
+	return fp, err
+}
+
+// Fingerprint is FileFingerprint over the bytes r yields, returning
+// their count alongside.
+func Fingerprint(r io.Reader) (fp uint64, size int64, err error) {
 	h := crc64.New(crc64.MakeTable(crc64.ECMA))
-	n, err := io.Copy(h, f)
-	if err != nil {
-		return 0, err
+	if size, err = io.Copy(h, r); err != nil {
+		return 0, 0, err
 	}
-	return h.Sum64() ^ uint64(n), nil
+	return h.Sum64() ^ uint64(size), size, nil
 }

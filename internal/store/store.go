@@ -13,6 +13,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -60,8 +61,9 @@ type Integrity struct {
 	// mutable snapshots inherit the loaded store's value).
 	Version int
 	// Mapped is true while the view's index and dictionaries are served
-	// from the memory-mapped store file; false once a merge rebuilt them
-	// on the heap, or where the platform reads the file into memory.
+	// from the memory-mapped store file — after a merge too, whose views
+	// serve the file it wrote — and false where the platform reads the
+	// file into memory.
 	Mapped bool
 }
 
@@ -122,10 +124,22 @@ func Write(path string, st *Store) error {
 		fsys.Remove(tmp) // best effort: the error that matters is err
 		return err
 	}
+	return replace(tmp, path)
+}
+
+// replace renames the synced file tmp over path and syncs the directory,
+// so the rename is durable before any dependent state changes; on
+// failure tmp is removed. The directory sync is best effort: not all
+// filesystems support syncing a directory handle.
+func replace(tmp, path string) error {
 	if err := fsys.Rename(tmp, path); err != nil {
+		fsys.Remove(tmp)
 		return err
 	}
-	syncDir(path)
+	if dir, err := os.Open(filepath.Dir(path)); err == nil {
+		dir.Sync()
+		dir.Close()
+	}
 	return nil
 }
 
