@@ -64,6 +64,7 @@ import (
 	"time"
 
 	"rdfindexes/internal/core"
+	"rdfindexes/internal/dict"
 	"rdfindexes/internal/rdf"
 	"rdfindexes/internal/repl"
 	"rdfindexes/internal/server"
@@ -399,9 +400,33 @@ func statsCmd(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "dictionaries: %d SO terms, %d predicates (%.2f MiB)\n",
 			st.Dicts.SO.Len(), st.Dicts.P.Len(),
 			float64(st.Dicts.SO.SizeBits()+st.Dicts.P.SizeBits())/8/1024/1024)
+		fmt.Fprintf(out, "SO dict:      %s\n", dictSpace(st.Dicts.SO))
+		fmt.Fprintf(out, "P dict:       %s\n", dictSpace(st.Dicts.P))
 	}
 	fmt.Fprintf(out, "format:       %s\n", formatLine(st.Integrity.Version, st.Integrity.Mapped))
 	return nil
+}
+
+// dictSpace describes a dictionary's front-coded bytes: the verbatim
+// bucket heads, the entries coded against them, and bytes per term.
+// Terms added since the last merge are counted apart; they live in the
+// WAL and the overlay, not in the store file.
+func dictSpace(r dict.Reader) string {
+	pending := 0
+	if o, ok := r.(*dict.Overlay); ok {
+		r, pending = o.Base(), o.AddedLen()
+	}
+	d, ok := r.(*dict.Dict)
+	if !ok {
+		return fmt.Sprintf("%d terms", r.Len())
+	}
+	sp := d.Space()
+	line := fmt.Sprintf("%d terms, %d bytes (heads %d, entries %d), %.2f B/term",
+		d.Len(), sp.Heads+sp.Entries, sp.Heads, sp.Entries, float64(sp.Heads+sp.Entries)/float64(max(d.Len(), 1)))
+	if pending > 0 {
+		line += fmt.Sprintf("; %d pending", pending)
+	}
+	return line
 }
 
 // formatLine describes a container version for stats and verify.
@@ -431,7 +456,11 @@ func verifyCmd(args []string, out io.Writer) error {
 	}
 	for _, sec := range rep.Sections {
 		status := "ok"
-		if !sec.OK {
+		switch {
+		case sec.OK:
+		case sec.Name == "magic":
+			status = sec.Error // a foreign or outdated file, not damage
+		default:
 			status = "CORRUPT: " + sec.Error
 		}
 		if sec.Bytes > 0 {

@@ -9,7 +9,9 @@ import "fmt"
 
 // ID identifies a subject, predicate or object. Subjects, predicates and
 // objects live in separate dense ID spaces so that trie first levels are
-// complete integer ranges.
+// complete integer ranges. The string dictionaries that assign IDs hold
+// under 4 GiB of front-coded bytes each (dict.MaxBytes), so their bucket
+// offsets are 32 bits wide too.
 type ID uint32
 
 // Wildcard is the pattern component that matches every ID.

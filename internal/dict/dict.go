@@ -4,15 +4,20 @@
 // from all measurements; this implementation exists so the end-to-end
 // tools and examples can ingest real N-Triples data.
 //
-// Layout: strings are sorted and grouped into buckets of fixed size; the
-// first string of each bucket is stored verbatim and the rest as (shared
-// prefix length, suffix) pairs. Lookup binary searches the bucket headers
-// and scans one bucket.
+// Layout: strings are sorted and grouped into buckets of fixed size. The
+// first string of each bucket, its head, is stored verbatim; the rest
+// are front coded with a shared tail: the prefix length shared with the
+// previous string, the middle bytes after it, and the length of a tail
+// copied from the end of the head. Sorted RDF terms share tails as much
+// as prefixes — a typed literal's ^^<datatype> and an @lang tag end every
+// neighbour — so a tail is stored once per bucket instead of once per
+// term. Lookup binary searches the bucket heads and scans one bucket.
 package dict
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"rdfindexes/internal/codec"
@@ -22,6 +27,11 @@ import (
 // DefaultBucketSize balances space (larger buckets share more prefixes)
 // against lookup latency (a lookup scans one bucket).
 const DefaultBucketSize = 16
+
+// MaxBytes bounds a dictionary's front-coded bytes: bucket offsets are
+// uint32, as IDs are. New and Fold refuse to build past it, and Decode
+// refuses a stored dictionary that claims more.
+const MaxBytes = math.MaxUint32
 
 // Reader is the read side shared by the immutable front-coded Dict and
 // the mutable Overlay: everything the query path (term resolution,
@@ -51,7 +61,7 @@ type Dict struct {
 	// offsets holds the byte offset of each bucket in data, then
 	// len(data). On disk it is Elias-Fano coded; Decode expands it once
 	// so every lookup indexes a plain slice.
-	offsets []uint64
+	offsets []uint32
 	// owner keeps the memory data views (a mapped store file) alive for
 	// as long as the dictionary is reachable; nil when built in memory.
 	owner any
@@ -71,18 +81,27 @@ func New(strs []string, bucketSize int) (*Dict, error) {
 // builder appends sorted, distinct strings to a front-coded layout one
 // at a time; New and Overlay.Fold share it.
 type builder struct {
-	d    *Dict
-	last []byte // the previous string: LCP source and order check
+	d     *Dict
+	last  []byte // the previous string: LCP source and order check
+	head  []byte // the current bucket's head: tail source
+	limit uint64 // the most front-coded bytes allowed, MaxBytes
 }
 
 func newBuilder(bucketSize int) *builder {
 	if bucketSize <= 0 {
 		bucketSize = DefaultBucketSize
 	}
-	return &builder{d: &Dict{bucketSize: bucketSize}}
+	// No dictionary holds more strings than MaxBytes (each takes a
+	// byte), so a larger bucket is the same bucket.
+	bucketSize = min(bucketSize, MaxBytes)
+	return &builder{d: &Dict{bucketSize: bucketSize}, limit: MaxBytes}
 }
 
-// add appends s, which must sort strictly after the previous string.
+// add appends s, which must sort strictly after the previous string. A
+// bucket's first string is its verbatim head. Every other one is stored
+// as its LCP with the previous string, the lengths of its middle and of
+// its tail, and the middle: the tail is the longest suffix of the rest
+// of s that ends the head too, and the decoders copy it from there.
 func add[T string | []byte](b *builder, s T) error {
 	d := b.d
 	lcp := commonPrefix(b.last, s)
@@ -90,13 +109,23 @@ func add[T string | []byte](b *builder, s T) error {
 		return fmt.Errorf("dict: input not sorted/distinct at %d (%q >= %q)", d.n, b.last, s)
 	}
 	if d.n%d.bucketSize == 0 {
-		d.offsets = append(d.offsets, uint64(len(d.data)))
+		d.offsets = append(d.offsets, uint32(len(d.data)))
 		d.data = appendUvarint(d.data, uint64(len(s)))
 		d.data = append(d.data, s...)
+		b.head = append(b.head[:0], s...)
 	} else {
+		rest := s[lcp:]
+		tail := 0
+		for tail < len(rest) && tail < len(b.head) && rest[len(rest)-1-tail] == b.head[len(b.head)-1-tail] {
+			tail++
+		}
 		d.data = appendUvarint(d.data, uint64(lcp))
-		d.data = appendUvarint(d.data, uint64(len(s)-lcp))
-		d.data = append(d.data, s[lcp:]...)
+		d.data = appendUvarint(d.data, uint64(len(rest)-tail))
+		d.data = appendUvarint(d.data, uint64(tail))
+		d.data = append(d.data, rest[:len(rest)-tail]...)
+	}
+	if uint64(len(d.data)) > b.limit {
+		return fmt.Errorf("dict: front-coded bytes pass the %d-byte limit at string %d", b.limit, d.n)
 	}
 	b.last = append(b.last[:lcp], s[lcp:]...)
 	d.n++
@@ -106,7 +135,7 @@ func add[T string | []byte](b *builder, s T) error {
 // finish closes the offsets with the end of the data and returns the
 // dictionary; the builder must not be used afterwards.
 func (b *builder) finish() *Dict {
-	b.d.offsets = append(b.d.offsets, uint64(len(b.d.data)))
+	b.d.offsets = append(b.d.offsets, uint32(len(b.d.data)))
 	return b.d
 }
 
@@ -157,6 +186,50 @@ func readUvarint(data []byte, pos int) (uint64, int) {
 	}
 }
 
+// readEntry reads the three lengths that open a bucket entry and returns
+// the offset of its middle. The scans call it only for entries that
+// shortEntry does not read.
+func readEntry(data []byte, pos int) (lcp, mid, tail uint64, next int) {
+	lcp, pos = readUvarint(data, pos)
+	mid, pos = readUvarint(data, pos)
+	tail, pos = readUvarint(data, pos)
+	return lcp, mid, tail, pos
+}
+
+// shortEntry reads the lengths of the entry at pos when all three are
+// one byte, as nearly all are, from one word load; ok is false
+// otherwise. It stays small enough to inline into the scans.
+//
+//rdf:hotpath
+func shortEntry(data []byte, pos int) (lcp, mid, tail uint64, ok bool) {
+	if pos+4 > len(data) {
+		return 0, 0, 0, false
+	}
+	w := binary.LittleEndian.Uint32(data[pos:])
+	return uint64(w & 0xff), uint64(w >> 8 & 0xff), uint64(w >> 16 & 0xff), w&0x808080 == 0
+}
+
+// head returns the verbatim head of bucket k and the offset of the
+// bucket's first entry.
+//
+//rdf:hotpath
+func (d *Dict) head(k int) ([]byte, int) {
+	l, pos := readUvarint(d.data, int(d.offsets[k]))
+	end := pos + int(l)
+	return d.data[pos:end], end
+}
+
+// bucket splits a valid ID into its bucket and its entry index there.
+// IDs and the bucket size fit 32 bits (every string takes at least a
+// byte of the MaxBytes, which Decode checks), and a 32-bit division is
+// several times cheaper than a 64-bit one on common CPUs.
+//
+//rdf:hotpath
+func (d *Dict) bucket(id int) (int, int) {
+	k := uint32(id) / uint32(d.bucketSize)
+	return int(k), id - int(k)*d.bucketSize
+}
+
 // Len returns the number of strings.
 func (d *Dict) Len() int { return d.n }
 
@@ -170,11 +243,15 @@ func (d *Dict) Extract(id int) (string, bool) {
 }
 
 // ExtractAppend appends the string with the given ID to buf and returns
-// the extended buffer. The bucket is decoded with one suffix splice per
-// entry directly into buf: the shared prefix already sits at buf's tail
-// after the previous entry, so each step truncates to the stored LCP and
-// appends the suffix — no intermediate strings are materialized, and the
-// only allocation is growing buf when its capacity runs out.
+// the extended buffer. The bucket is decoded directly into buf, one
+// middle splice per entry: the shared prefix already sits at buf's end
+// after the previous entry, so each step truncates to the stored LCP
+// and appends the middle. The entry's tail stays pending — the last
+// tail bytes of the head, which is in hand — and is copied only as far
+// as the next entry's prefix reaches into it, which the sort order makes
+// rare, and in full for the term asked for. No intermediate strings are
+// materialized, and the only allocation is growing buf when its
+// capacity runs out.
 //
 //rdf:hotpath
 //rdf:nonretaining
@@ -182,30 +259,41 @@ func (d *Dict) ExtractAppend(buf []byte, id int) ([]byte, bool) {
 	if id < 0 || id >= d.n {
 		return buf, false
 	}
+	k, j := d.bucket(id)
+	head, pos := d.head(k)
 	base := len(buf)
-	k := id / d.bucketSize
-	pos := int(d.offsets[k])
-	l, pos := readUvarint(d.data, pos)
-	buf = append(buf, d.data[pos:pos+int(l)]...)
-	pos += int(l)
-	for i := 0; i < id%d.bucketSize; i++ {
-		lcp, p := readUvarint(d.data, pos)
-		suf, p2 := readUvarint(d.data, p)
-		if lcp > uint64(len(buf)-base) {
+	buf = append(buf, head...)
+	tail := 0 // bytes of head's end that follow buf's term, not yet copied
+	for ; j > 0; j-- {
+		lcp, mid, tl, ok := shortEntry(d.data, pos)
+		p := pos + 3
+		if !ok {
+			lcp, mid, tl, p = readEntry(d.data, pos)
+		}
+		if have := uint64(len(buf) - base); lcp > have {
+			if lcp-have > uint64(tail) {
+				panic(errEntry)
+			}
+			buf = append(buf, head[len(head)-tail:][:lcp-have]...)
+		}
+		if tl > uint64(len(head)) {
 			panic(errEntry)
 		}
-		buf = append(buf[:base+int(lcp)], d.data[p2:p2+int(suf)]...)
-		pos = p2 + int(suf)
+		pos = p + int(mid)
+		buf = append(buf[:base+int(lcp)], d.data[p:pos]...)
+		tail = int(tl)
 	}
-	return buf, true
+	return append(buf, head[len(head)-tail:]...), true
 }
 
 // errEntry is the panic value of a decode that meets a bucket entry
-// claiming a longer prefix than the term before it has. The lengths come
-// from the stored bytes, which a crafted section can set to anything
-// under a valid checksum; a suffix or header that runs past the data
-// fails its slice bounds, but an LCP inside the buffer's capacity would
-// splice stale bytes into the term, so both decoders check it.
+// claiming a longer prefix than the term before it has, or a longer tail
+// than its head. The lengths come from the stored bytes, which a crafted
+// section can set to anything under a valid checksum. A middle or head
+// that runs past the data fails its slice bounds, but an LCP inside the
+// buffer's capacity would splice stale bytes into the term, and a tail
+// past the head would read the bytes before it, so the decoders and the
+// bucket scan check both.
 var errEntry = fmt.Errorf("%w: dict bucket entry", codec.ErrCorrupt)
 
 // cmpHeader compares the verbatim header of bucket k with s, starting
@@ -215,8 +303,7 @@ var errEntry = fmt.Errorf("%w: dict bucket entry", codec.ErrCorrupt)
 //
 //rdf:hotpath
 func (d *Dict) cmpHeader(k int, s string, from int) (int, int) {
-	l, pos := readUvarint(d.data, int(d.offsets[k]))
-	h := d.data[pos : pos+int(l)]
+	h, _ := d.head(k)
 	i, n := from, min(len(h), len(s))
 	for i+8 <= n && binary.LittleEndian.Uint64(h[i:]) == le64(s[i:]) {
 		i += 8
@@ -251,54 +338,74 @@ func le64(s string) uint64 {
 // searchBucket finds s within bucket k, whose header sorts before s
 // and shares its first match bytes with it, without materializing any
 // entry: it tracks match, the longest common prefix of s and the last
-// decoded entry, and compares each entry through its stored LCP value.
+// entry passed, and compares each entry through its stored LCP value.
 // An entry whose LCP disagrees with match is ordered against s
 // immediately — LCP below match means the entry already sorts past s
 // (early exit), LCP above match means it still sorts before s (skipped
-// without touching its suffix) — and only entries whose LCP equals match
-// compare suffix bytes.
+// without touching its bytes) — and only entries whose LCP equals match
+// compare their middle, then their tail, with s; the tail is read from
+// the head in hand.
 //
 //rdf:hotpath
 func (d *Dict) searchBucket(k int, s string, match int) (int, bool) {
-	l, pos := readUvarint(d.data, int(d.offsets[k]))
-	pos += int(l)
+	head, pos := d.head(k)
 	limit := d.bucketSize
 	if rem := d.n - k*d.bucketSize; rem < limit {
 		limit = rem
 	}
 	for i := 1; i < limit; i++ {
-		lcp, p := readUvarint(d.data, pos)
-		suf, p2 := readUvarint(d.data, p)
-		pos = p2 + int(suf)
-		L := int(lcp)
+		lcp, mid, tail, ok := shortEntry(d.data, pos)
+		p := pos + 3
+		if !ok {
+			lcp, mid, tail, p = readEntry(d.data, pos)
+		}
+		pos = p + int(mid)
 		switch {
-		case L < match:
+		case lcp < uint64(match):
 			// The entry diverges from its predecessor before the prefix
 			// matched so far, and sorted order makes it diverge upward.
 			return 0, false
-		case L > match:
+		case lcp > uint64(match):
 			// The entry extends the predecessor beyond the first byte
 			// where s already differs; it still sorts before s.
 			continue
 		}
-		sb := d.data[p2:pos]
-		j := 0
-		for j < len(sb) && match+j < len(s) && sb[j] == s[match+j] {
-			j++
+		if tail > uint64(len(head)) {
+			panic(errEntry)
 		}
-		if j == len(sb) {
-			if match+j == len(s) {
-				return k*d.bucketSize + i, true
-			}
-			match += j // entry is a proper prefix of s, keep scanning
-			continue
+		c, j := cmpFrom(d.data[p:pos], s, match)
+		if c == 0 {
+			c, j = cmpFrom(head[len(head)-int(tail):], s, j)
 		}
-		if match+j == len(s) || sb[j] > s[match+j] {
+		switch {
+		case c > 0:
 			return 0, false // entry > s
+		case c == 0 && j == len(s):
+			return k*d.bucketSize + i, true
 		}
-		match += j
+		match = j // entry < s, or a proper prefix of it: keep scanning
 	}
 	return 0, false
+}
+
+// cmpFrom compares b with s from byte j on. It returns 0 when all of b
+// matches (s may go on), +1 when b sorts after s at their first
+// difference or s ends first, -1 when b sorts before s, and the offset
+// in s of the first byte not matched.
+//
+//rdf:hotpath
+func cmpFrom(b []byte, s string, j int) (int, int) {
+	i := 0
+	for i < len(b) && j+i < len(s) && b[i] == s[j+i] {
+		i++
+	}
+	switch {
+	case i == len(b):
+		return 0, j + i
+	case j+i == len(s) || b[i] > s[j+i]:
+		return 1, j + i
+	}
+	return -1, j + i
 }
 
 // Locate returns the ID of s, or ok=false if absent. A binary search
@@ -336,7 +443,25 @@ func (d *Dict) Locate(s string) (int, bool) {
 
 // SizeBits returns the in-memory footprint in bits.
 func (d *Dict) SizeBits() uint64 {
-	return uint64(len(d.data))*8 + uint64(len(d.offsets))*64 + 2*64
+	return uint64(len(d.data))*8 + uint64(len(d.offsets))*32 + 2*64
+}
+
+// Space splits a dictionary's front-coded bytes between its parts.
+type Space struct {
+	Heads   int // bytes of the verbatim bucket heads, lengths included
+	Entries int // bytes of the entries coded against them
+}
+
+// Space reports how the dictionary's front-coded bytes split between
+// bucket heads and entries.
+func (d *Dict) Space() Space {
+	var sp Space
+	for k := 0; k+1 < len(d.offsets); k++ {
+		_, end := d.head(k)
+		sp.Heads += end - int(d.offsets[k])
+	}
+	sp.Entries = len(d.data) - sp.Heads
+	return sp
 }
 
 // Encode writes the dictionary to w.
@@ -344,7 +469,11 @@ func (d *Dict) Encode(w *codec.Writer) {
 	w.Uvarint(uint64(d.n))
 	w.Uvarint(uint64(d.bucketSize))
 	w.Bytes(d.data)
-	ef.New(d.offsets).Encode(w)
+	offsets := make([]uint64, len(d.offsets))
+	for i, o := range d.offsets {
+		offsets[i] = uint64(o)
+	}
+	ef.New(offsets).Encode(w)
 }
 
 // Decode reads a dictionary written by Encode.
@@ -357,14 +486,22 @@ func Decode(r *codec.Reader) (*Dict, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.bucketSize <= 0 || d.n < 0 || offsets.Len() != (d.n+d.bucketSize-1)/d.bucketSize+1 {
+	if d.bucketSize <= 0 || d.bucketSize > MaxBytes || d.n < 0 || d.n > len(d.data) || offsets.Len() != (d.n+d.bucketSize-1)/d.bucketSize+1 {
 		return nil, r.Fail(fmt.Errorf("%w: dict bucket size", codec.ErrCorrupt))
 	}
-	d.offsets = make([]uint64, offsets.Len())
-	it := offsets.MakeIterator(0)
-	it.NextBatch(d.offsets)
-	if d.offsets[len(d.offsets)-1] != uint64(len(d.data)) {
+	// The offsets ascend to the last one, len(data): bounding it bounds
+	// them all before they narrow to uint32.
+	switch last := offsets.Access(offsets.Len() - 1); {
+	case last > MaxBytes:
+		return nil, r.Fail(fmt.Errorf("%w: dict of %d front-coded bytes, over the %d-byte limit", codec.ErrCorrupt, last, uint64(MaxBytes)))
+	case last != uint64(len(d.data)):
 		return nil, r.Fail(fmt.Errorf("%w: dict offsets", codec.ErrCorrupt))
+	}
+	d.offsets = make([]uint32, offsets.Len())
+	it := offsets.MakeIterator(0)
+	for i := range d.offsets {
+		o, _ := it.Next()
+		d.offsets[i] = uint32(o)
 	}
 	return d, nil
 }

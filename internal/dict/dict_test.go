@@ -2,13 +2,16 @@ package dict
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"rdfindexes/internal/codec"
+	"rdfindexes/internal/ef"
 )
 
 func buildSorted(t *testing.T, strs []string, bucket int) *Dict {
@@ -174,5 +177,48 @@ func TestDictEmpty(t *testing.T) {
 	}
 	if _, ok := d.Locate("x"); ok {
 		t.Fatal("Locate on empty dict succeeded")
+	}
+}
+
+// TestByteLimit pins the 4 GiB bound of the uint32 bucket offsets on
+// both sides: the builder New and Fold share refuses to grow past its
+// limit (lowered here, so the test need not build 4 GiB), and Decode
+// refuses a stored dictionary whose offsets reach past MaxBytes, or
+// whose string count or bucket size would not fit 32 bits with it.
+func TestByteLimit(t *testing.T) {
+	b := newBuilder(4)
+	b.limit = 100
+	var err error
+	for _, s := range uriLike(20) {
+		if err = add(b, s); err != nil {
+			break
+		}
+	}
+	if err == nil || !strings.Contains(err.Error(), "100-byte limit") {
+		t.Fatalf("builder past its limit: %v", err)
+	}
+
+	for _, tc := range []struct {
+		name          string
+		n, bucketSize uint64
+		last          uint64 // the last bucket offset; the data is "\x01a"
+		want          string
+	}{
+		{"offsets past MaxBytes", 1, 1, MaxBytes + 1, "limit"},
+		{"more strings than bytes", 3, 4, 2, "bucket size"},
+		{"bucket size past MaxBytes", 1, MaxBytes + 1, 2, "bucket size"},
+	} {
+		var buf bytes.Buffer
+		w := codec.NewWriter(&buf)
+		w.Uvarint(tc.n)
+		w.Uvarint(tc.bucketSize)
+		w.Bytes([]byte("\x01a"))
+		ef.New([]uint64{0, tc.last}).Encode(w)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(codec.NewReader(&buf)); !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Decode = %v, want a corruption error naming the %s", tc.name, err, tc.want)
+		}
 	}
 }

@@ -23,6 +23,8 @@ type Extractor struct {
 	bucket int    // bucket currently decoded into cur, -1 when none
 	idx    int    // entry index of cur within bucket
 	pos    int    // byte offset in d.data of the entry after idx
+	head   []byte // the bucket's verbatim head
+	tail   int    // bytes of head's tail that end the current term, not yet in cur
 	cur    []byte // owned buffer holding the current term
 }
 
@@ -78,22 +80,35 @@ func (e *Extractor) Extract(id int) ([]byte, bool) {
 	if id < 0 {
 		return nil, false
 	}
-	k, j := id/d.bucketSize, id%d.bucketSize
+	k, j := d.bucket(id)
 	if k != e.bucket || j < e.idx {
-		pos := int(d.offsets[k])
-		l, p := readUvarint(d.data, pos)
-		e.cur = append(e.cur[:0], d.data[p:p+int(l)]...)
-		e.bucket, e.idx, e.pos = k, 0, p+int(l)
+		e.head, e.pos = d.head(k)
+		e.cur = append(e.cur[:0], e.head...)
+		e.bucket, e.idx, e.tail = k, 0, 0
 	}
-	for e.idx < j {
-		lcp, p := readUvarint(d.data, e.pos)
-		suf, p2 := readUvarint(d.data, p)
-		if lcp > uint64(len(e.cur)) {
+	// ExtractAppend's walk, on the cursor's state.
+	for ; e.idx < j; e.idx++ {
+		lcp, mid, tl, ok := shortEntry(d.data, e.pos)
+		p := e.pos + 3
+		if !ok {
+			lcp, mid, tl, p = readEntry(d.data, e.pos)
+		}
+		if have := uint64(len(e.cur)); lcp > have {
+			if lcp-have > uint64(e.tail) {
+				panic(errEntry)
+			}
+			e.cur = append(e.cur, e.head[len(e.head)-e.tail:][:lcp-have]...)
+		}
+		if tl > uint64(len(e.head)) {
 			panic(errEntry)
 		}
-		e.cur = append(e.cur[:lcp], d.data[p2:p2+int(suf)]...)
-		e.pos = p2 + int(suf)
-		e.idx++
+		e.pos = p + int(mid)
+		e.cur = append(e.cur[:lcp], d.data[p:e.pos]...)
+		e.tail = int(tl)
+	}
+	if e.tail > 0 {
+		e.cur = append(e.cur, e.head[len(e.head)-e.tail:]...)
+		e.tail = 0
 	}
 	return e.cur, true
 }

@@ -2,6 +2,7 @@ package dict
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -159,6 +160,92 @@ func TestLocateOracle(t *testing.T) {
 	}
 }
 
+// suffixOfHead is a term set whose bucket entries are suffixes of the
+// head, in whole (no middle at all) or after a middle, and tails that
+// cover the whole head.
+var suffixOfHead = []string{"^^<t>", "abc>", "bc>", "c>", "xy^^<t>", "y^^<t>", "z^^<t>", "zz^^<t>"}
+
+// entryTails returns the stored tail length of every entry, 0 for heads.
+func entryTails(d *Dict) []int {
+	tails := make([]int, d.n)
+	for k := 0; k+1 < len(d.offsets); k++ {
+		_, pos := d.head(k)
+		for id := k*d.bucketSize + 1; id < min(d.n, (k+1)*d.bucketSize); id++ {
+			_, mid, tail, p := readEntry(d.data, pos)
+			tails[id], pos = int(tail), p+int(mid)
+		}
+	}
+	return tails
+}
+
+// TestLocateTails checks Locate against sort.SearchStrings on probes
+// aimed at the shared tails: a term without its tail or without the
+// tail's last byte, a term whose tail goes on by one byte, and probes
+// that sort between two neighbouring entries that both have a tail.
+func TestLocateTails(t *testing.T) {
+	sets := map[string][]string{
+		"mixed":        mixedTerms(3000),
+		"suffixOfHead": suffixOfHead,
+		"datatypes": func() []string {
+			var strs []string
+			for i := 0; i < 400; i++ {
+				strs = append(strs, fmt.Sprintf(`"%d"^^<http://www.w3.org/2001/XMLSchema#integer>`, i*7),
+					fmt.Sprintf(`"v%d"@en`, i), fmt.Sprintf(`"v%d"@en-GB`, i))
+			}
+			sort.Strings(strs)
+			return strs
+		}(),
+	}
+	probes := []struct {
+		name string
+		gen  func(term string, tail int) []string
+	}{
+		{"without tail", func(s string, tail int) []string {
+			return []string{s[:len(s)-tail], s[:len(s)-1]}
+		}},
+		{"tail extended by one byte", func(s string, tail int) []string {
+			return []string{s + "\x00", s + "\xff", s + s[len(s)-1:], s + ">"}
+		}},
+		{"between tailed entries", func(s string, tail int) []string {
+			body, end := s[:len(s)-tail], s[len(s)-tail:]
+			last := func(d byte) string { return s[:len(s)-1] + string([]byte{s[len(s)-1] + d}) }
+			ps := []string{last(1), last(0xff), body + "\xff" + end, body + "\x00" + end}
+			if body != "" {
+				ps = append(ps, body[:len(body)-1]+end) // a middle one byte short
+			}
+			return ps
+		}},
+	}
+	for name, strs := range sets {
+		for _, bucket := range []int{3, 4, 16} {
+			d := buildSorted(t, strs, bucket)
+			tails := entryTails(d)
+			for _, pc := range probes {
+				tailed, between := 0, 0
+				for id, s := range strs {
+					if tails[id] == 0 || len(s) < 2 {
+						continue
+					}
+					tailed++
+					for _, p := range pc.gen(s, tails[id]) {
+						i := sort.SearchStrings(strs, p)
+						wantOK := i < len(strs) && strs[i] == p
+						if got, ok := d.Locate(p); ok != wantOK || ok && got != i {
+							t.Fatalf("%s bucket %d %s: Locate(%q) = (%d, %v), want (%d, %v)", name, bucket, pc.name, p, got, ok, i, wantOK)
+						}
+						if !wantOK && i > 0 && i < len(strs) && i%bucket != 0 && tails[i-1] > 0 && tails[i] > 0 {
+							between++
+						}
+					}
+				}
+				if tailed == 0 || pc.name == "between tailed entries" && between == 0 {
+					t.Fatalf("%s bucket %d %s: %d tailed entries, %d probes between two", name, bucket, pc.name, tailed, between)
+				}
+			}
+		}
+	}
+}
+
 func TestExtractorForeignReader(t *testing.T) {
 	d := buildSorted(t, uriLike(50), 8)
 	e := NewExtractor(wrapReader{d})
@@ -198,6 +285,8 @@ func FuzzExtractorOracle(f *testing.F) {
 	f.Add([]byte("http://a\x00http://ab\x00zzz"), uint8(3), []byte{0, 1, 2, 2, 1, 0})
 	f.Add([]byte("a\x00b\x00c\x00d\x00e"), uint8(1), []byte{4, 0, 4, 3})
 	f.Add([]byte(""), uint8(16), []byte{0})
+	f.Add([]byte(strings.Join(mixedTerms(64), "\x00")), uint8(15), []byte{63, 0, 17, 18, 19, 40, 2, 63})
+	f.Add([]byte(strings.Join(suffixOfHead, "\x00")), uint8(7), []byte{7, 1, 2, 3, 6, 4, 0})
 	f.Fuzz(func(t *testing.T, raw []byte, bucket uint8, seq []byte) {
 		parts := strings.Split(string(raw), "\x00")
 		set := map[string]bool{}
@@ -250,50 +339,77 @@ func FuzzExtractorOracle(f *testing.F) {
 	})
 }
 
-// TestExtractCorruptEntry feeds both access paths a bucket whose stored
+// TestExtractCorruptEntry feeds every access path a bucket whose stored
 // lengths point outside the dictionary (the kind a crafted section with
-// a valid checksum can carry) and requires a panic — errEntry for an
-// LCP longer than the term before it, a bounds panic for a header or
-// suffix past the data — not an allocation sized by the bad length or a
-// term spliced from stale bytes.
+// a valid checksum can carry) and requires a panic — errEntry for an LCP
+// longer than the term before it or a tail longer than the head, a
+// bounds panic for a head or middle past the data — not an allocation
+// sized by the bad length or a term spliced from stale bytes. Locate
+// does not decode the entries it skips, so it cannot see a bad LCP; it
+// must answer absent there.
 func TestExtractCorruptEntry(t *testing.T) {
-	// bucket builds one bucket: a header "abc" stored with length hl,
-	// then one entry (lcp, suffix length sl, suffix "xy").
-	bucket := func(hl, lcp, sl uint64) *Dict {
+	// bucket builds one bucket: a head "abc" stored with length hl, then
+	// one entry per (lcp, middle length, tail length), each with the
+	// middle "xy".
+	bucket := func(hl uint64, entries ...[3]uint64) *Dict {
 		data := appendUvarint(nil, hl)
 		data = append(data, "abc"...)
-		data = appendUvarint(data, lcp)
-		data = appendUvarint(data, sl)
-		data = append(data, "xy"...)
-		return &Dict{n: 2, bucketSize: 4, data: data, offsets: []uint64{0, uint64(len(data))}}
+		for _, e := range entries {
+			for _, v := range e {
+				data = appendUvarint(data, v)
+			}
+			data = append(data, "xy"...)
+		}
+		return &Dict{n: 1 + len(entries), bucketSize: 4, data: data, offsets: []uint32{0, uint32(len(data))}}
 	}
+	// Well formed: "abc", "a"+"xy"+"c", "axyc"+"xy"; the last LCP reaches
+	// one byte into the tail before it.
+	good := [][3]uint64{{1, 2, 1}, {4, 2, 0}}
 	for _, tc := range []struct {
-		name string
-		d    *Dict
-		id   int
-		want any // the panic value; nil accepts any
+		name   string
+		d      *Dict
+		want   any  // the panic value; nil accepts any
+		absent bool // Locate answers absent instead of panicking
 	}{
-		{"header past data", bucket(1<<40, 1, 2), 0, nil},
-		{"header length wraps", bucket(1<<63, 1, 2), 0, nil},
-		{"suffix past data", bucket(3, 1, 1<<40), 1, nil},
-		{"suffix length wraps", bucket(3, 1, 1<<63), 1, nil},
-		{"lcp past previous term", bucket(3, 4, 2), 1, errEntry},
-		{"lcp wraps", bucket(3, 1<<63, 2), 1, errEntry},
+		{"header past data", bucket(1<<40, good[0]), nil, false},
+		{"header length wraps", bucket(1<<63, good[0]), nil, false},
+		{"middle past data", bucket(3, [3]uint64{1, 1 << 40, 1}), nil, false},
+		{"middle length wraps", bucket(3, [3]uint64{1, 1 << 63, 1}), nil, false},
+		{"middle plus tail wraps to zero", bucket(3, [3]uint64{1, math.MaxUint64, 1}), nil, false},
+		{"middle plus tail overflows", bucket(3, [3]uint64{1, 1 << 63, 1 << 63}), errEntry, false},
+		{"tail longer than head", bucket(3, [3]uint64{1, 2, 4}), errEntry, false},
+		{"tail length wraps", bucket(3, [3]uint64{1, 2, 1 << 63}), errEntry, false},
+		{"lcp past previous term", bucket(3, [3]uint64{4, 2, 1}), errEntry, true},
+		{"lcp wraps", bucket(3, [3]uint64{1 << 63, 2, 1}), errEntry, true},
+		{"lcp past pending tail", bucket(3, good[0], [3]uint64{5, 2, 0}), errEntry, true},
 	} {
+		id := tc.d.n - 1
 		paths := map[string]func(){
-			"ExtractAppend": func() { tc.d.ExtractAppend(nil, tc.id) },
-			"Extractor":     func() { NewExtractor(tc.d).Extract(tc.id) },
+			"ExtractAppend": func() { tc.d.ExtractAppend(nil, id) },
+			"Extractor":     func() { NewExtractor(tc.d).Extract(id) },
 			"Extractor step": func() {
 				e := NewExtractor(tc.d)
 				e.Extract(0)
-				e.Extract(1)
+				e.Extract(id)
+			},
+			// The probe is the term the last entry would hold if well
+			// formed, so the scan compares that entry's bytes.
+			"Locate": func() {
+				if _, ok := tc.d.Locate([]string{"abc", "axyc", "axycxy"}[id]); ok {
+					t.Errorf("%s: Locate found a corrupt entry", tc.name)
+				}
 			},
 		}
 		for name, f := range paths {
 			func() {
 				defer func() {
 					r := recover()
-					if r == nil || tc.want != nil && r != tc.want {
+					switch {
+					case name == "Locate" && tc.absent:
+						if r != nil {
+							t.Errorf("%s: Locate panicked with %v, want absent", tc.name, r)
+						}
+					case r == nil || tc.want != nil && r != tc.want:
 						t.Errorf("%s: %s panicked with %v, want %v", tc.name, name, r, tc.want)
 					}
 				}()
@@ -301,10 +417,17 @@ func TestExtractCorruptEntry(t *testing.T) {
 			}()
 		}
 	}
-	// The well-formed bucket decodes.
-	d := bucket(3, 1, 2)
-	if got, ok := d.Extract(1); !ok || got != "axy" {
-		t.Fatalf("Extract(1) = (%q, %v), want axy", got, ok)
+	d := bucket(3, good...)
+	for id, want := range []string{"abc", "axyc", "axycxy"} {
+		if got, ok := d.Extract(id); !ok || got != want {
+			t.Fatalf("Extract(%d) = (%q, %v), want %s", id, got, ok, want)
+		}
+		if got, ok := NewExtractor(d).Extract(id); !ok || string(got) != want {
+			t.Fatalf("cursor Extract(%d) = (%q, %v), want %s", id, got, ok, want)
+		}
+		if got, ok := d.Locate(want); !ok || got != id {
+			t.Fatalf("Locate(%q) = (%d, %v), want %d", want, got, ok, id)
+		}
 	}
 }
 

@@ -238,6 +238,8 @@ func FuzzDictRoundTrip(f *testing.F) {
 	f.Add([]byte("one\ntwo\nthree\nthree3"))
 	f.Add([]byte("<http://a>\n<http://a/b>\n\"x\"@en"))
 	f.Add([]byte{0xff, 0xfe, '\n', 0x00, 0x01})
+	f.Add([]byte(strings.Join(mixedTerms(64), "\n")))
+	f.Add([]byte(strings.Join(suffixOfHead, "\n")))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lines := strings.Split(string(data), "\n")
 		d, err := FromUnsorted(lines, 5)

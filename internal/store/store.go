@@ -47,11 +47,18 @@ import (
 // array lies 8-byte aligned in the file. There is no pad after the last
 // checksum. The table gives the section's length up front, so the
 // section's checksum is verified before any of it is decoded.
-const Magic = "RDFSTORE3"
+const Magic = "RDFSTORE4"
 
 // CurrentVersion is the container format version Write produces and
-// Read accepts. Files of older versions are rebuilt with rdfstore build.
-const CurrentVersion = 3
+// Read accepts. Files of older versions are refused by their magic,
+// with the version named, and rebuilt with rdfstore build. v4 changed
+// only the dictionaries' entry coding (front coding with a shared tail);
+// v3's container and index bytes are v4's.
+const CurrentVersion = 4
+
+// magicStem is what every version's magic starts with; the version
+// number follows it.
+const magicStem = "RDFSTORE"
 
 // Integrity describes what Read verified about the container a Store
 // was loaded from.
@@ -336,6 +343,11 @@ func walkContainer(data []byte, owner any) *container {
 	case r.Err() != nil:
 		return c.fail("magic", r.Offset(), r.Err())
 	case magic != Magic:
+		if rest, ok := strings.CutPrefix(magic, magicStem); ok {
+			if v, err := strconv.Atoi(rest); err == nil && v > 0 && v < CurrentVersion {
+				return c.fail("magic", r.Offset(), fmt.Errorf("store format v%d is no longer read (this build reads v%d): rebuild with rdfstore build", v, CurrentVersion))
+			}
+		}
 		return c.fail("magic", r.Offset(), fmt.Errorf("not an rdfstore file (magic %q)", magic))
 	}
 	c.version = CurrentVersion

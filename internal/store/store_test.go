@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -170,15 +171,51 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(path); err == nil {
 		t.Fatal("garbage file accepted")
 	}
-	// A sound container under another magic (an older version's) is
-	// refused by its magic, before any section is read.
+	// A sound container under another magic is refused by its magic,
+	// before any section is read.
 	_, data := writeSampleFile(t)
-	copy(data[1:], "RDFSTORE2")
+	copy(data[1:], "RDFSHARD4")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Read(path); err == nil || !strings.Contains(err.Error(), "not an rdfstore file") {
 		t.Fatalf("foreign magic: %v, want \"not an rdfstore file\"", err)
+	}
+}
+
+// TestReadNamesOldVersion rewrites a current file's magic to older
+// versions': Read, OpenMutable and Verify refuse it by the magic alone —
+// never decoding its dictionaries with this version's coding — and name
+// the version and the rebuild.
+func TestReadNamesOldVersion(t *testing.T) {
+	_, data := writeSampleFile(t)
+	for _, old := range []string{"RDFSTORE3", "RDFSTORE2", "RDFSTORE1"} {
+		path := filepath.Join(t.TempDir(), "old.idx")
+		copy(data[1:], old)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := "store format v" + old[len(old)-1:] + " is no longer read (this build reads v4): rebuild with rdfstore build"
+		check := func(op string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "not an rdfstore file") {
+				t.Errorf("%s %s: %v, want %q", op, old, err, want)
+			}
+		}
+		_, err := Read(path)
+		check("Read", err)
+		m, err := OpenMutable(path, -1)
+		if err == nil {
+			m.Close()
+		}
+		check("OpenMutable", err)
+		rep, err := Verify(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.OK || rep.Version != 0 || len(rep.Sections) != 1 || rep.Sections[0].Name != "magic" || !strings.Contains(rep.Sections[0].Error, want) {
+			t.Errorf("Verify %s: %+v", old, rep)
+		}
 	}
 }
 
@@ -219,9 +256,11 @@ func pinnedNT() string {
 // only — a delete can leave a term in the folded dictionary that no
 // triple uses.
 //
-// The values were re-recorded once for format v3, which adds the zero
-// pads that align every word array and section to 8 bytes and changes
-// the magics; the sections' contents and checksums are otherwise v2's.
+// The values were re-recorded for format v3, which adds the zero pads
+// that align every word array and section to 8 bytes and changes the
+// magics, and for format v4, which codes dictionary entries with a
+// shared tail and changes the magic; the index section's CRC32C, pinned
+// per layout below, is the same as v3's.
 func TestFormatPinned(t *testing.T) {
 	inserts := [][3]string{
 		{"<http://example.org/resource/A>", "<http://example.org/ontology/p0>", "<http://example.org/resource/Entity_5>"},
@@ -251,7 +290,16 @@ func TestFormatPinned(t *testing.T) {
 		}
 	}
 	pinned := map[core.Layout]struct{ encoded, merged uint64 }{
-		core.Layout2Tp: {0x8639977e8ccbde6b, 0x6a9f34f2af9da34f},
+		core.Layout2Tp: {0xedeb6bebbe3b116a, 0x348abd15bb1d3179},
+	}
+	// The index section's stored CRC32C, pinned apart from the file: a
+	// dictionary format change re-pins the fingerprints above but must
+	// leave these, the bytes of every layout's index, alone.
+	indexPinned := map[core.Layout]struct{ encoded, merged uint32 }{
+		core.Layout2Tp: {0x91fdaed4, 0x484048cc},
+		core.Layout3T:  {0x2b1392f8, 0xb2995253},
+		core.LayoutCC:  {0x8b13dee4, 0x7d090e8b},
+		core.Layout2To: {0x711efdb2, 0x22d82e0b},
 	}
 	for _, layout := range []core.Layout{core.Layout2Tp, core.Layout3T, core.LayoutCC, core.Layout2To} {
 		t.Run(layout.String(), func(t *testing.T) {
@@ -270,6 +318,9 @@ func TestFormatPinned(t *testing.T) {
 			if got := fingerprint(); pin && got != want.encoded {
 				t.Errorf("encoded store fingerprint = %#016x, want %#016x", got, want.encoded)
 			}
+			if got := indexCRC(t, path); got != indexPinned[layout].encoded {
+				t.Errorf("encoded index section CRC32C = %#08x, want %#08x", got, indexPinned[layout].encoded)
+			}
 			m, err := OpenMutable(path, -1)
 			if err != nil {
 				t.Fatal(err)
@@ -285,6 +336,9 @@ func TestFormatPinned(t *testing.T) {
 			}
 			if got := fingerprint(); pin && got != want.merged {
 				t.Errorf("merged store fingerprint = %#016x, want %#016x", got, want.merged)
+			}
+			if got := indexCRC(t, path); got != indexPinned[layout].merged {
+				t.Errorf("merged index section CRC32C = %#08x, want %#08x", got, indexPinned[layout].merged)
 			}
 			built := filepath.Join(dir, "built.idx")
 			build(t, inserted, layout, built)
@@ -302,4 +356,15 @@ func TestFormatPinned(t *testing.T) {
 			t.Logf("%d bytes", len(got))
 		})
 	}
+}
+
+// indexCRC returns the stored CRC32C of a store file's index section,
+// the file's last four bytes.
+func indexCRC(t *testing.T, path string) uint32 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return binary.LittleEndian.Uint32(data[len(data)-4:])
 }
