@@ -187,7 +187,7 @@ func BenchmarkTable5(b *testing.B) {
 // BenchmarkTable6 replays the WatDiv and LUBM query-log decompositions.
 func BenchmarkTable6(b *testing.B) {
 	fixture(b)
-	p2, err := core.Build2Tp(fx.wd.Dataset)
+	p2, err := core.Build(fx.wd.Dataset, core.Layout2Tp)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -254,10 +254,11 @@ func BenchmarkFig7(b *testing.B) {
 // structure (Section 4.1).
 func BenchmarkRangeQueries(b *testing.B) {
 	fixture(b)
-	p2, err := core.Build2Tp(fx.wd.Dataset)
+	x, err := core.Build(fx.wd.Dataset, core.Layout2Tp)
 	if err != nil {
 		b.Fatal(err)
 	}
+	p2 := x.(core.RangeSelecter)
 	r := fx.wd.R()
 	total := 0
 	b.ResetTimer()
@@ -295,7 +296,7 @@ func BenchmarkBuild(b *testing.B) {
 // the LUBM-like graph.
 func BenchmarkSPARQLExecute(b *testing.B) {
 	fixture(b)
-	x, err := core.Build2Tp(fx.lubm.Dataset)
+	x, err := core.Build(fx.lubm.Dataset, core.Layout2Tp)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	x := built.(rdfindexes.RangeSelecter) // 2Tp materializes POS: range-capable
+	x := built.(rdfindexes.RangeSelecter) // every layout is; 2Tp seeks the interval on POS
 	r := data.R()
 	fmt.Printf("2Tp index: %.2f bits/triple; R structure adds %.4f bits/triple\n\n",
 		rdfindexes.BitsPerTriple(built), float64(r.SizeBits())/float64(d.Len()))

@@ -48,7 +48,7 @@ func TestTimePatterns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}

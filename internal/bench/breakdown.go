@@ -18,7 +18,7 @@ func Breakdown(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	x, err := core.Build3T(d)
+	x, err := core.Build(d, core.Layout3T)
 	if err != nil {
 		return nil, err
 	}

@@ -132,7 +132,7 @@ func materializeFixture(d *core.Dataset) (*store.Store, *sparql.Compiled, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	x, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -289,7 +289,7 @@ func DictMaterialization(cfg Config) ([]*Table, error) {
 	_ = found
 
 	// --- end-to-end materialization ---
-	x, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		return nil, err
 	}

@@ -311,7 +311,7 @@ func Table5(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		p2, err := core.Build2Tp(d)
+		p2, err := core.Build(d, core.Layout2Tp)
 		if err != nil {
 			return nil, err
 		}
@@ -382,7 +382,7 @@ func Table6(cfg Config) ([]*Table, error) {
 	}
 	rows := []row{{name: "2Tp"}, {name: "HDT-FoQ"}, {name: "TripleBit"}, {name: "RDF-3X*"}}
 	for _, set := range sets {
-		p2, err := core.Build2Tp(set.d)
+		p2, err := core.Build(set.d, core.Layout2Tp)
 		if err != nil {
 			return nil, err
 		}

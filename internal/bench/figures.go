@@ -118,11 +118,11 @@ func Fig6a(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	x3, err := core.Build3T(d)
+	x3, err := core.Build(d, core.Layout3T)
 	if err != nil {
 		return nil, err
 	}
-	p2, err := core.Build2Tp(d)
+	p2, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		return nil, err
 	}
@@ -142,15 +142,15 @@ func Fig6b(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	x3, err := core.Build3T(d)
+	x3, err := core.Build(d, core.Layout3T)
 	if err != nil {
 		return nil, err
 	}
-	cc, err := core.BuildCC(d)
+	cc, err := core.Build(d, core.LayoutCC)
 	if err != nil {
 		return nil, err
 	}
-	o2, err := core.Build2To(d)
+	o2, err := core.Build(d, core.Layout2To)
 	if err != nil {
 		return nil, err
 	}
@@ -172,11 +172,11 @@ func Fig7(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	x3, err := core.Build3T(d)
+	x3, err := core.Build(d, core.Layout3T)
 	if err != nil {
 		return nil, err
 	}
-	p2, err := core.Build2Tp(d)
+	p2, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		return nil, err
 	}
@@ -228,10 +228,11 @@ func RangeQueries(cfg Config) ([]*Table, error) {
 	cfg = cfg.normalize()
 	wd := gen.WatDiv(cfg.Triples/17+10, cfg.Seed)
 	d := wd.Dataset
-	p2, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		return nil, err
 	}
+	p2 := x.(core.RangeSelecter)
 	r := wd.R()
 
 	type rangeQuery struct {
@@ -322,7 +323,7 @@ func Ablation(cfg Config) ([]*Table, error) {
 		{"all PEF-opt (cost-optimized partitions)", uniform(seq.KindPEFOpt)},
 	}
 	for _, c := range configs {
-		x, err := core.Build2Tp(d, c.opts...)
+		x, err := core.Build(d, core.Layout2Tp, c.opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -340,21 +341,16 @@ func Ablation(cfg Config) ([]*Table, error) {
 		Header: []string{"config", "bits/triple", "?PO ns/t", "SP? ns/t", "S?O ns/t"},
 	}
 	ccConfigs := []struct {
-		name string
-		opts []core.Option
+		name   string
+		layout core.Layout
+		opts   []core.Option
 	}{
-		{"3T (no cross-compression)", nil},
-		{"CC (POS only, paper's choice)", nil},
-		{"CC (all permutations)", []core.Option{core.WithCCAllPermutations()}},
+		{"3T (no cross-compression)", core.Layout3T, nil},
+		{"CC (POS only, paper's choice)", core.LayoutCC, nil},
+		{"CC (all permutations)", core.LayoutCC, []core.Option{core.WithCCAllPermutations()}},
 	}
-	for i, c := range ccConfigs {
-		var x core.Index
-		var err error
-		if i == 0 {
-			x, err = core.Build3T(d)
-		} else {
-			x, err = core.BuildCC(d, c.opts...)
-		}
+	for _, c := range ccConfigs {
+		x, err := core.Build(d, c.layout, c.opts...)
 		if err != nil {
 			return nil, err
 		}

@@ -117,7 +117,7 @@ func MeasureJSON(cfg Config, preset string) (*JSONReport, error) {
 	}
 	rep.MaterializedFormatRowsPerSec = formats
 	rep.ServeLatency = map[string]ServeLatencyResult{}
-	x2tp, err := core.Build2Tp(d)
+	x2tp, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		return nil, fmt.Errorf("bench: build 2tp: %w", err)
 	}

@@ -137,7 +137,7 @@ func ServeParallel(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	x, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ func BenchmarkServeParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestThroughputScalesWithGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,7 +160,7 @@ func (c *QueryCtx) getSelectTwo(t *trie.Trie) *selectTwoState {
 			st = ctxPop(&c.free2)
 		}
 		if st != nil {
-			st.perm, st.a, st.b, st.left, st.unmap = 0, 0, 0, 0, nil
+			st.perm, st.a, st.b, st.left, st.ref = 0, 0, 0, 0, nil
 			st.it.reinit(st, st)
 			return st
 		}
@@ -181,7 +181,7 @@ func (c *QueryCtx) getSelectOne(t *trie.Trie) *selectOneState {
 		}
 		if st != nil {
 			st.perm, st.a, st.curB = 0, 0, 0
-			st.it2Active, st.prev, st.left, st.unmap = false, 0, 0, nil
+			st.it2Active, st.prev, st.left, st.ref = false, 0, 0, nil
 			st.it.reinit(st, st)
 			return st
 		}
@@ -198,7 +198,7 @@ func (c *QueryCtx) getScanAll() *scanAllState {
 	if c != nil {
 		if st := ctxPop(&c.freeA); st != nil {
 			st.perm, st.root, st.pos1, st.e1, st.prev, st.curB = 0, 0, 0, 0, 0, 0
-			st.it2Active, st.left, st.unmap = false, 0, nil
+			st.it2Active, st.left, st.ref = false, 0, nil
 			// The level-1 cursors are position-dependent across roots, so
 			// they are never carried over between queries.
 			st.it1, st.ptrIt = nil, nil

@@ -61,7 +61,7 @@ func TestSelectCtxMatchesSelect(t *testing.T) {
 func TestQueryCtxRecycling(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	d := skewedDataset(rng, 2000)
-	x, err := Build2Tp(d)
+	x, err := Build(d, Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +75,12 @@ func TestQueryCtxRecycling(t *testing.T) {
 
 	// Warm up: the first query allocates the state and recycles it on
 	// exhaustion.
-	drainWith(qc, x.SelectCtx(pat, qc))
+	drainWith(qc, SelectWithCtx(x, pat, qc))
 	if len(qc.free2) != 1 {
 		t.Fatalf("after drain, free2 has %d states, want 1", len(qc.free2))
 	}
 	st := qc.free2[0]
-	drainWith(qc, x.SelectCtx(pat, qc))
+	drainWith(qc, SelectWithCtx(x, pat, qc))
 	if len(qc.free2) != 1 || qc.free2[0] != st {
 		t.Fatalf("second query did not reuse the recycled state")
 	}
@@ -89,7 +89,7 @@ func TestQueryCtxRecycling(t *testing.T) {
 	// result append in the test harness allocates, so measure a pure
 	// count drain.
 	allocs := testing.AllocsPerRun(50, func() {
-		it := x.SelectCtx(pat, qc)
+		it := SelectWithCtx(x, pat, qc)
 		buf := qc.Batch()
 		for it.NextBatch(buf) > 0 {
 		}
@@ -105,7 +105,7 @@ func TestQueryCtxRecycling(t *testing.T) {
 func TestQueryCtxPartialDrainAbandonment(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := skewedDataset(rng, 2000)
-	x, err := Build3T(d)
+	x, err := Build(d, Layout3T)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +114,12 @@ func TestQueryCtxPartialDrainAbandonment(t *testing.T) {
 	tr := d.Triples[0]
 	pat := WithWildcards(tr, ShapeSxx)
 
-	it := x.SelectCtx(pat, qc)
+	it := SelectWithCtx(x, pat, qc)
 	first, ok := it.Next() // partially consumed, then abandoned
 	if !ok {
 		t.Fatal("expected at least one match")
 	}
-	got := drainWith(qc, x.SelectCtx(pat, qc))
+	got := drainWith(qc, SelectWithCtx(x, pat, qc))
 	want := x.Select(pat).Collect(-1)
 	if len(got) != len(want) {
 		t.Fatalf("query after abandonment returned %d triples, want %d", len(got), len(want))

@@ -19,14 +19,14 @@ import (
 // (O(1): the copy-on-write log slices are shared) and query that. The
 // serving stack in internal/store publishes snapshots through an atomic
 // pointer so the read path stays lock-free.
+//
+// A DynamicIndex embeds its current state as a DynamicSnapshot, so it
+// answers every read a snapshot does; writes replace the embedded
+// fields, never the slices they point to.
 type DynamicIndex struct {
-	layout    Layout
+	DynamicSnapshot
 	opts      []Option
 	threshold int
-
-	base    Index
-	added   []Triple // SPO-sorted, distinct, disjoint from base
-	deleted []Triple // SPO-sorted, distinct, all present in base
 }
 
 // DefaultMergeThreshold is the default log size triggering a merge.
@@ -51,38 +51,16 @@ func NewDynamicFromIndex(base Index, threshold int, opts ...Option) *DynamicInde
 	if threshold == 0 {
 		threshold = DefaultMergeThreshold
 	}
-	return &DynamicIndex{layout: base.Layout(), opts: opts, threshold: threshold, base: base}
+	return &DynamicIndex{
+		DynamicSnapshot: DynamicSnapshot{layout: base.Layout(), base: base},
+		opts:            opts,
+		threshold:       threshold,
+	}
 }
-
-// Layout returns the layout of the underlying static index.
-func (x *DynamicIndex) Layout() Layout { return x.layout }
-
-// Base returns the current static index. It is replaced wholesale by
-// Merge, never mutated.
-func (x *DynamicIndex) Base() Index { return x.base }
-
-// NumTriples returns the logical triple count (base + inserted - deleted).
-// The Insert/Delete invariants — added is disjoint from the base, deleted
-// is a subset of the base, and the two logs are disjoint — make the sum
-// exact.
-func (x *DynamicIndex) NumTriples() int {
-	return x.base.NumTriples() + len(x.added) - len(x.deleted)
-}
-
-// LogSize returns the number of pending updates.
-func (x *DynamicIndex) LogSize() int { return len(x.added) + len(x.deleted) }
 
 // logBits is the in-memory charge per pending log entry: one Triple
 // (3 x 32 bits).
 const logBits = 96
-
-// SizeBits returns the static index footprint plus the log: every pending
-// insertion and deletion is charged at logBits, so /stats and the
-// bits/triple gate see the update log the moment dynamic indexes are
-// served.
-func (x *DynamicIndex) SizeBits() uint64 {
-	return x.base.SizeBits() + uint64(len(x.added)+len(x.deleted))*logBits
-}
 
 func searchTriple(ts []Triple, t Triple) (int, bool) {
 	i := sort.Search(len(ts), func(j int) bool { return !ts[j].Less(t) })
@@ -188,79 +166,13 @@ func (x *DynamicIndex) LiveTriples() []Triple {
 }
 
 // Snapshot returns an immutable view of the current logical state, in
-// O(1): the base index is shared (it is never mutated, only replaced),
-// and the log slices are shared too, because every write replaces them
-// copy-on-write (see insertAt/removeAt) rather than shifting in place.
+// O(1): a copy of the embedded snapshot. The base index is shared (it is
+// never mutated, only replaced), and the log slices are shared too,
+// because every write replaces them copy-on-write (see insertAt/removeAt)
+// rather than shifting in place.
 func (x *DynamicIndex) Snapshot() *DynamicSnapshot {
-	return &DynamicSnapshot{
-		layout:  x.layout,
-		base:    x.base,
-		added:   x.added,
-		deleted: x.deleted,
-	}
-}
-
-// Select resolves a pattern against the static index and the log with
-// the same two-way sorted merge as DynamicSnapshot.Select. The slices
-// captured here are never mutated in place (copy-on-write writes), so
-// the iterator stays valid even if the externally synchronized writer
-// advances before it drains.
-func (x *DynamicIndex) Select(p Pattern) *Iterator {
-	return selectMerged(x.layout, x.base, x.added, x.deleted, p, nil)
-}
-
-// Lookup reports whether the dynamic index contains t.
-func (x *DynamicIndex) Lookup(t Triple) bool {
-	if _, ok := searchTriple(x.added, t); ok {
-		return true
-	}
-	if _, ok := searchTriple(x.deleted, t); ok {
-		return false
-	}
-	return Lookup(x.base, t)
-}
-
-// emitPerm returns the permutation order in which the layout's Select
-// emits the triples of a pattern shape. It mirrors the SelectCtx dispatch
-// of each index: every selection algorithm walks one trie (or the PS
-// structure) in its lexicographic order, and the CC layout's
-// cross-compressed levels store sibling ranks, which are monotone in the
-// original IDs, so mapped tries emit in the same order as plain ones.
-// Fully-bound SPO lookups emit at most one triple; any perm works.
-func emitPerm(l Layout, s Shape) Perm {
-	switch l {
-	case Layout3T, LayoutCC:
-		switch s {
-		case ShapeSxO, ShapexxO:
-			return PermOSP
-		case ShapexPO, ShapexPx:
-			return PermPOS
-		default:
-			return PermSPO
-		}
-	case Layout2Tp:
-		switch s {
-		case ShapexPO, ShapexPx, ShapexxO:
-			// ??O is resolved by the inverted scan over the POS trie:
-			// ascending predicate, then subject, for the fixed object.
-			return PermPOS
-		default:
-			// S?O enumerates ascending predicates for fixed (s, o), which
-			// coincides with SPO order.
-			return PermSPO
-		}
-	default: // Layout2To
-		switch s {
-		case ShapexPO, ShapexxO:
-			return PermOPS
-		case ShapexPx:
-			// ?P? walks the PS structure: ascending subject, then object,
-			// for the fixed predicate.
-			return PermPSO
-		default:
-			return PermSPO
-		}
-	}
+	snap := x.DynamicSnapshot
+	return &snap
 }
 
 // matchingRange narrows an SPO-sorted log slice to the smallest
@@ -304,7 +216,8 @@ func permLess(p Perm, t, u Triple) bool {
 // It implements Index (and CtxSelecter), so the whole read stack —
 // pooled QueryCtx selection, the SPARQL executor, the HTTP server —
 // serves it exactly like a static index while a single writer keeps
-// advancing the live DynamicIndex underneath.
+// advancing the live DynamicIndex underneath. Its slices and base are
+// never mutated, so the iterators it returns stay valid across writes.
 type DynamicSnapshot struct {
 	layout  Layout
 	base    Index
@@ -315,18 +228,24 @@ type DynamicSnapshot struct {
 // Layout returns the layout of the underlying static index.
 func (x *DynamicSnapshot) Layout() Layout { return x.layout }
 
-// Base returns the shared static index of the snapshot.
+// Base returns the shared static index of the snapshot. It is replaced
+// wholesale by a merge, never mutated.
 func (x *DynamicSnapshot) Base() Index { return x.base }
 
 // LogSize returns the number of pending updates in the snapshot.
 func (x *DynamicSnapshot) LogSize() int { return len(x.added) + len(x.deleted) }
 
-// NumTriples returns the logical triple count.
+// NumTriples returns the logical triple count (base + inserted -
+// deleted). The Insert/Delete invariants — added is disjoint from the
+// base, deleted is a subset of the base, and the two logs are disjoint —
+// make the sum exact.
 func (x *DynamicSnapshot) NumTriples() int {
 	return x.base.NumTriples() + len(x.added) - len(x.deleted)
 }
 
-// SizeBits returns the static index footprint plus the log.
+// SizeBits returns the static index footprint plus the log: every
+// pending insertion and deletion is charged at logBits, so /stats and
+// the bits/triple gate see the update log.
 func (x *DynamicSnapshot) SizeBits() uint64 {
 	return x.base.SizeBits() + uint64(len(x.added)+len(x.deleted))*logBits
 }
@@ -358,19 +277,15 @@ func (x *DynamicSnapshot) Select(p Pattern) *Iterator { return x.SelectCtx(p, ni
 // SelectCtx resolves a pattern like Select, drawing base-index scratch
 // from c (which may be nil).
 func (x *DynamicSnapshot) SelectCtx(p Pattern, c *QueryCtx) *Iterator {
-	return selectMerged(x.layout, x.base, x.added, x.deleted, p, c)
-}
-
-// selectMerged builds the merged log+base iterator shared by
-// DynamicIndex.Select and DynamicSnapshot.SelectCtx. added and deleted
-// must stay unmutated while the iterator is live.
-func selectMerged(layout Layout, base Index, added, deleted []Triple, p Pattern, c *QueryCtx) *Iterator {
-	if len(added) == 0 && len(deleted) == 0 {
-		return SelectWithCtx(base, p, c)
+	if x.LogSize() == 0 {
+		return SelectWithCtx(x.base, p, c)
 	}
-	perm := emitPerm(layout, p.Shape())
+	perm := emitPerm(x.layout, p.Shape())
+	// The iterator keeps its own copy of the log slice header: on the
+	// snapshot a DynamicIndex embeds, the next write replaces x.deleted.
+	deleted := x.deleted
 	var add []Triple
-	for _, t := range matchingRange(added, p) {
+	for _, t := range matchingRange(x.added, p) {
 		if p.Matches(t) {
 			add = append(add, t)
 		}
@@ -378,7 +293,7 @@ func selectMerged(layout Layout, base Index, added, deleted []Triple, p Pattern,
 	if len(add) > 1 {
 		sort.Slice(add, func(i, j int) bool { return permLess(perm, add[i], add[j]) })
 	}
-	baseIt := SelectWithCtx(base, p, c)
+	baseIt := SelectWithCtx(x.base, p, c)
 	var pend Triple
 	havePend := false
 	baseDone := false

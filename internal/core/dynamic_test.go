@@ -127,46 +127,86 @@ func TestDynamicIndexRandomOps(t *testing.T) {
 	}
 }
 
-// TestDynamicSelectMergesSortedStreams pins the ordering bug directly:
-// base results for a one-bound pattern arrive in the layout's permuted
-// order (e.g. ascending (p, s) for ?P? on 3T), and logged insertions
-// must interleave into that order rather than trail the base stream.
+// TestDynamicSelectMergesSortedStreams checks emission order on every
+// layout and shape: base results arrive in the order of the trie their
+// route walks (emitPerm), and a snapshot with pending writes must
+// interleave its logged insertions into that order, skipping deletions,
+// rather than trail the base stream. Each (layout, shape) pair runs on
+// the static index and on such a snapshot.
 func TestDynamicSelectMergesSortedStreams(t *testing.T) {
-	base := []Triple{
-		{5, 1, 9}, {6, 1, 2}, {6, 1, 7}, {7, 2, 3},
+	rng := rand.New(rand.NewSource(239))
+	// The first triples pin the original bug: SPO-wise the inserts sort
+	// late, but in the ?P? emission orders their low objects and subjects
+	// interleave early. The random rest gives every shape several
+	// matches over small ID spaces.
+	base := []Triple{{5, 1, 9}, {6, 1, 2}, {6, 1, 7}, {7, 2, 3}}
+	inserts := []Triple{{6, 1, 1}, {5, 1, 3}, {4, 2, 8}}
+	deletes := []Triple{{6, 1, 2}}
+	randTriple := func() Triple {
+		return Triple{ID(rng.Intn(10)), ID(rng.Intn(4)), ID(rng.Intn(10))}
 	}
-	for _, layout := range []Layout{Layout3T, LayoutCC, Layout2Tp, Layout2To} {
-		x, err := NewDynamic(NewDataset(append([]Triple(nil), base...)), layout, 1000)
+	for i := 0; i < 150; i++ {
+		base = append(base, randTriple())
+	}
+	d := NewDataset(base)
+	ref := refDynamic{}
+	for _, tr := range d.Triples {
+		ref[tr] = true
+	}
+	for i := 0; i < 40; i++ {
+		if tr := randTriple(); !ref[tr] {
+			inserts = append(inserts, tr)
+		}
+	}
+	for i := 0; i < 15; i++ {
+		deletes = append(deletes, d.Triples[rng.Intn(d.Len())])
+	}
+	for _, c := range testLayouts {
+		x, err := NewDynamic(d, c.layout, -1, c.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// SPO-wise these sort late (subject 6/5 high), but in the ?P?
-		// emission orders their low objects/subjects interleave early.
-		for _, tr := range []Triple{{6, 1, 1}, {5, 1, 3}, {4, 2, 8}} {
-			if ok, err := x.Insert(tr); err != nil || !ok {
-				t.Fatalf("%v: insert %v: ok=%v err=%v", layout, tr, ok, err)
+		static := x.Base()
+		want := refDynamic{}
+		for tr := range ref {
+			want[tr] = true
+		}
+		for _, tr := range inserts {
+			if _, err := x.Insert(tr); err != nil {
+				t.Fatal(err)
 			}
+			want[tr] = true
 		}
-		for _, p := range []ID{1, 2} {
-			pat := Pattern{Wildcard, p, Wildcard}
-			got := x.Select(pat).Collect(-1)
-			perm := emitPerm(layout, ShapexPx)
-			if !sortedByPerm(got, perm) {
-				t.Fatalf("%v: ?%d? stream %v not sorted in %v order", layout, p, got, perm)
+		for _, tr := range deletes {
+			if _, err := x.Delete(tr); err != nil {
+				t.Fatal(err)
 			}
+			delete(want, tr)
 		}
-		// Delete a base triple in the middle of a run and re-check.
-		if ok, err := x.Delete(Triple{6, 1, 2}); err != nil || !ok {
-			t.Fatalf("%v: delete: ok=%v err=%v", layout, ok, err)
+		snap := x.Snapshot()
+		if snap.LogSize() == 0 {
+			t.Fatalf("%s: no pending writes", c.name)
 		}
-		got := x.Select(Pattern{Wildcard, 1, Wildcard}).Collect(-1)
-		for _, tr := range got {
-			if (tr == Triple{6, 1, 2}) {
-				t.Fatalf("%v: deleted triple still emitted", layout)
+		views := []struct {
+			name string
+			x    Index
+			ref  refDynamic
+		}{{"static", static, ref}, {"snapshot", snap, want}}
+		for _, s := range AllShapes() {
+			perm := emitPerm(c.layout, s)
+			for _, v := range views {
+				for _, tr := range append(d.Triples[:30:30], inserts...) {
+					pat := WithWildcards(tr, s)
+					got := v.x.Select(pat).Collect(-1)
+					if !sameTripleSet(got, v.ref.selectPattern(pat)) {
+						t.Fatalf("%s %s: pattern %v: got %d triples, want %d",
+							c.name, v.name, pat, len(got), len(v.ref.selectPattern(pat)))
+					}
+					if !sortedByPerm(got, perm) {
+						t.Fatalf("%s %s: %v stream %v not sorted in %v order", c.name, v.name, s, got, perm)
+					}
+				}
 			}
-		}
-		if !sortedByPerm(got, emitPerm(layout, ShapexPx)) {
-			t.Fatalf("%v: stream unsorted after tombstone skip", layout)
 		}
 	}
 }

@@ -62,34 +62,30 @@ func skewedDataset(rng *rand.Rand, n int) *Dataset {
 	return NewDataset(ts)
 }
 
+// testLayouts names every layout the tests cover: the four of the
+// paper plus CC's all-permutations ablation.
+var testLayouts = []struct {
+	name   string
+	layout Layout
+	opts   []Option
+}{
+	{"3T", Layout3T, nil},
+	{"CC", LayoutCC, nil},
+	{"CC-all", LayoutCC, []Option{WithCCAllPermutations()}},
+	{"2Tp", Layout2Tp, nil},
+	{"2To", Layout2To, nil},
+}
+
 func allLayouts(t *testing.T, d *Dataset) map[string]Index {
 	t.Helper()
 	out := map[string]Index{}
-	x3, err := Build3T(d)
-	if err != nil {
-		t.Fatalf("Build3T: %v", err)
+	for _, c := range testLayouts {
+		x, err := Build(d, c.layout, c.opts...)
+		if err != nil {
+			t.Fatalf("Build(%s): %v", c.name, err)
+		}
+		out[c.name] = x
 	}
-	out["3T"] = x3
-	cc, err := BuildCC(d)
-	if err != nil {
-		t.Fatalf("BuildCC: %v", err)
-	}
-	out["CC"] = cc
-	ccAll, err := BuildCC(d, WithCCAllPermutations())
-	if err != nil {
-		t.Fatalf("BuildCC(all): %v", err)
-	}
-	out["CC-all"] = ccAll
-	p2, err := Build2Tp(d)
-	if err != nil {
-		t.Fatalf("Build2Tp: %v", err)
-	}
-	out["2Tp"] = p2
-	o2, err := Build2To(d)
-	if err != nil {
-		t.Fatalf("Build2To: %v", err)
-	}
-	out["2To"] = o2
 	return out
 }
 
@@ -173,10 +169,10 @@ func TestLookupAndCount(t *testing.T) {
 func TestSpaceOrderingAcrossLayouts(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	d := skewedDataset(rng, 20000)
-	x3, _ := Build3T(d)
-	cc, _ := BuildCC(d)
-	p2, _ := Build2Tp(d)
-	o2, _ := Build2To(d)
+	x3, _ := Build(d, Layout3T)
+	cc, _ := Build(d, LayoutCC)
+	p2, _ := Build(d, Layout2Tp)
+	o2, _ := Build(d, Layout2To)
 	// Paper Table 4: 3T > CC > 2To > 2Tp.
 	if !(x3.SizeBits() > cc.SizeBits()) {
 		t.Errorf("3T (%d bits) not larger than CC (%d bits)", x3.SizeBits(), cc.SizeBits())
@@ -281,7 +277,7 @@ func TestLayoutParse(t *testing.T) {
 func TestIteratorCollectLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	d := skewedDataset(rng, 500)
-	x, _ := Build2Tp(d)
+	x, _ := Build(d, Layout2Tp)
 	got := x.Select(NewPattern(-1, -1, -1)).Collect(10)
 	if len(got) != 10 {
 		t.Fatalf("Collect(10) returned %d triples", len(got))

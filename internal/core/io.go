@@ -52,20 +52,11 @@ func DecodeIndex(r *codec.Reader) (Index, error) {
 	if magic != indexMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", codec.ErrCorrupt, magic)
 	}
-	var x Index
-	var err error
-	switch layout := Layout(r.Byte()); layout {
-	case Layout3T:
-		x, err = decode3T(r)
-	case LayoutCC:
-		x, err = decodeCC(r)
-	case Layout2Tp:
-		x, err = decode2Tp(r)
-	case Layout2To:
-		x, err = decode2To(r)
-	default:
+	layout := Layout(r.Byte())
+	if int(layout) >= len(specs) {
 		return nil, fmt.Errorf("%w: unknown layout %d", codec.ErrCorrupt, layout)
 	}
+	x, err := decodeStatic(r, layout)
 	if err != nil {
 		return nil, err // not x: a typed nil pointer would make a non-nil Index
 	}
@@ -140,19 +131,4 @@ func ReadDataset(r io.Reader) (*Dataset, error) {
 		prev = t
 	}
 	return d, nil
-}
-
-// Build constructs an index of the requested layout.
-func Build(d *Dataset, layout Layout, opts ...Option) (Index, error) {
-	switch layout {
-	case Layout3T:
-		return Build3T(d, opts...)
-	case LayoutCC:
-		return BuildCC(d, opts...)
-	case Layout2Tp:
-		return Build2Tp(d, opts...)
-	case Layout2To:
-		return Build2To(d, opts...)
-	}
-	return nil, fmt.Errorf("core: unknown layout %d", layout)
 }

@@ -59,11 +59,11 @@ func TestReadDatasetRejectsJunk(t *testing.T) {
 func TestWriteIndexDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(283))
 	d := skewedDataset(rng, 1500)
-	x1, err := Build2Tp(d)
+	x1, err := Build(d, Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2, err := Build2Tp(d)
+	x2, err := Build(d, Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -295,17 +295,47 @@ func valBuf(p *[]uint64, k int) []uint64 {
 	return (*p)[:k]
 }
 
-// lookupSPO resolves the fully-specified pattern on any trie: two find
-// operations (Section 3.1).
-func lookupSPO(qc *QueryCtx, t *trie.Trie, perm Perm, tr Triple) *Iterator {
+// rank is the map function of Fig. 4: c's position among the children
+// of root b in the reference trie ref, or false when c is not one.
+func rank(ref *trie.Trie, b, c ID) (uint64, bool) {
+	begin, end := ref.RootRange(uint32(b))
+	j := ref.FindChild1(begin, end, uint32(c))
+	if j < 0 {
+		return 0, false
+	}
+	return uint64(j - begin), true
+}
+
+// unmap rewrites ranks among the children of root b in ref back into
+// the IDs they stand for (Fig. 4).
+//
+//rdf:hotpath
+func unmap(ref *trie.Trie, b ID, vals []uint64) {
+	begin, _ := ref.RootRange(uint32(b))
+	for i, v := range vals {
+		vals[i] = uint64(ref.Node1At(begin, begin+int(v)))
+	}
+}
+
+// lookup resolves the fully-specified pattern on any trie: two find
+// operations (Section 3.1). On a cross-compressed trie (ref non-nil) the
+// third component is first mapped to its rank.
+func lookup(qc *QueryCtx, t, ref *trie.Trie, perm Perm, tr Triple) *Iterator {
 	a, b, c := perm.Apply(tr)
 	b1, e1 := t.RootRange(uint32(a))
 	j := t.FindChild1(b1, e1, uint32(b))
 	if j < 0 {
 		return emptyIteratorCtx(qc)
 	}
+	v := uint64(c)
+	if ref != nil {
+		var ok bool
+		if v, ok = rank(ref, b, c); !ok {
+			return emptyIteratorCtx(qc)
+		}
+	}
 	b2, e2 := t.ChildRange(j)
-	if t.FindChild2(b2, e2, uint32(c)) < 0 {
+	if t.FindChild2(b2, e2, uint32(v)) < 0 {
 		return emptyIteratorCtx(qc)
 	}
 	return singleIteratorCtx(qc, tr)
@@ -318,8 +348,8 @@ type selectTwoState struct {
 	a, b  ID
 	left  int        // elements remaining in the range
 	t     *trie.Trie // trie the cursor below belongs to
+	ref   *trie.Trie // non-nil: t's third level is cross-compressed
 	it2   seq.Iterator
-	unmap func(ID, uint64) ID // nil unless cross-compressed
 	c     *QueryCtx
 	it    Iterator
 	vals  []uint64
@@ -335,10 +365,8 @@ func (st *selectTwoState) fill(out []Triple) int {
 	vals := valBuf(&st.vals, k)
 	n := st.it2.NextBatch(vals)
 	st.left -= n
-	if st.unmap != nil {
-		for i := range vals[:n] {
-			vals[i] = uint64(st.unmap(st.b, vals[i]))
-		}
+	if st.ref != nil {
+		unmap(st.ref, st.b, vals[:n])
 	}
 	restoreBatch(st.perm, st.a, st.b, vals[:n], out[:n])
 	return n
@@ -349,11 +377,7 @@ func (st *selectTwoState) fill(out []Triple) int {
 // scan of the completions on the third. A recycled state whose cursor
 // already belongs to t is repositioned with Reset instead of allocating
 // a fresh compressed-sequence iterator.
-func selectTwo(c *QueryCtx, t *trie.Trie, perm Perm, a, b ID) *Iterator {
-	return selectTwoUnmap(c, t, perm, a, b, nil)
-}
-
-func selectTwoUnmap(c *QueryCtx, t *trie.Trie, perm Perm, a, b ID, unmap func(ID, uint64) ID) *Iterator {
+func selectTwo(c *QueryCtx, t, ref *trie.Trie, perm Perm, a, b ID) *Iterator {
 	b1, e1 := t.RootRange(uint32(a))
 	j := t.FindChild1(b1, e1, uint32(b))
 	if j < 0 {
@@ -361,7 +385,7 @@ func selectTwoUnmap(c *QueryCtx, t *trie.Trie, perm Perm, a, b ID, unmap func(ID
 	}
 	b2, e2 := t.ChildRange(j)
 	st := c.getSelectTwo(t)
-	st.perm, st.a, st.b, st.left, st.unmap = perm, a, b, e2-b2, unmap
+	st.perm, st.a, st.b, st.left, st.ref = perm, a, b, e2-b2, ref
 	if st.t == t && st.it2 != nil {
 		st.it2.Reset(b2, b2, e2)
 	} else {
@@ -385,7 +409,7 @@ type selectOneState struct {
 	it2Active bool
 	prev      int
 	left      int
-	unmap     func(ID, uint64) ID
+	ref       *trie.Trie // non-nil: t's third level is cross-compressed
 	c         *QueryCtx
 	it        Iterator
 	vals      []uint64
@@ -405,10 +429,8 @@ func (st *selectOneState) fill(out []Triple) int {
 			m := st.it2.NextBatch(vals)
 			st.left -= m
 			if m > 0 {
-				if st.unmap != nil {
-					for i := range vals[:m] {
-						vals[i] = uint64(st.unmap(st.curB, vals[i]))
-					}
+				if st.ref != nil {
+					unmap(st.ref, st.curB, vals[:m])
 				}
 				restoreBatch(st.perm, st.a, st.curB, vals[:m], out[n:n+m])
 				n += m
@@ -438,17 +460,13 @@ func (st *selectOneState) fill(out []Triple) int {
 // selectOne implements the select algorithm of Fig. 2 with only the first
 // component fixed: scan the children and their completions. Sibling
 // ranges are delimited by a sequential pointer iterator.
-func selectOne(c *QueryCtx, t *trie.Trie, perm Perm, a ID) *Iterator {
-	return selectOneUnmap(c, t, perm, a, nil)
-}
-
-func selectOneUnmap(c *QueryCtx, t *trie.Trie, perm Perm, a ID, unmap func(ID, uint64) ID) *Iterator {
+func selectOne(c *QueryCtx, t, ref *trie.Trie, perm Perm, a ID) *Iterator {
 	b1, e1 := t.RootRange(uint32(a))
 	if b1 >= e1 {
 		return emptyIteratorCtx(c)
 	}
 	st := c.getSelectOne(t)
-	st.perm, st.a, st.unmap = perm, a, unmap
+	st.perm, st.a, st.ref = perm, a, ref
 	if st.t == t && st.it1 != nil {
 		st.it1.Reset(b1, b1, e1)
 		st.ptrIt.Reset(0, b1, e1+1)
@@ -480,7 +498,7 @@ type scanAllState struct {
 	it2       seq.Iterator
 	it2Active bool
 	left      int
-	unmap     func(ID, uint64) ID
+	ref       *trie.Trie // non-nil: t's third level is cross-compressed
 	c         *QueryCtx
 	it        Iterator
 	vals      []uint64
@@ -500,10 +518,8 @@ func (st *scanAllState) fill(out []Triple) int {
 			m := st.it2.NextBatch(vals)
 			st.left -= m
 			if m > 0 {
-				if st.unmap != nil {
-					for i := range vals[:m] {
-						vals[i] = uint64(st.unmap(st.curB, vals[i]))
-					}
+				if st.ref != nil {
+					unmap(st.ref, st.curB, vals[:m])
 				}
 				restoreBatch(st.perm, ID(st.root), st.curB, vals[:m], out[n:n+m])
 				n += m
@@ -557,17 +573,13 @@ func (st *scanAllState) fill(out []Triple) int {
 }
 
 // scanAll enumerates the whole trie (the ??? pattern).
-func scanAll(c *QueryCtx, t *trie.Trie, perm Perm) *Iterator {
-	return scanAllUnmap(c, t, perm, nil)
-}
-
-func scanAllUnmap(c *QueryCtx, t *trie.Trie, perm Perm, unmap func(ID, uint64) ID) *Iterator {
+func scanAll(c *QueryCtx, t, ref *trie.Trie, perm Perm) *Iterator {
 	st := c.getScanAll()
 	if st.t != t {
 		st.t = t
 		st.it2 = nil
 	}
-	st.perm, st.root, st.unmap = perm, -1, unmap
+	st.perm, st.root, st.ref = perm, -1, ref
 	return &st.it
 }
 

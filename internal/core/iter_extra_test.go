@@ -8,7 +8,7 @@ import (
 func TestFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))
 	d := skewedDataset(rng, 800)
-	x, err := Build2Tp(d)
+	x, err := Build(d, Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestFilter(t *testing.T) {
 
 func TestIteratorExhaustionIsSticky(t *testing.T) {
 	d := NewDataset([]Triple{{0, 0, 0}})
-	x, err := Build2Tp(d)
+	x, err := Build(d, Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSelectOutOfSpaceComponents(t *testing.T) {
 func TestCountMatchesCollectLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(229))
 	d := skewedDataset(rng, 1000)
-	x, err := Build3T(d)
+	x, err := Build(d, Layout3T)
 	if err != nil {
 		t.Fatal(err)
 	}

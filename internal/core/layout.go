@@ -58,7 +58,7 @@ type Index interface {
 	Trie(Perm) *trie.Trie
 }
 
-// encoder is the serialization capability of the four in-package layouts;
+// encoder is the serialization capability of the static index;
 // WriteIndex requires it. Dynamic snapshots are views over a base index
 // and a log, and deliberately do not implement it.
 type encoder interface {
@@ -139,14 +139,24 @@ func (o *Options) trieConfig(p Perm) trie.Config {
 }
 
 // buildTrie sorts a scratch copy of the triples in the permutation's
-// order and builds its trie.
-func buildTrie(d *Dataset, scratch []Triple, p Perm, cfg trie.Config) (*trie.Trie, error) {
+// order and builds its trie. With a reference trie ref the third level
+// is cross-compressed: it stores each third component's rank among the
+// children of the second component in ref (Section 3.2).
+func buildTrie(d *Dataset, scratch []Triple, p Perm, cfg trie.Config, ref *trie.Trie) (*trie.Trie, error) {
 	copy(scratch, d.Triples)
 	SortPerm(scratch, p, d.NS, d.NP, d.NO)
 	numRoots := p.RootSpace(d.NS, d.NP, d.NO)
 	return trie.Build(len(scratch), numRoots, func(i int) (uint32, uint32, uint32) {
 		a, b, c := p.Apply(scratch[i])
-		return uint32(a), uint32(b), uint32(c)
+		if ref == nil {
+			return uint32(a), uint32(b), uint32(c)
+		}
+		m, ok := rank(ref, b, c)
+		if !ok {
+			// Impossible by the subset property of Section 3.2.
+			panic("core: cross-compression mapping failed")
+		}
+		return uint32(a), uint32(b), uint32(m)
 	}, cfg)
 }
 

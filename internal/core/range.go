@@ -3,6 +3,8 @@ package core
 import (
 	"rdfindexes/internal/codec"
 	"rdfindexes/internal/ef"
+	"rdfindexes/internal/seq"
+	"rdfindexes/internal/trie"
 )
 
 // R is the auxiliary structure for range queries of Section 3.1: numeric
@@ -76,8 +78,10 @@ func DecodeR(rd *codec.Reader) (*R, error) {
 	return &R{base: base, values: values}, nil
 }
 
-// RangeSelecter is implemented by the layouts that materialize POS and
-// therefore support object-range-constrained ?P? patterns.
+// RangeSelecter is implemented by every static layout: it resolves ?P?
+// patterns with the object constrained to an ID interval. Layouts that
+// store POS seek the interval on its object level; 2To filters its ?P?
+// route.
 type RangeSelecter interface {
 	Index
 	SelectObjectRange(p ID, lo, hi ID) *Iterator
@@ -93,4 +97,75 @@ func SelectValueRange(x RangeSelecter, r *R, p ID, lo, hi uint64) *Iterator {
 		return emptyIterator()
 	}
 	return x.SelectObjectRange(p, idLo, idHi)
+}
+
+// objectRangeState scans the children of predicate p whose IDs fall in
+// [lo, hi], yielding all their subjects in blocks.
+type objectRangeState struct {
+	pos       *trie.Trie
+	ref       *trie.Trie // non-nil: POS is cross-compressed (CC)
+	p, curO   ID
+	hi        uint64
+	pos1      int
+	it1       seq.Iterator
+	it2       seq.Iterator
+	it2Active bool
+	left      int
+	it        Iterator
+	vals      []uint64
+	vals0     [8]uint64
+}
+
+func (st *objectRangeState) fill(out []Triple) int {
+	n := 0
+	for n < len(out) {
+		if st.it2Active {
+			k := len(out) - n
+			if k > st.left {
+				k = st.left
+			}
+			vals := valBuf(&st.vals, k)
+			m := st.it2.NextBatch(vals)
+			st.left -= m
+			if m > 0 {
+				if st.ref != nil {
+					unmap(st.ref, st.curO, vals[:m])
+				}
+				restoreBatch(PermPOS, st.p, st.curO, vals[:m], out[n:n+m])
+				n += m
+				continue
+			}
+			st.it2Active = false
+		}
+		ov, ok := st.it1.Next()
+		if !ok || ov > st.hi {
+			break
+		}
+		st.curO = ID(ov)
+		b2, e2 := st.pos.ChildRange(st.pos1)
+		st.pos1++
+		if st.it2 == nil {
+			st.it2 = st.pos.Iter2(b2, e2)
+		} else {
+			st.it2.Reset(b2, b2, e2)
+		}
+		st.left = e2 - b2
+		st.it2Active = true
+	}
+	return n
+}
+
+// selectObjectRange seeks lo among the objects of p on the POS trie and
+// streams the subjects of every object up to hi.
+func selectObjectRange(pos, ref *trie.Trie, p ID, lo, hi ID) *Iterator {
+	b1, e1 := pos.RootRange(uint32(p))
+	j, val, ok := pos.Nodes(1).FindGEQ(b1, e1, uint64(lo))
+	if !ok || val > uint64(hi) {
+		return emptyIterator()
+	}
+	st := &objectRangeState{pos: pos, ref: ref, p: p, hi: uint64(hi), pos1: j}
+	st.it1 = pos.Iter1From(b1, j, e1)
+	st.vals = st.vals0[:]
+	st.it.src = st
+	return &st.it
 }

@@ -79,19 +79,12 @@ func TestSelectValueRangeAgainstOracle(t *testing.T) {
 	fx := newNumericFixture(rng, 4000)
 	maxV := fx.values[len(fx.values)-1]
 
-	x3, err := Build3T(fx.d)
-	if err != nil {
-		t.Fatal(err)
+	// Every static layout serves range queries: on POS where it is
+	// stored, by filtering the ?P? route on 2To.
+	selecters := map[string]RangeSelecter{}
+	for name, x := range allLayouts(t, fx.d) {
+		selecters[name] = x.(RangeSelecter)
 	}
-	cc, err := BuildCC(fx.d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := Build2Tp(fx.d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	selecters := map[string]RangeSelecter{"3T": x3, "CC": cc, "2Tp": p2}
 
 	inRange := func(o ID, lo, hi uint64) bool {
 		if o < fx.base || int(o-fx.base) >= len(fx.values) {

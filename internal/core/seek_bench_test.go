@@ -46,7 +46,7 @@ func seekProbes(rng *rand.Rand, d *Dataset, perm Perm, n int) (present, absent [
 func BenchmarkSeek(b *testing.B) {
 	rng := rand.New(rand.NewSource(401))
 	d := skewedDataset(rng, 200000)
-	x, err := Build2Tp(d)
+	x, err := Build(d, Layout2Tp)
 	if err != nil {
 		b.Fatal(err)
 	}

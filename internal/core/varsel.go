@@ -65,43 +65,6 @@ type VarSelecter interface {
 	SelectVarSorted(p Pattern) (*VarIter, bool)
 }
 
-// SelectVarSorted on 3T: SP? on SPO, ?PO on POS, S?O on OSP — in each
-// case the wildcard is the resolving trie's third component.
-func (x *Index3T) SelectVarSorted(p Pattern) (*VarIter, bool) {
-	switch p.Shape() {
-	case ShapeSPx:
-		return varIterOnTrie(x.spo, p.S, p.P), true
-	case ShapexPO:
-		return varIterOnTrie(x.pos, p.P, p.O), true
-	case ShapeSxO:
-		return varIterOnTrie(x.osp, p.O, p.S), true
-	}
-	return nil, false
-}
-
-// SelectVarSorted on 2Tp: SP? on SPO and ?PO on POS. S?O has no
-// third-level range here (it resolves with the enumerate algorithm).
-func (x *Index2Tp) SelectVarSorted(p Pattern) (*VarIter, bool) {
-	switch p.Shape() {
-	case ShapeSPx:
-		return varIterOnTrie(x.spo, p.S, p.P), true
-	case ShapexPO:
-		return varIterOnTrie(x.pos, p.P, p.O), true
-	}
-	return nil, false
-}
-
-// SelectVarSorted on 2To: SP? on SPO and ?PO on OPS.
-func (x *Index2To) SelectVarSorted(p Pattern) (*VarIter, bool) {
-	switch p.Shape() {
-	case ShapeSPx:
-		return varIterOnTrie(x.spo, p.S, p.P), true
-	case ShapexPO:
-		return varIterOnTrie(x.ops, p.O, p.P), true
-	}
-	return nil, false
-}
-
 // SelectVarSorted on a snapshot serves the base index's streams while the
 // update log is empty. With pending updates a base stream would miss the
 // inserts and keep the deletes, so it declines and the executor falls
@@ -112,19 +75,4 @@ func (x *DynamicSnapshot) SelectVarSorted(p Pattern) (*VarIter, bool) {
 		return nil, false
 	}
 	return vs.SelectVarSorted(p)
-}
-
-// SelectVarSorted on CC: only levels that store real IDs qualify; mapped
-// third levels hold positions, whose order is not the ID order.
-func (x *IndexCC) SelectVarSorted(p Pattern) (*VarIter, bool) {
-	if x.all {
-		return nil, false
-	}
-	switch p.Shape() {
-	case ShapeSPx:
-		return varIterOnTrie(x.spo, p.S, p.P), true
-	case ShapeSxO:
-		return varIterOnTrie(x.osp, p.O, p.S), true
-	}
-	return nil, false
 }

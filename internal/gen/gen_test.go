@@ -152,7 +152,7 @@ func TestLUBMStructure(t *testing.T) {
 		t.Fatalf("LUBM spaces not unified: NS=%d NO=%d", d.NS, d.NO)
 	}
 	// Every department must belong to a university.
-	x, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestLUBMStructure(t *testing.T) {
 
 func TestLUBMQueriesExecutable(t *testing.T) {
 	data := LUBM(3, 13)
-	x, err := core.Build2Tp(data.Dataset)
+	x, err := core.Build(data.Dataset, core.Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestWatDivStructureAndNumerics(t *testing.T) {
 		t.Fatalf("R holds %d values, want %d", r.Len(), len(data.NumericValues))
 	}
 	// Every product must have a price triple pointing into the block.
-	x, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestWatDivStructureAndNumerics(t *testing.T) {
 	// Range query sanity: prices are in [100, 100000); the full range
 	// must return every price triple.
 	prices := x.Select(core.Pattern{S: core.Wildcard, P: WdPrice, O: core.Wildcard}).Count()
-	got := core.SelectValueRange(x, r, WdPrice, 0, 1<<40).Count()
+	got := core.SelectValueRange(x.(core.RangeSelecter), r, WdPrice, 0, 1<<40).Count()
 	if got != prices {
 		t.Fatalf("full-range query returned %d, want %d", got, prices)
 	}
@@ -243,14 +243,14 @@ func TestWatDivStructureAndNumerics(t *testing.T) {
 			}
 		}
 	}
-	if got := core.SelectValueRange(x, r, WdPrice, lo, hi).Count(); got != want {
+	if got := core.SelectValueRange(x.(core.RangeSelecter), r, WdPrice, lo, hi).Count(); got != want {
 		t.Fatalf("range [%d, %d] returned %d, want %d", lo, hi, got, want)
 	}
 }
 
 func TestWatDivQueriesExecutable(t *testing.T) {
 	data := WatDiv(150, 23)
-	x, err := core.Build2Tp(data.Dataset)
+	x, err := core.Build(data.Dataset, core.Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func TestParseAllAndEncode(t *testing.T) {
 		t.Fatalf("shared SO space broken: NS=%d NO=%d dict=%d", d.NS, d.NO, dicts.SO.Len())
 	}
 	// Query through an index by URI.
-	x, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}

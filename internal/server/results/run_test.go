@@ -26,7 +26,7 @@ func joinStore(t testing.TB, small, large int) *store.Store {
 		}
 		ts = append(ts, core.Triple{S: core.ID(i), P: 1, O: core.ID(i + 1)})
 	}
-	x, err := core.Build2Tp(core.NewDataset(ts))
+	x, err := core.Build(core.NewDataset(ts), core.Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestRunCancellationGallop(t *testing.T) {
 	for s := 0; s < 3000; s++ {
 		ts = append(ts, core.Triple{S: core.ID(s), P: 0, O: 0}, core.Triple{S: core.ID(s), P: 1, O: 0})
 	}
-	x, err := core.Build3T(core.NewDataset(ts))
+	x, err := core.Build(core.NewDataset(ts), core.Layout3T)
 	if err != nil {
 		t.Fatal(err)
 	}

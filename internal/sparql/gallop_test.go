@@ -95,7 +95,7 @@ func TestGallopedOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))
 	ts := randomTriples(rng, 500)
 	d := core.NewDataset(append([]core.Triple(nil), ts...))
-	x, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}

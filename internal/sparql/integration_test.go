@@ -36,7 +36,7 @@ func TestReplayConsistencyAcrossAllSystems(t *testing.T) {
 				queries = gen.LUBMQueries(lu, 15, 43)
 			}
 
-			p2, err := core.Build2Tp(d)
+			p2, err := core.Build(d, core.Layout2Tp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,17 +53,17 @@ func TestReplayConsistencyAcrossAllSystems(t *testing.T) {
 			}
 
 			stores := map[string]sparql.Store{"2Tp": p2}
-			if x, err := core.Build3T(d); err == nil {
+			if x, err := core.Build(d, core.Layout3T); err == nil {
 				stores["3T"] = x
 			} else {
 				t.Fatal(err)
 			}
-			if x, err := core.BuildCC(d); err == nil {
+			if x, err := core.Build(d, core.LayoutCC); err == nil {
 				stores["CC"] = x
 			} else {
 				t.Fatal(err)
 			}
-			if x, err := core.Build2To(d); err == nil {
+			if x, err := core.Build(d, core.Layout2To); err == nil {
 				stores["2To"] = x
 			} else {
 				t.Fatal(err)

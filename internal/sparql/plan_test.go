@@ -11,7 +11,7 @@ func TestPlanWithStatsMatchesExecuteResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(281))
 	ts := randomTriples(rng, 500)
 	d := core.NewDataset(append([]core.Triple(nil), ts...))
-	x, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestPlanWithStatsPrefersSelective(t *testing.T) {
 		ts = append(ts, core.Triple{S: core.ID(i % 20), P: 1, O: core.ID(i)})
 	}
 	d := core.NewDataset(ts)
-	x, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -289,7 +289,7 @@ func TestExecuteAgainstRealIndex(t *testing.T) {
 	ts := randomTriples(rng, 500)
 	d := core.NewDataset(append([]core.Triple(nil), ts...))
 	store := sliceStore(d.Triples)
-	x, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestDecomposeReplayMatchesExecute(t *testing.T) {
 	rng := rand.New(rand.NewSource(197))
 	ts := randomTriples(rng, 400)
 	d := core.NewDataset(append([]core.Triple(nil), ts...))
-	x, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 func TestRunTraced(t *testing.T) {
 	rng := rand.New(rand.NewSource(307))
 	d := core.NewDataset(randomTriples(rng, 600))
-	x, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRunTraced(t *testing.T) {
 func TestRunTracedGallopFlag(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
 	d := core.NewDataset(randomTriples(rng, 600))
-	x, err := core.Build2Tp(d)
+	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}

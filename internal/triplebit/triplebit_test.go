@@ -116,7 +116,7 @@ func TestTripleBitLargerThan2Tp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := core.Build2Tp(d)
+	p2, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,9 @@ type (
 	Option = core.Option
 	// R supports range queries over numeric objects.
 	R = core.R
-	// RangeSelecter is an index supporting object-range queries.
+	// RangeSelecter is an index supporting object-range queries. Every
+	// index Build returns implements it: layouts that store POS seek the
+	// object interval there, 2To filters its ?P? matches.
 	RangeSelecter = core.RangeSelecter
 	// DynamicIndex pairs a static index with an update log, merged
 	// amortizedly (the strategy sketched in Section 3.1 of the paper).

@@ -79,7 +79,7 @@ func starQueries(d *core.Dataset, arms, n int) []sparql.Query {
 // the DBpedia-shaped fixture and the LUBM query mix (stars and chains).
 func BenchmarkJoin(b *testing.B) {
 	fixture(b)
-	lubmIdx, err := core.Build2Tp(fx.lubm.Dataset)
+	lubmIdx, err := core.Build(fx.lubm.Dataset, core.Layout2Tp)
 	if err != nil {
 		b.Fatal(err)
 	}
