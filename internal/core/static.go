@@ -143,13 +143,30 @@ func Build(d *Dataset, layout Layout, opts ...Option) (Index, error) {
 	return x, nil
 }
 
-// buildCC builds the cross-compressed layout of Section 3.2. By default
-// only POS is cross-compressed, against OSP — the paper's choice, since
-// mapping the other two permutations saves little — and the ablation
+// ccMaps lists the permutations CC cross-compresses, each with its
+// reference trie, in build order (Section 3.2). By default only the
+// first is mapped — POS against OSP, the paper's choice, since mapping
+// the other two permutations saves little — and the ablation
 // WithCCAllPermutations also maps SPO against POS and OSP against SPO.
-// Ranks read only the first two levels of their reference trie, which
-// are never themselves mapped, so OSP is built plain first and, in the
-// ablation, rebuilt mapped last.
+var ccMaps = [...]struct{ perm, ref Perm }{
+	{PermPOS, PermOSP},
+	{PermSPO, PermPOS},
+	{PermOSP, PermSPO},
+}
+
+// ccMapsFor returns the rows of ccMaps a CC index maps.
+func ccMapsFor(all bool) []struct{ perm, ref Perm } {
+	if all {
+		return ccMaps[:]
+	}
+	return ccMaps[:1]
+}
+
+// buildCC builds the cross-compressed layout. Ranks read only the first
+// two levels of their reference trie, which are never themselves
+// mapped, so the first reference (OSP) is built plain, each mapped
+// permutation after its reference, and in the ablation OSP is rebuilt
+// mapped last.
 func (x *staticIndex) buildCC(d *Dataset, scratch []Triple, o Options) error {
 	ospCfg := o.trieConfig(PermOSP)
 	if _, overridden := o.TrieConfigs[PermOSP]; !overridden {
@@ -157,36 +174,39 @@ func (x *staticIndex) buildCC(d *Dataset, scratch []Triple, o Options) error {
 		// (Section 3.2), so CC models it with Compact.
 		ospCfg.Nodes1 = seq.KindCompact
 	}
-	var err error
-	if x.tries[PermOSP], err = buildTrie(d, scratch, PermOSP, ospCfg, nil); err != nil {
+	build := func(p Perm, ref *trie.Trie) error {
+		cfg := o.trieConfig(p)
+		if p == PermOSP {
+			cfg = ospCfg
+		}
+		t, err := buildTrie(d, scratch, p, cfg, ref)
+		x.tries[p] = t
 		return err
 	}
-	if x.tries[PermPOS], err = buildTrie(d, scratch, PermPOS, o.trieConfig(PermPOS), x.tries[PermOSP]); err != nil {
+	maps := ccMapsFor(o.CCAllPermutations)
+	if err := build(maps[0].ref, nil); err != nil {
 		return err
 	}
-	var spoRef *trie.Trie
-	if o.CCAllPermutations {
-		spoRef = x.tries[PermPOS]
-	}
-	if x.tries[PermSPO], err = buildTrie(d, scratch, PermSPO, o.trieConfig(PermSPO), spoRef); err != nil {
-		return err
-	}
-	if o.CCAllPermutations {
-		if x.tries[PermOSP], err = buildTrie(d, scratch, PermOSP, ospCfg, x.tries[PermSPO]); err != nil {
+	for _, m := range maps {
+		if err := build(m.perm, x.tries[m.ref]); err != nil {
 			return err
 		}
 	}
-	x.crossCompress(o.CCAllPermutations)
+	for _, p := range x.spec.perms {
+		if x.tries[p] == nil {
+			if err := build(p, nil); err != nil {
+				return err
+			}
+		}
+	}
+	x.crossCompress(maps)
 	return nil
 }
 
-// crossCompress records the reference trie of each cross-compressed
-// permutation of the CC layout.
-func (x *staticIndex) crossCompress(all bool) {
-	x.xref[PermPOS] = x.tries[PermOSP]
-	if all {
-		x.xref[PermSPO] = x.tries[PermPOS]
-		x.xref[PermOSP] = x.tries[PermSPO]
+// crossCompress records the reference trie of each mapped permutation.
+func (x *staticIndex) crossCompress(maps []struct{ perm, ref Perm }) {
+	for _, m := range maps {
+		x.xref[m.perm] = x.tries[m.ref]
 	}
 }
 
@@ -275,7 +295,7 @@ func (x *staticIndex) SelectObjectRange(p ID, lo, hi ID) *Iterator {
 func (x *staticIndex) encode(w *codec.Writer) {
 	if x.spec.cross {
 		all := byte(0)
-		if x.xref[PermSPO] != nil {
+		if x.xref[ccMaps[1].perm] != nil {
 			all = 1
 		}
 		w.Byte(all)
@@ -306,7 +326,7 @@ func decodeStatic(r *codec.Reader, layout Layout) (*staticIndex, error) {
 		x.ps = ps
 	}
 	if x.spec.cross {
-		x.crossCompress(all)
+		x.crossCompress(ccMapsFor(all))
 	}
 	return x, nil
 }
