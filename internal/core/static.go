@@ -148,14 +148,17 @@ func Build(d *Dataset, layout Layout, opts ...Option) (Index, error) {
 // first is mapped — POS against OSP, the paper's choice, since mapping
 // the other two permutations saves little — and the ablation
 // WithCCAllPermutations also maps SPO against POS and OSP against SPO.
-var ccMaps = [...]struct{ perm, ref Perm }{
+var ccMaps = [...]ccMap{
 	{PermPOS, PermOSP},
 	{PermSPO, PermPOS},
 	{PermOSP, PermSPO},
 }
 
+// ccMap is one cross-compressed permutation and its reference trie.
+type ccMap struct{ perm, ref Perm }
+
 // ccMapsFor returns the rows of ccMaps a CC index maps.
-func ccMapsFor(all bool) []struct{ perm, ref Perm } {
+func ccMapsFor(all bool) []ccMap {
 	if all {
 		return ccMaps[:]
 	}
@@ -204,7 +207,7 @@ func (x *staticIndex) buildCC(d *Dataset, scratch []Triple, o Options) error {
 }
 
 // crossCompress records the reference trie of each mapped permutation.
-func (x *staticIndex) crossCompress(maps []struct{ perm, ref Perm }) {
+func (x *staticIndex) crossCompress(maps []ccMap) {
 	for _, m := range maps {
 		x.xref[m.perm] = x.tries[m.ref]
 	}
