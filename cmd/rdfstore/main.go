@@ -408,9 +408,11 @@ func statsCmd(args []string, out io.Writer) error {
 }
 
 // dictSpace describes a dictionary's front-coded bytes: the verbatim
-// bucket heads, the entries coded against them, and bytes per term.
-// Terms added since the last merge are counted apart; they live in the
-// WAL and the overlay, not in the store file.
+// group samples, the bucket heads coded against them, the entries coded
+// against the term before them, how many of those escape their header
+// byte, and bytes per term. Terms added since the last merge are
+// counted apart; they live in the WAL and the overlay, not in the store
+// file.
 func dictSpace(r dict.Reader) string {
 	pending := 0
 	if o, ok := r.(*dict.Overlay); ok {
@@ -421,8 +423,9 @@ func dictSpace(r dict.Reader) string {
 		return fmt.Sprintf("%d terms", r.Len())
 	}
 	sp := d.Space()
-	line := fmt.Sprintf("%d terms, %d bytes (heads %d, entries %d), %.2f B/term",
-		d.Len(), sp.Heads+sp.Entries, sp.Heads, sp.Entries, float64(sp.Heads+sp.Entries)/float64(max(d.Len(), 1)))
+	total := sp.Samples + sp.Heads + sp.Entries
+	line := fmt.Sprintf("%d terms, %d bytes (samples %d, heads %d, entries %d; %d escaped headers), %.2f B/term",
+		d.Len(), total, sp.Samples, sp.Heads, sp.Entries, sp.Escaped, float64(total)/float64(max(d.Len(), 1)))
 	if pending > 0 {
 		line += fmt.Sprintf("; %d pending", pending)
 	}

@@ -54,7 +54,7 @@ func TestInsertDeleteMergeCLI(t *testing.T) {
 
 	// Terms the WAL added are counted apart from the store file's.
 	out = runOK(t, "stats", "-store", idx)
-	if !strings.Contains(out, "\nSO dict:      5 terms, 47 bytes (heads 18, entries 29), 9.40 B/term; 1 pending\n") {
+	if !strings.Contains(out, "\nSO dict:      5 terms, 39 bytes (samples 18, heads 0, entries 21; 0 escaped headers), 7.80 B/term; 1 pending\n") {
 		t.Fatalf("stats before merge: %q", out)
 	}
 
@@ -101,8 +101,8 @@ func TestEndToEnd(t *testing.T) {
 			if !strings.Contains(out, "layout:       "+layout) ||
 				!strings.Contains(out, "triples:      6") ||
 				!strings.Contains(out, "dictionaries: 5 SO terms, 2 predicates") ||
-				!strings.Contains(out, "\nSO dict:      5 terms, 47 bytes (heads 18, entries 29), 9.40 B/term\n") ||
-				!strings.Contains(out, "\nP dict:       2 terms, 25 bytes (heads 18, entries 7), 12.50 B/term\n") {
+				!strings.Contains(out, "\nSO dict:      5 terms, 39 bytes (samples 18, heads 0, entries 21; 0 escaped headers), 7.80 B/term\n") ||
+				!strings.Contains(out, "\nP dict:       2 terms, 23 bytes (samples 18, heads 0, entries 5; 0 escaped headers), 11.50 B/term\n") {
 				t.Fatalf("stats output: %q", out)
 			}
 
@@ -201,9 +201,9 @@ func TestBuildOverWAL(t *testing.T) {
 	}
 }
 
-// TestOldFormatNamed rewrites a built store's magic to format v3's:
-// stats and verify refuse it by name and point at build, and verify
-// does not report the file as corrupt.
+// TestOldFormatNamed rewrites a built store's magic to formats v4's and
+// v3's: stats and verify refuse it by name and point at build, and
+// verify does not report the file as corrupt.
 func TestOldFormatNamed(t *testing.T) {
 	dir := t.TempDir()
 	nt := filepath.Join(dir, "data.nt")
@@ -216,19 +216,21 @@ func TestOldFormatNamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(data[1:], "RDFSTORE3")
-	if err := os.WriteFile(idx, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	const want = "store format v3 is no longer read (this build reads v4): rebuild with rdfstore build"
-	if err := run([]string{"stats", "-store", idx}, io_discard()); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("stats of a v3 file: %v, want %q", err, want)
-	}
-	var out strings.Builder
-	if err := run([]string{"verify", "-store", idx}, &out); err == nil {
-		t.Fatal("verify passed a v3 file")
-	}
-	if got := out.String(); got != "  magic                10 bytes  "+want+"\n" {
-		t.Fatalf("verify of a v3 file printed %q", got)
+	for _, v := range []string{"4", "3"} {
+		copy(data[1:], "RDFSTORE"+v)
+		if err := os.WriteFile(idx, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := "store format v" + v + " is no longer read (this build reads v5): rebuild with rdfstore build"
+		if err := run([]string{"stats", "-store", idx}, io_discard()); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("stats of a v%s file: %v, want %q", v, err, want)
+		}
+		var out strings.Builder
+		if err := run([]string{"verify", "-store", idx}, &out); err == nil {
+			t.Fatalf("verify passed a v%s file", v)
+		}
+		if got := out.String(); got != "  magic                10 bytes  "+want+"\n" {
+			t.Fatalf("verify of a v%s file printed %q", v, got)
+		}
 	}
 }

@@ -4,14 +4,19 @@
 // from all measurements; this implementation exists so the end-to-end
 // tools and examples can ingest real N-Triples data.
 //
-// Layout: strings are sorted and grouped into buckets of fixed size. The
-// first string of each bucket, its head, is stored verbatim; the rest
-// are front coded with a shared tail: the prefix length shared with the
-// previous string, the middle bytes after it, and the length of a tail
-// copied from the end of the head. Sorted RDF terms share tails as much
-// as prefixes — a typed literal's ^^<datatype> and an @lang tag end every
-// neighbour — so a tail is stored once per bucket instead of once per
-// term. Lookup binary searches the bucket heads and scans one bucket.
+// Layout: strings are sorted and grouped into buckets of fixed size, and
+// buckets into groups of 16. The first string of each group, its sample,
+// is stored verbatim, apart from the rest, so that the samples lie
+// together. Every other string is front coded with a shared tail: how
+// many bytes it drops from the end of the string it is coded against,
+// the middle bytes it appends, and the length of a tail copied from the
+// end of the group's sample. A bucket's first string, its head, is coded
+// against the sample; the rest against the string before them. Sorted
+// RDF terms share tails as much as prefixes — a typed literal's
+// ^^<datatype> and an @lang tag end every neighbour — so a tail is
+// stored once per group instead of once per term, and the three lengths
+// nearly always fit one header byte. Lookup binary searches the samples,
+// scans the group's heads and scans one bucket.
 package dict
 
 import (
@@ -21,12 +26,16 @@ import (
 	"sort"
 
 	"rdfindexes/internal/codec"
-	"rdfindexes/internal/ef"
 )
 
 // DefaultBucketSize balances space (larger buckets share more prefixes)
 // against lookup latency (a lookup scans one bucket).
 const DefaultBucketSize = 16
+
+// groupBuckets is the number of buckets per group: the first bucket's
+// head is the group's verbatim sample, and a lookup scans the others'
+// heads after binary searching the samples.
+const groupBuckets = 16
 
 // MaxBytes bounds a dictionary's front-coded bytes: bucket offsets are
 // uint32, as IDs are. New and Fold refuse to build past it, and Decode
@@ -57,11 +66,15 @@ type Reader interface {
 type Dict struct {
 	n          int
 	bucketSize int
-	data       []byte
-	// offsets holds the byte offset of each bucket in data, then
-	// len(data). On disk it is Elias-Fano coded; Decode expands it once
-	// so every lookup indexes a plain slice.
-	offsets []uint32
+	// samples holds each group's sample, a uvarint length and the
+	// bytes; sampleAt the offset of each in samples.
+	samples, sampleAt []byte
+	// data holds the coded strings bucket after bucket, each bucket's
+	// head first unless it is the sample; offsets the offset of each
+	// bucket in data, then len(data). sampleAt and offsets are
+	// little-endian uint32s, and a decoded dictionary views all four
+	// slices where they are stored.
+	data, offsets []byte
 	// owner keeps the memory data views (a mapped store file) alive for
 	// as long as the dictionary is reachable; nil when built in memory.
 	owner any
@@ -81,10 +94,10 @@ func New(strs []string, bucketSize int) (*Dict, error) {
 // builder appends sorted, distinct strings to a front-coded layout one
 // at a time; New and Overlay.Fold share it.
 type builder struct {
-	d     *Dict
-	last  []byte // the previous string: LCP source and order check
-	head  []byte // the current bucket's head: tail source
-	limit uint64 // the most front-coded bytes allowed, MaxBytes
+	d      *Dict
+	last   []byte // the previous string: LCP source and order check
+	sample []byte // the current group's sample: tail source
+	limit  uint64 // the most front-coded bytes allowed, MaxBytes
 }
 
 func newBuilder(bucketSize int) *builder {
@@ -98,33 +111,30 @@ func newBuilder(bucketSize int) *builder {
 }
 
 // add appends s, which must sort strictly after the previous string. A
-// bucket's first string is its verbatim head. Every other one is stored
-// as its LCP with the previous string, the lengths of its middle and of
-// its tail, and the middle: the tail is the longest suffix of the rest
-// of s that ends the head too, and the decoders copy it from there.
+// group's first string is its verbatim sample, a bucket's first string
+// is coded against the sample, and every other string against the one
+// before it.
 func add[T string | []byte](b *builder, s T) error {
 	d := b.d
 	lcp := commonPrefix(b.last, s)
 	if d.n > 0 && (lcp == len(s) || lcp < len(b.last) && b.last[lcp] > s[lcp]) {
 		return fmt.Errorf("dict: input not sorted/distinct at %d (%q >= %q)", d.n, b.last, s)
 	}
-	if d.n%d.bucketSize == 0 {
-		d.offsets = append(d.offsets, uint32(len(d.data)))
-		d.data = appendUvarint(d.data, uint64(len(s)))
-		d.data = append(d.data, s...)
-		b.head = append(b.head[:0], s...)
-	} else {
-		rest := s[lcp:]
-		tail := 0
-		for tail < len(rest) && tail < len(b.head) && rest[len(rest)-1-tail] == b.head[len(b.head)-1-tail] {
-			tail++
-		}
-		d.data = appendUvarint(d.data, uint64(lcp))
-		d.data = appendUvarint(d.data, uint64(len(rest)-tail))
-		d.data = appendUvarint(d.data, uint64(tail))
-		d.data = append(d.data, rest[:len(rest)-tail]...)
+	k := len(d.offsets) / 4 // buckets started so far
+	switch {
+	case d.n%d.bucketSize != 0:
+		d.data = appendCoded(d.data, len(b.last), s, lcp, b.sample)
+	case k%groupBuckets == 0:
+		d.offsets = binary.LittleEndian.AppendUint32(d.offsets, uint32(len(d.data)))
+		d.sampleAt = binary.LittleEndian.AppendUint32(d.sampleAt, uint32(len(d.samples)))
+		d.samples = appendUvarint(d.samples, uint64(len(s)))
+		d.samples = append(d.samples, s...)
+		b.sample = append(b.sample[:0], s...)
+	default:
+		d.offsets = binary.LittleEndian.AppendUint32(d.offsets, uint32(len(d.data)))
+		d.data = appendCoded(d.data, len(b.sample), s, commonPrefix(b.sample, s), b.sample)
 	}
-	if uint64(len(d.data)) > b.limit {
+	if uint64(len(d.samples)+len(d.data)) > b.limit {
 		return fmt.Errorf("dict: front-coded bytes pass the %d-byte limit at string %d", b.limit, d.n)
 	}
 	b.last = append(b.last[:lcp], s[lcp:]...)
@@ -132,10 +142,38 @@ func add[T string | []byte](b *builder, s T) error {
 	return nil
 }
 
+// escape is the header byte whose tail field, 3, says that the drop,
+// middle and tail lengths follow as three uvarints.
+const escape = 3
+
+// appendCoded appends s coded against a string of prevLen bytes with
+// which it shares its first lcp bytes. The header byte is
+// [drop:3 | mid:3 | tail:2]: drop = prevLen - lcp, the middle's length,
+// and the tail's, the longest suffix of the rest of s that ends src too.
+// A length that does not fit its field escapes the header. The middle
+// follows the header.
+func appendCoded[T string | []byte](data []byte, prevLen int, s T, lcp int, src []byte) []byte {
+	rest := s[lcp:]
+	tail := 0
+	for tail < len(rest) && tail < len(src) && rest[len(rest)-1-tail] == src[len(src)-1-tail] {
+		tail++
+	}
+	drop, mid := prevLen-lcp, len(rest)-tail
+	if drop < 8 && mid < 8 && tail < escape {
+		data = append(data, byte(drop<<5|mid<<2|tail))
+	} else {
+		data = append(data, escape)
+		data = appendUvarint(data, uint64(drop))
+		data = appendUvarint(data, uint64(mid))
+		data = appendUvarint(data, uint64(tail))
+	}
+	return append(data, rest[:mid]...)
+}
+
 // finish closes the offsets with the end of the data and returns the
 // dictionary; the builder must not be used afterwards.
 func (b *builder) finish() *Dict {
-	b.d.offsets = append(b.d.offsets, uint32(len(b.d.data)))
+	b.d.offsets = binary.LittleEndian.AppendUint32(b.d.offsets, uint32(len(b.d.data)))
 	return b.d
 }
 
@@ -186,37 +224,43 @@ func readUvarint(data []byte, pos int) (uint64, int) {
 	}
 }
 
-// readEntry reads the three lengths that open a bucket entry and returns
-// the offset of its middle. The scans call it only for entries that
-// shortEntry does not read.
-func readEntry(data []byte, pos int) (lcp, mid, tail uint64, next int) {
-	lcp, pos = readUvarint(data, pos)
+// entry reads the header byte of the coded string at pos: its drop,
+// middle and tail lengths and the offset after it. A tail of escape
+// says the lengths follow as uvarints instead, which the callers read
+// with escaped, so that entry stays small enough to inline into the
+// scans.
+//
+//rdf:hotpath
+func entry(data []byte, pos int) (drop, mid, tail uint64, next int) {
+	h := data[pos]
+	return uint64(h >> 5), uint64(h >> 2 & 7), uint64(h & 3), pos + 1
+}
+
+// escaped reads the three uvarints that follow an escaped header.
+func escaped(data []byte, pos int) (drop, mid, tail uint64, next int) {
+	drop, pos = readUvarint(data, pos)
 	mid, pos = readUvarint(data, pos)
 	tail, pos = readUvarint(data, pos)
-	return lcp, mid, tail, pos
+	return drop, mid, tail, pos
 }
 
-// shortEntry reads the lengths of the entry at pos when all three are
-// one byte, as nearly all are, from one word load; ok is false
-// otherwise. It stays small enough to inline into the scans.
+// buckets returns the number of buckets.
+func (d *Dict) buckets() int { return len(d.offsets)/4 - 1 }
+
+// offset returns the offset in data of bucket k, or len(data) for k =
+// buckets().
 //
 //rdf:hotpath
-func shortEntry(data []byte, pos int) (lcp, mid, tail uint64, ok bool) {
-	if pos+4 > len(data) {
-		return 0, 0, 0, false
-	}
-	w := binary.LittleEndian.Uint32(data[pos:])
-	return uint64(w & 0xff), uint64(w >> 8 & 0xff), uint64(w >> 16 & 0xff), w&0x808080 == 0
+func (d *Dict) offset(k int) int {
+	return int(binary.LittleEndian.Uint32(d.offsets[4*k:]))
 }
 
-// head returns the verbatim head of bucket k and the offset of the
-// bucket's first entry.
+// sample returns the verbatim sample of group g.
 //
 //rdf:hotpath
-func (d *Dict) head(k int) ([]byte, int) {
-	l, pos := readUvarint(d.data, int(d.offsets[k]))
-	end := pos + int(l)
-	return d.data[pos:end], end
+func (d *Dict) sample(g int) []byte {
+	l, pos := readUvarint(d.samples, int(binary.LittleEndian.Uint32(d.sampleAt[4*g:])))
+	return d.samples[pos : pos+int(l)]
 }
 
 // bucket splits a valid ID into its bucket and its entry index there.
@@ -243,14 +287,10 @@ func (d *Dict) Extract(id int) (string, bool) {
 }
 
 // ExtractAppend appends the string with the given ID to buf and returns
-// the extended buffer. The bucket is decoded directly into buf, one
-// middle splice per entry: the shared prefix already sits at buf's end
-// after the previous entry, so each step truncates to the stored LCP
-// and appends the middle. The entry's tail stays pending — the last
-// tail bytes of the head, which is in hand — and is copied only as far
-// as the next entry's prefix reaches into it, which the sort order makes
-// rare, and in full for the term asked for. No intermediate strings are
-// materialized, and the only allocation is growing buf when its
+// the extended buffer: it walks from the group's sample through the
+// bucket's head, coded against it, and the bucket's entries up to the
+// ID, each one middle splice (see walker.walk). No intermediate strings
+// are materialized, and the only allocation is growing buf when its
 // capacity runs out.
 //
 //rdf:hotpath
@@ -260,50 +300,109 @@ func (d *Dict) ExtractAppend(buf []byte, id int) ([]byte, bool) {
 		return buf, false
 	}
 	k, j := d.bucket(id)
-	head, pos := d.head(k)
-	base := len(buf)
-	buf = append(buf, head...)
-	tail := 0 // bytes of head's end that follow buf's term, not yet copied
-	for ; j > 0; j-- {
-		lcp, mid, tl, ok := shortEntry(d.data, pos)
-		p := pos + 3
-		if !ok {
-			lcp, mid, tl, p = readEntry(d.data, pos)
-		}
-		if have := uint64(len(buf) - base); lcp > have {
-			if lcp-have > uint64(tail) {
-				panic(errEntry)
-			}
-			buf = append(buf, head[len(head)-tail:][:lcp-have]...)
-		}
-		if tl > uint64(len(head)) {
-			panic(errEntry)
-		}
-		pos = p + int(mid)
-		buf = append(buf[:base+int(lcp)], d.data[p:pos]...)
-		tail = int(tl)
+	if k%groupBuckets != 0 {
+		j++ // the head is one more step from the sample
 	}
-	return append(buf, head[len(head)-tail:]...), true
+	w := walker{buf: buf, base: len(buf)}
+	w.reset(d, k)
+	w.walk(j)
+	return w.flush(), true
 }
 
-// errEntry is the panic value of a decode that meets a bucket entry
-// claiming a longer prefix than the term before it has, or a longer tail
-// than its head. The lengths come from the stored bytes, which a crafted
-// section can set to anything under a valid checksum. A middle or head
-// that runs past the data fails its slice bounds, but an LCP inside the
-// buffer's capacity would splice stale bytes into the term, and a tail
-// past the head would read the bytes before it, so the decoders and the
-// bucket scan check both.
-var errEntry = fmt.Errorf("%w: dict bucket entry", codec.ErrCorrupt)
+// walker decodes the coded strings of one bucket, one after another,
+// into buf[base:]. Between steps buf[base:] holds the current string
+// except for its last tail bytes: those end src, the group's sample,
+// and are copied only when needed.
+type walker struct {
+	data []byte // the dictionary's coded strings
+	src  []byte // the group's sample: tail source
+	buf  []byte
+	base int
+	tail int // bytes of src's end that end the current string, not yet in buf
+	pos  int // offset in data of the next coded string
+}
 
-// cmpHeader compares the verbatim header of bucket k with s, starting
-// at byte from, which both are known to share, a word at a time. It
-// returns the ordering (-1, 0, +1 for header <, =, > s) and the full
-// common prefix length.
+// reset points w at bucket k of d. The current string becomes the
+// sample of k's group, all of it pending, and the next one bucket k's
+// first coded string: its head, or for the group's first bucket, the
+// entry after the sample.
 //
 //rdf:hotpath
-func (d *Dict) cmpHeader(k int, s string, from int) (int, int) {
-	h, _ := d.head(k)
+func (w *walker) reset(d *Dict, k int) {
+	w.data, w.src = d.data, d.sample(k/groupBuckets)
+	w.buf, w.tail, w.pos = w.buf[:w.base], len(w.src), d.offset(k)
+}
+
+// walk decodes the next steps coded strings. Each step drops bytes to
+// the string's prefix shared with the one before it — copying pending
+// tail bytes only as far as that prefix reaches into them, which the
+// sort order makes rare — and appends the middle; its own tail becomes
+// the pending one.
+//
+//rdf:hotpath
+func (w *walker) walk(steps int) {
+	data, src, buf, tail, pos := w.data, w.src, w.buf, w.tail, w.pos
+	for ; steps > 0; steps-- {
+		drop, mid, tl, p := entry(data, pos)
+		if tl == escape {
+			drop, mid, tl, p = escaped(data, p)
+		}
+		have := uint64(len(buf) - w.base)
+		prev := have + uint64(tail)
+		if drop > prev || tl > uint64(len(src)) {
+			panic(errEntry)
+		}
+		if lcp := prev - drop; lcp > have {
+			buf = append(buf, src[len(src)-tail:][:lcp-have]...)
+		} else {
+			buf = buf[:w.base+int(lcp)]
+		}
+		pos = p + int(mid)
+		// A short middle is copied as one word when buf and data have
+		// room for it; the bytes past the middle are spare capacity,
+		// which the next steps overwrite.
+		if n := len(buf); mid < 8 && cap(buf)-n >= 8 && len(data)-p >= 8 {
+			binary.LittleEndian.PutUint64(buf[n:n+8], binary.LittleEndian.Uint64(data[p:]))
+			buf = buf[:n+int(mid)]
+		} else {
+			buf = append(buf, data[p:pos]...)
+		}
+		tail = int(tl)
+	}
+	w.buf, w.tail, w.pos = buf, tail, pos
+}
+
+// flush copies the pending tail and returns buf, which then ends with
+// the whole current string.
+//
+//rdf:hotpath
+func (w *walker) flush() []byte {
+	if w.tail > 0 {
+		w.buf = append(w.buf, w.src[len(w.src)-w.tail:]...)
+		w.tail = 0
+	}
+	return w.buf
+}
+
+// errEntry is the panic value of a decode that meets a coded string
+// dropping more bytes than the string before it has, or claiming a
+// longer tail than its sample. The lengths come from the stored bytes,
+// which a crafted section can set to anything under a valid checksum. A
+// middle or sample that runs past the data fails its slice bounds, but
+// a drop past the previous string would splice stale bytes into the
+// term, and a tail past the sample would read the bytes before it, so
+// the decoders and the scans check both. Check finds every such string
+// without panicking.
+var errEntry = fmt.Errorf("%w: dict bucket entry", codec.ErrCorrupt)
+
+// cmpSample compares the sample of group g with s, starting at byte
+// from, which both are known to share, a word at a time. It returns the
+// ordering (-1, 0, +1 for sample <, =, > s) and the full common prefix
+// length.
+//
+//rdf:hotpath
+func (d *Dict) cmpSample(g int, s string, from int) (int, int) {
+	h := d.sample(g)
 	i, n := from, min(len(h), len(s))
 	for i+8 <= n && binary.LittleEndian.Uint64(h[i:]) == le64(s[i:]) {
 		i += 8
@@ -325,7 +424,7 @@ func (d *Dict) cmpHeader(k int, s string, from int) (int, int) {
 	return 0, i
 }
 
-// le64 is binary.LittleEndian.Uint64 over a string, so cmpHeader
+// le64 is binary.LittleEndian.Uint64 over a string, so cmpSample
 // compares a word per step without converting s.
 //
 //rdf:hotpath
@@ -335,31 +434,81 @@ func le64(s string) uint64 {
 		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
-// searchBucket finds s within bucket k, whose header sorts before s
-// and shares its first match bytes with it, without materializing any
-// entry: it tracks match, the longest common prefix of s and the last
-// entry passed, and compares each entry through its stored LCP value.
-// An entry whose LCP disagrees with match is ordered against s
-// immediately — LCP below match means the entry already sorts past s
+// searchGroup finds s within group g, whose sample sorts before s and
+// shares its first match bytes with it, by scanning the group's coded
+// heads for the last one that sorts before s, then that head's bucket.
+// Every head is coded against the sample, so its stored LCP with the
+// sample orders it against s without touching its bytes, by the rule
+// searchBucket follows: LCP below match means the head (and every later
+// one, whose LCP is no longer) sorts past s, LCP above match means it
+// sorts before s and shares exactly match bytes with it, and only a
+// head whose LCP equals match compares its middle, then its tail, with
+// s.
+//
+//rdf:hotpath
+func (d *Dict) searchGroup(g int, s string, match int) (int, bool) {
+	k := g * groupBuckets
+	src, pos := d.sample(g), d.offset(k)
+	prev, m := uint64(len(src)), match // the candidate head's length and LCP with s
+	last := min(k+groupBuckets, d.buckets())
+	for h := k + 1; h < last; h++ {
+		drop, mid, tail, p := entry(d.data, d.offset(h))
+		if tail == escape {
+			drop, mid, tail, p = escaped(d.data, p)
+		}
+		if drop > uint64(len(src)) || tail > uint64(len(src)) {
+			panic(errEntry)
+		}
+		lcp := uint64(len(src)) - drop
+		if lcp < uint64(match) {
+			break
+		}
+		end := p + int(mid)
+		j := match
+		if lcp == uint64(match) {
+			var c int
+			c, j = cmpFrom(d.data[p:end], s, match)
+			if c == 0 {
+				c, j = cmpFrom(src[len(src)-int(tail):], s, j)
+			}
+			if c > 0 {
+				break
+			}
+			if c == 0 && j == len(s) {
+				return h * d.bucketSize, true
+			}
+		}
+		k, pos, prev, m = h, end, lcp+mid+tail, j
+	}
+	return d.searchBucket(k, s, m, src, pos, prev)
+}
+
+// searchBucket finds s within bucket k, whose head sorts before s,
+// shares its first match bytes with it and is prev bytes long, and
+// whose first entry is at pos, without materializing any entry: it
+// tracks match, the longest common prefix of s and the last entry
+// passed, and compares each entry through its stored LCP with the one
+// before it. An entry whose LCP disagrees with match is ordered against
+// s immediately — LCP below match means the entry already sorts past s
 // (early exit), LCP above match means it still sorts before s (skipped
 // without touching its bytes) — and only entries whose LCP equals match
 // compare their middle, then their tail, with s; the tail is read from
-// the head in hand.
+// the sample src.
 //
 //rdf:hotpath
-func (d *Dict) searchBucket(k int, s string, match int) (int, bool) {
-	head, pos := d.head(k)
-	limit := d.bucketSize
-	if rem := d.n - k*d.bucketSize; rem < limit {
-		limit = rem
-	}
+func (d *Dict) searchBucket(k int, s string, match int, src []byte, pos int, prev uint64) (int, bool) {
+	limit := min(d.bucketSize, d.n-k*d.bucketSize)
 	for i := 1; i < limit; i++ {
-		lcp, mid, tail, ok := shortEntry(d.data, pos)
-		p := pos + 3
-		if !ok {
-			lcp, mid, tail, p = readEntry(d.data, pos)
+		drop, mid, tail, p := entry(d.data, pos)
+		if tail == escape {
+			drop, mid, tail, p = escaped(d.data, p)
 		}
+		if drop > prev {
+			panic(errEntry)
+		}
+		lcp := prev - drop
 		pos = p + int(mid)
+		prev = lcp + mid + tail
 		switch {
 		case lcp < uint64(match):
 			// The entry diverges from its predecessor before the prefix
@@ -370,12 +519,12 @@ func (d *Dict) searchBucket(k int, s string, match int) (int, bool) {
 			// where s already differs; it still sorts before s.
 			continue
 		}
-		if tail > uint64(len(head)) {
+		if tail > uint64(len(src)) {
 			panic(errEntry)
 		}
 		c, j := cmpFrom(d.data[p:pos], s, match)
 		if c == 0 {
-			c, j = cmpFrom(head[len(head)-int(tail):], s, j)
+			c, j = cmpFrom(src[len(src)-int(tail):], s, j)
 		}
 		switch {
 		case c > 0:
@@ -409,56 +558,72 @@ func cmpFrom(b []byte, s string, j int) (int, int) {
 }
 
 // Locate returns the ID of s, or ok=false if absent. A binary search
-// over the verbatim bucket headers finds the last header <= s, and the
-// in-bucket scan compares through the stored LCP values with early exit
-// instead of materializing entries. The header search is LCP-bounded:
-// every header sorting between the two bracketing probes shares with s
-// at least the shorter of their common prefixes with s, so each probe
-// resumes the comparison there instead of at byte 0.
+// over the verbatim samples finds the last sample <= s, and the scans of
+// its group's heads and of one bucket compare through the stored LCP
+// values with early exit instead of materializing strings. The sample
+// search is LCP-bounded: every sample sorting between the two
+// bracketing probes shares with s at least the shorter of their common
+// prefixes with s, so each probe resumes the comparison there instead
+// of at byte 0.
 //
 //rdf:hotpath
 func (d *Dict) Locate(s string) (int, bool) {
-	// Invariant: header(lo) < s < header(hi), where lo = -1 and hi =
-	// numBuckets stand for -inf and +inf; llo and lhi are the common
-	// prefix lengths of s with header(lo) and header(hi).
-	lo, hi := -1, len(d.offsets)-1
+	// Invariant: sample(lo) < s < sample(hi), where lo = -1 and hi =
+	// the number of groups stand for -inf and +inf; llo and lhi are the
+	// common prefix lengths of s with sample(lo) and sample(hi).
+	lo, hi := -1, len(d.sampleAt)/4
 	llo, lhi := 0, 0
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		c, l := d.cmpHeader(mid, s, min(llo, lhi))
+		c, l := d.cmpSample(mid, s, min(llo, lhi))
 		switch {
 		case c < 0:
 			lo, llo = mid, l
 		case c > 0:
 			hi, lhi = mid, l
 		default:
-			return mid * d.bucketSize, true
+			return mid * groupBuckets * d.bucketSize, true
 		}
 	}
 	if lo < 0 {
 		return 0, false
 	}
-	return d.searchBucket(lo, s, llo)
+	return d.searchGroup(lo, s, llo)
 }
 
 // SizeBits returns the in-memory footprint in bits.
 func (d *Dict) SizeBits() uint64 {
-	return uint64(len(d.data))*8 + uint64(len(d.offsets))*32 + 2*64
+	return uint64(len(d.samples)+len(d.sampleAt)+len(d.data)+len(d.offsets))*8 + 2*64
 }
 
 // Space splits a dictionary's front-coded bytes between its parts.
 type Space struct {
-	Heads   int // bytes of the verbatim bucket heads, lengths included
-	Entries int // bytes of the entries coded against them
+	Samples int // bytes of the verbatim group samples, lengths included
+	Heads   int // bytes of the other bucket heads, coded against them
+	Entries int // bytes of the entries coded against the string before
+	Escaped int // coded heads and entries whose header escapes its lengths
 }
 
 // Space reports how the dictionary's front-coded bytes split between
-// bucket heads and entries.
+// samples, coded heads and entries, and how many headers escape.
 func (d *Dict) Space() Space {
-	var sp Space
-	for k := 0; k+1 < len(d.offsets); k++ {
-		_, end := d.head(k)
-		sp.Heads += end - int(d.offsets[k])
+	sp := Space{Samples: len(d.samples)}
+	for k := 0; k < d.buckets(); k++ {
+		pos, coded := d.offset(k), min(d.bucketSize, d.n-k*d.bucketSize)
+		if k%groupBuckets == 0 {
+			coded-- // the head is the sample
+		}
+		for i := 0; i < coded; i++ {
+			_, mid, tail, p := entry(d.data, pos)
+			if tail == escape {
+				_, mid, _, p = escaped(d.data, p)
+				sp.Escaped++
+			}
+			pos = p + int(mid)
+			if i == 0 && k%groupBuckets != 0 {
+				sp.Heads += pos - d.offset(k)
+			}
+		}
 	}
 	sp.Entries = len(d.data) - sp.Heads
 	return sp
@@ -468,40 +633,41 @@ func (d *Dict) Space() Space {
 func (d *Dict) Encode(w *codec.Writer) {
 	w.Uvarint(uint64(d.n))
 	w.Uvarint(uint64(d.bucketSize))
+	w.Bytes(d.samples)
+	w.Bytes(d.sampleAt)
 	w.Bytes(d.data)
-	offsets := make([]uint64, len(d.offsets))
-	for i, o := range d.offsets {
-		offsets[i] = uint64(o)
-	}
-	ef.New(offsets).Encode(w)
+	w.Bytes(d.offsets)
 }
 
-// Decode reads a dictionary written by Encode.
+// Decode reads a dictionary written by Encode. It checks only what
+// locates the samples and the buckets, in constant time, and views the
+// bytes where r holds them; Check walks the rest.
 func Decode(r *codec.Reader) (*Dict, error) {
 	d := &Dict{owner: r.Owner()}
 	d.n = int(r.Uvarint())
 	d.bucketSize = int(r.Uvarint())
+	d.samples = r.BytesBuf()
+	d.sampleAt = r.BytesBuf()
 	d.data = r.BytesBuf()
-	offsets, err := ef.Decode(r)
-	if err != nil {
+	d.offsets = r.BytesBuf()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if d.bucketSize <= 0 || d.bucketSize > MaxBytes || d.n < 0 || d.n > len(d.data) || offsets.Len() != (d.n+d.bucketSize-1)/d.bucketSize+1 {
+	size := uint64(len(d.samples)) + uint64(len(d.data))
+	if d.bucketSize <= 0 || d.bucketSize > MaxBytes || d.n < 0 || uint64(d.n) > size {
 		return nil, r.Fail(fmt.Errorf("%w: dict bucket size", codec.ErrCorrupt))
 	}
-	// The offsets ascend to the last one, len(data): bounding it bounds
-	// them all before they narrow to uint32.
-	switch last := offsets.Access(offsets.Len() - 1); {
-	case last > MaxBytes:
-		return nil, r.Fail(fmt.Errorf("%w: dict of %d front-coded bytes, over the %d-byte limit", codec.ErrCorrupt, last, uint64(MaxBytes)))
-	case last != uint64(len(d.data)):
+	buckets := (d.n + d.bucketSize - 1) / d.bucketSize
+	groups := (buckets + groupBuckets - 1) / groupBuckets
+	// The offsets are uint32s, so bounding the bytes bounds them all;
+	// the first ones are 0 and the last bucket offset is len(data).
+	switch {
+	case size > MaxBytes:
+		return nil, r.Fail(fmt.Errorf("%w: dict of %d front-coded bytes, over the %d-byte limit", codec.ErrCorrupt, size, uint64(MaxBytes)))
+	case len(d.offsets) != 4*(buckets+1) || len(d.sampleAt) != 4*groups:
+		return nil, r.Fail(fmt.Errorf("%w: dict of %d buckets with %d offset bytes and %d sample offset bytes", codec.ErrCorrupt, buckets, len(d.offsets), len(d.sampleAt)))
+	case d.offset(0) != 0 || d.offset(buckets) != len(d.data) || groups > 0 && binary.LittleEndian.Uint32(d.sampleAt) != 0:
 		return nil, r.Fail(fmt.Errorf("%w: dict offsets", codec.ErrCorrupt))
-	}
-	d.offsets = make([]uint32, offsets.Len())
-	it := offsets.MakeIterator(0)
-	for i := range d.offsets {
-		o, _ := it.Next()
-		d.offsets[i] = uint32(o)
 	}
 	return d, nil
 }

@@ -2,6 +2,7 @@ package dict
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,7 +12,6 @@ import (
 	"testing/quick"
 
 	"rdfindexes/internal/codec"
-	"rdfindexes/internal/ef"
 )
 
 func buildSorted(t *testing.T, strs []string, bucket int) *Dict {
@@ -183,8 +183,8 @@ func TestDictEmpty(t *testing.T) {
 // TestByteLimit pins the 4 GiB bound of the uint32 bucket offsets on
 // both sides: the builder New and Fold share refuses to grow past its
 // limit (lowered here, so the test need not build 4 GiB), and Decode
-// refuses a stored dictionary whose offsets reach past MaxBytes, or
-// whose string count or bucket size would not fit 32 bits with it.
+// refuses a stored dictionary whose string count or bucket size would
+// not fit 32 bits with its bytes, or whose offsets do not span them.
 func TestByteLimit(t *testing.T) {
 	b := newBuilder(4)
 	b.limit = 100
@@ -199,21 +199,34 @@ func TestByteLimit(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name          string
-		n, bucketSize uint64
-		last          uint64 // the last bucket offset; the data is "\x01a"
-		want          string
+		name              string
+		n, bucketSize     uint64
+		data              string // the samples are "\x01a"
+		sampleAt, offsets []uint32
+		want              string
 	}{
-		{"offsets past MaxBytes", 1, 1, MaxBytes + 1, "limit"},
-		{"more strings than bytes", 3, 4, 2, "bucket size"},
-		{"bucket size past MaxBytes", 1, MaxBytes + 1, 2, "bucket size"},
+		{"more strings than bytes", 3, 4, "", []uint32{0}, []uint32{0, 0}, "bucket size"},
+		{"bucket size past MaxBytes", 1, MaxBytes + 1, "", []uint32{0}, []uint32{0, 0}, "bucket size"},
+		{"offsets for another bucket count", 1, 1, "", []uint32{0}, []uint32{0, 0, 0}, "offset bytes"},
+		{"sample offsets for another group count", 1, 1, "", nil, []uint32{0, 0}, "offset bytes"},
+		{"last offset short of the data", 1, 1, "x", []uint32{0}, []uint32{0, 0}, "offsets"},
+		{"first sample offset past 0", 1, 1, "", []uint32{1}, []uint32{0, 0}, "offsets"},
 	} {
 		var buf bytes.Buffer
 		w := codec.NewWriter(&buf)
 		w.Uvarint(tc.n)
 		w.Uvarint(tc.bucketSize)
 		w.Bytes([]byte("\x01a"))
-		ef.New([]uint64{0, tc.last}).Encode(w)
+		words := func(ws []uint32) []byte {
+			var b []byte
+			for _, v := range ws {
+				b = binary.LittleEndian.AppendUint32(b, v)
+			}
+			return b
+		}
+		w.Bytes(words(tc.sampleAt))
+		w.Bytes([]byte(tc.data))
+		w.Bytes(words(tc.offsets))
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}

@@ -20,12 +20,9 @@ type Extractor struct {
 	added []string // overlay tail strings (ID = d.Len()+i), nil otherwise
 	gen   Reader   // fallback for Reader implementations outside this package
 
-	bucket int    // bucket currently decoded into cur, -1 when none
-	idx    int    // entry index of cur within bucket
-	pos    int    // byte offset in d.data of the entry after idx
-	head   []byte // the bucket's verbatim head
-	tail   int    // bytes of head's tail that end the current term, not yet in cur
-	cur    []byte // owned buffer holding the current term
+	bucket int    // bucket currently decoded into w, -1 when none
+	idx    int    // entry index of w's string within bucket, -1 for the sample before its head
+	w      walker // the bucket's decoder; its owned buffer holds the current term
 }
 
 // NewExtractor returns a cursor over r. Dict and Overlay (including
@@ -42,6 +39,7 @@ func NewExtractor(r Reader) *Extractor {
 // pooled cursor does not pin a retired store view.
 func (e *Extractor) Bind(r Reader) {
 	e.d, e.added, e.gen = nil, nil, nil
+	e.w = walker{buf: e.w.buf[:0]} // drops the walker's views of the old dictionary
 	switch v := r.(type) {
 	case *Dict:
 		e.d = v
@@ -65,15 +63,15 @@ func (e *Extractor) Extract(id int) ([]byte, bool) {
 			return nil, false
 		}
 		var ok bool
-		e.cur, ok = e.gen.ExtractAppend(e.cur[:0], id)
-		return e.cur, ok
+		e.w.buf, ok = e.gen.ExtractAppend(e.w.buf[:0], id)
+		return e.w.buf, ok
 	}
 	d := e.d
 	if id >= d.n {
 		if i := id - d.n; i < len(e.added) {
-			e.bucket = -1 // cur no longer mirrors a bucket position
-			e.cur = append(e.cur[:0], e.added[i]...)
-			return e.cur, true
+			e.bucket = -1 // the buffer no longer mirrors a bucket position
+			e.w.buf = append(e.w.buf[:0], e.added[i]...)
+			return e.w.buf, true
 		}
 		return nil, false
 	}
@@ -82,33 +80,13 @@ func (e *Extractor) Extract(id int) ([]byte, bool) {
 	}
 	k, j := d.bucket(id)
 	if k != e.bucket || j < e.idx {
-		e.head, e.pos = d.head(k)
-		e.cur = append(e.cur[:0], e.head...)
-		e.bucket, e.idx, e.tail = k, 0, 0
-	}
-	// ExtractAppend's walk, on the cursor's state.
-	for ; e.idx < j; e.idx++ {
-		lcp, mid, tl, ok := shortEntry(d.data, e.pos)
-		p := e.pos + 3
-		if !ok {
-			lcp, mid, tl, p = readEntry(d.data, e.pos)
+		e.w.reset(d, k)
+		e.bucket, e.idx = k, 0
+		if k%groupBuckets != 0 {
+			e.idx = -1 // the sample comes one step before the head
 		}
-		if have := uint64(len(e.cur)); lcp > have {
-			if lcp-have > uint64(e.tail) {
-				panic(errEntry)
-			}
-			e.cur = append(e.cur, e.head[len(e.head)-e.tail:][:lcp-have]...)
-		}
-		if tl > uint64(len(e.head)) {
-			panic(errEntry)
-		}
-		e.pos = p + int(mid)
-		e.cur = append(e.cur[:lcp], d.data[p:e.pos]...)
-		e.tail = int(tl)
 	}
-	if e.tail > 0 {
-		e.cur = append(e.cur, e.head[len(e.head)-e.tail:]...)
-		e.tail = 0
-	}
-	return e.cur, true
+	e.w.walk(j - e.idx)
+	e.idx = j
+	return e.w.flush(), true
 }

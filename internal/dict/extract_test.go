@@ -1,12 +1,16 @@
 package dict
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
+
+	"rdfindexes/internal/codec"
 )
 
 var (
@@ -165,15 +169,20 @@ func TestLocateOracle(t *testing.T) {
 // cover the whole head.
 var suffixOfHead = []string{"^^<t>", "abc>", "bc>", "c>", "xy^^<t>", "y^^<t>", "z^^<t>", "zz^^<t>"}
 
-// entryTails returns the stored tail length of every entry, 0 for heads.
+// entryTails returns the stored tail length of every string, 0 for
+// samples.
 func entryTails(d *Dict) []int {
 	tails := make([]int, d.n)
-	for k := 0; k+1 < len(d.offsets); k++ {
-		_, pos := d.head(k)
-		for id := k*d.bucketSize + 1; id < min(d.n, (k+1)*d.bucketSize); id++ {
-			_, mid, tail, p := readEntry(d.data, pos)
-			tails[id], pos = int(tail), p+int(mid)
+	pos := 0
+	for id := range tails {
+		if k, j := d.bucket(id); j == 0 && k%groupBuckets == 0 {
+			continue
 		}
+		_, mid, tail, p := entry(d.data, pos)
+		if tail == escape {
+			_, mid, tail, p = escaped(d.data, p)
+		}
+		tails[id], pos = int(tail), p+int(mid)
 	}
 	return tails
 }
@@ -341,47 +350,75 @@ func FuzzExtractorOracle(f *testing.F) {
 
 // TestExtractCorruptEntry feeds every access path a bucket whose stored
 // lengths point outside the dictionary (the kind a crafted section with
-// a valid checksum can carry) and requires a panic — errEntry for an LCP
-// longer than the term before it or a tail longer than the head, a
-// bounds panic for a head or middle past the data — not an allocation
-// sized by the bad length or a term spliced from stale bytes. Locate
-// does not decode the entries it skips, so it cannot see a bad LCP; it
-// must answer absent there.
+// a valid checksum can carry) and requires a panic — errEntry for a drop
+// past the length of the string before it or a tail longer than the
+// sample, a bounds panic for a sample, middle or escape past the data —
+// not an allocation sized by the bad length or a term spliced from stale
+// bytes. Check must reject every case without panicking.
 func TestExtractCorruptEntry(t *testing.T) {
-	// bucket builds one bucket: a head "abc" stored with length hl, then
-	// one entry per (lcp, middle length, tail length), each with the
-	// middle "xy".
-	bucket := func(hl uint64, entries ...[3]uint64) *Dict {
-		data := appendUvarint(nil, hl)
-		data = append(data, "abc"...)
-		for _, e := range entries {
+	// coded returns one coded string: the header for (drop, middle
+	// length, tail length), escaped when a length does not fit its
+	// field, then the middle "xy".
+	coded := func(e [3]uint64) []byte {
+		var b []byte
+		if e[0] < 8 && e[1] < 8 && e[2] < escape {
+			b = append(b, byte(e[0]<<5|e[1]<<2|e[2]))
+		} else {
+			b = append(b, escape)
 			for _, v := range e {
-				data = appendUvarint(data, v)
+				b = appendUvarint(b, v)
 			}
-			data = append(data, "xy"...)
 		}
-		return &Dict{n: 1 + len(entries), bucketSize: 4, data: data, offsets: []uint32{0, uint32(len(data))}}
+		return append(b, "xy"...)
 	}
-	// Well formed: "abc", "a"+"xy"+"c", "axyc"+"xy"; the last LCP reaches
-	// one byte into the tail before it.
-	good := [][3]uint64{{1, 2, 1}, {4, 2, 0}}
+	// group builds one group: the sample "abc" stored with length sl,
+	// then one bucket per element of buckets, each a run of coded
+	// strings (the first bucket's sample comes first).
+	group := func(bucketSize int, sl uint64, buckets ...[][]byte) *Dict {
+		samples := appendUvarint(nil, sl)
+		samples = append(samples, "abc"...)
+		d := &Dict{bucketSize: bucketSize, n: 1, samples: samples, sampleAt: binary.LittleEndian.AppendUint32(nil, 0)}
+		var data []byte
+		for _, b := range buckets {
+			d.offsets = binary.LittleEndian.AppendUint32(d.offsets, uint32(len(data)))
+			for _, e := range b {
+				data = append(data, e...)
+				d.n++
+			}
+		}
+		d.data = data[:len(data):len(data)]
+		d.offsets = binary.LittleEndian.AppendUint32(d.offsets, uint32(len(data)))
+		return d
+	}
+	bucket := func(sl uint64, entries ...[3]uint64) *Dict {
+		var b [][]byte
+		for _, e := range entries {
+			b = append(b, coded(e))
+		}
+		return group(4, sl, b)
+	}
+	// Well formed: "abc", "a"+"xy"+"c", "axyc"+"xy"; the second string
+	// keeps all of the first, whose tail is still pending.
+	good := [][3]uint64{{2, 2, 1}, {0, 2, 0}}
 	for _, tc := range []struct {
-		name   string
-		d      *Dict
-		want   any  // the panic value; nil accepts any
-		absent bool // Locate answers absent instead of panicking
+		name string
+		d    *Dict
+		want any // the panic value; nil accepts any
 	}{
-		{"header past data", bucket(1<<40, good[0]), nil, false},
-		{"header length wraps", bucket(1<<63, good[0]), nil, false},
-		{"middle past data", bucket(3, [3]uint64{1, 1 << 40, 1}), nil, false},
-		{"middle length wraps", bucket(3, [3]uint64{1, 1 << 63, 1}), nil, false},
-		{"middle plus tail wraps to zero", bucket(3, [3]uint64{1, math.MaxUint64, 1}), nil, false},
-		{"middle plus tail overflows", bucket(3, [3]uint64{1, 1 << 63, 1 << 63}), errEntry, false},
-		{"tail longer than head", bucket(3, [3]uint64{1, 2, 4}), errEntry, false},
-		{"tail length wraps", bucket(3, [3]uint64{1, 2, 1 << 63}), errEntry, false},
-		{"lcp past previous term", bucket(3, [3]uint64{4, 2, 1}), errEntry, true},
-		{"lcp wraps", bucket(3, [3]uint64{1 << 63, 2, 1}), errEntry, true},
-		{"lcp past pending tail", bucket(3, good[0], [3]uint64{5, 2, 0}), errEntry, true},
+		{"sample past data", bucket(1<<40, good[0]), nil},
+		{"sample length wraps", bucket(1<<63, good[0]), nil},
+		{"middle past data", bucket(3, [3]uint64{2, 1 << 40, 1}), nil},
+		{"middle length wraps", bucket(3, [3]uint64{2, 1 << 63, 1}), nil},
+		{"middle plus tail wraps to zero", bucket(3, [3]uint64{2, math.MaxUint64, 1}), nil},
+		{"middle plus tail overflows", bucket(3, [3]uint64{2, 1 << 63, 1 << 63}), errEntry},
+		{"tail longer than sample", bucket(3, [3]uint64{2, 2, 4}), errEntry},
+		{"tail length wraps", bucket(3, [3]uint64{2, 2, 1 << 63}), errEntry},
+		{"drop past previous length", bucket(3, [3]uint64{4, 2, 1}), errEntry},
+		{"drop wraps", bucket(3, [3]uint64{1 << 63, 2, 1}), errEntry},
+		{"drop past pending tail", bucket(3, good[0], [3]uint64{5, 2, 0}), errEntry},
+		{"escape with truncated uvarints", group(4, 3, [][]byte{{escape, 2, 0x82}}), nil},
+		{"coded head past data", group(1, 3, nil, [][]byte{coded([3]uint64{2, 1 << 40, 1})}), nil},
+		{"coded head drops past sample", group(1, 3, nil, [][]byte{coded([3]uint64{4, 2, 1})}), errEntry},
 	} {
 		id := tc.d.n - 1
 		paths := map[string]func(){
@@ -392,8 +429,8 @@ func TestExtractCorruptEntry(t *testing.T) {
 				e.Extract(0)
 				e.Extract(id)
 			},
-			// The probe is the term the last entry would hold if well
-			// formed, so the scan compares that entry's bytes.
+			// The probe is the term the last string would hold if well
+			// formed, so the scans compare that string's bytes.
 			"Locate": func() {
 				if _, ok := tc.d.Locate([]string{"abc", "axyc", "axycxy"}[id]); ok {
 					t.Errorf("%s: Locate found a corrupt entry", tc.name)
@@ -403,30 +440,36 @@ func TestExtractCorruptEntry(t *testing.T) {
 		for name, f := range paths {
 			func() {
 				defer func() {
-					r := recover()
-					switch {
-					case name == "Locate" && tc.absent:
-						if r != nil {
-							t.Errorf("%s: Locate panicked with %v, want absent", tc.name, r)
-						}
-					case r == nil || tc.want != nil && r != tc.want:
+					if r := recover(); r == nil || tc.want != nil && r != tc.want {
 						t.Errorf("%s: %s panicked with %v, want %v", tc.name, name, r, tc.want)
 					}
 				}()
 				f()
 			}()
 		}
+		bad := id // the first bad ID: the sample's own, or the last string's
+		if strings.HasPrefix(tc.name, "sample") {
+			bad = 0
+		}
+		if err := tc.d.Check(); !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("dict ID %d:", bad)) {
+			t.Errorf("%s: Check = %v, want a corruption error naming ID %d", tc.name, err, bad)
+		}
 	}
-	d := bucket(3, good...)
-	for id, want := range []string{"abc", "axyc", "axycxy"} {
-		if got, ok := d.Extract(id); !ok || got != want {
-			t.Fatalf("Extract(%d) = (%q, %v), want %s", id, got, ok, want)
+	// The same strings as one bucket and as a sample and a coded head.
+	for _, d := range []*Dict{bucket(3, good...), group(1, 3, nil, [][]byte{coded(good[0])})} {
+		if err := d.Check(); err != nil {
+			t.Fatalf("Check of a well-formed dictionary: %v", err)
 		}
-		if got, ok := NewExtractor(d).Extract(id); !ok || string(got) != want {
-			t.Fatalf("cursor Extract(%d) = (%q, %v), want %s", id, got, ok, want)
-		}
-		if got, ok := d.Locate(want); !ok || got != id {
-			t.Fatalf("Locate(%q) = (%d, %v), want %d", want, got, ok, id)
+		for id, want := range []string{"abc", "axyc", "axycxy"}[:d.n] {
+			if got, ok := d.Extract(id); !ok || got != want {
+				t.Fatalf("Extract(%d) = (%q, %v), want %s", id, got, ok, want)
+			}
+			if got, ok := NewExtractor(d).Extract(id); !ok || string(got) != want {
+				t.Fatalf("cursor Extract(%d) = (%q, %v), want %s", id, got, ok, want)
+			}
+			if got, ok := d.Locate(want); !ok || got != id {
+				t.Fatalf("Locate(%q) = (%d, %v), want %d", want, got, ok, id)
+			}
 		}
 	}
 }

@@ -209,6 +209,9 @@ func FuzzOverlayRoundTrip(f *testing.F) {
 		if got, want := encoded(t, d), encoded(t, ref); !bytes.Equal(got, want) {
 			t.Fatalf("Fold encodes %x, FromUnsorted %x", got, want)
 		}
+		if err := d.Check(); err != nil {
+			t.Fatalf("Check of the folded dictionary: %v", err)
+		}
 		if len(mapping) != o.Len() {
 			t.Fatalf("mapping len = %d, want %d", len(mapping), o.Len())
 		}
@@ -245,6 +248,9 @@ func FuzzDictRoundTrip(f *testing.F) {
 		d, err := FromUnsorted(lines, 5)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if err := d.Check(); err != nil {
+			t.Fatalf("Check of a built dictionary: %v", err)
 		}
 		seen := map[string]bool{}
 		for _, s := range lines {

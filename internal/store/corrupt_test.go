@@ -14,6 +14,7 @@ import (
 
 	"rdfindexes/internal/codec"
 	"rdfindexes/internal/core"
+	"rdfindexes/internal/dict"
 )
 
 // writeSampleFile serializes the shared sample store and returns its
@@ -170,6 +171,60 @@ func TestVerifyReport(t *testing.T) {
 	}
 	if rep.OK || rep.Version != 0 || len(rep.Sections) != 1 || rep.Sections[0].Name != "magic" {
 		t.Fatalf("garbage: %+v", rep)
+	}
+}
+
+// TestVerifyDictOrder crafts a store whose SO dictionary holds an entry
+// out of order under a valid header CRC32C. Read opens it — the open
+// decodes only what locates the buckets — and Verify rejects it under
+// header, naming the dictionary and the first bad ID.
+func TestVerifyDictOrder(t *testing.T) {
+	path, data := writeSampleFile(t)
+	r := codec.NewBytesReader(data, nil)
+	if magic := r.String(); magic != Magic {
+		t.Fatalf("magic %q", magic)
+	}
+	start := r.Offset()
+	r.Byte() // dictionary flag
+	r.Uvarint()
+	r.Uvarint()  // string count, bucket size
+	r.BytesBuf() // samples
+	r.BytesBuf() // sample offsets
+	length := r.Uvarint()
+	so := data[r.Offset():][:length]
+	// ID 0 is the sample `"30"`, apart from the coded strings; ID 1,
+	// "<http://ex/alice>", is the first of them. It shares nothing with
+	// the sample, so its header escapes to three uvarints (drop 4,
+	// middle 17, tail 0) before the middle. A middle starting with 0x00
+	// sorts it before the sample.
+	if want := []byte{3, 4, 17, 0, '<'}; !bytes.Equal(so[:5], want) {
+		t.Fatalf("ID 1 is coded as % x, want % x", so[:5], want)
+	}
+	so[4] = 0
+	r = codec.NewBytesReader(data[start:], nil)
+	r.Byte()
+	for range 2 {
+		if _, err := dict.Decode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := start + r.Offset()
+	binary.LittleEndian.PutUint32(data[end:], crc32.Checksum(data[start:end], codec.Castagnoli))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Read(path); err != nil {
+		t.Fatalf("Read of a store with an out-of-order entry: %v", err)
+	}
+	rep, err := Verify(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK || len(rep.Sections) != 3 || rep.Sections[0].Name != "header" || rep.Sections[0].OK ||
+		!strings.Contains(rep.Sections[0].Error, "SO dictionary: codec: corrupt stream: dict ID 1: does not sort after") ||
+		!rep.Sections[1].OK || !rep.Sections[2].OK {
+		t.Fatalf("Verify of a store with an out-of-order entry: %+v", rep)
 	}
 }
 

@@ -47,14 +47,16 @@ import (
 // array lies 8-byte aligned in the file. There is no pad after the last
 // checksum. The table gives the section's length up front, so the
 // section's checksum is verified before any of it is decoded.
-const Magic = "RDFSTORE4"
+const Magic = "RDFSTORE5"
 
 // CurrentVersion is the container format version Write produces and
 // Read accepts. Files of older versions are refused by their magic,
-// with the version named, and rebuilt with rdfstore build. v4 changed
-// only the dictionaries' entry coding (front coding with a shared tail);
-// v3's container and index bytes are v4's.
-const CurrentVersion = 4
+// with the version named, and rebuilt with rdfstore build. v5 changed
+// only the dictionaries' coding (two-level front coding: bucket heads
+// coded against a verbatim group sample, one-byte entry headers, bucket
+// offsets as fixed-width words); v3's and v4's container and index
+// bytes are v5's.
+const CurrentVersion = 5
 
 // magicStem is what every version's magic starts with; the version
 // number follows it.

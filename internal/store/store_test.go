@@ -189,13 +189,13 @@ func TestReadRejectsGarbage(t *testing.T) {
 // the version and the rebuild.
 func TestReadNamesOldVersion(t *testing.T) {
 	_, data := writeSampleFile(t)
-	for _, old := range []string{"RDFSTORE3", "RDFSTORE2", "RDFSTORE1"} {
+	for _, old := range []string{"RDFSTORE4", "RDFSTORE3", "RDFSTORE2", "RDFSTORE1"} {
 		path := filepath.Join(t.TempDir(), "old.idx")
 		copy(data[1:], old)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want := "store format v" + old[len(old)-1:] + " is no longer read (this build reads v4): rebuild with rdfstore build"
+		want := "store format v" + old[len(old)-1:] + " is no longer read (this build reads v5): rebuild with rdfstore build"
 		check := func(op string, err error) {
 			t.Helper()
 			if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "not an rdfstore file") {
@@ -258,9 +258,11 @@ func pinnedNT() string {
 //
 // The values were re-recorded for format v3, which adds the zero pads
 // that align every word array and section to 8 bytes and changes the
-// magics, and for format v4, which codes dictionary entries with a
-// shared tail and changes the magic; the index section's CRC32C, pinned
-// per layout below, is the same as v3's.
+// magics, for format v4, which codes dictionary entries with a shared
+// tail and changes the magic, and for format v5, which codes bucket
+// heads against a verbatim group sample behind one-byte entry headers
+// and changes the magic; the index section's CRC32C, pinned per layout
+// below, is the same as v3's.
 func TestFormatPinned(t *testing.T) {
 	inserts := [][3]string{
 		{"<http://example.org/resource/A>", "<http://example.org/ontology/p0>", "<http://example.org/resource/Entity_5>"},
@@ -290,7 +292,7 @@ func TestFormatPinned(t *testing.T) {
 		}
 	}
 	pinned := map[core.Layout]struct{ encoded, merged uint64 }{
-		core.Layout2Tp: {0xedeb6bebbe3b116a, 0x348abd15bb1d3179},
+		core.Layout2Tp: {0x84c30e19d23dfbe4, 0x163ea3ed67db2144},
 	}
 	// The index section's stored CRC32C, pinned apart from the file: a
 	// dictionary format change re-pins the fingerprints above but must

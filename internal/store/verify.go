@@ -6,6 +6,8 @@ import (
 	"runtime/debug"
 
 	"rdfindexes/internal/codec"
+	"rdfindexes/internal/dict"
+	"rdfindexes/internal/rdf"
 )
 
 // SectionStatus is one section's verification outcome.
@@ -54,10 +56,11 @@ func (rep *VerifyReport) pass(name string, bytes int64) {
 // failure instead of stopping at the first, so an operator sees the full
 // extent of the damage (one flipped sector vs. a truncated half). It
 // walks the mapped file exactly as Read does — checksums, pads and full
-// decodes — but does not need the whole store to be loadable. The
-// returned error covers only environmental problems (the file cannot be
-// opened, statted or mapped); corruption is reported through the report
-// itself.
+// decodes — and checks every dictionary entry besides, which Read leaves
+// to the access paths, but does not need the whole store to be loadable.
+// The returned error covers only environmental problems (the file cannot
+// be opened, statted or mapped); corruption is reported through the
+// report itself.
 func Verify(path string) (rep *VerifyReport, err error) {
 	m, _, err := openMapping(path)
 	if err != nil {
@@ -75,6 +78,9 @@ func Verify(path string) (rep *VerifyReport, err error) {
 	c := walkContainer(m.data, m)
 	rep.Version = c.version
 	for _, p := range c.parts {
+		if p.name == "header" && p.err == nil && c.dicts != nil {
+			p.err = checkDicts(c.dicts)
+		}
 		if p.err != nil {
 			rep.fail(p.name, p.bytes, p.err)
 		} else {
@@ -83,6 +89,18 @@ func Verify(path string) (rep *VerifyReport, err error) {
 	}
 	rep.verifyWAL(path)
 	return rep, nil
+}
+
+// checkDicts runs the deep check Read leaves out on both dictionaries
+// and names the one that fails.
+func checkDicts(d *rdf.Dicts) error {
+	if err := d.SO.(*dict.Dict).Check(); err != nil {
+		return fmt.Errorf("SO dictionary: %w", err)
+	}
+	if err := d.P.(*dict.Dict).Check(); err != nil {
+		return fmt.Errorf("P dictionary: %w", err)
+	}
+	return nil
 }
 
 // verifyWAL scans the write-ahead log next to the store, when one
