@@ -5,7 +5,7 @@
 GO      ?= go
 RDFLINT := $(CURDIR)/bin/rdflint
 
-.PHONY: all build test race lint rdflint fmt vet staticcheck govulncheck clean
+.PHONY: all build test race lint rdflint fmt vet staticcheck govulncheck fuzz bench-module clean
 
 all: build test lint
 
@@ -53,6 +53,31 @@ govulncheck:
 	else \
 		echo "govulncheck unavailable (offline?); skipping — CI runs it"; \
 	fi
+
+# The CI fuzz job's seven targets, one -fuzz run each (the fuzz engine
+# takes one target per invocation). CI gives each 30s; the local
+# default is shorter: make fuzz FUZZTIME=30s for the CI budget.
+FUZZTIME ?= 10s
+FUZZ_TARGETS := \
+	./internal/dict:FuzzExtractorOracle \
+	./internal/dict:FuzzDictRoundTrip \
+	./internal/dict:FuzzOverlayRoundTrip \
+	./internal/dict:FuzzDictCheck \
+	./internal/store:FuzzStoreRead \
+	./internal/server:FuzzSPARQLUpdate \
+	./internal/server:FuzzSPARQLQuery
+
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "$$name ($$pkg, $(FUZZTIME))"; \
+		$(GO) test -run xxx -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg; \
+	done
+
+# The socket benchmark is its own module, which `go test ./...` at the
+# root never compiles; the CI benchmark-module job runs the same.
+bench-module:
+	$(GO) -C benchmark vet ./... && $(GO) -C benchmark test ./... && $(GO) -C benchmark build -o /dev/null ./ladder
 
 clean:
 	rm -rf bin

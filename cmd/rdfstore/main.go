@@ -400,20 +400,21 @@ func statsCmd(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "dictionaries: %d SO terms, %d predicates (%.2f MiB)\n",
 			st.Dicts.SO.Len(), st.Dicts.P.Len(),
 			float64(st.Dicts.SO.SizeBits()+st.Dicts.P.SizeBits())/8/1024/1024)
-		fmt.Fprintf(out, "SO dict:      %s\n", dictSpace(st.Dicts.SO))
-		fmt.Fprintf(out, "P dict:       %s\n", dictSpace(st.Dicts.P))
+		fmt.Fprintf(out, "SO dict:      %s\n", dictSpace(st.Dicts.SO, true))
+		fmt.Fprintf(out, "P dict:       %s\n", dictSpace(st.Dicts.P, false))
 	}
 	fmt.Fprintf(out, "format:       %s\n", formatLine(st.Integrity.Version, st.Integrity.Mapped))
 	return nil
 }
 
-// dictSpace describes a dictionary's front-coded bytes: the verbatim
-// group samples, the bucket heads coded against them, the entries coded
-// against the term before them, how many of those escape their header
-// byte, and bytes per term. Terms added since the last merge are
-// counted apart; they live in the WAL and the overlay, not in the store
-// file.
-func dictSpace(r dict.Reader) string {
+// dictSpace describes a dictionary's stored bytes: the verbatim group
+// samples, the bucket heads coded against them, the entries coded
+// against the term before them, the sample and bucket offsets, how many
+// coded terms escape their header byte, and bytes per term. For the SO
+// dictionary it also gives how many terms are subjects, the first run
+// of IDs. Terms added since the last merge are counted apart; they live
+// in the WAL and the overlay, not in the store file.
+func dictSpace(r dict.Reader, subjects bool) string {
 	pending := 0
 	if o, ok := r.(*dict.Overlay); ok {
 		r, pending = o.Base(), o.AddedLen()
@@ -423,9 +424,13 @@ func dictSpace(r dict.Reader) string {
 		return fmt.Sprintf("%d terms", r.Len())
 	}
 	sp := d.Space()
-	total := sp.Samples + sp.Heads + sp.Entries
-	line := fmt.Sprintf("%d terms, %d bytes (samples %d, heads %d, entries %d; %d escaped headers), %.2f B/term",
-		d.Len(), total, sp.Samples, sp.Heads, sp.Entries, sp.Escaped, float64(total)/float64(max(d.Len(), 1)))
+	total := sp.Samples + sp.Heads + sp.Entries + sp.Offsets
+	terms := fmt.Sprintf("%d terms", d.Len())
+	if subjects {
+		terms += fmt.Sprintf(" (%d subjects)", d.FirstRun())
+	}
+	line := fmt.Sprintf("%s, %d bytes (samples %d, heads %d, entries %d, offsets %d; %d escaped headers), %.2f B/term",
+		terms, total, sp.Samples, sp.Heads, sp.Entries, sp.Offsets, sp.Escaped, float64(total)/float64(max(d.Len(), 1)))
 	if pending > 0 {
 		line += fmt.Sprintf("; %d pending", pending)
 	}

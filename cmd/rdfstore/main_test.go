@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rdfindexes/internal/dict"
+	"rdfindexes/internal/store"
 )
 
 const sampleNT = `<http://ex/alice> <http://ex/knows> <http://ex/bob> .
@@ -54,7 +57,7 @@ func TestInsertDeleteMergeCLI(t *testing.T) {
 
 	// Terms the WAL added are counted apart from the store file's.
 	out = runOK(t, "stats", "-store", idx)
-	if !strings.Contains(out, "\nSO dict:      5 terms, 39 bytes (samples 18, heads 0, entries 21; 0 escaped headers), 7.80 B/term; 1 pending\n") {
+	if !strings.Contains(out, "\nSO dict:      5 terms (3 subjects), 74 bytes (samples 36, heads 0, entries 14, offsets 24; 0 escaped headers), 14.80 B/term; 1 pending\n") {
 		t.Fatalf("stats before merge: %q", out)
 	}
 
@@ -101,8 +104,8 @@ func TestEndToEnd(t *testing.T) {
 			if !strings.Contains(out, "layout:       "+layout) ||
 				!strings.Contains(out, "triples:      6") ||
 				!strings.Contains(out, "dictionaries: 5 SO terms, 2 predicates") ||
-				!strings.Contains(out, "\nSO dict:      5 terms, 39 bytes (samples 18, heads 0, entries 21; 0 escaped headers), 7.80 B/term\n") ||
-				!strings.Contains(out, "\nP dict:       2 terms, 23 bytes (samples 18, heads 0, entries 5; 0 escaped headers), 11.50 B/term\n") {
+				!strings.Contains(out, "\nSO dict:      5 terms (3 subjects), 74 bytes (samples 36, heads 0, entries 14, offsets 24; 0 escaped headers), 14.80 B/term\n") ||
+				!strings.Contains(out, "\nP dict:       2 terms, 39 bytes (samples 18, heads 0, entries 5, offsets 16; 0 escaped headers), 19.50 B/term\n") {
 				t.Fatalf("stats output: %q", out)
 			}
 
@@ -201,8 +204,8 @@ func TestBuildOverWAL(t *testing.T) {
 	}
 }
 
-// TestOldFormatNamed rewrites a built store's magic to formats v4's and
-// v3's: stats and verify refuse it by name and point at build, and
+// TestOldFormatNamed rewrites a built store's magic to formats v5's,
+// v4's and v3's: stats and verify refuse it by name and point at build, and
 // verify does not report the file as corrupt.
 func TestOldFormatNamed(t *testing.T) {
 	dir := t.TempDir()
@@ -216,12 +219,12 @@ func TestOldFormatNamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []string{"4", "3"} {
+	for _, v := range []string{"5", "4", "3"} {
 		copy(data[1:], "RDFSTORE"+v)
 		if err := os.WriteFile(idx, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want := "store format v" + v + " is no longer read (this build reads v5): rebuild with rdfstore build"
+		want := "store format v" + v + " is no longer read (this build reads v6): rebuild with rdfstore build"
 		if err := run([]string{"stats", "-store", idx}, io_discard()); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("stats of a v%s file: %v, want %q", v, err, want)
 		}
@@ -232,5 +235,41 @@ func TestOldFormatNamed(t *testing.T) {
 		if got := out.String(); got != "  magic                10 bytes  "+want+"\n" {
 			t.Fatalf("verify of a v%s file printed %q", v, got)
 		}
+	}
+}
+
+// TestVerifyNamesRootMismatch rewrites a built store with an SO
+// dictionary that holds every term in its first run, under valid
+// checksums: verify fails and reports the header, naming the SPO trie
+// whose roots no longer span the dictionary's subjects.
+func TestVerifyNamesRootMismatch(t *testing.T) {
+	dir := t.TempDir()
+	nt := filepath.Join(dir, "data.nt")
+	if err := os.WriteFile(nt, []byte(sampleNT), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	idx := filepath.Join(dir, "store.idx")
+	runOK(t, "build", "-in", nt, "-out", idx)
+	st, err := store.Read(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var terms []string
+	for id := 0; id < st.Dicts.SO.Len(); id++ {
+		s, _ := st.Dicts.SO.Extract(id)
+		terms = append(terms, s)
+	}
+	if st.Dicts.SO, err = dict.FromUnsorted(terms, dict.DefaultBucketSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Write(idx, st); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{"verify", "-store", idx}, &out); err == nil {
+		t.Fatal("verify passed a store whose dictionary disagrees with its index")
+	}
+	if !strings.Contains(out.String(), "  header") || !strings.Contains(out.String(), "CORRUPT: codec: corrupt stream: SPO trie of the index has 3 roots, for 5 SO dictionary subjects") {
+		t.Fatalf("verify printed %q", out.String())
 	}
 }

@@ -15,7 +15,12 @@ func benchTerms(b *testing.B) []string {
 }
 
 // BenchmarkLocate prices one Locate on present terms and on absent
-// probes that sort inside a bucket (a one-byte extension of a term).
+// probes that sort inside a bucket (a one-byte extension of a term), in
+// a dictionary of one run; and on the same terms split into two runs,
+// every fourth in the first, as the subject/object dictionary splits
+// its subjects from the other terms: "first-run" probes the first run's
+// terms, "second-run" the others, which Locate finds after a miss in
+// the first run.
 func BenchmarkLocate(b *testing.B) {
 	strs := benchTerms(b)
 	d, err := New(strs, DefaultBucketSize)
@@ -26,11 +31,26 @@ func BenchmarkLocate(b *testing.B) {
 	for i, s := range strs {
 		absent[i] = s + "#"
 	}
+	var first, second []string
+	for i, s := range strs {
+		if i%4 == 0 {
+			first = append(first, s)
+		} else {
+			second = append(second, s)
+		}
+	}
+	split, err := NewSplit(first, second, DefaultBucketSize)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, c := range []struct {
 		name   string
+		d      *Dict
 		probes []string
 		want   bool
-	}{{"present", strs, true}, {"absent", absent, false}} {
+	}{{"present", d, strs, true}, {"absent", d, absent, false},
+		{"first-run", split, first, true}, {"second-run", split, second, true}} {
+		d := c.d
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// A large odd stride visits buckets out of order.
@@ -57,7 +77,7 @@ func BenchmarkFold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := o.Fold(DefaultBucketSize); err != nil {
+		if _, _, err := o.Fold(DefaultBucketSize, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package dict
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -27,15 +28,22 @@ func FuzzDictCheck(f *testing.F) {
 	for _, seed := range []struct {
 		strs   []string
 		bucket int
+		every  int // every every-th string goes to the first run; 0 for one run
 	}{
-		{suffixOfHead, 2},    // escaped headers: tails past two bytes
-		{uriLike(300), 1},    // group boundaries every 16 strings
-		{uriLike(12), 16},    // one bucket
-		{uriLike(50), 4},     // one group of 13 buckets
-		{longTerms(40), 3},   // samples over 255 bytes
-		{mixedTerms(100), 5}, // typed and tagged literals
+		{suffixOfHead, 2, 0},    // escaped headers: tails past two bytes
+		{uriLike(300), 1, 0},    // group boundaries every 16 strings
+		{uriLike(12), 16, 0},    // one bucket
+		{uriLike(50), 4, 0},     // one group of 13 buckets
+		{longTerms(40), 3, 0},   // samples over 255 bytes
+		{mixedTerms(100), 5, 0}, // typed and tagged literals
+		{uriLike(300), 1, 4},    // two runs, each of several groups
+		{mixedTerms(100), 3, 2}, // two runs that interleave string by string
 	} {
-		d, err := New(seed.strs, seed.bucket)
+		first, second := seed.strs, []string(nil)
+		if seed.every > 0 {
+			first, second = splitEvery(seed.strs, seed.every)
+		}
+		d, err := NewSplit(first, second, seed.bucket)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -65,25 +73,60 @@ func FuzzDictCheck(f *testing.F) {
 	})
 }
 
-// TestCheckBuilt runs Check over dictionaries New and Fold build, at
-// bucket sizes that put group boundaries inside and outside the data.
+// splitEvery splits sorted strs into the every-th strings and the rest.
+func splitEvery(strs []string, every int) (first, second []string) {
+	for i, s := range strs {
+		if i%every == 0 {
+			first = append(first, s)
+		} else {
+			second = append(second, s)
+		}
+	}
+	return first, second
+}
+
+// TestCheckBuilt runs Check over dictionaries New, NewSplit and Fold
+// build, at bucket sizes that put group boundaries inside and outside
+// the data.
 func TestCheckBuilt(t *testing.T) {
 	for _, strs := range [][]string{nil, uriLike(700), mixedTerms(900), longTerms(50), suffixOfHead, prefixChain(40)} {
 		for _, bucket := range []int{1, 2, 3, 16} {
-			d := buildSorted(t, strs, bucket)
-			if err := d.Check(); err != nil {
-				t.Fatalf("%d strings, bucket %d: %v", len(strs), bucket, err)
-			}
-			o := NewOverlay(d)
-			o.Add("\x00first")
-			o.Add("\xfflast")
-			folded, _, err := o.Fold(bucket)
+			first, second := splitEvery(strs, 3)
+			split, err := NewSplit(first, second, bucket)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := folded.Check(); err != nil {
-				t.Fatalf("folded %d strings, bucket %d: %v", len(strs), bucket, err)
+			for _, d := range []*Dict{buildSorted(t, strs, bucket), split} {
+				if err := d.Check(); err != nil {
+					t.Fatalf("%d strings, %d in the first run, bucket %d: %v", len(strs), d.FirstRun(), bucket, err)
+				}
+				o := NewOverlay(d)
+				o.Add("\x00first")
+				o.Add("\xfflast")
+				for _, inFirst := range []func(int) bool{nil, func(id int) bool { return id%2 == 0 }} {
+					folded, _, err := o.Fold(bucket, inFirst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := folded.Check(); err != nil {
+						t.Fatalf("folded %d strings, bucket %d: %v", len(strs), bucket, err)
+					}
+				}
 			}
 		}
+	}
+}
+
+// TestCheckRunsDisjoint pins the check across the run boundary: a
+// second-run string that the first run holds too would locate to the
+// first run's ID, so Check names it, and NewSplit refuses to build it.
+func TestCheckRunsDisjoint(t *testing.T) {
+	a, b := buildSorted(t, []string{"a", "b", "d"}, 2), buildSorted(t, []string{"c", "d", "e"}, 2)
+	d := &Dict{n: 6, k: 3, runs: [2]run{a.runs[0], b.runs[0]}}
+	if err := d.Check(); !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), "dict ID 4: repeats ID 2") {
+		t.Fatalf("Check = %v, want ID 4 named as a repeat of ID 2", err)
+	}
+	if _, err := NewSplit([]string{"a", "b", "d"}, []string{"c", "d", "e"}, 2); err == nil || !strings.Contains(err.Error(), "both runs") {
+		t.Fatalf("NewSplit = %v, want a string in both runs refused", err)
 	}
 }

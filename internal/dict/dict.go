@@ -17,6 +17,14 @@
 // stored once per group instead of once per term, and the three lengths
 // nearly always fit one header byte. Lookup binary searches the samples,
 // scans the group's heads and scans one bucket.
+//
+// A dictionary holds its strings in up to two runs, each sorted and
+// coded as above on its own: IDs [0, k) are the first run and [k, n)
+// the second, which starts a group of its own. The subject/object
+// dictionary puts the terms that are the subject of a triple in the
+// first run, so subject IDs fill [0, k) and every trie level keyed by
+// a subject draws from that smaller range; a dictionary built from one
+// sorted list has an empty second run.
 package dict
 
 import (
@@ -62,8 +70,19 @@ type Reader interface {
 }
 
 // Dict is an immutable front-coded dictionary. IDs are the ranks of the
-// strings in sorted order, starting at 0.
+// strings in sorted order within their run, the second run's numbered
+// on from the first's, starting at 0.
 type Dict struct {
+	n, k int    // the strings, and those in the first run
+	runs [2]run // IDs [0, k) and [k, n)
+	// owner keeps the memory the runs view (a mapped store file) alive
+	// for as long as the dictionary is reachable; nil when built in
+	// memory.
+	owner any
+}
+
+// run is one sorted run of front-coded strings, numbered from 0.
+type run struct {
 	n          int
 	bucketSize int
 	// samples holds each group's sample, a uvarint length and the
@@ -75,29 +94,46 @@ type Dict struct {
 	// little-endian uint32s, and a decoded dictionary views all four
 	// slices where they are stored.
 	data, offsets []byte
-	// owner keeps the memory data views (a mapped store file) alive for
-	// as long as the dictionary is reachable; nil when built in memory.
-	owner any
 }
 
-// New builds a dictionary over strs, which must be sorted and distinct.
+// New builds a dictionary over strs, which must be sorted and distinct,
+// as one run.
 func New(strs []string, bucketSize int) (*Dict, error) {
+	return NewSplit(strs, nil, bucketSize)
+}
+
+// NewSplit builds a dictionary of two runs: first takes IDs [0,
+// len(first)) and second the IDs after them. Each must be sorted and
+// distinct, and no string may be in both.
+func NewSplit(first, second []string, bucketSize int) (*Dict, error) {
 	b := newBuilder(bucketSize)
-	for _, s := range strs {
-		if err := add(b, s); err != nil {
-			return nil, err
+	for i, strs := range [2][]string{first, second} {
+		for _, s := range strs {
+			if err := add(b, i, s); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for i, j := 0, 0; i < len(first) && j < len(second); {
+		switch {
+		case first[i] < second[j]:
+			i++
+		case first[i] > second[j]:
+			j++
+		default:
+			return nil, fmt.Errorf("dict: %q is in both runs", first[i])
 		}
 	}
 	return b.finish(), nil
 }
 
-// builder appends sorted, distinct strings to a front-coded layout one
-// at a time; New and Overlay.Fold share it.
+// builder appends sorted, distinct strings to the two runs of a
+// front-coded layout one at a time; NewSplit and Overlay.Fold share it.
 type builder struct {
-	d      *Dict
-	last   []byte // the previous string: LCP source and order check
-	sample []byte // the current group's sample: tail source
-	limit  uint64 // the most front-coded bytes allowed, MaxBytes
+	runs   [2]run
+	last   [2][]byte // each run's previous string: LCP source and order check
+	sample [2][]byte // each run's current group sample: tail source
+	limit  uint64    // the most front-coded bytes allowed, MaxBytes
 }
 
 func newBuilder(bucketSize int) *builder {
@@ -107,40 +143,45 @@ func newBuilder(bucketSize int) *builder {
 	// No dictionary holds more strings than MaxBytes (each takes a
 	// byte), so a larger bucket is the same bucket.
 	bucketSize = min(bucketSize, MaxBytes)
-	return &builder{d: &Dict{bucketSize: bucketSize}, limit: MaxBytes}
+	b := &builder{limit: MaxBytes}
+	b.runs[0].bucketSize, b.runs[1].bucketSize = bucketSize, bucketSize
+	return b
 }
 
-// add appends s, which must sort strictly after the previous string. A
-// group's first string is its verbatim sample, a bucket's first string
-// is coded against the sample, and every other string against the one
-// before it.
-func add[T string | []byte](b *builder, s T) error {
-	d := b.d
-	lcp := commonPrefix(b.last, s)
-	if d.n > 0 && (lcp == len(s) || lcp < len(b.last) && b.last[lcp] > s[lcp]) {
-		return fmt.Errorf("dict: input not sorted/distinct at %d (%q >= %q)", d.n, b.last, s)
+// add appends s to run i; s must sort strictly after the run's
+// previous string. A group's first string is its verbatim sample, a
+// bucket's first string is coded against the sample, and every other
+// string against the one before it.
+func add[T string | []byte](b *builder, i int, s T) error {
+	r, last, sample := &b.runs[i], b.last[i], b.sample[i]
+	lcp := commonPrefix(last, s)
+	if r.n > 0 && (lcp == len(s) || lcp < len(last) && last[lcp] > s[lcp]) {
+		return fmt.Errorf("dict: run %d not sorted/distinct at %d (%q >= %q)", i, r.n, last, s)
 	}
-	k := len(d.offsets) / 4 // buckets started so far
+	k := len(r.offsets) / 4 // buckets started so far
 	switch {
-	case d.n%d.bucketSize != 0:
-		d.data = appendCoded(d.data, len(b.last), s, lcp, b.sample)
+	case r.n%r.bucketSize != 0:
+		r.data = appendCoded(r.data, len(last), s, lcp, sample)
 	case k%groupBuckets == 0:
-		d.offsets = binary.LittleEndian.AppendUint32(d.offsets, uint32(len(d.data)))
-		d.sampleAt = binary.LittleEndian.AppendUint32(d.sampleAt, uint32(len(d.samples)))
-		d.samples = appendUvarint(d.samples, uint64(len(s)))
-		d.samples = append(d.samples, s...)
-		b.sample = append(b.sample[:0], s...)
+		r.offsets = binary.LittleEndian.AppendUint32(r.offsets, uint32(len(r.data)))
+		r.sampleAt = binary.LittleEndian.AppendUint32(r.sampleAt, uint32(len(r.samples)))
+		r.samples = appendUvarint(r.samples, uint64(len(s)))
+		r.samples = append(r.samples, s...)
+		b.sample[i] = append(sample[:0], s...)
 	default:
-		d.offsets = binary.LittleEndian.AppendUint32(d.offsets, uint32(len(d.data)))
-		d.data = appendCoded(d.data, len(b.sample), s, commonPrefix(b.sample, s), b.sample)
+		r.offsets = binary.LittleEndian.AppendUint32(r.offsets, uint32(len(r.data)))
+		r.data = appendCoded(r.data, len(sample), s, commonPrefix(sample, s), sample)
 	}
-	if uint64(len(d.samples)+len(d.data)) > b.limit {
-		return fmt.Errorf("dict: front-coded bytes pass the %d-byte limit at string %d", b.limit, d.n)
+	if b.runs[0].size()+b.runs[1].size() > b.limit {
+		return fmt.Errorf("dict: front-coded bytes pass the %d-byte limit at string %d of run %d", b.limit, r.n, i)
 	}
-	b.last = append(b.last[:lcp], s[lcp:]...)
-	d.n++
+	b.last[i] = append(last[:lcp], s[lcp:]...)
+	r.n++
 	return nil
 }
+
+// size returns the run's front-coded bytes.
+func (r *run) size() uint64 { return uint64(len(r.samples)) + uint64(len(r.data)) }
 
 // escape is the header byte whose tail field, 3, says that the drop,
 // middle and tail lengths follow as three uvarints.
@@ -170,15 +211,18 @@ func appendCoded[T string | []byte](data []byte, prevLen int, s T, lcp int, src 
 	return append(data, rest[:mid]...)
 }
 
-// finish closes the offsets with the end of the data and returns the
-// dictionary; the builder must not be used afterwards.
+// finish closes each run's offsets with the end of its data and
+// returns the dictionary; the builder must not be used afterwards.
 func (b *builder) finish() *Dict {
-	b.d.offsets = binary.LittleEndian.AppendUint32(b.d.offsets, uint32(len(b.d.data)))
-	return b.d
+	for i := range b.runs {
+		r := &b.runs[i]
+		r.offsets = binary.LittleEndian.AppendUint32(r.offsets, uint32(len(r.data)))
+	}
+	return &Dict{n: b.runs[0].n + b.runs[1].n, k: b.runs[0].n, runs: b.runs}
 }
 
-// FromUnsorted sorts and deduplicates strs, builds the dictionary, and
-// returns it. The input slice is not modified.
+// FromUnsorted sorts and deduplicates strs, builds the dictionary of
+// one run, and returns it. The input slice is not modified.
 func FromUnsorted(strs []string, bucketSize int) (*Dict, error) {
 	sorted := append([]string(nil), strs...)
 	sort.Strings(sorted)
@@ -245,37 +289,52 @@ func escaped(data []byte, pos int) (drop, mid, tail uint64, next int) {
 }
 
 // buckets returns the number of buckets.
-func (d *Dict) buckets() int { return len(d.offsets)/4 - 1 }
+func (r *run) buckets() int { return len(r.offsets)/4 - 1 }
 
 // offset returns the offset in data of bucket k, or len(data) for k =
 // buckets().
 //
 //rdf:hotpath
-func (d *Dict) offset(k int) int {
-	return int(binary.LittleEndian.Uint32(d.offsets[4*k:]))
+func (r *run) offset(k int) int {
+	return int(binary.LittleEndian.Uint32(r.offsets[4*k:]))
 }
 
 // sample returns the verbatim sample of group g.
 //
 //rdf:hotpath
-func (d *Dict) sample(g int) []byte {
-	l, pos := readUvarint(d.samples, int(binary.LittleEndian.Uint32(d.sampleAt[4*g:])))
-	return d.samples[pos : pos+int(l)]
+func (r *run) sample(g int) []byte {
+	l, pos := readUvarint(r.samples, int(binary.LittleEndian.Uint32(r.sampleAt[4*g:])))
+	return r.samples[pos : pos+int(l)]
 }
 
-// bucket splits a valid ID into its bucket and its entry index there.
-// IDs and the bucket size fit 32 bits (every string takes at least a
-// byte of the MaxBytes, which Decode checks), and a 32-bit division is
-// several times cheaper than a 64-bit one on common CPUs.
+// bucket splits a valid ID within the run into its bucket and its entry
+// index there. IDs and the bucket size fit 32 bits (every string takes
+// at least a byte of the MaxBytes, which Decode checks), and a 32-bit
+// division is several times cheaper than a 64-bit one on common CPUs.
 //
 //rdf:hotpath
-func (d *Dict) bucket(id int) (int, int) {
-	k := uint32(id) / uint32(d.bucketSize)
-	return int(k), id - int(k)*d.bucketSize
+func (r *run) bucket(id int) (int, int) {
+	k := uint32(id) / uint32(r.bucketSize)
+	return int(k), id - int(k)*r.bucketSize
+}
+
+// runOf returns the run that holds a valid ID and the ID within it.
+//
+//rdf:hotpath
+func (d *Dict) runOf(id int) (*run, int) {
+	if id < d.k {
+		return &d.runs[0], id
+	}
+	return &d.runs[1], id - d.k
 }
 
 // Len returns the number of strings.
 func (d *Dict) Len() int { return d.n }
+
+// FirstRun returns the number of strings in the first run: IDs below
+// it are the first run's, the rest the second's. In the subject/object
+// dictionary the first run holds the subjects.
+func (d *Dict) FirstRun() int { return d.k }
 
 // Extract returns the string with the given ID.
 func (d *Dict) Extract(id int) (string, bool) {
@@ -299,12 +358,13 @@ func (d *Dict) ExtractAppend(buf []byte, id int) ([]byte, bool) {
 	if id < 0 || id >= d.n {
 		return buf, false
 	}
-	k, j := d.bucket(id)
+	r, id := d.runOf(id)
+	k, j := r.bucket(id)
 	if k%groupBuckets != 0 {
 		j++ // the head is one more step from the sample
 	}
 	w := walker{buf: buf, base: len(buf)}
-	w.reset(d, k)
+	w.reset(r, k)
 	w.walk(j)
 	return w.flush(), true
 }
@@ -322,15 +382,15 @@ type walker struct {
 	pos  int // offset in data of the next coded string
 }
 
-// reset points w at bucket k of d. The current string becomes the
+// reset points w at bucket k of run r. The current string becomes the
 // sample of k's group, all of it pending, and the next one bucket k's
 // first coded string: its head, or for the group's first bucket, the
 // entry after the sample.
 //
 //rdf:hotpath
-func (w *walker) reset(d *Dict, k int) {
-	w.data, w.src = d.data, d.sample(k/groupBuckets)
-	w.buf, w.tail, w.pos = w.buf[:w.base], len(w.src), d.offset(k)
+func (w *walker) reset(r *run, k int) {
+	w.data, w.src = r.data, r.sample(k/groupBuckets)
+	w.buf, w.tail, w.pos = w.buf[:w.base], len(w.src), r.offset(k)
 }
 
 // walk decodes the next steps coded strings. Each step drops bytes to
@@ -401,8 +461,8 @@ var errEntry = fmt.Errorf("%w: dict bucket entry", codec.ErrCorrupt)
 // length.
 //
 //rdf:hotpath
-func (d *Dict) cmpSample(g int, s string, from int) (int, int) {
-	h := d.sample(g)
+func (r *run) cmpSample(g int, s string, from int) (int, int) {
+	h := r.sample(g)
 	i, n := from, min(len(h), len(s))
 	for i+8 <= n && binary.LittleEndian.Uint64(h[i:]) == le64(s[i:]) {
 		i += 8
@@ -446,15 +506,15 @@ func le64(s string) uint64 {
 // s.
 //
 //rdf:hotpath
-func (d *Dict) searchGroup(g int, s string, match int) (int, bool) {
+func (r *run) searchGroup(g int, s string, match int) (int, bool) {
 	k := g * groupBuckets
-	src, pos := d.sample(g), d.offset(k)
+	src, pos := r.sample(g), r.offset(k)
 	prev, m := uint64(len(src)), match // the candidate head's length and LCP with s
-	last := min(k+groupBuckets, d.buckets())
+	last := min(k+groupBuckets, r.buckets())
 	for h := k + 1; h < last; h++ {
-		drop, mid, tail, p := entry(d.data, d.offset(h))
+		drop, mid, tail, p := entry(r.data, r.offset(h))
 		if tail == escape {
-			drop, mid, tail, p = escaped(d.data, p)
+			drop, mid, tail, p = escaped(r.data, p)
 		}
 		if drop > uint64(len(src)) || tail > uint64(len(src)) {
 			panic(errEntry)
@@ -467,7 +527,7 @@ func (d *Dict) searchGroup(g int, s string, match int) (int, bool) {
 		j := match
 		if lcp == uint64(match) {
 			var c int
-			c, j = cmpFrom(d.data[p:end], s, match)
+			c, j = cmpFrom(r.data[p:end], s, match)
 			if c == 0 {
 				c, j = cmpFrom(src[len(src)-int(tail):], s, j)
 			}
@@ -475,12 +535,12 @@ func (d *Dict) searchGroup(g int, s string, match int) (int, bool) {
 				break
 			}
 			if c == 0 && j == len(s) {
-				return h * d.bucketSize, true
+				return h * r.bucketSize, true
 			}
 		}
 		k, pos, prev, m = h, end, lcp+mid+tail, j
 	}
-	return d.searchBucket(k, s, m, src, pos, prev)
+	return r.searchBucket(k, s, m, src, pos, prev)
 }
 
 // searchBucket finds s within bucket k, whose head sorts before s,
@@ -496,12 +556,12 @@ func (d *Dict) searchGroup(g int, s string, match int) (int, bool) {
 // the sample src.
 //
 //rdf:hotpath
-func (d *Dict) searchBucket(k int, s string, match int, src []byte, pos int, prev uint64) (int, bool) {
-	limit := min(d.bucketSize, d.n-k*d.bucketSize)
+func (r *run) searchBucket(k int, s string, match int, src []byte, pos int, prev uint64) (int, bool) {
+	limit := min(r.bucketSize, r.n-k*r.bucketSize)
 	for i := 1; i < limit; i++ {
-		drop, mid, tail, p := entry(d.data, pos)
+		drop, mid, tail, p := entry(r.data, pos)
 		if tail == escape {
-			drop, mid, tail, p = escaped(d.data, p)
+			drop, mid, tail, p = escaped(r.data, p)
 		}
 		if drop > prev {
 			panic(errEntry)
@@ -522,7 +582,7 @@ func (d *Dict) searchBucket(k int, s string, match int, src []byte, pos int, pre
 		if tail > uint64(len(src)) {
 			panic(errEntry)
 		}
-		c, j := cmpFrom(d.data[p:pos], s, match)
+		c, j := cmpFrom(r.data[p:pos], s, match)
 		if c == 0 {
 			c, j = cmpFrom(src[len(src)-int(tail):], s, j)
 		}
@@ -530,7 +590,7 @@ func (d *Dict) searchBucket(k int, s string, match int, src []byte, pos int, pre
 		case c > 0:
 			return 0, false // entry > s
 		case c == 0 && j == len(s):
-			return k*d.bucketSize + i, true
+			return k*r.bucketSize + i, true
 		}
 		match = j // entry < s, or a proper prefix of it: keep scanning
 	}
@@ -557,119 +617,175 @@ func cmpFrom(b []byte, s string, j int) (int, int) {
 	return -1, j + i
 }
 
-// Locate returns the ID of s, or ok=false if absent. A binary search
-// over the verbatim samples finds the last sample <= s, and the scans of
-// its group's heads and of one bucket compare through the stored LCP
-// values with early exit instead of materializing strings. The sample
-// search is LCP-bounded: every sample sorting between the two
-// bracketing probes shares with s at least the shorter of their common
-// prefixes with s, so each probe resumes the comparison there instead
-// of at byte 0.
+// Locate returns the ID of s, or ok=false if absent. It searches the
+// first run, then, when s is not there, the second.
 //
 //rdf:hotpath
 func (d *Dict) Locate(s string) (int, bool) {
+	if id, ok := d.runs[0].locate(s); ok {
+		return id, true
+	}
+	if id, ok := d.runs[1].locate(s); ok {
+		return d.k + id, true
+	}
+	return 0, false
+}
+
+// locate returns the ID of s within the run, or ok=false if absent. A
+// binary search over the verbatim samples finds the last sample <= s,
+// and the scans of its group's heads and of one bucket compare through
+// the stored LCP values with early exit instead of materializing
+// strings. The sample search is LCP-bounded: every sample sorting
+// between the two bracketing probes shares with s at least the shorter
+// of their common prefixes with s, so each probe resumes the comparison
+// there instead of at byte 0.
+//
+//rdf:hotpath
+func (r *run) locate(s string) (int, bool) {
 	// Invariant: sample(lo) < s < sample(hi), where lo = -1 and hi =
 	// the number of groups stand for -inf and +inf; llo and lhi are the
 	// common prefix lengths of s with sample(lo) and sample(hi).
-	lo, hi := -1, len(d.sampleAt)/4
+	lo, hi := -1, len(r.sampleAt)/4
 	llo, lhi := 0, 0
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		c, l := d.cmpSample(mid, s, min(llo, lhi))
+		c, l := r.cmpSample(mid, s, min(llo, lhi))
 		switch {
 		case c < 0:
 			lo, llo = mid, l
 		case c > 0:
 			hi, lhi = mid, l
 		default:
-			return mid * groupBuckets * d.bucketSize, true
+			return mid * groupBuckets * r.bucketSize, true
 		}
 	}
 	if lo < 0 {
 		return 0, false
 	}
-	return d.searchGroup(lo, s, llo)
+	return r.searchGroup(lo, s, llo)
 }
 
 // SizeBits returns the in-memory footprint in bits.
 func (d *Dict) SizeBits() uint64 {
-	return uint64(len(d.samples)+len(d.sampleAt)+len(d.data)+len(d.offsets))*8 + 2*64
+	var n int
+	for i := range d.runs {
+		r := &d.runs[i]
+		n += len(r.samples) + len(r.sampleAt) + len(r.data) + len(r.offsets)
+	}
+	return uint64(n)*8 + 2*64
 }
 
-// Space splits a dictionary's front-coded bytes between its parts.
+// Space splits a dictionary's stored bytes between its parts; they sum
+// to SizeBits()/8 - 16.
 type Space struct {
 	Samples int // bytes of the verbatim group samples, lengths included
 	Heads   int // bytes of the other bucket heads, coded against them
 	Entries int // bytes of the entries coded against the string before
+	Offsets int // bytes of the sample and bucket offsets
 	Escaped int // coded heads and entries whose header escapes its lengths
 }
 
-// Space reports how the dictionary's front-coded bytes split between
-// samples, coded heads and entries, and how many headers escape.
+// Space reports how the dictionary's bytes split between samples, coded
+// heads, entries and offsets, and how many headers escape.
 func (d *Dict) Space() Space {
-	sp := Space{Samples: len(d.samples)}
-	for k := 0; k < d.buckets(); k++ {
-		pos, coded := d.offset(k), min(d.bucketSize, d.n-k*d.bucketSize)
-		if k%groupBuckets == 0 {
-			coded-- // the head is the sample
-		}
-		for i := 0; i < coded; i++ {
-			_, mid, tail, p := entry(d.data, pos)
-			if tail == escape {
-				_, mid, _, p = escaped(d.data, p)
-				sp.Escaped++
+	var sp Space
+	for i := range d.runs {
+		r := &d.runs[i]
+		sp.Samples += len(r.samples)
+		sp.Offsets += len(r.sampleAt) + len(r.offsets)
+		heads := 0
+		for k := 0; k < r.buckets(); k++ {
+			pos, coded := r.offset(k), min(r.bucketSize, r.n-k*r.bucketSize)
+			if k%groupBuckets == 0 {
+				coded-- // the head is the sample
 			}
-			pos = p + int(mid)
-			if i == 0 && k%groupBuckets != 0 {
-				sp.Heads += pos - d.offset(k)
+			for j := 0; j < coded; j++ {
+				_, mid, tail, p := entry(r.data, pos)
+				if tail == escape {
+					_, mid, _, p = escaped(r.data, p)
+					sp.Escaped++
+				}
+				pos = p + int(mid)
+				if j == 0 && k%groupBuckets != 0 {
+					heads += pos - r.offset(k)
+				}
 			}
 		}
+		sp.Heads += heads
+		sp.Entries += len(r.data) - heads
 	}
-	sp.Entries = len(d.data) - sp.Heads
 	return sp
 }
 
-// Encode writes the dictionary to w.
+// Encode writes the dictionary to w: the string count, the first run's,
+// the bucket size, and each run's samples, sample offsets, coded
+// strings and bucket offsets.
 func (d *Dict) Encode(w *codec.Writer) {
 	w.Uvarint(uint64(d.n))
-	w.Uvarint(uint64(d.bucketSize))
-	w.Bytes(d.samples)
-	w.Bytes(d.sampleAt)
-	w.Bytes(d.data)
-	w.Bytes(d.offsets)
+	w.Uvarint(uint64(d.k))
+	w.Uvarint(uint64(d.runs[0].bucketSize))
+	for i := range d.runs {
+		r := &d.runs[i]
+		w.Bytes(r.samples)
+		w.Bytes(r.sampleAt)
+		w.Bytes(r.data)
+		w.Bytes(r.offsets)
+	}
 }
 
 // Decode reads a dictionary written by Encode. It checks only what
-// locates the samples and the buckets, in constant time, and views the
-// bytes where r holds them; Check walks the rest.
+// locates the runs, the samples and the buckets, in constant time, and
+// views the bytes where r holds them; Check walks the rest.
 func Decode(r *codec.Reader) (*Dict, error) {
 	d := &Dict{owner: r.Owner()}
-	d.n = int(r.Uvarint())
-	d.bucketSize = int(r.Uvarint())
-	d.samples = r.BytesBuf()
-	d.sampleAt = r.BytesBuf()
-	d.data = r.BytesBuf()
-	d.offsets = r.BytesBuf()
+	n, k, bucketSize := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	var size uint64
+	for i := range d.runs {
+		rr := &d.runs[i]
+		rr.samples = r.BytesBuf()
+		rr.sampleAt = r.BytesBuf()
+		rr.data = r.BytesBuf()
+		rr.offsets = r.BytesBuf()
+		size += rr.size()
+	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	size := uint64(len(d.samples)) + uint64(len(d.data))
-	if d.bucketSize <= 0 || d.bucketSize > MaxBytes || d.n < 0 || uint64(d.n) > size {
-		return nil, r.Fail(fmt.Errorf("%w: dict bucket size", codec.ErrCorrupt))
-	}
-	buckets := (d.n + d.bucketSize - 1) / d.bucketSize
-	groups := (buckets + groupBuckets - 1) / groupBuckets
-	// The offsets are uint32s, so bounding the bytes bounds them all;
-	// the first ones are 0 and the last bucket offset is len(data).
+	// Every string takes at least a byte, so a run holds no more
+	// strings than it has bytes, and IDs fit 32 bits.
 	switch {
+	case bucketSize == 0 || bucketSize > MaxBytes:
+		return nil, r.Fail(fmt.Errorf("%w: dict bucket size %d", codec.ErrCorrupt, bucketSize))
 	case size > MaxBytes:
 		return nil, r.Fail(fmt.Errorf("%w: dict of %d front-coded bytes, over the %d-byte limit", codec.ErrCorrupt, size, uint64(MaxBytes)))
-	case len(d.offsets) != 4*(buckets+1) || len(d.sampleAt) != 4*groups:
-		return nil, r.Fail(fmt.Errorf("%w: dict of %d buckets with %d offset bytes and %d sample offset bytes", codec.ErrCorrupt, buckets, len(d.offsets), len(d.sampleAt)))
-	case d.offset(0) != 0 || d.offset(buckets) != len(d.data) || groups > 0 && binary.LittleEndian.Uint32(d.sampleAt) != 0:
-		return nil, r.Fail(fmt.Errorf("%w: dict offsets", codec.ErrCorrupt))
+	case k > n || k > d.runs[0].size() || n-k > d.runs[1].size():
+		return nil, r.Fail(fmt.Errorf("%w: dict of %d strings, %d in the first run, in %d and %d bytes", codec.ErrCorrupt, n, k, d.runs[0].size(), d.runs[1].size()))
+	}
+	d.n, d.k = int(n), int(k)
+	for i, c := range [2]int{d.k, d.n - d.k} {
+		rr := &d.runs[i]
+		rr.n, rr.bucketSize = c, int(bucketSize)
+		if err := rr.checkOffsets(); err != nil {
+			return nil, r.Fail(fmt.Errorf("%w: dict run %d: %v", codec.ErrCorrupt, i, err))
+		}
 	}
 	return d, nil
+}
+
+// checkOffsets checks that the run has one offset per bucket and group
+// and that they span its bytes. The offsets are uint32s, so bounding
+// the bytes bounds them all; the first ones are 0 and the last bucket
+// offset is len(data).
+func (r *run) checkOffsets() error {
+	buckets := (r.n + r.bucketSize - 1) / r.bucketSize
+	groups := (buckets + groupBuckets - 1) / groupBuckets
+	switch {
+	case len(r.offsets) != 4*(buckets+1) || len(r.sampleAt) != 4*groups:
+		return fmt.Errorf("%d buckets with %d offset bytes and %d sample offset bytes", buckets, len(r.offsets), len(r.sampleAt))
+	case r.offset(0) != 0 || r.offset(buckets) != len(r.data) || groups > 0 && binary.LittleEndian.Uint32(r.sampleAt) != 0:
+		return fmt.Errorf("offsets do not span the data")
+	}
+	return nil
 }
 
 // Builder accumulates strings before constructing a dictionary; it is a

@@ -181,42 +181,56 @@ func TestDictEmpty(t *testing.T) {
 }
 
 // TestByteLimit pins the 4 GiB bound of the uint32 bucket offsets on
-// both sides: the builder New and Fold share refuses to grow past its
-// limit (lowered here, so the test need not build 4 GiB), and Decode
-// refuses a stored dictionary whose string count or bucket size would
-// not fit 32 bits with its bytes, or whose offsets do not span them.
+// both sides: the builder NewSplit and Fold share refuses to grow past
+// its limit (lowered here, so the test need not build 4 GiB), counting
+// both runs, and Decode refuses a stored dictionary whose string counts
+// or bucket size would not fit 32 bits with its bytes, or whose offsets
+// do not span a run's bytes.
 func TestByteLimit(t *testing.T) {
-	b := newBuilder(4)
-	b.limit = 100
-	var err error
-	for _, s := range uriLike(20) {
-		if err = add(b, s); err != nil {
-			break
+	for _, second := range []int{0, 1} {
+		b := newBuilder(4)
+		b.limit = 100
+		var err error
+		for i, s := range uriLike(20) {
+			if err = add(b, min(i%2, second), s); err != nil {
+				break
+			}
+		}
+		if err == nil || !strings.Contains(err.Error(), "100-byte limit") {
+			t.Fatalf("builder past its limit: %v", err)
 		}
 	}
-	if err == nil || !strings.Contains(err.Error(), "100-byte limit") {
-		t.Fatalf("builder past its limit: %v", err)
-	}
 
-	for _, tc := range []struct {
-		name              string
-		n, bucketSize     uint64
-		data              string // the samples are "\x01a"
+	// runBytes is one stored run: the samples, their offsets, the coded
+	// strings and the bucket offsets.
+	type runBytes struct {
+		samples, data     string
 		sampleAt, offsets []uint32
-		want              string
+	}
+	one := runBytes{"\x01a", "", []uint32{0}, []uint32{0, 0}}
+	none := runBytes{"", "", nil, []uint32{0}}
+	for _, tc := range []struct {
+		name             string
+		n, k, bucketSize uint64
+		runs             [2]runBytes
+		want             string
 	}{
-		{"more strings than bytes", 3, 4, "", []uint32{0}, []uint32{0, 0}, "bucket size"},
-		{"bucket size past MaxBytes", 1, MaxBytes + 1, "", []uint32{0}, []uint32{0, 0}, "bucket size"},
-		{"offsets for another bucket count", 1, 1, "", []uint32{0}, []uint32{0, 0, 0}, "offset bytes"},
-		{"sample offsets for another group count", 1, 1, "", nil, []uint32{0, 0}, "offset bytes"},
-		{"last offset short of the data", 1, 1, "x", []uint32{0}, []uint32{0, 0}, "offsets"},
-		{"first sample offset past 0", 1, 1, "", []uint32{1}, []uint32{0, 0}, "offsets"},
+		{"bucket size zero", 1, 1, 0, [2]runBytes{one, none}, "bucket size"},
+		{"bucket size past MaxBytes", 1, 1, MaxBytes + 1, [2]runBytes{one, none}, "bucket size"},
+		{"more strings than bytes", 3, 3, 4, [2]runBytes{one, none}, "strings"},
+		{"first run past the count", 1, 2, 4, [2]runBytes{one, none}, "strings"},
+		{"second run past its bytes", 4, 1, 4, [2]runBytes{one, one}, "strings"},
+		{"offsets for another bucket count", 1, 1, 1, [2]runBytes{{"\x01a", "", []uint32{0}, []uint32{0, 0, 0}}, none}, "offset bytes"},
+		{"sample offsets for another group count", 1, 1, 1, [2]runBytes{{"\x01a", "", nil, []uint32{0, 0}}, none}, "offset bytes"},
+		{"last offset short of the data", 1, 1, 1, [2]runBytes{{"\x01a", "x", []uint32{0}, []uint32{0, 0}}, none}, "span"},
+		{"first sample offset past 0", 1, 1, 1, [2]runBytes{{"\x01a", "", []uint32{1}, []uint32{0, 0}}, none}, "span"},
+		{"second run offsets for another bucket count", 2, 1, 1, [2]runBytes{one, {"\x01a", "", []uint32{0}, []uint32{0}}}, "run 1"},
 	} {
 		var buf bytes.Buffer
 		w := codec.NewWriter(&buf)
 		w.Uvarint(tc.n)
+		w.Uvarint(tc.k)
 		w.Uvarint(tc.bucketSize)
-		w.Bytes([]byte("\x01a"))
 		words := func(ws []uint32) []byte {
 			var b []byte
 			for _, v := range ws {
@@ -224,9 +238,12 @@ func TestByteLimit(t *testing.T) {
 			}
 			return b
 		}
-		w.Bytes(words(tc.sampleAt))
-		w.Bytes([]byte(tc.data))
-		w.Bytes(words(tc.offsets))
+		for _, r := range tc.runs {
+			w.Bytes([]byte(r.samples))
+			w.Bytes(words(r.sampleAt))
+			w.Bytes([]byte(r.data))
+			w.Bytes(words(r.offsets))
+		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}

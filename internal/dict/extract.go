@@ -20,6 +20,7 @@ type Extractor struct {
 	added []string // overlay tail strings (ID = d.Len()+i), nil otherwise
 	gen   Reader   // fallback for Reader implementations outside this package
 
+	run    *run   // the run of the bucket decoded into w
 	bucket int    // bucket currently decoded into w, -1 when none
 	idx    int    // entry index of w's string within bucket, -1 for the sample before its head
 	w      walker // the bucket's decoder; its owned buffer holds the current term
@@ -38,7 +39,7 @@ func NewExtractor(r Reader) *Extractor {
 // its buffers. Bind(nil) unbinds, dropping dictionary references so a
 // pooled cursor does not pin a retired store view.
 func (e *Extractor) Bind(r Reader) {
-	e.d, e.added, e.gen = nil, nil, nil
+	e.d, e.added, e.gen, e.run = nil, nil, nil, nil
 	e.w = walker{buf: e.w.buf[:0]} // drops the walker's views of the old dictionary
 	switch v := r.(type) {
 	case *Dict:
@@ -78,10 +79,11 @@ func (e *Extractor) Extract(id int) ([]byte, bool) {
 	if id < 0 {
 		return nil, false
 	}
-	k, j := d.bucket(id)
-	if k != e.bucket || j < e.idx {
-		e.w.reset(d, k)
-		e.bucket, e.idx = k, 0
+	r, id := d.runOf(id)
+	k, j := r.bucket(id)
+	if k != e.bucket || r != e.run || j < e.idx {
+		e.w.reset(r, k)
+		e.run, e.bucket, e.idx = r, k, 0
 		if k%groupBuckets != 0 {
 			e.idx = -1 // the sample comes one step before the head
 		}

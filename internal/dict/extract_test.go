@@ -164,6 +164,44 @@ func TestLocateOracle(t *testing.T) {
 	}
 }
 
+// TestLocateSplit checks Locate on dictionaries of two runs, whose
+// strings interleave in sort order: every string locates to its ID in
+// its run, and probes that sort before all of them, between two
+// neighbours of either run, and after all of them are absent.
+func TestLocateSplit(t *testing.T) {
+	for _, strs := range [][]string{uriLike(700), mixedTerms(900), suffixOfHead} {
+		for _, every := range []int{2, 3, 7} {
+			for _, bucket := range []int{1, 3, 16} {
+				first, second := splitEvery(strs, every)
+				d, err := NewSplit(first, second, bucket)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids := map[string]int{}
+				for i, s := range first {
+					ids[s] = i
+				}
+				for i, s := range second {
+					ids[s] = len(first) + i
+				}
+				probes := []string{"", "\x00", strs[0][:len(strs[0])-1], strs[len(strs)-1] + "\x00", "\xff"}
+				for _, s := range strs {
+					// The string, one sorting just after it, and its
+					// prefix one byte short, which sorts between it and
+					// the string before.
+					probes = append(probes, s, s+"\x00", s[:len(s)-1])
+				}
+				for _, p := range probes {
+					want, wantOK := ids[p]
+					if got, ok := d.Locate(p); ok != wantOK || ok && got != want {
+						t.Fatalf("every %d bucket %d: Locate(%q) = (%d, %v), want (%d, %v)", every, bucket, p, got, ok, want, wantOK)
+					}
+				}
+			}
+		}
+	}
+}
+
 // suffixOfHead is a term set whose bucket entries are suffixes of the
 // head, in whole (no middle at all) or after a middle, and tails that
 // cover the whole head.
@@ -172,17 +210,21 @@ var suffixOfHead = []string{"^^<t>", "abc>", "bc>", "c>", "xy^^<t>", "y^^<t>", "
 // entryTails returns the stored tail length of every string, 0 for
 // samples.
 func entryTails(d *Dict) []int {
-	tails := make([]int, d.n)
-	pos := 0
-	for id := range tails {
-		if k, j := d.bucket(id); j == 0 && k%groupBuckets == 0 {
-			continue
+	var tails []int
+	for i := range d.runs {
+		r := &d.runs[i]
+		pos := 0
+		for id := 0; id < r.n; id++ {
+			tails = append(tails, 0)
+			if k, j := r.bucket(id); j == 0 && k%groupBuckets == 0 {
+				continue
+			}
+			_, mid, tail, p := entry(r.data, pos)
+			if tail == escape {
+				_, mid, tail, p = escaped(r.data, p)
+			}
+			tails[len(tails)-1], pos = int(tail), p+int(mid)
 		}
-		_, mid, tail, p := entry(d.data, pos)
-		if tail == escape {
-			_, mid, tail, p = escaped(d.data, p)
-		}
-		tails[id], pos = int(tail), p+int(mid)
 	}
 	return tails
 }
@@ -377,18 +419,19 @@ func TestExtractCorruptEntry(t *testing.T) {
 	group := func(bucketSize int, sl uint64, buckets ...[][]byte) *Dict {
 		samples := appendUvarint(nil, sl)
 		samples = append(samples, "abc"...)
-		d := &Dict{bucketSize: bucketSize, n: 1, samples: samples, sampleAt: binary.LittleEndian.AppendUint32(nil, 0)}
+		r := run{bucketSize: bucketSize, n: 1, samples: samples, sampleAt: binary.LittleEndian.AppendUint32(nil, 0)}
 		var data []byte
 		for _, b := range buckets {
-			d.offsets = binary.LittleEndian.AppendUint32(d.offsets, uint32(len(data)))
+			r.offsets = binary.LittleEndian.AppendUint32(r.offsets, uint32(len(data)))
 			for _, e := range b {
 				data = append(data, e...)
-				d.n++
+				r.n++
 			}
 		}
-		d.data = data[:len(data):len(data)]
-		d.offsets = binary.LittleEndian.AppendUint32(d.offsets, uint32(len(data)))
-		return d
+		r.data = data[:len(data):len(data)]
+		r.offsets = binary.LittleEndian.AppendUint32(r.offsets, uint32(len(data)))
+		empty := run{bucketSize: bucketSize, offsets: make([]byte, 4)}
+		return &Dict{n: r.n, k: r.n, runs: [2]run{r, empty}}
 	}
 	bucket := func(sl uint64, entries ...[3]uint64) *Dict {
 		var b [][]byte

@@ -1,6 +1,9 @@
 package dict
 
-import "sort"
+import (
+	"bytes"
+	"sort"
+)
 
 // Overlay extends an immutable front-coded base dictionary with a small
 // mutable set of strings added at serve time, sharing one dense ID
@@ -123,35 +126,90 @@ func (o *Overlay) SizeBits() uint64 {
 
 // Fold rebuilds one front-coded dictionary over the union of base and
 // overlay strings and returns it together with the old-ID-to-new-ID
-// mapping (indexed by old ID, length Len()). The caller remaps every
-// triple that references the old ID space and starts a fresh overlay
-// over the returned dictionary.
+// mapping (indexed by old ID, length Len()). first sends each string,
+// by its old ID, to the new dictionary's first run or, where it
+// returns false, to its second; a nil first keeps every string in the
+// first run. The caller remaps every triple that references the old ID
+// space and starts a fresh overlay over the returned dictionary.
 //
-// Both inputs are already sorted — the base by construction, the overlay
-// through byStr — so the fold is one linear merge: base terms stream
-// through a cursor without becoming strings, every term is appended to
-// the builder New uses, and its old ID maps to the builder's next rank.
-func (o *Overlay) Fold(bucketSize int) (*Dict, []int, error) {
+// Every source is already sorted — each run of the base by
+// construction, the overlay through byStr — so the fold is one linear
+// merge: base terms stream through a cursor per run without becoming
+// strings, each term is appended to its run of the builder NewSplit
+// uses, and its old ID maps to the builder's next rank in that run.
+// Within a run the mapping is monotone; a string that changes run
+// moves past the strings of the run it joins.
+func (o *Overlay) Fold(bucketSize int, first func(id int) bool) (*Dict, []int, error) {
 	b := newBuilder(bucketSize)
 	mapping := make([]int, o.Len())
-	e := NewExtractor(o.base)
-	nb := o.base.Len()
-	id, j := 0, 0 // next base ID, next overlay rank
-	for id < nb || j < len(o.byStr) {
-		t, _ := e.Extract(id) // a repeated ID is free on the cursor
-		var err error
-		if id < nb && (j == len(o.byStr) || string(t) < o.str(o.byStr[j])) {
-			mapping[id] = b.d.n
-			err = add(b, t)
-			id++
-		} else {
-			mapping[nb+int(o.byStr[j])] = b.d.n
-			err = add(b, o.str(o.byStr[j]))
-			j++
+	base := o.base
+	srcs := [...]foldSource{
+		{e: NewExtractor(base), end: base.k},
+		{e: NewExtractor(base), at: base.k, end: base.n},
+		{o: o, end: len(o.byStr)},
+	}
+	for i := range srcs {
+		srcs[i].load()
+	}
+	for {
+		m := -1 // the source with the smallest head
+		for i := range srcs {
+			if srcs[i].at < srcs[i].end && (m < 0 || bytes.Compare(srcs[i].term, srcs[m].term) < 0) {
+				m = i
+			}
 		}
-		if err != nil {
+		if m < 0 {
+			break
+		}
+		s := &srcs[m]
+		id, r := s.id(), 0
+		if first != nil && !first(id) {
+			r = 1
+		}
+		// A second-run rank is stored complemented until the first
+		// run's length is known.
+		mapping[id] = b.runs[r].n
+		if r == 1 {
+			mapping[id] = ^b.runs[r].n
+		}
+		if err := add(b, r, s.term); err != nil {
 			return nil, nil, err
+		}
+		s.at++
+		s.load()
+	}
+	for id, v := range mapping {
+		if v < 0 {
+			mapping[id] = b.runs[0].n + ^v
 		}
 	}
 	return b.finish(), mapping, nil
+}
+
+// foldSource is one sorted source of a fold: a run of the base, read
+// through its own cursor, or the overlay in rank order.
+type foldSource struct {
+	e       *Extractor // nil for the overlay
+	o       *Overlay   // the overlay, for the overlay source
+	at, end int        // the next base ID or overlay rank, and the end
+	term    []byte     // the string at at, while at < end
+}
+
+// load reads the source's head into term.
+func (s *foldSource) load() {
+	switch {
+	case s.at == s.end:
+	case s.e != nil:
+		s.term, _ = s.e.Extract(s.at)
+	default:
+		s.term = append(s.term[:0], s.o.str(s.o.byStr[s.at])...)
+	}
+}
+
+// id returns the old ID of the source's head.
+func (s *foldSource) id() int {
+	if s.e != nil {
+		return s.at
+	}
+	return s.o.base.n + int(s.o.byStr[s.at])
 }

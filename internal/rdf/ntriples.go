@@ -270,18 +270,35 @@ type Dicts struct {
 }
 
 // Encode dictionary-encodes statements into an integer dataset plus its
-// dictionaries.
+// dictionaries. The SO dictionary numbers subjects first: IDs [0, k)
+// are the terms that are the subject of a triple, sorted, and [k, n)
+// the terms that are only objects, sorted, so the dataset's subject
+// space is [0, k) and every trie level keyed by a subject draws from it,
+// while objects range over all n.
 func Encode(statements []Statement) (*core.Dataset, *Dicts, error) {
-	soSet := map[string]int{}
+	soSet := map[string]int{} // 1 for a subject, 0 for an object only
 	pSet := map[string]int{}
 	for _, st := range statements {
-		soSet[st.S.Key()] = 0
-		soSet[st.O.Key()] = 0
+		soSet[st.S.Key()] = 1
+		if _, ok := soSet[st.O.Key()]; !ok {
+			soSet[st.O.Key()] = 0
+		}
 		pSet[st.P.Key()] = 0
 	}
-	// Each set's sorted order is its dictionary's rank order, so the
-	// sets double as the term-to-ID map for the encode loop below.
-	so, err := rankedDict(soSet)
+	var runs [2][]string
+	for s, subject := range soSet {
+		runs[1-subject] = append(runs[1-subject], s)
+	}
+	// Each run's sorted order is its rank order in the dictionary, so
+	// the sets double as the term-to-ID map for the encode loop below.
+	k := len(runs[0])
+	for i, strs := range runs {
+		sort.Strings(strs)
+		for j, s := range strs {
+			soSet[s] = i*k + j
+		}
+	}
+	so, err := dict.NewSplit(runs[0], runs[1], dict.DefaultBucketSize)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -300,13 +317,9 @@ func Encode(statements []Statement) (*core.Dataset, *Dicts, error) {
 		})
 	}
 	d := core.NewDataset(ts)
-	// Shared subject/object space.
-	if ds.SO.Len() > d.NS {
-		d.NS = ds.SO.Len()
-	}
-	if ds.SO.Len() > d.NO {
-		d.NO = ds.SO.Len()
-	}
+	// Complete ID ranges: the subjects, and the shared subject/object
+	// space for objects.
+	d.NS, d.NO = k, so.Len()
 	return d, ds, nil
 }
 

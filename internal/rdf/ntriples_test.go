@@ -1,10 +1,12 @@
 package rdf
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"rdfindexes/internal/core"
+	"rdfindexes/internal/dict"
 )
 
 func TestParseLineForms(t *testing.T) {
@@ -148,8 +150,11 @@ func TestParseAllAndEncode(t *testing.T) {
 	if d.Len() != 5 {
 		t.Fatalf("dataset has %d triples, want 5", d.Len())
 	}
-	if d.NS != d.NO || d.NS != dicts.SO.Len() {
-		t.Fatalf("shared SO space broken: NS=%d NO=%d dict=%d", d.NS, d.NO, dicts.SO.Len())
+	so := dicts.SO.(*dict.Dict)
+	// alice, bob and carol are subjects; "Alice", "Bob" and "29" only
+	// objects.
+	if d.NS != 3 || d.NS != so.FirstRun() || d.NO != so.Len() || so.Len() != 6 {
+		t.Fatalf("ID spaces: NS=%d NO=%d, dictionary of %d with %d subjects", d.NS, d.NO, so.Len(), so.FirstRun())
 	}
 	// Query through an index by URI.
 	x, err := core.Build(d, core.Layout2Tp)
@@ -174,5 +179,50 @@ func TestParseAllAndEncode(t *testing.T) {
 	}
 	if line != "<http://ex/alice> <http://ex/knows> <http://ex/bob> ." {
 		t.Fatalf("decoded triple %q", line)
+	}
+}
+
+// TestEncodeSubjectsFirst pins the SO numbering: every subject's ID is
+// below k, the dictionary's first run, no ID from k on is a subject, and
+// each run is sorted, on a graph where terms are subjects only, objects
+// only, both, and literals.
+func TestEncodeSubjectsFirst(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&sb, "<http://ex/n%d> <http://ex/p%d> <http://ex/n%d> .\n", i*7%211, i%5, i*13%293)
+		fmt.Fprintf(&sb, "<http://ex/n%d> <http://ex/label> \"%d\" .\n", i%50, i)
+	}
+	sts, err := ParseAll(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, dicts, err := Encode(sts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	so := dicts.SO.(*dict.Dict)
+	k := so.FirstRun()
+	if d.NS != k || d.NO != so.Len() || k == 0 || k == so.Len() {
+		t.Fatalf("NS=%d NO=%d, dictionary of %d with %d subjects", d.NS, d.NO, so.Len(), k)
+	}
+	subject := make([]bool, so.Len())
+	for _, tr := range d.Triples {
+		if int(tr.S) >= k {
+			t.Fatalf("subject ID %d is not below k=%d", tr.S, k)
+		}
+		subject[tr.S] = true
+	}
+	for id := range subject {
+		if !subject[id] && id < k {
+			t.Fatalf("ID %d is in the first run but no subject", id)
+		}
+		if id == 0 || id == k {
+			continue
+		}
+		prev, _ := so.Extract(id - 1)
+		cur, _ := so.Extract(id)
+		if prev >= cur {
+			t.Fatalf("IDs %d and %d out of order: %q >= %q", id-1, id, prev, cur)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/bits"
 	"math/rand"
@@ -187,20 +188,21 @@ func TestVerifyDictOrder(t *testing.T) {
 	start := r.Offset()
 	r.Byte() // dictionary flag
 	r.Uvarint()
-	r.Uvarint()  // string count, bucket size
-	r.BytesBuf() // samples
+	r.Uvarint()
+	r.Uvarint()  // string count, subjects, bucket size
+	r.BytesBuf() // the subjects' samples
 	r.BytesBuf() // sample offsets
 	length := r.Uvarint()
 	so := data[r.Offset():][:length]
-	// ID 0 is the sample `"30"`, apart from the coded strings; ID 1,
-	// "<http://ex/alice>", is the first of them. It shares nothing with
-	// the sample, so its header escapes to three uvarints (drop 4,
-	// middle 17, tail 0) before the middle. A middle starting with 0x00
-	// sorts it before the sample.
-	if want := []byte{3, 4, 17, 0, '<'}; !bytes.Equal(so[:5], want) {
-		t.Fatalf("ID 1 is coded as % x, want % x", so[:5], want)
+	// ID 0 is the sample "<http://ex/alice>", apart from the coded
+	// strings; ID 1, "<http://ex/bob>", is the first of them. It drops
+	// 6 bytes of the sample ("alice>"), and its middle "bob" comes
+	// before a one-byte tail (">"), all in one header byte. A middle
+	// starting with 0x00 sorts it before the sample.
+	if want := []byte{6<<5 | 3<<2 | 1, 'b', 'o', 'b'}; !bytes.Equal(so[:4], want) {
+		t.Fatalf("ID 1 is coded as % x, want % x", so[:4], want)
 	}
-	so[4] = 0
+	so[1] = 0
 	r = codec.NewBytesReader(data[start:], nil)
 	r.Byte()
 	for range 2 {
@@ -225,6 +227,54 @@ func TestVerifyDictOrder(t *testing.T) {
 		!strings.Contains(rep.Sections[0].Error, "SO dictionary: codec: corrupt stream: dict ID 1: does not sort after") ||
 		!rep.Sections[1].OK || !rep.Sections[2].OK {
 		t.Fatalf("Verify of a store with an out-of-order entry: %+v", rep)
+	}
+}
+
+// TestVerifyDictRoots crafts a store whose checksums are all valid but
+// whose SO dictionary holds every term in its first run, so the count of
+// subjects it records disagrees with the roots of the index's SPO trie.
+// Verify fails the header and names the trie and the dictionary; Read
+// opens the file, and queries over it answer without a panic.
+func TestVerifyDictRoots(t *testing.T) {
+	for _, layout := range []core.Layout{core.Layout3T, core.Layout2To} {
+		st := buildSample(t, layout)
+		so := st.Dicts.SO.(*dict.Dict)
+		var terms []string
+		for id := 0; id < so.Len(); id++ {
+			s, _ := so.Extract(id)
+			terms = append(terms, s)
+		}
+		all, err := dict.FromUnsorted(terms, dict.DefaultBucketSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if all.FirstRun() == so.FirstRun() {
+			t.Fatalf("the sample's %d terms are all subjects", so.Len())
+		}
+		st.Dicts.SO = all
+		path := filepath.Join(t.TempDir(), "store.idx")
+		if err := Write(path, st); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Verify(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("SPO trie of the index has %d roots, for %d SO dictionary subjects", so.FirstRun(), all.FirstRun())
+		if rep.OK || len(rep.Sections) != 3 || rep.Sections[0].Name != "header" || !strings.Contains(rep.Sections[0].Error, want) {
+			t.Fatalf("%v: Verify of a store whose dictionary disagrees with its index: %+v, want the header naming %q", layout, rep, want)
+		}
+		got, err := Read(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pat := range [][3]string{{"?", "?", "?"}, {"<http://ex/alice>", "?", "?"}, {"?", "?", `"30"`}, {`"30"`, "?", "?"}} {
+			if _, err := got.ParsePattern(pat[0], pat[1], pat[2]); err != nil {
+				t.Fatal(err)
+			}
+			countMatches(t, got, pat[0], pat[1], pat[2])
+		}
+		allLines(t, got)
 	}
 }
 

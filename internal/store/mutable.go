@@ -810,13 +810,21 @@ func (m *Mutable) mergeLocked() error {
 	var dicts *rdf.Dicts
 	var soDict, pDict *dict.Dict
 	if m.so != nil {
+		// The folded SO dictionary numbers subjects first, as rdf.Encode
+		// does: a term joins the first run when a live triple has it as
+		// subject, so a term that gained its first subject triple moves
+		// there and one that lost its last moves out.
+		subject := make([]bool, m.so.Len())
+		for _, t := range live {
+			subject[t.S] = true
+		}
 		var soMap, pMap []int
 		var err error
-		soDict, soMap, err = m.so.Fold(dict.DefaultBucketSize)
+		soDict, soMap, err = m.so.Fold(dict.DefaultBucketSize, func(id int) bool { return subject[id] })
 		if err != nil {
 			return fmt.Errorf("store: fold SO dictionary: %w", err)
 		}
-		pDict, pMap, err = m.p.Fold(dict.DefaultBucketSize)
+		pDict, pMap, err = m.p.Fold(dict.DefaultBucketSize, nil)
 		if err != nil {
 			return fmt.Errorf("store: fold P dictionary: %w", err)
 		}
@@ -831,18 +839,11 @@ func (m *Mutable) mergeLocked() error {
 	}
 	d := core.NewDataset(live)
 	if soDict != nil {
-		// Keep the complete-integer-range invariant over the whole
-		// dictionary ID spaces, matching rdf.Encode; folded dictionaries
-		// may hold terms that no longer appear in any triple.
-		if soDict.Len() > d.NS {
-			d.NS = soDict.Len()
-		}
-		if soDict.Len() > d.NO {
-			d.NO = soDict.Len()
-		}
-		if pDict.Len() > d.NP {
-			d.NP = pDict.Len()
-		}
+		// Complete integer ranges over the dictionary ID spaces, matching
+		// rdf.Encode: the subjects, and the whole SO dictionary for
+		// objects, which may hold terms that no longer appear in any
+		// triple.
+		d.NS, d.NO, d.NP = soDict.FirstRun(), soDict.Len(), pDict.Len()
 	}
 	x, err := core.Build(d, m.base.Index.Layout())
 	if err != nil {

@@ -1,14 +1,19 @@
 package store
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"rdfindexes/internal/core"
+	"rdfindexes/internal/dict"
 	"rdfindexes/internal/rdf"
+	"rdfindexes/internal/sparql"
 )
 
 // buildTestStore writes a small dictionary store to dir and returns its
@@ -559,4 +564,160 @@ func TestPrepareRebuild(t *testing.T) {
 	if err := PrepareRebuild(path); err == nil {
 		t.Fatal("rebuild allowed over pending WAL records")
 	}
+}
+
+// TestMutableObjectBecomesSubject inserts a triple whose subject is a
+// term of the SO dictionary's second run, one that was only an object.
+// The base SPO trie has no root for its ID, so the log serves the
+// triple until the merge renumbers the term into the subjects; every
+// layout must give the same answers before the merge, after it and
+// after a reopen, including a path join whose middle variable binds the
+// term as object of one pattern and subject of the next.
+func TestMutableObjectBecomesSubject(t *testing.T) {
+	nt := `<http://ex/a> <http://ex/knows> <http://ex/b> .
+<http://ex/b> <http://ex/knows> <http://ex/c> .
+<http://ex/c> <http://ex/knows> <http://ex/d> .
+<http://ex/a> <http://ex/likes> <http://ex/d> .
+<http://ex/e> <http://ex/knows> <http://ex/a> .
+`
+	insert := [3]string{"<http://ex/d>", "<http://ex/knows>", "<http://ex/e>"}
+	// The oracle: the triples as strings, and the knows-paths of length
+	// two over them.
+	var triples [][3]string
+	for _, line := range strings.Split(strings.TrimSpace(nt), "\n") {
+		f := strings.Fields(line)
+		triples = append(triples, [3]string{f[0], f[1], f[2]})
+	}
+	triples = append(triples, insert)
+	var want, paths []string
+	for _, x := range triples {
+		want = append(want, strings.Join(x[:], " ")+" .")
+		for _, y := range triples {
+			if x[1] == insert[1] && y[1] == insert[1] && x[2] == y[0] {
+				paths = append(paths, x[0]+" "+y[2])
+			}
+		}
+	}
+	sort.Strings(want)
+	sort.Strings(paths)
+	const query = `SELECT ?x ?z WHERE { ?x <http://ex/knows> ?y . ?y <http://ex/knows> ?z . }`
+
+	for _, layout := range []core.Layout{core.Layout3T, core.LayoutCC, core.Layout2Tp, core.Layout2To} {
+		t.Run(layout.String(), func(t *testing.T) {
+			build := func(nt, path string) {
+				t.Helper()
+				statements, err := rdf.ParseAll(strings.NewReader(nt))
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, dicts, err := rdf.Encode(statements)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x, err := core.Build(d, layout)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := Write(path, &Store{Index: x, Dicts: dicts}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, "test.idx")
+			build(nt, path)
+			m, err := OpenMutable(path, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { m.Close() }()
+			// subjectID returns d's ID in the view and the first ID past
+			// the base's subjects.
+			subjectID := func(st *Store) (int, int) {
+				id, ok := st.Dicts.SO.Locate(insert[0])
+				if !ok {
+					t.Fatal("d is not in the dictionary")
+				}
+				return id, m.base.Dicts.SO.(*dict.Dict).FirstRun()
+			}
+			check := func(when string, st *Store) {
+				t.Helper()
+				if got := allLines(t, st); got != strings.Join(want, "\n") {
+					t.Fatalf("%s: triples\n%s\nwant\n%s", when, got, strings.Join(want, "\n"))
+				}
+				if got := countMatches(t, st, insert[0], "?", "?"); got != 1 {
+					t.Fatalf("%s: d is the subject of %d triples, want 1", when, got)
+				}
+				if got := solutions(t, st, query); got != strings.Join(paths, "\n") {
+					t.Fatalf("%s: paths\n%s\nwant\n%s", when, got, strings.Join(paths, "\n"))
+				}
+			}
+			if id, k := subjectID(m.View()); id < k {
+				t.Fatalf("d has ID %d before it is a subject, below k=%d", id, k)
+			}
+			if _, err := m.Insert(insert[0], insert[1], insert[2]); err != nil {
+				t.Fatal(err)
+			}
+			check("before the merge", m.View())
+			if err := m.Merge(); err != nil {
+				t.Fatal(err)
+			}
+			check("after the merge", m.View())
+			if id, k := subjectID(m.View()); id >= k {
+				t.Fatalf("d has ID %d after the merge, not below k=%d", id, k)
+			}
+			// The merge moved d into the subjects as a build of the same
+			// triples numbers it.
+			built := filepath.Join(dir, "built.idx")
+			build(nt+strings.Join(insert[:], " ")+" .\n", built)
+			if a, b := readFile(t, path), readFile(t, built); !bytes.Equal(a, b) {
+				t.Fatalf("merged file (%d bytes) differs from the built one (%d bytes)", len(a), len(b))
+			}
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if m, err = OpenMutable(path, -1); err != nil {
+				t.Fatal(err)
+			}
+			check("after a reopen", m.View())
+			rep, err := Verify(path)
+			if err != nil || !rep.OK {
+				t.Fatalf("Verify of the merged store: %+v, %v", rep, err)
+			}
+		})
+	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// solutions runs a SELECT query on the view and returns its solutions
+// as sorted lines of space-separated terms.
+func solutions(t *testing.T, st *Store, qs string) string {
+	t.Helper()
+	q, err := st.ParseQuery(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sparql.Compile(q, sparql.Plan(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	if _, err := sparql.Run(context.Background(), plan, st.Index, sparql.Options{}, sparql.EachRow(func(row []core.ID) {
+		terms := make([]string, len(row))
+		for i, id := range row {
+			terms[i] = st.Render(id)
+		}
+		lines = append(lines, strings.Join(terms, " "))
+	})); err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
 }

@@ -47,7 +47,7 @@ import (
 // array lies 8-byte aligned in the file. There is no pad after the last
 // checksum. The table gives the section's length up front, so the
 // section's checksum is verified before any of it is decoded.
-const Magic = "RDFSTORE5"
+const Magic = "RDFSTORE6"
 
 // CurrentVersion is the container format version Write produces and
 // Read accepts. Files of older versions are refused by their magic,
@@ -55,8 +55,10 @@ const Magic = "RDFSTORE5"
 // only the dictionaries' coding (two-level front coding: bucket heads
 // coded against a verbatim group sample, one-byte entry headers, bucket
 // offsets as fixed-width words); v3's and v4's container and index
-// bytes are v5's.
-const CurrentVersion = 5
+// bytes are v5's. v6 numbers the SO dictionary subjects first, in two
+// runs, and records where the second starts; the container and the
+// index codecs are v5's, the index's IDs are not.
+const CurrentVersion = 6
 
 // magicStem is what every version's magic starts with; the version
 // number follows it.

@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 
 	"rdfindexes/internal/codec"
+	"rdfindexes/internal/core"
 	"rdfindexes/internal/dict"
 	"rdfindexes/internal/rdf"
 )
@@ -79,7 +80,7 @@ func Verify(path string) (rep *VerifyReport, err error) {
 	rep.Version = c.version
 	for _, p := range c.parts {
 		if p.name == "header" && p.err == nil && c.dicts != nil {
-			p.err = checkDicts(c.dicts)
+			p.err = checkDicts(c.dicts, c.index)
 		}
 		if p.err != nil {
 			rep.fail(p.name, p.bytes, p.err)
@@ -92,13 +93,36 @@ func Verify(path string) (rep *VerifyReport, err error) {
 }
 
 // checkDicts runs the deep check Read leaves out on both dictionaries
-// and names the one that fails.
-func checkDicts(d *rdf.Dicts) error {
-	if err := d.SO.(*dict.Dict).Check(); err != nil {
+// and names the one that fails. With the index decoded, it also checks
+// that each stored trie's roots span the ID space its first component
+// draws from: SPO's the SO dictionary's subjects, POS's the predicates,
+// OSP's and OPS's the whole SO dictionary. The dictionaries and the
+// index may each pass their own checks and still disagree there, and
+// then IDs would name the wrong terms.
+func checkDicts(d *rdf.Dicts, x core.Index) error {
+	so, p := d.SO.(*dict.Dict), d.P.(*dict.Dict)
+	if err := so.Check(); err != nil {
 		return fmt.Errorf("SO dictionary: %w", err)
 	}
-	if err := d.P.(*dict.Dict).Check(); err != nil {
+	if err := p.Check(); err != nil {
 		return fmt.Errorf("P dictionary: %w", err)
+	}
+	if x == nil {
+		return nil
+	}
+	for _, c := range []struct {
+		perm core.Perm
+		want int
+		what string
+	}{
+		{core.PermSPO, so.FirstRun(), "SO dictionary subjects"},
+		{core.PermPOS, p.Len(), "predicates"},
+		{core.PermOSP, so.Len(), "SO dictionary terms"},
+		{core.PermOPS, so.Len(), "SO dictionary terms"},
+	} {
+		if t := x.Trie(c.perm); t != nil && t.NumRoots() != c.want {
+			return fmt.Errorf("%w: %v trie of the index has %d roots, for %d %s", codec.ErrCorrupt, c.perm, t.NumRoots(), c.want, c.what)
+		}
 	}
 	return nil
 }

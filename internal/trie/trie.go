@@ -23,8 +23,9 @@ type Config struct {
 }
 
 // DefaultConfig is the paper's preferred configuration: PEF for node
-// sequences and plain EF for pointer sequences. (The 3T index overrides
-// Nodes2 of the SPO trie to Compact; see the core package.)
+// sequences and plain EF for pointer sequences. (Every layout of the
+// core package overrides Nodes2 of the SPO trie to Compact; see
+// defaultTrieConfig there.)
 func DefaultConfig() Config {
 	return Config{
 		Nodes1: seq.KindPEF,
