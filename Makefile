@@ -54,11 +54,12 @@ govulncheck:
 		echo "govulncheck unavailable (offline?); skipping — CI runs it"; \
 	fi
 
-# The CI fuzz job's seven targets, one -fuzz run each (the fuzz engine
+# The CI fuzz job's eight targets, one -fuzz run each (the fuzz engine
 # takes one target per invocation). CI gives each 30s; the local
 # default is shorter: make fuzz FUZZTIME=30s for the CI budget.
 FUZZTIME ?= 10s
 FUZZ_TARGETS := \
+	./internal/ef:FuzzPEF \
 	./internal/dict:FuzzExtractorOracle \
 	./internal/dict:FuzzDictRoundTrip \
 	./internal/dict:FuzzOverlayRoundTrip \

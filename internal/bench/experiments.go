@@ -192,11 +192,14 @@ func Table2(cfg Config) ([]*Table, error) {
 		Title:  "Table 2: number of children of the trie nodes (DBpedia-shaped)",
 		Header: []string{"trie", "level", "average", "maximum"},
 	}
+	// Child counts do not depend on the codecs: read them off the 3T
+	// index, which stores every permutation of table1Perms.
+	x, err := core.Build(d, core.Layout3T)
+	if err != nil {
+		return nil, err
+	}
 	for _, perm := range table1Perms {
-		tr, err := buildTrieForBench(d, perm, trie.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
+		tr := x.Trie(perm)
 		for level := 1; level <= 2; level++ {
 			avg, max := tr.ChildStats(level)
 			t.Add(perm.String(), fmt.Sprintf("%d", level), F(avg), N(max))

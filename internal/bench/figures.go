@@ -300,11 +300,11 @@ func Ablation(cfg Config) ([]*Table, error) {
 		Title:  "Ablation (encoders): 2Tp with uniform sequence representations",
 		Header: []string{"config", "bits/triple", "SPO ns/t", "SP? ns/t", "?PO ns/t", "?P? ns/t"},
 	}
-	uniform := func(kind seq2Kind) []core.Option {
+	uniform := func(kind seq.Kind) []core.Option {
 		cfgT := trie.Config{Nodes1: kind, Nodes2: kind, Ptr0: kind, Ptr1: kind}
-		if kind == kindCompactAlias {
+		if kind == seq.KindCompact {
 			// Compact pointers are legal; keep them EF for monotone data.
-			cfgT.Ptr0, cfgT.Ptr1 = kindEFAlias, kindEFAlias
+			cfgT.Ptr0, cfgT.Ptr1 = seq.KindEF, seq.KindEF
 		}
 		return []core.Option{
 			core.WithTrieConfig(core.PermSPO, cfgT),
@@ -316,11 +316,10 @@ func Ablation(cfg Config) ([]*Table, error) {
 		opts []core.Option
 	}{
 		{"paper default (PEF nodes + Compact SPO L3, EF ptrs)", nil},
-		{"all Compact", uniform(kindCompactAlias)},
-		{"all EF", uniform(kindEFAlias)},
-		{"all PEF", uniform(kindPEFAlias)},
-		{"all VByte", uniform(kindVByteAlias)},
-		{"all PEF-opt (cost-optimized partitions)", uniform(seq.KindPEFOpt)},
+		{"all Compact", uniform(seq.KindCompact)},
+		{"all EF", uniform(seq.KindEF)},
+		{"all PEF", uniform(seq.KindPEF)},
+		{"all VByte", uniform(seq.KindVByte)},
 	}
 	for _, c := range configs {
 		x, err := core.Build(d, core.Layout2Tp, c.opts...)
@@ -364,13 +363,3 @@ func Ablation(cfg Config) ([]*Table, error) {
 	}
 	return []*Table{enc, cc}, nil
 }
-
-// Aliases keeping the ablation configuration table compact.
-type seq2Kind = seq.Kind
-
-const (
-	kindCompactAlias = seq.KindCompact
-	kindEFAlias      = seq.KindEF
-	kindPEFAlias     = seq.KindPEF
-	kindVByteAlias   = seq.KindVByte
-)

@@ -6,7 +6,6 @@ package bits
 
 import (
 	"fmt"
-	"math/bits"
 
 	"rdfindexes/internal/codec"
 )
@@ -116,15 +115,6 @@ func (v *Vector) Set(pos int, width uint, val uint64) {
 		hi := uint64(1)<<spill - 1
 		v.words[w+1] = v.words[w+1]&^hi | (val&mask)>>(64-off)
 	}
-}
-
-// OnesCount returns the total number of set bits.
-func (v *Vector) OnesCount() int {
-	c := 0
-	for _, w := range v.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // SizeBits returns the storage footprint of the vector in bits.

@@ -285,7 +285,6 @@ func (c *QueryCtx) getLit(n int) *litState {
 	st.it.pos, st.it.n = 0, n
 	st.it.done = true
 	st.it.src = nil
-	st.it.scalar = nil
 	st.it.buf = st.t[:]
 	st.it.owner = st
 	return st

@@ -20,9 +20,8 @@ type Iterator struct {
 	buf    []Triple
 	pos, n int
 	done   bool
-	src    blockSource           // block source; fill returning 0 means exhausted
-	scalar func() (Triple, bool) // legacy per-triple source
-	owner  recycler              // QueryCtx hook, run once on exhaustion
+	src    blockSource // block source; fill returning 0 means exhausted
+	owner  recycler    // QueryCtx hook, run once on exhaustion
 }
 
 // blockSource produces result blocks; the selection algorithm states
@@ -32,8 +31,34 @@ type blockSource interface {
 }
 
 // NewIterator wraps a generator function into an Iterator; used by the
-// baseline index implementations outside this package.
-func NewIterator(next func() (Triple, bool)) *Iterator { return &Iterator{scalar: next} }
+// log merge of DynamicSnapshot and by the baseline index implementations
+// outside this package.
+func NewIterator(next func() (Triple, bool)) *Iterator {
+	st := &funcSource{next: next}
+	st.it.src = st
+	return &st.it
+}
+
+// funcSource is the block source of NewIterator: it fills a block by
+// calling the generator, and stops calling it once it reports the end.
+type funcSource struct {
+	next func() (Triple, bool) // nil once exhausted
+	it   Iterator
+}
+
+func (st *funcSource) fill(out []Triple) int {
+	n := 0
+	for st.next != nil && n < len(out) {
+		t, ok := st.next()
+		if !ok {
+			st.next = nil
+			break
+		}
+		out[n] = t
+		n++
+	}
+	return n
+}
 
 // EmptyIterator returns an iterator with no results.
 func EmptyIterator() *Iterator { return emptyIterator() }
@@ -47,7 +72,6 @@ func (it *Iterator) reinit(src blockSource, owner recycler) {
 	it.pos, it.n = 0, 0
 	it.done = false
 	it.src = src
-	it.scalar = nil
 	it.owner = owner
 }
 
@@ -76,8 +100,7 @@ func (it *Iterator) Next() (Triple, bool) {
 	return it.nextSlow()
 }
 
-// nextSlow refills the buffer (or falls back to the scalar source) after
-// the fast path in Next misses.
+// nextSlow refills the buffer after the fast path in Next misses.
 //
 //rdf:hotpath
 func (it *Iterator) nextSlow() (Triple, bool) {
@@ -87,16 +110,7 @@ func (it *Iterator) nextSlow() (Triple, bool) {
 		it.drop()
 		return Triple{}, false
 	}
-	if it.src == nil {
-		if it.scalar != nil {
-			if t, ok := it.scalar(); ok {
-				return t, true
-			}
-		}
-		it.done = true
-		return Triple{}, false
-	}
-	if it.refill() == 0 {
+	if it.src == nil || it.refill() == 0 {
 		it.done = true
 		it.drop()
 		return Triple{}, false
@@ -142,27 +156,16 @@ func (it *Iterator) NextBatch(out []Triple) int {
 			it.drop()
 			break
 		}
+		k := 0
 		if it.src != nil {
-			k := it.src.fill(out[n:])
-			if k == 0 {
-				it.done = true
-				it.drop()
-				break
-			}
-			n += k
-			continue
+			k = it.src.fill(out[n:])
 		}
-		if it.scalar == nil {
+		if k == 0 {
 			it.done = true
+			it.drop()
 			break
 		}
-		t, ok := it.scalar()
-		if !ok {
-			it.done = true
-			break
-		}
-		out[n] = t
-		n++
+		n += k
 	}
 	return n
 }
@@ -175,28 +178,16 @@ func (it *Iterator) Count() int {
 		it.drop()
 		return n
 	}
-	if it.src != nil {
-		for {
-			k := it.refill()
-			if k == 0 {
-				break
-			}
-			n += k
+	for it.src != nil {
+		k := it.refill()
+		if k == 0 {
+			break
 		}
-		it.pos = it.n
-		it.done = true
-		it.drop()
-		return n
+		n += k
 	}
-	if it.scalar != nil {
-		for {
-			if _, ok := it.scalar(); !ok {
-				break
-			}
-			n++
-		}
-	}
+	it.pos = it.n
 	it.done = true
+	it.drop()
 	return n
 }
 

@@ -85,7 +85,7 @@ func Lookup(x Index, t Triple) bool {
 // Options configures index construction.
 type Options struct {
 	// TrieConfigs overrides the sequence representations of individual
-	// permutations; missing entries use the paper's defaults.
+	// permutations; missing entries use the layout's row of specs.
 	TrieConfigs map[Perm]trie.Config
 	// CCAllPermutations applies cross-compression to all three
 	// permutations of the CC layout instead of POS only (an ablation; the
@@ -118,24 +118,6 @@ func buildOptions(opts []Option) Options {
 		f(&o)
 	}
 	return o
-}
-
-// defaultTrieConfig returns the paper's representation choices: PEF node
-// sequences and EF pointers everywhere, except the third level of SPO
-// which uses Compact (Section 3.1, "design choices").
-func defaultTrieConfig(p Perm) trie.Config {
-	cfg := trie.DefaultConfig()
-	if p == PermSPO {
-		cfg.Nodes2 = seq.KindCompact
-	}
-	return cfg
-}
-
-func (o *Options) trieConfig(p Perm) trie.Config {
-	if cfg, ok := o.TrieConfigs[p]; ok {
-		return cfg
-	}
-	return defaultTrieConfig(p)
 }
 
 // buildTrie sorts a scratch copy of the triples in the permutation's

@@ -29,11 +29,13 @@ type route struct {
 }
 
 // spec defines a layout the way the paper does: the permutations it
-// materializes and the route that resolves each of the eight shapes.
+// materializes, the sequence codecs of each, and the route that resolves
+// each of the eight shapes.
 type spec struct {
-	perms  []Perm // stored permutations, in serialization order
-	ps     bool   // keeps the PS structure (2To), serialized after the tries
-	cross  bool   // cross-compressed (CC, Section 3.2): built by buildCC, serialized after a flag byte
+	perms  []Perm                // stored permutations, in serialization order
+	codecs [NumPerms]trie.Config // codecs of each stored permutation; WithTrieConfig replaces one
+	ps     bool                  // keeps the PS structure (2To), serialized after the tries
+	cross  bool                  // cross-compressed (CC, Section 3.2): built by buildCC, serialized after a flag byte
 	routes [NumShapes]route
 }
 
@@ -50,13 +52,28 @@ var routes3T = [NumShapes]route{
 	Shapexxx: {algoScan, PermSPO},
 }
 
-// specs holds one row per layout.
+// specs holds one row per layout. The codecs are the paper's choices
+// (Section 3.1, "design choices"): PEF node sequences and EF pointers,
+// except SPO's third level, which is Compact in every layout, and in CC
+// OSP's second level, which is Compact because unmapping a rank needs
+// O(1) random access to it (Section 3.2).
 var specs = [...]spec{
-	Layout3T: {perms: []Perm{PermSPO, PermPOS, PermOSP}, routes: routes3T},
-	LayoutCC: {perms: []Perm{PermSPO, PermPOS, PermOSP}, cross: true, routes: routes3T},
+	Layout3T: {perms: []Perm{PermSPO, PermPOS, PermOSP}, routes: routes3T, codecs: [NumPerms]trie.Config{
+		PermSPO: {Nodes1: seq.KindPEF, Nodes2: seq.KindCompact, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
+		PermPOS: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
+		PermOSP: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
+	}},
+	LayoutCC: {perms: []Perm{PermSPO, PermPOS, PermOSP}, cross: true, routes: routes3T, codecs: [NumPerms]trie.Config{
+		PermSPO: {Nodes1: seq.KindPEF, Nodes2: seq.KindCompact, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
+		PermPOS: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
+		PermOSP: {Nodes1: seq.KindCompact, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
+	}},
 	// 2Tp (Section 3.3): S?O by enumerate on SPO, ??O by the inverted
 	// algorithm on POS.
-	Layout2Tp: {perms: []Perm{PermSPO, PermPOS}, routes: [NumShapes]route{
+	Layout2Tp: {perms: []Perm{PermSPO, PermPOS}, codecs: [NumPerms]trie.Config{
+		PermSPO: {Nodes1: seq.KindPEF, Nodes2: seq.KindCompact, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
+		PermPOS: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
+	}, routes: [NumShapes]route{
 		ShapeSPO: {algoLookup, PermSPO},
 		ShapeSPx: {algoTwo, PermSPO},
 		ShapeSxO: {algoEnumerate, PermSPO},
@@ -68,7 +85,10 @@ var specs = [...]spec{
 	}},
 	// 2To (Section 3.3): ?PO and ??O on OPS, ?P? by the inverted
 	// algorithm over PS and SPO.
-	Layout2To: {perms: []Perm{PermSPO, PermOPS}, ps: true, routes: [NumShapes]route{
+	Layout2To: {perms: []Perm{PermSPO, PermOPS}, ps: true, codecs: [NumPerms]trie.Config{
+		PermSPO: {Nodes1: seq.KindPEF, Nodes2: seq.KindCompact, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
+		PermOPS: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
+	}, routes: [NumShapes]route{
 		ShapeSPO: {algoLookup, PermSPO},
 		ShapeSPx: {algoTwo, PermSPO},
 		ShapeSxO: {algoEnumerate, PermSPO},
@@ -123,15 +143,19 @@ func Build(d *Dataset, layout Layout, opts ...Option) (Index, error) {
 	}
 	o := buildOptions(opts)
 	x := &staticIndex{layout: layout, spec: &specs[layout]}
+	codecs := x.spec.codecs
+	for p, cfg := range o.TrieConfigs {
+		codecs[p] = cfg
+	}
 	scratch := make([]Triple, len(d.Triples))
 	if x.spec.cross {
-		if err := x.buildCC(d, scratch, o); err != nil {
+		if err := x.buildCC(d, scratch, codecs, o.CCAllPermutations); err != nil {
 			return nil, err
 		}
 		return x, nil
 	}
 	for _, p := range x.spec.perms {
-		t, err := buildTrie(d, scratch, p, o.trieConfig(p), nil)
+		t, err := buildTrie(d, scratch, p, codecs[p], nil)
 		if err != nil {
 			return nil, err
 		}
@@ -170,23 +194,13 @@ func ccMapsFor(all bool) []ccMap {
 // mapped, so the first reference (OSP) is built plain, each mapped
 // permutation after its reference, and in the ablation OSP is rebuilt
 // mapped last.
-func (x *staticIndex) buildCC(d *Dataset, scratch []Triple, o Options) error {
-	ospCfg := o.trieConfig(PermOSP)
-	if _, overridden := o.TrieConfigs[PermOSP]; !overridden {
-		// Fast unmap needs O(1) random access to OSP's second level
-		// (Section 3.2), so CC models it with Compact.
-		ospCfg.Nodes1 = seq.KindCompact
-	}
+func (x *staticIndex) buildCC(d *Dataset, scratch []Triple, codecs [NumPerms]trie.Config, all bool) error {
 	build := func(p Perm, ref *trie.Trie) error {
-		cfg := o.trieConfig(p)
-		if p == PermOSP {
-			cfg = ospCfg
-		}
-		t, err := buildTrie(d, scratch, p, cfg, ref)
+		t, err := buildTrie(d, scratch, p, codecs[p], ref)
 		x.tries[p] = t
 		return err
 	}
-	maps := ccMapsFor(o.CCAllPermutations)
+	maps := ccMapsFor(all)
 	if err := build(maps[0].ref, nil); err != nil {
 		return err
 	}

@@ -787,17 +787,3 @@ func (r *run) checkOffsets() error {
 	}
 	return nil
 }
-
-// Builder accumulates strings before constructing a dictionary; it is a
-// convenience for streaming loaders.
-type Builder struct {
-	strs []string
-}
-
-// Add appends a string (duplicates allowed).
-func (b *Builder) Add(s string) { b.strs = append(b.strs, s) }
-
-// Build sorts, deduplicates and constructs the dictionary.
-func (b *Builder) Build(bucketSize int) (*Dict, error) {
-	return FromUnsorted(b.strs, bucketSize)
-}

@@ -34,10 +34,7 @@ const DefaultPartLog = 8
 type Partitioned struct {
 	n        int
 	universe uint64
-	// partLog is the log2 of the uniform partition size, or 0 when the
-	// boundaries vary (OptPartitioned) and a position's partition is
-	// found by binary search.
-	partLog  uint
+	partLog  uint // log2 of the partition size
 	parts    []partition
 	payload  *xbits.Vector
 	sizeBits uint64 // footprint of the encoded form, see SizeBits
@@ -65,18 +62,6 @@ func NewPartitionedLog(values []uint64, partLog uint) *Partitioned {
 	if partLog < 2 || partLog > 20 {
 		panic(fmt.Sprintf("ef: invalid partition log %d", partLog))
 	}
-	p := newPartitioned(values, partLog)
-	for lo := 0; lo < p.n; lo += 1 << partLog {
-		p.appendPartition(values, lo, min(lo+1<<partLog, p.n))
-	}
-	uppers, offsets, kinds := p.encodedColumns()
-	p.sizeBits = p.payload.SizeBits() + uppers.SizeBits() + uint64(len(kinds))*8 + offsets.SizeBits() + 3*64
-	return p
-}
-
-// newPartitioned checks that values are non-decreasing and returns an
-// empty sequence over them, ready for appendPartition.
-func newPartitioned(values []uint64, partLog uint) *Partitioned {
 	n := len(values)
 	p := &Partitioned{n: n, partLog: partLog, payload: xbits.WithCapacity(n)}
 	if n > 0 {
@@ -87,6 +72,11 @@ func newPartitioned(values []uint64, partLog uint) *Partitioned {
 			panic(fmt.Sprintf("ef: sequence not monotone at %d: %d < %d", i, values[i], values[i-1]))
 		}
 	}
+	for lo := 0; lo < n; lo += 1 << partLog {
+		p.appendPartition(values, lo, min(lo+1<<partLog, n))
+	}
+	uppers, offsets, kinds := p.encodedColumns()
+	p.sizeBits = p.payload.SizeBits() + uppers.SizeBits() + uint64(len(kinds))*8 + offsets.SizeBits() + 3*64
 	return p
 }
 
@@ -154,42 +144,29 @@ func encodePartitionInto(payload *xbits.Vector, part []uint64, base, ub uint64) 
 }
 
 // columns returns the directory as the encoding stores it: upper bounds,
-// end positions, payload offsets and kind bytes.
-func (p *Partitioned) columns() (uppers, ends, offs []uint64, kinds []byte) {
+// payload offsets and kind bytes.
+func (p *Partitioned) columns() (uppers, offs []uint64, kinds []byte) {
 	uppers = make([]uint64, len(p.parts))
-	ends = make([]uint64, len(p.parts))
 	offs = make([]uint64, len(p.parts), len(p.parts)+1)
 	kinds = make([]byte, len(p.parts))
 	for k, pt := range p.parts {
-		uppers[k], ends[k], offs[k], kinds[k] = pt.upper, uint64(pt.end), uint64(pt.off), pt.kind
+		uppers[k], offs[k], kinds[k] = pt.upper, uint64(pt.off), pt.kind
 	}
-	return uppers, ends, offs, kinds
+	return uppers, offs, kinds
 }
 
 // decodeDirectory rebuilds the directory from its encoded columns in one
 // sequential pass, and checks it against the payload so that no read of
-// the decoded sequence can leave the payload or its partition. ends is
-// nil for uniform partitions. offsets holds at least one offset per
-// partition.
-func (p *Partitioned) decodeDirectory(upper *Sequence, kinds []byte, offsets *xbits.CompactVector, ends *Sequence) error {
+// the decoded sequence can leave the payload or its partition. offsets
+// holds at least one offset per partition.
+func (p *Partitioned) decodeDirectory(upper *Sequence, kinds []byte, offsets *xbits.CompactVector) error {
 	uppers := upper.MakeIterator(0)
-	var endAt Iterator
-	if ends != nil {
-		endAt = ends.MakeIterator(0)
-	}
 	payloadLen := uint64(p.payload.Len())
 	p.parts = make([]partition, len(kinds))
 	var base uint64
 	start := 0
 	for k, kind := range kinds {
 		end := min(start+1<<p.partLog, p.n)
-		if ends != nil {
-			e, _ := endAt.Next()
-			if e <= uint64(start) || e > uint64(p.n) {
-				return fmt.Errorf("%w: pef partition %d ends at %d", codec.ErrCorrupt, k, e)
-			}
-			end = int(e)
-		}
 		limit := payloadLen
 		if k+1 < len(kinds) {
 			limit = offsets.At(k + 1)
@@ -271,25 +248,8 @@ func (p *Partitioned) Len() int { return p.n }
 // Universe returns the largest value.
 func (p *Partitioned) Universe() uint64 { return p.universe }
 
-// NumPartitions returns the number of partitions.
-func (p *Partitioned) NumPartitions() int { return len(p.parts) }
-
 // partOf returns the partition holding position i.
-func (p *Partitioned) partOf(i int) int {
-	if p.partLog > 0 {
-		return i >> p.partLog
-	}
-	lo, hi := 0, len(p.parts)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if p.parts[mid].end > i {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
+func (p *Partitioned) partOf(i int) int { return i >> p.partLog }
 
 // partGEQ returns the first partition at or after from whose upper bound
 // is >= x. x must not exceed the universe.
@@ -705,7 +665,7 @@ func (p *Partitioned) SizeBits() uint64 { return p.sizeBits }
 // encodedColumns returns the directory columns as Encode writes them;
 // the offsets end with the payload length.
 func (p *Partitioned) encodedColumns() (uppers *Sequence, offsets *xbits.CompactVector, kinds []byte) {
-	u, _, offs, kinds := p.columns()
+	u, offs, kinds := p.columns()
 	return New(u), xbits.NewCompact(append(offs, uint64(p.payload.Len()))), kinds
 }
 
@@ -749,7 +709,7 @@ func DecodePartitioned(r *codec.Reader) (*Partitioned, error) {
 	if offsets.At(numParts) != uint64(p.payload.Len()) {
 		return nil, r.Fail(fmt.Errorf("%w: pef payload length", codec.ErrCorrupt))
 	}
-	if err := p.decodeDirectory(upper, kinds, offsets, nil); err != nil {
+	if err := p.decodeDirectory(upper, kinds, offsets); err != nil {
 		return nil, r.Fail(err)
 	}
 	p.sizeBits = p.payload.SizeBits() + upper.SizeBits() + uint64(len(kinds))*8 + offsets.SizeBits() + 3*64

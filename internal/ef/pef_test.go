@@ -15,30 +15,20 @@ import (
 type pefColumns struct {
 	n        int
 	universe uint64
-	partLog  uint     // uniform partitions; 0 for the cost-optimized encoding
-	ends     []uint64 // cost-optimized only
+	partLog  uint
 	uppers   []uint64
 	kinds    []byte
-	offs     []uint64 // uniform: one more than partitions, ending at the payload length
+	offs     []uint64 // one more than partitions, ending at the payload length
 	payload  *xbits.Vector
 }
 
 func columnsOf(p *Partitioned) pefColumns {
-	uppers, ends, offs, kinds := p.columns()
-	c := pefColumns{n: p.n, universe: p.universe, partLog: p.partLog, uppers: uppers, kinds: kinds, offs: offs, payload: p.payload}
-	if p.partLog == 0 {
-		c.ends = ends
-		if len(offs) == 0 {
-			c.offs = []uint64{0}
-		}
-	} else {
-		c.offs = append(offs, uint64(p.payload.Len()))
-	}
-	return c
+	uppers, offs, kinds := p.columns()
+	return pefColumns{n: p.n, universe: p.universe, partLog: p.partLog, uppers: uppers, kinds: kinds, offs: append(offs, uint64(p.payload.Len())), payload: p.payload}
 }
 
-// encode writes the columns as Encode does. With raw, the end positions
-// and upper bounds are written with all bits low (l = 63), a layout that
+// encode writes the columns as Encode does. With raw, the upper bounds
+// are written with all bits low (l = 63), a layout that
 // decodes any sequence, so a test can encode decreasing ones.
 func (c pefColumns) encode(t *testing.T, raw bool) []byte {
 	t.Helper()
@@ -62,11 +52,7 @@ func (c pefColumns) encode(t *testing.T, raw bool) []byte {
 	}
 	w.Uvarint(uint64(c.n))
 	w.Uvarint(c.universe)
-	if c.partLog > 0 {
-		w.Byte(byte(c.partLog))
-	} else {
-		writeEF(c.ends)
-	}
+	w.Byte(byte(c.partLog))
 	writeEF(c.uppers)
 	w.Bytes(c.kinds)
 	xbits.NewCompact(c.offs).Encode(w)
@@ -77,39 +63,22 @@ func (c pefColumns) encode(t *testing.T, raw bool) []byte {
 	return buf.Bytes()
 }
 
-func (c pefColumns) decode(data []byte) (*Partitioned, error) {
-	if c.partLog > 0 {
-		return DecodePartitioned(codec.NewReader(bytes.NewReader(data)))
-	}
-	o, err := DecodeOptPartitioned(codec.NewReader(bytes.NewReader(data)))
-	if err != nil {
-		return nil, err
-	}
-	return &o.Partitioned, nil
+func decodePEF(data []byte) (*Partitioned, error) {
+	return DecodePartitioned(codec.NewReader(bytes.NewReader(data)))
 }
 
 // refPart is the select-based partition lookup that the decoded directory
 // replaced, kept as the reference: base and upper bound by a select on
-// the Elias-Fano upper bounds, the packed offset, and for cost-optimized
-// partitions the position range by a select on their end positions.
-func refPart(upper, ends *Sequence, offsets *xbits.CompactVector, kinds []byte, payload *xbits.Vector, partLog uint, n, k int) partition {
+// the Elias-Fano upper bounds, and the packed offset.
+func refPart(upper *Sequence, offsets *xbits.CompactVector, kinds []byte, payload *xbits.Vector, partLog uint, n, k int) partition {
 	var base, ub uint64
 	if k > 0 {
 		base, ub = upper.AccessPair(k - 1)
 	} else {
 		ub = upper.Access(0)
 	}
-	var start, end int
-	switch {
-	case ends == nil:
-		start = k << partLog
-		end = min(start+1<<partLog, n)
-	case k > 0:
-		s, e := ends.AccessPair(k - 1)
-		start, end = int(s), int(e)
-	default:
-		end = int(ends.Access(0))
-	}
+	start := k << partLog
+	end := min(start+1<<partLog, n)
 	pt := partition{base: base, upper: ub, off: int(offsets.At(k)), start: start, end: end, kind: kinds[k]}
 	if pt.kind == kindEF {
 		pt.l = uint8(payload.Get(pt.off, 6))
@@ -119,8 +88,7 @@ func refPart(upper, ends *Sequence, offsets *xbits.CompactVector, kinds []byte, 
 
 // TestDirectoryMatchesSelectReference compares every directory entry, as
 // built and as decoded, with the select-based lookup over the encoded
-// columns, for uniform and cost-optimized partitions; and checks that the
-// re-derived encoding is byte-identical.
+// columns; and checks that the re-derived encoding is byte-identical.
 func TestDirectoryMatchesSelectReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	inputs := map[string]monotone{
@@ -135,11 +103,10 @@ func TestDirectoryMatchesSelectReference(t *testing.T) {
 		for _, partLog := range []uint{2, 5, DefaultPartLog} {
 			built = append(built, NewPartitionedLog(vals, partLog))
 		}
-		built = append(built, &NewOptPartitioned(vals).Partitioned)
 		for _, p := range built {
 			c := columnsOf(p)
 			data := c.encode(t, false)
-			got, err := c.decode(data)
+			got, err := decodePEF(data)
 			if err != nil {
 				t.Fatalf("%s/%d: decode: %v", name, p.partLog, err)
 			}
@@ -148,12 +115,7 @@ func TestDirectoryMatchesSelectReference(t *testing.T) {
 			r := codec.NewReader(bytes.NewReader(data))
 			r.Uvarint()
 			r.Uvarint()
-			var ends *Sequence
-			if p.partLog > 0 {
-				r.Byte()
-			} else if ends, err = Decode(r); err != nil {
-				t.Fatal(err)
-			}
+			r.Byte()
 			upper, err := Decode(r)
 			if err != nil {
 				t.Fatal(err)
@@ -167,7 +129,7 @@ func TestDirectoryMatchesSelectReference(t *testing.T) {
 				t.Fatalf("%s/%d: %d built and %d decoded partitions, %d encoded", name, p.partLog, len(p.parts), len(got.parts), len(kinds))
 			}
 			for k := range kinds {
-				want := refPart(upper, ends, offsets, kinds, p.payload, p.partLog, p.n, k)
+				want := refPart(upper, offsets, kinds, p.payload, p.partLog, p.n, k)
 				if p.parts[k] != want || got.parts[k] != want {
 					t.Fatalf("%s/%d: partition %d built %+v decoded %+v, reference %+v", name, p.partLog, k, p.parts[k], got.parts[k], want)
 				}
@@ -177,11 +139,7 @@ func TestDirectoryMatchesSelectReference(t *testing.T) {
 			}
 			var re bytes.Buffer
 			w := codec.NewWriter(&re)
-			if p.partLog > 0 {
-				got.Encode(w)
-			} else {
-				(&OptPartitioned{*got}).Encode(w)
-			}
+			got.Encode(w)
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
@@ -192,15 +150,14 @@ func TestDirectoryMatchesSelectReference(t *testing.T) {
 	}
 }
 
-// testDecodeCorruptDirectory feeds crafted directories to both decoders:
+// testDecodeCorruptDirectory feeds crafted directories to the decoder:
 // each must be refused as codec.ErrCorrupt at decode, never accepted to
 // panic or answer wrongly on a later read.
 func testDecodeCorruptDirectory(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	vals := clusteredMonotone(rng, 6000)
-	uniform := NewPartitioned(vals)
-	opt := NewOptPartitioned(vals)
-	firstOf := func(p *Partitioned, kind byte) int {
+	p := NewPartitioned(vals)
+	firstOf := func(kind byte) int {
 		for k, pt := range p.parts {
 			if pt.kind == kind {
 				return k
@@ -211,7 +168,7 @@ func testDecodeCorruptDirectory(t *testing.T) {
 	}
 	// flipRegionBit returns a payload copy with the first bit of partition
 	// k's region inverted.
-	flipRegionBit := func(p *Partitioned, k int) *xbits.Vector {
+	flipRegionBit := func(k int) *xbits.Vector {
 		v := &xbits.Vector{}
 		for i := 0; i < p.payload.Len(); i++ {
 			v.AppendBit(p.payload.Bit(i))
@@ -221,43 +178,29 @@ func testDecodeCorruptDirectory(t *testing.T) {
 		w[off>>6] ^= 1 << (uint(off) & 63)
 		return v
 	}
-	for _, p := range []*Partitioned{uniform, &opt.Partitioned} {
-		ef, bm := firstOf(p, kindEF), firstOf(p, kindBitmap)
-		last := len(p.parts) - 1
-		for name, mutate := range map[string]func(c *pefColumns){
-			"offset past payload": func(c *pefColumns) { c.offs[1] = uint64(p.payload.Len()) + 64 },
-			"kind 7":              func(c *pefColumns) { c.kinds[2] = 7 },
-			"offsets decrease":    func(c *pefColumns) { c.offs[ef], c.offs[ef+1] = c.offs[ef+1], c.offs[ef] },
-			"uppers decrease":     func(c *pefColumns) { c.uppers[last] = c.uppers[last-1] - 1; c.universe = c.uppers[last] },
-			"upper past universe": func(c *pefColumns) { c.universe-- },
-			"run kind on EF":      func(c *pefColumns) { c.kinds[ef] = kindAllOnes },
-			"bitmap kind on EF":   func(c *pefColumns) { c.kinds[ef] = kindBitmap },
-			"EF kind on bitmap":   func(c *pefColumns) { c.kinds[bm] = kindEF },
-			"EF missing a value":  func(c *pefColumns) { c.payload = flipRegionBit(p, ef) },
-			"bitmap extra value":  func(c *pefColumns) { c.payload = flipRegionBit(p, bm) },
-			"EF upper off by one": func(c *pefColumns) { c.uppers[ef]-- },
-		} {
-			c := columnsOf(p)
-			c.uppers = append([]uint64(nil), c.uppers...)
-			c.kinds = append([]byte(nil), c.kinds...)
-			c.offs = append([]uint64(nil), c.offs...)
-			c.ends = append([]uint64(nil), c.ends...)
-			mutate(&c)
-			if _, err := c.decode(c.encode(t, true)); !errors.Is(err, codec.ErrCorrupt) {
-				t.Errorf("partLog %d: %s: decode error %v, want ErrCorrupt", p.partLog, name, err)
-			}
-		}
-	}
+	ef, bm := firstOf(kindEF), firstOf(kindBitmap)
+	last := len(p.parts) - 1
 	for name, mutate := range map[string]func(c *pefColumns){
-		"ends repeat":     func(c *pefColumns) { c.ends[1] = c.ends[0] },
-		"ends past n":     func(c *pefColumns) { c.ends[len(c.ends)-1] = uint64(c.n) + 1 },
-		"ends short of n": func(c *pefColumns) { c.n++ },
+		"offset past payload": func(c *pefColumns) { c.offs[1] = uint64(p.payload.Len()) + 64 },
+		"kind 7":              func(c *pefColumns) { c.kinds[2] = 7 },
+		"offsets decrease":    func(c *pefColumns) { c.offs[ef], c.offs[ef+1] = c.offs[ef+1], c.offs[ef] },
+		"uppers decrease":     func(c *pefColumns) { c.uppers[last] = c.uppers[last-1] - 1; c.universe = c.uppers[last] },
+		"upper past universe": func(c *pefColumns) { c.universe-- },
+		"run kind on EF":      func(c *pefColumns) { c.kinds[ef] = kindAllOnes },
+		"bitmap kind on EF":   func(c *pefColumns) { c.kinds[ef] = kindBitmap },
+		"EF kind on bitmap":   func(c *pefColumns) { c.kinds[bm] = kindEF },
+		"EF missing a value":  func(c *pefColumns) { c.payload = flipRegionBit(ef) },
+		"bitmap extra value":  func(c *pefColumns) { c.payload = flipRegionBit(bm) },
+		"EF upper off by one": func(c *pefColumns) { c.uppers[ef]-- },
+		"n past the values":   func(c *pefColumns) { c.n++ },
 	} {
-		c := columnsOf(&opt.Partitioned)
-		c.ends = append([]uint64(nil), c.ends...)
+		c := columnsOf(p)
+		c.uppers = append([]uint64(nil), c.uppers...)
+		c.kinds = append([]byte(nil), c.kinds...)
+		c.offs = append([]uint64(nil), c.offs...)
 		mutate(&c)
-		if _, err := c.decode(c.encode(t, true)); !errors.Is(err, codec.ErrCorrupt) {
-			t.Errorf("opt: %s: decode error %v, want ErrCorrupt", name, err)
+		if _, err := decodePEF(c.encode(t, true)); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("%s: decode error %v, want ErrCorrupt", name, err)
 		}
 	}
 }

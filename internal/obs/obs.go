@@ -16,7 +16,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -448,15 +447,4 @@ func splitFields(s string) []string {
 		i = j
 	}
 	return out
-}
-
-// SortSamples orders samples by name then rendered labels, for stable
-// test comparison.
-func SortSamples(samples []Sample) {
-	sort.Slice(samples, func(i, j int) bool {
-		if samples[i].Name != samples[j].Name {
-			return samples[i].Name < samples[j].Name
-		}
-		return fmt.Sprint(samples[i].Labels) < fmt.Sprint(samples[j].Labels)
-	})
 }

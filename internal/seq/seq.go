@@ -26,15 +26,13 @@ import (
 // Kind identifies a sequence representation.
 type Kind uint8
 
-// The four representations benchmarked in Table 1 of the paper, plus the
-// cost-optimized partitioned Elias-Fano variant (an extension used by the
-// ablation study).
+// The four representations benchmarked in Table 1 of the paper. The
+// values are the kind bytes Write stores; Read refuses any other byte.
 const (
 	KindCompact Kind = iota
 	KindEF
 	KindPEF
 	KindVByte
-	KindPEFOpt
 )
 
 // String returns the representation name as used in the paper.
@@ -48,15 +46,13 @@ func (k Kind) String() string {
 		return "PEF"
 	case KindVByte:
 		return "VByte"
-	case KindPEFOpt:
-		return "PEFOpt"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
 // ParseKind parses a representation name.
 func ParseKind(s string) (Kind, error) {
-	for _, k := range []Kind{KindCompact, KindEF, KindPEF, KindVByte, KindPEFOpt} {
+	for _, k := range []Kind{KindCompact, KindEF, KindPEF, KindVByte} {
 		if k.String() == s {
 			return k, nil
 		}
@@ -144,8 +140,6 @@ func Build(kind Kind, values []uint64, ranges []int) Sequence {
 		return &pefSeq{s: ef.NewPartitioned(prefixSum(values, ranges))}
 	case KindVByte:
 		return &vbyteSeq{s: vbyte.NewBlocked(prefixSum(values, ranges))}
-	case KindPEFOpt:
-		return newPEFOptSeq(ef.NewOptPartitioned(prefixSum(values, ranges)))
 	}
 	panic(fmt.Sprintf("seq: unknown kind %d", kind))
 }
@@ -630,20 +624,6 @@ func (v *vbyteSeq) IterFrom(rangeBegin, from, end int) Iterator {
 }
 func (v *vbyteSeq) encode(w *codec.Writer) { v.s.Encode(w) }
 
-// pefOptSeq wraps a cost-optimized partitioned Elias-Fano sequence. It
-// reads like a uniform one and differs only in its encoded form.
-type pefOptSeq struct {
-	pefSeq
-	o *ef.OptPartitioned
-}
-
-func newPEFOptSeq(o *ef.OptPartitioned) *pefOptSeq {
-	return &pefOptSeq{pefSeq{&o.Partitioned}, o}
-}
-
-func (p *pefOptSeq) Kind() Kind             { return KindPEFOpt }
-func (p *pefOptSeq) encode(w *codec.Writer) { p.o.Encode(w) }
-
 // Write serializes s with a leading kind tag.
 func Write(w *codec.Writer, s Sequence) {
 	w.Byte(byte(s.Kind()))
@@ -681,12 +661,6 @@ func Read(r *codec.Reader) (Sequence, error) {
 			return nil, err
 		}
 		return &vbyteSeq{s: s}, nil
-	case KindPEFOpt:
-		s, err := ef.DecodeOptPartitioned(r)
-		if err != nil {
-			return nil, err
-		}
-		return newPEFOptSeq(s), nil
 	}
 	return nil, r.Fail(fmt.Errorf("%w: unknown sequence kind %d", codec.ErrCorrupt, kind))
 }

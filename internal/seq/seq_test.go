@@ -2,11 +2,14 @@ package seq
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"rdfindexes/internal/bits"
 	"rdfindexes/internal/codec"
+	"rdfindexes/internal/ef"
 )
 
 // rangedData is a test fixture mimicking a trie level: values sorted
@@ -42,7 +45,7 @@ func randomRanged(rng *rand.Rand, numRanges, maxRangeLen int, maxVal uint64) ran
 	return d
 }
 
-var allKinds = []Kind{KindCompact, KindEF, KindPEF, KindVByte, KindPEFOpt}
+var allKinds = []Kind{KindCompact, KindEF, KindPEF, KindVByte}
 
 func TestSequenceOracleAllKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -232,6 +235,28 @@ func TestReadUnknownKind(t *testing.T) {
 	}
 	if _, err := Read(codec.NewReader(&buf)); err == nil {
 		t.Fatal("Read accepted unknown kind tag")
+	}
+}
+
+// TestReadRetiredKind feeds Read kind byte 4, the retired cost-optimized
+// PEF, followed by what was a valid empty sequence of that kind: Read must
+// refuse the kind as corrupt rather than decode it.
+func TestReadRetiredKind(t *testing.T) {
+	var buf bytes.Buffer
+	w := codec.NewWriter(&buf)
+	w.Byte(4)
+	w.Uvarint(0)          // n
+	w.Uvarint(0)          // universe
+	ef.New(nil).Encode(w) // partition ends
+	ef.New(nil).Encode(w) // upper bounds
+	w.Bytes(nil)          // kinds
+	bits.NewCompact([]uint64{0}).Encode(w)
+	(&bits.Vector{}).Encode(w) // payload
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(codec.NewReader(&buf)); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("Read of kind 4: error %v, want ErrCorrupt", err)
 	}
 }
 

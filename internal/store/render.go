@@ -58,10 +58,6 @@ func (r *Renderer) Release() {
 	rendererPool.Put(r)
 }
 
-// HasDicts reports whether the renderer resolves terms through
-// dictionaries (false for integer-only stores).
-func (r *Renderer) HasDicts() bool { return r.hasDicts }
-
 // AppendTerm appends the rendered subject/object term for id to buf,
 // falling back to <id> notation exactly like Store.Render.
 //

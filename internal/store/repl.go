@@ -79,17 +79,11 @@ func (m *Mutable) WALSeq() uint64 {
 // Path returns the store file path this Mutable was opened from.
 func (m *Mutable) Path() string { return m.path }
 
-// ForEachWALRecord calls fn with every framed record line (newline
-// included) in the WAL's valid prefix, in order. The writer lock is
-// held across the scan, so the lines form a consistent prefix of the
-// current epoch; fn must not retain the line or call back into the
+// forEachWALRecordLocked calls fn with every framed record line (newline
+// included) in the WAL's valid prefix, in order. The caller holds the
+// writer lock across the scan, so the lines form a consistent prefix of
+// the current epoch; fn must not retain the line or call back into the
 // Mutable.
-func (m *Mutable) ForEachWALRecord(fn func(seq uint64, line []byte) error) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.forEachWALRecordLocked(fn)
-}
-
 func (m *Mutable) forEachWALRecordLocked(fn func(seq uint64, line []byte) error) error {
 	limit := m.walBytes.Load()
 	if limit == 0 {

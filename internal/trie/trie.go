@@ -14,25 +14,13 @@ import (
 	"rdfindexes/internal/seq"
 )
 
-// Config selects the representation of each stored sequence.
+// Config selects the representation of each stored sequence. The
+// layouts of the core package state theirs in one table.
 type Config struct {
 	Nodes1 seq.Kind // node IDs of the second level
 	Nodes2 seq.Kind // node IDs of the third level
 	Ptr0   seq.Kind // pointers of the first level
 	Ptr1   seq.Kind // pointers of the second level
-}
-
-// DefaultConfig is the paper's preferred configuration: PEF for node
-// sequences and plain EF for pointer sequences. (Every layout of the
-// core package overrides Nodes2 of the SPO trie to Compact; see
-// defaultTrieConfig there.)
-func DefaultConfig() Config {
-	return Config{
-		Nodes1: seq.KindPEF,
-		Nodes2: seq.KindPEF,
-		Ptr0:   seq.KindEF,
-		Ptr1:   seq.KindEF,
-	}
 }
 
 // Trie is an immutable three-level trie over n triples.

@@ -10,8 +10,8 @@ import (
 // TestAllKindCombinations builds the Fig. 1 trie with every node/pointer
 // representation combination and verifies a full structural walk.
 func TestAllKindCombinations(t *testing.T) {
-	nodeKinds := []seq.Kind{seq.KindCompact, seq.KindEF, seq.KindPEF, seq.KindVByte, seq.KindPEFOpt}
-	ptrKinds := []seq.Kind{seq.KindEF, seq.KindPEF, seq.KindVByte, seq.KindPEFOpt}
+	nodeKinds := []seq.Kind{seq.KindCompact, seq.KindEF, seq.KindPEF, seq.KindVByte}
+	ptrKinds := []seq.Kind{seq.KindEF, seq.KindPEF, seq.KindVByte}
 	for _, nk := range nodeKinds {
 		for _, pk := range ptrKinds {
 			cfg := Config{Nodes1: nk, Nodes2: nk, Ptr0: pk, Ptr1: pk}
@@ -36,7 +36,7 @@ func TestAllKindCombinations(t *testing.T) {
 func TestPtr1IterMatchesChildRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(271))
 	triples := randomTriples(rng, 3000, 200, 15, 300)
-	tr := buildFrom(t, triples, 200, DefaultConfig())
+	tr := buildFrom(t, triples, 200, pefConfig)
 	for root := 0; root < 200; root++ {
 		b1, e1 := tr.RootRange(uint32(root))
 		if b1 >= e1 {
@@ -65,7 +65,7 @@ func TestPtr1IterMatchesChildRange(t *testing.T) {
 
 // TestNodesPointersAccessors pins the level accessor panics and sizes.
 func TestNodesPointersAccessors(t *testing.T) {
-	tr := buildFrom(t, fig1Triples, 5, DefaultConfig())
+	tr := buildFrom(t, fig1Triples, 5, pefConfig)
 	if tr.Nodes(1).Len() != 8 || tr.Nodes(2).Len() != 11 {
 		t.Fatalf("node level sizes: %d, %d", tr.Nodes(1).Len(), tr.Nodes(2).Len())
 	}
@@ -94,7 +94,7 @@ func TestNodesPointersAccessors(t *testing.T) {
 func TestTrieSizeBitsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(277))
 	triples := randomTriples(rng, 2000, 100, 10, 200)
-	tr := buildFrom(t, triples, 100, DefaultConfig())
+	tr := buildFrom(t, triples, 100, pefConfig)
 	sum := tr.Nodes(1).SizeBits() + tr.Nodes(2).SizeBits() +
 		tr.Pointers(0).SizeBits() + tr.Pointers(1).SizeBits() + 2*64
 	if tr.SizeBits() != sum {

@@ -36,9 +36,12 @@ func allConfigs() []Config {
 	for _, k := range kinds {
 		cfgs = append(cfgs, Config{Nodes1: k, Nodes2: k, Ptr0: seq.KindEF, Ptr1: seq.KindEF})
 	}
-	cfgs = append(cfgs, DefaultConfig())
 	return cfgs
 }
+
+// pefConfig stores nodes with PEF and pointers with EF, the paper's
+// choice for most trie levels.
+var pefConfig = Config{Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF}
 
 func TestFig1Example(t *testing.T) {
 	for _, cfg := range allConfigs() {
@@ -116,7 +119,7 @@ func TestFig1Example(t *testing.T) {
 }
 
 func TestChildStatsFig1(t *testing.T) {
-	tr := buildFrom(t, fig1Triples, 5, DefaultConfig())
+	tr := buildFrom(t, fig1Triples, 5, pefConfig)
 	avg1, max1 := tr.ChildStats(1)
 	if avg1 != 8.0/5.0 || max1 != 2 {
 		t.Fatalf("ChildStats(1) = (%v, %d), want (1.6, 2)", avg1, max1)
@@ -131,7 +134,7 @@ func TestRootGaps(t *testing.T) {
 	// Roots 1 and 3 have no triples: their ranges must be empty and the
 	// others unaffected.
 	triples := [][3]uint32{{0, 1, 1}, {2, 5, 7}, {4, 0, 0}}
-	tr := buildFrom(t, triples, 6, DefaultConfig())
+	tr := buildFrom(t, triples, 6, pefConfig)
 	for a, wantLen := range []int{1, 0, 1, 0, 1, 0} {
 		b, e := tr.RootRange(uint32(a))
 		if e-b != wantLen {
@@ -154,12 +157,12 @@ func TestBuildErrors(t *testing.T) {
 	for name, triples := range cases {
 		_, err := Build(len(triples), 10, func(i int) (uint32, uint32, uint32) {
 			return triples[i][0], triples[i][1], triples[i][2]
-		}, DefaultConfig())
+		}, pefConfig)
 		if err == nil {
 			t.Errorf("%s: Build accepted invalid input", name)
 		}
 	}
-	_, err := Build(1, 1, func(int) (uint32, uint32, uint32) { return 5, 0, 0 }, DefaultConfig())
+	_, err := Build(1, 1, func(int) (uint32, uint32, uint32) { return 5, 0, 0 }, pefConfig)
 	if err == nil {
 		t.Error("Build accepted out-of-range root")
 	}
@@ -229,7 +232,7 @@ func TestRandomTrieFullEnumeration(t *testing.T) {
 func TestTrieRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	triples := randomTriples(rng, 2000, 100, 10, 200)
-	tr := buildFrom(t, triples, 100, DefaultConfig())
+	tr := buildFrom(t, triples, 100, pefConfig)
 	var buf bytes.Buffer
 	w := codec.NewWriter(&buf)
 	tr.Encode(w)

@@ -70,9 +70,6 @@ func New(data []uint64, sigma uint64) *Tree {
 // Len returns the sequence length.
 func (t *Tree) Len() int { return t.n }
 
-// Sigma returns the alphabet size.
-func (t *Tree) Sigma() uint64 { return t.sigma }
-
 // Access returns the symbol at position i.
 func (t *Tree) Access(i int) uint64 {
 	var sym uint64
