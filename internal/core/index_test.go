@@ -22,6 +22,25 @@ func sortTriples(ts []Triple) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
 }
 
+// sortedByPermCopy returns ts sorted in the permutation's lexicographic
+// order, leaving ts as it was.
+func sortedByPermCopy(ts []Triple, p Perm) []Triple {
+	out := append([]Triple(nil), ts...)
+	sort.Slice(out, func(i, j int) bool { return permLess(p, out[i], out[j]) })
+	return out
+}
+
+// firstMismatch returns the first position where the equal-length
+// sequences got and want differ, or -1 when they are the same.
+func firstMismatch(got, want []Triple) int {
+	for i := range got {
+		if got[i] != want[i] {
+			return i
+		}
+	}
+	return -1
+}
+
 func sameTripleSet(a, b []Triple) bool {
 	if len(a) != len(b) {
 		return false
@@ -123,6 +142,12 @@ func TestAllLayoutsAgainstOracleAllShapes(t *testing.T) {
 			if !sameTripleSet(got, want) {
 				t.Fatalf("%s: pattern %v (%v): got %d matches, want %d",
 					name, p, p.Shape(), len(got), len(want))
+			}
+			// The stream must arrive in the route's emission order.
+			perm := emitPerm(x.Layout(), p.Shape())
+			if i := firstMismatch(got, sortedByPermCopy(want, perm)); i >= 0 {
+				t.Fatalf("%s: pattern %v (%v): triple %d = %v out of %v order",
+					name, p, p.Shape(), i, got[i], perm)
 			}
 			// Every produced triple must satisfy the pattern.
 			for _, m := range got {

@@ -114,6 +114,16 @@ func TestSelectValueRangeAgainstOracle(t *testing.T) {
 				t.Fatalf("%s: SelectValueRange(p=%d, [%d, %d]) = %d matches, want %d",
 					name, p, lo, hi, len(got), len(want))
 			}
+			// POS order where the layout stores POS; 2To filters its ?P?
+			// route, which emits in PSO order.
+			perm := PermPOS
+			if x.Layout() == Layout2To {
+				perm = PermPSO
+			}
+			if i := firstMismatch(got, sortedByPermCopy(want, perm)); i >= 0 {
+				t.Fatalf("%s: SelectValueRange(p=%d, [%d, %d]): triple %d = %v out of %v order",
+					name, p, lo, hi, i, got[i], perm)
+			}
 		}
 	}
 }
