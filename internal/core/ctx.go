@@ -44,13 +44,9 @@ type QueryCtx struct {
 	// one refill block so drain loops match the decoder's batch size.
 	trip [triBatch]Triple
 
-	free2  []*selectTwoState
-	free1  []*selectOneState
-	freeA  []*scanAllState
-	freeE  []*enumerateState
-	freeIP []*invertedPOSState
-	freeIS []*invertedPSState
-	freeL  []*litState
+	freeW []*walkState
+	freeE []*enumerateState
+	freeL []*litState
 }
 
 // ctxFreeCap bounds each free list; states beyond it (pathological BGP
@@ -63,8 +59,8 @@ const ctxFreeCap = 64
 // free list a workload alternating two tries would ping-pong a single
 // state between them, reallocating cursors every query; letting the
 // list grow to one state per trie first makes mixed workloads
-// allocation-free. An index has at most 3 tries, so 4 covers every
-// layout with slack.
+// allocation-free. An index walks at most 3 tries, or 2 and the PS
+// subject list (2To), so 4 covers every layout with slack.
 const ctxMismatchCap = 4
 
 var queryCtxPool = sync.Pool{New: func() any { return &QueryCtx{} }}
@@ -88,9 +84,18 @@ func (c *QueryCtx) Release() {
 // ctx, not by state recycling.
 func (c *QueryCtx) Batch() []Triple { return c.trip[:] }
 
-// recycler is the hook through which an exhausted Iterator returns its
-// backing state to the owning ctx's free list.
-type recycler interface{ recycle() }
+// recycle returns the state behind an exhausted iterator to its free
+// list.
+func (c *QueryCtx) recycle(src blockSource) {
+	switch st := src.(type) {
+	case *walkState:
+		ctxPush(&c.freeW, st)
+	case *enumerateState:
+		ctxPush(&c.freeE, st)
+	case *litState:
+		ctxPush(&c.freeL, st)
+	}
+}
 
 // ctxPop pops a free state, or returns nil when the list is empty.
 func ctxPop[T any](free *[]*T) *T {
@@ -147,132 +152,59 @@ func SelectWithCtx(x Index, p Pattern, c *QueryCtx) *Iterator {
 	return x.Select(p)
 }
 
-// The per-state acquisition helpers below either pop a recycled state
-// (resetting its query-specific fields while keeping its scratch buffers
-// and, where the trie matches, its compressed-sequence cursors) or
-// allocate a fresh one. A nil ctx degrades to plain heap allocation, so
-// the non-ctx Select path is unchanged.
+// The acquisition helpers below either pop a recycled state (resetting
+// its query-specific fields while keeping its scratch buffers and, where
+// the trie matches, its compressed-sequence cursors) or allocate a fresh
+// one. A nil ctx degrades to plain heap allocation, so the non-ctx
+// Select path is unchanged.
 
-func (c *QueryCtx) getSelectTwo(t *trie.Trie) *selectTwoState {
+// getWalk returns a walk state over trie t, and over the subject list
+// of ps when ps is non-nil, preferring a recycled one whose cursors
+// already belong to them.
+func (c *QueryCtx) getWalk(t *trie.Trie, ps *PS, ref *trie.Trie, perm Perm) *walkState {
+	var st *walkState
 	if c != nil {
-		st := ctxPopMatch(&c.free2, func(s *selectTwoState) bool { return s.t == t })
-		if st == nil && len(c.free2) >= ctxMismatchCap {
-			st = ctxPop(&c.free2)
-		}
-		if st != nil {
-			st.perm, st.a, st.b, st.left, st.ref = 0, 0, 0, 0, nil
-			st.it.reinit(st, st)
-			return st
+		st = ctxPopMatch(&c.freeW, func(s *walkState) bool { return s.t == t && s.ps == ps })
+		if st == nil && len(c.freeW) >= ctxMismatchCap {
+			st = ctxPop(&c.freeW)
 		}
 	}
-	st := &selectTwoState{c: c}
-	st.vals = st.vals0[:]
-	st.it.reinit(st, ifCtx(c, st))
-	return st
-}
-
-func (st *selectTwoState) recycle() { ctxPush(&st.c.free2, st) }
-
-func (c *QueryCtx) getSelectOne(t *trie.Trie) *selectOneState {
-	if c != nil {
-		st := ctxPopMatch(&c.free1, func(s *selectOneState) bool { return s.t == t })
-		if st == nil && len(c.free1) >= ctxMismatchCap {
-			st = ctxPop(&c.free1)
-		}
-		if st != nil {
-			st.perm, st.a, st.curB = 0, 0, 0
-			st.it2Active, st.prev, st.left, st.ref = false, 0, 0, nil
-			st.it.reinit(st, st)
-			return st
-		}
+	if st == nil {
+		st = &walkState{}
+		st.vals = st.vals0[:]
 	}
-	st := &selectOneState{c: c}
-	st.vals = st.vals0[:]
-	st.it.reinit(st, ifCtx(c, st))
-	return st
-}
-
-func (st *selectOneState) recycle() { ctxPush(&st.c.free1, st) }
-
-func (c *QueryCtx) getScanAll() *scanAllState {
-	if c != nil {
-		if st := ctxPop(&c.freeA); st != nil {
-			st.perm, st.root, st.pos1, st.e1, st.prev, st.curB = 0, 0, 0, 0, 0, 0
-			st.it2Active, st.left, st.ref = false, 0, nil
-			// The level-1 cursors are position-dependent across roots, so
-			// they are never carried over between queries.
-			st.it1, st.ptrIt = nil, nil
-			st.it.reinit(st, st)
-			return st
-		}
+	if st.t != t || st.ps != ps {
+		st.t, st.ps, st.it1, st.ptrIt, st.it2 = t, ps, nil, nil, nil
 	}
-	st := &scanAllState{c: c}
-	st.vals = st.vals0[:]
-	st.it.reinit(st, ifCtx(c, st))
+	st.perm, st.ref, st.left = perm, ref, 0
+	st.it.reinit(st, c)
 	return st
 }
-
-func (st *scanAllState) recycle() { ctxPush(&st.c.freeA, st) }
 
 func (c *QueryCtx) getEnumerate() *enumerateState {
 	if c != nil {
 		if st := ctxPop(&c.freeE); st != nil {
 			st.s, st.o, st.prev, st.pos1, st.b1, st.e1 = 0, 0, 0, 0, 0, 0
-			st.it.reinit(st, st)
+			st.it.reinit(st, c)
 			return st
 		}
 	}
-	st := &enumerateState{c: c}
-	st.it.reinit(st, ifCtx(c, st))
+	st := &enumerateState{}
+	st.it.reinit(st, c)
 	return st
 }
-
-func (st *enumerateState) recycle() { ctxPush(&st.c.freeE, st) }
-
-func (c *QueryCtx) getInvertedPOS() *invertedPOSState {
-	if c != nil {
-		if st := ctxPop(&c.freeIP); st != nil {
-			st.o, st.curP, st.p = 0, 0, 0
-			st.it2Active, st.left = false, 0
-			st.it.reinit(st, st)
-			return st
-		}
-	}
-	st := &invertedPOSState{c: c}
-	st.vals = st.vals0[:]
-	st.it.reinit(st, ifCtx(c, st))
-	return st
-}
-
-func (st *invertedPOSState) recycle() { ctxPush(&st.c.freeIP, st) }
-
-func (c *QueryCtx) getInvertedPS() *invertedPSState {
-	if c != nil {
-		if st := ctxPop(&c.freeIS); st != nil {
-			st.p, st.curS = 0, 0
-			st.it2Active, st.left = false, 0
-			st.it.reinit(st, st)
-			return st
-		}
-	}
-	st := &invertedPSState{c: c}
-	st.vals = st.vals0[:]
-	st.it.reinit(st, ifCtx(c, st))
-	return st
-}
-
-func (st *invertedPSState) recycle() { ctxPush(&st.c.freeIS, st) }
 
 // litState backs the zero- and one-triple iterators (fully-bound SPO
 // lookups and miss early-exits), which dominate point-query serving:
 // pooling them keeps even those shapes allocation-free.
 type litState struct {
-	c  *QueryCtx
 	t  [1]Triple
 	it Iterator
 }
 
-func (st *litState) recycle() { ctxPush(&st.c.freeL, st) }
+// fill is never called: a literal iterator is born done. The state is
+// its iterator's source only to be recycled through it.
+func (*litState) fill([]Triple) int { return 0 }
 
 // getLit returns a literal-result iterator holding n (0 or 1) buffered
 // triples; the caller fills st.t[0] for n == 1. Must not be called with
@@ -280,21 +212,9 @@ func (st *litState) recycle() { ctxPush(&st.c.freeL, st) }
 func (c *QueryCtx) getLit(n int) *litState {
 	st := ctxPop(&c.freeL)
 	if st == nil {
-		st = &litState{c: c}
+		st = &litState{}
 	}
-	st.it.pos, st.it.n = 0, n
-	st.it.done = true
-	st.it.src = nil
-	st.it.buf = st.t[:]
-	st.it.owner = st
+	st.it.reinit(st, c)
+	st.it.n, st.it.done, st.it.buf = int32(n), true, st.t[:]
 	return st
-}
-
-// ifCtx gates the recycling hook: states allocated without a ctx have no
-// free list to return to.
-func ifCtx(c *QueryCtx, r recycler) recycler {
-	if c == nil {
-		return nil
-	}
-	return r
 }

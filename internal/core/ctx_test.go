@@ -69,19 +69,19 @@ func TestQueryCtxRecycling(t *testing.T) {
 	defer qc.Release()
 	// The pool may hand back a ctx warmed by an earlier test; start from
 	// a known-empty free list.
-	qc.free2 = nil
+	qc.freeW = nil
 	tr := d.Triples[len(d.Triples)/2]
 	pat := WithWildcards(tr, ShapeSPx)
 
 	// Warm up: the first query allocates the state and recycles it on
 	// exhaustion.
 	drainWith(qc, SelectWithCtx(x, pat, qc))
-	if len(qc.free2) != 1 {
-		t.Fatalf("after drain, free2 has %d states, want 1", len(qc.free2))
+	if len(qc.freeW) != 1 {
+		t.Fatalf("after drain, freeW has %d states, want 1", len(qc.freeW))
 	}
-	st := qc.free2[0]
+	st := qc.freeW[0]
 	drainWith(qc, SelectWithCtx(x, pat, qc))
-	if len(qc.free2) != 1 || qc.free2[0] != st {
+	if len(qc.freeW) != 1 || qc.freeW[0] != st {
 		t.Fatalf("second query did not reuse the recycled state")
 	}
 

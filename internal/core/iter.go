@@ -17,11 +17,14 @@ const triBatch = 256
 // and Next just hands out buffered entries, so steady-state iteration
 // performs no allocation and no per-triple indirect call.
 type Iterator struct {
-	buf    []Triple
-	pos, n int
+	buf []Triple
+	// pos and n are 32-bit, as buf holds at most triBatch triples: the
+	// selection states embed an Iterator and are allocated per query by
+	// Select without a ctx, so they are kept small.
+	pos, n int32
 	done   bool
 	src    blockSource // block source; fill returning 0 means exhausted
-	owner  recycler    // QueryCtx hook, run once on exhaustion
+	owner  *QueryCtx   // non-nil: src returns to its free lists on exhaustion
 }
 
 // blockSource produces result blocks; the selection algorithm states
@@ -61,31 +64,30 @@ func (st *funcSource) fill(out []Triple) int {
 }
 
 // EmptyIterator returns an iterator with no results.
-func EmptyIterator() *Iterator { return emptyIterator() }
+func EmptyIterator() *Iterator { return emptyIteratorCtx(nil) }
 
 // SingleIterator returns an iterator yielding exactly t.
-func SingleIterator(t Triple) *Iterator { return singleIterator(t) }
+func SingleIterator(t Triple) *Iterator { return singleIteratorCtx(nil, t) }
 
 // reinit prepares an embedded Iterator for a fresh query, keeping its
 // grown buffer across reuses.
-func (it *Iterator) reinit(src blockSource, owner recycler) {
+func (it *Iterator) reinit(src blockSource, owner *QueryCtx) {
 	it.pos, it.n = 0, 0
 	it.done = false
 	it.src = src
 	it.owner = owner
 }
 
-// drop runs the exhaustion hook once: the backing state returns to its
+// drop runs once on exhaustion: the backing state returns to its
 // QueryCtx free list and the source is detached so no further call can
 // reach recycled state.
 func (it *Iterator) drop() {
 	if it.owner == nil {
 		return
 	}
-	o := it.owner
-	it.owner = nil
-	it.src = nil
-	o.recycle()
+	c, src := it.owner, it.src
+	it.owner, it.src = nil, nil
+	c.recycle(src)
 }
 
 // Next returns the next matching triple, or ok=false when exhausted.
@@ -125,7 +127,7 @@ func (it *Iterator) nextSlow() (Triple, bool) {
 func (it *Iterator) refill() int {
 	if it.buf == nil {
 		it.buf = make([]Triple, 8)
-	} else if it.n == len(it.buf) && len(it.buf) < triBatch {
+	} else if int(it.n) == len(it.buf) && len(it.buf) < triBatch {
 		n := len(it.buf) * 4
 		if n > triBatch {
 			n = triBatch
@@ -133,7 +135,7 @@ func (it *Iterator) refill() int {
 		it.buf = make([]Triple, n)
 	}
 	n := it.src.fill(it.buf)
-	it.pos, it.n = 0, n
+	it.pos, it.n = 0, int32(n)
 	return n
 }
 
@@ -148,7 +150,7 @@ func (it *Iterator) NextBatch(out []Triple) int {
 	for n < len(out) {
 		if it.pos < it.n {
 			c := copy(out[n:], it.buf[it.pos:it.n])
-			it.pos += c
+			it.pos += int32(c)
 			n += c
 			continue
 		}
@@ -172,7 +174,7 @@ func (it *Iterator) NextBatch(out []Triple) int {
 
 // Count drains the iterator and returns the number of triples.
 func (it *Iterator) Count() int {
-	n := it.n - it.pos
+	n := int(it.n - it.pos)
 	it.pos = it.n
 	if it.done {
 		it.drop()
@@ -210,26 +212,18 @@ func (it *Iterator) Collect(limit int) []Triple {
 	return out
 }
 
-func emptyIterator() *Iterator {
-	return &Iterator{done: true}
-}
-
-func singleIterator(t Triple) *Iterator {
-	return &Iterator{buf: []Triple{t}, n: 1, done: true}
-}
-
-// emptyIteratorCtx and singleIteratorCtx draw the literal-result
-// iterator from the ctx pool when one is available.
+// emptyIteratorCtx and singleIteratorCtx return a literal-result
+// iterator, drawn from the ctx pool when c is non-nil.
 func emptyIteratorCtx(c *QueryCtx) *Iterator {
 	if c == nil {
-		return emptyIterator()
+		return &Iterator{done: true}
 	}
 	return &c.getLit(0).it
 }
 
 func singleIteratorCtx(c *QueryCtx, t Triple) *Iterator {
 	if c == nil {
-		return singleIterator(t)
+		return &Iterator{buf: []Triple{t}, n: 1, done: true}
 	}
 	st := c.getLit(1)
 	st.t[0] = t
@@ -332,42 +326,173 @@ func lookup(qc *QueryCtx, t, ref *trie.Trie, perm Perm, tr Triple) *Iterator {
 	return singleIteratorCtx(qc, tr)
 }
 
-// selectTwoState resolves a pattern with the first two components fixed:
-// the completions of one third-level range, decoded in blocks.
-type selectTwoState struct {
-	perm  Perm
-	a, b  ID
-	left  int        // elements remaining in the range
-	t     *trie.Trie // trie the cursor below belongs to
+// walkState drains third-level sibling ranges of one trie in blocks:
+// the step that ends select with one or two components fixed (Fig. 2),
+// the full scan, the inverted algorithms of 2Tp and 2To (Section 3.3)
+// and the range query (Section 3.1). Only the choice of the next range
+// differs between them:
+//
+//   - the children walk visits roots [root, end) and every child of
+//     each, except that of the first root it visits only a given run
+//     of level-1 positions. Sibling ranges of consecutive children and
+//     roots are contiguous, so one level-1 node cursor, one pointer
+//     cursor (the pointer closing one range opens the next) and one
+//     third-level cursor are repositioned with the cheap contiguous
+//     Reset instead of paying a random access per range;
+//   - the find walk visits the roots root..end, or those of a PS
+//     subject list (2To), and in each the one child b that FindChild1
+//     finds.
+//
+// Either way the range drained holds the completions of (a, b).
+type walkState struct {
+	t     *trie.Trie
+	ps    *PS        // non-nil: a find walk over ps's subject list
 	ref   *trie.Trie // non-nil: t's third level is cross-compressed
 	it2   seq.Iterator
-	c     *QueryCtx
+	it1   seq.Iterator // children walk: t's level-1 node cursor; ps walk: the subject-list cursor
+	ptrIt seq.Iterator // children walk: t's level-1 pointer cursor
 	it    Iterator
 	vals  []uint64
-	vals0 [8]uint64
+
+	// The scalars come last, so the garbage collector, which scans an
+	// object only up to its last pointer, skips them; the state is
+	// allocated per query by Select without a ctx.
+	perm      Perm
+	find      bool   // find walk; otherwise children walk
+	a, b      ID     // first two components of the range being drained
+	left      uint32 // elements remaining in the range; a pair has fewer than 2^32
+	root, end ID     // roots still to visit
+	prev      int    // children walk: start of the next third-level range
+	vals0     [8]uint64
 }
 
 //rdf:hotpath
-func (st *selectTwoState) fill(out []Triple) int {
-	k := len(out)
-	if k > st.left {
-		k = st.left
+func (st *walkState) fill(out []Triple) int {
+	n := 0
+	for n < len(out) {
+		if st.left == 0 && !st.advance() {
+			// Marking the iterator done spares it the empty fill that
+			// would otherwise report the end.
+			st.it.done = true
+			break
+		}
+		k := len(out) - n
+		if k > int(st.left) {
+			k = int(st.left)
+		}
+		vals := valBuf(&st.vals, k)
+		m := st.it2.NextBatch(vals)
+		if m == 0 {
+			st.left = 0
+			continue
+		}
+		st.left -= uint32(m)
+		if st.ref != nil {
+			unmap(st.ref, st.b, vals[:m])
+		}
+		restoreBatch(st.perm, st.a, st.b, vals[:m], out[n:n+m])
+		n += m
 	}
-	vals := valBuf(&st.vals, k)
-	n := st.it2.NextBatch(vals)
-	st.left -= n
-	if st.ref != nil {
-		unmap(st.ref, st.b, vals[:n])
-	}
-	restoreBatch(st.perm, st.a, st.b, vals[:n], out[:n])
 	return n
+}
+
+// advance opens the walk's next third-level range, or reports that the
+// walk is over; once over it stays over.
+//
+//rdf:hotpath
+func (st *walkState) advance() bool {
+	if st.find {
+		return st.nextFound()
+	}
+	return st.nextChild()
+}
+
+//rdf:hotpath
+func (st *walkState) nextChild() bool {
+	for {
+		if bv, ok := st.it1.Next(); ok {
+			endv, _ := st.ptrIt.Next()
+			st.open(st.a, ID(bv), st.prev, int(endv))
+			st.prev = int(endv)
+			return true
+		}
+		if st.root >= st.end {
+			return false
+		}
+		b1, e1 := st.t.RootRange(uint32(st.root))
+		st.a = st.root
+		st.root++
+		if b1 < e1 {
+			st.it1.Reset(b1, b1, e1)
+		}
+	}
+}
+
+//rdf:hotpath
+func (st *walkState) nextFound() bool {
+	for {
+		r := st.root
+		if st.ps != nil {
+			v, ok := st.it1.Next()
+			if !ok {
+				return false
+			}
+			r = ID(v)
+		} else {
+			if st.root >= st.end {
+				return false
+			}
+			st.root++
+		}
+		b1, e1 := st.t.RootRange(uint32(r))
+		if j := st.t.FindChild1(b1, e1, uint32(st.b)); j >= 0 {
+			b2, e2 := st.t.ChildRange(j)
+			st.open(r, st.b, b2, e2)
+			return true
+		}
+	}
+}
+
+// open points the third-level cursor at the range [b2, e2) holding the
+// completions of (a, b).
+func (st *walkState) open(a, b ID, b2, e2 int) {
+	st.a, st.b, st.left = a, b, uint32(e2-b2)
+	if st.it2 == nil {
+		st.it2 = st.t.Iter2(b2, e2)
+	} else {
+		st.it2.Reset(b2, b2, e2)
+	}
+}
+
+// walkChildren starts a children walk over roots [root, end), from
+// level-1 positions [j, e) of root, whose children start at b1.
+func (st *walkState) walkChildren(root, end ID, b1, j, e int) *Iterator {
+	st.find = false
+	st.a, st.root, st.end = root, root+1, end
+	ptrEnd := st.t.NumInternal() + 1
+	if st.it1 == nil {
+		st.it1 = st.t.Iter1From(b1, j, e)
+		st.ptrIt = st.t.Ptr1Iter(j, ptrEnd)
+	} else {
+		st.it1.Reset(b1, j, e)
+		st.ptrIt.Reset(0, j, ptrEnd)
+	}
+	first, _ := st.ptrIt.Next()
+	st.prev = int(first)
+	return &st.it
+}
+
+// walkFind starts a find walk for child b over the counted roots
+// [root, end), or over the subject list of the state's PS.
+func (st *walkState) walkFind(root, end, b ID) *Iterator {
+	st.find = true
+	st.root, st.end, st.b = root, end, b
+	return &st.it
 }
 
 // selectTwo implements the select algorithm of Fig. 2 with the first two
 // components fixed: one find on the second level, then a block-decoded
-// scan of the completions on the third. A recycled state whose cursor
-// already belongs to t is repositioned with Reset instead of allocating
-// a fresh compressed-sequence iterator.
+// scan of the completions on the third.
 func selectTwo(c *QueryCtx, t, ref *trie.Trie, perm Perm, a, b ID) *Iterator {
 	b1, e1 := t.RootRange(uint32(a))
 	j := t.FindChild1(b1, e1, uint32(b))
@@ -375,203 +500,60 @@ func selectTwo(c *QueryCtx, t, ref *trie.Trie, perm Perm, a, b ID) *Iterator {
 		return emptyIteratorCtx(c)
 	}
 	b2, e2 := t.ChildRange(j)
-	st := c.getSelectTwo(t)
-	st.perm, st.a, st.b, st.left, st.ref = perm, a, b, e2-b2, ref
-	if st.t == t && st.it2 != nil {
-		st.it2.Reset(b2, b2, e2)
-	} else {
-		st.t = t
-		st.it2 = t.Iter2(b2, e2)
-	}
-	return &st.it
-}
-
-// selectOneState walks the children of one root and their completions.
-// Sibling ranges of the third level are contiguous, so a single reusable
-// level-2 iterator is repositioned with Reset per child, which carries
-// the prefix-sum base over instead of paying a random access.
-type selectOneState struct {
-	perm      Perm
-	a, curB   ID
-	t         *trie.Trie
-	it1       seq.Iterator
-	ptrIt     seq.Iterator
-	it2       seq.Iterator
-	it2Active bool
-	prev      int
-	left      int
-	ref       *trie.Trie // non-nil: t's third level is cross-compressed
-	c         *QueryCtx
-	it        Iterator
-	vals      []uint64
-	vals0     [8]uint64
-}
-
-//rdf:hotpath
-func (st *selectOneState) fill(out []Triple) int {
-	n := 0
-	for n < len(out) {
-		if st.it2Active {
-			k := len(out) - n
-			if k > st.left {
-				k = st.left
-			}
-			vals := valBuf(&st.vals, k)
-			m := st.it2.NextBatch(vals)
-			st.left -= m
-			if m > 0 {
-				if st.ref != nil {
-					unmap(st.ref, st.curB, vals[:m])
-				}
-				restoreBatch(st.perm, st.a, st.curB, vals[:m], out[n:n+m])
-				n += m
-				continue
-			}
-			st.it2Active = false
-		}
-		bv, ok := st.it1.Next()
-		if !ok {
-			break
-		}
-		st.curB = ID(bv)
-		endv, _ := st.ptrIt.Next()
-		b2, e2 := st.prev, int(endv)
-		st.prev = e2
-		if st.it2 == nil {
-			st.it2 = st.t.Iter2(b2, e2)
-		} else {
-			st.it2.Reset(b2, b2, e2)
-		}
-		st.left = e2 - b2
-		st.it2Active = true
-	}
-	return n
+	st := c.getWalk(t, nil, ref, perm)
+	st.open(a, b, b2, e2)
+	return st.walkFind(0, 0, b)
 }
 
 // selectOne implements the select algorithm of Fig. 2 with only the first
-// component fixed: scan the children and their completions. Sibling
-// ranges are delimited by a sequential pointer iterator.
+// component fixed: scan the children of a and their completions.
 func selectOne(c *QueryCtx, t, ref *trie.Trie, perm Perm, a ID) *Iterator {
 	b1, e1 := t.RootRange(uint32(a))
 	if b1 >= e1 {
 		return emptyIteratorCtx(c)
 	}
-	st := c.getSelectOne(t)
-	st.perm, st.a, st.ref = perm, a, ref
-	if st.t == t && st.it1 != nil {
-		st.it1.Reset(b1, b1, e1)
-		st.ptrIt.Reset(0, b1, e1+1)
-	} else {
-		st.t = t
-		st.it1 = t.Iter1(b1, e1)
-		st.ptrIt = t.Ptr1Iter(b1, e1+1)
-		st.it2 = nil
-	}
-	first, _ := st.ptrIt.Next()
-	st.prev = int(first)
-	return &st.it
+	return c.getWalk(t, nil, ref, perm).walkChildren(a, a+1, b1, b1, e1)
 }
 
-// scanAllState enumerates the whole trie (the ??? pattern). The level-1
-// node and pointer sequences are consumed by single sequential cursors:
-// sibling ranges of consecutive roots are contiguous, so the level-1
-// iterator is repositioned with the cheap contiguous Reset, and the
-// pointer value closing one range opens the next.
-type scanAllState struct {
-	perm      Perm
-	t         *trie.Trie
-	root      int
-	pos1, e1  int
-	prev      int
-	curB      ID
-	it1       seq.Iterator
-	ptrIt     seq.Iterator
-	it2       seq.Iterator
-	it2Active bool
-	left      int
-	ref       *trie.Trie // non-nil: t's third level is cross-compressed
-	c         *QueryCtx
-	it        Iterator
-	vals      []uint64
-	vals0     [8]uint64
-}
-
-//rdf:hotpath
-func (st *scanAllState) fill(out []Triple) int {
-	n := 0
-	for n < len(out) {
-		if st.it2Active {
-			k := len(out) - n
-			if k > st.left {
-				k = st.left
-			}
-			vals := valBuf(&st.vals, k)
-			m := st.it2.NextBatch(vals)
-			st.left -= m
-			if m > 0 {
-				if st.ref != nil {
-					unmap(st.ref, st.curB, vals[:m])
-				}
-				restoreBatch(st.perm, ID(st.root), st.curB, vals[:m], out[n:n+m])
-				n += m
-				continue
-			}
-			st.it2Active = false
-		}
-		if st.pos1 < st.e1 {
-			bv, _ := st.it1.Next()
-			st.curB = ID(bv)
-			endv, _ := st.ptrIt.Next()
-			b2, e2 := st.prev, int(endv)
-			st.prev = e2
-			st.pos1++
-			if st.it2 == nil {
-				st.it2 = st.t.Iter2(b2, e2)
-			} else {
-				st.it2.Reset(b2, b2, e2)
-			}
-			st.left = e2 - b2
-			st.it2Active = true
-			continue
-		}
-		// Advance to the next non-empty root.
-		var b1 int
-		for {
-			st.root++
-			if st.root >= st.t.NumRoots() {
-				return n
-			}
-			b1, st.e1 = st.t.RootRange(uint32(st.root))
-			if b1 < st.e1 {
-				break
-			}
-		}
-		st.pos1 = b1
-		if st.it1 == nil {
-			st.it1 = st.t.Iter1(b1, st.e1)
-			st.ptrIt = st.t.Ptr1Iter(b1, st.t.NumInternal()+1)
-			first, _ := st.ptrIt.Next()
-			st.prev = int(first)
-		} else {
-			// Level-1 ranges of consecutive non-empty roots are
-			// contiguous, and the pointer closing the previous range
-			// (held in prev) already delimits the next one, so the
-			// pointer cursor just keeps streaming.
-			st.it1.Reset(b1, b1, st.e1)
-		}
-	}
-	return n
-}
-
-// scanAll enumerates the whole trie (the ??? pattern).
+// scanAll enumerates the whole trie (the ??? pattern) from its first
+// non-empty root.
 func scanAll(c *QueryCtx, t, ref *trie.Trie, perm Perm) *Iterator {
-	st := c.getScanAll()
-	if st.t != t {
-		st.t = t
-		st.it2 = nil
+	n := ID(t.NumRoots())
+	for r := ID(0); r < n; r++ {
+		if b1, e1 := t.RootRange(uint32(r)); b1 < e1 {
+			st := c.getWalk(t, nil, ref, perm)
+			// A scan opens its level-1 cursors afresh instead of
+			// repositioning ones carried over from an earlier query.
+			st.it1, st.ptrIt = nil, nil
+			return st.walkChildren(r, n, b1, b1, e1)
+		}
 	}
-	st.perm, st.root, st.ref = perm, -1, ref
-	return &st.it
+	return emptyIteratorCtx(c)
+}
+
+// invertedOnPOS resolves ??O on the POS permutation (the 2Tp fallback
+// of Section 3.3): |P| find operations locate o among each predicate's
+// children.
+func invertedOnPOS(c *QueryCtx, pos *trie.Trie, o ID) *Iterator {
+	return c.getWalk(pos, nil, nil, PermPOS).walkFind(0, ID(pos.NumRoots()), o)
+}
+
+// invertedOnPS resolves ?P? for 2To (Section 3.3): walk the PS
+// structure's subject list of p and find p among each subject's children
+// on SPO. Every subject in the list has a triple with predicate p, so
+// each find succeeds.
+func invertedOnPS(c *QueryCtx, ps *PS, spo *trie.Trie, p ID) *Iterator {
+	b, e := ps.Range(p)
+	if b >= e {
+		return emptyIteratorCtx(c)
+	}
+	st := c.getWalk(spo, ps, nil, PermSPO)
+	if st.it1 != nil {
+		st.it1.Reset(b, b, e)
+	} else {
+		st.it1 = ps.Iter(b, e)
+	}
+	return st.walkFind(0, 0, p)
 }
 
 // enumerateState implements the algorithm of Fig. 5, resolving S?O
@@ -585,7 +567,6 @@ type enumerateState struct {
 	ptrIt        seq.Iterator
 	prev         int
 	pos1, b1, e1 int
-	c            *QueryCtx
 	it           Iterator
 }
 
@@ -625,153 +606,6 @@ func enumerate(c *QueryCtx, spo *trie.Trie, s, o ID) *Iterator {
 	}
 	first, _ := st.ptrIt.Next()
 	st.prev = int(first)
-	return &st.it
-}
-
-// invertedPOSState resolves ??O on the POS permutation (the 2Tp fallback
-// of Section 3.3): |P| find operations locate o among each predicate's
-// children; matching subject ranges are decoded in blocks.
-type invertedPOSState struct {
-	pos       *trie.Trie
-	o, curP   ID
-	p         int
-	it2       seq.Iterator
-	it2Active bool
-	left      int
-	c         *QueryCtx
-	it        Iterator
-	vals      []uint64
-	vals0     [8]uint64
-}
-
-//rdf:hotpath
-func (st *invertedPOSState) fill(out []Triple) int {
-	n := 0
-	for n < len(out) {
-		if st.it2Active {
-			k := len(out) - n
-			if k > st.left {
-				k = st.left
-			}
-			vals := valBuf(&st.vals, k)
-			m := st.it2.NextBatch(vals)
-			st.left -= m
-			if m > 0 {
-				restoreBatch(PermPOS, st.curP, st.o, vals[:m], out[n:n+m])
-				n += m
-				continue
-			}
-			st.it2Active = false
-		}
-		st.p++
-		if st.p >= st.pos.NumRoots() {
-			break
-		}
-		b1, e1 := st.pos.RootRange(uint32(st.p))
-		j := st.pos.FindChild1(b1, e1, uint32(st.o))
-		if j < 0 {
-			continue
-		}
-		st.curP = ID(st.p)
-		b2, e2 := st.pos.ChildRange(j)
-		if st.it2 == nil {
-			st.it2 = st.pos.Iter2(b2, e2)
-		} else {
-			st.it2.Reset(b2, b2, e2)
-		}
-		st.left = e2 - b2
-		st.it2Active = true
-	}
-	return n
-}
-
-func invertedOnPOS(c *QueryCtx, pos *trie.Trie, o ID) *Iterator {
-	st := c.getInvertedPOS()
-	if st.pos != pos {
-		st.pos = pos
-		st.it2 = nil
-	}
-	st.o, st.p = o, -1
-	return &st.it
-}
-
-// invertedPSState resolves ?P? for 2To (Section 3.3): walk the PS
-// structure's subject list of p and pattern match (s, p, ?) on SPO for
-// each subject.
-type invertedPSState struct {
-	ps        *PS
-	spo       *trie.Trie
-	p, curS   ID
-	subjects  seq.Iterator
-	it2       seq.Iterator
-	it2Active bool
-	left      int
-	c         *QueryCtx
-	it        Iterator
-	vals      []uint64
-	vals0     [8]uint64
-}
-
-//rdf:hotpath
-func (st *invertedPSState) fill(out []Triple) int {
-	n := 0
-	for n < len(out) {
-		if st.it2Active {
-			k := len(out) - n
-			if k > st.left {
-				k = st.left
-			}
-			vals := valBuf(&st.vals, k)
-			m := st.it2.NextBatch(vals)
-			st.left -= m
-			if m > 0 {
-				restoreBatch(PermSPO, st.curS, st.p, vals[:m], out[n:n+m])
-				n += m
-				continue
-			}
-			st.it2Active = false
-		}
-		sv, ok := st.subjects.Next()
-		if !ok {
-			break
-		}
-		// (s, p, ?) on SPO: every subject in the PS list has at least
-		// one triple with predicate p, so the find always succeeds.
-		b1, e1 := st.spo.RootRange(uint32(sv))
-		j := st.spo.FindChild1(b1, e1, uint32(st.p))
-		if j < 0 {
-			continue
-		}
-		st.curS = ID(sv)
-		b2, e2 := st.spo.ChildRange(j)
-		if st.it2 == nil {
-			st.it2 = st.spo.Iter2(b2, e2)
-		} else {
-			st.it2.Reset(b2, b2, e2)
-		}
-		st.left = e2 - b2
-		st.it2Active = true
-	}
-	return n
-}
-
-func invertedOnPS(c *QueryCtx, ps *PS, spo *trie.Trie, p ID) *Iterator {
-	b, e := ps.Range(p)
-	if b >= e {
-		return emptyIteratorCtx(c)
-	}
-	st := c.getInvertedPS()
-	st.p = p
-	if st.ps == ps && st.subjects != nil {
-		st.subjects.Reset(b, b, e)
-	} else {
-		st.ps = ps
-		st.subjects = ps.Iter(b, e)
-	}
-	if st.spo != spo {
-		st.spo = spo
-		st.it2 = nil
-	}
 	return &st.it
 }
 
