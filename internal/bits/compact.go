@@ -51,32 +51,6 @@ func NewCompactWidth(values []uint64, width uint) *CompactVector {
 	return c
 }
 
-// CompactBuilder incrementally builds a CompactVector of known width.
-type CompactBuilder struct {
-	c CompactVector
-}
-
-// NewCompactBuilder returns a builder for values of the given width, with
-// storage preallocated for n values.
-func NewCompactBuilder(width uint, n int) *CompactBuilder {
-	if width == 0 || width > 64 {
-		panic(fmt.Sprintf("bits: invalid compact width %d", width))
-	}
-	b := &CompactBuilder{}
-	b.c.width = width
-	b.c.bv.words = make([]uint64, 0, (n*int(width)+63)/64)
-	return b
-}
-
-// Append adds a value. It must fit in the builder's width.
-func (b *CompactBuilder) Append(v uint64) {
-	b.c.bv.AppendBits(v, b.c.width)
-	b.c.n++
-}
-
-// Build finalizes and returns the vector. The builder must not be reused.
-func (b *CompactBuilder) Build() *CompactVector { return &b.c }
-
 // At returns the value at index i.
 func (c *CompactVector) At(i int) uint64 {
 	return c.bv.Get(i*int(c.width), c.width)

@@ -224,22 +224,6 @@ func (r *RankSelect) Select0(k int) int {
 	return idx*64 + selectInWord(w, int(rem))
 }
 
-// SuccessorOne returns the position of the first set bit at or after pos,
-// or Len() if there is none.
-func (r *RankSelect) SuccessorOne(pos int) int {
-	if pos >= r.v.n {
-		return r.v.n
-	}
-	if pos < 0 {
-		pos = 0
-	}
-	k := r.Rank1(pos)
-	if k >= r.ones {
-		return r.v.n
-	}
-	return r.Select1(k)
-}
-
 // selectByte[b][k] is the position of the k-th set bit in byte b.
 var selectByte [256][8]uint8
 

@@ -155,23 +155,6 @@ func TestRankSelectRunStructured(t *testing.T) {
 	}
 }
 
-func TestSuccessorOne(t *testing.T) {
-	v := NewVector(200)
-	for _, p := range []int{3, 64, 65, 130, 199} {
-		v.SetBit(p)
-	}
-	rs := NewRankSelect(v)
-	cases := []struct{ pos, want int }{
-		{0, 3}, {3, 3}, {4, 64}, {64, 64}, {65, 65}, {66, 130},
-		{131, 199}, {199, 199}, {200, 200}, {500, 200}, {-5, 3},
-	}
-	for _, c := range cases {
-		if got := rs.SuccessorOne(c.pos); got != c.want {
-			t.Errorf("SuccessorOne(%d) = %d, want %d", c.pos, got, c.want)
-		}
-	}
-}
-
 func TestSelectInWord(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 1000; trial++ {

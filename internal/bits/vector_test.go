@@ -160,25 +160,6 @@ func TestCompactVector(t *testing.T) {
 	}
 }
 
-func TestCompactBuilderMatchesNewCompact(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	vals := make([]uint64, 1000)
-	for i := range vals {
-		vals[i] = uint64(rng.Intn(1 << 17))
-	}
-	direct := NewCompactWidth(vals, 17)
-	b := NewCompactBuilder(17, len(vals))
-	for _, v := range vals {
-		b.Append(v)
-	}
-	built := b.Build()
-	for i := range vals {
-		if direct.At(i) != built.At(i) {
-			t.Fatalf("mismatch at %d: %d vs %d", i, direct.At(i), built.At(i))
-		}
-	}
-}
-
 func TestWidthFor(t *testing.T) {
 	cases := []struct {
 		max  uint64

@@ -106,16 +106,6 @@ func (s Shape) String() string {
 	return fmt.Sprintf("Shape(%d)", uint8(s))
 }
 
-// ParseShape parses the paper's notation for a shape.
-func ParseShape(s string) (Shape, error) {
-	for i, n := range shapeNames {
-		if n == s {
-			return Shape(i), nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown pattern shape %q", s)
-}
-
 // AllShapes lists the eight shapes in the paper's order.
 func AllShapes() []Shape {
 	out := make([]Shape, NumShapes)

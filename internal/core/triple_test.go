@@ -29,15 +29,15 @@ func TestPatternShape(t *testing.T) {
 	}
 }
 
-func TestShapeStringParse(t *testing.T) {
-	for _, s := range AllShapes() {
-		got, err := ParseShape(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseShape(%q) = %v, %v", s.String(), got, err)
+func TestShapeString(t *testing.T) {
+	want := []string{"SPO", "SP?", "S?O", "S??", "?PO", "?P?", "??O", "???"}
+	for i, s := range AllShapes() {
+		if s.String() != want[i] {
+			t.Errorf("Shape(%d).String() = %q, want %q", i, s.String(), want[i])
 		}
 	}
-	if _, err := ParseShape("XYZ"); err == nil {
-		t.Error("ParseShape accepted junk")
+	if got := Shape(NumShapes).String(); got != "Shape(8)" {
+		t.Errorf("Shape(8).String() = %q", got)
 	}
 }
 

@@ -50,16 +50,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// ParseKind parses a representation name.
-func ParseKind(s string) (Kind, error) {
-	for _, k := range []Kind{KindCompact, KindEF, KindPEF, KindVByte} {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("seq: unknown kind %q", s)
-}
-
 // Iterator yields consecutive original values of one range. Beyond
 // per-element Next, every implementation supports block decoding
 // (NextBatch), forward skips for merge-intersections (NextGEQ) and

@@ -260,18 +260,6 @@ func TestReadRetiredKind(t *testing.T) {
 	}
 }
 
-func TestParseKind(t *testing.T) {
-	for _, k := range allKinds {
-		got, err := ParseKind(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-	if _, err := ParseKind("bogus"); err == nil {
-		t.Error("ParseKind accepted bogus name")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Kind(77).String() != "Kind(77)" {
 		t.Errorf("unexpected String for unknown kind: %s", Kind(77))

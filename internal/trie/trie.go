@@ -166,12 +166,6 @@ func (t *Trie) Node1At(begin, i int) uint32 {
 	return uint32(t.nodes1.At(begin, i))
 }
 
-// Node2At returns the third-level node ID at absolute position i, where
-// begin is the start of the sibling range containing i.
-func (t *Trie) Node2At(begin, i int) uint32 {
-	return uint32(t.nodes2.At(begin, i))
-}
-
 // Iter1 iterates the second-level node IDs in [begin, end).
 func (t *Trie) Iter1(begin, end int) seq.Iterator { return t.nodes1.Iter(begin, end) }
 

@@ -100,9 +100,10 @@ func TestFig1Example(t *testing.T) {
 			if b != wantPtr1[i] || e != wantPtr1[i+1] {
 				t.Fatalf("ChildRange(%d) = (%d, %d), want (%d, %d)", i, b, e, wantPtr1[i], wantPtr1[i+1])
 			}
+			it := tr.Iter2(b, e)
 			for k := b; k < e; k++ {
-				if got := tr.Node2At(b, k); got != wantNodes2[k] {
-					t.Fatalf("Node2At(%d, %d) = %d, want %d", b, k, got, wantNodes2[k])
+				if got, _ := it.Next(); got != uint64(wantNodes2[k]) {
+					t.Fatalf("Iter2(%d, %d) value %d = %d, want %d", b, e, k, got, wantNodes2[k])
 				}
 			}
 		}
