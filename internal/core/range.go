@@ -100,15 +100,14 @@ func SelectValueRange(x RangeSelecter, r *R, p ID, lo, hi uint64) *Iterator {
 
 // selectObjectRange seeks lo and past hi among the objects of p on the
 // POS trie and walks the children of p in between.
-func selectObjectRange(pos, ref *trie.Trie, p ID, lo, hi ID) *Iterator {
+func selectObjectRange(c *QueryCtx, pos, ref *trie.Trie, p ID, lo, hi ID) *Iterator {
 	b1, e1 := pos.RootRange(uint32(p))
 	j, val, ok := pos.Nodes(1).FindGEQ(b1, e1, uint64(lo))
 	if !ok || val > uint64(hi) {
-		return emptyIteratorCtx(nil)
+		return emptyIteratorCtx(c)
 	}
 	if k, _, ok := pos.Nodes(1).FindGEQ(b1, e1, uint64(hi)+1); ok {
 		e1 = k
 	}
-	var c *QueryCtx
 	return c.getWalk(pos, nil, ref, PermPOS).walkChildren(p, p+1, b1, j, e1)
 }

@@ -302,7 +302,7 @@ func (x *staticIndex) SelectVarSorted(p Pattern) (*VarIter, bool) {
 // otherwise (2To) by filtering the layout's ?P? route.
 func (x *staticIndex) SelectObjectRange(p ID, lo, hi ID) *Iterator {
 	if pos := x.tries[PermPOS]; pos != nil {
-		return selectObjectRange(pos, x.xref[PermPOS], p, lo, hi)
+		return selectObjectRange(nil, pos, x.xref[PermPOS], p, lo, hi)
 	}
 	return Filter(x.Select(Pattern{Wildcard, p, Wildcard}), func(t Triple) bool {
 		return lo <= t.O && t.O <= hi
