@@ -180,7 +180,7 @@ func (it *Iterator) Count() int {
 		it.drop()
 		return n
 	}
-	for it.src != nil {
+	for it.src != nil && !it.done {
 		k := it.refill()
 		if k == 0 {
 			break
@@ -339,9 +339,8 @@ func lookup(qc *QueryCtx, t, ref *trie.Trie, perm Perm, tr Triple) *Iterator {
 //     cursor (the pointer closing one range opens the next) and one
 //     third-level cursor are repositioned with the cheap contiguous
 //     Reset instead of paying a random access per range;
-//   - the find walk visits the roots root..end, or those of a PS
-//     subject list (2To), and in each the one child b that FindChild1
-//     finds.
+//   - the find walk visits roots [root, end), or those of a PS subject
+//     list (2To), and in each the one child b that FindChild1 finds.
 //
 // Either way the range drained holds the completions of (a, b).
 type walkState struct {
@@ -354,9 +353,8 @@ type walkState struct {
 	it    Iterator
 	vals  []uint64
 
-	// The scalars come last, so the garbage collector, which scans an
-	// object only up to its last pointer, skips them; the state is
-	// allocated per query by Select without a ctx.
+	// The scalars come last: the garbage collector scans an object
+	// only up to its last pointer.
 	perm      Perm
 	find      bool   // find walk; otherwise children walk
 	a, b      ID     // first two components of the range being drained
@@ -502,7 +500,7 @@ func selectTwo(c *QueryCtx, t, ref *trie.Trie, perm Perm, a, b ID) *Iterator {
 	b2, e2 := t.ChildRange(j)
 	st := c.getWalk(t, nil, ref, perm)
 	st.open(a, b, b2, e2)
-	return st.walkFind(0, 0, b)
+	return st.walkFind(0, 0, b) // no roots left: the range opened is the only one
 }
 
 // selectOne implements the select algorithm of Fig. 2 with only the first
