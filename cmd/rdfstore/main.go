@@ -401,6 +401,9 @@ func statsCmd(args []string, out io.Writer) error {
 			st.Dicts.SO.Len(), st.Dicts.P.Len(),
 			float64(st.Dicts.SO.SizeBits()+st.Dicts.P.SizeBits())/8/1024/1024)
 		fmt.Fprintf(out, "SO dict:      %s\n", dictSpace(st.Dicts.SO, true))
+		for _, sec := range st.NumericSections() {
+			fmt.Fprintf(out, "SO numeric:   %v, scale %d: %d terms, %d bytes\n", sec.Datatype, sec.Scale, sec.R.Len(), sec.Bytes)
+		}
 		fmt.Fprintf(out, "P dict:       %s\n", dictSpace(st.Dicts.P, false))
 	}
 	fmt.Fprintf(out, "format:       %s\n", formatLine(st.Integrity.Version, st.Integrity.Mapped))
@@ -409,8 +412,9 @@ func statsCmd(args []string, out io.Writer) error {
 
 // dictSpace describes a dictionary's stored bytes: the verbatim group
 // samples, the bucket heads coded against them, the entries coded
-// against the term before them, the sample and bucket offsets, how many
-// coded terms escape their header byte, and bytes per term. For the SO
+// against the term before them, the sample and bucket offsets, the
+// numeric sections, how many coded terms escape their header byte, and
+// bytes per term. For the SO
 // dictionary it also gives how many terms are subjects, the first run
 // of IDs. Terms added since the last merge are counted apart; they live
 // in the WAL and the overlay, not in the store file.
@@ -424,13 +428,13 @@ func dictSpace(r dict.Reader, subjects bool) string {
 		return fmt.Sprintf("%d terms", r.Len())
 	}
 	sp := d.Space()
-	total := sp.Samples + sp.Heads + sp.Entries + sp.Offsets
+	total := sp.Samples + sp.Heads + sp.Entries + sp.Offsets + sp.Numeric
 	terms := fmt.Sprintf("%d terms", d.Len())
 	if subjects {
 		terms += fmt.Sprintf(" (%d subjects)", d.FirstRun())
 	}
-	line := fmt.Sprintf("%s, %d bytes (samples %d, heads %d, entries %d, offsets %d; %d escaped headers), %.2f B/term",
-		terms, total, sp.Samples, sp.Heads, sp.Entries, sp.Offsets, sp.Escaped, float64(total)/float64(max(d.Len(), 1)))
+	line := fmt.Sprintf("%s, %d bytes (samples %d, heads %d, entries %d, offsets %d, numeric %d; %d escaped headers), %.2f B/term",
+		terms, total, sp.Samples, sp.Heads, sp.Entries, sp.Offsets, sp.Numeric, sp.Escaped, float64(total)/float64(max(d.Len(), 1)))
 	if pending > 0 {
 		line += fmt.Sprintf("; %d pending", pending)
 	}

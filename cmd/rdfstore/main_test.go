@@ -57,7 +57,7 @@ func TestInsertDeleteMergeCLI(t *testing.T) {
 
 	// Terms the WAL added are counted apart from the store file's.
 	out = runOK(t, "stats", "-store", idx)
-	if !strings.Contains(out, "\nSO dict:      5 terms (3 subjects), 74 bytes (samples 36, heads 0, entries 14, offsets 24; 0 escaped headers), 14.80 B/term; 1 pending\n") {
+	if !strings.Contains(out, "\nSO dict:      5 terms (3 subjects), 74 bytes (samples 36, heads 0, entries 14, offsets 24, numeric 0; 0 escaped headers), 14.80 B/term; 1 pending\n") {
 		t.Fatalf("stats before merge: %q", out)
 	}
 
@@ -104,8 +104,8 @@ func TestEndToEnd(t *testing.T) {
 			if !strings.Contains(out, "layout:       "+layout) ||
 				!strings.Contains(out, "triples:      6") ||
 				!strings.Contains(out, "dictionaries: 5 SO terms, 2 predicates") ||
-				!strings.Contains(out, "\nSO dict:      5 terms (3 subjects), 74 bytes (samples 36, heads 0, entries 14, offsets 24; 0 escaped headers), 14.80 B/term\n") ||
-				!strings.Contains(out, "\nP dict:       2 terms, 39 bytes (samples 18, heads 0, entries 5, offsets 16; 0 escaped headers), 19.50 B/term\n") {
+				!strings.Contains(out, "\nSO dict:      5 terms (3 subjects), 74 bytes (samples 36, heads 0, entries 14, offsets 24, numeric 0; 0 escaped headers), 14.80 B/term\n") ||
+				!strings.Contains(out, "\nP dict:       2 terms, 39 bytes (samples 18, heads 0, entries 5, offsets 16, numeric 0; 0 escaped headers), 19.50 B/term\n") {
 				t.Fatalf("stats output: %q", out)
 			}
 
@@ -204,8 +204,8 @@ func TestBuildOverWAL(t *testing.T) {
 	}
 }
 
-// TestOldFormatNamed rewrites a built store's magic to formats v5's,
-// v4's and v3's: stats and verify refuse it by name and point at build, and
+// TestOldFormatNamed rewrites a built store's magic to formats v6's,
+// v5's, v4's and v3's: stats and verify refuse it by name and point at build, and
 // verify does not report the file as corrupt.
 func TestOldFormatNamed(t *testing.T) {
 	dir := t.TempDir()
@@ -219,12 +219,12 @@ func TestOldFormatNamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []string{"5", "4", "3"} {
+	for _, v := range []string{"6", "5", "4", "3"} {
 		copy(data[1:], "RDFSTORE"+v)
 		if err := os.WriteFile(idx, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want := "store format v" + v + " is no longer read (this build reads v6): rebuild with rdfstore build"
+		want := "store format v" + v + " is no longer read (this build reads v7): rebuild with rdfstore build"
 		if err := run([]string{"stats", "-store", idx}, io_discard()); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("stats of a v%s file: %v, want %q", v, err, want)
 		}
@@ -271,5 +271,35 @@ func TestVerifyNamesRootMismatch(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "  header") || !strings.Contains(out.String(), "CORRUPT: codec: corrupt stream: SPO trie of the index has 3 roots, for 5 SO dictionary subjects") {
 		t.Fatalf("verify printed %q", out.String())
+	}
+}
+
+// TestStatsNumericSections builds a store whose objects include
+// xsd:integer and xsd:decimal literals: stats counts the sections'
+// bytes in the SO dictionary's and prints one line per section.
+func TestStatsNumericSections(t *testing.T) {
+	dir := t.TempDir()
+	nt := filepath.Join(dir, "data.nt")
+	data := sampleNT + `<http://ex/alice> <http://ex/age> "31"^^<http://www.w3.org/2001/XMLSchema#integer> .
+<http://ex/bob> <http://ex/age> "-4"^^<http://www.w3.org/2001/XMLSchema#integer> .
+<http://ex/bob> <http://ex/height> "1.85"^^<http://www.w3.org/2001/XMLSchema#decimal> .
+<http://ex/carol> <http://ex/height> "1.7"^^<http://www.w3.org/2001/XMLSchema#decimal> .
+<http://ex/carol> <http://ex/weight> "61.25"^^<http://www.w3.org/2001/XMLSchema#decimal> .
+`
+	if err := os.WriteFile(nt, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	idx := filepath.Join(dir, "store.idx")
+	runOK(t, "build", "-in", nt, "-out", idx)
+	out := runOK(t, "stats", "-store", idx)
+	// "1.7" has scale 1, the decimal section's is 2: it stays a string.
+	for _, want := range []string{
+		"\nSO dict:      10 terms (3 subjects), 323 bytes (samples 68, heads 0, entries 35, offsets 24, numeric 196; 1 escaped headers), 32.30 B/term\n",
+		"\nSO numeric:   xsd:integer, scale 0: 2 terms, 98 bytes\n",
+		"\nSO numeric:   xsd:decimal, scale 2: 2 terms, 98 bytes\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("stats output %q lacks %q", out, want)
+		}
 	}
 }

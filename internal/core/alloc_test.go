@@ -63,6 +63,47 @@ func TestSteadyStateAllocations(t *testing.T) {
 	}
 }
 
+// TestCountLookupAllocs pins Count and Lookup at zero allocations on
+// every layout: both draw their selection state from a pooled QueryCtx
+// and drain the iterator, which hands the state back, so a warm pool
+// serves every call. The full scan (???) is the one exception: it opens
+// its two level-1 cursors afresh (scanAll) instead of repositioning ones
+// an earlier query left in the state.
+func TestCountLookupAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	rng := rand.New(rand.NewSource(283))
+	d := skewedDataset(rng, 5000)
+	for name, x := range allLayouts(t, d) {
+		t.Run(name, func(t *testing.T) {
+			for _, tr := range d.Triples[:20] {
+				for _, shape := range AllShapes() {
+					pat := WithWildcards(tr, shape)
+					want, limit := x.Select(pat).Count(), 0.0
+					if shape == Shapexxx {
+						limit = 2
+					}
+					if allocs := testing.AllocsPerRun(20, func() {
+						if got := Count(x, pat); got != want {
+							t.Fatalf("Count(%v) = %d, want %d", pat, got, want)
+						}
+					}); allocs > limit {
+						t.Errorf("Count %s: %.1f allocs, want %v", shape, allocs, limit)
+					}
+				}
+				if allocs := testing.AllocsPerRun(20, func() {
+					if !Lookup(x, tr) {
+						t.Fatalf("Lookup(%v) = false", tr)
+					}
+				}); allocs != 0 {
+					t.Errorf("Lookup: %.1f allocs, want 0", allocs)
+				}
+			}
+		})
+	}
+}
+
 // TestCountMatchesNextBatchAndCollect cross-checks the three drain paths
 // of the buffered iterator on every layout and shape.
 func TestCountMatchesNextBatchAndCollect(t *testing.T) {

@@ -73,14 +73,20 @@ func BitsPerTriple(x Index) float64 {
 	return float64(x.SizeBits()) / float64(x.NumTriples())
 }
 
-// Count resolves the pattern and counts its matches.
-func Count(x Index, p Pattern) int { return x.Select(p).Count() }
-
-// Lookup reports whether the index contains t.
-func Lookup(x Index, t Triple) bool {
-	_, ok := x.Select(PatternOf(t)).Next()
-	return ok
+// Count resolves the pattern and counts its matches. It draws its
+// selection state from a pooled QueryCtx, so it allocates nothing once
+// the pool is warm.
+func Count(x Index, p Pattern) int {
+	c := AcquireQueryCtx()
+	n := SelectWithCtx(x, p, c).Count()
+	c.Release()
+	return n
 }
+
+// Lookup reports whether the index contains t. A fully bound pattern
+// matches at most once, so counting drains the iterator, which returns
+// its state to the pooled ctx.
+func Lookup(x Index, t Triple) bool { return Count(x, PatternOf(t)) > 0 }
 
 // Options configures index construction.
 type Options struct {

@@ -21,6 +21,13 @@ func NewR(base ID, values []uint64) *R {
 	return &R{base: base, values: ef.New(values)}
 }
 
+// NewRSequence wraps values already coded as an Elias-Fano sequence:
+// the value of ID base+k is values' k-th element. It is how a numeric
+// section of the store's dictionary serves as an R.
+func NewRSequence(base ID, values *ef.Sequence) *R {
+	return &R{base: base, values: values}
+}
+
 // Base returns the first numeric object ID.
 func (r *R) Base() ID { return r.base }
 

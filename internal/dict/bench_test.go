@@ -20,7 +20,11 @@ func benchTerms(b *testing.B) []string {
 // every fourth in the first, as the subject/object dictionary splits
 // its subjects from the other terms: "first-run" probes the first run's
 // terms, "second-run" the others, which Locate finds after a miss in
-// the first run.
+// the first run. On a mixed term set in the second run,
+// "mixed-string" probes its front-coded strings and "numeric" its
+// xsd:integer and xsd:decimal literals, which Locate finds by value in
+// the numeric sections; "numeric-as-string" probes the same literals
+// in the set as one run of strings.
 func BenchmarkLocate(b *testing.B) {
 	strs := benchTerms(b)
 	d, err := New(strs, DefaultBucketSize)
@@ -43,13 +47,27 @@ func BenchmarkLocate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	mixed, _ := mixedSplit(b)
+	one, err := New(mixedTerms(150_000), DefaultBucketSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := arrange(mixedTerms(150_000))
+	var nums []string
+	for _, ts := range a.nums {
+		for _, t := range ts {
+			nums = append(nums, t.s)
+		}
+	}
 	for _, c := range []struct {
 		name   string
 		d      *Dict
 		probes []string
 		want   bool
 	}{{"present", d, strs, true}, {"absent", d, absent, false},
-		{"first-run", split, first, true}, {"second-run", split, second, true}} {
+		{"first-run", split, first, true}, {"second-run", split, second, true},
+		{"mixed-string", mixed, a.strs, true}, {"numeric", mixed, nums, true},
+		{"numeric-as-string", one, nums, true}} {
 		d := c.d
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -110,28 +128,66 @@ func mixedTerms(n int) []string {
 	return terms
 }
 
+// mixedSplit returns mixedTerms(150_000) as the second run of a
+// dictionary, as the subject/object dictionary holds its object-only
+// terms, and the first ID of its numeric sections.
+func mixedSplit(b *testing.B) (*Dict, int) {
+	d, err := NewSplit(nil, mixedTerms(150_000), DefaultBucketSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d, d.Sections()[0].Base
+}
+
+// idRange returns the IDs [lo, hi).
+func idRange(lo, hi int) []int {
+	ids := make([]int, 0, hi-lo)
+	for id := lo; id < hi; id++ {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
 // BenchmarkExtract prices one cursor Extract on IRIs alone and on a
 // mixed term set: "scattered" visits the terms in a large odd stride, so
 // nearly every call decodes a fresh bucket up to a random entry, as a join
 // answer's distinct terms do; "sequential" walks the IDs in order, one
-// entry per call.
+// entry per call. "mixed" holds the mixed set as one run of strings;
+// with the set as a second run, "mixed-string" extracts its front-coded
+// strings and "numeric" the literals of its numeric sections, which
+// Extract formats from their values, and "numeric-as-string" the same
+// literals from the one run that holds them as strings.
 func BenchmarkExtract(b *testing.B) {
+	iri, err := New(benchTerms(b), DefaultBucketSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	one, err := New(mixedTerms(150_000), DefaultBucketSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	split, numeric := mixedSplit(b)
+	var asString []int // the numeric literals' IDs in one, in value order
+	for id := numeric; id < split.Len(); id++ {
+		s, _ := split.Extract(id)
+		at, _ := one.Locate(s)
+		asString = append(asString, at)
+	}
 	for _, set := range []struct {
 		name string
-		strs []string
-	}{{"iri", benchTerms(b)}, {"mixed", mixedTerms(150_000)}} {
-		d, err := New(set.strs, DefaultBucketSize)
-		if err != nil {
-			b.Fatal(err)
-		}
+		d    *Dict
+		ids  []int // the IDs extracted
+	}{{"iri", iri, idRange(0, iri.Len())}, {"mixed", one, idRange(0, one.Len())},
+		{"mixed-string", split, idRange(0, numeric)}, {"numeric", split, idRange(numeric, split.Len())},
+		{"numeric-as-string", one, asString}} {
 		for _, c := range []struct {
 			name   string
 			stride int
 		}{{"scattered", 7919}, {"sequential", 1}} {
 			b.Run(set.name+"/"+c.name, func(b *testing.B) {
-				e := NewExtractor(d)
+				e := NewExtractor(set.d)
 				for i := 0; i < b.N; i++ {
-					if _, ok := e.Extract((i * c.stride) % len(set.strs)); !ok {
+					if _, ok := e.Extract(set.ids[(i*c.stride)%len(set.ids)]); !ok {
 						b.Fatal("Extract failed")
 					}
 				}

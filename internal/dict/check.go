@@ -16,11 +16,14 @@ import (
 // previous string's length, a tail past the sample's, a string that
 // does not sort strictly after the one before it in its run — for a
 // coded string, at its stored LCP, which the scans take to be the exact
-// one — or a second-run string that the first run holds too. Decode
-// checks only what locates the runs, samples and buckets, in constant
-// time; a dictionary that passes Check extracts every ID, and locates
-// every extracted string, without a panic. Check itself never panics,
-// whatever the bytes.
+// one — or a second-run string that the first run holds too; and in a
+// numeric section, a value not larger than the one before it or past
+// the sequence's universe, a second-run string that qualifies for a
+// section, or a first-run string whose value a section holds too.
+// Decode checks only what locates the runs, samples, buckets and
+// sections, in constant time; a dictionary that passes Check extracts
+// every ID, and locates every extracted string, without a panic. Check
+// itself never panics, whatever the bytes.
 func (d *Dict) Check() error {
 	if err := d.runs[0].check(0); err != nil {
 		return err
@@ -28,9 +31,14 @@ func (d *Dict) Check() error {
 	if err := d.runs[1].check(d.k); err != nil {
 		return err
 	}
+	for i := range d.secs {
+		if err := d.secs[i].check(); err != nil {
+			return err
+		}
+	}
 	// Both runs are sorted, so one merge walk finds a string in both.
 	a, b := NewExtractor(d), NewExtractor(d)
-	for i, j := 0, d.k; i < d.k && j < d.n; {
+	for i, j := 0, d.k; i < d.k && j < d.m; {
 		x, _ := a.Extract(i)
 		y, _ := b.Extract(j)
 		switch c := bytes.Compare(x, y); {
@@ -41,6 +49,39 @@ func (d *Dict) Check() error {
 		default:
 			return fmt.Errorf("%w: dict ID %d: repeats ID %d of the first run", codec.ErrCorrupt, j, i)
 		}
+	}
+	if len(d.secs) == 0 {
+		return nil
+	}
+	for id := 0; id < d.m; id++ {
+		t, _ := a.Extract(id)
+		sec, v := numericOf(d, t)
+		if sec == nil {
+			continue
+		}
+		if id >= d.k {
+			return fmt.Errorf("%w: dict ID %d: a string of the %v section at scale %d", codec.ErrCorrupt, id, sec.Datatype, sec.Scale)
+		}
+		if at, ok := sec.locate(v); ok {
+			return fmt.Errorf("%w: dict ID %d: repeats ID %d of the first run", codec.ErrCorrupt, at, id)
+		}
+	}
+	return nil
+}
+
+// check walks the section's values: each must be larger than the one
+// before it and within the sequence's universe, which Decode bounds so
+// that every value fits an int64.
+func (s *Section) check() error {
+	it := s.Values.MakeIterator(0)
+	var prev uint64
+	for i := 0; i < s.Len(); i++ {
+		v, _ := it.Next()
+		if v > s.Values.Universe() || i > 0 && v <= prev {
+			return fmt.Errorf("%w: dict ID %d: value %d of the %v section does not follow %d within %d",
+				codec.ErrCorrupt, s.Base+i, v, s.Datatype, prev, s.Values.Universe())
+		}
+		prev = v
 	}
 	return nil
 }

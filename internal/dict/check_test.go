@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -30,14 +31,15 @@ func FuzzDictCheck(f *testing.F) {
 		bucket int
 		every  int // every every-th string goes to the first run; 0 for one run
 	}{
-		{suffixOfHead, 2, 0},    // escaped headers: tails past two bytes
-		{uriLike(300), 1, 0},    // group boundaries every 16 strings
-		{uriLike(12), 16, 0},    // one bucket
-		{uriLike(50), 4, 0},     // one group of 13 buckets
-		{longTerms(40), 3, 0},   // samples over 255 bytes
-		{mixedTerms(100), 5, 0}, // typed and tagged literals
-		{uriLike(300), 1, 4},    // two runs, each of several groups
-		{mixedTerms(100), 3, 2}, // two runs that interleave string by string
+		{suffixOfHead, 2, 0},         // escaped headers: tails past two bytes
+		{uriLike(300), 1, 0},         // group boundaries every 16 strings
+		{uriLike(12), 16, 0},         // one bucket
+		{uriLike(50), 4, 0},          // one group of 13 buckets
+		{longTerms(40), 3, 0},        // samples over 255 bytes
+		{mixedTerms(100), 5, 0},      // typed and tagged literals
+		{uriLike(300), 1, 4},         // two runs, each of several groups
+		{mixedTerms(100), 3, 2},      // two runs that interleave string by string
+		{sortedNumericTerms(), 2, 5}, // numeric sections and every non-qualifying numeral
 	} {
 		first, second := seed.strs, []string(nil)
 		if seed.every > 0 {
@@ -71,6 +73,13 @@ func FuzzDictCheck(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sortedNumericTerms is numericTerms, sorted.
+func sortedNumericTerms() []string {
+	terms := numericTerms()
+	sort.Strings(terms)
+	return terms
 }
 
 // splitEvery splits sorted strs into the every-th strings and the rest.
@@ -122,7 +131,7 @@ func TestCheckBuilt(t *testing.T) {
 // first run's ID, so Check names it, and NewSplit refuses to build it.
 func TestCheckRunsDisjoint(t *testing.T) {
 	a, b := buildSorted(t, []string{"a", "b", "d"}, 2), buildSorted(t, []string{"c", "d", "e"}, 2)
-	d := &Dict{n: 6, k: 3, runs: [2]run{a.runs[0], b.runs[0]}}
+	d := &Dict{n: 6, k: 3, m: 6, runs: [2]run{a.runs[0], b.runs[0]}}
 	if err := d.Check(); !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), "dict ID 4: repeats ID 2") {
 		t.Fatalf("Check = %v, want ID 4 named as a repeat of ID 2", err)
 	}

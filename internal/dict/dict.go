@@ -24,7 +24,10 @@
 // dictionary puts the terms that are the subject of a triple in the
 // first run, so subject IDs fill [0, k) and every trie level keyed by
 // a subject draws from that smaller range; a dictionary built from one
-// sorted list has an empty second run.
+// sorted list has an empty second run. The second run ends in the
+// numeric sections (numeric.go): its canonical xsd:integer and
+// xsd:decimal literals, ordered by value and stored as Elias-Fano
+// sequences of values rather than as strings.
 package dict
 
 import (
@@ -34,6 +37,7 @@ import (
 	"sort"
 
 	"rdfindexes/internal/codec"
+	"rdfindexes/internal/ef"
 )
 
 // DefaultBucketSize balances space (larger buckets share more prefixes)
@@ -71,10 +75,12 @@ type Reader interface {
 
 // Dict is an immutable front-coded dictionary. IDs are the ranks of the
 // strings in sorted order within their run, the second run's numbered
-// on from the first's, starting at 0.
+// on from the first's, starting at 0; the second run's numeric
+// sections follow its front-coded strings.
 type Dict struct {
-	n, k int    // the strings, and those in the first run
-	runs [2]run // IDs [0, k) and [k, n)
+	n, k, m int       // the strings, those in the first run, the front-coded ones
+	runs    [2]run    // IDs [0, k) and [k, m)
+	secs    []Section // IDs [m, n), integers before decimals
 	// owner keeps the memory the runs view (a mapped store file) alive
 	// for as long as the dictionary is reachable; nil when built in
 	// memory.
@@ -103,25 +109,45 @@ func New(strs []string, bucketSize int) (*Dict, error) {
 }
 
 // NewSplit builds a dictionary of two runs: first takes IDs [0,
-// len(first)) and second the IDs after them. Each must be sorted and
+// len(first)) and second the IDs after them, in the order Arrange
+// gives: its front-coded strings, then its numeric sections. first
+// must be sorted, second sorted or in Arrange's order; each must be
 // distinct, and no string may be in both.
 func NewSplit(first, second []string, bucketSize int) (*Dict, error) {
+	a := arrange(second)
 	b := newBuilder(bucketSize)
-	for i, strs := range [2][]string{first, second} {
+	b.scale = a.scale
+	for i, strs := range [2][]string{first, a.strs} {
 		for _, s := range strs {
 			if err := add(b, i, s); err != nil {
 				return nil, err
 			}
 		}
 	}
-	for i, j := 0, 0; i < len(first) && j < len(second); {
+	for dt, ts := range a.nums {
+		for _, t := range ts {
+			if err := b.addNumeric(Datatype(dt), t.v); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for i, j := 0, 0; i < len(first) && j < len(a.strs); {
 		switch {
-		case first[i] < second[j]:
+		case first[i] < a.strs[j]:
 			i++
-		case first[i] > second[j]:
+		case first[i] > a.strs[j]:
 			j++
 		default:
 			return nil, fmt.Errorf("dict: %q is in both runs", first[i])
+		}
+	}
+	for _, s := range first {
+		dt, scale, v, ok := parseNumeric(s)
+		if ok && (dt == Integer || scale == a.scale) {
+			ts := a.nums[dt]
+			if i := sort.Search(len(ts), func(i int) bool { return ts[i].v >= v }); i < len(ts) && ts[i].v == v {
+				return nil, fmt.Errorf("dict: %q is in both runs", s)
+			}
 		}
 	}
 	return b.finish(), nil
@@ -131,9 +157,11 @@ func NewSplit(first, second []string, bucketSize int) (*Dict, error) {
 // front-coded layout one at a time; NewSplit and Overlay.Fold share it.
 type builder struct {
 	runs   [2]run
-	last   [2][]byte // each run's previous string: LCP source and order check
-	sample [2][]byte // each run's current group sample: tail source
-	limit  uint64    // the most front-coded bytes allowed, MaxBytes
+	last   [2][]byte  // each run's previous string: LCP source and order check
+	sample [2][]byte  // each run's current group sample: tail source
+	limit  uint64     // the most front-coded bytes allowed, MaxBytes
+	nums   [2][]int64 // each numeric section's values: integers, decimals
+	scale  int        // the decimal section's scale
 }
 
 func newBuilder(bucketSize int) *builder {
@@ -180,6 +208,17 @@ func add[T string | []byte](b *builder, i int, s T) error {
 	return nil
 }
 
+// addNumeric appends v to the section of datatype dt; v must be larger
+// than the section's previous value.
+func (b *builder) addNumeric(dt Datatype, v int64) error {
+	vs := b.nums[dt]
+	if len(vs) > 0 && v <= vs[len(vs)-1] {
+		return fmt.Errorf("dict: %v section not increasing/distinct at %d (%d >= %d)", dt, len(vs), vs[len(vs)-1], v)
+	}
+	b.nums[dt] = append(vs, v)
+	return nil
+}
+
 // size returns the run's front-coded bytes.
 func (r *run) size() uint64 { return uint64(len(r.samples)) + uint64(len(r.data)) }
 
@@ -211,14 +250,33 @@ func appendCoded[T string | []byte](data []byte, prevLen int, s T, lcp int, src 
 	return append(data, rest[:mid]...)
 }
 
-// finish closes each run's offsets with the end of its data and
-// returns the dictionary; the builder must not be used afterwards.
+// finish closes each run's offsets with the end of its data, codes
+// each non-empty section's values as an Elias-Fano sequence of their
+// distances from its first, and returns the dictionary; the builder
+// must not be used afterwards.
 func (b *builder) finish() *Dict {
 	for i := range b.runs {
 		r := &b.runs[i]
 		r.offsets = binary.LittleEndian.AppendUint32(r.offsets, uint32(len(r.data)))
 	}
-	return &Dict{n: b.runs[0].n + b.runs[1].n, k: b.runs[0].n, runs: b.runs}
+	d := &Dict{k: b.runs[0].n, m: b.runs[0].n + b.runs[1].n, runs: b.runs}
+	d.n = d.m
+	for dt, vs := range b.nums {
+		if len(vs) == 0 {
+			continue
+		}
+		deltas := make([]uint64, len(vs))
+		for i, v := range vs {
+			deltas[i] = uint64(v) - uint64(vs[0])
+		}
+		s := Section{Datatype: Datatype(dt), Base: d.n, Min: vs[0], Values: ef.New(deltas)}
+		if s.Datatype == Decimal {
+			s.Scale = b.scale
+		}
+		d.secs = append(d.secs, s)
+		d.n += len(vs)
+	}
+	return d
 }
 
 // FromUnsorted sorts and deduplicates strs, builds the dictionary of
@@ -318,7 +376,8 @@ func (r *run) bucket(id int) (int, int) {
 	return int(k), id - int(k)*r.bucketSize
 }
 
-// runOf returns the run that holds a valid ID and the ID within it.
+// runOf returns the run that holds a valid front-coded ID (below m) and
+// the ID within it.
 //
 //rdf:hotpath
 func (d *Dict) runOf(id int) (*run, int) {
@@ -328,7 +387,7 @@ func (d *Dict) runOf(id int) (*run, int) {
 	return &d.runs[1], id - d.k
 }
 
-// Len returns the number of strings.
+// Len returns the number of strings, numeric sections included.
 func (d *Dict) Len() int { return d.n }
 
 // FirstRun returns the number of strings in the first run: IDs below
@@ -357,6 +416,9 @@ func (d *Dict) Extract(id int) (string, bool) {
 func (d *Dict) ExtractAppend(buf []byte, id int) ([]byte, bool) {
 	if id < 0 || id >= d.n {
 		return buf, false
+	}
+	if id >= d.m {
+		return d.appendSection(buf, id), true
 	}
 	r, id := d.runOf(id)
 	k, j := r.bucket(id)
@@ -617,11 +679,20 @@ func cmpFrom(b []byte, s string, j int) (int, int) {
 	return -1, j + i
 }
 
-// Locate returns the ID of s, or ok=false if absent. It searches the
-// first run, then, when s is not there, the second.
+// Locate returns the ID of s, or ok=false if absent. A term that
+// qualifies for a numeric section is searched by value there, and then
+// in the first run, which may hold it as a subject; the second run's
+// strings never hold it (Check). Any other term is searched in the
+// first run, then, when it is not there, in the second.
 //
 //rdf:hotpath
 func (d *Dict) Locate(s string) (int, bool) {
+	if sec, v := numericOf(d, s); sec != nil {
+		if id, ok := sec.locate(v); ok {
+			return id, true
+		}
+		return d.runs[0].locate(s)
+	}
 	if id, ok := d.runs[0].locate(s); ok {
 		return id, true
 	}
@@ -672,6 +743,9 @@ func (d *Dict) SizeBits() uint64 {
 		r := &d.runs[i]
 		n += len(r.samples) + len(r.sampleAt) + len(r.data) + len(r.offsets)
 	}
+	for i := range d.secs {
+		n += d.secs[i].Bytes()
+	}
 	return uint64(n)*8 + 2*64
 }
 
@@ -682,13 +756,18 @@ type Space struct {
 	Heads   int // bytes of the other bucket heads, coded against them
 	Entries int // bytes of the entries coded against the string before
 	Offsets int // bytes of the sample and bucket offsets
+	Numeric int // bytes of the numeric sections: headers and Elias-Fano sequences
 	Escaped int // coded heads and entries whose header escapes its lengths
 }
 
 // Space reports how the dictionary's bytes split between samples, coded
-// heads, entries and offsets, and how many headers escape.
+// heads, entries, offsets and numeric sections, and how many headers
+// escape.
 func (d *Dict) Space() Space {
 	var sp Space
+	for i := range d.secs {
+		sp.Numeric += d.secs[i].Bytes()
+	}
 	for i := range d.runs {
 		r := &d.runs[i]
 		sp.Samples += len(r.samples)
@@ -718,18 +797,22 @@ func (d *Dict) Space() Space {
 }
 
 // Encode writes the dictionary to w: the string count, the first run's,
-// the bucket size, and each run's samples, sample offsets, coded
-// strings and bucket offsets.
+// the bucket size, the number of numeric sections, each run's samples,
+// sample offsets, coded strings and bucket offsets, and each section.
 func (d *Dict) Encode(w *codec.Writer) {
 	w.Uvarint(uint64(d.n))
 	w.Uvarint(uint64(d.k))
 	w.Uvarint(uint64(d.runs[0].bucketSize))
+	w.Uvarint(uint64(len(d.secs)))
 	for i := range d.runs {
 		r := &d.runs[i]
 		w.Bytes(r.samples)
 		w.Bytes(r.sampleAt)
 		w.Bytes(r.data)
 		w.Bytes(r.offsets)
+	}
+	for i := range d.secs {
+		d.secs[i].encode(w)
 	}
 }
 
@@ -738,7 +821,7 @@ func (d *Dict) Encode(w *codec.Writer) {
 // views the bytes where r holds them; Check walks the rest.
 func Decode(r *codec.Reader) (*Dict, error) {
 	d := &Dict{owner: r.Owner()}
-	n, k, bucketSize := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	n, k, bucketSize, sections := r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
 	var size uint64
 	for i := range d.runs {
 		rr := &d.runs[i]
@@ -751,6 +834,21 @@ func Decode(r *codec.Reader) (*Dict, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	if sections > 2 {
+		return nil, r.Fail(fmt.Errorf("%w: dict of %d numeric sections", codec.ErrCorrupt, sections))
+	}
+	numeric := uint64(0) // the terms of the sections
+	for i := 0; i < int(sections); i++ {
+		s, err := decodeSection(r)
+		if err == nil && i > 0 && s.Datatype <= d.secs[i-1].Datatype {
+			err = fmt.Errorf("%w: dict numeric section of %v after one of %v", codec.ErrCorrupt, s.Datatype, d.secs[i-1].Datatype)
+		}
+		if err != nil {
+			return nil, r.Fail(err)
+		}
+		d.secs = append(d.secs, s)
+		numeric += uint64(s.Len())
+	}
 	// Every string takes at least a byte, so a run holds no more
 	// strings than it has bytes, and IDs fit 32 bits.
 	switch {
@@ -758,11 +856,19 @@ func Decode(r *codec.Reader) (*Dict, error) {
 		return nil, r.Fail(fmt.Errorf("%w: dict bucket size %d", codec.ErrCorrupt, bucketSize))
 	case size > MaxBytes:
 		return nil, r.Fail(fmt.Errorf("%w: dict of %d front-coded bytes, over the %d-byte limit", codec.ErrCorrupt, size, uint64(MaxBytes)))
-	case k > n || k > d.runs[0].size() || n-k > d.runs[1].size():
+	case numeric > MaxBytes || k > n || numeric > n-k:
+		return nil, r.Fail(fmt.Errorf("%w: dict of %d strings, %d in the first run and %d in numeric sections", codec.ErrCorrupt, n, k, numeric))
+	case k > d.runs[0].size() || n-k-numeric > d.runs[1].size():
 		return nil, r.Fail(fmt.Errorf("%w: dict of %d strings, %d in the first run, in %d and %d bytes", codec.ErrCorrupt, n, k, d.runs[0].size(), d.runs[1].size()))
 	}
-	d.n, d.k = int(n), int(k)
-	for i, c := range [2]int{d.k, d.n - d.k} {
+	d.n, d.k, d.m = int(n), int(k), int(n-numeric)
+	for i := range d.secs {
+		d.secs[i].Base = d.m
+		if i > 0 {
+			d.secs[i].Base = d.secs[i-1].Base + d.secs[i-1].Len()
+		}
+	}
+	for i, c := range [2]int{d.k, d.m - d.k} {
 		rr := &d.runs[i]
 		rr.n, rr.bucketSize = c, int(bucketSize)
 		if err := rr.checkOffsets(); err != nil {

@@ -231,6 +231,7 @@ func TestByteLimit(t *testing.T) {
 		w.Uvarint(tc.n)
 		w.Uvarint(tc.k)
 		w.Uvarint(tc.bucketSize)
+		w.Uvarint(0) // numeric sections
 		words := func(ws []uint32) []byte {
 			var b []byte
 			for _, v := range ws {

@@ -181,7 +181,7 @@ func TestLocateSplit(t *testing.T) {
 				for i, s := range first {
 					ids[s] = i
 				}
-				for i, s := range second {
+				for i, s := range Arrange(second) {
 					ids[s] = len(first) + i
 				}
 				probes := []string{"", "\x00", strs[0][:len(strs[0])-1], strs[len(strs)-1] + "\x00", "\xff"}
@@ -431,7 +431,7 @@ func TestExtractCorruptEntry(t *testing.T) {
 		r.data = data[:len(data):len(data)]
 		r.offsets = binary.LittleEndian.AppendUint32(r.offsets, uint32(len(data)))
 		empty := run{bucketSize: bucketSize, offsets: make([]byte, 4)}
-		return &Dict{n: r.n, k: r.n, runs: [2]run{r, empty}}
+		return &Dict{n: r.n, k: r.n, m: r.n, runs: [2]run{r, empty}}
 	}
 	bucket := func(sl uint64, entries ...[3]uint64) *Dict {
 		var b [][]byte

@@ -2,7 +2,12 @@ package dict
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
+
+	"rdfindexes/internal/ef"
 )
 
 // Overlay extends an immutable front-coded base dictionary with a small
@@ -129,28 +134,58 @@ func (o *Overlay) SizeBits() uint64 {
 // mapping (indexed by old ID, length Len()). first sends each string,
 // by its old ID, to the new dictionary's first run or, where it
 // returns false, to its second; a nil first keeps every string in the
-// first run. The caller remaps every triple that references the old ID
-// space and starts a fresh overlay over the returned dictionary.
+// first run. The second run's numeric literals go to its sections as
+// NewSplit sends them, the decimal section's scale chosen among the
+// decimals the second run receives. The caller remaps every triple
+// that references the old ID space and starts a fresh overlay over the
+// returned dictionary.
 //
 // Every source is already sorted — each run of the base by
-// construction, the overlay through byStr — so the fold is one linear
-// merge: base terms stream through a cursor per run without becoming
-// strings, each term is appended to its run of the builder NewSplit
-// uses, and its old ID maps to the builder's next rank in that run.
-// Within a run the mapping is monotone; a string that changes run
-// moves past the strings of the run it joins.
+// construction, each base section by value, the overlay through a sort
+// of its few strings — so the fold is linear merges: strings stream
+// through a cursor per base run without becoming Go strings, each is
+// appended to its run of the builder NewSplit uses or, when it
+// qualifies for a section, set aside by value, and the base sections'
+// values merge with those set aside. Within a run and within a section
+// the mapping is monotone; a term that changes run or section moves
+// past the terms of the one it joins.
 func (o *Overlay) Fold(bucketSize int, first func(id int) bool) (*Dict, []int, error) {
-	b := newBuilder(bucketSize)
-	mapping := make([]int, o.Len())
 	base := o.base
+	inFirst := func(id int) bool { return first == nil || first(id) }
+	b := newBuilder(bucketSize)
+	b.scale = o.foldScale(inFirst)
+	stays := func(s *Section) bool { return s.Datatype == Integer || s.Scale == b.scale }
+	// The strings that join the runs from outside them: the overlay's,
+	// and the section terms that leave their section, for the first run
+	// or because the decimal scale changed.
+	var extra []foldTerm
+	for i, s := range o.added {
+		extra = append(extra, foldTerm{id: base.n + i, s: s})
+	}
+	for i := range base.secs {
+		s := &base.secs[i]
+		for id := s.Base; id < s.Base+s.Len(); id++ {
+			if inFirst(id) || !stays(s) {
+				t, _ := base.Extract(id)
+				extra = append(extra, foldTerm{id: id, s: t})
+			}
+		}
+	}
+	slices.SortFunc(extra, func(x, y foldTerm) int { return strings.Compare(x.s, y.s) })
+	// mapping holds each old ID's rank in its destination over the
+	// destination in the low two bits — run 0 or 1, or secDest plus a
+	// section's datatype — until the destinations' first IDs are known.
+	const secDest = 2
+	mapping := make([]int, o.Len())
 	srcs := [...]foldSource{
 		{e: NewExtractor(base), end: base.k},
-		{e: NewExtractor(base), at: base.k, end: base.n},
-		{o: o, end: len(o.byStr)},
+		{e: NewExtractor(base), at: base.k, end: base.m},
+		{extra: extra, end: len(extra)},
 	}
 	for i := range srcs {
 		srcs[i].load()
 	}
+	var joining [2][]numID // second-run strings that qualify for a section
 	for {
 		m := -1 // the source with the smallest head
 		for i := range srcs {
@@ -163,35 +198,135 @@ func (o *Overlay) Fold(bucketSize int, first func(id int) bool) (*Dict, []int, e
 		}
 		s := &srcs[m]
 		id, r := s.id(), 0
-		if first != nil && !first(id) {
+		if !inFirst(id) {
 			r = 1
+			if dt, scale, v, ok := parseNumeric(s.term); ok && (dt == Integer || scale == b.scale) {
+				joining[dt] = append(joining[dt], numID{v, id})
+				r = -1
+			}
 		}
-		// A second-run rank is stored complemented until the first
-		// run's length is known.
-		mapping[id] = b.runs[r].n
-		if r == 1 {
-			mapping[id] = ^b.runs[r].n
-		}
-		if err := add(b, r, s.term); err != nil {
-			return nil, nil, err
+		if r >= 0 {
+			mapping[id] = b.runs[r].n<<2 | r
+			if err := add(b, r, s.term); err != nil {
+				return nil, nil, err
+			}
 		}
 		s.at++
 		s.load()
 	}
-	for id, v := range mapping {
-		if v < 0 {
-			mapping[id] = b.runs[0].n + ^v
+	for dt, joins := range joining {
+		slices.SortFunc(joins, func(x, y numID) int { return cmp.Compare(x.v, y.v) })
+		scale := 0
+		if dt == int(Decimal) {
+			scale = b.scale
+		}
+		kept := base.section(Datatype(dt), scale) // nil, or a section that stays
+		vals := sectionValues{s: kept, inFirst: inFirst}
+		if kept != nil {
+			vals.it, vals.at = kept.Values.MakeIterator(0), kept.Base
+		}
+		head, ok := vals.next()
+		for ok || len(joins) > 0 {
+			var t numID
+			if ok && (len(joins) == 0 || head.v < joins[0].v) {
+				t = head
+				head, ok = vals.next()
+			} else {
+				t, joins = joins[0], joins[1:]
+			}
+			mapping[t.id] = len(b.nums[dt])<<2 | (secDest + dt)
+			if err := b.addNumeric(Datatype(dt), t.v); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
-	return b.finish(), mapping, nil
+	d := b.finish()
+	starts := [4]int{0, d.k, d.m, d.m}
+	if len(d.secs) > 0 && d.secs[0].Datatype == Integer {
+		starts[secDest+Decimal] += d.secs[0].Len()
+	}
+	for id, v := range mapping {
+		mapping[id] = starts[v&3] + v>>2
+	}
+	return d, mapping, nil
+}
+
+// foldScale returns the scale of the folded decimal section: the one
+// decimalScale picks among the canonical decimals of the folded second
+// run, or -1.
+func (o *Overlay) foldScale(inFirst func(id int) bool) int {
+	var count [MaxScale + 1]int
+	base := o.base
+	e := NewExtractor(base)
+	for id := 0; id < base.m; id++ {
+		if !inFirst(id) {
+			t, _ := e.Extract(id)
+			if dt, scale, _, ok := parseNumeric(t); ok && dt == Decimal {
+				count[scale]++
+			}
+		}
+	}
+	for i := range base.secs {
+		if s := &base.secs[i]; s.Datatype == Decimal {
+			for id := s.Base; id < s.Base+s.Len(); id++ {
+				if !inFirst(id) {
+					count[s.Scale]++
+				}
+			}
+		}
+	}
+	for i, t := range o.added {
+		if dt, scale, _, ok := parseNumeric(t); ok && dt == Decimal && !inFirst(base.n+i) {
+			count[scale]++
+		}
+	}
+	return decimalScale(count)
+}
+
+// numID is a numeric term's value and old ID in a fold.
+type numID struct {
+	v  int64
+	id int
+}
+
+// sectionValues streams the values of a base section in a fold, with
+// their IDs, skipping the terms that go to the first run.
+type sectionValues struct {
+	s       *Section // nil: no values
+	inFirst func(id int) bool
+	it      ef.Iterator
+	at      int // the next ID
+}
+
+// next returns the next value that stays in the section.
+func (v *sectionValues) next() (numID, bool) {
+	if v.s == nil {
+		return numID{}, false
+	}
+	for v.at < v.s.Base+v.s.Len() {
+		d, _ := v.it.Next()
+		id := v.at
+		v.at++
+		if !v.inFirst(id) {
+			return numID{int64(uint64(v.s.Min) + d), id}, true
+		}
+	}
+	return numID{}, false
+}
+
+// foldTerm is a string joining a fold from outside the base runs, with
+// its old ID.
+type foldTerm struct {
+	id int
+	s  string
 }
 
 // foldSource is one sorted source of a fold: a run of the base, read
-// through its own cursor, or the overlay in rank order.
+// through its own cursor, or a sorted list of other strings.
 type foldSource struct {
-	e       *Extractor // nil for the overlay
-	o       *Overlay   // the overlay, for the overlay source
-	at, end int        // the next base ID or overlay rank, and the end
+	e       *Extractor // nil for the list
+	extra   []foldTerm // the list, for the list source
+	at, end int        // the next base ID or list index, and the end
 	term    []byte     // the string at at, while at < end
 }
 
@@ -202,7 +337,7 @@ func (s *foldSource) load() {
 	case s.e != nil:
 		s.term, _ = s.e.Extract(s.at)
 	default:
-		s.term = append(s.term[:0], s.o.str(s.o.byStr[s.at])...)
+		s.term = append(s.term[:0], s.extra[s.at].s...)
 	}
 }
 
@@ -211,5 +346,5 @@ func (s *foldSource) id() int {
 	if s.e != nil {
 		return s.at
 	}
-	return s.o.base.n + int(s.o.byStr[s.at])
+	return s.extra[s.at].id
 }

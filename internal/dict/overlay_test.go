@@ -139,8 +139,9 @@ func FuzzOverlayRoundTrip(f *testing.F) {
 		"http://example.org/resource/Entity_100 http://example.org/resource/Entity_1000 "+
 		"http://example.org/resource/Entity_1001 http://example.org/resource/Entity_101 "+
 		"http://example.org/resource/Entity_11 http://example.org/resource/Entity_2", uint64(0b01011010), uint64(0b10010110))
+	f.Add("0 42 -7 007 +7 -0 -0.0 1.50 2.25 3.5 12 9223372036854775807 99999999999999999999 1.", uint64(0b1001001), uint64(0b0110110))
 	f.Fuzz(func(t *testing.T, words string, mask, runs uint64) {
-		fields := strings.Fields(words)
+		fields := withNumericForms(strings.Fields(words))
 		sort.Strings(fields)
 		uniq := fields[:0]
 		for i, s := range fields {
@@ -242,14 +243,17 @@ func FuzzOverlayRoundTrip(f *testing.F) {
 	})
 }
 
-// checkRuns requires each run of d to be the dictionary FromUnsorted
-// builds over want's strings for it, byte for byte.
+// checkRuns requires d to be the dictionary NewSplit builds over want's
+// two runs: each run byte for byte the one FromUnsorted builds over its
+// front-coded strings, and after them the second run's numeric terms
+// in Arrange's order.
 func checkRuns(t *testing.T, d *Dict, want [2][]string, bucket int) {
 	t.Helper()
+	a := arrange(want[1])
 	if d.Len() != len(want[0])+len(want[1]) || d.FirstRun() != len(want[0]) {
 		t.Fatalf("%d strings, %d in the first run; want %d and %d", d.Len(), d.FirstRun(), len(want[0])+len(want[1]), len(want[0]))
 	}
-	for i, strs := range want {
+	for i, strs := range [2][]string{want[0], a.strs} {
 		ref, err := FromUnsorted(strs, bucket)
 		if err != nil {
 			t.Fatal(err)
@@ -258,6 +262,15 @@ func checkRuns(t *testing.T, d *Dict, want [2][]string, bucket int) {
 		if got.n != exp.n || !bytes.Equal(got.samples, exp.samples) || !bytes.Equal(got.sampleAt, exp.sampleAt) ||
 			!bytes.Equal(got.data, exp.data) || !bytes.Equal(got.offsets, exp.offsets) {
 			t.Fatalf("run %d of %d strings differs from FromUnsorted's", i, len(strs))
+		}
+	}
+	id := d.FirstRun() + len(a.strs)
+	for _, ts := range a.nums {
+		for _, nt := range ts {
+			if got, ok := d.Extract(id); !ok || got != nt.s {
+				t.Fatalf("numeric ID %d = (%q, %v), want %q", id, got, ok, nt.s)
+			}
+			id++
 		}
 	}
 }
@@ -313,21 +326,37 @@ func TestFoldSplit(t *testing.T) {
 			t.Fatalf("old %d (%q): mapping says %d, Locate (%d, %v)", oldID, s, newID, got, ok)
 		}
 	}
-	// Monotone within a run: two old IDs of one base run that stay in
-	// one new run keep their order.
-	for _, span := range [][2]int{{0, base.FirstRun()}, {base.FirstRun(), base.Len()}} {
-		last := [2]int{-1, -1}
+	// Monotone within a run and a section: two old IDs of one base run
+	// or section that stay in one new run or section keep their order.
+	for _, span := range segments(base) {
+		last := map[int]int{}
 		for id := span[0]; id < span[1]; id++ {
-			r := 1
-			if inFirst(id) {
-				r = 0
+			seg := segmentOf(d, mapping[id])
+			if prev, ok := last[seg]; ok && mapping[id] <= prev {
+				t.Fatalf("old %d maps to %d, after %d", id, mapping[id], prev)
 			}
-			if mapping[id] <= last[r] {
-				t.Fatalf("old %d maps to %d, after %d", id, mapping[id], last[r])
-			}
-			last[r] = mapping[id]
+			last[seg] = mapping[id]
 		}
 	}
+}
+
+// segments returns the ID intervals of d's runs and sections.
+func segments(d *Dict) [][2]int {
+	segs := [][2]int{{0, d.k}, {d.k, d.m}}
+	for _, s := range d.secs {
+		segs = append(segs, [2]int{s.Base, s.Base + s.Len()})
+	}
+	return segs
+}
+
+// segmentOf returns the index in segments(d) of the one holding id.
+func segmentOf(d *Dict, id int) int {
+	for i, s := range segments(d) {
+		if id >= s[0] && id < s[1] {
+			return i
+		}
+	}
+	return -1
 }
 
 func encoded(t *testing.T, d *Dict) []byte {
@@ -341,17 +370,32 @@ func encoded(t *testing.T, d *Dict) []byte {
 	return buf.Bytes()
 }
 
+// withNumericForms returns strs and each of them as the lexical form
+// of an xsd:integer, an xsd:decimal and an xsd:int literal, so that
+// fuzzed content reaches the numeric sections in every form: canonical
+// or not, negative, -0, decimals of several scales, values past 64
+// bits, and a datatype without a section.
+func withNumericForms(strs []string) []string {
+	out := append([]string(nil), strs...)
+	for _, s := range strs {
+		out = append(out, typed(s, "integer"), typed(s, "decimal"), typed(s, "int"))
+	}
+	return out
+}
+
 // FuzzDictRoundTrip fuzzes the plain front-coded dictionary the same
-// way, including multi-byte content, as one run and split into two: the
-// strings of even length first.
+// way, including multi-byte content and numeric literals, as one run
+// and split into two: the strings of even length first, so the numeric
+// literals of odd length land in the second run's sections.
 func FuzzDictRoundTrip(f *testing.F) {
 	f.Add([]byte("one\ntwo\nthree\nthree3"))
 	f.Add([]byte("<http://a>\n<http://a/b>\n\"x\"@en"))
 	f.Add([]byte{0xff, 0xfe, '\n', 0x00, 0x01})
 	f.Add([]byte(strings.Join(mixedTerms(64), "\n")))
 	f.Add([]byte(strings.Join(suffixOfHead, "\n")))
+	f.Add([]byte("0\n42\n-7\n007\n+7\n-0\n-0.0\n1.50\n2.25\n3.5\n12\n9223372036854775807\n99999999999999999999\n1."))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lines := strings.Split(string(data), "\n")
+		lines := withNumericForms(strings.Split(string(data), "\n"))
 		one, err := FromUnsorted(lines, 5)
 		if err != nil {
 			t.Fatal(err)

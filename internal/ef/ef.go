@@ -304,7 +304,9 @@ func Decode(r *codec.Reader) (*Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	if l > 64 || low.Len() != n*int(l) {
+	// The upper bits hold one 1 per value and one 0 per bucket of the
+	// universe, as New lays them out; NextGEQ's Select0 relies on it.
+	if hl := uint64(high.Len()); l > 64 || low.Len() != n*int(l) || hl < uint64(n)+1 || hl-uint64(n)-1 != universe>>l {
 		return nil, r.Fail(fmt.Errorf("%w: elias-fano header", codec.ErrCorrupt))
 	}
 	s := &Sequence{n: n, universe: universe, l: l, low: low}

@@ -272,9 +272,11 @@ type Dicts struct {
 // Encode dictionary-encodes statements into an integer dataset plus its
 // dictionaries. The SO dictionary numbers subjects first: IDs [0, k)
 // are the terms that are the subject of a triple, sorted, and [k, n)
-// the terms that are only objects, sorted, so the dataset's subject
-// space is [0, k) and every trie level keyed by a subject draws from it,
-// while objects range over all n.
+// the terms that are only objects, so the dataset's subject space is
+// [0, k) and every trie level keyed by a subject draws from it, while
+// objects range over all n. The object-only terms are the sorted
+// strings, then the canonical xsd:integer and xsd:decimal literals by
+// value (dict.Arrange), so a value interval is an ID interval.
 func Encode(statements []Statement) (*core.Dataset, *Dicts, error) {
 	soSet := map[string]int{} // 1 for a subject, 0 for an object only
 	pSet := map[string]int{}
@@ -289,11 +291,14 @@ func Encode(statements []Statement) (*core.Dataset, *Dicts, error) {
 	for s, subject := range soSet {
 		runs[1-subject] = append(runs[1-subject], s)
 	}
-	// Each run's sorted order is its rank order in the dictionary, so
-	// the sets double as the term-to-ID map for the encode loop below.
+	// Each run's order — sorted for the subjects, Arrange's for the
+	// rest, which moves the numeric literals to the sections after the
+	// strings — is its ID order in the dictionary, so the sets double
+	// as the term-to-ID map for the encode loop below.
 	k := len(runs[0])
+	sort.Strings(runs[0])
+	runs[1] = dict.Arrange(runs[1])
 	for i, strs := range runs {
-		sort.Strings(strs)
 		for j, s := range strs {
 			soSet[s] = i*k + j
 		}

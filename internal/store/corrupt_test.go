@@ -189,7 +189,8 @@ func TestVerifyDictOrder(t *testing.T) {
 	r.Byte() // dictionary flag
 	r.Uvarint()
 	r.Uvarint()
-	r.Uvarint()  // string count, subjects, bucket size
+	r.Uvarint()
+	r.Uvarint()  // string count, subjects, bucket size, numeric sections
 	r.BytesBuf() // the subjects' samples
 	r.BytesBuf() // sample offsets
 	length := r.Uvarint()

@@ -47,7 +47,7 @@ import (
 // array lies 8-byte aligned in the file. There is no pad after the last
 // checksum. The table gives the section's length up front, so the
 // section's checksum is verified before any of it is decoded.
-const Magic = "RDFSTORE6"
+const Magic = "RDFSTORE7"
 
 // CurrentVersion is the container format version Write produces and
 // Read accepts. Files of older versions are refused by their magic,
@@ -57,8 +57,13 @@ const Magic = "RDFSTORE6"
 // offsets as fixed-width words); v3's and v4's container and index
 // bytes are v5's. v6 numbers the SO dictionary subjects first, in two
 // runs, and records where the second starts; the container and the
-// index codecs are v5's, the index's IDs are not.
-const CurrentVersion = 6
+// index codecs are v5's, the index's IDs are not. v7 ends the SO
+// dictionary's second run in numeric sections: its canonical
+// xsd:integer and xsd:decimal literals, numbered in value order and
+// stored as Elias-Fano sequences of values; each dictionary records
+// how many sections it has, and a dictionary without numeric literals
+// stores v6's bytes after that count.
+const CurrentVersion = 7
 
 // magicStem is what every version's magic starts with; the version
 // number follows it.
@@ -540,6 +545,52 @@ func (st *Store) RenderPredicate(id core.ID) string {
 		}
 	}
 	return fmt.Sprintf("<%d>", id)
+}
+
+// NumericSection is one numeric section of the SO dictionary in the
+// shape of core.R: the object IDs of one datatype's canonical literals,
+// consecutive and in value order, and their values, which R holds as
+// the literal values scaled by 10^Scale, minus Min.
+type NumericSection struct {
+	Datatype dict.Datatype
+	Scale    int // fraction digits of a decimal, 0 for an integer
+	Min      int64
+	R        *core.R
+	Bytes    int // the section's footprint in the dictionary (dict.Section.Bytes)
+}
+
+// NumericSections returns the numeric sections of the SO dictionary;
+// for a serving view, those of its merged base: a numeric term added
+// since the last merge is a string until the next one.
+func (st *Store) NumericSections() []NumericSection {
+	if st.Dicts == nil {
+		return nil
+	}
+	r := st.Dicts.SO
+	if o, ok := r.(*dict.Overlay); ok {
+		r = o.Base()
+	}
+	d, ok := r.(*dict.Dict)
+	if !ok {
+		return nil
+	}
+	var out []NumericSection
+	for _, s := range d.Sections() {
+		out = append(out, NumericSection{Datatype: s.Datatype, Scale: s.Scale, Min: s.Min,
+			R: core.NewRSequence(core.ID(s.Base), s.Values), Bytes: s.Bytes()})
+	}
+	return out
+}
+
+// IDRange returns the interval of object IDs whose values, scaled by
+// 10^Scale, lie in [lo, hi]: the bounds a RangeSelecter's
+// SelectObjectRange takes. ok is false when no value does.
+func (s NumericSection) IDRange(lo, hi int64) (idLo, idHi core.ID, ok bool) {
+	if lo > hi || hi < s.Min {
+		return 0, 0, false
+	}
+	lo = max(lo, s.Min)
+	return s.R.IDRange(uint64(lo)-uint64(s.Min), uint64(hi)-uint64(s.Min))
 }
 
 // ParseQuery parses a BGP query whose constants are RDF terms as the

@@ -189,13 +189,13 @@ func TestReadRejectsGarbage(t *testing.T) {
 // the version and the rebuild.
 func TestReadNamesOldVersion(t *testing.T) {
 	_, data := writeSampleFile(t)
-	for _, old := range []string{"RDFSTORE5", "RDFSTORE4", "RDFSTORE3", "RDFSTORE2", "RDFSTORE1"} {
+	for _, old := range []string{"RDFSTORE6", "RDFSTORE5", "RDFSTORE4", "RDFSTORE3", "RDFSTORE2", "RDFSTORE1"} {
 		path := filepath.Join(t.TempDir(), "old.idx")
 		copy(data[1:], old)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want := "store format v" + old[len(old)-1:] + " is no longer read (this build reads v6): rebuild with rdfstore build"
+		want := "store format v" + old[len(old)-1:] + " is no longer read (this build reads v7): rebuild with rdfstore build"
 		check := func(op string, err error) {
 			t.Helper()
 			if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "not an rdfstore file") {
@@ -264,7 +264,12 @@ func pinnedNT() string {
 // and changes the magic; the index section's CRC32C, pinned per layout
 // below, was the same as v3's. Format v6 numbers the SO dictionary's
 // subjects before its other terms, so the index holds other IDs and
-// both pins were re-recorded, with the index codecs unchanged.
+// both pins were re-recorded, with the index codecs unchanged. Format
+// v7 moves the fixture's xsd:integer objects into the SO dictionary's
+// numeric section, numbered in value order where v6 sorted them as
+// strings ("1001" before "26"), so the index again holds other IDs
+// and both pins were re-recorded; on data without numeric literals the
+// index section's bytes are v6's.
 func TestFormatPinned(t *testing.T) {
 	inserts := [][3]string{
 		{"<http://example.org/resource/A>", "<http://example.org/ontology/p0>", "<http://example.org/resource/Entity_5>"},
@@ -294,16 +299,16 @@ func TestFormatPinned(t *testing.T) {
 		}
 	}
 	pinned := map[core.Layout]struct{ encoded, merged uint64 }{
-		core.Layout2Tp: {0xd11998b110b85ecc, 0xec24653c223d9b3f},
+		core.Layout2Tp: {0xe9320727773e333e, 0x7d771107b526a458},
 	}
 	// The index section's stored CRC32C, pinned apart from the file: a
 	// dictionary format change re-pins the fingerprints above but must
 	// leave these, the bytes of every layout's index, alone.
 	indexPinned := map[core.Layout]struct{ encoded, merged uint32 }{
-		core.Layout2Tp: {0x685cdf44, 0x544d0b0b},
-		core.Layout3T:  {0x47a92a07, 0x20da4512},
-		core.LayoutCC:  {0x75ffc8fd, 0x9c07458e},
-		core.Layout2To: {0x6b831ac8, 0x0a548ca5},
+		core.Layout2Tp: {0x3fbf0da7, 0xbea8fec5},
+		core.Layout3T:  {0xd8686ee6, 0x6109611e},
+		core.LayoutCC:  {0x0bd4d84e, 0xc4aab32d},
+		core.Layout2To: {0xdf725156, 0xb733c97b},
 	}
 	for _, layout := range []core.Layout{core.Layout2Tp, core.Layout3T, core.LayoutCC, core.Layout2To} {
 		t.Run(layout.String(), func(t *testing.T) {
