@@ -414,10 +414,10 @@ func statsCmd(args []string, out io.Writer) error {
 // samples, the bucket heads coded against them, the entries coded
 // against the term before them, the sample and bucket offsets, the
 // numeric sections, how many coded terms escape their header byte, and
-// bytes per term. For the SO
-// dictionary it also gives how many terms are subjects, the first run
-// of IDs. Terms added since the last merge are counted apart; they live
-// in the WAL and the overlay, not in the store file.
+// bytes per term. For the SO dictionary it also gives how many terms
+// are subjects, the first run of IDs. Terms added since the last merge
+// are counted apart; they live in the WAL and the overlay, not in the
+// store file.
 func dictSpace(r dict.Reader, subjects bool) string {
 	pending := 0
 	if o, ok := r.(*dict.Overlay); ok {

@@ -756,7 +756,7 @@ type Space struct {
 	Heads   int // bytes of the other bucket heads, coded against them
 	Entries int // bytes of the entries coded against the string before
 	Offsets int // bytes of the sample and bucket offsets
-	Numeric int // bytes of the numeric sections: headers and Elias-Fano sequences
+	Numeric int // bytes of the numeric sections (Section.Bytes)
 	Escaped int // coded heads and entries whose header escapes its lengths
 }
 

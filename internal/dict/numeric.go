@@ -1,6 +1,7 @@
 package dict
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -234,7 +235,7 @@ func putDigits(b []byte, x uint64) uint64 {
 // point — then the suffix; pow10 the powers of ten a uint64 holds, and
 // digitPairs the two digits of 0 to 99.
 const (
-	numeralRoom = "......................"
+	numeralRoom = "....................."
 	integerRoom = numeralRoom + integerSuffix
 	decimalRoom = numeralRoom + decimalSuffix
 	digitPairs  = "00010203040506070809101112131415161718192021222324252627282930313233343536373839" +
@@ -282,7 +283,8 @@ func (s *Section) locate(v int64) (int, bool) {
 }
 
 // Bytes returns the section's footprint: its datatype, scale and
-// minimum, and the Elias-Fano sequence's.
+// minimum, and the Elias-Fano sequence's SizeBits, which counts the
+// rank/select directory that Decode rebuilds beside the stored bits.
 func (s *Section) Bytes() int { return 2 + 8 + int((s.Values.SizeBits()+7)/8) }
 
 // encode writes the section: datatype, scale, minimum, the sequence.
@@ -409,15 +411,7 @@ func arrange(terms []string) arrangement {
 	a.nums[Decimal] = decs
 	sort.Strings(a.strs)
 	for _, ts := range a.nums {
-		slices.SortFunc(ts, func(x, y numTerm) int {
-			switch {
-			case x.v < y.v:
-				return -1
-			case x.v > y.v:
-				return 1
-			}
-			return 0
-		})
+		slices.SortFunc(ts, func(x, y numTerm) int { return cmp.Compare(x.v, y.v) })
 	}
 	return a
 }

@@ -72,6 +72,7 @@ func TestParseNumeric(t *testing.T) {
 		{typed("12", "decimal"), Decimal, 0, 12, true},
 		{typed("922337203685477580.7", "decimal"), Decimal, 1, math.MaxInt64, true},
 		{typed("0.123456789012345678", "decimal"), Decimal, 18, 123456789012345678, true},
+		{typed("-9.223372036854775808", "decimal"), Decimal, 18, math.MinInt64, true},
 		{typed("0.1234567890123456789", "decimal"), 0, 0, 0, false},
 		{typed("922337203685477580.8", "decimal"), 0, 0, 0, false},
 		{typed("-0.0", "decimal"), 0, 0, 0, false},

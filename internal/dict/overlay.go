@@ -153,25 +153,21 @@ func (o *Overlay) Fold(bucketSize int, first func(id int) bool) (*Dict, []int, e
 	base := o.base
 	inFirst := func(id int) bool { return first == nil || first(id) }
 	b := newBuilder(bucketSize)
-	b.scale = o.foldScale(inFirst)
+	b.scale = o.foldScale(first)
 	stays := func(s *Section) bool { return s.Datatype == Integer || s.Scale == b.scale }
-	// The strings that join the runs from outside them: the overlay's,
-	// and the section terms that leave their section, for the first run
-	// or because the decimal scale changed.
-	var extra []foldTerm
-	for i, s := range o.added {
-		extra = append(extra, foldTerm{id: base.n + i, s: s})
-	}
+	// The section terms that leave their section, for the first run or
+	// because the decimal scale changed, join the strings.
+	var moved []foldTerm
 	for i := range base.secs {
 		s := &base.secs[i]
 		for id := s.Base; id < s.Base+s.Len(); id++ {
 			if inFirst(id) || !stays(s) {
 				t, _ := base.Extract(id)
-				extra = append(extra, foldTerm{id: id, s: t})
+				moved = append(moved, foldTerm{id: id, s: t})
 			}
 		}
 	}
-	slices.SortFunc(extra, func(x, y foldTerm) int { return strings.Compare(x.s, y.s) })
+	slices.SortFunc(moved, func(x, y foldTerm) int { return strings.Compare(x.s, y.s) })
 	// mapping holds each old ID's rank in its destination over the
 	// destination in the low two bits — run 0 or 1, or secDest plus a
 	// section's datatype — until the destinations' first IDs are known.
@@ -180,7 +176,8 @@ func (o *Overlay) Fold(bucketSize int, first func(id int) bool) (*Dict, []int, e
 	srcs := [...]foldSource{
 		{e: NewExtractor(base), end: base.k},
 		{e: NewExtractor(base), at: base.k, end: base.m},
-		{extra: extra, end: len(extra)},
+		{o: o, end: len(o.byStr)},
+		{moved: moved, end: len(moved)},
 	}
 	for i := range srcs {
 		srcs[i].load()
@@ -198,7 +195,7 @@ func (o *Overlay) Fold(bucketSize int, first func(id int) bool) (*Dict, []int, e
 		}
 		s := &srcs[m]
 		id, r := s.id(), 0
-		if !inFirst(id) {
+		if first != nil && !first(id) {
 			r = 1
 			if dt, scale, v, ok := parseNumeric(s.term); ok && (dt == Integer || scale == b.scale) {
 				joining[dt] = append(joining[dt], numID{v, id})
@@ -253,13 +250,16 @@ func (o *Overlay) Fold(bucketSize int, first func(id int) bool) (*Dict, []int, e
 
 // foldScale returns the scale of the folded decimal section: the one
 // decimalScale picks among the canonical decimals of the folded second
-// run, or -1.
-func (o *Overlay) foldScale(inFirst func(id int) bool) int {
+// run, or -1. A nil first leaves the second run empty.
+func (o *Overlay) foldScale(first func(id int) bool) int {
+	if first == nil {
+		return -1
+	}
 	var count [MaxScale + 1]int
 	base := o.base
 	e := NewExtractor(base)
 	for id := 0; id < base.m; id++ {
-		if !inFirst(id) {
+		if !first(id) {
 			t, _ := e.Extract(id)
 			if dt, scale, _, ok := parseNumeric(t); ok && dt == Decimal {
 				count[scale]++
@@ -269,14 +269,14 @@ func (o *Overlay) foldScale(inFirst func(id int) bool) int {
 	for i := range base.secs {
 		if s := &base.secs[i]; s.Datatype == Decimal {
 			for id := s.Base; id < s.Base+s.Len(); id++ {
-				if !inFirst(id) {
+				if !first(id) {
 					count[s.Scale]++
 				}
 			}
 		}
 	}
 	for i, t := range o.added {
-		if dt, scale, _, ok := parseNumeric(t); ok && dt == Decimal && !inFirst(base.n+i) {
+		if dt, scale, _, ok := parseNumeric(t); ok && dt == Decimal && !first(base.n+i) {
 			count[scale]++
 		}
 	}
@@ -314,7 +314,7 @@ func (v *sectionValues) next() (numID, bool) {
 	return numID{}, false
 }
 
-// foldTerm is a string joining a fold from outside the base runs, with
+// foldTerm is a section term that joins the strings in a fold, with
 // its old ID.
 type foldTerm struct {
 	id int
@@ -322,11 +322,13 @@ type foldTerm struct {
 }
 
 // foldSource is one sorted source of a fold: a run of the base, read
-// through its own cursor, or a sorted list of other strings.
+// through its own cursor, the overlay in rank order, or the section
+// terms that join the strings.
 type foldSource struct {
-	e       *Extractor // nil for the list
-	extra   []foldTerm // the list, for the list source
-	at, end int        // the next base ID or list index, and the end
+	e       *Extractor // nil for the overlay and the moved terms
+	o       *Overlay   // the overlay, for the overlay source
+	moved   []foldTerm // the moved terms, for their source
+	at, end int        // the next base ID, overlay rank or moved index, and the end
 	term    []byte     // the string at at, while at < end
 }
 
@@ -336,15 +338,20 @@ func (s *foldSource) load() {
 	case s.at == s.end:
 	case s.e != nil:
 		s.term, _ = s.e.Extract(s.at)
+	case s.o != nil:
+		s.term = append(s.term[:0], s.o.str(s.o.byStr[s.at])...)
 	default:
-		s.term = append(s.term[:0], s.extra[s.at].s...)
+		s.term = append(s.term[:0], s.moved[s.at].s...)
 	}
 }
 
 // id returns the old ID of the source's head.
 func (s *foldSource) id() int {
-	if s.e != nil {
+	switch {
+	case s.e != nil:
 		return s.at
+	case s.o != nil:
+		return s.o.base.n + int(s.o.byStr[s.at])
 	}
-	return s.extra[s.at].id
+	return s.moved[s.at].id
 }
