@@ -141,14 +141,15 @@ func (o *Overlay) SizeBits() uint64 {
 // returned dictionary.
 //
 // Every source is already sorted — each run of the base by
-// construction, each base section by value, the overlay through a sort
-// of its few strings — so the fold is linear merges: strings stream
-// through a cursor per base run without becoming Go strings, each is
-// appended to its run of the builder NewSplit uses or, when it
-// qualifies for a section, set aside by value, and the base sections'
-// values merge with those set aside. Within a run and within a section
-// the mapping is monotone; a term that changes run or section moves
-// past the terms of the one it joins.
+// construction, each base section by value, the overlay through byStr,
+// and the few section terms that join the strings through a sort — so
+// the fold is linear merges: strings stream through a cursor per base
+// run without becoming Go strings, each is appended to its run of the
+// builder NewSplit uses or, when it qualifies for a section, set aside
+// by value, and the base sections' values merge with those set aside.
+// Within a run and within a section the mapping is monotone; a term
+// that changes run or section moves past the terms of the one it
+// joins.
 func (o *Overlay) Fold(bucketSize int, first func(id int) bool) (*Dict, []int, error) {
 	base := o.base
 	inFirst := func(id int) bool { return first == nil || first(id) }
