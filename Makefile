@@ -54,7 +54,7 @@ govulncheck:
 		echo "govulncheck unavailable (offline?); skipping — CI runs it"; \
 	fi
 
-# The CI fuzz job's nine targets, one -fuzz run each (the fuzz engine
+# The CI fuzz job's ten targets, one -fuzz run each (the fuzz engine
 # takes one target per invocation). CI gives each 30s; the local
 # default is shorter: make fuzz FUZZTIME=30s for the CI budget.
 FUZZTIME ?= 10s
@@ -66,6 +66,7 @@ FUZZ_TARGETS := \
 	./internal/dict:FuzzDictCheck \
 	./internal/dict:FuzzNumericLexical \
 	./internal/store:FuzzStoreRead \
+	./internal/rdf:FuzzParseLine \
 	./internal/server:FuzzSPARQLUpdate \
 	./internal/server:FuzzSPARQLQuery
 

@@ -164,6 +164,16 @@ func TestCLIErrors(t *testing.T) {
 	if err := run([]string{"query", "-store", idx, "-s", "<http://ex/nobody>"}, io_discard()); err == nil {
 		t.Fatal("unknown term accepted")
 	}
+	// A literal subject, which N-Triples forbids, fails the build and
+	// names the line.
+	bad := filepath.Join(dir, "bad.nt")
+	if err := os.WriteFile(bad, []byte(sampleNT+`"42"^^<http://www.w3.org/2001/XMLSchema#integer> <http://ex/p> <http://ex/o> .`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"build", "-in", bad, "-out", filepath.Join(dir, "bad.idx")}, io_discard()); err == nil ||
+		!strings.Contains(err.Error(), "subject must be an IRI or a blank node") {
+		t.Fatalf("build of a literal subject: %v", err)
+	}
 }
 
 func io_discard() *strings.Builder { return &strings.Builder{} }
@@ -219,12 +229,12 @@ func TestOldFormatNamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []string{"6", "5", "4", "3"} {
+	for _, v := range []string{"7", "6", "5", "4", "3"} {
 		copy(data[1:], "RDFSTORE"+v)
 		if err := os.WriteFile(idx, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want := "store format v" + v + " is no longer read (this build reads v7): rebuild with rdfstore build"
+		want := "store format v" + v + " is no longer read (this build reads v8): rebuild with rdfstore build"
 		if err := run([]string{"stats", "-store", idx}, io_discard()); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("stats of a v%s file: %v, want %q", v, err, want)
 		}
@@ -292,10 +302,11 @@ func TestStatsNumericSections(t *testing.T) {
 	idx := filepath.Join(dir, "store.idx")
 	runOK(t, "build", "-in", nt, "-out", idx)
 	out := runOK(t, "stats", "-store", idx)
-	// "1.7" has scale 1, the decimal section's is 2: it stays a string.
+	// "1.7" has scale 1, the other decimals 2: each scale has a section.
 	for _, want := range []string{
-		"\nSO dict:      10 terms (3 subjects), 323 bytes (samples 68, heads 0, entries 35, offsets 24, numeric 196; 1 escaped headers), 32.30 B/term\n",
+		"\nSO dict:      10 terms (3 subjects), 360 bytes (samples 36, heads 0, entries 14, offsets 24, numeric 286; 0 escaped headers), 36.00 B/term\n",
 		"\nSO numeric:   xsd:integer, scale 0: 2 terms, 98 bytes\n",
+		"\nSO numeric:   xsd:decimal, scale 1: 1 terms, 90 bytes\n",
 		"\nSO numeric:   xsd:decimal, scale 2: 2 terms, 98 bytes\n",
 	} {
 		if !strings.Contains(out, want) {

@@ -66,9 +66,8 @@ func TestSteadyStateAllocations(t *testing.T) {
 // TestCountLookupAllocs pins Count and Lookup at zero allocations on
 // every layout: both draw their selection state from a pooled QueryCtx
 // and drain the iterator, which hands the state back, so a warm pool
-// serves every call. The full scan (???) is the one exception: it opens
-// its two level-1 cursors afresh (scanAll) instead of repositioning ones
-// an earlier query left in the state.
+// serves every call, the full scan (???) too: it repositions the
+// level-1 cursors an earlier query left in the state.
 func TestCountLookupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -80,16 +79,13 @@ func TestCountLookupAllocs(t *testing.T) {
 			for _, tr := range d.Triples[:20] {
 				for _, shape := range AllShapes() {
 					pat := WithWildcards(tr, shape)
-					want, limit := x.Select(pat).Count(), 0.0
-					if shape == Shapexxx {
-						limit = 2
-					}
+					want := x.Select(pat).Count()
 					if allocs := testing.AllocsPerRun(20, func() {
 						if got := Count(x, pat); got != want {
 							t.Fatalf("Count(%v) = %d, want %d", pat, got, want)
 						}
-					}); allocs > limit {
-						t.Errorf("Count %s: %.1f allocs, want %v", shape, allocs, limit)
+					}); allocs != 0 {
+						t.Errorf("Count %s: %.1f allocs, want 0", shape, allocs)
 					}
 				}
 				if allocs := testing.AllocsPerRun(20, func() {

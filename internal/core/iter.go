@@ -519,11 +519,7 @@ func scanAll(c *QueryCtx, t, ref *trie.Trie, perm Perm) *Iterator {
 	n := ID(t.NumRoots())
 	for r := ID(0); r < n; r++ {
 		if b1, e1 := t.RootRange(uint32(r)); b1 < e1 {
-			st := c.getWalk(t, nil, ref, perm)
-			// A scan opens its level-1 cursors afresh instead of
-			// repositioning ones carried over from an earlier query.
-			st.it1, st.ptrIt = nil, nil
-			return st.walkChildren(r, n, b1, b1, e1)
+			return c.getWalk(t, nil, ref, perm).walkChildren(r, n, b1, b1, e1)
 		}
 	}
 	return emptyIteratorCtx(c)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"rdfindexes/internal/codec"
 	"rdfindexes/internal/ef"
 	"rdfindexes/internal/trie"
 )
@@ -67,22 +66,6 @@ func (r *R) IDRange(lo, hi uint64) (idLo, idHi ID, ok bool) {
 // SizeBits returns the storage footprint in bits. The paper measures this
 // extra space at under 0.1 bits/triple on WatDiv.
 func (r *R) SizeBits() uint64 { return r.values.SizeBits() + 64 }
-
-// Encode writes the structure to w.
-func (r *R) Encode(w *codec.Writer) {
-	w.Uint32(uint32(r.base))
-	r.values.Encode(w)
-}
-
-// DecodeR reads a structure written by Encode.
-func DecodeR(rd *codec.Reader) (*R, error) {
-	base := ID(rd.Uint32())
-	values, err := ef.Decode(rd)
-	if err != nil {
-		return nil, err
-	}
-	return &R{base: base, values: values}, nil
-}
 
 // RangeSelecter is implemented by every static layout: it resolves ?P?
 // patterns with the object constrained to an ID interval. Layouts that

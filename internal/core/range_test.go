@@ -1,11 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
-
-	"rdfindexes/internal/codec"
 )
 
 // numericFixture builds a dataset whose object IDs [base, base+len) are
@@ -124,29 +121,6 @@ func TestSelectValueRangeAgainstOracle(t *testing.T) {
 				t.Fatalf("%s: SelectValueRange(p=%d, [%d, %d]): triple %d = %v out of %v order",
 					name, p, lo, hi, i, got[i], perm)
 			}
-		}
-	}
-}
-
-func TestRRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(107))
-	fx := newNumericFixture(rng, 100)
-	var buf bytes.Buffer
-	w := codec.NewWriter(&buf)
-	fx.r.Encode(w)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeR(codec.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Base() != fx.r.Base() || got.Len() != fx.r.Len() {
-		t.Fatal("decoded R header mismatch")
-	}
-	for k, v := range fx.values {
-		if got.Value(fx.base+ID(k)) != v {
-			t.Fatalf("decoded Value(%d) = %d, want %d", fx.base+ID(k), got.Value(fx.base+ID(k)), v)
 		}
 	}
 }

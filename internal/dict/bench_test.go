@@ -139,6 +139,15 @@ func mixedSplit(b *testing.B) (*Dict, int) {
 	return d, d.Sections()[0].Base
 }
 
+// idRange returns the IDs [lo, hi).
+func idRange(lo, hi int) []int {
+	ids := make([]int, 0, hi-lo)
+	for id := lo; id < hi; id++ {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
 // BenchmarkExtract prices one cursor Extract on IRIs alone and on a
 // mixed term set: "scattered" visits the terms in a large odd stride, so
 // nearly every call decodes a fresh bucket up to a random entry, as a join
@@ -147,7 +156,8 @@ func mixedSplit(b *testing.B) (*Dict, int) {
 // with the set as a second run, "mixed-string" extracts its front-coded
 // strings and "numeric" the literals of its numeric sections, which
 // Extract formats from their values, and "numeric-as-string" the same
-// literals from the one run that holds them as strings.
+// literals from the one run that holds them as strings. The visiting
+// order is built before the timer starts.
 func BenchmarkExtract(b *testing.B) {
 	iri, err := New(benchTerms(b), DefaultBucketSize)
 	if err != nil {
@@ -165,30 +175,28 @@ func BenchmarkExtract(b *testing.B) {
 		asString = append(asString, at)
 	}
 	for _, set := range []struct {
-		name   string
-		d      *Dict
-		lo, hi int   // the IDs extracted, when ids is nil
-		ids    []int // the IDs extracted
-	}{{"iri", iri, 0, iri.Len(), nil}, {"mixed", one, 0, one.Len(), nil},
-		{"mixed-string", split, 0, numeric, nil}, {"numeric", split, numeric, split.Len(), nil},
-		{"numeric-as-string", one, 0, 0, asString}} {
+		name string
+		d    *Dict
+		ids  []int // the IDs extracted
+	}{{"iri", iri, idRange(0, iri.Len())}, {"mixed", one, idRange(0, one.Len())},
+		{"mixed-string", split, idRange(0, numeric)}, {"numeric", split, idRange(numeric, split.Len())},
+		{"numeric-as-string", one, asString}} {
 		for _, c := range []struct {
 			name   string
 			stride int
 		}{{"scattered", 7919}, {"sequential", 1}} {
 			b.Run(set.name+"/"+c.name, func(b *testing.B) {
-				e := NewExtractor(set.d)
-				ids, lo, n, stride := set.ids, set.lo, set.hi-set.lo, c.stride
-				if ids == nil {
-					for i := 0; i < b.N; i++ {
-						if _, ok := e.Extract(lo + (i*stride)%n); !ok {
-							b.Fatal("Extract failed")
-						}
-					}
-					return
+				probes := make([]int, len(set.ids)) // the IDs in the order visited
+				for i := range probes {
+					probes[i] = set.ids[i*c.stride%len(set.ids)]
 				}
-				for i := 0; i < b.N; i++ {
-					if _, ok := e.Extract(ids[(i*stride)%len(ids)]); !ok {
+				e := NewExtractor(set.d)
+				b.ResetTimer()
+				for i, j := 0, 0; i < b.N; i, j = i+1, j+1 {
+					if j == len(probes) {
+						j = 0
+					}
+					if _, ok := e.Extract(probes[j]); !ok {
 						b.Fatal("Extract failed")
 					}
 				}

@@ -16,10 +16,11 @@ import (
 // previous string's length, a tail past the sample's, a string that
 // does not sort strictly after the one before it in its run — for a
 // coded string, at its stored LCP, which the scans take to be the exact
-// one — or a second-run string that the first run holds too; and in a
+// one — or a second-run string that the first run holds too; in a
 // numeric section, a value not larger than the one before it or past
-// the sequence's universe, a second-run string that qualifies for a
-// section, or a first-run string whose value a section holds too.
+// the sequence's universe; and in a dictionary with sections, a string
+// of either run that is a canonical numeric literal, which Locate would
+// look for in a section only.
 // Decode checks only what locates the runs, samples, buckets and
 // sections, in constant time; a dictionary that passes Check extracts
 // every ID, and locates every extracted string, without a panic. Check
@@ -55,15 +56,8 @@ func (d *Dict) Check() error {
 	}
 	for id := 0; id < d.m; id++ {
 		t, _ := a.Extract(id)
-		sec, v := numericOf(d, t)
-		if sec == nil {
-			continue
-		}
-		if id >= d.k {
-			return fmt.Errorf("%w: dict ID %d: a string of the %v section at scale %d", codec.ErrCorrupt, id, sec.Datatype, sec.Scale)
-		}
-		if at, ok := sec.locate(v); ok {
-			return fmt.Errorf("%w: dict ID %d: repeats ID %d of the first run", codec.ErrCorrupt, at, id)
+		if dt, scale, _, ok := parseNumeric(t); ok {
+			return fmt.Errorf("%w: dict ID %d: a string of %v at scale %d beside the numeric sections", codec.ErrCorrupt, id, dt, scale)
 		}
 	}
 	return nil

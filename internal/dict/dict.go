@@ -26,8 +26,9 @@
 // a subject draws from that smaller range; a dictionary built from one
 // sorted list has an empty second run. The second run ends in the
 // numeric sections (numeric.go): its canonical xsd:integer and
-// xsd:decimal literals, ordered by value and stored as Elias-Fano
-// sequences of values rather than as strings.
+// xsd:decimal literals, one section per datatype and scale, ordered by
+// value and stored as Elias-Fano sequences of values rather than as
+// strings.
 package dict
 
 import (
@@ -80,7 +81,7 @@ type Reader interface {
 type Dict struct {
 	n, k, m int       // the strings, those in the first run, the front-coded ones
 	runs    [2]run    // IDs [0, k) and [k, m)
-	secs    []Section // IDs [m, n), integers before decimals
+	secs    []Section // IDs [m, n), ordered by datatype and scale
 	// owner keeps the memory the runs view (a mapped store file) alive
 	// for as long as the dictionary is reachable; nil when built in
 	// memory.
@@ -103,20 +104,26 @@ type run struct {
 }
 
 // New builds a dictionary over strs, which must be sorted and distinct,
-// as one run.
+// as one run. Its numeric literals, if any, stay strings.
 func New(strs []string, bucketSize int) (*Dict, error) {
-	return NewSplit(strs, nil, bucketSize)
+	b := newBuilder(bucketSize)
+	for _, s := range strs {
+		if err := add(b, 0, s); err != nil {
+			return nil, err
+		}
+	}
+	return b.finish(), nil
 }
 
 // NewSplit builds a dictionary of two runs: first takes IDs [0,
 // len(first)) and second the IDs after them, in the order Arrange
 // gives: its front-coded strings, then its numeric sections. first
-// must be sorted, second sorted or in Arrange's order; each must be
+// must be sorted and hold no canonical numeric literal (it holds
+// subjects), second sorted or in Arrange's order; each must be
 // distinct, and no string may be in both.
 func NewSplit(first, second []string, bucketSize int) (*Dict, error) {
 	a := arrange(second)
 	b := newBuilder(bucketSize)
-	b.scale = a.scale
 	for i, strs := range [2][]string{first, a.strs} {
 		for _, s := range strs {
 			if err := add(b, i, s); err != nil {
@@ -124,11 +131,16 @@ func NewSplit(first, second []string, bucketSize int) (*Dict, error) {
 			}
 		}
 	}
-	for dt, ts := range a.nums {
+	for kind, ts := range a.nums {
 		for _, t := range ts {
-			if err := b.addNumeric(Datatype(dt), t.v); err != nil {
+			if err := b.addNumeric(kind, t.v); err != nil {
 				return nil, err
 			}
+		}
+	}
+	for _, s := range first {
+		if _, _, _, ok := parseNumeric(s); ok {
+			return nil, fmt.Errorf("dict: %q, a numeric literal, is in the first run", s)
 		}
 	}
 	for i, j := 0, 0; i < len(first) && j < len(a.strs); {
@@ -141,27 +153,18 @@ func NewSplit(first, second []string, bucketSize int) (*Dict, error) {
 			return nil, fmt.Errorf("dict: %q is in both runs", first[i])
 		}
 	}
-	for _, s := range first {
-		dt, scale, v, ok := parseNumeric(s)
-		if ok && (dt == Integer || scale == a.scale) {
-			ts := a.nums[dt]
-			if i := sort.Search(len(ts), func(i int) bool { return ts[i].v >= v }); i < len(ts) && ts[i].v == v {
-				return nil, fmt.Errorf("dict: %q is in both runs", s)
-			}
-		}
-	}
 	return b.finish(), nil
 }
 
 // builder appends sorted, distinct strings to the two runs of a
-// front-coded layout one at a time; NewSplit and Overlay.Fold share it.
+// front-coded layout one at a time; New, NewSplit and Overlay.Fold
+// share it.
 type builder struct {
 	runs   [2]run
-	last   [2][]byte  // each run's previous string: LCP source and order check
-	sample [2][]byte  // each run's current group sample: tail source
-	limit  uint64     // the most front-coded bytes allowed, MaxBytes
-	nums   [2][]int64 // each numeric section's values: integers, decimals
-	scale  int        // the decimal section's scale
+	last   [2][]byte             // each run's previous string: LCP source and order check
+	sample [2][]byte             // each run's current group sample: tail source
+	limit  uint64                // the most front-coded bytes allowed, MaxBytes
+	nums   [sectionKinds][]int64 // each numeric section's values, by sectionKind
 }
 
 func newBuilder(bucketSize int) *builder {
@@ -208,14 +211,15 @@ func add[T string | []byte](b *builder, i int, s T) error {
 	return nil
 }
 
-// addNumeric appends v to the section of datatype dt; v must be larger
-// than the section's previous value.
-func (b *builder) addNumeric(dt Datatype, v int64) error {
-	vs := b.nums[dt]
+// addNumeric appends v to the section of the given sectionKind; v must
+// be larger than the section's previous value.
+func (b *builder) addNumeric(kind int, v int64) error {
+	vs := b.nums[kind]
 	if len(vs) > 0 && v <= vs[len(vs)-1] {
-		return fmt.Errorf("dict: %v section not increasing/distinct at %d (%d >= %d)", dt, len(vs), vs[len(vs)-1], v)
+		dt, scale := kindOf(kind)
+		return fmt.Errorf("dict: %v section at scale %d not increasing/distinct at %d (%d >= %d)", dt, scale, len(vs), vs[len(vs)-1], v)
 	}
-	b.nums[dt] = append(vs, v)
+	b.nums[kind] = append(vs, v)
 	return nil
 }
 
@@ -261,7 +265,7 @@ func (b *builder) finish() *Dict {
 	}
 	d := &Dict{k: b.runs[0].n, m: b.runs[0].n + b.runs[1].n, runs: b.runs}
 	d.n = d.m
-	for dt, vs := range b.nums {
+	for kind, vs := range b.nums {
 		if len(vs) == 0 {
 			continue
 		}
@@ -269,11 +273,8 @@ func (b *builder) finish() *Dict {
 		for i, v := range vs {
 			deltas[i] = uint64(v) - uint64(vs[0])
 		}
-		s := Section{Datatype: Datatype(dt), Base: d.n, Min: vs[0], Values: ef.New(deltas)}
-		if s.Datatype == Decimal {
-			s.Scale = b.scale
-		}
-		d.secs = append(d.secs, s)
+		dt, scale := kindOf(kind)
+		d.secs = append(d.secs, Section{Datatype: dt, Scale: scale, Base: d.n, Min: vs[0], Values: ef.New(deltas)})
 		d.n += len(vs)
 	}
 	return d
@@ -679,19 +680,21 @@ func cmpFrom(b []byte, s string, j int) (int, int) {
 	return -1, j + i
 }
 
-// Locate returns the ID of s, or ok=false if absent. A term that
-// qualifies for a numeric section is searched by value there, and then
-// in the first run, which may hold it as a subject; the second run's
-// strings never hold it (Check). Any other term is searched in the
-// first run, then, when it is not there, in the second.
+// Locate returns the ID of s, or ok=false if absent. In a dictionary
+// with sections a canonical numeric literal is searched by value in
+// the section of its datatype and scale alone: no run holds one
+// (Check). Any other term is searched in the first run, then, when it
+// is not there, in the second.
 //
 //rdf:hotpath
 func (d *Dict) Locate(s string) (int, bool) {
-	if sec, v := numericOf(d, s); sec != nil {
-		if id, ok := sec.locate(v); ok {
-			return id, true
+	if len(d.secs) > 0 {
+		if dt, scale, v, ok := parseNumeric(s); ok {
+			if sec := d.section(dt, scale); sec != nil {
+				return sec.locate(v)
+			}
+			return 0, false
 		}
-		return d.runs[0].locate(s)
 	}
 	if id, ok := d.runs[0].locate(s); ok {
 		return id, true
@@ -834,14 +837,15 @@ func Decode(r *codec.Reader) (*Dict, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if sections > 2 {
+	if sections > sectionKinds {
 		return nil, r.Fail(fmt.Errorf("%w: dict of %d numeric sections", codec.ErrCorrupt, sections))
 	}
 	numeric := uint64(0) // the terms of the sections
 	for i := 0; i < int(sections); i++ {
 		s, err := decodeSection(r)
-		if err == nil && i > 0 && s.Datatype <= d.secs[i-1].Datatype {
-			err = fmt.Errorf("%w: dict numeric section of %v after one of %v", codec.ErrCorrupt, s.Datatype, d.secs[i-1].Datatype)
+		if p := i - 1; err == nil && p >= 0 && sectionKind(s.Datatype, s.Scale) <= sectionKind(d.secs[p].Datatype, d.secs[p].Scale) {
+			err = fmt.Errorf("%w: dict numeric section of %v at scale %d after one of %v at scale %d",
+				codec.ErrCorrupt, s.Datatype, s.Scale, d.secs[p].Datatype, d.secs[p].Scale)
 		}
 		if err != nil {
 			return nil, r.Fail(err)

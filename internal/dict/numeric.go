@@ -13,20 +13,22 @@ import (
 )
 
 // Numeric sections (the paper's Section 3.1 range structure in the
-// dictionary). The second run ends in up to two sections after its
-// front-coded strings: one of xsd:integer literals, then one of
-// xsd:decimal literals at one fixed scale. A section is an ID interval
-// ordered by value; it stores its datatype, its scale, its smallest
-// value and the values minus that one as an Elias-Fano sequence, so a
-// numeric term costs a few bits instead of a front-coded entry whose
-// middle is the datatype IRI.
+// dictionary). The second run ends in one section per datatype and
+// scale that its literals take, after its front-coded strings: the
+// xsd:integer section, then the xsd:decimal sections by scale. A
+// section is an ID interval ordered by value; it stores its datatype,
+// its scale, its smallest value and the values minus that one as an
+// Elias-Fano sequence, so a numeric term costs a few bits instead of a
+// front-coded entry whose middle is the datatype IRI.
 //
-// A literal qualifies for a section only in canonical form: formatting
-// its parsed value reproduces it byte for byte ("7", "-7", "0", "12.50"
-// at scale 2; not "007", "+7", "-0", "7." or "-0.0"), the value fits an
-// int64 (a decimal's once scaled by 10^scale), and a decimal's scale is
-// the section's. Every other term, a decimal of another scale too,
-// stays a string, so Extract(Locate(t)) == t holds for every term.
+// A literal is numeric only in canonical form: formatting its parsed
+// value reproduces it byte for byte ("7", "-7", "0", "12.50" at scale
+// 2; not "007", "+7", "-0", "7." or "-0.0"), and the value fits an int64
+// (a decimal's once scaled by 10^scale). Every numeric literal of a
+// two-run dictionary is in the section of its datatype and scale, and
+// none is a string of either run (subjects are never literals), so
+// Locate finds it by value alone and Extract(Locate(t)) == t holds for
+// every term. Every other term is a string.
 
 // Datatype is the XSD datatype of a numeric section.
 type Datatype uint8
@@ -52,6 +54,24 @@ func (t Datatype) String() string {
 // MaxScale is the most fraction digits a decimal section holds: 10^18
 // is the largest power of ten in an int64.
 const MaxScale = 18
+
+// sectionKinds is the number of (datatype, scale) pairs a section can
+// have: the integers, and the decimals of each scale up to MaxScale.
+const sectionKinds = 2 + MaxScale
+
+// sectionKind numbers the (datatype, scale) pairs in section order:
+// integers 0, decimals of scale s 1+s.
+//
+//rdf:hotpath
+func sectionKind(dt Datatype, scale int) int { return int(dt) + scale }
+
+// kindOf is sectionKind's inverse.
+func kindOf(kind int) (Datatype, int) {
+	if kind == 0 {
+		return Integer, 0
+	}
+	return Decimal, kind - 1
+}
 
 // The closing quote and datatype of a numeric term; both datatype
 // names are seven bytes long, so both suffixes are numericSuffixLen.
@@ -246,8 +266,8 @@ const (
 var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
 
 // Section is one numeric section of a dictionary: IDs [Base,
-// Base+Values.Len()) hold the canonical literals of one datatype, and
-// of a decimal one scale, in increasing value order; the value of ID
+// Base+Values.Len()) hold the canonical literals of one datatype and
+// scale, in increasing value order; the value of ID
 // Base+i, scaled by 10^Scale, is Min plus the i-th element of Values.
 type Section struct {
 	Datatype Datatype
@@ -317,8 +337,8 @@ func decodeSection(r *codec.Reader) (Section, error) {
 	return s, nil
 }
 
-// section returns the section that the canonical numeric term of
-// datatype dt and scale belongs in, or nil.
+// section returns the section of the canonical numeric terms of
+// datatype dt and scale, or nil.
 //
 //rdf:hotpath
 func (d *Dict) section(dt Datatype, scale int) *Section {
@@ -330,29 +350,15 @@ func (d *Dict) section(dt Datatype, scale int) *Section {
 	return nil
 }
 
-// numericOf returns the section of d that term s qualifies for and its
-// value, or nil.
-//
-//rdf:hotpath
-func numericOf[T string | []byte](d *Dict, s T) (*Section, int64) {
-	if len(d.secs) == 0 {
-		return nil, 0
-	}
-	dt, scale, v, ok := parseNumeric(s)
-	if !ok {
-		return nil, 0
-	}
-	return d.section(dt, scale), v
-}
-
 // sectionOf returns the section of a valid section ID, id >= d.m.
 //
 //rdf:hotpath
 func (d *Dict) sectionOf(id int) *Section {
-	if len(d.secs) > 1 && id >= d.secs[1].Base {
-		return &d.secs[1]
+	i := len(d.secs) - 1
+	for id < d.secs[i].Base {
+		i--
 	}
-	return &d.secs[0]
+	return &d.secs[i]
 }
 
 // appendSection appends the term of a section ID, id >= d.m.
@@ -374,41 +380,22 @@ type numTerm struct {
 
 // arrangement is a second run split as NewSplit numbers it.
 type arrangement struct {
-	strs  []string     // the front-coded strings, sorted
-	nums  [2][]numTerm // each section's terms by value: integers, decimals
-	scale int          // the decimal section's scale, or -1 with no decimals
+	strs []string                // the front-coded strings, sorted
+	nums [sectionKinds][]numTerm // each section's terms by value, by sectionKind
 }
 
 // arrange splits the terms of a second run into its front-coded
-// strings and its sections. The decimal section's scale is the most
-// frequent one among the canonical decimals, the smallest on a tie.
+// strings and its sections.
 func arrange(terms []string) arrangement {
-	a := arrangement{scale: -1}
-	var count [MaxScale + 1]int
-	var scales []int8 // the scale of each decimal, by its place in nums[Decimal]
+	var a arrangement
 	for _, s := range terms {
-		dt, scale, v, ok := parseNumeric(s)
-		switch {
-		case !ok:
-			a.strs = append(a.strs, s)
-		case dt == Decimal:
-			count[scale]++
-			scales = append(scales, int8(scale))
-			fallthrough
-		default:
-			a.nums[dt] = append(a.nums[dt], numTerm{v, s})
-		}
-	}
-	a.scale = decimalScale(count)
-	decs := a.nums[Decimal][:0]
-	for i, t := range a.nums[Decimal] {
-		if int(scales[i]) == a.scale {
-			decs = append(decs, t)
+		if dt, scale, v, ok := parseNumeric(s); ok {
+			kind := sectionKind(dt, scale)
+			a.nums[kind] = append(a.nums[kind], numTerm{v, s})
 		} else {
-			a.strs = append(a.strs, t.s)
+			a.strs = append(a.strs, s)
 		}
 	}
-	a.nums[Decimal] = decs
 	sort.Strings(a.strs)
 	for _, ts := range a.nums {
 		slices.SortFunc(ts, func(x, y numTerm) int { return cmp.Compare(x.v, y.v) })
@@ -416,24 +403,10 @@ func arrange(terms []string) arrangement {
 	return a
 }
 
-// decimalScale picks the decimal section's scale from the count of
-// canonical decimals per scale: the most frequent, the smallest on a
-// tie, or -1 when there are none.
-func decimalScale(count [MaxScale + 1]int) int {
-	scale := -1
-	for s, c := range count {
-		if c > 0 && (scale < 0 || c > count[scale]) {
-			scale = s
-		}
-	}
-	return scale
-}
-
 // Arrange returns the terms of a subject/object dictionary's second run
-// in the order NewSplit numbers them: the terms that stay front coded,
-// sorted, then the canonical xsd:integer literals by value, then the
-// canonical xsd:decimal literals of the decimal section's scale by
-// value.
+// in the order NewSplit numbers them: the front-coded strings, sorted,
+// then the canonical xsd:integer literals by value, then the canonical
+// xsd:decimal literals by scale and value.
 func Arrange(terms []string) []string {
 	a := arrange(terms)
 	out := append(make([]string, 0, len(terms)), a.strs...)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"sort"
 	"strings"
 	"testing"
 
@@ -17,6 +16,12 @@ import (
 // typed returns the term of lexical form lex with datatype dt.
 func typed(lex, dt string) string {
 	return `"` + lex + `"^^<http://www.w3.org/2001/XMLSchema#` + dt + `>`
+}
+
+// numeral reports whether s is a canonical numeric literal.
+func numeral(s string) bool {
+	_, _, _, ok := parseNumeric(s)
+	return ok
 }
 
 // canonical is the qualification rule computed with math/big instead of
@@ -134,8 +139,8 @@ func FuzzNumericLexical(f *testing.F) {
 }
 
 // numericTerms is a second run with every numeric form: canonical
-// integers and decimals, negative ones, decimals of a less frequent
-// scale, non-canonical forms and other datatypes, among plain strings.
+// integers and decimals of two scales, negative ones, non-canonical
+// forms and other datatypes, among plain strings.
 func numericTerms() []string {
 	var terms []string
 	for i := -20; i < 40; i++ {
@@ -150,13 +155,13 @@ func numericTerms() []string {
 
 // TestNumericSections builds a dictionary whose second run holds every
 // numeric form and checks its layout: the strings first, sorted, then
-// the integers and the scale-2 decimals by value; everything else,
-// the scale-1 decimals too, a string. Check passes, and every term
-// extracts and locates, first-run numerals among them.
+// one section per datatype and scale — the integers, the scale-1 and
+// the scale-2 decimals — each by value; the non-canonical forms and
+// other datatypes are strings. Check passes, and every term extracts
+// and locates.
 func TestNumericSections(t *testing.T) {
 	second := numericTerms()
-	first := []string{typed("-741", "integer"), typed("5", "integer"), "<http://ex/s>"}
-	sort.Strings(first)
+	first := []string{"<http://ex/s>", "_:b"}
 	d, err := NewSplit(first, second, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -165,22 +170,40 @@ func TestNumericSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	secs := d.Sections()
-	if len(secs) != 2 || secs[0].Datatype != Integer || secs[1].Datatype != Decimal || secs[1].Scale != 2 ||
-		secs[0].Len() != 60 || secs[1].Len() != 60 || secs[1].Base+secs[1].Len() != d.Len() || secs[0].Base+secs[0].Len() != secs[1].Base {
-		t.Fatalf("sections %+v of %d terms", secs, d.Len())
+	type kind struct {
+		dt         Datatype
+		scale, len int
+	}
+	var got []kind
+	for i, s := range secs {
+		got = append(got, kind{s.Datatype, s.Scale, s.Len()})
+		end := d.Len()
+		if i+1 < len(secs) {
+			end = secs[i+1].Base
+		}
+		if s.Base+s.Len() != end {
+			t.Fatalf("section %d spans [%d, %d), not up to %d", i, s.Base, s.Base+s.Len(), end)
+		}
+	}
+	if want := []kind{{Integer, 0, 60}, {Decimal, 1, 15}, {Decimal, 2, 60}}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("sections %v, want %v", got, want)
 	}
 	prev := int64(math.MinInt64)
 	for id := d.FirstRun(); id < d.Len(); id++ {
 		s, _ := d.Extract(id)
 		sdt, scale, v, ok := parseNumeric(s)
-		inSection := id >= secs[0].Base
-		if ok && (sdt == Integer || scale == 2) != inSection {
-			t.Fatalf("ID %d (%s): in a section %v", id, s, inSection)
+		if inSection := id >= secs[0].Base; ok != inSection {
+			t.Fatalf("ID %d (%s): numeric %v, in a section %v", id, s, ok, inSection)
 		}
-		if id == secs[0].Base || id == secs[1].Base {
-			prev = math.MinInt64
+		for _, sec := range secs {
+			if id == sec.Base {
+				prev = math.MinInt64
+			}
+			if ok && id >= sec.Base && id < sec.Base+sec.Len() && (sdt != sec.Datatype || scale != sec.Scale) {
+				t.Fatalf("ID %d (%s) in the %v section at scale %d", id, s, sec.Datatype, sec.Scale)
+			}
 		}
-		if inSection {
+		if ok {
 			if v <= prev {
 				t.Fatalf("ID %d (%s) does not follow value %d", id, s, prev)
 			}
@@ -200,26 +223,19 @@ func TestNumericSections(t *testing.T) {
 			t.Fatalf("Arrange puts %s at %d, Locate says (%d, %v)", s, d.FirstRun()+i, id, ok)
 		}
 	}
-	// A numeral in both runs, and one given twice, are refused.
-	if _, err := NewSplit([]string{typed("37", "integer")}, second, 4); err == nil {
-		t.Fatal("NewSplit accepted an integer in both runs")
+	// A numeral absent from its section, or of a scale without one, is
+	// absent.
+	for _, s := range []string{typed("38", "integer"), typed("0.05", "decimal"), typed("0.125", "decimal")} {
+		if id, ok := d.Locate(s); ok {
+			t.Errorf("Locate(%s) = %d, want absent", s, id)
+		}
+	}
+	// A numeral in the first run, and one given twice, are refused.
+	if _, err := NewSplit([]string{typed("38", "integer")}, second, 4); err == nil || !strings.Contains(err.Error(), "numeric literal") {
+		t.Fatalf("NewSplit = %v, want an integer in the first run refused", err)
 	}
 	if _, err := NewSplit(nil, append(second, typed("37", "integer")), 4); err == nil {
 		t.Fatal("NewSplit accepted an integer twice")
-	}
-	// The decimal scale: the most frequent, the smaller on a tie.
-	for _, tc := range []struct {
-		terms []string
-		scale int
-	}{
-		{[]string{typed("1.5", "decimal"), typed("1.25", "decimal"), typed("2.25", "decimal")}, 2},
-		{[]string{typed("1.5", "decimal"), typed("1.25", "decimal")}, 1},
-		{[]string{typed("3", "decimal"), typed("1.25", "decimal")}, 0},
-		{[]string{typed("3", "integer")}, -1},
-	} {
-		if got := arrange(tc.terms).scale; got != tc.scale {
-			t.Errorf("scale of %q = %d, want %d", tc.terms, got, tc.scale)
-		}
 	}
 }
 
@@ -271,8 +287,9 @@ func TestEncodeWithoutSections(t *testing.T) {
 
 // TestCheckSections crafts dictionaries that Decode accepts but whose
 // sections the access paths could not trust, and requires Check to
-// name the ID: values out of order, a second-run string that qualifies
-// for a section, and a first-run string whose value a section holds.
+// name the ID: values out of order, and a canonical numeric literal
+// among the strings of either run, of a section's kind or another,
+// which Locate would look for in a section only.
 func TestCheckSections(t *testing.T) {
 	build := func(first, second []string, nums ...int64) *Dict {
 		b := newBuilder(4)
@@ -284,7 +301,7 @@ func TestCheckSections(t *testing.T) {
 			}
 		}
 		for _, v := range nums {
-			if err := b.addNumeric(Integer, v); err != nil {
+			if err := b.addNumeric(sectionKind(Integer, 0), v); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -298,24 +315,29 @@ func TestCheckSections(t *testing.T) {
 		want string
 	}{
 		{"repeated value", repeated, "dict ID 3: value 2"},
-		{"integer among the strings", build(nil, []string{typed("5", "integer"), "<a>"}, 7), "dict ID 0: a string of the xsd:integer section"},
-		{"integer in both runs", build([]string{typed("7", "integer")}, []string{"<a>"}, 7), "dict ID 2: repeats ID 0"},
+		{"integer among the strings", build(nil, []string{typed("5", "integer"), "<a>"}, 7), "dict ID 0: a string of xsd:integer at scale 0"},
+		{"integer in the first run", build([]string{typed("7", "integer")}, []string{"<a>"}, 7), "dict ID 0: a string of xsd:integer at scale 0"},
+		{"decimal without a section", build([]string{"<a>"}, []string{typed("1.5", "decimal"), "<b>"}, 7), "dict ID 1: a string of xsd:decimal at scale 1"},
 	} {
 		err := tc.d.Check()
 		if !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Check = %v, want a corruption error with %q", tc.name, err, tc.want)
 		}
 	}
-	// A non-canonical numeral among the strings is fine.
+	// A non-canonical numeral among the strings is fine, and so is a
+	// canonical one in a dictionary without sections.
 	if err := build(nil, []string{typed("007", "integer")}, 7).Check(); err != nil {
 		t.Errorf("Check of a non-canonical string: %v", err)
+	}
+	if err := build([]string{typed("7", "integer")}, nil).Check(); err != nil {
+		t.Errorf("Check of a numeral without sections: %v", err)
 	}
 }
 
 // TestDecodeSections refuses section headers that Decode can see are
-// wrong: too many sections, an unknown datatype, a scale on integers
-// or past MaxScale, sections out of order, an empty one, and values
-// past an int64.
+// wrong: more sections than kinds, an unknown datatype, a scale on
+// integers or past MaxScale, sections out of datatype and scale order
+// or two of one kind, an empty one, and values past an int64.
 func TestDecodeSections(t *testing.T) {
 	type sec struct {
 		dt, scale byte
@@ -323,16 +345,22 @@ func TestDecodeSections(t *testing.T) {
 		values    []uint64
 	}
 	one := []uint64{0, 3}
+	var tooMany []sec
+	for range sectionKinds + 1 {
+		tooMany = append(tooMany, sec{0, 0, 0, one})
+	}
 	for _, tc := range []struct {
 		name string
 		secs []sec
 		want string
 	}{
-		{"three sections", []sec{{0, 0, 0, one}, {1, 1, 0, one}, {1, 2, 0, one}}, "3 numeric sections"},
+		{"more sections than kinds", tooMany, "21 numeric sections"},
 		{"unknown datatype", []sec{{2, 0, 0, one}}, "datatype(2)"},
 		{"integer with a scale", []sec{{0, 1, 0, one}}, "xsd:integer at scale 1"},
 		{"scale past MaxScale", []sec{{1, MaxScale + 1, 0, one}}, "scale 19"},
-		{"decimal before integer", []sec{{1, 1, 0, one}, {0, 0, 0, one}}, "xsd:integer after one of xsd:decimal"},
+		{"decimal before integer", []sec{{1, 1, 0, one}, {0, 0, 0, one}}, "xsd:integer at scale 0 after one of xsd:decimal at scale 1"},
+		{"scale 2 before scale 1", []sec{{1, 2, 0, one}, {1, 1, 0, one}}, "xsd:decimal at scale 1 after one of xsd:decimal at scale 2"},
+		{"two of one scale", []sec{{0, 0, 0, one}, {1, 3, 0, one}, {1, 3, 9, one}}, "xsd:decimal at scale 3 after one of xsd:decimal at scale 3"},
 		{"no values", []sec{{0, 0, 0, nil}}, "no values"},
 		{"past an int64", []sec{{0, 0, math.MaxInt64 - 2, one}}, "passes an int64"},
 	} {
@@ -372,37 +400,37 @@ func binary4(v uint32) []byte { return []byte{byte(v), byte(v >> 8), byte(v >> 1
 
 // TestFoldNumeric folds overlays into a base with sections and
 // requires the result to encode byte for byte as NewSplit over the
-// same runs, and the ID map to agree with Locate: new values join
-// their sections, a section term that becomes a subject leaves its
-// section, and enough decimals of another scale move the decimal
-// section to that scale, the old section's terms becoming strings.
+// same runs, the ID map to agree with Locate and to stay monotone
+// within every section: new values join their sections, and decimals
+// of a scale the base lacks open a section of their own, every base
+// section staying as it was. A fold that would send a numeric literal
+// to the first run — a base section term or a new one — is refused.
 func TestFoldNumeric(t *testing.T) {
 	second := numericTerms()
 	base, err := NewSplit([]string{"<http://ex/s>"}, second, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inFirst := func(id int) bool { return id < base.FirstRun() }
 	for _, tc := range []struct {
-		name  string
-		added []string
-		scale int
+		name   string
+		added  []string
+		scales []int // the decimal sections' scales after the fold
 	}{
-		{"new values", []string{typed("1000000", "integer"), typed("-3.33", "decimal"), typed("12", "integer"), "<http://ex/z>"}, 2},
-		{"scale flips", func() []string {
+		{"new values", []string{typed("1000000", "integer"), typed("-3.33", "decimal"), typed("7.5", "decimal"), typed("12", "integer"), "<http://ex/z>"}, []int{1, 2}},
+		{"new scale", func() []string {
 			var ts []string
 			for i := 0; i < 80; i++ {
 				ts = append(ts, typed(big.NewRat(int64(i*7+1000), 1000).FloatString(3), "decimal"))
 			}
 			return ts
-		}(), 3},
+		}(), []int{1, 2, 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := NewOverlay(base)
 			for _, s := range tc.added {
 				o.Add(s)
 			}
-			subject := base.secs[0].Base + 3 // an integer that gains a subject triple
-			inFirst := func(id int) bool { return id < base.FirstRun() || id == subject }
 			d, mapping, err := o.Fold(4, inFirst)
 			if err != nil {
 				t.Fatal(err)
@@ -416,7 +444,6 @@ func TestFoldNumeric(t *testing.T) {
 					runs[1] = append(runs[1], s)
 				}
 			}
-			sort.Strings(runs[0])
 			ref, err := NewSplit(runs[0], runs[1], 4)
 			if err != nil {
 				t.Fatal(err)
@@ -424,8 +451,12 @@ func TestFoldNumeric(t *testing.T) {
 			if !bytes.Equal(encoded(t, d), encoded(t, ref)) {
 				t.Fatal("folded dictionary differs from NewSplit's")
 			}
-			if got := d.secs[len(d.secs)-1].Scale; got != tc.scale {
-				t.Fatalf("decimal scale %d, want %d", got, tc.scale)
+			var scales []int
+			for _, s := range d.secs[1:] {
+				scales = append(scales, s.Scale)
+			}
+			if fmt.Sprint(scales) != fmt.Sprint(tc.scales) {
+				t.Fatalf("decimal scales %v, want %v", scales, tc.scales)
 			}
 			if err := d.Check(); err != nil {
 				t.Fatal(err)
@@ -436,7 +467,29 @@ func TestFoldNumeric(t *testing.T) {
 					t.Fatalf("old %d (%s): mapping says %d, Locate (%d, %v)", oldID, s, newID, got, ok)
 				}
 			}
+			for _, sec := range base.secs {
+				for id := sec.Base + 1; id < sec.Base+sec.Len(); id++ {
+					if segmentOf(d, mapping[id]) != segmentOf(d, mapping[sec.Base]) || mapping[id] <= mapping[id-1] {
+						t.Fatalf("old %d maps to %d, old %d to %d: not one section in order", id-1, mapping[id-1], id, mapping[id])
+					}
+				}
+			}
 		})
+	}
+	o := NewOverlay(base)
+	added := o.Add(typed("424242", "integer"))
+	for _, tc := range []struct {
+		name  string
+		first func(id int) bool
+		want  string
+	}{
+		{"section term", func(id int) bool { return inFirst(id) || id == base.secs[0].Base+3 }, "section at scale 0 is a subject"},
+		{"new term", func(id int) bool { return inFirst(id) || id == added }, "is a subject"},
+		{"nil first", nil, "is a subject"},
+	} {
+		if _, _, err := o.Fold(4, tc.first); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Fold = %v, want a refusal with %q", tc.name, err, tc.want)
+		}
 	}
 }
 

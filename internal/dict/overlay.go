@@ -3,9 +3,9 @@ package dict
 import (
 	"bytes"
 	"cmp"
+	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"rdfindexes/internal/ef"
 )
@@ -134,56 +134,39 @@ func (o *Overlay) SizeBits() uint64 {
 // mapping (indexed by old ID, length Len()). first sends each string,
 // by its old ID, to the new dictionary's first run or, where it
 // returns false, to its second; a nil first keeps every string in the
-// first run. The second run's numeric literals go to its sections as
-// NewSplit sends them, the decimal section's scale chosen among the
-// decimals the second run receives. The caller remaps every triple
-// that references the old ID space and starts a fresh overlay over the
-// returned dictionary.
+// first run, numeric literals too, as New does. With a first, each
+// numeric literal goes to the section of its datatype and scale, as
+// NewSplit sends it, and Fold refuses one that first sends to the
+// first run: subjects are never literals, so a base section term that
+// first reports as a subject means a corrupt base. The caller remaps
+// every triple that references the old ID space and starts a fresh
+// overlay over the returned dictionary.
 //
 // Every source is already sorted — each run of the base by
-// construction, each base section by value, the overlay through byStr,
-// and the few section terms that join the strings through a sort — so
-// the fold is linear merges: strings stream through a cursor per base
-// run without becoming Go strings, each is appended to its run of the
-// builder NewSplit uses or, when it qualifies for a section, set aside
-// by value, and the base sections' values merge with those set aside.
-// Within a run and within a section the mapping is monotone; a term
-// that changes run or section moves past the terms of the one it
-// joins.
+// construction, each base section by value, and the overlay through
+// byStr — so the fold is linear merges: strings stream through a
+// cursor per base run without becoming Go strings, each is appended to
+// its run of the builder or, when it is a numeric literal, set aside
+// by value, and each base section's values merge with those set aside
+// for it. No term leaves its section, so the mapping is monotone within
+// every run and every section.
 func (o *Overlay) Fold(bucketSize int, first func(id int) bool) (*Dict, []int, error) {
 	base := o.base
-	inFirst := func(id int) bool { return first == nil || first(id) }
 	b := newBuilder(bucketSize)
-	b.scale = o.foldScale(first)
-	stays := func(s *Section) bool { return s.Datatype == Integer || s.Scale == b.scale }
-	// The section terms that leave their section, for the first run or
-	// because the decimal scale changed, join the strings.
-	var moved []foldTerm
-	for i := range base.secs {
-		s := &base.secs[i]
-		for id := s.Base; id < s.Base+s.Len(); id++ {
-			if inFirst(id) || !stays(s) {
-				t, _ := base.Extract(id)
-				moved = append(moved, foldTerm{id: id, s: t})
-			}
-		}
-	}
-	slices.SortFunc(moved, func(x, y foldTerm) int { return strings.Compare(x.s, y.s) })
 	// mapping holds each old ID's rank in its destination over the
-	// destination in the low two bits — run 0 or 1, or secDest plus a
-	// section's datatype — until the destinations' first IDs are known.
-	const secDest = 2
+	// destination in the low destBits bits — run 0 or 1, or secDest plus
+	// a sectionKind — until the destinations' first IDs are known.
+	const secDest, destBits = 2, 5
 	mapping := make([]int, o.Len())
 	srcs := [...]foldSource{
 		{e: NewExtractor(base), end: base.k},
 		{e: NewExtractor(base), at: base.k, end: base.m},
 		{o: o, end: len(o.byStr)},
-		{moved: moved, end: len(moved)},
 	}
 	for i := range srcs {
 		srcs[i].load()
 	}
-	var joining [2][]numID // second-run strings that qualify for a section
+	var joining [sectionKinds][]numID // numeric literals that join a section
 	for {
 		m := -1 // the source with the smallest head
 		for i := range srcs {
@@ -196,15 +179,20 @@ func (o *Overlay) Fold(bucketSize int, first func(id int) bool) (*Dict, []int, e
 		}
 		s := &srcs[m]
 		id, r := s.id(), 0
-		if first != nil && !first(id) {
-			r = 1
-			if dt, scale, v, ok := parseNumeric(s.term); ok && (dt == Integer || scale == b.scale) {
-				joining[dt] = append(joining[dt], numID{v, id})
+		if first != nil {
+			if dt, scale, v, ok := parseNumeric(s.term); ok {
+				if first(id) {
+					return nil, nil, fmt.Errorf("dict: ID %d, the numeric literal %s, is a subject", id, s.term)
+				}
+				kind := sectionKind(dt, scale)
+				joining[kind] = append(joining[kind], numID{v, id})
 				r = -1
+			} else if !first(id) {
+				r = 1
 			}
 		}
 		if r >= 0 {
-			mapping[id] = b.runs[r].n<<2 | r
+			mapping[id] = b.runs[r].n<<destBits | r
 			if err := add(b, r, s.term); err != nil {
 				return nil, nil, err
 			}
@@ -212,76 +200,39 @@ func (o *Overlay) Fold(bucketSize int, first func(id int) bool) (*Dict, []int, e
 		s.at++
 		s.load()
 	}
-	for dt, joins := range joining {
+	for kind, joins := range joining {
 		slices.SortFunc(joins, func(x, y numID) int { return cmp.Compare(x.v, y.v) })
-		scale := 0
-		if dt == int(Decimal) {
-			scale = b.scale
-		}
-		kept := base.section(Datatype(dt), scale) // nil, or a section that stays
-		vals := sectionValues{s: kept, inFirst: inFirst}
-		if kept != nil {
-			vals.it, vals.at = kept.Values.MakeIterator(0), kept.Base
+		vals := sectionValues{s: base.section(kindOf(kind))}
+		if vals.s != nil {
+			vals.it, vals.at = vals.s.Values.MakeIterator(0), vals.s.Base
 		}
 		head, ok := vals.next()
 		for ok || len(joins) > 0 {
 			var t numID
 			if ok && (len(joins) == 0 || head.v < joins[0].v) {
-				t = head
+				if t = head; first == nil || first(t.id) {
+					return nil, nil, fmt.Errorf("dict: ID %d of the %v section at scale %d is a subject: a corrupt base", t.id, vals.s.Datatype, vals.s.Scale)
+				}
 				head, ok = vals.next()
 			} else {
 				t, joins = joins[0], joins[1:]
 			}
-			mapping[t.id] = len(b.nums[dt])<<2 | (secDest + dt)
-			if err := b.addNumeric(Datatype(dt), t.v); err != nil {
+			mapping[t.id] = len(b.nums[kind])<<destBits | (secDest + kind)
+			if err := b.addNumeric(kind, t.v); err != nil {
 				return nil, nil, err
 			}
 		}
 	}
 	d := b.finish()
-	starts := [4]int{0, d.k, d.m, d.m}
-	if len(d.secs) > 0 && d.secs[0].Datatype == Integer {
-		starts[secDest+Decimal] += d.secs[0].Len()
+	starts := [secDest + sectionKinds]int{1: d.k}
+	for i := range d.secs {
+		s := &d.secs[i]
+		starts[secDest+sectionKind(s.Datatype, s.Scale)] = s.Base
 	}
 	for id, v := range mapping {
-		mapping[id] = starts[v&3] + v>>2
+		mapping[id] = starts[v&(1<<destBits-1)] + v>>destBits
 	}
 	return d, mapping, nil
-}
-
-// foldScale returns the scale of the folded decimal section: the one
-// decimalScale picks among the canonical decimals of the folded second
-// run, or -1. A nil first leaves the second run empty.
-func (o *Overlay) foldScale(first func(id int) bool) int {
-	if first == nil {
-		return -1
-	}
-	var count [MaxScale + 1]int
-	base := o.base
-	e := NewExtractor(base)
-	for id := 0; id < base.m; id++ {
-		if !first(id) {
-			t, _ := e.Extract(id)
-			if dt, scale, _, ok := parseNumeric(t); ok && dt == Decimal {
-				count[scale]++
-			}
-		}
-	}
-	for i := range base.secs {
-		if s := &base.secs[i]; s.Datatype == Decimal {
-			for id := s.Base; id < s.Base+s.Len(); id++ {
-				if !first(id) {
-					count[s.Scale]++
-				}
-			}
-		}
-	}
-	for i, t := range o.added {
-		if dt, scale, _, ok := parseNumeric(t); ok && dt == Decimal && !first(base.n+i) {
-			count[scale]++
-		}
-	}
-	return decimalScale(count)
 }
 
 // numID is a numeric term's value and old ID in a fold.
@@ -291,45 +242,29 @@ type numID struct {
 }
 
 // sectionValues streams the values of a base section in a fold, with
-// their IDs, skipping the terms that go to the first run.
+// their IDs.
 type sectionValues struct {
-	s       *Section // nil: no values
-	inFirst func(id int) bool
-	it      ef.Iterator
-	at      int // the next ID
+	s  *Section // nil: no values
+	it ef.Iterator
+	at int // the next ID
 }
 
-// next returns the next value that stays in the section.
+// next returns the section's next value.
 func (v *sectionValues) next() (numID, bool) {
-	if v.s == nil {
+	if v.s == nil || v.at == v.s.Base+v.s.Len() {
 		return numID{}, false
 	}
-	for v.at < v.s.Base+v.s.Len() {
-		d, _ := v.it.Next()
-		id := v.at
-		v.at++
-		if !v.inFirst(id) {
-			return numID{int64(uint64(v.s.Min) + d), id}, true
-		}
-	}
-	return numID{}, false
-}
-
-// foldTerm is a section term that joins the strings in a fold, with
-// its old ID.
-type foldTerm struct {
-	id int
-	s  string
+	d, _ := v.it.Next()
+	v.at++
+	return numID{int64(uint64(v.s.Min) + d), v.at - 1}, true
 }
 
 // foldSource is one sorted source of a fold: a run of the base, read
-// through its own cursor, the overlay in rank order, or the section
-// terms that join the strings.
+// through its own cursor, or the overlay in rank order.
 type foldSource struct {
-	e       *Extractor // nil for the overlay and the moved terms
+	e       *Extractor // nil for the overlay
 	o       *Overlay   // the overlay, for the overlay source
-	moved   []foldTerm // the moved terms, for their source
-	at, end int        // the next base ID, overlay rank or moved index, and the end
+	at, end int        // the next base ID or overlay rank, and the end
 	term    []byte     // the string at at, while at < end
 }
 
@@ -339,20 +274,15 @@ func (s *foldSource) load() {
 	case s.at == s.end:
 	case s.e != nil:
 		s.term, _ = s.e.Extract(s.at)
-	case s.o != nil:
-		s.term = append(s.term[:0], s.o.str(s.o.byStr[s.at])...)
 	default:
-		s.term = append(s.term[:0], s.moved[s.at].s...)
+		s.term = append(s.term[:0], s.o.str(s.o.byStr[s.at])...)
 	}
 }
 
 // id returns the old ID of the source's head.
 func (s *foldSource) id() int {
-	switch {
-	case s.e != nil:
+	if s.e != nil {
 		return s.at
-	case s.o != nil:
-		return s.o.base.n + int(s.o.byStr[s.at])
 	}
-	return s.moved[s.at].id
+	return s.o.base.n + int(s.o.byStr[s.at])
 }

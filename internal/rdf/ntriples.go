@@ -96,7 +96,8 @@ func (st Statement) String() string {
 }
 
 // ParseLine parses a single N-Triples statement. Empty lines and
-// #-comments yield ok=false with a nil error.
+// #-comments yield ok=false with a nil error. As in N-Triples, the
+// subject is an IRI or a blank node and the predicate an IRI.
 func ParseLine(line string) (Statement, bool, error) {
 	p := &lineParser{s: line}
 	p.skipSpace()
@@ -106,6 +107,9 @@ func ParseLine(line string) (Statement, bool, error) {
 	s, err := p.term()
 	if err != nil {
 		return Statement{}, false, err
+	}
+	if s.Kind == Literal {
+		return Statement{}, false, fmt.Errorf("rdf: subject must be an IRI or a blank node in %q", line)
 	}
 	pr, err := p.term()
 	if err != nil {

@@ -59,18 +59,53 @@ func TestParseLineSkipsCommentsAndBlank(t *testing.T) {
 
 func TestParseLineErrors(t *testing.T) {
 	bad := []string{
-		`<http://a> <http://p> <http://b>`,  // no dot
-		`<http://a> "lit" <http://b> .`,     // literal predicate
-		`<http://a <http://p> <http://b> .`, // unterminated IRI
-		`<http://a> <http://p> "open .`,     // unterminated literal
-		`_: <http://p> <http://b> .`,        // empty blank label
-		`<http://a> <http://p> .`,           // missing object
+		`<http://a> <http://p> <http://b>`,                                         // no dot
+		`<http://a> "lit" <http://b> .`,                                            // literal predicate
+		`<http://a <http://p> <http://b> .`,                                        // unterminated IRI
+		`<http://a> <http://p> "open .`,                                            // unterminated literal
+		`_: <http://p> <http://b> .`,                                               // empty blank label
+		`<http://a> <http://p> .`,                                                  // missing object
+		`"lit" <http://p> <http://b> .`,                                            // literal subject
+		`"42"^^<http://www.w3.org/2001/XMLSchema#integer> <http://p> <http://b> .`, // numeric subject
 	}
 	for _, line := range bad {
 		if _, ok, err := ParseLine(line); err == nil && ok {
 			t.Errorf("ParseLine accepted %q", line)
 		}
 	}
+}
+
+// FuzzParseLine feeds arbitrary lines to ParseLine: it never panics,
+// an accepted statement has an IRI or blank-node subject and an IRI
+// predicate, and its terms rendered with Key parse back to the same
+// statement.
+func FuzzParseLine(f *testing.F) {
+	for _, line := range []string{
+		`<http://a> <http://p> <http://b> .`,
+		`_:x <http://p> "hello" .`,
+		`<http://a> <http://p> "bon\"jour\n"@fr .`,
+		`<http://a> <http://p> "42"^^<http://www.w3.org/2001/XMLSchema#integer> .`,
+		`"42"^^<http://www.w3.org/2001/XMLSchema#integer> <http://p> <http://b> .`,
+		`<http://a> "lit" <http://b> .`,
+		`  # comment`,
+		`_:b	<http://p>	_:c.`,
+		`<http://a> <http://p> "open .`,
+	} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		st, ok, err := ParseLine(line)
+		if err != nil || !ok {
+			return
+		}
+		if st.S.Kind == Literal || st.P.Kind != IRI {
+			t.Fatalf("ParseLine(%q) accepted %+v", line, st)
+		}
+		again := st.S.Key() + " " + st.P.Key() + " " + st.O.Key() + " ."
+		if back, ok, err := ParseLine(again); err != nil || !ok || back != st {
+			t.Fatalf("ParseLine(%q) = %+v; its rendering %q parses to (%+v, %v, %v)", line, st, again, back, ok, err)
+		}
+	})
 }
 
 func TestStatementStringRoundTrip(t *testing.T) {

@@ -63,10 +63,15 @@ func TestParseUpdate(t *testing.T) {
 	}
 }
 
+// literalSubjectUpdate inserts a triple whose subject is a numeric
+// literal, which N-Triples forbids: the store refuses it, a 400.
+const literalSubjectUpdate = `INSERT DATA { "42"^^<http://www.w3.org/2001/XMLSchema#integer> <http://ex/knows> <http://ex/p0> . }`
+
 // TestUpdateStatuses runs updates through /sparql on a mutable store:
-// applied ones answer the store's WriteResult, bad terms and unsupported
-// text are the client's 400 in the unified error document, and the
-// triple count follows only the changes reported.
+// applied ones answer the store's WriteResult, bad terms (a literal
+// subject among them) and unsupported text are the client's 400 in the
+// unified error document, and the triple count follows only the changes
+// reported.
 func TestUpdateStatuses(t *testing.T) {
 	srv := NewMutable(mutableStore(t, t.TempDir(), 10, 2, 0), Options{Workers: 2})
 	ts := httptest.NewServer(srv)
@@ -85,6 +90,8 @@ func TestUpdateStatuses(t *testing.T) {
 		{dataUpdate("DELETE", "<http://ex/nobody>", "<http://ex/knows>", "<http://ex/p0>"), 200, false, base},
 		{dataUpdate("INSERT", "<http://ex/n>", `"not a predicate"`, "<http://ex/p0>"), 400, false, base},
 		{dataUpdate("INSERT", "ex:n", "<http://ex/knows>", "<http://ex/p0>"), 400, false, base},
+		{dataUpdate("INSERT", `"a literal"`, "<http://ex/knows>", "<http://ex/p0>"), 400, false, base},
+		{literalSubjectUpdate, 400, false, base},
 		{"INSERT { ?s <http://ex/knows> <http://ex/p0> } WHERE { ?s <http://ex/likes> ?o }", 400, false, base},
 	} {
 		resp, body := postUpdate(t, ts, c.update)
@@ -114,6 +121,7 @@ func TestUpdateStatuses(t *testing.T) {
 // count changes only on a 200 that reports the change.
 func FuzzSPARQLUpdate(f *testing.F) {
 	for _, seed := range []string{
+		literalSubjectUpdate,
 		`INSERT DATA { <http://ex/a> <http://ex/knows> <http://ex/p0> . }`,
 		`DELETE DATA { <http://ex/p0> <http://ex/knows> <http://ex/p1> . }`,
 		`insert data{<http://ex/a> <http://ex/likes> "spaces, a } and \"escapes\"\n\\"@en}`,
@@ -129,6 +137,7 @@ func FuzzSPARQLUpdate(f *testing.F) {
 	f.Add(`DELETE DATA { _:b0 <http://ex/knows> <http://ex/p3> ; }`, true)
 	srv := NewMutable(mutableStore(f, f.TempDir(), 10, 2, 16), Options{Workers: 2})
 	f.Fuzz(func(t *testing.T, body string, form bool) {
+		literalSubject := body == literalSubjectUpdate
 		ct := sparqlUpdateType
 		if form {
 			ct, body = "application/x-www-form-urlencoded", url.Values{"update": {body}}.Encode()
@@ -144,6 +153,9 @@ func FuzzSPARQLUpdate(f *testing.F) {
 		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnsupportedMediaType:
 		default:
 			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body)
+		}
+		if literalSubject && rec.Code != http.StatusBadRequest {
+			t.Fatalf("status %d for a literal subject: %s", rec.Code, rec.Body)
 		}
 		changed := false
 		if rec.Code == http.StatusOK {

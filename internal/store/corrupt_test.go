@@ -185,7 +185,6 @@ func TestVerifyDictOrder(t *testing.T) {
 	if magic := r.String(); magic != Magic {
 		t.Fatalf("magic %q", magic)
 	}
-	start := r.Offset()
 	r.Byte() // dictionary flag
 	r.Uvarint()
 	r.Uvarint()
@@ -204,18 +203,7 @@ func TestVerifyDictOrder(t *testing.T) {
 		t.Fatalf("ID 1 is coded as % x, want % x", so[:4], want)
 	}
 	so[1] = 0
-	r = codec.NewBytesReader(data[start:], nil)
-	r.Byte()
-	for range 2 {
-		if _, err := dict.Decode(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	end := start + r.Offset()
-	binary.LittleEndian.PutUint32(data[end:], crc32.Checksum(data[start:end], codec.Castagnoli))
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	resealHeader(t, path, data)
 
 	if _, err := Read(path); err != nil {
 		t.Fatalf("Read of a store with an out-of-order entry: %v", err)
@@ -228,6 +216,63 @@ func TestVerifyDictOrder(t *testing.T) {
 		!strings.Contains(rep.Sections[0].Error, "SO dictionary: codec: corrupt stream: dict ID 1: does not sort after") ||
 		!rep.Sections[1].OK || !rep.Sections[2].OK {
 		t.Fatalf("Verify of a store with an out-of-order entry: %+v", rep)
+	}
+}
+
+// resealHeader writes data, a store file whose dictionaries were edited
+// in place, to path with the header's CRC32C recomputed over the edit.
+func resealHeader(t *testing.T, path string, data []byte) {
+	t.Helper()
+	r := codec.NewBytesReader(data, nil)
+	_ = r.String() // magic
+	start := r.Offset()
+	r.Byte() // dictionary flag
+	for range 2 {
+		if _, err := dict.Decode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := r.Offset()
+	binary.LittleEndian.PutUint32(data[end:], crc32.Checksum(data[start:end], codec.Castagnoli))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVerifyNumericString crafts a store whose SO dictionary holds a
+// canonical numeric literal among the strings of its second run, beside
+// the numeric sections, under a valid header CRC32C: the non-canonical
+// "+5" of the input, a group sample stored verbatim, becomes "65".
+// Locate would look for it in the integer section only, so Verify
+// rejects it under header, naming the dictionary and the ID.
+func TestVerifyNumericString(t *testing.T) {
+	const integer = `"^^<http://www.w3.org/2001/XMLSchema#integer>`
+	nt := "<http://ex/a> <http://ex/p> \"7" + integer + " .\n" +
+		"<http://ex/a> <http://ex/p> \"+5" + integer + " .\n" +
+		"<http://ex/a> <http://ex/p> <http://ex/z> .\n"
+	path := filepath.Join(t.TempDir(), "num.idx")
+	buildStore(t, nt, core.Layout2Tp, path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte(`"+5`+integer))
+	if at < 0 {
+		t.Fatal("the non-canonical integer is not stored verbatim")
+	}
+	data[at+1] = '6'
+	resealHeader(t, path, data)
+
+	if _, err := Read(path); err != nil {
+		t.Fatalf("Read of a store with a numeric string: %v", err)
+	}
+	rep, err := Verify(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK || rep.Sections[0].Name != "header" || rep.Sections[0].OK ||
+		!strings.Contains(rep.Sections[0].Error, "SO dictionary: codec: corrupt stream: dict ID 1: a string of xsd:integer at scale 0 beside the numeric sections") {
+		t.Fatalf("Verify of a store with a numeric string: %+v", rep)
 	}
 }
 

@@ -408,11 +408,14 @@ type writeTerm struct {
 	dict  *dict.Overlay // nil for raw integer IDs
 }
 
-// resolveWriteTerm parses and canonicalizes one write-side term and
-// looks it up, without allocating: overlay IDs for genuinely new terms
-// are assigned by applyLocked only after the whole triple validates, so
-// a rejected request cannot leak terms into the dictionary.
-func (m *Mutable) resolveWriteTerm(s string, predicate bool) (writeTerm, error) {
+// resolveWriteTerm parses and canonicalizes the write-side term at
+// position pos of a triple (0 subject, 1 predicate, 2 object) and looks
+// it up, without allocating: overlay IDs for genuinely new terms are
+// assigned by applyLocked only after the whole triple validates, so a
+// rejected request cannot leak terms into the dictionary. A literal
+// subject, as a term or as the ID of one, is refused.
+func (m *Mutable) resolveWriteTerm(s string, pos int) (writeTerm, error) {
+	predicate := pos == 1
 	if s == "" || s == "?" {
 		return writeTerm{}, fmt.Errorf("%w: write terms must be bound, got %q", ErrTerm, s)
 	}
@@ -426,6 +429,9 @@ func (m *Mutable) resolveWriteTerm(s string, predicate bool) (writeTerm, error) 
 		}
 		if predicate && t.Kind != rdf.IRI {
 			return writeTerm{}, fmt.Errorf("%w: predicate must be an IRI, got %s", ErrTerm, s)
+		}
+		if pos == 0 && t.Kind == rdf.Literal {
+			return writeTerm{}, fmt.Errorf("%w: subject must be an IRI or a blank node, got %s", ErrTerm, s)
 		}
 		d := m.so
 		if predicate {
@@ -462,6 +468,9 @@ func (m *Mutable) resolveWriteTerm(s string, predicate bool) (writeTerm, error) 
 		if !ok {
 			return writeTerm{}, fmt.Errorf("%w: ID %d not in dictionary", ErrTerm, v)
 		}
+		if pos == 0 && strings.HasPrefix(str, `"`) {
+			return writeTerm{}, fmt.Errorf("%w: subject must be an IRI or a blank node, ID %d is %s", ErrTerm, v, str)
+		}
 		return writeTerm{key: str, id: core.ID(v), found: true, dict: d}, nil
 	}
 	return writeTerm{key: s, id: core.ID(v), found: true}, nil
@@ -473,12 +482,9 @@ func (m *Mutable) resolveWriteTerm(s string, predicate bool) (writeTerm, error) 
 // Callers hold m.mu.
 func (m *Mutable) applyLocked(op byte, s, p, o string, logWAL bool) (WriteResult, error) {
 	terms := [3]writeTerm{}
-	for i, arg := range [3]struct {
-		s         string
-		predicate bool
-	}{{s, false}, {p, true}, {o, false}} {
+	for i, arg := range [3]string{s, p, o} {
 		var err error
-		if terms[i], err = m.resolveWriteTerm(arg.s, arg.predicate); err != nil {
+		if terms[i], err = m.resolveWriteTerm(arg, i); err != nil {
 			return WriteResult{}, err
 		}
 	}

@@ -47,7 +47,7 @@ import (
 // array lies 8-byte aligned in the file. There is no pad after the last
 // checksum. The table gives the section's length up front, so the
 // section's checksum is verified before any of it is decoded.
-const Magic = "RDFSTORE7"
+const Magic = "RDFSTORE8"
 
 // CurrentVersion is the container format version Write produces and
 // Read accepts. Files of older versions are refused by their magic,
@@ -62,8 +62,10 @@ const Magic = "RDFSTORE7"
 // xsd:integer and xsd:decimal literals, numbered in value order and
 // stored as Elias-Fano sequences of values; each dictionary records
 // how many sections it has, and a dictionary without numeric literals
-// stores v6's bytes after that count.
-const CurrentVersion = 7
+// stores v6's bytes after that count. v8 keeps one section per datatype
+// and scale, and no numeric literal among the strings; its bytes are
+// v7's otherwise.
+const CurrentVersion = 8
 
 // magicStem is what every version's magic starts with; the version
 // number follows it.
@@ -548,9 +550,9 @@ func (st *Store) RenderPredicate(id core.ID) string {
 }
 
 // NumericSection is one numeric section of the SO dictionary in the
-// shape of core.R: the object IDs of one datatype's canonical literals,
-// consecutive and in value order, and their values, which R holds as
-// the literal values scaled by 10^Scale, minus Min.
+// shape of core.R: the object IDs of one datatype and scale's canonical
+// literals, consecutive and in value order, and their values, which R
+// holds as the literal values scaled by 10^Scale, minus Min.
 type NumericSection struct {
 	Datatype dict.Datatype
 	Scale    int // fraction digits of a decimal, 0 for an integer
