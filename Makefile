@@ -7,7 +7,10 @@ RDFLINT := $(CURDIR)/bin/rdflint
 
 .PHONY: all build test race lint rdflint fmt vet staticcheck govulncheck fuzz bench-module clean
 
-all: build test lint
+# bench-module too: benchmark/ladder compiles against store.Read,
+# server.New and sparql.Store, which `go build ./...` at the root never
+# checks.
+all: build test lint bench-module
 
 build:
 	$(GO) build ./...

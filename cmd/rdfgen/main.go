@@ -1,6 +1,7 @@
 // Command rdfgen generates the synthetic datasets used by the
-// experiments, either as compact binary dataset files (consumed by
-// rdfstore and ReadDataset) or as N-Triples text with synthetic URIs.
+// experiments, either as compact binary dataset files of integer
+// triples (read back by ReadDataset) or as N-Triples text with
+// synthetic URIs (what rdfstore build reads).
 //
 // Generation is deterministic in -seed: the same preset, size and seed
 // always produce byte-identical output, so benchmark datasets are

@@ -1,7 +1,7 @@
 // Command rdfstore is the end-to-end store: it builds a compressed index
-// from N-Triples or binary dataset files, saves it to disk with its
-// dictionaries, answers triple selection patterns and SPARQL basic graph
-// patterns against it, and serves it over HTTP to concurrent clients.
+// from an N-Triples file, saves it to disk with its dictionaries, answers
+// triple selection patterns and SPARQL basic graph patterns against it,
+// and serves it over HTTP to concurrent clients.
 //
 // Usage:
 //
@@ -16,6 +16,8 @@
 //	rdfstore serve -store store.idx -addr :8080 -workers 8
 //	rdfstore serve -store leader.idx -addr :8080 -replicate-addr :7878
 //	rdfstore serve -store replica.idx -addr :8081 -follow leaderhost:7878
+//
+// build reads N-Triples only (a .nt file; rdfgen -format nt writes one).
 //
 // verify checks every container section (header with the dictionaries,
 // section table, index) against its stored CRC32C checksum and scans the
@@ -145,7 +147,7 @@ func run(args []string, out io.Writer) error {
 
 func buildCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("build", flag.ContinueOnError)
-	in := fs.String("in", "", "input file (.nt N-Triples or .bin dataset)")
+	in := fs.String("in", "", "input N-Triples file (.nt)")
 	layout := fs.String("layout", "2Tp", "index layout: 3T|CC|2Tp|2To")
 	outPath := fs.String("out", "store.idx", "output store file")
 	if err := parseFlags(fs, args); err != nil {
@@ -153,6 +155,9 @@ func buildCmd(args []string, out io.Writer) error {
 	}
 	if *in == "" {
 		return fmt.Errorf("build needs -in")
+	}
+	if !strings.HasSuffix(*in, ".nt") {
+		return fmt.Errorf("build reads N-Triples (.nt) only, not %s: generate them with rdfgen -format nt", *in)
 	}
 	l, err := core.ParseLayout(*layout)
 	if err != nil {
@@ -165,28 +170,20 @@ func buildCmd(args []string, out io.Writer) error {
 		return err
 	}
 
-	st := &store.Store{}
 	f, err := os.Open(*in)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	var d *core.Dataset
-	if strings.HasSuffix(*in, ".nt") {
-		statements, err := rdf.ParseAll(f)
-		if err != nil {
-			return err
-		}
-		d, st.Dicts, err = rdf.Encode(statements)
-		if err != nil {
-			return err
-		}
-	} else {
-		d, err = core.ReadDataset(f)
-		if err != nil {
-			return err
-		}
+	statements, err := rdf.ParseAll(f)
+	if err != nil {
+		return err
 	}
+	d, dicts, err := rdf.Encode(statements)
+	if err != nil {
+		return err
+	}
+	st := &store.Store{Dicts: dicts}
 	if st.Index, err = core.Build(d, l); err != nil {
 		return err
 	}
@@ -239,18 +236,14 @@ func queryCmd(args []string, out io.Writer) error {
 			if *limit >= 0 && count > *limit {
 				continue
 			}
-			if st.Dicts != nil {
-				line = rend.AppendTerm(line[:0], t.S)
-				line = append(line, ' ')
-				line = rend.AppendPredicate(line, t.P)
-				line = append(line, ' ')
-				line = rend.AppendTerm(line, t.O)
-				line = append(line, ' ', '.', '\n')
-				if _, err := out.Write(line); err != nil {
-					return err
-				}
-			} else {
-				fmt.Fprintln(out, t)
+			line = rend.AppendTerm(line[:0], t.S)
+			line = append(line, ' ')
+			line = rend.AppendPredicate(line, t.P)
+			line = append(line, ' ')
+			line = rend.AppendTerm(line, t.O)
+			line = append(line, ' ', '.', '\n')
+			if _, err := out.Write(line); err != nil {
+				return err
 			}
 		}
 	}
@@ -396,16 +389,14 @@ func statsCmd(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "triples:      %d\n", st.Index.NumTriples())
 	fmt.Fprintf(out, "index space:  %.2f bits/triple (%.2f MiB)\n",
 		core.BitsPerTriple(st.Index), float64(st.Index.SizeBits())/8/1024/1024)
-	if st.Dicts != nil {
-		fmt.Fprintf(out, "dictionaries: %d SO terms, %d predicates (%.2f MiB)\n",
-			st.Dicts.SO.Len(), st.Dicts.P.Len(),
-			float64(st.Dicts.SO.SizeBits()+st.Dicts.P.SizeBits())/8/1024/1024)
-		fmt.Fprintf(out, "SO dict:      %s\n", dictSpace(st.Dicts.SO, true))
-		for _, sec := range st.NumericSections() {
-			fmt.Fprintf(out, "SO numeric:   %v, scale %d: %d terms, %d bytes\n", sec.Datatype, sec.Scale, sec.R.Len(), sec.Bytes)
-		}
-		fmt.Fprintf(out, "P dict:       %s\n", dictSpace(st.Dicts.P, false))
+	fmt.Fprintf(out, "dictionaries: %d SO terms, %d predicates (%.2f MiB)\n",
+		st.Dicts.SO.Len(), st.Dicts.P.Len(),
+		float64(st.Dicts.SO.SizeBits()+st.Dicts.P.SizeBits())/8/1024/1024)
+	fmt.Fprintf(out, "SO dict:      %s\n", dictSpace(st.Dicts.SO, true))
+	for _, sec := range st.NumericSections() {
+		fmt.Fprintf(out, "SO numeric:   %v, scale %d: %d terms, %d bytes\n", sec.Datatype, sec.Scale, sec.R.Len(), sec.Bytes)
 	}
+	fmt.Fprintf(out, "P dict:       %s\n", dictSpace(st.Dicts.P, false))
 	fmt.Fprintf(out, "format:       %s\n", formatLine(st.Integrity.Version, st.Integrity.Mapped))
 	return nil
 }

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"rdfindexes/internal/core"
 	"rdfindexes/internal/dict"
 	"rdfindexes/internal/store"
 )
@@ -173,6 +175,28 @@ func TestCLIErrors(t *testing.T) {
 	if err := run([]string{"build", "-in", bad, "-out", filepath.Join(dir, "bad.idx")}, io_discard()); err == nil ||
 		!strings.Contains(err.Error(), "subject must be an IRI or a blank node") {
 		t.Fatalf("build of a literal subject: %v", err)
+	}
+}
+
+// TestBuildNTriplesOnly pins that build reads N-Triples only: a binary
+// dataset file of integer triples is refused, and the error names the
+// rdfgen format to generate instead.
+func TestBuildNTriplesOnly(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "x.bin")
+	var b bytes.Buffer
+	if err := core.WriteDataset(&b, core.NewDataset([]core.Triple{{S: 0, P: 0, O: 1}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bin, b.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	idx := filepath.Join(dir, "x.idx")
+	if err := run([]string{"build", "-in", bin, "-out", idx}, io_discard()); err == nil || !strings.Contains(err.Error(), "rdfgen -format nt") {
+		t.Fatalf("build of a binary dataset: %v, want an error naming rdfgen -format nt", err)
+	}
+	if _, err := os.Stat(idx); !os.IsNotExist(err) {
+		t.Fatalf("refused build left a store behind: %v", err)
 	}
 }
 

@@ -50,8 +50,19 @@ func ReplFanOut(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The writes name their terms by raw ID, fresh subjects and objects
+	// past d's ID spaces included; the SO dictionary covers those too, so
+	// every insert resolves to a term.
+	no := d.NO
+	for _, t := range writes {
+		no = max(no, int(t.S)+1, int(t.O)+1)
+	}
+	dicts, err := SynthDicts(&core.Dataset{NS: d.NS, NP: d.NP, NO: no})
+	if err != nil {
+		return nil, err
+	}
 	pristine := filepath.Join(dir, "pristine.idx")
-	if err := store.Write(pristine, &store.Store{Index: x}); err != nil {
+	if err := store.Write(pristine, &store.Store{Index: x, Dicts: dicts}); err != nil {
 		return nil, err
 	}
 	pristineBytes, err := os.ReadFile(pristine)

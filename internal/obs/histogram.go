@@ -169,11 +169,3 @@ func (s *HistogramSnapshot) Quantile(q float64) time.Duration {
 	}
 	return time.Duration(BucketBound(NumBuckets - 1))
 }
-
-// Mean returns the average observed duration, 0 when empty.
-func (s *HistogramSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.Sum / s.Count)
-}

@@ -38,16 +38,6 @@ func (c *Counter) Add(n uint64) {
 	c.v.Add(n)
 }
 
-// Inc increments the counter by one.
-//
-//rdf:hotpath
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.v.Add(1)
-}
-
 // Load returns the current count.
 func (c *Counter) Load() uint64 {
 	if c == nil {

@@ -59,9 +59,6 @@ func TestHistogramQuantile(t *testing.T) {
 			t.Errorf("q%.2f = %v, want within 25%% of %v", tc.q, got, tc.want)
 		}
 	}
-	if m := s.Mean(); m < 400*time.Microsecond || m > 600*time.Microsecond {
-		t.Errorf("mean = %v, want ~500µs", m)
-	}
 	var empty HistogramSnapshot
 	if got := empty.Quantile(0.5); got != 0 {
 		t.Errorf("empty quantile = %v", got)
@@ -161,7 +158,7 @@ func TestExposition(t *testing.T) {
 	r.CounterFunc("rdf_test_hits_total", `cache="plan"`, "cache hits", func() uint64 { return 3 })
 	h := r.Histogram("rdf_test_latency_seconds", `stage="exec"`, "stage latency")
 	c.Add(5)
-	c2.Inc()
+	c2.Add(1)
 	h.Observe(3 * time.Millisecond)
 	h.Observe(40 * time.Millisecond)
 
@@ -247,14 +244,11 @@ func TestTraceStages(t *testing.T) {
 	if tr.Stages[StageExec] != 3*time.Millisecond {
 		t.Errorf("exec = %v", tr.Stages[StageExec])
 	}
-	if tr.Total() != 4*time.Millisecond {
-		t.Errorf("total = %v", tr.Total())
-	}
 	// nil traces swallow every recorder.
 	var nilTr *Trace
 	nilTr.AddStage(StageExec, time.Second)
 	nilTr.StepScanned(0)
-	if nilTr.Total() != 0 || len(nilTr.Steps()) != 0 {
+	if len(nilTr.Steps()) != 0 {
 		t.Error("nil trace recorded something")
 	}
 	// Step recording without EnableSteps is a no-op.

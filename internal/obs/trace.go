@@ -124,18 +124,6 @@ func (t *Trace) AddStage(s Stage, d time.Duration) {
 	t.Stages[s] += d
 }
 
-// Total returns the sum of all recorded stage times.
-func (t *Trace) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range t.Stages {
-		sum += d
-	}
-	return sum
-}
-
 // StepIssued records that execution step (plan position) step issued a
 // selection for pattern (its index in the query), under gallop when it
 // is one stream of a merge-intersection.

@@ -393,8 +393,8 @@ func countSet(c [2]string) int {
 // predicate column must equal, byte for byte, what a subject/object
 // column renders over a store whose subject/object dictionary *is* the
 // predicate dictionary (the oracle-checked path of the tests above), the
-// per-request term cache must keep the two roles of one ID apart, and a
-// store without dictionaries renders both through the <id> fallback.
+// per-request term cache must keep the two roles of one ID apart, and an
+// ID neither dictionary holds renders through the <id> fallback in both.
 func TestWriterPredicateColumns(t *testing.T) {
 	st, _ := termStore(t, testTerms)
 	swapped := &store.Store{Dicts: &rdf.Dicts{SO: st.Dicts.P, P: st.Dicts.P}}
@@ -423,18 +423,19 @@ func TestWriterPredicateColumns(t *testing.T) {
 	}
 
 	// One ID in both roles, twice: the second row comes from the cache.
+	// An ID neither dictionary holds renders as <id> in both.
 	for _, tc := range []struct {
-		st   *store.Store
+		id   core.ID
 		x, p string
 	}{
-		{st, sortedTerm(t, st, 0), testPredicates[0]},
-		{&store.Store{}, "<0>", "<0>"},
+		{0, sortedTerm(t, st, 0), testPredicates[0]},
+		{1000, "<1000>", "<1000>"},
 	} {
 		var out bytes.Buffer
-		wr := Acquire(TSV, tc.st, &out)
+		wr := Acquire(TSV, st, &out)
 		wr.Begin([]string{"x", "p"}, core.RoleSO, core.RoleP)
-		wr.WriteRow([]core.ID{0, 0})
-		wr.WriteRow([]core.ID{0, 0})
+		wr.WriteRow([]core.ID{tc.id, tc.id})
+		wr.WriteRow([]core.ID{tc.id, tc.id})
 		if err := wr.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -455,10 +456,10 @@ func sortedTerm(t *testing.T, st *store.Store, id int) string {
 	return term
 }
 
-// TestWriterIntsFallback: a store without dictionaries renders the <id>
-// fallback, which every format treats as an IRI.
+// TestWriterIntsFallback: an integer ID the dictionary does not hold
+// renders as the <id> fallback, which every format treats as an IRI.
 func TestWriterIntsFallback(t *testing.T) {
-	st := &store.Store{}
+	st, _ := termStore(t, manyTerms(8))
 	var out bytes.Buffer
 	wr := Acquire(JSON, st, &out)
 	wr.Begin([]string{"x"})

@@ -58,24 +58,12 @@ func mustCompile(t testing.TB, qs string) *sparql.Compiled {
 	return c
 }
 
-// ctxStore routes the executor's selections through a query context, as
-// the server does, so inner iterators are recycled instead of allocated.
-type ctxStore struct {
-	x  core.Index
-	qc *core.QueryCtx
-}
-
-func (s ctxStore) Select(p core.Pattern) *core.Iterator { return core.SelectWithCtx(s.x, p, s.qc) }
-func (s ctxStore) NumTriples() int                      { return s.x.NumTriples() }
-
 // TestRunToWriteRowAllocs pins the row path from the executor into every
 // serializer — the four protocol formats, each fed block by block as the server feeds them and row by row — at a constant
 // number of allocations per query: the same scan-and-join shape at 100
 // and at 2000 rows costs the same, so a row costs none.
 func TestRunToWriteRowAllocs(t *testing.T) {
 	st := joinStore(t, 100, 2000)
-	qc := core.AcquireQueryCtx()
-	defer qc.Release()
 	plans := [2]*sparql.Compiled{
 		mustCompile(t, "SELECT ?s ?p ?o WHERE { ?s <0> ?o . ?s ?p ?o . }"),
 		mustCompile(t, "SELECT ?s ?p ?o WHERE { ?s <1> ?o . ?s ?p ?o . }"),
@@ -109,7 +97,7 @@ func TestRunToWriteRowAllocs(t *testing.T) {
 		var rows [2]int
 		for k, c := range plans {
 			query := func() {
-				stats, err := sparql.Run(context.Background(), c, ctxStore{st.Index, qc}, sparql.Options{}, sk.rows)
+				stats, err := sparql.Run(context.Background(), c, st.Index, sparql.Options{}, sk.rows)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -124,7 +112,9 @@ func TestRunToWriteRowAllocs(t *testing.T) {
 		if rows != [2]int{200, 2100} {
 			t.Fatalf("%s: %v rows, want [200 2100]", sk.name, rows)
 		}
-		if allocs[0] != allocs[1] {
+		// The race detector makes sync.Pool drop what it is given, the
+		// run's query context among it, so only the rows are checked there.
+		if allocs[0] != allocs[1] && !raceEnabled {
 			t.Errorf("%s: %v allocs/query at %d rows, %v at %d: the row path allocates",
 				sk.name, allocs[0], rows[0], allocs[1], rows[1])
 		}

@@ -36,8 +36,8 @@ type Writer struct {
 var writerPool = sync.Pool{New: func() any { return &Writer{} }}
 
 // Acquire takes a pooled writer streaming format f to w, with terms
-// resolved against st's dictionaries (integer-only stores render the
-// documented <id> fallback notation).
+// resolved against st's dictionaries (an ID they do not hold renders in
+// the documented <id> fallback notation).
 func Acquire(f Format, st *store.Store, w io.Writer) *Writer {
 	wr := writerPool.Get().(*Writer)
 	wr.f = f

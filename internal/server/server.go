@@ -469,34 +469,29 @@ func parseLimitValue(v string) (int, error) {
 	return n, nil
 }
 
-// execute runs plan over the view's index through a pooled query
-// context, passing solution blocks to write up to the request's row cap
-// (limit; negative for none). The run is asked for one row past the cap:
-// finding it ends the run at once and reports the answer truncated, not
-// failed.
+// execute runs plan over the view's index, passing solution blocks to
+// write up to the request's row cap (limit; negative for none). The run
+// is asked for one row past the cap: finding it ends the run at once and
+// reports the answer truncated, not failed.
 func execute(ctx context.Context, plan *sparql.Compiled, st *store.Store, tr *obs.Trace,
 	limit int, write func(ids []core.ID, rows int)) (stats sparql.ExecStats, rows int, truncated bool, err error) {
-	qc := core.AcquireQueryCtx()
-	defer qc.Release()
 	e := execStates.Get().(*execState)
 	defer execStates.Put(e)
 	defer e.clear()
-	e.store = ctxStore{x: st.Index, qc: qc}
 	e.limit, e.write = limit, write
 	opt := sparql.Options{Trace: tr}
 	if limit >= 0 {
 		opt.MaxRows = limit + 1
 	}
-	stats, err = sparql.Run(ctx, plan, &e.store, opt, e.sink)
+	stats, err = sparql.Run(ctx, plan, st.Index, opt, e.sink)
 	rows, truncated = e.rows, e.truncated
 	return stats, rows, truncated, err
 }
 
-// execState is what execute hands a run: the store adapter and the row
-// cap, whose sink is bound once per pooled state rather than once per
-// run, so execute itself allocates nothing.
+// execState is what execute hands a run: the row cap, whose sink is
+// bound once per pooled state rather than once per run, so execute
+// itself allocates nothing.
 type execState struct {
-	store     ctxStore
 	limit     int
 	rows      int
 	truncated bool
@@ -625,27 +620,6 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, u update) {
 	json.NewEncoder(w).Encode(res)
 }
 
-// ctxStore adapts the shared index to the executor's Store interface,
-// routing every Select through the request's QueryCtx. SelectVarSorted
-// forwards to the index so merge-intersection joins keep working.
-type ctxStore struct {
-	x  core.Index
-	qc *core.QueryCtx
-}
-
-func (s ctxStore) Select(p core.Pattern) *core.Iterator {
-	return core.SelectWithCtx(s.x, p, s.qc)
-}
-
-func (s ctxStore) NumTriples() int { return s.x.NumTriples() }
-
-func (s ctxStore) SelectVarSorted(p core.Pattern) (*core.VarIter, bool) {
-	if vs, ok := s.x.(core.VarSelecter); ok {
-		return vs.SelectVarSorted(p)
-	}
-	return nil, false
-}
-
 // Stats is the /stats document. On a mutable store, Triples and
 // BitsPerTriple describe the current snapshot (static core plus pending
 // update log).
@@ -653,7 +627,6 @@ type Stats struct {
 	Layout        string  `json:"layout"`
 	Triples       int     `json:"triples"`
 	BitsPerTriple float64 `json:"bits_per_triple"`
-	Dictionary    bool    `json:"dictionary"`
 	Mutable       bool    `json:"mutable"`
 	Generation    uint64  `json:"generation"`
 	LogSize       int     `json:"log_size"`
@@ -726,7 +699,6 @@ func (s *Server) Snapshot() Stats {
 		Layout:              st.Index.Layout().String(),
 		Triples:             st.Index.NumTriples(),
 		BitsPerTriple:       core.BitsPerTriple(st.Index),
-		Dictionary:          st.Dicts != nil,
 		Generation:          gen,
 		Workers:             s.cfg.Workers,
 		InFlight:            len(s.sem),

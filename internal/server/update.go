@@ -13,11 +13,11 @@ import (
 //
 // Keywords match case-insensitively and any whitespace separates tokens.
 // A term is an N-Triples IRI, literal (with its language tag or datatype)
-// or blank node, or a bare integer ID on an integer-only store; the store
-// validates it exactly as it validates every write. Everything else the
-// Update language has — PREFIX and BASE, pattern updates with WHERE,
-// GRAPH blocks, several triples or operations in one request — is a 400
-// that names what is unsupported.
+// or blank node, or a bare integer ID that the store's dictionary holds;
+// the store validates it exactly as it validates every write. Everything
+// else the Update language has — PREFIX and BASE, pattern updates with
+// WHERE, GRAPH blocks, several triples or operations in one request — is
+// a 400 that names what is unsupported.
 
 // update is one parsed INSERT DATA or DELETE DATA operation.
 type update struct {

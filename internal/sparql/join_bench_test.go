@@ -17,21 +17,6 @@ import (
 	"rdfindexes/internal/store"
 )
 
-// ctxStore routes selections through a query context, as the server does.
-type ctxStore struct {
-	x  core.Index
-	qc *core.QueryCtx
-}
-
-func (s ctxStore) Select(p core.Pattern) *core.Iterator { return core.SelectWithCtx(s.x, p, s.qc) }
-func (s ctxStore) NumTriples() int                      { return s.x.NumTriples() }
-func (s ctxStore) SelectVarSorted(p core.Pattern) (*core.VarIter, bool) {
-	if vs, ok := s.x.(core.VarSelecter); ok {
-		return vs.SelectVarSorted(p)
-	}
-	return nil, false
-}
-
 // joinFixture is a dbpedia-shaped store with rendered terms and a set of
 // star and path BGPs shaped like the socket benchmark's join-stream
 // workload: two to four bound-predicate patterns grown around a random
@@ -174,9 +159,7 @@ func renderPredicates(n int) []string {
 // (what the writer's term table asks the dictionary for).
 func BenchmarkJoinRepeat(b *testing.B) {
 	f := newJoinFixture(b, 100000, 64, 3)
-	qc := core.AcquireQueryCtx()
-	defer qc.Release()
-	src := ctxStore{f.st.Index, qc}
+	src := f.st.Index
 	ctx := context.Background()
 
 	b.Run("exec", func(b *testing.B) {

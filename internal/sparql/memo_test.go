@@ -68,16 +68,6 @@ func nestedRef(q Query, order []int, st Store) [][]core.ID {
 	return rows
 }
 
-// memoCtxStore routes selections through a QueryCtx, whose iterators
-// recycle their state as soon as they drain.
-type memoCtxStore struct {
-	x  core.Index
-	qc *core.QueryCtx
-}
-
-func (s memoCtxStore) Select(p core.Pattern) *core.Iterator { return core.SelectWithCtx(s.x, p, s.qc) }
-func (s memoCtxStore) NumTriples() int                      { return s.x.NumTriples() }
-
 // scalarStore hands out the index's matches through per-triple
 // iterators, the protocol of stores outside package core.
 type scalarStore struct{ x core.Index }
@@ -91,9 +81,9 @@ func (s scalarStore) NumTriples() int { return s.x.NumTriples() }
 // repeat under every way the memo can decline to keep one: more distinct
 // inner patterns than slots, inner results longer than an entry may hold,
 // and more triples to keep than the arena takes. Result set and emission
-// order must equal a nested-loop reference on a plain index, through a
-// QueryCtx, through scalar iterators, and from concurrent Runs sharing
-// one index and one plan.
+// order must equal a nested-loop reference on the index, which the run
+// selects from through its QueryCtx, through scalar iterators, and from
+// concurrent Runs sharing one index and one plan.
 func TestMemoPressure(t *testing.T) {
 	// Predicate 0: each of nx subjects has two objects among 12 hubs, so
 	// the POS-ordered first arm meets every subject twice, far apart.
@@ -149,8 +139,7 @@ func TestMemoPressure(t *testing.T) {
 		ref := nestedRef(q, c.Order, x)
 		plans, refs = append(plans, c), append(refs, ref)
 
-		qc := core.AcquireQueryCtx()
-		for name, st := range map[string]Store{"index": x, "ctx": memoCtxStore{x, qc}, "scalar": scalarStore{x}} {
+		for name, st := range map[string]Store{"index": x, "scalar": scalarStore{x}} {
 			var rows [][]core.ID
 			stats, err := Run(context.Background(), c, st, Options{}, EachRow(func(row []core.ID) {
 				rows = append(rows, slices.Clone(row))
@@ -165,7 +154,6 @@ func TestMemoPressure(t *testing.T) {
 				t.Errorf("%s on %s: no selection replayed: %+v", qs, name, stats)
 			}
 		}
-		qc.Release()
 	}
 
 	// Every subject's inner pattern repeats once, but the slots, the entry
@@ -185,12 +173,10 @@ func TestMemoPressure(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			qc := core.AcquireQueryCtx()
-			defer qc.Release()
 			for round := 0; round < 3; round++ {
 				k := (g + round) % len(plans)
 				var rows [][]core.ID
-				if _, err := Run(context.Background(), plans[k], memoCtxStore{x, qc}, Options{}, EachRow(func(row []core.ID) {
+				if _, err := Run(context.Background(), plans[k], x, Options{}, EachRow(func(row []core.ID) {
 					rows = append(rows, slices.Clone(row))
 				})); err != nil {
 					t.Error(err)

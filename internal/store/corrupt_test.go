@@ -59,21 +59,13 @@ func TestReadFlippedByteEveryOffset(t *testing.T) {
 // value. Read must refuse it as corrupt at open, not serve a sequence
 // whose reads run past the partition.
 func TestReadCraftedPEF(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var ts []core.Triple
-	for i := 0; i < 2000; i++ {
-		ts = append(ts, core.Triple{S: core.ID(rng.Intn(500)), P: core.ID(rng.Intn(4)), O: core.ID(rng.Intn(500))})
-	}
-	x, err := core.Build(core.NewDataset(ts), core.Layout2Tp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := randomStore(t, rand.New(rand.NewSource(3)), 2000, 500, 4, core.Layout2Tp)
 	var section bytes.Buffer
-	if err := core.WriteIndex(&section, x); err != nil {
+	if err := core.WriteIndex(&section, st.Index); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "store.idx")
-	if err := Write(path, &Store{Index: x}); err != nil {
+	if err := Write(path, st); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -98,6 +90,50 @@ func TestReadCraftedPEF(t *testing.T) {
 	}
 	if _, err := Read(path); !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), "pef partition") {
 		t.Fatalf("Read of a crafted partition: %v, want a pef partition ErrCorrupt", err)
+	}
+}
+
+// TestReadRefusesNoDicts pins that every store carries its dictionaries:
+// Write refuses a store without them, and Read and Verify refuse, under
+// header, a container whose dictionary flag is 0, as one written without
+// dictionaries would be: the flag, the header's checksum and its pad,
+// then the sample store's table and index section.
+func TestReadRefusesNoDicts(t *testing.T) {
+	path, data := writeSampleFile(t)
+	if err := Write(path, &Store{Index: buildSample(t, core.Layout2Tp).Index}); err == nil {
+		t.Fatal("Write accepted a store without dictionaries")
+	}
+	r := codec.NewBytesReader(data, nil)
+	_ = r.String() // magic
+	head := r.Offset()
+	r.Byte() // dictionary flag
+	for range 2 {
+		if _, err := dict.Decode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Uint32()
+	r.Pad()
+	crafted := append([]byte(nil), data[:head]...)
+	crafted = append(crafted, 0)
+	crafted = binary.LittleEndian.AppendUint32(crafted, crc32.Checksum([]byte{0}, codec.Castagnoli))
+	for len(crafted)%8 != 0 {
+		crafted = append(crafted, 0)
+	}
+	crafted = append(crafted, data[r.Offset():]...)
+	if err := os.WriteFile(path, crafted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "dictionary flag 0 in the header: stores without dictionaries are no longer read"
+	if _, err := Read(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Read of a store without dictionaries: %v, want %q", err, want)
+	}
+	rep, err := Verify(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK || len(rep.Sections) != 1 || rep.Sections[0].Name != "header" || !strings.Contains(rep.Sections[0].Error, want) {
+		t.Fatalf("Verify of a store without dictionaries: %+v, want the header naming %q", rep, want)
 	}
 }
 
@@ -472,22 +508,10 @@ func TestWALSequenceSplice(t *testing.T) {
 // the input, Read and Verify must return (a store, a report or an error)
 // without panicking or over-allocating.
 func FuzzStoreRead(f *testing.F) {
-	dir := f.TempDir()
-	var seedStore *Store
-	{
-		// Seed with a real container so the fuzzer starts from deep
-		// coverage, plus edge-case fragments.
-		st := &Store{}
-		statements := []core.Triple{{S: 0, P: 0, O: 1}, {S: 1, P: 0, O: 0}}
-		x, err := core.Build(core.NewDataset(statements), core.Layout2Tp)
-		if err != nil {
-			f.Fatal(err)
-		}
-		st.Index = x
-		seedStore = st
-	}
-	single := filepath.Join(dir, "single.idx")
-	if err := Write(single, seedStore); err != nil {
+	// Seed with a real container, dictionaries and all, so the fuzzer
+	// starts from deep coverage, plus edge-case fragments.
+	single := filepath.Join(f.TempDir(), "single.idx")
+	if err := Write(single, buildSample(f, core.Layout2Tp)); err != nil {
 		f.Fatal(err)
 	}
 	data, err := os.ReadFile(single)

@@ -119,16 +119,10 @@ func TestMappedStoreLifetime(t *testing.T) {
 		t.Skip("store files are read into memory on this platform")
 	}
 	rng := rand.New(rand.NewSource(27))
-	var ts []core.Triple
-	for i := 0; i < 3000; i++ {
-		ts = append(ts, core.Triple{S: core.ID(rng.Intn(60)), P: core.ID(rng.Intn(6)), O: core.ID(rng.Intn(60))})
-	}
-	oracle, err := core.Build(core.NewDataset(ts), core.Layout2Tp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := randomStore(t, rng, 3000, 60, 6, core.Layout2Tp)
+	oracle := st.Index
 	path := filepath.Join(t.TempDir(), "store.idx")
-	if err := Write(path, &Store{Index: oracle}); err != nil {
+	if err := Write(path, st); err != nil {
 		t.Fatal(err)
 	}
 	// drain answers every shape through pooled contexts and compares

@@ -56,7 +56,7 @@ type Mutable struct {
 	recovery  WALRecovery // what replayWAL found at open
 
 	dyn *core.DynamicIndex
-	so  *dict.Overlay // nil for integer-only stores
+	so  *dict.Overlay
 	p   *dict.Overlay
 
 	// walRecords counts the records currently in the WAL. It can exceed
@@ -311,15 +311,12 @@ func (m *Mutable) WALBytes() int64 { return m.walBytes.Load() }
 // with one pointer load, so a cache key built from the generation can
 // never describe IDs resolved against a different view's dictionaries.
 func (m *Mutable) publishLocked() {
-	st := &Store{Index: m.dyn.Snapshot(), Gen: m.gen.Add(1), Integrity: m.base.Integrity, Modified: time.Now(), OpenDuration: m.openDuration}
-	if m.so != nil {
-		st.Dicts = &rdf.Dicts{SO: m.so.View(), P: m.p.View()}
-	}
-	m.view.Store(st)
+	m.view.Store(&Store{Index: m.dyn.Snapshot(), Dicts: &rdf.Dicts{SO: m.so.View(), P: m.p.View()},
+		Gen: m.gen.Add(1), Integrity: m.base.Integrity, Modified: time.Now(), OpenDuration: m.openDuration})
 }
 
-// Insert adds one triple given as N-Triples terms (or bare integer IDs
-// for integer-only stores). Terms never seen before are assigned fresh
+// Insert adds one triple given as N-Triples terms or bare integer IDs
+// the dictionaries hold. Terms never seen before are assigned fresh
 // dictionary IDs via the overlay. The write is logged to the WAL before
 // the result is visible to new views.
 func (m *Mutable) Insert(s, p, o string) (WriteResult, error) {
@@ -405,7 +402,7 @@ type writeTerm struct {
 	key   string
 	id    core.ID
 	found bool
-	dict  *dict.Overlay // nil for raw integer IDs
+	dict  *dict.Overlay
 }
 
 // resolveWriteTerm parses and canonicalizes the write-side term at
@@ -420,9 +417,6 @@ func (m *Mutable) resolveWriteTerm(s string, pos int) (writeTerm, error) {
 		return writeTerm{}, fmt.Errorf("%w: write terms must be bound, got %q", ErrTerm, s)
 	}
 	if strings.HasPrefix(s, "<") || strings.HasPrefix(s, "\"") || strings.HasPrefix(s, "_:") {
-		if m.so == nil {
-			return writeTerm{}, fmt.Errorf("%w: integer-only store; use integer IDs", ErrTerm)
-		}
 		t, err := rdf.ParseTerm(s)
 		if err != nil {
 			return writeTerm{}, fmt.Errorf("%w: %v", ErrTerm, err)
@@ -457,23 +451,20 @@ func (m *Mutable) resolveWriteTerm(s string, pos int) (writeTerm, error) {
 	if core.ID(v) > core.MaxID {
 		return writeTerm{}, fmt.Errorf("%w: ID %d out of range", ErrTerm, v)
 	}
-	if m.so != nil {
-		// Translate raw IDs to their canonical terms so the WAL stays
-		// uniform N-Triples for dictionary stores.
-		d := m.so
-		if predicate {
-			d = m.p
-		}
-		str, ok := d.Extract(int(v))
-		if !ok {
-			return writeTerm{}, fmt.Errorf("%w: ID %d not in dictionary", ErrTerm, v)
-		}
-		if pos == 0 && strings.HasPrefix(str, `"`) {
-			return writeTerm{}, fmt.Errorf("%w: subject must be an IRI or a blank node, ID %d is %s", ErrTerm, v, str)
-		}
-		return writeTerm{key: str, id: core.ID(v), found: true, dict: d}, nil
+	// Translate raw IDs to their canonical terms so the WAL stays
+	// uniform N-Triples.
+	d := m.so
+	if predicate {
+		d = m.p
 	}
-	return writeTerm{key: s, id: core.ID(v), found: true}, nil
+	str, ok := d.Extract(int(v))
+	if !ok {
+		return writeTerm{}, fmt.Errorf("%w: ID %d not in dictionary", ErrTerm, v)
+	}
+	if pos == 0 && strings.HasPrefix(str, `"`) {
+		return writeTerm{}, fmt.Errorf("%w: subject must be an IRI or a blank node, ID %d is %s", ErrTerm, v, str)
+	}
+	return writeTerm{key: str, id: core.ID(v), found: true, dict: d}, nil
 }
 
 // applyLocked resolves terms, applies the operation to the dynamic
@@ -572,8 +563,8 @@ func (m *Mutable) applyLocked(op byte, s, p, o string, logWAL bool) (WriteResult
 	return res, nil
 }
 
-// appendWAL writes one durable log record. Dictionary stores log
-// canonical N-Triples statements; integer-only stores log raw IDs.
+// appendWAL writes one durable log record: a canonical N-Triples
+// statement.
 //
 // Record framing (v2): "CCCCCCCC SEQ OP TERMS...\n" — an 8-hex-digit
 // CRC32C over everything after its trailing space, then a monotonic
@@ -590,12 +581,7 @@ func (m *Mutable) applyLocked(op byte, s, p, o string, logWAL bool) (WriteResult
 // whose fsync failed must not resurface on replay after the caller was
 // told the write failed.
 func (m *Mutable) appendWAL(op byte, skey, pkey, okey string) (string, error) {
-	var body string
-	if m.so != nil {
-		body = fmt.Sprintf("%d %c %s %s %s .", m.walRecords+1, op, skey, pkey, okey)
-	} else {
-		body = fmt.Sprintf("%d %c %s %s %s", m.walRecords+1, op, skey, pkey, okey)
-	}
+	body := fmt.Sprintf("%d %c %s %s %s .", m.walRecords+1, op, skey, pkey, okey)
 	line := fmt.Sprintf("%08x %s\n", crc32.Checksum([]byte(body), codec.Castagnoli), body)
 	if err := m.appendWALLine(line); err != nil {
 		return "", err
@@ -715,7 +701,7 @@ func (m *Mutable) replayWAL() (validLen int64, err error) {
 		if seq != uint64(m.walRecords+1) {
 			return corrupt("sequence jump: record claims %d, expected %d", seq, m.walRecords+1)
 		}
-		op, s, p, o, perr := parseWALStatement(body, m.so != nil)
+		op, s, p, o, perr := parseWALStatement(body)
 		if perr != nil {
 			return corrupt("%v", perr)
 		}
@@ -729,27 +715,19 @@ func (m *Mutable) replayWAL() (validLen int64, err error) {
 }
 
 // parseWALStatement parses the operation byte and three terms of one
-// WAL record statement (the body after the CRC and sequence fields).
-// Dictionary-backed stores carry N-Triples term keys; integer-only
-// stores carry three raw IDs. Shared by the opening replay and the
-// replicated-apply path so both resolve terms identically.
-func parseWALStatement(stmt string, hasDicts bool) (op byte, s, p, o string, err error) {
+// WAL record statement (the body after the CRC and sequence fields): an
+// N-Triples statement whose terms come back as keys. Shared by the
+// opening replay and the replicated-apply path so both resolve terms
+// identically.
+func parseWALStatement(stmt string) (op byte, s, p, o string, err error) {
 	if len(stmt) < 2 || stmt[1] != ' ' || (stmt[0] != opInsert && stmt[0] != opDelete) {
 		return 0, "", "", "", fmt.Errorf("bad record %q", stmt)
 	}
-	op = stmt[0]
-	if hasDicts {
-		st, ok, perr := rdf.ParseLine(stmt[2:])
-		if perr != nil || !ok {
-			return 0, "", "", "", fmt.Errorf("unparsable statement: %v", perr)
-		}
-		return op, st.S.Key(), st.P.Key(), st.O.Key(), nil
+	st, ok, perr := rdf.ParseLine(stmt[2:])
+	if perr != nil || !ok {
+		return 0, "", "", "", fmt.Errorf("unparsable statement: %v", perr)
 	}
-	fields := strings.Fields(stmt[2:])
-	if len(fields) != 3 {
-		return 0, "", "", "", fmt.Errorf("want 3 IDs, got %q", stmt)
-	}
-	return op, fields[0], fields[1], fields[2], nil
+	return stmt[0], st.S.Key(), st.P.Key(), st.O.Key(), nil
 }
 
 // splitWALCRC splits off a record's framing: an 8-hex-digit CRC field
@@ -774,12 +752,9 @@ func splitWALCRC(line string) (crc uint32, rest string, ok bool) {
 func (m *Mutable) installLocked(st *Store) {
 	m.base = st
 	m.dyn = core.NewDynamicFromIndex(st.Index, -1) // the Mutable drives merges
-	m.so, m.p = nil, nil
-	if st.Dicts != nil {
-		// Read decodes front-coded dictionaries and nothing else.
-		m.so = dict.NewOverlay(st.Dicts.SO.(*dict.Dict))
-		m.p = dict.NewOverlay(st.Dicts.P.(*dict.Dict))
-	}
+	// Read decodes front-coded dictionaries and nothing else.
+	m.so = dict.NewOverlay(st.Dicts.SO.(*dict.Dict))
+	m.p = dict.NewOverlay(st.Dicts.P.(*dict.Dict))
 	m.walRecords = 0
 	m.walBytes.Store(0)
 }
@@ -813,49 +788,39 @@ func (m *Mutable) truncateWALLocked() (truncated bool, err error) {
 func (m *Mutable) mergeLocked() error {
 	start := time.Now()
 	live := m.dyn.LiveTriples()
-	var dicts *rdf.Dicts
-	var soDict, pDict *dict.Dict
-	if m.so != nil {
-		// The folded SO dictionary numbers subjects first, as rdf.Encode
-		// does: a term joins the first run when a live triple has it as
-		// subject, so a term that gained its first subject triple moves
-		// there and one that lost its last moves out.
-		subject := make([]bool, m.so.Len())
-		for _, t := range live {
-			subject[t.S] = true
+	// The folded SO dictionary numbers subjects first, as rdf.Encode
+	// does: a term joins the first run when a live triple has it as
+	// subject, so a term that gained its first subject triple moves
+	// there and one that lost its last moves out.
+	subject := make([]bool, m.so.Len())
+	for _, t := range live {
+		subject[t.S] = true
+	}
+	soDict, soMap, err := m.so.Fold(dict.DefaultBucketSize, func(id int) bool { return subject[id] })
+	if err != nil {
+		return fmt.Errorf("store: fold SO dictionary: %w", err)
+	}
+	pDict, pMap, err := m.p.Fold(dict.DefaultBucketSize, nil)
+	if err != nil {
+		return fmt.Errorf("store: fold P dictionary: %w", err)
+	}
+	for i, t := range live {
+		live[i] = core.Triple{
+			S: core.ID(soMap[t.S]),
+			P: core.ID(pMap[t.P]),
+			O: core.ID(soMap[t.O]),
 		}
-		var soMap, pMap []int
-		var err error
-		soDict, soMap, err = m.so.Fold(dict.DefaultBucketSize, func(id int) bool { return subject[id] })
-		if err != nil {
-			return fmt.Errorf("store: fold SO dictionary: %w", err)
-		}
-		pDict, pMap, err = m.p.Fold(dict.DefaultBucketSize, nil)
-		if err != nil {
-			return fmt.Errorf("store: fold P dictionary: %w", err)
-		}
-		for i, t := range live {
-			live[i] = core.Triple{
-				S: core.ID(soMap[t.S]),
-				P: core.ID(pMap[t.P]),
-				O: core.ID(soMap[t.O]),
-			}
-		}
-		dicts = &rdf.Dicts{SO: soDict, P: pDict}
 	}
 	d := core.NewDataset(live)
-	if soDict != nil {
-		// Complete integer ranges over the dictionary ID spaces, matching
-		// rdf.Encode: the subjects, and the whole SO dictionary for
-		// objects, which may hold terms that no longer appear in any
-		// triple.
-		d.NS, d.NO, d.NP = soDict.FirstRun(), soDict.Len(), pDict.Len()
-	}
+	// Complete integer ranges over the dictionary ID spaces, matching
+	// rdf.Encode: the subjects, and the whole SO dictionary for objects,
+	// which may hold terms that no longer appear in any triple.
+	d.NS, d.NO, d.NP = soDict.FirstRun(), soDict.Len(), pDict.Len()
 	x, err := core.Build(d, m.base.Index.Layout())
 	if err != nil {
 		return fmt.Errorf("store: merge rebuild: %w", err)
 	}
-	if err := Write(m.path, &Store{Index: x, Dicts: dicts}); err != nil {
+	if err := Write(m.path, &Store{Index: x, Dicts: &rdf.Dicts{SO: soDict, P: pDict}}); err != nil {
 		return err
 	}
 	st, err := Read(m.path)

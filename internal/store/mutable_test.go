@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,20 +26,8 @@ func buildTestStore(t *testing.T, dir string, layout core.Layout) string {
 <http://ex/alice> <http://ex/likes> "cheese" .
 <http://ex/carol> <http://ex/likes> "wine"@fr .
 `
-	statements, err := rdf.ParseAll(strings.NewReader(nt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, dicts, err := rdf.Encode(statements)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := core.Build(d, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(dir, "test.idx")
-	if err := Write(path, &Store{Index: x, Dicts: dicts}); err != nil {
+	if err := Write(path, encodeNT(t, nt, layout)); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -470,49 +459,50 @@ func TestMutableWALChurnTriggersMerge(t *testing.T) {
 	}
 }
 
-// TestMutableIntegerStore exercises the dictionary-less path: raw IDs in
-// the write API and the WAL.
-func TestMutableIntegerStore(t *testing.T) {
-	dir := t.TempDir()
-	d := core.NewDataset([]core.Triple{{S: 0, P: 0, O: 0}, {S: 1, P: 0, O: 2}})
-	x, err := core.Build(d, core.Layout3T)
+// TestMutableRawIDs writes with raw integer IDs: each resolves through
+// the dictionary to its term, the WAL records the N-Triples statement,
+// and the write survives a restart and a merge. An ID the dictionary
+// does not hold is refused.
+func TestMutableRawIDs(t *testing.T) {
+	path := buildTestStore(t, t.TempDir(), core.Layout3T)
+	m, err := OpenMutable(path, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "int.idx")
-	if err := Write(path, &Store{Index: x}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := OpenMutable(path, 0)
+	pat, err := m.View().ParsePattern("<http://ex/carol>", "<http://ex/knows>", "<http://ex/bob>")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := m.Insert("7", "1", "9"); err != nil || !res.Changed {
-		t.Fatalf("integer insert: %+v, %v", res, err)
+	s, p, o := fmt.Sprint(pat.S), fmt.Sprint(pat.P), fmt.Sprint(pat.O)
+	if res, err := m.Insert(s, p, o); err != nil || !res.Changed {
+		t.Fatalf("raw-ID insert: %+v, %v", res, err)
 	}
-	if _, err := m.Insert("<http://ex/a>", "<http://ex/b>", "<http://ex/c>"); err == nil {
-		t.Fatal("dictionary term accepted by integer-only store")
+	if _, err := m.Insert(s, p, "1000"); !errors.Is(err, ErrTerm) {
+		t.Fatalf("insert of an ID outside the dictionary: %v, want ErrTerm", err)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m, err = OpenMutable(path, 0)
+	wal, err := os.ReadFile(path + WALSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(string(wal), " 1 I <http://ex/carol> <http://ex/knows> <http://ex/bob> .\n") {
+		t.Fatalf("WAL %q does not record the raw-ID insert as its terms", wal)
+	}
+	m, err = OpenMutable(path, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	st := m.View()
-	if st.Index.NumTriples() != 3 {
-		t.Fatalf("recovered integer store has %d triples", st.Index.NumTriples())
-	}
-	if !st.Index.(*core.DynamicSnapshot).Lookup(core.Triple{S: 7, P: 1, O: 9}) {
-		t.Fatal("integer insert lost across restart")
+	if n := countMatches(t, m.View(), "<http://ex/carol>", "<http://ex/knows>", "<http://ex/bob>"); n != 1 {
+		t.Fatalf("raw-ID insert after restart: %d matches", n)
 	}
 	if err := m.Merge(); err != nil {
 		t.Fatal(err)
 	}
-	if m.View().Index.NumTriples() != 3 {
-		t.Fatal("integer merge lost a triple")
+	if n := countMatches(t, m.View(), "<http://ex/carol>", "<http://ex/knows>", "<http://ex/bob>"); n != 1 {
+		t.Fatalf("raw-ID insert after the merge: %d matches", n)
 	}
 }
 

@@ -55,19 +55,7 @@ func numericNT(rng *rand.Rand, n int) string {
 // buildStore parses nt, builds the layout and writes it to path.
 func buildStore(t *testing.T, nt string, layout core.Layout, path string) {
 	t.Helper()
-	statements, err := rdf.ParseAll(strings.NewReader(nt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, dicts, err := rdf.Encode(statements)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := core.Build(d, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Write(path, &Store{Index: x, Dicts: dicts}); err != nil {
+	if err := Write(path, encodeNT(t, nt, layout)); err != nil {
 		t.Fatal(err)
 	}
 }

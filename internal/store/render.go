@@ -24,24 +24,17 @@ import (
 // a single-goroutine object; acquire one per request and release it when
 // the stream ends.
 type Renderer struct {
-	so, p    dict.Extractor
-	hasDicts bool
+	so, p dict.Extractor
 }
 
 var rendererPool = sync.Pool{New: func() any { return &Renderer{} }}
 
 // AcquireRenderer takes a pooled renderer bound to the store's
-// dictionaries (or to the <id> fallback notation when the store has
-// none).
+// dictionaries.
 func AcquireRenderer(st *Store) *Renderer {
 	r := rendererPool.Get().(*Renderer)
-	if st.Dicts != nil {
-		r.so.Bind(st.Dicts.SO)
-		r.p.Bind(st.Dicts.P)
-		r.hasDicts = true
-	} else {
-		r.hasDicts = false
-	}
+	r.so.Bind(st.Dicts.SO)
+	r.p.Bind(st.Dicts.P)
 	//rdf:allow(ownership transfers to the caller; Release returns it to the pool)
 	return r
 }
@@ -54,19 +47,17 @@ func (r *Renderer) Release() {
 	}
 	r.so.Bind(nil)
 	r.p.Bind(nil)
-	r.hasDicts = false
 	rendererPool.Put(r)
 }
 
 // AppendTerm appends the rendered subject/object term for id to buf,
-// falling back to <id> notation exactly like Store.Render.
+// falling back to <id> notation for an ID the dictionary does not hold,
+// exactly like Store.Render.
 //
 //rdf:hotpath
 func (r *Renderer) AppendTerm(buf []byte, id core.ID) []byte {
-	if r.hasDicts {
-		if t, ok := r.so.Extract(int(id)); ok {
-			return append(buf, t...)
-		}
+	if t, ok := r.so.Extract(int(id)); ok {
+		return append(buf, t...)
 	}
 	return appendIDTerm(buf, id)
 }
@@ -75,10 +66,8 @@ func (r *Renderer) AppendTerm(buf []byte, id core.ID) []byte {
 //
 //rdf:hotpath
 func (r *Renderer) AppendPredicate(buf []byte, id core.ID) []byte {
-	if r.hasDicts {
-		if t, ok := r.p.Extract(int(id)); ok {
-			return append(buf, t...)
-		}
+	if t, ok := r.p.Extract(int(id)); ok {
+		return append(buf, t...)
 	}
 	return appendIDTerm(buf, id)
 }

@@ -28,16 +28,12 @@ func TestRendererMatchesRender(t *testing.T) {
 	stores := map[string]*Store{
 		"dict":    buildSample(t, core.Layout2Tp),
 		"overlay": buildOverlaySample(t, core.Layout2Tp),
-		"ints":    {Index: buildSample(t, core.Layout2Tp).Index},
 	}
 	for name, st := range stores {
 		rend := AcquireRenderer(st)
-		n := 8
-		if st.Dicts != nil {
-			n = st.Dicts.SO.Len() + 2
-		}
 		var buf []byte
-		for id := 0; id < n; id++ {
+		// Past the end of each dictionary, IDs render as <id>.
+		for id := 0; id < st.Dicts.SO.Len()+2; id++ {
 			buf = rend.AppendTerm(buf[:0], core.ID(id))
 			if got, want := string(buf), st.Render(core.ID(id)); got != want {
 				t.Fatalf("%s: AppendTerm(%d) = %q, want %q", name, id, got, want)
@@ -97,12 +93,11 @@ func TestAppendJSONString(t *testing.T) {
 }
 
 // TestRowsAllocs pins the zero-alloc steady state of the row renderer
-// across plain-dictionary, overlay and integer-only stores.
+// across plain-dictionary and overlay stores.
 func TestRowsAllocs(t *testing.T) {
 	for name, st := range map[string]*Store{
 		"dict":    buildSample(t, core.Layout2Tp),
 		"overlay": buildOverlaySample(t, core.Layout2Tp),
-		"ints":    {Index: buildSample(t, core.Layout2Tp).Index},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var rows []core.ID

@@ -170,7 +170,7 @@ func (m *Mutable) ApplyReplicated(line []byte) (dup bool, err error) {
 	if seq != uint64(m.walRecords)+1 {
 		return false, fmt.Errorf("%w: record %d arrived at position %d", ErrReplGap, seq, m.walRecords+1)
 	}
-	op, s, p, o, perr2 := parseWALStatement(stmt, m.so != nil)
+	op, s, p, o, perr2 := parseWALStatement(stmt)
 	if perr2 != nil {
 		return false, fmt.Errorf("%w: %v", ErrReplRecord, perr2)
 	}

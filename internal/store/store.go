@@ -36,7 +36,7 @@ import (
 // the index straight from the mapped file:
 //
 //	magic
-//	header  = dict flag, dictionaries            | CRC32C | pad
+//	header  = dict flag (1), dictionaries        | CRC32C | pad
 //	table   = one uint64 section payload length  | CRC32C | pad
 //	section = serialized index                   | CRC32C
 //
@@ -85,8 +85,7 @@ type Integrity struct {
 	Mapped bool
 }
 
-// Store is an index plus its dictionaries (nil Dicts for integer-only
-// datasets that were built from binary triple files).
+// Store is an index plus its SO and P dictionaries.
 type Store struct {
 	Index core.Index
 	Dicts *rdf.Dicts
@@ -115,9 +114,10 @@ type Store struct {
 // tests swap in a faultfs.Injector.
 var fsys faultfs.FS = faultfs.OS{}
 
-// Write serializes the store to path: magic, optional dictionaries, then
-// the index. Only static state serializes; a serving view (dynamic
-// snapshot index, overlay dictionaries) must be folded (merged) first.
+// Write serializes the store to path: magic, dictionaries, then the
+// index. Only static state serializes; a serving view (dynamic snapshot
+// index, overlay dictionaries) must be folded (merged) first, and a
+// store without dictionaries is refused.
 //
 // The file is replaced atomically: Write writes a sibling temp file,
 // fsyncs it, renames it over path and fsyncs the directory. A process
@@ -127,15 +127,17 @@ func Write(path string, st *Store) error {
 	if _, ok := st.Index.(*core.DynamicSnapshot); ok {
 		return fmt.Errorf("store: index is a serving snapshot, not serializable (merge first)")
 	}
-	var so, p *dict.Dict
-	if st.Dicts != nil {
-		var ok bool
-		if so, ok = st.Dicts.SO.(*dict.Dict); !ok {
-			return fmt.Errorf("store: SO dictionary is not serializable (fold the overlay first)")
-		}
-		if p, ok = st.Dicts.P.(*dict.Dict); !ok {
-			return fmt.Errorf("store: P dictionary is not serializable (fold the overlay first)")
-		}
+	d := st.Dicts
+	if d == nil {
+		return fmt.Errorf("store: no dictionaries (build the store from N-Triples)")
+	}
+	so, ok := d.SO.(*dict.Dict)
+	if !ok {
+		return fmt.Errorf("store: SO dictionary is not serializable (fold the overlay first)")
+	}
+	p, ok := d.P.(*dict.Dict)
+	if !ok {
+		return fmt.Errorf("store: P dictionary is not serializable (fold the overlay first)")
 	}
 	tmp := path + ".tmp"
 	if err := writeFile(tmp, st.Index, so, p); err != nil {
@@ -179,13 +181,9 @@ func writeFile(path string, x core.Index, so, p *dict.Dict) error {
 	// The header section (the dictionaries) streams through the writer's
 	// CRC32C tee; its checksum trails it.
 	w.StartChecksum()
-	if so != nil {
-		w.Byte(1)
-		so.Encode(w)
-		p.Encode(w)
-	} else {
-		w.Byte(0)
-	}
+	w.Byte(1) // the dictionary flag: a store always has its dictionaries
+	so.Encode(w)
+	p.Encode(w)
 	w.Uint32(w.StopChecksum())
 	w.Pad()
 	if err := w.Flush(); err != nil {
@@ -366,19 +364,21 @@ func walkContainer(data []byte, owner any) *container {
 	// Header: dictionary flag + dictionaries, its CRC, the pad to the
 	// table. Its length is known only by decoding it, so the checksum is
 	// compared after the decode, which the bounded reader keeps safe on
-	// any bytes.
+	// any bytes. The flag is always 1; a 0 marks a store written without
+	// dictionaries, which this build no longer reads.
 	start := r.Offset()
-	if r.Byte() == 1 {
-		so, err := dict.Decode(r)
-		if err != nil {
-			return c.fail("header", r.Offset()-start, fmt.Errorf("SO dictionary: %w", err))
-		}
-		p, err := dict.Decode(r)
-		if err != nil {
-			return c.fail("header", r.Offset()-start, fmt.Errorf("P dictionary: %w", err))
-		}
-		c.dicts = &rdf.Dicts{SO: so, P: p}
+	if flag := r.Byte(); r.Err() == nil && flag != 1 {
+		return c.fail("header", r.Offset()-start, fmt.Errorf("dictionary flag %d in the header: stores without dictionaries are no longer read; rebuild the store from N-Triples with rdfstore build", flag))
 	}
+	so, err := dict.Decode(r)
+	if err != nil {
+		return c.fail("header", r.Offset()-start, fmt.Errorf("SO dictionary: %w", err))
+	}
+	p, err := dict.Decode(r)
+	if err != nil {
+		return c.fail("header", r.Offset()-start, fmt.Errorf("P dictionary: %w", err))
+	}
+	c.dicts = &rdf.Dicts{SO: so, P: p}
 	end := r.Offset()
 	stored := r.Uint32()
 	r.Pad()
@@ -492,18 +492,7 @@ func (st *Store) ParseTerm(s string, predicate bool) (core.ID, error) {
 		return core.Wildcard, nil
 	}
 	if strings.HasPrefix(s, "<") || strings.HasPrefix(s, "\"") || strings.HasPrefix(s, "_:") {
-		if st.Dicts == nil {
-			return 0, fmt.Errorf("store has no dictionary; use integer IDs")
-		}
-		d := st.Dicts.SO
-		if predicate {
-			d = st.Dicts.P
-		}
-		id, ok := d.Locate(s)
-		if !ok {
-			return 0, fmt.Errorf("term %s not in dictionary", s)
-		}
-		return core.ID(id), nil
+		return st.locate(s, predicate)
 	}
 	v, err := strconv.ParseUint(s, 10, 32)
 	if err != nil {
@@ -529,22 +518,18 @@ func (st *Store) ParsePattern(s, p, o string) (core.Pattern, error) {
 }
 
 // Render maps a subject/object ID back to its term, falling back to
-// <id> notation for integer-only stores.
+// <id> notation for an ID the dictionary does not hold.
 func (st *Store) Render(id core.ID) string {
-	if st.Dicts != nil {
-		if s, ok := st.Dicts.SO.Extract(int(id)); ok {
-			return s
-		}
+	if s, ok := st.Dicts.SO.Extract(int(id)); ok {
+		return s
 	}
 	return fmt.Sprintf("<%d>", id)
 }
 
-// RenderPredicate maps a predicate ID back to its term.
+// RenderPredicate maps a predicate ID back to its term, as Render does.
 func (st *Store) RenderPredicate(id core.ID) string {
-	if st.Dicts != nil {
-		if s, ok := st.Dicts.P.Extract(int(id)); ok {
-			return s
-		}
+	if s, ok := st.Dicts.P.Extract(int(id)); ok {
+		return s
 	}
 	return fmt.Sprintf("<%d>", id)
 }
@@ -565,9 +550,6 @@ type NumericSection struct {
 // for a serving view, those of its merged base: a numeric term added
 // since the last merge is a string until the next one.
 func (st *Store) NumericSections() []NumericSection {
-	if st.Dicts == nil {
-		return nil
-	}
 	r := st.Dicts.SO
 	if o, ok := r.(*dict.Overlay); ok {
 		r = o.Base()
@@ -609,11 +591,9 @@ func (st *Store) ParseQueryInto(q *sparql.Query, qs string) error {
 	return sparql.ParseInto(q, qs, st.locate)
 }
 
-// locate is ParseQuery's sparql.Resolver.
+// locate is ParseQuery's sparql.Resolver and ParseTerm's dictionary
+// lookup.
 func (st *Store) locate(term string, pred bool) (core.ID, error) {
-	if st.Dicts == nil {
-		return 0, fmt.Errorf("store has no dictionary; use <id> constants")
-	}
 	d := st.Dicts.SO
 	if pred {
 		d = st.Dicts.P

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,9 +20,15 @@ const sampleNT = `<http://ex/alice> <http://ex/knows> <http://ex/bob> .
 <http://ex/carol> <http://ex/knows> <http://ex/alice> .
 `
 
-func buildSample(t *testing.T, layout core.Layout) *Store {
+func buildSample(t testing.TB, layout core.Layout) *Store {
 	t.Helper()
-	statements, err := rdf.ParseAll(strings.NewReader(sampleNT))
+	return encodeNT(t, sampleNT, layout)
+}
+
+// encodeNT builds the store of the N-Triples text nt in memory.
+func encodeNT(t testing.TB, nt string, layout core.Layout) *Store {
+	t.Helper()
+	statements, err := rdf.ParseAll(strings.NewReader(nt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,6 +41,18 @@ func buildSample(t *testing.T, layout core.Layout) *Store {
 		t.Fatal(err)
 	}
 	return &Store{Index: x, Dicts: dicts}
+}
+
+// randomStore builds the store of n random triples over nso subject and
+// object IRIs and np predicate IRIs. Subjects and objects share their
+// IRIs, so the SO dictionary numbers them in [0, nso).
+func randomStore(t testing.TB, rng *rand.Rand, n, nso, np int, layout core.Layout) *Store {
+	t.Helper()
+	var nt strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&nt, "<http://ex/n%d> <http://ex/p%d> <http://ex/n%d> .\n", rng.Intn(nso), rng.Intn(np), rng.Intn(nso))
+	}
+	return encodeNT(t, nt.String(), layout)
 }
 
 func TestStoreRoundTrip(t *testing.T) {

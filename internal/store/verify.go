@@ -79,7 +79,7 @@ func Verify(path string) (rep *VerifyReport, err error) {
 	c := walkContainer(m.data, m)
 	rep.Version = c.version
 	for _, p := range c.parts {
-		if p.name == "header" && p.err == nil && c.dicts != nil {
+		if p.name == "header" && p.err == nil {
 			p.err = checkDicts(c.dicts, c.index)
 		}
 		if p.err != nil {

@@ -91,13 +91,11 @@ func (t *Tree) Access(i int) uint64 {
 	return sym
 }
 
-// Rank returns the number of occurrences of sym in positions [0, i).
-func (t *Tree) Rank(sym uint64, i int) int {
+// Count returns the number of occurrences of sym: the width of its leaf
+// interval.
+func (t *Tree) Count(sym uint64) int {
 	if sym >= t.sigma {
 		return 0
-	}
-	if t.height == 0 {
-		return i
 	}
 	a, b := 0, t.n
 	for l := uint(0); l < t.height; l++ {
@@ -105,18 +103,13 @@ func (t *Tree) Rank(sym uint64, i int) int {
 		onesA := rs.Rank1(a)
 		zeros := (b - a) - (rs.Rank1(b) - onesA)
 		if sym>>(t.height-1-l)&1 == 0 {
-			i = a + (rs.Rank0(i) - (a - onesA))
 			b = a + zeros
 		} else {
-			i = a + zeros + (rs.Rank1(i) - onesA)
 			a += zeros
 		}
 	}
-	return i - a
+	return b - a
 }
-
-// Count returns the number of occurrences of sym.
-func (t *Tree) Count(sym uint64) int { return t.Rank(sym, t.n) }
 
 // Select returns the position of the k-th (0-based) occurrence of sym, or
 // -1 if sym occurs fewer than k+1 times.

@@ -20,16 +20,6 @@ func checkTree(t *testing.T, data []uint64, sigma uint64) {
 			t.Fatalf("Access(%d) = %d, want %d (sigma=%d)", i, got, v, sigma)
 		}
 	}
-	// Rank oracle at every position for each symbol (bounded work).
-	counts := make([]int, sigma)
-	for i, v := range data {
-		for sym := uint64(0); sym < sigma; sym++ {
-			if got := tree.Rank(sym, i); got != counts[sym] {
-				t.Fatalf("Rank(%d, %d) = %d, want %d", sym, i, got, counts[sym])
-			}
-		}
-		counts[v]++
-	}
 	// Select oracle.
 	occ := make(map[uint64][]int)
 	for i, v := range data {
