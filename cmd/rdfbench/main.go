@@ -46,7 +46,7 @@ var experiments = []struct {
 	{"fig6b", "?P? by decreasing matches: select vs select+CC vs inverted", bench.Fig6b},
 	{"fig7", "S?O by subject out-degree: select vs enumerate", bench.Fig7},
 	{"range", "range-constrained patterns via the R structure", bench.RangeQueries},
-	{"breakdown", "per-level space shares of the 3T index (Section 3.1)", bench.Breakdown},
+	{"breakdown", "per-level space shares of the 3T and 2Tp indexes (Section 3.1)", bench.Breakdown},
 	{"ablation", "encoder choices and cross-compression variants", bench.Ablation},
 	{"parallel", "concurrent query throughput on one shared index (1/4/16 goroutines)", bench.ServeParallel},
 	{"update", "amortized-update throughput and read interference by merge threshold", bench.UpdateThroughput},

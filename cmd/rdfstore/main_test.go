@@ -9,6 +9,7 @@ import (
 
 	"rdfindexes/internal/core"
 	"rdfindexes/internal/dict"
+	"rdfindexes/internal/rdf"
 	"rdfindexes/internal/store"
 )
 
@@ -253,12 +254,12 @@ func TestOldFormatNamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []string{"7", "6", "5", "4", "3"} {
+	for _, v := range []string{"8", "7", "6", "5", "4", "3"} {
 		copy(data[1:], "RDFSTORE"+v)
 		if err := os.WriteFile(idx, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want := "store format v" + v + " is no longer read (this build reads v8): rebuild with rdfstore build"
+		want := "store format v" + v + " is no longer read (this build reads v9): rebuild with rdfstore build"
 		if err := run([]string{"stats", "-store", idx}, io_discard()); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("stats of a v%s file: %v, want %q", v, err, want)
 		}
@@ -272,10 +273,13 @@ func TestOldFormatNamed(t *testing.T) {
 	}
 }
 
-// TestVerifyNamesRootMismatch rewrites a built store with an SO
-// dictionary that holds every term in its first run, under valid
-// checksums: verify fails and reports the header, naming the SPO trie
-// whose roots no longer span the dictionary's subjects.
+// TestVerifyNamesRootMismatch gives a built store's index the header of
+// a store whose SO dictionary holds every term in its first run, under
+// valid checksums: verify fails and reports the header, naming the SPO
+// trie whose roots no longer span the dictionary's subjects. store.Write
+// refuses to write such a store, so the file is spliced from two it
+// wrote: the other store's magic and header, then this one's table and
+// index section, each part 8-byte aligned and checksummed on its own.
 func TestVerifyNamesRootMismatch(t *testing.T) {
 	dir := t.TempDir()
 	nt := filepath.Join(dir, "data.nt")
@@ -293,10 +297,42 @@ func TestVerifyNamesRootMismatch(t *testing.T) {
 		s, _ := st.Dicts.SO.Extract(id)
 		terms = append(terms, s)
 	}
-	if st.Dicts.SO, err = dict.FromUnsorted(terms, dict.DefaultBucketSize); err != nil {
+	all, err := dict.FromUnsorted(terms, dict.DefaultBucketSize)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Write(idx, st); err != nil {
+	// An index whose SPO roots do span all's subjects: one triple each.
+	var ts []core.Triple
+	for s := 0; s < all.FirstRun(); s++ {
+		ts = append(ts, core.Triple{S: core.ID(s)})
+	}
+	d := core.NewDataset(ts)
+	d.NS, d.NP, d.NO = all.FirstRun(), st.Dicts.P.Len(), all.Len()
+	x, err := core.Build(d, st.Index.Layout())
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := filepath.Join(dir, "other.idx")
+	if err := store.Write(other, &store.Store{Index: x, Dicts: &rdf.Dicts{SO: all, P: st.Dicts.P}}); err != nil {
+		t.Fatal(err)
+	}
+	// The table starts where the magic and the header end.
+	tableAt := func(path string) (int, []byte) {
+		t.Helper()
+		rep, err := store.Verify(path)
+		if err != nil || !rep.OK || rep.Sections[0].Name != "header" {
+			t.Fatalf("verify %s: %+v, %v", path, rep, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return 1 + len(store.Magic) + int(rep.Sections[0].Bytes), data
+	}
+	at, data := tableAt(idx)
+	otherAt, otherData := tableAt(other)
+	spliced := append(otherData[:otherAt:otherAt], data[at:]...)
+	if err := os.WriteFile(idx, spliced, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder

@@ -21,8 +21,11 @@ import (
 // space of a synthetic dataset: zero-padded numeric suffixes make
 // lexicographic order equal numeric order, so dictionary ID i is exactly
 // dataset ID i and the dataset's triples can be served with terms
-// without re-encoding. The URI shapes mirror DBLP-style entity and
-// schema IRIs so front-coding sees realistic shared prefixes.
+// without re-encoding. As rdf.Encode does, the SO dictionary holds the
+// subjects [0, NS) as its first run and the other terms after them, so
+// a store written with it passes store.Verify. The URI shapes mirror
+// DBLP-style entity and schema IRIs so front-coding sees realistic
+// shared prefixes.
 func SynthDicts(d *core.Dataset) (*rdf.Dicts, error) {
 	nso := d.NS
 	if d.NO > nso {
@@ -36,7 +39,7 @@ func SynthDicts(d *core.Dataset) (*rdf.Dicts, error) {
 	for i := range pStrs {
 		pStrs[i] = fmt.Sprintf("<http://dblp.example.org/schema#prop%06d>", i)
 	}
-	so, err := dict.New(soStrs, dict.DefaultBucketSize)
+	so, err := dict.NewSplit(soStrs[:d.NS], soStrs[d.NS:], dict.DefaultBucketSize)
 	if err != nil {
 		return nil, err
 	}

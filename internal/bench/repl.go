@@ -23,6 +23,26 @@ var replFollowerCounts = []int{1, 2, 4, 8}
 // the aggregate throughput is measured.
 const replClientsPerFollower = 2
 
+// writePristine writes the replication experiment's starting store: d
+// as 2Tp, with dictionaries that also cover the raw IDs the writes
+// name, fresh subjects and objects past d's ID spaces included, so
+// every insert resolves to a term.
+func writePristine(path string, d *core.Dataset, writes []core.Triple) error {
+	x, err := core.Build(d, core.Layout2Tp)
+	if err != nil {
+		return err
+	}
+	no := d.NO
+	for _, t := range writes {
+		no = max(no, int(t.S)+1, int(t.O)+1)
+	}
+	dicts, err := SynthDicts(&core.Dataset{NS: d.NS, NP: d.NP, NO: no})
+	if err != nil {
+		return err
+	}
+	return store.Write(path, &store.Store{Index: x, Dicts: dicts})
+}
+
 // ReplFanOut measures WAL-shipping replication end to end on a 2Tp
 // store: the time to bootstrap N followers over full-snapshot streams,
 // the leader's write throughput while shipping to all of them, the lag
@@ -46,23 +66,8 @@ func ReplFanOut(cfg Config) ([]*Table, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	x, err := core.Build(d, core.Layout2Tp)
-	if err != nil {
-		return nil, err
-	}
-	// The writes name their terms by raw ID, fresh subjects and objects
-	// past d's ID spaces included; the SO dictionary covers those too, so
-	// every insert resolves to a term.
-	no := d.NO
-	for _, t := range writes {
-		no = max(no, int(t.S)+1, int(t.O)+1)
-	}
-	dicts, err := SynthDicts(&core.Dataset{NS: d.NS, NP: d.NP, NO: no})
-	if err != nil {
-		return nil, err
-	}
 	pristine := filepath.Join(dir, "pristine.idx")
-	if err := store.Write(pristine, &store.Store{Index: x, Dicts: dicts}); err != nil {
+	if err := writePristine(pristine, d, writes); err != nil {
 		return nil, err
 	}
 	pristineBytes, err := os.ReadFile(pristine)

@@ -161,7 +161,7 @@ func SelectWithCtx(x Index, p Pattern, c *QueryCtx) *Iterator {
 // getWalk returns a walk state over trie t, and over the subject list
 // of ps when ps is non-nil, preferring a recycled one whose cursors
 // already belong to them.
-func (c *QueryCtx) getWalk(t *trie.Trie, ps *PS, ref *trie.Trie, perm Perm) *walkState {
+func (c *QueryCtx) getWalk(t *trie.Trie, ps *PS, ref *crossRef, perm Perm) *walkState {
 	var st *walkState
 	if c != nil {
 		st = ctxPopMatch(&c.freeW, func(s *walkState) bool { return s.t == t && s.ps == ps })
@@ -176,7 +176,8 @@ func (c *QueryCtx) getWalk(t *trie.Trie, ps *PS, ref *trie.Trie, perm Perm) *wal
 	if st.t != t || st.ps != ps {
 		st.t, st.ps, st.it1, st.ptrIt, st.it2 = t, ps, nil, nil, nil
 	}
-	st.perm, st.ref, st.left = perm, ref, 0
+	st.perm, st.left = perm, 0
+	st.ranks.use(ref)
 	st.it.reinit(st, c)
 	return st
 }

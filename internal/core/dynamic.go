@@ -147,12 +147,13 @@ func (x *DynamicIndex) Merge() error {
 	return nil
 }
 
-// LiveTriples materializes the logical triple set: base matches not
-// pending deletion, plus the insertion log. The persistent store uses it
-// to rebuild the static index with remapped dictionary IDs at merge.
+// LiveTriples materializes the logical triple set, in no particular
+// order: base triples not pending deletion, plus the insertion log. The
+// persistent store uses it to rebuild the static index with remapped
+// dictionary IDs at merge.
 func (x *DynamicIndex) LiveTriples() []Triple {
 	out := make([]Triple, 0, x.NumTriples())
-	it := x.base.Select(Pattern{Wildcard, Wildcard, Wildcard})
+	it := scanSet(x.base)
 	for {
 		t, ok := it.Next()
 		if !ok {

@@ -280,32 +280,124 @@ func valBuf(p *[]uint64, k int) []uint64 {
 	return (*p)[:k]
 }
 
+// crossRef is the reference trie of a cross-compressed permutation
+// (Section 3.2). Where its roots are few next to their children, as in
+// 2Tp's POS, whose roots are the predicates, it keeps each root's range
+// of children and their prefix-sum base, 16 bytes a root, so that
+// unmapping reads neither a pointer nor a base per range.
+type crossRef struct {
+	t     *trie.Trie
+	nodes seq.Sequence // t's second level
+	spans []refSpan    // per root, then one past the last; nil when roots are many
+}
+
+// refSpan is where a root's children start in the reference's second
+// level, and their base (seq.Sequence.Base).
+type refSpan struct {
+	begin int
+	base  uint64
+}
+
+// refSpanRatio bounds the spans kept to one per this many second-level
+// nodes: at most 2 bits a node.
+const refSpanRatio = 64
+
+func newCrossRef(t *trie.Trie) *crossRef {
+	r := &crossRef{t: t, nodes: t.Nodes(1)}
+	if n := t.NumRoots(); n*refSpanRatio <= t.NumInternal() {
+		r.spans = make([]refSpan, n+1)
+		for a := range r.spans[:n] {
+			begin, _ := t.RootRange(uint32(a))
+			r.spans[a] = refSpan{begin, r.nodes.Base(begin)}
+		}
+		r.spans[n].begin = t.NumInternal()
+	}
+	return r
+}
+
+// span returns the positions [begin, end) of root's children in the
+// reference's second level and their base.
+func (r *crossRef) span(root ID) (begin, end int, base uint64) {
+	if r.spans == nil {
+		begin, end = r.t.RootRange(uint32(root))
+		return begin, end, r.nodes.Base(begin)
+	}
+	if int(root)+1 >= len(r.spans) {
+		return 0, 0, 0
+	}
+	s := r.spans[root : root+2]
+	return s[0].begin, s[1].begin, s[0].base
+}
+
 // rank is the map function of Fig. 4: c's position among the children
-// of root b in the reference trie ref, or false when c is not one.
-func rank(ref *trie.Trie, b, c ID) (uint64, bool) {
-	begin, end := ref.RootRange(uint32(b))
-	j := ref.FindChild1(begin, end, uint32(c))
+// of root b in the reference, or false when c is not one.
+func (r *crossRef) rank(b, c ID) (uint64, bool) {
+	begin, end, base := r.span(b)
+	j := r.nodes.FindIn(base, begin, end, uint64(c))
 	if j < 0 {
 		return 0, false
 	}
 	return uint64(j - begin), true
 }
 
-// unmap rewrites ranks among the children of root b in ref back into
-// the IDs they stand for (Fig. 4).
+// refRoot turns ranks among the children of one root of a reference
+// back into the IDs they stand for (Fig. 4). It keeps the root's span
+// across calls, so the ranges of one predicate, and a join's inner
+// steps, which keep their predicate, look it up once. An ID is one
+// random access: the reference's second level read as one range from
+// position 0 gives stored values, and the root's base is taken off.
+type refRoot struct {
+	ref   *crossRef // nil: the level is not cross-compressed
+	begin int       // where the loaded root's children start
+	base  uint64    // their base
+	root  ID        // the loaded root; Wildcard when none is
+}
+
+// use points at reference ref, dropping what was loaded for another.
+func (c *refRoot) use(ref *crossRef) {
+	if c.ref != ref {
+		*c = refRoot{ref: ref, root: Wildcard}
+	}
+}
+
+// seek loads the span of root, unless it is loaded already.
+func (c *refRoot) seek(root ID) {
+	if c.root != root {
+		c.root = root
+		c.begin, _, c.base = c.ref.span(root)
+	}
+}
+
+// id returns the ID that rank r of the loaded root stands for.
 //
 //rdf:hotpath
-func unmap(ref *trie.Trie, b ID, vals []uint64) {
-	begin, _ := ref.RootRange(uint32(b))
-	for i, v := range vals {
-		vals[i] = uint64(ref.Node1At(begin, begin+int(v)))
+func (c *refRoot) id(r uint64) uint64 {
+	return c.ref.nodes.At(0, c.begin+int(r)) - c.base
+}
+
+// unmap rewrites ranks among the children of root in place into the
+// IDs they stand for.
+//
+//rdf:hotpath
+func (c *refRoot) unmap(root ID, vals []uint64) {
+	c.seek(root)
+	for i, r := range vals {
+		vals[i] = c.id(r)
 	}
+}
+
+// rankGEQ returns the rank of the first child of the loaded root at or
+// above id, or false when every child is smaller.
+func (c *refRoot) rankGEQ(id ID) (uint64, bool) {
+	_, end, _ := c.ref.span(c.root)
+	pos, _, ok := c.ref.nodes.FindGEQ(c.begin, end, uint64(id))
+	return uint64(pos - c.begin), ok
 }
 
 // lookup resolves the fully-specified pattern on any trie: two find
 // operations (Section 3.1). On a cross-compressed trie (ref non-nil) the
 // third component is first mapped to its rank.
-func lookup(qc *QueryCtx, t, ref *trie.Trie, perm Perm, tr Triple) *Iterator {
+func lookup(qc *QueryCtx, t *trie.Trie, ref *crossRef, perm Perm, tr Triple) *Iterator {
 	a, b, c := perm.Apply(tr)
 	b1, e1 := t.RootRange(uint32(a))
 	j := t.FindChild1(b1, e1, uint32(b))
@@ -315,7 +407,7 @@ func lookup(qc *QueryCtx, t, ref *trie.Trie, perm Perm, tr Triple) *Iterator {
 	v := uint64(c)
 	if ref != nil {
 		var ok bool
-		if v, ok = rank(ref, b, c); !ok {
+		if v, ok = ref.rank(b, c); !ok {
 			return emptyIteratorCtx(qc)
 		}
 	}
@@ -345,13 +437,13 @@ func lookup(qc *QueryCtx, t, ref *trie.Trie, perm Perm, tr Triple) *Iterator {
 // Either way the range drained holds the completions of (a, b).
 type walkState struct {
 	t     *trie.Trie
-	ps    *PS        // non-nil: a find walk over ps's subject list
-	ref   *trie.Trie // non-nil: t's third level is cross-compressed
+	ps    *PS // non-nil: a find walk over ps's subject list
 	it2   seq.Iterator
 	it1   seq.Iterator // children walk: t's level-1 node cursor; ps walk: the subject-list cursor
 	ptrIt seq.Iterator // children walk: t's level-1 pointer cursor
 	it    Iterator
 	vals  []uint64
+	ranks refRoot // unmaps t's third level when it is cross-compressed
 
 	// The scalars come last: the garbage collector scans an object
 	// only up to its last pointer.
@@ -385,8 +477,8 @@ func (st *walkState) fill(out []Triple) int {
 			continue
 		}
 		st.left -= uint32(m)
-		if st.ref != nil {
-			unmap(st.ref, st.b, vals[:m])
+		if st.ranks.ref != nil {
+			st.ranks.unmap(st.b, vals[:m])
 		}
 		restoreBatch(st.perm, st.a, st.b, vals[:m], out[n:n+m])
 		n += m
@@ -491,7 +583,7 @@ func (st *walkState) walkFind(root, end, b ID) *Iterator {
 // selectTwo implements the select algorithm of Fig. 2 with the first two
 // components fixed: one find on the second level, then a block-decoded
 // scan of the completions on the third.
-func selectTwo(c *QueryCtx, t, ref *trie.Trie, perm Perm, a, b ID) *Iterator {
+func selectTwo(c *QueryCtx, t *trie.Trie, ref *crossRef, perm Perm, a, b ID) *Iterator {
 	b1, e1 := t.RootRange(uint32(a))
 	j := t.FindChild1(b1, e1, uint32(b))
 	if j < 0 {
@@ -505,7 +597,7 @@ func selectTwo(c *QueryCtx, t, ref *trie.Trie, perm Perm, a, b ID) *Iterator {
 
 // selectOne implements the select algorithm of Fig. 2 with only the first
 // component fixed: scan the children of a and their completions.
-func selectOne(c *QueryCtx, t, ref *trie.Trie, perm Perm, a ID) *Iterator {
+func selectOne(c *QueryCtx, t *trie.Trie, ref *crossRef, perm Perm, a ID) *Iterator {
 	b1, e1 := t.RootRange(uint32(a))
 	if b1 >= e1 {
 		return emptyIteratorCtx(c)
@@ -515,7 +607,7 @@ func selectOne(c *QueryCtx, t, ref *trie.Trie, perm Perm, a ID) *Iterator {
 
 // scanAll enumerates the whole trie (the ??? pattern) from its first
 // non-empty root.
-func scanAll(c *QueryCtx, t, ref *trie.Trie, perm Perm) *Iterator {
+func scanAll(c *QueryCtx, t *trie.Trie, ref *crossRef, perm Perm) *Iterator {
 	n := ID(t.NumRoots())
 	for r := ID(0); r < n; r++ {
 		if b1, e1 := t.RootRange(uint32(r)); b1 < e1 {
@@ -555,10 +647,19 @@ func invertedOnPS(c *QueryCtx, ps *PS, spo *trie.Trie, p ID) *Iterator {
 // find among its objects. The subject's few children are walked with
 // sequential node and pointer iterators, which is where the algorithm's
 // advantage over percolating the OSP trie comes from (Section 3.3).
+//
+// On a cross-compressed SPO (2Tp) a predicate's objects are ranks among
+// its objects in POS. They are read through one third-level cursor,
+// whose consecutive ranges need no repositioning, and unmapped in
+// ascending order until one reaches o; ranking o among all the
+// predicate's objects instead, and finding the rank, measured no faster.
 type enumerateState struct {
 	spo          *trie.Trie
 	s, o         ID
 	ptrIt        seq.Iterator
+	it1          seq.Iterator // cross-compressed: the predicates of s
+	it2          seq.Iterator // cross-compressed: their ranks
+	ranks        refRoot
 	prev         int
 	pos1, b1, e1 int
 	it           Iterator
@@ -573,6 +674,14 @@ func (st *enumerateState) fill(out []Triple) int {
 		st.prev = je
 		j := st.pos1
 		st.pos1++
+		if st.ranks.ref != nil {
+			p, _ := st.it1.Next()
+			if st.findMapped(ID(p), jb, je) {
+				out[n] = Triple{st.s, ID(p), st.o}
+				n++
+			}
+			continue
+		}
 		if st.spo.FindChild2(jb, je, uint32(st.o)) >= 0 {
 			// Fetch the predicate only for matches (the pseudocode of
 			// Fig. 5 reads levels[1].nodes[i] per iteration; deferring
@@ -585,21 +694,53 @@ func (st *enumerateState) fill(out []Triple) int {
 	return n
 }
 
-func enumerate(c *QueryCtx, spo *trie.Trie, s, o ID) *Iterator {
+// findMapped reports whether o is among the objects of predicate p, the
+// ranks at third-level positions [jb, je), which it reads to the end.
+//
+//rdf:hotpath
+func (st *enumerateState) findMapped(p ID, jb, je int) bool {
+	st.it2.Reset(jb, jb, je)
+	st.ranks.seek(p)
+	found, passed := false, false
+	for {
+		r, ok := st.it2.Next()
+		if !ok {
+			return found
+		}
+		if !passed {
+			v := st.ranks.id(r)
+			found, passed = v == uint64(st.o), v >= uint64(st.o)
+		}
+	}
+}
+
+func enumerate(c *QueryCtx, spo *trie.Trie, ref *crossRef, s, o ID) *Iterator {
 	b1, e1 := spo.RootRange(uint32(s))
 	if b1 >= e1 {
 		return emptyIteratorCtx(c)
 	}
 	st := c.getEnumerate()
 	st.s, st.o, st.b1, st.e1, st.pos1 = s, o, b1, e1, b1
-	if st.spo == spo && st.ptrIt != nil {
-		st.ptrIt.Reset(0, b1, e1+1)
-	} else {
+	if st.spo != spo || st.ptrIt == nil {
 		st.spo = spo
+		st.ptrIt, st.it1, st.it2 = nil, nil, nil
+	}
+	st.ranks.use(ref)
+	if st.ptrIt == nil {
 		st.ptrIt = spo.Ptr1Iter(b1, e1+1)
+	} else {
+		st.ptrIt.Reset(0, b1, e1+1)
 	}
 	first, _ := st.ptrIt.Next()
 	st.prev = int(first)
+	if ref != nil {
+		if st.it1 == nil {
+			st.it1 = spo.Iter1From(b1, b1, e1)
+			st.it2 = spo.Iter2(st.prev, st.prev)
+		} else {
+			st.it1.Reset(b1, b1, e1)
+		}
+	}
 	return &st.it
 }
 

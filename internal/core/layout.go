@@ -126,25 +126,39 @@ func buildOptions(opts []Option) Options {
 	return o
 }
 
-// buildTrie sorts a scratch copy of the triples in the permutation's
-// order and builds its trie. With a reference trie ref the third level
-// is cross-compressed: it stores each third component's rank among the
-// children of the second component in ref (Section 3.2).
-func buildTrie(d *Dataset, scratch []Triple, p Perm, cfg trie.Config, ref *trie.Trie) (*trie.Trie, error) {
+// sortCopy copies the triples into scratch in the permutation's order.
+func sortCopy(d *Dataset, scratch []Triple, p Perm) {
 	copy(scratch, d.Triples)
 	SortPerm(scratch, p, d.NS, d.NP, d.NO)
+}
+
+// toRanks rewrites triples sorted in ref's order: each one's second
+// component in ref becomes its rank among the distinct second components
+// of its run of equal first components (the map function of Fig. 4,
+// computed for every triple in one pass).
+func toRanks(ts []Triple, ref Perm) {
+	var prevA, prevB, r ID
+	for i, t := range ts {
+		a, b, c := ref.Apply(t)
+		switch {
+		case i == 0 || a != prevA:
+			r = 0
+		case b != prevB:
+			r++
+		}
+		prevA, prevB = a, b
+		ts[i] = ref.Restore(a, r, c)
+	}
+}
+
+// buildTrie builds the trie of triples sorted in the permutation's
+// order; on a cross-compressed permutation their third components are
+// ranks already.
+func buildTrie(d *Dataset, sorted []Triple, p Perm, cfg trie.Config) (*trie.Trie, error) {
 	numRoots := p.RootSpace(d.NS, d.NP, d.NO)
-	return trie.Build(len(scratch), numRoots, func(i int) (uint32, uint32, uint32) {
-		a, b, c := p.Apply(scratch[i])
-		if ref == nil {
-			return uint32(a), uint32(b), uint32(c)
-		}
-		m, ok := rank(ref, b, c)
-		if !ok {
-			// Impossible by the subset property of Section 3.2.
-			panic("core: cross-compression mapping failed")
-		}
-		return uint32(a), uint32(b), uint32(m)
+	return trie.Build(len(sorted), numRoots, func(i int) (uint32, uint32, uint32) {
+		a, b, c := p.Apply(sorted[i])
+		return uint32(a), uint32(b), uint32(c)
 	}, cfg)
 }
 

@@ -90,7 +90,7 @@ func SelectValueRange(x RangeSelecter, r *R, p ID, lo, hi uint64) *Iterator {
 
 // selectObjectRange seeks lo and past hi among the objects of p on the
 // POS trie and walks the children of p in between.
-func selectObjectRange(c *QueryCtx, pos, ref *trie.Trie, p ID, lo, hi ID) *Iterator {
+func selectObjectRange(c *QueryCtx, pos *trie.Trie, ref *crossRef, p ID, lo, hi ID) *Iterator {
 	b1, e1 := pos.RootRange(uint32(p))
 	j, val, ok := pos.Nodes(1).FindGEQ(b1, e1, uint64(lo))
 	if !ok || val > uint64(hi) {

@@ -29,13 +29,16 @@ type route struct {
 }
 
 // spec defines a layout the way the paper does: the permutations it
-// materializes, the sequence codecs of each, and the route that resolves
-// each of the eight shapes.
+// materializes, the sequence codecs of each, which of them it
+// cross-compresses, and the route that resolves each of the eight shapes.
 type spec struct {
 	perms  []Perm                // stored permutations, in serialization order
 	codecs [NumPerms]trie.Config // codecs of each stored permutation; WithTrieConfig replaces one
+	maps   []ccMap               // cross-compressed permutations with their references (Section 3.2)
 	ps     bool                  // keeps the PS structure (2To), serialized after the tries
-	cross  bool                  // cross-compressed (CC, Section 3.2): built by buildCC, serialized after a flag byte
+	// cross marks CC: a flag byte before its tries records whether
+	// WithCCAllPermutations mapped all three permutations instead of maps.
+	cross  bool
 	routes [NumShapes]route
 }
 
@@ -54,24 +57,28 @@ var routes3T = [NumShapes]route{
 
 // specs holds one row per layout. The codecs are the paper's choices
 // (Section 3.1, "design choices"): PEF node sequences and EF pointers,
-// except SPO's third level, which is Compact in every layout, and in CC
-// OSP's second level, which is Compact because unmapping a rank needs
-// O(1) random access to it (Section 3.2).
+// except SPO's third level, which is Compact wherever it holds IDs, and
+// in CC OSP's second level, which is Compact because unmapping a rank
+// needs O(1) random access to it (Section 3.2). 2Tp maps SPO's third
+// level against POS: an object is stored as its rank among the distinct
+// objects of its predicate, which POS's second level lists, and those
+// ranks are Elias-Fano coded: in the store file smaller than PEF, and
+// faster to read.
 var specs = [...]spec{
 	Layout3T: {perms: []Perm{PermSPO, PermPOS, PermOSP}, routes: routes3T, codecs: [NumPerms]trie.Config{
 		PermSPO: {Nodes1: seq.KindPEF, Nodes2: seq.KindCompact, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
 		PermPOS: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
 		PermOSP: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
 	}},
-	LayoutCC: {perms: []Perm{PermSPO, PermPOS, PermOSP}, cross: true, routes: routes3T, codecs: [NumPerms]trie.Config{
+	LayoutCC: {perms: []Perm{PermSPO, PermPOS, PermOSP}, maps: ccMaps[:1], cross: true, routes: routes3T, codecs: [NumPerms]trie.Config{
 		PermSPO: {Nodes1: seq.KindPEF, Nodes2: seq.KindCompact, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
 		PermPOS: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
 		PermOSP: {Nodes1: seq.KindCompact, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
 	}},
 	// 2Tp (Section 3.3): S?O by enumerate on SPO, ??O by the inverted
-	// algorithm on POS.
-	Layout2Tp: {perms: []Perm{PermSPO, PermPOS}, codecs: [NumPerms]trie.Config{
-		PermSPO: {Nodes1: seq.KindPEF, Nodes2: seq.KindCompact, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
+	// algorithm on POS; SPO cross-compressed against POS (Section 3.2).
+	Layout2Tp: {perms: []Perm{PermSPO, PermPOS}, maps: ccMaps[1:2], codecs: [NumPerms]trie.Config{
+		PermSPO: {Nodes1: seq.KindPEF, Nodes2: seq.KindEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
 		PermPOS: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
 	}, routes: [NumShapes]route{
 		ShapeSPO: {algoLookup, PermSPO},
@@ -132,7 +139,7 @@ type staticIndex struct {
 	// xref[p] is non-nil when p's third level is cross-compressed: it
 	// stores ranks among the children of the second component in xref[p]
 	// instead of IDs (Fig. 3 and 4).
-	xref [NumPerms]*trie.Trie
+	xref [NumPerms]*crossRef
 	ps   *PS // 2To only
 }
 
@@ -147,83 +154,95 @@ func Build(d *Dataset, layout Layout, opts ...Option) (Index, error) {
 	for p, cfg := range o.TrieConfigs {
 		codecs[p] = cfg
 	}
+	maps := x.spec.mapsFor(o.CCAllPermutations)
 	scratch := make([]Triple, len(d.Triples))
-	if x.spec.cross {
-		if err := x.buildCC(d, scratch, codecs, o.CCAllPermutations); err != nil {
-			return nil, err
-		}
-		return x, nil
-	}
-	for _, p := range x.spec.perms {
-		t, err := buildTrie(d, scratch, p, codecs[p], nil)
-		if err != nil {
-			return nil, err
-		}
-		x.tries[p] = t
+	if err := x.buildTries(d, scratch, codecs, maps); err != nil {
+		return nil, err
 	}
 	if x.spec.ps {
 		x.ps = buildPS(d, scratch)
 	}
+	x.crossCompress(maps)
 	return x, nil
 }
 
-// ccMaps lists the permutations CC cross-compresses, each with its
-// reference trie, in build order (Section 3.2). By default only the
-// first is mapped — POS against OSP, the paper's choice, since mapping
-// the other two permutations saves little — and the ablation
-// WithCCAllPermutations also maps SPO against POS and OSP against SPO.
+// ccMaps lists the cross-compressions of Section 3.2, each a permutation
+// and its reference trie. CC maps the first by default — POS against
+// OSP, the paper's choice — and all three in the ablation
+// WithCCAllPermutations; 2Tp maps the second, SPO against POS.
 var ccMaps = [...]ccMap{
 	{PermPOS, PermOSP},
 	{PermSPO, PermPOS},
 	{PermOSP, PermSPO},
 }
 
-// ccMap is one cross-compressed permutation and its reference trie.
+// ccMap is one cross-compressed permutation and its reference trie. The
+// reference's first two components are the permutation's last two, so
+// the reference's second level lists, under each second component of
+// perm, the third components it can take.
 type ccMap struct{ perm, ref Perm }
 
-// ccMapsFor returns the rows of ccMaps a CC index maps.
-func ccMapsFor(all bool) []ccMap {
-	if all {
+// mapsFor returns the permutations a layout's index maps: its row's, or
+// in CC's ablation all three.
+func (s *spec) mapsFor(all bool) []ccMap {
+	if s.cross && all {
 		return ccMaps[:]
 	}
-	return ccMaps[:1]
+	return s.maps
 }
 
-// buildCC builds the cross-compressed layout. Ranks read only the first
-// two levels of their reference trie, which are never themselves
-// mapped, so the first reference (OSP) is built plain, each mapped
-// permutation after its reference, and in the ablation OSP is rebuilt
-// mapped last.
-func (x *staticIndex) buildCC(d *Dataset, scratch []Triple, codecs [NumPerms]trie.Config, all bool) error {
-	build := func(p Perm, ref *trie.Trie) error {
-		t, err := buildTrie(d, scratch, p, codecs[p], ref)
-		x.tries[p] = t
-		return err
-	}
-	maps := ccMapsFor(all)
-	if err := build(maps[0].ref, nil); err != nil {
-		return err
-	}
-	for _, m := range maps {
-		if err := build(m.perm, x.tries[m.ref]); err != nil {
-			return err
-		}
-	}
-	for _, p := range x.spec.perms {
-		if x.tries[p] == nil {
-			if err := build(p, nil); err != nil {
+// buildTries builds the stored permutations, the plain ones first. A
+// mapped permutation's third level stores each third component's rank
+// among the children of its second component in the reference (Section
+// 3.2). In the reference's order those children are the distinct values
+// of the reference's second component within a run of equal first
+// components, so one pass over the triples sorted that way numbers them,
+// and the ranks, monotone in the IDs within each run, sort in the
+// permutation's order exactly as the IDs do. When the reference is the
+// plain permutation built last, its sorted triples are reused.
+func (x *staticIndex) buildTries(d *Dataset, scratch []Triple, codecs [NumPerms]trie.Config, maps []ccMap) error {
+	sorted := Perm(NumPerms) // the plain order scratch holds, if any
+	for _, mapped := range []bool{false, true} {
+		for _, p := range x.spec.perms {
+			ref, ok := refOf(maps, p)
+			if ok != mapped {
+				continue
+			}
+			if !mapped {
+				sortCopy(d, scratch, p)
+				sorted = p
+			} else {
+				if sorted != ref {
+					sortCopy(d, scratch, ref)
+				}
+				toRanks(scratch, ref)
+				SortPerm(scratch, p, d.NS, d.NP, d.NO)
+				sorted = NumPerms
+			}
+			t, err := buildTrie(d, scratch, p, codecs[p])
+			if err != nil {
 				return err
 			}
+			x.tries[p] = t
 		}
 	}
-	x.crossCompress(maps)
 	return nil
+}
+
+// refOf returns the reference of p when maps cross-compresses it.
+func refOf(maps []ccMap, p Perm) (Perm, bool) {
+	for _, m := range maps {
+		if m.perm == p {
+			return m.ref, true
+		}
+	}
+	return 0, false
 }
 
 // crossCompress records the reference trie of each mapped permutation.
 func (x *staticIndex) crossCompress(maps []ccMap) {
 	for _, m := range maps {
-		x.xref[m.perm] = x.tries[m.ref]
+		x.xref[m.perm] = newCrossRef(x.tries[m.ref])
 	}
 }
 
@@ -254,6 +273,37 @@ func (x *staticIndex) Trie(p Perm) *trie.Trie {
 	return x.tries[p]
 }
 
+// scanSet returns every triple of x in some order: on a static index the
+// full scan of a stored permutation whose third level holds IDs, so that
+// no triple pays an unmapping (2Tp's POS rather than its SPO), for a
+// caller that needs the set and not the order of the ??? route.
+func scanSet(x Index) *Iterator {
+	if s, ok := x.(*staticIndex); ok {
+		for _, p := range s.spec.perms {
+			if s.xref[p] == nil {
+				return scanAll(nil, s.tries[p], nil, p)
+			}
+		}
+	}
+	return x.Select(Pattern{Wildcard, Wildcard, Wildcard})
+}
+
+// CrossReference reports the permutation whose second level the third
+// level of p ranks against when x cross-compresses p (Section 3.2): then
+// x.Trie(p)'s third level holds ranks, not IDs.
+func CrossReference(x Index, p Perm) (Perm, bool) {
+	s, ok := x.(*staticIndex)
+	if !ok || int(p) >= len(s.xref) || s.xref[p] == nil {
+		return 0, false
+	}
+	for q, t := range s.tries {
+		if t == s.xref[p].t {
+			return Perm(q), true
+		}
+	}
+	return 0, false
+}
+
 // Select resolves a pattern along the layout's route for its shape.
 func (x *staticIndex) Select(p Pattern) *Iterator { return x.SelectCtx(p, nil) }
 
@@ -274,7 +324,7 @@ func (x *staticIndex) SelectCtx(p Pattern, c *QueryCtx) *Iterator {
 	case algoScan:
 		return scanAll(c, t, ref, r.perm)
 	case algoEnumerate:
-		return enumerate(c, t, a, last)
+		return enumerate(c, t, ref, a, last)
 	case algoInvertedPOS:
 		return invertedOnPOS(c, t, b)
 	default: // algoInvertedPS
@@ -283,17 +333,20 @@ func (x *staticIndex) SelectCtx(p Pattern, c *QueryCtx) *Iterator {
 }
 
 // SelectVarSorted serves the sorted bindings of a one-wildcard pattern
-// when its route selects a range of a plain third level: the wildcard
-// is then the trie's last component. Cross-compressed levels hold ranks,
-// not IDs, so NextGEQ could not seek them by ID; the enumerate and
-// inverted algorithms read no single range.
+// when its route selects one third-level range: the wildcard is then the
+// trie's last component. On a level its layout's row cross-compresses
+// (2Tp's SPO) the stream unmaps the ranks and seeks an ID by the rank of
+// the first child at or above it, as ranks are monotone in IDs. CC
+// declines on its mapped levels, as the paper's CC serves them to select
+// only; the enumerate and inverted algorithms read no single range.
 func (x *staticIndex) SelectVarSorted(p Pattern) (*VarIter, bool) {
 	r := x.spec.routes[p.Shape()]
-	if r.algo != algoTwo || x.xref[r.perm] != nil {
+	ref := x.xref[r.perm]
+	if r.algo != algoTwo || (ref != nil && x.spec.cross) {
 		return nil, false
 	}
 	a, b, _ := r.perm.Apply(Triple(p))
-	return varIterOnTrie(x.tries[r.perm], a, b), true
+	return varIterOnTrie(x.tries[r.perm], ref, a, b), true
 }
 
 // SelectObjectRange resolves ?P? with the object constrained to the ID
@@ -342,8 +395,6 @@ func decodeStatic(r *codec.Reader, layout Layout) (*staticIndex, error) {
 		}
 		x.ps = ps
 	}
-	if x.spec.cross {
-		x.crossCompress(ccMapsFor(all))
-	}
+	x.crossCompress(x.spec.mapsFor(all))
 	return x, nil
 }

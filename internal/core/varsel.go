@@ -14,6 +14,7 @@ import (
 type VarIter struct {
 	it    seq.Iterator
 	t     *trie.Trie // the trie it reads, kept reachable while it iterates
+	ranks *refRoot   // non-nil: it yields ranks among the children of the root ranks has loaded
 	empty bool
 }
 
@@ -25,18 +26,34 @@ func (v *VarIter) Next() (ID, bool) {
 		return 0, false
 	}
 	x, ok := v.it.Next()
+	if ok && v.ranks != nil {
+		x = v.ranks.id(x)
+	}
 	return ID(x), ok
 }
 
 // NextGEQ skips forward to the first remaining candidate >= x, consumes
-// it and returns it.
+// it and returns it. On ranks it seeks the rank of the first child at or
+// above x: ranks are monotone in the IDs they stand for.
 //
 //rdf:hotpath
 func (v *VarIter) NextGEQ(x ID) (ID, bool) {
 	if v.empty {
 		return 0, false
 	}
-	got, ok := v.it.NextGEQ(uint64(x))
+	target := uint64(x)
+	if v.ranks != nil {
+		r, ok := v.ranks.rankGEQ(x)
+		if !ok {
+			v.empty = true
+			return 0, false
+		}
+		target = r
+	}
+	got, ok := v.it.NextGEQ(target)
+	if ok && v.ranks != nil {
+		got = v.ranks.id(got)
+	}
 	return ID(got), ok
 }
 
@@ -46,15 +63,21 @@ func emptyVarIter() *VarIter { return &VarIter{empty: true} }
 // varIterOnTrie serves the sorted completions of the fixed prefix (a, b)
 // on t's third level: the values the trie's last component takes, which
 // are exactly the bindings of the pattern's single wildcard when it sits
-// in that position.
-func varIterOnTrie(t *trie.Trie, a, b ID) *VarIter {
+// in that position. With a reference ref the level holds ranks among
+// b's children in ref, which the stream unmaps.
+func varIterOnTrie(t *trie.Trie, ref *crossRef, a, b ID) *VarIter {
 	b1, e1 := t.RootRange(uint32(a))
 	j := t.FindChild1(b1, e1, uint32(b))
 	if j < 0 {
 		return emptyVarIter()
 	}
 	b2, e2 := t.ChildRange(j)
-	return &VarIter{it: t.Iter2(b2, e2), t: t}
+	v := &VarIter{it: t.Iter2(b2, e2), t: t}
+	if ref != nil {
+		v.ranks = &refRoot{ref: ref, root: Wildcard}
+		v.ranks.seek(b)
+	}
+	return v
 }
 
 // VarSelecter is implemented by indexes that can produce the sorted

@@ -100,3 +100,77 @@ func checkVarStream(t *testing.T, name string, vs VarSelecter, pat Pattern, want
 		}
 	}
 }
+
+// TestSelectVarSortedRanks seeks the sorted object stream of 2Tp's SP?,
+// whose SPO level holds ranks among the predicate's objects in POS, with
+// NextGEQ targets inside, between and past those objects: at each object
+// of s under p, one above it, one below it, below p's first object,
+// between two objects of p that s lacks, and past p's last object. Each
+// answer must be the oracle's first object of (s, p) at or above the
+// target, from a fresh stream and from one already advanced.
+func TestSelectVarSortedRanks(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	d := skewedDataset(rng, 4000)
+	x, err := Build(d, Layout2Tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.(*staticIndex).xref[PermSPO] == nil {
+		t.Fatal("2Tp's SPO is not cross-compressed")
+	}
+	vs := x.(VarSelecter)
+	objectsOf := map[ID][]ID{} // p -> its distinct objects, ascending
+	for _, tr := range sortedByPermCopy(d.Triples, PermPOS) {
+		objs := objectsOf[tr.P]
+		if len(objs) == 0 || objs[len(objs)-1] != tr.O {
+			objectsOf[tr.P] = append(objs, tr.O)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		tr := d.Triples[rng.Intn(d.Len())]
+		pat := Pattern{tr.S, tr.P, Wildcard}
+		want := wildcardBindings(x, pat)
+		ofP := objectsOf[tr.P]
+		targets := []ID{0, ofP[len(ofP)-1] + 1, ofP[len(ofP)-1] + 1000}
+		if ofP[0] > 0 {
+			targets = append(targets, ofP[0]-1)
+		}
+		for _, o := range want {
+			targets = append(targets, o, o+1)
+			if o > 0 {
+				targets = append(targets, o-1)
+			}
+		}
+		for k := 0; k < 3; k++ {
+			targets = append(targets, ofP[rng.Intn(len(ofP))]+ID(rng.Intn(2)))
+		}
+		firstGEQ := func(target ID) (ID, bool) {
+			j := sort.Search(len(want), func(j int) bool { return want[j] >= target })
+			if j == len(want) {
+				return 0, false
+			}
+			return want[j], true
+		}
+		for _, target := range targets {
+			it, ok := vs.SelectVarSorted(pat)
+			if !ok {
+				t.Fatalf("SelectVarSorted(%v) declined", pat)
+			}
+			wantID, wantOK := firstGEQ(target)
+			if got, ok := it.NextGEQ(target); ok != wantOK || got != wantID {
+				t.Fatalf("%v: NextGEQ(%d) = %d, %v; want %d, %v", pat, target, got, ok, wantID, wantOK)
+			}
+			if !wantOK {
+				if got, ok := it.Next(); ok {
+					t.Fatalf("%v: Next after a NextGEQ past the end = %d", pat, got)
+				}
+				continue
+			}
+			// Advanced past wantID, the stream seeks on from there.
+			wantNext, wantNextOK := firstGEQ(wantID + 1)
+			if got, ok := it.NextGEQ(target); ok != wantNextOK || got != wantNext {
+				t.Fatalf("%v: second NextGEQ(%d) = %d, %v; want %d, %v", pat, target, got, ok, wantNext, wantNextOK)
+			}
+		}
+	}
+}

@@ -38,6 +38,8 @@ func FuzzPEF(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 1, 1, 1, 1, 1, 1, 1, 1})          // one run
 	f.Add([]byte{3, 0, 0, 2, 0x41, 1, 0xc1, 0, 3, 0x80}) // duplicates, jumps
+	// Partitions of four: a run, a bitmap and an Elias-Fano partition.
+	f.Add([]byte{0, 1, 1, 1, 1, 1, 2, 1, 3, 0x41, 0x42, 0x43, 0x81})
 	for _, partLog := range []uint{2, 5, DefaultPartLog} {
 		var vals []uint64
 		for i := uint64(0); i < 300; i++ {
@@ -66,9 +68,16 @@ func FuzzPEF(f *testing.F) {
 		if p.Len() != len(vals) {
 			t.Fatalf("Len %d, want %d", p.Len(), len(vals))
 		}
+		// Every position by Access, and by a cursor Reset there: both
+		// rebuild the partition's bounds from the directory.
+		it := p.MakeIterator(0)
 		for i, v := range vals {
 			if got := p.Access(i); got != v {
 				t.Fatalf("Access(%d) = %d, want %d", i, got, v)
+			}
+			it.Reset(i)
+			if got, ok := it.Next(); !ok || got != v {
+				t.Fatalf("Reset(%d)+Next = %d, %v; want %d", i, got, ok, v)
 			}
 		}
 		// Probe at up to 32 values, each, one above and one below.

@@ -26,22 +26,34 @@ const DefaultPartLog = 8
 // sequence. Compared to plain Elias-Fano it is smaller on clustered data
 // and faster for bounded searches, at the price of slower random access.
 //
-// In memory the partition directory is decoded once into one entry per
-// partition, so that locating and entering a partition is a slice load
-// and a search over upper bounds is a binary search of the entries. The
-// encoded form keeps the compact columns (Elias-Fano upper bounds, kind
-// bytes, packed offsets); Encode re-derives them from the entries.
+// In memory the partition directory is decoded once into one 24-byte
+// entry per partition, so that locating and entering a partition is a
+// slice load and a search over upper bounds gallops over the entries and
+// bisects them. The encoded form keeps the compact columns (Elias-Fano upper
+// bounds, kind bytes, packed offsets); Encode re-derives them from the
+// entries.
 type Partitioned struct {
 	n        int
 	universe uint64
 	partLog  uint // log2 of the partition size
-	parts    []partition
+	dir      []dirEntry
 	payload  *xbits.Vector
 	sizeBits uint64 // footprint of the encoded form, see SizeBits
 }
 
-// partition is one decoded directory entry: everything a read needs to
-// decode the partition.
+// dirEntry is one decoded directory entry. It keeps only what the
+// neighbours do not give: partition k holds positions [k<<partLog,
+// (k+1)<<partLog) and its exclusive lower bound is entry k-1's upper.
+type dirEntry struct {
+	upper uint64 // largest value
+	off   int    // bit offset of the partition in the payload
+	kind  byte
+	l     uint8 // low-bit width of an Elias-Fano partition
+}
+
+// partition is one partition as a read decodes it: its directory entry
+// with the bounds the directory leaves implicit. It lives on the stack
+// of the read.
 type partition struct {
 	base       uint64 // exclusive lower bound: the previous partition's upper bound
 	upper      uint64 // largest value
@@ -49,6 +61,17 @@ type partition struct {
 	start, end int    // positions of the first element and past the last
 	kind       byte
 	l          uint8 // low-bit width of an Elias-Fano partition
+}
+
+// part returns partition k.
+func (p *Partitioned) part(k int) partition {
+	e := &p.dir[k]
+	pt := partition{upper: e.upper, off: e.off, kind: e.kind, l: e.l, start: k << p.partLog}
+	pt.end = min(pt.start+1<<p.partLog, p.n)
+	if k > 0 {
+		pt.base = p.dir[k-1].upper
+	}
+	return pt
 }
 
 // NewPartitioned encodes values (non-decreasing) with the default
@@ -84,14 +107,14 @@ func NewPartitionedLog(values []uint64, partLog uint) *Partitioned {
 // records its directory entry.
 func (p *Partitioned) appendPartition(values []uint64, start, end int) {
 	var base uint64
-	if k := len(p.parts); k > 0 {
-		base = p.parts[k-1].upper
+	if k := len(p.dir); k > 0 {
+		base = p.dir[k-1].upper
 	}
 	part := values[start:end]
 	ub := part[len(part)-1]
 	off := p.payload.Len()
 	kind, l := encodePartitionInto(p.payload, part, base, ub)
-	p.parts = append(p.parts, partition{base: base, upper: ub, off: off, start: start, end: end, kind: kind, l: uint8(l)})
+	p.dir = append(p.dir, dirEntry{upper: ub, off: off, kind: kind, l: uint8(l)})
 }
 
 // encodePartitionInto appends the cheapest encoding of part (relative to
@@ -146,11 +169,11 @@ func encodePartitionInto(payload *xbits.Vector, part []uint64, base, ub uint64) 
 // columns returns the directory as the encoding stores it: upper bounds,
 // payload offsets and kind bytes.
 func (p *Partitioned) columns() (uppers, offs []uint64, kinds []byte) {
-	uppers = make([]uint64, len(p.parts))
-	offs = make([]uint64, len(p.parts), len(p.parts)+1)
-	kinds = make([]byte, len(p.parts))
-	for k, pt := range p.parts {
-		uppers[k], offs[k], kinds[k] = pt.upper, uint64(pt.off), pt.kind
+	uppers = make([]uint64, len(p.dir))
+	offs = make([]uint64, len(p.dir), len(p.dir)+1)
+	kinds = make([]byte, len(p.dir))
+	for k, e := range p.dir {
+		uppers[k], offs[k], kinds[k] = e.upper, uint64(e.off), e.kind
 	}
 	return uppers, offs, kinds
 }
@@ -162,7 +185,7 @@ func (p *Partitioned) columns() (uppers, offs []uint64, kinds []byte) {
 func (p *Partitioned) decodeDirectory(upper *Sequence, kinds []byte, offsets *xbits.CompactVector) error {
 	uppers := upper.MakeIterator(0)
 	payloadLen := uint64(p.payload.Len())
-	p.parts = make([]partition, len(kinds))
+	p.dir = make([]dirEntry, len(kinds))
 	var base uint64
 	start := 0
 	for k, kind := range kinds {
@@ -179,11 +202,11 @@ func (p *Partitioned) decodeDirectory(upper *Sequence, kinds []byte, offsets *xb
 		if ub < base {
 			return fmt.Errorf("%w: pef partition %d upper bound %d below %d", codec.ErrCorrupt, k, ub, base)
 		}
-		pt := &p.parts[k]
-		*pt = partition{base: base, upper: ub, off: int(off), start: start, end: end, kind: kind}
+		pt := partition{base: base, upper: ub, off: int(off), start: start, end: end, kind: kind}
 		if err := pt.check(p.payload, limit-off); err != nil {
 			return fmt.Errorf("%w: pef partition %d: %v", codec.ErrCorrupt, k, err)
 		}
+		p.dir[k] = dirEntry{upper: ub, off: int(off), kind: kind, l: pt.l}
 		base, start = ub, end
 	}
 	if start != p.n || (len(kinds) > 0 && base != p.universe) {
@@ -252,12 +275,17 @@ func (p *Partitioned) Universe() uint64 { return p.universe }
 func (p *Partitioned) partOf(i int) int { return i >> p.partLog }
 
 // partGEQ returns the first partition at or after from whose upper bound
-// is >= x. x must not exceed the universe.
+// is >= x. x must not exceed the universe. It gallops from from before
+// it bisects, so a target a few partitions ahead costs a few probes.
 func (p *Partitioned) partGEQ(from int, x uint64) int {
-	lo, hi := from, len(p.parts)-1
+	lo, hi := from, from
+	last := len(p.dir) - 1
+	for step := 1; hi < last && p.dir[hi].upper < x; step <<= 1 {
+		lo, hi = hi+1, min(hi+step, last)
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if p.parts[mid].upper >= x {
+		if p.dir[mid].upper >= x {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -317,21 +345,6 @@ func selectFrom(payload *xbits.Vector, off, k int) int {
 			continue
 		}
 		return w<<6 + xbits.SelectInWord(cur, k) - off
-	}
-}
-
-// access returns the value of element j of the partition.
-func (pt *partition) access(payload *xbits.Vector, j int) uint64 {
-	switch pt.kind {
-	case kindAllOnes:
-		return pt.base + uint64(j) + 1
-	case kindBitmap:
-		return pt.base + 1 + uint64(selectFrom(payload, pt.off, j))
-	default:
-		off, _ := pt.region()
-		pos := selectFrom(payload, off, j)
-		l := uint(pt.l)
-		return pt.base + (uint64(pos-j)<<l | payload.Get(pt.off+6+j*int(l), l))
 	}
 }
 
@@ -427,19 +440,44 @@ func (pt *partition) nextGEQ(payload *xbits.Vector, x uint64) (j int, v uint64, 
 	}
 }
 
-// Access returns the i-th value.
+// Access returns the i-th value. It reads only the directory fields
+// the partition's kind needs.
+//
+//rdf:hotpath
 func (p *Partitioned) Access(i int) uint64 {
-	pt := &p.parts[p.partOf(i)]
-	return pt.access(p.payload, i-pt.start)
+	k := p.partOf(i)
+	e := &p.dir[k]
+	var base uint64
+	if k > 0 {
+		base = p.dir[k-1].upper
+	}
+	j := i - k<<p.partLog
+	switch e.kind {
+	case kindAllOnes:
+		return base + uint64(j) + 1
+	case kindBitmap:
+		return base + 1 + uint64(selectFrom(p.payload, e.off, j))
+	}
+	l := uint(e.l)
+	sz := min(1<<p.partLog, p.n-k<<p.partLog)
+	pos := selectFrom(p.payload, e.off+6+sz*int(l), j)
+	return base + (uint64(pos-j)<<l | p.payload.Get(e.off+6+j*int(l), l))
 }
 
 // NextGEQ returns the position and value of the first element >= x. ok is
 // false when every element is smaller than x, in which case pos is Len().
 func (p *Partitioned) NextGEQ(x uint64) (pos int, val uint64, ok bool) {
-	if p.n == 0 || x > p.universe {
+	return p.NextGEQFrom(0, x)
+}
+
+// NextGEQFrom is NextGEQ when no element before position from exceeds
+// x: the directory search starts at from's partition, and the position
+// returned precedes from only on an element equal to x.
+func (p *Partitioned) NextGEQFrom(from int, x uint64) (pos int, val uint64, ok bool) {
+	if from >= p.n || x > p.universe {
 		return p.n, 0, false
 	}
-	pt := &p.parts[p.partGEQ(0, x)]
+	pt := p.part(p.partGEQ(p.partOf(from), x))
 	j, v, _, ok := pt.nextGEQ(p.payload, x)
 	if !ok {
 		// Only a directory whose upper bound is not its last value.
@@ -507,13 +545,13 @@ func (it *PartIterator) enterNext() {
 	if it.k < 0 || it.i != it.end {
 		k = it.p.partOf(it.i)
 	}
-	it.enter(k, it.i-it.p.parts[k].start, -1)
+	it.enter(k, it.i-k<<it.p.partLog, -1)
 }
 
 // enter initializes the cursor at element j of partition k, whose set bit
 // sits at region position bit, or is found by a select when bit < 0.
 func (it *PartIterator) enter(k, j, bit int) {
-	pt := &it.p.parts[k]
+	pt := it.p.part(k)
 	it.k, it.end = k, pt.end
 	it.base, it.kind, it.l = pt.base, pt.kind, uint(pt.l)
 	it.inPart = j
@@ -633,18 +671,19 @@ func (it *PartIterator) SkipTo(x uint64) (int, uint64, bool) {
 	if !inCursor {
 		k = p.partOf(it.i)
 	}
-	if x > p.parts[k].upper {
+	if x > p.dir[k].upper {
 		k = p.partGEQ(k+1, x)
 		inCursor = false
 	}
-	j, _, bit, ok := p.parts[k].nextGEQ(p.payload, x)
+	pt := p.part(k)
+	j, _, bit, ok := pt.nextGEQ(p.payload, x)
 	if !ok {
 		it.i = p.n
 		return p.n, 0, false
 	}
 	if !inCursor || j > it.inPart {
 		it.enter(k, j, bit)
-		it.i = p.parts[k].start + j
+		it.i = pt.start + j
 	}
 	// The element at the cursor now satisfies >= x (by monotonicity when
 	// it was already at or past position j); consume it.

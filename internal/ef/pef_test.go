@@ -125,13 +125,13 @@ func TestDirectoryMatchesSelectReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(p.parts) != len(kinds) || len(got.parts) != len(kinds) {
-				t.Fatalf("%s/%d: %d built and %d decoded partitions, %d encoded", name, p.partLog, len(p.parts), len(got.parts), len(kinds))
+			if len(p.dir) != len(kinds) || len(got.dir) != len(kinds) {
+				t.Fatalf("%s/%d: %d built and %d decoded partitions, %d encoded", name, p.partLog, len(p.dir), len(got.dir), len(kinds))
 			}
 			for k := range kinds {
 				want := refPart(upper, offsets, kinds, p.payload, p.partLog, p.n, k)
-				if p.parts[k] != want || got.parts[k] != want {
-					t.Fatalf("%s/%d: partition %d built %+v decoded %+v, reference %+v", name, p.partLog, k, p.parts[k], got.parts[k], want)
+				if p.part(k) != want || got.part(k) != want {
+					t.Fatalf("%s/%d: partition %d built %+v decoded %+v, reference %+v", name, p.partLog, k, p.part(k), got.part(k), want)
 				}
 			}
 			if got.SizeBits() != p.SizeBits() {
@@ -158,8 +158,8 @@ func testDecodeCorruptDirectory(t *testing.T) {
 	vals := clusteredMonotone(rng, 6000)
 	p := NewPartitioned(vals)
 	firstOf := func(kind byte) int {
-		for k, pt := range p.parts {
-			if pt.kind == kind {
+		for k, e := range p.dir {
+			if e.kind == kind {
 				return k
 			}
 		}
@@ -173,13 +173,14 @@ func testDecodeCorruptDirectory(t *testing.T) {
 		for i := 0; i < p.payload.Len(); i++ {
 			v.AppendBit(p.payload.Bit(i))
 		}
-		off, _ := p.parts[k].region()
+		pt := p.part(k)
+		off, _ := pt.region()
 		w := v.Words()
 		w[off>>6] ^= 1 << (uint(off) & 63)
 		return v
 	}
 	ef, bm := firstOf(kindEF), firstOf(kindBitmap)
-	last := len(p.parts) - 1
+	last := len(p.dir) - 1
 	for name, mutate := range map[string]func(c *pefColumns){
 		"offset past payload": func(c *pefColumns) { c.offs[1] = uint64(p.payload.Len()) + 64 },
 		"kind 7":              func(c *pefColumns) { c.kinds[2] = 7 },

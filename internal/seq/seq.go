@@ -90,9 +90,18 @@ type Sequence interface {
 	// range starting at begin). Implementations may amortize the two
 	// lookups; trie pointer pairs are the hot caller.
 	At2(begin, i int) (uint64, uint64)
+	// Base returns what the representation adds to the values of the
+	// range starting at begin: the prefix-sum base for the monotone
+	// kinds, 0 for Compact. Read as one range from position 0, the
+	// sequence yields the stored values, so for a caller holding a
+	// range's base, At(0, i) minus it is the value at i.
+	Base(begin int) uint64
 	// Find returns the absolute position of x within the sorted range
 	// [begin, end), or -1 if x does not occur there.
 	Find(begin, end int, x uint64) int
+	// FindIn is Find for a caller that holds the range's Base, which it
+	// then does not read.
+	FindIn(base uint64, begin, end int, x uint64) int
 	// FindGEQ returns the absolute position and value of the first element
 	// >= x within the sorted range [begin, end); ok is false when every
 	// element of the range is smaller.
@@ -161,6 +170,16 @@ type monotone interface {
 	Len() int
 	Access(i int) uint64
 	NextGEQ(x uint64) (int, uint64, bool)
+	// NextGEQFrom is NextGEQ when no element before position from
+	// exceeds x; an encoder may search from there.
+	NextGEQFrom(from int, x uint64) (int, uint64, bool)
+}
+
+func monoBase(m monotone, begin int) uint64 {
+	if begin == 0 {
+		return 0
+	}
+	return m.Access(begin - 1)
 }
 
 //rdf:hotpath
@@ -181,7 +200,7 @@ func monoFindGEQ(m monotone, begin, end int, x uint64) (int, uint64, bool) {
 	if begin > 0 {
 		base = m.Access(begin - 1)
 	}
-	pos, val, ok := m.NextGEQ(base + x)
+	pos, val, ok := m.NextGEQFrom(begin, base+x)
 	if !ok {
 		return end, 0, false
 	}
@@ -197,15 +216,12 @@ func monoFindGEQ(m monotone, begin, end int, x uint64) (int, uint64, bool) {
 }
 
 //rdf:hotpath
-func monoFind(m monotone, begin, end int, x uint64) int {
+func monoFind(m monotone, base uint64, begin, end int, x uint64) int {
 	if begin >= end {
 		return -1
 	}
-	target := x
-	if begin > 0 {
-		target += m.Access(begin - 1)
-	}
-	pos, val, ok := m.NextGEQ(target)
+	target := base + x
+	pos, val, ok := m.NextGEQFrom(begin, target)
 	if !ok || val != target {
 		return -1
 	}
@@ -429,8 +445,13 @@ func (c *compactSeq) Len() int           { return c.v.Len() }
 func (c *compactSeq) Kind() Kind         { return KindCompact }
 func (c *compactSeq) SizeBits() uint64   { return c.v.SizeBits() }
 func (c *compactSeq) At(_, i int) uint64 { return c.v.At(i) }
+func (c *compactSeq) Base(int) uint64    { return 0 }
 func (c *compactSeq) At2(_, i int) (uint64, uint64) {
 	return c.v.At(i), c.v.At(i + 1)
+}
+
+func (c *compactSeq) FindIn(_ uint64, begin, end int, x uint64) int {
+	return c.Find(begin, end, x)
 }
 
 func (c *compactSeq) Find(begin, end int, x uint64) int {
@@ -523,6 +544,7 @@ func (e *efSeq) SizeBits() uint64 { return e.s.SizeBits() }
 func (e *efSeq) At(begin, i int) uint64 {
 	return monoAt(e.s, begin, i)
 }
+func (e *efSeq) Base(begin int) uint64 { return monoBase(e.s, begin) }
 func (e *efSeq) At2(begin, i int) (uint64, uint64) {
 	v1, v2 := e.s.AccessPair(i)
 	if begin > 0 {
@@ -537,7 +559,14 @@ func (e *efSeq) Find(begin, end int, x uint64) int {
 		it, base := e.s.MakeIteratorBase(begin)
 		return scanFind(it.Next, begin, end, base+x)
 	}
-	return monoFind(e.s, begin, end, x)
+	return monoFind(e.s, monoBase(e.s, begin), begin, end, x)
+}
+func (e *efSeq) FindIn(base uint64, begin, end int, x uint64) int {
+	if isShort(begin, end) {
+		it := e.s.MakeIterator(begin)
+		return scanFind(it.Next, begin, end, base+x)
+	}
+	return monoFind(e.s, base, begin, end, x)
 }
 func (e *efSeq) FindGEQ(begin, end int, x uint64) (int, uint64, bool) {
 	return monoFindGEQ(e.s, begin, end, x)
@@ -561,6 +590,7 @@ func (p *pefSeq) SizeBits() uint64 { return p.s.SizeBits() }
 func (p *pefSeq) At(begin, i int) uint64 {
 	return monoAt(p.s, begin, i)
 }
+func (p *pefSeq) Base(begin int) uint64 { return monoBase(p.s, begin) }
 func (p *pefSeq) At2(begin, i int) (uint64, uint64) {
 	return monoAt(p.s, begin, i), monoAt(p.s, begin, i+1)
 }
@@ -569,7 +599,14 @@ func (p *pefSeq) Find(begin, end int, x uint64) int {
 		it, base := p.s.MakeIteratorBase(begin)
 		return scanFind(it.Next, begin, end, base+x)
 	}
-	return monoFind(p.s, begin, end, x)
+	return monoFind(p.s, monoBase(p.s, begin), begin, end, x)
+}
+func (p *pefSeq) FindIn(base uint64, begin, end int, x uint64) int {
+	if isShort(begin, end) {
+		it := p.s.MakeIterator(begin)
+		return scanFind(it.Next, begin, end, base+x)
+	}
+	return monoFind(p.s, base, begin, end, x)
 }
 func (p *pefSeq) FindGEQ(begin, end int, x uint64) (int, uint64, bool) {
 	return monoFindGEQ(p.s, begin, end, x)
@@ -593,6 +630,7 @@ func (v *vbyteSeq) SizeBits() uint64 { return v.s.SizeBits() }
 func (v *vbyteSeq) At(begin, i int) uint64 {
 	return monoAt(v.s, begin, i)
 }
+func (v *vbyteSeq) Base(begin int) uint64 { return monoBase(v.s, begin) }
 func (v *vbyteSeq) At2(begin, i int) (uint64, uint64) {
 	return monoAt(v.s, begin, i), monoAt(v.s, begin, i+1)
 }
@@ -601,7 +639,14 @@ func (v *vbyteSeq) Find(begin, end int, x uint64) int {
 		it, base := v.s.MakeIteratorBase(begin)
 		return scanFind(it.Next, begin, end, base+x)
 	}
-	return monoFind(v.s, begin, end, x)
+	return monoFind(v.s, monoBase(v.s, begin), begin, end, x)
+}
+func (v *vbyteSeq) FindIn(base uint64, begin, end int, x uint64) int {
+	if isShort(begin, end) {
+		it := v.s.MakeIterator(begin)
+		return scanFind(it.Next, begin, end, base+x)
+	}
+	return monoFind(v.s, base, begin, end, x)
 }
 func (v *vbyteSeq) FindGEQ(begin, end int, x uint64) (int, uint64, bool) {
 	return monoFindGEQ(v.s, begin, end, x)

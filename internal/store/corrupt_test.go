@@ -16,6 +16,7 @@ import (
 	"rdfindexes/internal/codec"
 	"rdfindexes/internal/core"
 	"rdfindexes/internal/dict"
+	"rdfindexes/internal/rdf"
 )
 
 // writeSampleFile serializes the shared sample store and returns its
@@ -315,8 +316,9 @@ func TestVerifyNumericString(t *testing.T) {
 // TestVerifyDictRoots crafts a store whose checksums are all valid but
 // whose SO dictionary holds every term in its first run, so the count of
 // subjects it records disagrees with the roots of the index's SPO trie.
-// Verify fails the header and names the trie and the dictionary; Read
-// opens the file, and queries over it answer without a panic.
+// Write refuses it; written past that check, Verify fails the header and
+// names the trie and the dictionary, and Read opens the file, and queries
+// over it answer without a panic.
 func TestVerifyDictRoots(t *testing.T) {
 	for _, layout := range []core.Layout{core.Layout3T, core.Layout2To} {
 		st := buildSample(t, layout)
@@ -333,16 +335,24 @@ func TestVerifyDictRoots(t *testing.T) {
 		if all.FirstRun() == so.FirstRun() {
 			t.Fatalf("the sample's %d terms are all subjects", so.Len())
 		}
-		st.Dicts.SO = all
+		want := fmt.Sprintf("SPO trie of the index has %d roots, for %d SO dictionary subjects", so.FirstRun(), all.FirstRun())
+		// Write refuses the mismatch and leaves no file; the unexported
+		// writer, which Write checks before calling, writes it.
 		path := filepath.Join(t.TempDir(), "store.idx")
-		if err := Write(path, st); err != nil {
+		mismatched := &Store{Index: st.Index, Dicts: &rdf.Dicts{SO: all, P: st.Dicts.P}}
+		if err := Write(path, mismatched); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%v: Write of a store whose dictionary disagrees with its index: %v, want %q", layout, err, want)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%v: the refused Write left a file: %v", layout, err)
+		}
+		if err := writeFile(path, st.Index, all, st.Dicts.P.(*dict.Dict)); err != nil {
 			t.Fatal(err)
 		}
 		rep, err := Verify(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := fmt.Sprintf("SPO trie of the index has %d roots, for %d SO dictionary subjects", so.FirstRun(), all.FirstRun())
 		if rep.OK || len(rep.Sections) != 3 || rep.Sections[0].Name != "header" || !strings.Contains(rep.Sections[0].Error, want) {
 			t.Fatalf("%v: Verify of a store whose dictionary disagrees with its index: %+v, want the header naming %q", layout, rep, want)
 		}

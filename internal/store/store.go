@@ -47,7 +47,7 @@ import (
 // array lies 8-byte aligned in the file. There is no pad after the last
 // checksum. The table gives the section's length up front, so the
 // section's checksum is verified before any of it is decoded.
-const Magic = "RDFSTORE8"
+const Magic = "RDFSTORE9"
 
 // CurrentVersion is the container format version Write produces and
 // Read accepts. Files of older versions are refused by their magic,
@@ -64,8 +64,12 @@ const Magic = "RDFSTORE8"
 // how many sections it has, and a dictionary without numeric literals
 // stores v6's bytes after that count. v8 keeps one section per datatype
 // and scale, and no numeric literal among the strings; its bytes are
-// v7's otherwise.
-const CurrentVersion = 8
+// v7's otherwise. v9 cross-compresses 2Tp's SPO against POS: SPO's
+// third level holds each object's rank among its predicate's objects,
+// Elias-Fano coded, where v8 held the object ID. The container and the
+// other layouts' bytes are v8's, but a v8 2Tp file read as ranks would
+// answer wrongly with every checksum intact, so the magic refuses it.
+const CurrentVersion = 9
 
 // magicStem is what every version's magic starts with; the version
 // number follows it.
@@ -117,7 +121,8 @@ var fsys faultfs.FS = faultfs.OS{}
 // Write serializes the store to path: magic, dictionaries, then the
 // index. Only static state serializes; a serving view (dynamic snapshot
 // index, overlay dictionaries) must be folded (merged) first, and a
-// store without dictionaries is refused.
+// store without dictionaries is refused, as is one whose tries' root
+// counts disagree with its dictionaries, which Verify would fail.
 //
 // The file is replaced atomically: Write writes a sibling temp file,
 // fsyncs it, renames it over path and fsyncs the directory. A process
@@ -138,6 +143,9 @@ func Write(path string, st *Store) error {
 	p, ok := d.P.(*dict.Dict)
 	if !ok {
 		return fmt.Errorf("store: P dictionary is not serializable (fold the overlay first)")
+	}
+	if err := checkRoots(so, p, st.Index); err != nil {
+		return fmt.Errorf("store: index and dictionaries disagree: %w", err)
 	}
 	tmp := path + ".tmp"
 	if err := writeFile(tmp, st.Index, so, p); err != nil {

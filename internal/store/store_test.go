@@ -208,13 +208,13 @@ func TestReadRejectsGarbage(t *testing.T) {
 // the version and the rebuild.
 func TestReadNamesOldVersion(t *testing.T) {
 	_, data := writeSampleFile(t)
-	for _, old := range []string{"RDFSTORE7", "RDFSTORE6", "RDFSTORE5", "RDFSTORE4", "RDFSTORE3", "RDFSTORE2", "RDFSTORE1"} {
+	for _, old := range []string{"RDFSTORE8", "RDFSTORE7", "RDFSTORE6", "RDFSTORE5", "RDFSTORE4", "RDFSTORE3", "RDFSTORE2", "RDFSTORE1"} {
 		path := filepath.Join(t.TempDir(), "old.idx")
 		copy(data[1:], old)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want := "store format v" + old[len(old)-1:] + " is no longer read (this build reads v8): rebuild with rdfstore build"
+		want := "store format v" + old[len(old)-1:] + " is no longer read (this build reads v9): rebuild with rdfstore build"
 		check := func(op string, err error) {
 			t.Helper()
 			if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "not an rdfstore file") {
@@ -290,7 +290,11 @@ func pinnedNT() string {
 // and both pins were re-recorded; on data without numeric literals the
 // index section's bytes are v6's. Format v8 changes only the magic on
 // this fixture, whose numeric literals are integers that no subject
-// repeats, so only the file fingerprints were re-recorded.
+// repeats, so only the file fingerprints were re-recorded. Format v9
+// stores 2Tp's SPO objects as ranks among their predicate's objects:
+// 2Tp's index CRCs were re-recorded, the other layouts' are v8's, and
+// the file fingerprints, which cover the magic, are pinned in every
+// layout from v9 on.
 func TestFormatPinned(t *testing.T) {
 	inserts := [][3]string{
 		{"<http://example.org/resource/A>", "<http://example.org/ontology/p0>", "<http://example.org/resource/Entity_5>"},
@@ -320,13 +324,16 @@ func TestFormatPinned(t *testing.T) {
 		}
 	}
 	pinned := map[core.Layout]struct{ encoded, merged uint64 }{
-		core.Layout2Tp: {0x3dbf9fab535a9d76, 0x194a3e36c1467d1b},
+		core.Layout2Tp: {0x8c5517f8408813ab, 0xe3e193b797ff3ed9},
+		core.Layout3T:  {0x3242cec2c4f8f471, 0xe07b3270e8ac9627},
+		core.LayoutCC:  {0x85d600b36c55a92c, 0xb439cd5ed90540fb},
+		core.Layout2To: {0x2bf441e811e398f8, 0x51834f2db7802257},
 	}
 	// The index section's stored CRC32C, pinned apart from the file: a
 	// dictionary format change re-pins the fingerprints above but must
 	// leave these, the bytes of every layout's index, alone.
 	indexPinned := map[core.Layout]struct{ encoded, merged uint32 }{
-		core.Layout2Tp: {0x3fbf0da7, 0xbea8fec5},
+		core.Layout2Tp: {0xb73d42dd, 0xfaa89fa7},
 		core.Layout3T:  {0xd8686ee6, 0x6109611e},
 		core.LayoutCC:  {0x0bd4d84e, 0xc4aab32d},
 		core.Layout2To: {0xdf725156, 0xb733c97b},
