@@ -185,6 +185,12 @@ func leqStep9(x, y uint64) uint64 {
 	return ((((y | msbsStep9) - (x &^ msbsStep9)) | (x ^ y)) ^ (x &^ y)) & msbsStep9 >> 8
 }
 
+// FieldsLEQ9 returns how many of the seven 9-bit fields of x, the lowest
+// first, are <= k, which must be below 512.
+func FieldsLEQ9(x uint64, k int) int {
+	return bits.OnesCount64(leqStep9(x, uint64(k)*onesStep9))
+}
+
 // Select0 returns the position of the k-th (0-based) unset bit. k must be
 // in [0, Zeros()).
 func (r *RankSelect) Select0(k int) int {

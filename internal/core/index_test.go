@@ -108,6 +108,17 @@ func allLayouts(t *testing.T, d *Dataset) map[string]Index {
 	return out
 }
 
+// TestCheckRanksOnBuiltIndexes: every index Build makes passes
+// CheckRanks, the cross-compressed ones (CC, CC-all, 2Tp) included.
+func TestCheckRanksOnBuiltIndexes(t *testing.T) {
+	d := skewedDataset(rand.New(rand.NewSource(72)), 4000)
+	for name, x := range allLayouts(t, d) {
+		if err := CheckRanks(x); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestAllLayoutsAgainstOracleAllShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	d := skewedDataset(rng, 4000)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"rdfindexes/internal/ef"
 	"rdfindexes/internal/seq"
 	"rdfindexes/internal/trie"
 )
@@ -284,11 +285,13 @@ func valBuf(p *[]uint64, k int) []uint64 {
 // (Section 3.2). Where its roots are few next to their children, as in
 // 2Tp's POS, whose roots are the predicates, it keeps each root's range
 // of children and their prefix-sum base, 16 bytes a root, so that
-// unmapping reads neither a pointer nor a base per range.
+// unmapping reads neither a pointer nor a base per range. A PEF second
+// level, which unmapping reads at random, gets its select directory.
 type crossRef struct {
 	t     *trie.Trie
-	nodes seq.Sequence // t's second level
-	spans []refSpan    // per root, then one past the last; nil when roots are many
+	nodes seq.Sequence    // t's second level
+	pef   *ef.Partitioned // nodes' stored values when nodes is PEF-coded; else nil
+	spans []refSpan       // per root, then one past the last; nil when roots are many
 }
 
 // refSpan is where a root's children start in the reference's second
@@ -304,6 +307,7 @@ const refSpanRatio = 64
 
 func newCrossRef(t *trie.Trie) *crossRef {
 	r := &crossRef{t: t, nodes: t.Nodes(1)}
+	r.pef = seq.IndexedPEF(r.nodes)
 	if n := t.NumRoots(); n*refSpanRatio <= t.NumInternal() {
 		r.spans = make([]refSpan, n+1)
 		for a := range r.spans[:n] {
@@ -333,11 +337,39 @@ func (r *crossRef) span(root ID) (begin, end int, base uint64) {
 // of root b in the reference, or false when c is not one.
 func (r *crossRef) rank(b, c ID) (uint64, bool) {
 	begin, end, base := r.span(b)
-	j := r.nodes.FindIn(base, begin, end, uint64(c))
-	if j < 0 {
+	pos, v, ok := r.geq(begin, end, base, c)
+	if !ok || v != uint64(c) {
 		return 0, false
 	}
-	return uint64(j - begin), true
+	return uint64(pos - begin), true
+}
+
+// geq returns the position and ID of the first child at or above c
+// among the children [begin, end) of a root whose base is base, or
+// false when every child is smaller.
+func (r *crossRef) geq(begin, end int, base uint64, c ID) (int, uint64, bool) {
+	if r.pef == nil {
+		return r.nodes.FindGEQ(begin, end, uint64(c))
+	}
+	// The stored values before begin are at most base, so the search
+	// may start at begin's partition; it returns a position before
+	// begin only on a value equal to base+c, which begin then holds.
+	pos, v, ok := r.pef.NextGEQFrom(begin, base+uint64(c))
+	if pos < begin {
+		pos = begin
+	}
+	return pos, v - base, ok && pos < end
+}
+
+// at returns the stored value at position i of the reference's second
+// level: the child's ID plus its root's base.
+//
+//rdf:hotpath
+func (r *crossRef) at(i int) uint64 {
+	if r.pef != nil {
+		return r.pef.Access(i)
+	}
+	return r.nodes.At(0, i)
 }
 
 // refRoot turns ranks among the children of one root of a reference
@@ -372,7 +404,7 @@ func (c *refRoot) seek(root ID) {
 //
 //rdf:hotpath
 func (c *refRoot) id(r uint64) uint64 {
-	return c.ref.nodes.At(0, c.begin+int(r)) - c.base
+	return c.ref.at(c.begin+int(r)) - c.base
 }
 
 // unmap rewrites ranks among the children of root in place into the
@@ -390,7 +422,7 @@ func (c *refRoot) unmap(root ID, vals []uint64) {
 // above id, or false when every child is smaller.
 func (c *refRoot) rankGEQ(id ID) (uint64, bool) {
 	_, end, _ := c.ref.span(c.root)
-	pos, _, ok := c.ref.nodes.FindGEQ(c.begin, end, uint64(id))
+	pos, _, ok := c.ref.geq(c.begin, end, c.base, id)
 	return uint64(pos - c.begin), ok
 }
 

@@ -304,6 +304,44 @@ func CrossReference(x Index, p Perm) (Perm, bool) {
 	return 0, false
 }
 
+// CheckRanks checks the cross-compressed levels of x against their
+// references: every rank stored under a pair (a, b) must be below the
+// number of b's children in the reference, or unmapping it would read
+// another root's child, or past the reference's level. Decoding does not
+// check it, as it reads the whole level; store.Verify does.
+func CheckRanks(x Index) error {
+	s, ok := x.(*staticIndex)
+	if !ok {
+		return nil
+	}
+	for p, ref := range s.xref {
+		if ref == nil {
+			continue
+		}
+		t, refRoots := s.tries[p], ID(ref.t.NumRoots())
+		ranks := t.Nodes(2)
+		for a := 0; a < t.NumRoots(); a++ {
+			b1, e1 := t.RootRange(uint32(a))
+			for j := b1; j < e1; j++ {
+				b := ID(t.Node1At(b1, j))
+				b2, e2 := t.ChildRange(j)
+				if b2 >= e2 {
+					continue
+				}
+				var n int
+				if b < refRoots {
+					begin, end, _ := ref.span(b)
+					n = end - begin
+				}
+				if last := ranks.At(b2, e2-1); last >= uint64(n) {
+					return fmt.Errorf("%v trie: rank %d under (%d, %d), which has %d children in the reference", Perm(p), last, a, b, n)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // Select resolves a pattern along the layout's route for its shape.
 func (x *staticIndex) Select(p Pattern) *Iterator { return x.SelectCtx(p, nil) }
 

@@ -14,7 +14,7 @@ import (
 type VarIter struct {
 	it    seq.Iterator
 	t     *trie.Trie // the trie it reads, kept reachable while it iterates
-	ranks *refRoot   // non-nil: it yields ranks among the children of the root ranks has loaded
+	ranks refRoot    // ranks.ref non-nil: it yields ranks among the children of the root ranks has loaded
 	empty bool
 }
 
@@ -26,7 +26,7 @@ func (v *VarIter) Next() (ID, bool) {
 		return 0, false
 	}
 	x, ok := v.it.Next()
-	if ok && v.ranks != nil {
+	if ok && v.ranks.ref != nil {
 		x = v.ranks.id(x)
 	}
 	return ID(x), ok
@@ -42,7 +42,7 @@ func (v *VarIter) NextGEQ(x ID) (ID, bool) {
 		return 0, false
 	}
 	target := uint64(x)
-	if v.ranks != nil {
+	if v.ranks.ref != nil {
 		r, ok := v.ranks.rankGEQ(x)
 		if !ok {
 			v.empty = true
@@ -51,7 +51,7 @@ func (v *VarIter) NextGEQ(x ID) (ID, bool) {
 		target = r
 	}
 	got, ok := v.it.NextGEQ(target)
-	if ok && v.ranks != nil {
+	if ok && v.ranks.ref != nil {
 		got = v.ranks.id(got)
 	}
 	return ID(got), ok
@@ -74,7 +74,7 @@ func varIterOnTrie(t *trie.Trie, ref *crossRef, a, b ID) *VarIter {
 	b2, e2 := t.ChildRange(j)
 	v := &VarIter{it: t.Iter2(b2, e2), t: t}
 	if ref != nil {
-		v.ranks = &refRoot{ref: ref, root: Wildcard}
+		v.ranks.use(ref)
 		v.ranks.seek(b)
 	}
 	return v

@@ -138,12 +138,6 @@ func (s *Sequence) NextGEQ(x uint64) (pos int, val uint64, ok bool) {
 	return s.n, 0, false
 }
 
-// NextGEQFrom is NextGEQ when no element before position from exceeds
-// x; the upper bits locate x directly, so from is not needed.
-func (s *Sequence) NextGEQFrom(_ int, x uint64) (pos int, val uint64, ok bool) {
-	return s.NextGEQ(x)
-}
-
 // Iterator iterates the sequence from index from, decoding the upper bits
 // by streaming over the words of the high bit vector.
 type Iterator struct {

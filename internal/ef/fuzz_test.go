@@ -69,15 +69,21 @@ func FuzzPEF(f *testing.F) {
 			t.Fatalf("Len %d, want %d", p.Len(), len(vals))
 		}
 		// Every position by Access, and by a cursor Reset there: both
-		// rebuild the partition's bounds from the directory.
+		// rebuild the partition's bounds from the directory. Then the
+		// same through the select directory.
 		it := p.MakeIterator(0)
-		for i, v := range vals {
-			if got := p.Access(i); got != v {
-				t.Fatalf("Access(%d) = %d, want %d", i, got, v)
+		for _, indexed := range []bool{false, true} {
+			if indexed {
+				p.IndexSelect()
 			}
-			it.Reset(i)
-			if got, ok := it.Next(); !ok || got != v {
-				t.Fatalf("Reset(%d)+Next = %d, %v; want %d", i, got, ok, v)
+			for i, v := range vals {
+				if got := p.Access(i); got != v {
+					t.Fatalf("indexed %v: Access(%d) = %d, want %d", indexed, i, got, v)
+				}
+				it.Reset(i)
+				if got, ok := it.Next(); !ok || got != v {
+					t.Fatalf("indexed %v: Reset(%d)+Next = %d, %v; want %d", indexed, i, got, ok, v)
+				}
 			}
 		}
 		// Probe at up to 32 values, each, one above and one below.

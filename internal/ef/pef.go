@@ -38,8 +38,14 @@ type Partitioned struct {
 	partLog  uint // log2 of the partition size
 	dir      []dirEntry
 	payload  *xbits.Vector
-	sizeBits uint64 // footprint of the encoded form, see SizeBits
+	sizeBits uint64       // footprint of the encoded form, see SizeBits
+	sel      []selectHint // per partition once IndexSelect built it, else nil
 }
+
+// selectHint is a partition's select directory: the number of its set
+// bits before each of the payload words 1 to 14 of its region, as seven
+// 9-bit fields a word (bits.FieldsLEQ9), 511 once the region has ended.
+type selectHint [2]uint64
 
 // dirEntry is one decoded directory entry. It keeps only what the
 // neighbours do not give: partition k holds positions [k<<partLog,
@@ -326,6 +332,60 @@ func onesInRange(payload *xbits.Vector, off, length int) int {
 	return c
 }
 
+// IndexSelect adds a select directory, 16 bytes a partition, with which
+// a random access finds the payload word of its element by two
+// word-parallel comparisons instead of scanning the region for it: for
+// a sequence read mostly at random, as the level a cross-compressed trie
+// unmaps its ranks through. It must run before the sequence is shared.
+// Partitions of more than 256 values have no directory (their counts
+// need more than 9 bits).
+func (p *Partitioned) IndexSelect() {
+	if p.sel != nil || p.partLog > 8 {
+		return
+	}
+	sel := make([]selectHint, len(p.dir))
+	words := p.payload.Words()
+	for k := range p.dir {
+		pt := p.part(k)
+		if pt.kind == kindAllOnes {
+			continue
+		}
+		off, _ := pt.region()
+		sz, w0 := pt.end-pt.start, off>>6
+		ones := bits.OnesCount64(words[w0] &^ (1<<(uint(off)&63) - 1))
+		for i := range 14 {
+			c := uint64(511)
+			if ones < sz {
+				c = uint64(ones)
+			}
+			sel[k][i/7] |= c << (9 * uint(i%7))
+			if w0+i+1 < len(words) {
+				ones += bits.OnesCount64(words[w0+i+1])
+			}
+		}
+	}
+	p.sel = sel
+}
+
+// selectIn is selectFrom for element j of partition k, whose region
+// starts at off: through the partition's select directory when the
+// sequence has one, it starts at the word holding the bit.
+//
+//rdf:hotpath
+func (p *Partitioned) selectIn(k, off, j int) int {
+	if p.sel == nil {
+		return selectFrom(p.payload, off, j)
+	}
+	h := &p.sel[k]
+	w := xbits.FieldsLEQ9(h[0], j) + xbits.FieldsLEQ9(h[1], j)
+	if w == 0 {
+		return selectFrom(p.payload, off, j)
+	}
+	before := int(h[(w-1)/7] >> (9 * uint((w-1)%7)) & 511)
+	word := (off>>6 + w) << 6
+	return word - off + selectFrom(p.payload, word, j-before)
+}
+
 // selectFrom returns the position (relative to off) of the k-th set bit
 // of the payload at or after bit off. It scans aligned words without a
 // bound: the directory check at decode guarantees that a partition's
@@ -456,12 +516,13 @@ func (p *Partitioned) Access(i int) uint64 {
 	case kindAllOnes:
 		return base + uint64(j) + 1
 	case kindBitmap:
-		return base + 1 + uint64(selectFrom(p.payload, e.off, j))
+		return base + 1 + uint64(p.selectIn(k, e.off, j))
 	}
 	l := uint(e.l)
 	sz := min(1<<p.partLog, p.n-k<<p.partLog)
-	pos := selectFrom(p.payload, e.off+6+sz*int(l), j)
-	return base + (uint64(pos-j)<<l | p.payload.Get(e.off+6+j*int(l), l))
+	low := p.payload.Get(e.off+6+j*int(l), l)
+	pos := p.selectIn(k, e.off+6+sz*int(l), j)
+	return base + (uint64(pos-j)<<l | low)
 }
 
 // NextGEQ returns the position and value of the first element >= x. ok is
@@ -561,7 +622,7 @@ func (it *PartIterator) enter(k, j, bit int) {
 	it.lowOff = pt.off + 6
 	it.regionOff, _ = pt.region()
 	if bit < 0 {
-		bit = selectFrom(it.p.payload, it.regionOff, j)
+		bit = it.p.selectIn(k, it.regionOff, j)
 	}
 	abs := it.regionOff + bit
 	it.word = abs >> 6

@@ -205,3 +205,53 @@ func testDecodeCorruptDirectory(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexSelectMatchesScan checks random access and cursor resets
+// through the select directory against the scanning select at every
+// position: runs, Elias-Fano partitions, and bitmaps whose regions run
+// past the 14 words the directory counts, at every partition size it
+// serves and one it does not.
+func TestIndexSelectMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var vals []uint64
+	var v uint64
+	for block := 0; block < 60; block++ {
+		n := 1 + rng.Intn(600)
+		for i := 0; i < n; i++ {
+			switch block % 4 {
+			case 0: // run
+				v++
+			case 1: // sparse: Elias-Fano
+				v += 1 + uint64(rng.Intn(5000))
+			case 2: // dense: bitmap about half full
+				v += 1 + uint64(rng.Intn(3))
+			default: // bitmap far longer than 14 words
+				v += 1 + uint64(rng.Intn(12))
+			}
+			vals = append(vals, v)
+		}
+	}
+	for _, partLog := range []uint{2, 5, DefaultPartLog, 9} {
+		plain := NewPartitionedLog(vals, partLog)
+		p := NewPartitionedLog(vals, partLog)
+		p.IndexSelect()
+		if (p.sel != nil) != (partLog <= 8) {
+			t.Fatalf("partLog %d: directory built %v", partLog, p.sel != nil)
+		}
+		it, ref := p.MakeIterator(0), plain.MakeIterator(0)
+		for i, want := range vals {
+			if got := p.Access(i); got != want {
+				t.Fatalf("partLog %d: Access(%d) = %d, want %d", partLog, i, got, want)
+			}
+			it.Reset(i)
+			ref.Reset(i)
+			for k := 0; k < 3; k++ {
+				got, ok := it.Next()
+				w, wok := ref.Next()
+				if got != w || ok != wok {
+					t.Fatalf("partLog %d: Reset(%d)+%d Next = %d, %v; want %d, %v", partLog, i, k+1, got, ok, w, wok)
+				}
+			}
+		}
+	}
+}

@@ -99,9 +99,6 @@ type Sequence interface {
 	// Find returns the absolute position of x within the sorted range
 	// [begin, end), or -1 if x does not occur there.
 	Find(begin, end int, x uint64) int
-	// FindIn is Find for a caller that holds the range's Base, which it
-	// then does not read.
-	FindIn(base uint64, begin, end int, x uint64) int
 	// FindGEQ returns the absolute position and value of the first element
 	// >= x within the sorted range [begin, end); ok is false when every
 	// element of the range is smaller.
@@ -170,9 +167,16 @@ type monotone interface {
 	Len() int
 	Access(i int) uint64
 	NextGEQ(x uint64) (int, uint64, bool)
-	// NextGEQFrom is NextGEQ when no element before position from
-	// exceeds x; an encoder may search from there.
-	NextGEQFrom(from int, x uint64) (int, uint64, bool)
+}
+
+// nextGEQFrom is m.NextGEQ(x) for a search that no element before
+// position from can answer: PEF then searches its directory from from's
+// partition instead of all of it.
+func nextGEQFrom(m monotone, from int, x uint64) (int, uint64, bool) {
+	if p, ok := m.(*ef.Partitioned); ok {
+		return p.NextGEQFrom(from, x)
+	}
+	return m.NextGEQ(x)
 }
 
 func monoBase(m monotone, begin int) uint64 {
@@ -200,7 +204,7 @@ func monoFindGEQ(m monotone, begin, end int, x uint64) (int, uint64, bool) {
 	if begin > 0 {
 		base = m.Access(begin - 1)
 	}
-	pos, val, ok := m.NextGEQFrom(begin, base+x)
+	pos, val, ok := nextGEQFrom(m, begin, base+x)
 	if !ok {
 		return end, 0, false
 	}
@@ -216,12 +220,12 @@ func monoFindGEQ(m monotone, begin, end int, x uint64) (int, uint64, bool) {
 }
 
 //rdf:hotpath
-func monoFind(m monotone, base uint64, begin, end int, x uint64) int {
+func monoFind(m monotone, begin, end int, x uint64) int {
 	if begin >= end {
 		return -1
 	}
-	target := base + x
-	pos, val, ok := m.NextGEQFrom(begin, target)
+	target := monoBase(m, begin) + x
+	pos, val, ok := nextGEQFrom(m, begin, target)
 	if !ok || val != target {
 		return -1
 	}
@@ -450,10 +454,6 @@ func (c *compactSeq) At2(_, i int) (uint64, uint64) {
 	return c.v.At(i), c.v.At(i + 1)
 }
 
-func (c *compactSeq) FindIn(_ uint64, begin, end int, x uint64) int {
-	return c.Find(begin, end, x)
-}
-
 func (c *compactSeq) Find(begin, end int, x uint64) int {
 	i := begin + sort.Search(end-begin, func(j int) bool { return c.v.At(begin+j) >= x })
 	if i < end && c.v.At(i) == x {
@@ -559,14 +559,7 @@ func (e *efSeq) Find(begin, end int, x uint64) int {
 		it, base := e.s.MakeIteratorBase(begin)
 		return scanFind(it.Next, begin, end, base+x)
 	}
-	return monoFind(e.s, monoBase(e.s, begin), begin, end, x)
-}
-func (e *efSeq) FindIn(base uint64, begin, end int, x uint64) int {
-	if isShort(begin, end) {
-		it := e.s.MakeIterator(begin)
-		return scanFind(it.Next, begin, end, base+x)
-	}
-	return monoFind(e.s, base, begin, end, x)
+	return monoFind(e.s, begin, end, x)
 }
 func (e *efSeq) FindGEQ(begin, end int, x uint64) (int, uint64, bool) {
 	return monoFindGEQ(e.s, begin, end, x)
@@ -584,6 +577,20 @@ type pefSeq struct {
 	s *ef.Partitioned
 }
 
+// IndexedPEF returns the partitioned Elias-Fano sequence behind s, with
+// its select directory built for reads mostly at random
+// (ef.Partitioned.IndexSelect), or nil when s is of another kind. Read
+// as one range from position 0, it holds s's stored values. It must run
+// before s is shared.
+func IndexedPEF(s Sequence) *ef.Partitioned {
+	p, ok := s.(*pefSeq)
+	if !ok {
+		return nil
+	}
+	p.s.IndexSelect()
+	return p.s
+}
+
 func (p *pefSeq) Len() int         { return p.s.Len() }
 func (p *pefSeq) Kind() Kind       { return KindPEF }
 func (p *pefSeq) SizeBits() uint64 { return p.s.SizeBits() }
@@ -599,14 +606,7 @@ func (p *pefSeq) Find(begin, end int, x uint64) int {
 		it, base := p.s.MakeIteratorBase(begin)
 		return scanFind(it.Next, begin, end, base+x)
 	}
-	return monoFind(p.s, monoBase(p.s, begin), begin, end, x)
-}
-func (p *pefSeq) FindIn(base uint64, begin, end int, x uint64) int {
-	if isShort(begin, end) {
-		it := p.s.MakeIterator(begin)
-		return scanFind(it.Next, begin, end, base+x)
-	}
-	return monoFind(p.s, base, begin, end, x)
+	return monoFind(p.s, begin, end, x)
 }
 func (p *pefSeq) FindGEQ(begin, end int, x uint64) (int, uint64, bool) {
 	return monoFindGEQ(p.s, begin, end, x)
@@ -639,14 +639,7 @@ func (v *vbyteSeq) Find(begin, end int, x uint64) int {
 		it, base := v.s.MakeIteratorBase(begin)
 		return scanFind(it.Next, begin, end, base+x)
 	}
-	return monoFind(v.s, monoBase(v.s, begin), begin, end, x)
-}
-func (v *vbyteSeq) FindIn(base uint64, begin, end int, x uint64) int {
-	if isShort(begin, end) {
-		it := v.s.MakeIterator(begin)
-		return scanFind(it.Next, begin, end, base+x)
-	}
-	return monoFind(v.s, base, begin, end, x)
+	return monoFind(v.s, begin, end, x)
 }
 func (v *vbyteSeq) FindGEQ(begin, end int, x uint64) (int, uint64, bool) {
 	return monoFindGEQ(v.s, begin, end, x)

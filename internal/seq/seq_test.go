@@ -105,21 +105,14 @@ func checkSequence(t *testing.T, s Sequence, d rangedData, rng *rand.Rand) {
 			if got := s.Find(begin, end, x); got != present {
 				t.Fatalf("Find(%d, %d, %d) = %d, want %d", begin, end, x, got, present)
 			}
-			if got := s.FindIn(s.Base(begin), begin, end, x); got != present {
-				t.Fatalf("FindIn(Base, %d, %d, %d) = %d, want %d", begin, end, x, got, present)
-			}
 		}
 		// The range's Base: a cursor over the stored values, read as one
-		// range from 0, gives its values once Base is taken off, and
-		// FindIn with it finds what Find finds.
+		// range from 0, gives its values once Base is taken off.
 		base := s.Base(begin)
 		stored := s.IterFrom(0, begin, end)
 		for i := begin; i < end; i++ {
 			if v, ok := stored.Next(); !ok || v-base != d.values[i] {
 				t.Fatalf("IterFrom(0, %d, %d) at %d = %d - base %d, want %d", begin, end, i, v, base, d.values[i])
-			}
-			if got := s.FindIn(base, begin, end, d.values[i]); got != i {
-				t.Fatalf("FindIn(Base, %d, %d, %d) = %d, want %d", begin, end, d.values[i], got, i)
 			}
 		}
 		// FindGEQ oracle
@@ -187,10 +180,6 @@ func TestSequenceFindDuplicateBases(t *testing.T) {
 			for i := begin; i < end; i++ {
 				if got := s.Find(begin, end, values[i]); got != i {
 					t.Errorf("%v: Find(%d, %d, %d) = %d, want %d",
-						kind, begin, end, values[i], got, i)
-				}
-				if got := s.FindIn(s.Base(begin), begin, end, values[i]); got != i {
-					t.Errorf("%v: FindIn(Base, %d, %d, %d) = %d, want %d",
 						kind, begin, end, values[i], got, i)
 				}
 				if got := s.At(begin, i); got != values[i] {

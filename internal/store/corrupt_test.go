@@ -17,6 +17,7 @@ import (
 	"rdfindexes/internal/core"
 	"rdfindexes/internal/dict"
 	"rdfindexes/internal/rdf"
+	"rdfindexes/internal/trie"
 )
 
 // writeSampleFile serializes the shared sample store and returns its
@@ -367,6 +368,86 @@ func TestVerifyDictRoots(t *testing.T) {
 			countMatches(t, got, pat[0], pat[1], pat[2])
 		}
 		allLines(t, got)
+	}
+}
+
+// TestVerifyCrossRanks crafts a 2Tp store whose SPO third level holds a
+// rank past its predicate's objects in POS, under valid checksums:
+// unmapping it would read another predicate's object, or past POS's
+// level. Verify fails the index section naming the rank; Read, which
+// leaves the check to Verify, opens the file.
+func TestVerifyCrossRanks(t *testing.T) {
+	st := buildSample(t, core.Layout2Tp)
+	spo, pos := st.Index.Trie(core.PermSPO), st.Index.Trie(core.PermPOS)
+	if ref, ok := core.CrossReference(st.Index, core.PermSPO); !ok || ref != core.PermPOS {
+		t.Fatalf("2Tp's SPO ranks against %v, %v; want POS", ref, ok)
+	}
+	// SPO's rows as stored, ranks for objects, with the last one raised
+	// to the number of its predicate's objects: still sorted.
+	type row struct{ a, b, r uint32 }
+	var rows []row
+	ranks := spo.Nodes(2)
+	for a := 0; a < spo.NumRoots(); a++ {
+		b1, e1 := spo.RootRange(uint32(a))
+		for j := b1; j < e1; j++ {
+			b := spo.Node1At(b1, j)
+			b2, e2 := spo.ChildRange(j)
+			for i := b2; i < e2; i++ {
+				rows = append(rows, row{uint32(a), b, uint32(ranks.At(b2, i))})
+			}
+		}
+	}
+	last := &rows[len(rows)-1]
+	pb, pe := pos.RootRange(last.b)
+	last.r = uint32(pe - pb)
+	cfg := trie.Config{Nodes1: spo.Nodes(1).Kind(), Nodes2: ranks.Kind(), Ptr0: spo.Pointers(0).Kind(), Ptr1: spo.Pointers(1).Kind()}
+	bad, err := trie.Build(len(rows), spo.NumRoots(), func(i int) (uint32, uint32, uint32) {
+		return rows[i].a, rows[i].b, rows[i].r
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := codec.NewWriter(&buf)
+	w.String("RDFIDX1") // core.WriteIndex's header
+	w.Byte(byte(core.Layout2Tp))
+	bad.Encode(w)
+	pos.Encode(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	x, err := core.ReadIndex(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "store.idx")
+	if err := Write(path, &Store{Index: x, Dicts: st.Dicts}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Verify(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("SPO trie: rank %d under (%d, %d), which has %d children in the reference", last.r, last.a, last.b, last.r)
+	var failed []SectionStatus
+	for _, sec := range rep.Sections {
+		if !sec.OK {
+			failed = append(failed, sec)
+		}
+	}
+	if rep.OK || len(failed) != 1 || failed[0].Name != "index" || !strings.Contains(failed[0].Error, want) {
+		t.Fatalf("Verify of a store with a rank past its predicate's objects: %+v, want the index naming %q", rep, want)
+	}
+	if _, err := Read(path); err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	// The store as built passes.
+	good := filepath.Join(t.TempDir(), "good.idx")
+	if err := Write(good, st); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := Verify(good); err != nil || !rep.OK {
+		t.Fatalf("Verify of the built store: %+v, %v", rep, err)
 	}
 }
 

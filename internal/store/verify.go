@@ -57,8 +57,9 @@ func (rep *VerifyReport) pass(name string, bytes int64) {
 // failure instead of stopping at the first, so an operator sees the full
 // extent of the damage (one flipped sector vs. a truncated half). It
 // walks the mapped file exactly as Read does — checksums, pads and full
-// decodes — and checks every dictionary entry besides, which Read leaves
-// to the access paths, but does not need the whole store to be loadable.
+// decodes — and checks every dictionary entry and every cross-compressed
+// rank besides, which Read leaves to the access paths, but does not need
+// the whole store to be loadable.
 // The returned error covers only environmental problems (the file cannot
 // be opened, statted or mapped); corruption is reported through the
 // report itself.
@@ -81,6 +82,11 @@ func Verify(path string) (rep *VerifyReport, err error) {
 	for _, p := range c.parts {
 		if p.name == "header" && p.err == nil {
 			p.err = checkDicts(c.dicts, c.index)
+		}
+		if p.name == "index" && p.err == nil && c.index != nil {
+			if err := core.CheckRanks(c.index); err != nil {
+				p.err = fmt.Errorf("%w: %v", codec.ErrCorrupt, err)
+			}
 		}
 		if p.err != nil {
 			rep.fail(p.name, p.bytes, p.err)

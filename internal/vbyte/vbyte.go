@@ -158,10 +158,6 @@ type Iterator struct {
 	v   uint64
 }
 
-// NextGEQFrom is NextGEQ when no element before position from exceeds
-// x; the block search does not use from.
-func (b *Blocked) NextGEQFrom(_ int, x uint64) (int, uint64, bool) { return b.NextGEQ(x) }
-
 // Iterator returns an iterator positioned at index from.
 func (b *Blocked) Iterator(from int) *Iterator {
 	it := b.MakeIterator(from)
