@@ -353,16 +353,15 @@ func (p *Partitioned) IndexSelect() {
 		off, _ := pt.region()
 		sz, w0 := pt.end-pt.start, off>>6
 		ones := bits.OnesCount64(words[w0] &^ (1<<(uint(off)&63) - 1))
-		for i := range 14 {
-			c := uint64(511)
-			if ones < sz {
-				c = uint64(ones)
-			}
-			sel[k][i/7] |= c << (9 * uint(i%7))
-			if w0+i+1 < len(words) {
-				ones += bits.OnesCount64(words[w0+i+1])
-			}
+		// Every field starts at 511 and takes its count while the region
+		// lasts: a word before which fewer than sz bits are set is not
+		// past the region, so the next word is in the payload.
+		h := selectHint{1<<63 - 1, 1<<63 - 1}
+		for i := 0; i < 14 && ones < sz; i++ {
+			h[i/7] ^= (511 ^ uint64(ones)) << (9 * uint(i%7))
+			ones += bits.OnesCount64(words[w0+i+1])
 		}
+		sel[k] = h
 	}
 	p.sel = sel
 }
