@@ -5,6 +5,7 @@ import (
 
 	"rdfindexes/internal/core"
 	"rdfindexes/internal/gen"
+	"rdfindexes/internal/seq"
 )
 
 // Breakdown reproduces the space-breakdown discussion of Section 3.1
@@ -14,7 +15,8 @@ import (
 // of OSP — which are precisely the targets of Sections 3.2 and 3.3. A
 // second table breaks the served layout, 2Tp, down the same way; its
 // SPO third level holds ranks among the predicate's objects in POS
-// (Section 3.2), and its row says so.
+// (Section 3.2), and its row says so. Every row names the codec its
+// sequence is stored with.
 func Breakdown(cfg Config) ([]*Table, error) {
 	cfg = cfg.normalize()
 	d, err := gen.GeneratePreset("dbpedia", cfg.Triples, cfg.Seed)
@@ -40,7 +42,7 @@ func levelBreakdown(x core.Index, triples int) *Table {
 	t := &Table{
 		Title:  fmt.Sprintf("Space breakdown (Section 3.1): share of the whole %s index per trie level", x.Layout()),
 		Note:   "nodes vs pointers per level; the paper reports pointers under 9% in total",
-		Header: []string{"trie", "sequence", "bits/triple", "% of index"},
+		Header: []string{"trie", "sequence", "codec", "bits/triple", "% of index"},
 	}
 	var pointerShare float64
 	for perm := core.Perm(0); perm < core.NumPerms; perm++ {
@@ -54,22 +56,23 @@ func levelBreakdown(x core.Index, triples int) *Table {
 		}
 		rows := []struct {
 			name    string
-			bits    uint64
+			s       seq.Sequence
 			pointer bool
 		}{
-			{"pointers L0", tr.Pointers(0).SizeBits(), true},
-			{"nodes L1", tr.Nodes(1).SizeBits(), false},
-			{"pointers L1", tr.Pointers(1).SizeBits(), true},
-			{third, tr.Nodes(2).SizeBits(), false},
+			{"pointers L0", tr.Pointers(0), true},
+			{"nodes L1", tr.Nodes(1), false},
+			{"pointers L1", tr.Pointers(1), true},
+			{third, tr.Nodes(2), false},
 		}
 		for _, r := range rows {
-			share := float64(r.bits) / total * 100
+			bits := r.s.SizeBits()
+			share := float64(bits) / total * 100
 			if r.pointer {
 				pointerShare += share
 			}
-			t.Add(perm.String(), r.name, F(float64(r.bits)/n), fmt.Sprintf("%.2f%%", share))
+			t.Add(perm.String(), r.name, r.s.Kind().String(), F(float64(bits)/n), fmt.Sprintf("%.2f%%", share))
 		}
 	}
-	t.Add("all", "pointer total", "", fmt.Sprintf("%.2f%%", pointerShare))
+	t.Add("all", "pointer total", "", "", fmt.Sprintf("%.2f%%", pointerShare))
 	return t
 }

@@ -24,7 +24,9 @@ var table1Perms = []core.Perm{core.PermSPO, core.PermPOS, core.PermOSP}
 
 // Table1 reproduces Table 1: space and access/find/scan speed of the
 // four sequence representations on levels 2 and 3 of the three tries of
-// the DBpedia-shaped dataset.
+// the DBpedia-shaped dataset. A third table prices the same four as the
+// pointer sequences of levels 1 and 2 (the trie's ptr0 and ptr1), which
+// the paper fixes to EF and the layouts choose per level.
 func Table1(cfg Config) ([]*Table, error) {
 	cfg = cfg.normalize()
 	d, err := gen.GeneratePreset("dbpedia", cfg.Triples, cfg.Seed)
@@ -60,7 +62,65 @@ func Table1(cfg Config) ([]*Table, error) {
 		level2.Add(row2...)
 		level3.Add(row3...)
 	}
-	return []*Table{level2, level3}, nil
+	pointers := &Table{
+		Title:  "Table 1 (pointers): bits/triple and ns per range lookup of the level 1 and 2 pointers",
+		Note:   "a range lookup reads the pointer pair [i, i+1] that delimits a node's children (RootRange, ChildRange); nodes are PEF",
+		Header: []string{"encoder", "SPO L1 b/t", "range", "L2 b/t", "range", "POS L1 b/t", "range", "L2 b/t", "range", "OSP L1 b/t", "range", "L2 b/t", "range"},
+	}
+	for _, kind := range table1Kinds {
+		row := []string{kind.String()}
+		for _, perm := range table1Perms {
+			t, err := buildTrieForBench(d, perm, trie.Config{
+				Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: kind, Ptr1: kind,
+			})
+			if err != nil {
+				return nil, err
+			}
+			for _, m := range measurePointers(t, perm, sample, cfg.Runs) {
+				row = append(row, F(m.bitsPerTriple), F(m.accessNs))
+			}
+		}
+		pointers.Add(row...)
+	}
+	return []*Table{level2, level3, pointers}, nil
+}
+
+// measurePointers prices the pointer sequences of levels 0 and 1: their
+// bits/triple, and per sampled triple the range lookup of its first
+// component (RootRange) and of its second (ChildRange).
+func measurePointers(t *trie.Trie, perm core.Perm, sample []core.Triple, runs int) [2]levelMeasurement {
+	var roots []uint32
+	var children []int
+	for _, tr := range sample {
+		a, b, _ := perm.Apply(tr)
+		b1, e1 := t.RootRange(uint32(a))
+		if j := t.FindChild1(b1, e1, uint32(b)); j >= 0 {
+			roots = append(roots, uint32(a))
+			children = append(children, j)
+		}
+	}
+	var m [2]levelMeasurement
+	n := float64(t.NumTriples())
+	m[0].bitsPerTriple = float64(t.Pointers(0).SizeBits()) / n
+	m[1].bitsPerTriple = float64(t.Pointers(1).SizeBits()) / n
+	if len(roots) == 0 {
+		return m
+	}
+	var sink int
+	m[0].accessNs = float64(bestOfRuns(runs, func() {
+		for _, a := range roots {
+			b, e := t.RootRange(a)
+			sink += b + e
+		}
+	}).Nanoseconds()) / float64(len(roots))
+	m[1].accessNs = float64(bestOfRuns(runs, func() {
+		for _, j := range children {
+			b, e := t.ChildRange(j)
+			sink += b + e
+		}
+	}).Nanoseconds()) / float64(len(children))
+	_ = sink
+	return m
 }
 
 func buildTrieForBench(d *core.Dataset, perm core.Perm, cfg trie.Config) (*trie.Trie, error) {

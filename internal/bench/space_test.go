@@ -35,15 +35,21 @@ func TestSpacePinned(t *testing.T) {
 		// dbpedia 37 219 and 5 199. 2Tp before its SPO was
 		// cross-compressed against POS (format v8): dblp 36.538,
 		// dbpedia 41.29, geonames 36.3948, freebase 38.3772, lubm
-		// 35.0728, watdiv 30.8852.
-		{"dblp", map[core.Layout]float64{core.Layout3T: 55.2396, core.LayoutCC: 49.488, core.Layout2Tp: 33.002, core.Layout2To: 38.8532}, 16886, 67,
+		// 35.0728, watdiv 30.8852. Before the second-level pointers
+		// of every layout were PEF, 2Tp's POS subjects Compact and its
+		// SPO predicates EF (3T, CC, 2Tp, 2To): dblp 55.2396, 49.488,
+		// 33.002, 38.8532; dbpedia 64.786, 58.8544, 37.714, 46.102;
+		// geonames 55.0408, 49.3592, 34.0796, 38.8284; freebase
+		// 59.4828, 54.3096, 34.758, 42.4324; lubm 53.486, 46.898,
+		// 34.428, 38.5568; watdiv 48.7268, 44.7472, 28.7444, 32.7688.
+		{"dblp", map[core.Layout]float64{core.Layout3T: 50.9872, core.LayoutCC: 45.2356, core.Layout2Tp: 31.3264, core.Layout2To: 36.526}, 16886, 67,
 			&baseline{hdt: 37.6544, rdf3x: 175.6788, triplebit: 54.7388}},
-		{"dbpedia", map[core.Layout]float64{core.Layout3T: 64.786, core.LayoutCC: 58.8544, core.Layout2Tp: 37.714, core.Layout2To: 46.102}, 15949, 2271,
+		{"dbpedia", map[core.Layout]float64{core.Layout3T: 60.7216, core.LayoutCC: 54.79, core.Layout2Tp: 35.3032, core.Layout2To: 44.1908}, 15949, 2271,
 			&baseline{hdt: 37.9792, rdf3x: 190.0896, triplebit: 177.5068}},
-		{"geonames", map[core.Layout]float64{core.Layout3T: 55.0408, core.LayoutCC: 49.3592, core.Layout2Tp: 34.0796, core.Layout2To: 38.8284}, 15647, 65, nil},
-		{"freebase", map[core.Layout]float64{core.Layout3T: 59.4828, core.LayoutCC: 54.3096, core.Layout2Tp: 34.758, core.Layout2To: 42.4324}, 10664, 1425, nil},
-		{"lubm", map[core.Layout]float64{core.Layout3T: 53.486, core.LayoutCC: 46.898, core.Layout2Tp: 34.428, core.Layout2To: 38.5568}, 11697, 47, nil},
-		{"watdiv", map[core.Layout]float64{core.Layout3T: 48.7268, core.LayoutCC: 44.7472, core.Layout2Tp: 28.7444, core.Layout2To: 32.7688}, 5519, 183, nil},
+		{"geonames", map[core.Layout]float64{core.Layout3T: 49.86, core.LayoutCC: 44.1784, core.Layout2Tp: 31.4048, core.Layout2To: 35.5148}, 15647, 65, nil},
+		{"freebase", map[core.Layout]float64{core.Layout3T: 55.768, core.LayoutCC: 50.5948, core.Layout2Tp: 32.1528, core.Layout2To: 40.5476}, 10664, 1425, nil},
+		{"lubm", map[core.Layout]float64{core.Layout3T: 49.0688, core.LayoutCC: 42.4808, core.Layout2Tp: 32.0768, core.Layout2To: 36.1356}, 11697, 47, nil},
+		{"watdiv", map[core.Layout]float64{core.Layout3T: 45.8384, core.LayoutCC: 41.8588, core.Layout2Tp: 26.6428, core.Layout2To: 31.4288}, 5519, 183, nil},
 	} {
 		d, err := gen.GeneratePreset(tc.preset, triples, seed)
 		if err != nil {

@@ -95,7 +95,9 @@ func DecodeCompact(r *codec.Reader) (*CompactVector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if width == 0 || width > 64 || bv.Len() != n*int(width) {
+	// n beyond the vector's bit count is refused before the product,
+	// which a crafted count could overflow onto the vector's length.
+	if width == 0 || width > 64 || n < 0 || n > bv.Len() || bv.Len() != n*int(width) {
 		return nil, r.Fail(fmt.Errorf("%w: compact vector header", codec.ErrCorrupt))
 	}
 	return &CompactVector{bv: *bv, width: width, n: n}, nil

@@ -2,6 +2,7 @@ package bits
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -196,5 +197,23 @@ func TestCompactRoundTrip(t *testing.T) {
 		if got.At(i) != v {
 			t.Fatalf("At(%d) = %d, want %d", i, got.At(i), v)
 		}
+	}
+}
+
+// TestDecodeCompactCountOverflow crafts a Compact header whose count
+// times its width wraps to the (empty) vector's length: DecodeCompact
+// must refuse it rather than return a vector that claims 2^58 values
+// over no words.
+func TestDecodeCompactCountOverflow(t *testing.T) {
+	var buf bytes.Buffer
+	w := codec.NewWriter(&buf)
+	w.Byte(64)
+	w.Uvarint(1 << 58)
+	(&Vector{}).Encode(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := DecodeCompact(codec.NewReader(&buf)); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("DecodeCompact of 2^58 values in 0 bits: %v, %v; want ErrCorrupt", c, err)
 	}
 }

@@ -55,31 +55,44 @@ var routes3T = [NumShapes]route{
 	Shapexxx: {algoScan, PermSPO},
 }
 
-// specs holds one row per layout. The codecs are the paper's choices
-// (Section 3.1, "design choices"): PEF node sequences and EF pointers,
-// except SPO's third level, which is Compact wherever it holds IDs, and
-// in CC OSP's second level, which is Compact because unmapping a rank
-// needs O(1) random access to it (Section 3.2). 2Tp maps SPO's third
-// level against POS: an object is stored as its rank among the distinct
-// objects of its predicate, which POS's second level lists, and those
-// ranks are Elias-Fano coded: in the store file smaller than PEF, and
-// faster to read.
+// specs holds one row per layout. The codecs start from the paper's
+// choices (Section 3.1, "design choices"): PEF node sequences, EF
+// first-level pointers, SPO's third level Compact wherever it holds IDs,
+// and in CC OSP's second level Compact because unmapping a rank needs
+// O(1) random access to it (Section 3.2). Three levels were re-chosen by
+// measurement (EXPERIMENTS.md "One measured codec table"):
+//   - second-level pointers are PEF in every layout: smaller than EF on
+//     every preset, and no slower to read;
+//   - 2Tp maps SPO's third level against POS: an object is stored as
+//     its rank among the distinct objects of its predicate, which POS's
+//     second level lists, and those ranks are Elias-Fano coded: in the
+//     store file smaller than PEF, and faster to read;
+//   - 2Tp's SPO second level (predicates) is EF, and its POS third level
+//     (subjects) Compact, both faster to search than PEF: EF is smaller
+//     than PEF there on the benchmark's data, and Compact about as small,
+//     since subjects are numbered first and fit in the fewest bits. On
+//     data with far more subjects than a predicate has (dblp, geonames)
+//     Compact subjects cost about a bit per triple more than PEF.
+//
+// POS's second level stays PEF in 2Tp: it is the reference SPO's ranks
+// unmap through, and EF or Compact would take 1.9 or 7.8 bits/triple
+// more there.
 var specs = [...]spec{
 	Layout3T: {perms: []Perm{PermSPO, PermPOS, PermOSP}, routes: routes3T, codecs: [NumPerms]trie.Config{
-		PermSPO: {Nodes1: seq.KindPEF, Nodes2: seq.KindCompact, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
-		PermPOS: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
-		PermOSP: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
+		PermSPO: {Nodes1: seq.KindPEF, Nodes2: seq.KindCompact, Ptr0: seq.KindEF, Ptr1: seq.KindPEF},
+		PermPOS: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindPEF},
+		PermOSP: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindPEF},
 	}},
 	LayoutCC: {perms: []Perm{PermSPO, PermPOS, PermOSP}, maps: ccMaps[:1], cross: true, routes: routes3T, codecs: [NumPerms]trie.Config{
-		PermSPO: {Nodes1: seq.KindPEF, Nodes2: seq.KindCompact, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
-		PermPOS: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
-		PermOSP: {Nodes1: seq.KindCompact, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
+		PermSPO: {Nodes1: seq.KindPEF, Nodes2: seq.KindCompact, Ptr0: seq.KindEF, Ptr1: seq.KindPEF},
+		PermPOS: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindPEF},
+		PermOSP: {Nodes1: seq.KindCompact, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindPEF},
 	}},
 	// 2Tp (Section 3.3): S?O by enumerate on SPO, ??O by the inverted
 	// algorithm on POS; SPO cross-compressed against POS (Section 3.2).
 	Layout2Tp: {perms: []Perm{PermSPO, PermPOS}, maps: ccMaps[1:2], codecs: [NumPerms]trie.Config{
-		PermSPO: {Nodes1: seq.KindPEF, Nodes2: seq.KindEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
-		PermPOS: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
+		PermSPO: {Nodes1: seq.KindEF, Nodes2: seq.KindEF, Ptr0: seq.KindEF, Ptr1: seq.KindPEF},
+		PermPOS: {Nodes1: seq.KindPEF, Nodes2: seq.KindCompact, Ptr0: seq.KindEF, Ptr1: seq.KindPEF},
 	}, routes: [NumShapes]route{
 		ShapeSPO: {algoLookup, PermSPO},
 		ShapeSPx: {algoTwo, PermSPO},
@@ -93,8 +106,8 @@ var specs = [...]spec{
 	// 2To (Section 3.3): ?PO and ??O on OPS, ?P? by the inverted
 	// algorithm over PS and SPO.
 	Layout2To: {perms: []Perm{PermSPO, PermOPS}, ps: true, codecs: [NumPerms]trie.Config{
-		PermSPO: {Nodes1: seq.KindPEF, Nodes2: seq.KindCompact, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
-		PermOPS: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF},
+		PermSPO: {Nodes1: seq.KindPEF, Nodes2: seq.KindCompact, Ptr0: seq.KindEF, Ptr1: seq.KindPEF},
+		PermOPS: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindPEF},
 	}, routes: [NumShapes]route{
 		ShapeSPO: {algoLookup, PermSPO},
 		ShapeSPx: {algoTwo, PermSPO},

@@ -80,6 +80,11 @@ func FuzzPEF(f *testing.F) {
 				if got := p.Access(i); got != v {
 					t.Fatalf("indexed %v: Access(%d) = %d, want %d", indexed, i, got, v)
 				}
+				if i+1 < len(vals) {
+					if v1, v2 := p.AccessPair(i); v1 != v || v2 != vals[i+1] {
+						t.Fatalf("indexed %v: AccessPair(%d) = %d, %d; want %d, %d", indexed, i, v1, v2, v, vals[i+1])
+					}
+				}
 				it.Reset(i)
 				if got, ok := it.Next(); !ok || got != v {
 					t.Fatalf("indexed %v: Reset(%d)+Next = %d, %v; want %d", indexed, i, got, ok, v)

@@ -524,6 +524,58 @@ func (p *Partitioned) Access(i int) uint64 {
 	return base + (uint64(pos-j)<<l | low)
 }
 
+// AccessPair returns the i-th and (i+1)-th values. Within one partition
+// it selects the i-th set bit once and takes the successor's as the next
+// set bit, as Sequence.AccessPair does; trie pointer lookups (begin, end)
+// are the hot caller. A pair that straddles two partitions is two
+// Accesses.
+//
+//rdf:hotpath
+func (p *Partitioned) AccessPair(i int) (uint64, uint64) {
+	k := p.partOf(i)
+	if p.partOf(i+1) != k || i+1 >= p.n {
+		return p.Access(i), p.Access(i + 1)
+	}
+	e := &p.dir[k]
+	var base uint64
+	if k > 0 {
+		base = p.dir[k-1].upper
+	}
+	j := i - k<<p.partLog
+	switch e.kind {
+	case kindAllOnes:
+		return base + uint64(j) + 1, base + uint64(j) + 2
+	case kindBitmap:
+		pos := p.selectIn(k, e.off, j)
+		return base + 1 + uint64(pos), base + 1 + uint64(nextOne(p.payload, e.off+pos)-e.off)
+	}
+	l := uint(e.l)
+	sz := min(1<<p.partLog, p.n-k<<p.partLog)
+	low := e.off + 6 + j*int(l)
+	high := e.off + 6 + sz*int(l)
+	pos := p.selectIn(k, high, j)
+	pos2 := nextOne(p.payload, high+pos) - high
+	return base + (uint64(pos-j)<<l | p.payload.Get(low, l)),
+		base + (uint64(pos2-j-1)<<l | p.payload.Get(low+int(l), l))
+}
+
+// nextOne returns the position of the first set bit of the payload after
+// bit. It scans without a bound: callers ask only within a partition's
+// region for an element that the region holds.
+//
+//rdf:hotpath
+func nextOne(payload *xbits.Vector, bit int) int {
+	words := payload.Words()
+	bit++
+	w := bit >> 6
+	cur := words[w] &^ (1<<(uint(bit)&63) - 1)
+	for cur == 0 {
+		w++
+		cur = words[w]
+	}
+	return w<<6 + bits.TrailingZeros64(cur)
+}
+
 // NextGEQ returns the position and value of the first element >= x. ok is
 // false when every element is smaller than x, in which case pos is Len().
 func (p *Partitioned) NextGEQ(x uint64) (pos int, val uint64, ok bool) {

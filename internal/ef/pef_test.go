@@ -206,11 +206,11 @@ func testDecodeCorruptDirectory(t *testing.T) {
 	}
 }
 
-// TestIndexSelectMatchesScan checks random access and cursor resets
-// through the select directory against the scanning select at every
-// position: runs, Elias-Fano partitions, and bitmaps whose regions run
-// past the 14 words the directory counts, at every partition size it
-// serves and one it does not.
+// TestIndexSelectMatchesScan checks random access, pair access and
+// cursor resets through the select directory against the scanning
+// select at every position: runs, Elias-Fano partitions, and bitmaps
+// whose regions run past the 14 words the directory counts, at every
+// partition size it serves and one it does not.
 func TestIndexSelectMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var vals []uint64
@@ -242,6 +242,13 @@ func TestIndexSelectMatchesScan(t *testing.T) {
 		for i, want := range vals {
 			if got := p.Access(i); got != want {
 				t.Fatalf("partLog %d: Access(%d) = %d, want %d", partLog, i, got, want)
+			}
+			if i+1 < len(vals) {
+				for _, q := range []*Partitioned{p, plain} {
+					if v1, v2 := q.AccessPair(i); v1 != want || v2 != vals[i+1] {
+						t.Fatalf("partLog %d, directory %v: AccessPair(%d) = %d, %d; want %d, %d", partLog, q.sel != nil, i, v1, v2, want, vals[i+1])
+					}
+				}
 			}
 			it.Reset(i)
 			ref.Reset(i)

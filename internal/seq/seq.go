@@ -599,7 +599,13 @@ func (p *pefSeq) At(begin, i int) uint64 {
 }
 func (p *pefSeq) Base(begin int) uint64 { return monoBase(p.s, begin) }
 func (p *pefSeq) At2(begin, i int) (uint64, uint64) {
-	return monoAt(p.s, begin, i), monoAt(p.s, begin, i+1)
+	v1, v2 := p.s.AccessPair(i)
+	if begin > 0 {
+		base := p.s.Access(begin - 1)
+		v1 -= base
+		v2 -= base
+	}
+	return v1, v2
 }
 func (p *pefSeq) Find(begin, end int, x uint64) int {
 	if isShort(begin, end) {

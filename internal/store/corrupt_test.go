@@ -17,6 +17,7 @@ import (
 	"rdfindexes/internal/core"
 	"rdfindexes/internal/dict"
 	"rdfindexes/internal/rdf"
+	"rdfindexes/internal/seq"
 	"rdfindexes/internal/trie"
 )
 
@@ -55,18 +56,18 @@ func TestReadFlippedByteEveryOffset(t *testing.T) {
 	}
 }
 
-// TestReadCraftedPEF opens a store whose index section carries a correct
-// checksum over a crafted partitioned Elias-Fano sequence: the last
-// partition of the POS trie's third level lost the set bit of its last
-// value. Read must refuse it as corrupt at open, not serve a sequence
-// whose reads run past the partition.
-func TestReadCraftedPEF(t *testing.T) {
-	st := randomStore(t, rand.New(rand.NewSource(3)), 2000, 500, 4, core.Layout2Tp)
+// writeIndexLast writes a random store of the layout and returns its
+// path, its bytes and the bounds [start, end) of its index section, the
+// file's last section: the section's checksum is the file's last four
+// bytes.
+func writeIndexLast(t *testing.T, layout core.Layout) (st *Store, path string, data []byte, start, end int) {
+	t.Helper()
+	st = randomStore(t, rand.New(rand.NewSource(3)), 2000, 500, 4, layout)
 	var section bytes.Buffer
 	if err := core.WriteIndex(&section, st.Index); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "store.idx")
+	path = filepath.Join(t.TempDir(), "store.idx")
 	if err := Write(path, st); err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +75,32 @@ func TestReadCraftedPEF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	end := len(data) - 4 // the section's checksum trails it
-	start := end - section.Len()
+	end = len(data) - 4
+	start = end - section.Len()
 	if start < 0 || !bytes.Equal(data[start:end], section.Bytes()) {
 		t.Fatal("the index section is not the end of the file")
 	}
+	return st, path, data, start, end
+}
+
+// rewriteIndex stores data with the index section's checksum recomputed
+// over [start, end), so that only the decoder can tell a crafted
+// sequence from a good one.
+func rewriteIndex(t *testing.T, path string, data []byte, start, end int) {
+	t.Helper()
+	binary.LittleEndian.PutUint32(data[end:], crc32.Checksum(data[start:end], codec.Castagnoli))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadCraftedPEF opens a store whose index section carries a correct
+// checksum over a crafted partitioned Elias-Fano sequence: the last
+// partition of 3T's OSP third level lost the set bit of its last value.
+// Read must refuse it as corrupt at open, not serve a sequence whose
+// reads run past the partition.
+func TestReadCraftedPEF(t *testing.T) {
+	_, path, data, start, end := writeIndexLast(t, core.Layout3T)
 	// The section ends with that sequence's payload words, whose last set
 	// bit is the last partition's last value.
 	i := end - 1
@@ -86,12 +108,44 @@ func TestReadCraftedPEF(t *testing.T) {
 		i--
 	}
 	data[i] &^= 1 << (bits.Len8(data[i]) - 1)
-	binary.LittleEndian.PutUint32(data[end:], crc32.Checksum(data[start:end], codec.Castagnoli))
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewriteIndex(t, path, data, start, end)
 	if _, err := Read(path); !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), "pef partition") {
 		t.Fatalf("Read of a crafted partition: %v, want a pef partition ErrCorrupt", err)
+	}
+}
+
+// TestReadCraftedCompact opens stores whose index section carries a
+// correct checksum over a crafted header of 2Tp's POS third level, the
+// section's last sequence, coded Compact: a width of 0, one past the
+// built width, and past 64 bits. Read must refuse each as corrupt at
+// open, not panic or serve reads past the vector.
+func TestReadCraftedCompact(t *testing.T) {
+	st, path, data, start, end := writeIndexLast(t, core.Layout2Tp)
+	subjects := st.Index.Trie(core.PermPOS).Nodes(2)
+	if subjects.Kind() != seq.KindCompact {
+		t.Fatalf("2Tp's POS third level is %v, want Compact", subjects.Kind())
+	}
+	// The sequence ends the section: its kind byte, the width, the
+	// count, the vector's bit length and word count, pad, then the words.
+	n := subjects.Len()
+	width := int(subjects.SizeBits()) / n
+	nbits := n * width
+	words := (nbits + 63) / 64
+	head := binary.AppendUvarint([]byte{byte(seq.KindCompact), byte(width)}, uint64(n))
+	head = binary.AppendUvarint(head, uint64(nbits))
+	head = binary.AppendUvarint(head, uint64(words))
+	at := bytes.LastIndex(data[start:end-8*words], head)
+	if at < 0 {
+		t.Fatal("the Compact header is not before the section's last words")
+	}
+	at += start + 1 // the width byte
+	for _, w := range []byte{0, byte(width + 1), 65} {
+		crafted := append([]byte(nil), data...)
+		crafted[at] = w
+		rewriteIndex(t, path, crafted, start, end)
+		if _, err := Read(path); !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), "compact vector header") {
+			t.Fatalf("Read of a Compact width %d: %v, want a compact vector header ErrCorrupt", w, err)
+		}
 	}
 }
 

@@ -7,11 +7,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"rdfindexes/internal/core"
 	"rdfindexes/internal/rdf"
+	"rdfindexes/internal/seq"
+	"rdfindexes/internal/trie"
 )
 
 const sampleNT = `<http://ex/alice> <http://ex/knows> <http://ex/bob> .
@@ -294,7 +297,15 @@ func pinnedNT() string {
 // stores 2Tp's SPO objects as ranks among their predicate's objects:
 // 2Tp's index CRCs were re-recorded, the other layouts' are v8's, and
 // the file fingerprints, which cover the magic, are pinned in every
-// layout from v9 on.
+// layout from v9 on. Coding every layout's second-level pointers as
+// PEF, and 2Tp's POS subjects as Compact and its SPO predicates as EF,
+// moved every layout's index bytes under the same magic, so both pins
+// were re-recorded in all four layouts; the v9 pins before it were
+// (encoded, merged file; encoded, merged index) 2Tp 0x8c5517f8408813ab,
+// 0xe3e193b797ff3ed9, 0xb73d42dd, 0xfaa89fa7; 3T 0x3242cec2c4f8f471,
+// 0xe07b3270e8ac9627, 0xd8686ee6, 0x6109611e; CC 0x85d600b36c55a92c,
+// 0xb439cd5ed90540fb, 0x0bd4d84e, 0xc4aab32d; 2To 0x2bf441e811e398f8,
+// 0x51834f2db7802257, 0xdf725156, 0xb733c97b.
 func TestFormatPinned(t *testing.T) {
 	inserts := [][3]string{
 		{"<http://example.org/resource/A>", "<http://example.org/ontology/p0>", "<http://example.org/resource/Entity_5>"},
@@ -324,19 +335,19 @@ func TestFormatPinned(t *testing.T) {
 		}
 	}
 	pinned := map[core.Layout]struct{ encoded, merged uint64 }{
-		core.Layout2Tp: {0x8c5517f8408813ab, 0xe3e193b797ff3ed9},
-		core.Layout3T:  {0x3242cec2c4f8f471, 0xe07b3270e8ac9627},
-		core.LayoutCC:  {0x85d600b36c55a92c, 0xb439cd5ed90540fb},
-		core.Layout2To: {0x2bf441e811e398f8, 0x51834f2db7802257},
+		core.Layout2Tp: {0x5dc190a2c1fa6190, 0xf675370d5fefccc8},
+		core.Layout3T:  {0xbe7a5c98ddd0615e, 0xc3f6acb46ff21125},
+		core.LayoutCC:  {0xf74e166c823ee16d, 0x63bd3ebeef0e5c10},
+		core.Layout2To: {0xad7c8613f24247ab, 0x0b1d16d4f6d2a464},
 	}
 	// The index section's stored CRC32C, pinned apart from the file: a
 	// dictionary format change re-pins the fingerprints above but must
 	// leave these, the bytes of every layout's index, alone.
 	indexPinned := map[core.Layout]struct{ encoded, merged uint32 }{
-		core.Layout2Tp: {0xb73d42dd, 0xfaa89fa7},
-		core.Layout3T:  {0xd8686ee6, 0x6109611e},
-		core.LayoutCC:  {0x0bd4d84e, 0xc4aab32d},
-		core.Layout2To: {0xdf725156, 0xb733c97b},
+		core.Layout2Tp: {0x6605ff6a, 0xc4509549},
+		core.Layout3T:  {0xd92a890c, 0x2c60613f},
+		core.LayoutCC:  {0x9776b9fa, 0x7ecb7377},
+		core.Layout2To: {0xa3a4b1a4, 0xf4414e5e},
 	}
 	for _, layout := range []core.Layout{core.Layout2Tp, core.Layout3T, core.LayoutCC, core.Layout2To} {
 		t.Run(layout.String(), func(t *testing.T) {
@@ -392,6 +403,113 @@ func TestFormatPinned(t *testing.T) {
 			}
 			t.Logf("%d bytes", len(got))
 		})
+	}
+}
+
+// TestReadEarlierCodecs opens a 2Tp store written with the codecs 2Tp
+// used before its second-level pointers became PEF, its POS subjects
+// Compact and its SPO predicates EF: every sequence carries its kind
+// byte, so the file reads without a format change, answers every shape
+// as a fresh build does, and its next merge writes the fresh build's
+// bytes.
+func TestReadEarlierCodecs(t *testing.T) {
+	earlier := []core.Option{
+		core.WithTrieConfig(core.PermSPO, trie.Config{Nodes1: seq.KindPEF, Nodes2: seq.KindEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF}),
+		core.WithTrieConfig(core.PermPOS, trie.Config{Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindEF}),
+	}
+	rng := rand.New(rand.NewSource(47))
+	var nt strings.Builder
+	for i := 0; i < 3000; i++ {
+		fmt.Fprintf(&nt, "<http://ex/n%d> <http://ex/p%d> <http://ex/n%d> .\n", rng.Intn(80), rng.Intn(7), rng.Intn(300))
+	}
+	build := func(nt string, opts ...core.Option) (*core.Dataset, *Store) {
+		statements, err := rdf.ParseAll(strings.NewReader(nt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, dicts, err := rdf.Encode(statements)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := core.Build(d, core.Layout2Tp, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, &Store{Index: x, Dicts: dicts}
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "earlier.idx")
+	d, old := build(nt.String(), earlier...)
+	if err := Write(path, old); err != nil {
+		t.Fatal(err)
+	}
+	_, fresh := build(nt.String())
+	st, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := st.Index.Trie(core.PermPOS).Nodes(2).Kind(); k != seq.KindPEF {
+		t.Fatalf("the earlier store's POS subjects read back as %v, want PEF", k)
+	}
+	// Each round binds the components of one stored triple, so that
+	// every shape has answers, in all eight combinations.
+	for range 40 {
+		tr := d.Triples[rng.Intn(len(d.Triples))]
+		for shape := range 8 {
+			bind := func(bit int, v core.ID) int {
+				if shape&bit == 0 {
+					return -1
+				}
+				return int(v)
+			}
+			p := core.NewPattern(bind(4, tr.S), bind(2, tr.P), bind(1, tr.O))
+			got := st.Index.Select(p).Collect(-1)
+			want := fresh.Index.Select(p).Collect(-1)
+			n := 0
+			for _, tr := range d.Triples {
+				if p.Matches(tr) {
+					n++
+				}
+			}
+			if len(got) != n || len(want) != n {
+				t.Fatalf("pattern %v: %d results, fresh build %d, oracle %d", p, len(got), len(want), n)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("pattern %v: result %d = %v, fresh build %v", p, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	runtime.KeepAlive(st)
+
+	m, err := OpenMutable(path, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	const s, p, o = "<http://ex/n3>", "<http://ex/p9>", "<http://ex/new>"
+	if res, err := m.Insert(s, p, o); err != nil || !res.Changed {
+		t.Fatalf("insert: %+v, %v", res, err)
+	}
+	if err := m.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	nt.WriteString(s + " " + p + " " + o + " .\n")
+	built := filepath.Join(dir, "built.idx")
+	if _, fresh := build(nt.String()); Write(built, fresh) != nil {
+		t.Fatal("writing the fresh build failed")
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("merged file (%d bytes) differs from the fresh build (%d bytes)", len(got), len(want))
 	}
 }
 

@@ -179,7 +179,11 @@ func (t *Trie) Iter1From(rangeBegin, from, end int) seq.Iterator {
 func (t *Trie) Iter2(begin, end int) seq.Iterator { return t.nodes2.Iter(begin, end) }
 
 // Nodes returns the node sequence of level 1 or 2 (the paper's levels two
-// and three); used by the Table 1 micro-benchmarks.
+// and three); used by the Table 1 micro-benchmarks. The sequence reads
+// the trie's bytes in place, which for a decoded trie are a mapped store
+// file: it is valid only while the trie, or the index or store holding
+// it, stays reachable (runtime.KeepAlive past the last read), since the
+// sequence alone does not keep the mapping alive.
 func (t *Trie) Nodes(level int) seq.Sequence {
 	switch level {
 	case 1:
@@ -190,7 +194,8 @@ func (t *Trie) Nodes(level int) seq.Sequence {
 	panic(fmt.Sprintf("trie: no node sequence at level %d", level))
 }
 
-// Pointers returns the pointer sequence of level 0 or 1.
+// Pointers returns the pointer sequence of level 0 or 1. Like Nodes, it
+// is valid only while the trie, its index or its store stays reachable.
 func (t *Trie) Pointers(level int) seq.Sequence {
 	switch level {
 	case 0:
