@@ -62,20 +62,22 @@ var routes3T = [NumShapes]route{
 // O(1) random access to it (Section 3.2). Three levels were re-chosen by
 // measurement (EXPERIMENTS.md "One measured codec table"):
 //   - second-level pointers are PEF in every layout: smaller than EF on
-//     every preset, and no slower to read;
+//     every preset, and read within 1.05× of it on every shape, a pair
+//     at a time (ef.Partitioned.AccessPair);
 //   - 2Tp maps SPO's third level against POS: an object is stored as
 //     its rank among the distinct objects of its predicate, which POS's
 //     second level lists, and those ranks are Elias-Fano coded: in the
 //     store file smaller than PEF, and faster to read;
 //   - 2Tp's SPO second level (predicates) is EF, and its POS third level
-//     (subjects) Compact, both faster to search than PEF: EF is smaller
-//     than PEF there on the benchmark's data, and Compact about as small,
-//     since subjects are numbered first and fit in the fewest bits. On
-//     data with far more subjects than a predicate has (dblp, geonames)
-//     Compact subjects cost about a bit per triple more than PEF.
+//     (subjects) Compact, both faster to search than PEF: on the
+//     benchmark's data EF writes fewer bytes than PEF there, and Compact
+//     about as many, since subjects are numbered first and fit in the
+//     fewest bits. On data where a predicate has few subjects among many
+//     (dblp, geonames) Compact subjects cost about a bit per triple more
+//     than PEF.
 //
 // POS's second level stays PEF in 2Tp: it is the reference SPO's ranks
-// unmap through, and EF or Compact would take 1.9 or 7.8 bits/triple
+// unmap through, and EF or Compact would write 1.9 or 7.8 bits/triple
 // more there.
 var specs = [...]spec{
 	Layout3T: {perms: []Perm{PermSPO, PermPOS, PermOSP}, routes: routes3T, codecs: [NumPerms]trie.Config{

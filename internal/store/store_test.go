@@ -497,8 +497,9 @@ func TestReadEarlierCodecs(t *testing.T) {
 	}
 	nt.WriteString(s + " " + p + " " + o + " .\n")
 	built := filepath.Join(dir, "built.idx")
-	if _, fresh := build(nt.String()); Write(built, fresh) != nil {
-		t.Fatal("writing the fresh build failed")
+	_, fresh = build(nt.String())
+	if err := Write(built, fresh); err != nil {
+		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {
