@@ -128,7 +128,11 @@ func TestReadCraftedCompact(t *testing.T) {
 	// The sequence ends the section: its kind byte, the width, the
 	// count, the vector's bit length and word count, pad, then the words.
 	n := subjects.Len()
-	width := int(subjects.SizeBits()) / n
+	var top uint64
+	for i := range n {
+		top = max(top, subjects.At(0, i))
+	}
+	width := bits.Len64(top | 1) // the width the encoder picks for top
 	nbits := n * width
 	words := (nbits + 63) / 64
 	head := binary.AppendUvarint([]byte{byte(seq.KindCompact), byte(width)}, uint64(n))
