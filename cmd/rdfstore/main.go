@@ -215,19 +215,17 @@ func queryCmd(args []string, out io.Writer) error {
 		return err
 	}
 
-	qc := core.AcquireQueryCtx()
-	defer qc.Release()
 	// Matches render through the pooled dictionary cursors: each
 	// front-coded bucket entry of a sorted result run decodes once, and
 	// the line is built in one reused buffer instead of per-row strings.
 	rend := store.AcquireRenderer(st)
 	defer rend.Release()
-	it := core.SelectWithCtx(st.Index, pat, qc)
-	buf := qc.Batch()
+	it := st.Index.Select(pat)
+	var buf [256]core.Triple
 	var line []byte
 	count := 0
 	for {
-		k := it.NextBatch(buf)
+		k := it.NextBatch(buf[:])
 		if k == 0 {
 			break
 		}

@@ -37,9 +37,9 @@ func ParallelWorkload(d *core.Dataset, queries int, seed int64) []core.Pattern {
 const throughputChunk = 64
 
 // Drive answers total queries from the workload with g goroutines, each
-// owning a pooled QueryCtx and claiming work in chunks. It is the shared
-// worker loop of ThroughputAt and BenchmarkServeParallel, so the
-// benchmark measures exactly the code the experiment runs.
+// claiming work in chunks. It is the shared worker loop of ThroughputAt
+// and BenchmarkServeParallel, so the benchmark measures exactly the code
+// the experiment runs.
 func Drive(x core.Index, pats []core.Pattern, g int, total int64) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -47,9 +47,7 @@ func Drive(x core.Index, pats []core.Pattern, g int, total int64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			qc := core.AcquireQueryCtx()
-			defer qc.Release()
-			buf := qc.Batch()
+			var buf [256]core.Triple
 			for {
 				lo := next.Add(throughputChunk) - throughputChunk
 				if lo >= total {
@@ -60,8 +58,8 @@ func Drive(x core.Index, pats []core.Pattern, g int, total int64) {
 					hi = total
 				}
 				for i := lo; i < hi; i++ {
-					it := core.SelectWithCtx(x, pats[int(i)%len(pats)], qc)
-					for it.NextBatch(buf) > 0 {
+					it := x.Select(pats[int(i)%len(pats)])
+					for it.NextBatch(buf[:]) > 0 {
 					}
 				}
 			}
@@ -82,9 +80,7 @@ func DriveTimed(x core.Index, pats []core.Pattern, g int, total int64, h *obs.Hi
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			qc := core.AcquireQueryCtx()
-			defer qc.Release()
-			buf := qc.Batch()
+			var buf [256]core.Triple
 			for {
 				lo := next.Add(throughputChunk) - throughputChunk
 				if lo >= total {
@@ -96,8 +92,8 @@ func DriveTimed(x core.Index, pats []core.Pattern, g int, total int64, h *obs.Hi
 				}
 				for i := lo; i < hi; i++ {
 					q0 := time.Now()
-					it := core.SelectWithCtx(x, pats[int(i)%len(pats)], qc)
-					for it.NextBatch(buf) > 0 {
+					it := x.Select(pats[int(i)%len(pats)])
+					for it.NextBatch(buf[:]) > 0 {
 					}
 					h.Observe(time.Since(q0))
 				}
@@ -108,8 +104,8 @@ func DriveTimed(x core.Index, pats []core.Pattern, g int, total int64, h *obs.Hi
 }
 
 // ThroughputAt drives the shared index with the workload from g
-// goroutines, each owning a pooled QueryCtx, until every query of rounds
-// passes over the workload completes. It returns queries/second.
+// goroutines until every query of rounds passes over the workload
+// completes. It returns queries/second.
 func ThroughputAt(x core.Index, pats []core.Pattern, g, rounds int) float64 {
 	total := int64(len(pats) * rounds)
 	start := time.Now()

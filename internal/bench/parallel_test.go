@@ -11,8 +11,9 @@ import (
 
 // BenchmarkServeParallel measures queries/sec over one shared immutable
 // index at fixed goroutine counts (not GOMAXPROCS multiples), matching
-// the serving scenario: N clients, one store, a pooled QueryCtx per
-// client. Compare the 1/4/16 sub-benchmarks to see the scaling.
+// the serving scenario: N clients, one store, whose pooled selection
+// states they share. Compare the 1/4/16 sub-benchmarks to see the
+// scaling.
 func BenchmarkServeParallel(b *testing.B) {
 	d, err := gen.GeneratePreset("dbpedia", 120000, 1)
 	if err != nil {

@@ -63,15 +63,13 @@ func UpdateThroughput(cfg Config) ([]*Table, error) {
 			wg.Add(1)
 			go func(off int) {
 				defer wg.Done()
-				qc := core.AcquireQueryCtx()
-				defer qc.Release()
-				buf := qc.Batch()
+				var buf [256]core.Triple
 				i := off
 				var n int64
 				start := time.Now()
 				for !done.Load() {
-					it := cur.Load().SelectCtx(pats[i%len(pats)], qc)
-					for it.NextBatch(buf) > 0 {
+					it := cur.Load().Select(pats[i%len(pats)])
+					for it.NextBatch(buf[:]) > 0 {
 					}
 					i++
 					n++
@@ -115,13 +113,11 @@ func UpdateThroughput(cfg Config) ([]*Table, error) {
 // readPass answers count queries from the workload against the current
 // snapshot and returns ns/query.
 func readPass(cur *atomic.Pointer[core.DynamicSnapshot], pats []core.Pattern, count int) float64 {
-	qc := core.AcquireQueryCtx()
-	defer qc.Release()
-	buf := qc.Batch()
+	var buf [256]core.Triple
 	start := time.Now()
 	for i := 0; i < count; i++ {
-		it := cur.Load().SelectCtx(pats[i%len(pats)], qc)
-		for it.NextBatch(buf) > 0 {
+		it := cur.Load().Select(pats[i%len(pats)])
+		for it.NextBatch(buf[:]) > 0 {
 		}
 	}
 	return float64(time.Since(start).Nanoseconds()) / float64(count)

@@ -63,17 +63,18 @@ func TestSteadyStateAllocations(t *testing.T) {
 	}
 }
 
-// TestCountLookupAllocs pins Count and Lookup at zero allocations on
-// every layout: both draw their selection state from a pooled QueryCtx
-// and drain the iterator, which hands the state back, so a warm pool
-// serves every call, the full scan (???) too: it repositions the
-// level-1 cursors an earlier query left in the state.
+// TestCountLookupAllocs pins Select, Count and Lookup at zero
+// allocations on every layout and shape once the index's pools are warm:
+// a Select drained through NextBatch, like Count and Lookup, hands its
+// state back to the pool it came from, and the next selection of the
+// same trie repositions its cursors, the full scan (???) too.
 func TestCountLookupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
 	rng := rand.New(rand.NewSource(283))
 	d := skewedDataset(rng, 5000)
+	var buf [64]Triple
 	for name, x := range allLayouts(t, d) {
 		t.Run(name, func(t *testing.T) {
 			for _, tr := range d.Triples[:20] {
@@ -86,6 +87,18 @@ func TestCountLookupAllocs(t *testing.T) {
 						}
 					}); allocs != 0 {
 						t.Errorf("Count %s: %.1f allocs, want 0", shape, allocs)
+					}
+					if allocs := testing.AllocsPerRun(20, func() {
+						got := 0
+						it := x.Select(pat)
+						for k := it.NextBatch(buf[:]); k > 0; k = it.NextBatch(buf[:]) {
+							got += k
+						}
+						if got != want {
+							t.Fatalf("Select(%v) drained %d, want %d", pat, got, want)
+						}
+					}); allocs != 0 {
+						t.Errorf("Select %s: %.1f allocs, want 0", shape, allocs)
 					}
 				}
 				if allocs := testing.AllocsPerRun(20, func() {

@@ -214,10 +214,9 @@ func permLess(p Perm, t, u Triple) bool {
 }
 
 // DynamicSnapshot is an immutable point-in-time view of a DynamicIndex.
-// It implements Index (and CtxSelecter), so the whole read stack —
-// pooled QueryCtx selection, the SPARQL executor, the HTTP server —
-// serves it exactly like a static index while a single writer keeps
-// advancing the live DynamicIndex underneath. Its slices and base are
+// It implements Index, so the whole read stack — the SPARQL executor,
+// the HTTP server — serves it exactly like a static index while a
+// single writer keeps advancing the live DynamicIndex underneath. Its slices and base are
 // never mutated, so the iterators it returns stay valid across writes.
 type DynamicSnapshot struct {
 	layout  Layout
@@ -272,14 +271,12 @@ func (x *DynamicSnapshot) Lookup(t Triple) bool {
 // their results have to be merged accordingly"): base results arrive in
 // the layout's emission order for the shape, the matching slice of the
 // SPO-sorted insertion log is re-sorted into that same order, and
-// base-side matches pending deletion are skipped.
-func (x *DynamicSnapshot) Select(p Pattern) *Iterator { return x.SelectCtx(p, nil) }
-
-// SelectCtx resolves a pattern like Select, drawing base-index scratch
-// from c (which may be nil).
-func (x *DynamicSnapshot) SelectCtx(p Pattern, c *QueryCtx) *Iterator {
+// base-side matches pending deletion are skipped. The base's selection
+// states come from the base's pools, which every snapshot over it
+// shares, so a write does not start a cold pool.
+func (x *DynamicSnapshot) Select(p Pattern) *Iterator {
 	if x.LogSize() == 0 {
-		return SelectWithCtx(x.base, p, c)
+		return x.base.Select(p)
 	}
 	perm := emitPerm(x.layout, p.Shape())
 	// The iterator keeps its own copy of the log slice header: on the
@@ -294,7 +291,7 @@ func (x *DynamicSnapshot) SelectCtx(p Pattern, c *QueryCtx) *Iterator {
 	if len(add) > 1 {
 		sort.Slice(add, func(i, j int) bool { return permLess(perm, add[i], add[j]) })
 	}
-	baseIt := SelectWithCtx(x.base, p, c)
+	baseIt := x.base.Select(p)
 	var pend Triple
 	havePend := false
 	baseDone := false

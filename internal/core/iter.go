@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"rdfindexes/internal/ef"
 	"rdfindexes/internal/seq"
 	"rdfindexes/internal/trie"
@@ -17,15 +19,21 @@ const triBatch = 256
 // whole sibling ranges into an internal buffer via seq.Iterator.NextBatch
 // and Next just hands out buffered entries, so steady-state iteration
 // performs no allocation and no per-triple indirect call.
+//
+// An iterator reports its end once: Next returns false, NextBatch
+// returns 0, or Count or Collect returns. An iterator from a static
+// index's Select is the state its index pooled, and that call puts the
+// state back: it may serve another goroutine's query at once, so the
+// caller must not touch the iterator after its end. A batch shorter than
+// asked for is not the end; an iterator abandoned before its end leaves
+// its state to the collector.
 type Iterator struct {
 	buf []Triple
-	// pos and n are 32-bit, as buf holds at most triBatch triples: the
-	// selection states embed an Iterator and are allocated per query by
-	// Select without a ctx, so they are kept small.
+	// pos and n are 32-bit, as buf holds at most triBatch triples.
 	pos, n int32
 	done   bool
 	src    blockSource // block source; fill returning 0 means exhausted
-	owner  *QueryCtx   // non-nil: src returns to its free lists on exhaustion
+	pool   *sync.Pool  // non-nil: src goes back to it at the end
 }
 
 // blockSource produces result blocks; the selection algorithm states
@@ -65,30 +73,30 @@ func (st *funcSource) fill(out []Triple) int {
 }
 
 // EmptyIterator returns an iterator with no results.
-func EmptyIterator() *Iterator { return emptyIteratorCtx(nil) }
+func EmptyIterator() *Iterator { return &Iterator{done: true} }
 
 // SingleIterator returns an iterator yielding exactly t.
-func SingleIterator(t Triple) *Iterator { return singleIteratorCtx(nil, t) }
+func SingleIterator(t Triple) *Iterator { return &Iterator{buf: []Triple{t}, n: 1, done: true} }
 
 // reinit prepares an embedded Iterator for a fresh query, keeping its
 // grown buffer across reuses.
-func (it *Iterator) reinit(src blockSource, owner *QueryCtx) {
+func (it *Iterator) reinit(src blockSource, pool *sync.Pool) {
 	it.pos, it.n = 0, 0
 	it.done = false
 	it.src = src
-	it.owner = owner
+	it.pool = pool
 }
 
-// drop runs once on exhaustion: the backing state returns to its
-// QueryCtx free list and the source is detached so no further call can
-// reach recycled state.
+// drop runs once, in the call that reports the end: a pooled state goes
+// back to its pool, and the source is detached so that no further call
+// can reach it.
 func (it *Iterator) drop() {
-	if it.owner == nil {
+	if it.pool == nil {
 		return
 	}
-	c, src := it.owner, it.src
-	it.owner, it.src = nil, nil
-	c.recycle(src)
+	pool, src := it.pool, it.src
+	it.pool, it.src = nil, nil
+	pool.Put(src)
 }
 
 // Next returns the next matching triple, or ok=false when exhausted.
@@ -141,9 +149,10 @@ func (it *Iterator) refill() int {
 }
 
 // NextBatch fills out with up to len(out) triples and returns how many
-// were written; 0 iff the iterator is exhausted. Block-producing
-// iterators decode straight into out, so a caller that drains through
-// NextBatch with a reusable buffer performs zero allocations per triple.
+// were written; 0, for a non-empty out, iff the iterator has ended.
+// Block-producing iterators decode straight into out, so a caller that
+// drains through NextBatch with a reusable buffer performs zero
+// allocations per triple.
 //
 //rdf:hotpath
 func (it *Iterator) NextBatch(out []Triple) int {
@@ -156,7 +165,9 @@ func (it *Iterator) NextBatch(out []Triple) int {
 			continue
 		}
 		if it.done {
-			it.drop()
+			if n == 0 {
+				it.drop()
+			}
 			break
 		}
 		k := 0
@@ -165,8 +176,7 @@ func (it *Iterator) NextBatch(out []Triple) int {
 		}
 		if k == 0 {
 			it.done = true
-			it.drop()
-			break
+			continue
 		}
 		n += k
 	}
@@ -211,24 +221,6 @@ func (it *Iterator) Collect(limit int) []Triple {
 		out = append(out, chunk[:k]...)
 	}
 	return out
-}
-
-// emptyIteratorCtx and singleIteratorCtx return a literal-result
-// iterator, drawn from the ctx pool when c is non-nil.
-func emptyIteratorCtx(c *QueryCtx) *Iterator {
-	if c == nil {
-		return &Iterator{done: true}
-	}
-	return &c.getLit(0).it
-}
-
-func singleIteratorCtx(c *QueryCtx, t Triple) *Iterator {
-	if c == nil {
-		return &Iterator{buf: []Triple{t}, n: 1, done: true}
-	}
-	st := c.getLit(1)
-	st.t[0] = t
-	return &st.it
 }
 
 // restoreBatch writes perm.Restore(a, b, vals[i]) into out[i], hoisting
@@ -426,28 +418,29 @@ func (c *refRoot) rankGEQ(id ID) (uint64, bool) {
 	return uint64(pos - c.begin), ok
 }
 
-// lookup resolves the fully-specified pattern on any trie: two find
-// operations (Section 3.1). On a cross-compressed trie (ref non-nil) the
-// third component is first mapped to its rank.
-func lookup(qc *QueryCtx, t *trie.Trie, ref *crossRef, perm Perm, tr Triple) *Iterator {
+// lookup resolves the fully-specified pattern on the trie of perm: two
+// find operations (Section 3.1). On a cross-compressed trie the third
+// component is first mapped to its rank.
+func (x *staticIndex) lookup(perm Perm, tr Triple) *Iterator {
+	t, ref := x.tries[perm], x.xref[perm]
 	a, b, c := perm.Apply(tr)
 	b1, e1 := t.RootRange(uint32(a))
 	j := t.FindChild1(b1, e1, uint32(b))
 	if j < 0 {
-		return emptyIteratorCtx(qc)
+		return x.empty()
 	}
 	v := uint64(c)
 	if ref != nil {
 		var ok bool
 		if v, ok = ref.rank(b, c); !ok {
-			return emptyIteratorCtx(qc)
+			return x.empty()
 		}
 	}
 	b2, e2 := t.ChildRange(j)
 	if t.FindChild2(b2, e2, uint32(v)) < 0 {
-		return emptyIteratorCtx(qc)
+		return x.empty()
 	}
-	return singleIteratorCtx(qc, tr)
+	return x.single(tr)
 }
 
 // walkState drains third-level sibling ranges of one trie in blocks:
@@ -615,61 +608,64 @@ func (st *walkState) walkFind(root, end, b ID) *Iterator {
 // selectTwo implements the select algorithm of Fig. 2 with the first two
 // components fixed: one find on the second level, then a block-decoded
 // scan of the completions on the third.
-func selectTwo(c *QueryCtx, t *trie.Trie, ref *crossRef, perm Perm, a, b ID) *Iterator {
+func (x *staticIndex) selectTwo(perm Perm, a, b ID) *Iterator {
+	t := x.tries[perm]
 	b1, e1 := t.RootRange(uint32(a))
 	j := t.FindChild1(b1, e1, uint32(b))
 	if j < 0 {
-		return emptyIteratorCtx(c)
+		return x.empty()
 	}
 	b2, e2 := t.ChildRange(j)
-	st := c.getWalk(t, nil, ref, perm)
+	st := x.getWalk(&x.walks[perm], perm, nil)
 	st.open(a, b, b2, e2)
 	return st.walkFind(0, 0, b) // no roots left: the range opened is the only one
 }
 
 // selectOne implements the select algorithm of Fig. 2 with only the first
 // component fixed: scan the children of a and their completions.
-func selectOne(c *QueryCtx, t *trie.Trie, ref *crossRef, perm Perm, a ID) *Iterator {
-	b1, e1 := t.RootRange(uint32(a))
+func (x *staticIndex) selectOne(perm Perm, a ID) *Iterator {
+	b1, e1 := x.tries[perm].RootRange(uint32(a))
 	if b1 >= e1 {
-		return emptyIteratorCtx(c)
+		return x.empty()
 	}
-	return c.getWalk(t, nil, ref, perm).walkChildren(a, a+1, b1, b1, e1)
+	return x.getWalk(&x.walks[perm], perm, nil).walkChildren(a, a+1, b1, b1, e1)
 }
 
-// scanAll enumerates the whole trie (the ??? pattern) from its first
-// non-empty root.
-func scanAll(c *QueryCtx, t *trie.Trie, ref *crossRef, perm Perm) *Iterator {
+// scanAll enumerates the whole trie of perm (the ??? pattern) from its
+// first non-empty root.
+func (x *staticIndex) scanAll(perm Perm) *Iterator {
+	t := x.tries[perm]
 	n := ID(t.NumRoots())
 	for r := ID(0); r < n; r++ {
 		if b1, e1 := t.RootRange(uint32(r)); b1 < e1 {
-			return c.getWalk(t, nil, ref, perm).walkChildren(r, n, b1, b1, e1)
+			return x.getWalk(&x.walks[perm], perm, nil).walkChildren(r, n, b1, b1, e1)
 		}
 	}
-	return emptyIteratorCtx(c)
+	return x.empty()
 }
 
 // invertedOnPOS resolves ??O on the POS permutation (the 2Tp fallback
 // of Section 3.3): |P| find operations locate o among each predicate's
 // children.
-func invertedOnPOS(c *QueryCtx, pos *trie.Trie, o ID) *Iterator {
-	return c.getWalk(pos, nil, nil, PermPOS).walkFind(0, ID(pos.NumRoots()), o)
+func (x *staticIndex) invertedOnPOS(o ID) *Iterator {
+	n := ID(x.tries[PermPOS].NumRoots())
+	return x.getWalk(&x.walks[PermPOS], PermPOS, nil).walkFind(0, n, o)
 }
 
 // invertedOnPS resolves ?P? for 2To (Section 3.3): walk the PS
 // structure's subject list of p and find p among each subject's children
 // on SPO. Every subject in the list has a triple with predicate p, so
 // each find succeeds.
-func invertedOnPS(c *QueryCtx, ps *PS, spo *trie.Trie, p ID) *Iterator {
-	b, e := ps.Range(p)
+func (x *staticIndex) invertedOnPS(p ID) *Iterator {
+	b, e := x.ps.Range(p)
 	if b >= e {
-		return emptyIteratorCtx(c)
+		return x.empty()
 	}
-	st := c.getWalk(spo, ps, nil, PermSPO)
+	st := x.getWalk(&x.psWalk, PermSPO, x.ps)
 	if st.it1 != nil {
 		st.it1.Reset(b, b, e)
 	} else {
-		st.it1 = ps.Iter(b, e)
+		st.it1 = x.ps.Iter(b, e)
 	}
 	return st.walkFind(0, 0, p)
 }
@@ -746,18 +742,14 @@ func (st *enumerateState) findMapped(p ID, jb, je int) bool {
 	}
 }
 
-func enumerate(c *QueryCtx, spo *trie.Trie, ref *crossRef, s, o ID) *Iterator {
+func (x *staticIndex) enumerate(s, o ID) *Iterator {
+	spo := x.tries[PermSPO]
 	b1, e1 := spo.RootRange(uint32(s))
 	if b1 >= e1 {
-		return emptyIteratorCtx(c)
+		return x.empty()
 	}
-	st := c.getEnumerate()
+	st := x.getEnumerate()
 	st.s, st.o, st.b1, st.e1, st.pos1 = s, o, b1, e1, b1
-	if st.spo != spo || st.ptrIt == nil {
-		st.spo = spo
-		st.ptrIt, st.it1, st.it2 = nil, nil, nil
-	}
-	st.ranks.use(ref)
 	if st.ptrIt == nil {
 		st.ptrIt = spo.Ptr1Iter(b1, e1+1)
 	} else {
@@ -765,7 +757,7 @@ func enumerate(c *QueryCtx, spo *trie.Trie, ref *crossRef, s, o ID) *Iterator {
 	}
 	first, _ := st.ptrIt.Next()
 	st.prev = int(first)
-	if ref != nil {
+	if st.ranks.ref != nil {
 		if st.it1 == nil {
 			st.it1 = spo.Iter1From(b1, b1, e1)
 			st.it2 = spo.Iter2(st.prev, st.prev)

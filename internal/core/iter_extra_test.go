@@ -36,6 +36,9 @@ func TestFilter(t *testing.T) {
 	}
 }
 
+// TestIteratorExhaustionIsSticky: an ended iterator keeps answering no
+// more results while nothing else selects on its index. Its state is
+// back in the pool, so callers must not rely on this (Iterator's doc).
 func TestIteratorExhaustionIsSticky(t *testing.T) {
 	d := NewDataset([]Triple{{0, 0, 0}})
 	x, err := Build(d, Layout2Tp)

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"rdfindexes/internal/ef"
-	"rdfindexes/internal/trie"
-)
+import "rdfindexes/internal/ef"
 
 // R is the auxiliary structure for range queries of Section 3.1: numeric
 // literal objects receive consecutive IDs [Base, Base+Len) assigned in
@@ -83,21 +80,22 @@ type RangeSelecter interface {
 func SelectValueRange(x RangeSelecter, r *R, p ID, lo, hi uint64) *Iterator {
 	idLo, idHi, ok := r.IDRange(lo, hi)
 	if !ok {
-		return emptyIteratorCtx(nil)
+		return EmptyIterator()
 	}
 	return x.SelectObjectRange(p, idLo, idHi)
 }
 
 // selectObjectRange seeks lo and past hi among the objects of p on the
 // POS trie and walks the children of p in between.
-func selectObjectRange(c *QueryCtx, pos *trie.Trie, ref *crossRef, p ID, lo, hi ID) *Iterator {
+func (x *staticIndex) selectObjectRange(p ID, lo, hi ID) *Iterator {
+	pos := x.tries[PermPOS]
 	b1, e1 := pos.RootRange(uint32(p))
 	j, val, ok := pos.Nodes(1).FindGEQ(b1, e1, uint64(lo))
 	if !ok || val > uint64(hi) {
-		return emptyIteratorCtx(c)
+		return x.empty()
 	}
 	if k, _, ok := pos.Nodes(1).FindGEQ(b1, e1, uint64(hi)+1); ok {
 		e1 = k
 	}
-	return c.getWalk(pos, nil, ref, PermPOS).walkChildren(p, p+1, b1, j, e1)
+	return x.getWalk(&x.walks[PermPOS], PermPOS, nil).walkChildren(p, p+1, b1, j, e1)
 }

@@ -139,7 +139,6 @@ func emitPerm(l Layout, s Shape) Perm {
 // Every layout has every read capability and serializes.
 var _ interface {
 	Index
-	CtxSelecter
 	VarSelecter
 	RangeSelecter
 	encoder
@@ -156,6 +155,7 @@ type staticIndex struct {
 	// instead of IDs (Fig. 3 and 4).
 	xref [NumPerms]*crossRef
 	ps   *PS // 2To only
+	pools
 }
 
 // Build constructs an index of the requested layout.
@@ -296,7 +296,7 @@ func scanSet(x Index) *Iterator {
 	if s, ok := x.(*staticIndex); ok {
 		for _, p := range s.spec.perms {
 			if s.xref[p] == nil {
-				return scanAll(nil, s.tries[p], nil, p)
+				return s.scanAll(p)
 			}
 		}
 	}
@@ -357,31 +357,27 @@ func CheckRanks(x Index) error {
 	return nil
 }
 
-// Select resolves a pattern along the layout's route for its shape.
-func (x *staticIndex) Select(p Pattern) *Iterator { return x.SelectCtx(p, nil) }
-
-// SelectCtx resolves a pattern like Select, drawing per-query scratch
-// from c (which may be nil). The route's permutation orders the
-// pattern's components, so its bound ones come first.
-func (x *staticIndex) SelectCtx(p Pattern, c *QueryCtx) *Iterator {
+// Select resolves a pattern along the layout's route for its shape, with
+// a selection state from the index's pools. The route's permutation
+// orders the pattern's components, so its bound ones come first.
+func (x *staticIndex) Select(p Pattern) *Iterator {
 	r := x.spec.routes[p.Shape()]
-	t, ref := x.tries[r.perm], x.xref[r.perm]
 	a, b, last := r.perm.Apply(Triple(p))
 	switch r.algo {
 	case algoLookup:
-		return lookup(c, t, ref, r.perm, Triple(p))
+		return x.lookup(r.perm, Triple(p))
 	case algoTwo:
-		return selectTwo(c, t, ref, r.perm, a, b)
+		return x.selectTwo(r.perm, a, b)
 	case algoOne:
-		return selectOne(c, t, ref, r.perm, a)
+		return x.selectOne(r.perm, a)
 	case algoScan:
-		return scanAll(c, t, ref, r.perm)
+		return x.scanAll(r.perm)
 	case algoEnumerate:
-		return enumerate(c, t, ref, a, last)
+		return x.enumerate(a, last)
 	case algoInvertedPOS:
-		return invertedOnPOS(c, t, b)
+		return x.invertedOnPOS(b)
 	default: // algoInvertedPS
-		return invertedOnPS(c, x.ps, t, b)
+		return x.invertedOnPS(b)
 	}
 }
 
@@ -407,8 +403,8 @@ func (x *staticIndex) SelectVarSorted(p Pattern) (*VarIter, bool) {
 // objects of p are one sorted level, when the layout stores it;
 // otherwise (2To) by filtering the layout's ?P? route.
 func (x *staticIndex) SelectObjectRange(p ID, lo, hi ID) *Iterator {
-	if pos := x.tries[PermPOS]; pos != nil {
-		return selectObjectRange(nil, pos, x.xref[PermPOS], p, lo, hi)
+	if x.tries[PermPOS] != nil {
+		return x.selectObjectRange(p, lo, hi)
 	}
 	return Filter(x.Select(Pattern{Wildcard, p, Wildcard}), func(t Triple) bool {
 		return lo <= t.O && t.O <= hi

@@ -1,8 +1,9 @@
 // Package server exposes a loaded store over HTTP for concurrent query
 // serving. Every view served is immutable (see the concurrency contract
 // in internal/core), so requests share it with no locking on the read
-// path: each request draws a pooled core.QueryCtx for its scratch,
-// executes under a deadline, and streams results. A server over a
+// path: each request's selections take their states from the pools of
+// the index they read, and it executes under a deadline and streams
+// results. A server over a
 // store.Mutable additionally accepts single-writer updates; reads then
 // resolve against the RCU-published snapshot view current at request
 // start.

@@ -272,7 +272,8 @@ func TestServerEndpoints(t *testing.T) {
 // TestServerSharedStoreStress fires 16 concurrent clients mixing triple
 // pattern and BGP queries at one shared store; run with -race to enforce
 // the shared-store concurrency contract end to end (HTTP handler,
-// worker pool, result cache, QueryCtx pooling, executor).
+// worker pool, result cache, the index's pooled selection states,
+// executor).
 func TestServerSharedStoreStress(t *testing.T) {
 	st := testStore(t, 60, 4)
 	srv := New(st, Options{Workers: 8, CacheEntries: 32})

@@ -4,18 +4,17 @@ package sparql
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"rdfindexes/internal/core"
 )
 
-// TestRunInnerSelectionAllocs pins that Run selects through a query
-// context of its own: a warm path join over a bare index allocates the
-// same whether its first arm has 50 rows or 400, so the inner selection
-// each row issues allocates nothing. (The race detector makes sync.Pool
-// drop what it is given, a run's query context among it, so the pin runs
-// without it.)
+// TestRunInnerSelectionAllocs pins that Run's selections reuse the
+// index's pooled states: a warm path join over a bare index allocates
+// the same whether its first arm has 50 rows or 400, so the inner
+// selection each row issues allocates nothing. The index is fresh, so
+// no other test's selections share its pools. (The race detector makes
+// sync.Pool drop what it is given, so the pin runs without it.)
 func TestRunInnerSelectionAllocs(t *testing.T) {
 	var ts []core.Triple
 	for i := 0; i < 400; i++ {
@@ -29,10 +28,6 @@ func TestRunInnerSelectionAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two collections empty the query-context pool, whose contexts may
-	// hold states for the tries of indexes other tests built.
-	runtime.GC()
-	runtime.GC()
 	var allocs [2]float64
 	var rows [2]int
 	for k, qs := range []string{

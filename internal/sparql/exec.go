@@ -486,8 +486,6 @@ type run struct {
 	c     *Compiled
 	st    Store
 	vs    core.VarSelecter // nil when st cannot serve sorted streams
-	cs    core.CtxSelecter // nil when st cannot select through qc
-	qc    *core.QueryCtx   // this execution's selection scratch
 	ctx   context.Context
 	work  int // candidates since the last look at ctx
 	tr    *obs.Trace
@@ -532,9 +530,9 @@ const maxIdleRuns = 64
 // resolved with a leapfrog merge-intersection of the sorted binding
 // streams the index serves natively (core.VarSelecter), skipping
 // non-joining candidates with NextGEQ instead of enumerating them. An
-// inner selection that repeats is answered from the run's memo. Where st
-// selects through a query context (core.CtxSelecter), the run draws one
-// from the pool for its selections and returns it at the end.
+// inner selection that repeats is answered from the run's memo. Every
+// selection is drained to its end, which hands a static index's
+// selection state back to the index's pool for the next one.
 //
 // Run aborts with ctx.Err() once ctx is done. That is checked at step
 // batch boundaries — a selection's batch of up to stepBatch triples, a
@@ -575,11 +573,6 @@ func exec(ctx context.Context, c *Compiled, st Store, opt Options, sink Sink, me
 func (r *run) start(ctx context.Context, c *Compiled, st Store, opt Options, sink Sink, memo bool) {
 	r.c, r.st, r.ctx, r.tr, r.sink, r.max = c, st, ctx, opt.Trace, sink, opt.MaxRows
 	r.vs, _ = st.(core.VarSelecter)
-	r.cs, _ = st.(core.CtxSelecter)
-	// Acquired per execution, not kept on the idle run: a context parked
-	// on an idle run would pin the tries it last read, and their mapped
-	// files with them, past a merge.
-	r.qc = core.AcquireQueryCtx()
 	r.stats, r.memo, r.work = ExecStats{}, memo, stepBatch
 	r.regs = resize(r.regs, c.nslots)
 	for i := range r.regs {
@@ -604,12 +597,10 @@ func (r *run) start(ctx context.Context, c *Compiled, st Store, opt Options, sin
 	}
 }
 
-// finish releases the run's query context and drops its references to
-// the execution it served, so an idle run pins no store, plan or
-// callback.
+// finish drops the run's references to the execution it served, so an
+// idle run pins no store, plan or callback.
 func (r *run) finish() {
-	r.qc.Release()
-	r.c, r.st, r.vs, r.cs, r.qc, r.ctx, r.tr, r.sink = nil, nil, nil, nil, nil, nil, nil, nil
+	r.c, r.st, r.vs, r.ctx, r.tr, r.sink = nil, nil, nil, nil, nil, nil
 	clear(r.its)
 }
 
@@ -697,12 +688,7 @@ func (r *run) step(i int) error {
 			return err
 		}
 	}
-	var it *core.Iterator
-	if r.cs != nil {
-		it = r.cs.SelectCtx(p, r.qc)
-	} else {
-		it = r.st.Select(p)
-	}
+	it := r.st.Select(p)
 	buf := r.batch[i*stepBatch : (i+1)*stepBatch]
 	k := it.NextBatch(buf)
 	if slot != nil && k < len(buf) && len(r.arena)+k <= memoArena {
@@ -710,13 +696,13 @@ func (r *run) step(i int) error {
 		r.arena = append(r.arena, buf[:k]...)
 	}
 	var err error
-	// A batch shorter than buf drained the iterator: asking again would
-	// cost a call and read a state a QueryCtx may already have recycled.
+	// The call that returns 0, after a short batch too, hands the state
+	// back; an error abandons the iterator and leaves it to the collector.
 	for k > 0 {
 		if err = r.poll(k); err != nil {
 			break
 		}
-		if err = r.scan(i, sp, buf[:k]); err != nil || k < len(buf) {
+		if err = r.scan(i, sp, buf[:k]); err != nil {
 			break
 		}
 		k = it.NextBatch(buf)

@@ -82,8 +82,8 @@ func (s scalarStore) NumTriples() int { return s.x.NumTriples() }
 // inner patterns than slots, inner results longer than an entry may hold,
 // and more triples to keep than the arena takes. Result set and emission
 // order must equal a nested-loop reference on the index, which the run
-// selects from through its QueryCtx, through scalar iterators, and from
-// concurrent Runs sharing one index and one plan.
+// selects from through the index's pooled states, through scalar
+// iterators, and from concurrent Runs sharing one index and one plan.
 func TestMemoPressure(t *testing.T) {
 	// Predicate 0: each of nx subjects has two objects among 12 hubs, so
 	// the POS-ordered first arm meets every subject twice, far apart.

@@ -108,12 +108,13 @@ func allShapes(rng *rand.Rand, n int) []core.Pattern {
 }
 
 // TestMappedStoreLifetime pins the lifetime argument of the mapped open
-// (DESIGN.md "On-disk format v3 and the mapped open"): a store queried
-// through pooled contexts stays mapped while anything decoded from it is
-// reachable, and once every reference is dropped — the store, its
-// iterators and the pooled contexts' recycled states — the collector
-// unmaps the file. A context from the pool then serves a freshly opened
-// store exactly like an index built in memory.
+// (DESIGN.md "On-disk format v3 and the mapped open"): a store stays
+// mapped while anything decoded from it is reachable, and once every
+// reference is dropped — the store, its iterators and the selection
+// states its index pooled — the collector unmaps the file. The same
+// holds across a merge: the file it replaces is unmapped once the views
+// over it are dropped, though its index's pools still held states, and
+// the merged file serves what a fresh build does.
 func TestMappedStoreLifetime(t *testing.T) {
 	if !mapsFiles {
 		t.Skip("store files are read into memory on this platform")
@@ -125,14 +126,12 @@ func TestMappedStoreLifetime(t *testing.T) {
 	if err := Write(path, st); err != nil {
 		t.Fatal(err)
 	}
-	// drain answers every shape through pooled contexts and compares
-	// each stream with the oracle's.
+	// drain answers every shape, which leaves states in x's pools, and
+	// compares each stream with the oracle's.
 	drain := func(x core.Index) {
 		for _, p := range allShapes(rng, 60) {
-			qc := core.AcquireQueryCtx()
-			got := core.SelectWithCtx(x, p, qc).Collect(-1)
+			got := x.Select(p).Collect(-1)
 			want := oracle.Select(p).Collect(-1)
-			qc.Release()
 			if len(got) != len(want) {
 				t.Fatalf("pattern %v: %d results, oracle %d", p, len(got), len(want))
 			}
@@ -165,21 +164,52 @@ func TestMappedStoreLifetime(t *testing.T) {
 		t.Fatal("the store file was unmapped while its index was reachable")
 	}
 	drain(x)
-	// x is dead from here on. Pooled contexts keep their states' tries,
-	// so the mapping survives until the pool drops them, which takes two
-	// collections.
+	// x is dead from here on. Its pools hold states over its tries until
+	// two collections pass without a selection.
 	for deadline := time.Now().Add(10 * time.Second); mappedIn(t, path); collect() {
 		if time.Now().After(deadline) {
 			t.Fatal("the store file is still mapped after every reference was dropped")
 		}
 	}
 
-	st, err := Read(path)
+	m, err := OpenMutable(path, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Close()
+	old := m.View()
 	for i := 0; i < 3; i++ {
-		drain(st.Index)
+		drain(old.Index)
+	}
+	// Deleting a stored triple and inserting it back leaves the triples
+	// as they were, so the merged file answers what the oracle does.
+	tr := oracle.Select(core.NewPattern(-1, -1, -1)).Collect(1)[0]
+	s, p, o := old.Render(tr.S), old.RenderPredicate(tr.P), old.Render(tr.O)
+	if _, err := m.Delete(s, p, o); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Insert(s, p, o); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	replaced := path + " (deleted)"
+	if !mappedIn(t, replaced) || !mappedIn(t, path) {
+		t.Fatal("the merge did not map its file beside the one a view still serves")
+	}
+	drain(old.Index)
+	old = nil
+	for deadline := time.Now().Add(10 * time.Second); mappedIn(t, replaced); collect() {
+		if time.Now().After(deadline) {
+			t.Fatal("the replaced store file is still mapped after its views were dropped")
+		}
+	}
+	if !mappedIn(t, path) {
+		t.Fatal("the merged store file was unmapped while the store serves it")
+	}
+	for i := 0; i < 3; i++ {
+		drain(m.View().Index)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Result materialization: the pooled, allocation-free path from result
 // IDs back to rendered terms. Renderer holds the per-request dictionary
-// cursors (mirroring core.QueryCtx for the ID-level scratch) and Rows
+// cursors (as the index pools the ID-level selection states) and Rows
 // renders solution rows a block at a time through an escaped-term cache
 // keyed by (role, ID) — the dominant cost of result streaming after the
 // ID-level pipeline went zero-alloc was exactly this layer re-decoding

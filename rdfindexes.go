@@ -27,11 +27,11 @@
 //		// process buf[:n]
 //	}
 //
-// A built index is immutable and may be shared by any number of
-// goroutines; concurrent servers should give each goroutine a pooled
-// QueryCtx (AcquireQueryCtx / SelectWithCtx) so steady-state query
-// serving performs no allocation at all. The rdfstore CLI wires this up
-// as an HTTP service (`rdfstore serve`).
+// The iterator hands its selection state back to the index's pool in the
+// call that returns 0 (or false from Next), so it must not be touched
+// after that; a warm index then selects without allocating. A built
+// index is immutable and may be shared by any number of goroutines. The
+// rdfstore CLI serves it over HTTP (`rdfstore serve`).
 //
 // See DESIGN.md for the layer inventory, the batched-iteration contract
 // and the serving architecture, and EXPERIMENTS.md for the reproduction
@@ -81,9 +81,6 @@ type (
 	// DynamicSnapshot is an immutable point-in-time view of a
 	// DynamicIndex; it implements Index, so any read path serves it.
 	DynamicSnapshot = core.DynamicSnapshot
-	// QueryCtx is the pooled per-query scratch arena for concurrent
-	// serving; see the concurrency contract in internal/core.
-	QueryCtx = core.QueryCtx
 )
 
 // Wildcard matches every ID in a pattern component.
@@ -128,19 +125,6 @@ func BitsPerTriple(x Index) float64 { return core.BitsPerTriple(x) }
 
 // Count resolves the pattern and counts its matches.
 func Count(x Index, p Pattern) int { return core.Count(x, p) }
-
-// AcquireQueryCtx takes a pooled query context. A built index is
-// immutable and serves any number of goroutines concurrently; each
-// goroutine should acquire its own ctx, resolve patterns through
-// SelectWithCtx, and Release the ctx when its query finishes, making
-// steady-state serving allocation-free.
-func AcquireQueryCtx() *QueryCtx { return core.AcquireQueryCtx() }
-
-// SelectWithCtx resolves p on x, drawing per-query scratch from c when
-// non-nil; identical results to x.Select(p).
-func SelectWithCtx(x Index, p Pattern, c *QueryCtx) *Iterator {
-	return core.SelectWithCtx(x, p, c)
-}
 
 // Lookup reports whether the index contains t.
 func Lookup(x Index, t Triple) bool { return core.Lookup(x, t) }
