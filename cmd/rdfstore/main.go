@@ -254,7 +254,6 @@ func sparqlCmd(args []string, out io.Writer) error {
 	path := fs.String("store", "store.idx", "store file")
 	qs := fs.String("q", "", "SELECT query, e.g. 'SELECT ?x WHERE { ?x <http://ex/knows> ?y . }'")
 	limit := fs.Int("limit", 20, "max solutions to print (-1 for all)")
-	stats := fs.Bool("plan-stats", false, "use measured-cardinality planning")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -269,11 +268,7 @@ func sparqlCmd(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	order := sparql.Plan(q)
-	if *stats {
-		order = sparql.PlanWithStats(q, st.Index)
-	}
-	plan, err := sparql.Compile(q, order)
+	plan, err := sparql.Compile(q, sparql.Plan(q))
 	if err != nil {
 		return err
 	}

@@ -133,11 +133,10 @@ func TestEndToEnd(t *testing.T) {
 				t.Fatalf("sparql output: %q", out)
 			}
 
-			// Measured-cardinality planning gives the same answer.
-			out = runOK(t, "sparql", "-store", idx, "-plan-stats",
+			out = runOK(t, "sparql", "-store", idx,
 				"-q", "SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y . }")
 			if !strings.Contains(out, "-- 3 solutions") {
-				t.Fatalf("plan-stats sparql output: %q", out)
+				t.Fatalf("knows sparql output: %q", out)
 			}
 		})
 	}

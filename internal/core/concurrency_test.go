@@ -124,4 +124,15 @@ func TestSelectPartialDrainAbandonment(t *testing.T) {
 	if rest := it.Collect(-1); len(rest) != len(want)-1 || firstMismatch(rest, want[1:]) >= 0 {
 		t.Fatalf("the partly drained iterator went on with %v, want %v", rest, want[1:])
 	}
+	// Close and a Collect stopped at its limit hand a partly drained
+	// state back; the selections after them start afresh.
+	it = x.Select(pat)
+	it.Next()
+	it.Close()
+	if got := x.Select(pat).Collect(1); len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("Collect(1) after a Close returned %v, want %v", got, want[:1])
+	}
+	if got := x.Select(pat).Collect(-1); len(got) != len(want) || firstMismatch(got, want) >= 0 {
+		t.Fatalf("selection after a Close and a Collect(1) returned %v, want %v", got, want)
+	}
 }

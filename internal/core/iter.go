@@ -21,12 +21,16 @@ const triBatch = 256
 // performs no allocation and no per-triple indirect call.
 //
 // An iterator reports its end once: Next returns false, NextBatch
-// returns 0, or Count or Collect returns. An iterator from a static
-// index's Select is the state its index pooled, and that call puts the
-// state back: it may serve another goroutine's query at once, so the
-// caller must not touch the iterator after its end. A batch shorter than
-// asked for is not the end; an iterator abandoned before its end leaves
-// its state to the collector.
+// returns 0, Count returns, Collect returns short of its limit, or
+// Close is called. An iterator from a static index's Select is the
+// state its index pooled, and that call puts the state back: it may
+// serve another goroutine's query at once, so the caller must not touch
+// the iterator after its end. A batch shorter than asked for is not the
+// end. A caller that stops before the end calls Close; an iterator
+// abandoned without it leaves its state to the collector. A
+// DynamicSnapshot's iterator over a pending log merges a base iterator
+// it owns: closing it ends the merge, but the base's state is left to
+// the collector.
 type Iterator struct {
 	buf []Triple
 	// pos and n are 32-bit, as buf holds at most triBatch triples.
@@ -186,11 +190,6 @@ func (it *Iterator) NextBatch(out []Triple) int {
 // Count drains the iterator and returns the number of triples.
 func (it *Iterator) Count() int {
 	n := int(it.n - it.pos)
-	it.pos = it.n
-	if it.done {
-		it.drop()
-		return n
-	}
 	for it.src != nil && !it.done {
 		k := it.refill()
 		if k == 0 {
@@ -198,14 +197,22 @@ func (it *Iterator) Count() int {
 		}
 		n += k
 	}
-	it.pos = it.n
-	it.done = true
-	it.drop()
+	it.Close()
 	return n
 }
 
+// Close ends the iterator before its end: a pooled state goes back to
+// its index's pool at once, so, as after any end, the caller must not
+// touch the iterator again; an iterator that pools nothing reads as
+// empty from then on. On an iterator that has ended it does nothing.
+func (it *Iterator) Close() {
+	it.pos = it.n
+	it.done = true
+	it.drop()
+}
+
 // Collect drains the iterator into a slice, stopping after limit triples
-// if limit >= 0.
+// if limit >= 0; either way the iterator has ended when it returns.
 func (it *Iterator) Collect(limit int) []Triple {
 	var out []Triple
 	var chunk [triBatch]Triple
@@ -216,10 +223,11 @@ func (it *Iterator) Collect(limit int) []Triple {
 		}
 		k := it.NextBatch(chunk[:want])
 		if k == 0 {
-			break
+			return out
 		}
 		out = append(out, chunk[:k]...)
 	}
+	it.Close()
 	return out
 }
 

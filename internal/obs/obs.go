@@ -108,7 +108,7 @@ func (r *Registry) register(name, help string, kind metricKind, s *series) {
 }
 
 // Counter registers and returns a counter series. labels is the
-// rendered Prometheus label list without braces (e.g. `cache="plan"`),
+// rendered Prometheus label list without braces (e.g. `cache="result"`),
 // or empty for an unlabeled metric.
 func (r *Registry) Counter(name, labels, help string) *Counter {
 	c := &Counter{}

@@ -155,7 +155,7 @@ func TestExposition(t *testing.T) {
 	c := r.Counter("rdf_test_requests_total", `endpoint="sparql"`, "requests served")
 	c2 := r.Counter("rdf_test_requests_total", `endpoint="query"`, "requests served")
 	r.GaugeFunc("rdf_test_goroutines", "", "live goroutines", func() float64 { return 7 })
-	r.CounterFunc("rdf_test_hits_total", `cache="plan"`, "cache hits", func() uint64 { return 3 })
+	r.CounterFunc("rdf_test_hits_total", `cache="result"`, "cache hits", func() uint64 { return 3 })
 	h := r.Histogram("rdf_test_latency_seconds", `stage="exec"`, "stage latency")
 	c.Add(5)
 	c2.Add(1)
@@ -174,7 +174,7 @@ func TestExposition(t *testing.T) {
 		"# HELP rdf_test_requests_total requests served\n# TYPE rdf_test_requests_total counter\n" +
 			"rdf_test_requests_total{endpoint=\"sparql\"} 5\nrdf_test_requests_total{endpoint=\"query\"} 1\n",
 		"# TYPE rdf_test_goroutines gauge\nrdf_test_goroutines 7\n",
-		"rdf_test_hits_total{cache=\"plan\"} 3\n",
+		"rdf_test_hits_total{cache=\"result\"} 3\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, text)

@@ -16,7 +16,7 @@ const (
 	StageQueue Stage = iota
 	// StageParse covers query translation and parsing.
 	StageParse
-	// StagePlan covers plan-cache lookup or BGP planning.
+	// StagePlan covers BGP planning and compilation.
 	StagePlan
 	// StageExec is the executor's time, including row serialization
 	// into the response buffer (the two interleave on the streaming

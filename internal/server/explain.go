@@ -13,7 +13,7 @@ import (
 )
 
 // The ?explain=1 protocol extension: the query executes normally —
-// same planner, same caches for the plan, same row limit — but the
+// same planner, same row limit — but the
 // response is a JSON profile of the execution instead of serialized
 // results: the evaluation order, per-operator cardinalities (candidates
 // scanned vs matched at each plan position, with merge-intersection
@@ -51,7 +51,6 @@ type explainDoc struct {
 	Query      string        `json:"query"`
 	Generation uint64        `json:"generation"`
 	Order      []int         `json:"plan_order"`
-	PlanCached bool          `json:"plan_cached"`
 	Steps      []explainStep `json:"steps"`
 	// PatternsIssued/TriplesMatched are the executor's aggregate stats
 	// (the paper's Table 6 decomposition measure), Replayed the issued
@@ -72,7 +71,7 @@ type explainDoc struct {
 // explain request wants fresh measurements, and its volatile timings
 // must not shadow a cacheable result body.
 func (s *Server) serveExplain(ctx context.Context, w http.ResponseWriter, st *store.Store, gen uint64,
-	qs string, q sparql.Query, plan *sparql.Compiled, planCached bool, limit int, tr *obs.Trace, t0 time.Time) {
+	qs string, q sparql.Query, plan *sparql.Compiled, limit int, tr *obs.Trace, t0 time.Time) {
 	order := plan.Order
 	tr.EnableSteps(len(order))
 	et := time.Now()
@@ -83,7 +82,6 @@ func (s *Server) serveExplain(ctx context.Context, w http.ResponseWriter, st *st
 		Query:          qs,
 		Generation:     gen,
 		Order:          order,
-		PlanCached:     planCached,
 		Steps:          make([]explainStep, 0, len(order)),
 		PatternsIssued: stats.PatternsIssued,
 		TriplesMatched: stats.TriplesMatched,

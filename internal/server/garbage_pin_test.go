@@ -5,8 +5,9 @@ package server
 import "testing"
 
 // TestProtocolMissGarbage pins the per-miss garbage budget: a protocol
-// query that misses both caches allocates at most 16 objects and 1 KiB
-// per request besides the copy of its body that the result cache keeps.
+// query that misses the result cache, and so plans and compiles itself,
+// allocates at most 16 objects and 1 KiB per request besides the copy of
+// its body that the result cache keeps.
 // (The race detector makes sync.Pool drop what it is given, so the pin
 // runs without it.)
 func TestProtocolMissGarbage(t *testing.T) {

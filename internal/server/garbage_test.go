@@ -45,8 +45,8 @@ func (w *reusedWriter) reset() {
 }
 
 // missFixture serves distinct queries of one shape round-robin, more of
-// them than the result and plan caches hold, so every request in the
-// steady state misses both, as a point-cold request mostly does.
+// them than the result cache holds, so every request in the steady state
+// misses it, as a point-cold request mostly does.
 type missFixture struct {
 	s    *Server
 	w    *reusedWriter
@@ -109,8 +109,8 @@ func garbagePerRequest(n int, f func()) (objects, bytes float64) {
 		float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }
 
-// BenchmarkProtocolMiss times the protocol handler on result-cache and
-// plan-cache misses and reports its garbage per request.
+// BenchmarkProtocolMiss times the protocol handler on result-cache misses
+// and reports its garbage per request.
 func BenchmarkProtocolMiss(b *testing.B) {
 	for _, c := range []struct{ name, shape string }{{"point", pointShape}, {"star", starShape}} {
 		b.Run(c.name, func(b *testing.B) {

@@ -2,21 +2,20 @@ package server
 
 import "sync"
 
-// lruCache is a mutex-guarded LRU map used for both the result cache
-// (normalized query text -> serialized response body) and the plan
-// cache (normalized BGP text -> evaluation order). Entries are evicted
-// least-recently-used once cap is exceeded; a zero or negative cap
-// disables the cache entirely (every Get misses, every Put is dropped).
+// lruCache is the result cache: a mutex-guarded LRU map from a
+// normalized query key to its serialized response body. Entries are
+// evicted least-recently-used once cap is exceeded; a zero or negative
+// cap disables the cache entirely (every Get misses, every Put is
+// dropped).
 //
 // Entries live in a slice of at most cap slots, linked into recency
 // order by index, and an evicted entry's slot takes the new one: a Put
 // into a full cache allocates nothing of its own.
-type lruCache[V any] struct {
+type lruCache struct {
 	mu           sync.Mutex
 	cap          int
-	size         func(V) int // bytes one value holds; nil: not tracked
-	bytes        int         // sum of size over the cached values
-	slots        []lruSlot[V]
+	bytes        int // sum of len over the cached bodies
+	slots        []lruSlot
 	head         int32 // most recently used slot; -1 when empty
 	m            map[string]int32
 	hits, misses uint64
@@ -26,26 +25,18 @@ type lruCache[V any] struct {
 // lruSlot is one entry. prev and next link the slots into a ring in
 // recency order: next runs from the most recently used towards the
 // least, whose next is the head again.
-type lruSlot[V any] struct {
+type lruSlot struct {
 	key        string
-	val        V
+	body       []byte
 	prev, next int32
 }
 
-func newLRU[V any](capacity int, size func(V) int) *lruCache[V] {
-	return &lruCache[V]{cap: capacity, size: size, head: -1, m: map[string]int32{}}
-}
-
-// held is the byte size of one value (0 when sizes are not tracked).
-func (c *lruCache[V]) held(v V) int {
-	if c.size == nil {
-		return 0
-	}
-	return c.size(v)
+func newLRU(capacity int) *lruCache {
+	return &lruCache{cap: capacity, head: -1, m: map[string]int32{}}
 }
 
 // unlink takes slot i out of the ring.
-func (c *lruCache[V]) unlink(i int32) {
+func (c *lruCache) unlink(i int32) {
 	s := &c.slots[i]
 	if s.next == i {
 		c.head = -1
@@ -58,7 +49,7 @@ func (c *lruCache[V]) unlink(i int32) {
 }
 
 // pushFront links slot i in as the most recently used.
-func (c *lruCache[V]) pushFront(i int32) {
+func (c *lruCache) pushFront(i int32) {
 	s := &c.slots[i]
 	if c.head < 0 {
 		s.prev, s.next = i, i
@@ -71,66 +62,65 @@ func (c *lruCache[V]) pushFront(i int32) {
 	c.head = i
 }
 
-// Get returns the cached value and marks it most recently used.
-func (c *lruCache[V]) Get(key string) (V, bool) {
-	var zero V
+// Get returns the cached body and marks it most recently used.
+func (c *lruCache) Get(key string) ([]byte, bool) {
 	if c == nil || c.cap <= 0 {
-		return zero, false
+		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	i, ok := c.m[key]
 	if !ok {
 		c.misses++
-		return zero, false
+		return nil, false
 	}
 	c.hits++
 	if i != c.head {
 		c.unlink(i)
 		c.pushFront(i)
 	}
-	return c.slots[i].val, true
+	return c.slots[i].body, true
 }
 
-// Put inserts or refreshes a value, evicting the LRU entry when full.
-func (c *lruCache[V]) Put(key string, val V) {
+// Put inserts or refreshes a body, evicting the LRU entry when full.
+func (c *lruCache) Put(key string, body []byte) {
 	if c == nil || c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bytes += c.held(val)
+	c.bytes += len(body)
 	i, ok := c.m[key]
 	switch {
 	case ok:
-		c.bytes -= c.held(c.slots[i].val)
+		c.bytes -= len(c.slots[i].body)
 		c.unlink(i)
 	case len(c.slots) < c.cap:
 		i = int32(len(c.slots))
-		c.slots = append(c.slots, lruSlot[V]{key: key})
+		c.slots = append(c.slots, lruSlot{key: key})
 		c.m[key] = i
 	default:
 		i = c.slots[c.head].prev // the least recently used
 		old := &c.slots[i]
-		c.bytes -= c.held(old.val)
+		c.bytes -= len(old.body)
 		delete(c.m, old.key)
 		old.key = key
 		c.m[key] = i
 		c.unlink(i)
 	}
-	c.slots[i].val = val
+	c.slots[i].body = body
 	c.pushFront(i)
 }
 
 // Clear drops every cached entry (write invalidation); the hit/miss
 // counters survive.
-func (c *lruCache[V]) Clear() {
+func (c *lruCache) Clear() {
 	if c == nil || c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	clear(c.slots) // release the values for collection
+	clear(c.slots) // release the bodies for collection
 	c.slots = c.slots[:0]
 	c.head = -1
 	clear(c.m)
@@ -139,7 +129,7 @@ func (c *lruCache[V]) Clear() {
 }
 
 // Len returns the number of cached entries.
-func (c *lruCache[V]) Len() int {
+func (c *lruCache) Len() int {
 	if c == nil || c.cap <= 0 {
 		return 0
 	}
@@ -148,9 +138,8 @@ func (c *lruCache[V]) Len() int {
 	return len(c.slots)
 }
 
-// Bytes returns the bytes the cached values hold, by the cache's size
-// function.
-func (c *lruCache[V]) Bytes() int {
+// Bytes returns the total length of the cached bodies.
+func (c *lruCache) Bytes() int {
 	if c == nil || c.cap <= 0 {
 		return 0
 	}
@@ -160,7 +149,7 @@ func (c *lruCache[V]) Bytes() int {
 }
 
 // Counters returns the hit/miss totals.
-func (c *lruCache[V]) Counters() (hits, misses uint64) {
+func (c *lruCache) Counters() (hits, misses uint64) {
 	if c == nil || c.cap <= 0 {
 		return 0, 0
 	}
@@ -171,7 +160,7 @@ func (c *lruCache[V]) Counters() (hits, misses uint64) {
 
 // Flushes returns the number of Clear calls — per-generation flushes
 // under write invalidation.
-func (c *lruCache[V]) Flushes() uint64 {
+func (c *lruCache) Flushes() uint64 {
 	if c == nil || c.cap <= 0 {
 		return 0
 	}

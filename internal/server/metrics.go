@@ -60,11 +60,6 @@ func (s *Server) initMetrics() {
 	r.CounterFunc(cacheName, `cache="result",event="miss"`, cacheHelp,
 		func() uint64 { _, m := s.results.Counters(); return m })
 	r.CounterFunc(cacheName, `cache="result",event="flush"`, cacheHelp, s.results.Flushes)
-	r.CounterFunc(cacheName, `cache="plan",event="hit"`, cacheHelp,
-		func() uint64 { h, _ := s.plans.Counters(); return h })
-	r.CounterFunc(cacheName, `cache="plan",event="miss"`, cacheHelp,
-		func() uint64 { _, m := s.plans.Counters(); return m })
-	r.CounterFunc(cacheName, `cache="plan",event="flush"`, cacheHelp, s.plans.Flushes)
 
 	const slowName = "rdf_slow_queries_total"
 	const slowHelp = "Queries over the slow-query threshold, by log outcome"

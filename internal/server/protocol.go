@@ -407,29 +407,18 @@ func appendDur(b []byte, name string, d time.Duration) []byte {
 	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
-// appendPlanKey appends the plan-cache key of q at write generation gen:
-// q.AppendTo renders the dictionary-resolved BGP canonically, so it
-// normalizes whitespace and spelling. The generation prefix is
-// load-bearing beyond staleness: a merge remaps dictionary IDs, so the
-// same ID text means different terms across generations.
-func appendPlanKey(b []byte, gen uint64, q sparql.Query) []byte {
-	return q.AppendTo(append(strconv.AppendUint(append(b, 'g'), gen, 10), '|'))
-}
-
-// resultKey is the result-cache key of q in format f under a row limit,
-// and inside it, as a substring, q's plan key: one string for both
-// caches. The plan key leaves the format out, so every format shares one
-// cached plan; the result key adds it, since the cached bytes are the
-// serialized (uncompressed) response body.
-func resultKey(f results.Format, gen uint64, q sparql.Query, limit int) (key, plan string) {
+// resultKey is the result-cache key of q in format f under a row limit
+// at write generation gen. q.AppendTo renders the dictionary-resolved BGP
+// canonically, so the key normalizes whitespace and spelling. The
+// generation is load-bearing beyond staleness: a merge remaps dictionary
+// IDs, so the same ID text means different terms across generations.
+// The format is in the key because the cached bytes are the serialized
+// (uncompressed) response body.
+func resultKey(f results.Format, gen uint64, q sparql.Query, limit int) string {
 	var b [256]byte
 	k := append(append(b[:0], "p|"...), f.String()...)
-	k = append(k, '|')
-	from := len(k)
-	k = appendPlanKey(k, gen, q)
-	to := len(k)
-	key = string(strconv.AppendInt(append(k, '|'), int64(limit), 10))
-	return key, key[from:to]
+	k = q.AppendTo(append(strconv.AppendUint(append(k, "|g"...), gen, 10), '|'))
+	return string(strconv.AppendInt(append(k, '|'), int64(limit), 10))
 }
 
 // notModified reports whether the request's conditional headers prove
@@ -550,7 +539,7 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key, norm := resultKey(f, gen, q, limit)
+	key := resultKey(f, gen, q, limit)
 	gz := wantsGzip(r.Header.Get("Accept-Encoding"))
 	if !explain {
 		if body, ok := s.results.Get(key); ok {
@@ -572,7 +561,7 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	tr.AddStage(obs.StageQueue, time.Since(qt))
 
 	plt := time.Now()
-	plan, planCached, err := s.plan(norm, q)
+	plan, err := sparql.Compile(q, sparql.Plan(q))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -580,7 +569,7 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	tr.AddStage(obs.StagePlan, time.Since(plt))
 
 	if explain {
-		s.serveExplain(ctx, w, st, gen, qs, q, plan, planCached, limit, tr, t0)
+		s.serveExplain(ctx, w, st, gen, qs, q, plan, limit, tr, t0)
 		return
 	}
 
@@ -617,8 +606,9 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 }
 
 // queries recycles the parsed queries of protocol requests: a request
-// keeps nothing of its Query past its end (a compiled plan copies the
-// names it keeps), so it parses into a recycled one without allocating.
+// keeps nothing of its Query past its end (the plan compiled from it
+// lives only as long as the request), so it parses into a recycled one
+// without allocating.
 var queries = sync.Pool{New: func() any { return new(sparql.Query) }}
 
 // protocolValidators are the header values of protocol responses that

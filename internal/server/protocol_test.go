@@ -526,7 +526,6 @@ func TestOptionsValidate(t *testing.T) {
 	for _, bad := range []Options{
 		{Workers: -1},
 		{Timeout: -time.Second},
-		{PlanEntries: -1},
 		{RateLimit: -0.5},
 		{RateBurst: -2},
 		{BreakerCooldown: -time.Second},

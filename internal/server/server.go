@@ -28,10 +28,12 @@
 // execute at once, later arrivals queue on their request context and are
 // rejected with 503 when it expires before a slot frees. Repeated
 // queries are answered from an LRU result cache keyed on the normalized
-// (dictionary-resolved) query text without touching the index; compiled
-// BGP plans are cached in a separate plan cache. Both keys carry
-// the store's write generation, and every changing write flushes both
-// caches, so a write is never answered with pre-write results.
+// (dictionary-resolved) query text without touching the index. A miss
+// plans and compiles its query in the request that runs it: planning
+// costs about a microsecond, and a plan lives only as long as its
+// request. The cache key carries the store's write generation, and
+// every changing write flushes the cache, so a write is never answered
+// with pre-write results.
 package server
 
 import (
@@ -78,8 +80,6 @@ type Options struct {
 	// negative disables caching). Only bodies below store.StreamAt are
 	// cached, so the cache holds at most CacheEntries × 64 KiB.
 	CacheEntries int
-	// PlanEntries is the BGP plan cache capacity (default 1024).
-	PlanEntries int
 	// Pprof exposes the runtime profiling endpoints under
 	// /debug/pprof/* (CPU and heap profiles, goroutine dumps, execution
 	// traces) so worker-pool and cache behavior can be profiled in
@@ -136,8 +136,6 @@ func (c Options) Validate() error {
 		return fmt.Errorf("options: Workers %d is negative", c.Workers)
 	case c.Timeout < 0:
 		return fmt.Errorf("options: Timeout %v is negative", c.Timeout)
-	case c.PlanEntries < 0:
-		return fmt.Errorf("options: PlanEntries %d is negative", c.PlanEntries)
 	case c.RateLimit < 0:
 		return fmt.Errorf("options: RateLimit %g is negative", c.RateLimit)
 	case c.RateBurst < 0:
@@ -159,9 +157,6 @@ func (c Options) withDefaults() Options {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 256
-	}
-	if c.PlanEntries == 0 {
-		c.PlanEntries = 1024
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 5
@@ -185,8 +180,7 @@ type Server struct {
 	mux *http.ServeMux
 
 	sem     chan struct{} // bounded worker pool
-	results *lruCache[[]byte]
-	plans   *lruCache[*sparql.Compiled]
+	results *lruCache
 	valid   atomic.Pointer[protocolValidators] // the serving view's, once a protocol request formatted them
 
 	limiter *rateLimiter // nil when Config.RateLimit is 0
@@ -236,8 +230,7 @@ func newServer(cfg Options, st *store.Store, m *store.Mutable) *Server {
 		st:      st,
 		mut:     m,
 		sem:     make(chan struct{}, cfg.Workers),
-		results: newLRU(cfg.CacheEntries, func(body []byte) int { return len(body) }),
-		plans:   newLRU[*sparql.Compiled](cfg.PlanEntries, nil),
+		results: newLRU(cfg.CacheEntries),
 		now:     time.Now,
 		start:   time.Now(),
 	}
@@ -520,19 +513,6 @@ func (e *execState) block(b sparql.Block) {
 // clear readies the state for the pool, keeping the bound sink.
 func (e *execState) clear() { *e = execState{sink: e.sink} }
 
-// plan returns the compiled plan for q from the plan cache, compiling it
-// on a miss. norm is the cache key: the write generation plus q's
-// canonical text.
-func (s *Server) plan(norm string, q sparql.Query) (c *sparql.Compiled, cached bool, err error) {
-	if c, cached = s.plans.Get(norm); cached {
-		return c, true, nil
-	}
-	if c, err = sparql.Compile(q, sparql.Plan(q)); err == nil {
-		s.plans.Put(norm, c)
-	}
-	return c, false, err
-}
-
 // handleWrite applies one parsed update. Terms never seen before are
 // admitted via the overlay dictionaries; deleting an absent triple
 // (including one with unknown terms) reports changed=false. The response
@@ -611,7 +591,6 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, u update) {
 		// read path; flushing reclaims their memory immediately instead
 		// of waiting for LRU churn.
 		s.results.Clear()
-		s.plans.Clear()
 	}
 	// The generation doubles as the read-your-writes token: present it
 	// back as min-gen (to this server or a replica) to never read a view
@@ -658,14 +637,9 @@ type Stats struct {
 	CacheBytes  int    `json:"cache_bytes"`
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
-	// CacheFlushes counts whole-cache invalidations — one per changing
-	// write (generation bump) — for the result cache; PlanFlushes for
-	// the plan cache.
+	// CacheFlushes counts whole-cache invalidations, one per changing
+	// write (generation bump).
 	CacheFlushes uint64 `json:"cache_flushes"`
-	PlanEntries  int    `json:"plan_entries"`
-	PlanHits     uint64 `json:"plan_cache_hits"`
-	PlanMisses   uint64 `json:"plan_cache_misses"`
-	PlanFlushes  uint64 `json:"plan_cache_flushes"`
 	// SlowQueries and SlowSuppressed count slow-query log entries
 	// written and entries the sampler dropped; both stay 0 with the log
 	// disabled. WALBytes is the write-ahead log's current size.
@@ -693,7 +667,6 @@ type Stats struct {
 // Snapshot returns the current statistics.
 func (s *Server) Snapshot() Stats {
 	hits, misses := s.results.Counters()
-	planHits, planMisses := s.plans.Counters()
 	lat := s.reqHist.Snapshot()
 	st, gen := s.view()
 	stats := Stats{
@@ -719,10 +692,6 @@ func (s *Server) Snapshot() Stats {
 		CacheHits:           hits,
 		CacheMisses:         misses,
 		CacheFlushes:        s.results.Flushes(),
-		PlanEntries:         s.plans.Len(),
-		PlanHits:            planHits,
-		PlanMisses:          planMisses,
-		PlanFlushes:         s.plans.Flushes(),
 		SlowQueries:         s.slow.Logged(),
 		SlowSuppressed:      s.slow.Suppressed(),
 		RequestP50Ms:        float64(lat.Quantile(0.50)) / 1e6,

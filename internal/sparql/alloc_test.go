@@ -11,10 +11,12 @@ import (
 
 // TestRunInnerSelectionAllocs pins that Run's selections reuse the
 // index's pooled states: a warm path join over a bare index allocates
-// the same whether its first arm has 50 rows or 400, so the inner
-// selection each row issues allocates nothing. The index is fresh, so
-// no other test's selections share its pools. (The race detector makes
-// sync.Pool drop what it is given, so the pin runs without it.)
+// nothing whether its first arm has 50 rows or 400, so the inner
+// selection each row issues allocates nothing, and a run stopped at
+// Options.MaxRows allocates nothing either, so the selections it stops
+// draining go back to the pools. The index is fresh, so no other test's
+// selections share its pools. (The race detector makes sync.Pool drop
+// what it is given, so the pin runs without it.)
 func TestRunInnerSelectionAllocs(t *testing.T) {
 	var ts []core.Triple
 	for i := 0; i < 400; i++ {
@@ -28,33 +30,34 @@ func TestRunInnerSelectionAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var allocs [2]float64
-	var rows [2]int
-	for k, qs := range []string{
-		"SELECT ?x ?z WHERE { ?x <0> ?y . ?y <1> ?z . }",
-		"SELECT ?x ?z WHERE { ?x <2> ?y . ?y <1> ?z . }",
+	for _, c := range []struct {
+		query         string
+		maxRows, rows int
+	}{
+		{"SELECT ?x ?z WHERE { ?x <0> ?y . ?y <1> ?z . }", 0, 50},
+		{"SELECT ?x ?z WHERE { ?x <2> ?y . ?y <1> ?z . }", 0, 400},
+		{"SELECT ?x ?y WHERE { ?x <2> ?y . }", 10, 10},
+		{"SELECT ?x ?z WHERE { ?x <2> ?y . ?y <1> ?z . }", 10, 10},
 	} {
-		q, err := Parse(qs)
+		q, err := Parse(c.query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Compile(q, []int{0, 1}) // the first arm outside
+		plan, err := Compile(q, []int{0, 1}[:len(q.Patterns)]) // the first arm outside
 		if err != nil {
 			t.Fatal(err)
 		}
-		query := func() {
-			stats, err := Run(context.Background(), c, x, Options{}, nil)
+		rows := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			stats, err := Run(context.Background(), plan, x, Options{MaxRows: c.maxRows}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows[k] = stats.Results
+			rows = stats.Results
+		})
+		if rows != c.rows || allocs != 0 {
+			t.Errorf("%s with MaxRows %d: %d rows, %v allocs/run; want %d rows and 0 allocs",
+				c.query, c.maxRows, rows, allocs, c.rows)
 		}
-		allocs[k] = testing.AllocsPerRun(50, query)
-	}
-	if rows != [2]int{50, 400} {
-		t.Fatalf("%v rows, want [50 400]", rows)
-	}
-	if allocs[0] != allocs[1] {
-		t.Errorf("%v allocs/run at %d outer rows, %v at %d: inner selections allocate", allocs[0], rows[0], allocs[1], rows[1])
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
+	"slices"
 
 	"rdfindexes/internal/core"
 	"rdfindexes/internal/obs"
@@ -142,23 +142,18 @@ func shapeCost(s core.Shape) int {
 	}
 }
 
-// greedy orders the BGP's patterns: at each step it picks the unused
-// pattern whose cost is lowest under the slots bound so far, with
-// patterns sharing no bound variable made dearer (they would start a
-// Cartesian product). The cost is the static shape cost, or with st the
-// measured one (see PlanWithStats). It returns the evaluation order as
-// indexes into q.Patterns.
-func greedy(q Query, st Store) []int {
+// Plan orders the BGP's patterns greedily: at each step it picks the
+// unused pattern whose shape is cheapest (shapeCost) once the variables
+// bound so far count as constants, with patterns sharing no bound
+// variable made dearer (they would start a Cartesian product). It
+// returns the evaluation order as indexes into q.Patterns.
+func Plan(q Query) []int {
 	var nb nameBuf
 	var pb patBuf
 	var bb, ub flagBuf
 	names, pats := resolve(q, nb[:0], pb[:0])
 	bound := zeroed(bb[:], len(names))
 	used := zeroed(ub[:], len(pats))
-	apart := 1 << 10
-	if st != nil {
-		apart = 1 << 16
-	}
 	order := make([]int, 0, len(pats))
 	for len(order) < len(pats) {
 		best, bestCost := -1, math.MaxInt
@@ -166,18 +161,13 @@ func greedy(q Query, st Store) []int {
 			if used[i] {
 				continue
 			}
-			var c int
-			if st == nil {
-				c = staticCost(p, bound)
-			} else {
-				c = measuredCost(st, p, bound)
-			}
+			c := staticCost(p, bound)
 			shares := false
 			for _, r := range p {
 				shares = shares || r.slot >= 0 && bound[r.slot]
 			}
 			if len(order) > 0 && !shares {
-				c *= apart
+				c *= 1 << 10
 			}
 			if c < bestCost {
 				best, bestCost = i, c
@@ -194,10 +184,6 @@ func greedy(q Query, st Store) []int {
 	return order
 }
 
-// Plan orders the BGP's patterns by the static cost of the shape each
-// has once the variables bound so far count as constants.
-func Plan(q Query) []int { return greedy(q, nil) }
-
 func staticCost(p [3]operand, bound []bool) int {
 	var c [3]core.ID
 	for k, r := range p {
@@ -206,43 +192,6 @@ func staticCost(p [3]operand, bound []bool) int {
 		}
 	}
 	return shapeCost(core.Pattern{S: c[0], P: c[1], O: c[2]}.Shape())
-}
-
-// PlanWithStats orders the BGP's patterns like Plan but replaces the
-// static shape costs with measured cardinalities from the store: the cost
-// of a pattern is the match count of its constants-only version, probed
-// once per planning step, divided by 64 per already-bound variable
-// position as a cheap stand-in for the bound prefix. This is the
-// direction the paper lists as future work ("devising a novel query
-// planning algorithm"); the executor accepts either order.
-func PlanWithStats(q Query, st Store) []int { return greedy(q, st) }
-
-func measuredCost(st Store, p [3]operand, bound []bool) int {
-	var c [3]core.ID
-	divisor := 1
-	for k, r := range p {
-		c[k] = r.id
-		if r.slot >= 0 {
-			c[k] = core.Wildcard
-			if bound[r.slot] {
-				divisor *= 64
-			}
-		}
-	}
-	return max(max(countUpTo(st, core.Pattern{S: c[0], P: c[1], O: c[2]}, 1<<16), 1)/divisor, 1)
-}
-
-// countUpTo counts matches of p, stopping at limit.
-func countUpTo(st Store, p core.Pattern, limit int) int {
-	it := st.Select(p)
-	n := 0
-	for n < limit {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-		n++
-	}
-	return n
 }
 
 //rdf:hotpath
@@ -283,27 +232,6 @@ func (sp *step) substitute(regs []core.ID) core.Pattern {
 	return core.Pattern{S: sp.ops[0].load(regs), P: sp.ops[1].load(regs), O: sp.ops[2].load(regs)}
 }
 
-// cloneNames copies names into one string. A plan outlives its query in
-// the server's plan cache, and views into the query text would keep all
-// of the text alive.
-func cloneNames(names []string) []string {
-	n := 0
-	for _, s := range names {
-		n += len(s)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, s := range names {
-		b.WriteString(s)
-	}
-	all := b.String()
-	out := make([]string, len(names))
-	for i, s := range names {
-		out[i], all = all[:len(s)], all[len(s):]
-	}
-	return out
-}
-
 // Compiled is a BGP with its evaluation order compiled into an immutable
 // plan, shareable between concurrent Runs: every variable is a dense
 // register slot and — because the order fixes which slots are bound at
@@ -324,8 +252,10 @@ type Compiled struct {
 }
 
 // Compile builds the plan that evaluates q's patterns in the given order
-// (a permutation of their indexes, e.g. from Plan; the plan keeps the
-// slice). It rejects a variable used both as a predicate and as a subject
+// (a permutation of their indexes, e.g. from Plan). The plan keeps the
+// order slice and a copy of q.Vars whose names still view q's text, so
+// it is meant to live as long as the query it was compiled from. It
+// rejects a variable used both as a predicate and as a subject
 // or object: the two are separate ID spaces, so such a join compares
 // unrelated numbers.
 func Compile(q Query, order []int) (*Compiled, error) {
@@ -360,7 +290,7 @@ func Compile(q Query, order []int) (*Compiled, error) {
 		}
 	}
 
-	c := &Compiled{Vars: cloneNames(q.Vars), Order: order, steps: make([]step, len(order)), nslots: len(names),
+	c := &Compiled{Vars: slices.Clone(q.Vars), Order: order, steps: make([]step, len(order)), nslots: len(names),
 		proj: make([]int, 0, len(q.Vars)), Roles: make([]core.Role, 0, len(q.Vars))}
 	bound := zeroed(bb[:], len(names))
 	for i, pi := range order {
@@ -531,8 +461,9 @@ const maxIdleRuns = 64
 // streams the index serves natively (core.VarSelecter), skipping
 // non-joining candidates with NextGEQ instead of enumerating them. An
 // inner selection that repeats is answered from the run's memo. Every
-// selection is drained to its end, which hands a static index's
-// selection state back to the index's pool for the next one.
+// selection is drained to its end, or closed when the run stops early,
+// which hands a static index's selection state back to the index's pool
+// for the next one.
 //
 // Run aborts with ctx.Err() once ctx is done. That is checked at step
 // batch boundaries — a selection's batch of up to stepBatch triples, a
@@ -697,12 +628,14 @@ func (r *run) step(i int) error {
 	}
 	var err error
 	// The call that returns 0, after a short batch too, hands the state
-	// back; an error abandons the iterator and leaves it to the collector.
+	// back; a run that stops early (the context, the row limit) closes
+	// the iterator, which hands it back at once.
 	for k > 0 {
-		if err = r.poll(k); err != nil {
-			break
+		if err = r.poll(k); err == nil {
+			err = r.scan(i, sp, buf[:k])
 		}
-		if err = r.scan(i, sp, buf[:k]); err != nil {
+		if err != nil {
+			it.Close()
 			break
 		}
 		k = it.NextBatch(buf)
@@ -872,7 +805,7 @@ func Decompose(q Query, st Store) ([]core.Pattern, error) {
 func Replay(patterns []core.Pattern, st Store) int {
 	total := 0
 	for _, p := range patterns {
-		total += countUpTo(st, p, math.MaxInt)
+		total += st.Select(p).Count()
 	}
 	return total
 }

@@ -220,3 +220,29 @@ func BenchmarkJoinRepeat(b *testing.B) {
 		_ = sink
 	})
 }
+
+// BenchmarkPlanCompile times what a served query pays to plan and compile
+// itself, Compile(q, Plan(q)), on the shapes the socket benchmark sends:
+// a point lookup, a two-pattern star, a three-pattern path and a
+// four-pattern star.
+func BenchmarkPlanCompile(b *testing.B) {
+	for _, c := range []struct{ name, query string }{
+		{"point", "SELECT ?o WHERE { <12> <3> ?o . }"},
+		{"star2", "SELECT ?x ?a WHERE { ?x <3> ?a . ?x <5> <40> . }"},
+		{"path3", "SELECT ?x ?z WHERE { ?x <3> ?y . ?y <5> ?z . ?z <7> <40> . }"},
+		{"star4", "SELECT ?x ?a ?b WHERE { ?x <3> ?a . ?x <5> ?b . ?x <7> <40> . ?x <9> <41> . }"},
+	} {
+		q, err := sparql.Parse(c.query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sparql.Compile(q, sparql.Plan(q)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
