@@ -390,8 +390,27 @@ func statsCmd(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "SO numeric:   %v, scale %d: %d terms, %d bytes\n", sec.Datatype, sec.Scale, sec.R.Len(), sec.Bytes)
 	}
 	fmt.Fprintf(out, "P dict:       %s\n", dictSpace(st.Dicts.P, false))
+	for _, s := range core.Sequences(st.Index) {
+		fmt.Fprintf(out, "sequence:     %s\n", sequenceLine(s, st.Index.NumTriples()))
+	}
 	fmt.Fprintf(out, "format:       %s\n", formatLine(st.Integrity.Version, st.Integrity.Mapped))
 	return nil
+}
+
+// sequenceLine describes one stored sequence of the index: its trie
+// and level, or PS's part, what a cross-compressed level's ranks are
+// among, its codec, the bytes it writes and their bits per triple.
+func sequenceLine(s core.Sequence, triples int) string {
+	name := s.Owner + " " + s.Part
+	if s.Ranks != "" {
+		name += " (ranks vs " + s.Ranks + ")"
+	}
+	bits := s.Seq.SizeBits()
+	perTriple := 0.0
+	if triples > 0 {
+		perTriple = float64(bits) / float64(triples)
+	}
+	return fmt.Sprintf("%-27s %-7s %9d bytes %6.2f bits/triple", name, s.Seq.Kind(), bits/8, perTriple)
 }
 
 // dictSpace describes a dictionary's stored bytes: the verbatim group

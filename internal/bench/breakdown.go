@@ -5,7 +5,6 @@ import (
 
 	"rdfindexes/internal/core"
 	"rdfindexes/internal/gen"
-	"rdfindexes/internal/seq"
 )
 
 // Breakdown reproduces the space-breakdown discussion of Section 3.1
@@ -14,9 +13,10 @@ import (
 // that dominate — the third levels of SPO and POS and the second level
 // of OSP — which are precisely the targets of Sections 3.2 and 3.3. A
 // second table breaks the served layout, 2Tp, down the same way; its
-// SPO third level holds ranks among the predicate's objects in POS
-// (Section 3.2), and its row says so. Every row names the codec its
-// sequence is stored with.
+// SPO third level holds ranks among the predicate's objects in POS, and
+// its POS third level ranks among the predicate's subjects in PS where
+// those pay (Section 3.2): their rows say so, and PS has rows of its
+// own. Every row names the codec its sequence is stored with.
 func Breakdown(cfg Config) ([]*Table, error) {
 	cfg = cfg.normalize()
 	d, err := gen.GeneratePreset("dbpedia", cfg.Triples, cfg.Seed)
@@ -34,8 +34,8 @@ func Breakdown(cfg Config) ([]*Table, error) {
 	return tables, nil
 }
 
-// levelBreakdown tabulates each level of each stored trie of x as a
-// share of the whole index.
+// levelBreakdown tabulates each sequence x stores, each level of each
+// trie and PS's two, as a share of the whole index.
 func levelBreakdown(x core.Index, triples int) *Table {
 	total := float64(x.SizeBits())
 	n := float64(triples)
@@ -45,33 +45,17 @@ func levelBreakdown(x core.Index, triples int) *Table {
 		Header: []string{"trie", "sequence", "codec", "bits/triple", "% of index"},
 	}
 	var pointerShare float64
-	for perm := core.Perm(0); perm < core.NumPerms; perm++ {
-		tr := x.Trie(perm)
-		if tr == nil {
-			continue
+	for _, s := range core.Sequences(x) {
+		part := s.Part
+		if s.Ranks != "" {
+			part += " (ranks vs " + s.Ranks + ")"
 		}
-		third := "nodes L2"
-		if ref, ok := core.CrossReference(x, perm); ok {
-			third = "nodes L2 (ranks vs " + ref.String() + ")"
+		bits := s.Seq.SizeBits()
+		share := float64(bits) / total * 100
+		if s.Pointer {
+			pointerShare += share
 		}
-		rows := []struct {
-			name    string
-			s       seq.Sequence
-			pointer bool
-		}{
-			{"pointers L0", tr.Pointers(0), true},
-			{"nodes L1", tr.Nodes(1), false},
-			{"pointers L1", tr.Pointers(1), true},
-			{third, tr.Nodes(2), false},
-		}
-		for _, r := range rows {
-			bits := r.s.SizeBits()
-			share := float64(bits) / total * 100
-			if r.pointer {
-				pointerShare += share
-			}
-			t.Add(perm.String(), r.name, r.s.Kind().String(), F(float64(bits)/n), fmt.Sprintf("%.2f%%", share))
-		}
+		t.Add(s.Owner, part, s.Seq.Kind().String(), F(float64(bits)/n), fmt.Sprintf("%.2f%%", share))
 	}
 	t.Add("all", "pointer total", "", "", fmt.Sprintf("%.2f%%", pointerShare))
 	return t

@@ -139,6 +139,15 @@ func (w *Writer) Uint64s(s []uint64) {
 	}
 }
 
+// Size returns the number of bytes enc writes to a Writer that starts at
+// offset 0, without keeping them: the footprint of a structure as its
+// encoder stores it, the pads before its word arrays included.
+func Size(enc func(*Writer)) int64 {
+	w := NewWriter(io.Discard)
+	enc(w)
+	return w.Written()
+}
+
 // Bytes writes a length-prefixed byte slice.
 func (w *Writer) Bytes(p []byte) {
 	w.Uvarint(uint64(len(p)))

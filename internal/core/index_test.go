@@ -82,7 +82,9 @@ func skewedDataset(rng *rand.Rand, n int) *Dataset {
 }
 
 // testLayouts names every layout the tests cover: the four of the
-// paper plus CC's all-permutations ablation.
+// paper plus CC's all-permutations ablation, and 2Tp in both of its
+// forms: "2Tp" keeps POS's subjects as IDs on the tests' data, where
+// ranks in PS do not pay, and "2Tp-PS" keeps them as ranks regardless.
 var testLayouts = []struct {
 	name   string
 	layout Layout
@@ -92,8 +94,13 @@ var testLayouts = []struct {
 	{"CC", LayoutCC, nil},
 	{"CC-all", LayoutCC, []Option{WithCCAllPermutations()}},
 	{"2Tp", Layout2Tp, nil},
+	{"2Tp-PS", Layout2Tp, []Option{withPSChoice(1)}},
 	{"2To", Layout2To, nil},
 }
+
+// withPSChoice overrides 2Tp's choice between POS subjects as ranks in
+// PS (1) and as IDs (-1).
+func withPSChoice(c int8) Option { return func(o *Options) { o.psChoice = c } }
 
 func allLayouts(t *testing.T, d *Dataset) map[string]Index {
 	t.Helper()

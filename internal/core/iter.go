@@ -281,62 +281,89 @@ func valBuf(p *[]uint64, k int) []uint64 {
 	return (*p)[:k]
 }
 
-// crossRef is the reference trie of a cross-compressed permutation
-// (Section 3.2). Where its roots are few next to their children, as in
-// 2Tp's POS, whose roots are the predicates, it keeps each root's range
-// of children and their prefix-sum base, 16 bytes a root, so that
-// unmapping reads neither a pointer nor a base per range. A PEF second
-// level, which unmapping reads at random, gets its select directory.
+// crossRef is the reference of a cross-compressed permutation (Section
+// 3.2): under each key, a sorted list of the IDs the permutation's third
+// component takes, stored as one range of a ranged sequence. For a trie
+// the keys are its roots and the lists its second level; for PS the
+// predicates and their subjects. Where keys are few next to the lists'
+// entries, as in 2Tp's POS, whose roots are the predicates, and in PS,
+// it keeps each key's range and its prefix-sum base, 16 bytes a key, so
+// that unmapping reads neither a pointer nor a base per range. A PEF
+// sequence, which unmapping reads at random, gets its select directory.
 type crossRef struct {
-	t     *trie.Trie
-	nodes seq.Sequence    // t's second level
-	pef   *ef.Partitioned // nodes' stored values when nodes is PEF-coded; else nil
-	spans []refSpan       // per root, then one past the last; nil when roots are many
+	nodes seq.Sequence            // the lists
+	pef   *ef.Partitioned         // nodes' stored values when nodes is PEF-coded; else nil
+	spans []refSpan               // per key, then one past the last; nil when keys are many
+	list  func(uint32) (int, int) // a key's positions in nodes
+	keys  int                     // the number of keys
+	ref   Perm                    // the reference: a stored trie, or PermPSO for PS
+	first bool                    // keyed by the mapped permutation's first component; else its second
 }
 
-// refSpan is where a root's children start in the reference's second
-// level, and their base (seq.Sequence.Base).
+// refSpan is where a key's list starts in the reference's sequence, and
+// its base (seq.Sequence.Base).
 type refSpan struct {
 	begin int
 	base  uint64
 }
 
-// refSpanRatio bounds the spans kept to one per this many second-level
-// nodes: at most 2 bits a node.
+// refSpanRatio bounds the spans kept to one per this many listed IDs: at
+// most 2 bits an ID.
 const refSpanRatio = 64
 
-func newCrossRef(t *trie.Trie) *crossRef {
-	r := &crossRef{t: t, nodes: t.Nodes(1)}
-	r.pef = seq.IndexedPEF(r.nodes)
-	if n := t.NumRoots(); n*refSpanRatio <= t.NumInternal() {
-		r.spans = make([]refSpan, n+1)
-		for a := range r.spans[:n] {
-			begin, _ := t.RootRange(uint32(a))
-			r.spans[a] = refSpan{begin, r.nodes.Base(begin)}
+// newCrossRef returns the reference of m, keys lists in nodes, which
+// list locates.
+func newCrossRef(m ccMap, keys int, nodes seq.Sequence, list func(uint32) (int, int)) *crossRef {
+	r := &crossRef{nodes: nodes, list: list, keys: keys, ref: m.ref, first: m.first}
+	r.pef = seq.IndexedPEF(nodes)
+	if keys*refSpanRatio <= nodes.Len() {
+		r.spans = make([]refSpan, keys+1)
+		for k := range r.spans[:keys] {
+			begin, _ := list(uint32(k))
+			r.spans[k] = refSpan{begin, nodes.Base(begin)}
 		}
-		r.spans[n].begin = t.NumInternal()
+		r.spans[keys].begin = nodes.Len()
 	}
 	return r
 }
 
-// span returns the positions [begin, end) of root's children in the
-// reference's second level and their base.
-func (r *crossRef) span(root ID) (begin, end int, base uint64) {
+// name is the reference as a layout's row names it: "PS" or a
+// permutation.
+func (r *crossRef) name() string {
+	if r.ref == PermPSO {
+		return "PS"
+	}
+	return r.ref.String()
+}
+
+// key returns the key of the list the ranks under (a, b) are among.
+//
+//rdf:hotpath
+func (r *crossRef) key(a, b ID) ID {
+	if r.first {
+		return a
+	}
+	return b
+}
+
+// span returns the positions [begin, end) of key's list in the
+// reference's sequence and their base.
+func (r *crossRef) span(key ID) (begin, end int, base uint64) {
 	if r.spans == nil {
-		begin, end = r.t.RootRange(uint32(root))
+		begin, end = r.list(uint32(key))
 		return begin, end, r.nodes.Base(begin)
 	}
-	if int(root)+1 >= len(r.spans) {
+	if int(key)+1 >= len(r.spans) {
 		return 0, 0, 0
 	}
-	s := r.spans[root : root+2]
+	s := r.spans[key : key+2]
 	return s[0].begin, s[1].begin, s[0].base
 }
 
-// rank is the map function of Fig. 4: c's position among the children
-// of root b in the reference, or false when c is not one.
-func (r *crossRef) rank(b, c ID) (uint64, bool) {
-	begin, end, base := r.span(b)
+// rank is the map function of Fig. 4: c's position in key's list, or
+// false when c is not in it.
+func (r *crossRef) rank(key, c ID) (uint64, bool) {
+	begin, end, base := r.span(key)
 	pos, v, ok := r.geq(begin, end, base, c)
 	if !ok || v != uint64(c) {
 		return 0, false
@@ -344,9 +371,9 @@ func (r *crossRef) rank(b, c ID) (uint64, bool) {
 	return uint64(pos - begin), true
 }
 
-// geq returns the position and ID of the first child at or above c
-// among the children [begin, end) of a root whose base is base, or
-// false when every child is smaller.
+// geq returns the position and ID of the first entry at or above c in
+// the list at positions [begin, end), whose base is base, or false when
+// every entry is smaller.
 func (r *crossRef) geq(begin, end int, base uint64, c ID) (int, uint64, bool) {
 	if r.pef == nil {
 		return r.nodes.FindGEQ(begin, end, uint64(c))
@@ -361,8 +388,8 @@ func (r *crossRef) geq(begin, end int, base uint64, c ID) (int, uint64, bool) {
 	return pos, v - base, ok && pos < end
 }
 
-// at returns the stored value at position i of the reference's second
-// level: the child's ID plus its root's base.
+// at returns the stored value at position i of the reference's
+// sequence: the ID plus its list's base.
 //
 //rdf:hotpath
 func (r *crossRef) at(i int) uint64 {
@@ -372,18 +399,41 @@ func (r *crossRef) at(i int) uint64 {
 	return r.nodes.At(0, i)
 }
 
-// refRoot turns ranks among the children of one root of a reference
-// back into the IDs they stand for (Fig. 4). It keeps the root's span
-// across calls, so the ranges of one predicate, and a join's inner
-// steps, which keep their predicate, look it up once. An ID is one
-// random access: the reference's second level read as one range from
-// position 0 gives stored values, and the root's base is taken off.
+// refRoot turns ranks in one key's list of a reference back into the IDs
+// they stand for (Fig. 4). It keeps the key's span across calls, so the
+// ranges of one key, and a join's inner steps, which keep their key,
+// look it up once; for a reference keyed by the first component (PS,
+// keyed by POS's predicates) that keeps no spans, it remembers the spans
+// of the keys it saw last in a small cache. An ID is one
+// random access: the reference's sequence read as one range from
+// position 0 gives stored values, and the list's base is taken off. A
+// walk that will unmap most of a list, as one draining a whole
+// predicate of 2Tp's POS does, decodes the list once instead (load), and
+// an ID is then an index into it.
 type refRoot struct {
-	ref   *crossRef // nil: the level is not cross-compressed
-	begin int       // where the loaded root's children start
-	base  uint64    // their base
-	root  ID        // the loaded root; Wildcard when none is
+	ref   *crossRef    // nil: the level is not cross-compressed
+	it    seq.Iterator // decodes lists for load
+	ids   []uint64     // the loaded key's list, when decoded is set
+	seen  *spanCache   // spans of recent keys, when ref is keyed by the first component and keeps none
+	begin int          // where the loaded key's list starts
+	end   int          // and ends
+	base  uint64       // its base
+	root  ID           // the loaded key; Wildcard when none is
+	// decoded is set while ids holds the loaded key's list.
+	decoded bool
 }
+
+// spanCache holds the spans of up to spanCacheSize keys of a reference,
+// each in the slot its key hashes to. Patterns drawn from a dataset's
+// triples and a join's steps come back to its frequent predicates, which
+// then cost one slot read instead of three random accesses.
+type spanCache [spanCacheSize]struct {
+	key        ID
+	begin, end int
+	base       uint64
+}
+
+const spanCacheSize = 64
 
 // use points at reference ref, dropping what was loaded for another.
 func (c *refRoot) use(ref *crossRef) {
@@ -392,37 +442,90 @@ func (c *refRoot) use(ref *crossRef) {
 	}
 }
 
-// seek loads the span of root, unless it is loaded already.
-func (c *refRoot) seek(root ID) {
-	if c.root != root {
-		c.root = root
-		c.begin, _, c.base = c.ref.span(root)
+// seek loads the span of key, unless it is loaded already.
+func (c *refRoot) seek(key ID) {
+	if c.root != key {
+		c.fetch(key)
 	}
 }
 
-// id returns the ID that rank r of the loaded root stands for.
+// fetch loads the span of key.
+func (c *refRoot) fetch(key ID) {
+	c.root, c.decoded = key, false
+	if c.ref.spans != nil || !c.ref.first {
+		c.begin, c.end, c.base = c.ref.span(key)
+		return
+	}
+	if c.seen == nil {
+		c.seen = new(spanCache)
+		for i := range c.seen {
+			c.seen[i].key = Wildcard
+		}
+	}
+	e := &c.seen[key%spanCacheSize]
+	if e.key != key {
+		e.key = key
+		e.begin, e.end, e.base = c.ref.span(key)
+	}
+	c.begin, c.end, c.base = e.begin, e.end, e.base
+}
+
+// load seeks key and decodes its list, unless it is decoded already.
+func (c *refRoot) load(key ID) {
+	c.seek(key)
+	if c.decoded {
+		return
+	}
+	if c.it == nil {
+		c.it = c.ref.nodes.Iter(c.begin, c.end)
+	} else {
+		c.it.Reset(c.begin, c.begin, c.end)
+	}
+	n := c.end - c.begin
+	if cap(c.ids) < n {
+		c.ids = make([]uint64, n)
+	}
+	c.ids = c.ids[:n]
+	for k := 0; k < n; {
+		m := c.it.NextBatch(c.ids[k:])
+		if m == 0 {
+			c.ids = c.ids[:k]
+			break
+		}
+		k += m
+	}
+	c.decoded = true
+}
+
+// id returns the ID that rank r of the loaded key stands for.
 //
 //rdf:hotpath
 func (c *refRoot) id(r uint64) uint64 {
 	return c.ref.at(c.begin+int(r)) - c.base
 }
 
-// unmap rewrites ranks among the children of root in place into the
-// IDs they stand for.
+// unmap rewrites ranks in key's list in place into the IDs they stand
+// for: from the decoded list when key's is loaded, else one random
+// access each.
 //
 //rdf:hotpath
-func (c *refRoot) unmap(root ID, vals []uint64) {
-	c.seek(root)
+func (c *refRoot) unmap(key ID, vals []uint64) {
+	if c.decoded && c.root == key {
+		for i, r := range vals {
+			vals[i] = c.ids[r]
+		}
+		return
+	}
+	c.seek(key)
 	for i, r := range vals {
 		vals[i] = c.id(r)
 	}
 }
 
-// rankGEQ returns the rank of the first child of the loaded root at or
-// above id, or false when every child is smaller.
+// rankGEQ returns the rank of the first ID of the loaded key's list at or
+// above id, or false when every ID is smaller.
 func (c *refRoot) rankGEQ(id ID) (uint64, bool) {
-	_, end, _ := c.ref.span(c.root)
-	pos, _, ok := c.ref.geq(c.begin, end, c.base, id)
+	pos, _, ok := c.ref.geq(c.begin, c.end, c.base, id)
 	return uint64(pos - c.begin), ok
 }
 
@@ -440,7 +543,7 @@ func (x *staticIndex) lookup(perm Perm, tr Triple) *Iterator {
 	v := uint64(c)
 	if ref != nil {
 		var ok bool
-		if v, ok = ref.rank(b, c); !ok {
+		if v, ok = ref.rank(ref.key(a, b), c); !ok {
 			return x.empty()
 		}
 	}
@@ -469,19 +572,23 @@ func (x *staticIndex) lookup(perm Perm, tr Triple) *Iterator {
 //
 // Either way the range drained holds the completions of (a, b).
 type walkState struct {
-	t     *trie.Trie
-	ps    *PS // non-nil: a find walk over ps's subject list
-	it2   seq.Iterator
-	it1   seq.Iterator // children walk: t's level-1 node cursor; ps walk: the subject-list cursor
-	ptrIt seq.Iterator // children walk: t's level-1 pointer cursor
-	it    Iterator
-	vals  []uint64
-	ranks refRoot // unmaps t's third level when it is cross-compressed
+	t      *trie.Trie
+	ps     *PS          // non-nil: a find walk over ps's subject list
+	nodes2 seq.Sequence // t's third level
+	it2    seq.Iterator
+	it1    seq.Iterator // children walk: t's level-1 node cursor; ps walk: the subject-list cursor
+	ptrIt  seq.Iterator // children walk: t's level-1 pointer cursor
+	it     Iterator
+	vals   []uint64
+	ranks  refRoot // unmaps t's third level when it is cross-compressed
 
 	// The scalars come last: the garbage collector scans an object
 	// only up to its last pointer.
 	perm      Perm
-	find      bool   // find walk; otherwise children walk
+	find      bool // find walk; otherwise children walk
+	decode    bool // children walk: load each root's list of ranks.ref
+	one       bool // the open range is one element, oneVal, not yet read
+	oneVal    uint64
 	a, b      ID     // first two components of the range being drained
 	left      uint32 // elements remaining in the range; a pair has fewer than 2^32
 	root, end ID     // roots still to visit
@@ -504,14 +611,19 @@ func (st *walkState) fill(out []Triple) int {
 			k = int(st.left)
 		}
 		vals := valBuf(&st.vals, k)
-		m := st.it2.NextBatch(vals)
+		var m int
+		if st.one {
+			vals[0], m, st.one = st.oneVal, 1, false
+		} else {
+			m = st.it2.NextBatch(vals)
+		}
 		if m == 0 {
 			st.left = 0
 			continue
 		}
 		st.left -= uint32(m)
-		if st.ranks.ref != nil {
-			st.ranks.unmap(st.b, vals[:m])
+		if ref := st.ranks.ref; ref != nil {
+			st.ranks.unmap(ref.key(st.a, st.b), vals[:m])
 		}
 		restoreBatch(st.perm, st.a, st.b, vals[:m], out[n:n+m])
 		n += m
@@ -547,6 +659,9 @@ func (st *walkState) nextChild() bool {
 		st.root++
 		if b1 < e1 {
 			st.it1.Reset(b1, b1, e1)
+			if st.decode {
+				st.ranks.load(st.a)
+			}
 		}
 	}
 }
@@ -570,16 +685,31 @@ func (st *walkState) nextFound() bool {
 		b1, e1 := st.t.RootRange(uint32(r))
 		if j := st.t.FindChild1(b1, e1, uint32(st.b)); j >= 0 {
 			b2, e2 := st.t.ChildRange(j)
-			st.open(r, st.b, b2, e2)
+			st.openFound(r, st.b, b2, e2)
 			return true
 		}
 	}
+}
+
+// openFound points a find walk at the range [b2, e2) holding the
+// completions of (a, b). A range of one element, the usual one of ?PO
+// and ??O, is read with one random access (seq.Sequence.First) rather
+// than by positioning the third-level cursor: the ranges of a find walk
+// are not contiguous, so the cursor carries nothing from one to the next.
+func (st *walkState) openFound(a, b ID, b2, e2 int) {
+	if e2-b2 != 1 {
+		st.open(a, b, b2, e2)
+		return
+	}
+	st.a, st.b, st.left = a, b, 1
+	st.one, st.oneVal = true, st.nodes2.First(b2)
 }
 
 // open points the third-level cursor at the range [b2, e2) holding the
 // completions of (a, b).
 func (st *walkState) open(a, b ID, b2, e2 int) {
 	st.a, st.b, st.left = a, b, uint32(e2-b2)
+	st.one = false
 	if st.it2 == nil {
 		st.it2 = st.t.Iter2(b2, e2)
 	} else {
@@ -588,10 +718,15 @@ func (st *walkState) open(a, b ID, b2, e2 int) {
 }
 
 // walkChildren starts a children walk over roots [root, end), from
-// level-1 positions [j, e) of root, whose children start at b1.
-func (st *walkState) walkChildren(root, end ID, b1, j, e int) *Iterator {
-	st.find = false
+// level-1 positions [j, e) of root, whose children start at b1. With
+// decode set, the walk decodes each root's list of the reference its
+// third level ranks against, which must be keyed by the root.
+func (st *walkState) walkChildren(root, end ID, b1, j, e int, decode bool) *Iterator {
+	st.find, st.decode = false, decode
 	st.a, st.root, st.end = root, root+1, end
+	if decode {
+		st.ranks.load(root)
+	}
 	ptrEnd := st.t.NumInternal() + 1
 	if st.it1 == nil {
 		st.it1 = st.t.Iter1From(b1, j, e)
@@ -625,18 +760,27 @@ func (x *staticIndex) selectTwo(perm Perm, a, b ID) *Iterator {
 	}
 	b2, e2 := t.ChildRange(j)
 	st := x.getWalk(&x.walks[perm], perm, nil)
-	st.open(a, b, b2, e2)
+	st.openFound(a, b, b2, e2)
 	return st.walkFind(0, 0, b) // no roots left: the range opened is the only one
 }
 
 // selectOne implements the select algorithm of Fig. 2 with only the first
-// component fixed: scan the children of a and their completions.
+// component fixed: scan the children of a and their completions. Every
+// entry of a's list in a reference keyed by a has a triple under a, so
+// such a list is decoded once rather than read at random per triple.
 func (x *staticIndex) selectOne(perm Perm, a ID) *Iterator {
 	b1, e1 := x.tries[perm].RootRange(uint32(a))
 	if b1 >= e1 {
 		return x.empty()
 	}
-	return x.getWalk(&x.walks[perm], perm, nil).walkChildren(a, a+1, b1, b1, e1)
+	return x.getWalk(&x.walks[perm], perm, nil).walkChildren(a, a+1, b1, b1, e1, x.keyedByRoot(perm))
+}
+
+// keyedByRoot reports whether perm's third level ranks against lists
+// keyed by its roots (2Tp's POS against PS).
+func (x *staticIndex) keyedByRoot(perm Perm) bool {
+	ref := x.xref[perm]
+	return ref != nil && ref.first
 }
 
 // scanAll enumerates the whole trie of perm (the ??? pattern) from its
@@ -646,7 +790,7 @@ func (x *staticIndex) scanAll(perm Perm) *Iterator {
 	n := ID(t.NumRoots())
 	for r := ID(0); r < n; r++ {
 		if b1, e1 := t.RootRange(uint32(r)); b1 < e1 {
-			return x.getWalk(&x.walks[perm], perm, nil).walkChildren(r, n, b1, b1, e1)
+			return x.getWalk(&x.walks[perm], perm, nil).walkChildren(r, n, b1, b1, e1, x.keyedByRoot(perm))
 		}
 	}
 	return x.empty()
@@ -654,7 +798,8 @@ func (x *staticIndex) scanAll(perm Perm) *Iterator {
 
 // invertedOnPOS resolves ??O on the POS permutation (the 2Tp fallback
 // of Section 3.3): |P| find operations locate o among each predicate's
-// children.
+// children. A (p, o) range holds few subjects, so their ranks in p's PS
+// list are unmapped one random access each.
 func (x *staticIndex) invertedOnPOS(o ID) *Iterator {
 	n := ID(x.tries[PermPOS].NumRoots())
 	return x.getWalk(&x.walks[PermPOS], PermPOS, nil).walkFind(0, n, o)

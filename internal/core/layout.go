@@ -90,6 +90,10 @@ type Options struct {
 	// permutations of the CC layout instead of POS only (an ablation; the
 	// paper argues it does not pay off, see Section 3.2).
 	CCAllPermutations bool
+	// psChoice overrides the size comparison that decides whether 2Tp
+	// keeps POS's subjects as ranks in PS: 1 keeps them, -1 stores IDs.
+	// Tests set it to cover both forms on one dataset.
+	psChoice int8
 }
 
 // Option mutates Options.
@@ -155,35 +159,74 @@ func buildTrie(d *Dataset, sorted []Triple, p Perm, cfg trie.Config) (*trie.Trie
 	}, cfg)
 }
 
-// PS is the two-level predicate-to-subjects structure maintained by the
-// 2To layout to resolve ?P? (Section 3.3): for every predicate p, the
-// sorted list of subjects appearing in triples with predicate p.
+// PS is the two-level predicate-to-subjects structure (Section 3.3):
+// for every predicate p, the sorted list of subjects appearing in
+// triples with predicate p. 2To resolves ?P? over it; 2Tp stores POS's
+// subjects as ranks in these lists (Section 3.2). It is the PSO trie's
+// first two levels, so a cross-compression whose reference is PermPSO
+// ranks against it.
 type PS struct {
 	ptr      seq.Sequence // NP+1 positions into subjects
 	subjects seq.Sequence
 }
 
-// buildPS collects the distinct (p, s) pairs of the dataset.
-func buildPS(d *Dataset, scratch []Triple) *PS {
-	copy(scratch, d.Triples)
-	SortPerm(scratch, PermPSO, d.NS, d.NP, d.NO)
-	ptr := make([]uint64, 0, d.NP+1)
-	var subjects []uint64
-	var pp, ps ID
-	for i, t := range scratch {
-		if i == 0 || t.P != pp {
-			for len(ptr) <= int(t.P) {
-				ptr = append(ptr, uint64(len(subjects)))
-			}
-			subjects = append(subjects, uint64(t.S))
-		} else if t.S != ps {
-			subjects = append(subjects, uint64(t.S))
+// psLists collects each predicate's distinct subjects from triples in
+// SPO order, where they arrive sorted: p's list is
+// subjects[ptr[p]:ptr[p+1]]. It counts the lists and then fills them,
+// without sorting.
+func psLists(ts []Triple, np int) (ptr, subjects []uint64) {
+	ptr = make([]uint64, np+1)
+	eachPair(ts, func(_, p ID) { ptr[p+1]++ })
+	for p := 0; p < np; p++ {
+		ptr[p+1] += ptr[p]
+	}
+	subjects = make([]uint64, ptr[np])
+	next := append([]uint64(nil), ptr[:np]...)
+	eachPair(ts, func(s, p ID) {
+		subjects[next[p]] = uint64(s)
+		next[p]++
+	})
+	return ptr, subjects
+}
+
+// eachPair calls f with each distinct (subject, predicate) pair of
+// triples in SPO order.
+func eachPair(ts []Triple, f func(s, p ID)) {
+	for i, t := range ts {
+		if i == 0 || t.S != ts[i-1].S || t.P != ts[i-1].P {
+			f(t.S, t.P)
 		}
-		pp, ps = t.P, t.S
 	}
-	for len(ptr) <= d.NP {
-		ptr = append(ptr, uint64(len(subjects)))
+}
+
+// toPSRanks rewrites triples in SPO order: each subject becomes its rank
+// in its predicate's PS list (the map function of Fig. 4, against PS).
+// A predicate's subjects arrive in ascending order, so a counter per
+// predicate numbers them.
+func toPSRanks(ts []Triple, np int) {
+	next := make([]ID, np)
+	var prev Triple
+	var r ID
+	for i, t := range ts {
+		if i == 0 || t.S != prev.S || t.P != prev.P {
+			r = next[t.P]
+			next[t.P]++
+		}
+		prev = t
+		ts[i].S = r
 	}
+}
+
+// fromPSRanks undoes toPSRanks, on triples in any order, with the lists
+// psLists returned.
+func fromPSRanks(ts []Triple, ptr, subjects []uint64) {
+	for i, t := range ts {
+		ts[i].S = ID(subjects[ptr[t.P]+uint64(t.S)])
+	}
+}
+
+// newPS codes the lists psLists returned.
+func newPS(ptr, subjects []uint64) *PS {
 	ranges := make([]int, len(ptr))
 	for i, p := range ptr {
 		ranges[i] = int(p)
@@ -197,19 +240,23 @@ func buildPS(d *Dataset, scratch []Triple) *PS {
 	}
 }
 
+// NumPredicates returns the number of predicates PS keeps a list for.
+func (ps *PS) NumPredicates() int { return ps.ptr.Len() - 1 }
+
 // Range returns the positions [begin, end) of p's subject list.
 func (ps *PS) Range(p ID) (int, int) {
 	if int(p)+1 >= ps.ptr.Len() {
 		return 0, 0
 	}
-	return int(ps.ptr.At(0, int(p))), int(ps.ptr.At(0, int(p)+1))
+	begin, end := ps.ptr.At2(0, int(p))
+	return int(begin), int(end)
 }
 
 // Iter iterates the subject IDs in [begin, end).
 func (ps *PS) Iter(begin, end int) seq.Iterator { return ps.subjects.Iter(begin, end) }
 
-// SizeBits returns the storage footprint in bits.
-func (ps *PS) SizeBits() uint64 { return ps.ptr.SizeBits() + ps.subjects.SizeBits() }
+// SizeBits returns the storage footprint in bits: what encode writes.
+func (ps *PS) SizeBits() uint64 { return 8 * uint64(codec.Size(ps.encode)) }
 
 func (ps *PS) encode(w *codec.Writer) {
 	seq.Write(w, ps.ptr)

@@ -14,13 +14,16 @@ import "sync"
 //
 // The states are pooled by the index they walk: one pool of walk states
 // per stored permutation, one for 2To's walks over the PS structure, one
-// of enumerate states and one of literal iterators. A state is made for
+// of enumerate states, one of literal iterators, and one of sorted
+// binding streams (VarIter) per stored permutation. A state is made for
 // one trie, so its compressed-sequence cursors are always that trie's and
 // are repositioned, not reallocated, when it serves the next pattern; and
 // a state pins only the index that pools it. Select takes a state from
 // its pool and the state goes back on the call that reports its
 // iterator's end, so a warm index selects without allocating, nested-
-// loop joins (many short inner selections) included.
+// loop joins (many short inner selections) included. A binding stream
+// goes back on its Close, so a warm merge-intersection join allocates
+// nothing either.
 
 // pools holds the selection states of one index.
 type pools struct {
@@ -28,6 +31,7 @@ type pools struct {
 	psWalk sync.Pool           // *walkState over the PS subject lists and SPO (2To)
 	enums  sync.Pool           // *enumerateState over SPO
 	lits   sync.Pool           // *litState
+	vars   [NumPerms]sync.Pool // *VarIter over tries[p]
 }
 
 // getWalk returns a walk state over the trie of stored permutation p, or
@@ -36,11 +40,11 @@ type pools struct {
 func (x *staticIndex) getWalk(pool *sync.Pool, p Perm, ps *PS) *walkState {
 	st, ok := pool.Get().(*walkState)
 	if !ok {
-		st = &walkState{t: x.tries[p], ps: ps, perm: p}
+		st = &walkState{t: x.tries[p], ps: ps, nodes2: x.tries[p].Nodes(2), perm: p}
 		st.vals = st.vals0[:]
 		st.ranks.use(x.xref[p])
 	}
-	st.left = 0
+	st.left, st.one = 0, false
 	st.it.reinit(st, pool)
 	//rdf:allow(ownership passes to the iterator, which puts the state back at its end)
 	return st
@@ -56,6 +60,18 @@ func (x *staticIndex) getEnumerate() *enumerateState {
 	st.it.reinit(st, &x.enums)
 	//rdf:allow(ownership passes to the iterator, which puts the state back at its end)
 	return st
+}
+
+// getVar returns a binding stream over the trie of stored permutation p.
+func (x *staticIndex) getVar(p Perm) *VarIter {
+	v, ok := x.vars[p].Get().(*VarIter)
+	if !ok {
+		v = &VarIter{t: x.tries[p]}
+		v.ranks.use(x.xref[p])
+	}
+	v.pool, v.empty = &x.vars[p], false
+	//rdf:allow(ownership passes to the caller, whose Close puts the stream back)
+	return v
 }
 
 // litState backs the zero- and one-triple iterators (fully-bound SPO

@@ -35,7 +35,7 @@ type spec struct {
 	perms  []Perm                // stored permutations, in serialization order
 	codecs [NumPerms]trie.Config // codecs of each stored permutation; WithTrieConfig replaces one
 	maps   []ccMap               // cross-compressed permutations with their references (Section 3.2)
-	ps     bool                  // keeps the PS structure (2To), serialized after the tries
+	ps     bool                  // keeps the PS structure (2To; 2Tp where it pays), serialized after the tries
 	// cross marks CC: a flag byte before its tries records whether
 	// WithCCAllPermutations mapped all three permutations instead of maps.
 	cross  bool
@@ -59,8 +59,9 @@ var routes3T = [NumShapes]route{
 // choices (Section 3.1, "design choices"): PEF node sequences, EF
 // first-level pointers, SPO's third level Compact wherever it holds IDs,
 // and in CC OSP's second level Compact because unmapping a rank needs
-// O(1) random access to it (Section 3.2). Three levels were re-chosen by
-// measurement (EXPERIMENTS.md "One measured codec table"):
+// O(1) random access to it (Section 3.2). 2Tp's levels were re-chosen by
+// measurement (EXPERIMENTS.md "One measured codec table" and
+// "Cross-compressed POS subjects"):
 //   - second-level pointers are PEF in every layout: smaller than EF on
 //     every preset, and read within 1.05× of it on every shape, a pair
 //     at a time (ef.Partitioned.AccessPair);
@@ -68,13 +69,11 @@ var routes3T = [NumShapes]route{
 //     its rank among the distinct objects of its predicate, which POS's
 //     second level lists, and those ranks are Elias-Fano coded: in the
 //     store file smaller than PEF, and faster to read;
-//   - 2Tp's SPO second level (predicates) is EF, and its POS third level
-//     (subjects) Compact, both faster to search than PEF: on the
-//     benchmark's data EF writes fewer bytes than PEF there, and Compact
-//     about as many, since subjects are numbered first and fit in the
-//     fewest bits. On data where a predicate has few subjects among many
-//     (dblp, geonames) Compact subjects cost about a bit per triple more
-//     than PEF.
+//   - 2Tp maps POS's third level against its PS structure: a subject is
+//     stored as its rank among the subjects of its predicate, and those
+//     ranks are PEF coded, the fewest bytes written of the four kinds;
+//   - 2Tp's SPO second level (predicates) is EF, faster to search than
+//     PEF and on the benchmark's data fewer bytes written.
 //
 // POS's second level stays PEF in 2Tp: it is the reference SPO's ranks
 // unmap through, and EF or Compact would write 1.9 or 7.8 bits/triple
@@ -91,10 +90,11 @@ var specs = [...]spec{
 		PermOSP: {Nodes1: seq.KindCompact, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindPEF},
 	}},
 	// 2Tp (Section 3.3): S?O by enumerate on SPO, ??O by the inverted
-	// algorithm on POS; SPO cross-compressed against POS (Section 3.2).
-	Layout2Tp: {perms: []Perm{PermSPO, PermPOS}, maps: ccMaps[1:2], codecs: [NumPerms]trie.Config{
+	// algorithm on POS; SPO cross-compressed against POS and POS against
+	// PS (Section 3.2).
+	Layout2Tp: {perms: []Perm{PermSPO, PermPOS}, maps: ccMaps[2:4], ps: true, codecs: [NumPerms]trie.Config{
 		PermSPO: {Nodes1: seq.KindEF, Nodes2: seq.KindEF, Ptr0: seq.KindEF, Ptr1: seq.KindPEF},
-		PermPOS: {Nodes1: seq.KindPEF, Nodes2: seq.KindCompact, Ptr0: seq.KindEF, Ptr1: seq.KindPEF},
+		PermPOS: {Nodes1: seq.KindPEF, Nodes2: seq.KindPEF, Ptr0: seq.KindEF, Ptr1: seq.KindPEF},
 	}, routes: [NumShapes]route{
 		ShapeSPO: {algoLookup, PermSPO},
 		ShapeSPx: {algoTwo, PermSPO},
@@ -151,10 +151,9 @@ type staticIndex struct {
 	spec   *spec
 	tries  [NumPerms]*trie.Trie // the stored permutations; nil elsewhere
 	// xref[p] is non-nil when p's third level is cross-compressed: it
-	// stores ranks among the children of the second component in xref[p]
-	// instead of IDs (Fig. 3 and 4).
+	// stores ranks in the lists of xref[p] instead of IDs (Fig. 3 and 4).
 	xref [NumPerms]*crossRef
-	ps   *PS // 2To only
+	ps   *PS // 2To and 2Tp
 	pools
 }
 
@@ -165,76 +164,117 @@ func Build(d *Dataset, layout Layout, opts ...Option) (Index, error) {
 	}
 	o := buildOptions(opts)
 	x := &staticIndex{layout: layout, spec: &specs[layout]}
-	codecs := x.spec.codecs
-	for p, cfg := range o.TrieConfigs {
-		codecs[p] = cfg
-	}
 	maps := x.spec.mapsFor(o.CCAllPermutations)
-	scratch := make([]Triple, len(d.Triples))
-	if err := x.buildTries(d, scratch, codecs, maps); err != nil {
-		return nil, err
-	}
+	var lists psList
 	if x.spec.ps {
-		x.ps = buildPS(d, scratch)
+		lists.ptr, lists.subjects = psLists(d.Triples, d.NP)
+		x.ps = newPS(lists.ptr, lists.subjects)
+	}
+	if err := x.buildTries(d, o, maps, lists); err != nil {
+		return nil, err
 	}
 	x.crossCompress(maps)
 	return x, nil
 }
 
+// psList is PS's lists as psLists returns them, while an index builds.
+type psList struct{ ptr, subjects []uint64 }
+
 // ccMaps lists the cross-compressions of Section 3.2, each a permutation
-// and its reference trie. CC maps the first by default — POS against
-// OSP, the paper's choice — and all three in the ablation
-// WithCCAllPermutations; 2Tp maps the second, SPO against POS.
+// and its reference. CC maps the first by default — POS against OSP, the
+// paper's choice — and the first three in the ablation
+// WithCCAllPermutations; 2Tp maps the last two, SPO against POS and POS
+// against PS.
 var ccMaps = [...]ccMap{
-	{PermPOS, PermOSP},
-	{PermSPO, PermPOS},
-	{PermOSP, PermSPO},
+	{PermPOS, PermOSP, false},
+	{PermOSP, PermSPO, false},
+	{PermSPO, PermPOS, false},
+	{PermPOS, PermPSO, true},
 }
 
-// ccMap is one cross-compressed permutation and its reference trie. The
-// reference's first two components are the permutation's last two, so
-// the reference's second level lists, under each second component of
-// perm, the third components it can take.
-type ccMap struct{ perm, ref Perm }
+// ccMap is one cross-compressed permutation and its reference, whose
+// first two levels list, under each key, the values perm's third
+// component can take. A trie's key is perm's second component: its
+// first two components are perm's last two. PermPSO names the PS
+// structure, PSO's first two levels, whose key, the predicate, is
+// perm's first component: then first is true.
+type ccMap struct {
+	perm, ref Perm
+	first     bool
+}
 
 // mapsFor returns the permutations a layout's index maps: its row's, or
-// in CC's ablation all three.
+// in CC's ablation the first three.
 func (s *spec) mapsFor(all bool) []ccMap {
 	if s.cross && all {
-		return ccMaps[:]
+		return ccMaps[:3]
 	}
 	return s.maps
 }
 
-// buildTries builds the stored permutations, the plain ones first. A
-// mapped permutation's third level stores each third component's rank
-// among the children of its second component in the reference (Section
-// 3.2). In the reference's order those children are the distinct values
-// of the reference's second component within a run of equal first
-// components, so one pass over the triples sorted that way numbers them,
-// and the ranks, monotone in the IDs within each run, sort in the
-// permutation's order exactly as the IDs do. When the reference is the
-// plain permutation built last, its sorted triples are reused.
-func (x *staticIndex) buildTries(d *Dataset, scratch []Triple, codecs [NumPerms]trie.Config, maps []ccMap) error {
-	sorted := Perm(NumPerms) // the plain order scratch holds, if any
-	for _, mapped := range []bool{false, true} {
+// buildTries builds the stored permutations: the plain ones, then those
+// ranked against PS, then those ranked against a trie. A mapped
+// permutation's third level stores each third component's rank in its
+// key's list of the reference (Section 3.2). The ranks, monotone in the
+// IDs within each list, sort in the permutation's order exactly as the
+// IDs do.
+//
+// Against PS, the triples in SPO order, the dataset's, number each
+// predicate's subjects as they arrive; the ranks are kept only where
+// they and PS write fewer bytes than the IDs would (psPays), and
+// otherwise the IDs are stored, Compact coded unless WithTrieConfig set
+// the permutation's codecs, and PS dropped. Against a trie, the
+// triples sorted in the reference's order number the lists: its second
+// components, one list per run of equal first components. When the
+// triples last sorted are in the reference's order they are reused; so
+// 2Tp sorts the triples twice, POS then SPO, as it did before POS could
+// hold ranks.
+func (x *staticIndex) buildTries(d *Dataset, o Options, maps []ccMap, lists psList) error {
+	codecs := x.spec.codecs
+	for p, cfg := range o.TrieConfigs {
+		codecs[p] = cfg
+	}
+	scratch := make([]Triple, len(d.Triples))
+	sorted := Perm(NumPerms) // the order scratch holds, if any
+	for stage := 0; stage < 3; stage++ {
 		for _, p := range x.spec.perms {
-			ref, ok := refOf(maps, p)
-			if ok != mapped {
+			ref, mapped := refOf(maps, p)
+			if buildStage(ref, mapped) != stage {
 				continue
 			}
-			if !mapped {
+			var t *trie.Trie
+			var err error
+			switch {
+			case !mapped:
 				sortCopy(d, scratch, p)
+				t, err = buildTrie(d, scratch, p, codecs[p])
 				sorted = p
-			} else {
+			case ref == PermPSO:
+				copy(scratch, d.Triples)
+				toPSRanks(scratch, d.NP)
+				SortPerm(scratch, p, d.NS, d.NP, d.NO)
+				if t, err = buildTrie(d, scratch, p, codecs[p]); err != nil {
+					return err
+				}
+				fromPSRanks(scratch, lists.ptr, lists.subjects)
+				if keep := o.psChoice > 0 || o.psChoice == 0 && x.psPays(t, plainIDs(scratch, p)); !keep {
+					cfg := codecs[p]
+					if _, set := o.TrieConfigs[p]; !set {
+						cfg.Nodes2 = seq.KindCompact
+					}
+					t, err = buildTrie(d, scratch, p, cfg)
+					x.ps = nil
+				}
+				sorted = p
+			default:
 				if sorted != ref {
 					sortCopy(d, scratch, ref)
 				}
 				toRanks(scratch, ref)
 				SortPerm(scratch, p, d.NS, d.NP, d.NO)
-				sorted = NumPerms
+				t, err = buildTrie(d, scratch, p, codecs[p])
+				sorted = NumPerms // its third components are ranks
 			}
-			t, err := buildTrie(d, scratch, p, codecs[p])
 			if err != nil {
 				return err
 			}
@@ -242,6 +282,48 @@ func (x *staticIndex) buildTries(d *Dataset, scratch []Triple, codecs [NumPerms]
 		}
 	}
 	return nil
+}
+
+// plainIDs returns the third components of triples sorted in p's order:
+// p's third level as IDs, Compact coded, as a mapped level whose ranks
+// do not pay stores it by default.
+func plainIDs(ts []Triple, p Perm) seq.Sequence {
+	ids := make([]uint64, len(ts))
+	for i, t := range ts {
+		_, _, c := p.Apply(t)
+		ids[i] = uint64(c)
+	}
+	return seq.Build(seq.KindCompact, ids, nil)
+}
+
+// psPays reports whether t's third level, ranks in PS, and PS write
+// fewer bytes than the IDs they stand for.
+func (x *staticIndex) psPays(t *trie.Trie, ids seq.Sequence) bool {
+	return t.Nodes(2).SizeBits()+x.ps.SizeBits() < ids.SizeBits()
+}
+
+// buildStage orders the builds: plain permutations, those mapped against
+// PS, those mapped against a trie.
+func buildStage(ref Perm, mapped bool) int {
+	switch {
+	case !mapped:
+		return 0
+	case ref == PermPSO:
+		return 1
+	}
+	return 2
+}
+
+// ranksVsPS reports whether the layout ranks a permutation against PS
+// (2Tp). Its index keeps PS only where the ranks pay, and a flag byte
+// before its tries records whether it does.
+func (s *spec) ranksVsPS() bool {
+	for _, m := range s.maps {
+		if m.ref == PermPSO {
+			return true
+		}
+	}
+	return false
 }
 
 // refOf returns the reference of p when maps cross-compresses it.
@@ -254,10 +336,20 @@ func refOf(maps []ccMap, p Perm) (Perm, bool) {
 	return 0, false
 }
 
-// crossCompress records the reference trie of each mapped permutation.
+// crossCompress records the reference of each mapped permutation, but
+// for PS when the index dropped it (its ranks did not pay).
 func (x *staticIndex) crossCompress(maps []ccMap) {
 	for _, m := range maps {
-		x.xref[m.perm] = newCrossRef(x.tries[m.ref])
+		if m.ref == PermPSO {
+			ps := x.ps
+			if ps == nil {
+				continue
+			}
+			x.xref[m.perm] = newCrossRef(m, ps.NumPredicates(), ps.subjects, func(k uint32) (int, int) { return ps.Range(ID(k)) })
+		} else {
+			t := x.tries[m.ref]
+			x.xref[m.perm] = newCrossRef(m, t.NumRoots(), t.Nodes(1), t.RootRange)
+		}
 	}
 }
 
@@ -267,17 +359,9 @@ func (x *staticIndex) Layout() Layout { return x.layout }
 // NumTriples returns the number of indexed triples.
 func (x *staticIndex) NumTriples() int { return x.tries[PermSPO].NumTriples() }
 
-// SizeBits returns the total storage footprint in bits.
-func (x *staticIndex) SizeBits() uint64 {
-	var n uint64
-	for _, p := range x.spec.perms {
-		n += x.tries[p].SizeBits()
-	}
-	if x.ps != nil {
-		n += x.ps.SizeBits()
-	}
-	return n
-}
+// SizeBits returns the total storage footprint in bits: what encode
+// writes from an 8-byte aligned offset.
+func (x *staticIndex) SizeBits() uint64 { return 8 * uint64(codec.Size(x.encode)) }
 
 // Trie exposes a stored permutation, or nil. A cross-compressed third
 // level stores ranks, not IDs.
@@ -289,13 +373,14 @@ func (x *staticIndex) Trie(p Perm) *trie.Trie {
 }
 
 // scanSet returns every triple of x in some order: on a static index the
-// full scan of a stored permutation whose third level holds IDs, so that
-// no triple pays an unmapping (2Tp's POS rather than its SPO), for a
-// caller that needs the set and not the order of the ??? route.
+// full scan of a stored permutation whose third level holds IDs, or
+// ranks the walk unmaps from one decoded list per root (2Tp's POS), so
+// that no triple pays a random access, for a caller that needs the set
+// and not the order of the ??? route.
 func scanSet(x Index) *Iterator {
 	if s, ok := x.(*staticIndex); ok {
 		for _, p := range s.spec.perms {
-			if s.xref[p] == nil {
+			if ref := s.xref[p]; ref == nil || ref.first {
 				return s.scanAll(p)
 			}
 		}
@@ -303,27 +388,33 @@ func scanSet(x Index) *Iterator {
 	return x.Select(Pattern{Wildcard, Wildcard, Wildcard})
 }
 
-// CrossReference reports the permutation whose second level the third
-// level of p ranks against when x cross-compresses p (Section 3.2): then
-// x.Trie(p)'s third level holds ranks, not IDs.
+// CrossReference reports what the third level of p ranks against when x
+// cross-compresses p (Section 3.2): the permutation whose second level
+// lists the IDs, or PermPSO for the PS structure. Then x.Trie(p)'s third
+// level holds ranks, not IDs.
 func CrossReference(x Index, p Perm) (Perm, bool) {
 	s, ok := x.(*staticIndex)
 	if !ok || int(p) >= len(s.xref) || s.xref[p] == nil {
 		return 0, false
 	}
-	for q, t := range s.tries {
-		if t == s.xref[p].t {
-			return Perm(q), true
-		}
+	return s.xref[p].ref, true
+}
+
+// NumPSPredicates returns the number of predicates the PS structure of x
+// keeps a list for, or false when x keeps none.
+func NumPSPredicates(x Index) (int, bool) {
+	s, ok := x.(*staticIndex)
+	if !ok || s.ps == nil {
+		return 0, false
 	}
-	return 0, false
+	return s.ps.NumPredicates(), true
 }
 
 // CheckRanks checks the cross-compressed levels of x against their
 // references: every rank stored under a pair (a, b) must be below the
-// number of b's children in the reference, or unmapping it would read
-// another root's child, or past the reference's level. Decoding does not
-// check it, as it reads the whole level; store.Verify does.
+// length of its key's list in the reference, or unmapping it would read
+// another key's list, or past the reference. Decoding does not check
+// it, as it reads the whole level; store.Verify does.
 func CheckRanks(x Index) error {
 	s, ok := x.(*staticIndex)
 	if !ok {
@@ -333,7 +424,7 @@ func CheckRanks(x Index) error {
 		if ref == nil {
 			continue
 		}
-		t, refRoots := s.tries[p], ID(ref.t.NumRoots())
+		t := s.tries[p]
 		ranks := t.Nodes(2)
 		for a := 0; a < t.NumRoots(); a++ {
 			b1, e1 := t.RootRange(uint32(a))
@@ -343,18 +434,60 @@ func CheckRanks(x Index) error {
 				if b2 >= e2 {
 					continue
 				}
+				key := ref.key(ID(a), b)
 				var n int
-				if b < refRoots {
-					begin, end, _ := ref.span(b)
+				if int(key) < ref.keys {
+					begin, end, _ := ref.span(key)
 					n = end - begin
 				}
 				if last := ranks.At(b2, e2-1); last >= uint64(n) {
-					return fmt.Errorf("%v trie: rank %d under (%d, %d), which has %d children in the reference", Perm(p), last, a, b, n)
+					return fmt.Errorf("%v trie: rank %d under (%d, %d), past the %d IDs %d lists in %v", Perm(p), last, a, b, n, key, ref.name())
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// Sequence names one compressed sequence a static index stores.
+type Sequence struct {
+	Owner   string // the permutation, or "PS"
+	Part    string // "pointers L0", "nodes L1", "pointers L1", "nodes L2", or PS's "pointers" and "subjects"
+	Ranks   string // for a cross-compressed third level, what its ranks are among: "POS", "PS"
+	Pointer bool   // a pointer sequence
+	Seq     seq.Sequence
+}
+
+// Sequences lists the sequences x stores, in the order it serializes
+// them (of a DynamicSnapshot, its base's); none when x is not a static
+// index.
+func Sequences(x Index) []Sequence {
+	if dyn, ok := x.(*DynamicSnapshot); ok {
+		x = dyn.Base()
+	}
+	s, ok := x.(*staticIndex)
+	if !ok {
+		return nil
+	}
+	var out []Sequence
+	for _, p := range s.spec.perms {
+		t := s.tries[p]
+		var ranks string
+		if ref := s.xref[p]; ref != nil {
+			ranks = ref.name()
+		}
+		out = append(out,
+			Sequence{Owner: p.String(), Part: "pointers L0", Pointer: true, Seq: t.Pointers(0)},
+			Sequence{Owner: p.String(), Part: "nodes L1", Seq: t.Nodes(1)},
+			Sequence{Owner: p.String(), Part: "pointers L1", Pointer: true, Seq: t.Pointers(1)},
+			Sequence{Owner: p.String(), Part: "nodes L2", Ranks: ranks, Seq: t.Nodes(2)})
+	}
+	if s.ps != nil {
+		out = append(out,
+			Sequence{Owner: "PS", Part: "pointers", Pointer: true, Seq: s.ps.ptr},
+			Sequence{Owner: "PS", Part: "subjects", Seq: s.ps.subjects})
+	}
+	return out
 }
 
 // Select resolves a pattern along the layout's route for its shape, with
@@ -384,18 +517,19 @@ func (x *staticIndex) Select(p Pattern) *Iterator {
 // SelectVarSorted serves the sorted bindings of a one-wildcard pattern
 // when its route selects one third-level range: the wildcard is then the
 // trie's last component. On a level its layout's row cross-compresses
-// (2Tp's SPO) the stream unmaps the ranks and seeks an ID by the rank of
-// the first child at or above it, as ranks are monotone in IDs. CC
-// declines on its mapped levels, as the paper's CC serves them to select
-// only; the enumerate and inverted algorithms read no single range.
+// (2Tp's SPO and POS) the stream unmaps the ranks and seeks an ID by the
+// rank of the first ID at or above it in its key's list, as ranks are
+// monotone in IDs. CC declines on its mapped levels, as the paper's CC
+// serves them to select only; the enumerate and inverted algorithms read
+// no single range. The stream's state comes from the index's pools;
+// Close hands it back.
 func (x *staticIndex) SelectVarSorted(p Pattern) (*VarIter, bool) {
 	r := x.spec.routes[p.Shape()]
-	ref := x.xref[r.perm]
-	if r.algo != algoTwo || (ref != nil && x.spec.cross) {
+	if r.algo != algoTwo || (x.xref[r.perm] != nil && x.spec.cross) {
 		return nil, false
 	}
 	a, b, _ := r.perm.Apply(Triple(p))
-	return varIterOnTrie(x.tries[r.perm], ref, a, b), true
+	return x.varIter(r.perm, a, b), true
 }
 
 // SelectObjectRange resolves ?P? with the object constrained to the ID
@@ -419,6 +553,13 @@ func (x *staticIndex) encode(w *codec.Writer) {
 		}
 		w.Byte(all)
 	}
+	if x.spec.ranksVsPS() {
+		kept := byte(0)
+		if x.ps != nil {
+			kept = 1
+		}
+		w.Byte(kept)
+	}
 	for _, p := range x.spec.perms {
 		x.tries[p].Encode(w)
 	}
@@ -430,6 +571,10 @@ func (x *staticIndex) encode(w *codec.Writer) {
 func decodeStatic(r *codec.Reader, layout Layout) (*staticIndex, error) {
 	x := &staticIndex{layout: layout, spec: &specs[layout]}
 	all := x.spec.cross && r.Byte() == 1
+	keepPS := x.spec.ps
+	if x.spec.ranksVsPS() {
+		keepPS = r.Byte() == 1
+	}
 	for _, p := range x.spec.perms {
 		t, err := trie.Decode(r)
 		if err != nil {
@@ -437,7 +582,7 @@ func decodeStatic(r *codec.Reader, layout Layout) (*staticIndex, error) {
 		}
 		x.tries[p] = t
 	}
-	if x.spec.ps {
+	if keepPS {
 		ps, err := decodePS(r)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"rdfindexes/internal/seq"
 	"rdfindexes/internal/trie"
 )
@@ -11,10 +13,15 @@ import (
 // possible, which is what turns star-shaped joins from nested loops into
 // galloping intersections (the Broccoli-style use of compressed index
 // lists, arXiv:1207.2615).
+//
+// A static index's VarIter is a state it pools: Close hands it back, and
+// the caller must not touch the stream after that. A stream left
+// without Close is left to the collector.
 type VarIter struct {
 	it    seq.Iterator
 	t     *trie.Trie // the trie it reads, kept reachable while it iterates
-	ranks refRoot    // ranks.ref non-nil: it yields ranks among the children of the root ranks has loaded
+	ranks refRoot    // ranks.ref non-nil: it yields ranks in the list of the key ranks has loaded
+	pool  *sync.Pool // non-nil: the stream goes back to it on Close
 	empty bool
 }
 
@@ -57,25 +64,40 @@ func (v *VarIter) NextGEQ(x ID) (ID, bool) {
 	return ID(got), ok
 }
 
-// emptyVarIter matches no candidate.
-func emptyVarIter() *VarIter { return &VarIter{empty: true} }
+// Close ends the stream; a pooled one goes back to its index's pool.
+func (v *VarIter) Close() {
+	if v.pool != nil {
+		pool := v.pool
+		v.pool = nil
+		pool.Put(v)
+	}
+}
 
-// varIterOnTrie serves the sorted completions of the fixed prefix (a, b)
-// on t's third level: the values the trie's last component takes, which
-// are exactly the bindings of the pattern's single wildcard when it sits
-// in that position. With a reference ref the level holds ranks among
-// b's children in ref, which the stream unmaps.
-func varIterOnTrie(t *trie.Trie, ref *crossRef, a, b ID) *VarIter {
+// noBindings matches no candidate. It is shared: nothing writes it, and
+// its Close does nothing.
+var noBindings = &VarIter{empty: true}
+
+// varIter serves the sorted completions of the fixed prefix (a, b) on
+// the third level of perm's trie: the values the trie's last component
+// takes, which are exactly the bindings of the pattern's single wildcard
+// when it sits in that position. On a cross-compressed level they are
+// ranks in the list of (a, b)'s key, which the stream unmaps.
+func (x *staticIndex) varIter(perm Perm, a, b ID) *VarIter {
+	t := x.tries[perm]
 	b1, e1 := t.RootRange(uint32(a))
 	j := t.FindChild1(b1, e1, uint32(b))
 	if j < 0 {
-		return emptyVarIter()
+		return noBindings
 	}
 	b2, e2 := t.ChildRange(j)
-	v := &VarIter{it: t.Iter2(b2, e2), t: t}
-	if ref != nil {
-		v.ranks.use(ref)
-		v.ranks.seek(b)
+	v := x.getVar(perm)
+	if v.it == nil {
+		v.it = t.Iter2(b2, e2)
+	} else {
+		v.it.Reset(b2, b2, e2)
+	}
+	if ref := v.ranks.ref; ref != nil {
+		v.ranks.seek(ref.key(a, b))
 	}
 	return v
 }

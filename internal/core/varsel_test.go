@@ -14,6 +14,7 @@ func TestSelectVarSortedRoutes(t *testing.T) {
 	served := map[string][]Shape{
 		"3T":     {ShapeSPx, ShapexPO, ShapeSxO},
 		"2Tp":    {ShapeSPx, ShapexPO},
+		"2Tp-PS": {ShapeSPx, ShapexPO},
 		"2To":    {ShapeSPx, ShapexPO},
 		"CC":     {ShapeSPx, ShapeSxO},
 		"CC-all": nil,

@@ -303,8 +303,8 @@ func (s *Section) locate(v int64) (int, bool) {
 }
 
 // Bytes returns the section's footprint: its datatype, scale and
-// minimum, and the Elias-Fano sequence's SizeBits, which counts the
-// rank/select directory that Decode rebuilds beside the stored bits.
+// minimum, and the Elias-Fano sequence's SizeBits, the bytes its Encode
+// writes.
 func (s *Section) Bytes() int { return 2 + 8 + int((s.Values.SizeBits()+7)/8) }
 
 // encode writes the section: datatype, scale, minimum, the sequence.

@@ -276,10 +276,10 @@ func (it *Iterator) SkipTo(x uint64) (int, uint64, bool) {
 	return pos, val, true
 }
 
-// SizeBits returns the storage footprint in bits.
-func (s *Sequence) SizeBits() uint64 {
-	return s.low.SizeBits() + s.high.Vector().SizeBits() + s.high.SizeBits() + 3*64
-}
+// SizeBits returns the storage footprint in bits: what Encode writes from
+// an 8-byte aligned offset. The rank/select directory that decode
+// rebuilds is not written, so it is not counted.
+func (s *Sequence) SizeBits() uint64 { return 8 * uint64(codec.Size(s.Encode)) }
 
 // Encode writes the sequence to w. The rank/select directory is rebuilt at
 // decode time rather than serialized.

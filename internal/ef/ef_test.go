@@ -180,8 +180,8 @@ func TestPartitionedKindsExercised(t *testing.T) {
 	vals := clusteredMonotone(rng, 20000)
 	p := NewPartitioned(vals)
 	var have [3]bool
-	for _, e := range p.dir {
-		have[e.kind] = true
+	for k := range p.dir {
+		have[p.dir[k].kind()] = true
 	}
 	for k, ok := range have {
 		if !ok {

@@ -38,7 +38,6 @@ type Partitioned struct {
 	partLog  uint // log2 of the partition size
 	dir      []dirEntry
 	payload  *xbits.Vector
-	sizeBits uint64       // footprint of the encoded form, see SizeBits
 	sel      []selectHint // per partition once IndexSelect built it, else nil
 }
 
@@ -52,10 +51,24 @@ type selectHint [2]uint64
 // (k+1)<<partLog) and its exclusive lower bound is entry k-1's upper.
 type dirEntry struct {
 	upper uint64 // largest value
-	off   int    // bit offset of the partition in the payload
-	kind  byte
-	l     uint8 // low-bit width of an Elias-Fano partition
+	// meta packs the partition's bit offset in the payload (from bit
+	// 16 up), its kind (bits 8 to 15) and an Elias-Fano partition's
+	// low-bit width (bits 0 to 7): an entry takes 16 bytes, not 24.
+	meta uint64
 }
+
+func newDirEntry(upper uint64, off int, kind byte, l uint8) dirEntry {
+	return dirEntry{upper, uint64(off)<<16 | uint64(kind)<<8 | uint64(l)}
+}
+
+// off is the partition's bit offset in the payload.
+func (e *dirEntry) off() int { return int(e.meta >> 16) }
+
+// kind is the partition's encoding.
+func (e *dirEntry) kind() byte { return byte(e.meta >> 8) }
+
+// l is an Elias-Fano partition's low-bit width.
+func (e *dirEntry) l() uint8 { return uint8(e.meta) }
 
 // partition is one partition as a read decodes it: its directory entry
 // with the bounds the directory leaves implicit. It lives on the stack
@@ -72,7 +85,7 @@ type partition struct {
 // part returns partition k.
 func (p *Partitioned) part(k int) partition {
 	e := &p.dir[k]
-	pt := partition{upper: e.upper, off: e.off, kind: e.kind, l: e.l, start: k << p.partLog}
+	pt := partition{upper: e.upper, off: e.off(), kind: e.kind(), l: e.l(), start: k << p.partLog}
 	pt.end = min(pt.start+1<<p.partLog, p.n)
 	if k > 0 {
 		pt.base = p.dir[k-1].upper
@@ -104,8 +117,6 @@ func NewPartitionedLog(values []uint64, partLog uint) *Partitioned {
 	for lo := 0; lo < n; lo += 1 << partLog {
 		p.appendPartition(values, lo, min(lo+1<<partLog, n))
 	}
-	uppers, offsets, kinds := p.encodedColumns()
-	p.sizeBits = p.payload.SizeBits() + uppers.SizeBits() + uint64(len(kinds))*8 + offsets.SizeBits() + 3*64
 	return p
 }
 
@@ -120,7 +131,7 @@ func (p *Partitioned) appendPartition(values []uint64, start, end int) {
 	ub := part[len(part)-1]
 	off := p.payload.Len()
 	kind, l := encodePartitionInto(p.payload, part, base, ub)
-	p.dir = append(p.dir, dirEntry{upper: ub, off: off, kind: kind, l: uint8(l)})
+	p.dir = append(p.dir, newDirEntry(ub, off, kind, uint8(l)))
 }
 
 // encodePartitionInto appends the cheapest encoding of part (relative to
@@ -178,8 +189,9 @@ func (p *Partitioned) columns() (uppers, offs []uint64, kinds []byte) {
 	uppers = make([]uint64, len(p.dir))
 	offs = make([]uint64, len(p.dir), len(p.dir)+1)
 	kinds = make([]byte, len(p.dir))
-	for k, e := range p.dir {
-		uppers[k], offs[k], kinds[k] = e.upper, uint64(e.off), e.kind
+	for k := range p.dir {
+		e := &p.dir[k]
+		uppers[k], offs[k], kinds[k] = e.upper, uint64(e.off()), e.kind()
 	}
 	return uppers, offs, kinds
 }
@@ -212,7 +224,7 @@ func (p *Partitioned) decodeDirectory(upper *Sequence, kinds []byte, offsets *xb
 		if err := pt.check(p.payload, limit-off); err != nil {
 			return fmt.Errorf("%w: pef partition %d: %v", codec.ErrCorrupt, k, err)
 		}
-		p.dir[k] = dirEntry{upper: ub, off: int(off), kind: kind, l: pt.l}
+		p.dir[k] = newDirEntry(ub, int(off), kind, pt.l)
 		base, start = ub, end
 	}
 	if start != p.n || (len(kinds) > 0 && base != p.universe) {
@@ -511,16 +523,16 @@ func (p *Partitioned) Access(i int) uint64 {
 		base = p.dir[k-1].upper
 	}
 	j := i - k<<p.partLog
-	switch e.kind {
+	switch e.kind() {
 	case kindAllOnes:
 		return base + uint64(j) + 1
 	case kindBitmap:
-		return base + 1 + uint64(p.selectIn(k, e.off, j))
+		return base + 1 + uint64(p.selectIn(k, e.off(), j))
 	}
-	l := uint(e.l)
+	l := uint(e.l())
 	sz := min(1<<p.partLog, p.n-k<<p.partLog)
-	low := p.payload.Get(e.off+6+j*int(l), l)
-	pos := p.selectIn(k, e.off+6+sz*int(l), j)
+	low := p.payload.Get(e.off()+6+j*int(l), l)
+	pos := p.selectIn(k, e.off()+6+sz*int(l), j)
 	return base + (uint64(pos-j)<<l | low)
 }
 
@@ -542,17 +554,17 @@ func (p *Partitioned) AccessPair(i int) (uint64, uint64) {
 		base = p.dir[k-1].upper
 	}
 	j := i - k<<p.partLog
-	switch e.kind {
+	switch e.kind() {
 	case kindAllOnes:
 		return base + uint64(j) + 1, base + uint64(j) + 2
 	case kindBitmap:
-		pos := p.selectIn(k, e.off, j)
-		return base + 1 + uint64(pos), base + 1 + uint64(nextOne(p.payload, e.off+pos)-e.off)
+		pos := p.selectIn(k, e.off(), j)
+		return base + 1 + uint64(pos), base + 1 + uint64(nextOne(p.payload, e.off()+pos)-e.off())
 	}
-	l := uint(e.l)
+	l := uint(e.l())
 	sz := min(1<<p.partLog, p.n-k<<p.partLog)
-	low := e.off + 6 + j*int(l)
-	high := e.off + 6 + sz*int(l)
+	low := e.off() + 6 + j*int(l)
+	high := e.off() + 6 + sz*int(l)
 	pos := p.selectIn(k, high, j)
 	pos2 := nextOne(p.payload, high+pos) - high
 	return base + (uint64(pos-j)<<l | p.payload.Get(low, l)),
@@ -806,12 +818,12 @@ func (it *PartIterator) SkipTo(x uint64) (int, uint64, bool) {
 	return it.i - 1, v, true
 }
 
-// SizeBits returns the storage footprint in bits: that of the encoded
-// form (payload, Elias-Fano upper bounds with their rank/select
-// directory, kind bytes, packed offsets), which is what the paper's
-// bits/triple counts. The decoded directory that replaces the encoded
-// columns in memory is not included.
-func (p *Partitioned) SizeBits() uint64 { return p.sizeBits }
+// SizeBits returns the storage footprint in bits: what Encode writes
+// (payload, Elias-Fano upper bounds, kind bytes, packed offsets) from an
+// 8-byte aligned offset, which is what the paper's bits/triple counts.
+// The decoded directory that replaces the encoded columns in memory is
+// not included.
+func (p *Partitioned) SizeBits() uint64 { return 8 * uint64(codec.Size(p.Encode)) }
 
 // encodedColumns returns the directory columns as Encode writes them;
 // the offsets end with the payload length.
@@ -863,6 +875,5 @@ func DecodePartitioned(r *codec.Reader) (*Partitioned, error) {
 	if err := p.decodeDirectory(upper, kinds, offsets); err != nil {
 		return nil, r.Fail(err)
 	}
-	p.sizeBits = p.payload.SizeBits() + upper.SizeBits() + uint64(len(kinds))*8 + offsets.SizeBits() + 3*64
 	return p, nil
 }

@@ -158,8 +158,8 @@ func testDecodeCorruptDirectory(t *testing.T) {
 	vals := clusteredMonotone(rng, 6000)
 	p := NewPartitioned(vals)
 	firstOf := func(kind byte) int {
-		for k, e := range p.dir {
-			if e.kind == kind {
+		for k := range p.dir {
+			if p.dir[k].kind() == kind {
 				return k
 			}
 		}

@@ -90,6 +90,10 @@ type Sequence interface {
 	// range starting at begin). Implementations may amortize the two
 	// lookups; trie pointer pairs are the hot caller.
 	At2(begin, i int) (uint64, uint64)
+	// First returns the value at position begin, the start of a range:
+	// At(begin, begin) with one random access where the monotone kinds
+	// need two.
+	First(begin int) uint64
 	// Base returns what the representation adds to the values of the
 	// range starting at begin: the prefix-sum base for the monotone
 	// kinds, 0 for Compact. Read as one range from position 0, the
@@ -108,7 +112,9 @@ type Sequence interface {
 	// IterFrom iterates the original values of positions [from, end)
 	// within the sorted range starting at rangeBegin (rangeBegin <= from).
 	IterFrom(rangeBegin, from, end int) Iterator
-	// SizeBits returns the storage footprint in bits.
+	// SizeBits returns the storage footprint in bits: 8 times the bytes
+	// Write stores for the sequence from an 8-byte aligned offset. A
+	// directory that decoding rebuilds is not counted.
 	SizeBits() uint64
 	// Kind returns the representation identifier.
 	Kind() Kind
@@ -445,11 +451,12 @@ func newCompactSeq(values []uint64) *compactSeq {
 	return &compactSeq{v: bits.NewCompact(values)}
 }
 
-func (c *compactSeq) Len() int           { return c.v.Len() }
-func (c *compactSeq) Kind() Kind         { return KindCompact }
-func (c *compactSeq) SizeBits() uint64   { return c.v.SizeBits() }
-func (c *compactSeq) At(_, i int) uint64 { return c.v.At(i) }
-func (c *compactSeq) Base(int) uint64    { return 0 }
+func (c *compactSeq) Len() int               { return c.v.Len() }
+func (c *compactSeq) Kind() Kind             { return KindCompact }
+func (c *compactSeq) SizeBits() uint64       { return writtenBits(c) }
+func (c *compactSeq) At(_, i int) uint64     { return c.v.At(i) }
+func (c *compactSeq) Base(int) uint64        { return 0 }
+func (c *compactSeq) First(begin int) uint64 { return c.v.At(begin) }
 func (c *compactSeq) At2(_, i int) (uint64, uint64) {
 	return c.v.At(i), c.v.At(i + 1)
 }
@@ -540,11 +547,18 @@ type efSeq struct {
 
 func (e *efSeq) Len() int         { return e.s.Len() }
 func (e *efSeq) Kind() Kind       { return KindEF }
-func (e *efSeq) SizeBits() uint64 { return e.s.SizeBits() }
+func (e *efSeq) SizeBits() uint64 { return writtenBits(e) }
 func (e *efSeq) At(begin, i int) uint64 {
 	return monoAt(e.s, begin, i)
 }
 func (e *efSeq) Base(begin int) uint64 { return monoBase(e.s, begin) }
+func (e *efSeq) First(begin int) uint64 {
+	if begin == 0 {
+		return e.s.Access(0)
+	}
+	base, v := e.s.AccessPair(begin - 1)
+	return v - base
+}
 func (e *efSeq) At2(begin, i int) (uint64, uint64) {
 	v1, v2 := e.s.AccessPair(i)
 	if begin > 0 {
@@ -593,11 +607,18 @@ func IndexedPEF(s Sequence) *ef.Partitioned {
 
 func (p *pefSeq) Len() int         { return p.s.Len() }
 func (p *pefSeq) Kind() Kind       { return KindPEF }
-func (p *pefSeq) SizeBits() uint64 { return p.s.SizeBits() }
+func (p *pefSeq) SizeBits() uint64 { return writtenBits(p) }
 func (p *pefSeq) At(begin, i int) uint64 {
 	return monoAt(p.s, begin, i)
 }
 func (p *pefSeq) Base(begin int) uint64 { return monoBase(p.s, begin) }
+func (p *pefSeq) First(begin int) uint64 {
+	if begin == 0 {
+		return p.s.Access(0)
+	}
+	base, v := p.s.AccessPair(begin - 1)
+	return v - base
+}
 func (p *pefSeq) At2(begin, i int) (uint64, uint64) {
 	v1, v2 := p.s.AccessPair(i)
 	if begin > 0 {
@@ -632,11 +653,12 @@ type vbyteSeq struct {
 
 func (v *vbyteSeq) Len() int         { return v.s.Len() }
 func (v *vbyteSeq) Kind() Kind       { return KindVByte }
-func (v *vbyteSeq) SizeBits() uint64 { return v.s.SizeBits() }
+func (v *vbyteSeq) SizeBits() uint64 { return writtenBits(v) }
 func (v *vbyteSeq) At(begin, i int) uint64 {
 	return monoAt(v.s, begin, i)
 }
-func (v *vbyteSeq) Base(begin int) uint64 { return monoBase(v.s, begin) }
+func (v *vbyteSeq) Base(begin int) uint64  { return monoBase(v.s, begin) }
+func (v *vbyteSeq) First(begin int) uint64 { return monoAt(v.s, begin, begin) }
 func (v *vbyteSeq) At2(begin, i int) (uint64, uint64) {
 	return monoAt(v.s, begin, i), monoAt(v.s, begin, i+1)
 }
@@ -657,6 +679,11 @@ func (v *vbyteSeq) IterFrom(rangeBegin, from, end int) Iterator {
 	return newVByteIter(v.s, rangeBegin, from, end)
 }
 func (v *vbyteSeq) encode(w *codec.Writer) { v.s.Encode(w) }
+
+// writtenBits is every kind's SizeBits: the bits Write stores for s.
+func writtenBits(s Sequence) uint64 {
+	return 8 * uint64(codec.Size(func(w *codec.Writer) { Write(w, s) }))
+}
 
 // Write serializes s with a leading kind tag.
 func Write(w *codec.Writer, s Sequence) {

@@ -235,6 +235,53 @@ func TestSequenceRoundTripAllKinds(t *testing.T) {
 	}
 }
 
+// TestFirstIsAt: every kind's First reads the first value of each range
+// as At does.
+func TestFirstIsAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for name, d := range map[string]rangedData{
+		"small-dense": randomRanged(rng, 50, 8, 30),
+		"wide":        randomRanged(rng, 40, 12, 1<<30),
+		"zero-heavy":  randomRanged(rng, 300, 3, 2),
+	} {
+		for _, kind := range allKinds {
+			s := Build(kind, d.values, d.ranges)
+			for _, begin := range d.ranges[:len(d.ranges)-1] {
+				if got, want := s.First(begin), s.At(begin, begin); got != want {
+					t.Fatalf("%s/%v: First(%d) = %d, At = %d", name, kind, begin, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSizeBitsIsWrittenBytes: every kind's SizeBits is 8 times the bytes
+// Write stores, so bits/triple moves with the file. Elias-Fano's used to
+// count the rank/select directory decode rebuilds as well.
+func TestSizeBitsIsWrittenBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	fixtures := map[string]rangedData{
+		"empty":       {ranges: []int{0, 0}},
+		"small-dense": randomRanged(rng, 50, 8, 30),
+		"wide":        randomRanged(rng, 40, 12, 1<<30),
+		"long":        randomRanged(rng, 300, 40, 1<<20),
+	}
+	for name, d := range fixtures {
+		for _, kind := range allKinds {
+			s := Build(kind, d.values, d.ranges)
+			var buf bytes.Buffer
+			w := codec.NewWriter(&buf)
+			Write(w, s)
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := s.SizeBits(), 8*uint64(buf.Len()); got != want {
+				t.Errorf("%s/%v: SizeBits %d, Write stores %d bits", name, kind, got, want)
+			}
+		}
+	}
+}
+
 func TestReadUnknownKind(t *testing.T) {
 	var buf bytes.Buffer
 	w := codec.NewWriter(&buf)

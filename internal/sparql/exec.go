@@ -707,10 +707,12 @@ func (r *run) gallop(i int, sp *step) (done bool, err error) {
 	for k := range its {
 		it, ok := r.vs.SelectVarSorted(r.c.steps[i+k].substitute(r.regs))
 		if !ok {
+			closeStreams(its[:k])
 			return false, nil
 		}
 		its[k] = it
 	}
+	defer closeStreams(its)
 	r.stats.PatternsIssued += g
 	for k := range its {
 		r.tr.StepIssued(i+k, r.c.steps[i+k].pattern, true)
@@ -766,6 +768,13 @@ func (r *run) gallop(i int, sp *step) (done bool, err error) {
 			return true, nil
 		}
 		cand[0] = c
+	}
+}
+
+// closeStreams hands a group's binding streams back to their index.
+func closeStreams(its []*core.VarIter) {
+	for _, it := range its {
+		it.Close()
 	}
 }
 

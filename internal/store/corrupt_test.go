@@ -429,48 +429,148 @@ func TestVerifyDictRoots(t *testing.T) {
 	}
 }
 
-// TestVerifyCrossRanks crafts a 2Tp store whose SPO third level holds a
-// rank past its predicate's objects in POS, under valid checksums:
-// unmapping it would read another predicate's object, or past POS's
-// level. Verify fails the index section naming the rank; Read, which
-// leaves the check to Verify, opens the file.
+// TestVerifyCrossRanks crafts 2Tp stores whose cross-compressed levels
+// break their references under valid checksums, and one whose PS
+// disagrees with the P dictionary:
+//   - an SPO rank past its predicate's objects in POS: unmapping it would
+//     read another predicate's object, or past POS's level;
+//   - a POS rank past its predicate's subjects in PS: unmapping it would
+//     read another predicate's subject, or past PS;
+//   - a PS with one predicate more than the P dictionary.
+//
+// Verify fails the index section naming the rank, or the header naming
+// PS; Read, which leaves these checks to Verify, opens each file.
 func TestVerifyCrossRanks(t *testing.T) {
 	st := buildSample(t, core.Layout2Tp)
-	spo, pos := st.Index.Trie(core.PermSPO), st.Index.Trie(core.PermPOS)
 	if ref, ok := core.CrossReference(st.Index, core.PermSPO); !ok || ref != core.PermPOS {
 		t.Fatalf("2Tp's SPO ranks against %v, %v; want POS", ref, ok)
 	}
-	// SPO's rows as stored, ranks for objects, with the last one raised
-	// to the number of its predicate's objects: still sorted.
-	type row struct{ a, b, r uint32 }
-	var rows []row
-	ranks := spo.Nodes(2)
-	for a := 0; a < spo.NumRoots(); a++ {
-		b1, e1 := spo.RootRange(uint32(a))
+	spo, pos := st.Index.Trie(core.PermSPO), st.Index.Trie(core.PermPOS)
+	rows := trieRows(spo)
+	last := &rows[len(rows)-1]
+	pb, pe := pos.RootRange(last[1])
+	last[2] = uint32(pe - pb) // still sorted
+	want := fmt.Sprintf("SPO trie: rank %d under (%d, %d), past the %d IDs %d lists in POS", last[2], last[0], last[1], last[2], last[1])
+	x := craft2Tp(t, rebuildTrie(t, spo, rows), pos, nil)
+	checkVerifyFails(t, &Store{Index: x, Dicts: st.Dicts}, false, "index", want)
+
+	// A store whose POS subjects are ranks in PS: four objects per
+	// (subject, predicate) pair, so PS lists far fewer entries than POS.
+	ps := psStore(t)
+	if ref, ok := core.CrossReference(ps.Index, core.PermPOS); !ok || ref != core.PermPSO {
+		t.Fatalf("2Tp's POS ranks against %v, %v; want PS (PermPSO)", ref, ok)
+	}
+	spo, pos = ps.Index.Trie(core.PermSPO), ps.Index.Trie(core.PermPOS)
+	ptr, subjects := psSequences(t, ps.Index)
+	rows = trieRows(pos)
+	last = &rows[len(rows)-1]
+	n := ptr.At(0, int(last[0])+1) - ptr.At(0, int(last[0]))
+	last[2] = uint32(n)
+	want = fmt.Sprintf("POS trie: rank %d under (%d, %d), past the %d IDs %d lists in PS", n, last[0], last[1], n, last[0])
+	x = craft2Tp(t, spo, rebuildTrie(t, pos, rows), []seq.Sequence{ptr, subjects})
+	checkVerifyFails(t, &Store{Index: x, Dicts: ps.Dicts}, false, "index", want)
+
+	// PS with an empty list for one predicate more.
+	ends := make([]uint64, ptr.Len()+1)
+	for i := range ptr.Len() {
+		ends[i] = ptr.At(0, i)
+	}
+	ends[ptr.Len()] = ends[ptr.Len()-1]
+	np := ps.Dicts.P.Len()
+	want = fmt.Sprintf("PS of the index lists the subjects of %d predicates, for %d predicates", np+1, np)
+	x = craft2Tp(t, spo, pos, []seq.Sequence{seq.BuildMono(ptr.Kind(), ends), subjects})
+	checkVerifyFails(t, &Store{Index: x, Dicts: ps.Dicts}, true, "header", want)
+
+	// The stores as built pass.
+	for _, good := range []*Store{st, ps} {
+		path := filepath.Join(t.TempDir(), "good.idx")
+		if err := Write(path, good); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := Verify(path); err != nil || !rep.OK {
+			t.Fatalf("Verify of a built store: %+v, %v", rep, err)
+		}
+	}
+}
+
+// psStore builds a 2Tp store whose POS subjects are ranks in PS.
+func psStore(t *testing.T) *Store {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	var nt strings.Builder
+	for range 600 {
+		s, p := rng.Intn(300), rng.Intn(60)
+		for range 4 {
+			fmt.Fprintf(&nt, "<http://ex/n%d> <http://ex/p%d> <http://ex/n%d> .\n", s, p, rng.Intn(300))
+		}
+	}
+	return encodeNT(t, nt.String(), core.Layout2Tp)
+}
+
+// psSequences returns the PS structure of x: its pointers and subjects.
+func psSequences(t *testing.T, x core.Index) (ptr, subjects seq.Sequence) {
+	t.Helper()
+	for _, s := range core.Sequences(x) {
+		if s.Owner == "PS" && s.Pointer {
+			ptr = s.Seq
+		} else if s.Owner == "PS" {
+			subjects = s.Seq
+		}
+	}
+	if ptr == nil || subjects == nil {
+		t.Fatal("the index keeps no PS")
+	}
+	return ptr, subjects
+}
+
+// trieRows returns the rows of t as stored.
+func trieRows(t *trie.Trie) [][3]uint32 {
+	var rows [][3]uint32
+	third := t.Nodes(2)
+	for a := 0; a < t.NumRoots(); a++ {
+		b1, e1 := t.RootRange(uint32(a))
 		for j := b1; j < e1; j++ {
-			b := spo.Node1At(b1, j)
-			b2, e2 := spo.ChildRange(j)
+			b := t.Node1At(b1, j)
+			b2, e2 := t.ChildRange(j)
 			for i := b2; i < e2; i++ {
-				rows = append(rows, row{uint32(a), b, uint32(ranks.At(b2, i))})
+				rows = append(rows, [3]uint32{uint32(a), b, uint32(third.At(b2, i))})
 			}
 		}
 	}
-	last := &rows[len(rows)-1]
-	pb, pe := pos.RootRange(last.b)
-	last.r = uint32(pe - pb)
-	cfg := trie.Config{Nodes1: spo.Nodes(1).Kind(), Nodes2: ranks.Kind(), Ptr0: spo.Pointers(0).Kind(), Ptr1: spo.Pointers(1).Kind()}
-	bad, err := trie.Build(len(rows), spo.NumRoots(), func(i int) (uint32, uint32, uint32) {
-		return rows[i].a, rows[i].b, rows[i].r
+	return rows
+}
+
+// rebuildTrie builds rows into a trie with t's roots and codecs.
+func rebuildTrie(t *testing.T, like *trie.Trie, rows [][3]uint32) *trie.Trie {
+	t.Helper()
+	cfg := trie.Config{Nodes1: like.Nodes(1).Kind(), Nodes2: like.Nodes(2).Kind(), Ptr0: like.Pointers(0).Kind(), Ptr1: like.Pointers(1).Kind()}
+	tr, err := trie.Build(len(rows), like.NumRoots(), func(i int) (uint32, uint32, uint32) {
+		return rows[i][0], rows[i][1], rows[i][2]
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tr
+}
+
+// craft2Tp decodes a 2Tp index of the given tries and PS sequences,
+// none when ps is nil, as core.WriteIndex lays one out.
+func craft2Tp(t *testing.T, spo, pos *trie.Trie, ps []seq.Sequence) core.Index {
+	t.Helper()
 	var buf bytes.Buffer
 	w := codec.NewWriter(&buf)
 	w.String("RDFIDX1") // core.WriteIndex's header
 	w.Byte(byte(core.Layout2Tp))
-	bad.Encode(w)
+	kept := byte(0)
+	if ps != nil {
+		kept = 1
+	}
+	w.Byte(kept) // whether POS ranks against PS
+	spo.Encode(w)
 	pos.Encode(w)
+	for _, s := range ps {
+		seq.Write(w, s)
+	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -478,34 +578,40 @@ func TestVerifyCrossRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return x
+}
+
+// checkVerifyFails writes st, through the writer Write wraps when Write
+// would refuse it (unchecked), and requires Verify to fail exactly the
+// named section with an error containing want, and Read to open it.
+func checkVerifyFails(t *testing.T, st *Store, unchecked bool, section, want string) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "store.idx")
-	if err := Write(path, &Store{Index: x, Dicts: st.Dicts}); err != nil {
+	if unchecked {
+		if err := Write(path, st); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Write: %v, want a refusal naming %q", err, want)
+		}
+		if err := writeFile(path, st.Index, st.Dicts.SO.(*dict.Dict), st.Dicts.P.(*dict.Dict)); err != nil {
+			t.Fatal(err)
+		}
+	} else if err := Write(path, st); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := Verify(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("SPO trie: rank %d under (%d, %d), which has %d children in the reference", last.r, last.a, last.b, last.r)
 	var failed []SectionStatus
 	for _, sec := range rep.Sections {
 		if !sec.OK {
 			failed = append(failed, sec)
 		}
 	}
-	if rep.OK || len(failed) != 1 || failed[0].Name != "index" || !strings.Contains(failed[0].Error, want) {
-		t.Fatalf("Verify of a store with a rank past its predicate's objects: %+v, want the index naming %q", rep, want)
+	if rep.OK || len(failed) != 1 || failed[0].Name != section || !strings.Contains(failed[0].Error, want) {
+		t.Fatalf("Verify: %+v, want the %s naming %q", rep, section, want)
 	}
 	if _, err := Read(path); err != nil {
 		t.Fatalf("Read: %v", err)
-	}
-	// The store as built passes.
-	good := filepath.Join(t.TempDir(), "good.idx")
-	if err := Write(good, st); err != nil {
-		t.Fatal(err)
-	}
-	if rep, err := Verify(good); err != nil || !rep.OK {
-		t.Fatalf("Verify of the built store: %+v, %v", rep, err)
 	}
 }
 
@@ -674,9 +780,7 @@ func FuzzStoreRead(f *testing.F) {
 	f.Add([]byte{})
 	// A sound container under another magic, and one without the index
 	// section's trailing checksum.
-	foreign := append([]byte(nil), data...)
-	copy(foreign[1:], "RDFSTORE2")
-	f.Add(foreign)
+	f.Add(withMagic(data, "RDFSTORE2"))
 	f.Add(data[:len(data)-4])
 
 	f.Fuzz(func(t *testing.T, data []byte) {

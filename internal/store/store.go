@@ -47,7 +47,7 @@ import (
 // array lies 8-byte aligned in the file. There is no pad after the last
 // checksum. The table gives the section's length up front, so the
 // section's checksum is verified before any of it is decoded.
-const Magic = "RDFSTORE9"
+const Magic = "RDFSTORE10"
 
 // CurrentVersion is the container format version Write produces and
 // Read accepts. Files of older versions are refused by their magic,
@@ -69,7 +69,17 @@ const Magic = "RDFSTORE9"
 // Elias-Fano coded, where v8 held the object ID. The container and the
 // other layouts' bytes are v8's, but a v8 2Tp file read as ranks would
 // answer wrongly with every checksum intact, so the magic refuses it.
-const CurrentVersion = 9
+//
+// v10 lets 2Tp cross-compress POS against a PS structure, the lists of
+// each predicate's subjects (PEF coded, after the tries, as 2To's):
+// POS's third level then holds each subject's rank in its predicate's
+// list, PEF coded, where v9 held the Compact subject ID. A build keeps
+// the ranks only where they and PS write fewer bytes than the IDs, and
+// a flag byte before 2Tp's tries records which it kept. The container
+// and the other layouts' index bytes are v9's, but a v9 2Tp file read
+// as v10 would take its first trie's bytes for the flag, so the magic
+// refuses it.
+const CurrentVersion = 10
 
 // magicStem is what every version's magic starts with; the version
 // number follows it.

@@ -102,7 +102,8 @@ func Verify(path string) (rep *VerifyReport, err error) {
 // and names the one that fails. With the index decoded, it also checks
 // that each stored trie's roots span the ID space its first component
 // draws from: SPO's the SO dictionary's subjects, POS's the predicates,
-// OSP's and OPS's the whole SO dictionary. The dictionaries and the
+// OSP's and OPS's the whole SO dictionary; and that PS keeps a list for
+// every predicate. The dictionaries and the
 // index may each pass their own checks and still disagree there, and
 // then IDs would name the wrong terms.
 func checkDicts(d *rdf.Dicts, x core.Index) error {
@@ -139,6 +140,9 @@ func checkRoots(so, p *dict.Dict, x core.Index) error {
 		if t := x.Trie(c.perm); t != nil && t.NumRoots() != c.want {
 			return fmt.Errorf("%v trie of the index has %d roots, for %d %s", c.perm, t.NumRoots(), c.want, c.what)
 		}
+	}
+	if n, ok := core.NumPSPredicates(x); ok && n != p.Len() {
+		return fmt.Errorf("PS of the index lists the subjects of %d predicates, for %d predicates", n, p.Len())
 	}
 	return nil
 }

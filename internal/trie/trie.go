@@ -233,10 +233,9 @@ func (t *Trie) ChildStats(level int) (avg float64, max int) {
 	return float64(prev) / float64(parents), max
 }
 
-// SizeBits returns the total storage footprint in bits.
-func (t *Trie) SizeBits() uint64 {
-	return t.ptr0.SizeBits() + t.nodes1.SizeBits() + t.ptr1.SizeBits() + t.nodes2.SizeBits() + 2*64
-}
+// SizeBits returns the total storage footprint in bits: what Encode
+// writes from an 8-byte aligned offset.
+func (t *Trie) SizeBits() uint64 { return 8 * uint64(codec.Size(t.Encode)) }
 
 // Encode writes the trie to w.
 func (t *Trie) Encode(w *codec.Writer) {
