@@ -32,9 +32,10 @@ var Castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // place.
 var HostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// Writer serializes primitive values to an underlying io.Writer.
+// Writer serializes primitive values to an underlying io.Writer, or,
+// for Size, only counts them.
 type Writer struct {
-	w   *bufio.Writer
+	w   *bufio.Writer // nil: the writer only counts (Size)
 	n   int64
 	crc uint32
 	sum bool // tee written bytes into crc
@@ -63,6 +64,10 @@ func (w *Writer) Flush() error {
 }
 
 func (w *Writer) write(p []byte) {
+	if w.w == nil {
+		w.n += int64(len(p))
+		return
+	}
 	if w.err != nil {
 		return
 	}
@@ -132,6 +137,10 @@ func (w *Writer) Uvarint(v uint64) {
 func (w *Writer) Uint64s(s []uint64) {
 	w.Uvarint(uint64(len(s)))
 	w.Pad()
+	if w.w == nil {
+		w.n += 8 * int64(len(s))
+		return
+	}
 	var b [8]byte
 	for _, v := range s {
 		binary.LittleEndian.PutUint64(b[:], v)
@@ -140,11 +149,13 @@ func (w *Writer) Uint64s(s []uint64) {
 }
 
 // Size returns the number of bytes enc writes to a Writer that starts at
-// offset 0, without keeping them: the footprint of a structure as its
-// encoder stores it, the pads before its word arrays included.
+// offset 0, without writing them: the footprint of a structure as its
+// encoder stores it, the pads before its word arrays included. It
+// counts a word array without reading it, so it costs what enc does
+// besides writing words.
 func Size(enc func(*Writer)) int64 {
-	w := NewWriter(io.Discard)
-	enc(w)
+	var w Writer
+	enc(&w)
 	return w.Written()
 }
 

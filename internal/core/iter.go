@@ -291,13 +291,13 @@ func valBuf(p *[]uint64, k int) []uint64 {
 // that unmapping reads neither a pointer nor a base per range. A PEF
 // sequence, which unmapping reads at random, gets its select directory.
 type crossRef struct {
-	nodes seq.Sequence            // the lists
-	pef   *ef.Partitioned         // nodes' stored values when nodes is PEF-coded; else nil
-	spans []refSpan               // per key, then one past the last; nil when keys are many
-	list  func(uint32) (int, int) // a key's positions in nodes
-	keys  int                     // the number of keys
-	ref   Perm                    // the reference: a stored trie, or PermPSO for PS
-	first bool                    // keyed by the mapped permutation's first component; else its second
+	nodes seq.Sequence    // the lists
+	ptr   seq.Sequence    // where each key's list starts in nodes, then their end
+	pef   *ef.Partitioned // nodes' stored values when nodes is PEF-coded; else nil
+	spans []refSpan       // per key, then one past the last; nil when keys are many
+	keys  int             // the number of keys
+	ref   Perm            // the reference: a stored trie, or PermPSO for PS
+	first bool            // keyed by the mapped permutation's first component; else its second
 }
 
 // refSpan is where a key's list starts in the reference's sequence, and
@@ -311,18 +311,23 @@ type refSpan struct {
 // most 2 bits an ID.
 const refSpanRatio = 64
 
-// newCrossRef returns the reference of m, keys lists in nodes, which
-// list locates.
-func newCrossRef(m ccMap, keys int, nodes seq.Sequence, list func(uint32) (int, int)) *crossRef {
-	r := &crossRef{nodes: nodes, list: list, keys: keys, ref: m.ref, first: m.first}
+// newCrossRef returns the reference of m: lists in nodes, one a key,
+// whose starts and end ptr holds (a trie's first-level pointers, PS's
+// pointers).
+func newCrossRef(m ccMap, nodes, ptr seq.Sequence) *crossRef {
+	keys := ptr.Len() - 1
+	r := &crossRef{nodes: nodes, ptr: ptr, keys: keys, ref: m.ref, first: m.first}
 	r.pef = seq.IndexedPEF(nodes)
 	if keys*refSpanRatio <= nodes.Len() {
 		r.spans = make([]refSpan, keys+1)
-		for k := range r.spans[:keys] {
-			begin, _ := list(uint32(k))
-			r.spans[k] = refSpan{begin, nodes.Base(begin)}
+		it := ptr.Iter(0, keys+1)
+		for k := range r.spans {
+			begin, _ := it.Next()
+			r.spans[k].begin = int(begin)
+			if k < keys {
+				r.spans[k].base = nodes.Base(int(begin))
+			}
 		}
-		r.spans[keys].begin = nodes.Len()
 	}
 	return r
 }
@@ -350,7 +355,11 @@ func (r *crossRef) key(a, b ID) ID {
 // reference's sequence and their base.
 func (r *crossRef) span(key ID) (begin, end int, base uint64) {
 	if r.spans == nil {
-		begin, end = r.list(uint32(key))
+		if int(key) >= r.keys {
+			return 0, 0, 0
+		}
+		b, e := r.ptr.At2(0, int(key))
+		begin, end = int(b), int(e)
 		return begin, end, r.nodes.Base(begin)
 	}
 	if int(key)+1 >= len(r.spans) {

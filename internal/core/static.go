@@ -341,14 +341,12 @@ func refOf(maps []ccMap, p Perm) (Perm, bool) {
 func (x *staticIndex) crossCompress(maps []ccMap) {
 	for _, m := range maps {
 		if m.ref == PermPSO {
-			ps := x.ps
-			if ps == nil {
-				continue
+			if x.ps != nil {
+				x.xref[m.perm] = newCrossRef(m, x.ps.subjects, x.ps.ptr)
 			}
-			x.xref[m.perm] = newCrossRef(m, ps.NumPredicates(), ps.subjects, func(k uint32) (int, int) { return ps.Range(ID(k)) })
 		} else {
 			t := x.tries[m.ref]
-			x.xref[m.perm] = newCrossRef(m, t.NumRoots(), t.Nodes(1), t.RootRange)
+			x.xref[m.perm] = newCrossRef(m, t.Nodes(1), t.Pointers(0))
 		}
 	}
 }
