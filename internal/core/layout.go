@@ -176,44 +176,38 @@ type PS struct {
 // without sorting.
 func psLists(ts []Triple, np int) (ptr, subjects []uint64) {
 	ptr = make([]uint64, np+1)
-	eachPair(ts, func(_, p ID) { ptr[p+1]++ })
+	for i, t := range ts {
+		if i == 0 || t.S != ts[i-1].S || t.P != ts[i-1].P {
+			ptr[t.P+1]++
+		}
+	}
 	for p := 0; p < np; p++ {
 		ptr[p+1] += ptr[p]
 	}
 	subjects = make([]uint64, ptr[np])
 	next := append([]uint64(nil), ptr[:np]...)
-	eachPair(ts, func(s, p ID) {
-		subjects[next[p]] = uint64(s)
-		next[p]++
-	})
+	for i, t := range ts {
+		if i == 0 || t.S != ts[i-1].S || t.P != ts[i-1].P {
+			subjects[next[t.P]] = uint64(t.S)
+			next[t.P]++
+		}
+	}
 	return ptr, subjects
 }
 
-// eachPair calls f with each distinct (subject, predicate) pair of
-// triples in SPO order.
-func eachPair(ts []Triple, f func(s, p ID)) {
-	for i, t := range ts {
-		if i == 0 || t.S != ts[i-1].S || t.P != ts[i-1].P {
-			f(t.S, t.P)
-		}
-	}
-}
-
-// toPSRanks rewrites triples in SPO order: each subject becomes its rank
-// in its predicate's PS list (the map function of Fig. 4, against PS).
-// A predicate's subjects arrive in ascending order, so a counter per
-// predicate numbers them.
-func toPSRanks(ts []Triple, np int) {
+// toPSRanks copies triples in SPO order into out, each subject turned
+// into its rank in its predicate's PS list (the map function of Fig. 4,
+// against PS). A predicate's subjects arrive in ascending order, so a
+// counter per predicate numbers them.
+func toPSRanks(out, ts []Triple, np int) {
 	next := make([]ID, np)
-	var prev Triple
 	var r ID
 	for i, t := range ts {
-		if i == 0 || t.S != prev.S || t.P != prev.P {
+		if i == 0 || t.S != ts[i-1].S || t.P != ts[i-1].P {
 			r = next[t.P]
 			next[t.P]++
 		}
-		prev = t
-		ts[i].S = r
+		out[i] = Triple{r, t.P, t.O}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"rdfindexes/internal/codec"
 	"rdfindexes/internal/seq"
@@ -250,14 +251,13 @@ func (x *staticIndex) buildTries(d *Dataset, o Options, maps []ccMap, lists psLi
 				t, err = buildTrie(d, scratch, p, codecs[p])
 				sorted = p
 			case ref == PermPSO:
-				copy(scratch, d.Triples)
-				toPSRanks(scratch, d.NP)
+				toPSRanks(scratch, d.Triples, d.NP)
 				SortPerm(scratch, p, d.NS, d.NP, d.NO)
 				if t, err = buildTrie(d, scratch, p, codecs[p]); err != nil {
 					return err
 				}
 				fromPSRanks(scratch, lists.ptr, lists.subjects)
-				if keep := o.psChoice > 0 || o.psChoice == 0 && x.psPays(t, plainIDs(scratch, p)); !keep {
+				if keep := o.psChoice > 0 || o.psChoice == 0 && x.psPays(t, d.NS); !keep {
 					cfg := codecs[p]
 					if _, set := o.TrieConfigs[p]; !set {
 						cfg.Nodes2 = seq.KindCompact
@@ -284,22 +284,12 @@ func (x *staticIndex) buildTries(d *Dataset, o Options, maps []ccMap, lists psLi
 	return nil
 }
 
-// plainIDs returns the third components of triples sorted in p's order:
-// p's third level as IDs, Compact coded, as a mapped level whose ranks
-// do not pay stores it by default.
-func plainIDs(ts []Triple, p Perm) seq.Sequence {
-	ids := make([]uint64, len(ts))
-	for i, t := range ts {
-		_, _, c := p.Apply(t)
-		ids[i] = uint64(c)
-	}
-	return seq.Build(seq.KindCompact, ids, nil)
-}
-
 // psPays reports whether t's third level, ranks in PS, and PS write
-// fewer bytes than the IDs they stand for.
-func (x *staticIndex) psPays(t *trie.Trie, ids seq.Sequence) bool {
-	return t.Nodes(2).SizeBits()+x.ps.SizeBits() < ids.SizeBits()
+// fewer bits than the subject IDs they stand for, drawn from ns subjects,
+// would Compact coded: the width of the largest ID a triple.
+func (x *staticIndex) psPays(t *trie.Trie, ns int) bool {
+	width := uint64(bits.Len(uint(max(ns-1, 1))))
+	return t.Nodes(2).SizeBits()+x.ps.SizeBits() < uint64(t.NumTriples())*width
 }
 
 // buildStage orders the builds: plain permutations, those mapped against
