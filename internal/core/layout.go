@@ -172,47 +172,49 @@ type PS struct {
 
 // psLists collects each predicate's distinct subjects from triples in
 // SPO order, where they arrive sorted: p's list is
-// subjects[ptr[p]:ptr[p+1]]. It counts the lists and then fills them,
-// without sorting.
-func psLists(ts []Triple, np int) (ptr, subjects []uint64) {
+// subjects[ptr[p]:ptr[p+1]]. One pass counts the lists and one fills
+// them, without sorting. With ranked non-nil the filling pass also
+// copies the triples into it, each subject turned into its rank in its
+// predicate's list (the map function of Fig. 4, against PS): the
+// position it is filled in.
+func psLists(ts []Triple, np int, ranked []Triple) (ptr, subjects []uint64) {
+	// A pair repeats for 2.3 triples on average, which no branch
+	// predicts, so both passes count and write without branching on it.
 	ptr = make([]uint64, np+1)
-	for i, t := range ts {
-		if i == 0 || t.S != ts[i-1].S || t.P != ts[i-1].P {
-			ptr[t.P+1]++
-		}
+	prev := Triple{S: Wildcard, P: Wildcard}
+	for _, t := range ts {
+		ptr[t.P+1] += newPair(prev, t)
+		prev = t
 	}
 	for p := 0; p < np; p++ {
 		ptr[p+1] += ptr[p]
 	}
 	subjects = make([]uint64, ptr[np])
 	next := append([]uint64(nil), ptr[:np]...)
+	prev = Triple{S: Wildcard, P: Wildcard}
 	for i, t := range ts {
-		if i == 0 || t.S != ts[i-1].S || t.P != ts[i-1].P {
-			subjects[next[t.P]] = uint64(t.S)
-			next[t.P]++
+		next[t.P] += newPair(prev, t)
+		prev = t
+		r := next[t.P] - 1 // the pair's position, written again while it repeats
+		subjects[r] = uint64(t.S)
+		if ranked != nil {
+			ranked[i] = Triple{ID(r - ptr[t.P]), t.P, t.O}
 		}
 	}
 	return ptr, subjects
 }
 
-// toPSRanks copies triples in SPO order into out, each subject turned
-// into its rank in its predicate's PS list (the map function of Fig. 4,
-// against PS). A predicate's subjects arrive in ascending order, so a
-// counter per predicate numbers them.
-func toPSRanks(out, ts []Triple, np int) {
-	next := make([]ID, np)
-	var r ID
-	for i, t := range ts {
-		if i == 0 || t.S != ts[i-1].S || t.P != ts[i-1].P {
-			r = next[t.P]
-			next[t.P]++
-		}
-		out[i] = Triple{r, t.P, t.O}
+// newPair is 1 when t, in SPO order after prev, starts another (subject,
+// predicate) pair, and 0 when it repeats prev's.
+func newPair(prev, t Triple) uint64 {
+	if (prev.S^t.S)|(prev.P^t.P) != 0 {
+		return 1
 	}
+	return 0
 }
 
-// fromPSRanks undoes toPSRanks, on triples in any order, with the lists
-// psLists returned.
+// fromPSRanks turns the ranked subjects psLists wrote back into IDs, on
+// triples in any order.
 func fromPSRanks(ts []Triple, ptr, subjects []uint64) {
 	for i, t := range ts {
 		ts[i].S = ID(subjects[ptr[t.P]+uint64(t.S)])

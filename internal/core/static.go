@@ -166,20 +166,15 @@ func Build(d *Dataset, layout Layout, opts ...Option) (Index, error) {
 	o := buildOptions(opts)
 	x := &staticIndex{layout: layout, spec: &specs[layout]}
 	maps := x.spec.mapsFor(o.CCAllPermutations)
-	var lists psList
-	if x.spec.ps {
-		lists.ptr, lists.subjects = psLists(d.Triples, d.NP)
-		x.ps = newPS(lists.ptr, lists.subjects)
+	if x.spec.ps && !x.spec.ranksVsPS() {
+		x.ps = newPS(psLists(d.Triples, d.NP, nil)) // buildTries builds a ranked layout's
 	}
-	if err := x.buildTries(d, o, maps, lists); err != nil {
+	if err := x.buildTries(d, o, maps); err != nil {
 		return nil, err
 	}
 	x.crossCompress(maps)
 	return x, nil
 }
-
-// psList is PS's lists as psLists returns them, while an index builds.
-type psList struct{ ptr, subjects []uint64 }
 
 // ccMaps lists the cross-compressions of Section 3.2, each a permutation
 // and its reference. CC maps the first by default — POS against OSP, the
@@ -221,7 +216,8 @@ func (s *spec) mapsFor(all bool) []ccMap {
 // IDs do.
 //
 // Against PS, the triples in SPO order, the dataset's, number each
-// predicate's subjects as they arrive; the ranks are kept only where
+// predicate's subjects as they arrive, which builds PS too; the ranks
+// are kept only where
 // they and PS write fewer bytes than the IDs would (psPays), and
 // otherwise the IDs are stored, Compact coded unless WithTrieConfig set
 // the permutation's codecs, and PS dropped. Against a trie, the
@@ -230,7 +226,7 @@ func (s *spec) mapsFor(all bool) []ccMap {
 // triples last sorted are in the reference's order they are reused; so
 // 2Tp sorts the triples twice, POS then SPO, as it did before POS could
 // hold ranks.
-func (x *staticIndex) buildTries(d *Dataset, o Options, maps []ccMap, lists psList) error {
+func (x *staticIndex) buildTries(d *Dataset, o Options, maps []ccMap) error {
 	codecs := x.spec.codecs
 	for p, cfg := range o.TrieConfigs {
 		codecs[p] = cfg
@@ -251,12 +247,13 @@ func (x *staticIndex) buildTries(d *Dataset, o Options, maps []ccMap, lists psLi
 				t, err = buildTrie(d, scratch, p, codecs[p])
 				sorted = p
 			case ref == PermPSO:
-				toPSRanks(scratch, d.Triples, d.NP)
+				ptr, subjects := psLists(d.Triples, d.NP, scratch)
+				x.ps = newPS(ptr, subjects)
 				SortPerm(scratch, p, d.NS, d.NP, d.NO)
 				if t, err = buildTrie(d, scratch, p, codecs[p]); err != nil {
 					return err
 				}
-				fromPSRanks(scratch, lists.ptr, lists.subjects)
+				fromPSRanks(scratch, ptr, subjects)
 				if keep := o.psChoice > 0 || o.psChoice == 0 && x.psPays(t, d.NS); !keep {
 					cfg := codecs[p]
 					if _, set := o.TrieConfigs[p]; !set {

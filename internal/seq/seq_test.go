@@ -256,8 +256,8 @@ func TestFirstIsAt(t *testing.T) {
 }
 
 // TestSizeBitsIsWrittenBytes: every kind's SizeBits is 8 times the bytes
-// Write stores, so bits/triple moves with the file. Elias-Fano's used to
-// count the rank/select directory decode rebuilds as well.
+// Write stores, so bits/triple moves with the file; a directory decode
+// rebuilds is not written and not counted.
 func TestSizeBitsIsWrittenBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	fixtures := map[string]rangedData{
