@@ -584,17 +584,24 @@ type walkState struct {
 	t      *trie.Trie
 	ps     *PS          // non-nil: a find walk over ps's subject list
 	nodes2 seq.Sequence // t's third level
-	it2    seq.Iterator
+	it2    seq.Iterator // find walk: the third-level cursor, reset per range
+	raw    seq.Iterator // children walk: the third level's stored values, across ranges
 	it1    seq.Iterator // children walk: t's level-1 node cursor; ps walk: the subject-list cursor
 	ptrIt  seq.Iterator // children walk: t's level-1 pointer cursor
 	it     Iterator
 	vals   []uint64
-	ranks  refRoot // unmaps t's third level when it is cross-compressed
+	blk    []uint64 // children walk: stored values raw decoded, blk[bpos:bn] not yet drained
+	ranks  refRoot  // unmaps t's third level when it is cross-compressed
 
 	// The scalars come last: the garbage collector scans an object
 	// only up to its last pointer.
+	bpos, bn  int
+	blkLen    int    // children walk: how many values the next block decodes
+	base      uint64 // children walk: what the open range's stored values exceed its values by
+	carry     bool   // the third level's ranges are prefix-summed (seq.PrefixSummed)
 	perm      Perm
 	find      bool // find walk; otherwise children walk
+	block     bool // children walk: decode blocks of stored values (drain), not each range
 	decode    bool // children walk: load each root's list of ranks.ref
 	one       bool // the open range is one element, oneVal, not yet read
 	oneVal    uint64
@@ -621,9 +628,12 @@ func (st *walkState) fill(out []Triple) int {
 		}
 		vals := valBuf(&st.vals, k)
 		var m int
-		if st.one {
+		switch {
+		case st.block:
+			m = st.drain(vals)
+		case st.one:
 			vals[0], m, st.one = st.oneVal, 1, false
-		} else {
+		default:
 			m = st.it2.NextBatch(vals)
 		}
 		if m == 0 {
@@ -638,6 +648,36 @@ func (st *walkState) fill(out []Triple) int {
 		n += m
 	}
 	return n
+}
+
+// drain takes the next values of a children walk's open range from the
+// block of stored values, decoding the next block when it is empty. The
+// ranges of a children walk are contiguous, so one cursor decodes them a
+// block at a time across ranges, instead of one short batch per range;
+// a range's values are its stored values less its base, the last
+// stored value of the range before it. Blocks grow geometrically, as the
+// Iterator's buffer does, so a walk decodes little past its end.
+//
+//rdf:hotpath
+func (st *walkState) drain(vals []uint64) int {
+	if st.bpos == st.bn {
+		st.bn, st.bpos = st.raw.NextBatch(st.blk[:st.blkLen]), 0
+		if st.bn == 0 {
+			return 0
+		}
+		st.blkLen = min(4*st.blkLen, len(st.blk))
+	}
+	m := copy(vals, st.blk[st.bpos:st.bn])
+	st.bpos += m
+	if base := st.base; base != 0 {
+		for i := range vals[:m] {
+			vals[i] -= base
+		}
+	}
+	if st.carry && m == int(st.left) {
+		st.base = st.blk[st.bpos-1] // the range ends: the next one's base
+	}
+	return m
 }
 
 // advance opens the walk's next third-level range, or reports that the
@@ -656,7 +696,11 @@ func (st *walkState) nextChild() bool {
 	for {
 		if bv, ok := st.it1.Next(); ok {
 			endv, _ := st.ptrIt.Next()
-			st.open(st.a, ID(bv), st.prev, int(endv))
+			if st.block {
+				st.b, st.left = ID(bv), uint32(int(endv)-st.prev)
+			} else {
+				st.open(st.a, ID(bv), st.prev, int(endv))
+			}
 			st.prev = int(endv)
 			return true
 		}
@@ -729,9 +773,13 @@ func (st *walkState) open(a, b ID, b2, e2 int) {
 // walkChildren starts a children walk over roots [root, end), from
 // level-1 positions [j, e) of root, whose children start at b1. With
 // decode set, the walk decodes each root's list of the reference its
-// third level ranks against, which must be keyed by the root.
+// third level ranks against, which must be keyed by the root. A walk
+// over every root (a scan) decodes its third level in blocks across
+// ranges (drain); a walk over one root reads each range as it opens it,
+// which measured faster for S?? over a subject's few predicates.
 func (st *walkState) walkChildren(root, end ID, b1, j, e int, decode bool) *Iterator {
 	st.find, st.decode = false, decode
+	st.block = end > root+1
 	st.a, st.root, st.end = root, root+1, end
 	if decode {
 		st.ranks.load(root)
@@ -746,13 +794,32 @@ func (st *walkState) walkChildren(root, end ID, b1, j, e int, decode bool) *Iter
 	}
 	first, _ := st.ptrIt.Next()
 	st.prev = int(first)
+	if !st.block {
+		return &st.it
+	}
+	// Read as one range from 0, the third level yields stored values; a
+	// prefix-summed first range's base is the value before it.
+	from := st.prev
+	if st.carry && from > 0 {
+		from--
+	}
+	if st.raw == nil {
+		st.raw = st.nodes2.IterFrom(0, from, st.nodes2.Len())
+		st.blk = make([]uint64, triBatch)
+	} else {
+		st.raw.Reset(0, from, st.nodes2.Len())
+	}
+	st.base, st.bpos, st.bn, st.blkLen = 0, 0, 0, 8
+	if from < st.prev {
+		st.base, _ = st.raw.Next()
+	}
 	return &st.it
 }
 
 // walkFind starts a find walk for child b over the counted roots
 // [root, end), or over the subject list of the state's PS.
 func (st *walkState) walkFind(root, end, b ID) *Iterator {
-	st.find = true
+	st.find, st.block = true, false
 	st.root, st.end, st.b = root, end, b
 	return &st.it
 }

@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"rdfindexes/internal/seq"
+)
 
 // A built index is immutable — every sequence, trie level and dictionary
 // it holds is read-only after construction — so any number of goroutines
@@ -40,7 +44,8 @@ type pools struct {
 func (x *staticIndex) getWalk(pool *sync.Pool, p Perm, ps *PS) *walkState {
 	st, ok := pool.Get().(*walkState)
 	if !ok {
-		st = &walkState{t: x.tries[p], ps: ps, nodes2: x.tries[p].Nodes(2), perm: p}
+		t := x.tries[p]
+		st = &walkState{t: t, ps: ps, nodes2: t.Nodes(2), carry: seq.PrefixSummed(t.Nodes(2)), perm: p}
 		st.vals = st.vals0[:]
 		st.ranks.use(x.xref[p])
 	}

@@ -146,6 +146,12 @@ func Build(kind Kind, values []uint64, ranges []int) Sequence {
 	panic(fmt.Sprintf("seq: unknown kind %d", kind))
 }
 
+// PrefixSummed reports whether s stores each value of a range plus the
+// range's base, the stored value just before the range (every kind but
+// Compact): then a cursor reading stored values across consecutive
+// ranges takes each range's base from the last value it read.
+func PrefixSummed(s Sequence) bool { return s.Kind() != KindCompact }
+
 // BuildMono encodes an already-monotone sequence (e.g. trie pointers).
 func BuildMono(kind Kind, values []uint64) Sequence {
 	return Build(kind, values, nil)
