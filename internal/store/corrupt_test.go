@@ -496,6 +496,12 @@ func TestVerifyCrossRanks(t *testing.T) {
 // psStore builds a 2Tp store whose POS subjects are ranks in PS.
 func psStore(t *testing.T) *Store {
 	t.Helper()
+	return encodeNT(t, psNT(), core.Layout2Tp)
+}
+
+// psNT is N-Triples on which 2Tp keeps PS: four objects per (subject,
+// predicate) pair, so PS lists far fewer entries than POS.
+func psNT() string {
 	rng := rand.New(rand.NewSource(5))
 	var nt strings.Builder
 	for range 600 {
@@ -504,7 +510,7 @@ func psStore(t *testing.T) *Store {
 			fmt.Fprintf(&nt, "<http://ex/n%d> <http://ex/p%d> <http://ex/n%d> .\n", s, p, rng.Intn(300))
 		}
 	}
-	return encodeNT(t, nt.String(), core.Layout2Tp)
+	return nt.String()
 }
 
 // psSequences returns the PS structure of x: its pointers and subjects.

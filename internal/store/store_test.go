@@ -418,6 +418,60 @@ func TestFormatPinned(t *testing.T) {
 	}
 }
 
+// TestMergeRankedPOSEqualsBuild: a 2Tp store whose POS subjects are
+// ranks in PS merges its inserts to the bytes a fresh build of the same
+// triples writes, as TestFormatPinned checks on a fixture whose subjects
+// stay IDs.
+func TestMergeRankedPOSEqualsBuild(t *testing.T) {
+	nt := psNT()
+	st := encodeNT(t, nt, core.Layout2Tp)
+	if ref, ok := core.CrossReference(st.Index, core.PermPOS); !ok || ref != core.PermPSO {
+		t.Fatalf("2Tp's POS ranks against %v, %v; want PS", ref, ok)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "merged.idx")
+	if err := Write(path, st); err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenMutable(path, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for _, tr := range [][3]string{
+		{"<http://ex/new1>", "<http://ex/p3>", "<http://ex/n7>"},
+		{"<http://ex/n8>", "<http://ex/p70>", "<http://ex/n9>"},
+		{"<http://ex/n2>", "<http://ex/p1>", `"lit"`},
+	} {
+		if res, err := m.Insert(tr[0], tr[1], tr[2]); err != nil || !res.Changed {
+			t.Fatalf("insert %v: %+v, %v", tr, res, err)
+		}
+		nt += strings.Join(tr[:], " ") + " .\n"
+	}
+	if err := m.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := encodeNT(t, nt, core.Layout2Tp)
+	if _, ok := core.CrossReference(fresh.Index, core.PermPOS); !ok {
+		t.Fatal("the fresh build's POS subjects are IDs")
+	}
+	built := filepath.Join(dir, "built.idx")
+	if err := Write(built, fresh); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("merged file (%d bytes) differs from the built one (%d bytes)", len(got), len(want))
+	}
+}
+
 // TestReadEarlierCodecs opens a 2Tp store written with the codecs 2Tp
 // used before its second-level pointers became PEF, its POS subjects
 // Compact and its SPO predicates EF: every sequence carries its kind
