@@ -39,7 +39,6 @@ type Partitioned struct {
 	dir      []dirEntry
 	payload  *xbits.Vector
 	sel      []selectHint // per partition once IndexSelect built it, else nil
-	sizeBits uint64       // what Encode writes, see SizeBits
 }
 
 // selectHint is a partition's select directory: the number of its set
@@ -118,7 +117,6 @@ func NewPartitionedLog(values []uint64, partLog uint) *Partitioned {
 	for lo := 0; lo < n; lo += 1 << partLog {
 		p.appendPartition(values, lo, min(lo+1<<partLog, n))
 	}
-	p.sizeBits = p.measure(p.encodedColumns())
 	return p
 }
 
@@ -825,7 +823,7 @@ func (it *PartIterator) SkipTo(x uint64) (int, uint64, bool) {
 // 8-byte aligned offset, which is what the paper's bits/triple counts.
 // The decoded directory that replaces the encoded columns in memory is
 // not included.
-func (p *Partitioned) SizeBits() uint64 { return p.sizeBits }
+func (p *Partitioned) SizeBits() uint64 { return 8 * uint64(codec.Size(p.Encode)) }
 
 // encodedColumns returns the directory columns as Encode writes them;
 // the offsets end with the payload length.
@@ -837,11 +835,6 @@ func (p *Partitioned) encodedColumns() (uppers *Sequence, offsets *xbits.Compact
 // Encode writes the sequence to w.
 func (p *Partitioned) Encode(w *codec.Writer) {
 	uppers, offsets, kinds := p.encodedColumns()
-	p.encode(w, uppers, offsets, kinds)
-}
-
-// encode writes the sequence with its directory's encoded columns.
-func (p *Partitioned) encode(w *codec.Writer, uppers *Sequence, offsets *xbits.CompactVector, kinds []byte) {
 	w.Uvarint(uint64(p.n))
 	w.Uvarint(p.universe)
 	w.Byte(byte(p.partLog))
@@ -849,12 +842,6 @@ func (p *Partitioned) encode(w *codec.Writer, uppers *Sequence, offsets *xbits.C
 	w.Bytes(kinds)
 	offsets.Encode(w)
 	p.payload.Encode(w)
-}
-
-// measure returns the bits encode writes with the given columns, which
-// the build and the decode hold, so that SizeBits needs not derive them.
-func (p *Partitioned) measure(uppers *Sequence, offsets *xbits.CompactVector, kinds []byte) uint64 {
-	return 8 * uint64(codec.Size(func(w *codec.Writer) { p.encode(w, uppers, offsets, kinds) }))
 }
 
 // DecodePartitioned reads a sequence written by Encode.
@@ -888,6 +875,5 @@ func DecodePartitioned(r *codec.Reader) (*Partitioned, error) {
 	if err := p.decodeDirectory(upper, kinds, offsets); err != nil {
 		return nil, r.Fail(err)
 	}
-	p.sizeBits = p.measure(upper, offsets, kinds)
 	return p, nil
 }
