@@ -87,9 +87,7 @@ func SelectValueRange(x RangeSelecter, r *R, p ID, lo, hi uint64) *Iterator {
 
 // selectObjectRange seeks lo and past hi among the objects of p on the
 // POS trie and walks the children of p in between. When POS's subjects
-// are ranks in p's PS list (2Tp), the walk decodes the list if it will
-// unmap at least rangeDecodeShare of its length, and otherwise reads
-// each subject at random.
+// are ranks in p's PS list (2Tp), the walk reads each subject at random.
 func (x *staticIndex) selectObjectRange(p ID, lo, hi ID) *Iterator {
 	pos := x.tries[PermPOS]
 	b1, e1 := pos.RootRange(uint32(p))
@@ -100,17 +98,5 @@ func (x *staticIndex) selectObjectRange(p ID, lo, hi ID) *Iterator {
 	if k, _, ok := pos.Nodes(1).FindGEQ(b1, e1, uint64(hi)+1); ok {
 		e1 = k
 	}
-	decode := false
-	if x.keyedByRoot(PermPOS) {
-		b2, _ := pos.ChildRange(j)
-		_, e2 := pos.ChildRange(e1 - 1)
-		begin, end, _ := x.xref[PermPOS].span(p)
-		decode = (e2-b2)*rangeDecodeShare >= end-begin
-	}
-	return x.getWalk(&x.walks[PermPOS], PermPOS, nil).walkChildren(p, p+1, b1, j, e1, decode)
+	return x.getWalk(&x.walks[PermPOS], PermPOS, nil).walkChildren(p, p+1, b1, j, e1, false)
 }
-
-// rangeDecodeShare: a range query decodes its predicate's subject list
-// when it unmaps at least 1/rangeDecodeShare of the list's length, where
-// decoding an ID costs a small fraction of a random access.
-const rangeDecodeShare = 8
