@@ -12,54 +12,55 @@ import (
 // out — i.e. zero allocations per triple in steady state.
 func TestSteadyStateAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(271))
-	d := skewedDataset(rng, 20000)
-	for name, x := range allLayouts(t, d) {
-		x := x
-		t.Run(name, func(t *testing.T) {
-			var buf [512]Triple
-			for _, shape := range AllShapes() {
-				// Pick a pattern with a healthy number of matches so a
-				// per-triple allocation would dominate the measurement.
-				var pat Pattern
-				matches := 0
-				for _, tr := range d.Triples[:200] {
-					p := WithWildcards(tr, shape)
-					if n := x.Select(p).Count(); n > matches {
-						matches = n
-						pat = p
-					}
-				}
-				if matches == 0 {
-					continue
-				}
-				got := 0
-				allocs := testing.AllocsPerRun(10, func() {
-					it := x.Select(pat)
-					got = 0
-					for {
-						k := it.NextBatch(buf[:])
-						if k == 0 {
-							break
+	for _, d := range testDatasets(rng, 20000) {
+		for name, x := range allLayouts(t, d) {
+			x := x
+			t.Run(name, func(t *testing.T) {
+				var buf [512]Triple
+				for _, shape := range AllShapes() {
+					// Pick a pattern with a healthy number of matches so a
+					// per-triple allocation would dominate the measurement.
+					var pat Pattern
+					matches := 0
+					for _, tr := range d.Triples[:200] {
+						p := WithWildcards(tr, shape)
+						if n := x.Select(p).Count(); n > matches {
+							matches = n
+							pat = p
 						}
-						got += k
 					}
-				})
-				if got != matches {
-					t.Fatalf("%s: drained %d, want %d", shape, got, matches)
+					if matches == 0 {
+						continue
+					}
+					got := 0
+					allocs := testing.AllocsPerRun(10, func() {
+						it := x.Select(pat)
+						got = 0
+						for {
+							k := it.NextBatch(buf[:])
+							if k == 0 {
+								break
+							}
+							got += k
+						}
+					})
+					if got != matches {
+						t.Fatalf("%s: drained %d, want %d", shape, got, matches)
+					}
+					// Setup allocations only: the bound is deliberately far
+					// below the match counts of the broad shapes, so any
+					// per-triple or per-sibling-range allocation fails it.
+					const maxSetupAllocs = 16
+					if allocs > maxSetupAllocs {
+						t.Errorf("%s (%d matches): %.1f allocs per select+drain, want <= %d",
+							shape, matches, allocs, maxSetupAllocs)
+					}
+					if matches >= 100 && allocs/float64(matches) > 0.05 {
+						t.Errorf("%s: %.4f allocs per triple, want ~0", shape, allocs/float64(matches))
+					}
 				}
-				// Setup allocations only: the bound is deliberately far
-				// below the match counts of the broad shapes, so any
-				// per-triple or per-sibling-range allocation fails it.
-				const maxSetupAllocs = 16
-				if allocs > maxSetupAllocs {
-					t.Errorf("%s (%d matches): %.1f allocs per select+drain, want <= %d",
-						shape, matches, allocs, maxSetupAllocs)
-				}
-				if matches >= 100 && allocs/float64(matches) > 0.05 {
-					t.Errorf("%s: %.4f allocs per triple, want ~0", shape, allocs/float64(matches))
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -73,43 +74,44 @@ func TestCountLookupAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
 	rng := rand.New(rand.NewSource(283))
-	d := skewedDataset(rng, 5000)
-	var buf [64]Triple
-	for name, x := range allLayouts(t, d) {
-		t.Run(name, func(t *testing.T) {
-			for _, tr := range d.Triples[:20] {
-				for _, shape := range AllShapes() {
-					pat := WithWildcards(tr, shape)
-					want := x.Select(pat).Count()
-					if allocs := testing.AllocsPerRun(20, func() {
-						if got := Count(x, pat); got != want {
-							t.Fatalf("Count(%v) = %d, want %d", pat, got, want)
+	for _, d := range testDatasets(rng, 5000) {
+		var buf [64]Triple
+		for name, x := range allLayouts(t, d) {
+			t.Run(name, func(t *testing.T) {
+				for _, tr := range d.Triples[:20] {
+					for _, shape := range AllShapes() {
+						pat := WithWildcards(tr, shape)
+						want := x.Select(pat).Count()
+						if allocs := testing.AllocsPerRun(20, func() {
+							if got := Count(x, pat); got != want {
+								t.Fatalf("Count(%v) = %d, want %d", pat, got, want)
+							}
+						}); allocs != 0 {
+							t.Errorf("Count %s: %.1f allocs, want 0", shape, allocs)
 						}
-					}); allocs != 0 {
-						t.Errorf("Count %s: %.1f allocs, want 0", shape, allocs)
+						if allocs := testing.AllocsPerRun(20, func() {
+							got := 0
+							it := x.Select(pat)
+							for k := it.NextBatch(buf[:]); k > 0; k = it.NextBatch(buf[:]) {
+								got += k
+							}
+							if got != want {
+								t.Fatalf("Select(%v) drained %d, want %d", pat, got, want)
+							}
+						}); allocs != 0 {
+							t.Errorf("Select %s: %.1f allocs, want 0", shape, allocs)
+						}
 					}
 					if allocs := testing.AllocsPerRun(20, func() {
-						got := 0
-						it := x.Select(pat)
-						for k := it.NextBatch(buf[:]); k > 0; k = it.NextBatch(buf[:]) {
-							got += k
-						}
-						if got != want {
-							t.Fatalf("Select(%v) drained %d, want %d", pat, got, want)
+						if !Lookup(x, tr) {
+							t.Fatalf("Lookup(%v) = false", tr)
 						}
 					}); allocs != 0 {
-						t.Errorf("Select %s: %.1f allocs, want 0", shape, allocs)
+						t.Errorf("Lookup: %.1f allocs, want 0", allocs)
 					}
 				}
-				if allocs := testing.AllocsPerRun(20, func() {
-					if !Lookup(x, tr) {
-						t.Fatalf("Lookup(%v) = false", tr)
-					}
-				}); allocs != 0 {
-					t.Errorf("Lookup: %.1f allocs, want 0", allocs)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -117,42 +119,43 @@ func TestCountLookupAllocs(t *testing.T) {
 // of the buffered iterator on every layout and shape.
 func TestCountMatchesNextBatchAndCollect(t *testing.T) {
 	rng := rand.New(rand.NewSource(277))
-	d := skewedDataset(rng, 5000)
-	for name, x := range allLayouts(t, d) {
-		for _, shape := range AllShapes() {
-			for _, tr := range d.Triples[:50] {
-				pat := WithWildcards(tr, shape)
-				want := 0
-				it := x.Select(pat)
-				for {
-					if _, ok := it.Next(); !ok {
-						break
-					}
-					want++
-				}
-				if got := x.Select(pat).Count(); got != want {
-					t.Fatalf("%s/%s: Count = %d, Next-drain = %d", name, shape, got, want)
-				}
-				if got := len(x.Select(pat).Collect(-1)); got != want {
-					t.Fatalf("%s/%s: Collect = %d, Next-drain = %d", name, shape, got, want)
-				}
-				var buf [33]Triple
-				got := 0
-				bit := x.Select(pat)
-				for {
-					k := bit.NextBatch(buf[:])
-					if k == 0 {
-						break
-					}
-					for _, m := range buf[:k] {
-						if !pat.Matches(m) {
-							t.Fatalf("%s/%s: NextBatch produced non-matching %v", name, shape, m)
+	for _, d := range testDatasets(rng, 5000) {
+		for name, x := range allLayouts(t, d) {
+			for _, shape := range AllShapes() {
+				for _, tr := range d.Triples[:50] {
+					pat := WithWildcards(tr, shape)
+					want := 0
+					it := x.Select(pat)
+					for {
+						if _, ok := it.Next(); !ok {
+							break
 						}
+						want++
 					}
-					got += k
-				}
-				if got != want {
-					t.Fatalf("%s/%s: NextBatch-drain = %d, Next-drain = %d", name, shape, got, want)
+					if got := x.Select(pat).Count(); got != want {
+						t.Fatalf("%s/%s: Count = %d, Next-drain = %d", name, shape, got, want)
+					}
+					if got := len(x.Select(pat).Collect(-1)); got != want {
+						t.Fatalf("%s/%s: Collect = %d, Next-drain = %d", name, shape, got, want)
+					}
+					var buf [33]Triple
+					got := 0
+					bit := x.Select(pat)
+					for {
+						k := bit.NextBatch(buf[:])
+						if k == 0 {
+							break
+						}
+						for _, m := range buf[:k] {
+							if !pat.Matches(m) {
+								t.Fatalf("%s/%s: NextBatch produced non-matching %v", name, shape, m)
+							}
+						}
+						got += k
+					}
+					if got != want {
+						t.Fatalf("%s/%s: NextBatch-drain = %d, Next-drain = %d", name, shape, got, want)
+					}
 				}
 			}
 		}

@@ -16,81 +16,82 @@ import (
 // emission order. Run with -race.
 func TestConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(239))
-	d := skewedDataset(rng, 3000)
-	for name, x := range allLayouts(t, d) {
-		t.Run(name, func(t *testing.T) {
-			dyn := NewDynamicFromIndex(x, -1)
-			for i := 0; i < 40; i++ {
-				tr := d.Triples[rng.Intn(len(d.Triples))]
-				if _, err := dyn.Delete(tr); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := dyn.Insert(Triple{tr.S, tr.P, ID(rng.Intn(d.NO))}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			snap := dyn.Snapshot()
-			if snap.LogSize() == 0 {
-				t.Fatal("the snapshot's log is empty")
-			}
-			live := dyn.LiveTriples()
-
-			type probe struct {
-				p             Pattern
-				static, dynam []Triple // the oracle's streams
-			}
-			probes := make([]probe, 120)
-			for i := range probes {
-				tr := d.Triples[rng.Intn(len(d.Triples))]
-				p := WithWildcards(tr, Shape(i%int(NumShapes)))
-				perm := emitPerm(x.Layout(), p.Shape())
-				probes[i] = probe{p, sortedByPermCopy(refSelect(d.Triples, p), perm), sortedByPermCopy(refSelect(live, p), perm)}
-			}
-
-			var wg sync.WaitGroup
-			errs := make(chan string, 16)
-			for g := 0; g < 16; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					local := rand.New(rand.NewSource(int64(g)))
-					buf := make([]Triple, 1+g*17)
-					var got []Triple
-					for i := 0; i < 200; i++ {
-						pr := probes[local.Intn(len(probes))]
-						var src Index = x
-						want := pr.static
-						if i%2 == 1 {
-							src, want = snap, pr.dynam
-						}
-						got = got[:0]
-						it := src.Select(pr.p)
-						if g%2 == 0 {
-							for tr, ok := it.Next(); ok; tr, ok = it.Next() {
-								got = append(got, tr)
-							}
-						} else {
-							for k := it.NextBatch(buf); k > 0; k = it.NextBatch(buf) {
-								got = append(got, buf[:k]...)
-							}
-						}
-						if len(got) != len(want) {
-							errs <- fmt.Sprintf("%T %v: %d triples, oracle %d", src, pr.p, len(got), len(want))
-							return
-						}
-						if j := firstMismatch(got, want); j >= 0 {
-							errs <- fmt.Sprintf("%T %v: triple %d = %v, oracle %v", src, pr.p, j, got[j], want[j])
-							return
-						}
+	for _, d := range testDatasets(rng, 3000) {
+		for name, x := range allLayouts(t, d) {
+			t.Run(name, func(t *testing.T) {
+				dyn := NewDynamicFromIndex(x, -1)
+				for i := 0; i < 40; i++ {
+					tr := d.Triples[rng.Intn(len(d.Triples))]
+					if _, err := dyn.Delete(tr); err != nil {
+						t.Fatal(err)
 					}
-				}(g)
-			}
-			wg.Wait()
-			close(errs)
-			for e := range errs {
-				t.Error(e)
-			}
-		})
+					if _, err := dyn.Insert(Triple{tr.S, tr.P, ID(rng.Intn(d.NO))}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				snap := dyn.Snapshot()
+				if snap.LogSize() == 0 {
+					t.Fatal("the snapshot's log is empty")
+				}
+				live := dyn.LiveTriples()
+
+				type probe struct {
+					p             Pattern
+					static, dynam []Triple // the oracle's streams
+				}
+				probes := make([]probe, 120)
+				for i := range probes {
+					tr := d.Triples[rng.Intn(len(d.Triples))]
+					p := WithWildcards(tr, Shape(i%int(NumShapes)))
+					perm := emitPerm(x.Layout(), p.Shape())
+					probes[i] = probe{p, sortedByPermCopy(refSelect(d.Triples, p), perm), sortedByPermCopy(refSelect(live, p), perm)}
+				}
+
+				var wg sync.WaitGroup
+				errs := make(chan string, 16)
+				for g := 0; g < 16; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						local := rand.New(rand.NewSource(int64(g)))
+						buf := make([]Triple, 1+g*17)
+						var got []Triple
+						for i := 0; i < 200; i++ {
+							pr := probes[local.Intn(len(probes))]
+							var src Index = x
+							want := pr.static
+							if i%2 == 1 {
+								src, want = snap, pr.dynam
+							}
+							got = got[:0]
+							it := src.Select(pr.p)
+							if g%2 == 0 {
+								for tr, ok := it.Next(); ok; tr, ok = it.Next() {
+									got = append(got, tr)
+								}
+							} else {
+								for k := it.NextBatch(buf); k > 0; k = it.NextBatch(buf) {
+									got = append(got, buf[:k]...)
+								}
+							}
+							if len(got) != len(want) {
+								errs <- fmt.Sprintf("%T %v: %d triples, oracle %d", src, pr.p, len(got), len(want))
+								return
+							}
+							if j := firstMismatch(got, want); j >= 0 {
+								errs <- fmt.Sprintf("%T %v: triple %d = %v, oracle %v", src, pr.p, j, got[j], want[j])
+								return
+							}
+						}
+					}(g)
+				}
+				wg.Wait()
+				close(errs)
+				for e := range errs {
+					t.Error(e)
+				}
+			})
+		}
 	}
 }
 

@@ -81,10 +81,36 @@ func skewedDataset(rng *rand.Rand, n int) *Dataset {
 	return NewDataset(ts)
 }
 
+// rankedDataset returns n triples on which 2Tp keeps POS's subjects as
+// ranks in PS, as it does on DBpedia-like data: each predicate is used
+// by few subjects, with several objects a (subject, predicate) pair, so
+// that a rank in a predicate's list is narrower than a subject ID. A
+// quarter of the objects are popular, as in skewedDataset.
+func rankedDataset(rng *rand.Rand, n int) *Dataset {
+	numS, numP := n/8+30, n/40+4
+	ts := make([]Triple, 0, n+3)
+	for len(ts) < n {
+		s, p := ID(rng.Intn(numS)), ID(rng.Intn(numP))
+		for range 4 {
+			o := ID(rng.Intn(numS))
+			if rng.Intn(4) == 0 {
+				o = ID(rng.Intn(20))
+			}
+			ts = append(ts, Triple{s, p, o})
+		}
+	}
+	return NewDataset(ts[:n])
+}
+
+// testDatasets returns the two datasets of n triples that tests run
+// every layout on: skewedDataset drawn from rng, on which 2Tp keeps
+// POS's subjects as IDs, and rankedDataset, on which it ranks them.
+func testDatasets(rng *rand.Rand, n int) []*Dataset {
+	return []*Dataset{skewedDataset(rng, n), rankedDataset(rand.New(rand.NewSource(int64(n))), n)}
+}
+
 // testLayouts names every layout the tests cover: the four of the
-// paper plus CC's all-permutations ablation, and 2Tp in both of its
-// forms: "2Tp" keeps POS's subjects as IDs on the tests' data, where
-// ranks in PS do not pay, and "2Tp-PS" keeps them as ranks regardless.
+// paper plus CC's all-permutations ablation.
 var testLayouts = []struct {
 	name   string
 	layout Layout
@@ -94,14 +120,11 @@ var testLayouts = []struct {
 	{"CC", LayoutCC, nil},
 	{"CC-all", LayoutCC, []Option{WithCCAllPermutations()}},
 	{"2Tp", Layout2Tp, nil},
-	{"2Tp-PS", Layout2Tp, []Option{withPSChoice(1)}},
 	{"2To", Layout2To, nil},
 }
 
-// withPSChoice overrides 2Tp's choice between POS subjects as ranks in
-// PS (1) and as IDs (-1).
-func withPSChoice(c int8) Option { return func(o *Options) { o.psChoice = c } }
-
+// allLayouts builds every layout of testLayouts on d. 2Tp is named
+// "2Tp-PS" where it ranks POS's subjects in PS.
 func allLayouts(t *testing.T, d *Dataset) map[string]Index {
 	t.Helper()
 	out := map[string]Index{}
@@ -110,67 +133,99 @@ func allLayouts(t *testing.T, d *Dataset) map[string]Index {
 		if err != nil {
 			t.Fatalf("Build(%s): %v", c.name, err)
 		}
-		out[c.name] = x
+		name := c.name
+		if ref, ok := CrossReference(x, PermPOS); ok && ref == PermPSO {
+			name += "-PS"
+		}
+		out[name] = x
 	}
 	return out
+}
+
+// TestDatasetsCoverBoth2TpForms: at every size the tests use, 2Tp keeps
+// POS's subjects as IDs on the first of testDatasets and as ranks in PS
+// on the second, and so does it on the numeric fixtures.
+func TestDatasetsCoverBoth2TpForms(t *testing.T) {
+	ranks := func(d *Dataset) bool {
+		x, err := Build(d, Layout2Tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, ok := CrossReference(x, PermPOS)
+		return ok && ref == PermPSO
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1500, 2000, 3000, 4000, 5000, 8000, 20000} {
+		ds := testDatasets(rng, n)
+		if ranks(ds[0]) || !ranks(ds[1]) {
+			t.Errorf("n=%d: 2Tp ranks POS's subjects on the skewed data %v, on the ranked data %v", n, ranks(ds[0]), ranks(ds[1]))
+		}
+	}
+	for _, ranked := range []bool{false, true} {
+		if got := ranks(newNumericFixture(rng, 4000, ranked).d); got != ranked {
+			t.Errorf("numeric fixture, ranked %v: 2Tp ranks POS's subjects %v", ranked, got)
+		}
+	}
 }
 
 // TestCheckRanksOnBuiltIndexes: every index Build makes passes
 // CheckRanks, the cross-compressed ones (CC, CC-all, 2Tp) included.
 func TestCheckRanksOnBuiltIndexes(t *testing.T) {
-	d := skewedDataset(rand.New(rand.NewSource(72)), 4000)
-	for name, x := range allLayouts(t, d) {
-		if err := CheckRanks(x); err != nil {
-			t.Errorf("%s: %v", name, err)
+	for _, d := range testDatasets(rand.New(rand.NewSource(72)), 4000) {
+		for name, x := range allLayouts(t, d) {
+			if err := CheckRanks(x); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
 		}
 	}
 }
 
 func TestAllLayoutsAgainstOracleAllShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	d := skewedDataset(rng, 4000)
-	indexes := allLayouts(t, d)
+	for _, d := range testDatasets(rng, 4000) {
+		indexes := allLayouts(t, d)
 
-	// Pattern pool: shapes derived from existing triples plus absent ones.
-	var patterns []Pattern
-	for i := 0; i < 60; i++ {
-		tr := d.Triples[rng.Intn(len(d.Triples))]
-		for _, s := range AllShapes() {
-			patterns = append(patterns, WithWildcards(tr, s))
+		// Pattern pool: shapes derived from existing triples plus absent ones.
+		var patterns []Pattern
+		for i := 0; i < 60; i++ {
+			tr := d.Triples[rng.Intn(len(d.Triples))]
+			for _, s := range AllShapes() {
+				patterns = append(patterns, WithWildcards(tr, s))
+			}
 		}
-	}
-	// Absent probes: components beyond the used spaces are not possible
-	// (dense spaces), so perturb components to likely-absent combos.
-	for i := 0; i < 40; i++ {
-		tr := d.Triples[rng.Intn(len(d.Triples))]
-		tr.O = ID(rng.Intn(d.NO))
-		tr.P = ID(rng.Intn(d.NP))
-		for _, s := range []Shape{ShapeSPO, ShapeSPx, ShapeSxO, ShapexPO} {
-			patterns = append(patterns, WithWildcards(tr, s))
+		// Absent probes: components beyond the used spaces are not possible
+		// (dense spaces), so perturb components to likely-absent combos.
+		for i := 0; i < 40; i++ {
+			tr := d.Triples[rng.Intn(len(d.Triples))]
+			tr.O = ID(rng.Intn(d.NO))
+			tr.P = ID(rng.Intn(d.NP))
+			for _, s := range []Shape{ShapeSPO, ShapeSPx, ShapeSxO, ShapexPO} {
+				patterns = append(patterns, WithWildcards(tr, s))
+			}
 		}
-	}
 
-	for name, x := range indexes {
-		if x.NumTriples() != d.Len() {
-			t.Fatalf("%s: NumTriples = %d, want %d", name, x.NumTriples(), d.Len())
-		}
-		for _, p := range patterns {
-			want := refSelect(d.Triples, p)
-			got := x.Select(p).Collect(-1)
-			if !sameTripleSet(got, want) {
-				t.Fatalf("%s: pattern %v (%v): got %d matches, want %d",
-					name, p, p.Shape(), len(got), len(want))
+		for name, x := range indexes {
+			if x.NumTriples() != d.Len() {
+				t.Fatalf("%s: NumTriples = %d, want %d", name, x.NumTriples(), d.Len())
 			}
-			// The stream must arrive in the route's emission order.
-			perm := emitPerm(x.Layout(), p.Shape())
-			if i := firstMismatch(got, sortedByPermCopy(want, perm)); i >= 0 {
-				t.Fatalf("%s: pattern %v (%v): triple %d = %v out of %v order",
-					name, p, p.Shape(), i, got[i], perm)
-			}
-			// Every produced triple must satisfy the pattern.
-			for _, m := range got {
-				if !p.Matches(m) {
-					t.Fatalf("%s: pattern %v yielded non-matching %v", name, p, m)
+			for _, p := range patterns {
+				want := refSelect(d.Triples, p)
+				got := x.Select(p).Collect(-1)
+				if !sameTripleSet(got, want) {
+					t.Fatalf("%s: pattern %v (%v): got %d matches, want %d",
+						name, p, p.Shape(), len(got), len(want))
+				}
+				// The stream must arrive in the route's emission order.
+				perm := emitPerm(x.Layout(), p.Shape())
+				if i := firstMismatch(got, sortedByPermCopy(want, perm)); i >= 0 {
+					t.Fatalf("%s: pattern %v (%v): triple %d = %v out of %v order",
+						name, p, p.Shape(), i, got[i], perm)
+				}
+				// Every produced triple must satisfy the pattern.
+				for _, m := range got {
+					if !p.Matches(m) {
+						t.Fatalf("%s: pattern %v yielded non-matching %v", name, p, m)
+					}
 				}
 			}
 		}
@@ -179,32 +234,34 @@ func TestAllLayoutsAgainstOracleAllShapes(t *testing.T) {
 
 func TestFullScanAllLayouts(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	d := skewedDataset(rng, 2000)
-	for name, x := range allLayouts(t, d) {
-		got := x.Select(NewPattern(-1, -1, -1)).Collect(-1)
-		if !sameTripleSet(got, d.Triples) {
-			t.Fatalf("%s: full scan returned %d triples, want %d", name, len(got), d.Len())
+	for _, d := range testDatasets(rng, 2000) {
+		for name, x := range allLayouts(t, d) {
+			got := x.Select(NewPattern(-1, -1, -1)).Collect(-1)
+			if !sameTripleSet(got, d.Triples) {
+				t.Fatalf("%s: full scan returned %d triples, want %d", name, len(got), d.Len())
+			}
 		}
 	}
 }
 
 func TestLookupAndCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	d := skewedDataset(rng, 1500)
-	for name, x := range allLayouts(t, d) {
-		for i := 0; i < 100; i++ {
-			tr := d.Triples[rng.Intn(len(d.Triples))]
-			if !Lookup(x, tr) {
-				t.Fatalf("%s: Lookup lost triple %v", name, tr)
+	for _, d := range testDatasets(rng, 1500) {
+		for name, x := range allLayouts(t, d) {
+			for i := 0; i < 100; i++ {
+				tr := d.Triples[rng.Intn(len(d.Triples))]
+				if !Lookup(x, tr) {
+					t.Fatalf("%s: Lookup lost triple %v", name, tr)
+				}
 			}
-		}
-		absent := Triple{ID(d.NS - 1), ID(d.NP - 1), ID(d.NO - 1)}
-		if refSelect(d.Triples, PatternOf(absent)) == nil && Lookup(x, absent) {
-			t.Fatalf("%s: Lookup found absent triple %v", name, absent)
-		}
-		p := NewPattern(-1, 0, -1)
-		if got, want := Count(x, p), len(refSelect(d.Triples, p)); got != want {
-			t.Fatalf("%s: Count(?0?) = %d, want %d", name, got, want)
+			absent := Triple{ID(d.NS - 1), ID(d.NP - 1), ID(d.NO - 1)}
+			if refSelect(d.Triples, PatternOf(absent)) == nil && Lookup(x, absent) {
+				t.Fatalf("%s: Lookup found absent triple %v", name, absent)
+			}
+			p := NewPattern(-1, 0, -1)
+			if got, want := Count(x, p), len(refSelect(d.Triples, p)); got != want {
+				t.Fatalf("%s: Count(?0?) = %d, want %d", name, got, want)
+			}
 		}
 	}
 }
@@ -258,25 +315,26 @@ func TestEmptyAndTinyDatasets(t *testing.T) {
 
 func TestIndexSerializationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
-	d := skewedDataset(rng, 2000)
-	for name, x := range allLayouts(t, d) {
-		var buf bytes.Buffer
-		if err := WriteIndex(&buf, x); err != nil {
-			t.Fatalf("%s: WriteIndex: %v", name, err)
-		}
-		got, err := ReadIndex(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: ReadIndex: %v", name, err)
-		}
-		if got.Layout() != x.Layout() || got.NumTriples() != x.NumTriples() {
-			t.Fatalf("%s: decoded header mismatch", name)
-		}
-		for i := 0; i < 50; i++ {
-			tr := d.Triples[rng.Intn(len(d.Triples))]
-			for _, s := range AllShapes() {
-				pat := WithWildcards(tr, s)
-				if !sameTripleSet(got.Select(pat).Collect(-1), x.Select(pat).Collect(-1)) {
-					t.Fatalf("%s: decoded index disagrees on %v", name, pat)
+	for _, d := range testDatasets(rng, 2000) {
+		for name, x := range allLayouts(t, d) {
+			var buf bytes.Buffer
+			if err := WriteIndex(&buf, x); err != nil {
+				t.Fatalf("%s: WriteIndex: %v", name, err)
+			}
+			got, err := ReadIndex(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("%s: ReadIndex: %v", name, err)
+			}
+			if got.Layout() != x.Layout() || got.NumTriples() != x.NumTriples() {
+				t.Fatalf("%s: decoded header mismatch", name)
+			}
+			for i := 0; i < 50; i++ {
+				tr := d.Triples[rng.Intn(len(d.Triples))]
+				for _, s := range AllShapes() {
+					pat := WithWildcards(tr, s)
+					if !sameTripleSet(got.Select(pat).Collect(-1), x.Select(pat).Collect(-1)) {
+						t.Fatalf("%s: decoded index disagrees on %v", name, pat)
+					}
 				}
 			}
 		}

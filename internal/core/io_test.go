@@ -84,15 +84,16 @@ func TestIndexBytesOnDiskMatchSizeBits(t *testing.T) {
 	// within a reasonable factor of it (directories are rebuilt on load,
 	// so the file can be smaller).
 	rng := rand.New(rand.NewSource(293))
-	d := skewedDataset(rng, 8000)
-	for name, x := range allLayouts(t, d) {
-		var buf bytes.Buffer
-		if err := WriteIndex(&buf, x); err != nil {
-			t.Fatal(err)
-		}
-		fileBits := uint64(buf.Len()) * 8
-		if fileBits > x.SizeBits()*2 || x.SizeBits() > fileBits*3 {
-			t.Errorf("%s: file %d bits vs SizeBits %d: accounting off", name, fileBits, x.SizeBits())
+	for _, d := range testDatasets(rng, 8000) {
+		for name, x := range allLayouts(t, d) {
+			var buf bytes.Buffer
+			if err := WriteIndex(&buf, x); err != nil {
+				t.Fatal(err)
+			}
+			fileBits := uint64(buf.Len()) * 8
+			if fileBits > x.SizeBits()*2 || x.SizeBits() > fileBits*3 {
+				t.Errorf("%s: file %d bits vs SizeBits %d: accounting off", name, fileBits, x.SizeBits())
+			}
 		}
 	}
 }

@@ -60,17 +60,18 @@ func TestSelectOutOfSpaceComponents(t *testing.T) {
 	// Patterns with IDs beyond the dense spaces must return no matches on
 	// every layout rather than panicking.
 	rng := rand.New(rand.NewSource(227))
-	d := skewedDataset(rng, 500)
-	for name, x := range allLayouts(t, d) {
-		for _, pat := range []Pattern{
-			{S: ID(d.NS + 5), P: Wildcard, O: Wildcard},
-			{S: Wildcard, P: ID(d.NP + 5), O: Wildcard},
-			{S: Wildcard, P: Wildcard, O: ID(d.NO + 5)},
-			{S: ID(d.NS + 5), P: ID(d.NP + 5), O: ID(d.NO + 5)},
-			{S: ID(d.NS + 5), P: Wildcard, O: ID(d.NO + 5)},
-		} {
-			if got := x.Select(pat).Count(); got != 0 {
-				t.Fatalf("%s: out-of-space pattern %v matched %d triples", name, pat, got)
+	for _, d := range testDatasets(rng, 2000) {
+		for name, x := range allLayouts(t, d) {
+			for _, pat := range []Pattern{
+				{S: ID(d.NS + 5), P: Wildcard, O: Wildcard},
+				{S: Wildcard, P: ID(d.NP + 5), O: Wildcard},
+				{S: Wildcard, P: Wildcard, O: ID(d.NO + 5)},
+				{S: ID(d.NS + 5), P: ID(d.NP + 5), O: ID(d.NO + 5)},
+				{S: ID(d.NS + 5), P: Wildcard, O: ID(d.NO + 5)},
+			} {
+				if got := x.Select(pat).Count(); got != 0 {
+					t.Fatalf("%s: out-of-space pattern %v matched %d triples", name, pat, got)
+				}
 			}
 		}
 	}

@@ -90,10 +90,6 @@ type Options struct {
 	// permutations of the CC layout instead of POS only (an ablation; the
 	// paper argues it does not pay off, see Section 3.2).
 	CCAllPermutations bool
-	// psChoice overrides the size comparison that decides whether 2Tp
-	// keeps POS's subjects as ranks in PS: 1 keeps them, -1 stores IDs.
-	// Tests set it to cover both forms on one dataset.
-	psChoice int8
 }
 
 // Option mutates Options.

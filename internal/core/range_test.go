@@ -15,7 +15,10 @@ type numericFixture struct {
 	base   ID
 }
 
-func newNumericFixture(rng *rand.Rand, n int) numericFixture {
+// newNumericFixture returns n triples over 150 subjects and 8
+// predicates; with ranked set, over 80 predicates, each used by a tenth
+// of the subjects, on which 2Tp ranks POS's subjects in PS.
+func newNumericFixture(rng *rand.Rand, n int, ranked bool) numericFixture {
 	base := ID(50) // object IDs below base are non-numeric URIs
 	numNumeric := 200
 	values := make([]uint64, numNumeric)
@@ -28,6 +31,9 @@ func newNumericFixture(rng *rand.Rand, n int) numericFixture {
 	for len(ts) < n {
 		s := ID(rng.Intn(150))
 		p := ID(rng.Intn(8))
+		if ranked {
+			p += 8 * (s % 10)
+		}
 		var o ID
 		if rng.Intn(2) == 0 {
 			o = base + ID(rng.Intn(numNumeric))
@@ -42,7 +48,7 @@ func newNumericFixture(rng *rand.Rand, n int) numericFixture {
 
 func TestRIDRangeOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	fx := newNumericFixture(rng, 3000)
+	fx := newNumericFixture(rng, 3000, false)
 	maxV := fx.values[len(fx.values)-1]
 	for trial := 0; trial < 500; trial++ {
 		lo := rng.Uint64() % (maxV + 3)
@@ -73,53 +79,55 @@ func TestRIDRangeOracle(t *testing.T) {
 
 func TestSelectValueRangeAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
-	fx := newNumericFixture(rng, 4000)
-	maxV := fx.values[len(fx.values)-1]
+	for _, ranked := range []bool{false, true} {
+		fx := newNumericFixture(rng, 4000, ranked)
+		maxV := fx.values[len(fx.values)-1]
 
-	// Every static layout serves range queries: on POS where it is
-	// stored, by filtering the ?P? route on 2To.
-	selecters := map[string]RangeSelecter{}
-	for name, x := range allLayouts(t, fx.d) {
-		selecters[name] = x.(RangeSelecter)
-	}
+		// Every static layout serves range queries: on POS where it is
+		// stored, by filtering the ?P? route on 2To.
+		selecters := map[string]RangeSelecter{}
+		for name, x := range allLayouts(t, fx.d) {
+			selecters[name] = x.(RangeSelecter)
+		}
 
-	inRange := func(o ID, lo, hi uint64) bool {
-		if o < fx.base || int(o-fx.base) >= len(fx.values) {
-			return false
+		inRange := func(o ID, lo, hi uint64) bool {
+			if o < fx.base || int(o-fx.base) >= len(fx.values) {
+				return false
+			}
+			v := fx.values[o-fx.base]
+			return v >= lo && v <= hi
 		}
-		v := fx.values[o-fx.base]
-		return v >= lo && v <= hi
-	}
 
-	for trial := 0; trial < 60; trial++ {
-		p := ID(rng.Intn(fx.d.NP))
-		a := rng.Uint64() % (maxV + 2)
-		b := rng.Uint64() % (maxV + 2)
-		lo, hi := a, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		var want []Triple
-		for _, tr := range fx.d.Triples {
-			if tr.P == p && inRange(tr.O, lo, hi) {
-				want = append(want, tr)
+		for trial := 0; trial < 60; trial++ {
+			p := ID(rng.Intn(fx.d.NP))
+			a := rng.Uint64() % (maxV + 2)
+			b := rng.Uint64() % (maxV + 2)
+			lo, hi := a, b
+			if lo > hi {
+				lo, hi = hi, lo
 			}
-		}
-		for name, x := range selecters {
-			got := SelectValueRange(x, fx.r, p, lo, hi).Collect(-1)
-			if !sameTripleSet(got, want) {
-				t.Fatalf("%s: SelectValueRange(p=%d, [%d, %d]) = %d matches, want %d",
-					name, p, lo, hi, len(got), len(want))
+			var want []Triple
+			for _, tr := range fx.d.Triples {
+				if tr.P == p && inRange(tr.O, lo, hi) {
+					want = append(want, tr)
+				}
 			}
-			// POS order where the layout stores POS; 2To filters its ?P?
-			// route, which emits in PSO order.
-			perm := PermPOS
-			if x.Layout() == Layout2To {
-				perm = PermPSO
-			}
-			if i := firstMismatch(got, sortedByPermCopy(want, perm)); i >= 0 {
-				t.Fatalf("%s: SelectValueRange(p=%d, [%d, %d]): triple %d = %v out of %v order",
-					name, p, lo, hi, i, got[i], perm)
+			for name, x := range selecters {
+				got := SelectValueRange(x, fx.r, p, lo, hi).Collect(-1)
+				if !sameTripleSet(got, want) {
+					t.Fatalf("%s: SelectValueRange(p=%d, [%d, %d]) = %d matches, want %d",
+						name, p, lo, hi, len(got), len(want))
+				}
+				// POS order where the layout stores POS; 2To filters its ?P?
+				// route, which emits in PSO order.
+				perm := PermPOS
+				if x.Layout() == Layout2To {
+					perm = PermPSO
+				}
+				if i := firstMismatch(got, sortedByPermCopy(want, perm)); i >= 0 {
+					t.Fatalf("%s: SelectValueRange(p=%d, [%d, %d]): triple %d = %v out of %v order",
+						name, p, lo, hi, i, got[i], perm)
+				}
 			}
 		}
 	}

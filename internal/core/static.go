@@ -254,7 +254,7 @@ func (x *staticIndex) buildTries(d *Dataset, o Options, maps []ccMap) error {
 					return err
 				}
 				fromPSRanks(scratch, ptr, subjects)
-				if keep := o.psChoice > 0 || o.psChoice == 0 && x.psPays(t, d.NS); !keep {
+				if !x.psPays(t, d.NS) {
 					cfg := codecs[p]
 					if _, set := o.TrieConfigs[p]; !set {
 						cfg.Nodes2 = seq.KindCompact

@@ -20,29 +20,30 @@ func TestSelectVarSortedRoutes(t *testing.T) {
 		"CC-all": nil,
 	}
 	rng := rand.New(rand.NewSource(241))
-	d := skewedDataset(rng, 3000)
-	// Probes: patterns of stored triples, plus perturbed ones that are
-	// mostly absent.
-	probes := append([]Triple(nil), d.Triples[:60]...)
-	for i := 0; i < 20; i++ {
-		tr := d.Triples[rng.Intn(d.Len())]
-		tr.O = ID(rng.Intn(d.NO))
-		probes = append(probes, tr)
-	}
-	for name, x := range allLayouts(t, d) {
-		vs := x.(VarSelecter)
-		for _, s := range AllShapes() {
-			wantOK := false
-			for _, w := range served[name] {
-				wantOK = wantOK || w == s
-			}
-			for _, tr := range probes {
-				pat := WithWildcards(tr, s)
-				if _, ok := vs.SelectVarSorted(pat); ok != wantOK {
-					t.Fatalf("%s: SelectVarSorted(%v) ok = %v, want %v", name, s, ok, wantOK)
+	for _, d := range testDatasets(rng, 3000) {
+		// Probes: patterns of stored triples, plus perturbed ones that are
+		// mostly absent.
+		probes := append([]Triple(nil), d.Triples[:60]...)
+		for i := 0; i < 20; i++ {
+			tr := d.Triples[rng.Intn(d.Len())]
+			tr.O = ID(rng.Intn(d.NO))
+			probes = append(probes, tr)
+		}
+		for name, x := range allLayouts(t, d) {
+			vs := x.(VarSelecter)
+			for _, s := range AllShapes() {
+				wantOK := false
+				for _, w := range served[name] {
+					wantOK = wantOK || w == s
 				}
-				if wantOK {
-					checkVarStream(t, name, vs, pat, wildcardBindings(x, pat))
+				for _, tr := range probes {
+					pat := WithWildcards(tr, s)
+					if _, ok := vs.SelectVarSorted(pat); ok != wantOK {
+						t.Fatalf("%s: SelectVarSorted(%v) ok = %v, want %v", name, s, ok, wantOK)
+					}
+					if wantOK {
+						checkVarStream(t, name, vs, pat, wildcardBindings(x, pat))
+					}
 				}
 			}
 		}
