@@ -18,6 +18,7 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 		"table4": Table4, "table5": Table5, "table6": Table6,
 		"fig6a": Fig6a, "fig6b": Fig6b, "fig7": Fig7,
 		"range": RangeQueries, "ablation": Ablation, "breakdown": Breakdown,
+		"dict": DictMaterialization, "parallel": ServeParallel,
 	}
 	for name, run := range experiments {
 		t.Run(name, func(t *testing.T) {
@@ -38,6 +39,11 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 				if !strings.Contains(out, tb.Header[0]) {
 					t.Fatalf("%s: rendering lost the header: %q", name, out)
 				}
+			}
+			// An in-process loop measures no request latency; the socket
+			// benchmark does.
+			if name == "parallel" && strings.Join(tables[0].Header, "|") != "goroutines|queries/sec|speedup" {
+				t.Fatalf("parallel header %q", tables[0].Header)
 			}
 		})
 	}

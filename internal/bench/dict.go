@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -90,26 +89,7 @@ func densestPredicate(d *core.Dataset) (core.ID, int) {
 	return core.ID(best), bestN
 }
 
-// legacyMaterialize replays the pre-writer /sparql row loop: a fresh
-// map[string]string per row, one-shot Store.Render per term, and
-// reflection-based json.Encoder lines. It is the baseline the pooled row
-// writer is measured against.
-func legacyMaterialize(st *store.Store, plan *sparql.Compiled, w io.Writer) (int, error) {
-	enc := json.NewEncoder(w)
-	vars := plan.Vars
-	rows := 0
-	_, err := sparql.Run(context.Background(), plan, st.Index, sparql.Options{}, sparql.EachRow(func(row []core.ID) {
-		out := make(map[string]string, len(vars))
-		for i, v := range vars {
-			out[v] = st.Render(row[i])
-		}
-		enc.Encode(out)
-		rows++
-	}))
-	return rows, err
-}
-
-// protocolMaterialize runs the same query through the live /sparql
+// protocolMaterialize runs a compiled query through the live /sparql
 // serving path: row blocks from the executor into the pooled row writer,
 // in one of the standard result formats (SPARQL JSON/XML/CSV/TSV).
 func protocolMaterialize(st *store.Store, plan *sparql.Compiled, f results.Format, w io.Writer) (int, error) {
@@ -128,87 +108,11 @@ func protocolMaterialize(st *store.Store, plan *sparql.Compiled, f results.Forma
 	return rows, wr.Flush()
 }
 
-// materializeFixture builds the dictionary-backed store and densest-
-// predicate scan the materialization measurements share.
-func materializeFixture(d *core.Dataset) (*store.Store, *sparql.Compiled, error) {
-	dicts, err := SynthDicts(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	x, err := core.Build(d, core.Layout2Tp)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, err := densestScan(d)
-	return &store.Store{Index: x, Dicts: dicts}, plan, err
-}
-
-// densestScan compiles the ?s/?o scan of d's densest predicate.
-func densestScan(d *core.Dataset) (*sparql.Compiled, error) {
-	p, _ := densestPredicate(d)
-	q, err := sparql.Parse(fmt.Sprintf("SELECT ?s ?o WHERE { ?s <%d> ?o . }", p))
-	if err != nil {
-		return nil, err
-	}
-	return sparql.Compile(q, sparql.Plan(q))
-}
-
-// MaterializeRowsPerSec measures the pooled /sparql row path on a
-// dictionary-backed store built from the preset dataset: the densest
-// predicate's ?s/?o scan is executed, rendered and encoded as SPARQL JSON
-// to a discarding writer, and the best of runs is reported as rows/sec.
-// This is the number the BENCH_<preset>.json gate tracks.
-func MaterializeRowsPerSec(d *core.Dataset, runs int) (float64, int, error) {
-	st, plan, err := materializeFixture(d)
-	if err != nil {
-		return 0, 0, err
-	}
-	rows := 0
-	el := bestOfRuns(runs, func() {
-		var rerr error
-		rows, rerr = protocolMaterialize(st, plan, results.JSON, io.Discard)
-		if rerr != nil {
-			err = rerr
-		}
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return perSec(rows, el), rows, nil
-}
-
-// MaterializeFormatRowsPerSec measures the same scan through each of the
-// protocol endpoint's serializers, keyed by format name. The row count
-// is identical across formats (same seeded query), so the per-format
-// numbers gate against a baseline exactly like the pooled-path one.
-func MaterializeFormatRowsPerSec(d *core.Dataset, runs int) (map[string]float64, int, error) {
-	st, plan, err := materializeFixture(d)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make(map[string]float64, len(results.Formats()))
-	rows := 0
-	for _, f := range results.Formats() {
-		el := bestOfRuns(runs, func() {
-			var rerr error
-			rows, rerr = protocolMaterialize(st, plan, f, io.Discard)
-			if rerr != nil {
-				err = rerr
-			}
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		out[f.String()] = perSec(rows, el)
-	}
-	return out, rows, nil
-}
-
 // DictMaterialization measures the dictionary access path end to end:
 // term extraction throughput of the one-shot Extract loop against the
 // stateful cursor (sequential and random ID orders), Locate throughput on
-// present and absent terms, and materialized /sparql rows/sec of the
-// legacy row loop against the pooled row writer, then per result format.
+// present and absent terms, and materialized /sparql rows/sec per
+// result format.
 func DictMaterialization(cfg Config) ([]*Table, error) {
 	cfg = cfg.normalize()
 	d, err := gen.GeneratePreset("dblp", cfg.Triples, cfg.Seed)
@@ -291,47 +195,44 @@ func DictMaterialization(cfg Config) ([]*Table, error) {
 	}
 	_ = found
 
-	// --- end-to-end materialization ---
+	// --- protocol serializers ---
 	x, err := core.Build(d, core.Layout2Tp)
 	if err != nil {
 		return nil, err
 	}
 	st := &store.Store{Index: x, Dicts: dicts}
-	_, pn := densestPredicate(d)
-	plan, err := densestScan(d)
+	p, pn := densestPredicate(d)
+	q, err := sparql.Parse(fmt.Sprintf("SELECT ?s ?o WHERE { ?s <%d> ?o . }", p))
 	if err != nil {
 		return nil, err
 	}
-	rows := 0
-	legacy := bestOfRuns(cfg.Runs, func() {
-		rows, _ = legacyMaterialize(st, plan, io.Discard)
-	})
-	pooled := bestOfRuns(cfg.Runs, func() {
-		rows, _ = protocolMaterialize(st, plan, results.JSON, io.Discard)
-	})
-	mat := &Table{
-		Title: "Materialized /sparql rows/sec: legacy row loop vs pooled row writer",
-		Note: fmt.Sprintf("SELECT ?s ?o over the densest predicate (%s rows), terms rendered and JSON-encoded to a discarding writer, best of %d runs",
-			N(pn), cfg.Runs),
-		Header: []string{"path", "rows/s", "speedup"},
+	plan, err := sparql.Compile(q, sparql.Plan(q))
+	if err != nil {
+		return nil, err
 	}
-	lr, pr := perSec(rows, legacy), perSec(rows, pooled)
-	mat.Add("legacy (map + Render + json.Encoder)", N(int(lr)), "1.0x")
-	mat.Add("pooled (stream + cursor + term table, SPARQL JSON)", N(int(pr)), fmt.Sprintf("%.1fx", pr/lr))
-
-	// --- protocol serializers ---
 	proto := &Table{
 		Title: "Materialized protocol rows/sec by serializer (/sparql endpoint)",
-		Note: fmt.Sprintf("same densest-predicate scan through each standard result format, best of %d runs; all four share the pooled term table",
-			cfg.Runs),
+		Note: fmt.Sprintf("SELECT ?s ?o over the densest predicate (%s rows) through each standard result format to a discarding writer, best of %d runs; all four share the pooled term table",
+			N(pn), cfg.Runs),
 		Header: []string{"format", "rows/s", "vs json"},
 	}
+	var jsonRate float64 // results.Formats lists JSON first
 	for _, f := range results.Formats() {
+		rows := 0
 		el := bestOfRuns(cfg.Runs, func() {
-			rows, _ = protocolMaterialize(st, plan, f, io.Discard)
+			rows, err = protocolMaterialize(st, plan, f, io.Discard)
 		})
+		if err == nil && rows != pn {
+			err = fmt.Errorf("%s wrote %d rows of the densest predicate's %d", f, rows, pn)
+		}
+		if err != nil {
+			return nil, err
+		}
 		fr := perSec(rows, el)
-		proto.Add(f.String()+" ("+f.ContentType()+")", N(int(fr)), fmt.Sprintf("%.2fx", fr/pr))
+		if f == results.JSON {
+			jsonRate = fr
+		}
+		proto.Add(f.String()+" ("+f.ContentType()+")", N(int(fr)), fmt.Sprintf("%.2fx", fr/jsonRate))
 	}
-	return []*Table{extract, locate, mat, proto}, nil
+	return []*Table{extract, locate, proto}, nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"rdfindexes/internal/core"
 	"rdfindexes/internal/gen"
-	"rdfindexes/internal/obs"
 )
 
 // parallelGoroutineCounts are the concurrency levels of the scaling
@@ -68,41 +67,6 @@ func Drive(x core.Index, pats []core.Pattern, g int, total int64) {
 	wg.Wait()
 }
 
-// DriveTimed is Drive with per-query latency recording into h: each
-// query is bracketed by two clock reads and observed individually, so
-// the histogram holds the full latency distribution, not an average.
-// The overhead (~2×30ns per query) is paid only on this measurement
-// path; Drive stays clock-free for pure throughput runs.
-func DriveTimed(x core.Index, pats []core.Pattern, g int, total int64, h *obs.Histogram) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf [256]core.Triple
-			for {
-				lo := next.Add(throughputChunk) - throughputChunk
-				if lo >= total {
-					return
-				}
-				hi := lo + throughputChunk
-				if hi > total {
-					hi = total
-				}
-				for i := lo; i < hi; i++ {
-					q0 := time.Now()
-					it := x.Select(pats[int(i)%len(pats)])
-					for it.NextBatch(buf[:]) > 0 {
-					}
-					h.Observe(time.Since(q0))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // ThroughputAt drives the shared index with the workload from g
 // goroutines until every query of rounds passes over the workload
 // completes. It returns queries/second.
@@ -110,15 +74,6 @@ func ThroughputAt(x core.Index, pats []core.Pattern, g, rounds int) float64 {
 	total := int64(len(pats) * rounds)
 	start := time.Now()
 	Drive(x, pats, g, total)
-	return float64(total) / time.Since(start).Seconds()
-}
-
-// ThroughputLatencyAt is ThroughputAt recording every query's latency
-// into h alongside the aggregate queries/second.
-func ThroughputLatencyAt(x core.Index, pats []core.Pattern, g, rounds int, h *obs.Histogram) float64 {
-	total := int64(len(pats) * rounds)
-	start := time.Now()
-	DriveTimed(x, pats, g, total, h)
 	return float64(total) / time.Since(start).Seconds()
 }
 
@@ -143,29 +98,20 @@ func ServeParallel(cfg Config) ([]*Table, error) {
 		Title: "Concurrent throughput: mixed selection patterns on one shared 2Tp index",
 		Note: fmt.Sprintf("%s triples, %d-query workload, best of %d runs, GOMAXPROCS=%d",
 			N(d.Len()), len(pats), cfg.Runs, runtime.GOMAXPROCS(0)),
-		Header: []string{"goroutines", "queries/sec", "speedup", "p50 us", "p95 us", "p99 us"},
+		Header: []string{"goroutines", "queries/sec", "speedup"},
 	}
 	var base float64
 	for _, g := range parallelGoroutineCounts {
-		// One histogram per concurrency level accumulates every run's
-		// per-query latencies — the same obs.Histogram the server's
-		// /metrics endpoint uses, so the offline percentiles and the
-		// production ones share bucketing and quantile math.
-		h := new(obs.Histogram)
 		best := 0.0
 		for r := 0; r < cfg.Runs; r++ {
-			if qps := ThroughputLatencyAt(x, pats, g, 2, h); qps > best {
+			if qps := ThroughputAt(x, pats, g, 2); qps > best {
 				best = qps
 			}
 		}
 		if base == 0 {
 			base = best
 		}
-		snap := h.Snapshot()
-		t.Add(fmt.Sprintf("%d", g), F(best), F(best/base),
-			F(float64(snap.Quantile(0.50))/1e3),
-			F(float64(snap.Quantile(0.95))/1e3),
-			F(float64(snap.Quantile(0.99))/1e3))
+		t.Add(fmt.Sprintf("%d", g), F(best), F(best/base))
 	}
 	return []*Table{t}, nil
 }

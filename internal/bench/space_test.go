@@ -20,15 +20,20 @@ import (
 // only as a changed order between layouts. The dictionaries hold the
 // terms rdfgen -format nt writes for the dataset, as one sorted run;
 // their bytes are the front-coded bytes dict.Space splits, offsets
-// aside.
+// aside. Every row also pins, per shape, the matches every layout
+// returns for pinnedQueries patterns sampled from the dataset (one full
+// scan for ???), so a change to the generator, the sampler or any
+// layout's answers shows as well.
 func TestSpacePinned(t *testing.T) {
-	const triples, seed = 20_000, 1
+	const seed, pinnedQueries = 1, 600
 	type baseline struct{ hdt, rdf3x, triplebit float64 } // bits/triple
 	for _, tc := range []struct {
 		preset    string
+		triples   int
 		bits      map[core.Layout]float64 // core.BitsPerTriple
 		so, p     int                     // dictionary bytes
 		baselines *baseline               // nil where not pinned
+		matches   [core.NumShapes]int     // per shape, in core.AllShapes order
 	}{
 		// Store format v4's dictionaries, with verbatim bucket heads and
 		// three length bytes per entry: dblp 39 195 and 130 bytes,
@@ -54,26 +59,44 @@ func TestSpacePinned(t *testing.T) {
 		// 33.8784, geonames 29.5488, freebase 30.8384, lubm 30.4384,
 		// watdiv 25.3568; the ranks pay on dbpedia, freebase and
 		// watdiv, and elsewhere 2Tp keeps the IDs.
-		{"dblp", map[core.Layout]float64{core.Layout3T: 50.3296, core.LayoutCC: 44.6016, core.Layout2Tp: 29.7088, core.Layout2To: 35.84}, 16886, 67,
-			&baseline{hdt: 36.7584, rdf3x: 175.6788, triplebit: 54.286}},
-		{"dbpedia", map[core.Layout]float64{core.Layout3T: 60.0096, core.LayoutCC: 54.1024, core.Layout2Tp: 32.7328, core.Layout2To: 43.5584}, 15949, 2271,
-			&baseline{hdt: 37.3216, rdf3x: 190.0896, triplebit: 177.1708}},
-		{"geonames", map[core.Layout]float64{core.Layout3T: 49.2032, core.LayoutCC: 43.5456, core.Layout2Tp: 29.5488, core.Layout2To: 34.96}, 15647, 65, nil},
-		{"freebase", map[core.Layout]float64{core.Layout3T: 55.2352, core.LayoutCC: 50.0864, core.Layout2Tp: 30.5376, core.Layout2To: 40.0896}, 10664, 1425, nil},
-		{"lubm", map[core.Layout]float64{core.Layout3T: 48.5312, core.LayoutCC: 41.968, core.Layout2Tp: 30.4384, core.Layout2To: 35.6512}, 11697, 47, nil},
-		{"watdiv", map[core.Layout]float64{core.Layout3T: 45.3952, core.LayoutCC: 41.4432, core.Layout2Tp: 23.8016, core.Layout2To: 31.0624}, 5519, 183, nil},
+		{"dblp", 20_000, map[core.Layout]float64{core.Layout3T: 50.3296, core.LayoutCC: 44.6016, core.Layout2Tp: 29.7088, core.Layout2To: 35.84}, 16886, 67,
+			&baseline{hdt: 36.7584, rdf3x: 175.6788, triplebit: 54.286}, [8]int{600, 1140, 674, 16431, 2944, 518792, 56570, 20000}},
+		{"dbpedia", 20_000, map[core.Layout]float64{core.Layout3T: 60.0096, core.LayoutCC: 54.1024, core.Layout2Tp: 32.7328, core.Layout2To: 43.5584}, 15949, 2271,
+			&baseline{hdt: 37.3216, rdf3x: 190.0896, triplebit: 177.1708}, [8]int{600, 1845, 614, 12788, 1087, 279995, 20119, 20000}},
+		{"geonames", 20_000, map[core.Layout]float64{core.Layout3T: 49.2032, core.LayoutCC: 43.5456, core.Layout2Tp: 29.5488, core.Layout2To: 34.96}, 15647, 65, nil, [8]int{600, 710, 674, 13683, 3629, 479403, 73293, 20000}},
+		{"freebase", 20_000, map[core.Layout]float64{core.Layout3T: 55.2352, core.LayoutCC: 50.0864, core.Layout2Tp: 30.5376, core.Layout2To: 40.0896}, 10664, 1425, nil, [8]int{600, 1883, 637, 22632, 1281, 313575, 24804, 20000}},
+		{"lubm", 20_000, map[core.Layout]float64{core.Layout3T: 48.5312, core.LayoutCC: 41.968, core.Layout2Tp: 30.4384, core.Layout2To: 35.6512}, 11697, 47, nil, [8]int{600, 806, 605, 6215, 1671, 816305, 17638, 20000}},
+		{"watdiv", 20_000, map[core.Layout]float64{core.Layout3T: 45.3952, core.LayoutCC: 41.4432, core.Layout2Tp: 23.8016, core.Layout2To: 31.0624}, 5519, 183, nil, [8]int{600, 4351, 632, 21078, 1092, 315744, 20633, 20000}},
+		// The dataset of the retired in-process gate: dblp at 120 000
+		// triples, 600 sampled patterns a shape.
+		{"dblp", 120_000, map[core.Layout]float64{core.Layout3T: 55.76266666666667, core.LayoutCC: 47.7152, core.Layout2Tp: 33.82986666666667, core.Layout2To: 39.401066666666665}, 102130, 67,
+			nil, [8]int{600, 1128, 653, 17043, 12376, 3054219, 253335, 120000}},
 	} {
-		d, err := gen.GeneratePreset(tc.preset, triples, seed)
+		d, err := gen.GeneratePreset(tc.preset, tc.triples, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sample := gen.SampleTriples(d, pinnedQueries, seed+1)
 		for _, layout := range []core.Layout{core.Layout3T, core.LayoutCC, core.Layout2Tp, core.Layout2To} {
 			x, err := core.Build(d, layout)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := core.BitsPerTriple(x); got != tc.bits[layout] {
-				t.Errorf("%s %s: %v bits/triple, want %v", tc.preset, layout, got, tc.bits[layout])
+				t.Errorf("%s/%d %s: %v bits/triple, want %v", tc.preset, tc.triples, layout, got, tc.bits[layout])
+			}
+			for _, shape := range core.AllShapes() {
+				pats := []core.Pattern{{S: core.Wildcard, P: core.Wildcard, O: core.Wildcard}}
+				if shape != core.Shapexxx {
+					pats = gen.PatternWorkload(sample, shape)
+				}
+				got := 0
+				for _, p := range pats {
+					got += core.Count(x, p)
+				}
+				if got != tc.matches[shape] {
+					t.Errorf("%s/%d %s %s: %d matches, want %d", tc.preset, tc.triples, layout, shape, got, tc.matches[shape])
+				}
 			}
 		}
 		if b := tc.baselines; b != nil {
@@ -91,7 +114,7 @@ func TestSpacePinned(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got := float64(x.SizeBits()) / float64(x.NumTriples()); got != c.want {
-					t.Errorf("%s %s: %v bits/triple, want %v", tc.preset, c.name, got, c.want)
+					t.Errorf("%s/%d %s: %v bits/triple, want %v", tc.preset, tc.triples, c.name, got, c.want)
 				}
 			}
 		}
@@ -110,7 +133,7 @@ func TestSpacePinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			if sp := dt.Space(); sp.Samples+sp.Heads+sp.Entries != c.want {
-				t.Errorf("%s %s dictionary: %d bytes (%+v), want %d", tc.preset, c.name, sp.Samples+sp.Heads+sp.Entries, sp, c.want)
+				t.Errorf("%s/%d %s dictionary: %d bytes (%+v), want %d", tc.preset, tc.triples, c.name, sp.Samples+sp.Heads+sp.Entries, sp, c.want)
 			}
 		}
 	}

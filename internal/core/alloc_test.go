@@ -200,3 +200,54 @@ func TestMixedNextAndNextBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotCloseReturnsBaseState checks that closing a selection
+// over a pending log closes the base selection it merges, so the base's
+// state goes back to its pool: on every layout and shape, a warm select
+// closed after its first triple allocates no more than one drained to
+// its end.
+func TestSnapshotCloseReturnsBaseState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	rng := rand.New(rand.NewSource(307))
+	for _, d := range testDatasets(rng, 3000) {
+		for name, x := range allLayouts(t, d) {
+			t.Run(name, func(t *testing.T) {
+				dyn := NewDynamicFromIndex(x, -1)
+				for i := 0; i < 20; i++ {
+					tr := d.Triples[rng.Intn(len(d.Triples))]
+					if _, err := dyn.Delete(tr); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := dyn.Insert(Triple{tr.S, tr.P, ID(rng.Intn(d.NO))}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				snap := dyn.Snapshot()
+				var buf [64]Triple
+				for _, shape := range AllShapes() {
+					pat := WithWildcards(d.Triples[len(d.Triples)/2], shape)
+					if snap.Select(pat).Count() < 2 {
+						continue
+					}
+					drained := testing.AllocsPerRun(20, func() {
+						it := snap.Select(pat)
+						for it.NextBatch(buf[:]) > 0 {
+						}
+					})
+					closed := testing.AllocsPerRun(20, func() {
+						it := snap.Select(pat)
+						if it.NextBatch(buf[:1]) != 1 {
+							t.Fatalf("Select(%v) is empty", pat)
+						}
+						it.Close()
+					})
+					if closed > drained {
+						t.Errorf("%s: %.1f allocs closed after one triple, %.1f drained", shape, closed, drained)
+					}
+				}
+			})
+		}
+	}
+}

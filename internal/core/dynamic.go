@@ -279,9 +279,6 @@ func (x *DynamicSnapshot) Select(p Pattern) *Iterator {
 		return x.base.Select(p)
 	}
 	perm := emitPerm(x.layout, p.Shape())
-	// The iterator keeps its own copy of the log slice header: on the
-	// snapshot a DynamicIndex embeds, the next write replaces x.deleted.
-	deleted := x.deleted
 	var add []Triple
 	for _, t := range matchingRange(x.added, p) {
 		if p.Matches(t) {
@@ -291,41 +288,66 @@ func (x *DynamicSnapshot) Select(p Pattern) *Iterator {
 	if len(add) > 1 {
 		sort.Slice(add, func(i, j int) bool { return permLess(perm, add[i], add[j]) })
 	}
-	baseIt := x.base.Select(p)
-	var pend Triple
-	havePend := false
-	baseDone := false
-	addPos := 0
-	return NewIterator(func() (Triple, bool) {
-		if !havePend && !baseDone {
-			for {
-				t, ok := baseIt.Next()
-				if !ok {
-					baseDone = true
-					break
-				}
-				if _, del := searchTriple(deleted, t); !del {
-					pend, havePend = t, true
-					break
-				}
-			}
+	// The iterator keeps its own copy of the log slice header: on the
+	// snapshot a DynamicIndex embeds, the next write replaces x.deleted.
+	m := &mergeSource{base: x.base.Select(p), deleted: x.deleted, add: add, perm: perm}
+	m.it.src = m
+	return &m.it
+}
+
+// mergeSource is the block source of a selection over a pending log: it
+// merges the base's iterator, less the pending deletions, with the
+// matching insertions, both in the layout's emission order. Closing it
+// closes the base iterator, whose state then goes back to its pool.
+type mergeSource struct {
+	base     *Iterator // nil once it has ended or been closed
+	deleted  []Triple
+	add      []Triple // insertions not yet emitted
+	perm     Perm
+	pend     Triple // the base's next triple, if havePend
+	havePend bool
+	it       Iterator
+}
+
+func (m *mergeSource) next() (Triple, bool) {
+	for !m.havePend && m.base != nil {
+		t, ok := m.base.Next()
+		if !ok {
+			m.base = nil
+		} else if _, del := searchTriple(m.deleted, t); !del {
+			m.pend, m.havePend = t, true
 		}
-		if havePend {
-			// The insertion log is disjoint from the base, so the merge
-			// never sees equal keys.
-			if addPos < len(add) && permLess(perm, add[addPos], pend) {
-				t := add[addPos]
-				addPos++
-				return t, true
-			}
-			havePend = false
-			return pend, true
+	}
+	// The insertion log is disjoint from the base, so the merge never
+	// sees equal keys.
+	if m.havePend && (len(m.add) == 0 || permLess(m.perm, m.pend, m.add[0])) {
+		m.havePend = false
+		return m.pend, true
+	}
+	if len(m.add) > 0 {
+		t := m.add[0]
+		m.add = m.add[1:]
+		return t, true
+	}
+	return Triple{}, false
+}
+
+func (m *mergeSource) fill(out []Triple) int {
+	n := 0
+	for n < len(out) {
+		t, ok := m.next()
+		if !ok {
+			break
 		}
-		if addPos < len(add) {
-			t := add[addPos]
-			addPos++
-			return t, true
-		}
-		return Triple{}, false
-	})
+		out[n] = t
+		n++
+	}
+	return n
+}
+
+func (m *mergeSource) close() {
+	if m.base != nil {
+		m.base.Close()
+		m.base = nil
+	}
 }

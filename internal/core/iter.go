@@ -29,8 +29,7 @@ const triBatch = 256
 // end. A caller that stops before the end calls Close; an iterator
 // abandoned without it leaves its state to the collector. A
 // DynamicSnapshot's iterator over a pending log merges a base iterator
-// it owns: closing it ends the merge, but the base's state is left to
-// the collector.
+// it owns, and closing it closes the base.
 type Iterator struct {
 	buf []Triple
 	// pos and n are 32-bit, as buf holds at most triBatch triples.
@@ -47,8 +46,7 @@ type blockSource interface {
 }
 
 // NewIterator wraps a generator function into an Iterator; used by the
-// log merge of DynamicSnapshot and by the baseline index implementations
-// outside this package.
+// baseline index implementations outside this package.
 func NewIterator(next func() (Triple, bool)) *Iterator {
 	st := &funcSource{next: next}
 	st.it.src = st
@@ -208,6 +206,9 @@ func (it *Iterator) Count() int {
 func (it *Iterator) Close() {
 	it.pos = it.n
 	it.done = true
+	if m, ok := it.src.(*mergeSource); ok {
+		m.close()
+	}
 	it.drop()
 }
 

@@ -1,8 +1,7 @@
 // Benchmarks for the block-decoded iteration pipeline: raw selection
 // throughput per layout and pattern shape (BenchmarkSelect) and SPARQL
 // star-join throughput (BenchmarkJoin). `go test -bench 'Select|Join'`
-// tracks the ns/triple trajectory across PRs; cmd/rdfbench -json emits
-// the same metrics machine-readably.
+// tracks the ns/triple trajectory across changes.
 package rdfindexes
 
 import (
