@@ -4,8 +4,10 @@
 //
 // Usage:
 //
-//	rdfbench -exp table1|table2|table3|table4|table5|table6|fig6a|fig6b|fig7|range|ablation|all \
+//	rdfbench -exp table1|table2|table3|table4|table5|table6|fig6a|fig6b|fig7|range| \
+//	              breakdown|ablation|parallel|update|dict|repl|all \
 //	         [-triples 300000] [-queries 2000] [-runs 3] [-seed 1]
+//	rdfbench -list
 package main
 
 import (

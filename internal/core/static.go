@@ -373,18 +373,6 @@ func scanSet(x Index) *Iterator {
 	return x.Select(Pattern{Wildcard, Wildcard, Wildcard})
 }
 
-// CrossReference reports what the third level of p ranks against when x
-// cross-compresses p (Section 3.2): the permutation whose second level
-// lists the IDs, or PermPSO for the PS structure. Then x.Trie(p)'s third
-// level holds ranks, not IDs.
-func CrossReference(x Index, p Perm) (Perm, bool) {
-	s, ok := x.(*staticIndex)
-	if !ok || int(p) >= len(s.xref) || s.xref[p] == nil {
-		return 0, false
-	}
-	return s.xref[p].ref, true
-}
-
 // NumPSPredicates returns the number of predicates the PS structure of x
 // keeps a list for, or false when x keeps none.
 func NumPSPredicates(x Index) (int, bool) {

@@ -147,14 +147,8 @@ type Iterator struct {
 	word    uint64
 }
 
-// Iterator returns an iterator positioned at index from.
-func (s *Sequence) Iterator(from int) *Iterator {
-	it := s.MakeIterator(from)
-	return &it
-}
-
-// MakeIterator returns an iterator value positioned at index from, for
-// callers that embed it without a separate allocation.
+// MakeIterator returns an iterator positioned at index from, as a value
+// that callers embed without a separate allocation.
 func (s *Sequence) MakeIterator(from int) Iterator {
 	it := Iterator{s: s}
 	it.Reset(from)

@@ -134,7 +134,7 @@ func TestSequenceOracle(t *testing.T) {
 			s := New(tc.vals)
 			checkAgainstOracle(t, "ef", s, tc.vals)
 			checkIterator(t, "ef", tc.vals, func(from int) func() (uint64, bool) {
-				it := s.Iterator(from)
+				it := s.MakeIterator(from)
 				return it.Next
 			})
 		})
@@ -168,7 +168,7 @@ func TestPartitionedOracle(t *testing.T) {
 			p := NewPartitioned(tc.vals)
 			checkAgainstOracle(t, "pef", p, tc.vals)
 			checkIterator(t, "pef", tc.vals, func(from int) func() (uint64, bool) {
-				it := p.Iterator(from)
+				it := p.MakeIterator(from)
 				return it.Next
 			})
 		})
@@ -323,10 +323,10 @@ func BenchmarkEFScan(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	s := New(randomMonotone(rng, 1<<20, 64))
 	b.ResetTimer()
-	it := s.Iterator(0)
+	it := s.MakeIterator(0)
 	for i := 0; i < b.N; i++ {
 		if _, ok := it.Next(); !ok {
-			it = s.Iterator(0)
+			it = s.MakeIterator(0)
 		}
 	}
 }
@@ -335,10 +335,10 @@ func BenchmarkPEFScan(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	s := NewPartitioned(randomMonotone(rng, 1<<20, 64))
 	b.ResetTimer()
-	it := s.Iterator(0)
+	it := s.MakeIterator(0)
 	for i := 0; i < b.N; i++ {
 		if _, ok := it.Next(); !ok {
-			it = s.Iterator(0)
+			it = s.MakeIterator(0)
 		}
 	}
 }

@@ -632,14 +632,8 @@ type PartIterator struct {
 	inPart    int    // partition-relative index of the next element
 }
 
-// Iterator returns an iterator positioned at index from.
-func (p *Partitioned) Iterator(from int) *PartIterator {
-	it := p.MakeIterator(from)
-	return &it
-}
-
-// MakeIterator returns an iterator value positioned at index from, for
-// callers that embed it without a separate allocation.
+// MakeIterator returns an iterator positioned at index from, as a value
+// that callers embed without a separate allocation.
 func (p *Partitioned) MakeIterator(from int) PartIterator {
 	return PartIterator{p: p, i: from, k: -1}
 }

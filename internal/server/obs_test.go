@@ -93,7 +93,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := metricValue(samples, "rdf_cache_events_total", map[string]string{"cache": "result", "event": "hit"}); !ok || v != 1 {
 		t.Errorf("result cache hits = %v, want 1", v)
 	}
-	// The miss was below store.StreamAt: sent in one piece and cached.
+	// The miss was below results.StreamAt: sent in one piece and cached.
 	for path, want := range map[string]float64{"one_piece": 1, "streamed": 0, "hit": 1} {
 		if v, ok := metricValue(samples, "rdf_responses_total", map[string]string{"path": path}); !ok || v != want {
 			t.Errorf("responses{path=%q} = %v (found %v), want %v", path, v, ok, want)
@@ -438,7 +438,7 @@ func TestProtocolHeadAndLastModified(t *testing.T) {
 
 // TestServerTiming checks the pre-stream Server-Timing header and the
 // post-stream trailer on a response large enough to stream chunked: past
-// store.StreamAt (TestResponsePaths covers the one-piece header).
+// results.StreamAt (TestResponsePaths covers the one-piece header).
 func TestServerTiming(t *testing.T) {
 	st := testStore(t, 1000, 0)
 	ts := httptest.NewServer(New(st, Options{Workers: 2}))

@@ -233,7 +233,7 @@ func setComputed(h http.Header, b []byte, split int) {
 // row writer's buffer is the only buffer between a solution row and the
 // socket: nothing reaches w — no status, no header — before the row
 // writer's first flush, which comes only once its pending bytes reach
-// store.StreamAt (DESIGN.md, "Response path").
+// results.StreamAt (DESIGN.md, "Response path").
 type response struct {
 	w     http.ResponseWriter
 	ctype []string     // the Content-Type header value
@@ -271,7 +271,7 @@ func (o *response) open(complete bool, length int) {
 // Write is the row writer's flush; the first one makes the response
 // streamed. The wall time spent downstream — gzip and client I/O — is the
 // render stage, priced at two clock reads per write, and a row writer
-// writes at most once per store.StreamAt bytes.
+// writes at most once per results.StreamAt bytes.
 func (o *response) Write(p []byte) (int, error) {
 	if o.out == nil {
 		o.open(false, -1)

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"rdfindexes/internal/server/results"
-	"rdfindexes/internal/store"
 )
 
 const knowsQuery = "SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y . }"
@@ -295,7 +294,7 @@ func TestProtocolNegotiationHTTP(t *testing.T) {
 // TestProtocolGzip checks content negotiation on Accept-Encoding: a
 // gzip-accepting client gets a compressed body that decompresses to
 // exactly the identity body, and the one-piece/streamed decision is taken
-// on the uncompressed size — so a body below store.StreamAt is cached (as
+// on the uncompressed size — so a body below results.StreamAt is cached (as
 // its uncompressed serialization, serving both encodings) and a larger one
 // is not, whichever encoding the first client asked for.
 func TestProtocolGzip(t *testing.T) {
@@ -339,7 +338,7 @@ func TestProtocolGzip(t *testing.T) {
 		return resp, body
 	}
 
-	// 500 rows render below store.StreamAt, all 3000 well above it; each
+	// 500 rows render below results.StreamAt, all 3000 well above it; each
 	// size is asked for gzip-first and identity-first (distinct limits
 	// make distinct cache keys).
 	for _, c := range []struct {
@@ -354,7 +353,7 @@ func TestProtocolGzip(t *testing.T) {
 		if first.Header.Get("X-Cache") != "miss" {
 			t.Fatalf("%q: first request X-Cache %q", c.params, first.Header.Get("X-Cache"))
 		}
-		if small := len(want) < store.StreamAt; small != c.cached {
+		if small := len(want) < results.StreamAt; small != c.cached {
 			t.Fatalf("%q: body of %d bytes, want below StreamAt: %v", c.params, len(want), c.cached)
 		}
 		for _, gz := range []bool{!c.gzFirst, c.gzFirst} {

@@ -124,7 +124,7 @@ func (d dialect) get(t *testing.T, ts *httptest.Server) (*http.Response, []byte)
 }
 
 // TestResponsePaths lands bodies one byte below, on and one byte above
-// store.StreamAt in every format and pins the two response
+// results.StreamAt in every format and pins the two response
 // paths: below the threshold the miss is one piece — Content-Length, no
 // chunking, every Server-Timing entry in the header, cached as a copy
 // that survives the pooled buffer's reuse — and from the threshold on it
@@ -135,7 +135,7 @@ func TestResponsePaths(t *testing.T) {
 	for _, d := range dialects() {
 		base := len(d.bare(t, padStore(t, rows, 0)))
 		for _, delta := range []int{-1, 0, 1} {
-			size := store.StreamAt + delta
+			size := results.StreamAt + delta
 			t.Run(fmt.Sprintf("%s/%+d", d.name, delta), func(t *testing.T) {
 				st := padStore(t, rows, size-base)
 				want := d.bare(t, st)
@@ -269,7 +269,7 @@ func TestFailureAfterFirstByte(t *testing.T) {
 		cancel()
 
 		body := w.Body.String()
-		if w.Code != 200 || w.Header().Get("X-Cache") != "miss" || len(body) < store.StreamAt {
+		if w.Code != 200 || w.Header().Get("X-Cache") != "miss" || len(body) < results.StreamAt {
 			t.Fatalf("%s: status %d, X-Cache %q, %d bytes; want a 200 miss with a flushed body",
 				path, w.Code, w.Header().Get("X-Cache"), len(body))
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rdfindexes/internal/core"
-	"rdfindexes/internal/store"
 )
 
 // blockRows are n random rows of a predicate column between two
@@ -38,7 +37,7 @@ func blockRows(rng *rand.Rand, n, terms int) []core.ID {
 // TestBlockMatchesRows requires a block-rendered body to be byte for byte
 // the body of the same rows written one at a time — buffered, and flushed
 // after every row — in the four formats: across unbound
-// columns, bodies several times store.StreamAt and a request past the
+// columns, bodies several times StreamAt and a request past the
 // term table's capacity.
 func TestBlockMatchesRows(t *testing.T) {
 	const terms = 20000
@@ -80,7 +79,7 @@ func TestBlockMatchesRows(t *testing.T) {
 
 	for name, b := range bodies {
 		ref := b[0].Bytes()
-		if len(ref) < 4*store.StreamAt {
+		if len(ref) < 4*StreamAt {
 			t.Fatalf("%s: a %d-byte body does not cross several flushes", name, len(ref))
 		}
 		for mode, label := range []string{"", "row by row", "by blocks"} {

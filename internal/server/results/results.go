@@ -1,11 +1,13 @@
 // Package results implements the SPARQL 1.1 Query Results formats the
 // protocol endpoint serves: streaming serializers for the JSON, XML, CSV
 // and TSV result sets plus the Accept-header content negotiation that
-// picks between them. Every serializer is one Writer over the same
-// substrate — pooled per-request scratch, the store's dictionary cursors
-// (store.Renderer), and a term table of escaped terms keyed by ID
-// (store.Rows) — so the steady-state row path allocates nothing in any of
-// the four formats. Writer is the server's only row writer.
+// picks between them. Every serializer is one Writer, the server's only
+// row writer, and it owns everything between a row of IDs and the
+// response bytes: the row loop, a per-request term table of encoded
+// terms keyed by (role, ID), the byte policy of pooled buffers and the
+// StreamAt threshold. Raw terms come from the store's dictionary cursors
+// (store.Renderer). The steady-state row path allocates nothing in any of
+// the four formats.
 package results
 
 import (

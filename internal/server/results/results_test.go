@@ -283,6 +283,30 @@ func TestWriterTSV(t *testing.T) {
 	}
 }
 
+// TestAppendJSONString runs terms with every escape-worthy byte class
+// through appendJSONString and checks each decodes back to the exact
+// bytes.
+func TestAppendJSONString(t *testing.T) {
+	for _, term := range []string{
+		"\"plain literal\"",
+		"\"tab\tand\nnewline\r\"",
+		"\"back\\\\slash\"",
+		"\"ctrl\x01byte\x1f\"",
+		"\"unicode é世\"",
+		"<http://ex/iri>",
+		"",
+	} {
+		enc := appendJSONString([]byte("x"), []byte(term))
+		var got string
+		if err := json.Unmarshal(enc[1:], &got); err != nil {
+			t.Fatalf("%q encoded to invalid JSON %s: %v", term, enc[1:], err)
+		}
+		if got != term {
+			t.Fatalf("%q round-tripped to %q", term, got)
+		}
+	}
+}
+
 // TestWriterUnboundAndRepeats pins the unbound-column behavior — a
 // core.Wildcard in the row: JSON and XML omit the binding, CSV and TSV
 // leave an empty field — and that cache-served repeats render identically
@@ -491,77 +515,109 @@ func manyTerms(n int) []string {
 	return terms
 }
 
+// overlayStore wraps st's dictionaries in overlays with a few added
+// terms, as a mutable store's serving view does.
+func overlayStore(st *store.Store) *store.Store {
+	so := dict.NewOverlay(st.Dicts.SO.(*dict.Dict))
+	p := dict.NewOverlay(st.Dicts.P.(*dict.Dict))
+	for i := 0; i < 8; i++ {
+		so.Add(fmt.Sprintf("<http://zz/new%d>", i))
+		p.Add(fmt.Sprintf("<http://zz/pred%d>", i))
+	}
+	return &store.Store{Dicts: &rdf.Dicts{SO: so.View(), P: p.View()}}
+}
+
 // TestWriterAllocs pins the zero-allocations-per-row property of every
 // serializer: after the first pass fills the term cache, the steady
-// state row path allocates nothing in any format.
+// state row path allocates nothing in any format, over a plain
+// dictionary store and over an overlay one whose added terms the rows
+// name too.
 func TestWriterAllocs(t *testing.T) {
-	st, sorted := termStore(t, manyTerms(512))
-	n := len(sorted)
-	for _, f := range Formats() {
-		t.Run(f.String(), func(t *testing.T) {
-			wr := Acquire(f, st, io.Discard)
-			defer wr.Release()
-			wr.Begin([]string{"x", "p", "y"}, core.RoleSO, core.RoleP)
-			row := make([]core.ID, 3)
-			// Warm: fill the term cache and grow every scratch buffer.
-			for i := 0; i < n; i++ {
-				row[0], row[1], row[2] = core.ID(i), core.ID(i%len(testPredicates)), core.ID((i+7)%n)
-				wr.WriteRow(row)
-			}
-			wr.Flush()
-			i := 0
-			if a := testing.AllocsPerRun(500, func() {
-				row[0], row[1], row[2] = core.ID(i%n), core.ID(i%len(testPredicates)), core.ID((i+13)%n)
-				wr.WriteRow(row)
-				i++
-			}); a != 0 {
-				t.Errorf("%v WriteRow allocs/row = %v, want 0", f, a)
-			}
-			wr.End()
-			wr.Flush()
-		})
+	st, _ := termStore(t, manyTerms(512))
+	check := func(t *testing.T, st *store.Store) {
+		n, np := st.Dicts.SO.Len(), st.Dicts.P.Len()
+		for _, f := range Formats() {
+			t.Run(f.String(), func(t *testing.T) {
+				wr := Acquire(f, st, io.Discard)
+				defer wr.Release()
+				wr.Begin([]string{"x", "p", "y"}, core.RoleSO, core.RoleP)
+				row := make([]core.ID, 3)
+				// Warm: fill the term cache and grow every scratch buffer.
+				for i := 0; i < n; i++ {
+					row[0], row[1], row[2] = core.ID(i), core.ID(i%np), core.ID((i+7)%n)
+					wr.WriteRow(row)
+				}
+				wr.Flush()
+				i := 0
+				if a := testing.AllocsPerRun(500, func() {
+					row[0], row[1], row[2] = core.ID(i%n), core.ID(i%np), core.ID((i+13)%n)
+					wr.WriteRow(row)
+					i++
+				}); a != 0 {
+					t.Errorf("%v WriteRow allocs/row = %v, want 0", f, a)
+				}
+				wr.End()
+				wr.Flush()
+			})
+		}
 	}
+	check(t, st)
+	t.Run("overlay", func(t *testing.T) { check(t, overlayStore(st)) })
 }
 
 // TestPooledWriterKeepsBuffer renders a ~60 KiB answer — the whole of
 // which a one-piece response holds in the writer's buffer — and checks
-// that the pool can keep a buffer that size: store.TrimBuffer keeps a
-// store.StreamAt-capacity buffer, and Release hands the grown buffer back
-// with the writer, or every request would regrow it from nothing. Outside
-// race builds, where sync.Pool keeps what it is given, acquire/release
-// cycles then render the answer without allocating.
+// that the pool can keep a buffer that size: trimCap exceeds StreamAt,
+// trimBuffer keeps a buffer of up to trimCap bytes, and Release hands the
+// grown buffer back with the writer, or every request would regrow it
+// from nothing. Outside race builds, where sync.Pool keeps what it is
+// given, acquire/release cycles then render the answer without
+// allocating, every term encoded anew, over a plain dictionary store and
+// over an overlay one.
 func TestPooledWriterKeepsBuffer(t *testing.T) {
-	if b := store.TrimBuffer(make([]byte, 1, store.StreamAt)); b == nil || len(b) != 0 || cap(b) != store.StreamAt {
-		t.Fatalf("TrimBuffer of a StreamAt buffer: len %d cap %d, want it emptied and kept", len(b), cap(b))
+	if trimCap <= StreamAt {
+		t.Fatalf("trimCap %d is not above StreamAt %d: pooled writers would drop every streamed buffer", trimCap, StreamAt)
 	}
-	st, sorted := termStore(t, manyTerms(512))
-	n := len(sorted)
-	row := make([]core.ID, 3)
-	size := 0
-	render := func() *Writer {
-		wr := Acquire(JSON, st, io.Discard)
-		wr.Begin([]string{"x", "p", "y"}, core.RoleSO, core.RoleP)
-		for i := 0; len(wr.Pending()) < 60<<10; i++ {
-			row[0], row[1], row[2] = core.ID(i%n), core.ID(i%len(testPredicates)), core.ID((i+7)%n)
-			wr.WriteRow(row)
+	for _, c := range []int{StreamAt, trimCap} {
+		if b := trimBuffer(make([]byte, 1, c)); b == nil || len(b) != 0 || cap(b) != c {
+			t.Fatalf("trimBuffer of a %d-byte buffer: len %d cap %d, want it emptied and kept", c, len(b), cap(b))
 		}
-		wr.End()
-		size = len(wr.Pending())
-		return wr
 	}
-	wr := render()
-	wr.Release()
-	if cap(wr.buf) < size {
-		t.Fatalf("Release dropped the %d-byte answer's buffer (cap %d after release)", size, cap(wr.buf))
+	if b := trimBuffer(make([]byte, 1, trimCap+1)); b != nil {
+		t.Fatalf("trimBuffer kept a buffer past trimCap (cap %d)", cap(b))
 	}
-	if size < 60<<10 || size >= store.StreamAt {
-		t.Fatalf("answer of %d bytes: want one held whole, between 60 KiB and store.StreamAt", size)
-	}
-	if raceEnabled {
-		return
-	}
-	if a := testing.AllocsPerRun(50, func() { render().Release() }); a >= 1 {
-		t.Errorf("%v allocs per pooled %d-byte answer, want 0: the buffer is regrown", a, size)
+	base, _ := termStore(t, manyTerms(512))
+	for name, st := range map[string]*store.Store{"dict": base, "overlay": overlayStore(base)} {
+		n, np := st.Dicts.SO.Len(), st.Dicts.P.Len()
+		row := make([]core.ID, 3)
+		size := 0
+		render := func() *Writer {
+			wr := Acquire(JSON, st, io.Discard)
+			wr.Begin([]string{"x", "p", "y"}, core.RoleSO, core.RoleP)
+			// From the last IDs down, so the overlay's added terms are
+			// extracted and encoded in every answer.
+			for i := 0; len(wr.Pending()) < 60<<10; i++ {
+				row[0], row[1], row[2] = core.ID(n-1-i%n), core.ID(np-1-i%np), core.ID((i+7)%n)
+				wr.WriteRow(row)
+			}
+			wr.End()
+			size = len(wr.Pending())
+			return wr
+		}
+		wr := render()
+		wr.Release()
+		if cap(wr.buf) < size {
+			t.Fatalf("%s: Release dropped the %d-byte answer's buffer (cap %d after release)", name, size, cap(wr.buf))
+		}
+		if size < 60<<10 || size >= StreamAt {
+			t.Fatalf("%s: answer of %d bytes: want one held whole, between 60 KiB and StreamAt", name, size)
+		}
+		if raceEnabled {
+			continue
+		}
+		if a := testing.AllocsPerRun(50, func() { render().Release() }); a >= 1 {
+			t.Errorf("%s: %v allocs per pooled %d-byte answer, want 0", name, a, size)
+		}
 	}
 }
 

@@ -1,4 +1,4 @@
-package store
+package results
 
 import (
 	"math"
@@ -7,16 +7,16 @@ import (
 	"rdfindexes/internal/core"
 )
 
-// TermTable is a row writer's per-request cache of encoded terms: each
+// termTable is the Writer's per-request cache of encoded terms: each
 // (role, ID) a request renders is encoded once into the table's arena and
 // replayed from there for every later cell that names it. It is an
 // open-addressing table under a multiplicative hash whose slots carry the
 // request generation they were written in, so starting a request is one
-// increment (Reset) and never a pass over the slots. It starts at
+// increment (reset) and never a pass over the slots. It starts at
 // minTermSlots, doubles while at most half full, and stops admitting terms
 // at maxTerms; a pooled writer keeps the size its widest request needed.
-// The zero value is ready to use. A TermTable serves one goroutine.
-type TermTable struct {
+// The zero value is ready to use. A termTable serves one goroutine.
+type termTable struct {
 	slots []termSlot
 	shift uint   // 64 - log2(len(slots))
 	gen   uint64 // current request; slots tagged with another are free
@@ -33,7 +33,7 @@ type termSlot struct {
 
 const (
 	// genShift places the generation above the 33 key bits; the 16 bits
-	// left wrap once every 65535 requests, when Reset clears the slots.
+	// left wrap once every 65535 requests, when reset clears the slots.
 	genShift = 48
 	maxGen   = 1<<(64-genShift) - 1
 
@@ -43,11 +43,11 @@ const (
 	maxTerms = 1 << 14
 )
 
-// Reset starts a new request: every cached term becomes stale at once.
+// reset starts a new request: every cached term becomes stale at once.
 // The arena is kept unless a pathological request grew it past trimCap.
-func (t *TermTable) Reset() {
+func (t *termTable) reset() {
 	t.n = 0
-	t.arena = TrimBuffer(t.arena)
+	t.arena = trimBuffer(t.arena)
 	if t.gen++; t.gen > maxGen {
 		clear(t.slots)
 		t.gen = 1
@@ -57,15 +57,15 @@ func (t *TermTable) Reset() {
 // home is the first slot probed for key.
 //
 //rdf:hotpath
-func (t *TermTable) home(key uint64) uint64 {
+func (t *termTable) home(key uint64) uint64 {
 	return (key * 0x9e3779b97f4a7c15) >> t.shift
 }
 
-// Get returns the encoding cached for (role, id) in this request. The
-// bytes are the table's, valid until the next Add or Reset.
+// get returns the encoding cached for (role, id) in this request. The
+// bytes are the table's, valid until the next add or reset.
 //
 //rdf:hotpath
-func (t *TermTable) Get(role core.Role, id core.ID) ([]byte, bool) {
+func (t *termTable) get(role core.Role, id core.ID) ([]byte, bool) {
 	if t.n == 0 {
 		return nil, false
 	}
@@ -82,12 +82,12 @@ func (t *TermTable) Get(role core.Role, id core.ID) ([]byte, bool) {
 	}
 }
 
-// Add caches enc as the encoding of (role, id), which Get has just
+// add caches enc as the encoding of (role, id), which get has just
 // missed. A request past maxTerms terms, or whose arena would outgrow the
 // 32-bit offsets, caches nothing more.
 //
 //rdf:hotpath
-func (t *TermTable) Add(role core.Role, id core.ID, enc []byte) {
+func (t *termTable) add(role core.Role, id core.ID, enc []byte) {
 	if t.n >= maxTerms || len(t.arena)+len(enc) > math.MaxUint32 {
 		return
 	}
@@ -104,7 +104,7 @@ func (t *TermTable) Add(role core.Role, id core.ID, enc []byte) {
 // put stores s in the first free slot of its probe sequence.
 //
 //rdf:hotpath
-func (t *TermTable) put(s termSlot) {
+func (t *termTable) put(s termSlot) {
 	mask := uint64(len(t.slots) - 1)
 	i := t.home(s.tag & (1<<genShift - 1))
 	for t.slots[i].tag>>genShift == t.gen {
@@ -115,7 +115,7 @@ func (t *TermTable) put(s termSlot) {
 
 // grow doubles the slots (the first call allocates minTermSlots) and
 // re-inserts this request's terms; stale slots are dropped.
-func (t *TermTable) grow() {
+func (t *termTable) grow() {
 	if t.gen == 0 {
 		t.gen = 1 // zeroed slots must never read as live
 	}

@@ -8,13 +8,34 @@ import (
 	"rdfindexes/internal/store"
 )
 
+// StreamAt is the one threshold of the response path: the Writer holds
+// its output until the pending bytes reach StreamAt and flushes in
+// StreamAt-sized writes from then on. An answer that ends below it is
+// never flushed by the writer; the server sends it in one piece and may
+// cache it (DESIGN.md, "Response path").
+const StreamAt = 64 << 10
+
+// trimCap is the largest buffer capacity a pooled Writer retains;
+// anything a pathological request grew beyond it is handed back to the
+// garbage collector on Release. It must stay above StreamAt plus a block
+// of rows, or every pooled output buffer would be regrown per request.
+const trimCap = 1 << 20
+
+// trimBuffer empties a pooled writer's scratch buffer for reuse, or drops
+// it when its capacity outgrew trimCap.
+func trimBuffer(b []byte) []byte {
+	if cap(b) > trimCap {
+		return nil
+	}
+	return b[:0]
+}
+
 // Writer streams one SPARQL result set in one of the four standard
 // formats. Rows are hand-assembled into a batched output buffer a block
-// at a time by a store.Rows, terms resolve through the pooled dictionary
-// cursors of a store.Renderer, and each distinct term is format-encoded
-// once per request and replayed from a term table after that — the
-// steady-state row path performs no allocations in any format. A Writer
-// serves one
+// at a time, terms resolve through the pooled dictionary cursors of a
+// store.Renderer, and each distinct (role, ID) is format-encoded once per
+// request and replayed from a term table after that — the steady-state
+// row path performs no allocations in any format. A Writer serves one
 // request on one goroutine; the sequence is Begin, any number of
 // WriteRow or WriteBlock, End, Flush, Release.
 type Writer struct {
@@ -23,11 +44,14 @@ type Writer struct {
 	rend *store.Renderer
 	err  error
 
-	buf  []byte // pending output
-	raw  []byte // raw N-Triples term scratch
-	val  []byte // unescaped literal value scratch
-	key  []byte // column key fragment scratch
-	rows store.Rows
+	buf   []byte      // pending output
+	raw   []byte      // raw N-Triples term scratch
+	val   []byte      // unescaped literal value scratch
+	terms termTable   // this request's encoded terms
+	roles []core.Role // ID space of each column
+	keys  []byte      // keyed formats' per-column key fragments, back to back
+	keyAt []int       // column j's fragment is keys[keyAt[j]:keyAt[j+1]]
+	n     int         // rows written
 
 	vars []string  // column names, for WriteSolution only
 	row  []core.ID // WriteSolution's scratch row
@@ -44,30 +68,31 @@ func Acquire(f Format, st *store.Store, w io.Writer) *Writer {
 	wr.w = w
 	wr.rend = store.AcquireRenderer(st)
 	wr.err = nil
-	wr.rows.Bind(&layouts[f], wr, wr.rend)
+	wr.n = 0
 	//rdf:allow(ownership transfers to the caller; Release returns it to the pool)
 	return wr
 }
 
-// Release clears the per-request state and returns the writer to the
-// pool. Call Flush first; Release drops any pending bytes.
+// Release clears the per-request state, starts a new term table
+// generation and returns the writer to the pool. Call Flush first;
+// Release drops any pending bytes.
 func (wr *Writer) Release() {
 	if wr == nil {
 		return
 	}
 	wr.rend.Release()
 	wr.rend, wr.w = nil, nil
-	wr.rows.Release()
-	wr.buf = store.TrimBuffer(wr.buf)
-	wr.raw = store.TrimBuffer(wr.raw)
-	wr.val = store.TrimBuffer(wr.val)
-	wr.key = store.TrimBuffer(wr.key)
+	wr.terms.reset()
+	wr.buf = trimBuffer(wr.buf)
+	wr.raw = trimBuffer(wr.raw)
+	wr.val = trimBuffer(wr.val)
+	wr.keys = trimBuffer(wr.keys)
 	wr.vars = wr.vars[:0]
 	writerPool.Put(wr)
 }
 
 // Rows returns the number of solutions written so far.
-func (wr *Writer) Rows() int { return wr.rows.Len() }
+func (wr *Writer) Rows() int { return wr.n }
 
 // Flush writes any pending bytes to the underlying writer and reports
 // the first write error seen on this stream.
@@ -79,16 +104,16 @@ func (wr *Writer) Flush() error {
 	return wr.err
 }
 
-// maybeFlush flushes once the pending bytes reach store.StreamAt, the
-// response path's one threshold.
+// maybeFlush flushes once the pending bytes reach StreamAt, the response
+// path's one threshold.
 func (wr *Writer) maybeFlush() {
-	if len(wr.buf) >= store.StreamAt {
+	if len(wr.buf) >= StreamAt {
 		wr.Flush()
 	}
 }
 
 // Pending returns the bytes not yet flushed: the whole result set while
-// it is below store.StreamAt. The slice is the writer's buffer, valid
+// it is below StreamAt. The slice is the writer's buffer, valid
 // until the next write, Flush or Release.
 func (wr *Writer) Pending() []byte { return wr.buf }
 
@@ -98,7 +123,13 @@ func (wr *Writer) Pending() []byte { return wr.buf }
 // columns past len(roles) are subjects/objects.
 func (wr *Writer) Begin(vars []string, roles ...core.Role) {
 	wr.vars = append(wr.vars[:0], vars...)
-	wr.rows.SetColumns(len(vars), roles)
+	wr.roles = append(wr.roles[:0], roles...)
+	for len(wr.roles) < len(vars) {
+		wr.roles = append(wr.roles, core.RoleSO)
+	}
+	wr.roles = wr.roles[:len(vars)]
+	wr.keys = wr.keys[:0]
+	wr.keyAt = append(wr.keyAt[:0], 0)
 	switch wr.f {
 	case JSON:
 		wr.buf = append(wr.buf, `{"head":{"vars":[`...)
@@ -107,9 +138,9 @@ func (wr *Writer) Begin(vars []string, roles ...core.Role) {
 				wr.buf = append(wr.buf, ',')
 			}
 			wr.raw = append(wr.raw[:0], v...)
-			wr.buf = store.AppendJSONString(wr.buf, wr.raw)
-			wr.key = store.AppendJSONString(wr.key[:0], wr.raw)
-			wr.rows.AddKey(append(wr.key, ':'))
+			wr.buf = appendJSONString(wr.buf, wr.raw)
+			wr.keys = append(appendJSONString(wr.keys, wr.raw), ':')
+			wr.keyAt = append(wr.keyAt, len(wr.keys))
 		}
 		wr.buf = append(wr.buf, `]},"results":{"bindings":[`...)
 	case XML:
@@ -119,9 +150,9 @@ func (wr *Writer) Begin(vars []string, roles ...core.Role) {
 			wr.buf = append(wr.buf, `<variable name="`...)
 			wr.buf = appendXMLAttr(wr.buf, wr.raw)
 			wr.buf = append(wr.buf, `"/>`...)
-			wr.key = append(wr.key[:0], `<binding name="`...)
-			wr.key = appendXMLAttr(wr.key, wr.raw)
-			wr.rows.AddKey(append(wr.key, '"', '>'))
+			wr.keys = append(wr.keys, `<binding name="`...)
+			wr.keys = append(appendXMLAttr(wr.keys, wr.raw), '"', '>')
+			wr.keyAt = append(wr.keyAt, len(wr.keys))
 		}
 		wr.buf = append(wr.buf, `</head><results>`...)
 	default: // CSV names the columns, TSV writes them as variables
@@ -145,10 +176,19 @@ func (wr *Writer) Begin(vars []string, roles ...core.Role) {
 const xmlHeader = `<?xml version="1.0"?>` + "\n" +
 	`<sparql xmlns="http://www.w3.org/2005/sparql-results#"><head>`
 
-// layouts are the rows of each format. Keyed formats name their cells
-// (the Begin key fragments) and omit unbound ones; the others are
-// positional and leave them empty, per each format's specification.
-var layouts = [numFormats]store.RowLayout{
+// rowLayout is the fixed text around the cells of one solution row in
+// one format.
+type rowLayout struct {
+	Open, Sep, CellClose, Close string
+	// Between goes before every row but the first (JSON's comma).
+	Between string
+	// Keyed rows name their cells with the column's key fragment and omit
+	// unbound ones; the others are positional and leave them empty.
+	Keyed bool
+}
+
+// layouts are the rows of each format, per each format's specification.
+var layouts = [numFormats]rowLayout{
 	JSON: {Open: "{", Sep: ",", Close: "}", Between: ",", Keyed: true},
 	XML:  {Open: "<result>", CellClose: "</binding>", Close: "</result>", Keyed: true},
 	CSV:  {Sep: ",", Close: "\r\n"},
@@ -162,11 +202,49 @@ var layouts = [numFormats]store.RowLayout{
 func (wr *Writer) WriteRow(row []core.ID) { wr.WriteBlock(row, 1) }
 
 // WriteBlock emits rows solution rows held back to back in ids (a
-// sparql.Block's IDs), exactly as that many WriteRow calls would.
+// sparql.Block's IDs), exactly as that many WriteRow calls would. Each
+// distinct (role, ID) is encoded once per request into the term table
+// and copied from there for every later cell that names it.
 //
 //rdf:hotpath
 func (wr *Writer) WriteBlock(ids []core.ID, rows int) {
-	wr.buf = wr.rows.Write(wr.buf, ids, rows)
+	l := &layouts[wr.f]
+	w := len(wr.roles)
+	buf := wr.buf
+	for i := 0; i < rows; i++ {
+		if wr.n > 0 {
+			buf = append(buf, l.Between...)
+		}
+		buf = append(buf, l.Open...)
+		first := true
+		for j, id := range ids[i*w : (i+1)*w] {
+			if l.Keyed && id == core.Wildcard {
+				continue
+			}
+			if !first {
+				buf = append(buf, l.Sep...)
+			}
+			first = false
+			if l.Keyed {
+				buf = append(buf, wr.keys[wr.keyAt[j]:wr.keyAt[j+1]]...)
+			}
+			if id != core.Wildcard {
+				role := wr.roles[j]
+				if enc, ok := wr.terms.get(role, id); ok {
+					buf = append(buf, enc...)
+				} else {
+					wr.raw = wr.rend.Append(wr.raw[:0], role, id)
+					start := len(buf)
+					buf = wr.encodeTerm(buf, wr.raw)
+					wr.terms.add(role, id, buf[start:])
+				}
+			}
+			buf = append(buf, l.CellClose...)
+		}
+		buf = append(buf, l.Close...)
+		wr.n++
+	}
+	wr.buf = buf
 	wr.maybeFlush()
 }
 
@@ -199,31 +277,30 @@ func (wr *Writer) End() {
 	wr.maybeFlush()
 }
 
-// EncodeTerm appends the format encoding of one raw N-Triples term; it
-// makes the writer its store.Rows' store.TermEncoder.
+// encodeTerm appends the format encoding of one raw N-Triples term.
 //
 //rdf:hotpath
-func (wr *Writer) EncodeTerm(dst, raw []byte) []byte {
+func (wr *Writer) encodeTerm(dst, raw []byte) []byte {
 	kind, body, lang, dtype := splitTerm(raw)
 	switch wr.f {
 	case JSON:
 		switch kind {
 		case termIRI:
 			dst = append(dst, `{"type":"uri","value":`...)
-			dst = store.AppendJSONString(dst, body)
+			dst = appendJSONString(dst, body)
 		case termBlank:
 			dst = append(dst, `{"type":"bnode","value":`...)
-			dst = store.AppendJSONString(dst, body)
+			dst = appendJSONString(dst, body)
 		default:
 			wr.val = appendNTUnescape(wr.val[:0], body)
 			dst = append(dst, `{"type":"literal","value":`...)
-			dst = store.AppendJSONString(dst, wr.val)
+			dst = appendJSONString(dst, wr.val)
 			if len(lang) > 0 {
 				dst = append(dst, `,"xml:lang":`...)
-				dst = store.AppendJSONString(dst, lang)
+				dst = appendJSONString(dst, lang)
 			} else if len(dtype) > 0 {
 				dst = append(dst, `,"datatype":`...)
-				dst = store.AppendJSONString(dst, dtype)
+				dst = appendJSONString(dst, dtype)
 			}
 		}
 		return append(dst, '}')
@@ -407,6 +484,40 @@ func appendXMLAttr(dst, s []byte) []byte {
 		}
 	}
 	return dst
+}
+
+// appendJSONString appends s as a JSON string literal, escaping quotes,
+// backslashes and control bytes; valid UTF-8 passes through verbatim.
+//
+//rdf:hotpath
+func appendJSONString(dst, s []byte) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c != '"' && c != '\\' && c >= 0x20 {
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		switch c {
+		case '"':
+			dst = append(dst, '\\', '"')
+		case '\\':
+			dst = append(dst, '\\', '\\')
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		default:
+			const hex = "0123456789abcdef"
+			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		}
+		start = i + 1
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // appendCSVField appends s as one RFC 4180 field, quoting only when the

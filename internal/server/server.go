@@ -77,7 +77,7 @@ type Options struct {
 	// batch-refill granularity, never per triple.
 	Timeout time.Duration
 	// CacheEntries is the result cache capacity in entries (default 256;
-	// negative disables caching). Only bodies below store.StreamAt are
+	// negative disables caching). Only bodies below results.StreamAt are
 	// cached, so the cache holds at most CacheEntries × 64 KiB.
 	CacheEntries int
 	// Pprof exposes the runtime profiling endpoints under
@@ -204,7 +204,7 @@ type Server struct {
 	panics        *obs.Counter // handler panics converted to 500s
 	failed        *obs.Counter // requests ending in an error
 	onePiece      *obs.Counter // misses sent whole with a Content-Length
-	streamed      *obs.Counter // misses that crossed store.StreamAt and went out chunked
+	streamed      *obs.Counter // misses that crossed results.StreamAt and went out chunked
 
 	// reqHist observes end-to-end protocol request latency; stageHist
 	// breaks the same requests down by pipeline stage. slow is the

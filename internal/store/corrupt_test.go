@@ -442,8 +442,8 @@ func TestVerifyDictRoots(t *testing.T) {
 // PS; Read, which leaves these checks to Verify, opens each file.
 func TestVerifyCrossRanks(t *testing.T) {
 	st := buildSample(t, core.Layout2Tp)
-	if ref, ok := core.CrossReference(st.Index, core.PermSPO); !ok || ref != core.PermPOS {
-		t.Fatalf("2Tp's SPO ranks against %v, %v; want POS", ref, ok)
+	if got := ranksOf(st.Index, core.PermSPO); got != "POS" {
+		t.Fatalf("2Tp's SPO ranks among %q; want POS", got)
 	}
 	spo, pos := st.Index.Trie(core.PermSPO), st.Index.Trie(core.PermPOS)
 	rows := trieRows(spo)
@@ -457,8 +457,8 @@ func TestVerifyCrossRanks(t *testing.T) {
 	// A store whose POS subjects are ranks in PS: four objects per
 	// (subject, predicate) pair, so PS lists far fewer entries than POS.
 	ps := psStore(t)
-	if ref, ok := core.CrossReference(ps.Index, core.PermPOS); !ok || ref != core.PermPSO {
-		t.Fatalf("2Tp's POS ranks against %v, %v; want PS (PermPSO)", ref, ok)
+	if got := ranksOf(ps.Index, core.PermPOS); got != "PS" {
+		t.Fatalf("2Tp's POS ranks among %q; want PS", got)
 	}
 	spo, pos = ps.Index.Trie(core.PermSPO), ps.Index.Trie(core.PermPOS)
 	ptr, subjects := psSequences(t, ps.Index)

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -44,87 +43,6 @@ func TestRendererMatchesRender(t *testing.T) {
 			}
 		}
 		rend.Release()
-	}
-}
-
-// jsonLines is a keyed layout for tests: one JSON object per row and
-// line, unbound cells omitted.
-var jsonLines = RowLayout{Open: "{", Sep: ",", Close: "}\n", Keyed: true}
-
-// jsonCell encodes a raw term as a JSON string.
-type jsonCell struct{}
-
-func (jsonCell) EncodeTerm(dst, raw []byte) []byte { return AppendJSONString(dst, raw) }
-
-// bindRows readies r to render jsonLines rows over st with the given
-// columns.
-func bindRows(r *Rows, st *Store, vars []string, roles []core.Role) *Renderer {
-	rend := AcquireRenderer(st)
-	r.Bind(&jsonLines, jsonCell{}, rend)
-	r.SetColumns(len(vars), roles)
-	for _, v := range vars {
-		r.AddKey(append(AppendJSONString(nil, []byte(v)), ':'))
-	}
-	return rend
-}
-
-// TestAppendJSONString runs terms with every escape-worthy byte class
-// through AppendJSONString and checks each decodes back to the exact
-// bytes.
-func TestAppendJSONString(t *testing.T) {
-	for _, term := range []string{
-		"\"plain literal\"",
-		"\"tab\tand\nnewline\r\"",
-		"\"back\\\\slash\"",
-		"\"ctrl\x01byte\x1f\"",
-		"\"unicode é世\"",
-		"<http://ex/iri>",
-		"",
-	} {
-		enc := AppendJSONString([]byte("x"), []byte(term))
-		var got string
-		if err := json.Unmarshal(enc[1:], &got); err != nil {
-			t.Fatalf("%q encoded to invalid JSON %s: %v", term, enc[1:], err)
-		}
-		if got != term {
-			t.Fatalf("%q round-tripped to %q", term, got)
-		}
-	}
-}
-
-// TestRowsAllocs pins the zero-alloc steady state of the row renderer
-// across plain-dictionary and overlay stores.
-func TestRowsAllocs(t *testing.T) {
-	for name, st := range map[string]*Store{
-		"dict":    buildSample(t, core.Layout2Tp),
-		"overlay": buildOverlaySample(t, core.Layout2Tp),
-	} {
-		t.Run(name, func(t *testing.T) {
-			var rows []core.ID
-			it := st.Index.Select(core.NewPattern(-1, -1, -1))
-			for {
-				tr, ok := it.Next()
-				if !ok {
-					break
-				}
-				rows = append(rows, tr.S, tr.P, tr.O)
-			}
-			var r Rows
-			rend := bindRows(&r, st, []string{"x", "p", "y"}, []core.Role{core.RoleSO, core.RoleP, core.RoleSO})
-			defer rend.Release()
-			defer r.Release()
-			// Warm: the first pass fills the term table and grows the
-			// buffer.
-			buf := r.Write(nil, rows, len(rows)/3)
-			n := len(rows) / 3
-			i := 0
-			if a := testing.AllocsPerRun(500, func() {
-				buf = r.Write(buf[:0], rows[3*(i%n):], 1)
-				i++
-			}); a != 0 {
-				t.Errorf("Write allocs/row = %v, want 0", a)
-			}
-		})
 	}
 }
 

@@ -158,14 +158,8 @@ type Iterator struct {
 	v   uint64
 }
 
-// Iterator returns an iterator positioned at index from.
-func (b *Blocked) Iterator(from int) *Iterator {
-	it := b.MakeIterator(from)
-	return &it
-}
-
-// MakeIterator returns an iterator value positioned at index from, for
-// callers that embed it without a separate allocation.
+// MakeIterator returns an iterator positioned at index from, as a value
+// that callers embed without a separate allocation.
 func (b *Blocked) MakeIterator(from int) Iterator {
 	it := Iterator{b: b}
 	it.Reset(from)

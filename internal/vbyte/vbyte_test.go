@@ -108,15 +108,15 @@ func TestBlockedOracle(t *testing.T) {
 				probe(v + 1)
 			}
 			for _, from := range []int{0, 1, len(tc.vals) / 2, len(tc.vals)} {
-				it := b.Iterator(from)
+				it := b.MakeIterator(from)
 				for i := from; i < len(tc.vals); i++ {
 					v, ok := it.Next()
 					if !ok || v != tc.vals[i] {
-						t.Fatalf("Iterator(from=%d) at %d = (%d, %v), want %d", from, i, v, ok, tc.vals[i])
+						t.Fatalf("MakeIterator(from=%d) at %d = (%d, %v), want %d", from, i, v, ok, tc.vals[i])
 					}
 				}
 				if _, ok := it.Next(); ok {
-					t.Fatalf("Iterator(from=%d) did not stop", from)
+					t.Fatalf("MakeIterator(from=%d) did not stop", from)
 				}
 			}
 		})
@@ -157,10 +157,10 @@ func BenchmarkBlockedScan(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	s := NewBlocked(randomMonotone(rng, 1<<20, 64))
 	b.ResetTimer()
-	it := s.Iterator(0)
+	it := s.MakeIterator(0)
 	for i := 0; i < b.N; i++ {
 		if _, ok := it.Next(); !ok {
-			it = s.Iterator(0)
+			it = s.MakeIterator(0)
 		}
 	}
 }
