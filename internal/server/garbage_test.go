@@ -13,9 +13,10 @@ import (
 // The per-miss garbage budget (DESIGN.md, "Per-miss garbage"): a
 // protocol query that misses the result cache allocates little enough
 // that the collector keeps pace on a heap goal set by the live heap
-// alone. These fixtures call the handler directly, as net/http would,
-// with a ResponseWriter reused across requests, so what they count is
-// the handler's own garbage and none of net/http's.
+// alone, and one that hits it, rendering the cached rows, allocates no
+// more than a hit did when the cache held rendered bodies. These fixtures call the handler directly, as net/http would, with a
+// ResponseWriter reused across requests, so what they count is the
+// handler's own garbage and none of net/http's.
 
 // reusedWriter is a ResponseWriter that keeps its header map across
 // requests and discards the body.
@@ -44,14 +45,16 @@ func (w *reusedWriter) reset() {
 	w.status, w.n = 0, 0
 }
 
-// missFixture serves distinct queries of one shape round-robin, more of
-// them than the result cache holds, so every request in the steady state
-// misses it, as a point-cold request mostly does.
-type missFixture struct {
+// protocolFixture serves distinct queries of one shape round-robin.
+// With more of them than the result cache holds, every request in the
+// steady state misses it, as a point-cold request mostly does; with
+// fewer, every one hits it, as a point-hot request does.
+type protocolFixture struct {
 	s    *Server
 	w    *reusedWriter
 	reqs []*http.Request
 	next int
+	want string // the X-Cache verdict of every request after the first pass
 }
 
 // Shapes the fixtures cycle through: a point SP? lookup answering three
@@ -65,33 +68,47 @@ const (
 // shapes have over 1024 distinct instances.
 const missPeople = 3000
 
-func newMissFixture(tb testing.TB, shape string, distinct int) *missFixture {
+// newMissFixture serves more distinct queries than the result cache
+// holds.
+func newMissFixture(tb testing.TB, shape string) *protocolFixture {
+	return newProtocolFixture(tb, shape, 1500, "miss")
+}
+
+// newHitFixture serves as many distinct queries as point-hot does, which
+// the result cache holds.
+func newHitFixture(tb testing.TB, shape string) *protocolFixture {
+	return newProtocolFixture(tb, shape, 128, "hit")
+}
+
+func newProtocolFixture(tb testing.TB, shape string, distinct int, want string) *protocolFixture {
 	st := testStore(tb, missPeople, 3)
 	// The request context is cancelable, as net/http's is: deriving the
 	// deadline from it costs what it costs in production.
 	ctx, cancel := context.WithCancel(context.Background())
 	tb.Cleanup(cancel)
-	f := &missFixture{s: New(st, Options{}), w: &reusedWriter{h: http.Header{}}}
+	f := &protocolFixture{s: New(st, Options{}), w: &reusedWriter{h: http.Header{}}, want: "miss"}
 	for i := 0; i < distinct; i++ {
 		r := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(fmt.Sprintf(shape, i)), nil)
 		r.Header.Set("Accept", "application/sparql-results+json")
 		f.reqs = append(f.reqs, r.WithContext(ctx))
 	}
-	// One pass fills the caches and the pools.
+	// One pass of misses fills the caches and the pools.
 	for range f.reqs {
 		f.serve(tb)
 	}
+	f.want = want
 	return f
 }
 
-// serve answers the next request and checks that it was a 200 miss.
-func (f *missFixture) serve(tb testing.TB) {
+// serve answers the next request and checks that it was a 200 with a
+// body and the fixture's X-Cache verdict.
+func (f *protocolFixture) serve(tb testing.TB) {
 	f.w.reset()
 	f.s.handleProtocol(f.w, f.reqs[f.next])
 	f.next = (f.next + 1) % len(f.reqs)
-	if f.w.status != http.StatusOK || f.w.n == 0 || f.w.h.Get("X-Cache") != "miss" {
-		tb.Fatalf("status %d, %d bytes, X-Cache %q; want a 200 miss with a body",
-			f.w.status, f.w.n, f.w.h.Get("X-Cache"))
+	if f.w.status != http.StatusOK || f.w.n == 0 || f.w.h.Get("X-Cache") != f.want {
+		tb.Fatalf("status %d, %d bytes, X-Cache %q; want a 200 %s with a body",
+			f.w.status, f.w.n, f.w.h.Get("X-Cache"), f.want)
 	}
 }
 
@@ -112,9 +129,19 @@ func garbagePerRequest(n int, f func()) (objects, bytes float64) {
 // BenchmarkProtocolMiss times the protocol handler on result-cache misses
 // and reports its garbage per request.
 func BenchmarkProtocolMiss(b *testing.B) {
+	benchmarkProtocol(b, newMissFixture)
+}
+
+// BenchmarkProtocolHit times the protocol handler on result-cache hits,
+// which render their cached ID rows, and reports its garbage per request.
+func BenchmarkProtocolHit(b *testing.B) {
+	benchmarkProtocol(b, newHitFixture)
+}
+
+func benchmarkProtocol(b *testing.B, fixture func(testing.TB, string) *protocolFixture) {
 	for _, c := range []struct{ name, shape string }{{"point", pointShape}, {"star", starShape}} {
 		b.Run(c.name, func(b *testing.B) {
-			f := newMissFixture(b, c.shape, 1500)
+			f := fixture(b, c.shape)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rdfindexes/internal/obs"
-	"rdfindexes/internal/server/results"
 	"rdfindexes/internal/sparql"
 )
 
@@ -53,8 +52,8 @@ func TestTimingAndKeyStrings(t *testing.T) {
 		}
 		for _, gen := range []uint64{0, 1, 18446744073709551615} {
 			for _, limit := range []int{-1, 0, 1 << 40} {
-				want := fmt.Sprintf("p|%v|g%d|%s|%d", results.XML, gen, fmtQuery(q), limit)
-				if key := resultKey(results.XML, gen, q, limit); key != want {
+				want := fmt.Sprintf("p|g%d|%s|%d", gen, fmtQuery(q), limit)
+				if key := resultKey(gen, q, limit); key != want {
 					t.Errorf("resultKey = %q, want %q", key, want)
 				}
 			}

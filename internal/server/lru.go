@@ -1,9 +1,13 @@
 package server
 
-import "sync"
+import (
+	"sync"
+
+	"rdfindexes/internal/core"
+)
 
 // lruCache is the result cache: a mutex-guarded LRU map from a
-// normalized query key to its serialized response body. Entries are
+// normalized query key to its answer as dictionary IDs. Entries are
 // evicted least-recently-used once cap is exceeded; a zero or negative
 // cap disables the cache entirely (every Get misses, every Put is
 // dropped).
@@ -14,7 +18,7 @@ import "sync"
 type lruCache struct {
 	mu           sync.Mutex
 	cap          int
-	bytes        int // sum of len over the cached bodies
+	bytes        int // sum of size over the cached answers
 	slots        []lruSlot
 	head         int32 // most recently used slot; -1 when empty
 	m            map[string]int32
@@ -27,9 +31,26 @@ type lruCache struct {
 // least, whose next is the head again.
 type lruSlot struct {
 	key        string
-	body       []byte
+	ans        answer
 	prev, next int32
 }
+
+// answer is a cached result set in the form the index answers in: the
+// ID space of each column (a compiled plan's Roles), the rows' IDs back
+// to back and the row count, which the IDs alone do not give for a
+// projection without columns. It is rendered anew for every hit, in
+// whichever format and encoding that hit asks for. The column names are
+// not kept: the key spells them, so a hit takes them from its own parsed
+// query, and a cached answer never holds on to the text of the query
+// that filled it.
+type answer struct {
+	roles []core.Role
+	ids   []core.ID
+	rows  int
+}
+
+// size is what the cache counts of an answer: the bytes of its ID rows.
+func (a answer) size() int { return 4 * len(a.ids) } // a core.ID is 4 bytes
 
 func newLRU(capacity int) *lruCache {
 	return &lruCache{cap: capacity, head: -1, m: map[string]int32{}}
@@ -62,38 +83,40 @@ func (c *lruCache) pushFront(i int32) {
 	c.head = i
 }
 
-// Get returns the cached body and marks it most recently used.
-func (c *lruCache) Get(key string) ([]byte, bool) {
+// Get returns the cached answer and marks it most recently used. The
+// answer's slices are shared and must not be written.
+func (c *lruCache) Get(key string) (answer, bool) {
 	if c == nil || c.cap <= 0 {
-		return nil, false
+		return answer{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	i, ok := c.m[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return answer{}, false
 	}
 	c.hits++
 	if i != c.head {
 		c.unlink(i)
 		c.pushFront(i)
 	}
-	return c.slots[i].body, true
+	return c.slots[i].ans, true
 }
 
-// Put inserts or refreshes a body, evicting the LRU entry when full.
-func (c *lruCache) Put(key string, body []byte) {
+// Put inserts or refreshes an answer, evicting the LRU entry when full.
+// The cache keeps a's slices; the caller must not write them afterwards.
+func (c *lruCache) Put(key string, a answer) {
 	if c == nil || c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bytes += len(body)
+	c.bytes += a.size()
 	i, ok := c.m[key]
 	switch {
 	case ok:
-		c.bytes -= len(c.slots[i].body)
+		c.bytes -= c.slots[i].ans.size()
 		c.unlink(i)
 	case len(c.slots) < c.cap:
 		i = int32(len(c.slots))
@@ -102,13 +125,13 @@ func (c *lruCache) Put(key string, body []byte) {
 	default:
 		i = c.slots[c.head].prev // the least recently used
 		old := &c.slots[i]
-		c.bytes -= len(old.body)
+		c.bytes -= old.ans.size()
 		delete(c.m, old.key)
 		old.key = key
 		c.m[key] = i
 		c.unlink(i)
 	}
-	c.slots[i].body = body
+	c.slots[i].ans = a
 	c.pushFront(i)
 }
 
@@ -120,7 +143,7 @@ func (c *lruCache) Clear() {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	clear(c.slots) // release the bodies for collection
+	clear(c.slots) // release the answers for collection
 	c.slots = c.slots[:0]
 	c.head = -1
 	clear(c.m)
@@ -138,7 +161,7 @@ func (c *lruCache) Len() int {
 	return len(c.slots)
 }
 
-// Bytes returns the total length of the cached bodies.
+// Bytes returns the bytes of the cached ID rows.
 func (c *lruCache) Bytes() int {
 	if c == nil || c.cap <= 0 {
 		return 0

@@ -76,7 +76,7 @@ func (s *Server) initMetrics() {
 		func() uint64 { return runtimeCounter("/gc/cycles/total:gc-cycles") })
 	r.CounterFunc("rdf_heap_alloc_bytes_total", "", "Bytes allocated on the heap since the process started",
 		func() uint64 { return runtimeCounter("/gc/heap/allocs:bytes") })
-	r.GaugeFunc("rdf_result_cache_bytes", "", "Bytes of response bodies held by the result cache",
+	r.GaugeFunc("rdf_result_cache_bytes", "", "Bytes of cached ID rows held by the result cache",
 		func() float64 { return float64(s.results.Bytes()) })
 	r.GaugeFunc("rdf_in_flight_requests", "", "Requests currently holding a worker slot",
 		func() float64 { return float64(len(s.sem)) })

@@ -465,8 +465,8 @@ func TestServerTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// A distinct query text, so this lands on the miss path (the hit
-	// path answers from the cached body and has no post-stream stages).
+	// A distinct query text, so this is a miss of its own and not an
+	// answer some earlier request left in the cache.
 	fmt.Fprintf(conn, "GET /sparql?query=%s HTTP/1.1\r\nHost: t\r\nTE: trailers\r\nConnection: close\r\n\r\n",
 		url.QueryEscape("SELECT ?a ?b WHERE { ?a <http://ex/knows> ?b . }"))
 	raw, err := io.ReadAll(conn)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"compress/gzip"
 	"context"
 	"errors"
@@ -9,11 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"rdfindexes/internal/core"
 	"rdfindexes/internal/obs"
 	"rdfindexes/internal/server/results"
 	"rdfindexes/internal/sparql"
@@ -229,33 +230,39 @@ func setComputed(h http.Header, b []byte, split int) {
 	}
 }
 
-// response carries a cache miss from the row writer to the client. The
-// row writer's buffer is the only buffer between a solution row and the
-// socket: nothing reaches w — no status, no header — before the row
-// writer's first flush, which comes only once its pending bytes reach
-// results.StreamAt (DESIGN.md, "Response path").
+// response carries a result set, a miss or a hit, from the row writer to
+// the client. The row writer's buffer is the only buffer between a
+// solution row and the socket: nothing reaches w — no status, no header —
+// before the row writer's first flush, which comes only once its pending
+// bytes reach results.StreamAt (DESIGN.md, "Response path").
 type response struct {
 	w     http.ResponseWriter
 	ctype []string     // the Content-Type header value
 	zw    *gzip.Writer // reset onto w when the client accepts gzip, else nil
 	tr    *obs.Trace   // the request's stage trace, for Server-Timing
 	t0    time.Time    // request start
+	hit   bool         // the rows come from the result cache
 
 	out io.Writer // w, or zw over it; nil until the headers are committed
 }
 
-// open commits the headers of a 200 miss. A complete (one-piece) body
-// lets Server-Timing carry every stage and, uncompressed, announce its
-// length (negative: unknown); a streamed response announces the
-// pre-stream stages here and the rest in a trailer.
-func (o *response) open(complete bool, length int) {
+// open commits the headers of a 200 response. A complete (one-piece)
+// body lets Server-Timing carry every stage, total being the request's
+// time so far, and, uncompressed, announce its length (negative:
+// unknown); a streamed response announces the pre-stream stages here and
+// the rest in a trailer.
+func (o *response) open(complete bool, length int, total time.Duration) {
 	h := o.w.Header()
 	h["Content-Type"] = o.ctype
-	h["X-Cache"] = missValue
+	cache, verdict := "miss", missValue
+	if o.hit {
+		cache, verdict = "hit", hitValue
+	}
+	h["X-Cache"] = verdict
 	var buf [256]byte
-	b := appendServerTiming(buf[:0], o.tr, "miss")
+	b := appendServerTiming(buf[:0], o.tr, cache)
 	if complete {
-		b = appendPostTiming(append(b, ", "...), o.tr, time.Since(o.t0))
+		b = appendPostTiming(append(b, ", "...), o.tr, total)
 	}
 	split := len(b)
 	o.out = o.w
@@ -271,45 +278,58 @@ func (o *response) open(complete bool, length int) {
 // Write is the row writer's flush; the first one makes the response
 // streamed. The wall time spent downstream — gzip and client I/O — is the
 // render stage, priced at two clock reads per write, and a row writer
-// writes at most once per results.StreamAt bytes.
+// writes at most once per results.StreamAt bytes. Like every stage
+// boundary after the parse, the reads are monotonic offsets from t0,
+// which cost one clock read where time.Now costs two.
 func (o *response) Write(p []byte) (int, error) {
 	if o.out == nil {
-		o.open(false, -1)
+		o.open(false, -1, 0)
 	}
-	start := time.Now()
+	start := time.Since(o.t0)
 	n, err := o.out.Write(p)
-	o.tr.AddStage(obs.StageRender, time.Since(start))
+	o.tr.AddStage(obs.StageRender, time.Since(o.t0)-start)
 	return n, err
 }
 
-// finish ends a miss whose rows went through rw into o. err is what cut
-// the run short (nil: the body is complete).
+// finish ends a response whose rows went through rw into o. ran is when
+// the run ended, as time since the request's start, and err is what cut
+// it short (nil: the body is complete). key and roles are what a complete
+// one-piece miss is cached under and with: the result-cache key and the
+// plan's Roles. A hit stores nothing.
 //
-// One-piece (rw never flushed): rw.Pending() is the whole body and nothing
-// is on the wire, so a failure still answers with its status. A complete
-// body is offered to the result cache as an exact-size copy — the only
-// bytes that outlive the request — and sent with its Content-Length in a
+// One-piece (rw never flushed): rw.Pending() is the whole body and the
+// IDs of all its rows, and nothing is on the wire, so a failure still
+// answers with its status. A complete miss offers the result cache an
+// exact-size copy of the IDs — the only part of the answer that outlives
+// the request — and the body goes out with its Content-Length in a
 // single write (gzip leaves the length unknown and the response chunked).
 //
 // Streamed (the head left with the first flush): a failure can only end
-// the body early, and the body, of which rw holds just the tail, is never
-// cached.
-func (s *Server) finish(o *response, rw *results.Writer, key string, err error) {
+// the body early, and the answer, of which rw holds just the tail, is
+// never cached.
+func (s *Server) finish(o *response, rw *results.Writer, key string, roles []core.Role, ran time.Duration, err error) {
 	streamed := o.out != nil
 	if !streamed {
 		if err != nil {
 			s.fail(o.w, failStatus(err), err)
 			return
 		}
-		rt := time.Now()
-		body := rw.Pending()
-		if s.cfg.CacheEntries > 0 {
-			s.results.Put(key, bytes.Clone(body))
+		body, ids := rw.Pending()
+		if !o.hit {
+			// A cell renders to 1 byte or more (a CSV comma), so the IDs of
+			// a one-piece answer can outgrow its body; the size check holds
+			// every entry below StreamAt all the same.
+			a := answer{roles: roles, ids: ids, rows: rw.Rows()}
+			if s.cfg.CacheEntries > 0 && a.size() < results.StreamAt {
+				a.ids = slices.Clone(ids)
+				s.results.Put(key, a)
+			}
+			s.onePiece.Add(1)
 		}
-		s.onePiece.Add(1)
-		o.tr.AddStage(obs.StageRender, time.Since(rt))
-		o.open(true, len(body))
-	} else {
+		now := time.Since(o.t0)
+		o.tr.AddStage(obs.StageRender, now-ran)
+		o.open(true, len(body), now)
+	} else if !o.hit {
 		s.streamed.Add(1)
 		if err != nil {
 			s.failed.Add(1)
@@ -338,31 +358,6 @@ func failStatus(err error) int {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
-}
-
-// serveHit answers from a cached uncompressed body, compressing per this
-// client's Accept-Encoding. The explicit Content-Length keeps a hit larger
-// than net/http's sniff buffer from going out chunked. tr is the request's
-// trace for Server-Timing.
-func serveHit(w http.ResponseWriter, ctype []string, tr *obs.Trace, body []byte, gz bool) {
-	h := w.Header()
-	h["Content-Type"] = ctype
-	h["X-Cache"] = hitValue
-	var buf [128]byte
-	b := appendServerTiming(buf[:0], tr, "hit")
-	split := len(b)
-	if !gz {
-		setComputed(h, strconv.AppendInt(b, int64(len(body)), 10), split)
-		w.Write(body)
-		return
-	}
-	setComputed(h, b, split)
-	h["Content-Encoding"] = gzipValue
-	zw := gzipPool.Get().(*gzip.Writer)
-	zw.Reset(w)
-	zw.Write(body)
-	zw.Close()
-	gzipPool.Put(zw)
 }
 
 // appendServerTiming renders the Server-Timing entries known before the
@@ -407,17 +402,17 @@ func appendDur(b []byte, name string, d time.Duration) []byte {
 	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
-// resultKey is the result-cache key of q in format f under a row limit
-// at write generation gen. q.AppendTo renders the dictionary-resolved BGP
-// canonically, so the key normalizes whitespace and spelling. The
+// resultKey is the result-cache key of q under a row limit at write
+// generation gen. q.AppendTo renders the dictionary-resolved BGP
+// canonically, so the key normalizes whitespace and spelling, and it
+// spells the projection, so one key means one list of column names. The
 // generation is load-bearing beyond staleness: a merge remaps dictionary
-// IDs, so the same ID text means different terms across generations.
-// The format is in the key because the cached bytes are the serialized
-// (uncompressed) response body.
-func resultKey(f results.Format, gen uint64, q sparql.Query, limit int) string {
+// IDs, so the same ID text means different terms across generations, and
+// the cached answer is IDs. The format is not in the key: every format
+// and encoding renders the same cached rows.
+func resultKey(gen uint64, q sparql.Query, limit int) string {
 	var b [256]byte
-	k := append(append(b[:0], "p|"...), f.String()...)
-	k = q.AppendTo(append(strconv.AppendUint(append(k, "|g"...), gen, 10), '|'))
+	k := q.AppendTo(append(strconv.AppendUint(append(b[:0], "p|g"...), gen, 10), '|'))
 	return string(strconv.AppendInt(append(k, '|'), int64(limit), 10))
 }
 
@@ -539,43 +534,45 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := resultKey(f, gen, q, limit)
-	gz := wantsGzip(r.Header.Get("Accept-Encoding"))
+	key := resultKey(gen, q, limit)
+	var ans answer
+	hit := false
 	if !explain {
-		if body, ok := s.results.Get(key); ok {
-			serveHit(w, ctypeValues[f], tr, body, gz)
-			s.observeRequest(tr, time.Since(t0))
+		ans, hit = s.results.Get(key)
+	}
+
+	x := s.begin(r, t0)
+	defer x.end()
+	ctx := &x.ctx
+	var plan *sparql.Compiled
+	if !hit {
+		// A hit skips the worker slot, planning and execution: its rows
+		// are in hand, and only rendering them is left.
+		qt := time.Now()
+		if err := s.acquire(ctx); err != nil {
+			s.rejectBusy(w)
+			return
+		}
+		defer s.release()
+		tr.AddStage(obs.StageQueue, time.Since(qt))
+
+		plt := time.Now()
+		plan, err = sparql.Compile(q, sparql.Plan(q))
+		if err != nil {
+			s.fail(w, http.StatusBadRequest, err)
+			return
+		}
+		tr.AddStage(obs.StagePlan, time.Since(plt))
+
+		if explain {
+			s.serveExplain(ctx, w, st, gen, qs, q, plan, limit, tr, t0)
 			return
 		}
 	}
 
-	qt := time.Now()
-	x := s.begin(r)
-	defer x.end()
-	ctx := &x.ctx
-	if err := s.acquire(ctx); err != nil {
-		s.rejectBusy(w)
-		return
-	}
-	defer s.release()
-	tr.AddStage(obs.StageQueue, time.Since(qt))
-
-	plt := time.Now()
-	plan, err := sparql.Compile(q, sparql.Plan(q))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	tr.AddStage(obs.StagePlan, time.Since(plt))
-
-	if explain {
-		s.serveExplain(ctx, w, st, gen, qs, q, plan, limit, tr, t0)
-		return
-	}
-
 	o := &x.resp
-	*o = response{w: w, ctype: ctypeValues[f], tr: tr, t0: t0}
-	if gz {
+	*o = response{w: w, ctype: ctypeValues[f], tr: tr, t0: t0, hit: hit}
+	if wantsGzip(r.Header.Get("Accept-Encoding")) {
 		// Reset reopens a closed (or untouched) writer, so pooled reuse is
 		// safe whichever way the response ends.
 		zw := gzipPool.Get().(*gzip.Writer)
@@ -583,12 +580,24 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 		zw.Reset(w)
 		o.zw = zw
 	}
+	roles := ans.roles
+	if !hit {
+		roles = plan.Roles
+	}
 	wr := results.Acquire(f, st, o)
 	defer wr.Release()
-	wr.Begin(plan.Vars, plan.Roles...)
+	// The key spells the projection, so a hit's column names are those its
+	// cached rows were written under.
+	wr.Begin(q.Vars, roles...)
 
-	et := time.Now()
-	_, rows, truncated, err := execute(ctx, plan, st, tr, limit, wr.WriteBlock)
+	et := time.Since(t0)
+	var rows int
+	var truncated bool
+	if hit {
+		wr.WriteBlock(ans.ids, ans.rows)
+	} else {
+		_, rows, truncated, err = execute(ctx, plan, st, tr, limit, wr.WriteBlock)
+	}
 	errMsg := ""
 	if err != nil {
 		errMsg = err.Error()
@@ -597,12 +606,16 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	}
 	// Execution and serialization interleave once the response streams;
 	// the response's timer separates them: exec is the wall time of the
-	// run minus whatever of it was spent pushing bytes downstream.
-	tr.AddStage(obs.StageExec, max(time.Since(et)-tr.Stages[obs.StageRender], 0))
-	s.finish(o, wr, key, err)
+	// run minus whatever of it was spent pushing bytes downstream. A hit's
+	// run is rendering its cached rows.
+	ran := time.Since(t0)
+	tr.AddStage(obs.StageExec, max(ran-et-tr.Stages[obs.StageRender], 0))
+	s.finish(o, wr, key, roles, ran, err)
 	total := time.Since(t0)
 	s.observeRequest(tr, total)
-	s.slow.Record("sparql", qs, gen, rows, truncated, errMsg, total, tr)
+	if !hit {
+		s.slow.Record("sparql", qs, gen, rows, truncated, errMsg, total, tr)
+	}
 }
 
 // queries recycles the parsed queries of protocol requests: a request

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -126,10 +128,10 @@ func (d dialect) get(t *testing.T, ts *httptest.Server) (*http.Response, []byte)
 // TestResponsePaths lands bodies one byte below, on and one byte above
 // results.StreamAt in every format and pins the two response
 // paths: below the threshold the miss is one piece — Content-Length, no
-// chunking, every Server-Timing entry in the header, cached as a copy
-// that survives the pooled buffer's reuse — and from the threshold on it
-// is streamed: chunked and never cached. Either way the bytes are those
-// of a bare row writer.
+// chunking, every Server-Timing entry in the header, its rows cached as
+// IDs that survive the pooled writer's reuse — and from the threshold on
+// it is streamed: chunked and never cached. Either way the bytes are
+// those of a bare row writer.
 func TestResponsePaths(t *testing.T) {
 	const rows = 200
 	for _, d := range dialects() {
@@ -178,9 +180,11 @@ func TestResponsePaths(t *testing.T) {
 						t.Errorf("second request: X-Cache %q, Content-Length %d, Transfer-Encoding %v; want a hit of %d bytes, not chunked",
 							resp2.Header.Get("X-Cache"), resp2.ContentLength, resp2.TransferEncoding, size)
 					}
-					// The interleaved point query is cached too.
-					if got := srv.results.Bytes(); got <= size || got > size+200 {
-						t.Errorf("cache holds %d bytes, want the %d-byte body and one small answer", got, size)
+					// The cache holds ID rows, 4 bytes a cell: the rows+1
+					// two-column rows of this answer and the one cell of the
+					// interleaved point query, cached too.
+					if got, want := srv.results.Bytes(), 4*(2*(rows+1)+1); got != want {
+						t.Errorf("cache holds %d bytes, want %d: this answer's ID rows and one small answer's", got, want)
 					}
 					if one, str := srv.onePiece.Load(), srv.streamed.Load(); one != 2 || str != 0 {
 						t.Errorf("one_piece %d streamed %d, want 2 and 0", one, str)
@@ -281,5 +285,187 @@ func TestFailureAfterFirstByte(t *testing.T) {
 			t.Errorf("%s: failed %d, cache entries %d, streamed %d; want 1, 0, 1",
 				path, snap.Failed, snap.CacheEntries, srv.streamed.Load())
 		}
+	}
+}
+
+// served is one response as the client saw it: the verdict, the framing
+// and the body bytes as they came off the wire.
+type served struct {
+	cache, encoding string
+	length          int64 // Content-Length, -1 when not announced
+	chunked         bool
+	body            []byte
+}
+
+func fetch(t *testing.T, ts *httptest.Server, path string, f results.Format, gz bool) served {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", f.ContentType())
+	// Naming the encoding keeps the transport from decompressing on its
+	// own, so a gzip body is compared as it was sent.
+	req.Header.Set("Accept-Encoding", "identity")
+	if gz {
+		req.Header.Set("Accept-Encoding", "gzip")
+	}
+	resp, body := do(t, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s as %v: status %d, body %.200s", path, f, resp.StatusCode, body)
+	}
+	return served{
+		cache:    resp.Header.Get("X-Cache"),
+		encoding: resp.Header.Get("Content-Encoding"),
+		length:   resp.ContentLength,
+		chunked:  len(resp.TransferEncoding) == 1 && resp.TransferEncoding[0] == "chunked",
+		body:     body,
+	}
+}
+
+// gunzip decompresses a gzip response body.
+func gunzip(t *testing.T, b []byte) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestHitMatchesMiss fills the result cache with one JSON miss per answer
+// and then asks for the answer in every format, with and without gzip:
+// each hit must be byte for byte the body a server without a cache sends,
+// framed as it frames it. The cache keeps the answer's IDs and a hit
+// renders them on the miss's path, so this holds for an answer cut by
+// ?limit= (with a predicate column, whose IDs are their own space), for one that names terms only the pending overlay dictionary
+// of a mutable store holds, and for an XML rendering that crosses
+// results.StreamAt, which streams as a miss of that size would.
+func TestHitMatchesMiss(t *testing.T) {
+	m := mutableStore(t, t.TempDir(), 10, 2, -1)
+	for _, tr := range [][3]string{
+		{"<http://ex/p1>", "<http://ex/knows>", "<http://ex/newcomer>"},
+		{"<http://ex/newcomer>", "<http://ex/knows>", `"only in the \"overlay\""@en`},
+	} {
+		if _, err := m.Insert(tr[0], tr[1], tr[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 650 rows render below StreamAt in JSON and above it in XML.
+	const wideRows = 650
+	wide := padStore(t, wideRows, 0)
+	st := testStore(t, 200, 3)
+	for _, c := range []struct {
+		name   string
+		server func(Options) *Server
+		path   string
+		check  func(t *testing.T, srv *Server, json, xml served)
+	}{
+		{"limit", func(o Options) *Server { return New(st, o) }, sparqlPath("SELECT ?x ?p ?y WHERE { ?x ?p ?y . }", "limit=7"),
+			func(t *testing.T, srv *Server, json, _ served) {
+				if _, rows := jsonBindings(t, json.body); len(rows) != 7 {
+					t.Errorf("%d rows under limit=7", len(rows))
+				}
+				if b := srv.results.Bytes(); b != 7*3*4 {
+					t.Errorf("the cache holds %d bytes, want the 7 three-column rows' %d", b, 7*3*4)
+				}
+			}},
+		{"overlay", func(o Options) *Server { return NewMutable(m, o) }, sparqlPath(knowsQuery, ""),
+			func(t *testing.T, _ *Server, json, _ served) {
+				if !bytes.Contains(json.body, []byte("http://ex/newcomer")) || !bytes.Contains(json.body, []byte(`only in the \"overlay\"`)) {
+					t.Errorf("the answer lacks the overlay's terms: %s", json.body)
+				}
+			}},
+		{"xml past StreamAt", func(o Options) *Server { return New(wide, o) }, sparqlPath(padQuery, ""),
+			func(t *testing.T, _ *Server, json, xml served) {
+				if len(json.body) >= results.StreamAt || len(xml.body) < results.StreamAt {
+					t.Fatalf("JSON %d and XML %d bytes: want them on either side of StreamAt", len(json.body), len(xml.body))
+				}
+				if xml.cache != "hit" || !xml.chunked || xml.length >= 0 {
+					t.Errorf("XML hit: X-Cache %q, chunked %v, Content-Length %d; want a streamed hit", xml.cache, xml.chunked, xml.length)
+				}
+			}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fresh := httptest.NewServer(c.server(Options{CacheEntries: -1}))
+			defer fresh.Close()
+			srv := c.server(Options{})
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			if got := fetch(t, ts, c.path, results.JSON, false); got.cache != "miss" || got.chunked {
+				t.Fatalf("first request: X-Cache %q, chunked %v; want a one-piece miss", got.cache, got.chunked)
+			}
+			var json, xml served
+			for _, f := range results.Formats() {
+				for _, gz := range []bool{false, true} {
+					want := fetch(t, fresh, c.path, f, gz)
+					got := fetch(t, ts, c.path, f, gz)
+					if want.cache != "miss" || got.cache != "hit" {
+						t.Fatalf("%v gzip=%v: X-Cache %q without a cache, %q with one; want miss and hit", f, gz, want.cache, got.cache)
+					}
+					if !bytes.Equal(got.body, want.body) {
+						t.Errorf("%v gzip=%v: hit body (%d bytes) differs from a fresh miss's (%d bytes)", f, gz, len(got.body), len(want.body))
+					}
+					if got.encoding != want.encoding || got.length != want.length || got.chunked != want.chunked {
+						t.Errorf("%v gzip=%v: hit framed as %q, length %d, chunked %v; a fresh miss as %q, %d, %v",
+							f, gz, got.encoding, got.length, got.chunked, want.encoding, want.length, want.chunked)
+					}
+					if !gz {
+						switch f {
+						case results.JSON:
+							json = got
+						case results.XML:
+							xml = got
+						}
+					} else if plain := fetch(t, fresh, c.path, f, false); !bytes.Equal(gunzip(t, got.body), plain.body) {
+						t.Errorf("%v: gzip hit does not decompress to the identity body", f)
+					}
+				}
+			}
+			c.check(t, srv, json, xml)
+			if h, _ := srv.results.Counters(); h != 8 || srv.onePiece.Load() != 1 || srv.streamed.Load() != 0 {
+				t.Errorf("%d hits, one_piece %d, streamed %d; want 8 hits and the one miss", h, srv.onePiece.Load(), srv.streamed.Load())
+			}
+		})
+	}
+}
+
+// TestCacheHoldsIDsBelowStreamAt serves a CSV answer of 20000 empty
+// literals: 2 bytes a row, so it goes out in one piece, but 80 000 bytes
+// of IDs, which the cache refuses, so no entry outgrows StreamAt.
+func TestCacheHoldsIDsBelowStreamAt(t *testing.T) {
+	const rows = 20000
+	var sb strings.Builder
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&sb, "<http://ex/s%d> <http://ex/p> \"\" .\n", i)
+	}
+	statements, err := rdf.ParseAll(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, dicts, err := rdf.Encode(statements)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := core.Build(d, core.Layout2Tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(&store.Store{Index: x, Dicts: dicts}, Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	path := sparqlPath("SELECT ?o WHERE { ?s <http://ex/p> ?o . }", "")
+	for range 2 {
+		got := fetch(t, ts, path, results.CSV, false)
+		if got.cache != "miss" || got.chunked || len(got.body) != 3+2*rows {
+			t.Fatalf("X-Cache %q, chunked %v, %d bytes; want a one-piece miss of %d bytes", got.cache, got.chunked, len(got.body), 3+2*rows)
+		}
+	}
+	if n := srv.Snapshot().CacheEntries; n != 0 {
+		t.Errorf("%d cache entries, want none", n)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -566,14 +567,16 @@ func TestWriterAllocs(t *testing.T) {
 }
 
 // TestPooledWriterKeepsBuffer renders a ~60 KiB answer — the whole of
-// which a one-piece response holds in the writer's buffer — and checks
-// that the pool can keep a buffer that size: trimCap exceeds StreamAt,
-// trimBuffer keeps a buffer of up to trimCap bytes, and Release hands the
-// grown buffer back with the writer, or every request would regrow it
-// from nothing. Outside race builds, where sync.Pool keeps what it is
-// given, acquire/release cycles then render the answer without
-// allocating, every term encoded anew, over a plain dictionary store and
-// over an overlay one.
+// which a one-piece response holds in the writer's buffer, and its rows'
+// IDs in the kept-ID buffer — and checks that the pool can keep buffers
+// that size: trimCap exceeds StreamAt, trimBuffer keeps a buffer of up to
+// trimCap elements, and Release hands both grown buffers back with the
+// writer, or every request would regrow them from nothing. The kept IDs
+// are those of the rows written until the first flush and none after it.
+// Outside race builds, where sync.Pool keeps what it is given,
+// acquire/release cycles then render the answer without allocating,
+// every term encoded anew, over a plain dictionary store and over an
+// overlay one.
 func TestPooledWriterKeepsBuffer(t *testing.T) {
 	if trimCap <= StreamAt {
 		t.Fatalf("trimCap %d is not above StreamAt %d: pooled writers would drop every streamed buffer", trimCap, StreamAt)
@@ -582,36 +585,64 @@ func TestPooledWriterKeepsBuffer(t *testing.T) {
 		if b := trimBuffer(make([]byte, 1, c)); b == nil || len(b) != 0 || cap(b) != c {
 			t.Fatalf("trimBuffer of a %d-byte buffer: len %d cap %d, want it emptied and kept", c, len(b), cap(b))
 		}
+		if b := trimBuffer(make([]core.ID, 1, c)); b == nil || len(b) != 0 || cap(b) != c {
+			t.Fatalf("trimBuffer of a %d-ID buffer: len %d cap %d, want it emptied and kept", c, len(b), cap(b))
+		}
 	}
 	if b := trimBuffer(make([]byte, 1, trimCap+1)); b != nil {
 		t.Fatalf("trimBuffer kept a buffer past trimCap (cap %d)", cap(b))
+	}
+	if b := trimBuffer(make([]core.ID, 1, trimCap+1)); b != nil {
+		t.Fatalf("trimBuffer kept an ID buffer past trimCap (cap %d)", cap(b))
 	}
 	base, _ := termStore(t, manyTerms(512))
 	for name, st := range map[string]*store.Store{"dict": base, "overlay": overlayStore(base)} {
 		n, np := st.Dicts.SO.Len(), st.Dicts.P.Len()
 		row := make([]core.ID, 3)
+		var written []core.ID
 		size := 0
 		render := func() *Writer {
 			wr := Acquire(JSON, st, io.Discard)
 			wr.Begin([]string{"x", "p", "y"}, core.RoleSO, core.RoleP)
 			// From the last IDs down, so the overlay's added terms are
 			// extracted and encoded in every answer.
-			for i := 0; len(wr.Pending()) < 60<<10; i++ {
+			written = written[:0]
+			for i := 0; len(wr.buf) < 60<<10; i++ {
 				row[0], row[1], row[2] = core.ID(n-1-i%n), core.ID(np-1-i%np), core.ID((i+7)%n)
 				wr.WriteRow(row)
+				written = append(written, row...)
 			}
 			wr.End()
-			size = len(wr.Pending())
+			size = len(wr.buf)
 			return wr
 		}
 		wr := render()
+		body, ids := wr.Pending()
+		if len(body) != size || !slices.Equal(ids, written) {
+			t.Fatalf("%s: Pending holds %d bytes and %d IDs, want the %d-byte answer and the %d IDs written",
+				name, len(body), len(ids), size, len(written))
+		}
 		wr.Release()
-		if cap(wr.buf) < size {
-			t.Fatalf("%s: Release dropped the %d-byte answer's buffer (cap %d after release)", name, size, cap(wr.buf))
+		if cap(wr.buf) < size || cap(wr.kept) < len(written) {
+			t.Fatalf("%s: Release dropped the %d-byte answer's buffer (cap %d) or its %d IDs' (cap %d)",
+				name, size, cap(wr.buf), len(written), cap(wr.kept))
 		}
 		if size < 60<<10 || size >= StreamAt {
 			t.Fatalf("%s: answer of %d bytes: want one held whole, between 60 KiB and StreamAt", name, size)
 		}
+
+		// Past StreamAt the writer flushes, and from then on keeps no IDs.
+		wr = Acquire(JSON, st, io.Discard)
+		wr.Begin([]string{"x", "p", "y"}, core.RoleSO, core.RoleP)
+		for i := 0; !wr.flushed; i++ {
+			row[0], row[1], row[2] = core.ID(i%n), core.ID(i%np), core.ID((i+7)%n)
+			wr.WriteRow(row)
+		}
+		wr.WriteRow(row)
+		if body, ids := wr.Pending(); len(body) == 0 || len(ids) != 0 {
+			t.Fatalf("%s: after a flush Pending holds %d bytes and %d IDs, want the tail and no IDs", name, len(body), len(ids))
+		}
+		wr.Release()
 		if raceEnabled {
 			continue
 		}

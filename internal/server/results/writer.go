@@ -15,15 +15,16 @@ import (
 // cache it (DESIGN.md, "Response path").
 const StreamAt = 64 << 10
 
-// trimCap is the largest buffer capacity a pooled Writer retains;
-// anything a pathological request grew beyond it is handed back to the
-// garbage collector on Release. It must stay above StreamAt plus a block
-// of rows, or every pooled output buffer would be regrown per request.
+// trimCap is the largest capacity, in elements, a pooled Writer's
+// scratch slices retain; anything a pathological request grew beyond it
+// is handed back to the garbage collector on Release. It must stay above
+// StreamAt plus a block of rows, or every pooled output buffer would be
+// regrown per request.
 const trimCap = 1 << 20
 
-// trimBuffer empties a pooled writer's scratch buffer for reuse, or drops
+// trimBuffer empties a pooled writer's scratch slice for reuse, or drops
 // it when its capacity outgrew trimCap.
-func trimBuffer(b []byte) []byte {
+func trimBuffer[T any](b []T) []T {
 	if cap(b) > trimCap {
 		return nil
 	}
@@ -35,9 +36,11 @@ func trimBuffer(b []byte) []byte {
 // at a time, terms resolve through the pooled dictionary cursors of a
 // store.Renderer, and each distinct (role, ID) is format-encoded once per
 // request and replayed from a term table after that — the steady-state
-// row path performs no allocations in any format. A Writer serves one
-// request on one goroutine; the sequence is Begin, any number of
-// WriteRow or WriteBlock, End, Flush, Release.
+// row path performs no allocations in any format. Until its first flush
+// the Writer also keeps the IDs of the rows it writes, so an answer held
+// whole can be kept as IDs and rendered again in any format. A Writer
+// serves one request on one goroutine; the sequence is Begin, any number
+// of WriteRow or WriteBlock, End, Flush, Release.
 type Writer struct {
 	f    Format
 	w    io.Writer
@@ -45,6 +48,7 @@ type Writer struct {
 	err  error
 
 	buf   []byte      // pending output
+	kept  []core.ID   // IDs of the rows written, back to back, until the first Flush
 	raw   []byte      // raw N-Triples term scratch
 	val   []byte      // unescaped literal value scratch
 	terms termTable   // this request's encoded terms
@@ -52,6 +56,8 @@ type Writer struct {
 	keys  []byte      // keyed formats' per-column key fragments, back to back
 	keyAt []int       // column j's fragment is keys[keyAt[j]:keyAt[j+1]]
 	n     int         // rows written
+	// flushed is set by the first Flush; kept stays empty from then on.
+	flushed bool
 
 	vars []string  // column names, for WriteSolution only
 	row  []core.ID // WriteSolution's scratch row
@@ -67,7 +73,7 @@ func Acquire(f Format, st *store.Store, w io.Writer) *Writer {
 	wr.f = f
 	wr.w = w
 	wr.rend = store.AcquireRenderer(st)
-	wr.err = nil
+	wr.err, wr.flushed = nil, false
 	wr.n = 0
 	//rdf:allow(ownership transfers to the caller; Release returns it to the pool)
 	return wr
@@ -87,6 +93,7 @@ func (wr *Writer) Release() {
 	wr.raw = trimBuffer(wr.raw)
 	wr.val = trimBuffer(wr.val)
 	wr.keys = trimBuffer(wr.keys)
+	wr.kept = trimBuffer(wr.kept)
 	wr.vars = wr.vars[:0]
 	writerPool.Put(wr)
 }
@@ -95,12 +102,15 @@ func (wr *Writer) Release() {
 func (wr *Writer) Rows() int { return wr.n }
 
 // Flush writes any pending bytes to the underlying writer and reports
-// the first write error seen on this stream.
+// the first write error seen on this stream. The first Flush ends the
+// keeping of row IDs: part of the answer has left, so its IDs no longer
+// describe what Pending holds.
 func (wr *Writer) Flush() error {
 	if len(wr.buf) > 0 && wr.err == nil {
 		_, wr.err = wr.w.Write(wr.buf)
 	}
 	wr.buf = wr.buf[:0]
+	wr.kept, wr.flushed = wr.kept[:0], true
 	return wr.err
 }
 
@@ -112,10 +122,12 @@ func (wr *Writer) maybeFlush() {
 	}
 }
 
-// Pending returns the bytes not yet flushed: the whole result set while
-// it is below StreamAt. The slice is the writer's buffer, valid
+// Pending returns the bytes not yet flushed and the IDs of the rows
+// written, back to back: while the writer has not flushed (the result set
+// is below StreamAt), the whole result set in both forms; after that, the
+// unflushed tail and no IDs. Both slices are the writer's own, valid
 // until the next write, Flush or Release.
-func (wr *Writer) Pending() []byte { return wr.buf }
+func (wr *Writer) Pending() (body []byte, ids []core.ID) { return wr.buf, wr.kept }
 
 // Begin writes the result set header and fixes the columns of the
 // subsequent WriteRow rows, pre-encoding every per-column key fragment
@@ -210,6 +222,9 @@ func (wr *Writer) WriteRow(row []core.ID) { wr.WriteBlock(row, 1) }
 func (wr *Writer) WriteBlock(ids []core.ID, rows int) {
 	l := &layouts[wr.f]
 	w := len(wr.roles)
+	if !wr.flushed {
+		wr.kept = append(wr.kept, ids[:rows*w]...)
+	}
 	buf := wr.buf
 	for i := 0; i < rows; i++ {
 		if wr.n > 0 {

@@ -72,13 +72,16 @@ type Options struct {
 	// Workers bounds the number of concurrently executing queries
 	// (default runtime.GOMAXPROCS(0)).
 	Workers int
-	// Timeout is the per-request execution deadline, covering both queue
-	// wait and evaluation (default 30s). Cancellation is observed at
+	// Timeout is the per-request execution deadline, counted from the
+	// request's arrival and covering both queue wait and evaluation
+	// (default 30s). Cancellation is observed at
 	// batch-refill granularity, never per triple.
 	Timeout time.Duration
 	// CacheEntries is the result cache capacity in entries (default 256;
-	// negative disables caching). Only bodies below results.StreamAt are
-	// cached, so the cache holds at most CacheEntries × 64 KiB.
+	// negative disables caching). An entry is an answer's rows as
+	// dictionary IDs, 4 bytes a cell; only answers sent in one piece
+	// (below results.StreamAt) whose IDs are below results.StreamAt too
+	// are cached, so the cache holds at most CacheEntries × 64 KiB.
 	CacheEntries int
 	// Pprof exposes the runtime profiling endpoints under
 	// /debug/pprof/* (CPU and heap profiles, goroutine dumps, execution
@@ -376,12 +379,13 @@ type exchange struct {
 
 var exchanges = sync.Pool{New: func() any { return new(exchange) }}
 
-// begin starts r's deadline. The request ends its exchange, and uses
-// neither the context nor the response after that.
-func (s *Server) begin(r *http.Request) *exchange {
+// begin starts r's deadline, counted from start, the time the request
+// arrived. The request ends its exchange, and uses neither the context
+// nor the response after that.
+func (s *Server) begin(r *http.Request, start time.Time) *exchange {
 	x := exchanges.Get().(*exchange)
 	parent := r.Context()
-	x.ctx.Context, x.ctx.deadline = parent, time.Now().Add(s.cfg.Timeout)
+	x.ctx.Context, x.ctx.deadline = parent, start.Add(s.cfg.Timeout)
 	if pd, ok := parent.Deadline(); ok && pd.Before(x.ctx.deadline) {
 		x.ctx.deadline = pd
 	}
@@ -547,7 +551,7 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, u update) {
 	// Workers requests contend for the store's writer mutex, and later
 	// arrivals 503 when their deadline passes first — a threshold merge
 	// holding the mutex for a rebuild must not pile up goroutines.
-	x := s.begin(r)
+	x := s.begin(r, time.Now())
 	defer x.end()
 	ctx := &x.ctx
 	if err := s.acquire(ctx); err != nil {
@@ -633,7 +637,7 @@ type Stats struct {
 	Failed        uint64 `json:"failed"`
 	BreakerOpen   bool   `json:"breaker_open"`
 	CacheEntries  int    `json:"cache_entries"`
-	// CacheBytes is the total size of the cached response bodies.
+	// CacheBytes is the bytes of cached ID rows: 4 a cell.
 	CacheBytes  int    `json:"cache_bytes"`
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -194,7 +194,7 @@ func TestServerEndpoints(t *testing.T) {
 			t.Fatalf("second identical query not served from cache (X-Cache=%q)", resp2.Header.Get("X-Cache"))
 		}
 		if body1 != body2 {
-			t.Fatalf("cached body differs from computed body")
+			t.Fatalf("the hit's body differs from the miss's")
 		}
 	})
 
@@ -679,18 +679,29 @@ func TestWorkerPoolBounds(t *testing.T) {
 	}
 }
 
-// lruBody is an n-byte cache value whose bytes are n, so equal lengths
-// mean equal bodies.
-func lruBody(n int) []byte { return bytes.Repeat([]byte{byte(n)}, n) }
+// lruAnswer is a one-column answer of n rows whose IDs are all n, so
+// equal row counts mean equal answers; it counts 4n bytes.
+func lruAnswer(n int) answer {
+	ids := make([]core.ID, n)
+	for i := range ids {
+		ids[i] = core.ID(n)
+	}
+	return answer{roles: []core.Role{core.RoleSO}, ids: ids, rows: n}
+}
+
+// sameAnswer reports whether a and b hold the same rows.
+func sameAnswer(a, b answer) bool {
+	return a.rows == b.rows && slices.Equal(a.roles, b.roles) && slices.Equal(a.ids, b.ids)
+}
 
 func TestLRU(t *testing.T) {
 	c := newLRU(2)
-	c.Put("a", lruBody(1))
-	c.Put("b", lruBody(2))
-	if v, ok := c.Get("a"); !ok || !bytes.Equal(v, lruBody(1)) {
+	c.Put("a", lruAnswer(1))
+	c.Put("b", lruAnswer(2))
+	if v, ok := c.Get("a"); !ok || !sameAnswer(v, lruAnswer(1)) {
 		t.Fatal("a missing")
 	}
-	c.Put("c", lruBody(3)) // evicts b (LRU)
+	c.Put("c", lruAnswer(3)) // evicts b (LRU)
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should be evicted")
 	}
@@ -700,13 +711,14 @@ func TestLRU(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len %d, want 2", c.Len())
 	}
-	// Body lengths follow inserts, refreshes, evictions and flushes.
-	if c.Bytes() != 1+3 {
-		t.Fatalf("bytes %d after evicting b, want 4", c.Bytes())
+	// The bytes of the ID rows follow inserts, refreshes, evictions and
+	// flushes.
+	if c.Bytes() != 4*(1+3) {
+		t.Fatalf("bytes %d after evicting b, want 16", c.Bytes())
 	}
-	c.Put("a", lruBody(10))
-	if c.Bytes() != 10+3 {
-		t.Fatalf("bytes %d after refreshing a, want 13", c.Bytes())
+	c.Put("a", lruAnswer(10))
+	if c.Bytes() != 4*(10+3) {
+		t.Fatalf("bytes %d after refreshing a, want 52", c.Bytes())
 	}
 	c.Clear()
 	if c.Bytes() != 0 || c.Len() != 0 {
@@ -716,9 +728,9 @@ func TestLRU(t *testing.T) {
 	if _, ok := disabled.Get("x"); ok {
 		t.Fatal("nil cache returned a value")
 	}
-	disabled.Put("x", lruBody(1)) // must not panic
+	disabled.Put("x", lruAnswer(1)) // must not panic
 	zero := newLRU(-1)
-	zero.Put("x", lruBody(1))
+	zero.Put("x", lruAnswer(1))
 	if _, ok := zero.Get("x"); ok {
 		t.Fatal("disabled cache stored a value")
 	}
@@ -753,8 +765,8 @@ func TestLRUModel(t *testing.T) {
 			case r < 10:
 				v, ok := c.Get(key)
 				i := find(key)
-				if ok != (i >= 0) || ok && !bytes.Equal(v, lruBody(model[i].val)) {
-					t.Fatalf("cap %d op %d: Get(%s) = %d bytes, %v; model %v", capacity, op, key, len(v), ok, model)
+				if ok != (i >= 0) || ok && !sameAnswer(v, lruAnswer(model[i].val)) {
+					t.Fatalf("cap %d op %d: Get(%s) = %d rows, %v; model %v", capacity, op, key, v.rows, ok, model)
 				}
 				if ok {
 					e := model[i]
@@ -762,7 +774,7 @@ func TestLRUModel(t *testing.T) {
 				}
 			default:
 				v := rng.Intn(100)
-				c.Put(key, lruBody(v))
+				c.Put(key, lruAnswer(v))
 				if i := find(key); i >= 0 {
 					model = append(model[:i:i], model[i+1:]...)
 				}
@@ -773,7 +785,7 @@ func TestLRUModel(t *testing.T) {
 			}
 			sum := 0
 			for _, e := range model {
-				sum += e.val
+				sum += 4 * e.val
 			}
 			if c.Len() != len(model) || c.Bytes() != sum {
 				t.Fatalf("cap %d op %d: len %d bytes %d, model len %d bytes %d", capacity, op, c.Len(), c.Bytes(), len(model), sum)
