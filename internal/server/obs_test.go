@@ -85,10 +85,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := metricValue(samples, "rdf_request_duration_seconds_count", nil); !ok || v != 2 {
 		t.Errorf("request histogram count = %v, want 2 (error requests unobserved)", v)
 	}
-	// Stage histograms exist for every stage; exec observed at least the
-	// cache-miss request.
-	if v, ok := metricValue(samples, "rdf_stage_duration_seconds_count", map[string]string{"stage": "exec"}); !ok || v < 1 {
-		t.Errorf("exec stage count = %v, want >= 1", v)
+	// Stage histograms exist for every stage; exec observed the cache
+	// miss only: a hit executes nothing, its run is all render.
+	if v, ok := metricValue(samples, "rdf_stage_duration_seconds_count", map[string]string{"stage": "exec"}); !ok || v != 1 {
+		t.Errorf("exec stage count = %v, want 1", v)
+	}
+	if v, ok := metricValue(samples, "rdf_stage_duration_seconds_count", map[string]string{"stage": "render"}); !ok || v != 2 {
+		t.Errorf("render stage count = %v, want 2", v)
 	}
 	if v, ok := metricValue(samples, "rdf_cache_events_total", map[string]string{"cache": "result", "event": "hit"}); !ok || v != 1 {
 		t.Errorf("result cache hits = %v, want 1", v)

@@ -541,7 +541,7 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 		ans, hit = s.results.Get(key)
 	}
 
-	x := s.begin(r, t0)
+	x := s.begin(r)
 	defer x.end()
 	ctx := &x.ctx
 	var plan *sparql.Compiled
@@ -586,6 +586,11 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	}
 	wr := results.Acquire(f, st, o)
 	defer wr.Release()
+	if hit || s.cfg.CacheEntries <= 0 {
+		// Nothing will read the IDs this writer keeps: a Flush before any
+		// output ends the keeping and writes nothing.
+		wr.Flush()
+	}
 	// The key spells the projection, so a hit's column names are those its
 	// cached rows were written under.
 	wr.Begin(q.Vars, roles...)
@@ -593,8 +598,17 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	et := time.Since(t0)
 	var rows int
 	var truncated bool
+	run := obs.StageExec
 	if hit {
-		wr.WriteBlock(ans.ids, ans.rows)
+		// The cached rows go to the writer in the executor's block size, so
+		// the writer flushes between blocks as it does on a miss, and a
+		// wordier rendering buffers at most one block past StreamAt.
+		run = obs.StageRender
+		w := len(roles)
+		for i := 0; i < ans.rows; i += hitBlockRows {
+			n := min(hitBlockRows, ans.rows-i)
+			wr.WriteBlock(ans.ids[i*w:(i+n)*w], n)
+		}
 	} else {
 		_, rows, truncated, err = execute(ctx, plan, st, tr, limit, wr.WriteBlock)
 	}
@@ -606,10 +620,10 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	}
 	// Execution and serialization interleave once the response streams;
 	// the response's timer separates them: exec is the wall time of the
-	// run minus whatever of it was spent pushing bytes downstream. A hit's
-	// run is rendering its cached rows.
+	// run minus whatever of it was spent pushing bytes downstream. A hit
+	// executes nothing, so all of its run is render.
 	ran := time.Since(t0)
-	tr.AddStage(obs.StageExec, max(ran-et-tr.Stages[obs.StageRender], 0))
+	tr.AddStage(run, max(ran-et-tr.Stages[obs.StageRender], 0))
 	s.finish(o, wr, key, roles, ran, err)
 	total := time.Since(t0)
 	s.observeRequest(tr, total)
@@ -617,6 +631,10 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 		s.slow.Record("sparql", qs, gen, rows, truncated, errMsg, total, tr)
 	}
 }
+
+// hitBlockRows is how many cached rows a hit hands its row writer at a
+// time: the block size of sparql.Run, whose blocks a miss writes.
+const hitBlockRows = 256
 
 // queries recycles the parsed queries of protocol requests: a request
 // keeps nothing of its Query past its end (the plan compiled from it

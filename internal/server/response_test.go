@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -431,6 +432,59 @@ func TestHitMatchesMiss(t *testing.T) {
 				t.Errorf("%d hits, one_piece %d, streamed %d; want 8 hits and the one miss", h, srv.onePiece.Load(), srv.streamed.Load())
 			}
 		})
+	}
+}
+
+// writeSizes is a response recorder that notes the size of each body
+// write: what the server buffered before handing it downstream.
+type writeSizes struct {
+	*httptest.ResponseRecorder
+	sizes []int
+}
+
+func (w *writeSizes) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestHitRendersInBlocks fills the cache from a CSV miss of short cells
+// under a long column name, then hits it as JSON and XML, which repeat
+// the name in every cell: about 2 MB rendered from 4 KB of IDs. The hit
+// must stream that as a miss of its size does, buffering at most one
+// block of rows past StreamAt before each write, and send a fresh
+// miss's bytes.
+func TestHitRendersInBlocks(t *testing.T) {
+	name := strings.Repeat("v", 2000)
+	path := sparqlPath("SELECT ?"+name+" WHERE { ?"+name+" <http://ex/p> ?o . }", "")
+	st := padStore(t, 1000, 0)
+	serve := func(srv *Server, f results.Format) *writeSizes {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		req.Header.Set("Accept", f.ContentType())
+		w := &writeSizes{ResponseRecorder: httptest.NewRecorder()}
+		srv.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%v: status %d, body %.200s", f, w.Code, w.Body)
+		}
+		return w
+	}
+	fresh := New(st, Options{CacheEntries: -1})
+	srv := New(st, Options{})
+	if w := serve(srv, results.CSV); w.Header().Get("X-Cache") != "miss" || len(w.sizes) != 1 {
+		t.Fatalf("CSV: X-Cache %q in %d writes; want a one-piece miss", w.Header().Get("X-Cache"), len(w.sizes))
+	}
+	if b := srv.results.Bytes(); b != 4*1001 {
+		t.Fatalf("the cache holds %d bytes, want the 1001 rows' %d", b, 4*1001)
+	}
+	// A row of either format is the name and under 128 bytes besides.
+	bound := results.StreamAt + (hitBlockRows+1)*(len(name)+128)
+	for _, f := range []results.Format{results.JSON, results.XML} {
+		want, got := serve(fresh, f), serve(srv, f)
+		if got.Header().Get("X-Cache") != "hit" || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%v: X-Cache %q, %d bytes; want a hit of the fresh miss's %d bytes", f, got.Header().Get("X-Cache"), got.Body.Len(), want.Body.Len())
+		}
+		if len(got.sizes) < 2 || slices.Max(got.sizes) > bound {
+			t.Errorf("%v: a %d-byte hit written as %v; want it streamed in writes of at most %d bytes", f, got.Body.Len(), got.sizes, bound)
+		}
 	}
 }
 

@@ -643,6 +643,20 @@ func TestPooledWriterKeepsBuffer(t *testing.T) {
 			t.Fatalf("%s: after a flush Pending holds %d bytes and %d IDs, want the tail and no IDs", name, len(body), len(ids))
 		}
 		wr.Release()
+
+		// A Flush before Begin writes nothing and keeps no IDs: the form a
+		// caller uses that will not read them.
+		var out bytes.Buffer
+		wr = Acquire(JSON, st, &out)
+		wr.Flush()
+		wr.Begin([]string{"x", "p", "y"}, core.RoleSO, core.RoleP)
+		wr.WriteRow(row)
+		wr.End()
+		if body, ids := wr.Pending(); out.Len() != 0 || len(body) == 0 || len(ids) != 0 {
+			t.Fatalf("%s: flushed before Begin: %d bytes written, Pending holds %d bytes and %d IDs; want none, the answer and none",
+				name, out.Len(), len(body), len(ids))
+		}
+		wr.Release()
 		if raceEnabled {
 			continue
 		}

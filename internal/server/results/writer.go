@@ -38,7 +38,9 @@ func trimBuffer[T any](b []T) []T {
 // request and replayed from a term table after that — the steady-state
 // row path performs no allocations in any format. Until its first flush
 // the Writer also keeps the IDs of the rows it writes, so an answer held
-// whole can be kept as IDs and rendered again in any format. A Writer
+// whole can be kept as IDs and rendered again in any format; a caller
+// that will not read them flushes before Begin, which writes nothing and
+// spares the rows that copy. A Writer
 // serves one request on one goroutine; the sequence is Begin, any number
 // of WriteRow or WriteBlock, End, Flush, Release.
 type Writer struct {

@@ -281,7 +281,7 @@ func TestRequestDeadline(t *testing.T) {
 	parent, cancel := context.WithCancel(context.Background())
 	r := httptest.NewRequest(http.MethodGet, "/sparql", nil).WithContext(parent)
 
-	x := srv.begin(r, time.Now())
+	x := srv.begin(r)
 	if d, ok := x.ctx.Deadline(); !ok || time.Until(d) > 30*time.Millisecond {
 		t.Fatalf("Deadline() = %v, %v", d, ok)
 	}
@@ -295,7 +295,7 @@ func TestRequestDeadline(t *testing.T) {
 	x.end()
 
 	// Past the deadline, with no Done asked for: the clock decides.
-	x = srv.begin(httptest.NewRequest(http.MethodGet, "/sparql", nil), time.Now())
+	x = srv.begin(httptest.NewRequest(http.MethodGet, "/sparql", nil))
 	time.Sleep(40 * time.Millisecond)
 	if err := x.ctx.Err(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("past the deadline: %v, want DeadlineExceeded", err)
@@ -308,7 +308,7 @@ func TestRequestDeadline(t *testing.T) {
 	x.end()
 
 	// Done asked for before the deadline closes at it.
-	x = srv.begin(httptest.NewRequest(http.MethodGet, "/sparql", nil), time.Now())
+	x = srv.begin(httptest.NewRequest(http.MethodGet, "/sparql", nil))
 	done := x.ctx.Done()
 	if err := x.ctx.Err(); err != nil {
 		t.Fatalf("Done armed before the deadline: Err %v", err)

@@ -72,9 +72,8 @@ type Options struct {
 	// Workers bounds the number of concurrently executing queries
 	// (default runtime.GOMAXPROCS(0)).
 	Workers int
-	// Timeout is the per-request execution deadline, counted from the
-	// request's arrival and covering both queue wait and evaluation
-	// (default 30s). Cancellation is observed at
+	// Timeout is the per-request execution deadline, covering both queue
+	// wait and evaluation (default 30s). Cancellation is observed at
 	// batch-refill granularity, never per triple.
 	Timeout time.Duration
 	// CacheEntries is the result cache capacity in entries (default 256;
@@ -379,13 +378,12 @@ type exchange struct {
 
 var exchanges = sync.Pool{New: func() any { return new(exchange) }}
 
-// begin starts r's deadline, counted from start, the time the request
-// arrived. The request ends its exchange, and uses neither the context
-// nor the response after that.
-func (s *Server) begin(r *http.Request, start time.Time) *exchange {
+// begin starts r's deadline. The request ends its exchange, and uses
+// neither the context nor the response after that.
+func (s *Server) begin(r *http.Request) *exchange {
 	x := exchanges.Get().(*exchange)
 	parent := r.Context()
-	x.ctx.Context, x.ctx.deadline = parent, start.Add(s.cfg.Timeout)
+	x.ctx.Context, x.ctx.deadline = parent, time.Now().Add(s.cfg.Timeout)
 	if pd, ok := parent.Deadline(); ok && pd.Before(x.ctx.deadline) {
 		x.ctx.deadline = pd
 	}
@@ -551,7 +549,7 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, u update) {
 	// Workers requests contend for the store's writer mutex, and later
 	// arrivals 503 when their deadline passes first — a threshold merge
 	// holding the mutex for a rebuild must not pile up goroutines.
-	x := s.begin(r, time.Now())
+	x := s.begin(r)
 	defer x.end()
 	ctx := &x.ctx
 	if err := s.acquire(ctx); err != nil {
